@@ -21,7 +21,7 @@
 //!
 //! `run` is range-agnostic: callers may evaluate the whole output or any
 //! contiguous tile by slicing all external inputs with one range, which is
-//! exactly the contract of [`crate::eval_ew_tile`].
+//! exactly how [`crate::eval_prim_tiled`] restricts an elementwise primitive.
 
 use crate::error::ExecError;
 use korch_ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};

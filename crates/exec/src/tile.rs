@@ -90,9 +90,7 @@ pub fn prim_tilability(kind: &PrimKind, out_shape: &[usize]) -> Tilability {
 
 /// Evaluates one elementwise primitive on **pre-sliced** input ranges
 /// (every slice covers the same flat range of its tensor), writing every
-/// element of `out`. The chain form `korch-runtime` uses when a fused
-/// all-elementwise kernel is tiled: member outputs stay range-restricted
-/// buffers and feed the next member without widening.
+/// element of `out`.
 ///
 /// # Errors
 ///
@@ -102,7 +100,7 @@ pub fn prim_tilability(kind: &PrimKind, out_shape: &[usize]) -> Tilability {
 ///
 /// Panics if an input slice's length differs from `out.len()` (callers
 /// slice all operands with one range).
-pub fn eval_ew_tile(
+fn eval_ew_tile(
     f: &EwFn,
     inputs: &[&[f32]],
     out: &mut [f32],

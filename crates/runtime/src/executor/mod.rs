@@ -1,0 +1,633 @@
+//! The parallel plan executor: runs an orchestrated [`Plan`] for real,
+//! with a work-stealing scheduler over stream lanes, kernel-level
+//! dependency tracking, intra-kernel tile decomposition, and eager buffer
+//! reclamation.
+//!
+//! The seed's `korch_exec::execute_plan` interprets kernels sequentially
+//! and `korch_orch::schedule_streams` only *simulates* multi-stream
+//! overlap. [`PlanExecutor`] closes the loop, and its outputs are
+//! **bit-identical** to `execute_plan`'s whichever lane runs what.
+//!
+//! # Compile (`compile.rs`, `body.rs`)
+//!
+//! [`PlanExecutor::new`] assigns every source and every port a kernel
+//! reads or materializes a *value slot*, derives kernel dependencies from
+//! the reads, and lowers each kernel to one `KernelBody`:
+//!
+//! - **walk** — the general body and most of the traffic: every
+//!   non-source member, in ascending order, evaluated whole by
+//!   `korch_exec::eval_prim` with operands resolved at compile time to
+//!   either a read slot or an earlier step's output (`execute_plan`'s
+//!   rule), so a run indexes vectors and builds no maps;
+//! - **chain** — a single-output fused elementwise chain (down to one
+//!   member) compiled to a [`korch_exec::CompiledChain`] register
+//!   program;
+//! - **prim** — one matmul, reduce or broadcast exporting its port 0;
+//!   matmul packs its right operand once per run
+//!   ([`korch_tensor::PackedB`]) and contracts row ranges through the
+//!   blocked microkernel.
+//!
+//! Chain and prim are *range* bodies: they evaluate any grain-aligned
+//! flat range of their single output with exactly the arithmetic the
+//! interpreter performs for those elements, in the same order. Run
+//! whole, such a kernel is the range `0..total` written straight into
+//! the arena buffer that becomes the published tensor; decomposed, it is
+//! the same call per tile. A walk runs whole only and stages each
+//! exported tensor into an arena buffer.
+//!
+//! # Schedule (`sched.rs`)
+//!
+//! The simulated schedule's lane placement seeds one ready deque per
+//! lane (locality preserved), but execution order is derived from the
+//! kernel dependency DAG alone — a kernel becomes ready the moment its
+//! last dependency retires (atomic dependency counters), and an idle
+//! lane whose own deque is empty *steals* ready tasks from other lanes
+//! instead of blocking behind a lane predecessor. No scheduler
+//! interaction takes a lock: ready tasks live in per-lane Chase–Lev
+//! deques (`deque::WorkStealDeque` documents the memory-ordering
+//! recipe) and idle lanes park futex-style against a versioned
+//! work-epoch counter. `RunState`'s docs walk the full producer/consumer
+//! handshake and why a lost wakeup is impossible; both protocols are
+//! exhaustively explored as `korch_verify` models (`chase-lev-deque`,
+//! `park-unpark-epoch`). Single-lane and single-kernel plans skip all of
+//! it and run in plan order on the calling thread.
+//!
+//! # Intra-kernel data parallelism
+//!
+//! Inter-kernel overlap saturates only when enough *independent* kernels
+//! are ready; a single large kernel runs on one lane while its siblings
+//! idle. The executor therefore decomposes such a kernel into
+//! **row-range tiles**:
+//!
+//! - at compile time a range-bodied kernel is *tile-eligible* when its
+//!   plan-priced latency exceeds the split threshold
+//!   ([`RuntimeConfig::split_threshold_us`], by default one lane's fair
+//!   share of the plan, `total_latency / lanes` — re-derived whenever a
+//!   recalibration re-prices the plan). Plan-derived thresholds also
+//!   require the kernel to clear a per-tile overhead floor — splitting
+//!   must buy more body time per lane than it spends on tile dispatch
+//!   and chunk assembly. Its [`TileLayout`] is cut then;
+//! - at run time, a popped tile-eligible kernel is split **only when the
+//!   ready queues cannot keep the other workers busy**. Its operands are
+//!   prepared once and its tiles enter the decomposing worker's own
+//!   deque as subtasks (idle lanes steal the oldest ones), so the
+//!   work-stealing machinery schedules them like everything else;
+//! - each tile computes its flat output range into an arena-recycled
+//!   chunk — the **disjoint-slice contract**: tile ranges partition the
+//!   output exactly, every element written by exactly one tile with the
+//!   arithmetic of the whole kernel — and a per-kernel atomic countdown
+//!   re-assembles completion: the last tile concatenates the chunks (in
+//!   tile order) into the output buffer and retires the kernel;
+//! - tile intervals are profiled with the parent kernel's index and a
+//!   tile tag ([`crate::KernelInterval::tile`]): per-kernel stats sum a
+//!   run's tiles into one whole-kernel sample (what the calibration fit
+//!   needs), and the contention fit skips same-kernel pairs so sibling
+//!   tiles are never mistaken for cross-kernel overlap evidence.
+//!
+//! # Memory and observation (`emit.rs`)
+//!
+//! Every buffer a run materializes is accounted in the [`BufferArena`]:
+//! a slot's storage returns to the pool when its last reader retires,
+//! pinned slots (inputs, outputs) when the run settles, on success and
+//! on every failure path alike. Workers log kernel/tile intervals
+//! lane-locally against one clock origin per run; after the workers
+//! joined the run folds them into the [`RuntimeProfile`] and, when a
+//! telemetry hub is configured, rebases them onto its shared origin.
+
+mod body;
+mod compile;
+mod emit;
+mod sched;
+
+use crate::arena::{BufferArena, MemoryReport};
+use crate::deque::WorkStealDeque;
+use crate::profiler::RuntimeProfile;
+use body::KernelBody;
+use emit::{ExecTelemetry, RunCtx};
+use korch_cost::{Device, KernelClass};
+use korch_exec::ExecError;
+use korch_ir::{NodeId, PortRef, PrimGraph};
+use korch_orch::{Plan, StreamContention, StreamSchedule};
+use korch_tensor::Tensor;
+use sched::{RunState, Task};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
+
+/// Locks `m`, recovering the inner value if a panicking worker poisoned
+/// it. Every mutex the executor shares across lanes guards data that is
+/// either discarded on the failure path (profiling samples, tile
+/// chunks awaiting `settle`) or overwritten before reuse (the error
+/// slot), so a poisoned guard's contents are always safe to adopt —
+/// recovering keeps the orderly failure unwind from turning into a
+/// second panic and lets `settle` drive `live_bytes` back to zero.
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock_recover`] for slot read locks.
+fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock_recover`] for slot write locks.
+fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The error for a port read or exported before anything materialized it.
+fn not_materialized(port: &PortRef) -> ExecError {
+    ExecError::NotMaterialized {
+        node: port.node.0,
+        port: port.port,
+    }
+}
+
+/// Configuration of the runtime executor.
+#[derive(Debug, Clone)]
+pub struct RuntimeConfig {
+    /// Worker threads / stream lanes (1 = sequential in-thread execution).
+    pub lanes: usize,
+    /// Device whose simulated schedule decides lane placement.
+    pub device: Device,
+    /// Contention model used for lane placement.
+    pub contention: StreamContention,
+    /// Record per-kernel wall times on every run.
+    pub profile: bool,
+    /// Plan-priced latency (µs, in the plan's own cost-model units —
+    /// simulated device time at compile, calibrated host time after a
+    /// recalibration) above which a tilable kernel is split. `None`
+    /// derives it from the plan itself: `total_latency / lanes`, i.e. a
+    /// kernel is "too big" when it alone exceeds one lane's fair share of
+    /// the plan — scale-free, so `recalibrate()` re-derives it
+    /// automatically when it re-prices plans in measured host time.
+    /// Derived thresholds additionally price each candidate against a
+    /// per-tile overhead floor (launch slice + chunk assembly traffic):
+    /// a kernel whose per-lane body share sits under the floor runs whole
+    /// — splitting it would cost more than it saves. Explicit thresholds
+    /// skip the floor so tests can force degenerate splits.
+    pub split_threshold_us: Option<f64>,
+    /// Rows (grain units) per tile. `None` splits a kernel into one tile
+    /// per lane; tests pin explicit sizes (1, 7, …) to sweep partitions.
+    pub tile_rows: Option<usize>,
+    /// Tracing + metrics sink shared with the serving stack. `None` (the
+    /// default) is the zero-cost path: the executor records no timestamps
+    /// beyond profiling, allocates nothing for telemetry, and touches no
+    /// atomics. When set, kernel/tile intervals are rebased onto the
+    /// recorder's shared clock origin after every run and the executor
+    /// registers its steal/tile counters with the bundle's registry.
+    pub telemetry: Option<Arc<korch_telemetry::Telemetry>>,
+}
+
+impl Default for RuntimeConfig {
+    fn default() -> Self {
+        Self {
+            lanes: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .min(8),
+            device: Device::v100(),
+            contention: StreamContention::default(),
+            profile: true,
+            split_threshold_us: None,
+            tile_rows: None,
+            telemetry: None,
+        }
+    }
+}
+
+impl RuntimeConfig {
+    /// Config with an explicit lane count.
+    pub fn with_lanes(lanes: usize) -> Self {
+        Self {
+            lanes: lanes.max(1),
+            ..Self::default()
+        }
+    }
+}
+
+/// One kernel, preprocessed for repeated execution.
+struct KernelTask {
+    /// Output port → value slot.
+    outputs: Vec<(PortRef, usize)>,
+    /// Distinct ports read from materialized memory → value slot.
+    reads: Vec<(PortRef, usize)>,
+    /// Kernels that must retire before this one starts.
+    deps: Vec<usize>,
+    body: KernelBody,
+}
+
+/// How a tile-decomposed kernel evaluates its restricted output ranges —
+/// the public mirror of the executor's internal tile body, exposed for
+/// static verification ([`PlanExecutor::tile_layouts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileBodyKind {
+    /// Exactly one non-source member, of a tilable [`korch_ir::PrimKind`]; tiles
+    /// run `korch_exec::eval_prim_tiled` on it (matmul rows go through
+    /// the packed/blocked row kernel — a pure loop interchange of the
+    /// same contraction, so still bit-identical).
+    Single(NodeId),
+    /// Every non-source member is elementwise over one shared shape; the
+    /// fused chain evaluates per flat index on range-restricted operand
+    /// windows via the kernel's compiled register program
+    /// ([`korch_exec::CompiledChain`] — same member order, same tile
+    /// kernels as the interpreter, so bit-identical by construction).
+    ElementwiseChain,
+}
+
+/// The compiled tile decomposition of one kernel, exactly as the
+/// executor will run it: the artifact `korch-verify` checks the
+/// disjoint-slice contract (tiles partition the flat output range,
+/// grain-aligned, in tile order) and tilability soundness against.
+#[derive(Debug, Clone)]
+pub struct TileLayout {
+    /// How tiles evaluate their ranges.
+    pub body: TileBodyKind,
+    /// Flat output ranges, one per tile, in assembly order.
+    pub tiles: Vec<std::ops::Range<usize>>,
+    /// Shape of the kernel's single output.
+    pub out_shape: Vec<usize>,
+    /// Split granularity in flat output elements.
+    pub grain: usize,
+}
+
+/// A compiled, repeatedly executable parallel plan.
+pub struct PlanExecutor {
+    graph: PrimGraph,
+    /// The source plan, kept so the executor can [`PlanExecutor::replicate`]
+    /// itself into an independent shard without the caller re-threading it.
+    plan: Plan,
+    /// The construction config, kept for the same reason.
+    config: RuntimeConfig,
+    kernels: Vec<KernelTask>,
+    /// Kernel indices per lane, in schedule start order (deque seeds).
+    lanes: Vec<Vec<usize>>,
+    /// Kernels unblocked when each kernel retires (reverse dependency
+    /// edges).
+    dependents: Vec<Vec<usize>>,
+    schedule: StreamSchedule,
+    /// Input slots in feed order, with expected shapes.
+    input_slots: Vec<(usize, Vec<usize>)>,
+    /// Constant tensors, materialized once and shared across runs.
+    const_slots: Vec<(usize, Arc<Tensor>)>,
+    /// Slots backed by shared constants (never arena-tracked).
+    const_slot: Vec<bool>,
+    /// Graph output ports → slots.
+    output_slots: Vec<(PortRef, usize)>,
+    /// Per-slot element count.
+    slot_numel: Vec<usize>,
+    /// Kernels reading each slot (for last-reader reclamation).
+    slot_readers: Vec<usize>,
+    /// Slots that must survive the whole run (inputs, constants, outputs).
+    slot_pinned: Vec<bool>,
+    memory_report: MemoryReport,
+    arena: BufferArena,
+    /// Whether kernel/tile intervals are timed at all: profiling wants
+    /// them for the calibration fit, telemetry wants them for trace spans.
+    timing_enabled: bool,
+    /// Tracing handles, present only when the config carries a telemetry
+    /// bundle. The hot path never consults this — workers time intervals
+    /// exactly as for profiling and the spans are emitted once per run,
+    /// after the workers have joined.
+    telemetry: Option<ExecTelemetry>,
+    profile: Mutex<RuntimeProfile>,
+    /// Per-kernel tile decompositions (None = runs whole).
+    tile_specs: Vec<Option<TileLayout>>,
+    /// Each kernel's roofline class and total FLOPs, indexed like
+    /// `kernels` — the lookup table behind the `executor.gflops.<class>`
+    /// telemetry gauges. Built once at compile; unused (but cheap) when
+    /// telemetry is off.
+    kernel_classes: Vec<(KernelClass, f64)>,
+    /// The split threshold actually in force (explicit or plan-derived).
+    split_threshold_us: f64,
+    /// Dependency-free kernels — the run's initial ready set. When this
+    /// already covers the lanes, tiling will defer to inter-kernel
+    /// parallelism anyway, so `execute` spawns only the schedule-occupied
+    /// workers instead of one per lane.
+    n_roots: usize,
+}
+
+impl PlanExecutor {
+    /// Compiles an independent replica of this executor — same graph,
+    /// plan and configuration, fresh buffer arena and empty profile. The
+    /// building block of sharded execution ([`crate::ShardedExecutor`]):
+    /// replicas share no mutable state, so they run fully concurrently.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] when the plan no longer compiles (cannot
+    /// happen for a plan this executor was built from, barring resource
+    /// exhaustion).
+    pub fn replicate(&self) -> Result<Self, ExecError> {
+        Self::new(&self.graph, &self.plan, self.config.clone())
+    }
+
+    /// The simulated schedule backing the lane seeds.
+    pub fn schedule(&self) -> &StreamSchedule {
+        &self.schedule
+    }
+
+    /// The primitive graph this executor was compiled over.
+    pub fn graph(&self) -> &PrimGraph {
+        &self.graph
+    }
+
+    /// The plan this executor runs.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// The compiled dependency edges, indexed like `plan.kernels`:
+    /// `kernel_dependencies()[i]` lists the kernels whose retirement
+    /// decrements kernel `i`'s atomic dependency counter. Every edge
+    /// points at a strictly lower index (acyclic by construction); the
+    /// static verifier cross-checks this against the independent
+    /// derivation in `korch_orch::plan_dependencies`.
+    pub fn kernel_dependencies(&self) -> Vec<Vec<usize>> {
+        self.kernels.iter().map(|k| k.deps.clone()).collect()
+    }
+
+    /// The compiled tile decomposition of each kernel (`None` = the
+    /// kernel always runs whole). This is the exact partition tiles will
+    /// write at run time, exposed so `korch-verify` can check the
+    /// disjoint-slice contract on the artifact rather than re-deriving it.
+    pub fn tile_layouts(&self) -> Vec<Option<TileLayout>> {
+        self.tile_specs.clone()
+    }
+
+    /// Number of worker lanes.
+    pub fn lane_count(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The intra-kernel split threshold in force, in the plan's pricing
+    /// units (explicit [`RuntimeConfig::split_threshold_us`], or the
+    /// plan-derived default `total_latency / lanes`).
+    pub fn split_threshold_us(&self) -> f64 {
+        self.split_threshold_us
+    }
+
+    /// Number of kernels eligible for tile decomposition (cost estimate
+    /// above the split threshold and a tilable member shape). Whether an
+    /// eligible kernel actually splits in a given run depends on sibling
+    /// lanes being idle when it turns ready.
+    pub fn tileable_kernels(&self) -> usize {
+        self.tile_specs.iter().filter(|t| t.is_some()).count()
+    }
+
+    /// Static lifetime-analysis report for the compiled plan.
+    pub fn memory_report(&self) -> &MemoryReport {
+        &self.memory_report
+    }
+
+    /// Live arena counters (peak-resident bytes, reuse hits).
+    pub fn arena_stats(&self) -> crate::arena::ArenaStats {
+        self.arena.stats()
+    }
+
+    /// Snapshot of the accumulated wall-time profile.
+    pub fn profile(&self) -> RuntimeProfile {
+        lock_recover(&self.profile).clone()
+    }
+
+    /// Clears the accumulated profile.
+    pub fn reset_profile(&self) {
+        let mut p = lock_recover(&self.profile);
+        *p = RuntimeProfile::new(self.kernels.len());
+    }
+
+    /// Validates `inputs` against the graph's input arity and shapes
+    /// without running anything — the check [`PlanExecutor::execute`]
+    /// performs before building its run state, exposed so routing layers
+    /// (`crate::ShardedExecutor`) can reject malformed *client* requests
+    /// up front instead of burning a failure on every shard they retry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::Input`] on arity or shape mismatches.
+    pub fn validate_inputs(&self, inputs: &[Tensor]) -> Result<(), ExecError> {
+        if inputs.len() != self.input_slots.len() {
+            return Err(ExecError::Input(format!(
+                "graph has {} inputs but {} tensors were fed",
+                self.input_slots.len(),
+                inputs.len()
+            )));
+        }
+        for (fed, ((_, shape), t)) in self.input_slots.iter().zip(inputs).enumerate() {
+            if t.shape() != shape.as_slice() {
+                return Err(ExecError::Input(format!(
+                    "input {fed} has shape {:?}, expected {shape:?}",
+                    t.shape()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Executes the plan on `inputs`, overlapping independent kernels
+    /// across lanes. Produces exactly `execute_plan`'s outputs, bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] on input mismatches or kernel failures.
+    pub fn execute(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+        let mut run = RunCtx::new(self.telemetry.as_ref());
+        let mut state = self.feed(inputs)?;
+        // A lane's deque only ever holds its homed kernels, so lanes the
+        // schedule left empty never need a worker; chain-shaped plans run
+        // inline on the calling thread. Tile-eligible kernels change the
+        // calculus: their tiles are spread across *every* lane's deque at
+        // decomposition time, so all lanes get a worker even if the
+        // schedule seeded them empty (a single huge kernel is exactly the
+        // case tiling exists for).
+        let may_tile = self.tile_specs.iter().any(Option::is_some);
+        // Widen to one worker per lane only when the initial ready set
+        // cannot seed them all — with enough root kernels, the split
+        // heuristic defers to inter-kernel parallelism and the extra
+        // workers would only spawn and park.
+        let every_lane = may_tile && self.n_roots < self.lanes.len();
+        let workers: Vec<usize> = (0..self.lanes.len())
+            .filter(|&l| every_lane || !self.lanes[l].is_empty())
+            .collect();
+        state.workers = workers.len();
+        if workers.len() <= 1 || (self.kernels.len() <= 1 && !may_tile) {
+            state.workers = 1;
+            self.run_sequential(workers.first().copied().unwrap_or(0), &state, &run);
+        } else {
+            std::thread::scope(|scope| {
+                let state = &state;
+                let run = &run;
+                for &w in &workers {
+                    scope.spawn(move || self.run_worker(w, state, run));
+                }
+            });
+        }
+        // All workers have merged their lane logs; fold the run into the
+        // shared profile under one lock hold.
+        let log = std::mem::take(&mut run.log)
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        let failed = state.failed.load(Ordering::Acquire);
+        if let Some(et) = &self.telemetry {
+            et.emit_run(&run, &log, &self.kernel_classes);
+        }
+        if self.config.profile || log.steals > 0 || log.parks > 0 {
+            let mut profile = lock_recover(&self.profile);
+            // Intervals may have been timed for tracing alone; the
+            // profile only ever sees them when profiling is on.
+            let samples = if self.config.profile {
+                log.samples
+            } else {
+                Vec::new()
+            };
+            profile.merge_run(samples, log.steals, log.parks);
+            if self.config.profile && !failed {
+                profile.record_run(run.origin.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        let result = if failed {
+            let e = lock_recover(&state.error).take();
+            Err(e.unwrap_or_else(|| ExecError::Input("executor failed".into())))
+        } else {
+            self.output_slots
+                .iter()
+                .map(|(port, s)| {
+                    let value = read_recover(&state.values[*s]);
+                    value.as_deref().cloned().ok_or(not_materialized(port))
+                })
+                .collect()
+        };
+        self.settle(&state);
+        if let Some(et) = &self.telemetry {
+            et.emit_arena(&self.arena.stats());
+        }
+        result
+    }
+
+    /// Releases every arena-tracked buffer still held by the run state
+    /// (pinned inputs/outputs after a completed run, or whatever a failed
+    /// run left behind), recycling the storage where possible. Constants
+    /// are shared across runs and skipped. Tile chunks a failed run
+    /// stranded mid-decomposition (computed but never assembled) are
+    /// drained too — workers have joined by the time this runs, so every
+    /// in-flight chunk store has landed.
+    fn settle(&self, state: &RunState) {
+        // Tile state first: a failed run's input snapshots still hold
+        // `Arc`s into the slots, and dropping them lets the slot sweep
+        // below recover sole ownership (and recycle the storage).
+        for tile_run in &state.tiles {
+            if let Some(tr) = tile_run.get() {
+                write_recover(&tr.prepared).take();
+                for chunk in lock_recover(&tr.chunks).iter_mut() {
+                    if let Some(c) = chunk.take() {
+                        self.arena.release(c);
+                    }
+                }
+            }
+        }
+        for (s, value) in state.values.iter().enumerate() {
+            if self.const_slot[s] {
+                continue;
+            }
+            if let Some(arc) = write_recover(value).take() {
+                self.reclaim(s, arc);
+            }
+        }
+    }
+
+    /// Returns slot `s`'s dead buffer to the arena: its storage to the
+    /// pool when this was the last handle, its live bytes either way.
+    fn reclaim(&self, s: usize, arc: Arc<Tensor>) {
+        match Arc::try_unwrap(arc) {
+            Ok(t) => self.arena.release(t.into_vec()),
+            Err(_) => self.arena.release_untracked(self.slot_numel[s]),
+        }
+    }
+
+    /// Validates inputs and builds the run state with sources filled and
+    /// the per-lane ready deques seeded from the schedule.
+    fn feed(&self, inputs: &[Tensor]) -> Result<RunState, ExecError> {
+        self.validate_inputs(inputs)?;
+        // Any single deque can receive every task of the run (a worker
+        // pushes all the work *it* makes ready onto its own deque), so
+        // each is sized to the total: kernels plus every possible tile.
+        // Bottom indices never wrap, which is what rules out ABA.
+        let tiles: usize = self
+            .tile_specs
+            .iter()
+            .flatten()
+            .map(|s| s.tiles.len())
+            .sum();
+        let capacity = self.kernels.len() + tiles;
+        let state = RunState {
+            values: (0..self.slot_numel.len())
+                .map(|_| RwLock::new(None))
+                .collect(),
+            remaining_deps: self
+                .kernels
+                .iter()
+                .map(|k| AtomicUsize::new(k.deps.len()))
+                .collect(),
+            remaining_readers: self
+                .slot_readers
+                .iter()
+                .map(|&n| AtomicUsize::new(n))
+                .collect(),
+            ready: (0..self.lanes.len())
+                .map(|_| WorkStealDeque::new(capacity))
+                .collect(),
+            ready_count: AtomicUsize::new(0),
+            workers: 1,
+            tiles: (0..self.kernels.len()).map(|_| OnceLock::new()).collect(),
+            n_finished: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
+            parked: (0..self.lanes.len())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
+            lane_threads: (0..self.lanes.len()).map(|_| OnceLock::new()).collect(),
+            failed: AtomicBool::new(false),
+            error: Mutex::new(None),
+        };
+        // Seed each lane with its dependency-free kernels. Workers pop
+        // LIFO from their own bottom, so seeding in *reverse* schedule
+        // start order makes each lane work through its simulated
+        // placement in order before stealing. Pre-spawn and
+        // single-threaded, so the owner-only push contract holds.
+        let mut seeded = 0usize;
+        for (l, lane) in self.lanes.iter().enumerate() {
+            for &k in lane.iter().rev() {
+                if self.kernels[k].deps.is_empty() {
+                    state.ready[l].push(Task::Kernel(k).encode());
+                    seeded += 1;
+                }
+            }
+        }
+        state.ready_count.store(seeded, Ordering::Release);
+        for ((s, _), t) in self.input_slots.iter().zip(inputs) {
+            *write_recover(&state.values[*s]) = Some(Arc::new(self.stage_copy(t)));
+        }
+        for (s, t) in &self.const_slots {
+            *write_recover(&state.values[*s]) = Some(Arc::clone(t));
+        }
+        Ok(state)
+    }
+
+    /// An arena-adopted buffer of exactly `len` elements, recycled from
+    /// the pool when one is parked — the genuine reuse path: storage freed
+    /// by last-reader reclamation (this run or earlier ones) backs new
+    /// tensors instead of fresh allocations. Contents are unspecified;
+    /// every user overwrites the whole buffer.
+    fn take_buf(&self, len: usize) -> Vec<f32> {
+        self.arena.adopt(len);
+        self.arena.take(len).unwrap_or_else(|| vec![0.0; len])
+    }
+
+    /// Copies `t` into an arena buffer.
+    fn stage_copy(&self, t: &Tensor) -> Tensor {
+        let mut buf = self.take_buf(t.numel());
+        buf.copy_from_slice(t.as_slice());
+        Tensor::from_vec(t.shape().to_vec(), buf).expect("arena buffer matches numel")
+    }
+}

@@ -1,0 +1,535 @@
+//! The scheduler: per-run shared state, the worker loop over the
+//! lock-free ready deques (pop / steal / park), kernel retirement, and
+//! tile decomposition and re-assembly.
+
+use super::body::{KernelBody, Prepared};
+use super::emit::{LaneLog, RunCtx};
+use super::{lock_recover, not_materialized, read_recover, write_recover, PlanExecutor};
+use crate::deque::{Steal, WorkStealDeque};
+use crate::profiler::KernelInterval;
+use korch_exec::ExecError;
+use korch_tensor::Tensor;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+
+/// Per-run completion state of one decomposed kernel: tiles park their
+/// finished chunks here and the last tile (atomic countdown) assembles
+/// the full output and retires the kernel.
+pub(super) struct TileRun {
+    remaining: AtomicUsize,
+    pub(super) chunks: Mutex<Vec<Option<Vec<f32>>>>,
+    /// The kernel's operands, prepared **once** at decomposition and read
+    /// by every tile (no per-tile slot locking, one matmul pack). Taken
+    /// before the kernel retires: an `Arc` still parked here would make
+    /// the last-reader reclamation's `Arc::try_unwrap` fail and the
+    /// storage would skip the recycling pool.
+    pub(super) prepared: RwLock<Option<Prepared>>,
+}
+
+/// One schedulable unit in the ready deques.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Task {
+    /// A whole kernel.
+    Kernel(usize),
+    /// One row-range tile of a decomposed kernel.
+    Tile { kernel: usize, tile: usize },
+}
+
+/// Tag bit distinguishing tile tasks in the deques' `u64` encoding.
+const TILE_TAG: u64 = 1 << 63;
+
+impl Task {
+    /// Encodes the task for the lock-free deques: kernels are their
+    /// index, tiles set [`TILE_TAG`] and pack `kernel << 31 | tile`
+    /// (plans stay far below 2³¹ kernels or tiles).
+    pub(super) fn encode(self) -> u64 {
+        match self {
+            Task::Kernel(k) => k as u64,
+            Task::Tile { kernel, tile } => {
+                debug_assert!(kernel < (1 << 31) && tile < (1 << 31));
+                TILE_TAG | ((kernel as u64) << 31) | tile as u64
+            }
+        }
+    }
+
+    fn decode(raw: u64) -> Self {
+        if raw & TILE_TAG == 0 {
+            Task::Kernel(raw as usize)
+        } else {
+            Task::Tile {
+                kernel: ((raw & !TILE_TAG) >> 31) as usize,
+                tile: (raw & ((1 << 31) - 1)) as usize,
+            }
+        }
+    }
+}
+
+/// Shared state of one `execute` call.
+///
+/// # The lock-free scheduler core
+///
+/// Ready tasks live in one Chase–Lev deque per lane
+/// ([`WorkStealDeque`]): a worker pushes the tasks *it* makes ready
+/// (retired dependents, decomposition tiles) onto its **own** deque's
+/// bottom and pops LIFO from there; idle lanes steal FIFO from other
+/// lanes' tops. Single-owner pushes are what make the deque's lock-free
+/// recipe sound — the stream schedule's lane placement now only seeds
+/// the initial (pre-spawn) deques.
+///
+/// Idleness is futex-style parking against a versioned **work epoch**
+/// instead of a global condvar. Producer side, per made-ready batch:
+/// push the tasks, `fetch_add` [`RunState::epoch`] (SeqCst), then wake
+/// at most one parked lane per pushed task (CAS its [`RunState::parked`]
+/// flag true→false, `Thread::unpark`). Consumer side: read the epoch,
+/// sweep **all** deques (pop + steal until every one observes empty),
+/// publish the parked flag (SeqCst), then re-check the epoch and the
+/// failed/finished flags — only if nothing changed does the lane
+/// actually `thread::park()`. The SeqCst total order makes a lost
+/// wakeup impossible: either the consumer's re-check sees the bump (it
+/// retries, and having read the bumped epoch synchronizes-with the
+/// producer so the next sweep sees the push), or its parked-flag store
+/// precedes the bump — and therefore precedes the producer's wake scan,
+/// which then sees the flag. The protocol is the `park-unpark-epoch`
+/// model `korch_verify` explores exhaustively; the deque recipe is its
+/// `chase-lev-deque` model.
+///
+/// Termination and failure wake **everyone**: the worker whose
+/// retirement takes [`RunState::n_finished`] to the kernel count, and
+/// [`PlanExecutor::fail`], both sweep every parked flag — a lane parked
+/// mid-run unwinds promptly instead of waiting for a timeout.
+pub(super) struct RunState {
+    pub(super) values: Vec<RwLock<Option<Arc<Tensor>>>>,
+    /// Unretired dependencies per kernel; the transition to zero pushes
+    /// the kernel onto the retiring worker's own deque.
+    pub(super) remaining_deps: Vec<AtomicUsize>,
+    pub(super) remaining_readers: Vec<AtomicUsize>,
+    /// Per-lane Chase–Lev deques of ready tasks, sized to the run's
+    /// total task count so indices never wrap.
+    pub(super) ready: Vec<WorkStealDeque>,
+    /// Tasks currently enqueued across all deques (the split heuristic's
+    /// "would sibling lanes idle?" signal).
+    pub(super) ready_count: AtomicUsize,
+    /// Worker threads participating in this run (1 = sequential path).
+    pub(super) workers: usize,
+    /// Per-kernel tile completion state, initialized by the worker that
+    /// decomposes the kernel (before its tile tasks are enqueued).
+    pub(super) tiles: Vec<OnceLock<TileRun>>,
+    /// Retired kernels; reaching the kernel count ends the run.
+    pub(super) n_finished: AtomicUsize,
+    /// Work epoch: bumped (SeqCst) after every made-ready push batch.
+    /// A lane only parks if the epoch is unchanged across its
+    /// confirmed-empty sweep — the versioned handshake that closes the
+    /// push-vs-park race.
+    pub(super) epoch: AtomicU64,
+    /// Per-lane parked flags. Set (SeqCst) by the lane itself before
+    /// its final epoch re-check; cleared by a waker's CAS (which then
+    /// unparks the thread) or by the lane's own failed re-check.
+    pub(super) parked: Vec<AtomicBool>,
+    /// Each worker lane's thread handle, registered at worker start so
+    /// producers can `Thread::unpark` it.
+    pub(super) lane_threads: Vec<OnceLock<std::thread::Thread>>,
+    pub(super) failed: AtomicBool,
+    pub(super) error: Mutex<Option<ExecError>>,
+}
+
+impl PlanExecutor {
+    /// In-thread execution for single-lane or single-kernel plans: kernel
+    /// indices ascend in dependency order (every dependency points at a
+    /// lower index), so plan order is a valid schedule.
+    pub(super) fn run_sequential(&self, lane: usize, state: &RunState, run: &RunCtx) {
+        let mut log = LaneLog::default();
+        for k in 0..self.kernels.len() {
+            if !self.run_task(Task::Kernel(k), lane, state, run, &mut log) {
+                break;
+            }
+        }
+        run.merge(log);
+    }
+
+    /// Worker body: drain the own lane's deque (LIFO), steal when it
+    /// runs dry, park only after a confirmed-empty sweep of every deque
+    /// with the work epoch unchanged across it. A popped kernel that is
+    /// tile-eligible is decomposed in place — its tiles go onto this
+    /// worker's own deque, where idle lanes steal them — when sibling
+    /// lanes would otherwise idle.
+    pub(super) fn run_worker(&self, w: usize, state: &RunState, run: &RunCtx) {
+        // Register the handle producers will unpark.
+        let _ = state.lane_threads[w].set(std::thread::current());
+        let mut log = LaneLog::default();
+        while let Some((task, stolen)) = self.next_task(w, state, &mut log.parks) {
+            if stolen {
+                log.steals += 1;
+            }
+            let ok = match task {
+                Task::Kernel(k) if self.should_split(k, state) => self.decompose(k, w, state),
+                task => self.run_task(task, w, state, run, &mut log),
+            };
+            if !ok {
+                break;
+            }
+        }
+        run.merge(log);
+    }
+
+    /// Splits kernel `k` iff it was classified tile-eligible and the
+    /// tasks currently queued cannot keep the other workers busy — the
+    /// "sibling lanes idle" condition: with enough whole ready kernels,
+    /// inter-kernel parallelism already fills the lanes and splitting
+    /// would only pay assembly overhead.
+    fn should_split(&self, k: usize, state: &RunState) -> bool {
+        self.tile_specs[k].is_some()
+            && state.workers > 1
+            && state.ready_count.load(Ordering::Acquire) + 1 < state.workers
+    }
+
+    /// Decomposes kernel `k`: prepares its operands once, initializes its
+    /// completion state, and pushes one tile task per partition range
+    /// onto the decomposing worker's **own** deque (the single-owner
+    /// contract of the Chase–Lev deques — idle lanes steal the oldest
+    /// tiles from the top). Tiles are pushed in reverse so the owner's
+    /// LIFO pops run them in range order. Returns `false` (after flagging
+    /// the run failed) if the operands cannot be prepared.
+    fn decompose(&self, k: usize, w: usize, state: &RunState) -> bool {
+        let spec = self.tile_specs[k].as_ref().expect("checked by caller");
+        let prepared = match self.prepare(k, state) {
+            Ok(p) => p,
+            Err(e) => return self.fail(e, state),
+        };
+        let n = spec.tiles.len();
+        state.tiles[k]
+            .set(TileRun {
+                remaining: AtomicUsize::new(n),
+                chunks: Mutex::new((0..n).map(|_| None).collect()),
+                prepared: RwLock::new(Some(prepared)),
+            })
+            .unwrap_or_else(|_| panic!("kernel {k} decomposed twice in one run"));
+        for t in (0..n).rev() {
+            state.ready[w].push(Task::Tile { kernel: k, tile: t }.encode());
+        }
+        state.ready_count.fetch_add(n, Ordering::AcqRel);
+        self.announce(n, state);
+        true
+    }
+
+    /// Runs one task on worker lane `lane` — a whole kernel, or one tile
+    /// of a decomposed one — timing its (start, end) interval against
+    /// the run's shared clock origin when profiling (a tile's interval
+    /// carries the parent kernel's index and its tile tag), and retires
+    /// the kernel once its output is published. On failure stores the
+    /// error, flags the run failed, and wakes every parked worker so all
+    /// lanes unwind (a no-op when running sequentially); returns `false`
+    /// so the caller stops.
+    fn run_task(
+        &self,
+        task: Task,
+        lane: usize,
+        state: &RunState,
+        run: &RunCtx,
+        log: &mut LaneLog,
+    ) -> bool {
+        let start = self
+            .timing_enabled
+            .then(|| run.origin.elapsed().as_secs_f64() * 1e6);
+        let (kernel, tile, published) = match task {
+            Task::Kernel(k) => (k, None, self.run_whole(k, state).map(|()| true)),
+            Task::Tile { kernel, tile } => (kernel, Some(tile), self.run_tile(kernel, tile, state)),
+        };
+        match published {
+            Ok(published) => {
+                if let Some(start_us) = start {
+                    log.samples.push(KernelInterval {
+                        kernel,
+                        lane,
+                        start_us,
+                        end_us: run.origin.elapsed().as_secs_f64() * 1e6,
+                        tile,
+                    });
+                }
+                if published {
+                    self.retire(kernel, lane, state);
+                }
+                true
+            }
+            Err(e) => self.fail(e, state),
+        }
+    }
+
+    /// Marks the run failed and wakes every parked worker so all lanes
+    /// unwind (a no-op when running sequentially). The `SeqCst` store of
+    /// `failed` slots into the parking handshake exactly like an epoch
+    /// bump: a lane's post-flag re-check either sees it, or its parked
+    /// flag is visible to this wake-all sweep. Returns `false`, the
+    /// "stop this lane" answer of every caller.
+    fn fail(&self, e: ExecError, state: &RunState) -> bool {
+        *lock_recover(&state.error) = Some(e);
+        state.failed.store(true, Ordering::SeqCst);
+        self.wake_lanes(usize::MAX, state);
+        false
+    }
+
+    /// Snapshots kernel `k`'s reads from their value slots and binds its
+    /// body to them. A missing read would indicate a dependency-tracking
+    /// bug.
+    fn prepare(&self, k: usize, state: &RunState) -> Result<Prepared, ExecError> {
+        let kernel = &self.kernels[k];
+        let reads = kernel
+            .reads
+            .iter()
+            .map(|(port, s)| {
+                let value = read_recover(&state.values[*s]).clone();
+                value.ok_or(not_materialized(port))
+            })
+            .collect::<Result<_, _>>()?;
+        kernel.body.prepare(&self.graph, reads)
+    }
+
+    /// Evaluates the flat output `range` of range-bodied kernel `k` into
+    /// an arena buffer, released again on failure so the arena stays
+    /// balanced.
+    fn run_range(
+        &self,
+        k: usize,
+        range: Range<usize>,
+        prepared: &Prepared,
+    ) -> Result<Vec<f32>, ExecError> {
+        let mut out = self.take_buf(range.len());
+        match self.kernels[k]
+            .body
+            .run(&self.graph, range, prepared, &mut out)
+        {
+            Ok(()) => Ok(out),
+            Err(e) => {
+                self.arena.release(out);
+                Err(e)
+            }
+        }
+    }
+
+    /// Executes kernel `k` whole and publishes its outputs. A range body
+    /// evaluates `0..total` straight into the buffer that becomes the
+    /// published tensor; a walk body stages each exported tensor into an
+    /// arena buffer.
+    fn run_whole(&self, k: usize, state: &RunState) -> Result<(), ExecError> {
+        let kernel = &self.kernels[k];
+        let prepared = self.prepare(k, state)?;
+        if let KernelBody::Walk { steps, exports } = &kernel.body {
+            let locals = KernelBody::walk(steps, &self.graph, &prepared)?;
+            for (&(_, s), &(step, port)) in kernel.outputs.iter().zip(exports) {
+                self.publish_output(s, self.stage_copy(&locals[step][port]), state);
+            }
+        } else {
+            let (port, s) = kernel.outputs[0];
+            let shape = self.graph.meta(port).shape().to_vec();
+            let out = self.run_range(k, 0..shape.iter().product(), &prepared)?;
+            let t = Tensor::from_vec(shape, out).expect("the full range covers the output");
+            self.publish_output(s, t, state);
+        }
+        Ok(())
+    }
+
+    /// Runs tile `t_idx` of decomposed kernel `k`: evaluates its range
+    /// against the operands prepared at decomposition, parks the chunk in
+    /// the kernel's completion state, and — as the last tile of the
+    /// countdown — assembles and publishes the full output, returning
+    /// `true`.
+    fn run_tile(&self, k: usize, t_idx: usize, state: &RunState) -> Result<bool, ExecError> {
+        let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
+        let tr = state.tiles[k].get().expect("tiled kernel state");
+        let chunk = {
+            let prepared = read_recover(&tr.prepared);
+            let prepared = prepared
+                .as_ref()
+                .expect("parked until the last tile landed");
+            self.run_range(k, spec.tiles[t_idx].clone(), prepared)?
+        };
+        lock_recover(&tr.chunks)[t_idx] = Some(chunk);
+        // The countdown's AcqRel pairs with the chunk stores: the
+        // final decrementer observes every sibling's parked chunk.
+        let last = tr.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+        if last {
+            self.assemble(k, state);
+        }
+        Ok(last)
+    }
+
+    /// Concatenates a decomposed kernel's chunks, in tile order, into the
+    /// full output buffer and publishes it — the one copy tiling adds
+    /// over a whole run of the same range body.
+    fn assemble(&self, k: usize, state: &RunState) {
+        let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
+        let (_, s) = self.kernels[k].outputs[0];
+        let mut full = self.take_buf(spec.out_shape.iter().product());
+        let tr = state.tiles[k].get().expect("tiled kernel state");
+        for (chunk, range) in lock_recover(&tr.chunks).iter_mut().zip(&spec.tiles) {
+            let chunk = chunk.take().expect("every tile parked its chunk");
+            full[range.clone()].copy_from_slice(&chunk);
+            self.arena.release(chunk);
+        }
+        // Drop the operand snapshot before retiring: last-reader
+        // reclamation must see sole ownership to recycle the storage.
+        write_recover(&tr.prepared).take();
+        let t = Tensor::from_vec(spec.out_shape.clone(), full)
+            .expect("tile ranges cover the output exactly");
+        self.publish_output(s, t, state);
+    }
+
+    /// Next ready task for worker `w`, or `None` when the run is over
+    /// (all kernels retired, or another lane failed). Parks while
+    /// kernels are in flight but none is ready, counting each actual
+    /// park in `parks`.
+    fn next_task(&self, w: usize, state: &RunState, parks: &mut u64) -> Option<(Task, bool)> {
+        loop {
+            if state.failed.load(Ordering::SeqCst) {
+                return None;
+            }
+            if state.n_finished.load(Ordering::SeqCst) == self.kernels.len() {
+                return None;
+            }
+            // The confirmed-empty sweep: read the epoch first, then
+            // inspect every deque. try_pop returning None means each
+            // deque was *observed* empty (a racing steal retries inside
+            // try_pop until it resolves).
+            let epoch = state.epoch.load(Ordering::SeqCst);
+            if let Some(t) = self.try_pop(w, state) {
+                return Some(t);
+            }
+            // Publish the parked flag, then re-check. SeqCst makes the
+            // Dekker handshake airtight: a producer bumps the epoch
+            // after its push and scans the flags after the bump, so
+            // either our re-check sees the bump (retry — and having
+            // read it, the next sweep sees the push) or our flag store
+            // precedes the bump and the producer's scan wakes us. The
+            // finished/failed wake-alls plug into the same handshake.
+            state.parked[w].store(true, Ordering::SeqCst);
+            if state.epoch.load(Ordering::SeqCst) != epoch
+                || state.failed.load(Ordering::SeqCst)
+                || state.n_finished.load(Ordering::SeqCst) == self.kernels.len()
+            {
+                state.parked[w].store(false, Ordering::SeqCst);
+                continue;
+            }
+            *parks += 1;
+            std::thread::park();
+            // Cleared by the waker's CAS; clear again in case the park
+            // returned spuriously with the flag still up (benign: a
+            // waker that raced the clear banked an unpark token, which
+            // only costs one extra loop).
+            state.parked[w].store(false, Ordering::SeqCst);
+        }
+    }
+
+    /// Pops the next task: own deque first (LIFO — the freshest work
+    /// this lane made ready), then steal from the other lanes' tops,
+    /// round-robin from `w + 1`. A contended steal ([`Steal::Retry`])
+    /// retries the same victim until it resolves, so `None` means every
+    /// deque was genuinely observed empty.
+    fn try_pop(&self, w: usize, state: &RunState) -> Option<(Task, bool)> {
+        if let Some(raw) = state.ready[w].pop() {
+            state.ready_count.fetch_sub(1, Ordering::AcqRel);
+            return Some((Task::decode(raw), false));
+        }
+        let n = state.ready.len();
+        for off in 1..n {
+            let victim = (w + off) % n;
+            loop {
+                match state.ready[victim].steal() {
+                    Steal::Success(raw) => {
+                        state.ready_count.fetch_sub(1, Ordering::AcqRel);
+                        return Some((Task::decode(raw), true));
+                    }
+                    Steal::Retry => continue,
+                    Steal::Empty => break,
+                }
+            }
+        }
+        None
+    }
+
+    /// Makes `count` freshly pushed tasks visible to parked lanes:
+    /// bump the work epoch (SeqCst — the other half of the Dekker
+    /// handshake in [`PlanExecutor::next_task`]), then wake at most one
+    /// parked lane per task.
+    fn announce(&self, count: usize, state: &RunState) {
+        if count == 0 || state.workers <= 1 {
+            return;
+        }
+        state.epoch.fetch_add(1, Ordering::SeqCst);
+        self.wake_lanes(count, state);
+    }
+
+    /// Wakes up to `budget` parked lanes: CAS each raised flag down and
+    /// unpark the lane's thread. A flag claimed here is matched by
+    /// exactly one unpark — a lane never loses a wakeup to a racing
+    /// waker.
+    fn wake_lanes(&self, budget: usize, state: &RunState) {
+        let mut left = budget;
+        for (flag, thread) in state.parked.iter().zip(&state.lane_threads) {
+            if left == 0 {
+                return;
+            }
+            if flag
+                .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                if let Some(th) = thread.get() {
+                    th.unpark();
+                }
+                left -= 1;
+            }
+        }
+    }
+
+    /// Marks `k` retired: reclaims dead buffers, pushes newly ready
+    /// dependents onto worker `w`'s own deque (idle lanes steal them),
+    /// and wakes parked lanes — one per made-ready task, everyone when
+    /// this was the last kernel.
+    fn retire(&self, k: usize, w: usize, state: &RunState) {
+        // Last-reader reclamation: ports only this kernel still needed.
+        for (_, s) in &self.kernels[k].reads {
+            if state.remaining_readers[*s].fetch_sub(1, Ordering::AcqRel) == 1
+                && !self.slot_pinned[*s]
+            {
+                let taken = write_recover(&state.values[*s]).take();
+                if let Some(arc) = taken {
+                    self.reclaim(*s, arc);
+                }
+            }
+        }
+        let mut made_ready = 0usize;
+        for &j in &self.dependents[k] {
+            if state.remaining_deps[j].fetch_sub(1, Ordering::AcqRel) == 1 {
+                state.ready[w].push(Task::Kernel(j).encode());
+                made_ready += 1;
+            }
+        }
+        if made_ready > 0 {
+            state.ready_count.fetch_add(made_ready, Ordering::AcqRel);
+        }
+        self.announce(made_ready, state);
+        if state.n_finished.fetch_add(1, Ordering::SeqCst) + 1 == self.kernels.len() {
+            // Last kernel out: every parked lane must unwind.
+            self.wake_lanes(usize::MAX, state);
+        }
+    }
+
+    /// Publishes one staged, arena-adopted output tensor into slot `s`,
+    /// handling the two special cases shared by whole-kernel and tiled
+    /// execution: a redundant producer (the first writer's identical
+    /// bytes won — return the loser's storage to the pool) and a
+    /// dead-on-arrival output (nothing reads it — reclaim immediately).
+    fn publish_output(&self, s: usize, t: Tensor, state: &RunState) {
+        let mut w = write_recover(&state.values[s]);
+        if w.is_some() {
+            drop(w);
+            self.arena.release(t.into_vec());
+            return;
+        }
+        *w = Some(Arc::new(t));
+        if !self.slot_pinned[s] && state.remaining_readers[s].load(Ordering::Acquire) == 0 {
+            if let Some(arc) = w.take() {
+                self.reclaim(s, arc);
+            }
+        }
+    }
+}

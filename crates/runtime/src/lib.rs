@@ -5,38 +5,15 @@
 //! execution. This crate converts the repo from "optimizer + simulator"
 //! into "optimizer + runtime":
 //!
-//! - [`PlanExecutor`] — runs a [`korch_orch::Plan`] with a work-stealing
-//!   scheduler: one worker thread per stream lane, per-lane ready deques
-//!   seeded from the simulated [`korch_orch::schedule_streams`] placement,
-//!   kernels released by atomic dependency counters, and idle lanes
-//!   stealing ready kernels instead of blocking behind a lane predecessor
-//!   (steal counts land in [`RuntimeProfile::steals`]). A single big
-//!   kernel no longer serializes a run: tile-eligible kernels (classified
-//!   by `korch_exec::Tilability`, priced against
-//!   [`RuntimeConfig::split_threshold_us`]) are decomposed into row-range
-//!   tiles that enter the same steal deques and write disjoint slices of
-//!   one pre-sized output, re-assembled by a per-kernel atomic countdown
-//!   ([`RuntimeProfile::tiled_kernels`] / [`RuntimeProfile::tile_tasks`]
-//!   count the decompositions). Kernel bodies are *compiled* at
-//!   plan-build time, not interpreted per run: a fused elementwise chain
-//!   becomes one `korch_exec::CompiledChain` closure (the member walk,
-//!   port resolution and op dispatch are resolved once in
-//!   `PlanExecutor::new`, so each run only streams blocks through the
-//!   pre-bound tile kernels), and a single-matmul kernel packs its RHS
-//!   once per run (`korch_tensor::PackedB` — one B panel, shared
-//!   read-only across all row tiles) and contracts straight into an
-//!   arena buffer that becomes the published tensor, skipping the
-//!   staging copy. The packing contract: the packed panel must equal
-//!   `PackedB::pack(rhs, trans_b)` for the kernel's own RHS, packing is
-//!   zero-copy for untransposed B, and the blocked contraction is a
-//!   pure loop interchange (ascending-k accumulation from 0.0, zero
-//!   skip, no FMA) so results stay bit-identical to
-//!   `korch_exec::execute_plan` — compiled or interpreted, tiled or
-//!   not. When no explicit [`RuntimeConfig::split_threshold_us`] is
-//!   set, the derived threshold includes a per-tile overhead floor
-//!   (dispatch slice + per-lane memory traffic), so kernels whose
-//!   per-tile body would be dominated by orchestration overhead (e.g. a
-//!   192×192 matmul at 4 lanes) run whole instead of splitting;
+//! - [`PlanExecutor`] — runs a [`korch_orch::Plan`] bit-identically to
+//!   `korch_exec::execute_plan`, overlapping independent kernels across
+//!   stream lanes (work-stealing, lock-free) and splitting a long-pole
+//!   kernel into row-range tiles when sibling lanes would idle. The
+//!   module docs of `src/executor/mod.rs` are the one description of
+//!   how: kernel bodies, scheduler, tiling, memory
+//!   ([`RuntimeProfile::steals`],
+//!   [`RuntimeProfile::tiled_kernels`] and [`RuntimeProfile::tile_tasks`]
+//!   count what a run did);
 //! - [`BufferArena`] / [`plan_memory_report`] — tensor-lifetime analysis,
 //!   last-reader buffer reclamation, size-classed reuse, and peak-resident
 //!   accounting (vs. the interpreter's allocate-everything behavior);

@@ -43,9 +43,7 @@ pub use pack::{PackedB, MR as MATMUL_MR};
 pub use pool::PoolSpec;
 pub use reduce::ReduceKind;
 pub use resize::ResizeMode;
-pub use tile::{
-    binary_scalar_lhs_tile, binary_scalar_tile, binary_tile, combine_reduce_partials, unary_tile,
-};
+pub use tile::{binary_scalar_lhs_tile, binary_scalar_tile, binary_tile, unary_tile};
 
 use std::fmt;
 

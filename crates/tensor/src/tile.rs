@@ -26,16 +26,6 @@
 //!   sequential order — axis-aligned splitting, safe for every axis;
 //! - [`Tensor::broadcast_tile`] replicates the input into a flat output
 //!   range.
-//!
-//! The one split that is *not* bit-stable for floats is partitioning a
-//! reduction along its own reduced axis: [`Tensor::reduce_axis0_partial`]
-//! and [`combine_reduce_partials`] implement it with a deterministic
-//! fixed-order combine (same result on every run), but the combine
-//! re-associates `Sum`/`Mean` accumulation, so it matches the sequential
-//! kernel only up to rounding for those kinds (`Max`/`Min` are exactly
-//! associative and stay bit-identical). The runtime therefore tiles
-//! reductions over their output space and keeps the axis-0 partial path
-//! for callers that prefer partial-result parallelism over bit-stability.
 
 use crate::elementwise::{BinaryOp, UnaryOp};
 use crate::pack::{matmul_rows_blocked, PackedB};
@@ -312,67 +302,27 @@ impl Tensor {
             )));
         }
         let data = self.as_slice();
-        let stride = size * inner.max(1);
-        for (slot, flat) in out.iter_mut().zip(out_range.clone()) {
-            let o = flat / stride.max(1);
-            let i = flat % inner.max(1);
-            *slot = data[o * inner.max(1) + i];
-        }
-        Ok(())
-    }
-
-    /// Reduces rows `rows` of axis 0 with `kind`, producing a partial
-    /// result of the input's trailing shape. `Sum` and `Mean` partials
-    /// both accumulate a plain sum (the mean's division happens once, in
-    /// [`combine_reduce_partials`]).
-    ///
-    /// Splitting a reduction along its own axis re-associates the
-    /// accumulation, so combining partials matches [`Tensor::reduce`] only
-    /// up to rounding for `Sum`/`Mean` (exactly for `Max`/`Min`); the
-    /// combine itself is deterministic for a fixed tile partition. Callers
-    /// that need bit-identity with the sequential kernel should tile the
-    /// output space with [`Tensor::reduce_tile`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::AxisOutOfRange`] for rank-0 tensors and
-    /// [`TensorError::InvalidArgument`] for empty or out-of-bounds row
-    /// ranges.
-    pub fn reduce_axis0_partial(
-        &self,
-        kind: ReduceKind,
-        rows: Range<usize>,
-    ) -> Result<Tensor, TensorError> {
-        if self.rank() == 0 {
-            return Err(TensorError::AxisOutOfRange { axis: 0, rank: 0 });
-        }
-        let axis_len = self.shape()[0];
-        if rows.end > axis_len || rows.start >= rows.end {
-            return Err(TensorError::InvalidArgument(format!(
-                "partial row range {rows:?} invalid for axis length {axis_len}"
-            )));
-        }
-        let inner: usize = self.shape()[1..].iter().product();
-        let mut out = vec![
-            match kind {
-                ReduceKind::Sum | ReduceKind::Mean => 0.0,
-                ReduceKind::Max => f32::NEG_INFINITY,
-                ReduceKind::Min => f32::INFINITY,
-            };
-            inner
-        ];
-        let data = self.as_slice();
-        for r in rows {
-            let row = &data[r * inner..(r + 1) * inner];
-            for (acc, &v) in out.iter_mut().zip(row) {
-                *acc = match kind {
-                    ReduceKind::Sum | ReduceKind::Mean => *acc + v,
-                    ReduceKind::Max => acc.max(v),
-                    ReduceKind::Min => acc.min(v),
-                };
+        let inner = inner.max(1);
+        let stride = (size * inner).max(1);
+        // Output row `(o, replica)` is input row `o`: walk the range with
+        // running (row start, replica, column) counters instead of a
+        // division per element.
+        let mut row = out_range.start / stride * inner;
+        let mut replica = out_range.start % stride / inner;
+        let mut i = out_range.start % inner;
+        for slot in out.iter_mut() {
+            *slot = data[row + i];
+            i += 1;
+            if i == inner {
+                i = 0;
+                replica += 1;
+                if replica == size {
+                    replica = 0;
+                    row += inner;
+                }
             }
         }
-        Tensor::from_vec(self.shape()[1..].to_vec(), out)
+        Ok(())
     }
 
     /// Applies a binary elementwise operation with the scalar on the
@@ -383,38 +333,6 @@ impl Tensor {
     pub fn binary_scalar_lhs(&self, scalar: f32, op: BinaryOp) -> Tensor {
         self.map(|v| op.apply(scalar, v))
     }
-}
-
-/// Folds axis-0 reduce partials (in slice order — deterministic for a
-/// fixed partition) into the final reduction result. `axis_len` is the
-/// full length of the reduced axis, needed to finish a `Mean`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidArgument`] when `partials` is empty and
-/// [`TensorError::ShapeMismatch`] when partial shapes disagree.
-pub fn combine_reduce_partials(
-    kind: ReduceKind,
-    partials: &[Tensor],
-    axis_len: usize,
-) -> Result<Tensor, TensorError> {
-    let Some(first) = partials.first() else {
-        return Err(TensorError::InvalidArgument(
-            "combine_reduce_partials needs at least one partial".into(),
-        ));
-    };
-    let mut acc = first.clone();
-    for p in &partials[1..] {
-        acc = match kind {
-            ReduceKind::Sum | ReduceKind::Mean => acc.zip_map(p, |a, b| a + b)?,
-            ReduceKind::Max => acc.zip_map(p, f32::max)?,
-            ReduceKind::Min => acc.zip_map(p, f32::min)?,
-        };
-    }
-    if kind == ReduceKind::Mean {
-        acc = acc.map(|v| v / axis_len as f32);
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
@@ -589,51 +507,5 @@ mod tests {
         assert!(x.reduce_tile(0, ReduceKind::Sum, 0..3, &mut small).is_err());
         assert!(x.broadcast_tile(3, 2, 0..2, &mut small).is_err());
         assert!(x.broadcast_tile(0, 2, 31..33, &mut small).is_err());
-    }
-
-    #[test]
-    fn axis0_partials_combine_deterministically() {
-        let x = Tensor::random(vec![12, 7], 12);
-        for kind in [
-            ReduceKind::Sum,
-            ReduceKind::Mean,
-            ReduceKind::Max,
-            ReduceKind::Min,
-        ] {
-            let full = x.reduce(0, kind).unwrap();
-            let partials: Vec<Tensor> = ranges(12, 4)
-                .into_iter()
-                .map(|r| x.reduce_axis0_partial(kind, r).unwrap())
-                .collect();
-            let combined = combine_reduce_partials(kind, &partials, 12).unwrap();
-            let again = combine_reduce_partials(kind, &partials, 12).unwrap();
-            assert_eq!(
-                combined.as_slice(),
-                again.as_slice(),
-                "combine must be deterministic"
-            );
-            // Max/Min are exactly associative; Sum/Mean re-associate and
-            // match only up to rounding.
-            match kind {
-                ReduceKind::Max | ReduceKind::Min => {
-                    assert_eq!(combined.as_slice(), full.as_slice())
-                }
-                _ => assert!(combined.allclose(&full, 1e-5)),
-            }
-        }
-    }
-
-    #[test]
-    fn partial_combine_validates_inputs() {
-        let x = Tensor::random(vec![4, 2], 13);
-        assert!(x.reduce_axis0_partial(ReduceKind::Sum, 2..2).is_err());
-        assert!(x.reduce_axis0_partial(ReduceKind::Sum, 3..5).is_err());
-        assert!(Tensor::scalar(1.0)
-            .reduce_axis0_partial(ReduceKind::Sum, 0..1)
-            .is_err());
-        assert!(combine_reduce_partials(ReduceKind::Sum, &[], 4).is_err());
-        let a = x.reduce_axis0_partial(ReduceKind::Sum, 0..2).unwrap();
-        let b = Tensor::zeros(vec![3]);
-        assert!(combine_reduce_partials(ReduceKind::Sum, &[a, b], 4).is_err());
     }
 }

@@ -4,11 +4,14 @@
 //! Compiles every graph in the corpus (the five evaluation models at
 //! `tiny()` scale plus the case-study subgraphs), then runs the static
 //! plan/schedule verifier and arena-lifetime abstract interpreter over
-//! every compiled partition × lane count {1, 2, 4} × tiling {off, on} —
-//! i.e. every artifact shape the runtime can compile from these plans.
-//! Finishes with the exhaustive schedule-exploration suite over the
-//! scheduler's atomic protocol models. Exits non-zero on any violation,
-//! so CI can gate on it.
+//! every compiled partition × lane count {1, 2, 4}, with the split
+//! threshold forced to zero so every tile partition these plans can get
+//! is cut and checked (the derived threshold's host-aware floor cuts none
+//! on a 1- or 2-core host). Finishes with the exhaustive
+//! schedule-exploration suite over the scheduler's atomic protocol
+//! models. Exits non-zero on any violation — or if the corpus yields no
+//! tile layout at all, which would make the tiling checks vacuous — so CI
+//! can gate on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +53,7 @@ fn corpus() -> Vec<(&'static str, OpGraph)> {
 fn main() -> ExitCode {
     let korch = Korch::new(Device::v100(), KorchConfig::default());
     let mut artifacts = 0usize;
+    let mut layouts = 0usize;
     let mut bad = 0usize;
 
     for (name, graph) in corpus() {
@@ -63,33 +67,33 @@ fn main() -> ExitCode {
         };
         for (pi, part) in optimized.partitions().iter().enumerate() {
             for lanes in [1usize, 2, 4] {
-                for tiling in [false, true] {
-                    let config = RuntimeConfig {
-                        tiling,
-                        profile: false,
-                        ..RuntimeConfig::with_lanes(lanes)
-                    };
-                    let exec = match PlanExecutor::new(&part.part.graph, &part.plan, config) {
-                        Ok(e) => e,
-                        Err(e) => {
-                            eprintln!(
-                                "FAIL {name} partition {pi} lanes {lanes} tiling {tiling}: \
-                                 compile error: {e}"
-                            );
-                            bad += 1;
-                            continue;
-                        }
-                    };
-                    artifacts += 1;
-                    for v in verify_executor(&exec) {
-                        eprintln!("FAIL {name} partition {pi} lanes {lanes} tiling {tiling}: {v}");
+                let config = RuntimeConfig {
+                    split_threshold_us: Some(0.0),
+                    profile: false,
+                    ..RuntimeConfig::with_lanes(lanes)
+                };
+                let exec = match PlanExecutor::new(&part.part.graph, &part.plan, config) {
+                    Ok(e) => e,
+                    Err(e) => {
+                        eprintln!("FAIL {name} partition {pi} lanes {lanes}: compile error: {e}");
                         bad += 1;
+                        continue;
                     }
+                };
+                artifacts += 1;
+                layouts += exec.tileable_kernels();
+                for v in verify_executor(&exec) {
+                    eprintln!("FAIL {name} partition {pi} lanes {lanes}: {v}");
+                    bad += 1;
                 }
             }
         }
     }
-    println!("plan verifier: {artifacts} artifacts checked");
+    println!("plan verifier: {artifacts} artifacts checked, {layouts} tile layouts among them");
+    if layouts == 0 {
+        eprintln!("FAIL corpus compiled no tile layout: the tiling checks verified nothing");
+        bad += 1;
+    }
 
     match verify_protocols() {
         Ok(results) => {

@@ -1,8 +1,10 @@
 //! Differential tests for the parallel runtime: every `korch::models`
 //! case-study subgraph runs through the sequential interpreter
 //! (`execute_plan`, via `Optimized::execute`) and the `korch-runtime`
-//! work-stealing executor at 1, 2, 4 and 8 lanes; outputs must be
-//! **bit-identical** and no configuration may deadlock.
+//! work-stealing executor at 1, 2, 4 and 8 lanes, then again at 2 and 4
+//! lanes with the split threshold forced to zero so the models' range
+//! kernels run as tiles; outputs must be **bit-identical** and no
+//! configuration may deadlock.
 
 use korch::core::{CompiledModel, Korch, KorchConfig};
 use korch::cost::Device;
@@ -17,7 +19,7 @@ mod common;
 use common::{assert_bit_identical, op_random_inputs};
 
 /// Optimizes `g` once, then checks the parallel executor against the
-/// sequential interpreter at several lane counts.
+/// sequential interpreter at several lane counts, whole and force-tiled.
 fn assert_parallel_matches_sequential(name: &str, g: &OpGraph, seed: u64) {
     let korch = Korch::new(Device::v100(), KorchConfig::default());
     let optimized = korch
@@ -27,13 +29,22 @@ fn assert_parallel_matches_sequential(name: &str, g: &OpGraph, seed: u64) {
     let reference = optimized
         .execute(&inputs)
         .unwrap_or_else(|e| panic!("{name}: sequential execution failed: {e}"));
-    for lanes in [1usize, 2, 4, 8] {
-        let compiled = CompiledModel::from_optimized(&optimized, &RuntimeConfig::with_lanes(lanes))
-            .unwrap_or_else(|e| panic!("{name}: compile at {lanes} lanes failed: {e}"));
+    let whole = [1usize, 2, 4, 8].map(RuntimeConfig::with_lanes);
+    let tiled = [2usize, 4].map(|lanes| RuntimeConfig {
+        split_threshold_us: Some(0.0),
+        ..RuntimeConfig::with_lanes(lanes)
+    });
+    for config in whole.iter().chain(&tiled) {
+        let ctx = format!(
+            "{name} at {} lanes, split threshold {:?}",
+            config.lanes, config.split_threshold_us
+        );
+        let compiled = CompiledModel::from_optimized(&optimized, config)
+            .unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));
         let out = compiled
             .execute(&inputs)
-            .unwrap_or_else(|e| panic!("{name}: parallel execution at {lanes} lanes failed: {e}"));
-        assert_bit_identical(&reference, &out, &format!("{name} at {lanes} lanes"));
+            .unwrap_or_else(|e| panic!("{ctx}: parallel execution failed: {e}"));
+        assert_bit_identical(&reference, &out, &ctx);
     }
 }
 

@@ -408,8 +408,7 @@ fn monolithic_kernels_stay_whole() {
 }
 
 /// The split threshold gates decomposition: infinite keeps everything
-/// whole, zero (or the derived default on a long-pole kernel) splits, and
-/// `tiling: false` switches the machinery off wholesale.
+/// whole, zero (or the derived default on a long-pole kernel) splits.
 #[test]
 fn split_threshold_and_switch_gate_tiling() {
     let (g, plan) = build_plan(&[Branch::Chain { ops: vec![0, 1] }], 48, 48);
@@ -419,17 +418,6 @@ fn split_threshold_and_switch_gate_tiling() {
     };
     assert_eq!(
         PlanExecutor::new(&g, &plan, never)
-            .unwrap()
-            .tileable_kernels(),
-        0
-    );
-    let off = RuntimeConfig {
-        tiling: false,
-        split_threshold_us: Some(0.0),
-        ..RuntimeConfig::with_lanes(4)
-    };
-    assert_eq!(
-        PlanExecutor::new(&g, &plan, off)
             .unwrap()
             .tileable_kernels(),
         0

@@ -126,10 +126,9 @@ proptest! {
         for lanes in [1usize, 2, 4] {
             for tiling in [false, true] {
                 let config = RuntimeConfig {
-                    tiling,
                     // Force aggressive decomposition so tiled artifacts
                     // actually occur at tiny scales.
-                    split_threshold_us: tiling.then_some(0.0),
+                    split_threshold_us: Some(if tiling { 0.0 } else { f64::INFINITY }),
                     tile_rows: tiling.then_some(1),
                     profile: false,
                     ..RuntimeConfig::with_lanes(lanes)

@@ -71,7 +71,7 @@ fn compiled_artifacts_are_accepted() {
             for lanes in [1, 2, 4] {
                 for tiling in [false, true] {
                     let config = RuntimeConfig {
-                        tiling,
+                        split_threshold_us: (!tiling).then_some(f64::INFINITY),
                         ..RuntimeConfig::with_lanes(lanes)
                     };
                     let exec = PlanExecutor::new(&part.part.graph, &part.plan, config).unwrap();
