@@ -9,12 +9,12 @@
 //! inter-kernel overlap cannot touch, split into row-range tiles across 4
 //! lanes (structural asserts — tile count > 1, bit-identity — hold on any
 //! host; the speedup only shows on multi-core). The `serving` group
-//! measures the dynamic-batching front-end end to end; the
-//! `recalibration` group runs the closed calibration loop (profile → fit
-//! → re-orchestrate → swap) and prints how far the fitted model tightens
-//! against the measured kernels. The runtime and tiled medians also land
-//! in `BENCH_runtime.json` at the workspace root — the machine-readable
-//! perf record tracked across PRs.
+//! times a 16-request burst through the dynamic-batching front-end of an
+//! already running server; the `recalibration` group runs the closed
+//! calibration loop (profile → fit → re-orchestrate → swap) and prints
+//! how far the fitted model tightens against the measured kernels. The
+//! runtime and tiled medians also land in `BENCH_runtime.json` at the
+//! workspace root — the machine-readable perf record tracked across PRs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use korch_bench::report::{spread_ns, write_bench_json, BenchRecord};
@@ -824,17 +824,18 @@ fn bench_serving(c: &mut Criterion) {
     let (g, plan) = independent_kernel_plan(4, 128, 128);
     let inputs = bench_inputs(&g);
     let mut group = c.benchmark_group("serving");
-    group.bench_function("batched_burst_16", |b| {
-        b.iter(|| {
-            let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
-            let server = Server::start(Arc::new(exec), BatchConfig::default());
-            let handles: Vec<_> = (0..16).map(|_| server.submit(inputs.clone())).collect();
-            for h in handles {
-                black_box(h.wait().unwrap());
-            }
-            server.shutdown()
-        })
-    });
+    // Servers are built before and shut down after the timed closure, so
+    // each sample times the 16-request burst and nothing else.
+    let burst = |server: &Server| {
+        let handles: Vec<_> = (0..16).map(|_| server.submit(inputs.clone())).collect();
+        for h in handles {
+            black_box(h.wait().unwrap());
+        }
+    };
+    let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
+    let server = Server::start(Arc::new(exec), BatchConfig::default());
+    group.bench_function("batched_burst_16", |b| b.iter(|| burst(&server)));
+    server.shutdown();
     // The same burst over the plan replicated across 2 shards (each with
     // its own arena and worker pool). On a multi-core host the router
     // overlaps whole requests across shards on top of the executor's
@@ -842,23 +843,14 @@ fn bench_serving(c: &mut Criterion) {
     // round-robin dispatch plus routing overhead — the printed shard
     // spread below is the structural check.
     for shards in [2usize, 4] {
+        let exec = ShardedExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2), shards).unwrap();
+        let server = Server::start(Arc::new(exec), BatchConfig::default());
         group.bench_with_input(
             BenchmarkId::new("sharded_burst_16", shards),
             &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let exec =
-                        ShardedExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2), shards)
-                            .unwrap();
-                    let server = Server::start(Arc::new(exec), BatchConfig::default());
-                    let handles: Vec<_> = (0..16).map(|_| server.submit(inputs.clone())).collect();
-                    for h in handles {
-                        black_box(h.wait().unwrap());
-                    }
-                    server.shutdown()
-                })
-            },
+            |b, _| b.iter(|| burst(&server)),
         );
+        server.shutdown();
     }
     group.finish();
 

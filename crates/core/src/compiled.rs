@@ -1,59 +1,69 @@
 //! Compiled models: the `Korch::compile` entry point wiring the optimizer
 //! to the `korch-runtime` parallel executor.
 //!
-//! [`Optimized`] (the optimizer's output) interprets plans sequentially
-//! via `korch-exec`. A [`CompiledModel`] instead holds one
-//! [`PlanExecutor`] per partition — constants materialized once, lane
-//! placement hints precomputed, buffer arenas warm — so repeated
+//! [`Optimized`] (the optimizer's output) interprets its plans partition
+//! by partition via `korch-exec`. A [`CompiledModel`] instead runs **one
+//! executable per model**: [`crate::stitch`] concatenates the partitions'
+//! chosen graphs and plans into one whole-program `(graph, plan)`, and one
+//! [`PlanExecutor`] is compiled over it — constants materialized once,
+//! lane placement hints precomputed, one buffer arena warm — so repeated
 //! inference (and the `korch_runtime::Server` batching front-end) pays
-//! optimization cost once and runs each request concurrently.
+//! optimization cost once and each request is a single executor run.
+//! Partitions exist only to bound the optimizer's search space; at run
+//! time a former boundary tensor is an ordinary intermediate, reclaimed at
+//! its last reader and free to overlap with kernels of the next
+//! partition. [`Optimized::execute`] stays the differential oracle.
 //!
 //! [`CompiledModel::recalibrate`] closes the profiling loop: the wall
 //! times the executors accumulate fit a [`Calibration`], the orchestrator
-//! re-runs with the calibrated cost model, and the new plans are swapped
-//! in atomically — in-flight requests finish on the plan they started
-//! with, subsequent ones run the re-orchestrated plan priced in measured
-//! host time.
+//! re-runs over every partition with the calibrated cost model, the new
+//! plans are re-stitched, and the new program is swapped in atomically —
+//! in-flight requests finish on the executor they started with,
+//! subsequent ones run the re-orchestrated plan priced in measured host
+//! time.
 //!
 //! # Sharding
 //!
-//! A compiled model can be **sharded** ([`CompiledModel::set_shards`], or
-//! `korch_runtime::BatchConfig::shards` through a sharded `Server`): the
-//! live plan snapshot is replicated into N independent shard replicas —
-//! fresh `PlanExecutor`s and buffer arenas over identical plans — and
-//! every `execute` is routed to the least-loaded live shard, retrying on
-//! a sibling when a shard's run fails (`korch_runtime::ShardRouter`).
-//! Profiling splits per-shard/aggregate: each shard accumulates its own
-//! [`RuntimeProfile`]; drift measurement and recalibration consume the
-//! *merged* profile of all shards; and a recalibration swap replaces
-//! **all** shard replicas (plus their router) in one write — in-flight
-//! requests finish on the per-shard snapshot they claimed.
+//! All execution state lives in one [`ShardedExecutor`]: N shard replicas
+//! of the stitched program — each a `PlanExecutor` with its own arena —
+//! behind a `korch_runtime::ShardRouter` that sends every `execute` to the
+//! least-loaded live shard and retries on a sibling when a shard's run
+//! fails. [`CompiledModel::set_shards`] (or
+//! `korch_runtime::BatchConfig::shards` through a sharded `Server`)
+//! re-provisions the width; a compiled model starts at one shard. Each
+//! shard accumulates its own [`RuntimeProfile`]; drift measurement and
+//! recalibration consume the *merged* profile of all shards, and a
+//! recalibration ends in one [`ShardedExecutor::replan`], which replaces
+//! **every** shard (and the router) in one write, so shards never run
+//! different plan generations.
 
 use crate::pipeline::{Korch, KorchError, Optimized, PipelineStats};
-use korch_cost::{Calibration, CalibrationSample, Micros, Profiler};
+use crate::stitch::stitch;
+use korch_cost::{Calibration, CalibrationSample, Profiler};
 use korch_exec::ExecError;
 use korch_ir::{PortRef, PrimGraph};
 use korch_orch::{kernel_classes, Orchestrator, Plan, StreamContention};
 use korch_runtime::{
     MemoryReport, Model, OverlapEvidence, PlanExecutor, RuntimeConfig, RuntimeProfile, SelfTune,
-    ShardControl, ShardRouter, ShardStats, TuneOutcome,
+    ShardControl, ShardStats, ShardedExecutor, TuneOutcome,
 };
 use korch_tensor::Tensor;
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
-/// One compiled partition: its subgraph, plan, and ready executor.
+/// One shard's view of the compiled program: the stitched graph and plan,
+/// the program's ports, and the shard's executor. (A compiled model is one
+/// stitched program, so [`CompiledModel::partitions`] has one entry.)
 pub struct CompiledPartition {
-    /// The partition's primitive subgraph (the chosen variant).
+    /// The stitched whole-program primitive graph.
     pub graph: PrimGraph,
-    /// The orchestrated plan the executor runs.
+    /// The stitched plan the executor runs.
     pub plan: Plan,
-    /// Outer ports feeding the partition.
+    /// The program's input ports, in feed order.
     pub inputs: Vec<PortRef>,
-    /// Outer ports the partition produces.
+    /// The program's output ports.
     pub outputs: Vec<PortRef>,
     /// The compiled parallel executor.
-    pub executor: PlanExecutor,
+    pub executor: Arc<PlanExecutor>,
 }
 
 /// Outcome of one [`CompiledModel::recalibrate`] pass.
@@ -62,8 +72,8 @@ pub struct RecalibrationReport {
     /// The fitted cost-model correction applied to the re-orchestration.
     pub calibration: Calibration,
     /// Mean relative prediction error of the *uncalibrated* cost model
-    /// against the accumulated profile (`RuntimeProfile::model_error`,
-    /// kernel-weighted across partitions).
+    /// against the accumulated profile (`RuntimeProfile::model_error`
+    /// over the whole program's kernels).
     pub model_error_before: f64,
     /// The same error under the fitted calibration — what the swapped-in
     /// plans were priced with.
@@ -84,107 +94,101 @@ pub struct RecalibrationReport {
     pub compute_overlap: Option<f64>,
 }
 
-/// The swappable half of a [`CompiledModel`]: the shard replicas of the
-/// partitions, the router over them, the simulated latency of the plans
-/// they run, and the cost model + contention rates those plans were
-/// priced with — always replaced together, so routing state never
-/// outlives the shard set it describes.
-struct PlanState {
-    /// Shard replicas in routing order: every entry runs identical
-    /// graphs/plans through its own executors and arenas. `shards[0]` is
-    /// the primary replica — the snapshot [`CompiledModel::partitions`]
-    /// exposes. The outer `Arc` keeps the hot path cheap: `execute`
-    /// snapshots the whole set with one refcount bump instead of cloning
-    /// a `Vec` of per-shard `Arc`s per request.
-    shards: Arc<Vec<Arc<Vec<CompiledPartition>>>>,
-    /// Least-loaded router over `shards`, shared by `Arc` so in-flight
-    /// runs keep decrementing the counters they incremented even after a
-    /// swap replaced the state.
-    router: Arc<ShardRouter>,
-    total_latency: Micros,
+/// How the live program was priced. `recalibrate` holds the write lock
+/// across the executor swap, so a reader that takes the read guard *before*
+/// `exec.shards()` sees executors and the pricing they were built from.
+struct Pricing {
+    /// The per-partition sources of the live program: what `recalibrate`
+    /// re-orchestrates and re-stitches. Carries the plans' simulated
+    /// latency and the contention rates they were priced with — at
+    /// compile time the rates the plans were *orchestrated* with, not the
+    /// executor's lane-placement rates: this is the fallback a
+    /// no-evidence recalibration must re-price under, so a divergent
+    /// `RuntimeConfig::contention` (possible via `compile_with`) must not
+    /// leak into plan pricing.
+    optimized: Optimized,
     /// Calibration the live plans were priced with (default until the
     /// first recalibration). Drift is measured against *this*, not the
     /// uncalibrated base — otherwise a freshly calibrated model would
     /// still look maximally drifted.
     calibration: Calibration,
-    /// Contention rates the live plans' lane placement used.
-    contention: StreamContention,
-    /// Completed plan swaps (recalibrations). [`CompiledModel::set_shards`]
-    /// keeps it — re-provisioning shards does not change the plan.
-    generation: u64,
 }
 
 /// An optimized program compiled onto the parallel runtime.
 pub struct CompiledModel {
-    /// Swapped atomically (one write) by [`CompiledModel::recalibrate`];
-    /// in-flight `execute` calls keep the snapshot they started with.
-    plan: RwLock<PlanState>,
-    graph_input_ports: Vec<PortRef>,
-    graph_output_ports: Vec<PortRef>,
+    /// One `PlanExecutor` over the stitched program per shard, and the
+    /// router over them.
+    exec: ShardedExecutor,
+    pricing: RwLock<Pricing>,
+    /// Serializes [`CompiledModel::recalibrate`], so `pricing` is always
+    /// written by the pass whose `replan` landed last.
+    recalibrating: Mutex<()>,
     stats: PipelineStats,
     runtime: RuntimeConfig,
 }
 
+/// Every shard's profile, read once (each read clones the profile under
+/// that executor's mutex), and their aggregate.
+fn read_profiles(shards: &[Arc<PlanExecutor>]) -> (Vec<RuntimeProfile>, RuntimeProfile) {
+    let per_shard: Vec<RuntimeProfile> = shards.iter().map(|s| s.profile()).collect();
+    let merged = RuntimeProfile::merged(&per_shard.iter().collect::<Vec<_>>());
+    (per_shard, merged)
+}
+
+/// Mean relative prediction error of `profiler` against `profile`; `None`
+/// when nothing has been measured.
+fn model_error(
+    profile: &RuntimeProfile,
+    program: &PlanExecutor,
+    profiler: &Profiler,
+) -> Option<f64> {
+    profile
+        .per_kernel
+        .iter()
+        .any(|s| s.count > 0)
+        .then(|| profile.model_error(program.graph(), program.plan(), profiler))
+}
+
 impl CompiledModel {
-    /// Compiles an optimizer result onto the runtime.
+    /// Stitches an optimizer result into one program and compiles it onto
+    /// the runtime (one shard).
     ///
     /// # Errors
     ///
-    /// Returns [`KorchError::Exec`] if a plan is not executable (which
+    /// Returns [`KorchError::Ir`] if the partitions do not plumb and
+    /// [`KorchError::Exec`] if the stitched plan is not executable (either
     /// would indicate an optimizer bug).
     pub fn from_optimized(
         optimized: &Optimized,
         runtime: &RuntimeConfig,
     ) -> Result<Self, KorchError> {
-        let mut parts = Vec::with_capacity(optimized.partitions().len());
-        for opt in optimized.partitions() {
-            let executor = PlanExecutor::new(&opt.part.graph, &opt.plan, runtime.clone())?;
-            parts.push(CompiledPartition {
-                graph: opt.part.graph.clone(),
-                plan: opt.plan.clone(),
-                inputs: opt.part.inputs.clone(),
-                outputs: opt.part.outputs.clone(),
-                executor,
-            });
-        }
+        let (graph, plan) = stitch(optimized)?;
         Ok(Self {
-            plan: RwLock::new(PlanState {
-                shards: Arc::new(vec![Arc::new(parts)]),
-                router: Arc::new(ShardRouter::new(1).with_telemetry(runtime.telemetry.as_ref())),
-                total_latency: Micros(optimized.latency_ms() * 1000.0),
+            exec: ShardedExecutor::new(&graph, &plan, runtime.clone(), 1)?,
+            pricing: RwLock::new(Pricing {
+                optimized: optimized.clone(),
                 calibration: Calibration::default(),
-                // The rates the plans were *orchestrated* with, not the
-                // executor's lane-placement rates: this is the fallback a
-                // no-evidence recalibration must re-price under, so a
-                // divergent `RuntimeConfig::contention` (possible via
-                // `compile_with`) must not leak into plan pricing.
-                contention: optimized.contention().clone(),
-                generation: 0,
             }),
-            graph_input_ports: optimized.input_ports().to_vec(),
-            graph_output_ports: optimized.output_ports().to_vec(),
+            recalibrating: Mutex::new(()),
             stats: optimized.stats().clone(),
             runtime: runtime.clone(),
         })
+    }
+
+    fn pricing(&self) -> std::sync::RwLockReadGuard<'_, Pricing> {
+        self.pricing.read().expect("pricing poisoned")
     }
 
     /// Simulated end-to-end latency in milliseconds (Eq. 2). After a
     /// [`CompiledModel::recalibrate`] swap, the units are calibrated —
     /// i.e. measured host — time.
     pub fn latency_ms(&self) -> f64 {
-        self.plan
-            .read()
-            .expect("plan poisoned")
-            .total_latency
-            .as_millis()
+        self.pricing().optimized.latency_ms()
     }
 
     /// Total number of kernel launches.
     pub fn kernel_count(&self) -> usize {
-        self.partitions()
-            .iter()
-            .map(|p| p.plan.kernel_count())
-            .sum()
+        self.exec.shards()[0].plan().kernel_count()
     }
 
     /// Optimizer statistics carried over from the pipeline.
@@ -192,83 +196,80 @@ impl CompiledModel {
         &self.stats
     }
 
-    /// Snapshot of the **primary shard's** compiled partitions in
-    /// execution order (all shards run identical graphs and plans). The
-    /// plan may be swapped by [`CompiledModel::recalibrate`]; holders of
-    /// this `Arc` keep the partitions they observed.
-    pub fn partitions(&self) -> Arc<Vec<CompiledPartition>> {
-        Arc::clone(&self.plan.read().expect("plan poisoned").shards[0])
+    fn view(pricing: &Pricing, executor: &Arc<PlanExecutor>) -> CompiledPartition {
+        CompiledPartition {
+            graph: executor.graph().clone(),
+            plan: executor.plan().clone(),
+            inputs: pricing.optimized.input_ports().to_vec(),
+            outputs: pricing.optimized.output_ports().to_vec(),
+            executor: Arc::clone(executor),
+        }
     }
 
-    /// Statically verifies the live plan: runs the `korch-verify`
+    /// The **primary shard's** view of the stitched program — always one
+    /// entry (all shards run the same graph and plan). The program may be
+    /// swapped by [`CompiledModel::recalibrate`]; the returned executor
+    /// keeps running the plan it was observed with.
+    pub fn partitions(&self) -> Vec<CompiledPartition> {
+        let pricing = self.pricing();
+        vec![Self::view(&pricing, &self.exec.shards()[0])]
+    }
+
+    /// Statically verifies the live program: runs the `korch-verify`
     /// plan/schedule verifier and arena-lifetime abstract interpreter
-    /// over every compiled partition of the primary shard (all shards
-    /// run identical plans).
+    /// over the primary shard's executor (all shards run the same plan).
     ///
     /// # Errors
     ///
     /// Returns [`KorchError::Verify`] with every broken invariant.
     pub fn verify(&self) -> Result<(), KorchError> {
-        for p in self.partitions().iter() {
-            korch_verify::check_executor(&p.executor)?;
-        }
-        Ok(())
+        Ok(korch_verify::check_executor(&self.exec.shards()[0])?)
     }
 
-    /// Snapshot of every shard's partitions (index = shard id).
-    pub fn shard_snapshots(&self) -> Arc<Vec<Arc<Vec<CompiledPartition>>>> {
-        Arc::clone(&self.plan.read().expect("plan poisoned").shards)
+    /// Every shard's view of the stitched program (index = shard id, one
+    /// entry each).
+    pub fn shard_snapshots(&self) -> Vec<Vec<CompiledPartition>> {
+        let pricing = self.pricing();
+        let shards = self.exec.shards();
+        shards
+            .iter()
+            .map(|s| vec![Self::view(&pricing, s)])
+            .collect()
     }
 
     /// Number of shard replicas currently provisioned.
     pub fn shard_count(&self) -> usize {
-        self.plan.read().expect("plan poisoned").shards.len()
+        self.exec.shard_count()
     }
 
     /// Completed plan swaps: 0 at compile time, +1 per successful
     /// [`CompiledModel::recalibrate`] (every swap re-plans all shards).
     pub fn plan_generation(&self) -> u64 {
-        self.plan.read().expect("plan poisoned").generation
+        self.exec.generation()
     }
 
-    /// Aggregate memory report across partitions **and shards** (fields
-    /// summed — N shards provision N arenas).
+    /// Static lifetime-analysis report of the stitched program, per shard
+    /// (N shards provision N arenas). Only program inputs, constants and
+    /// program outputs are pinned; tensors that cross a partition boundary
+    /// are reclaimed at their last reader like any other intermediate.
     pub fn memory_report(&self) -> MemoryReport {
-        let mut total = MemoryReport {
-            allocate_everything_bytes: 0,
-            peak_resident_bytes: 0,
-            pinned_bytes: 0,
-            reclaimable_buffers: 0,
-        };
-        for shard in self.shard_snapshots().iter() {
-            for p in shard.iter() {
-                let r = p.executor.memory_report();
-                total.allocate_everything_bytes += r.allocate_everything_bytes;
-                total.peak_resident_bytes += r.peak_resident_bytes;
-                total.pinned_bytes += r.pinned_bytes;
-                total.reclaimable_buffers += r.reclaimable_buffers;
-            }
-        }
-        total
+        self.exec.memory_report()
     }
 
-    /// Per-partition wall-time profiles accumulated so far — the
-    /// **aggregate** view: every shard's profile of a partition merged
-    /// into one ([`RuntimeProfile::merge`]), which is what drift
-    /// measurement and recalibration fit from.
+    /// The wall-time profile accumulated so far — the **aggregate** view:
+    /// every shard's profile of the stitched program merged into one
+    /// ([`RuntimeProfile::merge`]), which is what drift measurement and
+    /// recalibration fit from. Always one entry.
     pub fn profiles(&self) -> Vec<RuntimeProfile> {
-        merged_profiles(&self.shard_snapshots())
+        vec![self.exec.profile()]
     }
 
-    /// Calibration samples from every profiled kernel across partitions
-    /// (aggregated over shards).
+    /// Calibration samples from every profiled kernel (aggregated over
+    /// shards).
     pub fn calibration_samples(&self) -> Vec<CalibrationSample> {
-        let shards = self.shard_snapshots();
-        merged_profiles(&shards)
-            .iter()
-            .zip(shards[0].iter())
-            .flat_map(|(profile, p)| profile.calibration_samples(&p.graph, &p.plan))
-            .collect()
+        let shards = self.exec.shards();
+        let (_, merged) = read_profiles(&shards);
+        merged.calibration_samples(shards[0].graph(), shards[0].plan())
     }
 
     /// Fits a cost-model [`Calibration`] from everything measured so far
@@ -282,7 +283,7 @@ impl CompiledModel {
     /// until the first [`CompiledModel::recalibrate`], the fitted one
     /// after (it swaps together with the plans).
     pub fn applied_calibration(&self) -> Calibration {
-        self.plan.read().expect("plan poisoned").calibration.clone()
+        self.pricing().calibration.clone()
     }
 
     /// The [`StreamContention`] sharing rates the live plans were priced
@@ -292,28 +293,26 @@ impl CompiledModel {
     /// rates). Also the fallback for classes a recalibration has no
     /// overlap evidence for.
     pub fn applied_contention(&self) -> StreamContention {
-        self.plan.read().expect("plan poisoned").contention.clone()
+        self.pricing().optimized.contention().clone()
     }
 
     /// Drift of the live model: mean relative prediction error of the
     /// cost model the current plans were priced with (`base` +
     /// [`CompiledModel::applied_calibration`]) against the profile
-    /// accumulated since the plans went live, kernel-weighted across
-    /// partitions. `None` while no kernel has been measured. This is the
-    /// quantity a serving-side [`korch_runtime::RecalibrationPolicy`]
-    /// thresholds.
+    /// accumulated since the plans went live. `None` while no kernel has
+    /// been measured. This is the quantity a serving-side
+    /// [`korch_runtime::RecalibrationPolicy`] thresholds.
     pub fn current_model_error(&self, base: &Profiler) -> Option<f64> {
-        let (shards, calibration) = {
-            let state = self.plan.read().expect("plan poisoned");
-            (state.shards.clone(), state.calibration.clone())
-        };
-        let fitted = base.clone().with_calibration(calibration);
-        weighted_model_error(&merged_profiles(&shards), &shards[0], &fitted)
+        let pricing = self.pricing();
+        let shards = self.exec.shards();
+        let fitted = base.clone().with_calibration(pricing.calibration.clone());
+        drop(pricing);
+        model_error(&read_profiles(&shards).1, &shards[0], &fitted)
     }
 
     /// Re-provisions the model to `n` shard replicas (clamped to ≥ 1) of
-    /// the live plan snapshot: growing compiles fresh executors over the
-    /// current plans (existing shards stay warm), shrinking drops surplus
+    /// the live program: growing compiles fresh executors over the
+    /// current plan (existing shards stay warm), shrinking drops surplus
     /// replicas (their profiles with them). The swap is atomic and also
     /// resets the router; in-flight runs finish on the shard they
     /// claimed. The plan itself — and [`CompiledModel::plan_generation`]
@@ -324,61 +323,35 @@ impl CompiledModel {
     /// Returns [`ExecError`] when a replica cannot be compiled; the
     /// current shard set stays untouched.
     pub fn set_shards(&self, n: usize) -> Result<(), ExecError> {
-        let n = n.max(1);
-        loop {
-            let (shards, generation) = {
-                let state = self.plan.read().expect("plan poisoned");
-                (state.shards.clone(), state.generation)
-            };
-            if shards.len() == n {
-                return Ok(());
-            }
-            // Replicate outside the lock (compiling executors is slow);
-            // the generation check below catches a recalibration racing
-            // in — installing replicas of a superseded plan would fork
-            // the shard set across generations.
-            let new_shards = resize_shards(shards.as_ref().clone(), n)?;
-            let mut state = self.plan.write().expect("plan poisoned");
-            // `ptr_eq` catches both a recalibration (which also bumps the
-            // generation) and a concurrent `set_shards` landing in our
-            // unlock–build–relock window — either way, rebuild from the
-            // winner's state instead of silently clobbering it.
-            if state.generation != generation || !Arc::ptr_eq(&state.shards, &shards) {
-                continue;
-            }
-            state.shards = Arc::new(new_shards);
-            // Inherit cumulative counters (kept shards keep their books);
-            // runs draining on dropped shards still decrement the slots
-            // they hold through the old router `Arc`.
-            state.router = Arc::new(ShardRouter::inheriting(n, &state.router));
-            return Ok(());
-        }
+        self.exec.set_shards(n)
     }
 
     /// Per-shard serving counters of the live router.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.plan.read().expect("plan poisoned").router.stats()
+        self.exec.shard_stats()
     }
 
     /// Closes the calibration loop in place: fits a [`Calibration`] from
     /// every kernel measured so far (**all shards' profiles merged**),
     /// re-runs the orchestrator over each partition's chosen graph with
-    /// the calibrated cost model, and atomically swaps in the
-    /// re-orchestrated plans with fresh executors for **every shard** —
-    /// one write replaces all shard replicas and their router, so a swap
-    /// can never leave shards running different plan generations.
-    /// In-flight `execute` calls finish on the per-shard snapshot they
-    /// claimed; later calls (and `Server` requests) run the new plans.
-    /// Old profiles are discarded with the old executors, so a subsequent
-    /// `recalibrate` fits the *new* plans' measurements.
+    /// the calibrated cost model, re-stitches the new plans into one
+    /// program and swaps it in with [`ShardedExecutor::replan`] — fresh
+    /// executors for **every shard** in one write, so a swap can never
+    /// leave shards running different plan generations, at whatever
+    /// width a concurrent [`CompiledModel::set_shards`] left. In-flight
+    /// `execute` calls finish on the executor they claimed; later calls
+    /// (and `Server` requests) run the new plan. Old profiles are
+    /// discarded with the old executors, so a subsequent `recalibrate`
+    /// fits the *new* plan's measurements. Concurrent calls run one
+    /// after the other.
     ///
     /// The intra-kernel split threshold is re-derived along the way: with
     /// the default `RuntimeConfig::split_threshold_us = None`, every
     /// fresh executor prices its threshold from its own plan
-    /// (`total_latency / lanes`), and the re-orchestrated plans carry
+    /// (`total_latency / lanes`), and the re-orchestrated plan carries
     /// *calibrated* — i.e. measured-host — latencies, so which kernels
-    /// are tile-eligible is re-decided in the same units the new plans
-    /// are priced in. An explicit threshold is carried over verbatim
+    /// are tile-eligible is re-decided in the same units the new plan
+    /// is priced in. An explicit threshold is carried over verbatim
     /// (it is the caller's responsibility that its units match the
     /// calibrated pricing).
     ///
@@ -388,9 +361,10 @@ impl CompiledModel {
     /// propagates orchestration/compilation failures (the current plan
     /// stays in place on any error).
     pub fn recalibrate(&self, korch: &Korch) -> Result<RecalibrationReport, KorchError> {
+        let _one_at_a_time = self.recalibrating.lock().expect("recalibration poisoned");
         // Phase boundary timestamps on the shared telemetry clock. The
-        // spans themselves are recorded only at the successful swap — the
-        // generation they are tagged with does not exist until then.
+        // spans themselves are recorded only after the successful swap —
+        // the generation they are tagged with does not exist until then.
         let recal_now = || {
             self.runtime
                 .telemetry
@@ -398,58 +372,45 @@ impl CompiledModel {
                 .map_or(0.0, |t| t.recorder().now_us())
         };
         let fit_start = recal_now();
-        let (shards, previous_contention) = {
-            let state = self.plan.read().expect("plan poisoned");
-            (state.shards.clone(), state.contention.clone())
-        };
-        let parts = &shards[0];
+        let shards = self.exec.shards();
+        let program = &shards[0];
         let base = Profiler::new(korch.device().clone());
-        // One profile snapshot per shard per partition, taken up front:
-        // serving continues while we fit, so reading the executors twice
-        // would hand the calibration fit and the contention fit different
-        // measurement sets (and each read clones the profile under that
-        // executor's mutex — do it once, not twice).
-        let shard_profiles = profile_matrix(&shards);
-        // Aggregate across shards: calibration samples from the merged
-        // per-partition profiles, overlap evidence from every shard's own
-        // interval sets (never mixed — each set keeps its shard's run
-        // clock origin).
-        let profiled = merge_profile_matrix(&shard_profiles);
-        let mut samples = Vec::new();
-        for (profile, p) in profiled.iter().zip(parts.iter()) {
-            samples.extend(profile.calibration_samples(&p.graph, &p.plan));
-        }
-        let mut evidence = OverlapEvidence::default();
-        for (i, p) in parts.iter().enumerate() {
-            let classes = kernel_classes(&p.graph, &p.plan);
-            for sp in &shard_profiles {
-                evidence.merge(&OverlapEvidence::collect(&sp[i], &classes));
-            }
-        }
+        // One profile snapshot per shard, taken up front: serving
+        // continues while we fit, so reading the executors twice would
+        // hand the calibration fit and the contention fit different
+        // measurement sets. Calibration samples come from the merged
+        // profile, overlap evidence from every shard's own interval sets
+        // (never mixed — each set keeps its shard's run clock origin).
+        let (per_shard, merged) = read_profiles(&shards);
+        let samples = merged.calibration_samples(program.graph(), program.plan());
         if samples.is_empty() {
             return Err(KorchError::Exec(ExecError::Input(
                 "recalibrate needs at least one profiled run; execute the model first".into(),
             )));
         }
+        let classes = kernel_classes(program.graph(), program.plan());
+        let mut evidence = OverlapEvidence::default();
+        for profile in &per_shard {
+            evidence.merge(&OverlapEvidence::collect(profile, &classes));
+        }
         let calibration = Calibration::fit(&base, &samples);
         let fitted = base.clone().with_calibration(calibration.clone());
-        let model_error_before = weighted_model_error(&profiled, parts, &base).unwrap_or(0.0);
-        let model_error_after = weighted_model_error(&profiled, parts, &fitted).unwrap_or(0.0);
+        let model_error_before = model_error(&merged, program, &base).unwrap_or(0.0);
+        let model_error_after = model_error(&merged, program, &fitted).unwrap_or(0.0);
+        let sources = self.pricing().optimized.clone();
         // Fit contention sharing rates from the measured cross-lane
         // interval overlap; classes (or plans) without any co-run evidence
         // keep the rates the current plans were placed with.
         let contention = evidence
-            .fit(&previous_contention)
-            .map(|f| f.contention)
-            .unwrap_or(previous_contention);
+            .fit(sources.contention())
+            .map_or_else(|| sources.contention().clone(), |f| f.contention);
         let replan_start = recal_now();
 
         // Re-orchestrate every partition's chosen variant with the
         // calibrated profiler *and* the fitted contention (the transform
         // search already picked the variant; kernel selection and lane
-        // placement are re-priced in measured host behavior). Each
-        // partition is orchestrated once; every shard then gets its own
-        // fresh executor over the shared new plan.
+        // placement are re-priced in measured host behavior), then stitch
+        // the new plans into the one program every shard will run.
         let mut orch_config = korch.config().orchestrator.clone();
         orch_config.contention = contention.clone();
         let runtime = RuntimeConfig {
@@ -459,248 +420,76 @@ impl CompiledModel {
         let orchestrator = Orchestrator::new(korch.device().clone())
             .with_config(orch_config)
             .with_profiler(fitted);
-        let shard_count = shards.len();
-        let mut built: Vec<Vec<CompiledPartition>> = (0..shard_count)
-            .map(|_| Vec::with_capacity(parts.len()))
-            .collect();
-        let mut total = Micros(0.0);
-        for p in parts.iter() {
-            let orch = orchestrator.orchestrate(&p.graph)?;
-            total = total + orch.plan.total_latency;
-            for shard_parts in built.iter_mut() {
-                let executor = PlanExecutor::new(&p.graph, &orch.plan, runtime.clone())?;
-                shard_parts.push(CompiledPartition {
-                    graph: p.graph.clone(),
-                    plan: orch.plan.clone(),
-                    inputs: p.inputs.clone(),
-                    outputs: p.outputs.clone(),
-                    executor,
-                });
-            }
-        }
-        // Debug builds statically verify each freshly orchestrated plan
+        let plans = sources
+            .partitions()
+            .iter()
+            .map(|p| Ok(orchestrator.orchestrate(&p.part.graph)?.plan))
+            .collect::<Result<Vec<Plan>, KorchError>>()?;
+        let optimized = sources.replanned(plans, contention.clone());
+        let (graph, plan) = stitch(&optimized)?;
+        // Debug builds statically verify the freshly stitched program
         // before it can be swapped in: dependency edges, schedule lane
         // hints, tile decompositions and the arena lifetime program are
-        // all checked on the artifacts the new executors will run. Every
-        // shard compiles from the same plan, so one replica's executors
-        // cover all of them. On any violation the error propagates and
-        // the current plan stays in place.
+        // all checked on the artifact the new executors will run (every
+        // shard compiles the same one). On any violation the error
+        // propagates and the current plan stays in place.
         #[cfg(debug_assertions)]
-        if let Some(first) = built.first() {
-            for p in first.iter() {
-                korch_verify::check_executor(&p.executor)?;
-            }
-        }
+        korch_verify::check_executor(&PlanExecutor::new(&graph, &plan, runtime.clone())?)?;
         let report = RecalibrationReport {
             calibration: calibration.clone(),
             model_error_before,
             model_error_after,
-            latency_ms: total.as_millis(),
-            contention: contention.clone(),
+            latency_ms: optimized.latency_ms(),
+            contention,
             memory_overlap: evidence.memory_overlap(),
             compute_overlap: evidence.compute_overlap(),
         };
-        let mut new_shards: Vec<Arc<Vec<CompiledPartition>>> =
-            built.into_iter().map(Arc::new).collect();
         let swap_start = recal_now();
-        loop {
-            let target = {
-                let mut state = self.plan.write().expect("plan poisoned");
-                if state.shards.len() == new_shards.len() {
-                    let generation = state.generation + 1;
-                    // The new router inherits every shard's cumulative
-                    // counters (and live in-flight accounting — requests
-                    // still draining on the old snapshot stay on the
-                    // books), so serving statistics span plan generations;
-                    // quarantine resets with the fresh executors.
-                    let router = Arc::new(ShardRouter::inheriting(new_shards.len(), &state.router));
-                    *state = PlanState {
-                        shards: Arc::new(new_shards),
-                        router,
-                        total_latency: total,
-                        calibration: calibration.clone(),
-                        contention: contention.clone(),
-                        generation,
-                    };
-                    drop(state);
-                    if let Some(t) = &self.runtime.telemetry {
-                        let rec = t.recorder();
-                        if rec.is_enabled() {
-                            let swap_end = rec.now_us();
-                            use korch_telemetry::{EventKind, RecalPhase, TraceEvent};
-                            let phases = [
-                                (RecalPhase::Fit, fit_start, replan_start),
-                                (RecalPhase::Replan, replan_start, swap_start),
-                                (RecalPhase::Swap, swap_start, swap_end),
-                            ];
-                            for (phase, start_us, end_us) in phases {
-                                rec.record(TraceEvent {
-                                    trace: 0,
-                                    start_us,
-                                    dur_us: (end_us - start_us).max(0.0),
-                                    kind: EventKind::RecalPhase { phase, generation },
-                                });
-                            }
-                        }
-                    }
-                    return Ok(report);
-                }
-                state.shards.len()
+        let generation = {
+            let mut pricing = self.pricing.write().expect("pricing poisoned");
+            let generation = self.exec.replan(&graph, &plan, runtime)?;
+            *pricing = Pricing {
+                optimized,
+                calibration,
             };
-            // A concurrent `set_shards` re-provisioned the model while we
-            // were re-orchestrating: honor the new width rather than
-            // silently reverting it — resize the freshly built set
-            // (outside the lock; replicas compile fresh executors) and
-            // retry the swap.
-            new_shards = resize_shards(new_shards, target)?;
+            generation
+        };
+        if let Some(t) = &self.runtime.telemetry {
+            let rec = t.recorder();
+            if rec.is_enabled() {
+                let swap_end = rec.now_us();
+                use korch_telemetry::{EventKind, RecalPhase, TraceEvent};
+                let phases = [
+                    (RecalPhase::Fit, fit_start, replan_start),
+                    (RecalPhase::Replan, replan_start, swap_start),
+                    (RecalPhase::Swap, swap_start, swap_end),
+                ];
+                for (phase, start_us, end_us) in phases {
+                    rec.record(TraceEvent {
+                        trace: 0,
+                        start_us,
+                        dur_us: (end_us - start_us).max(0.0),
+                        kind: EventKind::RecalPhase { phase, generation },
+                    });
+                }
+            }
         }
+        Ok(report)
     }
 
     /// Executes the compiled program on the least-loaded live shard,
     /// retrying on a sibling shard if that shard's run fails (exactly one
     /// result is produced either way — see `korch_runtime::ShardRouter`).
-    /// Unsharded models (the default single shard) run exactly as before.
+    /// Malformed requests (arity, shapes) are client errors and rejected
+    /// before routing, so they never count against a shard.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on input mismatches or kernel failures (a
     /// kernel failure only after every shard declined the run).
     pub fn execute(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-        // Arity is validated before routing: a malformed request is a
-        // client error, not shard-failure evidence, and must not burn
-        // retry attempts or quarantine counters on every shard.
-        if inputs.len() != self.graph_input_ports.len() {
-            return Err(ExecError::Input(format!(
-                "program takes {} inputs, {} were fed",
-                self.graph_input_ports.len(),
-                inputs.len()
-            )));
-        }
-        let (shards, router) = {
-            let state = self.plan.read().expect("plan poisoned");
-            (state.shards.clone(), Arc::clone(&state.router))
-        };
-        router.route(|s| self.execute_on(&shards[s], inputs))
+        self.exec.run(inputs)
     }
-
-    /// Runs one request through one shard's partition pipeline.
-    fn execute_on(
-        &self,
-        parts: &[CompiledPartition],
-        inputs: &[Tensor],
-    ) -> Result<Vec<Tensor>, ExecError> {
-        let mut env: HashMap<PortRef, Tensor> = self
-            .graph_input_ports
-            .iter()
-            .copied()
-            .zip(inputs.iter().cloned())
-            .collect();
-        for part in parts {
-            let part_inputs: Vec<Tensor> = part
-                .inputs
-                .iter()
-                .map(|outer| {
-                    env.get(outer).cloned().ok_or(ExecError::NotMaterialized {
-                        node: outer.node.0,
-                        port: outer.port,
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let outs = part.executor.execute(&part_inputs)?;
-            for (outer, t) in part.outputs.iter().zip(outs) {
-                env.insert(*outer, t);
-            }
-        }
-        self.graph_output_ports
-            .iter()
-            .map(|p| {
-                env.get(p).cloned().ok_or(ExecError::NotMaterialized {
-                    node: p.node.0,
-                    port: p.port,
-                })
-            })
-            .collect()
-    }
-}
-
-/// Replicates one compiled partition into an independent shard copy:
-/// same graph, plan and outer ports, fresh executor and arena.
-fn replicate_partition(p: &CompiledPartition) -> Result<CompiledPartition, ExecError> {
-    Ok(CompiledPartition {
-        graph: p.graph.clone(),
-        plan: p.plan.clone(),
-        inputs: p.inputs.clone(),
-        outputs: p.outputs.clone(),
-        executor: p.executor.replicate()?,
-    })
-}
-
-/// Resizes a shard set to `n`: surplus replicas are dropped, the deficit
-/// is filled by replicating the first remaining shard (fresh executors,
-/// shared plans). Used by both `set_shards` and `recalibrate`'s
-/// swap-retry — keep the two in lockstep through this one helper.
-fn resize_shards(
-    mut shards: Vec<Arc<Vec<CompiledPartition>>>,
-    n: usize,
-) -> Result<Vec<Arc<Vec<CompiledPartition>>>, ExecError> {
-    shards.truncate(n);
-    while shards.len() < n {
-        let replica: Vec<CompiledPartition> = shards[0]
-            .iter()
-            .map(replicate_partition)
-            .collect::<Result<_, _>>()?;
-        shards.push(Arc::new(replica));
-    }
-    Ok(shards)
-}
-
-/// The per-shard → aggregate step over a profile matrix (outer index =
-/// shard, inner = partition): for each partition, every shard's profile
-/// combined via [`RuntimeProfile::merged`]. All shards run identical
-/// plans, so kernel indices line up by construction.
-fn merge_profile_matrix(shard_profiles: &[Vec<RuntimeProfile>]) -> Vec<RuntimeProfile> {
-    (0..shard_profiles[0].len())
-        .map(|i| {
-            let column: Vec<&RuntimeProfile> = shard_profiles.iter().map(|sp| &sp[i]).collect();
-            RuntimeProfile::merged(&column)
-        })
-        .collect()
-}
-
-/// Snapshots every shard's per-partition profile once (each read clones
-/// the profile under that executor's mutex — callers should read once
-/// and reuse).
-fn profile_matrix(shards: &[Arc<Vec<CompiledPartition>>]) -> Vec<Vec<RuntimeProfile>> {
-    shards
-        .iter()
-        .map(|shard| shard.iter().map(|p| p.executor.profile()).collect())
-        .collect()
-}
-
-/// [`merge_profile_matrix`] over a fresh [`profile_matrix`] snapshot.
-fn merged_profiles(shards: &[Arc<Vec<CompiledPartition>>]) -> Vec<RuntimeProfile> {
-    merge_profile_matrix(&profile_matrix(shards))
-}
-
-/// Mean relative prediction error of `profiler` against the accumulated
-/// profiles, weighted by each partition's measured kernel count. `None`
-/// when nothing has been measured.
-fn weighted_model_error(
-    profiles: &[RuntimeProfile],
-    parts: &[CompiledPartition],
-    profiler: &Profiler,
-) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for (profile, p) in profiles.iter().zip(parts.iter()) {
-        let measured = profile.per_kernel.iter().filter(|s| s.count > 0).count();
-        if measured == 0 {
-            continue;
-        }
-        sum += profile.model_error(&p.graph, &p.plan, profiler) * measured as f64;
-        n += measured;
-    }
-    (n > 0).then(|| sum / n as f64)
 }
 
 impl Model for CompiledModel {
@@ -918,6 +707,50 @@ mod tests {
         for (a, b) in reference.iter().zip(&out) {
             assert_eq!(a.as_slice(), b.as_slice(), "post-swap run diverged");
         }
+    }
+
+    /// A multi-partition program compiles to **one** stitched executor per
+    /// shard — `shards × 1` `PlanExecutor`s, not `shards × partitions` —
+    /// and a recalibration re-orchestrates every partition, re-stitches
+    /// and keeps that shape.
+    #[test]
+    fn multi_partition_model_runs_one_executor_per_shard() {
+        let config = KorchConfig {
+            partition_max_prims: 5,
+            ..Default::default()
+        };
+        let korch = Korch::new(Device::v100(), config);
+        let optimized = korch.optimize(&two_block_model()).unwrap();
+        assert!(optimized.partitions().len() >= 2, "want several partitions");
+        let compiled =
+            CompiledModel::from_optimized(&optimized, &RuntimeConfig::with_lanes(2)).unwrap();
+        compiled.set_shards(3).unwrap();
+        let inputs = vec![Tensor::random(vec![16, 32], 4)];
+        let oracle = optimized.execute(&inputs).unwrap();
+        for generation in 0..2 {
+            let snapshots = compiled.shard_snapshots();
+            assert_eq!(snapshots.len(), 3);
+            assert!(snapshots.iter().all(|shard| shard.len() == 1));
+            assert_eq!(compiled.partitions().len(), 1);
+            assert_eq!(compiled.profiles().len(), 1);
+            let program = &snapshots[0][0];
+            assert_eq!(program.plan.kernel_count(), compiled.kernel_count());
+            assert_eq!(program.inputs, optimized.input_ports());
+            assert_eq!(program.outputs, optimized.output_ports());
+            for _ in 0..3 {
+                let out = compiled.execute(&inputs).unwrap();
+                for (a, b) in oracle.iter().zip(&out) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "generation {generation}");
+                }
+            }
+            assert_eq!(compiled.plan_generation(), generation);
+            korch.recalibrate(&compiled).unwrap();
+        }
+        // The sources kept for the next recalibration are the ones running.
+        assert_eq!(
+            compiled.kernel_count(),
+            compiled.pricing().optimized.kernel_count()
+        );
     }
 
     /// A model whose plan contains a tilable kernel: a pure elementwise

@@ -9,7 +9,9 @@
 //! 4. **kernel orchestration** (`korch-orch` + `korch-blp` + `korch-cost`)
 //!    — candidate kernels and the optimal BLP selection (§4–5);
 //! 5. **executable** — a kernel [`korch_orch::Plan`] per partition,
-//!    executable and verifiable on CPU via `korch-exec` (§5.3).
+//!    executable and verifiable on CPU via `korch-exec` (§5.3), which
+//!    [`stitch`] concatenates into the one whole-program plan a
+//!    [`CompiledModel`] runs on `korch-runtime`.
 //!
 //! ```
 //! use korch_core::{Korch, KorchConfig};
@@ -34,7 +36,9 @@
 mod compiled;
 mod partition;
 mod pipeline;
+mod stitch;
 
 pub use compiled::{CompiledModel, CompiledPartition, RecalibrationReport, SelfTuningModel};
 pub use partition::{partition, Partition};
 pub use pipeline::{Korch, KorchConfig, KorchError, Optimized, OptimizedPartition, PipelineStats};
+pub use stitch::stitch;

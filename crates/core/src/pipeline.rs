@@ -138,15 +138,26 @@ pub struct Optimized {
     graph_input_ports: Vec<PortRef>,
     graph_output_ports: Vec<PortRef>,
     stats: PipelineStats,
-    total_latency: Micros,
     contention: StreamContention,
 }
 
 impl Optimized {
+    /// The same program with every partition's plan replaced (`plans` in
+    /// partition order) and priced under `contention` — what a
+    /// recalibration's re-orchestration produces.
+    pub(crate) fn replanned(mut self, plans: Vec<Plan>, contention: StreamContention) -> Self {
+        for (part, plan) in self.parts.iter_mut().zip(plans) {
+            part.plan = plan;
+        }
+        self.contention = contention;
+        self
+    }
+
     /// Simulated end-to-end latency in milliseconds (paper Eq. 2: the sum
     /// of all selected kernels across all partitions).
     pub fn latency_ms(&self) -> f64 {
-        self.total_latency.as_millis()
+        let total: Micros = self.parts.iter().map(|p| p.plan.total_latency).sum();
+        total.as_millis()
     }
 
     /// Total number of kernel launches.
@@ -248,6 +259,17 @@ impl Optimized {
     }
 }
 
+/// What optimizing one partition yields — the value the fingerprint
+/// cache memoizes, so a repeated block reuses the variant and plan and is
+/// charged its candidates and states but no tuning time.
+#[derive(Clone)]
+struct PartitionRecord {
+    variant: PrimGraph,
+    plan: Plan,
+    candidates: usize,
+    states: usize,
+}
+
 /// The end-to-end optimizer (paper Fig. 1).
 #[derive(Debug, Clone)]
 pub struct Korch {
@@ -296,58 +318,47 @@ impl Korch {
         };
         let orchestrator =
             Orchestrator::new(self.device.clone()).with_config(self.config.orchestrator.clone());
-        // Variant graph, plan, candidate count, state count, tuning clock,
-        // quick-pruned count, profile clock.
-        type PartitionRecord = (PrimGraph, Plan, usize, usize, f64, usize, f64);
         let mut cache: HashMap<u64, PartitionRecord> = HashMap::new();
         let mut optimized_parts = Vec::with_capacity(parts.len());
-        let mut total = Micros(0.0);
         for part in parts {
             let fp = part.graph.fingerprint();
-            let entry = if self.config.cache {
+            let cached = if self.config.cache {
                 cache.get(&fp).cloned()
             } else {
                 None
             };
-            let (variant, plan, candidates, states, tuning, pruned, profile) = match entry {
+            let rec = match cached {
                 Some(hit) => {
+                    // Tuning reuses the database: no extra time.
                     stats.cache_hits += 1;
-                    stats.candidate_kernels += hit.2;
-                    stats.states += hit.3;
-                    // tuning reuses the database: no extra time
                     hit
                 }
                 None => {
                     let (variant, plan, orch) =
                         self.optimize_partition(&orchestrator, &part.graph)?;
-                    let rec = (
+                    stats.tuning_time_s += orch.tuning_time_s;
+                    stats.quick_pruned += orch.quick_pruned;
+                    stats.profile_tuning_s += orch.profile_tuning_s;
+                    let rec = PartitionRecord {
                         variant,
                         plan,
-                        orch.report.num_candidates,
-                        orch.num_states,
-                        orch.tuning_time_s,
-                        orch.quick_pruned,
-                        orch.profile_tuning_s,
-                    );
-                    stats.candidate_kernels += rec.2;
-                    stats.states += rec.3;
-                    stats.tuning_time_s += rec.4;
-                    stats.quick_pruned += rec.5;
-                    stats.profile_tuning_s += rec.6;
+                        candidates: orch.report.num_candidates,
+                        states: orch.num_states,
+                    };
                     if self.config.cache {
                         cache.insert(fp, rec.clone());
                     }
                     rec
                 }
             };
-            let _ = (candidates, states, tuning, pruned, profile);
-            total = total + plan.total_latency;
+            stats.candidate_kernels += rec.candidates;
+            stats.states += rec.states;
             optimized_parts.push(OptimizedPartition {
                 part: Partition {
-                    graph: variant,
+                    graph: rec.variant,
                     ..part
                 },
-                plan,
+                plan: rec.plan,
             });
         }
         let graph_input_ports: Vec<PortRef> = pg
@@ -360,7 +371,6 @@ impl Korch {
             graph_input_ports,
             graph_output_ports: pg.outputs().to_vec(),
             stats,
-            total_latency: total,
             contention: self.config.orchestrator.contention.clone(),
         })
     }
@@ -498,6 +508,25 @@ impl Korch {
             .collect();
         let err = optimized.verify(g, &inputs)?;
         Ok((optimized, err))
+    }
+}
+
+#[cfg(test)]
+impl Optimized {
+    /// A hand-assembled program, for tests that need partitions the
+    /// pipeline would not produce.
+    pub(crate) fn assemble(
+        parts: Vec<OptimizedPartition>,
+        graph_input_ports: Vec<PortRef>,
+        graph_output_ports: Vec<PortRef>,
+    ) -> Self {
+        Self {
+            parts,
+            graph_input_ports,
+            graph_output_ports,
+            stats: PipelineStats::default(),
+            contention: StreamContention::default(),
+        }
     }
 }
 

@@ -151,7 +151,13 @@ pub fn kernel_spec(g: &PrimGraph, members: &BTreeSet<NodeId>, outputs: &[PortRef
     let mut has_opaque = false;
     let mut inner_reduce_reuse = 0u32;
 
-    let succ = g.successors();
+    // Nodes some member reads: a reduce in this set has an in-kernel
+    // consumer. Walking the members keeps this call independent of the
+    // graph's size (a plan prices every kernel of a whole program).
+    let read_by_member: HashSet<NodeId> = members
+        .iter()
+        .flat_map(|&m| g.node(m).inputs.iter().map(|r| r.node))
+        .collect();
 
     for &id in members {
         let node = g.node(id);
@@ -167,7 +173,7 @@ pub fn kernel_spec(g: &PrimGraph, members: &BTreeSet<NodeId>, outputs: &[PortRef
             PrimKind::Reduce { .. } => {
                 let in_numel = g.meta(node.inputs[0]).numel() as u64;
                 pointwise_flops += in_numel;
-                if succ[id.0].iter().any(|s| members.contains(s)) {
+                if read_by_member.contains(&id) {
                     inner_reduce_reuse += 1;
                 }
             }

@@ -56,9 +56,8 @@ use korch_ir::PrimGraph;
 use korch_orch::{kernel_classes, Plan, ResourceClass, StreamContention};
 use std::collections::HashMap;
 
-/// Accumulated pairwise-overlap evidence, mergeable across partitions
-/// (each partition has its own profile and kernel classes; the fit wants
-/// all of it).
+/// Accumulated pairwise-overlap evidence, mergeable across shards (each
+/// shard has its own profile of the same plan; the fit wants all of it).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverlapEvidence {
     /// Σ overlap fractions of memory/memory cross-lane pairs.
@@ -160,7 +159,7 @@ impl OverlapEvidence {
         ev
     }
 
-    /// Folds another partition's evidence into this one.
+    /// Folds another shard's evidence into this one.
     pub fn merge(&mut self, other: &Self) {
         self.memory_overlap_sum += other.memory_overlap_sum;
         self.memory_pairs += other.memory_pairs;
@@ -422,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn evidence_merges_across_partitions() {
+    fn evidence_merges_across_shards() {
         let a = OverlapEvidence {
             memory_overlap_sum: 1.0,
             memory_pairs: 1,

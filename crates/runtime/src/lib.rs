@@ -35,9 +35,13 @@
 //!   so serving throughput is no longer capped by a single execution
 //!   context. Per-shard [`RuntimeProfile`]s merge
 //!   ([`RuntimeProfile::merge`]) into the one aggregate profile the
-//!   calibration/contention fits consume, and a [`ShardControl`] model
-//!   (e.g. `korch-core`'s `CompiledModel`) re-plans **all** shards in one
-//!   atomic recalibration swap.
+//!   calibration/contention fits consume. `ShardedExecutor` is the one
+//!   holder of shard state: [`ShardControl::set_shards`] re-provisions
+//!   its width, [`ShardedExecutor::replan`] swaps **all** shards onto a
+//!   new plan in one write (a racing width change is honored, never
+//!   reverted, and shards never straddle plan generations). `korch-core`'s
+//!   `CompiledModel` is a `ShardedExecutor` over its stitched whole
+//!   program plus the optimizer state a recalibration re-plans from.
 //!
 //! # The self-tuning cycle
 //!

@@ -32,8 +32,21 @@
 //! routing preference, not a denial of service — when no live shard
 //! remains (e.g. a deterministically failing request marched across all
 //! of them), quarantined shards are still tried, and one success revives
-//! a shard's standing. A recalibration swap replaces the whole shard set
-//! with fresh executors, which also resets routing state.
+//! a shard's standing.
+//!
+//! # One holder of shard state
+//!
+//! [`ShardedExecutor`] owns the replicas and their router behind one
+//! lock and is the only place they are swapped:
+//! [`ShardControl::set_shards`] changes the width over the current plan,
+//! [`ShardedExecutor::replan`] replaces **every** replica with a fresh
+//! executor over a new plan — one write, one generation bump, quarantine
+//! reset, cumulative counters inherited. The two may race: each builds
+//! its executors outside the lock and re-checks under it, so a re-plan
+//! honors a width that changed meanwhile and a resize never installs
+//! replicas of a superseded plan. `korch_core`'s `CompiledModel` holds
+//! exactly one `ShardedExecutor` over its stitched program and drives
+//! recalibration through `replan`.
 //!
 //! # Per-shard vs aggregate profiles
 //!
@@ -45,8 +58,9 @@
 //! appended whole, never mixed across shards, so the clock-origin
 //! invariant ([`crate::KernelInterval`]) keeps holding within every set.
 //! A recalibration therefore fits calibration and contention from **all**
-//! shards' measurements and its swap atomically re-plans all shards;
-//! in-flight runs finish on the per-shard snapshot they started with.
+//! shards' measurements and its swap ([`ShardedExecutor::replan`])
+//! atomically re-plans all shards; in-flight runs finish on the executor
+//! they claimed.
 
 use crate::executor::PlanExecutor;
 use crate::profiler::RuntimeProfile;
@@ -369,6 +383,21 @@ impl Model for ShardSet {
 struct ShardBank {
     shards: Arc<Vec<Arc<PlanExecutor>>>,
     router: Arc<ShardRouter>,
+    /// Completed [`ShardedExecutor::replan`] swaps. Re-provisioning the
+    /// width keeps it — replicas run the plan they were copied from.
+    generation: u64,
+}
+
+/// `current` resized to `n` shards: surplus replicas dropped, the deficit
+/// replicated from shard 0 (fresh executor and arena over the same plan),
+/// kept shards staying warm. Compiles executors — call it outside the
+/// bank lock.
+fn resized(current: &[Arc<PlanExecutor>], n: usize) -> Result<Vec<Arc<PlanExecutor>>, ExecError> {
+    let mut shards: Vec<Arc<PlanExecutor>> = current.iter().take(n).cloned().collect();
+    while shards.len() < n {
+        shards.push(Arc::new(current[0].replicate()?));
+    }
+    Ok(shards)
 }
 
 /// One plan replicated across N [`PlanExecutor`]s (each with its own
@@ -394,14 +423,13 @@ impl ShardedExecutor {
         shards: usize,
     ) -> Result<Self, ExecError> {
         let n = shards.max(1);
-        let mut replicas = Vec::with_capacity(n);
-        for _ in 0..n {
-            replicas.push(Arc::new(PlanExecutor::new(g, plan, config.clone())?));
-        }
+        let router = ShardRouter::new(n).with_telemetry(config.telemetry.as_ref());
+        let first = Arc::new(PlanExecutor::new(g, plan, config)?);
         Ok(Self {
             bank: RwLock::new(ShardBank {
-                shards: Arc::new(replicas),
-                router: Arc::new(ShardRouter::new(n).with_telemetry(config.telemetry.as_ref())),
+                shards: Arc::new(resized(&[first], n)?),
+                router: Arc::new(router),
+                generation: 0,
             }),
         })
     }
@@ -411,9 +439,62 @@ impl ShardedExecutor {
         (Arc::clone(&bank.shards), Arc::clone(&bank.router))
     }
 
+    /// The live shard set (index = shard id). Every shard runs the same
+    /// graph and plan; holders keep the executors they observed across a
+    /// later [`ShardedExecutor::replan`] or re-provisioning.
+    pub fn shards(&self) -> Arc<Vec<Arc<PlanExecutor>>> {
+        self.snapshot().0
+    }
+
     /// Current number of shards.
     pub fn shard_count(&self) -> usize {
         self.snapshot().0.len()
+    }
+
+    /// Completed [`ShardedExecutor::replan`] swaps (0 at construction).
+    pub fn generation(&self) -> u64 {
+        self.bank.read().expect("shard bank poisoned").generation
+    }
+
+    /// Swaps **every** shard onto `plan` over `g` in one write: fresh
+    /// executors (empty profiles, cold arenas) at the current width, a
+    /// router inheriting the cumulative per-shard counters and the
+    /// in-flight accounting of runs still draining on the old set, and a
+    /// bumped [`ShardedExecutor::generation`], which is returned. Shards
+    /// can therefore never run different plan generations; in-flight runs
+    /// finish on the executors they claimed.
+    ///
+    /// Executors compile outside the lock. When a concurrent
+    /// [`ShardControl::set_shards`] changes the width meanwhile, the new
+    /// width is honored, not reverted: the fresh set is resized and the
+    /// swap retried.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] when the plan is not executable; the current
+    /// shard set stays untouched.
+    pub fn replan(
+        &self,
+        g: &korch_ir::PrimGraph,
+        plan: &korch_orch::Plan,
+        config: crate::RuntimeConfig,
+    ) -> Result<u64, ExecError> {
+        let mut fresh = vec![Arc::new(PlanExecutor::new(g, plan, config)?)];
+        loop {
+            let width = self.shard_count();
+            fresh = resized(&fresh, width)?;
+            let mut bank = self.bank.write().expect("shard bank poisoned");
+            if bank.shards.len() != width {
+                continue;
+            }
+            let generation = bank.generation + 1;
+            *bank = ShardBank {
+                shards: Arc::new(fresh),
+                router: Arc::new(ShardRouter::inheriting(width, &bank.router)),
+                generation,
+            };
+            return Ok(generation);
+        }
     }
 
     /// The aggregate profile: every shard's [`RuntimeProfile`] combined
@@ -471,25 +552,19 @@ impl ShardControl for ShardedExecutor {
             if current.len() == n {
                 return Ok(());
             }
-            // Build outside the lock (replication compiles a fresh
-            // executor); existing shards stay warm — only the surplus is
-            // dropped / the deficit replicated from shard 0's plan.
-            let mut shards: Vec<Arc<PlanExecutor>> = current.iter().take(n).cloned().collect();
-            while shards.len() < n {
-                shards.push(Arc::new(current[0].replicate()?));
-            }
+            let shards = resized(&current, n)?;
             let mut bank = self.bank.write().expect("shard bank poisoned");
             if !Arc::ptr_eq(&bank.shards, &current) {
-                // Another re-provisioning landed while we replicated;
-                // rebuild from its result instead of silently discarding
-                // its replicas (and their profiles).
-                drop(bank);
+                // Another re-provisioning or a `replan` landed while we
+                // replicated; rebuild from its result instead of silently
+                // discarding its replicas (and their profiles) or forking
+                // the set across plan generations.
                 continue;
             }
-            let router = Arc::new(ShardRouter::inheriting(n, &bank.router));
             *bank = ShardBank {
                 shards: Arc::new(shards),
-                router,
+                router: Arc::new(ShardRouter::inheriting(n, &bank.router)),
+                generation: bank.generation,
             };
             return Ok(());
         }
@@ -654,6 +729,53 @@ mod tests {
         );
         // A well-formed request still serves.
         assert!(exec.run(&[Tensor::zeros(vec![4, 4])]).is_ok());
+    }
+
+    /// One `replan` swaps every shard onto fresh executors at the current
+    /// width, bumps the generation once, and keeps the serving books;
+    /// re-provisioning afterwards replicates the *new* plan and leaves the
+    /// generation alone.
+    #[test]
+    fn replan_swaps_every_shard_in_one_generation() {
+        use korch_ir::{EwFn, PrimKind};
+        let mut g = korch_ir::PrimGraph::new();
+        let x = g.add(PrimKind::Input { shape: vec![4] }, vec![]).unwrap();
+        let exp = PrimKind::Elementwise(EwFn::Unary(korch_tensor::UnaryOp::Exp));
+        let e = g.add(exp, vec![x.into()]).unwrap();
+        g.mark_output(e).unwrap();
+        let plan = korch_orch::Orchestrator::new(korch_cost::Device::v100())
+            .orchestrate(&g)
+            .unwrap()
+            .plan;
+        let config = crate::RuntimeConfig::with_lanes(1);
+        let exec = ShardedExecutor::new(&g, &plan, config.clone(), 3).unwrap();
+        let input = [Tensor::random(vec![4], 1)];
+        let reference = exec.run(&input).unwrap();
+        let old = exec.shards();
+        // The re-planned program is told apart by its price tag.
+        let mut repriced = plan.clone();
+        repriced.total_latency = korch_cost::Micros(plan.total_latency.0 * 2.0);
+        assert_eq!(exec.replan(&g, &repriced, config).unwrap(), 1);
+        assert_eq!(exec.generation(), 1);
+        let fresh = exec.shards();
+        assert_eq!(fresh.len(), 3, "a swap keeps the width");
+        for (s, shard) in fresh.iter().enumerate() {
+            assert!(old.iter().all(|o| !Arc::ptr_eq(o, shard)));
+            assert_eq!(shard.profile().runs, 0, "shard {s} must start fresh");
+            assert_eq!(shard.plan().total_latency, repriced.total_latency);
+        }
+        assert_eq!(exec.profile().runs, 0);
+        let served = |e: &ShardedExecutor| e.shard_stats().iter().map(|s| s.served).sum::<u64>();
+        assert_eq!(served(&exec), 1, "serving books span the swap");
+        assert_eq!(exec.run(&input).unwrap()[0], reference[0]);
+        assert_eq!(old[0].execute(&input).unwrap()[0], reference[0]);
+        exec.set_shards(5).unwrap();
+        assert_eq!(exec.generation(), 1, "re-provisioning is not a re-plan");
+        assert!(exec
+            .shards()
+            .iter()
+            .all(|s| s.plan().total_latency == repriced.total_latency));
+        assert_eq!(served(&exec), 2);
     }
 
     #[test]

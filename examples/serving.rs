@@ -53,10 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     runtime.telemetry = Some(Arc::clone(&telemetry));
     let tuned = Arc::new(korch.compile_tuned(&graph, &runtime)?);
     println!(
-        "compiled: {} kernels, simulated {:.4} ms, {} partitions",
+        "compiled: {} kernels, simulated {:.4} ms, {} partitions stitched into one program",
         tuned.model().kernel_count(),
         tuned.model().latency_ms(),
-        tuned.model().partitions().len(),
+        tuned.model().stats().partitions,
     );
     let report = tuned.model().memory_report();
     println!(

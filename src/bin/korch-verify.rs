@@ -4,10 +4,11 @@
 //! Compiles every graph in the corpus (the five evaluation models at
 //! `tiny()` scale plus the case-study subgraphs), then runs the static
 //! plan/schedule verifier and arena-lifetime abstract interpreter over
-//! every compiled partition × lane count {1, 2, 4}, with the split
-//! threshold forced to zero so every tile partition these plans can get
-//! is cut and checked (the derived threshold's host-aware floor cuts none
-//! on a 1- or 2-core host). Finishes with the exhaustive
+//! every optimized partition **and** each model's stitched whole program
+//! (the one artifact a `CompiledModel` executes) × lane count {1, 2, 4},
+//! with the split threshold forced to zero so every tile partition these
+//! plans can get is cut and checked (the derived threshold's host-aware
+//! floor cuts none on a 1- or 2-core host). Finishes with the exhaustive
 //! schedule-exploration suite over the scheduler's atomic protocol
 //! models. Exits non-zero on any violation — or if the corpus yields no
 //! tile layout at all, which would make the tiling checks vacuous — so CI
@@ -16,7 +17,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use korch::core::{Korch, KorchConfig};
+use korch::core::{stitch, Korch, KorchConfig};
 use korch::cost::Device;
 use korch::ir::OpGraph;
 use korch::models::{
@@ -53,6 +54,7 @@ fn corpus() -> Vec<(&'static str, OpGraph)> {
 fn main() -> ExitCode {
     let korch = Korch::new(Device::v100(), KorchConfig::default());
     let mut artifacts = 0usize;
+    let mut stitched_artifacts = 0usize;
     let mut layouts = 0usize;
     let mut bad = 0usize;
 
@@ -65,31 +67,54 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        for (pi, part) in optimized.partitions().iter().enumerate() {
+        // What the optimizer emits (one artifact per partition), then what
+        // the runtime actually executes: the stitched whole program.
+        let stitched = match stitch(&optimized) {
+            Ok(program) => Some(program),
+            Err(e) => {
+                eprintln!("FAIL {name}: stitch error: {e}");
+                bad += 1;
+                None
+            }
+        };
+        let partitions = optimized.partitions().iter().enumerate();
+        let programs = partitions
+            .map(|(pi, p)| (format!("partition {pi}"), &p.part.graph, &p.plan))
+            .chain(
+                stitched
+                    .iter()
+                    .map(|(g, p)| ("stitched program".into(), g, p)),
+            );
+        for (nth, (what, graph, plan)) in programs.enumerate() {
+            let is_stitched = nth == optimized.partitions().len();
             for lanes in [1usize, 2, 4] {
                 let config = RuntimeConfig {
                     split_threshold_us: Some(0.0),
                     profile: false,
                     ..RuntimeConfig::with_lanes(lanes)
                 };
-                let exec = match PlanExecutor::new(&part.part.graph, &part.plan, config) {
+                let exec = match PlanExecutor::new(graph, plan, config) {
                     Ok(e) => e,
                     Err(e) => {
-                        eprintln!("FAIL {name} partition {pi} lanes {lanes}: compile error: {e}");
+                        eprintln!("FAIL {name} {what} lanes {lanes}: compile error: {e}");
                         bad += 1;
                         continue;
                     }
                 };
                 artifacts += 1;
+                stitched_artifacts += usize::from(is_stitched);
                 layouts += exec.tileable_kernels();
                 for v in verify_executor(&exec) {
-                    eprintln!("FAIL {name} partition {pi} lanes {lanes}: {v}");
+                    eprintln!("FAIL {name} {what} lanes {lanes}: {v}");
                     bad += 1;
                 }
             }
         }
     }
-    println!("plan verifier: {artifacts} artifacts checked, {layouts} tile layouts among them");
+    println!(
+        "plan verifier: {artifacts} artifacts checked ({stitched_artifacts} of them stitched \
+         whole programs), {layouts} tile layouts among them"
+    );
     if layouts == 0 {
         eprintln!("FAIL corpus compiled no tile layout: the tiling checks verified nothing");
         bad += 1;

@@ -312,7 +312,9 @@ fn mixed_compiled_plan_is_bit_identical() {
 
 /// The compiled paths survive a `recalibrate` plan swap: a model with a
 /// matmul and a fused activation chain keeps producing the same bytes
-/// before and after the orchestrator re-plans from fitted costs.
+/// before and after the orchestrator re-plans from fitted costs — as one
+/// partition and cut into one partition per primitive, where the swap
+/// re-orchestrates each partition and re-stitches the program.
 #[test]
 fn recalibrated_plans_stay_bit_identical() {
     let mut g = OpGraph::new();
@@ -338,23 +340,36 @@ fn recalibrated_plans_stay_bit_identical() {
         .unwrap();
     let t = g.add(OpKind::Unary(UnaryOp::Tanh), vec![r.into()]).unwrap();
     g.mark_output(t).unwrap();
-    let korch = Korch::new(Device::v100(), KorchConfig::default());
-    let optimized = korch.optimize(&g).unwrap();
     let inputs = op_random_inputs(&g, 13);
-    let reference = optimized.execute(&inputs).unwrap();
-    for lanes in [1usize, 2, 4] {
-        let compiled = korch
-            .compile_with(&g, &RuntimeConfig::with_lanes(lanes))
-            .unwrap();
-        for _ in 0..3 {
-            let out = compiled.execute(&inputs).unwrap();
-            assert_bit_identical(&reference, &out, &format!("lanes={lanes} pre-swap"));
-        }
-        let report = korch.recalibrate(&compiled).unwrap();
-        assert!(report.model_error_after <= report.model_error_before + 1e-9);
-        for _ in 0..3 {
-            let out = compiled.execute(&inputs).unwrap();
-            assert_bit_identical(&reference, &out, &format!("lanes={lanes} post-swap"));
+    for (partition_max_prims, partitions) in [(28, 1), (1, 3)] {
+        let config = KorchConfig {
+            partition_max_prims,
+            ..Default::default()
+        };
+        let korch = Korch::new(Device::v100(), config);
+        let optimized = korch.optimize(&g).unwrap();
+        assert_eq!(optimized.stats().partitions, partitions);
+        let reference = optimized.execute(&inputs).unwrap();
+        for lanes in [1usize, 2, 4, 8] {
+            let ctx = format!("{partitions} partition(s), lanes={lanes}");
+            let compiled = korch
+                .compile_with(&g, &RuntimeConfig::with_lanes(lanes))
+                .unwrap();
+            for _ in 0..3 {
+                let out = compiled.execute(&inputs).unwrap();
+                assert_bit_identical(&reference, &out, &format!("{ctx} pre-swap"));
+            }
+            let report = korch.recalibrate(&compiled).unwrap();
+            // The fit is only asserted to help on the whole-model cut: one
+            // primitive per partition leaves tiny memory-bound kernels whose
+            // wall times `Calibration::fit` does not reliably tighten.
+            if partitions == 1 {
+                assert!(report.model_error_after <= report.model_error_before + 1e-9);
+            }
+            for _ in 0..3 {
+                let out = compiled.execute(&inputs).unwrap();
+                assert_bit_identical(&reference, &out, &format!("{ctx} post-swap"));
+            }
         }
     }
 }

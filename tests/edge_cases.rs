@@ -1,12 +1,14 @@
 //! Edge cases and failure-injection across the pipeline: degenerate
 //! graphs, pass-through partitions, exotic configs.
 
-use korch::core::{Korch, KorchConfig};
+use korch::core::{stitch, CompiledModel, Korch, KorchConfig};
 use korch::cost::{Backend, Device, Profiler};
+use korch::exec::execute_plan;
 use korch::fission::fission;
-use korch::ir::{ConstInit, OpGraph, OpKind, PrimGraph, PrimKind};
+use korch::ir::{ConstInit, EwFn, LayoutFn, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
 use korch::orch::{enumerate_states, identify_kernels, IdentifyConfig, Orchestrator};
-use korch::tensor::{Tensor, UnaryOp};
+use korch::runtime::RuntimeConfig;
+use korch::tensor::{BinaryOp, Tensor, UnaryOp};
 
 #[test]
 fn single_op_graph() {
@@ -156,4 +158,129 @@ fn multiple_inputs_fed_in_declaration_order() {
     let tb = Tensor::from_vec(vec![3], vec![1.0, 2.0, 3.0]).unwrap();
     let out = optimized.execute(&[ta, tb]).unwrap();
     assert_eq!(out[0].as_slice(), &[4.0, 3.0, 2.0]); // a - b, not b - a
+}
+
+/// Cuts `pg` into partitions of at most `max_prims` primitives and holds
+/// the stitched whole program to the per-partition interpreter
+/// (`Optimized::execute`), bit for bit: under `execute_plan` and as the
+/// compiled model at 1 and 2 lanes. Returns the partition count.
+fn stitched_program_matches_partitions(pg: &PrimGraph, max_prims: usize) -> usize {
+    let config = KorchConfig {
+        partition_max_prims: max_prims,
+        ..Default::default()
+    };
+    let optimized = Korch::new(Device::v100(), config)
+        .optimize_prims(pg)
+        .unwrap();
+    let inputs: Vec<Tensor> = pg
+        .nodes()
+        .iter()
+        .filter_map(|n| match &n.kind {
+            PrimKind::Input { shape } => Some(shape.clone()),
+            _ => None,
+        })
+        .enumerate()
+        .map(|(i, shape)| Tensor::random(shape, 31 + i as u64))
+        .collect();
+    let oracle = optimized.execute(&inputs).unwrap();
+    let (graph, plan) = stitch(&optimized).unwrap();
+    assert_eq!(execute_plan(&graph, &plan, &inputs).unwrap(), oracle);
+    for lanes in [1, 2] {
+        let compiled =
+            CompiledModel::from_optimized(&optimized, &RuntimeConfig::with_lanes(lanes)).unwrap();
+        assert_eq!(compiled.execute(&inputs).unwrap(), oracle, "lanes={lanes}");
+        compiled.verify().unwrap();
+    }
+    optimized.partitions().len()
+}
+
+fn prim_unary(pg: &mut PrimGraph, op: UnaryOp, x: PortRef) -> PortRef {
+    pg.add(PrimKind::Elementwise(EwFn::Unary(op)), vec![x])
+        .unwrap()
+        .into()
+}
+
+fn prim_binary(pg: &mut PrimGraph, op: BinaryOp, a: PortRef, b: PortRef) -> PortRef {
+    pg.add(PrimKind::Elementwise(EwFn::Binary(op)), vec![a, b])
+        .unwrap()
+        .into()
+}
+
+#[test]
+fn stitch_pass_through_partition() {
+    // The trailing program input is an output and lands alone in the last
+    // partition: a partition with no primitive and no kernel.
+    let mut pg = PrimGraph::new();
+    let x = pg.add(PrimKind::Input { shape: vec![8] }, vec![]).unwrap();
+    let mut cur = PortRef::from(x);
+    for _ in 0..4 {
+        cur = prim_unary(&mut pg, UnaryOp::Relu, cur);
+    }
+    let y = pg.add(PrimKind::Input { shape: vec![8] }, vec![]).unwrap();
+    pg.mark_output(cur).unwrap();
+    pg.mark_output(y).unwrap();
+    assert_eq!(stitched_program_matches_partitions(&pg, 4), 2);
+}
+
+#[test]
+fn stitch_partition_outputs_that_are_sources() {
+    // The first partition hands on a constant and the program input
+    // untouched; both are also program outputs.
+    let mut pg = PrimGraph::new();
+    let (shape, init) = (vec![8], ConstInit::Random(9));
+    let c: PortRef = pg
+        .add(PrimKind::Constant { shape, init }, vec![])
+        .unwrap()
+        .into();
+    let x: PortRef = pg
+        .add(PrimKind::Input { shape: vec![8] }, vec![])
+        .unwrap()
+        .into();
+    let a = prim_binary(&mut pg, BinaryOp::Add, x, c);
+    let a = prim_unary(&mut pg, UnaryOp::Tanh, a);
+    let b = prim_binary(&mut pg, BinaryOp::Mul, a, c);
+    let b = prim_unary(&mut pg, UnaryOp::Exp, b);
+    for out in [b, c, x] {
+        pg.mark_output(out).unwrap();
+    }
+    assert_eq!(stitched_program_matches_partitions(&pg, 2), 2);
+}
+
+#[test]
+fn stitch_program_input_read_by_two_partitions() {
+    let mut pg = PrimGraph::new();
+    let x: PortRef = pg
+        .add(PrimKind::Input { shape: vec![4, 4] }, vec![])
+        .unwrap()
+        .into();
+    let a = prim_unary(&mut pg, UnaryOp::Exp, x);
+    let a = prim_unary(&mut pg, UnaryOp::Sigmoid, a);
+    let b = prim_binary(&mut pg, BinaryOp::Sub, a, x);
+    let b = prim_unary(&mut pg, UnaryOp::Relu, b);
+    pg.mark_output(b).unwrap();
+    assert_eq!(stitched_program_matches_partitions(&pg, 2), 2);
+}
+
+#[test]
+fn stitch_multi_output_boundary() {
+    // Both ports of the split cross the first cut.
+    let mut pg = PrimGraph::new();
+    let x: PortRef = pg
+        .add(PrimKind::Input { shape: vec![4, 8] }, vec![])
+        .unwrap()
+        .into();
+    let e = prim_unary(&mut pg, UnaryOp::Exp, x);
+    let (axis, sizes) = (1, vec![4, 4]);
+    let split = pg
+        .add(PrimKind::Layout(LayoutFn::Split { axis, sizes }), vec![e])
+        .unwrap();
+    let lo = prim_unary(&mut pg, UnaryOp::Relu, split.into());
+    let hi = PortRef {
+        node: split,
+        port: 1,
+    };
+    let hi = prim_unary(&mut pg, UnaryOp::Tanh, hi);
+    let z = prim_binary(&mut pg, BinaryOp::Sub, lo, hi);
+    pg.mark_output(z).unwrap();
+    assert_eq!(stitched_program_matches_partitions(&pg, 2), 3);
 }

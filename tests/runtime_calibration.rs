@@ -101,7 +101,7 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
     }
 }
 
-/// A partitions snapshot taken before `recalibrate` keeps serving the old
+/// A program snapshot taken before `recalibrate` keeps serving the old
 /// plan, bit-identically — the atomic-swap contract in-flight requests
 /// rely on.
 #[test]
@@ -115,7 +115,11 @@ fn in_flight_snapshot_survives_the_swap() {
     let reference = compiled.execute(&inputs).unwrap();
     // An in-flight request holds exactly this snapshot.
     let old_parts = compiled.partitions();
-    assert_eq!(old_parts.len(), 1, "test model must be a single partition");
+    assert_eq!(
+        old_parts.len(),
+        1,
+        "a compiled model is one stitched program"
+    );
     for _ in 0..3 {
         compiled.execute(&inputs).unwrap();
     }
@@ -128,8 +132,8 @@ fn in_flight_snapshot_survives_the_swap() {
     let new_out = compiled.execute(&inputs).unwrap();
     assert_bit_identical(&reference, &new_out, "new plan after swap");
     assert!(
-        !Arc::ptr_eq(&old_parts, &compiled.partitions()),
-        "recalibrate must swap the partitions snapshot"
+        !Arc::ptr_eq(&old_parts[0].executor, &compiled.partitions()[0].executor),
+        "recalibrate must swap the executor"
     );
 }
 

@@ -3,15 +3,16 @@
 //! change computed bytes (differential vs the sequential interpreter at
 //! shards 1/2/4 × lanes 1/2), must conserve every request under induced
 //! shard failures (none lost, none duplicated — each request is served
-//! by exactly one shard or fails exactly once), and an automatic
-//! recalibration mid-serving must swap **all** shards to the new plan.
+//! by exactly one shard or fails exactly once), and a recalibration —
+//! automatic mid-serving, or racing a `set_shards` — must swap **all**
+//! shards to the new plan in one generation.
 //!
 //! Runs on the 1-core CI container: every assertion is structural
 //! (bit-equality, counters, conservation laws), never wall-clock or
 //! overlap timing.
 
 use korch::core::{Korch, KorchConfig};
-use korch::cost::Device;
+use korch::cost::{Device, Micros};
 use korch::exec::{execute_plan, ExecError};
 use korch::runtime::{
     BatchConfig, Model, RecalibrationPolicy, ResponseHandle, RuntimeConfig, Server, ShardControl,
@@ -20,7 +21,7 @@ use korch::runtime::{
 use korch::tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 mod common;
@@ -368,4 +369,110 @@ fn auto_recalibration_swaps_all_shards_mid_serving() {
     // The post-swap shard set keeps serving the same bytes.
     let out = tuned.model().execute(&inputs).unwrap();
     assert_bit_identical(&reference, &out, "post-shutdown sharded run");
+}
+
+/// `ShardedExecutor::replan` racing `set_shards`, released together by a
+/// barrier every round: whichever lands first, afterwards the width is
+/// the one asked for, the generation moved by exactly one, and **every**
+/// shard runs the re-planned program — never a set forked across
+/// generations (a replica of the old plan beside the new one).
+#[test]
+fn replan_racing_set_shards_never_forks_generations() {
+    let (g, plan) = independent_plan(3);
+    let inputs = prim_random_inputs(&g, 5);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    let config = RuntimeConfig::with_lanes(2);
+    let exec = ShardedExecutor::new(&g, &plan, config.clone(), 2).unwrap();
+    let widths = [4usize, 1, 3, 3, 2, 5, 1, 2];
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let resizer = scope.spawn(|| {
+            for &width in &widths {
+                start.wait();
+                exec.set_shards(width).unwrap();
+                start.wait();
+            }
+        });
+        for (round, &width) in widths.iter().enumerate() {
+            // Each generation's program is told apart by its price tag.
+            let mut repriced = plan.clone();
+            repriced.total_latency = Micros(1000.0 + round as f64);
+            start.wait();
+            let generation = exec.replan(&g, &repriced, config.clone()).unwrap();
+            start.wait();
+            assert_eq!(generation, round as u64 + 1);
+            assert_eq!(exec.generation(), generation);
+            let shards = exec.shards();
+            assert_eq!(shards.len(), width, "round {round}: width was reverted");
+            for (s, shard) in shards.iter().enumerate() {
+                assert_eq!(
+                    shard.plan().total_latency,
+                    repriced.total_latency,
+                    "round {round}: shard {s} runs a superseded plan"
+                );
+            }
+            let out = exec.run(&inputs).unwrap();
+            assert_bit_identical(&reference, &out, &format!("round {round}"));
+        }
+        resizer.join().unwrap();
+    });
+    // One run per round, on the books across every swap and resize that
+    // kept its shard.
+    let served: u64 = exec.shard_stats().iter().map(|s| s.served).sum();
+    assert!(served <= widths.len() as u64);
+    assert!(exec.shard_stats().iter().all(|s| s.failures == 0));
+}
+
+/// The same race through a compiled model: `recalibrate` (fit,
+/// re-orchestrate, re-stitch, `ShardedExecutor::replan`) against a
+/// concurrent `set_shards`. After every round all shards are on the plan
+/// generation the model's pricing describes, at the requested width, and
+/// serving stays bit-identical.
+#[test]
+fn recalibration_racing_set_shards_keeps_one_generation() {
+    let g = model_graph();
+    let korch = Korch::new(Device::v100(), KorchConfig::default());
+    let optimized = korch.optimize(&g).unwrap();
+    let inputs = op_random_inputs(&g, 4);
+    let reference = optimized.execute(&inputs).unwrap();
+    let compiled = korch
+        .compile_with(&g, &RuntimeConfig::with_lanes(2))
+        .unwrap();
+    let widths = [3usize, 1, 4, 2];
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let resizer = scope.spawn(|| {
+            for &width in &widths {
+                start.wait();
+                compiled.set_shards(width).unwrap();
+                start.wait();
+            }
+        });
+        for (round, &width) in widths.iter().enumerate() {
+            // Profile the live generation on every shard it has.
+            for _ in 0..2 * compiled.shard_count() {
+                let out = compiled.execute(&inputs).unwrap();
+                assert_bit_identical(&reference, &out, &format!("round {round}"));
+            }
+            start.wait();
+            let report = korch.recalibrate(&compiled).unwrap();
+            start.wait();
+            assert_eq!(compiled.plan_generation(), round as u64 + 1);
+            assert_eq!(compiled.shard_count(), width, "round {round}");
+            let snapshots = compiled.shard_snapshots();
+            assert_eq!(snapshots.len(), width);
+            for (s, shard) in snapshots.iter().enumerate() {
+                assert_eq!(shard.len(), 1, "one stitched program per shard");
+                assert_eq!(
+                    shard[0].plan.latency_ms(),
+                    report.latency_ms,
+                    "round {round}: shard {s} is not on the recalibrated plan"
+                );
+            }
+            assert_eq!(compiled.latency_ms(), report.latency_ms);
+        }
+        resizer.join().unwrap();
+    });
+    let out = compiled.execute(&inputs).unwrap();
+    assert_bit_identical(&reference, &out, "after the last swap");
 }
