@@ -2,7 +2,7 @@
 //! and the primitive-level TensorRT-style grouping used by the Fig. 7
 //! adaptation study.
 
-use korch_cost::{kernel_spec, Backend, Micros, Profiler};
+use korch_cost::{kernel_spec, Backend, Profiler};
 use korch_ir::{NodeId, PortRef, PrimCategory, PrimGraph, PrimKind};
 use korch_orch::{Plan, SelectedKernel};
 use std::collections::{BTreeSet, HashSet};
@@ -93,11 +93,7 @@ pub fn groups_to_plan(
             backend,
         });
     }
-    let total: Micros = kernels.iter().map(|k| k.latency).sum();
-    Plan {
-        kernels,
-        total_latency: total,
-    }
+    Plan::from_kernels(kernels)
 }
 
 /// Primitive-level fusion class for the TensorRT-with-fission study.

@@ -30,28 +30,19 @@ pub enum Backend {
     TrtRuntime,
 }
 
-impl Backend {
-    fn mem_efficiency(self) -> f64 {
-        // MetaSchedule-tuned memory kernels reach vendor-level bandwidth
-        // (the premise of TVM); the backends differ on GEMMs and on the
-        // Fig. 13 over-fusion cliff, not on plain streaming efficiency.
-        match self {
-            Backend::Generated | Backend::Vendor | Backend::TrtRuntime => 0.85,
-        }
-    }
+/// Streaming bandwidth efficiency of every backend: MetaSchedule-tuned
+/// memory kernels reach vendor-level bandwidth (the premise of TVM); the
+/// backends differ on GEMMs and on the Fig. 13 over-fusion cliff, not on
+/// plain streaming efficiency.
+const MEM_EFFICIENCY: f64 = 0.85;
 
+impl Backend {
     fn gemm_base_efficiency(self) -> f64 {
         match self {
             Backend::Generated => 0.45, // §6.2: TVM below TensorRT/cuBLAS
             Backend::Vendor => 0.85,
             Backend::TrtRuntime => 0.85,
         }
-    }
-
-    fn launch_scale(self) -> f64 {
-        // All three runtimes launch pre-compiled kernels from a compiled
-        // engine (paper §5.3 stitches Korch's kernels the same way).
-        1.0
     }
 }
 
@@ -101,8 +92,6 @@ pub struct Calibration {
     pub memory_scale: f64,
     /// Scales the compute (FLOP) term.
     pub compute_scale: f64,
-    /// Scales the per-kernel launch overhead.
-    pub launch_scale: f64,
     /// Per-[`KernelClass`] refinement factors over the pooled scales,
     /// multiplying a kernel's whole body time. Lets the fit track a
     /// speedup that lands on one class only — e.g. the register-blocked
@@ -118,7 +107,6 @@ impl Default for Calibration {
         Self {
             memory_scale: 1.0,
             compute_scale: 1.0,
-            launch_scale: 1.0,
             class_scales: Vec::new(),
         }
     }
@@ -141,9 +129,8 @@ impl Calibration {
     /// — its own measured/predicted ratio divided by the pooled scale of
     /// its roofline branch — so a speedup confined to one class (e.g. the
     /// blocked-matmul microkernel) is priced for that class alone.
-    /// Classes with no samples keep scale 1.0; `launch_scale` is left at
-    /// 1.0 — launch overhead cannot be separated from body time by
-    /// whole-kernel timing alone.
+    /// Classes with no samples keep scale 1.0. Launch overhead is not
+    /// fitted: whole-kernel timing alone cannot separate it from body time.
     pub fn fit(profiler: &Profiler, samples: &[CalibrationSample]) -> Self {
         let reference = Profiler {
             calibration: Calibration::default(),
@@ -155,9 +142,7 @@ impl Calibration {
         for s in samples {
             // Fit on body time: launch overhead is common-mode and would
             // bias the ratio toward 1 for small kernels.
-            let launch = (reference.device.launch_overhead_us * s.backend.launch_scale()
-                + reference.dispatch_overhead_us)
-                * if s.spec.has_opaque { 2.0 } else { 1.0 };
+            let launch = reference.launch_us() * if s.spec.has_opaque { 2.0 } else { 1.0 };
             let predicted = reference.latency(&s.spec, s.backend).0 - launch;
             let measured = s.measured.0 - launch;
             if predicted <= 0.0 || !measured.is_finite() || measured <= 0.0 {
@@ -209,7 +194,6 @@ impl Calibration {
         Self {
             memory_scale,
             compute_scale,
-            launch_scale: 1.0,
             class_scales,
         }
     }
@@ -257,21 +241,10 @@ impl Profiler {
         self.calibration = calibration;
     }
 
-    /// Latency of one kernel on the given backend.
+    /// Latency of one kernel on the given backend, every tensor in its
+    /// canonical layout.
     pub fn latency(&self, spec: &KernelSpec, backend: Backend) -> Micros {
-        let launch = (self.device.launch_overhead_us * backend.launch_scale()
-            + self.dispatch_overhead_us)
-            * self.calibration.launch_scale;
-        if spec.has_opaque {
-            // Opaque external kernels: pessimistic copy-bound estimate.
-            let t = spec.bytes_moved() as f64 / (self.device.mem_bw_gbps * 0.5 * 1000.0)
-                * self.calibration.memory_scale;
-            return Micros(2.0 * launch + t);
-        }
-        let t_mem = self.memory_time_us(spec, backend);
-        let t_compute = self.compute_time_us(spec, backend, 1.0);
-        let cf = self.calibration.class_factor(spec.class());
-        Micros(launch + t_mem.max(t_compute) * cf)
+        self.latency_with_layout(spec, backend, 1.0, 0)
     }
 
     /// Latency of a kernel whose tensors deviate from their canonical data
@@ -279,7 +252,7 @@ impl Profiler {
     /// multiplies the efficiency of every linear primitive (see
     /// [`swapped_io_factor`]) and `extra_pattern_classes` adds strided
     /// access-pattern classes for physically-transposed reads/writes of
-    /// memory-bound kernels.
+    /// memory-bound kernels. Opaque kernels are layout-blind.
     pub fn latency_with_layout(
         &self,
         spec: &KernelSpec,
@@ -287,18 +260,13 @@ impl Profiler {
         gemm_layout_eff: f64,
         extra_pattern_classes: u32,
     ) -> Micros {
-        let launch = (self.device.launch_overhead_us * backend.launch_scale()
-            + self.dispatch_overhead_us)
-            * self.calibration.launch_scale;
         if spec.has_opaque {
-            return self.latency(spec, backend);
+            return self.opaque_latency(spec);
         }
-        let mut s = spec.clone();
-        s.pattern_classes += extra_pattern_classes;
-        let t_mem = self.memory_time_us(&s, backend);
-        let t_compute = self.compute_time_us(&s, backend, gemm_layout_eff);
-        let cf = self.calibration.class_factor(s.class());
-        Micros(launch + t_mem.max(t_compute) * cf)
+        let t_mem = self.memory_time_us(spec, backend, extra_pattern_classes);
+        let t_compute = self.compute_time_us(spec, backend, gemm_layout_eff);
+        let cf = self.calibration.class_factor(spec.class());
+        Micros(self.launch_us() + t_mem.max(t_compute) * cf)
     }
 
     /// Optimistic latency lower bound, computable *without* tuning the
@@ -309,16 +277,12 @@ impl Profiler {
     /// over-fusion cliff, and peak vendor GEMM efficiency — so discarding a
     /// candidate whose *bound* already loses is always sound.
     pub fn quick_latency(&self, spec: &KernelSpec) -> Micros {
-        let launch = (self.device.launch_overhead_us + self.dispatch_overhead_us)
-            * self.calibration.launch_scale;
         if spec.has_opaque {
-            let t = spec.bytes_moved() as f64 / (self.device.mem_bw_gbps * 0.5 * 1000.0)
-                * self.calibration.memory_scale;
-            return Micros(2.0 * launch + t);
+            return self.opaque_latency(spec);
         }
         // Each component carries the same calibration factor as the real
         // model, so the bound survives calibration unchanged.
-        let t_mem = spec.bytes_moved() as f64 / (self.device.mem_bw_gbps * 0.85 * 1000.0)
+        let t_mem = spec.bytes_moved() as f64 / (self.device.mem_bw_gbps * MEM_EFFICIENCY * 1000.0)
             * self.calibration.memory_scale;
         let mut t_compute = spec.pointwise_flops as f64 / (self.device.fp32_tflops * 0.5 * 1e6);
         let peak = self.device.linear_peak_tflops();
@@ -331,7 +295,22 @@ impl Profiler {
         // The class refinement multiplies the whole body in `latency` as
         // well, so the bound survives per-class calibration unchanged.
         let cf = self.calibration.class_factor(spec.class());
-        Micros(launch + t_mem.max(t_compute) * cf)
+        Micros(self.launch_us() + t_mem.max(t_compute) * cf)
+    }
+
+    /// Per-kernel launch plus host dispatch overhead — the same for every
+    /// backend: all three runtimes launch pre-compiled kernels from a
+    /// compiled engine (paper §5.3 stitches Korch's kernels the same way).
+    fn launch_us(&self) -> f64 {
+        self.device.launch_overhead_us + self.dispatch_overhead_us
+    }
+
+    /// Opaque external kernels: pessimistic copy-bound estimate, the same
+    /// on every backend and in every layout.
+    fn opaque_latency(&self, spec: &KernelSpec) -> Micros {
+        let t = spec.bytes_moved() as f64 / (self.device.mem_bw_gbps * 0.5 * 1000.0)
+            * self.calibration.memory_scale;
+        Micros(2.0 * self.launch_us() + t)
     }
 
     /// Simulated tuning time in seconds (Table 2 accounting): generated
@@ -360,9 +339,10 @@ impl Profiler {
         (self.device.l2_cache_mib * 32.0 * 1024.0 * 1024.0) as u64
     }
 
-    fn memory_time_us(&self, spec: &KernelSpec, backend: Backend) -> f64 {
-        let mut eff = backend.mem_efficiency();
-        eff *= match spec.pattern_classes {
+    fn memory_time_us(&self, spec: &KernelSpec, backend: Backend, extra_patterns: u32) -> f64 {
+        let pattern_classes = spec.pattern_classes + extra_patterns;
+        let mut eff = MEM_EFFICIENCY;
+        eff *= match pattern_classes {
             0 | 1 => 1.0,
             2 => 0.85,
             _ => 0.72,
@@ -372,7 +352,7 @@ impl Profiler {
         // beyond cache) cannot be scheduled well; bandwidth efficiency
         // collapses.
         if backend == Backend::Generated
-            && spec.pattern_classes >= 3
+            && pattern_classes >= 3
             && spec.bytes_moved() > self.footprint_threshold_bytes()
         {
             eff *= 0.30;
@@ -749,7 +729,6 @@ mod tests {
         let p = Profiler::new(Device::v100()).with_calibration(Calibration {
             memory_scale: 2.5,
             compute_scale: 0.4,
-            launch_scale: 1.3,
             class_scales: vec![
                 (KernelClass::GemmBlocked, 0.5),
                 (KernelClass::GemmSkinny, 1.4),
@@ -781,6 +760,63 @@ mod tests {
                     p.latency(spec, b).0
                 );
             }
+        }
+    }
+
+    #[test]
+    fn canonical_latency_is_the_layout_model_at_identity_bit_for_bit() {
+        // `latency` is `latency_with_layout(.., 1.0, 0)`; the bit patterns
+        // are what the two separately written models both returned before
+        // they were merged (calibrated, so every scale is exercised).
+        let p = Profiler::new(Device::v100()).with_calibration(Calibration {
+            memory_scale: 2.5,
+            compute_scale: 0.4,
+            class_scales: vec![(KernelClass::GemmBlocked, 0.5), (KernelClass::Memory, 0.9)],
+        });
+        let memory_bound = KernelSpec {
+            passes: 2,
+            pattern_classes: 3,
+            pointwise_flops: 1 << 20,
+            ..mem_spec(256 << 20, 256 << 20)
+        };
+        let gemm = KernelSpec {
+            linear: vec![GemmShape {
+                batch: 1,
+                m: 512,
+                n: 512,
+                k: 512,
+            }],
+            pattern_classes: 1,
+            pointwise_flops: 1 << 20,
+            ..mem_spec(3 << 20, 1 << 20)
+        };
+        let opaque = KernelSpec {
+            has_opaque: true,
+            ..memory_bound.clone()
+        };
+        // [generated, vendor, trt-runtime], quick bound
+        let golden: [(&KernelSpec, [u64; 3], u64); 3] = [
+            (
+                &memory_bound,
+                [0x40c56d40156ac017, 0x40a9bd4ce68019b3, 0x40a9bd4ce68019b3],
+                0x40a28b18a5f5d511,
+            ),
+            (
+                &gemm,
+                [0x40294060a7beedc8, 0x4027b4f5d04451fa, 0x4027b4f5d04451fa],
+                0x4027b4f5d04451fa,
+            ),
+            (&opaque, [0x40b183ec9cbd821e; 3], 0x40b183ec9cbd821e),
+        ];
+        let backends = [Backend::Generated, Backend::Vendor, Backend::TrtRuntime];
+        for (spec, latencies, quick) in golden {
+            for (backend, bits) in backends.into_iter().zip(latencies) {
+                let canonical = p.latency(spec, backend).0.to_bits();
+                let identity = p.latency_with_layout(spec, backend, 1.0, 0).0.to_bits();
+                assert_eq!(canonical, identity, "{backend:?} {spec:?}");
+                assert_eq!(canonical, bits, "{backend:?} {spec:?}");
+            }
+            assert_eq!(p.quick_latency(spec).0.to_bits(), quick, "{spec:?}");
         }
     }
 

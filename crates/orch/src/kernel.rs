@@ -3,6 +3,7 @@
 //! `P′ = D2 \ D1`; each valid possible-output choice of `P′` becomes a
 //! candidate kernel, priced by the profiler on its best backend.
 
+use crate::plan::SelectedKernel;
 use crate::state::StateSpace;
 use korch_cost::{kernel_spec, Backend, KernelSpec, Micros, Profiler};
 use korch_ir::{NodeId, PortRef, PrimGraph, PrimKind};
@@ -73,6 +74,43 @@ pub struct CandidateKernel {
     pub latency: Micros,
     /// Simulated tuning time for Table 2 accounting.
     pub tuning_s: f64,
+}
+
+impl CandidateKernel {
+    /// The primitives the kernel reads from device memory: inputs of its
+    /// members that are neither members nor sources (graph inputs and
+    /// constants are always available). Ascending, deduplicated.
+    pub(crate) fn external_inputs(&self, g: &PrimGraph) -> Vec<NodeId> {
+        let members: HashSet<NodeId> = self.members.iter().copied().collect();
+        let mut ext: Vec<NodeId> = self
+            .members
+            .iter()
+            .flat_map(|&m| g.node(m).inputs.iter())
+            .map(|r| r.node)
+            .filter(|&j| !members.contains(&j) && !g.node(j).kind.is_source())
+            .collect();
+        ext.sort_unstable();
+        ext.dedup();
+        ext
+    }
+
+    /// The kernel as a plan entry.
+    pub(crate) fn selected(&self) -> SelectedKernel {
+        SelectedKernel {
+            members: self.members.clone(),
+            outputs: self.outputs.clone(),
+            latency: self.latency,
+            backend: self.backend,
+        }
+    }
+}
+
+/// The primitives some selected kernel must materialize: the graph's
+/// outputs, except sources (pass-through inputs/constants at partition
+/// boundaries), which are always available and need no kernel.
+pub(crate) fn required_outputs(g: &PrimGraph) -> impl Iterator<Item = NodeId> + '_ {
+    let outputs = g.outputs().iter().map(|p| p.node);
+    outputs.filter(|&t| !g.node(t).kind.is_source())
 }
 
 /// Result of kernel identification.

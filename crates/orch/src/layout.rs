@@ -26,18 +26,20 @@
 //! from primitives to *(primitive, layout)* pairs: graph outputs must be
 //! materialized in the canonical layout, and a kernel variant can run only
 //! if each input primitive has been materialized in the layout the variant
-//! expects.
+//! expects. It is the same formulation as the standard solve with a
+//! different key type: `cover.rs` builds, warm-starts, solves and orders
+//! both, and this module only supplies the variants and their keys.
 
-use crate::kernel::{backend_applicable, CandidateKernel, Candidates};
+use crate::cover::{cap_vars, CoverProblem, CoverVar};
+use crate::kernel::{backend_applicable, required_outputs, CandidateKernel, Candidates};
 use crate::optimizer::{OrchError, SolveReport};
 use crate::plan::{Plan, SelectedKernel};
-use korch_blp::{BlpError, BlpProblem, BranchAndBound, Constraint, Solver};
 use korch_cost::{Backend, Micros, Profiler};
 use korch_ir::{LayoutFn, NodeId, PrimGraph, PrimKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Physical layout of a tensor's last two dimensions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum TensorLayout {
     /// Row-major over the logical shape (the canonical layout).
     #[default]
@@ -126,21 +128,6 @@ fn is_last_two_swap(perm: &[usize]) -> bool {
         && perm[r - 1] == r - 2
 }
 
-/// External (non-member, non-source) input nodes of a kernel.
-fn external_inputs(g: &PrimGraph, k: &CandidateKernel) -> Vec<NodeId> {
-    let members: HashSet<NodeId> = k.members.iter().copied().collect();
-    let mut ext: Vec<NodeId> = k
-        .members
-        .iter()
-        .flat_map(|&m| g.node(m).inputs.iter())
-        .map(|r| r.node)
-        .filter(|&j| !members.contains(&j) && !g.node(j).kind.is_source())
-        .collect();
-    ext.sort_unstable();
-    ext.dedup();
-    ext
-}
-
 /// Expands candidates into layout variants (see the module docs for the
 /// variant families).
 pub fn layout_variants(
@@ -158,7 +145,7 @@ pub fn layout_variants(
             out_layout: TensorLayout::Standard,
             latency: k.latency,
         });
-        let ext = external_inputs(g, k);
+        let ext = k.external_inputs(g);
         let single_output = k.output_nodes.len() == 1;
         let out_rank_ok = k.output_nodes.iter().all(|&n| rank_of_output(g, n) >= 2);
         let has_opaque = k
@@ -301,28 +288,9 @@ pub fn layout_variants(
         .collect()
 }
 
-/// Requirements of a variant: each external input with the layout it is
-/// read in.
-fn requirements(
-    g: &PrimGraph,
-    k: &CandidateKernel,
-    v: &LayoutVariant,
-) -> Vec<(NodeId, TensorLayout)> {
-    external_inputs(g, k)
-        .into_iter()
-        .map(|j| {
-            let l = if v.swapped_inputs.contains(&j) {
-                TensorLayout::Swapped
-            } else {
-                TensorLayout::Standard
-            };
-            (j, l)
-        })
-        .collect()
-}
-
 /// Solves the layout-aware BLP over the given candidates and returns an
-/// executable plan with layout annotations.
+/// executable plan with layout annotations: the cover problem (`cover.rs`)
+/// keyed by *(primitive, layout)*, one variable per [`LayoutVariant`].
 ///
 /// # Errors
 ///
@@ -335,267 +303,70 @@ pub fn optimize_with_layouts(
     config: &LayoutConfig,
 ) -> Result<LayoutOutcome, OrchError> {
     let kernels = &cands.kernels;
-    let mut variants = layout_variants(g, kernels, profiler);
-    if variants.len() > config.max_variants {
-        // Keep base singletons + relabels + cheapest of the rest.
-        let mut protected: Vec<LayoutVariant> = Vec::new();
-        let mut rest: Vec<LayoutVariant> = Vec::new();
-        for v in variants {
+    let all_variants = layout_variants(g, kernels, profiler);
+    // Base singletons, seeds and relabels are protected from the cap.
+    let relabel_us = profiler.device().launch_overhead_us + profiler.dispatch_overhead_us + 1e-9;
+    let variants = cap_vars(
+        &all_variants,
+        config.max_variants,
+        |v| {
             let k = &kernels[v.base];
-            let relabel_cheap = v.latency.0
-                <= profiler.device().launch_overhead_us + profiler.dispatch_overhead_us + 1e-9;
-            if k.members.len() == 1 || k.seeded || relabel_cheap {
-                protected.push(v);
-            } else {
-                rest.push(v);
-            }
-        }
-        rest.sort_by(|a, b| {
-            let ea = a.latency.0 / kernels[a.base].members.len() as f64;
-            let eb = b.latency.0 / kernels[b.base].members.len() as f64;
-            ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let budget = config.max_variants.saturating_sub(protected.len());
-        protected.extend(rest.into_iter().take(budget));
-        variants = protected;
-    }
-    let n = variants.len();
+            k.members.len() == 1 || k.seeded || v.latency.0 <= relabel_us
+        },
+        |v| v.latency.0 / kernels[v.base].members.len() as f64,
+    );
 
-    // Coverage: (node, layout) -> producing variants.
-    let mut covers: HashMap<(NodeId, TensorLayout), Vec<usize>> = HashMap::new();
-    for (idx, v) in variants.iter().enumerate() {
-        for &o in &kernels[v.base].output_nodes {
-            covers.entry((o, v.out_layout)).or_default().push(idx);
-        }
-    }
-
-    let objective: Vec<f64> = variants.iter().map(|v| v.latency.0).collect();
-    let mut problem = BlpProblem::minimize(objective);
-
-    // Output constraints: graph outputs in the canonical layout (Eq. 3).
-    let output_nodes: HashSet<NodeId> = g
-        .outputs()
+    let vars = variants
         .iter()
-        .map(|p| p.node)
-        .filter(|&t| !g.node(t).kind.is_source())
-        .collect();
-    for &t in &output_nodes {
-        let Some(ks) = covers.get(&(t, TensorLayout::Standard)) else {
-            return Err(OrchError::Infeasible(format!(
-                "graph output {t:?} has no canonical-layout producer"
-            )));
-        };
-        problem.add(Constraint::ge(ks.iter().map(|&i| (i, 1.0)).collect(), 1.0));
-    }
-
-    // Layout-matched dependency constraints (Eq. 4 lifted to pairs).
-    for (idx, v) in variants.iter().enumerate() {
-        for (j, l) in requirements(g, &kernels[v.base], v) {
-            let Some(ks) = covers.get(&(j, l)) else {
-                return Err(OrchError::Infeasible(format!(
-                    "no producer for {j:?} in {l:?} layout"
-                )));
-            };
-            let mut coeffs: Vec<(usize, f64)> = ks.iter().map(|&i| (i, 1.0)).collect();
-            if coeffs.iter().any(|&(i, _)| i == idx) {
-                continue;
+        .map(|v| {
+            let k = &kernels[v.base];
+            // Each external input in the layout the variant reads it in.
+            let requires = k.external_inputs(g).into_iter().map(|j| {
+                if v.swapped_inputs.contains(&j) {
+                    (j, TensorLayout::Swapped)
+                } else {
+                    (j, TensorLayout::Standard)
+                }
+            });
+            CoverVar {
+                produces: k.output_nodes.iter().map(|&o| (o, v.out_layout)).collect(),
+                requires: requires.collect(),
+                cost: v.latency.0,
+                singleton: k.members.len() == 1 && v.swapped_inputs.is_empty(),
             }
-            coeffs.push((idx, -1.0));
-            problem.add(Constraint::ge(coeffs, 0.0));
-        }
-    }
+        })
+        .collect();
+    // Graph outputs must be materialized in the canonical layout.
+    let must = required_outputs(g)
+        .map(|t| (t, TensorLayout::Standard))
+        .collect();
+    let solution = CoverProblem::new(vars, must)?.solve(
+        vec![],
+        config.solver_max_nodes,
+        config.best_effort,
+    )?;
 
-    // Greedy all-standard incumbent: cheapest standard singleton variant
-    // per externally consumed primitive.
-    let incumbent = greedy_standard_incumbent(g, kernels, &variants, n);
-
-    let mut solver = BranchAndBound {
-        max_nodes: config.solver_max_nodes,
-        best_on_limit: config.best_effort,
-        rel_gap: 2e-2,
-        ..Default::default()
-    };
-    solver.incumbent = incumbent.filter(|v| problem.feasible(v));
-    let solution = solver.solve(&problem).map_err(|e| match e {
-        BlpError::Infeasible => OrchError::Infeasible("layout BLP has no 0/1 solution".into()),
-        BlpError::Limit => OrchError::SolverBudget,
-    })?;
-    let selected: Vec<usize> = (0..n).filter(|&i| solution.values[i]).collect();
-
-    let (plan, layouts) = schedule_layout(g, kernels, &variants, &selected)?;
+    let chosen = solution.order.iter().map(|&i| variants[i]);
+    let plan = Plan::from_kernels(chosen.clone().map(|v| SelectedKernel {
+        latency: v.latency,
+        ..kernels[v.base].selected()
+    }));
+    let layouts: Vec<KernelLayout> = chosen
+        .map(|v| KernelLayout {
+            out_swapped: v.out_layout == TensorLayout::Swapped,
+            swapped_inputs: v.swapped_inputs.clone(),
+        })
+        .collect();
     let swapped_kernels = layouts
         .iter()
         .filter(|l| l.out_swapped || !l.swapped_inputs.is_empty())
         .count();
-    let report = SolveReport {
-        num_candidates: n,
-        tuning_time_s: 0.0,
-        num_constraints: problem.constraints.len(),
-        solver_nodes: solution.stats.nodes,
-        solver_pivots: solution.stats.pivots,
-        greedy_objective_us: f64::NAN,
-    };
     Ok(LayoutOutcome {
         plan,
         layouts,
         swapped_kernels,
-        report,
+        report: solution.report,
     })
-}
-
-fn greedy_standard_incumbent(
-    g: &PrimGraph,
-    kernels: &[CandidateKernel],
-    variants: &[LayoutVariant],
-    n: usize,
-) -> Option<Vec<bool>> {
-    let mut singleton_best: HashMap<NodeId, usize> = HashMap::new();
-    for (idx, v) in variants.iter().enumerate() {
-        if v.out_layout != TensorLayout::Standard || !v.swapped_inputs.is_empty() {
-            continue;
-        }
-        if let [only] = kernels[v.base].members[..] {
-            let e = singleton_best.entry(only).or_insert(idx);
-            if variants[idx].latency.0 < variants[*e].latency.0 {
-                *e = idx;
-            }
-        }
-    }
-    let succ = g.successors();
-    let out_nodes: HashSet<NodeId> = g.outputs().iter().map(|p| p.node).collect();
-    let mut values = vec![false; n];
-    for (id, node) in g.iter() {
-        if node.kind.is_source() {
-            continue;
-        }
-        if !succ[id.0].is_empty() || out_nodes.contains(&id) {
-            let &i = singleton_best.get(&id)?;
-            values[i] = true;
-        }
-    }
-    Some(values)
-}
-
-/// Orders the selected variants so every kernel runs after producers of the
-/// layouts it reads; deadlocks are repaired with canonical singleton covers
-/// plus swapped-write singletons where a swapped tensor is demanded.
-fn schedule_layout(
-    g: &PrimGraph,
-    kernels: &[CandidateKernel],
-    variants: &[LayoutVariant],
-    selected: &[usize],
-) -> Result<(Plan, Vec<KernelLayout>), OrchError> {
-    // Cheapest singleton variant per (node, layout) with standard inputs,
-    // for repair.
-    let mut singleton: HashMap<(NodeId, TensorLayout), usize> = HashMap::new();
-    for (idx, v) in variants.iter().enumerate() {
-        if !v.swapped_inputs.is_empty() {
-            continue;
-        }
-        if let [only] = kernels[v.base].members[..] {
-            let e = singleton.entry((only, v.out_layout)).or_insert(idx);
-            if variants[idx].latency.0 < variants[*e].latency.0 {
-                *e = idx;
-            }
-        }
-    }
-
-    fn cover(
-        j: NodeId,
-        layout: TensorLayout,
-        g: &PrimGraph,
-        singleton: &HashMap<(NodeId, TensorLayout), usize>,
-        available: &mut HashSet<(NodeId, TensorLayout)>,
-        ordered: &mut Vec<usize>,
-    ) -> Result<(), OrchError> {
-        if available.contains(&(j, layout)) {
-            return Ok(());
-        }
-        for p in g.node(j).inputs.iter().map(|r| r.node).collect::<Vec<_>>() {
-            if !g.node(p).kind.is_source() {
-                cover(p, TensorLayout::Standard, g, singleton, available, ordered)?;
-            }
-        }
-        let &i = singleton
-            .get(&(j, layout))
-            .ok_or(OrchError::Unschedulable)?;
-        ordered.push(i);
-        available.insert((j, layout));
-        Ok(())
-    }
-
-    let mut available: HashSet<(NodeId, TensorLayout)> = HashSet::new();
-    let mut remaining: Vec<usize> = selected.to_vec();
-    let mut ordered: Vec<usize> = Vec::with_capacity(selected.len());
-    while !remaining.is_empty() {
-        let mut progressed = false;
-        remaining.retain(|&idx| {
-            let v = &variants[idx];
-            let ready = requirements(g, &kernels[v.base], v)
-                .into_iter()
-                .all(|req| available.contains(&req));
-            if ready {
-                ordered.push(idx);
-                progressed = true;
-                false
-            } else {
-                true
-            }
-        });
-        if progressed {
-            for &idx in &ordered {
-                let v = &variants[idx];
-                for &o in &kernels[v.base].output_nodes {
-                    available.insert((o, v.out_layout));
-                }
-            }
-        } else {
-            // Repair: satisfy the kernel with the fewest unmet needs.
-            let mut best: Option<Vec<(NodeId, TensorLayout)>> = None;
-            for &idx in &remaining {
-                let v = &variants[idx];
-                let unmet: Vec<(NodeId, TensorLayout)> = requirements(g, &kernels[v.base], v)
-                    .into_iter()
-                    .filter(|req| !available.contains(req))
-                    .collect();
-                if best.as_ref().is_none_or(|b| unmet.len() < b.len()) {
-                    best = Some(unmet);
-                }
-            }
-            let unmet = best.ok_or(OrchError::Unschedulable)?;
-            if unmet.is_empty() {
-                return Err(OrchError::Unschedulable);
-            }
-            for (j, l) in unmet {
-                cover(j, l, g, &singleton, &mut available, &mut ordered)?;
-            }
-        }
-    }
-
-    let mut plan_kernels = Vec::with_capacity(ordered.len());
-    let mut layouts = Vec::with_capacity(ordered.len());
-    for idx in ordered {
-        let v = &variants[idx];
-        let k = &kernels[v.base];
-        plan_kernels.push(SelectedKernel {
-            members: k.members.clone(),
-            outputs: k.outputs.clone(),
-            latency: v.latency,
-            backend: k.backend,
-        });
-        layouts.push(KernelLayout {
-            out_swapped: v.out_layout == TensorLayout::Swapped,
-            swapped_inputs: v.swapped_inputs.clone(),
-        });
-    }
-    let total: Micros = plan_kernels.iter().map(|k| k.latency).sum();
-    Ok((
-        Plan {
-            kernels: plan_kernels,
-            total_latency: total,
-        },
-        layouts,
-    ))
 }
 
 #[cfg(test)]
@@ -607,6 +378,7 @@ mod tests {
     use korch_cost::Device;
     use korch_ir::{ConstInit, EwFn, LinearFn, PortRef};
     use korch_tensor::{BinaryOp, MatMulSpec, UnaryOp};
+    use std::collections::HashSet;
 
     fn setup(g: &PrimGraph) -> (Candidates, Profiler) {
         let profiler = Profiler::new(Device::v100());

@@ -13,6 +13,20 @@
 //!    redundant-computation relaxation) solved by `korch-blp`;
 //! 4. [`Plan`] — the selected kernels scheduled sequentially (§5.3).
 //!
+//! The BLP is written once (`cover.rs`), over variables that *produce* and
+//! *require* keys of an ordered type: Eq. 3 rows for the keys that must be
+//! produced, Eq. 4 rows per variable requirement, the one-kernel-per-key
+//! warm start, the candidate cap, the branch-and-bound call and the
+//! dependency-respecting kernel order with singleton deadlock repair.
+//! [`optimize`] instantiates it with one key per primitive (and adds its
+//! chain-DP / seed warm starts and the no-redundancy rows);
+//! [`optimize_with_layouts`] — the §8 extension — with one key per
+//! *(primitive, [`TensorLayout`])* pair and one variable per
+//! [`LayoutVariant`]. Rows are emitted in a fixed order (must-produce keys
+//! ascending, then variables in candidate order, each one's requirements
+//! ascending) and no hash iteration reaches the solver, so the same
+//! [`Candidates`] always cost the same pivots and yield the same [`Plan`].
+//!
 //! [`Orchestrator`] bundles the four steps:
 //!
 //! ```
@@ -37,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cover;
 mod kernel;
 mod layout;
 mod optimizer;

@@ -1,14 +1,15 @@
-//! The kernel orchestration optimizer (paper §4.2): builds the binary
-//! linear program of Eqs. 2–4 over the identified candidate kernels and
-//! solves it with the branch-and-bound solver, warm-started by a greedy
-//! per-primitive incumbent.
+//! The kernel orchestration optimizer (paper §4.2): the binary linear
+//! program of Eqs. 2–4 over the identified candidate kernels — the
+//! cover problem (`cover.rs`) with one key per primitive — plus what only the
+//! standard solve has: the chain-DP and seed warm starts and the
+//! no-redundancy ablation rows.
 
-use crate::kernel::CandidateKernel;
-use crate::plan::{Plan, SelectedKernel};
-use korch_blp::{BlpError, BlpProblem, BranchAndBound, Constraint, Solver};
-use korch_cost::Micros;
+use crate::cover::{cap_vars, CoverProblem, CoverVar};
+use crate::kernel::{required_outputs, CandidateKernel};
+use crate::plan::Plan;
+use korch_blp::Constraint;
 use korch_ir::{NodeId, PrimGraph};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -85,7 +86,8 @@ pub struct SolveReport {
 }
 
 /// Builds and solves the kernel orchestration BLP, returning an executable
-/// [`Plan`].
+/// [`Plan`]: the cover problem (`cover.rs`) keyed by primitive, warm-started
+/// by the chain-DP and greedy-fusion seed incumbents.
 ///
 /// # Errors
 ///
@@ -96,189 +98,86 @@ pub fn optimize(
     space: Option<&crate::state::StateSpace>,
     config: &OptimizeConfig,
 ) -> Result<(Plan, SolveReport), OrchError> {
-    // Keep the BLP tractable: retain all singletons and seeded candidates
-    // (they guarantee feasibility and baseline-parity) plus the most
-    // efficient fusions.
-    let pruned: Vec<CandidateKernel>;
-    let candidates: &[CandidateKernel] = if cands.kernels.len() > config.max_blp_candidates {
-        pruned = prune_candidates(&cands.kernels, config.max_blp_candidates);
-        &pruned
-    } else {
-        &cands.kernels
-    };
+    let candidates = cap_vars(
+        &cands.kernels,
+        config.max_blp_candidates,
+        |k| k.members.len() == 1 || k.seeded,
+        |k| k.latency.0 / k.members.len() as f64,
+    );
     let n = candidates.len();
-    // Which candidates cover (materialize) each primitive node.
-    let mut covers: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    for (i, k) in candidates.iter().enumerate() {
-        for &o in &k.output_nodes {
-            covers.entry(o).or_default().push(i);
-        }
-    }
-
-    let objective: Vec<f64> = candidates.iter().map(|k| k.latency.0).collect();
-    let mut problem = BlpProblem::minimize(objective);
-
-    // Output constraints (Eq. 3): every graph-output primitive must be
-    // materialized by at least one selected kernel. Outputs that are
-    // sources (pass-through inputs/constants at partition boundaries) are
-    // always available and need no kernel.
-    let output_nodes: HashSet<NodeId> = g
-        .outputs()
+    let vars = candidates
         .iter()
-        .map(|p| p.node)
-        .filter(|&n| !g.node(n).kind.is_source())
+        .map(|k| CoverVar {
+            produces: k.output_nodes.clone(),
+            requires: k.external_inputs(g),
+            cost: k.latency.0,
+            singleton: k.members.len() == 1,
+        })
         .collect();
-    for &t in &output_nodes {
-        let Some(ks) = covers.get(&t) else {
-            return Err(OrchError::Infeasible(format!(
-                "graph output primitive {t:?} is not materialized by any candidate"
-            )));
-        };
-        problem.add(Constraint::ge(ks.iter().map(|&i| (i, 1.0)).collect(), 1.0));
-    }
-
-    // Dependency constraints (Eq. 4): a kernel can run only if each of its
-    // input primitives is materialized by some selected kernel. Inputs
-    // produced by sources (graph inputs / constants) are always available.
-    for (k_idx, k) in candidates.iter().enumerate() {
-        let mut needed: HashSet<NodeId> = HashSet::new();
-        let member_set: HashSet<NodeId> = k.members.iter().copied().collect();
-        for &m in &k.members {
-            for r in &g.node(m).inputs {
-                if !member_set.contains(&r.node) && !g.node(r.node).kind.is_source() {
-                    needed.insert(r.node);
-                }
-            }
-        }
-        for j in needed {
-            let Some(ks) = covers.get(&j) else {
-                return Err(OrchError::Infeasible(format!(
-                    "primitive {j:?} required by a candidate is never materialized"
-                )));
-            };
-            let mut coeffs: Vec<(usize, f64)> = ks.iter().map(|&i| (i, 1.0)).collect();
-            match coeffs.iter_mut().find(|(i, _)| *i == k_idx) {
-                // The kernel itself covers j: constraint is vacuous.
-                Some(_) => continue,
-                None => coeffs.push((k_idx, -1.0)),
-            }
-            problem.add(Constraint::ge(coeffs, 0.0));
-        }
-    }
+    let mut problem = CoverProblem::new(vars, required_outputs(g).collect())?;
 
     // Optional disjointness (no-redundancy ablation): each primitive is
     // *executed* by at most one selected kernel.
     if !config.allow_redundancy {
-        let mut executed_by: HashMap<NodeId, Vec<usize>> = HashMap::new();
+        let mut executed_by: BTreeMap<NodeId, Vec<(usize, f64)>> = BTreeMap::new();
         for (i, k) in candidates.iter().enumerate() {
             for &m in &k.members {
-                executed_by.entry(m).or_default().push(i);
+                executed_by.entry(m).or_default().push((i, 1.0));
             }
         }
-        for ks in executed_by.values() {
-            if ks.len() > 1 {
-                problem.add(Constraint::le(ks.iter().map(|&i| (i, 1.0)).collect(), 1.0));
-            }
+        for ks in executed_by.into_values().filter(|ks| ks.len() > 1) {
+            problem.add(Constraint::le(ks, 1.0));
         }
     }
 
-    // Greedy warm start: the "one kernel per primitive" strategy (every
-    // primitive with external consumers covered by its cheapest singleton
-    // candidate). Always feasible when singletons exist.
-    let greedy = greedy_incumbent(g, candidates, n);
-    let greedy_obj = greedy
-        .as_ref()
-        .filter(|v| problem.feasible(v))
-        .map(|v| problem.objective_of(v));
-
-    // Chain-DP warm start: shortest path over execution states where each
-    // edge is the full-output kernel of the state difference. Polynomial,
-    // disjoint-cover, usually within a few percent of the BLP optimum —
-    // this is what makes branch & bound converge quickly.
-    let dp = space.and_then(|s| dp_incumbent(candidates, s, n));
-    // Greedy-fusion seed incumbents: the TVM-/TensorRT-shaped strategies,
-    // guaranteeing the BLP result is at least as good as rule-based fusion.
+    // Cheapest full-output candidate per member set: what the chain-DP
+    // edges and the seed groups select.
     let mut by_members: HashMap<&[NodeId], usize> = HashMap::new();
     for (i, k) in candidates.iter().enumerate() {
         if k.full_output {
             let e = by_members.entry(k.members.as_slice()).or_insert(i);
-            if candidates[i].latency.0 < candidates[*e].latency.0 {
+            if k.latency.0 < candidates[*e].latency.0 {
                 *e = i;
             }
         }
     }
-    let seed_incumbents: Vec<Vec<bool>> = cands
-        .seed_selections
-        .iter()
-        .filter_map(|selection| {
-            let mut values = vec![false; n];
-            for members in selection {
-                let &i = by_members.get(members.as_slice())?;
-                values[i] = true;
-            }
-            Some(values)
-        })
-        .collect();
-    let incumbent = [greedy, dp]
-        .into_iter()
-        .flatten()
-        .chain(seed_incumbents)
-        .filter(|v| problem.feasible(v))
-        .min_by(|a, b| {
-            problem
-                .objective_of(a)
-                .partial_cmp(&problem.objective_of(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+    // Chain-DP warm start: shortest path over execution states where each
+    // edge is the full-output kernel of the state difference. Polynomial,
+    // disjoint-cover, usually within a few percent of the BLP optimum —
+    // this is what makes branch & bound converge quickly.
+    let dp = space.and_then(|s| dp_incumbent(&candidates, &by_members, s));
+    // Greedy-fusion seed incumbents: the TVM-/TensorRT-shaped strategies,
+    // guaranteeing the BLP result is at least as good as rule-based fusion.
+    let seeds = cands.seed_selections.iter().filter_map(|selection| {
+        let mut values = vec![false; n];
+        for members in selection {
+            values[*by_members.get(members.as_slice())?] = true;
+        }
+        Some(values)
+    });
+    let warm_starts = dp.into_iter().chain(seeds).collect();
 
-    let mut solver = BranchAndBound {
-        max_nodes: config.solver_max_nodes,
-        best_on_limit: config.best_effort,
-        rel_gap: 2e-2, // 2%: below the cost model's own fidelity
-        ..Default::default()
-    };
-    solver.incumbent = incumbent;
-    let solution = solver.solve(&problem).map_err(|e| match e {
-        BlpError::Infeasible => OrchError::Infeasible("BLP has no 0/1 solution".into()),
-        BlpError::Limit => OrchError::SolverBudget,
-    })?;
-
-    let selected: Vec<usize> = (0..n).filter(|&i| solution.values[i]).collect();
-    let plan = schedule(g, candidates, &selected)?;
+    let solution = problem.solve(warm_starts, config.solver_max_nodes, config.best_effort)?;
+    let plan = Plan::from_kernels(solution.order.iter().map(|&i| candidates[i].selected()));
     let report = SolveReport {
-        num_candidates: n,
         tuning_time_s: candidates.iter().map(|k| k.tuning_s).sum(),
-        num_constraints: problem.constraints.len(),
-        solver_nodes: solution.stats.nodes,
-        solver_pivots: solution.stats.pivots,
-        greedy_objective_us: greedy_obj.unwrap_or(f64::NAN),
+        ..solution.report
     };
     Ok((plan, report))
 }
 
 /// The chain-DP incumbent: treats orchestration as a shortest path through
 /// execution states (every edge = the *full-output* kernel of the state
-/// difference) and returns the selected-candidate vector of the best chain.
-/// This is exactly the disjoint, no-redundancy strategy space of prior
-/// work (paper §4.2 / "Dynamic programming solutions" in §7), used here as
-/// a warm start that the BLP then improves upon.
+/// difference, looked up in `by_members`) and returns the
+/// selected-candidate vector of the best chain. This is exactly the
+/// disjoint, no-redundancy strategy space of prior work (paper §4.2 /
+/// "Dynamic programming solutions" in §7), used here as a warm start that
+/// the BLP then improves upon.
 fn dp_incumbent(
-    candidates: &[CandidateKernel],
+    candidates: &[&CandidateKernel],
+    by_members: &HashMap<&[NodeId], usize>,
     space: &crate::state::StateSpace,
-    n: usize,
 ) -> Option<Vec<bool>> {
-    use std::collections::HashMap as Map;
-    // members -> cheapest full-output candidate
-    let mut by_members: Map<&[NodeId], usize> = Map::new();
-    for (i, k) in candidates.iter().enumerate() {
-        if !k.full_output {
-            continue;
-        }
-        let e = by_members.entry(&k.members).or_insert(i);
-        if candidates[i].latency.0 < candidates[*e].latency.0 {
-            *e = i;
-        }
-    }
     let states = &space.states;
     let m = states.len();
     // Order states by size so relaxation sweeps forward.
@@ -311,197 +210,13 @@ fn dp_incumbent(
     if dist[full].is_infinite() {
         return None;
     }
-    let mut values = vec![false; n];
+    let mut values = vec![false; candidates.len()];
     let mut cur = full;
     while let Some((prev, c)) = back[cur] {
         values[c] = true;
         cur = prev;
     }
     Some(values)
-}
-
-/// Retains all single-primitive candidates plus the `cap`-minus-singletons
-/// most *efficient* fusions (lowest latency per member primitive).
-fn prune_candidates(candidates: &[CandidateKernel], cap: usize) -> Vec<CandidateKernel> {
-    let mut singles = Vec::new();
-    let mut fused: Vec<&CandidateKernel> = Vec::new();
-    for k in candidates {
-        if k.members.len() == 1 || k.seeded {
-            singles.push(k.clone());
-        } else {
-            fused.push(k);
-        }
-    }
-    fused.sort_by(|a, b| {
-        let ea = a.latency.0 / a.members.len() as f64;
-        let eb = b.latency.0 / b.members.len() as f64;
-        ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let budget = cap.saturating_sub(singles.len());
-    singles.extend(fused.into_iter().take(budget).cloned());
-    singles
-}
-
-/// The greedy per-primitive incumbent: select, for every primitive that has
-/// external consumers or is a graph output, the cheapest candidate whose
-/// members are exactly that primitive.
-fn greedy_incumbent(g: &PrimGraph, candidates: &[CandidateKernel], n: usize) -> Option<Vec<bool>> {
-    let mut singleton_best: HashMap<NodeId, usize> = HashMap::new();
-    for (i, k) in candidates.iter().enumerate() {
-        if let [only] = k.members[..] {
-            let e = singleton_best.entry(only).or_insert(i);
-            if candidates[i].latency.0 < candidates[*e].latency.0 {
-                *e = i;
-            }
-        }
-    }
-    let succ = g.successors();
-    let out_nodes: HashSet<NodeId> = g.outputs().iter().map(|p| p.node).collect();
-    let mut values = vec![false; n];
-    for (id, node) in g.iter() {
-        if node.kind.is_source() {
-            continue;
-        }
-        let consumed = !succ[id.0].is_empty() || out_nodes.contains(&id);
-        if consumed {
-            let &i = singleton_best.get(&id)?;
-            values[i] = true;
-        }
-    }
-    Some(values)
-}
-
-/// Orders the selected kernels so every kernel runs after the kernels that
-/// materialize its inputs (paper §5.3: sequential execution).
-///
-/// The BLP constraints (paper Eqs. 3–4) do not rule out *mutual* waits
-/// between interleaved convex kernels (A outputs what B needs while B
-/// outputs what A needs). Such deadlocks are rare; they are repaired by
-/// scheduling the cheapest singleton kernels for the blocking primitives
-/// (recursively), which always succeeds because singleton needs follow the
-/// primitive graph's own topological order.
-fn schedule(
-    g: &PrimGraph,
-    candidates: &[CandidateKernel],
-    selected: &[usize],
-) -> Result<Plan, OrchError> {
-    // Cheapest singleton candidate per primitive, for deadlock repair.
-    let mut singleton: HashMap<NodeId, usize> = HashMap::new();
-    for (i, k) in candidates.iter().enumerate() {
-        if let [only] = k.members[..] {
-            let e = singleton.entry(only).or_insert(i);
-            if candidates[i].latency.0 < candidates[*e].latency.0 {
-                *e = i;
-            }
-        }
-    }
-
-    // Recursively cover `j` (and its unmet predecessors) with singletons.
-    fn cover(
-        j: NodeId,
-        g: &PrimGraph,
-        singleton: &HashMap<NodeId, usize>,
-        available: &mut HashSet<NodeId>,
-        ordered: &mut Vec<usize>,
-    ) -> Result<(), OrchError> {
-        if available.contains(&j) {
-            return Ok(());
-        }
-        let preds: Vec<NodeId> = g.node(j).inputs.iter().map(|r| r.node).collect();
-        for p in preds {
-            if !g.node(p).kind.is_source() {
-                cover(p, g, singleton, available, ordered)?;
-            }
-        }
-        let &i = singleton.get(&j).ok_or(OrchError::Unschedulable)?;
-        ordered.push(i);
-        available.insert(j);
-        Ok(())
-    }
-
-    let mut available: HashSet<NodeId> = g
-        .iter()
-        .filter(|(_, n)| n.kind.is_source())
-        .map(|(id, _)| id)
-        .collect();
-    let mut remaining: Vec<usize> = selected.to_vec();
-    let mut ordered = Vec::with_capacity(selected.len());
-    while !remaining.is_empty() {
-        let mut progressed = false;
-        remaining.retain(|&i| {
-            let k = &candidates[i];
-            let member_set: HashSet<NodeId> = k.members.iter().copied().collect();
-            let ready = k.members.iter().all(|&m| {
-                g.node(m)
-                    .inputs
-                    .iter()
-                    .all(|r| member_set.contains(&r.node) || available.contains(&r.node))
-            });
-            if ready {
-                ordered.push(i);
-                progressed = true;
-                false
-            } else {
-                true
-            }
-        });
-        if progressed {
-            // Mark newly materialized primitives available after each wave.
-            for &i in &ordered {
-                for &o in &candidates[i].output_nodes {
-                    available.insert(o);
-                }
-            }
-        } else {
-            // Deadlock: cover the unmet inputs of the kernel with the
-            // fewest of them via singleton kernels, then continue.
-            let mut best: Option<(usize, Vec<NodeId>)> = None;
-            for &i in &remaining {
-                let k = &candidates[i];
-                let members: HashSet<NodeId> = k.members.iter().copied().collect();
-                let mut unmet: Vec<NodeId> = k
-                    .members
-                    .iter()
-                    .flat_map(|&m| g.node(m).inputs.iter())
-                    .map(|r| r.node)
-                    .filter(|&p| {
-                        !members.contains(&p)
-                            && !available.contains(&p)
-                            && !g.node(p).kind.is_source()
-                    })
-                    .collect();
-                unmet.sort_unstable();
-                unmet.dedup();
-                if best.as_ref().is_none_or(|(_, u)| unmet.len() < u.len()) {
-                    best = Some((i, unmet));
-                }
-            }
-            let (_, unmet) = best.ok_or(OrchError::Unschedulable)?;
-            if unmet.is_empty() {
-                return Err(OrchError::Unschedulable);
-            }
-            for j in unmet {
-                cover(j, g, &singleton, &mut available, &mut ordered)?;
-            }
-        }
-    }
-    let kernels: Vec<SelectedKernel> = ordered
-        .into_iter()
-        .map(|i| {
-            let k = &candidates[i];
-            SelectedKernel {
-                members: k.members.clone(),
-                outputs: k.outputs.clone(),
-                latency: k.latency,
-                backend: k.backend,
-            }
-        })
-        .collect();
-    let total: Micros = kernels.iter().map(|k| k.latency).sum();
-    Ok(Plan {
-        kernels,
-        total_latency: total,
-    })
 }
 
 #[cfg(test)]
@@ -512,6 +227,7 @@ mod tests {
     use korch_cost::{Backend, Device, Profiler};
     use korch_ir::{EwFn, PrimKind};
     use korch_tensor::{BinaryOp, ReduceKind, UnaryOp};
+    use std::collections::HashSet;
 
     fn softmax_prims(rows: usize, cols: usize) -> PrimGraph {
         let mut g = PrimGraph::new();

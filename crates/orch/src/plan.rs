@@ -29,6 +29,15 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The plan running `kernels` in the order given.
+    pub fn from_kernels(kernels: impl IntoIterator<Item = SelectedKernel>) -> Self {
+        let kernels: Vec<SelectedKernel> = kernels.into_iter().collect();
+        Self {
+            total_latency: kernels.iter().map(|k| k.latency).sum(),
+            kernels,
+        }
+    }
+
     /// Number of kernel launches.
     pub fn kernel_count(&self) -> usize {
         self.kernels.len()

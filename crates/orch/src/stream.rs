@@ -633,11 +633,7 @@ mod tests {
             mk(vec![mm], mm, Backend::Vendor),
             mk(vec![e], e, Backend::Generated),
         ];
-        let total = kernels.iter().map(|k| k.latency).sum();
-        let plan = Plan {
-            kernels,
-            total_latency: total,
-        };
+        let plan = Plan::from_kernels(kernels);
 
         let seq = schedule_streams(&g, &plan, 1, &device);
         let par = schedule_streams(&g, &plan, 2, &device);
@@ -800,11 +796,7 @@ mod tests {
                 }
             })
             .collect();
-        let total = kernels.iter().map(|k| k.latency).sum();
-        let plan = Plan {
-            kernels,
-            total_latency: total,
-        };
+        let plan = Plan::from_kernels(kernels);
         let shared = schedule_streams(&g, &plan, 4, &device);
         let free = schedule_streams_with(
             &g,

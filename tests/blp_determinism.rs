@@ -1,0 +1,99 @@
+//! The orchestration BLP is a function of its input: solving the same
+//! `Candidates` twice builds the same rows in the same order, so the solver
+//! explores the same nodes, takes the same pivots and returns the same
+//! plan. Rows emitted in hash iteration order break this — the pivot count
+//! of two solves in one process differs, which e2e-bench records as
+//! `blp.pivots_spread` above 1 and a compile whose time varies by the
+//! program's own doing.
+
+use korch::core::partition;
+use korch::cost::{Backend, Device, Profiler};
+use korch::fission::fission;
+use korch::ir::OpGraph;
+use korch::models::subgraphs;
+use korch::orch::{
+    enumerate_states, identify_kernels, optimize, optimize_with_layouts, IdentifyConfig,
+    LayoutConfig, OptimizeConfig, Plan, SolveReport,
+};
+
+/// What must repeat exactly: the problem size, the search, the plan.
+fn fingerprint(plan: &Plan, report: &SolveReport) -> String {
+    let kernels: Vec<_> = plan
+        .kernels
+        .iter()
+        .map(|k| (&k.members, &k.outputs, k.latency.0.to_bits()))
+        .collect();
+    format!(
+        "{} rows, {} nodes, {} pivots, {kernels:?}",
+        report.num_constraints, report.solver_nodes, report.solver_pivots
+    )
+}
+
+fn assert_solves_repeat(name: &str, model: &OpGraph) {
+    let profiler = Profiler::new(Device::v100());
+    // Repeatability does not need the search finished: a few nodes (and,
+    // for the layout-aware solve, which takes 68 s at its defaults on the
+    // Segformer block, a small variant cap) are enough simplex work to
+    // differ when rows are reordered, and best-effort returns what the
+    // budget found.
+    let config = OptimizeConfig {
+        solver_max_nodes: 8,
+        ..OptimizeConfig::default()
+    };
+    let layout_config = LayoutConfig {
+        max_variants: 200,
+        solver_max_nodes: 8,
+        best_effort: true,
+    };
+    let prims = fission(model).unwrap().prim_graph;
+    let mut pivots = 0;
+    for (i, part) in partition(&prims, 28).unwrap().iter().enumerate() {
+        let g = &part.graph;
+        let space = enumerate_states(g, 1_500);
+        let cands = identify_kernels(
+            g,
+            &space,
+            &profiler,
+            &IdentifyConfig::default(),
+            &[Backend::Generated, Backend::Vendor],
+        );
+        let mut standard = || {
+            let (plan, report) = optimize(g, &cands, Some(&space), &config).unwrap();
+            pivots += report.solver_pivots;
+            fingerprint(&plan, &report)
+        };
+        assert_eq!(standard(), standard(), "{name} partition {i}: optimize");
+        let layout_aware = || {
+            let o = optimize_with_layouts(g, &cands, &profiler, &layout_config).unwrap();
+            let layouts: Vec<_> = o
+                .layouts
+                .iter()
+                .map(|l| (l.out_swapped, &l.swapped_inputs))
+                .collect();
+            format!("{} {layouts:?}", fingerprint(&o.plan, &o.report))
+        };
+        assert_eq!(
+            layout_aware(),
+            layout_aware(),
+            "{name} partition {i}: optimize_with_layouts"
+        );
+    }
+    // The claim is about simplex work, so the inputs must cause some.
+    assert!(pivots > 0, "{name}: every solve was trivial");
+}
+
+#[test]
+fn efficientvit_attention_solves_repeat_exactly() {
+    assert_solves_repeat(
+        "efficientvit_attention",
+        &subgraphs::efficientvit_attention(64, 16),
+    );
+}
+
+#[test]
+fn segformer_attention_solves_repeat_exactly() {
+    assert_solves_repeat(
+        "segformer_attention",
+        &subgraphs::segformer_attention(64, 64, 2),
+    );
+}

@@ -7,10 +7,10 @@ use korch::exec::{execute_plan, execute_prims};
 use korch::fission::fission;
 use korch::ir::{EwFn, LayoutFn, LinearFn, OpKind, PrimGraph, PrimKind};
 use korch::orch::{
-    enumerate_states, identify_kernels, optimize, optimize_with_layouts, Candidates,
-    IdentifyConfig, LayoutConfig, OptimizeConfig,
+    enumerate_states, identify_kernels, layout_variants, optimize, optimize_with_layouts,
+    Candidates, IdentifyConfig, LayoutConfig, OptimizeConfig, TensorLayout,
 };
-use korch::tensor::{BinaryOp, MatMulSpec, Tensor, UnaryOp};
+use korch::tensor::{BinaryOp, MatMulSpec, ReduceKind, Tensor, UnaryOp};
 
 fn setup(g: &PrimGraph) -> (Candidates, Profiler) {
     let profiler = Profiler::new(Device::v100());
@@ -203,4 +203,80 @@ fn layout_blp_on_fissioned_op_graph_with_gemm() {
     let reference = execute_prims(&f.prim_graph, &inputs).unwrap();
     let out = execute_plan(&f.prim_graph, &outcome.plan, &inputs).unwrap();
     assert!(reference[0].allclose(&out[0], 1e-4));
+}
+
+#[test]
+fn rank_one_graph_has_one_formulation() {
+    // A vector softmax with a second branch: no tensor has two dimensions
+    // to swap, so every layout variant is the canonical one and the
+    // layout-aware BLP *is* the standard BLP — same variables, same rows.
+    // Differential check of the builder the two solves share: the standard
+    // solve, stripped of the warm starts only it has (chain DP, seeds),
+    // must pick the same kernels.
+    let mut g = PrimGraph::new();
+    let n = 4096;
+    let x = g.add(PrimKind::Input { shape: vec![n] }, vec![]).unwrap();
+    let e = g
+        .add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)),
+            vec![x.into()],
+        )
+        .unwrap();
+    let r = g
+        .add(
+            PrimKind::Reduce {
+                kind: ReduceKind::Sum,
+                axis: 0,
+            },
+            vec![e.into()],
+        )
+        .unwrap();
+    let b = g
+        .add(PrimKind::Broadcast { axis: 0, size: n }, vec![r.into()])
+        .unwrap();
+    let d = g
+        .add(
+            PrimKind::Elementwise(EwFn::Binary(BinaryOp::Div)),
+            vec![e.into(), b.into()],
+        )
+        .unwrap();
+    let t = g
+        .add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)),
+            vec![x.into()],
+        )
+        .unwrap();
+    let y = g
+        .add(
+            PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)),
+            vec![d.into(), t.into()],
+        )
+        .unwrap();
+    g.mark_output(y).unwrap();
+
+    let (mut cands, profiler) = setup(&g);
+    let variants = layout_variants(&g, &cands.kernels, &profiler);
+    assert_eq!(variants.len(), cands.kernels.len());
+    assert!(variants
+        .iter()
+        .all(|v| v.swapped_inputs.is_empty() && v.out_layout == TensorLayout::Standard));
+
+    cands.seed_selections.clear();
+    let (std_plan, std_report) = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap();
+    let outcome = optimize_with_layouts(&g, &cands, &profiler, &LayoutConfig::default()).unwrap();
+    assert_eq!(outcome.swapped_kernels, 0);
+    assert_eq!(outcome.report.num_constraints, std_report.num_constraints);
+    let members =
+        |p: &korch::orch::Plan| -> Vec<_> { p.kernels.iter().map(|k| k.members.clone()).collect() };
+    assert_eq!(members(&outcome.plan), members(&std_plan));
+    let (layout_us, std_us) = (outcome.plan.total_latency.0, std_plan.total_latency.0);
+    assert!(
+        (layout_us - std_us).abs() <= 0.02 * std_us,
+        "layout-aware {layout_us} vs standard {std_us}"
+    );
+
+    let x = Tensor::random(vec![n], 5);
+    let reference = execute_prims(&g, std::slice::from_ref(&x)).unwrap();
+    let out = execute_plan(&g, &outcome.plan, &[x]).unwrap();
+    assert!(reference[0].allclose(&out[0], 1e-5));
 }
