@@ -754,12 +754,12 @@ fn bench_tiled(c: &mut Criterion) {
         ),
     });
     // Microkernel headlines: the register-blocked MR×NB matmul timed
-    // straight through `Tensor::matmul` (no planner, no executor), and
-    // the compiled 6-op chain closure driven block-by-block with
-    // `CompiledChain::run`. These two absolute medians are what the
-    // perf-record differ gates with a hard floor on same-core-count
-    // hosts — they isolate the kernels this PR series tunes from every
-    // scheduling layer above them.
+    // straight through `Tensor::matmul` (no planner, no executor), the
+    // same kernel under `Tensor::conv2d`, and the compiled 6-op chain
+    // closure driven block-by-block with `CompiledChain::run`. These
+    // absolute medians are what the perf-record differ gates with a hard
+    // floor on same-core-count hosts — they isolate the kernels this PR
+    // series tunes from every scheduling layer above them.
     let mm_dim = 320usize;
     let ma = Tensor::random(vec![mm_dim, mm_dim], 11);
     let mb = Tensor::random(vec![mm_dim, mm_dim], 13);
@@ -781,6 +781,41 @@ fn bench_tiled(c: &mut Criterion) {
         note: format!(
             "{gflops:.2} GFLOP/s: {mm_dim}x{mm_dim} Tensor::matmul through the \
              MR={} x NB register-blocked kernel, no executor",
+            korch_tensor::MATMUL_MR
+        ),
+    });
+    // The same microkernel under `Tensor::conv2d`: the 16→32 3×3 conv on
+    // 32×32 that e2e-bench's `tensor.conv2d_gflops` times (a filled column
+    // panel in several blocks) is the gated median; the note adds the
+    // borrowed-panel pointwise case and the one-row-per-group depthwise
+    // case, the two other conv classes in the Segformer traffic.
+    let conv_gflops = |x: [usize; 4], w: [usize; 4], padding: usize, groups: usize| {
+        let image = Tensor::random(x.to_vec(), 17);
+        let weight = Tensor::random(w.to_vec(), 19);
+        let (p10, median, p90) = measure(10, || {
+            black_box(image.conv2d(&weight, 1, padding, groups).unwrap());
+        });
+        let flops = korch_tensor::conv2d_flops(x[0], w[0], x[2], x[3], w[1], w[2], w[3]);
+        (flops as f64 / median / 1e9, p10, median, p90)
+    };
+    let (conv_gf, conv_p10, conv, conv_p90) = conv_gflops([1, 16, 32, 32], [32, 16, 3, 3], 1, 1);
+    let (pointwise_gf, ..) = conv_gflops([1, 64, 16, 16], [32, 64, 1, 1], 0, 1);
+    let (depthwise_gf, ..) = conv_gflops([1, 64, 16, 16], [64, 1, 3, 3], 1, 64);
+    println!(
+        "microkernel/conv2d_gflops: {conv_gf:.2} GFLOP/s ({:.3} ms, 16->32 3x3 on 32x32); \
+         pointwise 64->32 on 16x16 {pointwise_gf:.2}, depthwise 64ch 3x3 on 16x16 {depthwise_gf:.2}",
+        conv * 1e3
+    );
+    records.push(BenchRecord {
+        name: "microkernel/conv2d_gflops".into(),
+        median_ns: conv * 1e9,
+        p10_ns: conv_p10 * 1e9,
+        p90_ns: conv_p90 * 1e9,
+        speedup_vs_sequential: None,
+        note: format!(
+            "{conv_gf:.2} GFLOP/s: 16->32 3x3 pad 1 Tensor::conv2d on 32x32 through a column \
+             panel and the MR={} x NB kernel, no executor; pointwise 64->32 on 16x16 \
+             {pointwise_gf:.2} GFLOP/s, depthwise 64ch 3x3 on 16x16 {depthwise_gf:.2} GFLOP/s",
             korch_tensor::MATMUL_MR
         ),
     });

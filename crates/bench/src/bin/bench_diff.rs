@@ -39,6 +39,7 @@ const DEFAULT_TOLERANCE: f64 = 0.10;
 /// baseline tracked. These are the cross-PR headline benches.
 const REQUIRED_HEADLINES: &[&str] = &[
     "microkernel/matmul_gflops",
+    "microkernel/conv2d_gflops",
     "microkernel/chain6_blocked",
     "tiled_single_kernel/sequential/matmul",
     "tiled_single_kernel/sequential/matmul_320",

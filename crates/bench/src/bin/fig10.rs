@@ -53,12 +53,14 @@ fn main() {
         m: 1024,
         n: 1,
         k: 16,
+        mr_rows: 1024,
     };
     let fixed = GemmShape {
         batch: 1,
         m: 16,
         n: 1024,
         k: 16,
+        mr_rows: 16,
     };
     let ratio = gemm_shape_efficiency(fixed) / gemm_shape_efficiency(skinny);
     println!("\n  GEMM layout effect (cost model): {ratio:.2}x   (paper k5 vs k8: 3.52x)");

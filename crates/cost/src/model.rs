@@ -488,12 +488,14 @@ mod tests {
             m: 1024,
             n: 1024,
             k: 1024,
+            mr_rows: 1024,
         };
         let skinny = GemmShape {
             batch: 1,
             m: 1024 * 1024,
             n: 1,
             k: 1024,
+            mr_rows: 1024 * 1024,
         };
         let e_b = gemm_shape_efficiency(balanced);
         let e_s = gemm_shape_efficiency(skinny);
@@ -513,6 +515,7 @@ mod tests {
                 m: 2048,
                 n: 2048,
                 k: 2048,
+                mr_rows: 2048,
             }],
             ..mem_spec(48 << 20, 16 << 20)
         };
@@ -534,6 +537,7 @@ mod tests {
                 m: 512,
                 n: 512,
                 k: 512,
+                mr_rows: 512,
             }],
             ..mem_spec(3 << 20, 1 << 20)
         };
@@ -580,6 +584,7 @@ mod tests {
                     m: 1024,
                     n: 1,
                     k: 1024,
+                    mr_rows: 1024,
                 }],
                 ..mem_spec(4 << 20, 4 << 10)
             },
@@ -618,6 +623,7 @@ mod tests {
                 m: 512,
                 n: 512,
                 k: 512,
+                mr_rows: 512,
             }],
             ..mem_spec(3 << 20, 1 << 20)
         };
@@ -675,6 +681,7 @@ mod tests {
                 m: 512,
                 n: 512,
                 k: 512,
+                mr_rows: 512,
             }],
             ..mem_spec(3 << 20, 1 << 20)
         };
@@ -743,6 +750,7 @@ mod tests {
                     m: 1024,
                     n: 1,
                     k: 1024,
+                    mr_rows: 1024,
                 }],
                 ..mem_spec(4 << 20, 4 << 10)
             },
@@ -785,6 +793,7 @@ mod tests {
                 m: 512,
                 n: 512,
                 k: 512,
+                mr_rows: 512,
             }],
             pattern_classes: 1,
             pointwise_flops: 1 << 20,

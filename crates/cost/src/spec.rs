@@ -17,6 +17,12 @@ pub struct GemmShape {
     pub n: u64,
     /// Contraction length.
     pub k: u64,
+    /// Extent of the dimension `korch-tensor`'s microkernel groups
+    /// [`korch_tensor::MATMUL_MR`] rows at a time: `m` for a matmul; for
+    /// a conv, whose weight is the left operand, the output channels per
+    /// group (`n`). Decides the [`KernelClass`] only — no latency term
+    /// reads it.
+    pub mr_rows: u64,
 }
 
 impl GemmShape {
@@ -72,16 +78,18 @@ pub struct KernelSpec {
 /// Roofline class of a kernel, the granularity at which [`Calibration`]
 /// (`crate::Calibration`) learns per-class throughput scales. The classes
 /// follow the microkernel structure in `korch-tensor`: a GEMM whose
-/// dominant output tile is at least [`korch_tensor::MATMUL_MR`] rows tall
-/// runs the register-blocked MR×NR microkernel at full throughput, while
-/// skinnier GEMMs fall back to the row-at-a-time path and behave closer
-/// to a memory-bound sweep. Memory-intensive kernels (no linear
-/// primitive) are priced off the bandwidth roofline.
+/// dominant output tile has at least [`korch_tensor::MATMUL_MR`] of the
+/// rows the microkernel groups ([`GemmShape::mr_rows`]: a matmul's `m`, a
+/// conv's output channels per group) runs the register-blocked MR×NR
+/// microkernel at full throughput, while skinnier GEMMs — a depthwise
+/// conv has one row per group — fall back to the row-at-a-time path and
+/// behave closer to a memory-bound sweep. Memory-intensive kernels (no
+/// linear primitive) are priced off the bandwidth roofline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KernelClass {
     /// No linear-transformation primitive: bandwidth-limited.
     Memory,
-    /// Dominant GEMM tall enough (`m ≥ MATMUL_MR`) for the
+    /// Dominant GEMM tall enough (`mr_rows ≥ MATMUL_MR`) for the
     /// register-blocked microkernel.
     GemmBlocked,
     /// Dominant GEMM shorter than the MR row group: row-at-a-time
@@ -121,7 +129,7 @@ impl KernelSpec {
     pub fn class(&self) -> KernelClass {
         match self.linear.iter().max_by_key(|g| g.flops()) {
             None => KernelClass::Memory,
-            Some(dom) if dom.m >= korch_tensor::MATMUL_MR as u64 => KernelClass::GemmBlocked,
+            Some(dom) if dom.mr_rows >= korch_tensor::MATMUL_MR as u64 => KernelClass::GemmBlocked,
             Some(_) => KernelClass::GemmSkinny,
         }
     }
@@ -251,6 +259,7 @@ fn gemm_shape(g: &PrimGraph, id: NodeId, l: &LinearFn) -> GemmShape {
                 m,
                 n,
                 k,
+                mr_rows: m,
             }
         }
         LinearFn::Conv2d { groups, .. } => {
@@ -259,11 +268,13 @@ fn gemm_shape(g: &PrimGraph, id: NodeId, l: &LinearFn) -> GemmShape {
             let out = &node.out_metas[0];
             let n_batch = x.shape()[0] as u64;
             let g_ = *groups as u64;
+            let out_c_per_group = out.shape()[1] as u64 / g_;
             GemmShape {
                 batch: g_,
                 m: n_batch * (out.shape()[2] * out.shape()[3]) as u64,
-                n: out.shape()[1] as u64 / g_,
+                n: out_c_per_group,
                 k: (w.shape()[1] * w.shape()[2] * w.shape()[3]) as u64,
+                mr_rows: out_c_per_group,
             }
         }
     }
@@ -375,7 +386,8 @@ mod tests {
                 batch: 1,
                 m: 8,
                 n: 4,
-                k: 32
+                k: 32,
+                mr_rows: 8
             }]
         );
         assert_eq!(spec.linear[0].flops(), 2 * 8 * 4 * 32);
@@ -412,26 +424,20 @@ mod tests {
                 batch: 1,
                 m: 8,
                 n: 4,
-                k: 32
+                k: 32,
+                mr_rows: 8
             }
         );
     }
 
-    #[test]
-    fn conv_maps_to_implicit_gemm() {
+    /// Spec of a kernel holding one conv of `x` with a constant weight.
+    fn conv_spec(x: Vec<usize>, w: Vec<usize>, padding: usize, groups: usize) -> KernelSpec {
         let mut g = PrimGraph::new();
-        let x = g
-            .add(
-                PrimKind::Input {
-                    shape: vec![2, 8, 16, 16],
-                },
-                vec![],
-            )
-            .unwrap();
+        let x = g.add(PrimKind::Input { shape: x }, vec![]).unwrap();
         let w = g
             .add(
                 PrimKind::Constant {
-                    shape: vec![32, 8, 3, 3],
+                    shape: w,
                     init: ConstInit::Random(0),
                 },
                 vec![],
@@ -441,25 +447,42 @@ mod tests {
             .add(
                 PrimKind::Linear(korch_ir::LinearFn::Conv2d {
                     stride: 1,
-                    padding: 1,
-                    groups: 1,
+                    padding,
+                    groups,
                 }),
                 vec![x.into(), w.into()],
             )
             .unwrap();
         g.mark_output(c).unwrap();
-        let members: BTreeSet<NodeId> = [c].into_iter().collect();
-        let spec = kernel_spec(&g, &members, &[c.into()]);
-        let shape = spec.linear[0];
+        kernel_spec(&g, &[c].into_iter().collect(), &[c.into()])
+    }
+
+    #[test]
+    fn conv_maps_to_implicit_gemm() {
+        let spec = conv_spec(vec![2, 8, 16, 16], vec![32, 8, 3, 3], 1, 1);
         assert_eq!(
-            shape,
+            spec.linear[0],
             GemmShape {
                 batch: 1,
                 m: 2 * 16 * 16,
                 n: 32,
-                k: 8 * 9
+                k: 8 * 9,
+                mr_rows: 32
             }
         );
+    }
+
+    #[test]
+    fn conv_class_follows_output_channels_per_group() {
+        // The microkernel groups a conv's output channels, not its
+        // N·OH·OW positions: a depthwise conv has one row per group and
+        // runs row-at-a-time however large the image; the Segformer
+        // decoder's 64→32 fuse conv fills MR-high groups.
+        let depthwise = conv_spec(vec![1, 64, 16, 16], vec![64, 1, 3, 3], 1, 64);
+        assert_eq!(depthwise.linear[0].m, 256);
+        assert_eq!(depthwise.class(), KernelClass::GemmSkinny);
+        let fuse = conv_spec(vec![1, 64, 16, 16], vec![32, 64, 1, 1], 0, 1);
+        assert_eq!(fuse.class(), KernelClass::GemmBlocked);
     }
 
     #[test]

@@ -537,7 +537,15 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::Release);
+        // The flag is set under the queue lock: the batcher checks it and
+        // enters `available.wait` under that lock, so the store cannot
+        // land between its check and its wait, where the notify below
+        // would find no waiter and the join would block forever
+        // (`korch_verify::models::ShutdownHandshake`).
+        {
+            let _q = self.queue.requests.lock().expect("queue poisoned");
+            self.queue.shutdown.store(true, Ordering::Release);
+        }
         self.queue.available.notify_all();
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
@@ -921,6 +929,36 @@ mod tests {
                 assert!(h.try_wait().is_some(), "handle unresolved after shutdown");
             }
         }
+    }
+
+    #[test]
+    fn idle_shutdown_never_loses_the_wakeup() {
+        // `stop` racing a batcher that has checked the flag but not yet
+        // entered its wait: with the flag stored outside the queue lock
+        // about 1 cycle in 70 hung in `join`.
+        struct Echo;
+        impl Model for Echo {
+            fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+                Ok(inputs.to_vec())
+            }
+        }
+        let (done, finished) = mpsc::channel();
+        let cycles = std::thread::spawn(move || {
+            for cycle in 0..500 {
+                let server = Server::start(Arc::new(Echo), BatchConfig::default());
+                // Sweep `stop` across the batcher's start-up, where the
+                // window between its flag check and its wait lies.
+                for _ in 0..cycle % 50 * 40 {
+                    std::hint::spin_loop();
+                }
+                server.shutdown();
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a start → idle → shutdown cycle hung");
+        cycles.join().expect("cycle thread panicked");
     }
 
     #[test]

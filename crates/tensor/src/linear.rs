@@ -2,15 +2,47 @@
 //! multiplication (optionally batched, with transpose flags) and 2-D
 //! convolution (NCHW / OIHW, strides, symmetric padding, groups).
 //!
-//! [`Tensor::matmul`] runs on the packed/blocked microkernel of
-//! [`crate::pack`]: the right operand is packed into row-major `[k][n]`
+//! Both run on the packed/blocked microkernel of [`crate::pack`] — the
+//! GEBP split of a panel that is staged once and a register-blocked
+//! kernel that sweeps it.
+//!
+//! [`Tensor::matmul`]: the right operand is packed into row-major `[k][n]`
 //! panels (zero-copy unless `trans_b`) and each output row is computed
 //! over fixed-width register accumulator blocks. The blocking is a pure
 //! loop interchange — ascending-`p` accumulation with the zero-skip is
 //! preserved per output element — so results are bit-identical to the
 //! historical scalar triple loop (pinned by `crate::pack`'s tests).
+//!
+//! [`Tensor::conv2d`]: per (image, group) the conv is the GEMM
+//! `W[O/g][K] · P[K][OH·OW]` with `K = C/g·KH·KW`. The weight's OIHW rows
+//! are already the `[O/g][K]` left operand (no pack), so output channels
+//! are the rows the microkernel groups `MR` at a time. `P` is the column
+//! panel: row `p = (ci, ky, kx)` — the order the historical scalar loop
+//! accumulated in — holds that tap of channel `ci` at every output
+//! position, `0.0` where it falls in the padding. A pointwise conv (1×1,
+//! stride 1, padding 0) has `P` equal to the input planes and borrows
+//! them, the zero-copy case [`PackedB`] has without `trans_b`; every
+//! other shape fills one scratch panel per call, a column block of at
+//! most 96 KB at a time (a whole number of microkernel column blocks),
+//! reused across blocks, groups and images — cache-resident under the
+//! channel groups that sweep it, and under the allocator's 128 KB mmap
+//! threshold whatever the image size. For all finite operands the result
+//! is bit-identical to that scalar loop (`crate::pack`: the MR×NR
+//! contract, extended to conv).
+//!
+//! # Outside the finite domain
+//!
+//! The scalar conv loop skipped padded taps and multiplied every other
+//! tap, zero weight or not. The lowering does what `matmul`'s left
+//! operand always has: a **weight of exactly `0.0` skips its term**, so
+//! `0.0 · ∞` and `0.0 · NaN` contribute nothing where the loop produced
+//! `NaN`; and a **padded tap contributes `w · 0.0`** instead of being
+//! skipped, so an infinite or `NaN` weight over padding yields `NaN`
+//! where the loop produced a finite sum. With finite operands both terms
+//! are `±0.0` and, the accumulator starting at `+0.0`, change no bit.
+//! `pack`'s `conv_non_finite_contract` test pins both cases.
 
-use crate::pack::{matmul_rows_blocked, PackedB};
+use crate::pack::{conv2d_blocked, matmul_rows_blocked, ConvGeom, PackedB};
 use crate::{Tensor, TensorError};
 
 /// Transpose flags for a (batched) matrix multiplication, mirroring BLAS
@@ -137,39 +169,15 @@ impl Tensor {
         let oh = (h + 2 * padding - kh) / stride + 1;
         let ow = (w + 2 * padding - kw) / stride + 1;
         let mut out = vec![0f32; n * o * oh * ow];
-        let x = self.as_slice();
-        let wt = weight.as_slice();
-        let oc_per_g = o / groups;
-        for ni in 0..n {
-            for oc in 0..o {
-                let g = oc / oc_per_g;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = 0f32;
-                        for ci in 0..cg {
-                            let ic = g * cg + ci;
-                            for ky in 0..kh {
-                                let iy = oy * stride + ky;
-                                if iy < padding || iy - padding >= h {
-                                    continue;
-                                }
-                                let iy = iy - padding;
-                                for kx in 0..kw {
-                                    let ix = ox * stride + kx;
-                                    if ix < padding || ix - padding >= w {
-                                        continue;
-                                    }
-                                    let ix = ix - padding;
-                                    acc += x[((ni * c + ic) * h + iy) * w + ix]
-                                        * wt[((oc * cg + ci) * kh + ky) * kw + kx];
-                                }
-                            }
-                        }
-                        out[((ni * o + oc) * oh + oy) * ow + ox] = acc;
-                    }
-                }
-            }
-        }
+        let geom = ConvGeom {
+            input: [n, c, h, w],
+            weight: [o, cg, kh, kw],
+            out: [oh, ow],
+            stride,
+            padding,
+            groups,
+        };
+        conv2d_blocked(self.as_slice(), weight.as_slice(), &geom, &mut out);
         Tensor::from_vec(vec![n, o, oh, ow], out)
     }
 }

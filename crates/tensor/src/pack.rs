@@ -1,10 +1,11 @@
-//! Packed operand panels and the MR×NR register-blocked matmul
-//! microkernel.
+//! Packed operand panels and the MR×NR register-blocked microkernel
+//! behind matmul and conv.
 //!
-//! [`Tensor::matmul`](crate::Tensor::matmul) and
-//! [`Tensor::matmul_rows`](crate::Tensor::matmul_rows) both drive the
-//! microkernel here instead of a naive per-element contraction. The
-//! design is the classic GEBP pack-then-microkernel split:
+//! [`Tensor::matmul`](crate::Tensor::matmul),
+//! [`Tensor::matmul_rows`](crate::Tensor::matmul_rows) and
+//! [`Tensor::conv2d`](crate::Tensor::conv2d) all drive the microkernel
+//! here instead of a naive per-element contraction. The design is the
+//! classic GEBP pack-then-microkernel split:
 //!
 //! - [`PackedB`] lays the right operand out as row-major `[k][n]` panels —
 //!   one per batch — so the inner loop always reads B with unit stride.
@@ -26,7 +27,12 @@
 //!   panel so every A row the kernel reads is unit-stride;
 //! - row groups smaller than `MR` (the `m % MR` remainder, or tiny row
 //!   tiles) run a row-at-a-time fallback of the same loops — the `MR = 1`
-//!   specialization.
+//!   specialization;
+//! - a conv is the same kernel on other operands ([`conv2d_blocked`]):
+//!   the rows are output channels, the left operand the weight's OIHW
+//!   rows as stored, the right operand a `[K][OH·OW]` column panel of
+//!   input taps — borrowed for a pointwise conv, otherwise filled one
+//!   cache-sized column block at a time into a per-call scratch.
 //!
 //! # The MR×NR contract: bit-identity with the scalar path
 //!
@@ -51,6 +57,29 @@
 //! for every shape, transpose flag, row partition and `MR`/`NB` choice —
 //! which is also why the `korch-runtime` tile executor may split output
 //! rows at any grain without changing a single output bit.
+//!
+//! ## The contract, extended to conv
+//!
+//! The historical conv loop kept one accumulator per output element,
+//! started at `0.0`, and added `x · w` over `(ci, ky, kx)` ascending,
+//! skipping taps that fall in the padding. The lowering keeps that chain
+//! and changes two things that cannot change a bit while operands are
+//! finite:
+//!
+//! - the column panel's rows are in `(ci, ky, kx)` order, so ascending
+//!   `p` *is* the loop's order, and the panel is a value copy (`w · x` and
+//!   `x · w` are the same IEEE product);
+//! - a padded tap is a panel `0.0`, so it adds `w · 0.0 = ±0.0` where the
+//!   loop added nothing, and a weight of exactly `0.0` is dropped by the
+//!   zero-skip where the loop added `0.0 · x = ±0.0`. An accumulator that
+//!   starts at `+0.0` is never `-0.0` (a sum is `-0.0` only when both
+//!   addends are), and `acc + ±0.0 == acc` bitwise for every other `acc`.
+//!
+//! Column blocks and channel groups only choose which independent
+//! elements are computed together. Outside the finite domain the two
+//! changes are visible — `0.0 · ∞` is skipped, `∞ · padding` is not; see
+//! [`crate::linear`]'s "Outside the finite domain" and the
+//! `conv_non_finite_contract` test below.
 
 use crate::{Tensor, TensorError};
 use std::ops::Range;
@@ -165,8 +194,9 @@ impl PackedB {
 /// [`MR`] output rows against one B panel. Logical A row `r` of the
 /// group is the unit-stride slice `a_base[r * row_stride..][..k]` (the
 /// contiguous storage rows when `trans_a == false`, the packed `[MR][k]`
-/// gather otherwise); `orows` is the group's `g * n` contiguous output
-/// elements.
+/// gather otherwise); output row `r` is `orows[r * o_stride..][..n]` —
+/// `o_stride == n` for a matmul's contiguous rows, the full output-plane
+/// width when a conv computes one column block of it.
 ///
 /// A full group runs with `p` as the outer loop and the whole `MR × NB`
 /// accumulator in registers: each B block `b(p, j..j+NB)` is loaded once
@@ -178,6 +208,7 @@ impl PackedB {
 /// `0.0` with the per-element zero-skip — the rows are independent
 /// accumulation chains, so reordering *between* them changes nothing
 /// (module docs: the MR×NR contract).
+#[allow(clippy::too_many_arguments)]
 fn mm_group_blocked(
     a_base: &[f32],
     row_stride: usize,
@@ -186,9 +217,10 @@ fn mm_group_blocked(
     panel: &[f32],
     n: usize,
     orows: &mut [f32],
+    o_stride: usize,
 ) {
     debug_assert!((1..=MR).contains(&g));
-    debug_assert_eq!(orows.len(), g * n);
+    debug_assert!(o_stride >= n && orows.len() >= (g - 1) * o_stride + n);
     if g == MR {
         // Full group: hold the whole MR×NB accumulator in registers and
         // make p the outer loop, so each B block load feeds MR
@@ -210,7 +242,7 @@ fn mm_group_blocked(
                 }
             }
             for (r, accr) in acc.iter().enumerate() {
-                orows[r * n + j..r * n + j + NB].copy_from_slice(accr);
+                orows[r * o_stride + j..r * o_stride + j + NB].copy_from_slice(accr);
             }
             j += NB;
         }
@@ -230,7 +262,7 @@ fn mm_group_blocked(
                 }
             }
             for (r, accr) in acc.iter().enumerate() {
-                orows[r * n + j..r * n + j + rest].copy_from_slice(&accr[..rest]);
+                orows[r * o_stride + j..r * o_stride + j + rest].copy_from_slice(&accr[..rest]);
             }
         }
         return;
@@ -249,7 +281,7 @@ fn mm_group_blocked(
                     acc[t] += av * bv[t];
                 }
             }
-            orows[r * n + j..r * n + j + NB].copy_from_slice(&acc);
+            orows[r * o_stride + j..r * o_stride + j + NB].copy_from_slice(&acc);
         }
         j += NB;
     }
@@ -267,7 +299,7 @@ fn mm_group_blocked(
                     acc[t] += av * bvt;
                 }
             }
-            orows[r * n + j..r * n + j + rest].copy_from_slice(&acc[..rest]);
+            orows[r * o_stride + j..r * o_stride + j + rest].copy_from_slice(&acc[..rest]);
         }
     }
 }
@@ -325,12 +357,134 @@ pub(crate) fn matmul_rows_blocked(
                         apanel[r * k + p] = v;
                     }
                 }
-                mm_group_blocked(&apanel, k, g, k, panel, n, orows);
+                mm_group_blocked(&apanel, k, g, k, panel, n, orows, n);
             } else {
-                mm_group_blocked(&ab[i * ak..], ak, g, k, panel, n, orows);
+                mm_group_blocked(&ab[i * ak..], ak, g, k, panel, n, orows, n);
             }
             row += g;
         }
+    }
+}
+
+/// Budget of the conv column panel in `f32` elements (96 KB): a block of
+/// `[K][nc]` this size stays L2-resident while every output-channel group
+/// sweeps it, and the scratch allocation stays under the allocator's
+/// 128 KB mmap threshold. (Measured on the 16→32 3×3 / 32×32 conv: 32 KB
+/// 31 GFLOP/s, 64–124 KB 36–37.)
+const CONV_PANEL_ELEMS: usize = 24 * 1024;
+
+/// Geometry of a validated 2-D convolution (see
+/// [`Tensor::conv2d`](crate::Tensor::conv2d)), shared by the driver and
+/// the panel fill.
+pub(crate) struct ConvGeom {
+    /// Input `[N, C, H, W]`.
+    pub input: [usize; 4],
+    /// Weight `[O, C/groups, KH, KW]`.
+    pub weight: [usize; 4],
+    /// Output plane `[OH, OW]`.
+    pub out: [usize; 2],
+    /// Square stride.
+    pub stride: usize,
+    /// Symmetric zero padding.
+    pub padding: usize,
+    /// Channel groups.
+    pub groups: usize,
+}
+
+/// Computes a conv2d on the microkernel. Per (image, group) this is the
+/// GEMM `W[O/g][K] · P[K][OH·OW]`, `K = C/g·KH·KW`: the weight's OIHW rows
+/// are the left operand as stored, `P` is the column panel of input taps
+/// in `(ci, ky, kx)` row order (zero where a tap falls in the padding),
+/// and output channels run through [`mm_group_blocked`] in [`MR`]-high
+/// groups. A pointwise conv (1×1, stride 1, no padding) borrows the
+/// input planes as `P`; every other shape fills one scratch panel per
+/// call, a block of at most [`CONV_PANEL_ELEMS`] elements (whole `NB`
+/// columns) at a time, reused across blocks, groups and images.
+pub(crate) fn conv2d_blocked(x: &[f32], wt: &[f32], geom: &ConvGeom, out: &mut [f32]) {
+    let [n, c, h, w] = geom.input;
+    let [o, cg, kh, kw] = geom.weight;
+    let ohw = geom.out[0] * geom.out[1];
+    if out.is_empty() {
+        return;
+    }
+    let (k, ocg) = (cg * kh * kw, o / geom.groups);
+    let pointwise = kh == 1 && kw == 1 && geom.stride == 1 && geom.padding == 0;
+    let nc = if pointwise {
+        ohw
+    } else {
+        ((CONV_PANEL_ELEMS / k.max(1)).max(NB) / NB * NB).min(ohw)
+    };
+    let mut scratch = vec![0.0f32; if pointwise { 0 } else { k * nc }];
+    for ni in 0..n {
+        for g in 0..geom.groups {
+            let xg = &x[(ni * c + g * cg) * h * w..][..cg * h * w];
+            let wg = &wt[g * ocg * k..][..ocg * k];
+            let og = &mut out[(ni * o + g * ocg) * ohw..][..ocg * ohw];
+            for j0 in (0..ohw).step_by(nc) {
+                let nb = nc.min(ohw - j0);
+                let panel = if pointwise {
+                    xg
+                } else {
+                    for (p, prow) in scratch[..k * nb].chunks_exact_mut(nb).enumerate() {
+                        let plane = &xg[p / (kh * kw) * h * w..][..h * w];
+                        fill_panel_row(prow, plane, geom, p / kw % kh, p % kw, j0);
+                    }
+                    &scratch[..k * nb]
+                };
+                for r0 in (0..ocg).step_by(MR) {
+                    let rows = MR.min(ocg - r0);
+                    let orows = &mut og[r0 * ohw + j0..];
+                    mm_group_blocked(&wg[r0 * k..], k, rows, k, panel, nb, orows, ohw);
+                }
+            }
+        }
+    }
+}
+
+/// Fills `dst` with columns `j0..j0 + dst.len()` of one panel row: tap
+/// `(ky, kx)` of input channel `plane` (`[H][W]`) at every output position
+/// `j = oy·OW + ox` of the block — `plane[oy·s + ky − pad][ox·s + kx − pad]`,
+/// or `0.0` where that falls outside the plane.
+fn fill_panel_row(
+    dst: &mut [f32],
+    plane: &[f32],
+    geom: &ConvGeom,
+    ky: usize,
+    kx: usize,
+    j0: usize,
+) {
+    let [_, _, h, w] = geom.input;
+    let (ow, s, pad) = (geom.out[1], geom.stride, geom.padding);
+    // Output columns whose tap `ox·s + kx − pad` lies inside `0..w`.
+    let ox_lo = pad.saturating_sub(kx).div_ceil(s);
+    let ox_hi = (w + pad).saturating_sub(kx).div_ceil(s);
+    let (mut oy, mut ox0) = (j0 / ow, j0 % ow);
+    let mut rest = dst;
+    while !rest.is_empty() {
+        // One output row's share of the block: columns `ox0..ox1`.
+        let (seg, tail) = rest.split_at_mut((ow - ox0).min(rest.len()));
+        let ox1 = ox0 + seg.len();
+        let iy = oy * s + ky;
+        if iy < pad || iy - pad >= h {
+            seg.fill(0.0);
+        } else {
+            let lo = ox_lo.clamp(ox0, ox1);
+            let hi = ox_hi.clamp(lo, ox1);
+            seg[..lo - ox0].fill(0.0);
+            seg[hi - ox0..].fill(0.0);
+            if lo < hi {
+                let taps = &plane[(iy - pad) * w + lo * s + kx - pad..];
+                let valid = &mut seg[lo - ox0..hi - ox0];
+                if s == 1 {
+                    valid.copy_from_slice(&taps[..hi - lo]);
+                } else {
+                    for (d, tap) in valid.iter_mut().zip(taps.chunks(s)) {
+                        *d = tap[0];
+                    }
+                }
+            }
+        }
+        (rest, oy, ox0) = (tail, oy + 1, 0);
     }
 }
 
@@ -372,6 +526,62 @@ mod tests {
                             bb[p * bn + j]
                         };
                         ob[i * n + j] += av * bv;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The historical scalar conv kernel, kept verbatim as the
+    /// bit-identity reference: per output element one accumulator from
+    /// `0.0` over `(ci, ky, kx)` ascending, padded taps skipped.
+    fn naive_conv2d(
+        x: &Tensor,
+        weight: &Tensor,
+        stride: usize,
+        padding: usize,
+        groups: usize,
+    ) -> Vec<f32> {
+        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (o, cg, kh, kw) = (
+            weight.shape()[0],
+            weight.shape()[1],
+            weight.shape()[2],
+            weight.shape()[3],
+        );
+        let oh = (h + 2 * padding - kh) / stride + 1;
+        let ow = (w + 2 * padding - kw) / stride + 1;
+        let mut out = vec![0f32; n * o * oh * ow];
+        let x = x.as_slice();
+        let wt = weight.as_slice();
+        let oc_per_g = o / groups;
+        for ni in 0..n {
+            for oc in 0..o {
+                let g = oc / oc_per_g;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = 0f32;
+                        for ci in 0..cg {
+                            let ic = g * cg + ci;
+                            for ky in 0..kh {
+                                let iy = oy * stride + ky;
+                                if iy < padding || iy - padding >= h {
+                                    continue;
+                                }
+                                let iy = iy - padding;
+                                for kx in 0..kw {
+                                    let ix = ox * stride + kx;
+                                    if ix < padding || ix - padding >= w {
+                                        continue;
+                                    }
+                                    let ix = ix - padding;
+                                    acc += x[((ni * c + ic) * h + iy) * w + ix]
+                                        * wt[((oc * cg + ci) * kh + ky) * kw + kx];
+                                }
+                            }
+                        }
+                        out[((ni * o + oc) * oh + oy) * ow + ox] = acc;
                     }
                 }
             }
@@ -511,5 +721,126 @@ mod tests {
             }
         }
         assert!(PackedB::pack(&Tensor::scalar(1.0), false).is_err());
+    }
+
+    /// Asserts `conv2d` equals [`naive_conv2d`] bit for bit.
+    fn assert_conv_bits(x: &Tensor, wt: &Tensor, stride: usize, padding: usize, groups: usize) {
+        let got = x.conv2d(wt, stride, padding, groups).unwrap();
+        let want = naive_conv2d(x, wt, stride, padding, groups);
+        let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<u32>>();
+        assert!(
+            bits(got.as_slice()) == bits(&want),
+            "conv2d diverged: x {:?} w {:?} stride {stride} padding {padding} groups {groups}",
+            x.shape(),
+            wt.shape()
+        );
+    }
+
+    /// Dense random operands, and zero-heavy ones — a ReLU'd activation
+    /// and a weight with every third element exactly `0.0` — that drive
+    /// the microkernel's zero-skip and the `w · 0.0` padded taps.
+    fn conv_operands(x_shape: Vec<usize>, w_shape: Vec<usize>) -> [(Tensor, Tensor); 2] {
+        let x = Tensor::random(x_shape, 21);
+        let wt = Tensor::random(w_shape, 22);
+        let relu = x.unary(crate::UnaryOp::Relu);
+        let sparse = Tensor::from_fn(wt.shape().to_vec(), |i| {
+            if i % 3 == 0 {
+                0.0
+            } else {
+                wt.as_slice()[i]
+            }
+        });
+        [(x, wt), (relu, sparse)]
+    }
+
+    #[test]
+    fn blocked_conv_is_bit_identical_to_the_scalar_reference() {
+        // Output planes straddling NB: 16, 31 (prime width), 32, 33, 256.
+        let planes = [(4, 4), (1, 31), (4, 8), (3, 11), (16, 16)];
+        let mut cases = 0;
+        for kernel in [1usize, 2, 3, 7] {
+            for stride in [1usize, 2, 4] {
+                for padding in [0usize, 1, 3] {
+                    for (pi, &(oh, ow)) in planes.iter().enumerate() {
+                        // The smallest input giving this output plane.
+                        let side =
+                            |out: usize| ((out - 1) * stride + kernel).saturating_sub(2 * padding);
+                        let (h, w) = (side(oh), side(ow));
+                        if h == 0 || w == 0 {
+                            continue;
+                        }
+                        // (C, groups, O/g): dense, two groups, depthwise.
+                        let ocg = [1, MR - 1, MR, MR + 1, 19][(pi + kernel + stride) % 5];
+                        for (c, groups) in [(3usize, 1usize), (4, 2), (5, 5)] {
+                            let x_shape = vec![2, c, h, w];
+                            let w_shape = vec![ocg * groups, c / groups, kernel, kernel];
+                            for (x, wt) in conv_operands(x_shape, w_shape) {
+                                assert_conv_bits(&x, &wt, stride, padding, groups);
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 800, "sweep shrank to {cases} cases");
+    }
+
+    #[test]
+    fn blocked_conv_is_bit_identical_across_column_blocks() {
+        // K = 16·9 = 144 cuts the 1024-column plane into blocks of
+        // CONV_PANEL_ELEMS / 144 rounded down to NB columns, the last one
+        // short; K = 3·49 = 147 on 33×33 leaves a block that is not a
+        // whole number of NB columns or of output rows.
+        let block = CONV_PANEL_ELEMS / 144 / NB * NB;
+        assert!(block < 1024 && 1024 % block != 0);
+        for (x_shape, w_shape, stride, padding, groups) in [
+            (vec![2, 16, 32, 32], vec![32, 16, 3, 3], 1, 1, 1),
+            (vec![1, 3, 33, 33], vec![MR + 1, 3, 7, 7], 1, 3, 1),
+            (vec![1, 32, 40, 40], vec![32, 1, 3, 3], 1, 1, 32),
+            (vec![2, 8, 48, 48], vec![2 * 19, 4, 1, 1], 1, 0, 2),
+        ] {
+            for (x, wt) in conv_operands(x_shape, w_shape) {
+                assert_conv_bits(&x, &wt, stride, padding, groups);
+            }
+        }
+    }
+
+    #[test]
+    fn segformer_conv_shapes_are_bit_identical() {
+        // The seven convs of the 64×64 Segformer behind `exec_compute`:
+        // patch embeds, the spatial-reduction conv, two Mix-FFN
+        // depthwise convs, the decoder's fuse and classifier.
+        for (x_shape, w_shape, stride, padding, groups) in [
+            (vec![1, 3, 64, 64], vec![16, 3, 7, 7], 4, 3, 1),
+            (vec![1, 16, 16, 16], vec![16, 16, 2, 2], 2, 0, 1),
+            (vec![1, 64, 16, 16], vec![64, 1, 3, 3], 1, 1, 64),
+            (vec![1, 16, 16, 16], vec![32, 16, 3, 3], 2, 1, 1),
+            (vec![1, 128, 8, 8], vec![128, 1, 3, 3], 1, 1, 128),
+            (vec![1, 64, 16, 16], vec![32, 64, 1, 1], 1, 0, 1),
+            (vec![1, 32, 16, 16], vec![19, 32, 1, 1], 1, 0, 1),
+        ] {
+            for (x, wt) in conv_operands(x_shape, w_shape) {
+                assert_conv_bits(&x, &wt, stride, padding, groups);
+            }
+        }
+    }
+
+    #[test]
+    fn conv_non_finite_contract() {
+        // A weight of exactly 0.0 skips its term, as matmul's left operand
+        // always has: 0.0 · ∞ contributes nothing (the scalar loop: NaN).
+        let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![f32::INFINITY, 1.0]).unwrap();
+        let wt = Tensor::from_vec(vec![1, 1, 1, 2], vec![0.0, 2.0]).unwrap();
+        assert_eq!(x.conv2d(&wt, 1, 0, 1).unwrap().as_slice(), &[2.0]);
+        assert!(naive_conv2d(&x, &wt, 1, 0, 1)[0].is_nan());
+        // A padded tap contributes w · 0.0 instead of being skipped: an
+        // infinite weight over padding is NaN (the scalar loop: finite).
+        let x = Tensor::from_vec(vec![1, 1, 1, 1], vec![3.0]).unwrap();
+        let wt = Tensor::from_vec(vec![1, 1, 1, 3], vec![f32::INFINITY, 1.0, 1.0]).unwrap();
+        let got = x.conv2d(&wt, 1, 1, 1).unwrap();
+        assert_eq!(got.shape(), &[1, 1, 3, 1]);
+        assert!(got.as_slice().iter().all(|v| v.is_nan()));
+        assert_eq!(naive_conv2d(&x, &wt, 1, 1, 1), vec![0.0, 3.0, 0.0]);
     }
 }

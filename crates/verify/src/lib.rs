@@ -24,6 +24,7 @@
 //! | [`explore`]: tile-assembly countdown assembles once, after every chunk landed | `runtime_tiling.rs` assembly tests |
 //! | [`explore`]: router in-flight accounting conserves requests, exactly-once response | `tests/serving_sharded.rs` request-conservation proptest |
 //! | [`explore`]: quarantine enter/exit events are exactly-once per transition | `korch-runtime` shard quarantine tests |
+//! | [`explore`]: `Server::stop` sets the shutdown flag under the queue lock, so the idle batcher's check-then-wait never loses the wakeup | `korch-runtime` `serving::tests::idle_shutdown_never_loses_the_wakeup` |
 //!
 //! The verifier consumes artifacts through the runtime's introspection
 //! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`, `schedule`)

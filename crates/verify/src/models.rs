@@ -35,6 +35,13 @@
 //!   producer to finish wakes everyone. A lost wakeup shows up as a
 //!   deadlock (parked consumer, nobody movable) — the explorer's
 //!   deadlock detection is the check.
+//! - [`ShutdownHandshake`]: `Server::stop` against the batcher's idle
+//!   wait. The batcher checks the shutdown flag and enters the condvar
+//!   wait under the queue lock; the stopper sets the flag, notifies, and
+//!   joins. Setting the flag *outside* the lock lets it land between the
+//!   batcher's check and its wait — the notify finds no waiter and the
+//!   join never returns (a deadlock to the explorer); setting it under
+//!   the lock closes the window.
 
 use crate::explore::{explore, Exploration, ExploreError, Protocol, Step};
 
@@ -972,6 +979,178 @@ impl Protocol for ParkUnpark {
 }
 
 // ---------------------------------------------------------------------
+// Server shutdown handshake
+// ---------------------------------------------------------------------
+
+/// The batcher's program counter in [`ShutdownHandshake`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum BatcherPhase {
+    /// About to take the queue lock.
+    Lock,
+    /// Holding the lock (queue empty): the flag check is next.
+    Check,
+    /// Flag read clear, lock still held: the condvar wait is next.
+    Wait,
+    /// In `Condvar::wait`: lock released, blocked until notified.
+    Waiting,
+    /// Saw the flag and returned.
+    Exited,
+}
+
+/// The stopper's program counter in [`ShutdownHandshake`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StopperPhase {
+    /// About to take the queue lock (locked ordering only).
+    Lock,
+    /// The flag store is next.
+    Store,
+    /// Flag set under the lock: the unlock is next.
+    Unlock,
+    /// `notify_all` is next.
+    Notify,
+    /// Notified; `join` returns once the batcher has exited.
+    Join,
+}
+
+/// State of [`ShutdownHandshake`]: the flag, who holds the queue lock,
+/// whether a notification reached the waiting batcher, and both program
+/// counters.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ShutdownHandshakeState {
+    shutdown: bool,
+    /// Thread holding the queue mutex (0 = batcher, 1 = stopper).
+    lock: Option<usize>,
+    /// A `notify_all` found the batcher waiting.
+    notified: bool,
+    batcher: BatcherPhase,
+    stopper: StopperPhase,
+}
+
+/// `Server::stop` against an idle batcher, one step per lock operation,
+/// flag access and condvar call. Thread 0 is the batcher's idle loop:
+/// lock the (empty) queue, check the shutdown flag, and either return or
+/// `Condvar::wait` — which releases the lock and starts waiting in one
+/// atomic step. Thread 1 is the stopper: set the flag, `notify_all`,
+/// join. A notify with no waiter is lost, as with a real condvar.
+pub struct ShutdownHandshake {
+    /// Whether the stopper sets the flag while holding the queue lock
+    /// (the shipped ordering) or with a bare store (the ordering that
+    /// loses the wakeup).
+    pub store_under_lock: bool,
+}
+
+impl Protocol for ShutdownHandshake {
+    type State = ShutdownHandshakeState;
+
+    fn name(&self) -> &'static str {
+        "server-shutdown-handshake"
+    }
+
+    fn init(&self) -> ShutdownHandshakeState {
+        ShutdownHandshakeState {
+            shutdown: false,
+            lock: None,
+            notified: false,
+            batcher: BatcherPhase::Lock,
+            stopper: if self.store_under_lock {
+                StopperPhase::Lock
+            } else {
+                StopperPhase::Store
+            },
+        }
+    }
+
+    fn threads(&self) -> usize {
+        2
+    }
+
+    fn step(&self, s: &ShutdownHandshakeState, t: usize) -> Step<ShutdownHandshakeState> {
+        let mut next = s.clone();
+        if t == 0 {
+            match s.batcher {
+                BatcherPhase::Lock => {
+                    if s.lock.is_some() {
+                        return Step::Blocked;
+                    }
+                    next.lock = Some(0);
+                    next.batcher = BatcherPhase::Check;
+                }
+                BatcherPhase::Check => {
+                    if s.shutdown {
+                        next.lock = None;
+                        next.batcher = BatcherPhase::Exited;
+                    } else {
+                        next.batcher = BatcherPhase::Wait;
+                    }
+                }
+                BatcherPhase::Wait => {
+                    next.lock = None;
+                    next.batcher = BatcherPhase::Waiting;
+                }
+                BatcherPhase::Waiting => {
+                    if !s.notified {
+                        return Step::Blocked;
+                    }
+                    // Woken: the wait returns by re-taking the lock.
+                    next.notified = false;
+                    next.batcher = BatcherPhase::Lock;
+                }
+                BatcherPhase::Exited => return Step::Done,
+            }
+            return Step::Next(next);
+        }
+        match s.stopper {
+            StopperPhase::Lock => {
+                if s.lock.is_some() {
+                    return Step::Blocked;
+                }
+                next.lock = Some(1);
+                next.stopper = StopperPhase::Store;
+            }
+            StopperPhase::Store => {
+                next.shutdown = true;
+                next.stopper = if self.store_under_lock {
+                    StopperPhase::Unlock
+                } else {
+                    StopperPhase::Notify
+                };
+            }
+            StopperPhase::Unlock => {
+                next.lock = None;
+                next.stopper = StopperPhase::Notify;
+            }
+            StopperPhase::Notify => {
+                next.notified = s.batcher == BatcherPhase::Waiting;
+                next.stopper = StopperPhase::Join;
+            }
+            StopperPhase::Join => {
+                return if s.batcher == BatcherPhase::Exited {
+                    Step::Done
+                } else {
+                    Step::Blocked
+                };
+            }
+        }
+        Step::Next(next)
+    }
+
+    fn check(&self, s: &ShutdownHandshakeState) -> Result<(), String> {
+        let holds_lock = matches!(s.batcher, BatcherPhase::Check | BatcherPhase::Wait);
+        if holds_lock != (s.lock == Some(0)) {
+            return Err("batcher's phase disagrees with the queue lock".to_string());
+        }
+        Ok(())
+    }
+
+    fn check_final(&self, s: &ShutdownHandshakeState) -> Result<(), String> {
+        if !s.shutdown || s.batcher != BatcherPhase::Exited {
+            return Err("stop returned without the batcher observing shutdown".to_string());
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
 // The suite
 // ---------------------------------------------------------------------
 
@@ -1084,6 +1263,13 @@ pub fn verify_protocols() -> Result<Vec<(&'static str, Exploration)>, ExploreErr
             }),
         )?;
     }
+
+    run(
+        "server-shutdown-handshake",
+        explore(&ShutdownHandshake {
+            store_under_lock: true,
+        }),
+    )?;
 
     Ok(results)
 }
@@ -1248,7 +1434,7 @@ mod tests {
     #[test]
     fn exploration_suite_passes() {
         let results = verify_protocols().expect("all protocol models verify");
-        assert!(results.len() >= 26);
+        assert!(results.len() >= 27);
         for (_, stats) in &results {
             assert!(stats.terminals >= 1);
         }
@@ -1274,6 +1460,23 @@ mod tests {
             "expected a deadlock, got: {}",
             err.message
         );
+    }
+
+    #[test]
+    fn shutdown_flag_stored_outside_the_lock_loses_the_wakeup() {
+        // A bare store, then notify: the ordering `Server::stop` must not use.
+        let err = explore(&ShutdownHandshake {
+            store_under_lock: false,
+        })
+        .expect_err("the store can land between the batcher's check and its wait");
+        assert!(
+            err.message.contains("deadlock"),
+            "expected a deadlock, got: {}",
+            err.message
+        );
+        // batcher locks and checks, stopper stores and notifies nobody,
+        // batcher waits.
+        assert_eq!(err.trace, vec![0, 0, 1, 1, 0]);
     }
 
     #[test]

@@ -10,6 +10,50 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..6, 1usize..6, 1usize..6)
 }
 
+/// The scalar definition of conv2d: one accumulator per output element,
+/// taps in `(ci, ky, kx)` order, padded taps skipped.
+fn conv2d_scalar(
+    x: &Tensor,
+    wt: &Tensor,
+    stride: usize,
+    padding: usize,
+    groups: usize,
+) -> Vec<f32> {
+    let (n, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+    let (o, cg, kh, kw) = (wt.shape()[0], wt.shape()[1], wt.shape()[2], wt.shape()[3]);
+    let oh = (h + 2 * padding - kh) / stride + 1;
+    let ow = (w + 2 * padding - kw) / stride + 1;
+    let mut out = Vec::with_capacity(n * o * oh * ow);
+    for ni in 0..n {
+        for oc in 0..o {
+            let c0 = oc / (o / groups) * cg;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0f32;
+                    for ci in 0..cg {
+                        for ky in 0..kh {
+                            for kx in 0..kw {
+                                let (iy, ix) = (oy * stride + ky, ox * stride + kx);
+                                if iy < padding
+                                    || iy - padding >= h
+                                    || ix < padding
+                                    || ix - padding >= w
+                                {
+                                    continue;
+                                }
+                                acc += x.at(&[ni, c0 + ci, iy - padding, ix - padding])
+                                    * wt.at(&[oc, ci, ky, kx]);
+                            }
+                        }
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -137,5 +181,34 @@ proptest! {
                 prop_assert_eq!(pooled.at(&[0, 0, by, bx]), m);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The microkernel lowering of conv2d is the scalar definition bit for
+    /// bit, on dense and on ReLU'd (zero-heavy) inputs, for any legal
+    /// geometry.
+    #[test]
+    fn conv2d_is_bit_identical_to_the_scalar_definition(
+        (groups, cg, ocg) in (1usize..4, 1usize..4, 1usize..9),
+        (kernel, stride, padding) in (1usize..6, 1usize..4, 0usize..3),
+        (h, w, batch) in (1usize..14, 1usize..40, 1usize..3),
+        relu in prop::bool::ANY,
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
+        let x = Tensor::random(vec![batch, groups * cg, h, w], seed);
+        let x = if relu { x.unary(korch::tensor::UnaryOp::Relu) } else { x };
+        let wt = Tensor::random(vec![groups * ocg, cg, kernel, kernel], seed + 1);
+        let got = x.conv2d(&wt, stride, padding, groups).unwrap();
+        let want = conv2d_scalar(&x, &wt, stride, padding, groups);
+        prop_assert!(
+            got.as_slice().iter().map(|v| v.to_bits()).eq(want.iter().map(|v| v.to_bits())),
+            "conv2d diverged: x {:?} w {:?} stride {stride} padding {padding} groups {groups}",
+            x.shape(),
+            wt.shape()
+        );
     }
 }
