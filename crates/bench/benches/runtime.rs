@@ -9,7 +9,7 @@
 //! inter-kernel overlap cannot touch, split into row-range tiles across 4
 //! lanes (structural asserts — tile count > 1, bit-identity — hold on any
 //! host; the speedup only shows on multi-core). The `serving` group
-//! times a 16-request burst through the dynamic-batching front-end of an
+//! times a 16-request burst through the serving front-end of an
 //! already running server; the `recalibration` group runs the closed
 //! calibration loop (profile → fit → re-orchestrate → swap) and prints
 //! how far the fitted model tightens against the measured kernels. The

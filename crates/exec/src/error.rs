@@ -24,6 +24,14 @@ pub enum ExecError {
         /// Producing port.
         port: usize,
     },
+    /// A kernel's body panicked while a runtime executed it; the panic
+    /// was contained and the run failed in its place.
+    KernelPanicked {
+        /// Index of the kernel within its plan.
+        kernel: usize,
+        /// The panic payload's message, when it carried one.
+        message: String,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -37,6 +45,9 @@ impl fmt::Display for ExecError {
                     f,
                     "tensor of node {node} port {port} was never materialized"
                 )
+            }
+            ExecError::KernelPanicked { kernel, message } => {
+                write!(f, "kernel {kernel} panicked: {message}")
             }
         }
     }

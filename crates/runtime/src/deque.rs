@@ -72,15 +72,23 @@ pub(crate) struct WorkStealDeque {
 }
 
 impl WorkStealDeque {
-    /// A deque with room for `capacity` total pushes over its lifetime
-    /// (the executor passes the run's kernel + tile count; index space
-    /// is never recycled, so this bounds `bottom`).
+    /// A deque with room for `capacity` total pushes per run (the
+    /// executor passes the run's kernel + tile count; index space is
+    /// only rewound between runs, by [`WorkStealDeque::reset`], so this
+    /// bounds `bottom`).
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
             top: AtomicIsize::new(0),
             bottom: AtomicIsize::new(0),
             buf: (0..capacity.max(1)).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+
+    /// Empties the deque and rewinds its index space for another run.
+    /// `&mut self`: nobody else can hold it.
+    pub(crate) fn reset(&mut self) {
+        *self.top.get_mut() = 0;
+        *self.bottom.get_mut() = 0;
     }
 
     /// Owner-only: push `task` at the bottom.

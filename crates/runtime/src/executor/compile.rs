@@ -4,7 +4,9 @@
 
 use super::body::{kernel_reads, KernelBody};
 use super::emit::ExecTelemetry;
-use super::{not_materialized, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout};
+use super::{
+    not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout,
+};
 use crate::arena::{plan_memory_report, BufferArena};
 use crate::profiler::RuntimeProfile;
 use korch_cost::Device;
@@ -190,6 +192,23 @@ impl PlanExecutor {
             .collect();
 
         let n_roots = kernels.iter().filter(|k| k.deps.is_empty()).count();
+        let may_tile = tile_specs.iter().any(Option::is_some);
+        // Widen to every lane only when the initial ready set cannot seed
+        // them all — with enough root kernels, the split heuristic defers
+        // to inter-kernel parallelism and the extra lanes would only be
+        // called to park.
+        let every_lane = may_tile && n_roots < lanes.len();
+        let rooted = |l: &usize| lanes[*l].iter().any(|&k| kernels[k].deps.is_empty());
+        let mut worker_lanes: Vec<usize> = (0..lanes.len())
+            .filter(|&l| every_lane || !lanes[l].is_empty())
+            .collect();
+        worker_lanes.sort_by_key(|l| !rooted(l));
+        let workers = if worker_lanes.len() <= 1 || (kernels.len() <= 1 && !may_tile) {
+            1
+        } else {
+            worker_lanes.len()
+        };
+        pool::reserve(workers - 1);
         let telemetry = config.telemetry.as_ref().map(ExecTelemetry::new);
         let kernel_classes = plan
             .kernels
@@ -200,7 +219,7 @@ impl PlanExecutor {
                 (spec.class(), spec.total_flops() as f64)
             })
             .collect();
-        Ok(Self {
+        let core = Core {
             graph: g.clone(),
             plan: plan.clone(),
             timing_enabled: config.profile || telemetry.is_some(),
@@ -224,6 +243,14 @@ impl PlanExecutor {
             kernel_classes,
             split_threshold_us,
             n_roots,
+            worker_lanes,
+            workers,
+            free_runs: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            panic_at: std::sync::atomic::AtomicUsize::new(usize::MAX),
+        };
+        Ok(Self {
+            core: Arc::new(core),
         })
     }
 

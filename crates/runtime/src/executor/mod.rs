@@ -35,22 +35,55 @@
 //! the same call per tile. A walk runs whole only and stages each
 //! exported tensor into an arena buffer.
 //!
-//! # Schedule (`sched.rs`)
+//! # Schedule (`sched.rs`, `pool.rs`)
 //!
-//! The simulated schedule's lane placement seeds one ready deque per
-//! lane (locality preserved), but execution order is derived from the
-//! kernel dependency DAG alone — a kernel becomes ready the moment its
-//! last dependency retires (atomic dependency counters), and an idle
-//! lane whose own deque is empty *steals* ready tasks from other lanes
-//! instead of blocking behind a lane predecessor. No scheduler
-//! interaction takes a lock: ready tasks live in per-lane Chase–Lev
-//! deques (`deque::WorkStealDeque` documents the memory-ordering
-//! recipe) and idle lanes park futex-style against a versioned
-//! work-epoch counter. `RunState`'s docs walk the full producer/consumer
-//! handshake and why a lost wakeup is impossible; both protocols are
-//! exhaustively explored as `korch_verify` models (`chase-lev-deque`,
-//! `park-unpark-epoch`). Single-lane and single-kernel plans skip all of
-//! it and run in plan order on the calling thread.
+//! No thread is started per `execute`. **The caller is a lane**: it works
+//! the run itself and can finish all of it alone. The other lanes are
+//! long-lived *helper* threads of one process-wide pool, grown at
+//! executor construction to the largest `lanes − 1` any executor asked
+//! for and shared by every executor, shard and request in the process.
+//! Helpers are called **for a surplus only**: the simulated schedule's
+//! lane placement seeds one ready deque per lane (locality preserved),
+//! the caller offers the pool one lane per root kernel beyond the one it
+//! pops first, and from then on whichever lane retires a kernel pushes
+//! the dependents that became ready onto its own deque, pops one of them
+//! itself, and wakes a parked lane — or, while the run has lanes it has
+//! not offered yet, calls a helper — for each *further* one. A
+//! chain-shaped plan (most of a transformer block) therefore runs start
+//! to finish on the calling thread: no wake, no lost steal race, no
+//! re-park per kernel.
+//!
+//! Execution order is derived from the kernel dependency DAG alone — a
+//! kernel becomes ready the moment its last dependency retires (atomic
+//! dependency counters), and a lane whose own deque is empty *steals*
+//! ready tasks from other lanes instead of blocking behind a lane
+//! predecessor. No scheduler interaction takes a lock: ready tasks live
+//! in per-lane Chase–Lev deques (`deque::WorkStealDeque` documents the
+//! memory-ordering recipe) and idle lanes park futex-style against a
+//! versioned work-epoch counter. `RunState`'s docs walk the full
+//! producer/consumer handshake and why a lost wakeup is impossible.
+//!
+//! **The hand-off.** An offer carries `Arc`s to the executor's internals
+//! and to the run's state — helpers are `'static` threads, nothing is
+//! borrowed through a scope. A helper claims an offer and attaches to the
+//! run in one critical section of the pool's lock, works its lane until
+//! the run is over, and detaches. When the run is over the caller
+//! withdraws the offers nobody claimed (same lock), waits for the
+//! helpers that *did* attach — never for one that has not — and only
+//! then reads the outputs and settles. The settled `RunState` (slot
+//! locks, deques, dependency counters, `OnceLock`s) goes on the
+//! executor's free list and the next `execute` re-arms it instead of
+//! rebuilding it; re-arming takes `Arc::get_mut`, so a state some lane
+//! still holds is never the one reused.
+//!
+//! All three protocols are exhaustively explored as `korch_verify`
+//! models: `chase-lev-deque`, `park-unpark-epoch` (with the surplus-only
+//! wakes) and `run-handoff`. Single-lane and untilable single-kernel
+//! plans skip all of it and run in plan order on the calling thread.
+//!
+//! A kernel body that panics is caught where it ran
+//! ([`korch_exec::ExecError::KernelPanicked`]): the run fails and settles
+//! like any failed run, and the lane — caller or helper — lives on.
 //!
 //! # Intra-kernel data parallelism
 //!
@@ -88,19 +121,22 @@
 //!
 //! Every buffer a run materializes is accounted in the [`BufferArena`]:
 //! a slot's storage returns to the pool when its last reader retires,
-//! pinned slots (inputs, outputs) when the run settles, on success and
-//! on every failure path alike. Workers log kernel/tile intervals
-//! lane-locally against one clock origin per run; after the workers
-//! joined the run folds them into the [`RuntimeProfile`] and, when a
-//! telemetry hub is configured, rebases them onto its shared origin.
+//! pinned input copies when the run settles, on success and on every
+//! failure path alike; output tensors are *moved* out to the caller (the
+//! run holds the only handle once the lanes are done), so their bytes
+//! leave the books and their storage the pool. Lanes log kernel/tile
+//! intervals lane-locally against one clock origin per run; once every
+//! lane has detached the run folds them into the [`RuntimeProfile`] and,
+//! when a telemetry hub is configured, rebases them onto its shared
+//! origin.
 
 mod body;
 mod compile;
 mod emit;
+mod pool;
 mod sched;
 
 use crate::arena::{BufferArena, MemoryReport};
-use crate::deque::WorkStealDeque;
 use crate::profiler::RuntimeProfile;
 use body::KernelBody;
 use emit::{ExecTelemetry, RunCtx};
@@ -109,11 +145,9 @@ use korch_exec::ExecError;
 use korch_ir::{NodeId, PortRef, PrimGraph};
 use korch_orch::{Plan, StreamContention, StreamSchedule};
 use korch_tensor::Tensor;
-use sched::{RunState, Task};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use sched::RunState;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Locks `m`, recovering the inner value if a panicking worker poisoned
 /// it. Every mutex the executor shares across lanes guards data that is
@@ -254,6 +288,14 @@ pub struct TileLayout {
 
 /// A compiled, repeatedly executable parallel plan.
 pub struct PlanExecutor {
+    /// Shared with the pooled helper lanes of a run in flight, which
+    /// outlive no borrow: everything a lane needs sits behind this `Arc`.
+    core: Arc<Core>,
+}
+
+/// Everything [`PlanExecutor::new`] compiled, plus the executor's arena,
+/// profile and recycled run states.
+struct Core {
     graph: PrimGraph,
     /// The source plan, kept so the executor can [`PlanExecutor::replicate`]
     /// itself into an independent shard without the caller re-threading it.
@@ -301,11 +343,25 @@ pub struct PlanExecutor {
     kernel_classes: Vec<(KernelClass, f64)>,
     /// The split threshold actually in force (explicit or plan-derived).
     split_threshold_us: f64,
-    /// Dependency-free kernels — the run's initial ready set. When this
-    /// already covers the lanes, tiling will defer to inter-kernel
-    /// parallelism anyway, so `execute` spawns only the schedule-occupied
-    /// workers instead of one per lane.
+    /// Dependency-free kernels — the run's initial ready set.
     n_roots: usize,
+    /// The lanes a run can occupy, the caller's first. A lane's deque
+    /// only ever holds its homed kernels, so lanes the schedule left
+    /// empty need no worker — unless a kernel may tile and the initial
+    /// ready set cannot seed every lane: tiles spread over *every* lane's
+    /// deque, so then all lanes count (a single huge kernel is exactly
+    /// the case tiling exists for). Lanes seeded with a root kernel come
+    /// first, so the caller's first pop is local.
+    worker_lanes: Vec<usize>,
+    /// Lanes a run is scheduled over: `worker_lanes.len()`, or 1 — plan
+    /// order on the calling thread, no deques — for single-lane and
+    /// untilable single-kernel plans.
+    workers: usize,
+    /// Settled run states awaiting reuse ([`Core::feed`]).
+    free_runs: Mutex<Vec<Arc<RunState>>>,
+    /// Test seam: the kernel whose body panics (`usize::MAX` = none).
+    #[cfg(test)]
+    panic_at: std::sync::atomic::AtomicUsize,
 }
 
 impl PlanExecutor {
@@ -320,22 +376,22 @@ impl PlanExecutor {
     /// happen for a plan this executor was built from, barring resource
     /// exhaustion).
     pub fn replicate(&self) -> Result<Self, ExecError> {
-        Self::new(&self.graph, &self.plan, self.config.clone())
+        Self::new(&self.core.graph, &self.core.plan, self.core.config.clone())
     }
 
     /// The simulated schedule backing the lane seeds.
     pub fn schedule(&self) -> &StreamSchedule {
-        &self.schedule
+        &self.core.schedule
     }
 
     /// The primitive graph this executor was compiled over.
     pub fn graph(&self) -> &PrimGraph {
-        &self.graph
+        &self.core.graph
     }
 
     /// The plan this executor runs.
     pub fn plan(&self) -> &Plan {
-        &self.plan
+        &self.core.plan
     }
 
     /// The compiled dependency edges, indexed like `plan.kernels`:
@@ -345,7 +401,7 @@ impl PlanExecutor {
     /// static verifier cross-checks this against the independent
     /// derivation in `korch_orch::plan_dependencies`.
     pub fn kernel_dependencies(&self) -> Vec<Vec<usize>> {
-        self.kernels.iter().map(|k| k.deps.clone()).collect()
+        self.core.kernels.iter().map(|k| k.deps.clone()).collect()
     }
 
     /// The compiled tile decomposition of each kernel (`None` = the
@@ -353,19 +409,19 @@ impl PlanExecutor {
     /// write at run time, exposed so `korch-verify` can check the
     /// disjoint-slice contract on the artifact rather than re-deriving it.
     pub fn tile_layouts(&self) -> Vec<Option<TileLayout>> {
-        self.tile_specs.clone()
+        self.core.tile_specs.clone()
     }
 
     /// Number of worker lanes.
     pub fn lane_count(&self) -> usize {
-        self.lanes.len()
+        self.core.lanes.len()
     }
 
     /// The intra-kernel split threshold in force, in the plan's pricing
     /// units (explicit [`RuntimeConfig::split_threshold_us`], or the
     /// plan-derived default `total_latency / lanes`).
     pub fn split_threshold_us(&self) -> f64 {
-        self.split_threshold_us
+        self.core.split_threshold_us
     }
 
     /// Number of kernels eligible for tile decomposition (cost estimate
@@ -373,33 +429,33 @@ impl PlanExecutor {
     /// eligible kernel actually splits in a given run depends on sibling
     /// lanes being idle when it turns ready.
     pub fn tileable_kernels(&self) -> usize {
-        self.tile_specs.iter().filter(|t| t.is_some()).count()
+        self.core.tile_specs.iter().filter(|t| t.is_some()).count()
     }
 
     /// Static lifetime-analysis report for the compiled plan.
     pub fn memory_report(&self) -> &MemoryReport {
-        &self.memory_report
+        &self.core.memory_report
     }
 
     /// Live arena counters (peak-resident bytes, reuse hits).
     pub fn arena_stats(&self) -> crate::arena::ArenaStats {
-        self.arena.stats()
+        self.core.arena.stats()
     }
 
     /// Snapshot of the accumulated wall-time profile.
     pub fn profile(&self) -> RuntimeProfile {
-        lock_recover(&self.profile).clone()
+        lock_recover(&self.core.profile).clone()
     }
 
     /// Clears the accumulated profile.
     pub fn reset_profile(&self) {
-        let mut p = lock_recover(&self.profile);
-        *p = RuntimeProfile::new(self.kernels.len());
+        let mut p = lock_recover(&self.core.profile);
+        *p = RuntimeProfile::new(self.core.kernels.len());
     }
 
     /// Validates `inputs` against the graph's input arity and shapes
     /// without running anything — the check [`PlanExecutor::execute`]
-    /// performs before building its run state, exposed so routing layers
+    /// performs before arming its run state, exposed so routing layers
     /// (`crate::ShardedExecutor`) can reject malformed *client* requests
     /// up front instead of burning a failure on every shard they retry.
     ///
@@ -407,6 +463,33 @@ impl PlanExecutor {
     ///
     /// Returns [`ExecError::Input`] on arity or shape mismatches.
     pub fn validate_inputs(&self, inputs: &[Tensor]) -> Result<(), ExecError> {
+        self.core.validate_inputs(inputs)
+    }
+
+    /// Executes the plan on `inputs`, overlapping independent kernels
+    /// across lanes. Produces exactly `execute_plan`'s outputs, bit for
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] on input mismatches or kernel failures; a
+    /// kernel body that panics is contained as
+    /// [`ExecError::KernelPanicked`] and the run settles like any other
+    /// failed run.
+    pub fn execute(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+        self.core.execute(inputs)
+    }
+
+    /// Test seam: makes kernel `k`'s body panic from now on
+    /// (`usize::MAX` heals it).
+    #[cfg(test)]
+    pub(crate) fn panic_at_kernel(&self, k: usize) {
+        self.core.panic_at.store(k, Ordering::Relaxed);
+    }
+}
+
+impl Core {
+    fn validate_inputs(&self, inputs: &[Tensor]) -> Result<(), ExecError> {
         if inputs.len() != self.input_slots.len() {
             return Err(ExecError::Input(format!(
                 "graph has {} inputs but {} tensors were fed",
@@ -425,53 +508,20 @@ impl PlanExecutor {
         Ok(())
     }
 
-    /// Executes the plan on `inputs`, overlapping independent kernels
-    /// across lanes. Produces exactly `execute_plan`'s outputs, bit for
-    /// bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] on input mismatches or kernel failures.
-    pub fn execute(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-        let mut run = RunCtx::new(self.telemetry.as_ref());
-        let mut state = self.feed(inputs)?;
-        // A lane's deque only ever holds its homed kernels, so lanes the
-        // schedule left empty never need a worker; chain-shaped plans run
-        // inline on the calling thread. Tile-eligible kernels change the
-        // calculus: their tiles are spread across *every* lane's deque at
-        // decomposition time, so all lanes get a worker even if the
-        // schedule seeded them empty (a single huge kernel is exactly the
-        // case tiling exists for).
-        let may_tile = self.tile_specs.iter().any(Option::is_some);
-        // Widen to one worker per lane only when the initial ready set
-        // cannot seed them all — with enough root kernels, the split
-        // heuristic defers to inter-kernel parallelism and the extra
-        // workers would only spawn and park.
-        let every_lane = may_tile && self.n_roots < self.lanes.len();
-        let workers: Vec<usize> = (0..self.lanes.len())
-            .filter(|&l| every_lane || !self.lanes[l].is_empty())
-            .collect();
-        state.workers = workers.len();
-        if workers.len() <= 1 || (self.kernels.len() <= 1 && !may_tile) {
-            state.workers = 1;
-            self.run_sequential(workers.first().copied().unwrap_or(0), &state, &run);
+    fn execute(self: &Arc<Self>, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+        let state = self.feed(inputs)?;
+        if self.workers <= 1 {
+            self.run_sequential(self.worker_lanes.first().copied().unwrap_or(0), &state);
         } else {
-            std::thread::scope(|scope| {
-                let state = &state;
-                let run = &run;
-                for &w in &workers {
-                    scope.spawn(move || self.run_worker(w, state, run));
-                }
-            });
+            self.run_lanes(&state);
         }
-        // All workers have merged their lane logs; fold the run into the
-        // shared profile under one lock hold.
-        let log = std::mem::take(&mut run.log)
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+        // Every lane has detached and merged its log; fold the run into
+        // the shared profile under one lock hold.
+        let run = &state.ctx;
+        let log = std::mem::take(&mut *lock_recover(&run.log));
         let failed = state.failed.load(Ordering::Acquire);
         if let Some(et) = &self.telemetry {
-            et.emit_run(&run, &log, &self.kernel_classes);
+            et.emit_run(run, &log, &self.kernel_classes);
         }
         if self.config.profile || log.steals > 0 || log.parks > 0 {
             let mut profile = lock_recover(&self.profile);
@@ -491,28 +541,52 @@ impl PlanExecutor {
             let e = lock_recover(&state.error).take();
             Err(e.unwrap_or_else(|| ExecError::Input("executor failed".into())))
         } else {
-            self.output_slots
-                .iter()
-                .map(|(port, s)| {
-                    let value = read_recover(&state.values[*s]);
-                    value.as_deref().cloned().ok_or(not_materialized(port))
-                })
+            (0..self.output_slots.len())
+                .map(|o| self.take_output(o, &state))
                 .collect()
         };
         self.settle(&state);
         if let Some(et) = &self.telemetry {
             et.emit_arena(&self.arena.stats());
         }
+        lock_recover(&self.free_runs).push(state);
         result
     }
 
+    /// Hands graph output `o` to the caller. The lanes are done, so the
+    /// slot holds the only handle and the tensor is *moved* out — its
+    /// bytes leave the arena's books, its storage leaves the pool. Only a
+    /// handle that is genuinely shared is cloned: an output that is also
+    /// a constant, or a port the graph lists as an output twice (every
+    /// listing but the last).
+    fn take_output(&self, o: usize, state: &RunState) -> Result<Tensor, ExecError> {
+        let (port, s) = self.output_slots[o];
+        let listed_again = self.output_slots[o + 1..]
+            .iter()
+            .any(|&(_, later)| later == s);
+        let mut value = write_recover(&state.values[s]);
+        let arc = value.take().ok_or(not_materialized(&port))?;
+        if listed_again {
+            return Ok(value.insert(arc).as_ref().clone());
+        }
+        match Arc::try_unwrap(arc) {
+            Ok(t) => {
+                if !self.const_slot[s] {
+                    self.arena.release_untracked(self.slot_numel[s]);
+                }
+                Ok(t)
+            }
+            Err(shared) => Ok(value.insert(shared).as_ref().clone()),
+        }
+    }
+
     /// Releases every arena-tracked buffer still held by the run state
-    /// (pinned inputs/outputs after a completed run, or whatever a failed
-    /// run left behind), recycling the storage where possible. Constants
-    /// are shared across runs and skipped. Tile chunks a failed run
-    /// stranded mid-decomposition (computed but never assembled) are
-    /// drained too — workers have joined by the time this runs, so every
-    /// in-flight chunk store has landed.
+    /// (pinned inputs, outputs the caller did not take, or whatever a
+    /// failed run left behind), recycling the storage where possible.
+    /// Constants are shared across runs and only dropped. Tile chunks a
+    /// failed run stranded mid-decomposition (computed but never
+    /// assembled) are drained too — every lane has detached by the time
+    /// this runs, so every in-flight chunk store has landed.
     fn settle(&self, state: &RunState) {
         // Tile state first: a failed run's input snapshots still hold
         // `Arc`s into the slots, and dropping them lets the slot sweep
@@ -528,11 +602,10 @@ impl PlanExecutor {
             }
         }
         for (s, value) in state.values.iter().enumerate() {
-            if self.const_slot[s] {
-                continue;
-            }
             if let Some(arc) = write_recover(value).take() {
-                self.reclaim(s, arc);
+                if !self.const_slot[s] {
+                    self.reclaim(s, arc);
+                }
             }
         }
     }
@@ -546,70 +619,27 @@ impl PlanExecutor {
         }
     }
 
-    /// Validates inputs and builds the run state with sources filled and
-    /// the per-lane ready deques seeded from the schedule.
-    fn feed(&self, inputs: &[Tensor]) -> Result<RunState, ExecError> {
+    /// Validates inputs and arms a run state — a settled one from the
+    /// free list when no lane of its last run still holds it, else a
+    /// fresh one — with the counters reset, the sources filled and, for
+    /// a multi-lane run, the per-lane ready deques seeded from the
+    /// schedule.
+    fn feed(&self, inputs: &[Tensor]) -> Result<Arc<RunState>, ExecError> {
         self.validate_inputs(inputs)?;
-        // Any single deque can receive every task of the run (a worker
-        // pushes all the work *it* makes ready onto its own deque), so
-        // each is sized to the total: kernels plus every possible tile.
-        // Bottom indices never wrap, which is what rules out ABA.
-        let tiles: usize = self
-            .tile_specs
-            .iter()
-            .flatten()
-            .map(|s| s.tiles.len())
-            .sum();
-        let capacity = self.kernels.len() + tiles;
-        let state = RunState {
-            values: (0..self.slot_numel.len())
-                .map(|_| RwLock::new(None))
-                .collect(),
-            remaining_deps: self
-                .kernels
-                .iter()
-                .map(|k| AtomicUsize::new(k.deps.len()))
-                .collect(),
-            remaining_readers: self
-                .slot_readers
-                .iter()
-                .map(|&n| AtomicUsize::new(n))
-                .collect(),
-            ready: (0..self.lanes.len())
-                .map(|_| WorkStealDeque::new(capacity))
-                .collect(),
-            ready_count: AtomicUsize::new(0),
-            workers: 1,
-            tiles: (0..self.kernels.len()).map(|_| OnceLock::new()).collect(),
-            n_finished: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
-            parked: (0..self.lanes.len())
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-            lane_threads: (0..self.lanes.len()).map(|_| OnceLock::new()).collect(),
-            failed: AtomicBool::new(false),
-            error: Mutex::new(None),
-        };
-        // Seed each lane with its dependency-free kernels. Workers pop
-        // LIFO from their own bottom, so seeding in *reverse* schedule
-        // start order makes each lane work through its simulated
-        // placement in order before stealing. Pre-spawn and
-        // single-threaded, so the owner-only push contract holds.
-        let mut seeded = 0usize;
-        for (l, lane) in self.lanes.iter().enumerate() {
-            for &k in lane.iter().rev() {
-                if self.kernels[k].deps.is_empty() {
-                    state.ready[l].push(Task::Kernel(k).encode());
-                    seeded += 1;
-                }
-            }
-        }
-        state.ready_count.store(seeded, Ordering::Release);
+        // A helper lane that has detached from a state's last run but not
+        // yet let go of its handle keeps that state; nothing else holds
+        // one, so a count of one is a sole handle for good.
+        let mut state = lock_recover(&self.free_runs)
+            .pop()
+            .filter(|recycled| Arc::strong_count(recycled) == 1)
+            .unwrap_or_else(|| Arc::new(RunState::new(self)));
+        let armed = Arc::get_mut(&mut state).expect("sole handle: fresh, or just checked");
+        armed.rearm(self, RunCtx::new(self.telemetry.as_ref()));
         for ((s, _), t) in self.input_slots.iter().zip(inputs) {
-            *write_recover(&state.values[*s]) = Some(Arc::new(self.stage_copy(t)));
+            *armed.slot_mut(*s) = Some(Arc::new(self.stage_copy(t)));
         }
         for (s, t) in &self.const_slots {
-            *write_recover(&state.values[*s]) = Some(Arc::clone(t));
+            *armed.slot_mut(*s) = Some(Arc::clone(t));
         }
         Ok(state)
     }

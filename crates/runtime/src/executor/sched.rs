@@ -4,14 +4,16 @@
 
 use super::body::{KernelBody, Prepared};
 use super::emit::{LaneLog, RunCtx};
-use super::{lock_recover, not_materialized, read_recover, write_recover, PlanExecutor};
+use super::pool::{self, Offer};
+use super::{lock_recover, not_materialized, read_recover, write_recover, Core};
 use crate::deque::{Steal, WorkStealDeque};
 use crate::profiler::KernelInterval;
 use korch_exec::ExecError;
 use korch_tensor::Tensor;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Per-run completion state of one decomposed kernel: tiles park their
 /// finished chunks here and the last tile (atomic countdown) assembles
@@ -65,7 +67,9 @@ impl Task {
     }
 }
 
-/// Shared state of one `execute` call.
+/// Shared state of one `execute` call, reused across calls: `feed`
+/// re-arms a settled state from the executor's free list instead of
+/// rebuilding the slot locks, deques and counters per request.
 ///
 /// # The lock-free scheduler core
 ///
@@ -74,77 +78,246 @@ impl Task {
 /// (retired dependents, decomposition tiles) onto its **own** deque's
 /// bottom and pops LIFO from there; idle lanes steal FIFO from other
 /// lanes' tops. Single-owner pushes are what make the deque's lock-free
-/// recipe sound — the stream schedule's lane placement now only seeds
-/// the initial (pre-spawn) deques.
+/// recipe sound — the stream schedule's lane placement only seeds the
+/// initial deques, before any other lane is called.
 ///
 /// Idleness is futex-style parking against a versioned **work epoch**
-/// instead of a global condvar. Producer side, per made-ready batch:
-/// push the tasks, `fetch_add` [`RunState::epoch`] (SeqCst), then wake
-/// at most one parked lane per pushed task (CAS its [`RunState::parked`]
-/// flag true→false, `Thread::unpark`). Consumer side: read the epoch,
-/// sweep **all** deques (pop + steal until every one observes empty),
-/// publish the parked flag (SeqCst), then re-check the epoch and the
+/// instead of a global condvar, and wakes go out for the **surplus**
+/// only. Producer side, per made-ready batch: push the tasks; the pusher
+/// pops one of them itself on its next turn, so a batch of one — every
+/// link of a chain-shaped plan — touches neither the epoch nor another
+/// lane. With a surplus: `fetch_add` [`RunState::epoch`] (SeqCst), wake
+/// at most one parked lane per surplus task (CAS its [`RunState::parked`]
+/// flag true→false, `Thread::unpark`), and call a pooled helper for each
+/// surplus task no parked lane took ([`Core::call_helpers`]) while the
+/// run has lanes left to offer. Consumer side: read the epoch, sweep
+/// **all** deques (pop + steal until every one observes empty), publish
+/// the parked flag (SeqCst), then re-check the epoch and the
 /// failed/finished flags — only if nothing changed does the lane
-/// actually `thread::park()`. The SeqCst total order makes a lost
-/// wakeup impossible: either the consumer's re-check sees the bump (it
-/// retries, and having read the bumped epoch synchronizes-with the
-/// producer so the next sweep sees the push), or its parked-flag store
-/// precedes the bump — and therefore precedes the producer's wake scan,
-/// which then sees the flag. The protocol is the `park-unpark-epoch`
-/// model `korch_verify` explores exhaustively; the deque recipe is its
+/// actually `thread::park()`. The SeqCst total order makes a lost wakeup
+/// impossible: either the consumer's re-check sees the bump (it retries,
+/// and having read the bumped epoch synchronizes-with the producer so
+/// the next sweep sees the push), or its parked-flag store precedes the
+/// bump — and therefore precedes the producer's wake scan, which then
+/// sees the flag. The protocol is the `park-unpark-epoch` model
+/// `korch_verify` explores exhaustively; the deque recipe is its
 /// `chase-lev-deque` model.
 ///
 /// Termination and failure wake **everyone**: the worker whose
 /// retirement takes [`RunState::n_finished`] to the kernel count, and
-/// [`PlanExecutor::fail`], both sweep every parked flag — a lane parked
-/// mid-run unwinds promptly instead of waiting for a timeout.
+/// [`Core::fail`], both sweep every parked flag — a lane parked mid-run
+/// unwinds promptly instead of waiting for a timeout.
 pub(super) struct RunState {
     pub(super) values: Vec<RwLock<Option<Arc<Tensor>>>>,
     /// Unretired dependencies per kernel; the transition to zero pushes
     /// the kernel onto the retiring worker's own deque.
-    pub(super) remaining_deps: Vec<AtomicUsize>,
-    pub(super) remaining_readers: Vec<AtomicUsize>,
+    remaining_deps: Vec<AtomicUsize>,
+    remaining_readers: Vec<AtomicUsize>,
     /// Per-lane Chase–Lev deques of ready tasks, sized to the run's
     /// total task count so indices never wrap.
-    pub(super) ready: Vec<WorkStealDeque>,
+    ready: Vec<WorkStealDeque>,
     /// Tasks currently enqueued across all deques (the split heuristic's
     /// "would sibling lanes idle?" signal).
-    pub(super) ready_count: AtomicUsize,
-    /// Worker threads participating in this run (1 = sequential path).
-    pub(super) workers: usize,
+    ready_count: AtomicUsize,
     /// Per-kernel tile completion state, initialized by the worker that
     /// decomposes the kernel (before its tile tasks are enqueued).
     pub(super) tiles: Vec<OnceLock<TileRun>>,
     /// Retired kernels; reaching the kernel count ends the run.
-    pub(super) n_finished: AtomicUsize,
-    /// Work epoch: bumped (SeqCst) after every made-ready push batch.
-    /// A lane only parks if the epoch is unchanged across its
-    /// confirmed-empty sweep — the versioned handshake that closes the
-    /// push-vs-park race.
-    pub(super) epoch: AtomicU64,
+    n_finished: AtomicUsize,
+    /// Work epoch: bumped (SeqCst) after every made-ready push batch
+    /// with a surplus. A lane only parks if the epoch is unchanged across
+    /// its confirmed-empty sweep — the versioned handshake that closes
+    /// the push-vs-park race.
+    epoch: AtomicU64,
     /// Per-lane parked flags. Set (SeqCst) by the lane itself before
     /// its final epoch re-check; cleared by a waker's CAS (which then
     /// unparks the thread) or by the lane's own failed re-check.
-    pub(super) parked: Vec<AtomicBool>,
-    /// Each worker lane's thread handle, registered at worker start so
-    /// producers can `Thread::unpark` it.
-    pub(super) lane_threads: Vec<OnceLock<std::thread::Thread>>,
+    parked: Vec<AtomicBool>,
+    /// Each attached lane's thread handle, registered when the lane
+    /// starts working so producers can `Thread::unpark` it.
+    lane_threads: Vec<OnceLock<std::thread::Thread>>,
+    /// Helper lanes offered to the pool so far: entries `1..=called` of
+    /// `Core::worker_lanes`.
+    called: AtomicUsize,
+    /// Pooled helpers attached to this run. A helper attaches under the
+    /// pool lock, in the critical section that claims its offer, and the
+    /// caller withdraws unclaimed offers under the same lock — so once
+    /// the withdrawal is done this counts every lane that can still
+    /// touch the state, and the caller waits for it to reach zero.
+    attached: AtomicUsize,
     pub(super) failed: AtomicBool,
     pub(super) error: Mutex<Option<ExecError>>,
+    /// The run's clock origin, trace ids and merged lane logs.
+    pub(super) ctx: RunCtx,
 }
 
-impl PlanExecutor {
+impl RunState {
+    /// A state shaped for `core`'s plan; [`RunState::rearm`] makes it
+    /// runnable. Any single deque can receive every task of the run (a
+    /// worker pushes all the work *it* makes ready onto its own deque),
+    /// so each is sized to the total: kernels plus every possible tile.
+    /// Bottom indices never wrap, which is what rules out ABA. The
+    /// single-lane path walks the plan in order and gets no deque.
+    pub(super) fn new(core: &Core) -> Self {
+        let tiles: usize = core
+            .tile_specs
+            .iter()
+            .flatten()
+            .map(|s| s.tiles.len())
+            .sum();
+        let capacity = core.kernels.len() + tiles;
+        // What only a scheduled run touches — deques, parking, dependency
+        // counters, tile state — stays empty on the single-lane path.
+        let (lanes, kernels) = if core.workers > 1 {
+            (core.lanes.len(), core.kernels.len())
+        } else {
+            (0, 0)
+        };
+        let zeros = |n: usize| (0..n).map(|_| AtomicUsize::new(0)).collect();
+        Self {
+            values: (0..core.slot_numel.len())
+                .map(|_| RwLock::new(None))
+                .collect(),
+            remaining_deps: zeros(kernels),
+            remaining_readers: zeros(core.slot_readers.len()),
+            ready: (0..lanes).map(|_| WorkStealDeque::new(capacity)).collect(),
+            ready_count: AtomicUsize::new(0),
+            tiles: (0..kernels).map(|_| OnceLock::new()).collect(),
+            n_finished: AtomicUsize::new(0),
+            epoch: AtomicU64::new(0),
+            parked: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
+            lane_threads: (0..lanes).map(|_| OnceLock::new()).collect(),
+            called: AtomicUsize::new(0),
+            attached: AtomicUsize::new(0),
+            failed: AtomicBool::new(false),
+            error: Mutex::new(None),
+            ctx: RunCtx::new(None),
+        }
+    }
+
+    /// Resets every counter and flag for a new run under `ctx` and seeds
+    /// each lane's deque with its dependency-free kernels. Workers pop
+    /// LIFO from their own bottom, so seeding in *reverse* schedule start
+    /// order makes each lane work through its simulated placement in
+    /// order before stealing. `&mut self`: no lane of an earlier run
+    /// holds this state any more, so the owner-only push contract holds.
+    /// The value slots are already empty — `settle` took everything.
+    pub(super) fn rearm(&mut self, core: &Core, ctx: RunCtx) {
+        for (left, k) in self.remaining_deps.iter_mut().zip(&core.kernels) {
+            *left.get_mut() = k.deps.len();
+        }
+        for (left, &n) in self.remaining_readers.iter_mut().zip(&core.slot_readers) {
+            *left.get_mut() = n;
+        }
+        for tile_run in &mut self.tiles {
+            tile_run.take();
+        }
+        for (l, deque) in self.ready.iter_mut().enumerate() {
+            deque.reset();
+            for &k in core.lanes[l].iter().rev() {
+                if core.kernels[k].deps.is_empty() {
+                    deque.push(Task::Kernel(k).encode());
+                }
+            }
+            *self.parked[l].get_mut() = false;
+            self.lane_threads[l].take();
+        }
+        *self.ready_count.get_mut() = if self.ready.is_empty() {
+            0
+        } else {
+            core.n_roots
+        };
+        *self.n_finished.get_mut() = 0;
+        *self.epoch.get_mut() = 0;
+        *self.called.get_mut() = 0;
+        *self.attached.get_mut() = 0;
+        *self.failed.get_mut() = false;
+        *self.error.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        self.ctx = ctx;
+    }
+
+    /// Value slot `s`, for filling the sources while the state is being
+    /// armed.
+    pub(super) fn slot_mut(&mut self, s: usize) -> &mut Option<Arc<Tensor>> {
+        self.values[s]
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A pooled helper joins the run (under the pool lock, see
+    /// [`RunState::attached`]).
+    pub(super) fn attach(&self) {
+        self.attached.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+impl Core {
     /// In-thread execution for single-lane or single-kernel plans: kernel
     /// indices ascend in dependency order (every dependency points at a
     /// lower index), so plan order is a valid schedule.
-    pub(super) fn run_sequential(&self, lane: usize, state: &RunState, run: &RunCtx) {
+    pub(super) fn run_sequential(self: &Arc<Self>, lane: usize, state: &Arc<RunState>) {
         let mut log = LaneLog::default();
         for k in 0..self.kernels.len() {
-            if !self.run_task(Task::Kernel(k), lane, state, run, &mut log) {
+            if !self.run_task(Task::Kernel(k), lane, state, &mut log) {
                 break;
             }
         }
-        run.merge(log);
+        state.ctx.merge(log);
+    }
+
+    /// A multi-lane run, from the calling thread: the caller works as the
+    /// first lane and can finish the whole run alone. The other lanes are
+    /// long-lived helper threads of the process-wide pool (`pool.rs`),
+    /// called one per surplus task — here for the root kernels beyond the
+    /// caller's own first pop, later by whichever lane makes a surplus
+    /// ready — so no thread is started per run and a chain-shaped plan
+    /// never leaves the caller. The hand-off back is `korch_verify`'s
+    /// `run-handoff` model: once the run is over the caller withdraws the
+    /// offers no helper claimed, then waits for the helpers that attached
+    /// — never for one that has not — to detach.
+    pub(super) fn run_lanes(self: &Arc<Self>, state: &Arc<RunState>) {
+        self.call_helpers(self.n_roots.saturating_sub(1), state);
+        self.run_worker(self.worker_lanes[0], state);
+        if state.called.load(Ordering::Relaxed) > 0 {
+            pool::withdraw(state);
+            while state.attached.load(Ordering::SeqCst) != 0 {
+                // The last helper to detach unparks this lane's thread.
+                std::thread::park();
+            }
+        }
+    }
+
+    /// Offers up to `n` more of the run's lanes to the helper pool.
+    fn call_helpers(self: &Arc<Self>, n: usize, state: &Arc<RunState>) {
+        for _ in 0..n {
+            // Relaxed: the counter hands out lane indices, nothing else.
+            // (Checked first so it stops climbing once every lane is out.)
+            if state.called.load(Ordering::Relaxed) + 1 >= self.worker_lanes.len() {
+                return;
+            }
+            let next = state.called.fetch_add(1, Ordering::Relaxed) + 1;
+            let Some(&lane) = self.worker_lanes.get(next) else {
+                return;
+            };
+            pool::offer(Offer {
+                core: Arc::clone(self),
+                state: Arc::clone(state),
+                lane,
+            });
+        }
+    }
+
+    /// A pooled helper's whole part in a run it has attached to: work as
+    /// lane `lane` until the run is over, then detach — the last helper
+    /// out wakes the caller, which may be parked waiting for exactly
+    /// that.
+    pub(super) fn run_helper(self: &Arc<Self>, lane: usize, state: &Arc<RunState>) {
+        self.run_worker(lane, state);
+        if state.attached.fetch_sub(1, Ordering::SeqCst) == 1 {
+            if let Some(caller) = state.lane_threads[self.worker_lanes[0]].get() {
+                caller.unpark();
+            }
+        }
     }
 
     /// Worker body: drain the own lane's deque (LIFO), steal when it
@@ -153,7 +326,7 @@ impl PlanExecutor {
     /// tile-eligible is decomposed in place — its tiles go onto this
     /// worker's own deque, where idle lanes steal them — when sibling
     /// lanes would otherwise idle.
-    pub(super) fn run_worker(&self, w: usize, state: &RunState, run: &RunCtx) {
+    fn run_worker(self: &Arc<Self>, w: usize, state: &Arc<RunState>) {
         // Register the handle producers will unpark.
         let _ = state.lane_threads[w].set(std::thread::current());
         let mut log = LaneLog::default();
@@ -163,13 +336,13 @@ impl PlanExecutor {
             }
             let ok = match task {
                 Task::Kernel(k) if self.should_split(k, state) => self.decompose(k, w, state),
-                task => self.run_task(task, w, state, run, &mut log),
+                task => self.run_task(task, w, state, &mut log),
             };
             if !ok {
                 break;
             }
         }
-        run.merge(log);
+        state.ctx.merge(log);
     }
 
     /// Splits kernel `k` iff it was classified tile-eligible and the
@@ -179,8 +352,8 @@ impl PlanExecutor {
     /// would only pay assembly overhead.
     fn should_split(&self, k: usize, state: &RunState) -> bool {
         self.tile_specs[k].is_some()
-            && state.workers > 1
-            && state.ready_count.load(Ordering::Acquire) + 1 < state.workers
+            && self.workers > 1
+            && state.ready_count.load(Ordering::Acquire) + 1 < self.workers
     }
 
     /// Decomposes kernel `k`: prepares its operands once, initializes its
@@ -190,7 +363,7 @@ impl PlanExecutor {
     /// tiles from the top). Tiles are pushed in reverse so the owner's
     /// LIFO pops run them in range order. Returns `false` (after flagging
     /// the run failed) if the operands cannot be prepared.
-    fn decompose(&self, k: usize, w: usize, state: &RunState) -> bool {
+    fn decompose(self: &Arc<Self>, k: usize, w: usize, state: &Arc<RunState>) -> bool {
         let spec = self.tile_specs[k].as_ref().expect("checked by caller");
         let prepared = match self.prepare(k, state) {
             Ok(p) => p,
@@ -216,25 +389,36 @@ impl PlanExecutor {
     /// of a decomposed one — timing its (start, end) interval against
     /// the run's shared clock origin when profiling (a tile's interval
     /// carries the parent kernel's index and its tile tag), and retires
-    /// the kernel once its output is published. On failure stores the
-    /// error, flags the run failed, and wakes every parked worker so all
-    /// lanes unwind (a no-op when running sequentially); returns `false`
-    /// so the caller stops.
+    /// the kernel once its output is published. A body that panics is
+    /// contained here and fails the run like a body that errs. On failure
+    /// stores the error, flags the run failed, and wakes every parked
+    /// worker so all lanes unwind (a no-op when running sequentially);
+    /// returns `false` so the caller stops.
     fn run_task(
-        &self,
+        self: &Arc<Self>,
         task: Task,
         lane: usize,
-        state: &RunState,
-        run: &RunCtx,
+        state: &Arc<RunState>,
         log: &mut LaneLog,
     ) -> bool {
+        let run = &state.ctx;
         let start = self
             .timing_enabled
             .then(|| run.origin.elapsed().as_secs_f64() * 1e6);
-        let (kernel, tile, published) = match task {
-            Task::Kernel(k) => (k, None, self.run_whole(k, state).map(|()| true)),
-            Task::Tile { kernel, tile } => (kernel, Some(tile), self.run_tile(kernel, tile, state)),
+        let (kernel, tile) = match task {
+            Task::Kernel(k) => (k, None),
+            Task::Tile { kernel, tile } => (kernel, Some(tile)),
         };
+        let published = catch_unwind(AssertUnwindSafe(|| match tile {
+            None => self.run_whole(kernel, state).map(|()| true),
+            Some(tile) => self.run_tile(kernel, tile, state),
+        }))
+        .unwrap_or_else(|payload| {
+            Err(ExecError::KernelPanicked {
+                kernel,
+                message: crate::panic_message(&*payload),
+            })
+        });
         match published {
             Ok(published) => {
                 if let Some(start_us) = start {
@@ -311,6 +495,11 @@ impl PlanExecutor {
     /// published tensor; a walk body stages each exported tensor into an
     /// arena buffer.
     fn run_whole(&self, k: usize, state: &RunState) -> Result<(), ExecError> {
+        #[cfg(test)]
+        assert!(
+            self.panic_at.load(Ordering::Relaxed) != k,
+            "injected panic in kernel {k}"
+        );
         let kernel = &self.kernels[k];
         let prepared = self.prepare(k, state)?;
         if let KernelBody::Walk { steps, exports } = &kernel.body {
@@ -414,7 +603,8 @@ impl PlanExecutor {
             // Cleared by the waker's CAS; clear again in case the park
             // returned spuriously with the flag still up (benign: a
             // waker that raced the clear banked an unpark token, which
-            // only costs one extra loop).
+            // only costs one extra loop — as does a token a long-lived
+            // thread carries over from an earlier run).
             state.parked[w].store(false, Ordering::SeqCst);
         }
     }
@@ -446,27 +636,32 @@ impl PlanExecutor {
         None
     }
 
-    /// Makes `count` freshly pushed tasks visible to parked lanes:
-    /// bump the work epoch (SeqCst — the other half of the Dekker
-    /// handshake in [`PlanExecutor::next_task`]), then wake at most one
-    /// parked lane per task.
-    fn announce(&self, count: usize, state: &RunState) {
-        if count == 0 || state.workers <= 1 {
+    /// Makes a batch of `pushed` freshly pushed tasks visible to the
+    /// other lanes. The pushing worker pops one of them itself on its
+    /// next turn, so only the **surplus** needs another lane: bump the
+    /// work epoch (SeqCst — the other half of the Dekker handshake in
+    /// [`Core::next_task`]), wake at most one parked lane per surplus
+    /// task, and call a pooled helper for each one left over while the
+    /// run has lanes to offer. A batch of one does none of it.
+    fn announce(self: &Arc<Self>, pushed: usize, state: &Arc<RunState>) {
+        let surplus = pushed.saturating_sub(1);
+        if surplus == 0 || self.workers <= 1 {
             return;
         }
         state.epoch.fetch_add(1, Ordering::SeqCst);
-        self.wake_lanes(count, state);
+        let woken = self.wake_lanes(surplus, state);
+        self.call_helpers(surplus - woken, state);
     }
 
-    /// Wakes up to `budget` parked lanes: CAS each raised flag down and
-    /// unpark the lane's thread. A flag claimed here is matched by
-    /// exactly one unpark — a lane never loses a wakeup to a racing
-    /// waker.
-    fn wake_lanes(&self, budget: usize, state: &RunState) {
-        let mut left = budget;
+    /// Wakes up to `budget` parked lanes, returning how many: CAS each
+    /// raised flag down and unpark the lane's thread. A flag claimed
+    /// here is matched by exactly one unpark — a lane never loses a
+    /// wakeup to a racing waker.
+    fn wake_lanes(&self, budget: usize, state: &RunState) -> usize {
+        let mut woken = 0;
         for (flag, thread) in state.parked.iter().zip(&state.lane_threads) {
-            if left == 0 {
-                return;
+            if woken == budget {
+                break;
             }
             if flag
                 .compare_exchange(true, false, Ordering::SeqCst, Ordering::SeqCst)
@@ -475,16 +670,17 @@ impl PlanExecutor {
                 if let Some(th) = thread.get() {
                     th.unpark();
                 }
-                left -= 1;
+                woken += 1;
             }
         }
+        woken
     }
 
     /// Marks `k` retired: reclaims dead buffers, pushes newly ready
     /// dependents onto worker `w`'s own deque (idle lanes steal them),
-    /// and wakes parked lanes — one per made-ready task, everyone when
-    /// this was the last kernel.
-    fn retire(&self, k: usize, w: usize, state: &RunState) {
+    /// and wakes lanes for the surplus — everyone when this was the last
+    /// kernel.
+    fn retire(self: &Arc<Self>, k: usize, w: usize, state: &Arc<RunState>) {
         // Last-reader reclamation: ports only this kernel still needed.
         for (_, s) in &self.kernels[k].reads {
             if state.remaining_readers[*s].fetch_sub(1, Ordering::AcqRel) == 1
@@ -496,17 +692,19 @@ impl PlanExecutor {
                 }
             }
         }
-        let mut made_ready = 0usize;
-        for &j in &self.dependents[k] {
-            if state.remaining_deps[j].fetch_sub(1, Ordering::AcqRel) == 1 {
-                state.ready[w].push(Task::Kernel(j).encode());
-                made_ready += 1;
+        if self.workers > 1 {
+            let mut made_ready = 0usize;
+            for &j in &self.dependents[k] {
+                if state.remaining_deps[j].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    state.ready[w].push(Task::Kernel(j).encode());
+                    made_ready += 1;
+                }
             }
+            if made_ready > 0 {
+                state.ready_count.fetch_add(made_ready, Ordering::AcqRel);
+            }
+            self.announce(made_ready, state);
         }
-        if made_ready > 0 {
-            state.ready_count.fetch_add(made_ready, Ordering::AcqRel);
-        }
-        self.announce(made_ready, state);
         if state.n_finished.fetch_add(1, Ordering::SeqCst) + 1 == self.kernels.len() {
             // Last kernel out: every parked lane must unwind.
             self.wake_lanes(usize::MAX, state);

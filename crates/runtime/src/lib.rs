@@ -7,10 +7,12 @@
 //!
 //! - [`PlanExecutor`] — runs a [`korch_orch::Plan`] bit-identically to
 //!   `korch_exec::execute_plan`, overlapping independent kernels across
-//!   stream lanes (work-stealing, lock-free) and splitting a long-pole
-//!   kernel into row-range tiles when sibling lanes would idle. The
-//!   module docs of `src/executor/mod.rs` are the one description of
-//!   how: kernel bodies, scheduler, tiling, memory
+//!   stream lanes (work-stealing, lock-free; the caller is a lane, the
+//!   others are long-lived helpers of one process-wide pool, called for
+//!   surplus work only) and splitting a long-pole kernel into row-range
+//!   tiles when sibling lanes would idle. The module docs of
+//!   `src/executor/mod.rs` are the one description of how: kernel
+//!   bodies, scheduler, hand-off, tiling, memory
 //!   ([`RuntimeProfile::steals`],
 //!   [`RuntimeProfile::tiled_kernels`] and [`RuntimeProfile::tile_tasks`]
 //!   count what a run did);
@@ -26,12 +28,15 @@
 //!   cross-lane interval overlap into [`korch_orch::StreamContention`]
 //!   sharing rates — same-kernel pairs excluded, so sibling tiles of a
 //!   decomposed kernel are never mistaken for cross-kernel overlap;
-//! - [`Server`] — a request queue with dynamic batching over any
-//!   [`Model`], with throughput / latency statistics. Started over a
-//!   [`SelfTune`] model it runs the whole loop hands-free;
+//! - [`Server`] — a work-conserving front-end over any [`Model`]: one
+//!   FIFO admission queue drained by a fixed set of long-lived request
+//!   workers (a request starts the moment one is free; a model that
+//!   panics costs its own request only), with throughput / latency
+//!   statistics. Started over a [`SelfTune`] model it runs the whole
+//!   loop hands-free;
 //! - [`ShardedExecutor`] / [`ShardRouter`] / [`ShardSet`] — one plan
-//!   replicated across N independent executors (own arena, own worker
-//!   pool) behind a least-loaded router with retry-on-sibling failover,
+//!   replicated across N independent executors (own arena, own profile)
+//!   behind a least-loaded router with retry-on-sibling failover,
 //!   so serving throughput is no longer capped by a single execution
 //!   context. Per-shard [`RuntimeProfile`]s merge
 //!   ([`RuntimeProfile::merge`]) into the one aggregate profile the
@@ -60,9 +65,10 @@
 //!    requests finish on the plan they started with.
 //!
 //! A [`Server`] started with [`Server::start_tuned`] drives the cycle
-//! automatically: a [`RecalibrationPolicy`] samples drift every N served
-//! requests and triggers step 2–4 on a background thread when the model
-//! error exceeds its threshold.
+//! automatically: the request worker whose completion crosses every N-th
+//! served request ([`RecalibrationPolicy`]) samples drift and triggers
+//! step 2–4 on a background thread when the model error exceeds its
+//! threshold.
 //!
 //! # Observability
 //!
@@ -71,7 +77,8 @@
 //! end-to-end request tracing through the whole stack. The trace event
 //! model follows the request's life: an `Admitted` instant at
 //! submission (carrying the queue depth), a `QueueWait` span from
-//! admission to batch pickup, a `Request` span around the model run, a
+//! admission to the moment a request worker picks it up, a `Request`
+//! span around the model run, a
 //! `Routed` instant per shard-claim attempt (chosen shard, in-flight
 //! snapshot, retry flag), `Quarantine` entry/exit instants at failure
 //! streaks, per-lane `Kernel`/`Tile` spans from the executor's measured
@@ -99,7 +106,7 @@
 //! `Telemetry::chrome_trace` exports the recorder snapshot as Chrome
 //! trace-event JSON (loadable in `chrome://tracing` / Perfetto), and
 //! [`ServerStats::metrics`] embeds the hub's metrics-registry snapshot
-//! (queue depth, batch occupancy, queue waits, steals, tile counters,
+//! (queue depth, requests in flight, queue waits, steals, tile counters,
 //! quarantines, retune outcomes).
 //!
 //! ```
@@ -149,6 +156,15 @@ pub use shard::{
 
 use korch_exec::ExecError;
 use korch_tensor::Tensor;
+
+/// The message of a caught panic payload (empty when it carried none).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
 
 impl Model for PlanExecutor {
     fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
@@ -240,6 +256,43 @@ mod tests {
             for (a, b) in reference.iter().zip(&out) {
                 assert_eq!(a.shape(), b.shape());
                 assert_eq!(a.as_slice(), b.as_slice(), "lanes={lanes} diverged bitwise");
+            }
+        }
+    }
+
+    /// A kernel body that panics fails its run with a typed error on
+    /// whichever lane — the caller's or a pooled helper's — it ran: the
+    /// run settles (`live_bytes` back at 0), no helper thread is lost to
+    /// the unwind, and the executor serves the next request bit for bit.
+    #[test]
+    fn a_panicking_kernel_fails_its_run_and_nothing_else() {
+        let g = wide_graph(4, 16, 32);
+        let plan = Orchestrator::new(Device::v100())
+            .orchestrate(&g)
+            .unwrap()
+            .plan;
+        let inputs = inputs_for(&g, 7);
+        let reference = execute_plan(&g, &plan, &inputs).unwrap();
+        for lanes in [1, 2, 4] {
+            let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+            for victim in [0, plan.kernel_count() - 1] {
+                exec.panic_at_kernel(victim);
+                for _ in 0..3 {
+                    match exec.execute(&inputs) {
+                        Err(ExecError::KernelPanicked { kernel, message }) => {
+                            assert_eq!(kernel, victim);
+                            assert!(message.contains("injected"), "{message}");
+                        }
+                        other => panic!("lanes={lanes}: expected a contained panic, got {other:?}"),
+                    }
+                    assert_eq!(exec.arena_stats().live_bytes, 0, "lanes={lanes}");
+                }
+                exec.panic_at_kernel(usize::MAX);
+                let out = exec.execute(&inputs).unwrap();
+                for (a, b) in reference.iter().zip(&out) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "lanes={lanes} after the panic");
+                }
+                assert_eq!(exec.arena_stats().live_bytes, 0);
             }
         }
     }

@@ -1,26 +1,43 @@
-//! Batched serving front-end: a request queue with dynamic batching over
-//! a compiled model.
+//! Serving front-end: an admission queue drained by a fixed set of
+//! long-lived request workers over a compiled model.
 //!
-//! Requests are submitted from any thread and enqueued; a batcher thread
-//! drains the queue into batches of up to `max_batch` requests, waiting at
-//! most `max_wait` for stragglers once the first request of a batch
-//! arrives. The batch then executes as one unit over the shared compiled
-//! model: all of its requests run **concurrently** (one thread each, on
-//! top of the executor's own lane parallelism), constants stay
-//! materialized, the executor's buffer arena stays warm, and per-kernel
-//! profiles accumulate across requests. Every response is delivered
-//! through its request's channel; throughput and latency percentiles are
+//! Requests are submitted from any thread into one FIFO queue. A fixed
+//! set of worker threads, started with the server and joined at shutdown,
+//! pops it directly — one request per pop, no timer anywhere: a request
+//! starts the moment a worker is free and waits only while every worker
+//! is busy (*work conservation*; `korch_verify`'s `admission-dispatch`
+//! model is the protocol). The worker count is the in-flight cap:
+//! [`BatchConfig::shards`] for a server started over a [`ShardControl`]
+//! model — one request per replica, never more threads on the arenas than
+//! there are shards — and [`BatchConfig::max_batch`] for a plain
+//! [`Model`]. Constants stay materialized, every executor's buffer arena
+//! stays warm, and per-kernel profiles accumulate across requests. Every
+//! response is delivered through its request's one-shot slot *before* the
+//! worker touches the statistics; throughput and latency percentiles are
 //! tracked over a sliding window.
 //!
+//! Nothing is stacked: each request runs the plan compiled for its own
+//! shape, so holding requests back to "batch" them bought only latency
+//! and the hold is gone. Real batching — requests stacked along the
+//! batch dimension into a plan compiled for batch N — is a different
+//! mechanism and comes back only when a traced run shows a queue deep
+//! enough to stack.
+//!
+//! **Fault containment.** A panic inside [`Model::run`] is caught on the
+//! worker: that request answers [`ServeError::Panicked`],
+//! [`ServerStats::errors`] ticks, and the worker serves the next request.
+//!
 //! A server started over a [`SelfTune`] model ([`Server::start_tuned`])
-//! additionally *tunes itself*: every [`RecalibrationPolicy::every_n_requests`]
-//! served requests the batcher samples the model's drift (prediction error
-//! of the cost model its current plans were priced with, against the
-//! profile measured since), and when drift exceeds the policy threshold it
-//! triggers a recalibration on a background thread. Serving never stalls —
-//! the model swaps its plans atomically, in-flight requests finish on the
-//! plan they started with — and [`ServerStats`] reports the recalibration
-//! count, the last sampled drift, and the fitted contention rates.
+//! additionally *tunes itself*: the worker whose completion takes the
+//! served-request count across a multiple of
+//! [`RecalibrationPolicy::every_n_requests`] samples the model's drift
+//! (prediction error of the cost model its current plans were priced
+//! with, against the profile measured since), and when drift exceeds the
+//! policy threshold it triggers a recalibration on a background thread.
+//! Serving never stalls — the model swaps its plans atomically, in-flight
+//! requests finish on the plan they started with — and [`ServerStats`]
+//! reports the recalibration count, the last sampled drift, and the
+//! fitted contention rates.
 //!
 //! A server started over a [`ShardControl`] model ([`Server::start_sharded`]
 //! / [`Server::start_tuned_sharded`]) is additionally *sharded*: at start
@@ -35,8 +52,9 @@ use crate::shard::{ShardControl, ShardStats};
 use korch_exec::ExecError;
 use korch_tensor::Tensor;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Anything the server can serve: a thread-safe "run inputs to outputs"
@@ -51,20 +69,27 @@ pub trait Model: Send + Sync + 'static {
     fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError>;
 }
 
-/// Dynamic-batching policy.
+/// Serving policy. The name and two of the fields date from the batching
+/// front-end this server replaced; `src/bin/e2e-bench` constructs the
+/// struct by field, so they stay until ROADMAP item 7 deletes them.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Maximum requests stacked into one batch.
+    /// In-flight cap of a server over a plain [`Model`]
+    /// ([`Server::start`] / [`Server::start_tuned`]): the number of
+    /// request workers, clamped to ≥ 1. A sharded server runs
+    /// [`BatchConfig::shards`] workers and ignores this.
     pub max_batch: usize,
-    /// How long to hold an open batch for more requests.
+    /// No longer consulted: no request is ever held back for another.
     pub max_wait: Duration,
     /// Drift-triggered auto-recalibration. Only consulted by servers
     /// started over a [`SelfTune`] model ([`Server::start_tuned`]);
     /// `None` disables the check entirely.
     pub recalibration: Option<RecalibrationPolicy>,
     /// Independent executor replicas to provision at server start
-    /// (clamped to ≥ 1; 1 = unsharded). Only consulted by servers started
-    /// over a [`ShardControl`] model ([`Server::start_sharded`] /
+    /// (clamped to ≥ 1; 1 = unsharded), and with them the number of
+    /// request workers: a request is dispatched the moment a shard is
+    /// free and queues only when none is. Only consulted by servers
+    /// started over a [`ShardControl`] model ([`Server::start_sharded`] /
     /// [`Server::start_tuned_sharded`]) — a plain [`Model`] carries no
     /// replication handle, so [`Server::start`] serves it as-is.
     pub shards: usize,
@@ -92,9 +117,9 @@ impl Default for BatchConfig {
 /// When a self-tuning server re-fits its model (see [`SelfTune`]).
 #[derive(Debug, Clone)]
 pub struct RecalibrationPolicy {
-    /// Sample drift after at least this many requests since the last
-    /// check (clamped to ≥ 1). Checking is cheap (a scan of the
-    /// accumulated profile) but not free, so it is amortized over batches.
+    /// Sample drift every this many served requests (clamped to ≥ 1).
+    /// Checking is cheap (a scan of the accumulated profile) but not
+    /// free, so it is amortized over requests.
     pub every_n_requests: u64,
     /// Recalibrate when the sampled drift ([`SelfTune::model_error`],
     /// mean relative prediction error) exceeds this.
@@ -152,6 +177,9 @@ pub trait SelfTune: Send + Sync {
 pub enum ServeError {
     /// The model failed on this request.
     Exec(ExecError),
+    /// The model panicked on this request (the payload's message). The
+    /// panic was contained: the worker that caught it keeps serving.
+    Panicked(String),
     /// The server shut down before the request ran.
     Shutdown,
 }
@@ -160,12 +188,51 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Exec(e) => write!(f, "execution: {e}"),
+            ServeError::Panicked(msg) => write!(f, "model panicked: {msg}"),
             ServeError::Shutdown => write!(f, "server shut down"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
+
+type Reply = Result<Vec<Tensor>, ServeError>;
+
+/// One-shot reply slot shared by a request and its [`ResponseHandle`]:
+/// one mutex, one condvar, no per-request channel.
+struct ReplySlot {
+    reply: Mutex<Option<Reply>>,
+    ready: Condvar,
+}
+
+/// The request's end of its [`ReplySlot`]. Dropping it unanswered — a
+/// request still queued at shutdown, one rejected at admission — answers
+/// [`ServeError::Shutdown`], so a handle resolves exactly once whichever
+/// way its request leaves the server.
+struct ReplySender {
+    slot: Arc<ReplySlot>,
+    sent: bool,
+}
+
+impl ReplySender {
+    fn send(mut self, reply: Reply) {
+        self.fill(reply);
+    }
+
+    fn fill(&mut self, reply: Reply) {
+        if std::mem::replace(&mut self.sent, true) {
+            return;
+        }
+        *self.slot.reply.lock().expect("reply slot poisoned") = Some(reply);
+        self.slot.ready.notify_one();
+    }
+}
+
+impl Drop for ReplySender {
+    fn drop(&mut self) {
+        self.fill(Err(ServeError::Shutdown));
+    }
+}
 
 struct Request {
     inputs: Vec<Tensor>,
@@ -174,17 +241,15 @@ struct Request {
     trace: korch_telemetry::TraceId,
     /// Admission time on the recorder's shared clock, µs (0.0 untraced).
     admitted_us: f64,
-    reply: mpsc::Sender<Result<Vec<Tensor>, ServeError>>,
+    reply: ReplySender,
 }
 
 /// Serving-side telemetry handle: the shared hub plus the serving
-/// metrics registered once at server start. Cheap to clone (all handles
-/// are `Arc`-backed).
-#[derive(Clone)]
+/// metrics registered once at server start.
 struct ServingTelemetry {
     shared: Arc<korch_telemetry::Telemetry>,
     queue_depth: korch_telemetry::Gauge,
-    batch_occupancy: korch_telemetry::Histogram,
+    in_flight: korch_telemetry::Gauge,
     queue_wait_us: korch_telemetry::Histogram,
     retunes_ok: korch_telemetry::Counter,
     retunes_failed: korch_telemetry::Counter,
@@ -196,7 +261,7 @@ impl ServingTelemetry {
         Self {
             shared: Arc::clone(shared),
             queue_depth: m.gauge("serving.queue_depth"),
-            batch_occupancy: m.histogram("serving.batch_occupancy"),
+            in_flight: m.gauge("serving.in_flight"),
             queue_wait_us: m.histogram("serving.queue_wait_us"),
             retunes_ok: m.counter("serving.retunes_ok"),
             retunes_failed: m.counter("serving.retunes_failed"),
@@ -206,7 +271,7 @@ impl ServingTelemetry {
 
 /// Pending response of a submitted request.
 pub struct ResponseHandle {
-    rx: mpsc::Receiver<Result<Vec<Tensor>, ServeError>>,
+    slot: Arc<ReplySlot>,
 }
 
 impl ResponseHandle {
@@ -216,17 +281,20 @@ impl ResponseHandle {
     ///
     /// Returns [`ServeError`] if the model failed or the server stopped.
     pub fn wait(self) -> Result<Vec<Tensor>, ServeError> {
-        self.rx.recv().unwrap_or(Err(ServeError::Shutdown))
+        let mut reply = self.slot.reply.lock().expect("reply slot poisoned");
+        loop {
+            if let Some(r) = reply.take() {
+                return r;
+            }
+            reply = self.slot.ready.wait(reply).expect("reply slot poisoned");
+        }
     }
 
     /// Non-blocking poll; `None` while the request is still in flight.
+    /// The response is handed over once: the poll that returns it empties
+    /// the slot.
     pub fn try_wait(&self) -> Option<Result<Vec<Tensor>, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(r) => Some(r),
-            Err(mpsc::TryRecvError::Empty) => None,
-            // Sender gone without a reply: the server shut down.
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Shutdown)),
-        }
+        self.slot.reply.lock().expect("reply slot poisoned").take()
     }
 }
 
@@ -238,8 +306,6 @@ const LATENCY_WINDOW: usize = 4096;
 struct StatsInner {
     requests: u64,
     errors: u64,
-    batches: u64,
-    batched_requests: u64,
     /// Ring buffer of the most recent end-to-end latencies, µs.
     latencies_us: Vec<f64>,
     latency_cursor: usize,
@@ -269,15 +335,21 @@ impl StatsInner {
 /// defined for a non-empty sample set (`ceil(p·0) = 0` would underflow
 /// the 1-based rank), so the empty case is special-cased rather than
 /// extrapolated.
+///
+/// A worker answers its request *before* it counts it, so a snapshot
+/// taken the instant a response arrives may not include that request
+/// yet; [`Server::shutdown`] joins the workers first and is exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
     /// Requests completed (including failures).
     pub requests: u64,
     /// Requests that returned an error.
     pub errors: u64,
-    /// Batches executed.
+    /// Dispatches — one per request, so equal to `requests`. Kept (with
+    /// `mean_batch`) because the frozen benchmark reads it.
     pub batches: u64,
-    /// Mean requests per batch.
+    /// Requests per dispatch: `1.0` once anything was served (`0.0`
+    /// before) — nothing is stacked.
     pub mean_batch: f64,
     /// Mean end-to-end latency over the sliding latency window (the most
     /// recent `LATENCY_WINDOW` requests), not over all requests ever
@@ -312,31 +384,52 @@ pub struct ServerStats {
     pub metrics: Option<korch_telemetry::MetricsSnapshot>,
 }
 
-struct Queue {
-    requests: Mutex<VecDeque<Request>>,
-    available: Condvar,
-    shutdown: AtomicBool,
+/// Everything the admission lock guards.
+#[derive(Default)]
+struct Admission {
+    requests: VecDeque<Request>,
+    /// Workers waiting for a request, most recently idled last: `submit`
+    /// wakes the top of the stack — the worker whose stack and caches
+    /// are warmest — not an arbitrary waiter.
+    idle: Vec<usize>,
+    /// Set by [`Server::stop`], under the lock like every read of it: a
+    /// worker checks it and enters its wait in one critical section, so
+    /// the store cannot land between the check and the wait, where the
+    /// notify would find no waiter and the join would block forever
+    /// (`korch_verify::models::ShutdownHandshake`).
+    shutdown: bool,
+}
+
+/// What the request workers, the submitting threads and a background
+/// retune share.
+struct Shared {
+    model: Arc<dyn Model>,
+    admission: Mutex<Admission>,
+    /// One condvar per worker, all over `admission`, so a wake goes to
+    /// exactly the worker popped off [`Admission::idle`].
+    wake: Vec<Condvar>,
+    stats: Mutex<StatsInner>,
+    tuning: Option<Tuning>,
+    telemetry: Option<ServingTelemetry>,
 }
 
 /// A serving front-end around a shared [`Model`].
 pub struct Server {
-    queue: Arc<Queue>,
-    stats: Arc<Mutex<StatsInner>>,
+    shared: Arc<Shared>,
     /// Shard facet of a sharded server; consulted by [`Server::stats`]
     /// for per-shard counters.
     shard: Option<Arc<dyn ShardControl>>,
-    /// Telemetry facet; `None` keeps submission telemetry-free.
-    telemetry: Option<ServingTelemetry>,
     started: Instant,
-    batcher: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts a server (and its batcher thread) over `model`. Any
-    /// [`BatchConfig::recalibration`] policy is ignored — a plain
-    /// [`Model`] cannot re-tune itself; use [`Server::start_tuned`].
-    /// Likewise [`BatchConfig::shards`] is ignored — a plain model
-    /// carries no replication handle; use [`Server::start_sharded`].
+    /// Starts a server over `model` with [`BatchConfig::max_batch`]
+    /// request workers. Any [`BatchConfig::recalibration`] policy is
+    /// ignored — a plain [`Model`] cannot re-tune itself; use
+    /// [`Server::start_tuned`]. Likewise [`BatchConfig::shards`] is
+    /// ignored — a plain model carries no replication handle; use
+    /// [`Server::start_sharded`].
     pub fn start(model: Arc<dyn Model>, config: BatchConfig) -> Self {
         Self::start_inner(model, None, None, config)
     }
@@ -345,17 +438,14 @@ impl Server {
     /// consulted for drift / recalibration per
     /// [`BatchConfig::recalibration`] (defaulted when `None` — passing a
     /// tunable model opts into tuning).
-    pub fn start_tuned<M: Model + SelfTune>(model: Arc<M>, mut config: BatchConfig) -> Self {
-        if config.recalibration.is_none() {
-            config.recalibration = Some(RecalibrationPolicy::default());
-        }
+    pub fn start_tuned<M: Model + SelfTune>(model: Arc<M>, config: BatchConfig) -> Self {
         let tuner: Arc<dyn SelfTune> = Arc::clone(&model) as Arc<dyn SelfTune>;
         Self::start_inner(model, Some(tuner), None, config)
     }
 
     /// Starts a sharded server: provisions [`BatchConfig::shards`]
     /// independent executor replicas of `model`'s current plan snapshot
-    /// before the batcher starts, then routes every request to the
+    /// and as many request workers, then routes every request to the
     /// least-loaded live shard with retry-on-sibling failover.
     ///
     /// # Errors
@@ -382,12 +472,9 @@ impl Server {
     /// Returns [`ExecError`] when a shard replica cannot be compiled.
     pub fn start_tuned_sharded<M: Model + SelfTune + ShardControl>(
         model: Arc<M>,
-        mut config: BatchConfig,
+        config: BatchConfig,
     ) -> Result<Self, ExecError> {
         model.set_shards(config.shards)?;
-        if config.recalibration.is_none() {
-            config.recalibration = Some(RecalibrationPolicy::default());
-        }
         let tuner: Arc<dyn SelfTune> = Arc::clone(&model) as Arc<dyn SelfTune>;
         let shard: Arc<dyn ShardControl> = Arc::clone(&model) as Arc<dyn ShardControl>;
         Ok(Self::start_inner(model, Some(tuner), Some(shard), config))
@@ -399,50 +486,62 @@ impl Server {
         shard: Option<Arc<dyn ShardControl>>,
         config: BatchConfig,
     ) -> Self {
-        let queue = Arc::new(Queue {
-            requests: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+        let cap = match &shard {
+            Some(_) => config.shards,
+            None => config.max_batch,
+        }
+        .max(1);
+        let shared = Arc::new(Shared {
+            model,
+            admission: Mutex::default(),
+            wake: (0..cap).map(|_| Condvar::new()).collect(),
+            stats: Mutex::default(),
+            tuning: tuner.map(|tuner| Tuning {
+                tuner,
+                policy: config.recalibration.unwrap_or_default(),
+                served: AtomicU64::new(0),
+                in_flight: Mutex::new(None),
+            }),
+            telemetry: config.telemetry.as_ref().map(ServingTelemetry::new),
         });
-        let stats = Arc::new(Mutex::new(StatsInner::default()));
-        let telemetry = config.telemetry.as_ref().map(ServingTelemetry::new);
-        let batcher = {
-            let queue = Arc::clone(&queue);
-            let stats = Arc::clone(&stats);
-            let telemetry = telemetry.clone();
-            std::thread::spawn(move || {
-                batcher_loop(&queue, &stats, &*model, tuner, &config, telemetry.as_ref());
+        let workers = (0..cap)
+            .map(|me| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || shared.work(me))
             })
-        };
+            .collect();
         Self {
-            queue,
-            stats,
+            shared,
             shard,
-            telemetry,
             started: Instant::now(),
-            batcher: Some(batcher),
+            workers,
         }
     }
 
-    /// Enqueues a request; the handle resolves when its batch executes.
+    /// Enqueues a request; the handle resolves when a worker has run it.
     pub fn submit(&self, inputs: Vec<Tensor>) -> ResponseHandle {
-        let (tx, rx) = mpsc::channel();
-        // The shutdown check happens under the queue lock: the batcher
-        // only exits after observing the flag with the (then empty) queue
-        // locked, so a request is either enqueued before that observation
-        // (and served or drained) or rejected here — never orphaned.
-        let mut q = self.queue.requests.lock().expect("queue poisoned");
-        if self.queue.shutdown.load(Ordering::Acquire) {
-            drop(q);
-            let _ = tx.send(Err(ServeError::Shutdown));
-            return ResponseHandle { rx };
+        let slot = Arc::new(ReplySlot {
+            reply: Mutex::new(None),
+            ready: Condvar::new(),
+        });
+        let handle = ResponseHandle {
+            slot: Arc::clone(&slot),
+        };
+        let reply = ReplySender { slot, sent: false };
+        // The shutdown check happens under the admission lock, like the
+        // store: a request is either enqueued before `stop` drains the
+        // queue (and served or drained) or rejected here — never
+        // orphaned. Rejecting is dropping `reply`.
+        let mut q = self.shared.lock_admission();
+        if q.shutdown {
+            return handle;
         }
-        let (trace, admitted_us) = match &self.telemetry {
+        let (trace, admitted_us) = match &self.shared.telemetry {
             Some(t) => {
                 let trace = t.shared.next_trace_id();
                 let rec = t.shared.recorder();
                 let admitted_us = rec.now_us();
-                let depth = q.len() + 1;
+                let depth = q.requests.len() + 1;
                 t.queue_depth.set(depth as i64);
                 if rec.is_enabled() {
                     rec.record(korch_telemetry::TraceEvent {
@@ -456,16 +555,22 @@ impl Server {
             }
             None => (0, 0.0),
         };
-        q.push_back(Request {
+        q.requests.push_back(Request {
             inputs,
             enqueued: Instant::now(),
             trace,
             admitted_us,
-            reply: tx,
+            reply,
         });
+        // An idle worker implies an empty queue (a worker idles only on
+        // an empty queue, and every push takes one off the stack), so
+        // one wake per push keeps the server work-conserving.
+        let idle = q.idle.pop();
         drop(q);
-        self.queue.available.notify_one();
-        ResponseHandle { rx }
+        if let Some(w) = idle {
+            self.shared.wake[w].notify_one();
+        }
+        handle
     }
 
     /// Convenience: submit and block for the response.
@@ -479,7 +584,7 @@ impl Server {
 
     /// Current statistics.
     pub fn stats(&self) -> ServerStats {
-        let inner = self.stats.lock().expect("stats poisoned");
+        let inner = self.shared.stats.lock().expect("stats poisoned");
         let mut sorted = inner.latencies_us.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         // Nearest-rank percentile: the smallest sample ≥ p of the window.
@@ -501,12 +606,8 @@ impl Server {
         ServerStats {
             requests: inner.requests,
             errors: inner.errors,
-            batches: inner.batches,
-            mean_batch: if inner.batches == 0 {
-                0.0
-            } else {
-                inner.batched_requests as f64 / inner.batches as f64
-            },
+            batches: inner.requests,
+            mean_batch: if inner.requests == 0 { 0.0 } else { 1.0 },
             mean_latency_us: if sorted.is_empty() {
                 0.0
             } else {
@@ -524,37 +625,40 @@ impl Server {
                 .map(|s| s.shard_stats())
                 .unwrap_or_default(),
             metrics: self
+                .shared
                 .telemetry
                 .as_ref()
                 .map(|t| t.shared.metrics().snapshot()),
         }
     }
 
-    /// Drains the queue, stops the batcher, and returns final statistics.
+    /// Answers everything still queued with [`ServeError::Shutdown`],
+    /// lets the workers finish the requests they hold, joins them and any
+    /// background recalibration, and returns final statistics.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop();
         self.stats()
     }
 
     fn stop(&mut self) {
-        // The flag is set under the queue lock: the batcher checks it and
-        // enters `available.wait` under that lock, so the store cannot
-        // land between its check and its wait, where the notify below
-        // would find no waiter and the join would block forever
-        // (`korch_verify::models::ShutdownHandshake`).
-        {
-            let _q = self.queue.requests.lock().expect("queue poisoned");
-            self.queue.shutdown.store(true, Ordering::Release);
+        let pending = {
+            let mut q = self.shared.lock_admission();
+            q.shutdown = true;
+            std::mem::take(&mut q.requests)
+        };
+        // Outside the lock: each drop answers `Shutdown`.
+        drop(pending);
+        for wake in &self.shared.wake {
+            wake.notify_all();
         }
-        self.queue.available.notify_all();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
-        // The batcher drains on its way out; this second sweep only
-        // defends against future exit paths forgetting to.
-        let mut q = self.queue.requests.lock().expect("queue poisoned");
-        while let Some(r) = q.pop_front() {
-            let _ = r.reply.send(Err(ServeError::Shutdown));
+        if let Some(tuning) = &self.shared.tuning {
+            let retune = tuning.in_flight.lock().expect("tuning poisoned").take();
+            if let Some(h) = retune {
+                let _ = h.join();
+            }
         }
     }
 }
@@ -565,285 +669,233 @@ impl Drop for Server {
     }
 }
 
-/// Drift-check state of a self-tuning server, owned by the batcher.
-/// Dropping it joins any in-flight background recalibration, so every
-/// batcher exit path waits the tune thread out.
-struct TuneState {
+/// Drift-check state of a self-tuning server.
+struct Tuning {
     tuner: Arc<dyn SelfTune>,
     policy: RecalibrationPolicy,
-    stats: Arc<Mutex<StatsInner>>,
-    since_check: u64,
-    in_flight: Option<std::thread::JoinHandle<()>>,
-    telemetry: Option<ServingTelemetry>,
+    /// Requests served so far, whatever their outcome.
+    served: AtomicU64,
+    /// The background recalibration, if one was started; its lock doubles
+    /// as "a drift check is running". [`Server::stop`] joins it.
+    in_flight: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
-impl TuneState {
-    /// Called after every executed batch with the number of requests it
-    /// served. Samples drift every `every_n_requests` requests and, when
-    /// it exceeds the threshold, kicks off [`SelfTune::retune`] on a
-    /// background thread — the batcher (and every in-flight request)
-    /// keeps running; at most one recalibration is in flight at a time.
-    fn after_batch(&mut self, served: u64) {
-        self.since_check += served;
-        if self.since_check < self.policy.every_n_requests.max(1) {
+impl Tuning {
+    /// Called by a worker after every request it answered. The completion
+    /// that takes [`Tuning::served`] across a multiple of
+    /// `every_n_requests` samples drift and, when it exceeds the
+    /// threshold, kicks off [`SelfTune::retune`] on a background thread —
+    /// the workers (and every in-flight request) keep running; at most
+    /// one check and one recalibration are in flight at a time, and a
+    /// worker that finds either busy skips its turn.
+    fn after_request(&self, shared: &Arc<Shared>) {
+        // Relaxed: the count publishes nothing but itself.
+        let served = self.served.fetch_add(1, Ordering::Relaxed) + 1;
+        if !served.is_multiple_of(self.policy.every_n_requests.max(1)) {
             return;
         }
-        self.since_check = 0;
-        if let Some(h) = &self.in_flight {
-            if !h.is_finished() {
-                return;
-            }
+        let Ok(mut in_flight) = self.in_flight.try_lock() else {
+            return;
+        };
+        if in_flight.as_ref().is_some_and(|h| !h.is_finished()) {
+            return;
         }
-        if let Some(h) = self.in_flight.take() {
+        if let Some(h) = in_flight.take() {
             let _ = h.join();
         }
         let Some(drift) = self.tuner.model_error() else {
             return;
         };
-        self.stats.lock().expect("stats poisoned").last_model_error = Some(drift);
+        shared
+            .stats
+            .lock()
+            .expect("stats poisoned")
+            .last_model_error = Some(drift);
         if drift <= self.policy.model_error_threshold {
             return;
         }
+        let shared = Arc::clone(shared);
         let tuner = Arc::clone(&self.tuner);
-        let stats = Arc::clone(&self.stats);
-        let telemetry = self.telemetry.clone();
-        self.in_flight = Some(std::thread::spawn(move || {
+        *in_flight = Some(std::thread::spawn(move || {
             // A failed retune (e.g. nothing profiled yet) leaves the live
             // model untouched; the next drift check simply tries again.
-            match tuner.retune() {
-                Ok(outcome) => {
-                    let mut s = stats.lock().expect("stats poisoned");
-                    s.recalibrations += 1;
-                    s.last_model_error = Some(outcome.model_error_after);
-                    s.fitted_contention = Some((outcome.memory_rate, outcome.compute_rate));
-                    drop(s);
-                    if let Some(t) = &telemetry {
-                        t.retunes_ok.inc();
-                    }
-                }
-                Err(_) => {
-                    if let Some(t) = &telemetry {
-                        t.retunes_failed.inc();
-                    }
+            let outcome = tuner.retune();
+            if let Ok(outcome) = &outcome {
+                let mut s = shared.stats.lock().expect("stats poisoned");
+                s.recalibrations += 1;
+                s.last_model_error = Some(outcome.model_error_after);
+                s.fitted_contention = Some((outcome.memory_rate, outcome.compute_rate));
+            }
+            if let Some(t) = &shared.telemetry {
+                match outcome {
+                    Ok(_) => t.retunes_ok.inc(),
+                    Err(_) => t.retunes_failed.inc(),
                 }
             }
         }));
     }
 }
 
-impl Drop for TuneState {
-    fn drop(&mut self) {
-        if let Some(h) = self.in_flight.take() {
-            let _ = h.join();
+impl Shared {
+    fn lock_admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().expect("admission queue poisoned")
+    }
+
+    /// Body of request worker `me`: serve until shutdown.
+    fn work(self: &Arc<Self>, me: usize) {
+        let mut next = self.next_request(me);
+        while let Some(request) = next {
+            let claimed = self.serve(request, me);
+            if let Some(tuning) = &self.tuning {
+                tuning.after_request(self);
+            }
+            next = claimed.or_else(|| self.next_request(me));
         }
     }
-}
 
-fn batcher_loop(
-    queue: &Queue,
-    stats: &Arc<Mutex<StatsInner>>,
-    model: &dyn Model,
-    tuner: Option<Arc<dyn SelfTune>>,
-    config: &BatchConfig,
-    telemetry: Option<&ServingTelemetry>,
-) {
-    let max_batch = config.max_batch.max(1);
-    let mut tune = match (&config.recalibration, tuner) {
-        (Some(policy), Some(tuner)) => Some(TuneState {
-            tuner,
-            policy: policy.clone(),
-            stats: Arc::clone(stats),
-            since_check: 0,
-            in_flight: None,
-            telemetry: telemetry.cloned(),
-        }),
-        _ => None,
-    };
-    loop {
-        // Block for the first request of the next batch.
-        let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
-        {
-            let mut q = queue.requests.lock().expect("queue poisoned");
-            loop {
-                if let Some(r) = q.pop_front() {
-                    batch.push(r);
-                    break;
-                }
-                if queue.shutdown.load(Ordering::Acquire) {
-                    while let Some(r) = q.pop_front() {
-                        let _ = r.reply.send(Err(ServeError::Shutdown));
-                    }
-                    return;
-                }
-                q = queue.available.wait(q).expect("queue poisoned");
-            }
-            // Opportunistically take whatever is already queued.
-            while batch.len() < max_batch {
-                match q.pop_front() {
-                    Some(r) => batch.push(r),
-                    None => break,
-                }
-            }
+    /// Pops the oldest queued request.
+    fn pop(&self, q: &mut Admission) -> Option<Request> {
+        let request = q.requests.pop_front()?;
+        if let Some(t) = &self.telemetry {
+            t.queue_depth.set(q.requests.len() as i64);
         }
-        // Hold the batch open briefly for stragglers: one lock hold per
-        // wakeup drains *everything* queued (re-acquiring the mutex per
-        // popped request would ping-pong the lock against submitters
-        // exactly when the queue is busiest).
-        if batch.len() < max_batch {
-            let deadline = Instant::now() + config.max_wait;
-            let mut q = queue.requests.lock().expect("queue poisoned");
-            loop {
-                while batch.len() < max_batch {
-                    match q.pop_front() {
-                        Some(r) => batch.push(r),
-                        None => break,
-                    }
-                }
-                if batch.len() >= max_batch || queue.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = queue
-                    .available
-                    .wait_timeout(q, deadline - now)
-                    .expect("queue poisoned");
-                q = guard;
-                if timeout.timed_out() {
-                    // Final drain of anything that slipped in with the
-                    // timeout's wakeup, then close the batch.
-                    while batch.len() < max_batch {
-                        match q.pop_front() {
-                            Some(r) => batch.push(r),
-                            None => break,
-                        }
-                    }
-                    break;
-                }
-            }
-        }
+        Some(request)
+    }
 
-        // Execute the batch as one unit: every request runs concurrently
-        // over the shared warm model (one thread per request on top of the
-        // executor's own lane parallelism), which is what makes grouping
-        // requests pay off beyond FIFO dispatch.
-        let n = batch.len() as u64;
-        if let Some(t) = telemetry {
-            t.batch_occupancy.observe(n);
-            t.queue_depth
-                .set(queue.requests.lock().expect("queue poisoned").len() as i64);
-            let rec = t.shared.recorder();
-            if rec.is_enabled() {
-                rec.record(korch_telemetry::TraceEvent {
-                    trace: 0,
-                    start_us: rec.now_us(),
-                    dur_us: 0.0,
-                    kind: korch_telemetry::EventKind::BatchFormed { size: n as usize },
+    /// What worker `me` does after the request it has just run, decided
+    /// *before* that request is answered: the oldest queued request if
+    /// there is one, else a place on top of the idle stack. By the time
+    /// the answered caller can submit again this worker is therefore the
+    /// one its request goes to — the worker that is awake, warm and on
+    /// the caller's core — rather than a sibling that would be woken
+    /// onto that core beside it (measured: answering first left every
+    /// request of a two-caller closed loop waiting one model run behind
+    /// the other caller's, with a worker runnable but off-core).
+    fn claim(&self, me: usize) -> Option<Request> {
+        let mut q = self.lock_admission();
+        let request = self.pop(&mut q);
+        if request.is_none() && !q.shutdown {
+            q.idle.push(me);
+        }
+        request
+    }
+
+    /// The oldest queued request, waiting on this worker's own condvar
+    /// while there is none; `None` once the server is shutting down.
+    fn next_request(&self, me: usize) -> Option<Request> {
+        let mut q = self.lock_admission();
+        loop {
+            // On the stack from `claim` or the last turn of this loop,
+            // unless a submitter took this worker off it: off either way
+            // before looking at the queue again.
+            q.idle.retain(|&w| w != me);
+            if let Some(request) = self.pop(&mut q) {
+                return Some(request);
+            }
+            if q.shutdown {
+                return None;
+            }
+            q.idle.push(me);
+            q = self.wake[me].wait(q).expect("admission queue poisoned");
+        }
+    }
+
+    /// Runs one request, [claims](Shared::claim) this worker's next move,
+    /// answers the request, then counts it. Returns the claimed request.
+    fn serve(&self, request: Request, me: usize) -> Option<Request> {
+        let Request {
+            inputs,
+            enqueued,
+            trace,
+            admitted_us,
+            reply,
+        } = request;
+        // A panicking model must cost one request, not one worker.
+        let run = || {
+            catch_unwind(AssertUnwindSafe(|| self.model.run(&inputs)))
+                .map_err(|payload| ServeError::Panicked(crate::panic_message(&*payload)))
+                .and_then(|ran| ran.map_err(ServeError::Exec))
+        };
+        let mut span = None;
+        let result = match &self.telemetry {
+            Some(t) => {
+                let rec = t.shared.recorder();
+                let wait_us = (rec.now_us() - admitted_us).max(0.0);
+                // The request span must start exactly where the
+                // queue-wait span ends on the exported timeline. The
+                // exporter computes that end as `admitted_us + wait_us`;
+                // reuse the identical f64 expression (rather than the raw
+                // clock reading) so the two timestamps tie bit-exactly
+                // and emission order keeps E-before-B at the tie.
+                let pickup_us = admitted_us + wait_us;
+                t.queue_wait_us.observe(wait_us as u64);
+                t.in_flight.add(1);
+                if rec.is_enabled() {
+                    rec.record(korch_telemetry::TraceEvent {
+                        trace,
+                        start_us: admitted_us,
+                        dur_us: wait_us,
+                        kind: korch_telemetry::EventKind::QueueWait,
+                    });
+                }
+                // The trace id rides the worker thread so the router and
+                // executor tag their events with it.
+                let result = korch_telemetry::with_trace(trace, run);
+                span = rec.is_enabled().then(|| korch_telemetry::TraceEvent {
+                    trace,
+                    start_us: pickup_us,
+                    dur_us: (rec.now_us() - pickup_us).max(0.0),
+                    kind: korch_telemetry::EventKind::Request,
                 });
+                result
+            }
+            None => run(),
+        };
+        let latency_us = enqueued.elapsed().as_secs_f64() * 1e6;
+        let failed = result.is_err();
+        let next = self.claim(me);
+        // The answer goes out before the bookkeeping below, which is the
+        // server's business, not the caller's latency.
+        reply.send(result);
+        if let Some(t) = &self.telemetry {
+            t.in_flight.add(-1);
+            if let Some(event) = span {
+                t.shared.recorder().record(event);
             }
         }
-        std::thread::scope(|scope| {
-            for req in batch {
-                scope.spawn(move || {
-                    let result = match telemetry {
-                        Some(t) => {
-                            let rec = t.shared.recorder();
-                            let wait_us = (rec.now_us() - req.admitted_us).max(0.0);
-                            // The request span must start exactly where the
-                            // queue-wait span ends on the exported timeline.
-                            // The exporter computes that end as
-                            // `admitted_us + wait_us`; reuse the identical
-                            // f64 expression (rather than the raw clock
-                            // reading) so the two timestamps tie bit-exactly
-                            // and emission order keeps E-before-B at the tie.
-                            let pickup_us = req.admitted_us + wait_us;
-                            t.queue_wait_us.observe(wait_us as u64);
-                            if rec.is_enabled() {
-                                rec.record(korch_telemetry::TraceEvent {
-                                    trace: req.trace,
-                                    start_us: req.admitted_us,
-                                    dur_us: wait_us,
-                                    kind: korch_telemetry::EventKind::QueueWait,
-                                });
-                            }
-                            // The trace id rides the request thread so the
-                            // router and executor tag their events with it.
-                            let result = korch_telemetry::with_trace(req.trace, || {
-                                model.run(&req.inputs).map_err(ServeError::Exec)
-                            });
-                            if rec.is_enabled() {
-                                rec.record(korch_telemetry::TraceEvent {
-                                    trace: req.trace,
-                                    start_us: pickup_us,
-                                    dur_us: (rec.now_us() - pickup_us).max(0.0),
-                                    kind: korch_telemetry::EventKind::Request,
-                                });
-                            }
-                            result
-                        }
-                        None => model.run(&req.inputs).map_err(ServeError::Exec),
-                    };
-                    let latency_us = req.enqueued.elapsed().as_secs_f64() * 1e6;
-                    let mut s = stats.lock().expect("stats poisoned");
-                    s.requests += 1;
-                    if result.is_err() {
-                        s.errors += 1;
-                    }
-                    s.record_latency(latency_us);
-                    drop(s);
-                    let _ = req.reply.send(result);
-                });
-            }
-        });
-        let mut s = stats.lock().expect("stats poisoned");
-        s.batches += 1;
-        s.batched_requests += n;
-        drop(s);
-        if let Some(t) = tune.as_mut() {
-            t.after_batch(n);
-        }
-
-        if queue.shutdown.load(Ordering::Acquire) {
-            // Fail whatever is still queued, then exit.
-            let mut q = queue.requests.lock().expect("queue poisoned");
-            while let Some(r) = q.pop_front() {
-                let _ = r.reply.send(Err(ServeError::Shutdown));
-            }
-            return;
-        }
+        let mut s = self.stats.lock().expect("stats poisoned");
+        s.requests += 1;
+        s.errors += u64::from(failed);
+        s.record_latency(latency_us);
+        next
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    /// Doubles its single input; counts concurrent entries.
-    struct Doubler {
-        concurrent: std::sync::atomic::AtomicUsize,
-    }
+    struct Echo;
 
-    impl Model for Doubler {
+    impl Model for Echo {
         fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-            self.concurrent.fetch_add(1, Ordering::SeqCst);
-            let out = inputs[0].map(|v| v * 2.0);
-            self.concurrent.fetch_sub(1, Ordering::SeqCst);
-            Ok(vec![out])
+            Ok(inputs.to_vec())
         }
     }
 
     #[test]
     fn serves_requests_and_tracks_stats() {
-        let model = Arc::new(Doubler {
-            concurrent: std::sync::atomic::AtomicUsize::new(0),
-        });
+        struct Doubler;
+        impl Model for Doubler {
+            fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+                Ok(vec![inputs[0].map(|v| v * 2.0)])
+            }
+        }
         let server = Server::start(
-            model,
+            Arc::new(Doubler),
             BatchConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 ..Default::default()
             },
         );
@@ -857,66 +909,14 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.requests, 10);
         assert_eq!(stats.errors, 0);
-        assert!(
-            stats.batches >= 3,
-            "4-cap batching of 10: {}",
-            stats.batches
-        );
-        assert!(stats.mean_batch >= 1.0 && stats.mean_batch <= 4.0);
+        assert_eq!(stats.batches, 10, "one dispatch per request");
+        assert_eq!(stats.mean_batch, 1.0, "nothing is stacked");
         assert!(stats.p95_latency_us >= stats.p50_latency_us);
         assert!(stats.throughput_rps > 0.0);
     }
 
     #[test]
-    fn batch_requests_run_concurrently() {
-        use std::sync::atomic::AtomicUsize;
-        struct Tracker {
-            cur: AtomicUsize,
-            max: AtomicUsize,
-        }
-        impl Model for Tracker {
-            fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-                let now = self.cur.fetch_add(1, Ordering::SeqCst) + 1;
-                self.max.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(10));
-                self.cur.fetch_sub(1, Ordering::SeqCst);
-                Ok(inputs.to_vec())
-            }
-        }
-        let model = Arc::new(Tracker {
-            cur: AtomicUsize::new(0),
-            max: AtomicUsize::new(0),
-        });
-        let server = Server::start(
-            Arc::clone(&model) as Arc<dyn Model>,
-            BatchConfig {
-                max_batch: 4,
-                max_wait: Duration::from_millis(50),
-                ..Default::default()
-            },
-        );
-        let handles: Vec<ResponseHandle> = (0..4)
-            .map(|_| server.submit(vec![Tensor::zeros(vec![2])]))
-            .collect();
-        for h in handles {
-            h.wait().expect("response");
-        }
-        server.shutdown();
-        assert!(
-            model.max.load(Ordering::SeqCst) >= 2,
-            "a batch must overlap its requests, max concurrency {}",
-            model.max.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
     fn every_handle_resolves_across_shutdown() {
-        struct Echo;
-        impl Model for Echo {
-            fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-                Ok(inputs.to_vec())
-            }
-        }
         for _ in 0..10 {
             let server = Server::start(Arc::new(Echo), BatchConfig::default());
             let handles: Vec<ResponseHandle> = (0..8)
@@ -933,21 +933,15 @@ mod tests {
 
     #[test]
     fn idle_shutdown_never_loses_the_wakeup() {
-        // `stop` racing a batcher that has checked the flag but not yet
-        // entered its wait: with the flag stored outside the queue lock
-        // about 1 cycle in 70 hung in `join`.
-        struct Echo;
-        impl Model for Echo {
-            fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-                Ok(inputs.to_vec())
-            }
-        }
+        // `stop` racing workers that have checked the flag but not yet
+        // entered their wait: with the flag stored outside the admission
+        // lock about 1 cycle in 70 hung in `join`.
         let (done, finished) = mpsc::channel();
         let cycles = std::thread::spawn(move || {
             for cycle in 0..500 {
                 let server = Server::start(Arc::new(Echo), BatchConfig::default());
-                // Sweep `stop` across the batcher's start-up, where the
-                // window between its flag check and its wait lies.
+                // Sweep `stop` across the workers' start-up, where the
+                // window between their flag check and their wait lies.
                 for _ in 0..cycle % 50 * 40 {
                     std::hint::spin_loop();
                 }
@@ -974,7 +968,6 @@ mod tests {
             Arc::new(Slow),
             BatchConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 ..Default::default()
             },
         );
@@ -987,6 +980,11 @@ mod tests {
             outcomes.iter().any(|ok| !ok) || stats.requests == 5,
             "either some requests were shut down or all completed"
         );
+        assert_eq!(
+            stats.requests,
+            outcomes.iter().filter(|ok| **ok).count() as u64,
+            "a request is served or shut down, never both"
+        );
     }
 
     /// The documented empty-window contract: latency statistics are
@@ -995,12 +993,6 @@ mod tests {
     /// that never served.
     #[test]
     fn empty_latency_window_stats_are_documented_zeros() {
-        struct Echo;
-        impl Model for Echo {
-            fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-                Ok(inputs.to_vec())
-            }
-        }
         let server = Server::start(Arc::new(Echo), BatchConfig::default());
         let before = server.stats();
         assert_eq!(before.requests, 0);

@@ -5,7 +5,7 @@
 //! `"i"` instants and `"M"` process/thread-name metadata. Track layout:
 //!
 //! - **pid 0** is the serving layer. `tid 1` is the recalibration track,
-//!   `tid 2` the batcher/router bookkeeping track, and each request gets
+//!   `tid 2` the router bookkeeping track, and each request gets
 //!   its own `tid == TraceId` row (trace ids start above the reserved
 //!   tids) carrying its admission instant, queue-wait span, request span
 //!   and routing decisions.
@@ -24,9 +24,9 @@ use std::fmt::Write as _;
 
 /// Reserved serving-pid track for recalibration spans.
 const RECAL_TID: u64 = 1;
-/// Reserved serving-pid track for batcher/router instants not tied to a
-/// single request row.
-const BATCHER_TID: u64 = 2;
+/// Reserved serving-pid track for router instants not tied to a single
+/// request row.
+const ROUTER_TID: u64 = 2;
 /// Reserved executor-pid track for arena highwater instants.
 const ARENA_TID: u64 = 1;
 /// First per-run track id inside an executor pid (clears the reserved ids).
@@ -105,8 +105,8 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut tile_groups: TileGroups = BTreeMap::new();
 
     for e in &events {
-        // A request's own row; untraced serving events share the batcher row.
-        let request_tid = if e.trace == 0 { BATCHER_TID } else { e.trace };
+        // A request's own row; untraced serving events share the router row.
+        let request_tid = if e.trace == 0 { ROUTER_TID } else { e.trace };
         match e.kind {
             EventKind::Admitted { queue_depth } => push(
                 &mut records,
@@ -143,19 +143,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 e.dur_us,
                 format!("\"trace\": {}", e.trace),
             ),
-            EventKind::BatchFormed { size } => push(
-                &mut records,
-                Record {
-                    ts: e.start_us,
-                    seq: 0,
-                    pid: 0,
-                    tid: BATCHER_TID,
-                    ph: "i",
-                    name: "batch-formed".into(),
-                    cat: "serving",
-                    args: format!("\"size\": {size}"),
-                },
-            ),
             EventKind::Routed {
                 shard,
                 in_flight,
@@ -182,7 +169,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     ts: e.start_us,
                     seq: 0,
                     pid: 0,
-                    tid: BATCHER_TID,
+                    tid: ROUTER_TID,
                     ph: "i",
                     name: if entered {
                         "quarantine-enter".into()
@@ -369,7 +356,7 @@ fn track_name(pid: u64, tid: u64) -> String {
     if pid == 0 {
         match tid {
             RECAL_TID => "recalibration".into(),
-            BATCHER_TID => "batcher".into(),
+            ROUTER_TID => "router".into(),
             t => format!("request-{t}"),
         }
     } else if tid == ARENA_TID {
@@ -618,12 +605,6 @@ mod tests {
                 kind: EventKind::QueueWait,
             },
             TraceEvent {
-                trace: 0,
-                start_us: 3.0,
-                dur_us: 0.0,
-                kind: EventKind::BatchFormed { size: 2 },
-            },
-            TraceEvent {
                 trace: 17,
                 start_us: 3.5,
                 dur_us: 20.0,
@@ -686,8 +667,8 @@ mod tests {
         // queue-wait, request, kernel, 2 tiles, synthesized parent, recal.
         assert_eq!(check.spans, 7);
         assert_eq!(check.tile_spans, 2);
-        // admitted, batch-formed, routed, arena, quarantine.
-        assert_eq!(check.instants, 5);
+        // admitted, routed, arena, quarantine.
+        assert_eq!(check.instants, 4);
         assert_eq!(check.trace_ids, vec![17]);
         assert!(json.contains("\"displayTimeUnit\""));
         assert!(json.contains("executor-1"));

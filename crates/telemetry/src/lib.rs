@@ -1,6 +1,6 @@
 //! End-to-end tracing and metrics for the Korch runtime stack.
 //!
-//! Every layer of the runtime — request admission, batch formation, shard
+//! Every layer of the runtime — request admission, queue wait, shard
 //! routing, kernel/tile execution, arena highwater, recalibration — can
 //! record typed [`TraceEvent`]s into one shared [`TraceRecorder`] and bump
 //! handles from one shared [`MetricsRegistry`]. The [`Telemetry`] bundle
@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// First [`TraceId`] ever allocated. Ids below it are reserved for fixed
-/// exporter tracks (recalibration, batcher row), so a trace id can double
+/// exporter tracks (recalibration, router row), so a trace id can double
 /// as a Chrome `tid` without colliding with them.
 pub const FIRST_TRACE_ID: TraceId = 16;
 

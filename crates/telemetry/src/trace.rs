@@ -30,13 +30,8 @@ pub enum EventKind {
         /// Queue depth immediately after admission.
         queue_depth: usize,
     },
-    /// Span: admission → the batch worker picked the request up.
+    /// Span: admission → a request worker picked the request up.
     QueueWait,
-    /// The batcher formed a batch of `size` requests.
-    BatchFormed {
-        /// Requests in the batch.
-        size: usize,
-    },
     /// Span: the model ran this request (covers routing + execution).
     Request,
     /// The router chose a shard for the current request.

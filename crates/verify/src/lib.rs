@@ -24,7 +24,9 @@
 //! | [`explore`]: tile-assembly countdown assembles once, after every chunk landed | `runtime_tiling.rs` assembly tests |
 //! | [`explore`]: router in-flight accounting conserves requests, exactly-once response | `tests/serving_sharded.rs` request-conservation proptest |
 //! | [`explore`]: quarantine enter/exit events are exactly-once per transition | `korch-runtime` shard quarantine tests |
-//! | [`explore`]: `Server::stop` sets the shutdown flag under the queue lock, so the idle batcher's check-then-wait never loses the wakeup | `korch-runtime` `serving::tests::idle_shutdown_never_loses_the_wakeup` |
+//! | [`explore`]: `Server::stop` sets the shutdown flag under the queue lock, so an idle request worker's check-then-wait never loses the wakeup | `korch-runtime` `serving::tests::idle_shutdown_never_loses_the_wakeup` |
+//! | [`explore`]: admission dispatch answers every request exactly once and leaves none queued beside an idle worker | `tests/serving_stress.rs` latch, saturation and shutdown-race tests |
+//! | [`explore`]: run hand-off — no lane touches a recycled run state, the caller waits only on attached helpers | `tests/runtime_workstealing.rs`, `tests/runtime_parallel.rs` repeated runs on one executor at 2/4/8 lanes |
 //!
 //! The verifier consumes artifacts through the runtime's introspection
 //! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`, `schedule`)

@@ -27,21 +27,33 @@
 //!   steps), so every steal-vs-pop interleaving on the final element is
 //!   explored. Tasks are conserved: consumed exactly once or still
 //!   resident, never duplicated, never lost.
-//! - [`ParkUnpark`]: the executor's futex-style idle protocol. A consumer
-//!   parks only after a confirmed-empty sweep validated against a
-//!   versioned work-epoch counter (read epoch → sweep → publish parked
-//!   flag → re-check epoch); a producer publishes work, bumps the epoch,
-//!   then wakes at most one parked lane per made-ready task, and the last
-//!   producer to finish wakes everyone. A lost wakeup shows up as a
-//!   deadlock (parked consumer, nobody movable) — the explorer's
-//!   deadlock detection is the check.
-//! - [`ShutdownHandshake`]: `Server::stop` against the batcher's idle
-//!   wait. The batcher checks the shutdown flag and enters the condvar
-//!   wait under the queue lock; the stopper sets the flag, notifies, and
-//!   joins. Setting the flag *outside* the lock lets it land between the
-//!   batcher's check and its wait — the notify finds no waiter and the
+//! - [`ParkUnpark`]: the executor's futex-style idle protocol with
+//!   surplus-only wakes. A consumer parks only after a confirmed-empty
+//!   sweep validated against a versioned work-epoch counter (read epoch →
+//!   sweep → publish parked flag → re-check epoch); a producer pushes the
+//!   batch a retirement made ready and, because it pops one of them
+//!   itself, bumps the epoch and wakes at most one parked lane per
+//!   *surplus* task only; the last producer to finish wakes everyone. A
+//!   lost wakeup shows up as a deadlock, and a surplus left beside a
+//!   sleeping lane breaks the work-conservation invariant.
+//! - [`ShutdownHandshake`]: `Server::stop` against an idle request
+//!   worker. The worker checks the shutdown flag and enters its condvar
+//!   wait under the admission lock; the stopper sets the flag, notifies,
+//!   and joins. Setting the flag *outside* the lock lets it land between
+//!   the worker's check and its wait — the notify finds no waiter and the
 //!   join never returns (a deadlock to the explorer); setting it under
 //!   the lock closes the window.
+//! - [`AdmissionDispatch`]: the server's admission queue against its
+//!   persistent request workers and `stop` — submitters push and wake
+//!   the most recently idled worker, workers pop FIFO or idle, the
+//!   stopper drains. Every request is answered exactly once, and no
+//!   request sits queued without a taker while a worker idles.
+//! - [`RunHandoff`]: `execute` offering a run to the process-wide
+//!   helper-lane pool — helpers claim and attach, caller and helpers
+//!   drain the run, the caller withdraws unclaimed offers, waits for the
+//!   last lane to detach and recycles the run state. No lane touches a
+//!   recycled state; the caller never waits on a helper that has not
+//!   attached.
 
 use crate::explore::{explore, Exploration, ExploreError, Protocol, Step};
 
@@ -750,19 +762,24 @@ impl Protocol for ChaseLevDeque {
 }
 
 // ---------------------------------------------------------------------
-// Epoch-versioned park/unpark
+// Epoch-versioned park/unpark, surplus-only wakes
 // ---------------------------------------------------------------------
 
-/// A producer's program counter in [`ParkUnpark`]: the three-atomic
-/// make-ready sequence (publish work → bump epoch → wake one).
+/// A producer's program counter in [`ParkUnpark`]: the make-ready
+/// sequence of one retirement (push the batch → bump epoch → wake one
+/// lane per *surplus* task → pop one of the batch itself).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum ProdPhase {
-    /// Between tasks.
+    /// Between retirements.
     Ready,
-    /// Work published; the epoch bump is next.
-    Bump,
-    /// Epoch bumped; the wake-one scan is next.
-    Wake,
+    /// Batch pushed with `surplus` tasks beyond the pusher's own; the
+    /// epoch bump is next.
+    Bump { surplus: u8 },
+    /// Epoch bumped; `left` wake-one scans remain.
+    Wake { left: u8 },
+    /// Announce done (or skipped: no surplus); the pusher's own pop is
+    /// next.
+    Take,
     /// Script exhausted and the exit decrement taken: never moves again.
     Exited,
 }
@@ -794,28 +811,46 @@ pub struct ParkUnparkState {
     consumed: u8,
     producers_left: u8,
     prod: Vec<ProdPhase>,
-    tasks: Vec<u8>,
+    /// Batches each producer has yet to make ready.
+    batches: Vec<Vec<u8>>,
     cons: Vec<ConsPhase>,
 }
 
-/// The executor's futex-style idle protocol, transcribed at
-/// single-atomic granularity. Producers make work ready in three steps:
-/// publish the task (deque push), bump the shared work epoch, then wake
-/// **at most one** parked lane (CAS its flag, grant a token). The last
+/// The executor's futex-style idle protocol with **surplus-only wakes**,
+/// transcribed at single-atomic granularity. A producer is a lane
+/// retiring a kernel: it pushes the batch of tasks the retirement made
+/// ready onto its own deque and will pop one of them itself, so only the
+/// *surplus* — the batch minus one — needs another lane. With a surplus
+/// it bumps the shared work epoch and wakes **at most one** parked lane
+/// per surplus task (CAS its flag, grant a token); a batch of one (every
+/// link of a chain-shaped plan) bumps nothing and wakes nobody. The last
 /// producer to finish sets `done` and wakes everyone. A consumer pops
 /// work while it can; on empty it reads the epoch, sweeps (confirms
 /// empty), publishes its parked flag, then **rechecks** epoch/work/done
 /// — only if nothing changed does it actually block.
 ///
-/// A lost wakeup is caught by the explorer's deadlock detection: a
-/// consumer blocked with no token while nobody can move. The recheck is
-/// what closes the race where work lands (or `done` flips) between the
-/// sweep and the park.
+/// A lost wakeup is caught twice over. The explorer's deadlock detection
+/// finds a consumer blocked with no token while nobody can move. And the
+/// safety invariant is lane-level work conservation: once a pusher's
+/// announce is over, there are never more queued tasks than awake lanes
+/// to take them while some lane sleeps un-woken — which implies the
+/// runtime's "never a task queued and every lane parked", and is what
+/// rejects the twin that pushes a surplus and wakes nobody (its own pop
+/// would still drain the queue, just serially).
 pub struct ParkUnpark {
-    /// Tasks each producer publishes.
-    pub producers: Vec<u8>,
+    /// Per producer, the size of each batch it makes ready, in order.
+    pub producers: Vec<Vec<u8>>,
     /// Number of consumer lanes.
     pub consumers: usize,
+    /// Whether a surplus wakes parked lanes (the shipped protocol) or
+    /// nobody (the broken twin).
+    pub wake_surplus: bool,
+}
+
+impl ParkUnpark {
+    fn total(&self) -> u8 {
+        self.producers.iter().flatten().sum()
+    }
 }
 
 impl Protocol for ParkUnpark {
@@ -835,7 +870,7 @@ impl Protocol for ParkUnpark {
             consumed: 0,
             producers_left: self.producers.len() as u8,
             prod: vec![ProdPhase::Ready; self.producers.len()],
-            tasks: self.producers.clone(),
+            batches: self.producers.clone(),
             cons: vec![ConsPhase::Scan; self.consumers],
         }
     }
@@ -849,7 +884,7 @@ impl Protocol for ParkUnpark {
         if t < self.producers.len() {
             return match s.prod[t] {
                 ProdPhase::Ready => {
-                    if s.tasks[t] == 0 {
+                    if s.batches[t].is_empty() {
                         // Last producer out sets done and wakes everyone
                         // (the runtime's last-retire / fail() path).
                         next.producers_left -= 1;
@@ -865,22 +900,43 @@ impl Protocol for ParkUnpark {
                         next.prod[t] = ProdPhase::Exited;
                         return Step::Next(next);
                     }
-                    next.tasks[t] -= 1;
-                    next.work += 1; // the deque push (Release)
-                    next.prod[t] = ProdPhase::Bump;
+                    let batch = next.batches[t].remove(0);
+                    next.work += batch; // the deque pushes (Release)
+                    next.prod[t] = match batch.saturating_sub(1) {
+                        0 => ProdPhase::Take,
+                        surplus => ProdPhase::Bump { surplus },
+                    };
                     Step::Next(next)
                 }
-                ProdPhase::Bump => {
+                ProdPhase::Bump { surplus } => {
                     next.epoch = next.epoch.wrapping_add(1); // fetch_add SeqCst
-                    next.prod[t] = ProdPhase::Wake;
+                    next.prod[t] = ProdPhase::Wake { left: surplus };
                     Step::Next(next)
                 }
-                ProdPhase::Wake => {
-                    // Wake at most one parked lane: CAS parked true→false,
-                    // grant the token.
-                    if let Some(i) = (0..self.consumers).find(|&i| s.parked[i]) {
+                ProdPhase::Wake { left } => {
+                    // One CAS of the scan: parked true→false, grant the
+                    // token. The scan ends on its budget or when no flag
+                    // is left raised.
+                    let woke = self
+                        .wake_surplus
+                        .then(|| (0..self.consumers).find(|&i| s.parked[i]))
+                        .flatten();
+                    if let Some(i) = woke {
                         next.parked[i] = false;
                         next.token[i] = true;
+                    }
+                    next.prod[t] = match (woke, left - 1) {
+                        (Some(_), left @ 1..) => ProdPhase::Wake { left },
+                        _ => ProdPhase::Take,
+                    };
+                    Step::Next(next)
+                }
+                ProdPhase::Take => {
+                    // Back in its worker loop the pusher pops its own
+                    // deque — unless a thief got there first.
+                    if s.work > 0 {
+                        next.work -= 1;
+                        next.consumed += 1;
                     }
                     next.prod[t] = ProdPhase::Ready;
                     Step::Next(next)
@@ -921,7 +977,7 @@ impl Protocol for ParkUnpark {
                 Step::Next(next)
             }
             ConsPhase::Recheck { e } => {
-                if s.epoch != e || s.work > 0 || s.done {
+                if s.epoch != e || s.done {
                     // Something changed since the sweep began: self-unpark
                     // (absorbing any token already granted) and rescan.
                     next.parked[i] = false;
@@ -946,25 +1002,41 @@ impl Protocol for ParkUnpark {
     }
 
     fn check(&self, s: &ParkUnparkState) -> Result<(), String> {
-        let total: u8 = self.producers.iter().sum();
+        let total = self.total();
         if s.consumed > total {
             return Err(format!("{} consumed of {total} produced", s.consumed));
         }
         // A consumer the protocol considers parked must have its flag or
         // token visible to producers — otherwise no wake can ever reach
         // it and only the recheck path could save it.
+        let asleep = |i: usize| s.cons[i] == ConsPhase::Parked && !s.token[i];
         for i in 0..self.consumers {
-            if s.cons[i] == ConsPhase::Parked && !s.parked[i] && !s.token[i] {
+            if asleep(i) && !s.parked[i] {
                 return Err(format!(
                     "consumer {i} blocked with neither parked flag nor token (unwakeable)"
                 ));
             }
         }
+        // Work conservation between announces: every queued task has an
+        // awake lane to take it — its pusher, about to pop, or a consumer
+        // that is scanning or holds a token — or no lane is asleep.
+        let announcing = s
+            .prod
+            .iter()
+            .any(|p| matches!(p, ProdPhase::Bump { .. } | ProdPhase::Wake { .. }));
+        let takers = s.prod.iter().filter(|p| **p == ProdPhase::Take).count()
+            + (0..self.consumers).filter(|&i| !asleep(i)).count();
+        if !announcing && usize::from(s.work) > takers && (0..self.consumers).any(asleep) {
+            return Err(format!(
+                "{} task(s) queued for {takers} awake lane(s) while a lane sleeps un-woken",
+                s.work
+            ));
+        }
         Ok(())
     }
 
     fn check_final(&self, s: &ParkUnparkState) -> Result<(), String> {
-        let total: u8 = self.producers.iter().sum();
+        let total = self.total();
         if s.work != 0 {
             return Err(format!("{} tasks never consumed", s.work));
         }
@@ -982,9 +1054,9 @@ impl Protocol for ParkUnpark {
 // Server shutdown handshake
 // ---------------------------------------------------------------------
 
-/// The batcher's program counter in [`ShutdownHandshake`].
+/// The idle worker's program counter in [`ShutdownHandshake`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum BatcherPhase {
+enum IdlerPhase {
     /// About to take the queue lock.
     Lock,
     /// Holding the lock (queue empty): the flag check is next.
@@ -1008,27 +1080,27 @@ enum StopperPhase {
     Unlock,
     /// `notify_all` is next.
     Notify,
-    /// Notified; `join` returns once the batcher has exited.
+    /// Notified; `join` returns once the worker has exited.
     Join,
 }
 
 /// State of [`ShutdownHandshake`]: the flag, who holds the queue lock,
-/// whether a notification reached the waiting batcher, and both program
+/// whether a notification reached the waiting worker, and both program
 /// counters.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ShutdownHandshakeState {
     shutdown: bool,
-    /// Thread holding the queue mutex (0 = batcher, 1 = stopper).
+    /// Thread holding the queue mutex (0 = worker, 1 = stopper).
     lock: Option<usize>,
-    /// A `notify_all` found the batcher waiting.
+    /// A `notify_all` found the worker waiting.
     notified: bool,
-    batcher: BatcherPhase,
+    worker: IdlerPhase,
     stopper: StopperPhase,
 }
 
-/// `Server::stop` against an idle batcher, one step per lock operation,
-/// flag access and condvar call. Thread 0 is the batcher's idle loop:
-/// lock the (empty) queue, check the shutdown flag, and either return or
+/// `Server::stop` against an idle request worker, one step per lock
+/// operation, flag access and condvar call. Thread 0 is the worker's idle
+/// loop: lock the (empty) queue, check the shutdown flag, and either return or
 /// `Condvar::wait` — which releases the lock and starts waiting in one
 /// atomic step. Thread 1 is the stopper: set the flag, `notify_all`,
 /// join. A notify with no waiter is lost, as with a real condvar.
@@ -1051,7 +1123,7 @@ impl Protocol for ShutdownHandshake {
             shutdown: false,
             lock: None,
             notified: false,
-            batcher: BatcherPhase::Lock,
+            worker: IdlerPhase::Lock,
             stopper: if self.store_under_lock {
                 StopperPhase::Lock
             } else {
@@ -1067,35 +1139,35 @@ impl Protocol for ShutdownHandshake {
     fn step(&self, s: &ShutdownHandshakeState, t: usize) -> Step<ShutdownHandshakeState> {
         let mut next = s.clone();
         if t == 0 {
-            match s.batcher {
-                BatcherPhase::Lock => {
+            match s.worker {
+                IdlerPhase::Lock => {
                     if s.lock.is_some() {
                         return Step::Blocked;
                     }
                     next.lock = Some(0);
-                    next.batcher = BatcherPhase::Check;
+                    next.worker = IdlerPhase::Check;
                 }
-                BatcherPhase::Check => {
+                IdlerPhase::Check => {
                     if s.shutdown {
                         next.lock = None;
-                        next.batcher = BatcherPhase::Exited;
+                        next.worker = IdlerPhase::Exited;
                     } else {
-                        next.batcher = BatcherPhase::Wait;
+                        next.worker = IdlerPhase::Wait;
                     }
                 }
-                BatcherPhase::Wait => {
+                IdlerPhase::Wait => {
                     next.lock = None;
-                    next.batcher = BatcherPhase::Waiting;
+                    next.worker = IdlerPhase::Waiting;
                 }
-                BatcherPhase::Waiting => {
+                IdlerPhase::Waiting => {
                     if !s.notified {
                         return Step::Blocked;
                     }
                     // Woken: the wait returns by re-taking the lock.
                     next.notified = false;
-                    next.batcher = BatcherPhase::Lock;
+                    next.worker = IdlerPhase::Lock;
                 }
-                BatcherPhase::Exited => return Step::Done,
+                IdlerPhase::Exited => return Step::Done,
             }
             return Step::Next(next);
         }
@@ -1120,11 +1192,11 @@ impl Protocol for ShutdownHandshake {
                 next.stopper = StopperPhase::Notify;
             }
             StopperPhase::Notify => {
-                next.notified = s.batcher == BatcherPhase::Waiting;
+                next.notified = s.worker == IdlerPhase::Waiting;
                 next.stopper = StopperPhase::Join;
             }
             StopperPhase::Join => {
-                return if s.batcher == BatcherPhase::Exited {
+                return if s.worker == IdlerPhase::Exited {
                     Step::Done
                 } else {
                     Step::Blocked
@@ -1135,16 +1207,517 @@ impl Protocol for ShutdownHandshake {
     }
 
     fn check(&self, s: &ShutdownHandshakeState) -> Result<(), String> {
-        let holds_lock = matches!(s.batcher, BatcherPhase::Check | BatcherPhase::Wait);
+        let holds_lock = matches!(s.worker, IdlerPhase::Check | IdlerPhase::Wait);
         if holds_lock != (s.lock == Some(0)) {
-            return Err("batcher's phase disagrees with the queue lock".to_string());
+            return Err("worker's phase disagrees with the queue lock".to_string());
         }
         Ok(())
     }
 
     fn check_final(&self, s: &ShutdownHandshakeState) -> Result<(), String> {
-        if !s.shutdown || s.batcher != BatcherPhase::Exited {
-            return Err("stop returned without the batcher observing shutdown".to_string());
+        if !s.shutdown || s.worker != IdlerPhase::Exited {
+            return Err("stop returned without the worker observing shutdown".to_string());
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Admission-queue dispatch
+// ---------------------------------------------------------------------
+
+/// A submitter's program counter in [`AdmissionDispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum SubmitPhase {
+    /// The next `submit` critical section (or done, once the quota is
+    /// sent).
+    Submit,
+    /// Took worker `w` off the idle stack; its `notify_one` is next.
+    Notify { w: u8 },
+}
+
+/// A request worker's program counter in [`AdmissionDispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum ServePhase {
+    /// About to run the `next_request` critical section.
+    Lock,
+    /// In its condvar wait (on the idle stack unless a submitter took it
+    /// off): blocked until notified.
+    Waiting,
+    /// Running request `r`; claiming its next move is next.
+    Running { r: u8 },
+    /// Claimed `next` (or, with `None`, a place on the idle stack unless
+    /// the server is stopping); answering `r` is next.
+    Answer { r: u8, next: Option<u8> },
+    /// Saw the shutdown flag on an empty queue and returned.
+    Exited,
+}
+
+/// The stopper's program counter in [`AdmissionDispatch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StopPhase {
+    /// The flag-and-drain critical section is next.
+    Stop,
+    /// `notify_all` on every worker's condvar is next.
+    Notify,
+    /// Joining: returns once every worker has exited.
+    Join,
+}
+
+/// State of [`AdmissionDispatch`]: everything the admission lock guards
+/// (queue, idle stack, shutdown flag), which waiting workers a notify
+/// reached, how many answers each request got, and every program counter.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct AdmissionState {
+    queue: Vec<u8>,
+    idle: Vec<u8>,
+    shutdown: bool,
+    notified: Vec<bool>,
+    replies: Vec<u8>,
+    /// Requests each submitter has sent so far.
+    sent: Vec<u8>,
+    submit: Vec<SubmitPhase>,
+    serve: Vec<ServePhase>,
+    stop: StopPhase,
+}
+
+/// `Server`'s admission queue against its persistent request workers and
+/// `stop`. Every queue operation happens under one mutex, so each
+/// critical section is one step; the condvar notifies that follow an
+/// unlock are steps of their own, and a notify that finds its worker not
+/// waiting is lost, as with a real condvar.
+///
+/// - a **submitter** (threads `0..submitters.len()`) locks; on shutdown
+///   its request answers `Shutdown`, otherwise it pushes the request and
+///   takes the most recently idled worker off the stack, to notify it
+///   after unlocking;
+/// - a **worker** locks, takes itself off the idle stack, pops the oldest
+///   request and runs it, or — queue empty — exits on shutdown or pushes
+///   itself on the stack and waits. Having run a request it first
+///   *claims* its next move in one more critical section — the oldest
+///   queued request, else a place on top of the idle stack — and only
+///   then answers, so the answered caller's next request finds this
+///   worker on the stack;
+/// - the **stopper** (last thread) sets the flag and drains the queue
+///   (answering `Shutdown`) in one critical section, notifies every
+///   worker, and joins them.
+///
+/// Safety: no request is answered twice, and **work conservation** — no
+/// state has a queued request without a taker (a worker about to lock,
+/// notified, or about to be) while a worker sits on the idle stack. Liveness: every request sent is answered exactly once
+/// and `stop` returns (a lost wakeup is a deadlock to the explorer).
+pub struct AdmissionDispatch {
+    /// Requests each submitter sends.
+    pub submitters: Vec<u8>,
+    /// Number of request workers.
+    pub workers: usize,
+    /// Broken twin: a worker that finds the server stopping when it claims
+    /// its next move puts the request it ran back on the queue "for the
+    /// drain" — and answers it anyway.
+    pub reply_after_requeue: bool,
+}
+
+impl AdmissionDispatch {
+    /// Id of submitter `t`'s `k`-th request.
+    fn request_id(&self, t: usize, k: u8) -> u8 {
+        self.submitters[..t].iter().sum::<u8>() + k
+    }
+}
+
+impl Protocol for AdmissionDispatch {
+    type State = AdmissionState;
+
+    fn name(&self) -> &'static str {
+        "admission-dispatch"
+    }
+
+    fn init(&self) -> AdmissionState {
+        AdmissionState {
+            queue: Vec::new(),
+            idle: Vec::new(),
+            shutdown: false,
+            notified: vec![false; self.workers],
+            replies: vec![0; usize::from(self.submitters.iter().sum::<u8>())],
+            sent: vec![0; self.submitters.len()],
+            submit: vec![SubmitPhase::Submit; self.submitters.len()],
+            serve: vec![ServePhase::Lock; self.workers],
+            stop: StopPhase::Stop,
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.submitters.len() + self.workers + 1
+    }
+
+    fn step(&self, s: &AdmissionState, t: usize) -> Step<AdmissionState> {
+        let mut next = s.clone();
+        let n_sub = self.submitters.len();
+        if t < n_sub {
+            match s.submit[t] {
+                SubmitPhase::Submit => {
+                    if s.sent[t] == self.submitters[t] {
+                        return Step::Done;
+                    }
+                    let r = self.request_id(t, s.sent[t]);
+                    next.sent[t] += 1;
+                    if s.shutdown {
+                        next.replies[usize::from(r)] += 1; // rejected: Shutdown
+                    } else {
+                        next.queue.push(r);
+                        if let Some(w) = next.idle.pop() {
+                            next.submit[t] = SubmitPhase::Notify { w };
+                        }
+                    }
+                }
+                SubmitPhase::Notify { w } => {
+                    if s.serve[usize::from(w)] == ServePhase::Waiting {
+                        next.notified[usize::from(w)] = true;
+                    }
+                    next.submit[t] = SubmitPhase::Submit;
+                }
+            }
+            return Step::Next(next);
+        }
+        if t < n_sub + self.workers {
+            let w = t - n_sub;
+            match s.serve[w] {
+                ServePhase::Lock => {
+                    next.idle.retain(|&i| usize::from(i) != w);
+                    if !s.queue.is_empty() {
+                        let r = next.queue.remove(0);
+                        next.serve[w] = ServePhase::Running { r };
+                    } else if s.shutdown {
+                        next.serve[w] = ServePhase::Exited;
+                    } else {
+                        next.idle.push(w as u8);
+                        next.serve[w] = ServePhase::Waiting;
+                    }
+                }
+                ServePhase::Waiting => {
+                    if !s.notified[w] {
+                        return Step::Blocked;
+                    }
+                    next.notified[w] = false;
+                    next.serve[w] = ServePhase::Lock;
+                }
+                ServePhase::Running { r } => {
+                    if self.reply_after_requeue && s.shutdown {
+                        next.queue.push(r);
+                    }
+                    let claimed = (!next.queue.is_empty()).then(|| next.queue.remove(0));
+                    if claimed.is_none() && !s.shutdown {
+                        next.idle.push(w as u8);
+                    }
+                    next.serve[w] = ServePhase::Answer { r, next: claimed };
+                }
+                ServePhase::Answer { r, next: claimed } => {
+                    next.replies[usize::from(r)] += 1;
+                    next.serve[w] = match claimed {
+                        Some(r) => ServePhase::Running { r },
+                        None => ServePhase::Lock,
+                    };
+                }
+                ServePhase::Exited => return Step::Done,
+            }
+            return Step::Next(next);
+        }
+        match s.stop {
+            StopPhase::Stop => {
+                next.shutdown = true;
+                for r in next.queue.drain(..) {
+                    next.replies[usize::from(r)] += 1; // drained: Shutdown
+                }
+                next.stop = StopPhase::Notify;
+            }
+            StopPhase::Notify => {
+                for w in 0..self.workers {
+                    if s.serve[w] == ServePhase::Waiting {
+                        next.notified[w] = true;
+                    }
+                }
+                next.stop = StopPhase::Join;
+            }
+            StopPhase::Join => {
+                return if s.serve.iter().all(|p| *p == ServePhase::Exited) {
+                    Step::Done
+                } else {
+                    Step::Blocked
+                };
+            }
+        }
+        Step::Next(next)
+    }
+
+    fn check(&self, s: &AdmissionState) -> Result<(), String> {
+        if let Some(r) = s.replies.iter().position(|&n| n > 1) {
+            return Err(format!("request {r} answered {} times", s.replies[r]));
+        }
+        // Work conservation: every queued request has a taker — a worker
+        // about to lock (now, or once it has answered), one a notify
+        // reached, or one a submitter is about to notify — or nobody is
+        // asleep. (`stop`'s notify-all covers everyone.)
+        let about_to_lock =
+            |p: &&ServePhase| matches!(p, ServePhase::Lock | ServePhase::Answer { next: None, .. });
+        let takers = s.serve.iter().filter(about_to_lock).count()
+            + s.notified.iter().filter(|n| **n).count()
+            + s.submit
+                .iter()
+                .filter(|p| matches!(p, SubmitPhase::Notify { .. }))
+                .count();
+        // Asleep with nobody owing it a wake: waiting, still on the stack.
+        let sleeper = s.idle.iter().find(|&&w| {
+            s.serve[usize::from(w)] == ServePhase::Waiting && !s.notified[usize::from(w)]
+        });
+        if let (true, false, Some(w)) =
+            (s.queue.len() > takers, s.stop == StopPhase::Notify, sleeper)
+        {
+            return Err(format!(
+                "{} request(s) queued for {takers} taker(s) while worker {w} waits with no \
+                 wake pending",
+                s.queue.len()
+            ));
+        }
+        Ok(())
+    }
+
+    fn check_final(&self, s: &AdmissionState) -> Result<(), String> {
+        if let Some(r) = s.replies.iter().position(|&n| n != 1) {
+            return Err(format!("request {r} answered {} times", s.replies[r]));
+        }
+        if !s.queue.is_empty() {
+            return Err(format!("{} request(s) left queued", s.queue.len()));
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// Run hand-off to pooled helper lanes
+// ---------------------------------------------------------------------
+
+/// The caller's program counter in [`RunHandoff`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum CallerPhase {
+    /// Offering the run's helper lanes to the pool is next.
+    Publish,
+    /// Running as a lane: takes tasks until the run is over.
+    Work,
+    /// Withdrawing the unclaimed offers is next.
+    Close,
+    /// Waiting for the attached helpers to detach.
+    WaitDetach,
+    /// Recycling the run state for the next request is next.
+    Recycle,
+    /// Every run served.
+    Done,
+}
+
+/// A pooled helper's program counter in [`RunHandoff`]. `gen` is the
+/// generation of the run state the helper attached to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum HelperPhase {
+    /// In the pool, waiting for an offer.
+    Idle,
+    /// Attached: looking for a task of its run.
+    Attached { gen: u8 },
+    /// Running a task of its run.
+    Running { gen: u8 },
+    /// Saw its run over; the detach decrement is next.
+    Detach { gen: u8 },
+}
+
+/// State of [`RunHandoff`]: the pool's queue of unclaimed offers (each
+/// the generation of the run state it points at), the run state's own
+/// generation and attach count, the run's task counters, and every
+/// program counter.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RunHandoffState {
+    offers: Vec<u8>,
+    /// Bumped by every recycle: ghost state naming *which* run the one
+    /// reused `RunState` currently belongs to.
+    gen: u8,
+    attached: u8,
+    queued: u8,
+    running: u8,
+    finished: u8,
+    runs_left: u8,
+    caller: CallerPhase,
+    helpers: Vec<HelperPhase>,
+}
+
+/// `execute` handing a run to the process-wide helper-lane pool and
+/// taking its state back. The pool's queue sits behind one mutex, so
+/// offering, claiming-and-attaching and withdrawing are one step each.
+///
+/// - the **caller** (thread 0) offers its helper lanes, works as a lane
+///   itself until the run is over — every task finished, whoever ran it
+///   — withdraws the offers nobody claimed, waits for the helpers that
+///   *did* attach to detach, then recycles the run state and serves the
+///   next request on it;
+/// - a **helper** claims an offer and attaches in the same critical
+///   section, steals tasks of that run while there are any, and detaches
+///   when the run is over.
+///
+/// Safety: a lane only ever touches the run state of the run it attached
+/// to — no attached helper's generation differs from the state's. The
+/// caller waits on the attach count alone, never on an offer: with no
+/// helper free (`helpers: 0`) the run completes on the caller, and a
+/// missed hand-off would be a deadlock to the explorer.
+pub struct RunHandoff {
+    /// Pooled helper threads.
+    pub helpers: usize,
+    /// Helper lanes each run offers.
+    pub offers: u8,
+    /// Tasks per run.
+    pub tasks: u8,
+    /// Consecutive runs on the one recycled state.
+    pub runs: u8,
+    /// `false` is the broken twin: recycle straight after the withdraw,
+    /// before the last lane has detached.
+    pub wait_for_detach: bool,
+}
+
+impl Protocol for RunHandoff {
+    type State = RunHandoffState;
+
+    fn name(&self) -> &'static str {
+        "run-handoff"
+    }
+
+    fn init(&self) -> RunHandoffState {
+        RunHandoffState {
+            offers: Vec::new(),
+            gen: 0,
+            attached: 0,
+            queued: self.tasks,
+            running: 0,
+            finished: 0,
+            runs_left: self.runs,
+            caller: CallerPhase::Publish,
+            helpers: vec![HelperPhase::Idle; self.helpers],
+        }
+    }
+
+    fn threads(&self) -> usize {
+        1 + self.helpers
+    }
+
+    fn step(&self, s: &RunHandoffState, t: usize) -> Step<RunHandoffState> {
+        let mut next = s.clone();
+        let over = s.queued == 0 && s.running == 0;
+        if t == 0 {
+            match s.caller {
+                CallerPhase::Publish => {
+                    next.offers
+                        .extend(std::iter::repeat_n(s.gen, usize::from(self.offers)));
+                    next.caller = CallerPhase::Work;
+                }
+                CallerPhase::Work => {
+                    if s.queued > 0 {
+                        next.queued -= 1;
+                        next.finished += 1;
+                    } else if over {
+                        next.caller = CallerPhase::Close;
+                    } else {
+                        // Parked until the helper running the last task
+                        // retires it.
+                        return Step::Blocked;
+                    }
+                }
+                CallerPhase::Close => {
+                    next.offers.retain(|&g| g != s.gen);
+                    next.caller = if self.wait_for_detach {
+                        CallerPhase::WaitDetach
+                    } else {
+                        CallerPhase::Recycle
+                    };
+                }
+                CallerPhase::WaitDetach => {
+                    if s.attached > 0 {
+                        return Step::Blocked;
+                    }
+                    next.caller = CallerPhase::Recycle;
+                }
+                CallerPhase::Recycle => {
+                    next.runs_left -= 1;
+                    if next.runs_left == 0 {
+                        next.caller = CallerPhase::Done;
+                    } else {
+                        next.gen += 1;
+                        next.queued = self.tasks;
+                        next.caller = CallerPhase::Publish;
+                    }
+                }
+                CallerPhase::Done => return Step::Done,
+            }
+            return Step::Next(next);
+        }
+        let h = t - 1;
+        match s.helpers[h] {
+            HelperPhase::Idle => {
+                if s.offers.is_empty() {
+                    return if s.caller == CallerPhase::Done {
+                        Step::Done
+                    } else {
+                        Step::Blocked
+                    };
+                }
+                let gen = next.offers.remove(0);
+                next.attached += 1;
+                next.helpers[h] = HelperPhase::Attached { gen };
+            }
+            HelperPhase::Attached { gen } => {
+                if s.queued > 0 {
+                    next.queued -= 1;
+                    next.running += 1;
+                    next.helpers[h] = HelperPhase::Running { gen };
+                } else if over {
+                    next.helpers[h] = HelperPhase::Detach { gen };
+                } else {
+                    return Step::Blocked;
+                }
+            }
+            HelperPhase::Running { gen } => {
+                next.running -= 1;
+                next.finished += 1;
+                next.helpers[h] = HelperPhase::Attached { gen };
+            }
+            HelperPhase::Detach { .. } => {
+                next.attached -= 1;
+                next.helpers[h] = HelperPhase::Idle;
+            }
+        }
+        Step::Next(next)
+    }
+
+    fn check(&self, s: &RunHandoffState) -> Result<(), String> {
+        for (h, phase) in s.helpers.iter().enumerate() {
+            let (HelperPhase::Attached { gen }
+            | HelperPhase::Running { gen }
+            | HelperPhase::Detach { gen }) = *phase
+            else {
+                continue;
+            };
+            if gen != s.gen {
+                return Err(format!(
+                    "helper {h} is attached to run {gen} but the state was recycled for run {}",
+                    s.gen
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn check_final(&self, s: &RunHandoffState) -> Result<(), String> {
+        if s.finished != self.tasks * self.runs {
+            return Err(format!(
+                "{} of {} tasks finished",
+                s.finished,
+                self.tasks * self.runs
+            ));
+        }
+        if s.attached != 0 || !s.offers.is_empty() {
+            return Err("terminal state leaves a lane attached or an offer queued".to_string());
         }
         Ok(())
     }
@@ -1243,23 +1816,29 @@ pub fn verify_protocols() -> Result<Vec<(&'static str, Exploration)>, ExploreErr
     }
 
     for (producers, consumers) in [
-        // One producer, one lane: the park-vs-push race in isolation.
-        (vec![1], 1),
-        // Shutdown race: a producer with no tasks goes straight to the
-        // done wake-all while the lane is mid-park.
-        (vec![0], 1),
-        (vec![0], 2),
-        // Two tasks against two lanes: wake-one must not strand lane 2.
-        (vec![2], 2),
+        // A surplus of one against one lane: the park-vs-push race.
+        (vec![vec![2]], 1),
+        // A batch of one wakes nobody; the pusher runs it (or a scanning
+        // lane steals it first).
+        (vec![vec![1, 1]], 1),
+        // Shutdown race: a producer with nothing to retire goes straight
+        // to the done wake-all while the lane is mid-park.
+        (vec![vec![]], 1),
+        (vec![vec![]], 2),
+        // A surplus of two against two lanes: both must be woken; a
+        // surplus of one must not strand work behind the second lane.
+        (vec![vec![3]], 2),
+        (vec![vec![2, 2]], 2),
         // Two producers finishing out of order; last one out wakes all.
-        (vec![1, 1], 1),
-        (vec![1, 0], 2),
+        (vec![vec![2], vec![1]], 1),
+        (vec![vec![2], vec![]], 2),
     ] {
         run(
             "park-unpark-epoch",
             explore(&ParkUnpark {
                 producers,
                 consumers,
+                wake_surplus: true,
             }),
         )?;
     }
@@ -1270,6 +1849,48 @@ pub fn verify_protocols() -> Result<Vec<(&'static str, Exploration)>, ExploreErr
             store_under_lock: true,
         }),
     )?;
+
+    for (submitters, workers) in [
+        (vec![1], 1),
+        // A second request queues behind a busy worker.
+        (vec![2], 1),
+        // Two submitters race each other, the worker and the stopper.
+        (vec![1, 1], 1),
+        // Two workers: the wake goes to the one taken off the stack.
+        (vec![2], 2),
+        (vec![1, 1], 2),
+    ] {
+        run(
+            "admission-dispatch",
+            explore(&AdmissionDispatch {
+                submitters,
+                workers,
+                reply_after_requeue: false,
+            }),
+        )?;
+    }
+
+    for (helpers, offers, tasks, runs) in [
+        // No helper free: the run completes on the caller alone.
+        (0, 1, 2, 2),
+        // One helper, two runs on the one recycled state.
+        (1, 1, 2, 2),
+        // More offers than helpers: the surplus offer is withdrawn.
+        (1, 2, 2, 2),
+        // Two helpers racing the caller for three tasks.
+        (2, 2, 3, 2),
+    ] {
+        run(
+            "run-handoff",
+            explore(&RunHandoff {
+                helpers,
+                offers,
+                tasks,
+                runs,
+                wait_for_detach: true,
+            }),
+        )?;
+    }
 
     Ok(results)
 }
@@ -1386,26 +2007,29 @@ mod tests {
     /// deadlock.
     struct BrokenParkUnpark;
 
+    /// The shipped protocol [`BrokenParkUnpark`] deviates from: one
+    /// producer with nothing to retire, one lane.
+    fn good_parker() -> ParkUnpark {
+        ParkUnpark {
+            producers: vec![vec![]],
+            consumers: 1,
+            wake_surplus: true,
+        }
+    }
+
     impl Protocol for BrokenParkUnpark {
         type State = ParkUnparkState;
         fn name(&self) -> &'static str {
             "broken-park-unpark"
         }
         fn init(&self) -> ParkUnparkState {
-            ParkUnpark {
-                producers: vec![0],
-                consumers: 1,
-            }
-            .init()
+            good_parker().init()
         }
         fn threads(&self) -> usize {
             2
         }
         fn step(&self, s: &ParkUnparkState, t: usize) -> Step<ParkUnparkState> {
-            let good = ParkUnpark {
-                producers: vec![0],
-                consumers: 1,
-            };
+            let good = good_parker();
             if t == 1 {
                 if let ConsPhase::Sweep { .. } = s.cons[0] {
                     if s.work == 0 && !s.done {
@@ -1423,18 +2047,16 @@ mod tests {
             Ok(()) // let the deadlock detector do the catching
         }
         fn check_final(&self, s: &ParkUnparkState) -> Result<(), String> {
-            ParkUnpark {
-                producers: vec![0],
-                consumers: 1,
-            }
-            .check_final(s)
+            good_parker().check_final(s)
         }
     }
 
     #[test]
     fn exploration_suite_passes() {
         let results = verify_protocols().expect("all protocol models verify");
-        assert!(results.len() >= 27);
+        assert!(results.len() >= 42);
+        let models: std::collections::BTreeSet<_> = results.iter().map(|(name, _)| name).collect();
+        assert_eq!(models.len(), 9, "{models:?}");
         for (_, stats) in &results {
             assert!(stats.terminals >= 1);
         }
@@ -1463,19 +2085,57 @@ mod tests {
     }
 
     #[test]
+    fn a_surplus_that_wakes_nobody_is_caught() {
+        // Two tasks made ready, one lane asleep, no wake: the pusher would
+        // still drain the queue — serially — so this is no deadlock; the
+        // work-conservation invariant is what rejects it.
+        let err = explore(&ParkUnpark {
+            producers: vec![vec![2]],
+            consumers: 1,
+            wake_surplus: false,
+        })
+        .expect_err("a sleeping lane beside queued surplus must be caught");
+        assert!(err.message.contains("sleeps un-woken"), "{}", err.message);
+    }
+
+    #[test]
+    fn reply_after_requeue_answers_twice() {
+        let err = explore(&AdmissionDispatch {
+            submitters: vec![1],
+            workers: 1,
+            reply_after_requeue: true,
+        })
+        .expect_err("a requeued request that is also answered must be caught");
+        assert!(err.message.contains("answered 2 times"), "{}", err.message);
+    }
+
+    #[test]
+    fn recycle_before_the_last_detach_is_caught() {
+        let err = explore(&RunHandoff {
+            helpers: 1,
+            offers: 1,
+            tasks: 2,
+            runs: 2,
+            wait_for_detach: false,
+        })
+        .expect_err("a helper still attached to a recycled state must be caught");
+        assert!(err.message.contains("recycled"), "{}", err.message);
+    }
+
+    #[test]
     fn shutdown_flag_stored_outside_the_lock_loses_the_wakeup() {
         // A bare store, then notify: the ordering `Server::stop` must not use.
         let err = explore(&ShutdownHandshake {
             store_under_lock: false,
         })
-        .expect_err("the store can land between the batcher's check and its wait");
+        .expect_err("the store can land between the worker's check and its wait");
         assert!(
             err.message.contains("deadlock"),
             "expected a deadlock, got: {}",
             err.message
         );
-        // batcher locks and checks, stopper stores and notifies nobody,
-        // batcher waits.
+        // worker locks and checks, stopper stores and notifies nobody,
+        // worker waits.
         assert_eq!(err.trace, vec![0, 0, 1, 1, 0]);
     }
 

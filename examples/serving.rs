@@ -1,8 +1,8 @@
-//! Self-tuning **sharded** batched serving end to end: compile a model
-//! onto the parallel runtime, stand up the dynamic-batching server with
-//! four independent executor shards and a drift-triggered recalibration
-//! policy, fire bursts of concurrent clients, and watch the server
-//! spread requests across the shards, re-fit its own cost model *and*
+//! Self-tuning **sharded** serving end to end: compile a model onto the
+//! parallel runtime, stand up the work-conserving server with four
+//! independent executor shards (and as many long-lived request workers)
+//! and a drift-triggered recalibration policy, fire bursts of concurrent
+//! clients, and watch the server spread requests across the shards, re-fit its own cost model *and*
 //! stream-contention rates hands-free, and re-plan **all** shards in one
 //! atomic swap — no `recalibrate()` or `set_shards()` call anywhere in
 //! this file.
@@ -66,8 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.savings() * 100.0,
     );
 
-    // 2. Serve through dynamic batching with an auto-recalibration policy:
-    //    every 64 served requests the batcher samples the model's drift
+    // 2. Serve with an auto-recalibration policy: a request starts the
+    //    moment one of the four request workers is free, and the worker
+    //    whose completion is the 64th since the last check samples the
+    //    model's drift
     //    (prediction error of the cost model the live plans were priced
     //    with, against the measured kernel profile) and re-tunes on a
     //    background thread when it exceeds the threshold. In-flight
@@ -86,18 +88,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Server::start_tuned_sharded(
             Arc::clone(&tuned),
             BatchConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(1),
                 recalibration: Some(RecalibrationPolicy {
                     every_n_requests: 64,
                     model_error_threshold: DRIFT_THRESHOLD,
                 }),
-                // Four independent executor replicas of the plan snapshot:
-                // the router spreads each batch's requests across them, a
-                // failed shard run would be retried on a sibling, and the
-                // drift check fits from all four shards' merged profiles.
+                // Four independent executor replicas of the plan snapshot,
+                // one request in flight per replica: the router spreads
+                // the requests across them, a failed shard run would be
+                // retried on a sibling, and the drift check fits from all
+                // four shards' merged profiles.
                 shards: SHARDS,
                 telemetry: Some(Arc::clone(&telemetry)),
+                ..BatchConfig::default()
             },
         )
         .expect("shard provisioning"),
@@ -147,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. One more request on the recalibrated plan — no restart needed —
-    //    then stop the server. Shutdown joins the batcher and any
+    //    then stop the server. Shutdown joins the workers and any
     //    still-running background recalibration, so the final statistics
     //    below are quiescent (no retune can race the reads).
     let inputs: Vec<Tensor> = input_shapes
@@ -162,8 +164,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Read back what the server did to itself.
     println!(
-        "served:   {} requests in {} batches (mean batch {:.2}) over {} bursts",
-        stats.requests, stats.batches, stats.mean_batch, bursts,
+        "served:   {} requests ({} failed) over {} bursts",
+        stats.requests, stats.errors, bursts,
     );
     println!(
         "latency:  p50 {:.2} ms, p95 {:.2} ms, throughput {:.1} req/s",
@@ -273,13 +275,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .histogram("serving.queue_wait_us")
         .expect("queue-wait histogram registered");
     println!(
-        "metrics:  queue_wait mean {:.1} µs over {} waits; batch occupancy mean {:.2}; \
+        "metrics:  queue_wait mean {:.1} µs over {} waits; {} in flight at the end; \
          {} steals, {} tile tasks, {} quarantines, {} retunes ok / {} failed",
         waits.mean(),
         waits.count,
-        metrics
-            .histogram("serving.batch_occupancy")
-            .map_or(0.0, |h| h.mean()),
+        metrics.gauge("serving.in_flight").unwrap_or(0),
         metrics.counter("executor.steals").unwrap_or(0),
         metrics.counter("executor.tile_tasks").unwrap_or(0),
         metrics.counter("router.quarantines").unwrap_or(0),

@@ -26,7 +26,14 @@ use korch::models::{
 };
 use korch::runtime::{PlanExecutor, RuntimeConfig};
 use korch::verify::{models::verify_protocols, verify_executor};
+use std::collections::BTreeSet;
 use std::process::ExitCode;
+
+/// Protocol models the exploration suite must cover: dep-counter release,
+/// tile-assembly countdown, router in-flight accounting, quarantine
+/// enter/exit, chase-lev-deque, park-unpark-epoch,
+/// server-shutdown-handshake, admission-dispatch, run-handoff.
+const PROTOCOL_MODELS: usize = 9;
 
 fn corpus() -> Vec<(&'static str, OpGraph)> {
     vec![
@@ -123,11 +130,21 @@ fn main() -> ExitCode {
     match verify_protocols() {
         Ok(results) => {
             let states: usize = results.iter().map(|(_, s)| s.states).sum();
+            let models: BTreeSet<&str> = results.iter().map(|(name, _)| *name).collect();
             println!(
-                "exploration: {} model instances exhausted ({} states)",
+                "exploration: {} instances of {} protocol models exhausted ({} states)",
                 results.len(),
+                models.len(),
                 states
             );
+            if models.len() < PROTOCOL_MODELS {
+                eprintln!(
+                    "FAIL exploration covered {} protocol models, expected {PROTOCOL_MODELS}: \
+                     {models:?}",
+                    models.len()
+                );
+                bad += 1;
+            }
         }
         Err(e) => {
             eprintln!("FAIL exploration: {e}");

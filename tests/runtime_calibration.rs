@@ -18,7 +18,6 @@ use korch::runtime::{
 use korch::tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 mod common;
 use common::{assert_bit_identical, independent_plan, model_graph, profile_of_runs};
@@ -43,7 +42,6 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
             Arc::clone(&tuned),
             BatchConfig {
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 shards: 1,
                 recalibration: Some(RecalibrationPolicy {
                     every_n_requests: 4,
@@ -55,7 +53,7 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
                 ..Default::default()
             },
         );
-        // Serve in waves so drift checks (one per batch) interleave with
+        // Serve in waves so drift checks (one per four requests) interleave with
         // the background swap.
         for _ in 0..8 {
             let handles: Vec<_> = (0..8).map(|_| server.submit(inputs.clone())).collect();
@@ -159,14 +157,30 @@ fn self_tuning_model_contract() {
     assert!((0.0..=1.0).contains(&outcome.compute_rate));
     // Post-retune drift is measured against the *applied* calibration, so
     // a freshly tuned model reports the residual fit error, not the raw
-    // uncalibrated gap.
+    // uncalibrated gap. Pinned on the profile itself — the fit came from
+    // two cold runs and the drift below from one warm run, so comparing
+    // their sizes is comparing the host's mood (a preempted kernel in the
+    // fitted runs once made the "residual" 239 against a gap of 0.99).
     tuned.model().execute(&inputs).unwrap();
     let residual = tuned.model_error().expect("drift after retune");
-    assert!(
-        residual <= outcome.model_error_before + 1e-9,
-        "drift vs applied calibration ({residual}) must not exceed the \
-         uncalibrated gap ({})",
-        outcome.model_error_before
+    let applied = tuned.model().applied_calibration();
+    assert_ne!(
+        applied,
+        korch::cost::Calibration::default(),
+        "the retune's fit must be the calibration in force"
+    );
+    let program = &tuned.model().partitions()[0].executor;
+    let profiles = tuned.model().profiles();
+    let profile = korch::runtime::RuntimeProfile::merged(&profiles.iter().collect::<Vec<_>>());
+    let under = |calibration| {
+        let cost = korch::cost::Profiler::new(Device::v100()).with_calibration(calibration);
+        profile.model_error(program.graph(), program.plan(), &cost)
+    };
+    assert_eq!(
+        residual,
+        under(applied),
+        "drift must be priced with the applied calibration (uncalibrated it is {})",
+        under(korch::cost::Calibration::default())
     );
     let out = tuned.model().execute(&inputs).unwrap();
     assert_bit_identical(&reference, &out, "retune changed the function");

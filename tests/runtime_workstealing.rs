@@ -358,9 +358,12 @@ fn failure_unwinds_lanes_parked_mid_run() {
 /// so every other lane spends the run parking and re-parking; each of
 /// many repeated runs must still terminate — a lost wakeup deadlocks the
 /// join and times the test out — with bit-identical outputs and a
-/// settled arena. Multi-core hosts additionally assert the park counter
-/// registered (structural-only on 1-core hosts, where a lane can finish
-/// its whole sweep without ever losing the CPU race that forces a park).
+/// settled arena. Multi-core hosts additionally keep running until the
+/// park counter registers (structural-only on 1-core hosts, where a lane
+/// can finish its whole sweep without ever losing the CPU race that
+/// forces a park): the second lane is a pooled helper called for the
+/// second root kernel, and whether it gets there before the caller has
+/// run both chains is the pool's and the host's business on any one run.
 #[test]
 fn shutdown_while_parked_terminates() {
     let mut g = PrimGraph::new();
@@ -386,7 +389,10 @@ fn shutdown_while_parked_terminates() {
         .unwrap_or(false);
     for lanes in [2usize, 4, 8] {
         let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
-        for run in 0..15 {
+        for run in 0..2000 {
+            if run >= 15 && (!multi_core || exec.profile().parks > 0) {
+                break;
+            }
             let out = exec.execute(&inputs).unwrap();
             assert_bit_identical(&reference, &out, &format!("lanes={lanes} run={run}"));
             assert_eq!(
@@ -408,8 +414,14 @@ fn shutdown_while_parked_terminates() {
 
 /// Regression for the redundant-producer arena leak: a plan that
 /// re-materializes one port in two kernels must return the loser's staged
-/// copy to the pool — `free_bytes` reaches a steady state instead of
-/// draining run over run, and `live_bytes` returns to zero.
+/// copy to the pool, and `live_bytes` must return to zero. Pinned on the
+/// arena's books, run by run: a run stages five equal buffers (the input
+/// copy, `e` twice, `r`, `s`) and hands two (`r`, `s`) to the caller, so
+/// exactly three must come back to the pool — and a buffer that came back
+/// is either still parked (`free_bytes`) or was taken again (`reuse_hits`).
+/// (`free_bytes` alone is not a steady state at 2+ lanes: how many of the
+/// five are live at once, and so how deep the pool ever has to be, is the
+/// interleaving's business.)
 #[test]
 fn redundant_producer_conserves_arena_pool() {
     let mut g = PrimGraph::new();
@@ -454,27 +466,25 @@ fn redundant_producer_conserves_arena_pool() {
         let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
         let inputs = same_shape_inputs(1, &shape, 17);
         let reference = execute_plan(&g, &plan, &inputs).unwrap();
-        let mut steady_free: Option<u64> = None;
+        let buffer = (shape.iter().product::<usize>() * 4) as i64;
         for run in 0..8 {
+            let before = exec.arena_stats();
             let out = exec.execute(&inputs).unwrap();
             assert_bit_identical(&reference, &out, &format!("lanes={lanes} run={run}"));
-            let stats = exec.arena_stats();
+            let after = exec.arena_stats();
             assert_eq!(
-                stats.live_bytes, 0,
+                after.live_bytes, 0,
                 "live bytes must settle after run {run} at {lanes} lanes"
             );
-            // After a warm-up run the pool must be conserved: the
-            // redundant producer's staged copy goes back to the pool
-            // instead of silently leaving it.
-            if run >= 2 {
-                match steady_free {
-                    None => steady_free = Some(stats.free_bytes),
-                    Some(f) => assert_eq!(
-                        stats.free_bytes, f,
-                        "pool drained between runs at {lanes} lanes (run {run})"
-                    ),
-                }
-            }
+            assert_eq!(after.total_allocs - before.total_allocs, 5);
+            let parked = (after.free_bytes as i64 - before.free_bytes as i64) / buffer;
+            let retaken = (after.reuse_hits - before.reuse_hits) as i64;
+            assert_eq!(
+                parked + retaken,
+                3,
+                "run {run} at {lanes} lanes: the input copy and both copies of `e` must \
+                 return to the pool ({before:?} -> {after:?})"
+            );
         }
         assert!(
             exec.arena_stats().reuse_hits > 0,

@@ -22,7 +22,6 @@ use korch::tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 mod common;
 use common::{
@@ -32,7 +31,6 @@ use common::{
 fn burst_config() -> BatchConfig {
     BatchConfig {
         max_batch: 4,
-        max_wait: Duration::from_millis(1),
         ..Default::default()
     }
 }
@@ -185,7 +183,6 @@ proptest! {
         ));
         let server = Server::start(Arc::clone(&set) as Arc<dyn Model>, BatchConfig {
             max_batch: 4,
-            max_wait: Duration::from_micros(200),
             ..Default::default()
         });
         let handles: Vec<ResponseHandle> = (0..requests)
@@ -320,7 +317,6 @@ fn auto_recalibration_swaps_all_shards_mid_serving() {
         Arc::clone(&tuned),
         BatchConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             shards: 4,
             // CPU wall times dwarf simulated GPU micros, so drift is far
             // above this threshold: the trigger fires deterministically.
@@ -475,4 +471,97 @@ fn recalibration_racing_set_shards_keeps_one_generation() {
     });
     let out = compiled.execute(&inputs).unwrap();
     assert_bit_identical(&reference, &out, "after the last swap");
+}
+
+/// A compiled, sharded model that panics on a marked request — after the
+/// executor has run it, i.e. with the request's buffers through an arena.
+struct Touchy {
+    model: korch::core::CompiledModel,
+}
+
+/// First element of a request [`Touchy`] panics on.
+const POISON: f32 = -12345.0;
+
+impl Model for Touchy {
+    fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+        let out = self.model.execute(inputs)?;
+        assert!(inputs[0].as_slice()[0] != POISON, "poisoned request");
+        Ok(out)
+    }
+}
+
+impl ShardControl for Touchy {
+    fn set_shards(&self, n: usize) -> Result<(), ExecError> {
+        self.model.set_shards(n)
+    }
+    fn shard_stats(&self) -> Vec<korch::runtime::ShardStats> {
+        self.model.shard_stats()
+    }
+}
+
+/// Fault containment on the long-lived request workers: poisoned and good
+/// requests interleaved from three submitters over a 2-shard, 2-lane
+/// compiled model. Every handle resolves exactly once — the poisoned ones
+/// with the typed error, the good ones bit-identically — the error count
+/// is exact, a request submitted after the last panic is served, and
+/// every shard's arena is back at zero live bytes.
+#[test]
+fn a_panicking_request_costs_a_sharded_server_nothing_else() {
+    let g = model_graph();
+    let korch = Korch::new(Device::v100(), KorchConfig::default());
+    let good = op_random_inputs(&g, 4);
+    let reference = korch.optimize(&g).unwrap().execute(&good).unwrap();
+    let mut poisoned = good.clone();
+    let mut first = poisoned[0].as_slice().to_vec();
+    first[0] = POISON;
+    poisoned[0] = Tensor::from_vec(poisoned[0].shape().to_vec(), first).unwrap();
+    let touchy = Arc::new(Touchy {
+        model: korch
+            .compile_with(&g, &RuntimeConfig::with_lanes(2))
+            .unwrap(),
+    });
+    let server = Server::start_sharded(
+        Arc::clone(&touchy),
+        BatchConfig {
+            shards: 2,
+            ..Default::default()
+        },
+    )
+    .expect("shard provisioning succeeds");
+    let (per_submitter, submitters) = (12u64, 3u64);
+    let panicked: u64 = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..submitters)
+            .map(|s| {
+                let (server, good, poisoned, reference) = (&server, &good, &poisoned, &reference);
+                scope.spawn(move || {
+                    let mut panicked = 0;
+                    for i in 0..per_submitter {
+                        let poison = (i + s) % 3 == 0;
+                        let inputs = if poison { poisoned } else { good };
+                        match server.submit(inputs.clone()).wait() {
+                            Ok(out) if !poison => assert_bit_identical(reference, &out, "good"),
+                            Err(korch::runtime::ServeError::Panicked(msg)) if poison => {
+                                assert!(msg.contains("poisoned request"), "{msg}");
+                                panicked += 1;
+                            }
+                            other => panic!("submitter {s} request {i}: {other:?}"),
+                        }
+                    }
+                    panicked
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).sum()
+    });
+    assert_eq!(panicked, 12);
+    let after = server.infer(good.clone()).expect("served after the panics");
+    assert_bit_identical(&reference, &after, "after the panics");
+    let stats = server.shutdown();
+    assert_eq!(stats.requests, submitters * per_submitter + 1);
+    assert_eq!(stats.errors, panicked);
+    for shard in touchy.model.shard_snapshots() {
+        for partition in shard {
+            assert_eq!(partition.executor.arena_stats().live_bytes, 0);
+        }
+    }
 }

@@ -5,10 +5,14 @@
 //! is about structure — counts, orderings, bounds — never wall-clock.
 
 use korch::exec::ExecError;
-use korch::runtime::{BatchConfig, Model, RecalibrationPolicy, SelfTune, Server, TuneOutcome};
+use korch::runtime::{
+    BatchConfig, Model, RecalibrationPolicy, ResponseHandle, SelfTune, Server, ShardControl,
+    ShardStats, TuneOutcome,
+};
 use korch::tensor::Tensor;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::time::Duration;
 
 /// Echoes its input and counts executions.
@@ -39,7 +43,6 @@ fn concurrent_submitters_race_shutdown_without_losing_responses() {
             Arc::clone(&model) as Arc<dyn Model>,
             BatchConfig {
                 max_batch: 4,
-                max_wait: Duration::from_micros(200),
                 ..Default::default()
             },
         ))));
@@ -170,8 +173,6 @@ fn tuned_server_survives_retune_races() {
             Arc::clone(&model),
             BatchConfig {
                 max_batch: 2,
-                max_wait: Duration::from_micros(100),
-                shards: 1,
                 recalibration: Some(RecalibrationPolicy {
                     every_n_requests: 2,
                     model_error_threshold: 0.5,
@@ -208,4 +209,204 @@ fn tuned_server_survives_retune_races() {
         assert!(last == 1.0 || last == 0.1, "unexpected drift sample {last}");
         assert!(stats.p95_latency_us >= stats.p50_latency_us);
     }
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// returned within 30 s: the structural tests below assert that something
+/// *happens*, and a server that breaks them hangs rather than errs.
+fn within_hang_guard(what: &str, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what} hung"));
+    thread.join().expect("guarded body panicked");
+}
+
+/// Work conservation, as a latch: request A returns only after
+/// request B — submitted *after A started running* — has entered
+/// `run`. A second worker picks B up while A is in flight; behind a
+/// batch barrier B would wait for A's batch and A for B, forever.
+#[test]
+fn a_request_starts_while_another_is_in_flight() {
+    struct Latch {
+        a_started: Mutex<mpsc::Sender<()>>,
+        b_entered: (Mutex<bool>, Condvar),
+    }
+    impl Model for Latch {
+        fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+            let (entered, cv) = &self.b_entered;
+            if inputs[0].as_slice()[0] == 0.0 {
+                let _ = self.a_started.lock().unwrap().send(());
+                let mut e = entered.lock().unwrap();
+                while !*e {
+                    e = cv.wait(e).unwrap();
+                }
+            } else {
+                *entered.lock().unwrap() = true;
+                cv.notify_all();
+            }
+            Ok(inputs.to_vec())
+        }
+    }
+    within_hang_guard("request B behind in-flight request A", || {
+        let (tx, a_started) = mpsc::channel();
+        let server = Server::start(
+            Arc::new(Latch {
+                a_started: Mutex::new(tx),
+                b_entered: (Mutex::new(false), Condvar::new()),
+            }),
+            BatchConfig {
+                max_batch: 2,
+                ..Default::default()
+            },
+        );
+        let a = server.submit(vec![Tensor::full(vec![1], 0.0)]);
+        a_started.recv().expect("request A starts");
+        let b = server.submit(vec![Tensor::full(vec![1], 1.0)]);
+        a.wait().expect("A is released by B entering run");
+        b.wait().expect("B");
+        assert_eq!(server.shutdown().requests, 2);
+    });
+}
+
+/// No timer: a lone request on a server told to hold batches for an
+/// hour resolves at once.
+#[test]
+fn a_lone_request_waits_for_no_timer() {
+    within_hang_guard("a lone request", || {
+        let server = Server::start(
+            Arc::new(Echo {
+                served: AtomicU64::new(0),
+            }),
+            BatchConfig {
+                max_wait: Duration::from_secs(3600),
+                ..Default::default()
+            },
+        );
+        server.infer(vec![Tensor::zeros(vec![2])]).expect("served");
+    });
+}
+
+/// Announces every run, then holds it until the test hands out a
+/// permit: the test decides when each worker comes free.
+struct Gated {
+    started: Mutex<mpsc::Sender<u32>>,
+    permits: (Mutex<usize>, Condvar),
+    in_flight: AtomicUsize,
+    max_in_flight: AtomicUsize,
+}
+
+impl Gated {
+    fn release(&self, n: usize) {
+        *self.permits.0.lock().unwrap() += n;
+        self.permits.1.notify_all();
+    }
+}
+
+impl Model for Gated {
+    fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
+        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_in_flight.fetch_max(now, Ordering::SeqCst);
+        let id = inputs[0].as_slice()[0] as u32;
+        let _ = self.started.lock().unwrap().send(id);
+        let (permits, cv) = &self.permits;
+        let mut p = permits.lock().unwrap();
+        while *p == 0 {
+            p = cv.wait(p).unwrap();
+        }
+        *p -= 1;
+        drop(p);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        Ok(inputs.to_vec())
+    }
+}
+
+impl ShardControl for Gated {
+    fn set_shards(&self, _: usize) -> Result<(), ExecError> {
+        Ok(())
+    }
+    fn shard_stats(&self) -> Vec<ShardStats> {
+        Vec::new()
+    }
+}
+
+/// Saturation: with every worker held inside `run`, queued requests
+/// start strictly in submission order, one per worker that comes
+/// free, and never more than `cap` are in flight.
+fn assert_saturates_at(cap: usize, start: impl FnOnce(Arc<Gated>) -> Server + Send + 'static) {
+    within_hang_guard("a saturated server", move || {
+        let (tx, started) = mpsc::channel();
+        let gate = Arc::new(Gated {
+            started: Mutex::new(tx),
+            permits: (Mutex::new(0), Condvar::new()),
+            in_flight: AtomicUsize::new(0),
+            max_in_flight: AtomicUsize::new(0),
+        });
+        let server = start(Arc::clone(&gate));
+        let total = cap + 5;
+        let handles: Vec<ResponseHandle> = (0..total)
+            .map(|id| server.submit(vec![Tensor::full(vec![1], id as f32)]))
+            .collect();
+        // The workers fill up with the oldest `cap` requests...
+        let first: BTreeSet<u32> = (0..cap).map(|_| started.recv().unwrap()).collect();
+        assert_eq!(first, (0..cap as u32).collect::<BTreeSet<u32>>());
+        // ...and each worker that comes free takes the next in line.
+        for next in cap..total {
+            gate.release(1);
+            assert_eq!(started.recv().unwrap(), next as u32, "FIFO dispatch");
+        }
+        gate.release(cap);
+        for (id, h) in handles.into_iter().enumerate() {
+            assert_eq!(h.wait().expect("served")[0].as_slice(), &[id as f32]);
+        }
+        assert!(started.try_recv().is_err(), "a request ran twice");
+        assert_eq!(gate.max_in_flight.load(Ordering::SeqCst), cap);
+        assert_eq!(server.shutdown().requests, total as u64);
+    });
+}
+
+#[test]
+fn saturated_plain_server_dispatches_fifo_under_the_max_batch_cap() {
+    assert_saturates_at(3, |gate| {
+        Server::start(
+            gate,
+            BatchConfig {
+                max_batch: 3,
+                shards: 7, // ignored without a ShardControl model
+                ..Default::default()
+            },
+        )
+    });
+}
+
+#[test]
+fn saturated_sharded_server_dispatches_fifo_under_the_shards_cap() {
+    assert_saturates_at(2, |gate| {
+        Server::start_sharded(
+            gate,
+            BatchConfig {
+                max_batch: 8, // never `shards × max_batch` threads
+                shards: 2,
+                ..Default::default()
+            },
+        )
+        .expect("the gate provisions nothing")
+    });
+}
+
+#[test]
+fn zero_max_batch_clamps_to_one_worker() {
+    assert_saturates_at(1, |gate| {
+        Server::start(
+            gate,
+            BatchConfig {
+                max_batch: 0,
+                ..Default::default()
+            },
+        )
+    });
 }

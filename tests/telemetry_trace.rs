@@ -1,7 +1,7 @@
 //! End-to-end observability acceptance: a 4-shard, 2-lane **tiled**
 //! serving run with tracing enabled must export a Chrome trace-event
 //! artifact in which at least one request is reconstructable end to end
-//! by its `TraceId` — admission → batch pickup → shard route → kernel →
+//! by its `TraceId` — admission → worker pickup → shard route → kernel →
 //! tiles — verified both on the typed event stream and on the exported
 //! JSON (which the structural validator must accept). With tracing
 //! disabled the executor hot path must record nothing at all and keep
@@ -17,7 +17,6 @@ use korch::runtime::{
 };
 use korch::telemetry::{validate_chrome_trace, EventKind, Telemetry};
 use std::sync::Arc;
-use std::time::Duration;
 
 mod common;
 use common::{assert_bit_identical, independent_plan, prim_random_inputs};
@@ -46,7 +45,6 @@ fn sharded_tiled_serving_exports_reconstructable_trace() {
         Arc::clone(&exec),
         BatchConfig {
             max_batch: 4,
-            max_wait: Duration::from_millis(1),
             shards: 4,
             telemetry: Some(Arc::clone(&telemetry)),
             ..Default::default()
@@ -86,12 +84,10 @@ fn sharded_tiled_serving_exports_reconstructable_trace() {
         requests,
         "every served request observes exactly one queue wait"
     );
-    assert!(
-        metrics
-            .histogram("serving.batch_occupancy")
-            .expect("occupancy histogram")
-            .count
-            > 0
+    assert_eq!(
+        metrics.gauge("serving.in_flight"),
+        Some(0),
+        "every request that went in flight came back out"
     );
     assert!(metrics.counter("executor.tile_tasks").unwrap_or(0) > 0);
     assert!(metrics.counter("executor.tiled_kernels").unwrap_or(0) > 0);
@@ -103,12 +99,6 @@ fn sharded_tiled_serving_exports_reconstructable_trace() {
     // tile-tagged; its whole-kernel span is synthesized by the exporter
     // and checked below via the validator's containment rule.)
     let events = telemetry.recorder().snapshot();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::BatchFormed { .. })),
-        "the batcher must record batch formation instants"
-    );
     let mut traced: Vec<u64> = events.iter().map(|e| e.trace).filter(|&t| t != 0).collect();
     traced.sort_unstable();
     traced.dedup();
@@ -194,7 +184,6 @@ fn disabled_telemetry_records_nothing_and_keeps_outputs() {
         Arc::new(PlanExecutor::new(&g, &plan, tiled_config(None)).unwrap()) as Arc<dyn Model>,
         BatchConfig {
             max_batch: 2,
-            max_wait: Duration::from_micros(200),
             ..Default::default()
         },
     );
