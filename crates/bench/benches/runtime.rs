@@ -360,27 +360,26 @@ fn measure(n: usize, mut f: impl FnMut()) -> (f64, f64, f64) {
 
 /// The tiled-execution acceptance bench: a single large
 /// elementwise/matmul kernel, sequential interpreter vs the tiled
-/// 4-lane executor. Structural asserts (the tiled path must engage with
-/// tile count > 1, bit-identically) hold on any host; the speedup is
-/// only reported — on 1-core CI lanes time-slice and the ratio is noise.
+/// 4-lane executor. Structural asserts (which kernels are tile-eligible,
+/// the tiled path engaging with tile count > 1, bit-identically) are a
+/// function of the plan and the config and hold on any host; the speedup
+/// is only reported — with fewer cores than lanes the tiles time-slice
+/// and the ratio is noise.
 fn bench_tiled(c: &mut Criterion) {
     let mut group = c.benchmark_group("tiled_single_kernel");
     let mut records: Vec<BenchRecord> = Vec::new();
-    // `expect_tiled`: on a multi-core host the 320² matmul's row-grain
-    // compute clears the per-tile overhead floor and splits. The 768²
+    // `expect_tiled`: at 4 lanes the 320² matmul's row-grain compute
+    // clears the per-tile overhead floor and splits. The 768²
     // elementwise chain does NOT — its body is memory-bound, so the
     // assembly pass re-streams the full output through the same bus and
     // the floor charges every byte (the fix for the 0.96× tiled-
     // elementwise regression: the compiled whole kernel wins). The 192²
     // matmul stays whole too — its per-tile body sits under the floor
-    // (the PR-8 fix: splitting it was 0.91×). On a 1-core host the floor
-    // caps effective parallelism at 1 and *nothing* splits — lanes would
-    // only time-slice — so the matmul_320 expectation is host-derived.
-    let multi_core = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+    // (the PR-8 fix: splitting it was 0.91×).
     for (name, matmul, dim, expect_tiled) in [
         ("elementwise", false, 768, false),
         ("matmul", true, 192, false),
-        ("matmul_320", true, 320, multi_core),
+        ("matmul_320", true, 320, true),
     ] {
         let (g, plan) = single_kernel_plan(matmul, dim);
         assert_eq!(plan.kernel_count(), 1, "acceptance workload is one kernel");
@@ -958,20 +957,6 @@ fn bench_recalibration(c: &mut Criterion) {
         report.calibration.memory_scale,
         report.calibration.compute_scale,
         steals,
-    );
-    println!(
-        "recalibration/contention: fitted memory_rate {:.3} / compute_rate {:.3} \
-         from measured overlap (memory {:?}, compute {:?})",
-        report.contention.memory_rate,
-        report.contention.compute_rate,
-        report.memory_overlap,
-        report.compute_overlap,
-    );
-    assert!(
-        (0.0..=1.0).contains(&report.contention.memory_rate)
-            && (0.0..=1.0).contains(&report.contention.compute_rate),
-        "fitted rates out of range: {:?}",
-        report.contention
     );
     // Tolerance matches the core unit test: kernels measured below the
     // simulated launch overhead are excluded from the fit but still

@@ -6,7 +6,7 @@
 //! executable per model**: [`crate::stitch`] concatenates the partitions'
 //! chosen graphs and plans into one whole-program `(graph, plan)`, and one
 //! [`PlanExecutor`] is compiled over it — constants materialized once,
-//! lane placement hints precomputed, one buffer arena warm — so repeated
+//! dependency edges precomputed, one buffer arena warm — so repeated
 //! inference (and the `korch_runtime::Server` batching front-end) pays
 //! optimization cost once and each request is a single executor run.
 //! Partitions exist only to bound the optimizer's search space; at run
@@ -42,10 +42,10 @@ use crate::stitch::stitch;
 use korch_cost::{Calibration, CalibrationSample, Profiler};
 use korch_exec::ExecError;
 use korch_ir::{PortRef, PrimGraph};
-use korch_orch::{kernel_classes, Orchestrator, Plan, StreamContention};
+use korch_orch::{Orchestrator, Plan};
 use korch_runtime::{
-    MemoryReport, Model, OverlapEvidence, PlanExecutor, RuntimeConfig, RuntimeProfile, SelfTune,
-    ShardControl, ShardStats, ShardedExecutor, TuneOutcome,
+    MemoryReport, Model, PlanExecutor, RuntimeConfig, RuntimeProfile, SelfTune, ShardControl,
+    ShardStats, ShardedExecutor, TuneOutcome,
 };
 use korch_tensor::Tensor;
 use std::sync::{Arc, Mutex, RwLock};
@@ -82,16 +82,6 @@ pub struct RecalibrationReport {
     /// units are measured host time, so this is not comparable to the
     /// pre-swap simulated latency.
     pub latency_ms: f64,
-    /// Contention sharing rates the re-orchestration used: fitted from
-    /// measured cross-lane interval overlap where evidence existed,
-    /// carried over from the previous state where it did not.
-    pub contention: StreamContention,
-    /// Mean measured overlap fraction of memory-class kernel pairs on
-    /// different lanes (`None` when no such pair was observed).
-    pub memory_overlap: Option<f64>,
-    /// Mean measured overlap fraction of compute-class kernel pairs on
-    /// different lanes (`None` when no such pair was observed).
-    pub compute_overlap: Option<f64>,
 }
 
 /// How the live program was priced. `recalibrate` holds the write lock
@@ -100,12 +90,7 @@ pub struct RecalibrationReport {
 struct Pricing {
     /// The per-partition sources of the live program: what `recalibrate`
     /// re-orchestrates and re-stitches. Carries the plans' simulated
-    /// latency and the contention rates they were priced with — at
-    /// compile time the rates the plans were *orchestrated* with, not the
-    /// executor's lane-placement rates: this is the fallback a
-    /// no-evidence recalibration must re-price under, so a divergent
-    /// `RuntimeConfig::contention` (possible via `compile_with`) must not
-    /// leak into plan pricing.
+    /// latency.
     optimized: Optimized,
     /// Calibration the live plans were priced with (default until the
     /// first recalibration). Drift is measured against *this*, not the
@@ -127,12 +112,11 @@ pub struct CompiledModel {
     runtime: RuntimeConfig,
 }
 
-/// Every shard's profile, read once (each read clones the profile under
-/// that executor's mutex), and their aggregate.
-fn read_profiles(shards: &[Arc<PlanExecutor>]) -> (Vec<RuntimeProfile>, RuntimeProfile) {
+/// The aggregate of every shard's profile (each read clones the profile
+/// under that executor's mutex).
+fn merged_profile(shards: &[Arc<PlanExecutor>]) -> RuntimeProfile {
     let per_shard: Vec<RuntimeProfile> = shards.iter().map(|s| s.profile()).collect();
-    let merged = RuntimeProfile::merged(&per_shard.iter().collect::<Vec<_>>());
-    (per_shard, merged)
+    RuntimeProfile::merged(&per_shard.iter().collect::<Vec<_>>())
 }
 
 /// Mean relative prediction error of `profiler` against `profile`; `None`
@@ -268,8 +252,7 @@ impl CompiledModel {
     /// shards).
     pub fn calibration_samples(&self) -> Vec<CalibrationSample> {
         let shards = self.exec.shards();
-        let (_, merged) = read_profiles(&shards);
-        merged.calibration_samples(shards[0].graph(), shards[0].plan())
+        merged_profile(&shards).calibration_samples(shards[0].graph(), shards[0].plan())
     }
 
     /// Fits a cost-model [`Calibration`] from everything measured so far
@@ -286,16 +269,6 @@ impl CompiledModel {
         self.pricing().calibration.clone()
     }
 
-    /// The [`StreamContention`] sharing rates the live plans were priced
-    /// with: the orchestrator's compile-time configuration until the
-    /// first [`CompiledModel::recalibrate`] fits rates from measured
-    /// overlap (after which pricing and lane placement share the fitted
-    /// rates). Also the fallback for classes a recalibration has no
-    /// overlap evidence for.
-    pub fn applied_contention(&self) -> StreamContention {
-        self.pricing().optimized.contention().clone()
-    }
-
     /// Drift of the live model: mean relative prediction error of the
     /// cost model the current plans were priced with (`base` +
     /// [`CompiledModel::applied_calibration`]) against the profile
@@ -307,7 +280,7 @@ impl CompiledModel {
         let shards = self.exec.shards();
         let fitted = base.clone().with_calibration(pricing.calibration.clone());
         drop(pricing);
-        model_error(&read_profiles(&shards).1, &shards[0], &fitted)
+        model_error(&merged_profile(&shards), &shards[0], &fitted)
     }
 
     /// Re-provisions the model to `n` shard replicas (clamped to ≥ 1) of
@@ -375,79 +348,56 @@ impl CompiledModel {
         let shards = self.exec.shards();
         let program = &shards[0];
         let base = Profiler::new(korch.device().clone());
-        // One profile snapshot per shard, taken up front: serving
-        // continues while we fit, so reading the executors twice would
-        // hand the calibration fit and the contention fit different
-        // measurement sets. Calibration samples come from the merged
-        // profile, overlap evidence from every shard's own interval sets
-        // (never mixed — each set keeps its shard's run clock origin).
-        let (per_shard, merged) = read_profiles(&shards);
+        // One snapshot, taken up front: serving continues while we fit,
+        // so reading the executors twice would score the fit against
+        // measurements it was not fitted from.
+        let merged = merged_profile(&shards);
         let samples = merged.calibration_samples(program.graph(), program.plan());
         if samples.is_empty() {
             return Err(KorchError::Exec(ExecError::Input(
                 "recalibrate needs at least one profiled run; execute the model first".into(),
             )));
         }
-        let classes = kernel_classes(program.graph(), program.plan());
-        let mut evidence = OverlapEvidence::default();
-        for profile in &per_shard {
-            evidence.merge(&OverlapEvidence::collect(profile, &classes));
-        }
         let calibration = Calibration::fit(&base, &samples);
         let fitted = base.clone().with_calibration(calibration.clone());
         let model_error_before = model_error(&merged, program, &base).unwrap_or(0.0);
         let model_error_after = model_error(&merged, program, &fitted).unwrap_or(0.0);
         let sources = self.pricing().optimized.clone();
-        // Fit contention sharing rates from the measured cross-lane
-        // interval overlap; classes (or plans) without any co-run evidence
-        // keep the rates the current plans were placed with.
-        let contention = evidence
-            .fit(sources.contention())
-            .map_or_else(|| sources.contention().clone(), |f| f.contention);
         let replan_start = recal_now();
 
         // Re-orchestrate every partition's chosen variant with the
-        // calibrated profiler *and* the fitted contention (the transform
-        // search already picked the variant; kernel selection and lane
-        // placement are re-priced in measured host behavior), then stitch
-        // the new plans into the one program every shard will run.
-        let mut orch_config = korch.config().orchestrator.clone();
-        orch_config.contention = contention.clone();
-        let runtime = RuntimeConfig {
-            contention: contention.clone(),
-            ..self.runtime.clone()
-        };
+        // calibrated profiler (the transform search already picked the
+        // variant; kernel selection is re-priced in measured host time),
+        // then stitch the new plans into the one program every shard will
+        // run.
         let orchestrator = Orchestrator::new(korch.device().clone())
-            .with_config(orch_config)
+            .with_config(korch.config().orchestrator.clone())
             .with_profiler(fitted);
         let plans = sources
             .partitions()
             .iter()
             .map(|p| Ok(orchestrator.orchestrate(&p.part.graph)?.plan))
             .collect::<Result<Vec<Plan>, KorchError>>()?;
-        let optimized = sources.replanned(plans, contention.clone());
+        let optimized = sources.replanned(plans);
         let (graph, plan) = stitch(&optimized)?;
         // Debug builds statically verify the freshly stitched program
-        // before it can be swapped in: dependency edges, schedule lane
-        // hints, tile decompositions and the arena lifetime program are
+        // before it can be swapped in: dependency edges, tile
+        // decompositions and the arena lifetime program are
         // all checked on the artifact the new executors will run (every
         // shard compiles the same one). On any violation the error
         // propagates and the current plan stays in place.
         #[cfg(debug_assertions)]
-        korch_verify::check_executor(&PlanExecutor::new(&graph, &plan, runtime.clone())?)?;
+        korch_verify::check_executor(&PlanExecutor::new(&graph, &plan, self.runtime.clone())?)?;
         let report = RecalibrationReport {
             calibration: calibration.clone(),
             model_error_before,
             model_error_after,
             latency_ms: optimized.latency_ms(),
-            contention,
-            memory_overlap: evidence.memory_overlap(),
-            compute_overlap: evidence.compute_overlap(),
         };
         let swap_start = recal_now();
         let generation = {
             let mut pricing = self.pricing.write().expect("pricing poisoned");
-            let generation = self.exec.replan(&graph, &plan, runtime)?;
+            let generation = self.exec.replan(&graph, &plan, self.runtime.clone())?;
             *pricing = Pricing {
                 optimized,
                 calibration,
@@ -565,8 +515,6 @@ impl SelfTune for SelfTuningModel {
         Ok(TuneOutcome {
             model_error_before: report.model_error_before,
             model_error_after: report.model_error_after,
-            memory_rate: report.contention.memory_rate,
-            compute_rate: report.contention.compute_rate,
         })
     }
 }

@@ -7,9 +7,7 @@ use korch_cost::{Device, Micros};
 use korch_exec::{execute_ops, execute_plan, ExecError};
 use korch_fission::FissionEngine;
 use korch_ir::{IrError, OpGraph, PortRef, PrimGraph, PrimKind, PrimStats};
-use korch_orch::{
-    OrchError, Orchestration, Orchestrator, OrchestratorConfig, Plan, StreamContention,
-};
+use korch_orch::{OrchError, Orchestration, Orchestrator, OrchestratorConfig, Plan};
 use korch_tensor::Tensor;
 use korch_transform::{optimize_graph, SearchConfig};
 use std::collections::HashMap;
@@ -138,18 +136,16 @@ pub struct Optimized {
     graph_input_ports: Vec<PortRef>,
     graph_output_ports: Vec<PortRef>,
     stats: PipelineStats,
-    contention: StreamContention,
 }
 
 impl Optimized {
     /// The same program with every partition's plan replaced (`plans` in
-    /// partition order) and priced under `contention` — what a
-    /// recalibration's re-orchestration produces.
-    pub(crate) fn replanned(mut self, plans: Vec<Plan>, contention: StreamContention) -> Self {
+    /// partition order) — what a recalibration's re-orchestration
+    /// produces.
+    pub(crate) fn replanned(mut self, plans: Vec<Plan>) -> Self {
         for (part, plan) in self.parts.iter_mut().zip(plans) {
             part.plan = plan;
         }
-        self.contention = contention;
         self
     }
 
@@ -183,14 +179,6 @@ impl Optimized {
     /// The program's output ports.
     pub fn output_ports(&self) -> &[PortRef] {
         &self.graph_output_ports
-    }
-
-    /// The [`StreamContention`] sharing rates the plans were orchestrated
-    /// with (`OrchestratorConfig::contention` at optimization time) —
-    /// what a compiled model's recalibration falls back to for classes
-    /// without measured overlap evidence.
-    pub fn contention(&self) -> &StreamContention {
-        &self.contention
     }
 
     /// Executes the optimized program on the CPU reference kernels.
@@ -371,7 +359,6 @@ impl Korch {
             graph_input_ports,
             graph_output_ports: pg.outputs().to_vec(),
             stats,
-            contention: self.config.orchestrator.contention.clone(),
         })
     }
 
@@ -422,18 +409,13 @@ impl Korch {
 
     /// Optimizes a tensor program and compiles it onto the parallel
     /// runtime with default [`korch_runtime::RuntimeConfig`] (lanes sized
-    /// to the host's cores, lane placement using the orchestrator's
-    /// configured contention rates).
+    /// to the host's cores).
     ///
     /// # Errors
     ///
     /// Returns [`KorchError`] on IR, orchestration or compilation failures.
     pub fn compile(&self, g: &OpGraph) -> Result<crate::CompiledModel, KorchError> {
-        let runtime = korch_runtime::RuntimeConfig {
-            contention: self.config.orchestrator.contention.clone(),
-            ..Default::default()
-        };
-        self.compile_with(g, &runtime)
+        self.compile_with(g, &korch_runtime::RuntimeConfig::default())
     }
 
     /// [`Korch::compile`] with an explicit runtime configuration.
@@ -525,7 +507,6 @@ impl Optimized {
             graph_input_ports,
             graph_output_ports,
             stats: PipelineStats::default(),
-            contention: StreamContention::default(),
         }
     }
 }

@@ -86,9 +86,6 @@ pub struct OrchestratorConfig {
     pub identify: IdentifyConfig,
     /// BLP construction and solver settings.
     pub optimize: OptimizeConfig,
-    /// Resource-class sharing rates for multi-stream simulation (the
-    /// runtime profiler's calibration can tighten these to the host).
-    pub contention: StreamContention,
 }
 
 /// Everything produced by one orchestration run.
@@ -196,18 +193,5 @@ impl Orchestrator {
     pub fn price_plan(&self, plan: &mut Plan) {
         let total: Micros = plan.kernels.iter().map(|k| k.latency).sum();
         plan.total_latency = total;
-    }
-
-    /// Simulates `plan` on `num_streams` lanes using this orchestrator's
-    /// device and configured [`StreamContention`] rates (the knob the
-    /// runtime profiler's calibration adjusts).
-    pub fn schedule(&self, g: &PrimGraph, plan: &Plan, num_streams: usize) -> StreamSchedule {
-        schedule_streams_with(
-            g,
-            plan,
-            num_streams,
-            self.profiler.device(),
-            &self.config.contention,
-        )
     }
 }

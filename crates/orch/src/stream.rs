@@ -23,6 +23,10 @@
 //!
 //! With one stream the simulation degenerates to the paper's sequential
 //! model: the makespan equals Σ kernel latencies (Eq. 2) exactly.
+//!
+//! This is a what-if simulator for the device the plan was priced on.
+//! Nothing executes by it: the `korch-runtime` executor schedules from
+//! the plan's dependency DAG ([`plan_dependencies`]) by work stealing.
 
 use crate::plan::Plan;
 use korch_cost::{kernel_spec, Device, Micros};
@@ -42,8 +46,7 @@ pub enum ResourceClass {
 /// contend for their shared resource. A body co-running with `n - 1`
 /// same-class bodies progresses at rate `1 / (1 + rate · (n - 1))`:
 /// `rate = 1.0` is full processor sharing (n bodies each at 1/n, the
-/// default), `rate = 0.0` is no contention at all. The runtime profiler's
-/// calibration fits these rates to measured overlap on the host.
+/// default), `rate = 0.0` is no contention at all.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamContention {
     /// Sharing rate between concurrent memory-intensive bodies (HBM).
@@ -62,34 +65,6 @@ impl Default for StreamContention {
 }
 
 impl StreamContention {
-    /// Builds sharing rates from *measured* pairwise overlap fractions
-    /// (each in `[0, 1]`: the fraction of a body's runtime during which a
-    /// same-class body was co-resident on another lane, as recorded by the
-    /// `korch-runtime` profiler's interval tracking).
-    ///
-    /// The mapping inverts the sharing model: bodies that fully overlap in
-    /// wall clock were not serialized by their shared resource
-    /// (`rate → 0.0`), bodies that never overlap behave as if co-scheduling
-    /// saves nothing (`rate → 1.0`). `None` means no same-class pair ever
-    /// had the chance to overlap — there is no evidence, so the class keeps
-    /// its `fallback` rate. Inputs are clamped into `[0, 1]`.
-    pub fn from_overlap(
-        memory_overlap: Option<f64>,
-        compute_overlap: Option<f64>,
-        fallback: &StreamContention,
-    ) -> Self {
-        let rate = |overlap: Option<f64>, fallback: f64| -> f64 {
-            match overlap {
-                Some(f) => (1.0 - f.clamp(0.0, 1.0)).clamp(0.0, 1.0),
-                None => fallback,
-            }
-        };
-        Self {
-            memory_rate: rate(memory_overlap, fallback.memory_rate),
-            compute_rate: rate(compute_overlap, fallback.compute_rate),
-        }
-    }
-
     /// Progress rate of one body co-running with `n` same-class bodies in
     /// total (`n >= 1`).
     fn rate(&self, class: ResourceClass, n: usize) -> f64 {
@@ -138,11 +113,7 @@ impl StreamSchedule {
 
     /// The schedule's lane structure: for each stream, the kernel indices
     /// assigned to it in start-time order. Lane `s` of the result may be
-    /// empty if fewer kernels than streams exist. The `korch-runtime`
-    /// executor uses this as a *placement hint* — each lane's ready deque
-    /// is seeded in this order, but actual execution order is derived
-    /// from the kernel dependency DAG and idle lanes steal, so no
-    /// strict per-lane ordering is guaranteed at run time.
+    /// empty if fewer kernels than streams exist.
     pub fn lanes(&self) -> Vec<Vec<usize>> {
         let mut lanes = vec![Vec::new(); self.num_streams];
         // `assignments` is already sorted by start time.
@@ -152,11 +123,8 @@ impl StreamSchedule {
         lanes
     }
 
-    /// Per-kernel placement hint: `lane_of()[k]` is the stream lane the
-    /// simulation placed kernel `k` on. The `korch-runtime` work-stealing
-    /// executor enqueues each kernel on this lane when it becomes ready
-    /// (preserving the simulated locality) but lets any idle lane steal
-    /// it, so a mispredicted placement costs rebalancing, not stalls.
+    /// Per-kernel placement: `lane_of()[k]` is the stream lane the
+    /// simulation placed kernel `k` on.
     pub fn lane_of(&self) -> Vec<usize> {
         let mut lane = vec![0usize; self.assignments.len()];
         for a in &self.assignments {
@@ -289,9 +257,7 @@ pub fn schedule_streams(
     schedule_streams_with(g, plan, num_streams, device, &StreamContention::default())
 }
 
-/// [`schedule_streams`] with explicit [`StreamContention`] sharing rates
-/// (set via `OrchestratorConfig::contention`, or fitted by the runtime
-/// profiler's calibration).
+/// [`schedule_streams`] with explicit [`StreamContention`] sharing rates.
 ///
 /// # Panics
 ///
@@ -817,27 +783,6 @@ mod tests {
         // And full sharing (the default) must equal the rate-1.0 model.
         let explicit = schedule_streams_with(&g, &plan, 4, &device, &StreamContention::default());
         assert!((explicit.makespan.0 - shared.makespan.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn orchestrator_schedule_honors_config_contention() {
-        let g = heterogeneous_branches();
-        let plan = orchestrate(&g);
-        let contention = StreamContention {
-            memory_rate: 0.25,
-            compute_rate: 0.5,
-        };
-        let orch =
-            crate::Orchestrator::new(Device::v100()).with_config(crate::OrchestratorConfig {
-                contention: contention.clone(),
-                ..Default::default()
-            });
-        let via_orchestrator = orch.schedule(&g, &plan, 3);
-        let direct = schedule_streams_with(&g, &plan, 3, &Device::v100(), &contention);
-        assert!(
-            (via_orchestrator.makespan.0 - direct.makespan.0).abs() < 1e-12,
-            "Orchestrator::schedule must use the configured contention rates"
-        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::profiler::RuntimeProfile;
 use korch_cost::Device;
 use korch_exec::{materialize_const, ExecError};
 use korch_ir::{LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
-use korch_orch::{schedule_streams_with, Plan, SelectedKernel};
+use korch_orch::{Plan, SelectedKernel};
 use korch_tensor::Tensor;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -119,7 +119,7 @@ impl PlanExecutor {
     /// declares an output none of its members computes (such plans would
     /// also fail under `execute_plan`).
     pub fn new(g: &PrimGraph, plan: &Plan, config: RuntimeConfig) -> Result<Self, ExecError> {
-        let lanes_requested = config.lanes.max(1);
+        let lanes = config.lanes.max(1);
         let mut slots = Slots::default();
         let (input_slots, const_slots) = assign_sources(g, &mut slots);
         let kernels = compile_kernels(g, plan, &mut slots)?;
@@ -157,23 +157,19 @@ impl PlanExecutor {
             }
         }
 
-        let schedule =
-            schedule_streams_with(g, plan, lanes_requested, &config.device, &config.contention);
-        let lanes = schedule.lanes();
-
         // Intra-kernel tiling: price the split threshold from the plan's
         // own cost estimates (a kernel is split-worthy when it alone
         // exceeds one lane's fair share of the plan), then cut ranges for
         // the range-bodied kernels above it.
         let split_threshold_us = config
             .split_threshold_us
-            .unwrap_or(plan.total_latency.0 / lanes_requested as f64);
+            .unwrap_or(plan.total_latency.0 / lanes as f64);
         let derived_threshold = config.split_threshold_us.is_none();
         let tile_specs: Vec<Option<TileLayout>> = kernels
             .iter()
             .zip(&plan.kernels)
             .map(|(task, k)| {
-                if lanes_requested < 2 || k.latency.0 <= split_threshold_us {
+                if lanes < 2 || k.latency.0 <= split_threshold_us {
                     return None;
                 }
                 // Cut first: the overhead floor prices the partition the
@@ -182,31 +178,27 @@ impl PlanExecutor {
                 // enforce the floor; explicit thresholds bypass it so
                 // tests can sweep degenerate splits.
                 let spec = Self::classify_tiling(g, task, &config)?;
-                if derived_threshold
-                    && !Self::clears_tile_floor(&spec, k, &config.device, lanes_requested)
-                {
+                if derived_threshold && !Self::clears_tile_floor(&spec, k, &config.device, lanes) {
                     return None;
                 }
                 Some(spec)
             })
             .collect();
 
-        let n_roots = kernels.iter().filter(|k| k.deps.is_empty()).count();
-        let may_tile = tile_specs.iter().any(Option::is_some);
-        // Widen to every lane only when the initial ready set cannot seed
-        // them all — with enough root kernels, the split heuristic defers
-        // to inter-kernel parallelism and the extra lanes would only be
-        // called to park.
-        let every_lane = may_tile && n_roots < lanes.len();
-        let rooted = |l: &usize| lanes[*l].iter().any(|&k| kernels[k].deps.is_empty());
-        let mut worker_lanes: Vec<usize> = (0..lanes.len())
-            .filter(|&l| every_lane || !lanes[l].is_empty())
+        let roots: Vec<usize> = (0..kernels.len())
+            .filter(|&k| kernels[k].deps.is_empty())
             .collect();
-        worker_lanes.sort_by_key(|l| !rooted(l));
-        let workers = if worker_lanes.len() <= 1 || (kernels.len() <= 1 && !may_tile) {
-            1
+        // A run needs the scheduler only if two tasks can ever be ready at
+        // once: two roots, a kernel that releases two dependents, or a
+        // kernel that may split into tiles (`tile_specs` is empty of
+        // layouts below two lanes). Anything else is a chain, and a chain
+        // runs in plan order on the calling thread.
+        let forks = dependents.iter().any(|d| d.len() >= 2);
+        let may_tile = tile_specs.iter().any(Option::is_some);
+        let workers = if lanes >= 2 && (roots.len() >= 2 || forks || may_tile) {
+            lanes
         } else {
-            worker_lanes.len()
+            1
         };
         pool::reserve(workers - 1);
         let telemetry = config.telemetry.as_ref().map(ExecTelemetry::new);
@@ -226,9 +218,7 @@ impl PlanExecutor {
             config,
             memory_report: plan_memory_report(g, plan),
             kernels,
-            lanes,
             dependents,
-            schedule,
             input_slots,
             const_slots,
             const_slot,
@@ -242,8 +232,7 @@ impl PlanExecutor {
             tile_specs,
             kernel_classes,
             split_threshold_us,
-            n_roots,
-            worker_lanes,
+            roots,
             workers,
             free_runs: Mutex::new(Vec::new()),
             #[cfg(test)]
@@ -277,17 +266,10 @@ impl PlanExecutor {
         device: &Device,
         lanes: usize,
     ) -> bool {
-        // Tiles only run concurrently up to the host's real core count:
-        // requesting 4 lanes on a 1-core box time-slices the tiles, so the
-        // body work divides by the *achievable* parallelism, not the lane
-        // count. Below 2 achievable-parallel tiles a split is pure
-        // overhead and the kernel provably stays whole.
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let par = lanes.max(1).min(host);
-        if par < 2 {
-            return false;
-        }
-        let par = par as f64;
+        // The body divides over the lanes the caller asked for (at least
+        // two, or nothing is classified). The host enters in one place:
+        // `RuntimeConfig::default()` clamps that request to its cores.
+        let par = lanes as f64;
         let out_bytes = (spec.out_shape.iter().product::<usize>() * 4) as f64;
         let per_tile_body = (k.latency.0 - device.launch_overhead_us).max(0.0) / par;
         let assembly_bytes = if spec.grain == 1 {

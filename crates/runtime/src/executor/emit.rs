@@ -146,8 +146,7 @@ impl ExecTelemetry {
 /// One `execute` call's profiling context. Every worker measures kernel
 /// intervals against the *same* `origin` `Instant` — the clock-origin
 /// invariant [`KernelInterval`] documents: per-lane origins would shift
-/// lanes against each other and corrupt the overlap measurement the
-/// intervals feed (`crate::fit_contention`).
+/// lanes against each other on the trace timeline.
 pub(super) struct RunCtx {
     pub(super) origin: Instant,
     /// Trace id of the request this run serves (read from the calling

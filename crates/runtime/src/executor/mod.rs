@@ -1,12 +1,15 @@
 //! The parallel plan executor: runs an orchestrated [`Plan`] for real,
-//! with a work-stealing scheduler over stream lanes, kernel-level
-//! dependency tracking, intra-kernel tile decomposition, and eager buffer
+//! with a work-stealing scheduler over lanes, kernel-level dependency
+//! tracking, intra-kernel tile decomposition, and eager buffer
 //! reclamation.
 //!
-//! The seed's `korch_exec::execute_plan` interprets kernels sequentially
-//! and `korch_orch::schedule_streams` only *simulates* multi-stream
-//! overlap. [`PlanExecutor`] closes the loop, and its outputs are
-//! **bit-identical** to `execute_plan`'s whichever lane runs what.
+//! The seed's `korch_exec::execute_plan` interprets kernels sequentially.
+//! [`PlanExecutor`] overlaps them, scheduling from the dependency DAG it
+//! compiles and from nothing else — it is a pure function of
+//! `(graph, plan, RuntimeConfig)` — and its outputs are **bit-identical**
+//! to `execute_plan`'s whichever lane runs what. (`korch-orch` keeps a
+//! multi-stream *simulator* as a what-if tool of the optimizer side; the
+//! runtime neither runs it nor follows it.)
 //!
 //! # Compile (`compile.rs`, `body.rs`)
 //!
@@ -42,16 +45,24 @@
 //! long-lived *helper* threads of one process-wide pool, grown at
 //! executor construction to the largest `lanes − 1` any executor asked
 //! for and shared by every executor, shard and request in the process.
-//! Helpers are called **for a surplus only**: the simulated schedule's
-//! lane placement seeds one ready deque per lane (locality preserved),
-//! the caller offers the pool one lane per root kernel beyond the one it
-//! pops first, and from then on whichever lane retires a kernel pushes
-//! the dependents that became ready onto its own deque, pops one of them
-//! itself, and wakes a parked lane — or, while the run has lanes it has
-//! not offered yet, calls a helper — for each *further* one. A
-//! chain-shaped plan (most of a transformer block) therefore runs start
-//! to finish on the calling thread: no wake, no lost steal race, no
-//! re-park per kernel.
+//! Helpers are called **for a surplus only**: the root kernels are dealt
+//! round-robin over the lanes' ready deques in kernel order (the first on
+//! lane 0, the caller's), the caller offers the pool one lane per root
+//! kernel beyond the one it pops first, and from then on whichever lane
+//! retires a kernel pushes the dependents that became ready onto its own
+//! deque, pops one of them itself, and wakes a parked lane — or, while
+//! the run has lanes it has not offered yet, calls a helper — for each
+//! *further* one. A chain-shaped stretch of a plan (most of a transformer
+//! block) therefore stays on the thread that entered it: no wake, no lost
+//! steal race, no re-park per kernel. A lane that is never offered work
+//! costs a recycled deque, not a thread.
+//!
+//! Whether a run is scheduled at all is read off the DAG at compile: two
+//! tasks can be ready at once only if the plan has two root kernels, a
+//! kernel with two dependents, or a kernel that may tile. Such a plan is
+//! scheduled over every requested lane; any other plan is a chain and
+//! runs in plan order on the calling thread, as does every plan at one
+//! lane — no deques, no counters.
 //!
 //! Execution order is derived from the kernel dependency DAG alone — a
 //! kernel becomes ready the moment its last dependency retires (atomic
@@ -78,8 +89,7 @@
 //!
 //! All three protocols are exhaustively explored as `korch_verify`
 //! models: `chase-lev-deque`, `park-unpark-epoch` (with the surplus-only
-//! wakes) and `run-handoff`. Single-lane and untilable single-kernel
-//! plans skip all of it and run in plan order on the calling thread.
+//! wakes) and `run-handoff`.
 //!
 //! A kernel body that panics is caught where it ran
 //! ([`korch_exec::ExecError::KernelPanicked`]): the run fails and settles
@@ -114,8 +124,7 @@
 //! - tile intervals are profiled with the parent kernel's index and a
 //!   tile tag ([`crate::KernelInterval::tile`]): per-kernel stats sum a
 //!   run's tiles into one whole-kernel sample (what the calibration fit
-//!   needs), and the contention fit skips same-kernel pairs so sibling
-//!   tiles are never mistaken for cross-kernel overlap evidence.
+//!   needs).
 //!
 //! # Memory and observation (`emit.rs`)
 //!
@@ -143,7 +152,7 @@ use emit::{ExecTelemetry, RunCtx};
 use korch_cost::{Device, KernelClass};
 use korch_exec::ExecError;
 use korch_ir::{NodeId, PortRef, PrimGraph};
-use korch_orch::{Plan, StreamContention, StreamSchedule};
+use korch_orch::Plan;
 use korch_tensor::Tensor;
 use sched::RunState;
 use std::sync::atomic::Ordering;
@@ -181,12 +190,14 @@ fn not_materialized(port: &PortRef) -> ExecError {
 /// Configuration of the runtime executor.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker threads / stream lanes (1 = sequential in-thread execution).
+    /// Lanes a run may occupy: the calling thread plus `lanes − 1` pooled
+    /// helpers (1 = sequential in-thread execution).
     pub lanes: usize,
-    /// Device whose simulated schedule decides lane placement.
+    /// Unit system of the per-tile overhead floor: the launch overhead
+    /// and memory bandwidth a plan-priced kernel latency is set against
+    /// when a derived split threshold decides tile eligibility. Nothing
+    /// else in the runtime reads it.
     pub device: Device,
-    /// Contention model used for lane placement.
-    pub contention: StreamContention,
     /// Record per-kernel wall times on every run.
     pub profile: bool,
     /// Plan-priced latency (µs, in the plan's own cost-model units —
@@ -222,7 +233,6 @@ impl Default for RuntimeConfig {
                 .unwrap_or(1)
                 .min(8),
             device: Device::v100(),
-            contention: StreamContention::default(),
             profile: true,
             split_threshold_us: None,
             tile_rows: None,
@@ -274,7 +284,7 @@ pub enum TileBodyKind {
 /// executor will run it: the artifact `korch-verify` checks the
 /// disjoint-slice contract (tiles partition the flat output range,
 /// grain-aligned, in tile order) and tilability soundness against.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileLayout {
     /// How tiles evaluate their ranges.
     pub body: TileBodyKind,
@@ -303,12 +313,9 @@ struct Core {
     /// The construction config, kept for the same reason.
     config: RuntimeConfig,
     kernels: Vec<KernelTask>,
-    /// Kernel indices per lane, in schedule start order (deque seeds).
-    lanes: Vec<Vec<usize>>,
     /// Kernels unblocked when each kernel retires (reverse dependency
     /// edges).
     dependents: Vec<Vec<usize>>,
-    schedule: StreamSchedule,
     /// Input slots in feed order, with expected shapes.
     input_slots: Vec<(usize, Vec<usize>)>,
     /// Constant tensors, materialized once and shared across runs.
@@ -343,19 +350,12 @@ struct Core {
     kernel_classes: Vec<(KernelClass, f64)>,
     /// The split threshold actually in force (explicit or plan-derived).
     split_threshold_us: f64,
-    /// Dependency-free kernels — the run's initial ready set.
-    n_roots: usize,
-    /// The lanes a run can occupy, the caller's first. A lane's deque
-    /// only ever holds its homed kernels, so lanes the schedule left
-    /// empty need no worker — unless a kernel may tile and the initial
-    /// ready set cannot seed every lane: tiles spread over *every* lane's
-    /// deque, so then all lanes count (a single huge kernel is exactly
-    /// the case tiling exists for). Lanes seeded with a root kernel come
-    /// first, so the caller's first pop is local.
-    worker_lanes: Vec<usize>,
-    /// Lanes a run is scheduled over: `worker_lanes.len()`, or 1 — plan
-    /// order on the calling thread, no deques — for single-lane and
-    /// untilable single-kernel plans.
+    /// Dependency-free kernels in kernel order — the run's initial ready
+    /// set, dealt round-robin over the lanes' deques.
+    roots: Vec<usize>,
+    /// Lanes a run is scheduled over, the caller's (lane 0) first: every
+    /// requested lane when two tasks can ever be ready at once, else 1 —
+    /// plan order on the calling thread, no deques.
     workers: usize,
     /// Settled run states awaiting reuse ([`Core::feed`]).
     free_runs: Mutex<Vec<Arc<RunState>>>,
@@ -377,11 +377,6 @@ impl PlanExecutor {
     /// exhaustion).
     pub fn replicate(&self) -> Result<Self, ExecError> {
         Self::new(&self.core.graph, &self.core.plan, self.core.config.clone())
-    }
-
-    /// The simulated schedule backing the lane seeds.
-    pub fn schedule(&self) -> &StreamSchedule {
-        &self.core.schedule
     }
 
     /// The primitive graph this executor was compiled over.
@@ -412,9 +407,12 @@ impl PlanExecutor {
         self.core.tile_specs.clone()
     }
 
-    /// Number of worker lanes.
+    /// Lanes a run is scheduled over: every requested lane when two
+    /// tasks can ever be ready at once (two root kernels, a kernel with
+    /// two dependents, or a tile-eligible kernel), else 1 — the plan is a
+    /// chain and runs in plan order on the calling thread.
     pub fn lane_count(&self) -> usize {
-        self.core.lanes.len()
+        self.core.workers
     }
 
     /// The intra-kernel split threshold in force, in the plan's pricing
@@ -511,7 +509,7 @@ impl Core {
     fn execute(self: &Arc<Self>, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
         let state = self.feed(inputs)?;
         if self.workers <= 1 {
-            self.run_sequential(self.worker_lanes.first().copied().unwrap_or(0), &state);
+            self.run_sequential(&state);
         } else {
             self.run_lanes(&state);
         }
@@ -527,10 +525,10 @@ impl Core {
             let mut profile = lock_recover(&self.profile);
             // Intervals may have been timed for tracing alone; the
             // profile only ever sees them when profiling is on.
-            let samples = if self.config.profile {
-                log.samples
+            let samples: &[_] = if self.config.profile {
+                &log.samples
             } else {
-                Vec::new()
+                &[]
             };
             profile.merge_run(samples, log.steals, log.parks);
             if self.config.profile && !failed {
@@ -622,8 +620,8 @@ impl Core {
     /// Validates inputs and arms a run state — a settled one from the
     /// free list when no lane of its last run still holds it, else a
     /// fresh one — with the counters reset, the sources filled and, for
-    /// a multi-lane run, the per-lane ready deques seeded from the
-    /// schedule.
+    /// a multi-lane run, the root kernels dealt over the per-lane ready
+    /// deques.
     fn feed(&self, inputs: &[Tensor]) -> Result<Arc<RunState>, ExecError> {
         self.validate_inputs(inputs)?;
         // A helper lane that has detached from a state's last run but not

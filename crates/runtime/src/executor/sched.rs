@@ -78,8 +78,8 @@ impl Task {
 /// (retired dependents, decomposition tiles) onto its **own** deque's
 /// bottom and pops LIFO from there; idle lanes steal FIFO from other
 /// lanes' tops. Single-owner pushes are what make the deque's lock-free
-/// recipe sound — the stream schedule's lane placement only seeds the
-/// initial deques, before any other lane is called.
+/// recipe sound — the root kernels are dealt over the deques while the
+/// state is being armed, before any lane is called.
 ///
 /// Idleness is futex-style parking against a versioned **work epoch**
 /// instead of a global condvar, and wakes go out for the **surplus**
@@ -136,8 +136,7 @@ pub(super) struct RunState {
     /// Each attached lane's thread handle, registered when the lane
     /// starts working so producers can `Thread::unpark` it.
     lane_threads: Vec<OnceLock<std::thread::Thread>>,
-    /// Helper lanes offered to the pool so far: entries `1..=called` of
-    /// `Core::worker_lanes`.
+    /// Helper lanes offered to the pool so far: lanes `1..=called`.
     called: AtomicUsize,
     /// Pooled helpers attached to this run. A helper attaches under the
     /// pool lock, in the critical section that claims its offer, and the
@@ -169,7 +168,7 @@ impl RunState {
         // What only a scheduled run touches — deques, parking, dependency
         // counters, tile state — stays empty on the single-lane path.
         let (lanes, kernels) = if core.workers > 1 {
-            (core.lanes.len(), core.kernels.len())
+            (core.workers, core.kernels.len())
         } else {
             (0, 0)
         };
@@ -195,13 +194,15 @@ impl RunState {
         }
     }
 
-    /// Resets every counter and flag for a new run under `ctx` and seeds
-    /// each lane's deque with its dependency-free kernels. Workers pop
-    /// LIFO from their own bottom, so seeding in *reverse* schedule start
-    /// order makes each lane work through its simulated placement in
-    /// order before stealing. `&mut self`: no lane of an earlier run
-    /// holds this state any more, so the owner-only push contract holds.
-    /// The value slots are already empty — `settle` took everything.
+    /// Resets every counter and flag for a new run under `ctx` and deals
+    /// the root kernels round-robin over the lanes' deques in kernel
+    /// order, the first on lane 0 (the caller's). Workers pop LIFO from
+    /// their own bottom, so dealing in *reverse* makes each lane work
+    /// through its roots in kernel order before stealing. A single-lane
+    /// state has no deques and is dealt nothing. `&mut self`: no lane of
+    /// an earlier run holds this state any more, so the owner-only push
+    /// contract holds. The value slots are already empty — `settle` took
+    /// everything.
     pub(super) fn rearm(&mut self, core: &Core, ctx: RunCtx) {
         for (left, k) in self.remaining_deps.iter_mut().zip(&core.kernels) {
             *left.get_mut() = k.deps.len();
@@ -214,19 +215,17 @@ impl RunState {
         }
         for (l, deque) in self.ready.iter_mut().enumerate() {
             deque.reset();
-            for &k in core.lanes[l].iter().rev() {
-                if core.kernels[k].deps.is_empty() {
-                    deque.push(Task::Kernel(k).encode());
-                }
-            }
             *self.parked[l].get_mut() = false;
             self.lane_threads[l].take();
         }
-        *self.ready_count.get_mut() = if self.ready.is_empty() {
-            0
-        } else {
-            core.n_roots
-        };
+        *self.ready_count.get_mut() = 0;
+        let lanes = self.ready.len();
+        if lanes > 0 {
+            for (i, &k) in core.roots.iter().enumerate().rev() {
+                self.ready[i % lanes].push(Task::Kernel(k).encode());
+            }
+            *self.ready_count.get_mut() = core.roots.len();
+        }
         *self.n_finished.get_mut() = 0;
         *self.epoch.get_mut() = 0;
         *self.called.get_mut() = 0;
@@ -252,21 +251,21 @@ impl RunState {
 }
 
 impl Core {
-    /// In-thread execution for single-lane or single-kernel plans: kernel
+    /// In-thread execution for single-lane and chain-shaped plans: kernel
     /// indices ascend in dependency order (every dependency points at a
     /// lower index), so plan order is a valid schedule.
-    pub(super) fn run_sequential(self: &Arc<Self>, lane: usize, state: &Arc<RunState>) {
+    pub(super) fn run_sequential(self: &Arc<Self>, state: &Arc<RunState>) {
         let mut log = LaneLog::default();
         for k in 0..self.kernels.len() {
-            if !self.run_task(Task::Kernel(k), lane, state, &mut log) {
+            if !self.run_task(Task::Kernel(k), 0, state, &mut log) {
                 break;
             }
         }
         state.ctx.merge(log);
     }
 
-    /// A multi-lane run, from the calling thread: the caller works as the
-    /// first lane and can finish the whole run alone. The other lanes are
+    /// A multi-lane run, from the calling thread: the caller works as
+    /// lane 0 and can finish the whole run alone. The other lanes are
     /// long-lived helper threads of the process-wide pool (`pool.rs`),
     /// called one per surplus task — here for the root kernels beyond the
     /// caller's own first pop, later by whichever lane makes a surplus
@@ -276,8 +275,8 @@ impl Core {
     /// offers no helper claimed, then waits for the helpers that attached
     /// — never for one that has not — to detach.
     pub(super) fn run_lanes(self: &Arc<Self>, state: &Arc<RunState>) {
-        self.call_helpers(self.n_roots.saturating_sub(1), state);
-        self.run_worker(self.worker_lanes[0], state);
+        self.call_helpers(self.roots.len().saturating_sub(1), state);
+        self.run_worker(0, state);
         if state.called.load(Ordering::Relaxed) > 0 {
             pool::withdraw(state);
             while state.attached.load(Ordering::SeqCst) != 0 {
@@ -292,13 +291,13 @@ impl Core {
         for _ in 0..n {
             // Relaxed: the counter hands out lane indices, nothing else.
             // (Checked first so it stops climbing once every lane is out.)
-            if state.called.load(Ordering::Relaxed) + 1 >= self.worker_lanes.len() {
+            if state.called.load(Ordering::Relaxed) + 1 >= self.workers {
                 return;
             }
-            let next = state.called.fetch_add(1, Ordering::Relaxed) + 1;
-            let Some(&lane) = self.worker_lanes.get(next) else {
+            let lane = state.called.fetch_add(1, Ordering::Relaxed) + 1;
+            if lane >= self.workers {
                 return;
-            };
+            }
             pool::offer(Offer {
                 core: Arc::clone(self),
                 state: Arc::clone(state),
@@ -314,7 +313,7 @@ impl Core {
     pub(super) fn run_helper(self: &Arc<Self>, lane: usize, state: &Arc<RunState>) {
         self.run_worker(lane, state);
         if state.attached.fetch_sub(1, Ordering::SeqCst) == 1 {
-            if let Some(caller) = state.lane_threads[self.worker_lanes[0]].get() {
+            if let Some(caller) = state.lane_threads[0].get() {
                 caller.unpark();
             }
         }
@@ -729,5 +728,59 @@ impl Core {
                 self.reclaim(s, arc);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PlanExecutor, RuntimeConfig};
+    use korch_cost::{Backend, Micros};
+    use korch_ir::{EwFn, PrimGraph, PrimKind};
+    use korch_orch::{Plan, SelectedKernel};
+    use korch_tensor::UnaryOp;
+
+    /// The root kernels are the run's only initial work, and where they
+    /// start is decided here and nowhere else: dealt round-robin over the
+    /// requested lanes in kernel order, so three roots at two lanes seed
+    /// lanes 0, 1, 0 — and each lane pops its own in kernel order.
+    #[test]
+    fn roots_are_dealt_round_robin_in_kernel_order() {
+        let mut g = PrimGraph::new();
+        let mut kernels = Vec::new();
+        for _ in 0..3 {
+            let x = g
+                .add(PrimKind::Input { shape: vec![4, 4] }, vec![])
+                .unwrap();
+            let e = g
+                .add(
+                    PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)),
+                    vec![x.into()],
+                )
+                .unwrap();
+            g.mark_output(e).unwrap();
+            kernels.push(SelectedKernel {
+                members: vec![e],
+                outputs: vec![e.into()],
+                latency: Micros(1.0),
+                backend: Backend::Generated,
+            });
+        }
+        let plan = Plan {
+            kernels,
+            total_latency: Micros(3.0),
+        };
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
+        let core = &exec.core;
+        assert_eq!((core.workers, core.roots.as_slice()), (2, &[0, 1, 2][..]));
+        let inputs: Vec<Tensor> = (0..3).map(|i| Tensor::random(vec![4, 4], i)).collect();
+        let state = core.feed(&inputs).unwrap();
+        let drain = |lane: usize| -> Vec<Task> {
+            std::iter::from_fn(|| state.ready[lane].pop().map(Task::decode)).collect()
+        };
+        assert_eq!(drain(0), [Task::Kernel(0), Task::Kernel(2)]);
+        assert_eq!(drain(1), [Task::Kernel(1)]);
+        core.settle(&state);
+        assert_eq!(core.arena.stats().live_bytes, 0);
     }
 }

@@ -7,10 +7,11 @@
 //!
 //! - [`PlanExecutor`] — runs a [`korch_orch::Plan`] bit-identically to
 //!   `korch_exec::execute_plan`, overlapping independent kernels across
-//!   stream lanes (work-stealing, lock-free; the caller is a lane, the
-//!   others are long-lived helpers of one process-wide pool, called for
-//!   surplus work only) and splitting a long-pole kernel into row-range
-//!   tiles when sibling lanes would idle. The module docs of
+//!   lanes (work-stealing, lock-free, scheduled from the dependency DAG
+//!   the executor compiles and from nothing else; the caller is a lane,
+//!   the others are long-lived helpers of one process-wide pool, called
+//!   for surplus work only) and splitting a long-pole kernel into
+//!   row-range tiles when sibling lanes would idle. The module docs of
 //!   `src/executor/mod.rs` are the one description of how: kernel
 //!   bodies, scheduler, hand-off, tiling, memory
 //!   ([`RuntimeProfile::steals`],
@@ -19,15 +20,12 @@
 //! - [`BufferArena`] / [`plan_memory_report`] — tensor-lifetime analysis,
 //!   last-reader buffer reclamation, size-classed reuse, and peak-resident
 //!   accounting (vs. the interpreter's allocate-everything behavior);
-//! - [`RuntimeProfile`] — per-kernel wall times *and* per-run
+//! - [`RuntimeProfile`] — per-kernel wall times folded from each run's
 //!   [`KernelInterval`]s (every lane timestamps against one shared clock
-//!   origin per run), with two fitting hooks:
+//!   origin per run), and the one fitting hook:
 //!   [`RuntimeProfile::fit_calibration`] feeds measured latencies back
 //!   into the `korch_cost` analytical model (a tiled kernel's tiles sum
-//!   into one whole-kernel sample), and [`fit_contention`] turns measured
-//!   cross-lane interval overlap into [`korch_orch::StreamContention`]
-//!   sharing rates — same-kernel pairs excluded, so sibling tiles of a
-//!   decomposed kernel are never mistaken for cross-kernel overlap;
+//!   into one whole-kernel sample);
 //! - [`Server`] — a work-conserving front-end over any [`Model`]: one
 //!   FIFO admission queue drained by a fixed set of long-lived request
 //!   workers (a request starts the moment one is free; a model that
@@ -40,7 +38,7 @@
 //!   so serving throughput is no longer capped by a single execution
 //!   context. Per-shard [`RuntimeProfile`]s merge
 //!   ([`RuntimeProfile::merge`]) into the one aggregate profile the
-//!   calibration/contention fits consume. `ShardedExecutor` is the one
+//!   calibration fit consumes. `ShardedExecutor` is the one
 //!   holder of shard state: [`ShardControl::set_shards`] re-provisions
 //!   its width, [`ShardedExecutor::replan`] swaps **all** shards onto a
 //!   new plan in one write (a racing width change is honored, never
@@ -53,14 +51,13 @@
 //! `korch-core`'s `CompiledModel` + `SelfTuningModel` close the loop end
 //! to end — **measure → fit → re-orchestrate → swap**:
 //!
-//! 1. **measure** — every `execute` records per-kernel wall times and
-//!    (start, end) intervals against the run's single clock origin;
+//! 1. **measure** — every `execute` records per-kernel wall times;
 //! 2. **fit** — `Calibration::fit` scales the analytical cost model to
-//!    the measured kernel times; [`fit_contention`] maps measured lane
-//!    overlap to per-resource-class sharing rates;
+//!    the measured kernel times;
 //! 3. **re-orchestrate** — the orchestrator re-runs with the calibrated
-//!    profiler and fitted contention, re-pricing kernel selection *and*
-//!    lane placement in measured host behavior;
+//!    profiler, re-pricing kernel selection in measured host time (who
+//!    runs what is not planned: the executor schedules the new plan from
+//!    its dependency DAG, like the old one);
 //! 4. **swap** — the new plans replace the old atomically; in-flight
 //!    requests finish on the plan they started with.
 //!
@@ -133,7 +130,6 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod contention;
 mod deque;
 mod executor;
 mod profiler;
@@ -143,9 +139,8 @@ mod shard;
 pub use arena::{
     plan_lifetimes, plan_memory_report, ArenaStats, BufferArena, Lifetime, MemoryReport,
 };
-pub use contention::{fit_contention, ContentionFit, OverlapEvidence};
 pub use executor::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout};
-pub use profiler::{KernelInterval, KernelStats, RuntimeProfile, INTERVAL_WINDOW};
+pub use profiler::{KernelInterval, KernelStats, RuntimeProfile};
 pub use serving::{
     BatchConfig, Model, RecalibrationPolicy, ResponseHandle, SelfTune, ServeError, Server,
     ServerStats, TuneOutcome,

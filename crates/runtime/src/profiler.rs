@@ -44,17 +44,14 @@ impl KernelStats {
 /// **Clock-origin invariant:** `start_us` and `end_us` are offsets from
 /// *one* monotonic origin captured once per `execute` call (a single
 /// `Instant` shared by every worker lane of that run). Per-lane origins
-/// would skew the very overlap these intervals exist to measure — a lane
-/// that spawns late would report intervals shifted against its peers.
-/// Intervals are therefore only comparable *within* one run's set, never
-/// across runs.
+/// would shift the lanes against each other on the trace timeline the
+/// intervals are rebased onto. Intervals are therefore only comparable
+/// *within* one run's set, never across runs.
 ///
 /// **Tile tagging:** when the executor decomposes a kernel into row-range
 /// tiles, each tile records its own interval with `tile: Some(i)` and the
-/// parent's `kernel` index. Sibling tiles deliberately overlap across
-/// lanes — that overlap is *intra*-kernel parallelism, so the contention
-/// fit ([`crate::fit_contention`]) excludes same-kernel pairs from its
-/// cross-kernel overlap evidence.
+/// parent's `kernel` index; [`RuntimeProfile::merge_run`] sums a run's
+/// tiles into one whole-kernel sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelInterval {
     /// Index into `plan.kernels`.
@@ -75,16 +72,7 @@ impl KernelInterval {
     pub fn duration_us(&self) -> f64 {
         self.end_us - self.start_us
     }
-
-    /// Wall-clock overlap with another interval, µs (0 when disjoint).
-    pub fn overlap_us(&self, other: &KernelInterval) -> f64 {
-        (self.end_us.min(other.end_us) - self.start_us.max(other.start_us)).max(0.0)
-    }
 }
-
-/// Per-run interval sets kept for concurrency analysis (sliding window,
-/// so a long-lived server stays O(1) in memory).
-pub const INTERVAL_WINDOW: usize = 64;
 
 /// Accumulated profile of a [`crate::PlanExecutor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -95,13 +83,13 @@ pub struct RuntimeProfile {
     pub runs: u64,
     /// Total end-to-end wall time across runs, µs.
     pub total_wall_us: f64,
-    /// Kernels executed by a lane other than the one the stream schedule
-    /// placed them on (work-stealing rebalances away the simulated
-    /// assignment when it mispredicts).
+    /// Tasks (kernels or tiles) a lane took from the top of another
+    /// lane's ready deque — counted at the deque, so a task made ready by
+    /// one lane and run by another is one steal.
     pub steals: u64,
     /// Times a worker lane actually parked its thread after a
     /// confirmed-empty sweep of every deque (see the scheduler docs in
-    /// `executor.rs`). High parks relative to kernel count means the
+    /// `executor/sched.rs`). High parks relative to kernel count means the
     /// plan starves lanes; zero parks on a parallel run means the deques
     /// kept every lane fed.
     pub parks: u64,
@@ -111,11 +99,6 @@ pub struct RuntimeProfile {
     pub tiled_kernels: u64,
     /// Individual tile tasks executed across all decomposed kernels.
     pub tile_tasks: u64,
-    /// Per-run kernel intervals of the most recent [`INTERVAL_WINDOW`]
-    /// runs, each set sharing that run's single clock origin (see
-    /// [`KernelInterval`]). Concurrent `execute` calls land in separate
-    /// sets, so every set describes one plan traversal.
-    pub intervals: Vec<Vec<KernelInterval>>,
 }
 
 impl RuntimeProfile {
@@ -129,7 +112,6 @@ impl RuntimeProfile {
             parks: 0,
             tiled_kernels: 0,
             tile_tasks: 0,
-            intervals: Vec::new(),
         }
     }
 
@@ -144,11 +126,10 @@ impl RuntimeProfile {
     /// time, which is what [`RuntimeProfile::calibration_samples`] must
     /// compare against the whole-kernel cost estimate (recording each tile
     /// separately would divide the kernel's measured time by the tile
-    /// count and wreck the fit). The raw tile-tagged intervals still land
-    /// in the window for overlap analysis.
-    pub fn merge_run(&mut self, intervals: Vec<KernelInterval>, steals: u64, parks: u64) {
+    /// count and wreck the fit).
+    pub fn merge_run(&mut self, intervals: &[KernelInterval], steals: u64, parks: u64) {
         let mut tiled: BTreeMap<usize, f64> = BTreeMap::new();
-        for iv in &intervals {
+        for iv in intervals {
             if iv.tile.is_some() {
                 *tiled.entry(iv.kernel).or_insert(0.0) += iv.duration_us();
                 self.tile_tasks += 1;
@@ -162,17 +143,10 @@ impl RuntimeProfile {
         }
         self.steals += steals;
         self.parks += parks;
-        if !intervals.is_empty() {
-            if self.intervals.len() == INTERVAL_WINDOW {
-                self.intervals.remove(0);
-            }
-            self.intervals.push(intervals);
-        }
     }
 
     /// Folds another profile of the **same plan** into this one
-    /// (equivalent to [`RuntimeProfile::merged`] over the pair — see
-    /// there for the aggregation and interval-sampling rules).
+    /// (equivalent to [`RuntimeProfile::merged`] over the pair).
     ///
     /// # Panics
     ///
@@ -186,16 +160,8 @@ impl RuntimeProfile {
     /// Aggregates profiles of the **same plan** into one — the per-shard
     /// → aggregate step of sharded execution (see
     /// [`crate::ShardedExecutor`]): kernel stats are combined
-    /// (counts/totals summed, extrema widened) and run/steal counters
-    /// summed. Per-run interval sets are carried *whole* — never mixed,
-    /// so each keeps its own run's clock origin and the
-    /// [`KernelInterval`] invariant (intervals comparable only within
-    /// one set) survives aggregation. When the contributors together
-    /// hold more than [`INTERVAL_WINDOW`] sets, the window is filled by
-    /// taking each contributor's newest sets **round-robin**: runs of
-    /// different shards have no cross-shard recency order, and a naive
-    /// append-and-trim would keep only the last contributor's window,
-    /// silently dropping every other shard's overlap evidence.
+    /// (counts/totals summed, extrema widened) and the run, steal, park
+    /// and tile counters summed.
     ///
     /// # Panics
     ///
@@ -230,28 +196,6 @@ impl RuntimeProfile {
             out.tiled_kernels += p.tiled_kernels;
             out.tile_tasks += p.tile_tasks;
         }
-        // Fair interval window: newest-first round-robin across
-        // contributors until the window fills (or the sets run out).
-        let mut newest_first: Vec<_> = profiles.iter().map(|p| p.intervals.iter().rev()).collect();
-        let mut picked: Vec<Vec<KernelInterval>> = Vec::new();
-        'fill: loop {
-            let mut any = false;
-            for sets in newest_first.iter_mut() {
-                if let Some(set) = sets.next() {
-                    picked.push(set.clone());
-                    any = true;
-                    if picked.len() == INTERVAL_WINDOW {
-                        break 'fill;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        // Oldest first, matching the order `merge_run` accumulates in.
-        picked.reverse();
-        out.intervals = picked;
         out
     }
 
@@ -373,46 +317,6 @@ mod tests {
         assert_eq!(p.mean_run_us(), 40.0);
     }
 
-    /// Two contributors with *full* interval windows: the merged window
-    /// must sample both round-robin, not keep only the last-merged
-    /// contributor's sets (the append-and-trim failure mode).
-    #[test]
-    fn merged_window_samples_all_contributors_fairly() {
-        let full_profile = |lane: usize| {
-            let mut p = RuntimeProfile::new(1);
-            for _ in 0..INTERVAL_WINDOW {
-                p.merge_run(
-                    vec![KernelInterval {
-                        kernel: 0,
-                        lane,
-                        start_us: 0.0,
-                        end_us: 1.0,
-                        tile: None,
-                    }],
-                    0,
-                    0,
-                );
-            }
-            p
-        };
-        let a = full_profile(0);
-        let b = full_profile(1);
-        let merged = RuntimeProfile::merged(&[&a, &b]);
-        assert_eq!(merged.intervals.len(), INTERVAL_WINDOW);
-        let from_a = merged
-            .intervals
-            .iter()
-            .filter(|set| set[0].lane == 0)
-            .count();
-        assert_eq!(
-            from_a,
-            INTERVAL_WINDOW / 2,
-            "both contributors must survive in the merged window"
-        );
-        assert_eq!(merged.per_kernel[0].count, 2 * INTERVAL_WINDOW as u64);
-        assert_eq!(merged.runs, 0, "merge_run does not bump runs");
-    }
-
     /// A run whose kernel 0 executed as three tiles must record ONE
     /// per-kernel sample summing the tile durations (the
     /// sequential-equivalent body time the calibration fit needs), while
@@ -428,7 +332,7 @@ mod tests {
             tile,
         };
         p.merge_run(
-            vec![
+            &[
                 iv(0, 0, 0.0, 4.0, Some(0)),
                 iv(0, 1, 0.0, 5.0, Some(1)),
                 iv(0, 2, 1.0, 4.0, Some(2)),
@@ -442,8 +346,6 @@ mod tests {
         assert_eq!(p.per_kernel[1].count, 1);
         assert_eq!(p.tiled_kernels, 1);
         assert_eq!(p.tile_tasks, 3);
-        // Raw tile intervals stay in the window for overlap analysis.
-        assert_eq!(p.intervals[0].len(), 4);
         let merged = RuntimeProfile::merged(&[&p, &p]);
         assert_eq!(merged.tiled_kernels, 2);
         assert_eq!(merged.tile_tasks, 6);
@@ -454,84 +356,5 @@ mod tests {
         let p = RuntimeProfile::new(3);
         assert_eq!(p.sequential_us(), 0.0);
         assert_eq!(p.overlap_speedup(), 1.0);
-    }
-
-    /// One single-interval set whose `start_us` tags the run it came
-    /// from, so eviction order is observable.
-    fn tagged_set(tag: f64) -> Vec<KernelInterval> {
-        vec![KernelInterval {
-            kernel: 0,
-            lane: 0,
-            start_us: tag,
-            end_us: tag + 1.0,
-            tile: None,
-        }]
-    }
-
-    /// `merge_run` keeps a strict sliding window: past
-    /// [`INTERVAL_WINDOW`] sets the oldest run is evicted first, the
-    /// window never exceeds the cap, and surviving sets stay in
-    /// oldest-first accumulation order.
-    #[test]
-    fn merge_run_evicts_oldest_interval_sets() {
-        let mut p = RuntimeProfile::new(1);
-        let extra = 5;
-        for run in 0..INTERVAL_WINDOW + extra {
-            p.merge_run(tagged_set(run as f64), 0, 0);
-            assert!(p.intervals.len() <= INTERVAL_WINDOW);
-        }
-        assert_eq!(p.intervals.len(), INTERVAL_WINDOW);
-        let tags: Vec<f64> = p.intervals.iter().map(|s| s[0].start_us).collect();
-        let expect: Vec<f64> = (extra..INTERVAL_WINDOW + extra).map(|r| r as f64).collect();
-        assert_eq!(tags, expect, "oldest runs must be evicted first");
-        // Empty runs contribute no set and trigger no eviction.
-        p.merge_run(Vec::new(), 1, 1);
-        assert_eq!(
-            p.intervals
-                .iter()
-                .map(|s| s[0].start_us)
-                .collect::<Vec<_>>(),
-            expect
-        );
-    }
-
-    /// Uneven contributors: a full window merged with a small one must
-    /// keep *all* of the small contributor's evidence (round-robin fill
-    /// draws newest-first from everyone) while the window stays capped —
-    /// and pairwise [`RuntimeProfile::merge`] must agree with
-    /// [`RuntimeProfile::merged`] over the same pair.
-    #[test]
-    fn merged_window_caps_and_keeps_small_contributors() {
-        let mut big = RuntimeProfile::new(1);
-        for run in 0..INTERVAL_WINDOW {
-            // Lane 0 tags the big contributor.
-            big.merge_run(tagged_set(run as f64), 0, 0);
-        }
-        let mut small = RuntimeProfile::new(1);
-        for run in 0..4 {
-            let mut set = tagged_set(1000.0 + run as f64);
-            set[0].lane = 1;
-            small.merge_run(set, 0, 0);
-        }
-        let combined = RuntimeProfile::merged(&[&big, &small]);
-        assert_eq!(combined.intervals.len(), INTERVAL_WINDOW);
-        let from_small = combined.intervals.iter().filter(|s| s[0].lane == 1).count();
-        assert_eq!(
-            from_small, 4,
-            "every set of the small contributor must survive the merge"
-        );
-        // The evicted sets are the big contributor's *oldest* runs.
-        let oldest_surviving_big = combined
-            .intervals
-            .iter()
-            .filter(|s| s[0].lane == 0)
-            .map(|s| s[0].start_us)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(oldest_surviving_big, 4.0);
-        // Pairwise merge is defined as merged over the pair.
-        let mut pairwise = big.clone();
-        pairwise.merge(&small);
-        assert_eq!(pairwise.intervals, combined.intervals);
-        assert_eq!(pairwise.per_kernel[0].count, combined.per_kernel[0].count);
     }
 }

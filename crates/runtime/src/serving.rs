@@ -36,8 +36,7 @@
 //! policy threshold it triggers a recalibration on a background thread.
 //! Serving never stalls — the model swaps its plans atomically, in-flight
 //! requests finish on the plan they started with — and [`ServerStats`]
-//! reports the recalibration count, the last sampled drift, and the
-//! fitted contention rates.
+//! reports the recalibration count and the last sampled drift.
 //!
 //! A server started over a [`ShardControl`] model ([`Server::start_sharded`]
 //! / [`Server::start_tuned_sharded`]) is additionally *sharded*: at start
@@ -135,7 +134,7 @@ impl Default for RecalibrationPolicy {
     }
 }
 
-/// Fitted rates and errors reported by one [`SelfTune::retune`] pass.
+/// Errors reported by one [`SelfTune::retune`] pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuneOutcome {
     /// Drift of the uncalibrated cost model against the profile the pass
@@ -144,10 +143,6 @@ pub struct TuneOutcome {
     /// The same error under the freshly fitted calibration — the model
     /// the swapped-in plans were priced with.
     pub model_error_after: f64,
-    /// Fitted memory-class contention sharing rate.
-    pub memory_rate: f64,
-    /// Fitted compute-class contention sharing rate.
-    pub compute_rate: f64,
 }
 
 /// A model that can measure its own prediction drift and re-tune itself
@@ -311,7 +306,6 @@ struct StatsInner {
     latency_cursor: usize,
     recalibrations: u64,
     last_model_error: Option<f64>,
-    fitted_contention: Option<(f64, f64)>,
 }
 
 impl StatsInner {
@@ -371,9 +365,6 @@ pub struct ServerStats {
     /// post-fit error the new plans were priced with. `None` until the
     /// first check.
     pub last_model_error: Option<f64>,
-    /// `(memory_rate, compute_rate)` contention sharing rates fitted by
-    /// the most recent recalibration; `None` until one completes.
-    pub fitted_contention: Option<(f64, f64)>,
     /// Per-shard serving counters of a sharded server ([`Server::start_sharded`]
     /// / [`Server::start_tuned_sharded`]); empty for unsharded servers.
     pub shards: Vec<ShardStats>,
@@ -618,7 +609,6 @@ impl Server {
             throughput_rps: inner.requests as f64 / elapsed,
             recalibrations: inner.recalibrations,
             last_model_error: inner.last_model_error,
-            fitted_contention: inner.fitted_contention,
             shards: self
                 .shard
                 .as_ref()
@@ -724,7 +714,6 @@ impl Tuning {
                 let mut s = shared.stats.lock().expect("stats poisoned");
                 s.recalibrations += 1;
                 s.last_model_error = Some(outcome.model_error_after);
-                s.fitted_contention = Some((outcome.memory_rate, outcome.compute_rate));
             }
             if let Some(t) = &shared.telemetry {
                 match outcome {

@@ -50,17 +50,14 @@
 //!
 //! # Per-shard vs aggregate profiles
 //!
-//! Each shard accumulates its own [`RuntimeProfile`] (wall times,
-//! steals, per-run intervals against that shard's own clock origins).
+//! Each shard accumulates its own [`RuntimeProfile`] (per-kernel wall
+//! times, run, steal, park and tile counters).
 //! [`RuntimeProfile::merge`] folds the per-shard profiles into the one
-//! aggregate profile that `CompiledModel::recalibrate` and
-//! [`crate::fit_contention`] already consume — interval *sets* are
-//! appended whole, never mixed across shards, so the clock-origin
-//! invariant ([`crate::KernelInterval`]) keeps holding within every set.
-//! A recalibration therefore fits calibration and contention from **all**
-//! shards' measurements and its swap ([`ShardedExecutor::replan`])
-//! atomically re-plans all shards; in-flight runs finish on the executor
-//! they claimed.
+//! aggregate profile `CompiledModel::recalibrate` consumes. A
+//! recalibration therefore fits its calibration from **all** shards'
+//! measurements and its swap ([`ShardedExecutor::replan`]) atomically
+//! re-plans all shards; in-flight runs finish on the executor they
+//! claimed.
 
 use crate::executor::PlanExecutor;
 use crate::profiler::RuntimeProfile;
@@ -498,10 +495,8 @@ impl ShardedExecutor {
     }
 
     /// The aggregate profile: every shard's [`RuntimeProfile`] combined
-    /// via [`RuntimeProfile::merged`] (summed kernel stats, interval
-    /// window filled round-robin across shards so no shard's overlap
-    /// evidence is evicted wholesale) — the one profile `fit_contention`
-    /// / calibration fitting consume.
+    /// via [`RuntimeProfile::merged`] (kernel stats and counters summed)
+    /// — the one profile calibration fitting consumes.
     pub fn profile(&self) -> RuntimeProfile {
         let (shards, _) = self.snapshot();
         let profiles: Vec<RuntimeProfile> = shards.iter().map(|s| s.profile()).collect();

@@ -13,7 +13,7 @@ pub type TraceId = u64;
 /// Which recalibration phase a [`EventKind::RecalPhase`] span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecalPhase {
-    /// Fitting calibration + contention from the merged profiles.
+    /// Fitting the cost-model calibration from the merged profiles.
     Fit,
     /// Re-orchestrating every partition with the fitted cost model.
     Replan,

@@ -1,4 +1,4 @@
-//! Static verification of compiled Korch artifacts: a plan/schedule
+//! Static verification of compiled Korch artifacts: a plan
 //! verifier, an arena-lifetime abstract interpreter, and a loom-lite
 //! exploration checker for the scheduler's atomic protocols.
 //!
@@ -17,7 +17,6 @@
 //! | Static check (this crate) | Dynamic twin |
 //! |---|---|
 //! | [`verify_plan`]: dependency acyclicity, producer-before-reader, redundant producers compute their own bytes | `tests/runtime_workstealing.rs` `random_dag_plans_are_bit_identical` |
-//! | [`verify_plan`]: schedule lane hints consistent with deps, one kernel per stream at a time | `korch-orch` `dependencies_are_respected`, `stream_lanes_never_overlap_in_time` |
 //! | [`verify_plan`]: tile decompositions partition the output exactly (disjoint + covering + in tile order, grain-aligned); monolithic/multi-output kernels never tile-eligible; reduce tilings never re-associate one output element | `tests/runtime_tiling.rs` differential matrix (tile sizes × lanes, bit-identical to `execute_plan`) |
 //! | [`verify_lifetimes`]: `live_bytes` returns to 0 on every success *and* failure-unwind path, no buffer read after release | `tests/runtime_workstealing.rs` `redundant_producer_conserves_arena_pool`, `failed_runs_settle_the_arena` (PR 2/PR 5 conservation tests) |
 //! | [`explore`]: dep-counter release fires exactly once | executor dependency-counter tests (`runtime_workstealing.rs`) |
@@ -29,7 +28,7 @@
 //! | [`explore`]: run hand-off — no lane touches a recycled run state, the caller waits only on attached helpers | `tests/runtime_workstealing.rs`, `tests/runtime_parallel.rs` repeated runs on one executor at 2/4/8 lanes |
 //!
 //! The verifier consumes artifacts through the runtime's introspection
-//! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`, `schedule`)
+//! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`)
 //! rather than re-deriving them: what is checked is what will run.
 //! [`check_executor`] bundles every static analysis over one compiled
 //! executor; `CompiledModel::recalibrate` runs it (in debug builds) on
@@ -44,7 +43,7 @@ pub mod models;
 mod plan;
 
 pub use lifetime::{verify_lifetimes, LifetimeProgram, LifetimeStep, PortInfo};
-pub use plan::{verify_plan, KernelPlacement, PlanArtifact};
+pub use plan::{verify_plan, PlanArtifact};
 
 use korch_runtime::PlanExecutor;
 use std::fmt;
@@ -63,10 +62,6 @@ pub enum Rule {
     /// A kernel declares an output whose producing node is not among its
     /// members (its bytes would differ from the first producer's).
     ForeignOutput,
-    /// The schedule starts a kernel before a dependency finishes.
-    ScheduleOrderViolation,
-    /// The schedule runs two kernels on one stream at the same time.
-    LaneOverlap,
     /// A kernel is marked tile-eligible though its shape forbids it
     /// (monolithic member, multiple outputs, foreign body node…).
     TileEligibilityUnsound,
@@ -98,8 +93,6 @@ impl fmt::Display for Rule {
             Rule::MalformedDependency => "malformed-dependency",
             Rule::CyclicDependency => "cyclic-dependency",
             Rule::ForeignOutput => "foreign-output",
-            Rule::ScheduleOrderViolation => "schedule-order-violation",
-            Rule::LaneOverlap => "lane-overlap",
             Rule::TileEligibilityUnsound => "tile-eligibility-unsound",
             Rule::TilePartitionBroken => "tile-partition-broken",
             Rule::NonDeterministicReduceTile => "non-deterministic-reduce-tile",
@@ -183,8 +176,8 @@ pub(crate) fn port_name(p: korch_ir::PortRef) -> String {
 }
 
 /// Runs every static analysis over one compiled executor: the
-/// plan/schedule verifier on the artifact the executor actually compiled
-/// (dependency counters, lane hints, tile layouts) plus the arena
+/// plan verifier on the artifact the executor actually compiled
+/// (dependency counters, tile layouts) plus the arena
 /// lifetime abstract interpreter over the plan's lifetime program.
 pub fn verify_executor(exec: &PlanExecutor) -> Vec<Violation> {
     let g = exec.graph();

@@ -1,6 +1,6 @@
-//! The plan/schedule verifier: checks a compiled artifact's dependency
-//! edges, stream placement and tile decompositions against the plan and
-//! graph they were compiled from.
+//! The plan verifier: checks a compiled artifact's dependency edges and
+//! tile decompositions against the plan and graph they were compiled
+//! from.
 //!
 //! The artifact ([`PlanArtifact`]) is an owned, mutable mirror of what
 //! `PlanExecutor` compiled — mutation tests corrupt it programmatically
@@ -14,27 +14,14 @@ use korch_ir::{PortRef, PrimGraph, PrimKind};
 use korch_orch::{plan_dependencies, Plan};
 use korch_runtime::{PlanExecutor, TileBodyKind, TileLayout};
 
-/// The simulated placement of one kernel, indexed like `plan.kernels`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelPlacement {
-    /// Stream lane the schedule placed the kernel on.
-    pub stream: usize,
-    /// Simulated start time, µs.
-    pub start_us: f64,
-    /// Simulated completion time, µs.
-    pub end_us: f64,
-}
-
 /// The verifiable artifact one `PlanExecutor` compiled: dependency
-/// counters, schedule placement, and tile decompositions. Extracted via
+/// counters and tile decompositions. Extracted via
 /// the runtime's introspection API so the verifier checks what will run,
 /// not a re-derivation of it.
 #[derive(Debug, Clone)]
 pub struct PlanArtifact {
     /// Dependency edges per kernel (who must retire before it starts).
     pub deps: Vec<Vec<usize>>,
-    /// Simulated schedule placement per kernel.
-    pub placements: Vec<KernelPlacement>,
     /// Compiled tile decomposition per kernel (`None` = runs whole).
     pub tiles: Vec<Option<TileLayout>>,
 }
@@ -42,28 +29,8 @@ pub struct PlanArtifact {
 impl PlanArtifact {
     /// Extracts the artifact from a compiled executor.
     pub fn from_executor(exec: &PlanExecutor) -> Self {
-        let sched = exec.schedule();
-        let n = exec.plan().kernels.len();
-        let mut placements = vec![
-            KernelPlacement {
-                stream: 0,
-                start_us: 0.0,
-                end_us: 0.0,
-            };
-            n
-        ];
-        for a in &sched.assignments {
-            if a.kernel < n {
-                placements[a.kernel] = KernelPlacement {
-                    stream: a.stream,
-                    start_us: a.start_us,
-                    end_us: a.end_us,
-                };
-            }
-        }
         Self {
             deps: exec.kernel_dependencies(),
-            placements,
             tiles: exec.tile_layouts(),
         }
     }
@@ -77,7 +44,6 @@ pub fn verify_plan(g: &PrimGraph, plan: &Plan, artifact: &PlanArtifact) -> Vec<V
     let n = plan.kernels.len();
     for (field, len) in [
         ("deps", artifact.deps.len()),
-        ("placements", artifact.placements.len()),
         ("tiles", artifact.tiles.len()),
     ] {
         if len != n {
@@ -95,7 +61,6 @@ pub fn verify_plan(g: &PrimGraph, plan: &Plan, artifact: &PlanArtifact) -> Vec<V
 
     check_dependencies(g, plan, artifact, &mut out);
     check_producers(g, plan, &mut out);
-    check_schedule(plan, artifact, &mut out);
     for (i, layout) in artifact.tiles.iter().enumerate() {
         if let Some(layout) = layout {
             check_tiling(g, plan, i, layout, &mut out);
@@ -220,60 +185,6 @@ fn check_producers(g: &PrimGraph, plan: &Plan, out: &mut Vec<Violation>) {
                         port_name(*o),
                         o.node.0
                     ),
-                ));
-            }
-        }
-    }
-}
-
-/// Lane hints: the simulated placement must respect the data
-/// dependencies (a kernel starts only after its producers finish) and a
-/// stream never runs two kernels at once.
-fn check_schedule(plan: &Plan, artifact: &PlanArtifact, out: &mut Vec<Violation>) {
-    const EPS: f64 = 1e-6;
-    let n = plan.kernels.len();
-    for (i, deps) in artifact.deps.iter().enumerate() {
-        for &d in deps {
-            if d >= n {
-                continue;
-            }
-            let (start, dep_end) = (
-                artifact.placements[i].start_us,
-                artifact.placements[d].end_us,
-            );
-            if start + EPS < dep_end {
-                out.push(Violation::new(
-                    Rule::ScheduleOrderViolation,
-                    Some(i),
-                    None,
-                    format!(
-                        "schedule starts kernel {i} at {start:.3}µs before its \
-                         dependency {d} finishes at {dep_end:.3}µs"
-                    ),
-                ));
-            }
-        }
-    }
-    let mut by_stream: std::collections::HashMap<usize, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (i, p) in artifact.placements.iter().enumerate() {
-        by_stream.entry(p.stream).or_default().push(i);
-    }
-    for (stream, mut kernels) in by_stream {
-        kernels.sort_by(|&a, &b| {
-            artifact.placements[a]
-                .start_us
-                .partial_cmp(&artifact.placements[b].start_us)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for w in kernels.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if artifact.placements[b].start_us + EPS < artifact.placements[a].end_us {
-                out.push(Violation::new(
-                    Rule::LaneOverlap,
-                    Some(b),
-                    None,
-                    format!("stream {stream} runs kernels {a} and {b} concurrently"),
                 ));
             }
         }

@@ -3,12 +3,12 @@
 //!
 //! Compiles every graph in the corpus (the five evaluation models at
 //! `tiny()` scale plus the case-study subgraphs), then runs the static
-//! plan/schedule verifier and arena-lifetime abstract interpreter over
+//! plan verifier and arena-lifetime abstract interpreter over
 //! every optimized partition **and** each model's stitched whole program
 //! (the one artifact a `CompiledModel` executes) × lane count {1, 2, 4},
 //! with the split threshold forced to zero so every tile partition these
-//! plans can get is cut and checked (the derived threshold's host-aware
-//! floor cuts none on a 1- or 2-core host). Finishes with the exhaustive
+//! plans can get is cut and checked (under the derived threshold's
+//! overhead floor these small plans cut none). Finishes with the exhaustive
 //! schedule-exploration suite over the scheduler's atomic protocol
 //! models. Exits non-zero on any violation — or if the corpus yields no
 //! tile layout at all, which would make the tiling checks vacuous — so CI

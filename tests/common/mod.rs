@@ -10,7 +10,6 @@
 use korch::cost::{kernel_spec, Backend, Device, Profiler};
 use korch::ir::{EwFn, NodeId, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
 use korch::orch::{Plan, SelectedKernel};
-use korch::runtime::{KernelInterval, RuntimeProfile};
 use korch::tensor::{Tensor, UnaryOp};
 use std::collections::BTreeSet;
 
@@ -118,8 +117,9 @@ pub fn model_graph() -> OpGraph {
 }
 
 /// `branches` independent one-node memory-bound kernels (nothing fuses,
-/// nothing depends): the plan shape where lane placement and contention
-/// rates decide the whole makespan.
+/// nothing depends): every kernel is a root, so the run's whole shape is
+/// decided by how the roots are dealt over the lanes (and, in the stream
+/// simulator, by the contention rates).
 pub fn independent_plan(branches: usize) -> (PrimGraph, Plan) {
     let mut g = PrimGraph::new();
     let mut kernels = Vec::with_capacity(branches);
@@ -147,15 +147,4 @@ pub fn independent_plan(branches: usize) -> (PrimGraph, Plan) {
         .collect();
     let plan = plan_of(kernels);
     (g, plan)
-}
-
-/// A profile assembled from explicit per-run interval sets (`kernels` =
-/// plan kernel count) — the fixture contention-fit tests build evidence
-/// from.
-pub fn profile_of_runs(runs: Vec<Vec<KernelInterval>>, kernels: usize) -> RuntimeProfile {
-    let mut p = RuntimeProfile::new(kernels);
-    for run in runs {
-        p.merge_run(run, 0, 0);
-    }
-    p
 }

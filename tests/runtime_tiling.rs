@@ -255,12 +255,9 @@ proptest! {
 
 /// A single big compute-bound kernel — the exact long-pole shape tiling
 /// exists for — must decompose into one tile per lane, keep its results
-/// bit-identical, and report the decomposition through the profile. The
-/// derived threshold's per-tile floor is host-aware (below 2
-/// achievable-parallel tiles a split is pure overhead), so on a 1-core
-/// host the auto decision must instead provably keep the kernel whole —
-/// there the decomposition machinery is exercised through an explicit
-/// threshold, which bypasses the floor.
+/// bit-identical, and report the decomposition through the profile.
+/// Tile eligibility is a function of the plan and the config — the
+/// requested lanes, not the host's cores — so this holds on any host.
 #[test]
 fn single_kernel_plan_splits_into_lane_tiles() {
     // 320×320 matmul: row-grain compute whose per-tile body clears the
@@ -277,28 +274,14 @@ fn single_kernel_plan_splits_into_lane_tiles() {
     );
     let inputs = prim_random_inputs(&g, 11);
     let reference = execute_plan(&g, &plan, &inputs).unwrap();
-    let multi_core = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
     for lanes in [2usize, 4] {
         // Default (None) threshold: a single-kernel plan always exceeds
-        // its lane share, so on a multi-core host tiling engages without
-        // any explicit config. On a 1-core host the floor keeps it whole
-        // and the explicit threshold forces the same partition instead.
-        let derived = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        // its lane share, so tiling engages without any explicit config.
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
         assert!(
-            (derived.split_threshold_us() - plan.total_latency.0 / lanes as f64).abs() < 1e-12,
+            (exec.split_threshold_us() - plan.total_latency.0 / lanes as f64).abs() < 1e-12,
             "default threshold must be the plan's per-lane share"
         );
-        let exec = if multi_core {
-            assert_eq!(derived.tileable_kernels(), 1);
-            derived
-        } else {
-            assert_eq!(
-                derived.tileable_kernels(),
-                0,
-                "below 2 achievable-parallel tiles the floor must keep the kernel whole"
-            );
-            PlanExecutor::new(&g, &plan, tiling_config(lanes, None)).unwrap()
-        };
         assert_eq!(exec.tileable_kernels(), 1);
         let runs = 3u64;
         for _ in 0..runs {
@@ -612,18 +595,13 @@ fn derived_threshold_prices_kernels_against_lane_share() {
     assert!(big_latency.0 > small_latency.0);
     let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
     // Share = total/2; the big kernel dominates the total, so only it
-    // clears the bar — unless the host can't actually run 2 tiles in
-    // parallel, in which case the host-aware floor keeps both whole.
-    let multi_core = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-    let expected = usize::from(multi_core);
+    // clears the bar.
     assert_eq!(
         exec.tileable_kernels(),
-        expected,
-        "only the dominant kernel may exceed its lane share, and only on a multi-core host"
+        1,
+        "only the dominant kernel may exceed its lane share"
     );
-    // The lane-share bar itself is host-independent: with the floor
-    // bypassed, the explicit zero threshold splits the big kernel and
-    // still leaves the small one whole.
+    // With the floor bypassed, the explicit zero threshold tiles both.
     let forced = PlanExecutor::new(&g, &plan, tiling_config(2, None)).unwrap();
     assert_eq!(forced.tileable_kernels(), 2, "zero threshold tiles both");
 }

@@ -1,12 +1,13 @@
 //! Work-stealing executor tests: random DAG plans must execute
 //! bit-identically to the sequential `execute_plan` interpreter at every
 //! lane count, failures must unwind every lane mid-run — including lanes
-//! *parked* on the lock-free scheduler's epoch handshake — imbalanced
-//! schedules must trigger steals, the shutdown-while-parked race must
-//! terminate without a lost wakeup, and redundant-producer plans must
-//! conserve the buffer arena's pool.
+//! *parked* on the lock-free scheduler's epoch handshake — whether a run
+//! is scheduled at all must follow from the plan's DAG (a chain is not, a
+//! fork and independent roots are), a fork's dependents must be
+//! rebalanced by stealing, the shutdown-while-parked race must terminate
+//! without a lost wakeup, and redundant-producer plans must conserve the
+//! buffer arena's pool.
 
-use korch::cost::{Backend, Micros};
 use korch::exec::execute_plan;
 use korch::ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch::orch::{Plan, SelectedKernel};
@@ -155,66 +156,131 @@ proptest! {
     }
 }
 
-/// An imbalanced schedule — the simulator believes kernel 0 is enormous
-/// and serializes the other seven behind one lane — must be rebalanced by
-/// stealing: the lane that finishes its (actually cheap) kernel steals
-/// from the overloaded lane instead of idling.
-#[test]
-fn imbalanced_schedule_triggers_steals() {
+/// One root kernel whose retirement releases `fan` dependent kernels at
+/// once — every one of them lands on the retiring lane's own deque.
+fn fork_plan(fan: usize, shape: &[usize]) -> (PrimGraph, Plan) {
     let mut g = PrimGraph::new();
-    let shape = vec![96usize, 96];
-    let mut kernels_members: Vec<Vec<NodeId>> = Vec::new();
-    for _ in 0..8 {
-        let x = g
-            .add(
-                PrimKind::Input {
-                    shape: shape.clone(),
-                },
-                vec![],
-            )
-            .unwrap();
-        let mut members = Vec::new();
-        let mut cur: PortRef = x.into();
-        for _ in 0..4 {
-            let n = g
-                .add(PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)), vec![cur])
-                .unwrap();
-            members.push(n);
-            cur = n.into();
-        }
-        g.mark_output(cur.node).unwrap();
-        kernels_members.push(members);
+    let x = g
+        .add(
+            PrimKind::Input {
+                shape: shape.to_vec(),
+            },
+            vec![],
+        )
+        .unwrap();
+    let (mut kernels, root) = chain_kernels(&mut g, x.into(), 1);
+    for _ in 0..fan {
+        let (branch, end) = chain_kernels(&mut g, root.into(), 1);
+        g.mark_output(end).unwrap();
+        kernels.extend(branch);
     }
-    let kernels: Vec<SelectedKernel> = kernels_members
-        .into_iter()
-        .enumerate()
-        .map(|(i, members)| {
-            let out = *members.last().unwrap();
-            SelectedKernel {
-                members,
-                outputs: vec![out.into()],
-                // Kernel 0 looks huge to the simulator, so the list
-                // scheduler stacks kernels 1..8 on the other lane; on the
-                // host all eight cost the same.
-                latency: Micros(if i == 0 { 1e6 } else { 1.0 }),
-                backend: Backend::Generated,
-            }
-        })
-        .collect();
+    (g, plan_of(kernels))
+}
+
+/// A chain can never have two tasks ready at once, so it is not
+/// scheduled however many lanes were asked for: it runs in plan order on
+/// the calling thread — no deque, no helper, nothing to steal, nobody to
+/// park.
+#[test]
+fn chain_plan_runs_inline_at_any_lane_count() {
+    let mut g = PrimGraph::new();
+    let shape = vec![16usize, 16];
+    let x = g
+        .add(
+            PrimKind::Input {
+                shape: shape.clone(),
+            },
+            vec![],
+        )
+        .unwrap();
+    let (kernels, end) = chain_kernels(&mut g, x.into(), 8);
+    g.mark_output(end).unwrap();
     let plan = plan_of(kernels);
-    let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
-    let inputs = same_shape_inputs(8, &shape, 11);
+    let inputs = same_shape_inputs(1, &shape, 3);
     let reference = execute_plan(&g, &plan, &inputs).unwrap();
-    for run in 0..6 {
+    let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(4)).unwrap();
+    assert_eq!(exec.lane_count(), 1, "a chain is not scheduled");
+    for run in 0..50 {
         let out = exec.execute(&inputs).unwrap();
-        assert_bit_identical(&reference, &out, &format!("imbalanced run {run}"));
+        assert_bit_identical(&reference, &out, &format!("chain run {run}"));
     }
     let profile = exec.profile();
-    assert_eq!(profile.runs, 6);
+    assert_eq!(profile.runs, 50);
+    assert_eq!((profile.parks, profile.steals), (0, 0), "{profile:?}");
+}
+
+/// Three independent roots at two lanes: the run is scheduled (the roots
+/// are dealt 0, 1, 0 over the lanes — pinned on the deques themselves in
+/// `korch-runtime`'s `roots_are_dealt_round_robin_in_kernel_order`) and
+/// whichever lane ends up running what, every run equals `execute_plan`
+/// bit for bit and settles the arena.
+#[test]
+fn independent_roots_are_scheduled_and_bit_identical() {
+    let (g, plan) = common::independent_plan(3);
+    let inputs = same_shape_inputs(3, &[64, 64], 5);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
+    assert_eq!(exec.lane_count(), 2);
+    for run in 0..200 {
+        let out = exec.execute(&inputs).unwrap();
+        assert_bit_identical(&reference, &out, &format!("roots run {run}"));
+        assert_eq!(exec.arena_stats().live_bytes, 0, "run {run}");
+    }
+    assert_eq!(exec.profile().runs, 200);
+}
+
+/// A single root with three dependents has one task ready at the start
+/// and three after the root retires, so it is scheduled, not run inline.
+/// The dependents all land on the retiring lane's deque: the other lane
+/// can only get work by stealing it. (Whether the pooled helper arrives
+/// in time on any one run is the host's business — loop until observed.)
+#[test]
+fn single_root_fork_is_scheduled_and_rebalanced_by_stealing() {
+    let shape = vec![96usize, 96];
+    let (g, plan) = fork_plan(3, &shape);
+    let inputs = same_shape_inputs(1, &shape, 11);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap();
+    assert_eq!(exec.lane_count(), 2, "a fork is scheduled over both lanes");
+    for run in 0..20_000 {
+        if run >= 6 && exec.profile().steals > 0 {
+            break;
+        }
+        let out = exec.execute(&inputs).unwrap();
+        assert_bit_identical(&reference, &out, &format!("fork run {run}"));
+        assert_eq!(exec.arena_stats().live_bytes, 0, "run {run}");
+    }
+    let profile = exec.profile();
     assert!(
         profile.steals > 0,
-        "an idle lane must steal from the overloaded one, profile: {profile:?}"
+        "the second lane must steal from the forking one, profile: {profile:?}"
     );
+}
+
+/// `PlanExecutor::new` is a pure function of `(graph, plan, config)`:
+/// the same inputs compile to the same dependency edges, the same tile
+/// layouts and the same lane decision — no host read, no clock.
+#[test]
+fn compile_is_a_pure_function_of_its_inputs() {
+    let (g, plan) = fork_plan(3, &[96, 96]);
+    let config = RuntimeConfig {
+        split_threshold_us: Some(0.0),
+        ..RuntimeConfig::with_lanes(4)
+    };
+    let a = PlanExecutor::new(&g, &plan, config.clone()).unwrap();
+    let b = PlanExecutor::new(&g, &plan, config).unwrap();
+    assert_eq!(
+        a.kernel_dependencies(),
+        vec![vec![], vec![0], vec![0], vec![0]]
+    );
+    assert_eq!(
+        a.tileable_kernels(),
+        4,
+        "every kernel here is one tilable chain"
+    );
+    assert_eq!(a.kernel_dependencies(), b.kernel_dependencies());
+    assert_eq!(a.tile_layouts(), b.tile_layouts());
+    assert_eq!(a.lane_count(), b.lane_count());
 }
 
 /// A failing kernel (opaque primitive, no CPU interpreter) must unwind

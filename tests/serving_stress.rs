@@ -120,7 +120,6 @@ fn concurrent_submitters_race_shutdown_without_losing_responses() {
         }
         // No tuner attached: the recalibration stats must stay inert.
         assert_eq!(stats.recalibrations, 0);
-        assert!(stats.fitted_contention.is_none());
         assert!(stats.last_model_error.is_none());
     }
 }
@@ -154,8 +153,6 @@ impl SelfTune for FlakyTuner {
         Ok(TuneOutcome {
             model_error_before: 1.0,
             model_error_after: 0.1,
-            memory_rate: 0.25,
-            compute_rate: 0.75,
         })
     }
 }
@@ -200,9 +197,6 @@ fn tuned_server_survives_retune_races() {
             "every successful retune (and only those) must be counted \
              ({attempts} attempts)"
         );
-        if stats.recalibrations > 0 {
-            assert_eq!(stats.fitted_contention, Some((0.25, 0.75)));
-        }
         // The last drift event is either a periodic check (1.0) or a
         // completed retune's post-fit error (0.1), depending on the race.
         let last = stats.last_model_error.expect("drift was sampled");

@@ -195,3 +195,47 @@ fn disabled_telemetry_records_nothing_and_keeps_outputs() {
     let stats = server.shutdown();
     assert!(stats.metrics.is_none());
 }
+
+/// What a multi-lane run leaves behind, now that the profile keeps no
+/// interval window: one `Kernel` span per kernel per run, each on a lane
+/// the caller asked for, all rebased onto the hub's one clock origin —
+/// and the profile still sees one sample per kernel per run.
+#[test]
+fn executor_kernel_spans_cover_each_run_on_one_origin() {
+    let (g, plan) = independent_plan(6);
+    let inputs = prim_random_inputs(&g, 3);
+    let telemetry = Telemetry::shared();
+    let config = RuntimeConfig {
+        telemetry: Some(Arc::clone(&telemetry)),
+        ..RuntimeConfig::with_lanes(3)
+    };
+    let exec = PlanExecutor::new(&g, &plan, config).unwrap();
+    let runs = 4u64;
+    for _ in 0..runs {
+        exec.execute(&inputs).unwrap();
+    }
+    let profile = exec.profile();
+    assert_eq!(profile.runs, runs);
+    assert!(profile.per_kernel.iter().all(|s| s.count == runs));
+    let end_us = telemetry.recorder().now_us();
+    let mut kernels_of_run: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+    for e in telemetry.recorder().snapshot() {
+        if let EventKind::Kernel {
+            run, kernel, lane, ..
+        } = e.kind
+        {
+            assert!(lane < 3, "span on a lane nobody asked for: {e:?}");
+            assert!(
+                e.start_us >= 0.0 && e.dur_us >= 0.0 && e.start_us + e.dur_us <= end_us,
+                "span off the shared timeline: {e:?}"
+            );
+            kernels_of_run.entry(run).or_default().push(kernel);
+        }
+    }
+    assert_eq!(kernels_of_run.len() as u64, runs, "one span set per run");
+    for (run, mut kernels) in kernels_of_run {
+        kernels.sort_unstable();
+        let every_kernel_once: Vec<usize> = (0..plan.kernel_count()).collect();
+        assert_eq!(kernels, every_kernel_once, "run {run}");
+    }
+}
