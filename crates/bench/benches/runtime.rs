@@ -783,6 +783,61 @@ fn bench_tiled(c: &mut Criterion) {
             korch_tensor::MATMUL_MR
         ),
     });
+    // The members a Segformer-64 walk spends its non-matmul time in, at
+    // the shapes it runs them: a narrow product whose `n = 16` is all
+    // column tail (the 16-wide instantiation of the block body), a 2-D
+    // tile transpose and a last-axis fill broadcast. Each sample times
+    // `REPS` calls — one call is a few microseconds.
+    const REPS: usize = 64;
+    let mut small = |name: &str, work: f64, unit: &str, what: &str, f: &dyn Fn() -> Tensor| {
+        let (p10, median, p90) = measure(10, || {
+            for _ in 0..REPS {
+                black_box(f());
+            }
+        });
+        let per_call = |t: f64| t / REPS as f64 * 1e9;
+        let rate = work / per_call(median);
+        println!(
+            "{name}: {rate:.2} {unit} ({:.2} us, {what})",
+            per_call(median) / 1e3
+        );
+        records.push(BenchRecord {
+            name: name.into(),
+            median_ns: per_call(median),
+            p10_ns: per_call(p10),
+            p90_ns: per_call(p90),
+            speedup_vs_sequential: None,
+            note: format!("{rate:.2} {unit}: {what}, no executor"),
+        });
+    };
+    let (na, nb) = (
+        Tensor::random(vec![256, 64], 23),
+        Tensor::random(vec![64, 16], 29),
+    );
+    small(
+        "microkernel/matmul_n16_gflops",
+        korch_tensor::matmul_flops(1, 256, 16, 64) as f64,
+        "GFLOP/s",
+        "[256,64]x[64,16] Tensor::matmul, every column in the 16-wide tail block",
+        &|| na.matmul(&nb, MatMulSpec::default()).unwrap(),
+    );
+    let tr = Tensor::random(vec![1, 64, 256], 31);
+    small(
+        "microkernel/transpose_gbps",
+        2.0 * tr.byte_size() as f64,
+        "GB/s",
+        "[1,64,256] Tensor::transpose by [0,2,1], 16x16 tiles (bytes read + written)",
+        &|| tr.transpose(&[0, 2, 1]).unwrap(),
+    );
+    let br = Tensor::random(vec![1, 64, 16], 37);
+    small(
+        "microkernel/broadcast_gbps",
+        17.0 * br.byte_size() as f64,
+        "GB/s",
+        "[1,64,16] -> [1,64,16,16] last-axis Tensor::broadcast, one fill per input element \
+         (bytes read + written)",
+        &|| br.broadcast(3, 16).unwrap(),
+    );
     // The same microkernel under `Tensor::conv2d`: the 16→32 3×3 conv on
     // 32×32 that e2e-bench's `tensor.conv2d_gflops` times (a filled column
     // panel in several blocks) is the gated median; the note adds the

@@ -39,7 +39,10 @@ const DEFAULT_TOLERANCE: f64 = 0.10;
 /// baseline tracked. These are the cross-PR headline benches.
 const REQUIRED_HEADLINES: &[&str] = &[
     "microkernel/matmul_gflops",
+    "microkernel/matmul_n16_gflops",
     "microkernel/conv2d_gflops",
+    "microkernel/transpose_gbps",
+    "microkernel/broadcast_gbps",
     "microkernel/chain6_blocked",
     "tiled_single_kernel/sequential/matmul",
     "tiled_single_kernel/sequential/matmul_320",

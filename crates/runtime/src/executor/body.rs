@@ -3,7 +3,7 @@
 
 use super::{not_materialized, TileBodyKind};
 use korch_exec::{eval_prim, eval_prim_tiled, prim_tilability, CompiledChain, ExecError};
-use korch_ir::{LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
+use korch_ir::{LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_tensor::{MatMulSpec, PackedB, Tensor, TensorError};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -23,6 +23,9 @@ enum Operand {
 pub(super) struct Step {
     node: NodeId,
     operands: Vec<Operand>,
+    /// Steps (this one included) whose outputs nothing reads after this
+    /// step and the kernel does not export: the walk drops them here.
+    dead_after: Vec<usize>,
 }
 
 /// The body of one kernel. `Chain` and `Prim` are the *range* bodies:
@@ -36,7 +39,10 @@ pub(super) enum KernelBody {
     /// evaluated whole with `eval_prim` — the interpreter's arithmetic in
     /// the interpreter's order. `exports[i]` is the `(step, port)`
     /// holding the kernel's `i`-th output. The general body: any member
-    /// mix, any number of outputs, full range only.
+    /// mix, any number of outputs, full range only. A step's outputs
+    /// live until their last in-kernel reader, not until the kernel
+    /// ends, so a long row-wise kernel keeps a few cache-hot blocks in
+    /// flight instead of one per member.
     Walk {
         steps: Vec<Step>,
         exports: Vec<(usize, usize)>,
@@ -130,23 +136,37 @@ impl KernelBody {
             .map(|(i, m)| (m, i))
             .collect();
         let local = |p: &PortRef| step_of.get(&p.node).map(|&step| (step, p.port));
-        let mut steps = Vec::with_capacity(step_of.len());
-        for m in non_source(g, members) {
+        let mut steps: Vec<Step> = Vec::with_capacity(step_of.len());
+        // Per step, the last step that reads any of its ports.
+        let mut last_reader: Vec<usize> = (0..step_of.len()).collect();
+        for (i, m) in non_source(g, members).enumerate() {
             let operands = g
                 .node(m)
                 .inputs
                 .iter()
                 .map(|r| match local(r) {
-                    Some((step, port)) => Ok(Operand::Local { step, port }),
+                    Some((step, port)) => {
+                        last_reader[step] = i;
+                        Ok(Operand::Local { step, port })
+                    }
                     None => read_index(r).map(Operand::Read),
                 })
                 .collect::<Result<_, _>>()?;
-            steps.push(Step { node: m, operands });
+            steps.push(Step {
+                node: m,
+                operands,
+                dead_after: Vec::new(),
+            });
         }
-        let exports = outputs
+        let exports: Vec<(usize, usize)> = outputs
             .iter()
             .map(|o| local(o).ok_or(not_materialized(o)))
             .collect::<Result<_, _>>()?;
+        for (step, &last) in last_reader.iter().enumerate() {
+            if !exports.iter().any(|&(e, _)| e == step) {
+                steps[last].dead_after.push(step);
+            }
+        }
         Ok(KernelBody::Walk { steps, exports })
     }
 
@@ -238,7 +258,10 @@ impl KernelBody {
     }
 
     /// Evaluates a walk body whole: every step's outputs, indexed like
-    /// `steps`.
+    /// `steps` — emptied again for the steps that died on the way, so
+    /// only the exported steps are guaranteed to still hold theirs. A
+    /// `Reshape` of a local that dies at it takes the buffer instead of
+    /// copying it (the same values either way).
     ///
     /// # Errors
     ///
@@ -251,16 +274,32 @@ impl KernelBody {
     ) -> Result<Vec<Vec<Tensor>>, ExecError> {
         let mut locals: Vec<Vec<Tensor>> = Vec::with_capacity(steps.len());
         for step in steps {
-            let ins: Vec<&Tensor> = step
-                .operands
-                .iter()
-                .map(|op| match *op {
-                    Operand::Read(i) => prepared.reads[i].as_ref(),
-                    Operand::Local { step, port } => &locals[step][port],
-                })
-                .collect();
-            let outs = eval_prim(&g.node(step.node).kind, &ins, step.node.0)?;
+            let kind = &g.node(step.node).kind;
+            let outs = match (kind, step.operands.as_slice()) {
+                (
+                    PrimKind::Layout(LayoutFn::Reshape { shape }),
+                    &[Operand::Local { step: from, port }],
+                ) if step.dead_after.contains(&from) => {
+                    let taken = locals[from].swap_remove(port);
+                    let reshaped = taken.into_shape(shape.clone());
+                    vec![reshaped.map_err(|source| tensor_error(step.node, source))?]
+                }
+                _ => {
+                    let ins: Vec<&Tensor> = step
+                        .operands
+                        .iter()
+                        .map(|op| match *op {
+                            Operand::Read(i) => prepared.reads[i].as_ref(),
+                            Operand::Local { step, port } => &locals[step][port],
+                        })
+                        .collect();
+                    eval_prim(kind, &ins, step.node.0)?
+                }
+            };
             locals.push(outs);
+            for &dead in &step.dead_after {
+                locals[dead] = Vec::new();
+            }
         }
         Ok(locals)
     }

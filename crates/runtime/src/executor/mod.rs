@@ -21,7 +21,11 @@
 //!   non-source member, in ascending order, evaluated whole by
 //!   `korch_exec::eval_prim` with operands resolved at compile time to
 //!   either a read slot or an earlier step's output (`execute_plan`'s
-//!   rule), so a run indexes vectors and builds no maps;
+//!   rule), so a run indexes vectors and builds no maps. Compile also
+//!   records each step's last in-kernel reader: a run drops a step's
+//!   output there (exports excepted) and a `Reshape` of an operand that
+//!   dies at it takes the buffer, so the allocator hands the next member
+//!   the block that was just freed, still in cache;
 //! - **chain** — a single-output fused elementwise chain (down to one
 //!   member) compiled to a [`korch_exec::CompiledChain`] register
 //!   program;

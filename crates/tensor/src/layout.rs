@@ -3,6 +3,94 @@
 
 use crate::{strides_of, unravel, Tensor, TensorError};
 
+/// Side of the square tile the strided copy transposes at a time: 16 rows
+/// of 16 `f32` are 16 source and 16 destination cache lines, all of which
+/// stay in L1 while the tile is turned.
+const TILE: usize = 16;
+
+/// Fills the contiguous row-major `out` from a strided view of `data`:
+/// output dim `d` has `dims[d] = (size, source stride)` and
+/// `out.len()` is the product of the sizes — the one loop behind
+/// [`Tensor::transpose`] (strides permuted) and [`Tensor::slice`] (`data`
+/// offset to the first element). A value copy of exactly the elements the
+/// per-element odometer gathers, so bit-identical to it by construction.
+///
+/// Dims of size 1 are dropped and output-adjacent dims that are also
+/// adjacent in the source are merged, then the two innermost loops are
+/// taken out of the odometer: when the output's last dim is unit-stride
+/// in the source they copy contiguous runs; otherwise they turn
+/// [`TILE`]²-blocks over the last dim and the dim the source is most
+/// contiguous in, so both sides are touched a cache line at a time.
+fn copy_strided(data: &[f32], dims: &[(usize, usize)], out: &mut [f32]) {
+    if out.is_empty() {
+        return;
+    }
+    // (size, source stride, output stride), innermost last.
+    let mut merged: Vec<(usize, usize, usize)> = Vec::with_capacity(dims.len());
+    for &(size, stride) in dims.iter().filter(|d| d.0 != 1) {
+        match merged.last_mut() {
+            Some(prev) if prev.1 == stride * size => *prev = (prev.0 * size, stride, 0),
+            _ => merged.push((size, stride, 0)),
+        }
+    }
+    let mut span = 1;
+    for d in merged.iter_mut().rev() {
+        d.2 = span;
+        span *= d.0;
+    }
+    let Some((len, len_stride, _)) = merged.pop() else {
+        out[0] = data[0];
+        return;
+    };
+    // The row dim the inner pair sweeps with the last one: the next-outer
+    // dim for run copies, the source's most contiguous dim for tiles.
+    let row = if len_stride == 1 {
+        merged.len().checked_sub(1)
+    } else {
+        (0..merged.len()).min_by_key(|&d| merged[d].1)
+    };
+    let (rows, row_stride, row_span) = row.map_or((1, 0, 0), |d| merged.remove(d));
+    let mut idx = vec![0usize; merged.len()];
+    loop {
+        let (src, dst) = merged
+            .iter()
+            .zip(&idx)
+            .fold((0, 0), |(s, o), (d, &i)| (s + i * d.1, o + i * d.2));
+        if len_stride == 1 {
+            for r in 0..rows {
+                let from = src + r * row_stride;
+                out[dst + r * row_span..][..len].copy_from_slice(&data[from..from + len]);
+            }
+        } else {
+            for r0 in (0..rows).step_by(TILE) {
+                for c0 in (0..len).step_by(TILE) {
+                    let cols = TILE.min(len - c0);
+                    for r in r0..rows.min(r0 + TILE) {
+                        let column = &data[src + r * row_stride + c0 * len_stride..];
+                        let orow = &mut out[dst + r * row_span + c0..][..cols];
+                        for (c, o) in orow.iter_mut().enumerate() {
+                            *o = column[c * len_stride];
+                        }
+                    }
+                }
+            }
+        }
+        // Advance the odometer over the remaining outer dims.
+        let mut d = merged.len();
+        loop {
+            if d == 0 {
+                return;
+            }
+            d -= 1;
+            idx[d] += 1;
+            if idx[d] < merged[d].0 {
+                break;
+            }
+            idx[d] = 0;
+        }
+    }
+}
+
 impl Tensor {
     /// Permutes dimensions: output dim `d` is input dim `perm[d]`.
     ///
@@ -27,28 +115,12 @@ impl Tensor {
             seen[p] = true;
         }
         let in_shape = self.shape();
-        let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
         let in_strides = strides_of(in_shape);
-        let mut out = Vec::with_capacity(self.numel());
-        let data = self.as_slice();
-        let mut idx = vec![0usize; rank];
-        if rank == 0 {
-            return Ok(self.clone());
-        }
-        for _ in 0..self.numel() {
-            let mut off = 0usize;
-            for d in 0..rank {
-                off += idx[d] * in_strides[perm[d]];
-            }
-            out.push(data[off]);
-            for d in (0..rank).rev() {
-                idx[d] += 1;
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
+        let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
+        let dims: Vec<(usize, usize)> =
+            perm.iter().map(|&p| (in_shape[p], in_strides[p])).collect();
+        let mut out = vec![0f32; self.numel()];
+        copy_strided(self.as_slice(), &dims, &mut out);
         Tensor::from_vec(out_shape, out)
     }
 
@@ -87,24 +159,13 @@ impl Tensor {
             }
         }
         let out_shape: Vec<usize> = (0..rank).map(|d| ends[d] - starts[d]).collect();
-        let numel: usize = out_shape.iter().product();
         let in_strides = strides_of(self.shape());
-        let data = self.as_slice();
-        let mut out = Vec::with_capacity(numel);
-        let mut idx = vec![0usize; rank];
-        for _ in 0..numel {
-            let mut off = 0usize;
-            for d in 0..rank {
-                off += (idx[d] + starts[d]) * in_strides[d];
-            }
-            out.push(data[off]);
-            for d in (0..rank).rev() {
-                idx[d] += 1;
-                if idx[d] < out_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
+        let base: usize = starts.iter().zip(&in_strides).map(|(s, st)| s * st).sum();
+        let dims: Vec<(usize, usize)> = out_shape.iter().copied().zip(in_strides).collect();
+        let mut out = vec![0f32; out_shape.iter().product()];
+        // An empty range may start at a dim's end, past the last element.
+        if !out.is_empty() {
+            copy_strided(&self.as_slice()[base..], &dims, &mut out);
         }
         Tensor::from_vec(out_shape, out)
     }
@@ -235,6 +296,141 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
+
+    /// The historical element-wise transpose, kept verbatim as the
+    /// bit-identity reference: a rank-deep odometer over the output,
+    /// one gathered element per step.
+    fn naive_transpose(t: &Tensor, perm: &[usize]) -> Tensor {
+        let rank = t.rank();
+        let in_shape = t.shape();
+        let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
+        let in_strides = strides_of(in_shape);
+        let mut out = Vec::with_capacity(t.numel());
+        let data = t.as_slice();
+        let mut idx = vec![0usize; rank];
+        for _ in 0..t.numel() {
+            let mut off = 0usize;
+            for d in 0..rank {
+                off += idx[d] * in_strides[perm[d]];
+            }
+            out.push(data[off]);
+            for d in (0..rank).rev() {
+                idx[d] += 1;
+                if idx[d] < out_shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        Tensor::from_vec(out_shape, out).unwrap()
+    }
+
+    fn assert_transpose_bits(shape: &[usize], perm: &[usize]) {
+        let t = Tensor::random(shape.to_vec(), 5);
+        let got = t.transpose(perm).unwrap();
+        let want = naive_transpose(&t, perm);
+        assert_eq!(got.shape(), want.shape(), "{shape:?} by {perm:?}");
+        assert!(
+            bits(got.as_slice()) == bits(want.as_slice()),
+            "{shape:?} by {perm:?} diverged"
+        );
+    }
+
+    /// Every permutation of `0..rank`, in lexicographic order.
+    fn permutations(rank: usize) -> Vec<Vec<usize>> {
+        if rank == 0 {
+            return vec![vec![]];
+        }
+        let mut all = Vec::new();
+        for p in permutations(rank - 1) {
+            for at in 0..rank {
+                let mut q = p.clone();
+                q.insert(at, rank - 1);
+                all.push(q);
+            }
+        }
+        all.sort();
+        all
+    }
+
+    /// Dim sizes straddling the 16-wide tile, with the degenerate ones.
+    const SIZES: [usize; 7] = [0, 1, 2, 15, 16, 17, 33];
+
+    #[test]
+    fn transpose_is_bit_identical_to_the_elementwise_reference() {
+        let mut cases = 0;
+        // Ranks 0–3: every shape over SIZES under every permutation.
+        for rank in 0..=3usize {
+            for combo in 0..SIZES.len().pow(rank as u32) {
+                let shape: Vec<usize> = (0..rank)
+                    .map(|d| SIZES[combo / SIZES.len().pow(d as u32) % SIZES.len()])
+                    .collect();
+                for perm in permutations(rank) {
+                    assert_transpose_bits(&shape, &perm);
+                    cases += 1;
+                }
+            }
+        }
+        // Rank 4: every permutation over shapes drawn from SIZES (an LCG,
+        // so the sweep is the same every run), capped to keep it quick.
+        let mut state = 0x2545_F491u32;
+        let mut draw = || {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            SIZES[(state >> 16) as usize % SIZES.len()]
+        };
+        for perm in permutations(4) {
+            for _ in 0..12 {
+                let mut shape: Vec<usize> = (0..4).map(|_| draw()).collect();
+                while shape.iter().product::<usize>() > 200_000 {
+                    *shape.iter_mut().max().unwrap() = 2;
+                }
+                assert_transpose_bits(&shape, &perm);
+                cases += 1;
+            }
+        }
+        // The NCHW <-> NHWC pair and rank 5.
+        for (shape, perm) in [
+            (vec![2, 17, 15, 33], vec![0, 2, 3, 1]),
+            (vec![2, 15, 33, 17], vec![0, 3, 1, 2]),
+            (vec![1, 64, 16, 16], vec![0, 2, 3, 1]),
+            (vec![2, 3, 16, 2, 17], vec![0, 3, 1, 4, 2]),
+            (vec![2, 3, 16, 2, 17], vec![4, 3, 2, 1, 0]),
+            (vec![3, 1, 17, 0, 2], vec![2, 0, 4, 1, 3]),
+        ] {
+            assert_transpose_bits(&shape, &perm);
+            cases += 1;
+        }
+        assert!(cases > 2400, "sweep shrank to {cases} cases");
+    }
+
+    #[test]
+    fn slice_is_bit_identical_to_the_elementwise_reference() {
+        // Ranges that are whole, interior, one wide and empty, on dims
+        // straddling the tile; the reference reads one element at a time.
+        let ranges = |n: usize| vec![(0, n), (n / 3, n - n / 4), (n / 2, n / 2 + 1), (n, n)];
+        for shape in [vec![33], vec![17, 16], vec![2, 17, 33], vec![3, 2, 16, 5]] {
+            let t = Tensor::random(shape.clone(), 6);
+            let per_dim: Vec<_> = shape.iter().map(|&n| ranges(n)).collect();
+            for pick in 0..4usize.pow(shape.len() as u32) {
+                let (starts, ends): (Vec<usize>, Vec<usize>) = per_dim
+                    .iter()
+                    .enumerate()
+                    .map(|(d, r)| r[pick / 4usize.pow(d as u32) % 4])
+                    .unzip();
+                let got = t.slice(&starts, &ends).unwrap();
+                let want = Tensor::from_fn(got.shape().to_vec(), |flat| {
+                    let idx = unravel(flat, got.shape());
+                    let at: Vec<usize> = idx.iter().zip(&starts).map(|(i, s)| i + s).collect();
+                    t.at(&at)
+                });
+                assert!(
+                    got.shape() == want.shape() && bits(got.as_slice()) == bits(want.as_slice()),
+                    "slice {starts:?}..{ends:?} of {shape:?} diverged"
+                );
+            }
+        }
+    }
 
     #[test]
     fn transpose_2d() {

@@ -2,12 +2,38 @@
 //!
 //! The paper executes candidate kernels on real GPUs; this crate provides the
 //! functional half of that substitution: a row-major dense `f32` [`Tensor`]
-//! with reference implementations of every tensor-algebra primitive Korch's
-//! IR can express (elementwise, reduce, broadcast, layout transformation,
-//! linear transformation, pooling, resize). The interpreter in `korch-exec`
-//! uses these kernels to verify that operator fission, primitive-graph
+//! with an implementation of every tensor-algebra primitive Korch's IR can
+//! express (elementwise, reduce, broadcast, layout transformation, linear
+//! transformation, pooling, resize). The interpreter in `korch-exec` uses
+//! these kernels to verify that operator fission, primitive-graph
 //! transformations and kernel orchestration are all functionally equivalent
-//! to the unoptimized program.
+//! to the unoptimized program — and `korch-runtime` serves every request
+//! through the same kernels (a walk body calls them member by member), so
+//! the ones a request spends its time in are blocked for the host:
+//!
+//! - **matmul / conv2d** ([`Tensor::matmul`], [`Tensor::conv2d`]): a packed
+//!   panel under a register-blocked microkernel whose column sweep runs at
+//!   32-, 16- and 8-wide compile-time widths. Each output element keeps
+//!   its own ascending-`p` accumulation chain from `0.0` with the
+//!   zero-skip; blocking only chooses which independent chains run
+//!   together.
+//! - **transpose / slice** ([`Tensor::transpose`], [`Tensor::slice`]): dims
+//!   that stay adjacent are merged, then contiguous runs are copied, or
+//!   16×16 tiles turned when the output's last dim is strided in the
+//!   source. A value copy of the same elements an index-by-index gather
+//!   reads.
+//! - **broadcast** ([`Tensor::broadcast`], [`Tensor::broadcast_tile`]): one
+//!   run-based body — a fill per input element for a last-axis broadcast,
+//!   row copies otherwise. Pure replication.
+//! - **resize** ([`Tensor::resize2d`]): per-row and per-column source
+//!   indices and weights are tabulated once per call with the per-element
+//!   formula's own `f32` expressions; the inner loop is a gather or the
+//!   same four-term blend, in the same order.
+//!
+//! None of these re-associates or fuses a float operation, so every one is
+//! **bit-identical** to its element-wise definition, which each module
+//! keeps under `#[cfg(test)]` as the oracle its tests compare against by
+//! `to_bits`.
 //!
 //! # Example
 //!
@@ -50,8 +76,10 @@ use std::fmt;
 /// Row-major dense `f32` tensor.
 ///
 /// Shapes are `Vec<usize>`; a scalar is represented by an empty shape and a
-/// single element. All operations allocate fresh output tensors — callers in
-/// this project are interpreters and tests where clarity beats zero-copy.
+/// single element. Operations allocate fresh output tensors; the runtime's
+/// hot paths avoid the copy where a kernel allows it — the range-restricted
+/// tile kernels write into caller-provided buffers, [`PackedB`] borrows an
+/// untransposed operand, and [`Tensor::into_shape`] reshapes in place.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
@@ -162,6 +190,16 @@ impl Tensor {
     /// Consumes the tensor, returning its row-major data.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
+    }
+
+    /// Consumes the tensor, reinterpreting its storage with a new shape of
+    /// equal element count — [`Tensor::reshape`] without the copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ElementCount`] if element counts differ.
+    pub fn into_shape(self, shape: Vec<usize>) -> Result<Self, TensorError> {
+        Self::from_vec(shape, self.data)
     }
 
     /// Row-major strides for this tensor's shape.
@@ -299,6 +337,14 @@ pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
         flat /= shape[d];
     }
     idx
+}
+
+/// The bit patterns of `v`: what the kernels' tests compare against their
+/// element-wise references, so `-0.0` and `0.0` (or two NaNs) never pass
+/// for each other.
+#[cfg(test)]
+pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|e| e.to_bits()).collect()
 }
 
 #[cfg(test)]

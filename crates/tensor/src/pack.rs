@@ -25,9 +25,18 @@
 //!   `target-cpu` without target-specific intrinsics; a `trans_a` left
 //!   operand is gathered once per group into a packed `[MR][k]` scratch
 //!   panel so every A row the kernel reads is unit-stride;
+//! - there is one block body, `mm_block`, generic over its row count `G`
+//!   and accumulator width `W` so both are compile-time trip counts, each
+//!   instantiation a function of its own (its loop then sits where the
+//!   build's function alignment puts it, whatever is emitted around it).
+//!   The column sweep (`mm_rows`) runs it at
+//!   `W = NB` while `NB` columns remain, then covers the `n % NB` tail
+//!   with at most one 16-wide and one 8-wide block — so a product whose
+//!   `n` is narrower than `NB` (attention's `n = 16`, a conv's 4×4 output
+//!   plane) keeps its accumulators in registers too — and only the last
+//!   `n % 8` columns run a block with a run-time width;
 //! - row groups smaller than `MR` (the `m % MR` remainder, or tiny row
-//!   tiles) run a row-at-a-time fallback of the same loops — the `MR = 1`
-//!   specialization;
+//!   tiles) run the same sweep row-at-a-time — the `G = 1` instantiation;
 //! - a conv is the same kernel on other operands ([`conv2d_blocked`]):
 //!   the rows are output channels, the left operand the weight's OIHW
 //!   rows as stored, the right operand a `[K][OH·OW]` column panel of
@@ -46,9 +55,9 @@
 //!   historical triple loop (register accumulation followed by one store
 //!   is the same IEEE operation sequence as in-memory accumulation);
 //! - no FMA contraction and no re-association is introduced: grouping
-//!   `MR` rows or `NB` columns only changes *which* independent elements
-//!   are interleaved in time, never the operation order within one
-//!   element's accumulation chain;
+//!   `G` rows or `W` columns — at any of the widths above — only changes
+//!   *which* independent elements are interleaved in time, never the
+//!   operation order within one element's accumulation chain;
 //! - packing (the B panel, and the `[MR][k]` A panel of a `trans_a` row
 //!   group) is a value copy: the arithmetic reads the same `f32` values
 //!   the naive kernel would have gathered per element, in the same order.
@@ -190,6 +199,89 @@ impl PackedB {
     }
 }
 
+/// One register block of the microkernel: `G` output rows × columns
+/// `j..j + w` against one B panel, the whole `G × W` accumulator in
+/// registers while `p` sweeps the contraction, so each B block
+/// `b(p, j..j + w)` is loaded once and feeds `G` independent accumulation
+/// chains. `w` is `W` — a compile-time trip count for the column loops —
+/// when `FULL`, and the run-time `tail` (`< W`) for the one variable
+/// block of a sweep. Operands as in [`mm_group_blocked`].
+///
+/// Every element `o(r, j + t)` sees its terms in ascending `p` from `0.0`
+/// with the per-element zero-skip, whatever `G` and `W` — the rows and
+/// columns of a block are independent accumulation chains (module docs:
+/// the MR×NR contract).
+///
+/// Never inlined: each instantiation is a function of its own, so the
+/// build's 64-byte function alignment (`.cargo/config.toml`) fixes where
+/// its `p` loop sits in the fetch windows. Inlined into one sweep
+/// function, the same loop measured 36–40 GFLOP/s on the 16→32 3×3 conv
+/// depending on what was emitted before it.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn mm_block<const G: usize, const W: usize, const FULL: bool>(
+    a_base: &[f32],
+    row_stride: usize,
+    k: usize,
+    panel: &[f32],
+    n: usize,
+    j: usize,
+    tail: usize,
+    orows: &mut [f32],
+    o_stride: usize,
+) {
+    let w = if FULL { W } else { tail };
+    let mut acc = [[0.0f32; W]; G];
+    for p in 0..k {
+        let bv = &panel[p * n + j..p * n + j + w];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = a_base[r * row_stride + p];
+            if av == 0.0 {
+                continue;
+            }
+            for t in 0..w {
+                accr[t] += av * bv[t];
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        orows[r * o_stride + j..r * o_stride + j + w].copy_from_slice(&accr[..w]);
+    }
+}
+
+/// Sweeps [`mm_block`] over all `n` columns of `G` output rows: [`NB`]-wide
+/// blocks, then what is left as at most one 16- and one 8-wide block — so
+/// a narrow product (`n = 16`, a conv's 4×4 output plane) still runs with
+/// a compile-time width — and a last block of `n % 8 < 8` columns, the only
+/// one with a run-time trip count.
+#[allow(clippy::too_many_arguments)]
+fn mm_rows<const G: usize>(
+    a_base: &[f32],
+    row_stride: usize,
+    k: usize,
+    panel: &[f32],
+    n: usize,
+    orows: &mut [f32],
+    o_stride: usize,
+) {
+    let mut j = 0;
+    while j + NB <= n {
+        mm_block::<G, NB, true>(a_base, row_stride, k, panel, n, j, 0, orows, o_stride);
+        j += NB;
+    }
+    if j + 16 <= n {
+        mm_block::<G, 16, true>(a_base, row_stride, k, panel, n, j, 0, orows, o_stride);
+        j += 16;
+    }
+    if j + 8 <= n {
+        mm_block::<G, 8, true>(a_base, row_stride, k, panel, n, j, 0, orows, o_stride);
+        j += 8;
+    }
+    if j < n {
+        mm_block::<G, 8, false>(a_base, row_stride, k, panel, n, j, n - j, orows, o_stride);
+    }
+}
+
 /// The MR×NB register-blocked microkernel: computes a group of `g ≤`
 /// [`MR`] output rows against one B panel. Logical A row `r` of the
 /// group is the unit-stride slice `a_base[r * row_stride..][..k]` (the
@@ -198,16 +290,12 @@ impl PackedB {
 /// `o_stride == n` for a matmul's contiguous rows, the full output-plane
 /// width when a conv computes one column block of it.
 ///
-/// A full group runs with `p` as the outer loop and the whole `MR × NB`
-/// accumulator in registers: each B block `b(p, j..j+NB)` is loaded once
-/// and feeds `MR` independent accumulation chains, which both cuts B
-/// traffic `MR`× and hides the FP add latency a single serial accumulator
-/// chain exposes. Remainder groups (`g < MR`, at a batch edge, range end
-/// or tiny tile) run row-at-a-time — the `MR = 1` specialization. In both
-/// orders every element `o(r, j+t)` sees its terms in ascending `p` from
-/// `0.0` with the per-element zero-skip — the rows are independent
-/// accumulation chains, so reordering *between* them changes nothing
-/// (module docs: the MR×NR contract).
+/// A full group runs [`mm_rows`] at `G = MR`: `MR` independent chains per
+/// B block load, which both cuts B traffic `MR`× and hides the FP add
+/// latency a single serial accumulator chain exposes. Remainder groups
+/// (`g < MR`, at a batch edge, range end or tiny tile) run the same body
+/// row-at-a-time — the `G = 1` instantiation. Reordering *between* rows
+/// changes nothing in any element's own chain.
 #[allow(clippy::too_many_arguments)]
 fn mm_group_blocked(
     a_base: &[f32],
@@ -222,85 +310,11 @@ fn mm_group_blocked(
     debug_assert!((1..=MR).contains(&g));
     debug_assert!(o_stride >= n && orows.len() >= (g - 1) * o_stride + n);
     if g == MR {
-        // Full group: hold the whole MR×NB accumulator in registers and
-        // make p the outer loop, so each B block load feeds MR
-        // independent accumulation chains (fills the FP pipeline that a
-        // single row's serial acc dependency leaves idle).
-        let mut j = 0;
-        while j + NB <= n {
-            let mut acc = [[0.0f32; NB]; MR];
-            for p in 0..k {
-                let bv = &panel[p * n + j..p * n + j + NB];
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = a_base[r * row_stride + p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for t in 0..NB {
-                        accr[t] += av * bv[t];
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                orows[r * o_stride + j..r * o_stride + j + NB].copy_from_slice(accr);
-            }
-            j += NB;
-        }
-        if j < n {
-            let rest = n - j;
-            let mut acc = [[0.0f32; NB]; MR];
-            for p in 0..k {
-                let bv = &panel[p * n + j..p * n + j + rest];
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let av = a_base[r * row_stride + p];
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (t, &bvt) in bv.iter().enumerate() {
-                        accr[t] += av * bvt;
-                    }
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                orows[r * o_stride + j..r * o_stride + j + rest].copy_from_slice(&accr[..rest]);
-            }
-        }
-        return;
+        return mm_rows::<MR>(a_base, row_stride, k, panel, n, orows, o_stride);
     }
-    let mut j = 0;
-    while j + NB <= n {
-        for r in 0..g {
-            let arow = &a_base[r * row_stride..r * row_stride + k];
-            let mut acc = [0.0f32; NB];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let bv = &panel[p * n + j..p * n + j + NB];
-                for t in 0..NB {
-                    acc[t] += av * bv[t];
-                }
-            }
-            orows[r * o_stride + j..r * o_stride + j + NB].copy_from_slice(&acc);
-        }
-        j += NB;
-    }
-    if j < n {
-        let rest = n - j;
-        for r in 0..g {
-            let arow = &a_base[r * row_stride..r * row_stride + k];
-            let mut acc = [0.0f32; NB];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let bv = &panel[p * n + j..p * n + j + rest];
-                for (t, &bvt) in bv.iter().enumerate() {
-                    acc[t] += av * bvt;
-                }
-            }
-            orows[r * o_stride + j..r * o_stride + j + rest].copy_from_slice(&acc[..rest]);
-        }
+    for r in 0..g {
+        let (arow, orow) = (&a_base[r * row_stride..], &mut orows[r * o_stride..]);
+        mm_rows::<1>(arow, row_stride, k, panel, n, orow, o_stride);
     }
 }
 
@@ -491,7 +505,7 @@ fn fill_panel_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MatMulSpec;
+    use crate::{bits, MatMulSpec};
 
     /// The historical scalar kernel, kept verbatim as the bit-identity
     /// reference: ascending-`p` accumulation into a zero-filled output
@@ -589,6 +603,11 @@ mod tests {
         out
     }
 
+    /// Output widths (matmul `n`, conv plane `OH·OW`) that compose every
+    /// tail of the column sweep: below, at and between the 8-, 16- and
+    /// `NB`-wide blocks.
+    const TAIL_WIDTHS: [usize; 12] = [1, 7, 8, 9, 15, 16, 17, 24, 31, 40, 48, 56];
+
     #[test]
     fn blocked_matmul_is_bit_identical_to_the_scalar_reference() {
         // Shapes straddling the NB block width and the MR row group
@@ -637,6 +656,31 @@ mod tests {
                 &reference[..],
                 "blocked matmul diverged for {a_shape:?} x {b_shape:?} {spec:?}"
             );
+        }
+        // Every column-tail composition (NB, 16, 8 and variable blocks)
+        // under full, partial and straddling row groups, dense and with
+        // exact zeros on the left (the zero-skip inside each block width).
+        for n in TAIL_WIDTHS {
+            for m in [1, MR - 1, MR, MR + 1] {
+                let dense = Tensor::random(vec![m, 11], 3);
+                let sparse = Tensor::from_fn(vec![m, 11], |i| {
+                    let v = dense.as_slice()[i];
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        v
+                    }
+                });
+                let b = Tensor::random(vec![11, n], 4);
+                for a in [dense, sparse] {
+                    let got = a.matmul(&b, MatMulSpec::new()).unwrap();
+                    let want = naive_matmul(&a, &b, MatMulSpec::new());
+                    assert!(
+                        bits(got.as_slice()) == bits(&want),
+                        "blocked matmul diverged for m {m} n {n}"
+                    );
+                }
+            }
         }
     }
 
@@ -727,7 +771,6 @@ mod tests {
     fn assert_conv_bits(x: &Tensor, wt: &Tensor, stride: usize, padding: usize, groups: usize) {
         let got = x.conv2d(wt, stride, padding, groups).unwrap();
         let want = naive_conv2d(x, wt, stride, padding, groups);
-        let bits = |v: &[f32]| v.iter().map(|e| e.to_bits()).collect::<Vec<u32>>();
         assert!(
             bits(got.as_slice()) == bits(&want),
             "conv2d diverged: x {:?} w {:?} stride {stride} padding {padding} groups {groups}",
@@ -784,6 +827,20 @@ mod tests {
             }
         }
         assert!(cases > 800, "sweep shrank to {cases} cases");
+        // Every column-tail composition as an output plane `1 × ow`,
+        // under full, partial and straddling channel groups: pointwise
+        // (the plane is the borrowed panel) and 3-wide (a filled one).
+        for ow in TAIL_WIDTHS {
+            for ocg in [1, MR - 1, MR, MR + 1] {
+                for (kw, padding) in [(1usize, 0usize), (3, 1)] {
+                    let x_shape = vec![1, 4, 1, ow];
+                    let w_shape = vec![ocg * 2, 2, 1 + 2 * padding, kw];
+                    for (x, wt) in conv_operands(x_shape.clone(), w_shape.clone()) {
+                        assert_conv_bits(&x, &wt, 1, padding, 2);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

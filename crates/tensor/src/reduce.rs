@@ -99,24 +99,11 @@ impl Tensor {
     /// Returns [`TensorError::AxisOutOfRange`] if `axis > rank` (inserting at
     /// `rank` appends a trailing dimension).
     pub fn broadcast(&self, axis: usize, size: usize) -> Result<Tensor, TensorError> {
-        if axis > self.rank() {
-            return Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            });
-        }
+        let total = self.numel() * size;
+        let mut out = vec![0f32; total];
+        self.broadcast_tile(axis, size, 0..total, &mut out)?;
         let mut out_shape = self.shape().to_vec();
         out_shape.insert(axis, size);
-        let outer: usize = self.shape()[..axis].iter().product();
-        let inner: usize = self.shape()[axis..].iter().product();
-        let mut out = Vec::with_capacity(outer * size * inner);
-        let data = self.as_slice();
-        for o in 0..outer {
-            let row = &data[o * inner..(o + 1) * inner];
-            for _ in 0..size {
-                out.extend_from_slice(row);
-            }
-        }
         Tensor::from_vec(out_shape, out)
     }
 
@@ -141,9 +128,8 @@ impl Tensor {
         let pad = target.len() - self.rank();
         let mut src_shape = vec![1usize; pad];
         src_shape.extend_from_slice(self.shape());
-        for (d, (&s, &t)) in src_shape.iter().zip(target).enumerate() {
+        for (&s, &t) in src_shape.iter().zip(target) {
             if s != t && s != 1 {
-                let _ = d;
                 return Err(TensorError::ShapeMismatch {
                     lhs: self.shape().to_vec(),
                     rhs: target.to_vec(),

@@ -25,7 +25,7 @@
 //!   each with its complete accumulation over the reduced axis in
 //!   sequential order — axis-aligned splitting, safe for every axis;
 //! - [`Tensor::broadcast_tile`] replicates the input into a flat output
-//!   range.
+//!   range, a run at a time (the body of [`Tensor::broadcast`] itself).
 
 use crate::elementwise::{BinaryOp, UnaryOp};
 use crate::pack::{matmul_rows_blocked, PackedB};
@@ -267,7 +267,8 @@ impl Tensor {
 
     /// Computes the flat output range `out_range` of
     /// `self.broadcast(axis, size)` into `out` (pure replication — every
-    /// output element copies one input element).
+    /// output element copies one input element). [`Tensor::broadcast`] is
+    /// this body over the range `0..total`.
     ///
     /// # Errors
     ///
@@ -301,25 +302,30 @@ impl Tensor {
                 out_range.len()
             )));
         }
+        if out.is_empty() {
+            return Ok(());
+        }
+        // Output row `(o, replica)` is input row `o`. Walk the range in
+        // runs with running (input row, replica) counters: a last-axis
+        // broadcast (`inner == 1`) fills `size` copies of one element,
+        // every other one copies input rows, the first and last run cut
+        // where the range starts and ends mid-row.
         let data = self.as_slice();
-        let inner = inner.max(1);
-        let stride = (size * inner).max(1);
-        // Output row `(o, replica)` is input row `o`: walk the range with
-        // running (row start, replica, column) counters instead of a
-        // division per element.
-        let mut row = out_range.start / stride * inner;
-        let mut replica = out_range.start % stride / inner;
-        let mut i = out_range.start % inner;
-        for slot in out.iter_mut() {
-            *slot = data[row + i];
-            i += 1;
-            if i == inner {
-                i = 0;
-                replica += 1;
-                if replica == size {
-                    replica = 0;
-                    row += inner;
-                }
+        let (run, reps) = if inner == 1 { (size, 1) } else { (inner, size) };
+        let mut row = out_range.start / (run * reps);
+        let mut replica = out_range.start / run % reps;
+        let mut col = out_range.start % run;
+        let mut rest = out;
+        while !rest.is_empty() {
+            let (seg, tail) = rest.split_at_mut((run - col).min(rest.len()));
+            if inner == 1 {
+                seg.fill(data[row]);
+            } else {
+                seg.copy_from_slice(&data[row * inner + col..][..seg.len()]);
+            }
+            (rest, col, replica) = (tail, 0, replica + 1);
+            if replica == reps {
+                (replica, row) = (0, row + 1);
             }
         }
         Ok(())
@@ -338,6 +344,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits;
 
     /// Splits `total` into `n` contiguous near-equal ranges.
     fn ranges(total: usize, n: usize) -> Vec<Range<usize>> {
@@ -485,17 +492,45 @@ mod tests {
 
     #[test]
     fn broadcast_tiles_are_bit_identical() {
-        let x = Tensor::random(vec![3, 4], 10);
-        for axis in 0..=2 {
-            let full = x.broadcast(axis, 5).unwrap();
-            for tiles in [1usize, 4, full.numel()] {
-                let mut out = vec![f32::NAN; full.numel()];
-                for r in ranges(full.numel(), tiles) {
-                    x.broadcast_tile(axis, 5, r.clone(), &mut out[r]).unwrap();
+        // Every insertion axis (appending at `rank` included) and sizes
+        // from the degenerate to a few cache lines, whole and through
+        // tiles whose ranges start and end mid-row. The reference is the
+        // per-element definition: output `(o, r, i)` is input `(o, i)`.
+        let mut cases = 0;
+        for shape in [vec![], vec![5], vec![3, 4], vec![2, 1, 5], vec![2, 0, 3]] {
+            let x = Tensor::random(shape.clone(), 10);
+            for axis in 0..=shape.len() {
+                for size in [0usize, 1, 7, 64] {
+                    let inner: usize = shape[axis..].iter().product();
+                    let total = x.numel() * size;
+                    let want: Vec<f32> = (0..total)
+                        .map(|f| x.as_slice()[f / (size * inner) * inner + f % inner])
+                        .collect();
+                    let full = x.broadcast(axis, size).unwrap();
+                    let mut out_shape = shape.clone();
+                    out_shape.insert(axis, size);
+                    assert_eq!(full.shape(), &out_shape[..]);
+                    assert!(
+                        bits(full.as_slice()) == bits(&want),
+                        "{shape:?} axis {axis} size {size} diverged"
+                    );
+                    for len in [1usize, 3, 7, 50, total.max(1)] {
+                        let mut out = vec![f32::NAN; total];
+                        for start in (0..total).step_by(len) {
+                            let r = start..(start + len).min(total);
+                            x.broadcast_tile(axis, size, r.clone(), &mut out[r])
+                                .unwrap();
+                        }
+                        assert!(
+                            bits(&out) == bits(&want),
+                            "{shape:?} axis {axis} size {size} in tiles of {len} diverged"
+                        );
+                        cases += 1;
+                    }
                 }
-                assert_eq!(out, full.as_slice(), "axis {axis} × {tiles} tiles diverged");
             }
         }
+        assert!(cases > 250, "sweep shrank to {cases} cases");
     }
 
     #[test]

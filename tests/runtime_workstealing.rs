@@ -283,6 +283,53 @@ fn compile_is_a_pure_function_of_its_inputs() {
     assert_eq!(a.lane_count(), b.lane_count());
 }
 
+/// A walk body drops a member's output at its last in-kernel reader and
+/// lets a `Reshape` take a dying operand's buffer. One kernel, three
+/// outputs (so it is a walk): `a` is read by two later steps — the
+/// second, `c`, exported — `r` reshapes the exported `c` (which must
+/// survive it) and `s` reshapes `u`, which dies there (and is taken).
+/// Every output must equal `execute_plan`'s, which keeps every local to
+/// the kernel's end, and the arena must settle.
+#[test]
+fn walk_liveness_keeps_diamonds_and_exported_reshapes_bit_identical() {
+    use korch::ir::LayoutFn;
+    let mut g = PrimGraph::new();
+    let x = g
+        .add(PrimKind::Input { shape: vec![8, 6] }, vec![])
+        .unwrap();
+    let unary = |g: &mut PrimGraph, op, of: NodeId| {
+        g.add(PrimKind::Elementwise(EwFn::Unary(op)), vec![of.into()])
+            .unwrap()
+    };
+    let reshape = |g: &mut PrimGraph, shape: Vec<usize>, of: NodeId| {
+        let kind = PrimKind::Layout(LayoutFn::Reshape { shape });
+        g.add(kind, vec![of.into()]).unwrap()
+    };
+    let a = unary(&mut g, UnaryOp::Exp, x);
+    let b = unary(&mut g, UnaryOp::Relu, a);
+    let add = PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add));
+    let c = g.add(add, vec![a.into(), b.into()]).unwrap();
+    let r = reshape(&mut g, vec![48], c);
+    let u = unary(&mut g, UnaryOp::Tanh, c);
+    let s = reshape(&mut g, vec![6, 8], u);
+    let outputs: Vec<PortRef> = vec![c.into(), r.into(), s.into()];
+    for o in &outputs {
+        g.mark_output(*o).unwrap();
+    }
+    let plan = plan_of(vec![kernel_of(&g, vec![a, b, c, r, u, s], outputs)]);
+    let inputs = same_shape_inputs(1, &[8, 6], 9);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    assert_eq!(reference[1].as_slice(), reference[0].as_slice());
+    for lanes in [1, 2] {
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        for run in 0..20 {
+            let out = exec.execute(&inputs).unwrap();
+            assert_bit_identical(&reference, &out, &format!("{lanes} lanes, run {run}"));
+            assert_eq!(exec.arena_stats().live_bytes, 0, "run {run}");
+        }
+    }
+}
+
 /// A failing kernel (opaque primitive, no CPU interpreter) must unwind
 /// every lane mid-run — parallel branches included — and leave the arena
 /// settled, run after run.
