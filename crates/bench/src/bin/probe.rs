@@ -7,13 +7,21 @@
 //!   [`MEMBER_CALLS`] warm calls) and reported with its achieved GB/s
 //!   (operand + result bytes) or, for linear primitives, GFLOP/s — per
 //!   member, per kernel and per primitive kind.
-use korch_core::{stitch, Korch, KorchConfig};
-use korch_cost::Device;
+//! - `probe blp <model>`: what does each orchestration BLP cost? Replays
+//!   `Korch::optimize` stage by stage and prints one line per orchestrated
+//!   (partition, variant) — problem size, identification time, the
+//!   search's nodes, LP solves and pivots, solve time and the objective
+//!   against the greedy warm start — then the model's totals.
+use korch_core::{partition, stitch, Korch, KorchConfig};
+use korch_cost::{Backend, Device, Profiler};
 use korch_exec::{eval_prim, materialize_const};
+use korch_fission::fission;
 use korch_ir::{LinearFn, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch_models::SegformerConfig;
+use korch_orch::{enumerate_states, identify_kernels, optimize, OrchError};
 use korch_tensor::{conv2d_flops, matmul_flops, Tensor};
-use std::collections::{BTreeMap, HashMap};
+use korch_transform::optimize_graph;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -25,15 +33,15 @@ fn model(which: &str) -> OpGraph {
         "candy" => korch_models::candy(korch_models::CandyConfig::default()),
         "segformer" => korch_models::segformer(SegformerConfig::default()),
         // The e2e-bench models: `exec_compute` and `exec_dispatch`/`serve_closed`.
-        "segformer64" => korch_models::segformer(SegformerConfig {
-            resolution: 64,
-            batch: 1,
-            dims: vec![16, 32],
-            blocks: 1,
-            sr_ratios: vec![2, 1],
-            decoder_dim: 32,
-        }),
+        "segformer64" => korch_bench::segformer64(),
         "segformer32" => korch_models::segformer(SegformerConfig::tiny()),
+        // ... and the two `compile_suite` compiles.
+        "candy32" => korch_models::candy(korch_models::CandyConfig {
+            resolution: 32,
+            width: 8,
+            residual_blocks: 0,
+        }),
+        "effvit64" => korch_models::subgraphs::efficientvit_attention(64, 16),
         "yolov4" => korch_models::yolov4(korch_models::YoloConfig::v4()),
         "yolox" => korch_models::yolox_nano(korch_models::YoloConfig::x_nano()),
         "evit" => korch_models::efficientvit(korch_models::EfficientVitConfig::default()),
@@ -45,6 +53,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let (members, which) = match args.get(1).map(String::as_str) {
         Some("members") => (true, args.get(2).map(String::as_str)),
+        Some("blp") => return blp_table(&model(args.get(2).map_or("candy", String::as_str))),
         other => (false, other),
     };
     let which = which.unwrap_or("candy");
@@ -64,6 +73,77 @@ fn main() {
         let (graph, plan) = stitch(&opt).expect("stitch");
         member_table(&graph, &plan);
     }
+}
+
+/// Milliseconds `f` took, and its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed().as_secs_f64() * 1e3, out)
+}
+
+/// `Korch::optimize` at its defaults, one stage at a time: every
+/// (partition, variant) the pipeline orchestrates, in its order, a repeated
+/// partition once.
+fn blp_table(g: &OpGraph) {
+    let config = KorchConfig::default();
+    let profiler = Profiler::new(Device::v100());
+    let backends = [Backend::Generated, Backend::Vendor];
+    let max_states = config.orchestrator.max_states.unwrap_or(1_500);
+    let prims = fission(g).expect("fission").prim_graph;
+    let parts = partition(&prims, config.partition_max_prims).expect("partition");
+    println!(
+        "part var prims states cands identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us  greedy_us"
+    );
+    let mut seen = HashSet::new();
+    let (mut identify_total, mut solve_total) = (0.0, 0.0);
+    let (mut nodes, mut lps, mut pivots) = (0, 0, 0);
+    for (pi, part) in parts.iter().enumerate() {
+        if !seen.insert(part.graph.fingerprint()) {
+            continue;
+        }
+        let variants = optimize_graph(&part.graph, &config.transform);
+        let take = config.variants_to_orchestrate.max(1);
+        for (vi, v) in variants.iter().take(take).enumerate() {
+            let space = enumerate_states(v, max_states);
+            let identify = &config.orchestrator.identify;
+            let (identify_ms, cands) =
+                timed(|| identify_kernels(v, &space, &profiler, identify, &backends));
+            let (solve_ms, solved) =
+                timed(|| optimize(v, &cands, Some(&space), &config.orchestrator.optimize));
+            let prims = v.iter().filter(|(_, n)| !n.kind.is_source()).count();
+            let head = format!(
+                "{pi:>4} {vi:>3} {prims:>5} {:>6} {:>5} {identify_ms:>11.1}",
+                space.states.len(),
+                cands.kernels.len()
+            );
+            match solved {
+                Ok((plan, r)) => {
+                    println!(
+                        "{head} {:>6} x {:<4} {:>6} {:>5} {:>7} {solve_ms:>9.1} {:>13.4} {:>10.4}",
+                        r.num_candidates,
+                        r.num_constraints,
+                        r.solver_nodes,
+                        r.solver_lp_solves,
+                        r.solver_pivots,
+                        plan.total_latency.0,
+                        r.greedy_objective_us
+                    );
+                    nodes += r.solver_nodes;
+                    lps += r.solver_lp_solves;
+                    pivots += r.solver_pivots;
+                }
+                // The pipeline skips a variant no kernel set covers.
+                Err(OrchError::Infeasible(why)) => println!("{head}  infeasible: {why}"),
+                Err(e) => panic!("partition {pi} variant {vi}: {e}"),
+            }
+            identify_total += identify_ms;
+            solve_total += solve_ms;
+        }
+    }
+    println!(
+        "total: identify {identify_total:.1} ms, solve {solve_total:.1} ms, {nodes} nodes, {lps} LP solves, {pivots} pivots"
+    );
 }
 
 /// The per-kind key of a primitive: its label without the parameters

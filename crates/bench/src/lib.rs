@@ -6,3 +6,16 @@
 #![warn(missing_docs)]
 
 pub mod report;
+
+/// The 64×64 Segformer `e2e-bench` runs as `exec_compute` — the model the
+/// probes and the BLP bench size.
+pub fn segformer64() -> korch_ir::OpGraph {
+    korch_models::segformer(korch_models::SegformerConfig {
+        resolution: 64,
+        batch: 1,
+        dims: vec![16, 32],
+        blocks: 1,
+        sr_ratios: vec![2, 1],
+        decoder_dim: 32,
+    })
+}

@@ -197,7 +197,11 @@ impl Solver for BalasSolver {
             .map(|(values, objective)| BlpSolution {
                 values,
                 objective,
-                stats: SolveStats { nodes, pivots: 0 },
+                stats: SolveStats {
+                    nodes,
+                    pivots: 0,
+                    lp_solves: 0,
+                },
             })
             .ok_or(BlpError::Infeasible)
     }

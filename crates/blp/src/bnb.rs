@@ -1,8 +1,9 @@
 //! Best-first branch & bound over the simplex LP relaxation — the exact 0/1
-//! solver Korch uses in place of PuLP/CBC.
+//! solver Korch uses in place of PuLP/CBC. One [`Lp`] is built per solve;
+//! the root, the dive and every child re-bound and re-solve it.
 
 use crate::problem::{BlpError, BlpProblem, BlpSolution, SolveStats};
-use crate::simplex::{solve_lp, LpOutcome};
+use crate::simplex::{Lp, LpOutcome};
 use crate::Solver;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -58,15 +59,17 @@ impl BranchAndBound {
     }
 }
 
-/// Depth-first LP dive: repeatedly fix the most fractional variable to its
-/// rounded value and re-solve; yields an integral, feasible incumbent in a
-/// handful of LP solves when the instance is covering-shaped.
+/// Depth-first LP dive: repeatedly fix the fractional variable of largest
+/// value (the kernel the relaxation selects most) to 1 — to 0 first when
+/// that value is below 0.3 — and re-solve, trying the other value when the
+/// first is infeasible; yields an integral, feasible incumbent in a handful
+/// of LP solves when the instance is covering-shaped.
 fn dive(
     problem: &BlpProblem,
+    lp: &mut Lp,
     root_x: &[f64],
     root_fixed: &[Option<f64>],
     int_tol: f64,
-    stats: &mut SolveStats,
 ) -> Option<(Vec<bool>, f64)> {
     let mut fixed = root_fixed.to_vec();
     let mut x = root_x.to_vec();
@@ -90,9 +93,8 @@ fn dive(
         let mut done = false;
         for v in [first, 1.0 - first] {
             fixed[j] = Some(v);
-            match solve_lp(problem, &fixed) {
-                LpOutcome::Optimal { x: nx, pivots, .. } => {
-                    stats.pivots += pivots;
+            match lp.solve(&fixed) {
+                LpOutcome::Optimal { x: nx, .. } => {
                     x = nx;
                     done = true;
                     break;
@@ -182,7 +184,13 @@ impl Ord for Node {
 impl Solver for BranchAndBound {
     fn solve(&self, problem: &BlpProblem) -> Result<BlpSolution, BlpError> {
         let n = problem.num_vars();
-        let mut stats = SolveStats::default();
+        let mut nodes = 0;
+        let mut lp = Lp::new(problem);
+        let stats = |lp: &Lp, nodes| SolveStats {
+            nodes,
+            pivots: lp.pivots,
+            lp_solves: lp.solves,
+        };
         let mut best: Option<(Vec<bool>, f64)> = self
             .incumbent
             .as_ref()
@@ -191,22 +199,17 @@ impl Solver for BranchAndBound {
 
         let mut heap = BinaryHeap::new();
         let root_fixed = vec![None; n];
-        match solve_lp(problem, &root_fixed) {
+        match lp.solve(&root_fixed) {
             LpOutcome::Infeasible => {
                 return best
                     .map(|(values, objective)| BlpSolution {
                         values,
                         objective,
-                        stats,
+                        stats: stats(&lp, nodes),
                     })
                     .ok_or(BlpError::Infeasible)
             }
-            LpOutcome::Optimal {
-                objective,
-                pivots,
-                x,
-            } => {
-                stats.pivots += pivots;
+            LpOutcome::Optimal { objective, x, .. } => {
                 // LP-guided incumbents: rounding repair plus a single dive.
                 // Both are cheap and make gap pruning effective immediately.
                 if let Some(r) = round_and_repair(problem, &x) {
@@ -217,7 +220,7 @@ impl Solver for BranchAndBound {
                         }
                     }
                 }
-                if let Some((r, obj)) = dive(problem, &x, &root_fixed, self.int_tol, &mut stats) {
+                if let Some((r, obj)) = dive(problem, &mut lp, &x, &root_fixed, self.int_tol) {
                     if best.as_ref().is_none_or(|(_, ub)| obj < *ub) {
                         best = Some((r, obj));
                     }
@@ -231,13 +234,13 @@ impl Solver for BranchAndBound {
         }
 
         while let Some(Node { bound, fixed, x }) = heap.pop() {
-            if stats.nodes >= self.max_nodes {
+            if nodes >= self.max_nodes {
                 if self.best_on_limit {
                     break;
                 }
                 return Err(BlpError::Limit);
             }
-            stats.nodes += 1;
+            nodes += 1;
             if let Some((_, ub)) = &best {
                 if bound >= *ub - self.gap(*ub) {
                     continue; // pruned by bound (and everything after: best-first)
@@ -268,13 +271,12 @@ impl Solver for BranchAndBound {
                     for v in [0.0, 1.0] {
                         let mut f = fixed.clone();
                         f[j] = Some(v);
-                        match solve_lp(problem, &f) {
+                        match lp.solve(&f) {
                             LpOutcome::Optimal {
                                 objective: child_bound,
-                                pivots,
                                 x: cx,
+                                ..
                             } => {
-                                stats.pivots += pivots;
                                 let prune = best
                                     .as_ref()
                                     .is_some_and(|(_, ub)| child_bound >= *ub - self.gap(*ub));
@@ -296,7 +298,7 @@ impl Solver for BranchAndBound {
         best.map(|(values, objective)| BlpSolution {
             values,
             objective,
-            stats,
+            stats: stats(&lp, nodes),
         })
         .ok_or(BlpError::Infeasible)
     }

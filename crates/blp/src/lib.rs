@@ -4,10 +4,16 @@
 //! PuLP + CBC; neither is available offline, so this crate implements the
 //! required machinery from scratch:
 //!
-//! - a dense **two-phase primal simplex** for the LP relaxation
-//!   ([`solve_lp`]);
+//! - a **bounded-variable dual simplex** in dictionary form for the LP
+//!   relaxation ([`Lp`]; [`solve_lp`] builds and solves once): `0 ≤ x ≤ 1`,
+//!   fixings and right-hand sides are bounds, not rows, so the one matrix
+//!   is basic rows × nonbasic columns and the slack basis is dual
+//!   feasible for any cost vector (a nonbasic with negative reduced cost
+//!   sits at its upper bound — no phase 1) and under any fixing: a
+//!   re-solve re-bounds the same dictionary, rewritten from the rows
+//!   every 256 pivots to bound rounding error;
 //! - an exact **best-first branch & bound** 0/1 solver
-//!   ([`BranchAndBound`]);
+//!   ([`BranchAndBound`]) over one such [`Lp`] per solve;
 //! - **Balas' implicit enumeration** ([`BalasSolver`]) as an independent
 //!   exact solver used to cross-check branch & bound in tests and in the
 //!   solver ablation bench.
@@ -34,11 +40,13 @@ mod balas;
 mod bnb;
 mod problem;
 mod simplex;
+#[cfg(test)]
+mod two_phase;
 
 pub use balas::BalasSolver;
 pub use bnb::BranchAndBound;
 pub use problem::{BlpError, BlpProblem, BlpSolution, Constraint, Sense, SolveStats};
-pub use simplex::{solve_lp, LpOutcome};
+pub use simplex::{solve_lp, Lp, LpOutcome};
 
 /// Common interface of the exact 0/1 solvers.
 pub trait Solver {

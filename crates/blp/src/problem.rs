@@ -133,6 +133,8 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Total simplex pivots across all LP solves (0 for Balas).
     pub pivots: usize,
+    /// LP relaxations solved across root, dive and children (0 for Balas).
+    pub lp_solves: usize,
 }
 
 /// An optimal 0/1 solution.

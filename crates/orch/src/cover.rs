@@ -184,6 +184,7 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
                 num_constraints: problem.constraints.len(),
                 solver_nodes: solution.stats.nodes,
                 solver_pivots: solution.stats.pivots,
+                solver_lp_solves: solution.stats.lp_solves,
                 greedy_objective_us,
             },
         })

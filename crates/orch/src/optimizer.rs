@@ -81,6 +81,8 @@ pub struct SolveReport {
     pub solver_nodes: usize,
     /// Total simplex pivots.
     pub solver_pivots: usize,
+    /// LP relaxations solved.
+    pub solver_lp_solves: usize,
     /// Objective of the greedy warm-start incumbent (µs).
     pub greedy_objective_us: f64,
 }
