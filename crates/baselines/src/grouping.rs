@@ -3,8 +3,8 @@
 //! adaptation study.
 
 use korch_cost::{kernel_spec, Backend, Profiler};
-use korch_ir::{NodeId, PortRef, PrimCategory, PrimGraph, PrimKind};
-use korch_orch::{Plan, SelectedKernel};
+use korch_ir::{NodeId, PortRef, PrimGraph};
+use korch_orch::{greedy_seed_groups, Plan, SelectedKernel};
 use std::collections::{BTreeSet, HashSet};
 
 /// Converts disjoint primitive groups into a priced [`Plan`]. Each group
@@ -96,177 +96,22 @@ pub fn groups_to_plan(
     Plan::from_kernels(kernels)
 }
 
-/// Primitive-level fusion class for the TensorRT-with-fission study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrimClass {
-    /// Inputs/constants — no kernel.
-    Source,
-    /// Conv / matmul anchors.
-    Linear,
-    /// Elementwise, broadcast and layout primitives (pointwise-network
-    /// fusable in TensorRT terms).
-    Fusable,
-    /// Reduce primitives: absorbed into the running group, which then
-    /// closes (TensorRT does not fuse past a reduction).
-    Reduce,
-    /// Pool / opaque: dedicated kernels.
-    Solo,
-}
-
-/// Classifies a primitive for [`trt_with_fission`].
-pub fn classify_prim(kind: &PrimKind) -> PrimClass {
-    match kind.category() {
-        PrimCategory::Source => PrimClass::Source,
-        PrimCategory::Linear => PrimClass::Linear,
-        PrimCategory::Elementwise | PrimCategory::Layout => PrimClass::Fusable,
-        PrimCategory::ReduceBroadcast => match kind {
-            PrimKind::Reduce { .. } => PrimClass::Reduce,
-            PrimKind::WindowReduce { .. } => PrimClass::Solo,
-            _ => PrimClass::Fusable, // broadcast
-        },
-        PrimCategory::Opaque => PrimClass::Solo,
-    }
-}
-
 /// The §6.3 adaptation study (Fig. 7): apply TensorRT-style greedy fusion
 /// rules directly to the post-fission *primitive* graph. Operator fission
 /// alone — without the BLP — already unlocks cross-operator fusion (e.g.
 /// InstanceNorm's elementwise tail fuses into the following ReLU and Pad),
 /// which is where the paper's 1.24× comes from.
 ///
-/// Joins are convexity-checked (paper Def. 1) so the resulting groups are
-/// always schedulable. Primitives fed only by sources (broadcast chains of
-/// weights) are adopted lazily into their first consumer's group so they
-/// never materialize a full-size broadcast tensor on their own.
+/// The rules are the orchestrator's own TensorRT-style seed
+/// ([`greedy_seed_groups`] closing groups at a reduce): joins are
+/// convexity-checked (paper Def. 1) so the groups are always schedulable,
+/// and primitives fed only by sources (broadcast chains of weights) are
+/// adopted lazily into their first consumer's group so they never
+/// materialize a full-size broadcast tensor on their own.
 pub fn trt_with_fission(pg: &PrimGraph, profiler: &Profiler) -> Plan {
-    let reach = pg.reachability();
-    let mut group_of: Vec<Option<usize>> = vec![None; pg.len()];
-    let mut members: Vec<BTreeSet<NodeId>> = Vec::new();
-    let mut open: Vec<bool> = Vec::new();
-
-    fn convex_join(
-        pg: &PrimGraph,
-        reach: &korch_ir::Reachability,
-        set: &BTreeSet<NodeId>,
-        extra: NodeId,
-    ) -> bool {
-        let mut s = set.clone();
-        s.insert(extra);
-        pg.is_convex(&s, reach)
-    }
-
-    // Adopt a pending (unassigned, source-fed) producer chain into `gid`.
-    fn adopt(
-        p: NodeId,
-        gid: usize,
-        pg: &PrimGraph,
-        reach: &korch_ir::Reachability,
-        group_of: &mut Vec<Option<usize>>,
-        members: &mut [BTreeSet<NodeId>],
-        open: &[bool],
-    ) {
-        if group_of[p.0].is_some() || pg.node(p).kind.is_source() {
-            return;
-        }
-        let _ = open;
-        if !convex_join(pg, reach, &members[gid], p) {
-            return; // stays pending; will become its own group at the end
-        }
-        group_of[p.0] = Some(gid);
-        members[gid].insert(p);
-        let preds: Vec<NodeId> = pg.node(p).inputs.iter().map(|r| r.node).collect();
-        for q in preds {
-            adopt(q, gid, pg, reach, group_of, members, open);
-        }
-    }
-
-    for (id, node) in pg.iter() {
-        let class = classify_prim(&node.kind);
-        if class == PrimClass::Source {
-            continue;
-        }
-        // Open producer groups (distinct).
-        let mut producer_groups: Vec<usize> = node
-            .inputs
-            .iter()
-            .filter_map(|r| group_of[r.node.0])
-            .collect();
-        producer_groups.sort_unstable();
-        producer_groups.dedup();
-        // Source-fed fusable primitives (weight broadcast chains) stay
-        // pending until a consumer adopts them, so they never materialize
-        // a full-size broadcast tensor on their own.
-        let all_producers_pending = node
-            .inputs
-            .iter()
-            .all(|r| pg.node(r.node).kind.is_source() || group_of[r.node.0].is_none());
-        if class == PrimClass::Fusable && all_producers_pending {
-            continue;
-        }
-        let joinable = producer_groups
-            .iter()
-            .copied()
-            .find(|&g| open[g] && convex_join(pg, &reach, &members[g], id));
-        let gid = match (class, joinable) {
-            (PrimClass::Fusable, Some(g)) => g,
-            (PrimClass::Reduce, Some(g)) => {
-                open[g] = false;
-                g
-            }
-            (PrimClass::Fusable, None) | (PrimClass::Reduce, None) => {
-                members.push(BTreeSet::new());
-                open.push(!matches!(class, PrimClass::Reduce));
-                members.len() - 1
-            }
-            (PrimClass::Linear, _) => {
-                members.push(BTreeSet::new());
-                open.push(true);
-                members.len() - 1
-            }
-            (PrimClass::Solo, _) | (PrimClass::Source, _) => {
-                members.push(BTreeSet::new());
-                open.push(false);
-                members.len() - 1
-            }
-        };
-        group_of[id.0] = Some(gid);
-        members[gid].insert(id);
-        // Adopt pending source-fed producers (weight broadcast chains).
-        let preds: Vec<NodeId> = node.inputs.iter().map(|r| r.node).collect();
-        for p in preds {
-            adopt(p, gid, pg, &reach, &mut group_of, &mut members, &open);
-        }
-    }
-    // Any still-pending primitive chains become their own kernels,
-    // chained along producer links.
-    for (id, node) in pg.iter() {
-        if group_of[id.0].is_some() || node.kind.is_source() {
-            continue;
-        }
-        let producer_gid = node
-            .inputs
-            .iter()
-            .filter_map(|r| group_of[r.node.0])
-            .find(|&g| open[g] && convex_join(pg, &reach, &members[g], id));
-        let gid = match producer_gid {
-            Some(g) => g,
-            None => {
-                members.push(BTreeSet::new());
-                open.push(true);
-                members.len() - 1
-            }
-        };
-        group_of[id.0] = Some(gid);
-        members[gid].insert(id);
-    }
-    let groups: Vec<Vec<NodeId>> = members
-        .into_iter()
-        .filter(|m| !m.is_empty())
-        .map(|m| m.into_iter().collect())
-        .collect();
     groups_to_plan(
         pg,
-        groups,
+        greedy_seed_groups(pg, true, false, true),
         profiler,
         Backend::TrtRuntime,
         Backend::TrtRuntime,

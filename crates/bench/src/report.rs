@@ -2,6 +2,7 @@
 //! machine-readable benchmark record (`BENCH_runtime.json`) that keeps a
 //! perf trajectory across PRs.
 
+use korch_telemetry::json::{escape, parse, Value};
 use std::io::Write;
 use std::path::Path;
 
@@ -55,22 +56,10 @@ pub fn spread_ns(samples: &mut [f64]) -> (f64, f64, f64) {
     (pct(0.10), median, pct(0.90))
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Writes the perf record as JSON (hand-rolled — the build container has
-/// no serde). Schema: `{ "host_cores": N, "benches": [ { "name",
-/// "median_ns", "p10_ns", "p90_ns", "speedup_vs_sequential" | null,
-/// "note" } ] }`.
+/// no serde; [`read_bench_json`] reads it back). Schema:
+/// `{ "host_cores": N, "benches": [ { "name", "median_ns", "p10_ns",
+/// "p90_ns", "speedup_vs_sequential" | null, "note" } ] }`.
 ///
 /// # Errors
 ///
@@ -93,12 +82,12 @@ pub fn write_bench_json(path: &Path, records: &[BenchRecord]) -> std::io::Result
             f,
             "    {{ \"name\": \"{}\", \"median_ns\": {:.1}, \"p10_ns\": {:.1}, \
              \"p90_ns\": {:.1}, \"speedup_vs_sequential\": {}, \"note\": \"{}\" }}{}",
-            json_escape(&r.name),
+            escape(&r.name),
             r.median_ns,
             r.p10_ns,
             r.p90_ns,
             speedup,
-            json_escape(&r.note),
+            escape(&r.note),
             comma
         )?;
     }
@@ -130,47 +119,34 @@ pub struct BenchReport {
 }
 
 /// Parses a perf record written by [`write_bench_json`] back into names,
-/// medians, and speedup ratios. Line-oriented: the writer emits one line
-/// per bench entry and none of our names contain quotes, so no general
-/// JSON parser is needed (the build container has no serde). Absolute
-/// medians do not transfer across hosts — comparers must check
-/// `host_cores` before holding them to a floor; speedups of a binary
-/// over its own sequential baseline always transfer.
+/// medians, and speedup ratios. Absolute medians do not transfer across
+/// hosts — comparers must check `host_cores` before holding them to a
+/// floor; speedups of a binary over its own sequential baseline always
+/// transfer.
 ///
 /// # Errors
 ///
-/// Returns any I/O error from reading the file.
+/// Returns any I/O error from reading the file, and
+/// [`std::io::ErrorKind::InvalidData`] when it is not JSON.
 pub fn read_bench_json(path: &Path) -> std::io::Result<BenchReport> {
-    let content = std::fs::read_to_string(path)?;
-    let mut host_cores = 0usize;
-    let mut benches = Vec::new();
-    for line in content.lines() {
-        if let Some(pos) = line.find("\"host_cores\":") {
-            let v = line[pos + 13..].trim().trim_end_matches(',');
-            host_cores = v.parse().unwrap_or(0);
-        }
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(end) = rest.find('"') else { continue };
-        let name = rest[..end].to_string();
-        let field = |key: &str| {
-            line.find(key).and_then(|spos| {
-                let v = line[spos + key.len()..].trim_start();
-                let tok = v.find([',', ' ', '}']).unwrap_or(v.len());
-                v[..tok].parse::<f64>().ok()
-            })
-        };
-        benches.push(BenchEntry {
-            name,
-            median_ns: field("\"median_ns\": ").unwrap_or(0.0),
-            speedup_vs_sequential: field("\"speedup_vs_sequential\": "),
-        });
-    }
+    let invalid = |e| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let doc = parse(&std::fs::read_to_string(path)?).map_err(invalid)?;
+    let field = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+    let benches = doc.get("benches").and_then(Value::as_array);
+    let entry = |b: &Value| {
+        Some(BenchEntry {
+            name: b.get("name")?.as_str()?.to_string(),
+            median_ns: field(b, "median_ns").unwrap_or(0.0),
+            speedup_vs_sequential: field(b, "speedup_vs_sequential"),
+        })
+    };
     Ok(BenchReport {
-        host_cores,
-        benches,
+        host_cores: field(&doc, "host_cores").unwrap_or(0.0) as usize,
+        benches: benches
+            .unwrap_or_default()
+            .iter()
+            .filter_map(entry)
+            .collect(),
     })
 }
 

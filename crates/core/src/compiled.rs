@@ -232,8 +232,9 @@ impl CompiledModel {
         self.exec.generation()
     }
 
-    /// Static lifetime-analysis report of the stitched program, per shard
-    /// (N shards provision N arenas). Only program inputs, constants and
+    /// Static memory report of the stitched program, folded from the
+    /// primary executor's slot table, per shard (N shards provision N
+    /// arenas). Only program inputs, constants and
     /// program outputs are pinned; tensors that cross a partition boundary
     /// are reclaimed at their last reader like any other intermediate.
     pub fn memory_report(&self) -> MemoryReport {

@@ -148,21 +148,23 @@ pub fn identify_kernels(
     config: &IdentifyConfig,
     backends: &[Backend],
 ) -> Candidates {
-    let succ = g.successors();
-    let graph_output_ports: HashSet<PortRef> = g.outputs().iter().copied().collect();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    let mut kernels = Vec::new();
-    let mut truncated = false;
-    let mut subgraphs = 0usize;
-    let mut tuning_time_s = 0.0f64;
-    let mut quick_pruned = 0usize;
-    // The tuning database (paper §6.5): candidates with identical cost
-    // features share one tuned schedule and are charged once.
-    let mut tuned: HashSet<(KernelSpec, Backend)> = HashSet::new();
-    let mut charge = |k: &CandidateKernel, tuning_time_s: &mut f64| {
-        if tuned.insert((k.spec.clone(), k.backend)) {
-            *tuning_time_s += k.tuning_s;
-        }
+    let mut adm = Admission {
+        g,
+        succ: g.successors(),
+        graph_outputs: g.outputs().iter().copied().collect(),
+        profiler,
+        config,
+        backends,
+        seen: HashSet::new(),
+        tuned: HashSet::new(),
+        out: Candidates {
+            kernels: Vec::new(),
+            subgraphs_considered: 0,
+            truncated: false,
+            seed_selections: Vec::new(),
+            tuning_time_s: 0.0,
+            quick_pruned: 0,
+        },
     };
 
     // First pass: singleton kernels. Their latencies also power the "not
@@ -173,75 +175,38 @@ pub fn identify_kernels(
         if node.kind.is_source() {
             continue;
         }
-        let members = vec![id];
-        seen.insert(members.clone());
-        subgraphs += 1;
-        for cand in expand_outputs(g, &members, &succ, &graph_output_ports, config) {
-            if let Some(k) = price_candidate(g, cand, profiler, config, backends) {
-                if k.latency.0 < singleton_latency[id.0] {
-                    singleton_latency[id.0] = k.latency.0;
-                }
-                charge(&k, &mut tuning_time_s);
-                kernels.push(k);
-            }
-        }
+        let first = adm.out.kernels.len();
+        adm.admit(&[id], false, f64::INFINITY);
+        let priced = adm.out.kernels[first..].iter().map(|k| k.latency.0);
+        singleton_latency[id.0] = priced.fold(f64::INFINITY, f64::min);
     }
 
     // Greedy-fusion seed groups: guarantee the candidate set contains the
     // strategies a rule-based fuser would pick, even when the state DFS is
     // truncated on wide graphs. These may exceed `max_kernel_prims`.
-    let mut seed_selections: Vec<Vec<Vec<NodeId>>> = Vec::new();
     for (close_at_reduce, isolate_fan_in, linear_open) in [
         (false, false, true),
         (true, false, true),
         (false, true, true),
         (false, false, false),
     ] {
-        let groups = greedy_seed_groups(g, close_at_reduce, isolate_fan_in, linear_open);
-        let mut selection = Vec::new();
-        for members in groups {
-            selection.push(members.clone());
-            if seen.insert(members.clone()) {
-                subgraphs += 1;
-                for cand in expand_outputs(g, &members, &succ, &graph_output_ports, config) {
-                    if let Some(k) =
-                        price_candidate_inner(g, cand, profiler, config, backends, true)
-                    {
-                        charge(&k, &mut tuning_time_s);
-                        kernels.push(k);
-                    }
-                }
-            }
+        let selection = greedy_seed_groups(g, close_at_reduce, isolate_fan_in, linear_open);
+        for members in &selection {
+            adm.admit(members, true, f64::INFINITY);
         }
-        seed_selections.push(selection);
+        adm.out.seed_selections.push(selection);
     }
     // "Fuse everything" seed (paper Fig. 11a — what TVM picks for a
     // memory-bound subgraph): valid when at most one linear primitive and
     // no opaque primitive is present.
-    {
-        let all: Vec<NodeId> = g
-            .iter()
-            .filter(|(_, n)| !n.kind.is_source())
-            .map(|(id, _)| id)
-            .collect();
-        let linear = all.iter().filter(|&&m| g.node(m).kind.is_linear()).count();
-        let opaque = all
-            .iter()
-            .any(|&m| matches!(g.node(m).kind, PrimKind::Opaque { .. }));
-        if all.len() > 1 && linear <= config.max_linear_per_kernel && !opaque {
-            if seen.insert(all.clone()) {
-                subgraphs += 1;
-                for cand in expand_outputs(g, &all, &succ, &graph_output_ports, config) {
-                    if let Some(k) =
-                        price_candidate_inner(g, cand, profiler, config, backends, true)
-                    {
-                        charge(&k, &mut tuning_time_s);
-                        kernels.push(k);
-                    }
-                }
-            }
-            seed_selections.push(vec![all]);
-        }
+    let all: Vec<NodeId> = g
+        .iter()
+        .filter(|(_, n)| !n.kind.is_source())
+        .map(|(id, _)| id)
+        .collect();
+    if all.len() > 1 && !adm.rejects(&all) {
+        adm.admit(&all, true, f64::INFINITY);
+        adm.out.seed_selections.push(vec![all]);
     }
 
     'outer: for d1 in &space.states {
@@ -253,47 +218,105 @@ pub fn identify_kernels(
             if members.is_empty() || members.len() > config.max_kernel_prims {
                 continue;
             }
-            if !seen.insert(members.clone()) {
-                continue;
-            }
-            subgraphs += 1;
             // Reject fusions that cannot beat running their members as
             // individual kernels (launch savings are already priced in).
             let singleton_sum: f64 = members.iter().map(|m| singleton_latency[m.0]).sum();
-            for cand in expand_outputs(g, &members, &succ, &graph_output_ports, config) {
-                // §8 tuning-time acceleration: an optimistic, tuning-free
-                // bound that already loses to the singleton cover proves
-                // the candidate can never be selected — skip profiling it.
-                if config.quick_prune {
-                    let member_set: BTreeSet<NodeId> = cand.members.iter().copied().collect();
-                    let spec = kernel_spec(g, &member_set, &cand.outputs);
-                    let bound = profiler.quick_latency(&spec).0 * config.quick_prune_margin;
-                    if bound >= singleton_sum {
-                        quick_pruned += 1;
-                        continue;
-                    }
-                }
-                if let Some(k) = price_candidate(g, cand, profiler, config, backends) {
-                    charge(&k, &mut tuning_time_s);
-                    if k.latency.0 >= singleton_sum {
-                        continue;
-                    }
-                    kernels.push(k);
-                    if kernels.len() >= config.max_candidates {
-                        truncated = true;
-                        break 'outer;
-                    }
-                }
+            adm.admit(&members, false, singleton_sum);
+            if adm.out.truncated {
+                break 'outer;
             }
         }
     }
-    Candidates {
-        kernels,
-        subgraphs_considered: subgraphs,
-        truncated,
-        seed_selections,
-        tuning_time_s,
-        quick_pruned,
+    adm.out
+}
+
+/// The one path a convex subgraph takes into the candidate set.
+struct Admission<'a> {
+    g: &'a PrimGraph,
+    succ: Vec<Vec<NodeId>>,
+    graph_outputs: HashSet<PortRef>,
+    profiler: &'a Profiler,
+    config: &'a IdentifyConfig,
+    backends: &'a [Backend],
+    /// Member sets already admitted (or rejected) once.
+    seen: HashSet<Vec<NodeId>>,
+    /// The tuning database (paper §6.5): candidates with identical cost
+    /// features share one tuned schedule and are charged once.
+    tuned: HashSet<(KernelSpec, Backend)>,
+    out: Candidates,
+}
+
+impl Admission<'_> {
+    /// The §6.5 shape rejections, which hold for every output choice of
+    /// `members` and cost no profiling: more linear primitives than one
+    /// kernel may hold, or an opaque primitive in company (those execute
+    /// alone).
+    fn rejects(&self, members: &[NodeId]) -> bool {
+        let kinds = || members.iter().map(|&m| &self.g.node(m).kind);
+        kinds().filter(|k| k.is_linear()).count() > self.config.max_linear_per_kernel
+            || (members.len() > 1 && kinds().any(|k| matches!(k, PrimKind::Opaque { .. })))
+    }
+
+    /// Admits subgraph `members` (ascending) unless it was seen before:
+    /// expands its possible output sets and, per output set, prices the
+    /// candidate on its best backend, charges its tuning once, and keeps
+    /// it when its latency is below `reject_at` (the latency of running
+    /// the members as individual kernels; `∞` keeps everything a backend
+    /// serves). A rejected candidate is the profiler "returning ∞"
+    /// (Algorithm 1 line 19). Stops at the candidate cap.
+    fn admit(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) {
+        if self.out.truncated || !self.seen.insert(members.to_vec()) {
+            return;
+        }
+        self.out.subgraphs_considered += 1;
+        if self.rejects(members) {
+            return;
+        }
+        let (g, config) = (self.g, self.config);
+        let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
+        let output_sets = expand_outputs(g, &member_set, &self.succ, &self.graph_outputs, config);
+        for (output_nodes, outputs, full_output) in output_sets {
+            let spec = kernel_spec(g, &member_set, &outputs);
+            // §8 tuning-time acceleration: an optimistic, tuning-free
+            // bound that already loses to the singleton cover proves the
+            // candidate can never be selected — skip profiling it.
+            if config.quick_prune
+                && self.profiler.quick_latency(&spec).0 * config.quick_prune_margin >= reject_at
+            {
+                self.out.quick_pruned += 1;
+                continue;
+            }
+            let priced = (self.backends.iter())
+                .filter(|&&b| backend_applicable(g, members, &spec, b))
+                .map(|&b| (b, self.profiler.latency(&spec, b)));
+            // The cheapest applicable backend, the first on ties.
+            let best = priced.reduce(|best, next| if next.1 .0 < best.1 .0 { next } else { best });
+            let Some((backend, latency)) = best else {
+                continue;
+            };
+            let tuning_s = self.profiler.tuning_time_s(&spec, backend);
+            if self.tuned.insert((spec.clone(), backend)) {
+                self.out.tuning_time_s += tuning_s;
+            }
+            if latency.0 >= reject_at {
+                continue;
+            }
+            self.out.kernels.push(CandidateKernel {
+                members: members.to_vec(),
+                full_output,
+                seeded,
+                output_nodes,
+                outputs,
+                spec,
+                backend,
+                latency,
+                tuning_s,
+            });
+            if self.out.kernels.len() >= config.max_candidates {
+                self.out.truncated = true;
+                return;
+            }
+        }
     }
 }
 
@@ -453,12 +476,9 @@ pub fn greedy_seed_groups(
         .collect()
 }
 
-struct RawCandidate {
-    members: Vec<NodeId>,
-    output_nodes: Vec<NodeId>,
-    outputs: Vec<PortRef>,
-    full_output: bool,
-}
+/// One possible output set of a subgraph: the output nodes, the ports
+/// they write to device memory, and whether that is everything visible.
+type OutputSet = (Vec<NodeId>, Vec<PortRef>, bool);
 
 /// Enumerates the possible output sets of a convex subgraph (paper Def. 3):
 /// nodes with an edge leaving the subgraph (or a graph-output port). With
@@ -466,19 +486,18 @@ struct RawCandidate {
 /// all non-empty subsets up to size 2 are considered.
 fn expand_outputs(
     g: &PrimGraph,
-    members: &[NodeId],
+    members: &BTreeSet<NodeId>,
     succ: &[Vec<NodeId>],
     graph_outputs: &HashSet<PortRef>,
     config: &IdentifyConfig,
-) -> Vec<RawCandidate> {
-    let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
+) -> Vec<OutputSet> {
     // Qualifying nodes and, per node, the ports that are externally visible.
     let mut qualifying: Vec<(NodeId, Vec<PortRef>)> = Vec::new();
     for &m in members {
         let mut ports: BTreeSet<PortRef> = BTreeSet::new();
         // Ports consumed by nodes outside the subgraph.
         for &s in &succ[m.0] {
-            if !member_set.contains(&s) {
+            if !members.contains(&s) {
                 for r in &g.node(s).inputs {
                     if r.node == m {
                         ports.insert(*r);
@@ -499,99 +518,22 @@ fn expand_outputs(
     }
     let mut out = Vec::new();
     for (i, (n1, p1)) in qualifying.iter().enumerate() {
-        out.push(RawCandidate {
-            members: members.to_vec(),
-            output_nodes: vec![*n1],
-            outputs: p1.clone(),
-            full_output: qualifying.len() == 1,
-        });
+        out.push((vec![*n1], p1.clone(), qualifying.len() == 1));
         if config.multi_output {
             for (n2, p2) in qualifying.iter().skip(i + 1) {
                 let mut ports = p1.clone();
                 ports.extend_from_slice(p2);
-                out.push(RawCandidate {
-                    members: members.to_vec(),
-                    output_nodes: vec![*n1, *n2],
-                    outputs: ports,
-                    full_output: qualifying.len() == 2,
-                });
+                out.push((vec![*n1, *n2], ports, qualifying.len() == 2));
             }
         }
     }
     // The "materialize everything visible" candidate: needed by the
     // chain-DP incumbent (and the §8 multi-output extension).
     if qualifying.len() > if config.multi_output { 2 } else { 1 } {
-        out.push(RawCandidate {
-            members: members.to_vec(),
-            output_nodes: qualifying.iter().map(|(n, _)| *n).collect(),
-            outputs: qualifying.iter().flat_map(|(_, p)| p.clone()).collect(),
-            full_output: true,
-        });
+        let (nodes, ports): (Vec<NodeId>, Vec<Vec<PortRef>>) = qualifying.into_iter().unzip();
+        out.push((nodes, ports.concat(), true));
     }
     out
-}
-
-/// Applies the rejection heuristics and prices the candidate on its best
-/// backend. Returns `None` when the candidate is rejected (the profiler
-/// "returns ∞", Algorithm 1 line 19).
-fn price_candidate(
-    g: &PrimGraph,
-    cand: RawCandidate,
-    profiler: &Profiler,
-    config: &IdentifyConfig,
-    backends: &[Backend],
-) -> Option<CandidateKernel> {
-    price_candidate_inner(g, cand, profiler, config, backends, false)
-}
-
-fn price_candidate_inner(
-    g: &PrimGraph,
-    cand: RawCandidate,
-    profiler: &Profiler,
-    config: &IdentifyConfig,
-    backends: &[Backend],
-    seeded: bool,
-) -> Option<CandidateKernel> {
-    let member_set: BTreeSet<NodeId> = cand.members.iter().copied().collect();
-    let mut linear = 0usize;
-    let mut opaque = 0usize;
-    for &m in &cand.members {
-        match g.node(m).kind {
-            PrimKind::Linear(_) => linear += 1,
-            PrimKind::Opaque { .. } => opaque += 1,
-            _ => {}
-        }
-    }
-    if linear > config.max_linear_per_kernel {
-        return None;
-    }
-    if opaque > 0 && cand.members.len() > 1 {
-        return None; // opaque primitives execute alone
-    }
-    let spec = kernel_spec(g, &member_set, &cand.outputs);
-    let mut best: Option<(Backend, Micros)> = None;
-    for &b in backends {
-        if !backend_applicable(g, &cand.members, &spec, b) {
-            continue;
-        }
-        let t = profiler.latency(&spec, b);
-        if best.is_none_or(|(_, bt)| t.0 < bt.0) {
-            best = Some((b, t));
-        }
-    }
-    let (backend, latency) = best?;
-    let tuning_s = profiler.tuning_time_s(&spec, backend);
-    Some(CandidateKernel {
-        members: cand.members,
-        full_output: cand.full_output,
-        seeded,
-        output_nodes: cand.output_nodes,
-        outputs: cand.outputs,
-        spec,
-        backend,
-        latency,
-        tuning_s,
-    })
 }
 
 /// Backend applicability (paper §5.2): vendor libraries serve

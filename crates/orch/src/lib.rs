@@ -60,7 +60,8 @@ mod state;
 mod stream;
 
 pub use kernel::{
-    backend_applicable, identify_kernels, CandidateKernel, Candidates, IdentifyConfig,
+    backend_applicable, greedy_seed_groups, identify_kernels, CandidateKernel, Candidates,
+    IdentifyConfig,
 };
 pub use layout::{
     layout_variants, optimize_with_layouts, KernelLayout, LayoutConfig, LayoutOutcome,

@@ -1,23 +1,32 @@
-//! Buffer arena: tensor-lifetime analysis over a kernel plan plus a
-//! size-classed recycling pool.
+//! Buffer arena: the executor's compiled lifetime program plus the
+//! recycling pool that books it.
 //!
 //! The sequential interpreter in `korch-exec` keeps every materialized
 //! tensor alive until the program ends (allocate-everything). The runtime
-//! instead computes, for every materialized port, the last kernel that
-//! reads it; once that kernel retires, the buffer is released back to the
-//! arena, which recycles freed storage by size class and reports
-//! peak-resident bytes. On real accelerators this discipline is what keeps
-//! activation memory flat as plans grow (cf. AraOS: management overheads
-//! dominate once kernels go parallel); on the CPU runtime it bounds the
-//! working set the same way.
+//! instead counts, for every value slot, the kernels that read it; once
+//! the last of them retires the slot's buffer is dead and leaves the
+//! arena's books, which report peak-resident bytes. On real accelerators
+//! this discipline is what keeps activation memory flat as plans grow
+//! (cf. AraOS: management overheads dominate once kernels go parallel);
+//! on the CPU runtime it bounds the working set the same way.
+//!
+//! [`SlotTable`] is that program, compiled once by `PlanExecutor::new`:
+//! the scheduler counts its readers down, [`MemoryReport`] is folded from
+//! it, and `korch-verify` interprets it — there is no second derivation.
+//!
+//! The **pool** serves exactly the buffers the runtime allocates itself:
+//! staged input copies, range-body outputs, tile chunks and their
+//! assembly. A walk body's output is the buffer its last member wrote,
+//! moved into the slot — booked like any other, but dropped when it dies:
+//! nothing would take it from the pool, so parking it would only grow the
+//! pool by one buffer per walk output per run.
 
-use korch_ir::{NodeId, PortRef, PrimGraph};
-use korch_orch::Plan;
+use korch_ir::PortRef;
 use std::collections::btree_map::Entry as BTreeEntry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Memory behavior of one plan, from lifetime analysis alone (no
+/// Memory behavior of one plan, folded from its [`SlotTable`] alone (no
 /// execution needed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryReport {
@@ -43,128 +52,111 @@ impl MemoryReport {
     }
 }
 
-/// Lifetime of one materialized port within a plan.
-#[derive(Debug, Clone, Copy)]
-pub struct Lifetime {
-    /// Kernel index that first materializes the port (`None` for sources,
-    /// which exist before kernel 0).
-    pub producer: Option<usize>,
-    /// Last kernel index that reads the port from device memory (`None`
-    /// if nothing reads it).
-    pub last_reader: Option<usize>,
-    /// The port is a graph output (or input) and must outlive the plan.
+/// One value slot of a compiled plan: a source, or a port some kernel
+/// reads or materializes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlotInfo {
+    /// The materialized port the slot holds.
+    pub port: PortRef,
+    /// Element count of the slot's tensor.
+    pub numel: usize,
+    /// Kernels reading the slot: the countdown a run starts from. The
+    /// reader that takes it to zero releases an unpinned slot's buffer.
+    pub readers: usize,
+    /// The slot survives the whole run (graph input, constant, output).
     pub pinned: bool,
+    /// The slot is filled before kernel 0 (graph input or constant).
+    pub source: bool,
+    /// The runtime allocates the slot's storage itself — a staged input
+    /// copy, or the output of range bodies only — so a dead buffer goes
+    /// back to the pool, where the next run takes it. `false` for a slot
+    /// some walk body writes (its buffer is moved in and dropped when
+    /// dead) and for constants (shared across runs, never booked).
+    pub pooled: bool,
 }
 
-/// Computes per-port lifetimes for `plan` over `g`.
-///
-/// Materialized ports are the graph's sources (inputs + constants) plus
-/// every kernel output. A kernel "reads" a port when one of its members
-/// consumes that port from outside the kernel's member set — the exact
-/// rule `execute_plan` uses to hit the materialized map.
-pub fn plan_lifetimes(g: &PrimGraph, plan: &Plan) -> HashMap<PortRef, Lifetime> {
-    let mut lifetimes: HashMap<PortRef, Lifetime> = HashMap::new();
-    let outputs: HashSet<PortRef> = g.outputs().iter().copied().collect();
-    for (id, node) in g.iter() {
-        if node.kind.is_source() {
-            let port = PortRef::from(id);
-            lifetimes.insert(
-                port,
-                Lifetime {
-                    producer: None,
-                    last_reader: None,
-                    pinned: outputs.contains(&port),
-                },
-            );
-        }
+impl SlotInfo {
+    /// Payload size of the slot's tensor (`f32` elements).
+    pub fn bytes(&self) -> u64 {
+        (self.numel * 4) as u64
     }
-    for (i, k) in plan.kernels.iter().enumerate() {
-        for o in &k.outputs {
-            let e = lifetimes.entry(*o).or_insert(Lifetime {
-                producer: Some(i),
-                last_reader: None,
-                pinned: outputs.contains(o),
-            });
-            if e.producer.is_none() && !g.node(o.node).kind.is_source() {
-                e.producer = Some(i);
-            }
-        }
-    }
-    for (i, k) in plan.kernels.iter().enumerate() {
-        let members: HashSet<NodeId> = k.members.iter().copied().collect();
-        for &m in &k.members {
-            for r in &g.node(m).inputs {
-                if members.contains(&r.node) {
-                    continue;
-                }
-                if let Some(e) = lifetimes.get_mut(r) {
-                    e.last_reader = Some(e.last_reader.map_or(i, |p| p.max(i)));
-                }
-            }
-        }
-    }
-    // Graph inputs are pinned (the caller owns them); mark them so.
-    for (_, lt) in lifetimes.iter_mut() {
-        if lt.producer.is_none() {
-            lt.pinned = true;
-        }
-    }
-    lifetimes
 }
 
-/// Static memory report for a plan (see [`MemoryReport`]).
-pub fn plan_memory_report(g: &PrimGraph, plan: &Plan) -> MemoryReport {
-    let lifetimes = plan_lifetimes(g, plan);
-    let bytes = |p: &PortRef| g.meta(*p).byte_size() as u64;
-    let mut allocate_everything = 0u64;
-    let mut pinned = 0u64;
-    let mut reclaimable = 0usize;
-    // Sweep kernels in order, tracking resident bytes.
-    let n = plan.kernels.len();
-    let mut alloc_at: Vec<Vec<PortRef>> = vec![Vec::new(); n];
-    let mut free_after: Vec<Vec<PortRef>> = vec![Vec::new(); n];
-    let mut resident = 0u64;
-    for (port, lt) in &lifetimes {
-        let b = bytes(port);
-        allocate_everything += b;
-        if lt.pinned {
-            pinned += b;
-        }
-        match lt.producer {
-            None => resident += b, // sources exist up front
-            Some(i) => alloc_at[i].push(*port),
-        }
-        if !lt.pinned {
-            match lt.last_reader {
-                Some(r) => {
-                    free_after[r].push(*port);
-                    reclaimable += 1;
-                }
-                // Dead on arrival: freed right after production.
-                None => {
-                    if let Some(i) = lt.producer {
-                        free_after[i].push(*port);
-                        reclaimable += 1;
-                    }
+/// The lifetime program `PlanExecutor::new` compiles and every run
+/// executes: who reads and writes which slot, and how many readers each
+/// slot waits for.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SlotTable {
+    /// Every slot, sources first.
+    pub slots: Vec<SlotInfo>,
+    /// Per kernel, the distinct slots it reads from materialized memory.
+    pub reads: Vec<Vec<usize>>,
+    /// Per kernel, the slot of each declared output, in output order (a
+    /// port exported twice is listed twice).
+    pub writes: Vec<Vec<usize>>,
+}
+
+impl SlotTable {
+    /// Per kernel in plan order, the slots whose buffers die as it
+    /// retires, by the rule the scheduler runs: an unpinned slot is
+    /// released by the reader that takes its countdown from one to zero,
+    /// or — when nothing reads it — by its first writer (dead on
+    /// arrival). A redundant writer's copy is freed where it lands and
+    /// never shows here.
+    pub fn releases(&self) -> Vec<Vec<usize>> {
+        let mut left: Vec<usize> = self.slots.iter().map(|s| s.readers).collect();
+        let mut written = vec![false; self.slots.len()];
+        let mut releases = vec![Vec::new(); self.reads.len()];
+        for (k, dead) in releases.iter_mut().enumerate() {
+            for &s in &self.writes[k] {
+                if !std::mem::replace(&mut written[s], true)
+                    && self.slots[s].readers == 0
+                    && !self.slots[s].pinned
+                {
+                    dead.push(s);
                 }
             }
+            for &s in &self.reads[k] {
+                // `fetch_sub` semantics: a count already at zero wraps
+                // and never releases again.
+                if left[s] == 1 && !self.slots[s].pinned {
+                    dead.push(s);
+                }
+                left[s] = left[s].wrapping_sub(1);
+            }
         }
+        releases
     }
-    let mut peak = resident;
-    for i in 0..n {
-        for p in &alloc_at[i] {
-            resident += bytes(p);
+
+    /// Sweeps the program in plan order, tracking resident bytes (see
+    /// [`MemoryReport`]).
+    pub fn memory_report(&self) -> MemoryReport {
+        let bytes = |s: usize| self.slots[s].bytes();
+        // Sources exist up front; everything else from its first writer.
+        let (mut everything, mut pinned, mut resident) = (0, 0, 0);
+        for slot in &self.slots {
+            everything += slot.bytes();
+            pinned += if slot.pinned { slot.bytes() } else { 0 };
+            resident += if slot.source { slot.bytes() } else { 0 };
         }
-        peak = peak.max(resident);
-        for p in &free_after[i] {
-            resident = resident.saturating_sub(bytes(p));
+        let releases = self.releases();
+        let mut written: Vec<bool> = self.slots.iter().map(|slot| slot.source).collect();
+        let mut peak = resident;
+        for (writes, dead) in self.writes.iter().zip(&releases) {
+            for &s in writes {
+                if !std::mem::replace(&mut written[s], true) {
+                    resident += bytes(s);
+                }
+            }
+            peak = peak.max(resident);
+            resident = resident.saturating_sub(dead.iter().map(|&s| bytes(s)).sum());
         }
-    }
-    MemoryReport {
-        allocate_everything_bytes: allocate_everything,
-        peak_resident_bytes: peak,
-        pinned_bytes: pinned,
-        reclaimable_buffers: reclaimable,
+        MemoryReport {
+            allocate_everything_bytes: everything,
+            peak_resident_bytes: peak,
+            pinned_bytes: pinned,
+            reclaimable_buffers: releases.iter().map(Vec::len).sum(),
+        }
     }
 }
 
@@ -201,6 +193,20 @@ pub struct ArenaStats {
     pub free_bytes: u64,
 }
 
+impl ArenaInner {
+    /// Takes `bytes` off the live books. Releasing more than is live is
+    /// a double release — the static lifetime proof says it cannot
+    /// happen, and debug builds hold the run-time books to that.
+    fn unbook(&mut self, bytes: u64) {
+        debug_assert!(
+            bytes <= self.live_bytes,
+            "arena books underflow: releasing {bytes} B with {} B live",
+            self.live_bytes
+        );
+        self.live_bytes = self.live_bytes.saturating_sub(bytes);
+    }
+}
+
 impl BufferArena {
     /// Fresh, empty arena.
     pub fn new() -> Self {
@@ -216,27 +222,29 @@ impl BufferArena {
         inner.peak_bytes = inner.peak_bytes.max(inner.live_bytes);
     }
 
-    /// Releases a dead buffer's storage back to the pool for reuse.
+    /// Releases a dead runtime-allocated buffer: its bytes leave the
+    /// books and its storage is parked for [`BufferArena::take`].
     pub fn release(&self, storage: Vec<f32>) {
         let numel = storage.len();
         let bytes = (numel * 4) as u64;
         let mut inner = self.inner.lock().expect("arena poisoned");
-        inner.live_bytes = inner.live_bytes.saturating_sub(bytes);
+        inner.unbook(bytes);
         inner.free_bytes += bytes;
         inner.free.entry(numel).or_default().push(storage);
     }
 
-    /// Accounts for a dead buffer whose storage cannot be recovered (e.g.
-    /// still shared); only the live counter drops.
+    /// Takes a dead buffer off the books without parking its storage: a
+    /// walk output (dropped — the pool has no taker for it), a tensor
+    /// moved out to the caller, or a handle that is still shared.
     pub fn release_untracked(&self, numel: usize) {
         let mut inner = self.inner.lock().expect("arena poisoned");
-        inner.live_bytes = inner.live_bytes.saturating_sub((numel * 4) as u64);
+        inner.unbook((numel * 4) as u64);
     }
 
     /// Takes a recycled buffer of exactly `numel` elements, if one is
     /// parked. This is the genuine reuse path: the executor stages run
-    /// inputs and kernel outputs into buffers recovered here, so freed
-    /// intermediate storage from earlier kernels (and earlier runs) backs
+    /// inputs and evaluates range bodies and tiles into buffers recovered
+    /// here, so storage freed by earlier kernels (and earlier runs) backs
     /// new tensors instead of fresh allocations. Each successful take is
     /// a reuse hit.
     pub fn take(&self, numel: usize) -> Option<Vec<f32>> {
@@ -251,7 +259,7 @@ impl BufferArena {
         }
         if buf.is_some() {
             inner.reuse_hits += 1;
-            inner.free_bytes = inner.free_bytes.saturating_sub((numel * 4) as u64);
+            inner.free_bytes -= (numel * 4) as u64;
         }
         buf
     }
@@ -301,6 +309,7 @@ mod tests {
     #[test]
     fn take_returns_exact_class_only() {
         let a = BufferArena::new();
+        a.adopt(64);
         a.release(vec![1.0; 64]);
         assert!(a.take(128).is_none());
         let buf = a.take(64).expect("parked buffer");

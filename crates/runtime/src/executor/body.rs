@@ -257,11 +257,12 @@ impl KernelBody {
         }
     }
 
-    /// Evaluates a walk body whole: every step's outputs, indexed like
-    /// `steps` — emptied again for the steps that died on the way, so
-    /// only the exported steps are guaranteed to still hold theirs. A
-    /// `Reshape` of a local that dies at it takes the buffer instead of
-    /// copying it (the same values either way).
+    /// Evaluates a walk body whole and returns its exports, in export
+    /// order — each the very buffer its step wrote, moved out (cloned only
+    /// for a `(step, port)` that is exported again later). Steps drop
+    /// their outputs where they die on the way; a `Reshape` of a local
+    /// that dies at it takes the buffer instead of copying it (the same
+    /// values either way).
     ///
     /// # Errors
     ///
@@ -269,9 +270,10 @@ impl KernelBody {
     /// no interpreter.
     pub(super) fn walk(
         steps: &[Step],
+        exports: &[(usize, usize)],
         g: &PrimGraph,
         prepared: &Prepared,
-    ) -> Result<Vec<Vec<Tensor>>, ExecError> {
+    ) -> Result<Vec<Tensor>, ExecError> {
         let mut locals: Vec<Vec<Tensor>> = Vec::with_capacity(steps.len());
         for step in steps {
             let kind = &g.node(step.node).kind;
@@ -301,6 +303,13 @@ impl KernelBody {
                 locals[dead] = Vec::new();
             }
         }
-        Ok(locals)
+        let export = |(i, &(step, port)): (usize, &(usize, usize))| {
+            if exports[i + 1..].contains(&(step, port)) {
+                locals[step][port].clone()
+            } else {
+                std::mem::take(&mut locals[step][port])
+            }
+        };
+        Ok(exports.iter().enumerate().map(export).collect())
     }
 }

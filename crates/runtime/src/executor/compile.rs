@@ -7,7 +7,7 @@ use super::emit::ExecTelemetry;
 use super::{
     not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout,
 };
-use crate::arena::{plan_memory_report, BufferArena};
+use crate::arena::{BufferArena, SlotInfo, SlotTable};
 use crate::profiler::RuntimeProfile;
 use korch_cost::Device;
 use korch_exec::{materialize_const, ExecError};
@@ -17,21 +17,37 @@ use korch_tensor::Tensor;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// Port → value-slot table: one slot per source and per port a kernel
-/// reads or materializes.
+/// The slot table under construction: one slot per source and per port a
+/// kernel reads or materializes.
 #[derive(Default)]
 struct Slots {
     index: HashMap<PortRef, usize>,
-    /// Per-slot element count.
-    numel: Vec<usize>,
+    table: SlotTable,
 }
 
 impl Slots {
     fn slot_of(&mut self, g: &PrimGraph, port: PortRef) -> usize {
         *self.index.entry(port).or_insert_with(|| {
-            self.numel.push(g.meta(port).numel());
-            self.numel.len() - 1
+            self.table.slots.push(SlotInfo {
+                port,
+                numel: g.meta(port).numel(),
+                readers: 0,
+                pinned: false,
+                source: false,
+                pooled: true,
+            });
+            self.table.slots.len() - 1
         })
+    }
+
+    /// The pinned slot of source `port`. A staged input copy is the
+    /// runtime's own buffer (`pooled`); a constant is shared across runs
+    /// and never booked.
+    fn source_slot(&mut self, g: &PrimGraph, port: PortRef, pooled: bool) -> usize {
+        let s = self.slot_of(g, port);
+        let slot = &mut self.table.slots[s];
+        (slot.source, slot.pinned, slot.pooled) = (true, true, pooled);
+        s
     }
 }
 
@@ -45,11 +61,11 @@ fn assign_sources(g: &PrimGraph, slots: &mut Slots) -> Sources {
     for (id, node) in g.iter() {
         match &node.kind {
             PrimKind::Input { shape } => {
-                input_slots.push((slots.slot_of(g, id.into()), shape.clone()));
+                input_slots.push((slots.source_slot(g, id.into(), true), shape.clone()));
             }
             PrimKind::Constant { shape, init } => {
                 let t = Arc::new(materialize_const(shape, init));
-                const_slots.push((slots.slot_of(g, id.into()), t));
+                const_slots.push((slots.source_slot(g, id.into(), false), t));
             }
             _ => {}
         }
@@ -57,8 +73,9 @@ fn assign_sources(g: &PrimGraph, slots: &mut Slots) -> Sources {
     (input_slots, const_slots)
 }
 
-/// Lowers every plan kernel: the ports it reads from memory, the earlier
-/// kernels that materialize them, its output slots and its body.
+/// Lowers every plan kernel: the ports it reads from memory (counted as
+/// readers of their slots), the earlier kernels that materialize them,
+/// its output slots and its body.
 fn compile_kernels(
     g: &PrimGraph,
     plan: &Plan,
@@ -96,12 +113,22 @@ fn compile_kernels(
             }
         }
         let body = KernelBody::compile(g, &members, &read_ports, &k.outputs)?;
-        let with_slots = |ports: &[PortRef], slots: &mut Slots| -> Vec<(PortRef, usize)> {
-            ports.iter().map(|p| (*p, slots.slot_of(g, *p))).collect()
+        let mut with_slots = |ports: &[PortRef]| -> Vec<usize> {
+            ports.iter().map(|p| slots.slot_of(g, *p)).collect()
         };
+        let (reads, writes) = (with_slots(&read_ports), with_slots(&k.outputs));
+        let table = &mut slots.table;
+        for &s in &reads {
+            table.slots[s].readers += 1;
+        }
+        // A range body evaluates into a buffer the runtime took itself;
+        // a slot any walk writes may hold a buffer that was moved in.
+        for &s in &writes {
+            table.slots[s].pooled &= !matches!(body, KernelBody::Walk { .. });
+        }
+        table.reads.push(reads);
+        table.writes.push(writes);
         kernels.push(KernelTask {
-            reads: with_slots(&read_ports, slots),
-            outputs: with_slots(&k.outputs, slots),
             deps: deps.into_iter().collect(),
             body,
         });
@@ -123,27 +150,16 @@ impl PlanExecutor {
         let mut slots = Slots::default();
         let (input_slots, const_slots) = assign_sources(g, &mut slots);
         let kernels = compile_kernels(g, plan, &mut slots)?;
+        let Slots { index, mut table } = slots;
 
-        let n_slots = slots.numel.len();
-        let mut slot_readers = vec![0usize; n_slots];
-        for k in &kernels {
-            for (_, s) in &k.reads {
-                slot_readers[*s] += 1;
-            }
-        }
-        let mut slot_pinned = vec![false; n_slots];
-        for (s, _) in &input_slots {
-            slot_pinned[*s] = true;
-        }
-        let mut const_slot = vec![false; n_slots];
+        let mut const_slot = vec![false; table.slots.len()];
         for (s, _) in &const_slots {
-            slot_pinned[*s] = true;
             const_slot[*s] = true;
         }
         let mut output_slots = Vec::new();
         for o in g.outputs() {
-            let s = *slots.index.get(o).ok_or(not_materialized(o))?;
-            slot_pinned[s] = true;
+            let s = *index.get(o).ok_or(not_materialized(o))?;
+            table.slots[s].pinned = true;
             output_slots.push((*o, s));
         }
 
@@ -177,7 +193,7 @@ impl PlanExecutor {
                 // assembly traffic is charged). Plan-derived thresholds
                 // enforce the floor; explicit thresholds bypass it so
                 // tests can sweep degenerate splits.
-                let spec = Self::classify_tiling(g, task, &config)?;
+                let spec = Self::classify_tiling(g, &task.body, k, &config)?;
                 if derived_threshold && !Self::clears_tile_floor(&spec, k, &config.device, lanes) {
                     return None;
                 }
@@ -216,16 +232,14 @@ impl PlanExecutor {
             plan: plan.clone(),
             timing_enabled: config.profile || telemetry.is_some(),
             config,
-            memory_report: plan_memory_report(g, plan),
+            memory_report: table.memory_report(),
+            table,
             kernels,
             dependents,
             input_slots,
             const_slots,
             const_slot,
             output_slots,
-            slot_numel: slots.numel,
-            slot_readers,
-            slot_pinned,
             arena: BufferArena::new(),
             telemetry,
             profile: Mutex::new(RuntimeProfile::new(plan.kernels.len())),
@@ -290,11 +304,12 @@ impl PlanExecutor {
     /// tile), empty outputs, and auto-sized partitions of a single tile.
     fn classify_tiling(
         g: &PrimGraph,
-        task: &KernelTask,
+        body: &KernelBody,
+        k: &SelectedKernel,
         config: &RuntimeConfig,
     ) -> Option<TileLayout> {
-        let (body, grain) = task.body.tile_kind(g)?;
-        let out_shape = g.meta(task.outputs[0].0).shape().to_vec();
+        let (body, grain) = body.tile_kind(g)?;
+        let out_shape = g.meta(k.outputs[0]).shape().to_vec();
         let total: usize = out_shape.iter().product();
         if total == 0 {
             return None;

@@ -14,8 +14,10 @@
 //! # Compile (`compile.rs`, `body.rs`)
 //!
 //! [`PlanExecutor::new`] assigns every source and every port a kernel
-//! reads or materializes a *value slot*, derives kernel dependencies from
-//! the reads, and lowers each kernel to one `KernelBody`:
+//! reads or materializes a *value slot* — the [`SlotTable`], the one
+//! lifetime program a run executes, `korch-verify` interprets and the
+//! [`MemoryReport`] is folded from — derives kernel dependencies from the
+//! reads, and lowers each kernel to one `KernelBody`:
 //!
 //! - **walk** — the general body and most of the traffic: every
 //!   non-source member, in ascending order, evaluated whole by
@@ -39,8 +41,8 @@
 //! interpreter performs for those elements, in the same order. Run
 //! whole, such a kernel is the range `0..total` written straight into
 //! the arena buffer that becomes the published tensor; decomposed, it is
-//! the same call per tile. A walk runs whole only and stages each
-//! exported tensor into an arena buffer.
+//! the same call per tile. A walk runs whole only, and its output *is*
+//! the buffer its exporting member wrote, moved into the slot.
 //!
 //! # Schedule (`sched.rs`, `pool.rs`)
 //!
@@ -132,12 +134,17 @@
 //!
 //! # Memory and observation (`emit.rs`)
 //!
-//! Every buffer a run materializes is accounted in the [`BufferArena`]:
-//! a slot's storage returns to the pool when its last reader retires,
-//! pinned input copies when the run settles, on success and on every
-//! failure path alike; output tensors are *moved* out to the caller (the
-//! run holds the only handle once the lanes are done), so their bytes
-//! leave the books and their storage the pool. Lanes log kernel/tile
+//! Every buffer a run materializes is booked in the [`BufferArena`] and
+//! leaves the books when its slot's last reader retires — pinned input
+//! copies when the run settles — on success and on every failure path
+//! alike. The recycling pool serves exactly the buffers the runtime
+//! allocates itself: staged input copies, range-body outputs, tile chunks
+//! and their assembly. Whether a dead slot's storage goes back there is a
+//! compile-time fact of the slot ([`crate::SlotInfo::pooled`]): a walk's output
+//! was allocated by its last member and moved in, the pool has no taker
+//! for it, so it is dropped. Output tensors are *moved* out to the caller
+//! (the run holds the only handle once the lanes are done), so their
+//! bytes leave the books and their storage the pool. Lanes log kernel/tile
 //! intervals lane-locally against one clock origin per run; once every
 //! lane has detached the run folds them into the [`RuntimeProfile`] and,
 //! when a telemetry hub is configured, rebases them onto its shared
@@ -149,7 +156,7 @@ mod emit;
 mod pool;
 mod sched;
 
-use crate::arena::{BufferArena, MemoryReport};
+use crate::arena::{BufferArena, MemoryReport, SlotTable};
 use crate::profiler::RuntimeProfile;
 use body::KernelBody;
 use emit::{ExecTelemetry, RunCtx};
@@ -255,12 +262,9 @@ impl RuntimeConfig {
     }
 }
 
-/// One kernel, preprocessed for repeated execution.
+/// One kernel, preprocessed for repeated execution; its read and output
+/// slots are rows of the [`SlotTable`].
 struct KernelTask {
-    /// Output port → value slot.
-    outputs: Vec<(PortRef, usize)>,
-    /// Distinct ports read from materialized memory → value slot.
-    reads: Vec<(PortRef, usize)>,
     /// Kernels that must retire before this one starts.
     deps: Vec<usize>,
     body: KernelBody,
@@ -328,12 +332,9 @@ struct Core {
     const_slot: Vec<bool>,
     /// Graph output ports → slots.
     output_slots: Vec<(PortRef, usize)>,
-    /// Per-slot element count.
-    slot_numel: Vec<usize>,
-    /// Kernels reading each slot (for last-reader reclamation).
-    slot_readers: Vec<usize>,
-    /// Slots that must survive the whole run (inputs, constants, outputs).
-    slot_pinned: Vec<bool>,
+    /// The lifetime program: per slot its size, reader countdown, pin and
+    /// pool facts; per kernel the slots it reads and writes.
+    table: SlotTable,
     memory_report: MemoryReport,
     arena: BufferArena,
     /// Whether kernel/tile intervals are timed at all: profiling wants
@@ -411,6 +412,15 @@ impl PlanExecutor {
         self.core.tile_specs.clone()
     }
 
+    /// The compiled lifetime program, exactly as every run executes it:
+    /// the scheduler counts these readers down and releases by them, the
+    /// arena books these sizes, [`PlanExecutor::memory_report`] is folded
+    /// from it, and `korch-verify` proves `live_bytes → 0` and no
+    /// read-after-release on it rather than on a re-derivation.
+    pub fn slot_table(&self) -> &SlotTable {
+        &self.core.table
+    }
+
     /// Lanes a run is scheduled over: every requested lane when two
     /// tasks can ever be ready at once (two root kernels, a kernel with
     /// two dependents, or a tile-eligible kernel), else 1 — the plan is a
@@ -434,7 +444,8 @@ impl PlanExecutor {
         self.core.tile_specs.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Static lifetime-analysis report for the compiled plan.
+    /// Static memory report of the compiled plan, folded from
+    /// [`PlanExecutor::slot_table`].
     pub fn memory_report(&self) -> &MemoryReport {
         &self.core.memory_report
     }
@@ -574,7 +585,7 @@ impl Core {
         match Arc::try_unwrap(arc) {
             Ok(t) => {
                 if !self.const_slot[s] {
-                    self.arena.release_untracked(self.slot_numel[s]);
+                    self.arena.release_untracked(self.table.slots[s].numel);
                 }
                 Ok(t)
             }
@@ -612,12 +623,14 @@ impl Core {
         }
     }
 
-    /// Returns slot `s`'s dead buffer to the arena: its storage to the
-    /// pool when this was the last handle, its live bytes either way.
+    /// Takes slot `s`'s dead buffer off the arena's books; its storage
+    /// goes back to the pool when the runtime allocated it
+    /// ([`crate::SlotInfo::pooled`]) and this was the last handle.
     fn reclaim(&self, s: usize, arc: Arc<Tensor>) {
+        let slot = &self.table.slots[s];
         match Arc::try_unwrap(arc) {
-            Ok(t) => self.arena.release(t.into_vec()),
-            Err(_) => self.arena.release_untracked(self.slot_numel[s]),
+            Ok(t) if slot.pooled => self.arena.release(t.into_vec()),
+            _ => self.arena.release_untracked(slot.numel),
         }
     }
 
@@ -656,7 +669,7 @@ impl Core {
         self.arena.take(len).unwrap_or_else(|| vec![0.0; len])
     }
 
-    /// Copies `t` into an arena buffer.
+    /// Copies a fed input into an arena buffer.
     fn stage_copy(&self, t: &Tensor) -> Tensor {
         let mut buf = self.take_buf(t.numel());
         buf.copy_from_slice(t.as_slice());

@@ -174,11 +174,11 @@ impl RunState {
         };
         let zeros = |n: usize| (0..n).map(|_| AtomicUsize::new(0)).collect();
         Self {
-            values: (0..core.slot_numel.len())
+            values: (0..core.table.slots.len())
                 .map(|_| RwLock::new(None))
                 .collect(),
             remaining_deps: zeros(kernels),
-            remaining_readers: zeros(core.slot_readers.len()),
+            remaining_readers: zeros(core.table.slots.len()),
             ready: (0..lanes).map(|_| WorkStealDeque::new(capacity)).collect(),
             ready_count: AtomicUsize::new(0),
             tiles: (0..kernels).map(|_| OnceLock::new()).collect(),
@@ -207,8 +207,8 @@ impl RunState {
         for (left, k) in self.remaining_deps.iter_mut().zip(&core.kernels) {
             *left.get_mut() = k.deps.len();
         }
-        for (left, &n) in self.remaining_readers.iter_mut().zip(&core.slot_readers) {
-            *left.get_mut() = n;
+        for (left, slot) in self.remaining_readers.iter_mut().zip(&core.table.slots) {
+            *left.get_mut() = slot.readers;
         }
         for tile_run in &mut self.tiles {
             tile_run.take();
@@ -455,16 +455,14 @@ impl Core {
     /// body to them. A missing read would indicate a dependency-tracking
     /// bug.
     fn prepare(&self, k: usize, state: &RunState) -> Result<Prepared, ExecError> {
-        let kernel = &self.kernels[k];
-        let reads = kernel
-            .reads
+        let reads = self.table.reads[k]
             .iter()
-            .map(|(port, s)| {
-                let value = read_recover(&state.values[*s]).clone();
-                value.ok_or(not_materialized(port))
+            .map(|&s| {
+                let value = read_recover(&state.values[s]).clone();
+                value.ok_or(not_materialized(&self.table.slots[s].port))
             })
             .collect::<Result<_, _>>()?;
-        kernel.body.prepare(&self.graph, reads)
+        self.kernels[k].body.prepare(&self.graph, reads)
     }
 
     /// Evaluates the flat output `range` of range-bodied kernel `k` into
@@ -490,25 +488,26 @@ impl Core {
     }
 
     /// Executes kernel `k` whole and publishes its outputs. A range body
-    /// evaluates `0..total` straight into the buffer that becomes the
-    /// published tensor; a walk body stages each exported tensor into an
-    /// arena buffer.
+    /// evaluates `0..total` straight into the pooled buffer that becomes
+    /// the published tensor; a walk body's exports are the buffers its
+    /// members wrote, moved into their slots and booked there.
     fn run_whole(&self, k: usize, state: &RunState) -> Result<(), ExecError> {
         #[cfg(test)]
         assert!(
             self.panic_at.load(Ordering::Relaxed) != k,
             "injected panic in kernel {k}"
         );
-        let kernel = &self.kernels[k];
+        let writes = &self.table.writes[k];
         let prepared = self.prepare(k, state)?;
-        if let KernelBody::Walk { steps, exports } = &kernel.body {
-            let locals = KernelBody::walk(steps, &self.graph, &prepared)?;
-            for (&(_, s), &(step, port)) in kernel.outputs.iter().zip(exports) {
-                self.publish_output(s, self.stage_copy(&locals[step][port]), state);
+        if let KernelBody::Walk { steps, exports } = &self.kernels[k].body {
+            let exported = KernelBody::walk(steps, exports, &self.graph, &prepared)?;
+            for (&s, t) in writes.iter().zip(exported) {
+                self.arena.adopt(self.table.slots[s].numel);
+                self.publish_output(s, t, state);
             }
         } else {
-            let (port, s) = kernel.outputs[0];
-            let shape = self.graph.meta(port).shape().to_vec();
+            let s = writes[0];
+            let shape = self.graph.meta(self.table.slots[s].port).shape().to_vec();
             let out = self.run_range(k, 0..shape.iter().product(), &prepared)?;
             let t = Tensor::from_vec(shape, out).expect("the full range covers the output");
             self.publish_output(s, t, state);
@@ -546,7 +545,7 @@ impl Core {
     /// over a whole run of the same range body.
     fn assemble(&self, k: usize, state: &RunState) {
         let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
-        let (_, s) = self.kernels[k].outputs[0];
+        let s = self.table.writes[k][0];
         let mut full = self.take_buf(spec.out_shape.iter().product());
         let tr = state.tiles[k].get().expect("tiled kernel state");
         for (chunk, range) in lock_recover(&tr.chunks).iter_mut().zip(&spec.tiles) {
@@ -681,13 +680,13 @@ impl Core {
     /// kernel.
     fn retire(self: &Arc<Self>, k: usize, w: usize, state: &Arc<RunState>) {
         // Last-reader reclamation: ports only this kernel still needed.
-        for (_, s) in &self.kernels[k].reads {
-            if state.remaining_readers[*s].fetch_sub(1, Ordering::AcqRel) == 1
-                && !self.slot_pinned[*s]
+        for &s in &self.table.reads[k] {
+            if state.remaining_readers[s].fetch_sub(1, Ordering::AcqRel) == 1
+                && !self.table.slots[s].pinned
             {
-                let taken = write_recover(&state.values[*s]).take();
+                let taken = write_recover(&state.values[s]).take();
                 if let Some(arc) = taken {
-                    self.reclaim(*s, arc);
+                    self.reclaim(s, arc);
                 }
             }
         }
@@ -710,20 +709,20 @@ impl Core {
         }
     }
 
-    /// Publishes one staged, arena-adopted output tensor into slot `s`,
-    /// handling the two special cases shared by whole-kernel and tiled
-    /// execution: a redundant producer (the first writer's identical
-    /// bytes won — return the loser's storage to the pool) and a
-    /// dead-on-arrival output (nothing reads it — reclaim immediately).
+    /// Publishes one arena-booked output tensor into slot `s`, handling
+    /// the two special cases shared by whole-kernel and tiled execution:
+    /// a redundant producer (the first writer's identical bytes won —
+    /// reclaim the loser's copy) and a dead-on-arrival output (nothing
+    /// reads it — reclaim immediately).
     fn publish_output(&self, s: usize, t: Tensor, state: &RunState) {
         let mut w = write_recover(&state.values[s]);
         if w.is_some() {
             drop(w);
-            self.arena.release(t.into_vec());
+            self.reclaim(s, Arc::new(t));
             return;
         }
         *w = Some(Arc::new(t));
-        if !self.slot_pinned[s] && state.remaining_readers[s].load(Ordering::Acquire) == 0 {
+        if !self.table.slots[s].pinned && state.remaining_readers[s].load(Ordering::Acquire) == 0 {
             if let Some(arc) = w.take() {
                 self.reclaim(s, arc);
             }

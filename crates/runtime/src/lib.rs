@@ -17,9 +17,15 @@
 //!   ([`RuntimeProfile::steals`],
 //!   [`RuntimeProfile::tiled_kernels`] and [`RuntimeProfile::tile_tasks`]
 //!   count what a run did);
-//! - [`BufferArena`] / [`plan_memory_report`] — tensor-lifetime analysis,
-//!   last-reader buffer reclamation, size-classed reuse, and peak-resident
-//!   accounting (vs. the interpreter's allocate-everything behavior);
+//! - [`SlotTable`] / [`BufferArena`] — the one lifetime program
+//!   `PlanExecutor::new` compiles (reader countdowns, last-reader
+//!   reclamation; [`MemoryReport`] is folded from it and `korch-verify`
+//!   interprets it) and the books and pool behind it: peak-resident
+//!   accounting (vs. the interpreter's allocate-everything behavior) and
+//!   size-classed reuse of the buffers the runtime allocates itself —
+//!   staged inputs, range-body outputs, tile chunks and their assembly. A
+//!   walk body's output is the buffer its last member wrote, moved into
+//!   its slot and dropped when its last reader retires;
 //! - [`RuntimeProfile`] — per-kernel wall times folded from each run's
 //!   [`KernelInterval`]s (every lane timestamps against one shared clock
 //!   origin per run), and the one fitting hook:
@@ -136,9 +142,7 @@ mod profiler;
 mod serving;
 mod shard;
 
-pub use arena::{
-    plan_lifetimes, plan_memory_report, ArenaStats, BufferArena, Lifetime, MemoryReport,
-};
+pub use arena::{ArenaStats, BufferArena, MemoryReport, SlotInfo, SlotTable};
 pub use executor::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout};
 pub use profiler::{KernelInterval, KernelStats, RuntimeProfile};
 pub use serving::{
@@ -316,6 +320,59 @@ mod tests {
         // reclaimed and (across runs) recycled.
         if report.reclaimable_buffers > 0 {
             assert!(stats.reuse_hits > 0, "no reuse across four runs: {stats:?}");
+        }
+    }
+
+    /// The pool serves the buffers the runtime allocates itself and
+    /// nothing else. In a walk-only plan those are the staged input
+    /// copies: every warm run takes exactly that many buffers from the
+    /// pool and parks them again, and the walk outputs — moved into their
+    /// slots, dropped or handed to the caller when dead — never reach it,
+    /// so the pool is as deep after run 1 000 as after run 2.
+    #[test]
+    fn walk_outputs_never_grow_the_pool() {
+        let g = wide_graph(3, 8, 16);
+        let plan = Orchestrator::new(Device::v100())
+            .orchestrate(&g)
+            .unwrap()
+            .plan;
+        let inputs = inputs_for(&g, 5);
+        let reference = execute_plan(&g, &plan, &inputs).unwrap();
+        for lanes in [1, 2] {
+            let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+            let table = exec.slot_table();
+            let written = table.writes.iter().flatten();
+            assert!(
+                written.clone().count() > 0 && written.clone().all(|&s| !table.slots[s].pooled),
+                "every kernel of the plan is a walk"
+            );
+            let mut steady = None;
+            for run in 1..=1000 {
+                let before = exec.arena_stats();
+                let out = exec.execute(&inputs).unwrap();
+                let after = exec.arena_stats();
+                assert_eq!(after.live_bytes, 0, "lanes={lanes} run={run}");
+                if run == 1 {
+                    continue;
+                }
+                assert_eq!(
+                    (after.reuse_hits - before.reuse_hits) as usize,
+                    inputs.len(),
+                    "lanes={lanes} run={run}: one take per staged input"
+                );
+                assert_eq!(
+                    *steady.get_or_insert(after.free_bytes),
+                    after.free_bytes,
+                    "lanes={lanes} run={run}: the pool grew"
+                );
+                if run == 1000 {
+                    for (a, b) in reference.iter().zip(&out) {
+                        assert_eq!(a.as_slice(), b.as_slice(), "lanes={lanes}");
+                    }
+                }
+            }
+            let input_bytes: usize = inputs.iter().map(Tensor::byte_size).sum();
+            assert_eq!(steady, Some(input_bytes as u64));
         }
     }
 

@@ -518,7 +518,8 @@ impl ShardedExecutor {
         total
     }
 
-    /// Static lifetime-analysis report of the replicated plan. Identical
+    /// Static memory report of the replicated plan, folded from the
+    /// executor's slot table. Identical
     /// for every shard (same plan), so one copy is returned — multiply by
     /// [`ShardedExecutor::shard_count`] for the provisioned footprint.
     pub fn memory_report(&self) -> crate::MemoryReport {

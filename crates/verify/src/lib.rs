@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`verify_plan`]: dependency acyclicity, producer-before-reader, redundant producers compute their own bytes | `tests/runtime_workstealing.rs` `random_dag_plans_are_bit_identical` |
 //! | [`verify_plan`]: tile decompositions partition the output exactly (disjoint + covering + in tile order, grain-aligned); monolithic/multi-output kernels never tile-eligible; reduce tilings never re-associate one output element | `tests/runtime_tiling.rs` differential matrix (tile sizes × lanes, bit-identical to `execute_plan`) |
-//! | [`verify_lifetimes`]: `live_bytes` returns to 0 on every success *and* failure-unwind path, no buffer read after release | `tests/runtime_workstealing.rs` `redundant_producer_conserves_arena_pool`, `failed_runs_settle_the_arena` (PR 2/PR 5 conservation tests) |
+//! | [`verify_lifetimes`] over the executor's own slot table: `live_bytes` returns to 0 on every success *and* failure-unwind path, no buffer read after release | `tests/runtime_workstealing.rs` `redundant_producer_conserves_arena_pool`, `failed_runs_settle_the_arena` (PR 2/PR 5 conservation tests) |
 //! | [`explore`]: dep-counter release fires exactly once | executor dependency-counter tests (`runtime_workstealing.rs`) |
 //! | [`explore`]: tile-assembly countdown assembles once, after every chunk landed | `runtime_tiling.rs` assembly tests |
 //! | [`explore`]: router in-flight accounting conserves requests, exactly-once response | `tests/serving_sharded.rs` request-conservation proptest |
@@ -28,8 +28,9 @@
 //! | [`explore`]: run hand-off — no lane touches a recycled run state, the caller waits only on attached helpers | `tests/runtime_workstealing.rs`, `tests/runtime_parallel.rs` repeated runs on one executor at 2/4/8 lanes |
 //!
 //! The verifier consumes artifacts through the runtime's introspection
-//! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`)
-//! rather than re-deriving them: what is checked is what will run.
+//! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`,
+//! `slot_table`) rather than re-deriving them: what is checked is what
+//! will run.
 //! [`check_executor`] bundles every static analysis over one compiled
 //! executor; `CompiledModel::recalibrate` runs it (in debug builds) on
 //! each freshly orchestrated plan before the atomic swap.
@@ -177,14 +178,12 @@ pub(crate) fn port_name(p: korch_ir::PortRef) -> String {
 
 /// Runs every static analysis over one compiled executor: the
 /// plan verifier on the artifact the executor actually compiled
-/// (dependency counters, tile layouts) plus the arena
-/// lifetime abstract interpreter over the plan's lifetime program.
+/// (dependency counters, tile layouts) plus the arena lifetime abstract
+/// interpreter over the slot table it runs.
 pub fn verify_executor(exec: &PlanExecutor) -> Vec<Violation> {
-    let g = exec.graph();
-    let plan = exec.plan();
     let artifact = PlanArtifact::from_executor(exec);
-    let mut violations = verify_plan(g, plan, &artifact);
-    let program = LifetimeProgram::from_plan(g, plan);
+    let mut violations = verify_plan(exec.graph(), exec.plan(), &artifact);
+    let program = LifetimeProgram::from_slots(&artifact.slots);
     violations.extend(verify_lifetimes(&program));
     violations
 }

@@ -1,18 +1,18 @@
 //! Arena-lifetime abstract interpreter: symbolically executes the
-//! buffer lifetime program a plan compiles to (adopt on first write,
-//! release after last read, settle on completion or failure) and proves
-//! `live_bytes` returns to 0 on every success *and* failure-unwind path,
-//! with no buffer read after its release.
+//! buffer lifetime program the executor compiled — its slot table: adopt
+//! on first write, release when the reader countdown reaches zero, settle
+//! on completion or failure — and proves `live_bytes` returns to 0 on
+//! every success *and* failure-unwind path, with no buffer read after its
+//! release.
 //!
 //! The dynamic twin is the runtime's arena conservation proptests, which
 //! check the same property on the runs they happen to see; here the
 //! whole path space (one failure prefix per kernel) is walked.
 
 use crate::{port_name, Rule, Violation};
-use korch_ir::{NodeId, PortRef, PrimGraph};
-use korch_orch::Plan;
-use korch_runtime::plan_lifetimes;
-use std::collections::{HashMap, HashSet};
+use korch_ir::PortRef;
+use korch_runtime::SlotTable;
+use std::collections::HashSet;
 
 /// One abstract buffer the lifetime program touches.
 #[derive(Debug, Clone)]
@@ -38,82 +38,44 @@ pub struct LifetimeStep {
     /// writer's copy is dead on arrival and freed immediately).
     pub writes: Vec<usize>,
     /// Buffers whose last reader just retired — released back to the
-    /// arena pool once this step completes.
+    /// arena once this step completes.
     pub releases: Vec<usize>,
 }
 
-/// A plan's buffer lifetime program: the exact adopt/read/release
-/// schedule the runtime arena executes, extracted from
-/// `korch_runtime::plan_lifetimes` so the verifier interprets what the
-/// arena will actually do.
+/// A plan's buffer lifetime program: the adopt/read/release schedule of
+/// the slot table a `PlanExecutor` compiled and runs
+/// (`PlanExecutor::slot_table`), unrolled per kernel — the releases are
+/// the table's own reader countdown, not a second derivation of it.
 #[derive(Debug, Clone)]
 pub struct LifetimeProgram {
-    /// Every abstract buffer the program touches.
+    /// Every abstract buffer the program touches, indexed like the
+    /// table's slots.
     pub ports: Vec<PortInfo>,
     /// Per-kernel lifetime effects, in plan order.
     pub steps: Vec<LifetimeStep>,
 }
 
 impl LifetimeProgram {
-    /// Builds the lifetime program for `plan` over `g`.
-    pub fn from_plan(g: &PrimGraph, plan: &Plan) -> Self {
-        let lifetimes = plan_lifetimes(g, plan);
-        let mut ports: Vec<PortInfo> = lifetimes
+    /// Unrolls the executor's slot table into per-kernel steps.
+    pub fn from_slots(table: &SlotTable) -> Self {
+        let ports = table
+            .slots
             .iter()
-            .map(|(port, lt)| PortInfo {
-                port: *port,
-                bytes: g.meta(*port).byte_size() as u64,
-                pinned: lt.pinned,
-                source: lt.producer.is_none(),
+            .map(|slot| PortInfo {
+                port: slot.port,
+                bytes: slot.bytes(),
+                pinned: slot.pinned,
+                source: slot.source,
             })
             .collect();
-        ports.sort_by_key(|p| (p.port.node.0, p.port.port));
-        let index: HashMap<PortRef, usize> =
-            ports.iter().enumerate().map(|(i, p)| (p.port, i)).collect();
-
-        let mut steps: Vec<LifetimeStep> = vec![LifetimeStep::default(); plan.kernels.len()];
-        for (i, k) in plan.kernels.iter().enumerate() {
-            // Reads mirror the executor's global-read rule: a member's
-            // input hits device memory iff it comes from outside the
-            // kernel's member set.
-            let members: HashSet<NodeId> = k.members.iter().copied().collect();
-            let mut seen = HashSet::new();
-            for &m in &k.members {
-                for r in &g.node(m).inputs {
-                    if members.contains(&r.node) {
-                        continue;
-                    }
-                    if let Some(&idx) = index.get(r) {
-                        if seen.insert(idx) {
-                            steps[i].reads.push(idx);
-                        }
-                    }
-                }
-            }
-            for o in &k.outputs {
-                if let Some(&idx) = index.get(o) {
-                    if !ports[idx].source && !steps[i].writes.contains(&idx) {
-                        steps[i].writes.push(idx);
-                    }
-                }
-            }
-        }
-        for (port, lt) in &lifetimes {
-            if lt.pinned {
-                continue;
-            }
-            // A buffer is released when its last reader retires; a buffer
-            // nothing reads dies with its producer. Unread sources stay
-            // live until settle (the caller owns them).
-            let release_at = match (lt.last_reader, lt.producer) {
-                (Some(r), _) => Some(r),
-                (None, Some(p)) => Some(p),
-                (None, None) => None,
-            };
-            if let (Some(step), Some(&idx)) = (release_at, index.get(port)) {
-                steps[step].releases.push(idx);
-            }
-        }
+        let steps = (table.reads.iter().zip(&table.writes))
+            .zip(table.releases())
+            .map(|((reads, writes), releases)| LifetimeStep {
+                reads: reads.clone(),
+                writes: writes.clone(),
+                releases,
+            })
+            .collect();
         Self { ports, steps }
     }
 }

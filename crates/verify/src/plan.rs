@@ -12,18 +12,21 @@ use crate::{port_name, Rule, Violation};
 use korch_exec::{prim_tilability, Tilability};
 use korch_ir::{PortRef, PrimGraph, PrimKind};
 use korch_orch::{plan_dependencies, Plan};
-use korch_runtime::{PlanExecutor, TileBodyKind, TileLayout};
+use korch_runtime::{PlanExecutor, SlotTable, TileBodyKind, TileLayout};
 
 /// The verifiable artifact one `PlanExecutor` compiled: dependency
-/// counters and tile decompositions. Extracted via
-/// the runtime's introspection API so the verifier checks what will run,
-/// not a re-derivation of it.
+/// counters, tile decompositions and the slot table (its lifetime
+/// program). Extracted via the runtime's introspection API so the
+/// verifier checks what will run, not a re-derivation of it.
 #[derive(Debug, Clone)]
 pub struct PlanArtifact {
     /// Dependency edges per kernel (who must retire before it starts).
     pub deps: Vec<Vec<usize>>,
     /// Compiled tile decomposition per kernel (`None` = runs whole).
     pub tiles: Vec<Option<TileLayout>>,
+    /// The value-slot table the scheduler counts down and the arena
+    /// books ([`crate::LifetimeProgram::from_slots`] unrolls it).
+    pub slots: SlotTable,
 }
 
 impl PlanArtifact {
@@ -32,6 +35,7 @@ impl PlanArtifact {
         Self {
             deps: exec.kernel_dependencies(),
             tiles: exec.tile_layouts(),
+            slots: exec.slot_table().clone(),
         }
     }
 }
@@ -45,6 +49,8 @@ pub fn verify_plan(g: &PrimGraph, plan: &Plan, artifact: &PlanArtifact) -> Vec<V
     for (field, len) in [
         ("deps", artifact.deps.len()),
         ("tiles", artifact.tiles.len()),
+        ("slots.reads", artifact.slots.reads.len()),
+        ("slots.writes", artifact.slots.writes.len()),
     ] {
         if len != n {
             out.push(Violation::new(

@@ -16,7 +16,7 @@ use korch::models::subgraphs::{
     efficientvit_attention, instance_norm_block, segformer_attention, segformer_decoder_sized,
     softmax_attention, with_opaque_topk,
 };
-use korch::runtime::{plan_memory_report, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig};
 
 mod common;
 use common::{assert_bit_identical, op_random_inputs};
@@ -242,7 +242,10 @@ fn boundary_tensors_are_not_pinned() {
     let per_partition: u64 = optimized
         .partitions()
         .iter()
-        .map(|p| plan_memory_report(&p.part.graph, &p.plan).pinned_bytes)
+        .map(|p| {
+            let exec = PlanExecutor::new(&p.part.graph, &p.plan, RuntimeConfig::with_lanes(1));
+            exec.unwrap().memory_report().pinned_bytes
+        })
         .sum();
     assert!(report.pinned_bytes < per_partition);
     assert!(report.reclaimable_buffers >= optimized.stats().partitions - 1);

@@ -525,16 +525,17 @@ fn shutdown_while_parked_terminates() {
     }
 }
 
-/// Regression for the redundant-producer arena leak: a plan that
-/// re-materializes one port in two kernels must return the loser's staged
-/// copy to the pool, and `live_bytes` must return to zero. Pinned on the
-/// arena's books, run by run: a run stages five equal buffers (the input
-/// copy, `e` twice, `r`, `s`) and hands two (`r`, `s`) to the caller, so
-/// exactly three must come back to the pool — and a buffer that came back
-/// is either still parked (`free_bytes`) or was taken again (`reuse_hits`).
-/// (`free_bytes` alone is not a steady state at 2+ lanes: how many of the
-/// five are live at once, and so how deep the pool ever has to be, is the
-/// interleaving's business.)
+/// Regression for the redundant-producer arena leak, on a walk/range
+/// pair: kernel 0 (a chain — a range body) and kernel 1 (a walk) both
+/// materialize `e`, and whichever loses must have its copy reclaimed with
+/// `live_bytes` back at zero. Pinned on the arena's books, run by run: a
+/// run books five equal buffers (the input copy, `e` twice, `r`, `s`) and
+/// hands two (`r`, `s`) to the caller. The pool serves only what the
+/// runtime allocates for a slot no walk writes, so of the other three
+/// exactly one — the staged input copy — comes back to it (still parked,
+/// `free_bytes`, or taken again, `reuse_hits`); both copies of `e` are
+/// dropped where they die, and the pool holds one buffer however many
+/// runs have passed.
 #[test]
 fn redundant_producer_conserves_arena_pool() {
     let mut g = PrimGraph::new();
@@ -594,14 +595,73 @@ fn redundant_producer_conserves_arena_pool() {
             let retaken = (after.reuse_hits - before.reuse_hits) as i64;
             assert_eq!(
                 parked + retaken,
-                3,
-                "run {run} at {lanes} lanes: the input copy and both copies of `e` must \
+                1,
+                "run {run} at {lanes} lanes: the input copy, and nothing else, must \
                  return to the pool ({before:?} -> {after:?})"
             );
+            assert_eq!(after.free_bytes as i64, buffer, "the pool must not grow");
         }
         assert!(
             exec.arena_stats().reuse_hits > 0,
             "warm runs must recycle pooled buffers at {lanes} lanes"
         );
+    }
+}
+
+/// A kernel that lists one port twice among its outputs exports one
+/// buffer: the walk moves it into the slot once and clones it for the
+/// other listing, which loses to the first and is reclaimed. Outputs stay
+/// bit-identical to `execute_plan` and the books balance on every run.
+#[test]
+fn a_port_exported_twice_is_published_once() {
+    let mut g = PrimGraph::new();
+    let shape = vec![8usize, 16];
+    let x = g
+        .add(
+            PrimKind::Input {
+                shape: shape.clone(),
+            },
+            vec![],
+        )
+        .unwrap();
+    let e = g
+        .add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)),
+            vec![x.into()],
+        )
+        .unwrap();
+    let r = g
+        .add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Relu)),
+            vec![e.into()],
+        )
+        .unwrap();
+    let s = g
+        .add(
+            PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)),
+            vec![e.into(), r.into()],
+        )
+        .unwrap();
+    g.mark_output(s).unwrap();
+    g.mark_output(e).unwrap();
+    let plan = plan_of(vec![
+        kernel_of(&g, vec![e, r], vec![e.into(), r.into(), e.into()]),
+        kernel_of(&g, vec![s], vec![s.into()]),
+    ]);
+    let inputs = same_shape_inputs(1, &shape, 23);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    for lanes in [1usize, 2, 4] {
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        let e_slot = exec.slot_table().writes[0][0];
+        assert_eq!(exec.slot_table().writes[0], [e_slot, e_slot + 1, e_slot]);
+        for run in 0..4 {
+            let before = exec.arena_stats();
+            let out = exec.execute(&inputs).unwrap();
+            assert_bit_identical(&reference, &out, &format!("lanes={lanes} run={run}"));
+            let after = exec.arena_stats();
+            assert_eq!(after.live_bytes, 0, "lanes={lanes} run={run}");
+            // The input copy, `e` twice, `r` and `s`.
+            assert_eq!(after.total_allocs - before.total_allocs, 5);
+        }
     }
 }

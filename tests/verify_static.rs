@@ -58,6 +58,15 @@ fn compiled_artifact(g: &PrimGraph, plan: &Plan, lanes: usize) -> PlanArtifact {
     PlanArtifact::from_executor(&exec)
 }
 
+/// The diamond's lifetime program as the executor compiled it, and the
+/// index of buffer `a` in it.
+fn compiled_program(g: &PrimGraph, plan: &Plan, a: NodeId) -> (LifetimeProgram, usize) {
+    let program = LifetimeProgram::from_slots(&compiled_artifact(g, plan, 2).slots);
+    let a_port = PortRef::from(a);
+    let idx = program.ports.iter().position(|p| p.port == a_port);
+    (program, idx.expect("buffer a is tracked"))
+}
+
 #[test]
 fn compiled_artifacts_are_accepted() {
     for graph in [
@@ -166,14 +175,8 @@ fn multi_output_kernel_cannot_be_tile_eligible() {
 #[test]
 fn early_release_is_rejected() {
     let (g, plan, [a, _, _]) = diamond();
-    let mut program = LifetimeProgram::from_plan(&g, &plan);
+    let (mut program, idx) = compiled_program(&g, &plan, a);
     assert!(verify_lifetimes(&program).is_empty(), "baseline accepts");
-    let a_port = PortRef::from(a);
-    let idx = program
-        .ports
-        .iter()
-        .position(|p| p.port == a_port)
-        .expect("buffer a is tracked");
     assert!(
         program.steps[2].releases.contains(&idx),
         "a's last reader is kernel 2"
@@ -194,9 +197,7 @@ fn early_release_is_rejected() {
 #[test]
 fn dropped_release_is_a_leak() {
     let (g, plan, [a, _, _]) = diamond();
-    let mut program = LifetimeProgram::from_plan(&g, &plan);
-    let a_port = PortRef::from(a);
-    let idx = program.ports.iter().position(|p| p.port == a_port).unwrap();
+    let (mut program, idx) = compiled_program(&g, &plan, a);
     for step in &mut program.steps {
         step.releases.retain(|&r| r != idx);
     }
@@ -216,6 +217,28 @@ fn dropped_release_is_a_leak() {
         violations.iter().any(|v| v.rule == Rule::DoubleRelease),
         "{violations:?}"
     );
+}
+
+/// Mutation: a reader count one short in the executor's slot table makes
+/// the scheduler's countdown release the buffer under its last reader —
+/// a corruption no re-derivation of the count from the plan could see.
+#[test]
+fn short_reader_count_is_a_use_after_release() {
+    let (g, plan, [a, _, _]) = diamond();
+    let mut art = compiled_artifact(&g, &plan, 2);
+    let a_port = PortRef::from(a);
+    let slot = art.slots.slots.iter().position(|s| s.port == a_port);
+    let slot = slot.expect("buffer a has a slot");
+    assert_eq!(art.slots.slots[slot].readers, 2, "kernels 1 and 2 read a");
+    assert!(verify_lifetimes(&LifetimeProgram::from_slots(&art.slots)).is_empty());
+    art.slots.slots[slot].readers = 1;
+    let violations = verify_lifetimes(&LifetimeProgram::from_slots(&art.slots));
+    let v = violations
+        .iter()
+        .find(|v| v.rule == Rule::UseAfterRelease)
+        .expect("use-after-release violation");
+    assert_eq!(v.kernel, Some(2), "the last reader reads a freed buffer");
+    assert_eq!(v.buffer.as_deref(), Some(format!("{}:0", a.0).as_str()));
 }
 
 /// The exhaustive exploration suite over the scheduler's atomic protocol
