@@ -838,6 +838,30 @@ fn bench_tiled(c: &mut Criterion) {
          (bytes read + written)",
         &|| br.broadcast(3, 16).unwrap(),
     );
+    // The elementwise members through the entry points a walk calls. The
+    // op goes through `black_box` because a walk reads it from the graph:
+    // a literal op lets the compiler fold the kernel's per-op `match` at
+    // the call site and time a loop no walk runs.
+    let (ea, eb) = (
+        Tensor::random(vec![1 << 16], 41),
+        Tensor::random(vec![1 << 16], 43),
+    );
+    small(
+        "microkernel/ew_binary_gbps",
+        3.0 * ea.byte_size() as f64,
+        "GB/s",
+        "64K-element Tensor::binary(Add), op through black_box (bytes read + written)",
+        &|| ea.binary(&eb, black_box(BinaryOp::Add)).unwrap(),
+    );
+    let ex = Tensor::random(vec![1 << 16], 47).binary_scalar(10.0, BinaryOp::Mul);
+    small(
+        "microkernel/exp_gbps",
+        2.0 * ex.byte_size() as f64,
+        "GB/s",
+        "64K-element Tensor::unary(Exp) over [-10, 10), op through black_box \
+         (bytes read + written)",
+        &|| ex.unary(black_box(UnaryOp::Exp)),
+    );
     // The same microkernel under `Tensor::conv2d`: the 16→32 3×3 conv on
     // 32×32 that e2e-bench's `tensor.conv2d_gflops` times (a filled column
     // panel in several blocks) is the gated median; the note adds the

@@ -43,6 +43,8 @@ const REQUIRED_HEADLINES: &[&str] = &[
     "microkernel/conv2d_gflops",
     "microkernel/transpose_gbps",
     "microkernel/broadcast_gbps",
+    "microkernel/ew_binary_gbps",
+    "microkernel/exp_gbps",
     "microkernel/chain6_blocked",
     "tiled_single_kernel/sequential/matmul",
     "tiled_single_kernel/sequential/matmul_320",

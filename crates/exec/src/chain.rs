@@ -13,11 +13,13 @@
 //! - registers are reused once their last reader has executed, so a long
 //!   chain needs a handful of 1024-element scratch blocks that stay in L1
 //!   instead of N full-size intermediates streaming through memory;
-//! - within each block, each instruction applies its operation with the
-//!   *same* tile kernels (`unary_tile`, `binary_tile`, …) the interpreter
-//!   uses, in the same member order, so every element experiences the
-//!   identical sequence of `f32` operations — compiled output is
-//!   bit-identical to the interpreted walk by construction.
+//! - within each block, each instruction runs its member's tile kernel
+//!   (`unary_tile`, `binary_tile`, …) — the kernels `Tensor::unary` and
+//!   friends, hence [`crate::eval_prim`] and every walk, run over whole
+//!   tensors — in member order, so every element experiences the
+//!   identical sequence of `f32` operations and compiled output is
+//!   bit-identical to the interpreted walk by construction. The kernel
+//!   picks its op's loop once per block, not per element.
 //!
 //! `run` is range-agnostic: callers may evaluate the whole output or any
 //! contiguous tile by slicing all external inputs with one range, which is
@@ -263,8 +265,7 @@ impl CompiledChain {
     }
 
     /// Evaluates one instruction over a `[start, start + len)` block,
-    /// writing into `d` (a register block, or the output range directly
-    /// for the elided final store).
+    /// writing into the register block `d`.
     #[inline]
     fn dispatch(
         instr: &Instr,
@@ -297,8 +298,8 @@ mod tests {
     use korch_tensor::{BinaryOp, Tensor, UnaryOp};
     use std::collections::HashMap;
 
-    /// Interpreted reference: member-by-member walk like the runtime's
-    /// old chain path.
+    /// Interpreted reference: a member-by-member walk through
+    /// `eval_prim`.
     fn interpret(
         g: &PrimGraph,
         members: &[NodeId],

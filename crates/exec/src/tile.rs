@@ -26,7 +26,7 @@
 //! members are uniformly pointwise or a single tilable primitive.
 
 use crate::error::ExecError;
-use korch_ir::{EwFn, PrimKind};
+use korch_ir::{EwFn, LinearFn, PrimKind};
 use korch_tensor::{binary_scalar_lhs_tile, binary_scalar_tile, binary_tile, unary_tile, Tensor};
 use std::ops::Range;
 
@@ -81,57 +81,11 @@ pub fn prim_tilability(kind: &PrimKind, out_shape: &[usize]) -> Tilability {
         PrimKind::Elementwise(_) | PrimKind::Broadcast { .. } | PrimKind::Reduce { .. } => {
             Tilability::Pointwise
         }
-        PrimKind::Linear(korch_ir::LinearFn::MatMul { .. }) => Tilability::Rows {
+        PrimKind::Linear(LinearFn::MatMul { .. }) => Tilability::Rows {
             grain: out_shape.last().copied().unwrap_or(1).max(1),
         },
         _ => Tilability::Monolithic,
     }
-}
-
-/// Evaluates one elementwise primitive on **pre-sliced** input ranges
-/// (every slice covers the same flat range of its tensor), writing every
-/// element of `out`.
-///
-/// # Errors
-///
-/// Returns [`ExecError::Input`] when `f`'s arity and `inputs` disagree.
-///
-/// # Panics
-///
-/// Panics if an input slice's length differs from `out.len()` (callers
-/// slice all operands with one range).
-fn eval_ew_tile(
-    f: &EwFn,
-    inputs: &[&[f32]],
-    out: &mut [f32],
-    node: usize,
-) -> Result<(), ExecError> {
-    let arity_err = || {
-        ExecError::Input(format!(
-            "elementwise node {node} expects {} tile inputs, got {}",
-            f.arity(),
-            inputs.len()
-        ))
-    };
-    match f {
-        EwFn::Unary(u) => unary_tile(*u, inputs.first().ok_or_else(arity_err)?, out),
-        EwFn::Binary(b) => {
-            if inputs.len() < 2 {
-                return Err(ExecError::Input(format!(
-                    "elementwise node {node} expects 2 tile inputs, got {}",
-                    inputs.len()
-                )));
-            }
-            binary_tile(*b, inputs[0], inputs[1], out);
-        }
-        EwFn::BinaryScalar(b, c) => {
-            binary_scalar_tile(*b, inputs.first().ok_or_else(arity_err)?, *c, out)
-        }
-        EwFn::BinaryScalarLhs(b, c) => {
-            binary_scalar_lhs_tile(*b, *c, inputs.first().ok_or_else(arity_err)?, out)
-        }
-    }
-    Ok(())
 }
 
 /// Evaluates the flat output range `out_range` of one primitive into
@@ -142,9 +96,10 @@ fn eval_ew_tile(
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::Input`] for monolithic primitives or misaligned
-/// ranges, and [`ExecError::Tensor`] when a tile kernel rejects its
-/// operands (shape-inference bugs, as with `eval_prim`).
+/// Returns [`ExecError::Input`] for monolithic primitives, fewer inputs
+/// than the primitive reads, or misaligned ranges, and
+/// [`ExecError::Tensor`] when a tile kernel rejects its operands
+/// (shape-inference bugs, as with `eval_prim`).
 pub fn eval_prim_tiled(
     kind: &PrimKind,
     inputs: &[&Tensor],
@@ -153,38 +108,58 @@ pub fn eval_prim_tiled(
     node: usize,
 ) -> Result<(), ExecError> {
     let wrap = |source| ExecError::Tensor { node, source };
+    let need = |arity: usize| {
+        if inputs.len() < arity {
+            Err(ExecError::Input(format!(
+                "node {node} expects {arity} tile inputs, got {}",
+                inputs.len()
+            )))
+        } else {
+            Ok(())
+        }
+    };
     match kind {
         PrimKind::Elementwise(f) => {
-            let slices: Vec<&[f32]> = inputs
-                .iter()
-                .map(|t| {
-                    t.as_slice().get(out_range.clone()).ok_or_else(|| {
-                        ExecError::Input(format!(
-                            "tile range {out_range:?} out of bounds for node {node} input \
-                                 of {} elements",
-                            t.numel()
-                        ))
-                    })
+            need(f.arity())?;
+            let slice = |i: usize| {
+                let t = inputs[i];
+                t.as_slice().get(out_range.clone()).ok_or_else(|| {
+                    ExecError::Input(format!(
+                        "tile range {out_range:?} out of bounds for node {node} input \
+                         of {} elements",
+                        t.numel()
+                    ))
                 })
-                .collect::<Result<_, _>>()?;
-            eval_ew_tile(f, &slices, out, node)
+            };
+            let x = slice(0)?;
+            match f {
+                EwFn::Unary(u) => unary_tile(*u, x, out),
+                EwFn::Binary(b) => binary_tile(*b, x, slice(1)?, out),
+                EwFn::BinaryScalar(b, c) => binary_scalar_tile(*b, x, *c, out),
+                EwFn::BinaryScalarLhs(b, c) => binary_scalar_lhs_tile(*b, *c, x, out),
+            }
+            Ok(())
         }
-        PrimKind::Reduce { kind, axis } => inputs[0]
-            .reduce_tile(*axis, *kind, out_range, out)
-            .map_err(wrap),
-        PrimKind::Broadcast { axis, size } => inputs[0]
-            .broadcast_tile(*axis, *size, out_range, out)
-            .map_err(wrap),
-        PrimKind::Linear(korch_ir::LinearFn::MatMul { spec }) => {
-            let n = inputs
-                .get(1)
-                .map(|b| {
-                    if spec.trans_b {
-                        b.shape()[b.rank().saturating_sub(2)]
-                    } else {
-                        *b.shape().last().unwrap_or(&1)
-                    }
-                })
+        PrimKind::Reduce { kind, axis } => {
+            need(1)?;
+            inputs[0]
+                .reduce_tile(*axis, *kind, out_range, out)
+                .map_err(wrap)
+        }
+        PrimKind::Broadcast { axis, size } => {
+            need(1)?;
+            inputs[0]
+                .broadcast_tile(*axis, *size, out_range, out)
+                .map_err(wrap)
+        }
+        PrimKind::Linear(LinearFn::MatMul { spec }) => {
+            need(2)?;
+            let (a, b) = (inputs[0], inputs[1]);
+            let n_axis = if spec.trans_b { 2 } else { 1 };
+            let n = b
+                .shape()
+                .get(b.rank().wrapping_sub(n_axis))
+                .copied()
                 .unwrap_or(1)
                 .max(1);
             if !out_range.start.is_multiple_of(n) || !out_range.end.is_multiple_of(n) {
@@ -192,13 +167,7 @@ pub fn eval_prim_tiled(
                     "matmul tile range {out_range:?} not aligned to row grain {n} (node {node})"
                 )));
             }
-            inputs[0]
-                .matmul_rows(
-                    inputs[1],
-                    *spec,
-                    out_range.start / n..out_range.end / n,
-                    out,
-                )
+            a.matmul_rows(b, *spec, out_range.start / n..out_range.end / n, out)
                 .map_err(wrap)
         }
         _ => Err(ExecError::Input(format!(
@@ -211,7 +180,7 @@ pub fn eval_prim_tiled(
 mod tests {
     use super::*;
     use crate::prims::eval_prim;
-    use korch_ir::{LayoutFn, LinearFn};
+    use korch_ir::LayoutFn;
     use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, UnaryOp};
 
     fn ranges(total: usize, n: usize, grain: usize) -> Vec<Range<usize>> {
@@ -340,5 +309,41 @@ mod tests {
         assert!(eval_prim_tiled(&mm, &[&x, &w], 1..5, &mut out, 0).is_err());
         let ew = PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp));
         assert!(eval_prim_tiled(&ew, &[&x], 14..18, &mut out, 0).is_err());
+    }
+
+    /// Every tilable arm answers a short operand list with the same typed
+    /// error instead of indexing past it.
+    #[test]
+    fn tiled_eval_rejects_missing_operands() {
+        let x = Tensor::random(vec![4, 4], 7);
+        let mut out = vec![0.0; 4];
+        for (kind, inputs) in [
+            (PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)), vec![]),
+            (PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)), vec![&x]),
+            (
+                PrimKind::Elementwise(EwFn::BinaryScalarLhs(BinaryOp::Sub, 1.0)),
+                vec![],
+            ),
+            (
+                PrimKind::Reduce {
+                    kind: ReduceKind::Sum,
+                    axis: 1,
+                },
+                vec![],
+            ),
+            (PrimKind::Broadcast { axis: 0, size: 2 }, vec![]),
+            (
+                PrimKind::Linear(LinearFn::MatMul {
+                    spec: MatMulSpec::new(),
+                }),
+                vec![&x],
+            ),
+        ] {
+            let err = eval_prim_tiled(&kind, &inputs, 0..4, &mut out, 3).unwrap_err();
+            assert!(
+                matches!(&err, ExecError::Input(m) if m.contains("tile inputs")),
+                "{kind:?}: {err:?}"
+            );
+        }
     }
 }

@@ -29,11 +29,20 @@
 //!   indices and weights are tabulated once per call with the per-element
 //!   formula's own `f32` expressions; the inner loop is a gather or the
 //!   same four-term blend, in the same order.
+//! - **elementwise** ([`Tensor::unary`], [`Tensor::binary`],
+//!   [`unary_tile`], …): the tile kernels match on the op once per call
+//!   and run one loop per variant over [`UnaryOp::apply`] /
+//!   [`BinaryOp::apply`], which the compiler vectorizes; the `Tensor`
+//!   entry points are those kernels over a fresh output. `exp` (and with
+//!   it `sigmoid` and `erf`) is a branch-free polynomial within 1 ulp of
+//!   the correctly rounded value, flushing results below the normal range
+//!   to zero — not libm's `expf`.
 //!
 //! None of these re-associates or fuses a float operation, so every one is
 //! **bit-identical** to its element-wise definition, which each module
 //! keeps under `#[cfg(test)]` as the oracle its tests compare against by
-//! `to_bits`.
+//! `to_bits` (the elementwise kernels' oracle, a per-element `apply` loop,
+//! is `tests/elementwise.rs`).
 //!
 //! # Example
 //!

@@ -13,7 +13,12 @@
 //!
 //! - elementwise tiles ([`unary_tile`], [`binary_tile`],
 //!   [`binary_scalar_tile`], [`binary_scalar_lhs_tile`]) map pre-sliced
-//!   input ranges pointwise;
+//!   input ranges pointwise. Each matches on its op once per call and
+//!   runs that variant's own loop over `apply`, so the body is straight-
+//!   line arithmetic the compiler vectorizes (a `match` inside the
+//!   element loop is not unswitched and runs ~10× slower). They are the
+//!   only elementwise loops: [`Tensor::unary`] and friends, hence
+//!   `eval_prim`, walks and `CompiledChain` in `korch-exec`, all run them;
 //! - [`Tensor::matmul_rows`] / [`Tensor::matmul_rows_packed`] compute a
 //!   range of output rows with the full inner contraction per row on the
 //!   blocked microkernel of [`crate::pack`] — the same ascending-`p`
@@ -33,18 +38,57 @@ use crate::reduce::ReduceKind;
 use crate::{MatMulSpec, Tensor, TensorError};
 use std::ops::Range;
 
+/// `match`es `$op` once and evaluates `$body` in the arm of its variant
+/// with `$k` a `const` of that variant: every arm is its own loop, in
+/// which `$k.apply(..)` is one op's arithmetic with nothing left to
+/// dispatch per element.
+macro_rules! per_variant {
+    ($op:expr, $Op:ident [$($v:ident),+], $k:ident => $body:expr) => {
+        match $op {
+            $($Op::$v => {
+                const $k: $Op = $Op::$v;
+                $body
+            })+
+        }
+    };
+}
+
+/// `per_variant!` over every [`BinaryOp`], for the three binary tiles.
+macro_rules! per_binary_variant {
+    ($op:expr, $k:ident => $body:expr) => {
+        per_variant!($op, BinaryOp[Add, Sub, Mul, Div, Max, Min, Pow], $k => $body)
+    };
+}
+
+/// `out[i] = f(input[i])`; instantiated once per op, `f` fixed.
+#[inline(always)]
+fn each(input: &[f32], out: &mut [f32], f: impl Fn(f32) -> f32) {
+    for (o, &x) in out.iter_mut().zip(input) {
+        *o = f(x);
+    }
+}
+
+/// `out[i] = f(lhs[i], rhs[i])`; instantiated once per op, `f` fixed.
+#[inline(always)]
+fn each_pair(lhs: &[f32], rhs: &[f32], out: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    for ((o, &a), &b) in out.iter_mut().zip(lhs).zip(rhs) {
+        *o = f(a, b);
+    }
+}
+
 /// Applies a unary op to a pre-sliced input range, writing every element
 /// of `out`.
 ///
 /// # Panics
 ///
 /// Panics if `input.len() != out.len()`.
-#[inline]
 pub fn unary_tile(op: UnaryOp, input: &[f32], out: &mut [f32]) {
     assert_eq!(input.len(), out.len(), "unary tile length mismatch");
-    for (o, &v) in out.iter_mut().zip(input) {
-        *o = op.apply(v);
-    }
+    per_variant!(
+        op,
+        UnaryOp[Exp, Ln, Relu, LeakyRelu, Sqrt, Erf, Neg, Recip, Tanh, Sigmoid, Abs, Square],
+        OP => each(input, out, |x| OP.apply(x))
+    )
 }
 
 /// Applies a binary op to two pre-sliced same-length input ranges.
@@ -52,13 +96,10 @@ pub fn unary_tile(op: UnaryOp, input: &[f32], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if the three slices differ in length.
-#[inline]
 pub fn binary_tile(op: BinaryOp, lhs: &[f32], rhs: &[f32], out: &mut [f32]) {
     assert_eq!(lhs.len(), out.len(), "binary tile lhs length mismatch");
     assert_eq!(rhs.len(), out.len(), "binary tile rhs length mismatch");
-    for ((o, &a), &b) in out.iter_mut().zip(lhs).zip(rhs) {
-        *o = op.apply(a, b);
-    }
+    per_binary_variant!(op, OP => each_pair(lhs, rhs, out, |a, b| OP.apply(a, b)))
 }
 
 /// Applies `op(x, scalar)` to a pre-sliced input range.
@@ -66,12 +107,9 @@ pub fn binary_tile(op: BinaryOp, lhs: &[f32], rhs: &[f32], out: &mut [f32]) {
 /// # Panics
 ///
 /// Panics if `input.len() != out.len()`.
-#[inline]
 pub fn binary_scalar_tile(op: BinaryOp, input: &[f32], scalar: f32, out: &mut [f32]) {
     assert_eq!(input.len(), out.len(), "scalar tile length mismatch");
-    for (o, &v) in out.iter_mut().zip(input) {
-        *o = op.apply(v, scalar);
-    }
+    per_binary_variant!(op, OP => each(input, out, |x| OP.apply(x, scalar)))
 }
 
 /// Applies `op(scalar, x)` (scalar on the left) to a pre-sliced input
@@ -80,12 +118,9 @@ pub fn binary_scalar_tile(op: BinaryOp, input: &[f32], scalar: f32, out: &mut [f
 /// # Panics
 ///
 /// Panics if `input.len() != out.len()`.
-#[inline]
 pub fn binary_scalar_lhs_tile(op: BinaryOp, scalar: f32, input: &[f32], out: &mut [f32]) {
     assert_eq!(input.len(), out.len(), "scalar-lhs tile length mismatch");
-    for (o, &v) in out.iter_mut().zip(input) {
-        *o = op.apply(scalar, v);
-    }
+    per_binary_variant!(op, OP => each(input, out, |x| OP.apply(scalar, x)))
 }
 
 impl Tensor {
@@ -330,15 +365,6 @@ impl Tensor {
         }
         Ok(())
     }
-
-    /// Applies a binary elementwise operation with the scalar on the
-    /// **left**: `op(scalar, x)` per element. The fast path for
-    /// `EwFn::BinaryScalarLhs`-style primitives (`c - x`, `c / x`), which
-    /// previously materialized a full constant tensor just to feed
-    /// [`Tensor::binary`].
-    pub fn binary_scalar_lhs(&self, scalar: f32, op: BinaryOp) -> Tensor {
-        self.map(|v| op.apply(scalar, v))
-    }
 }
 
 #[cfg(test)]
@@ -349,10 +375,11 @@ mod tests {
     /// Splits `total` into `n` contiguous near-equal ranges.
     fn ranges(total: usize, n: usize) -> Vec<Range<usize>> {
         let per = total.div_ceil(n.max(1)).max(1);
-        (0..total)
-            .step_by(per)
-            .map(|s| s..(s + per).min(total))
-            .collect()
+        let mut out = Vec::new();
+        for s in (0..total).step_by(per) {
+            out.push(s..(s + per).min(total));
+        }
+        out
     }
 
     #[test]
@@ -503,9 +530,10 @@ mod tests {
                 for size in [0usize, 1, 7, 64] {
                     let inner: usize = shape[axis..].iter().product();
                     let total = x.numel() * size;
-                    let want: Vec<f32> = (0..total)
-                        .map(|f| x.as_slice()[f / (size * inner) * inner + f % inner])
-                        .collect();
+                    let want = Tensor::from_fn(vec![total], |f| {
+                        x.as_slice()[f / (size * inner) * inner + f % inner]
+                    })
+                    .into_vec();
                     let full = x.broadcast(axis, size).unwrap();
                     let mut out_shape = shape.clone();
                     out_shape.insert(axis, size);
