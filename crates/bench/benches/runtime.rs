@@ -862,26 +862,51 @@ fn bench_tiled(c: &mut Criterion) {
          (bytes read + written)",
         &|| ex.unary(black_box(UnaryOp::Exp)),
     );
+    // The two conv paths of the Segformer traffic besides the dense panel
+    // below, at their model shapes: the direct depthwise loop, and the
+    // strided patch embed, whose column panel is filled from a
+    // four-phase staging of the input.
+    let (dw_x, dw_w) = (
+        Tensor::random(vec![1, 64, 16, 16], 53),
+        Tensor::random(vec![64, 1, 3, 3], 59),
+    );
+    small(
+        "microkernel/conv_depthwise_gflops",
+        korch_tensor::conv2d_flops(1, 64, 16, 16, 1, 3, 3) as f64,
+        "GFLOP/s",
+        "64-channel depthwise 3x3 pad 1 Tensor::conv2d on 16x16, the direct loop",
+        &|| dw_x.conv2d(&dw_w, 1, 1, 64).unwrap(),
+    );
+    let (pe_x, pe_w) = (
+        Tensor::random(vec![1, 3, 64, 64], 61),
+        Tensor::random(vec![16, 3, 7, 7], 67),
+    );
+    small(
+        "microkernel/conv_patch_embed_gflops",
+        korch_tensor::conv2d_flops(1, 16, 16, 16, 3, 7, 7) as f64,
+        "GFLOP/s",
+        "3->16 7x7 stride 4 pad 3 Tensor::conv2d on 64x64, a column panel filled from the \
+         four-phase staging",
+        &|| pe_x.conv2d(&pe_w, 4, 3, 1).unwrap(),
+    );
     // The same microkernel under `Tensor::conv2d`: the 16→32 3×3 conv on
-    // 32×32 that e2e-bench's `tensor.conv2d_gflops` times (a filled column
-    // panel in several blocks) is the gated median; the note adds the
-    // borrowed-panel pointwise case and the one-row-per-group depthwise
-    // case, the two other conv classes in the Segformer traffic.
-    let conv_gflops = |x: [usize; 4], w: [usize; 4], padding: usize, groups: usize| {
+    // 32×32 that e2e-bench's `tensor.conv2d_gflops` times (a column panel
+    // filled from the staged input in several blocks) is the gated median;
+    // the note adds the borrowed-panel pointwise case.
+    let conv_gflops = |x: [usize; 4], w: [usize; 4], padding: usize| {
         let image = Tensor::random(x.to_vec(), 17);
         let weight = Tensor::random(w.to_vec(), 19);
         let (p10, median, p90) = measure(10, || {
-            black_box(image.conv2d(&weight, 1, padding, groups).unwrap());
+            black_box(image.conv2d(&weight, 1, padding, 1).unwrap());
         });
         let flops = korch_tensor::conv2d_flops(x[0], w[0], x[2], x[3], w[1], w[2], w[3]);
         (flops as f64 / median / 1e9, p10, median, p90)
     };
-    let (conv_gf, conv_p10, conv, conv_p90) = conv_gflops([1, 16, 32, 32], [32, 16, 3, 3], 1, 1);
-    let (pointwise_gf, ..) = conv_gflops([1, 64, 16, 16], [32, 64, 1, 1], 0, 1);
-    let (depthwise_gf, ..) = conv_gflops([1, 64, 16, 16], [64, 1, 3, 3], 1, 64);
+    let (conv_gf, conv_p10, conv, conv_p90) = conv_gflops([1, 16, 32, 32], [32, 16, 3, 3], 1);
+    let (pointwise_gf, ..) = conv_gflops([1, 64, 16, 16], [32, 64, 1, 1], 0);
     println!(
         "microkernel/conv2d_gflops: {conv_gf:.2} GFLOP/s ({:.3} ms, 16->32 3x3 on 32x32); \
-         pointwise 64->32 on 16x16 {pointwise_gf:.2}, depthwise 64ch 3x3 on 16x16 {depthwise_gf:.2}",
+         pointwise 64->32 on 16x16 {pointwise_gf:.2}",
         conv * 1e3
     );
     records.push(BenchRecord {
@@ -892,8 +917,8 @@ fn bench_tiled(c: &mut Criterion) {
         speedup_vs_sequential: None,
         note: format!(
             "{conv_gf:.2} GFLOP/s: 16->32 3x3 pad 1 Tensor::conv2d on 32x32 through a column \
-             panel and the MR={} x NB kernel, no executor; pointwise 64->32 on 16x16 \
-             {pointwise_gf:.2} GFLOP/s, depthwise 64ch 3x3 on 16x16 {depthwise_gf:.2} GFLOP/s",
+             panel filled from the staged input and the MR={} x NB kernel, no executor; \
+             pointwise 64->32 on 16x16 {pointwise_gf:.2} GFLOP/s",
             korch_tensor::MATMUL_MR
         ),
     });

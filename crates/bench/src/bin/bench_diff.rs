@@ -41,6 +41,8 @@ const REQUIRED_HEADLINES: &[&str] = &[
     "microkernel/matmul_gflops",
     "microkernel/matmul_n16_gflops",
     "microkernel/conv2d_gflops",
+    "microkernel/conv_depthwise_gflops",
+    "microkernel/conv_patch_embed_gflops",
     "microkernel/transpose_gbps",
     "microkernel/broadcast_gbps",
     "microkernel/ew_binary_gbps",

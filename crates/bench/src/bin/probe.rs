@@ -6,7 +6,8 @@
 //!   `eval_prim` on the operands it sees in a real run (min of
 //!   [`MEMBER_CALLS`] warm calls) and reported with its achieved GB/s
 //!   (operand + result bytes) or, for linear primitives, GFLOP/s — per
-//!   member, per kernel and per primitive kind.
+//!   member, per kernel and per primitive kind (convs per path:
+//!   depthwise, pointwise, panel).
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage and prints one line per orchestrated
 //!   (partition, variant) — problem size, identification time, the
@@ -147,11 +148,30 @@ fn blp_table(g: &OpGraph) {
 }
 
 /// The per-kind key of a primitive: its label without the parameters
-/// that differ between calls of one loop.
-fn kind_key(kind: &PrimKind) -> String {
+/// that differ between calls of one loop. A conv is keyed by the path
+/// `korch-tensor` runs it on: the direct depthwise loop, the borrowed
+/// pointwise panel, or a filled column panel.
+fn kind_key(kind: &PrimKind, ins: &[&Tensor]) -> String {
     match kind {
         PrimKind::Broadcast { .. } => "bcast".into(),
         PrimKind::Reduce { kind, .. } => format!("reduce({})", kind.name()),
+        PrimKind::Linear(LinearFn::Conv2d {
+            stride,
+            padding,
+            groups,
+        }) => {
+            let [o, cg, kh, kw] = ins[1].shape() else {
+                return kind.label();
+            };
+            let path = if *cg == 1 && *o == *groups {
+                "depthwise"
+            } else if (*kh, *kw, *stride, *padding) == (1, 1, 1, 0) {
+                "pointwise"
+            } else {
+                "panel"
+            };
+            format!("linear(conv2d/{path})")
+        }
         other => other.label(),
     }
 }
@@ -238,7 +258,7 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
                 node.kind.label(),
                 format!("{:?}", out.shape())
             ));
-            let e = by_kind.entry(kind_key(&node.kind)).or_default();
+            let e = by_kind.entry(kind_key(&node.kind, &ins)).or_default();
             e.0 += 1;
             e.1 += us;
             match flops {
@@ -261,6 +281,6 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
         } else {
             rate(bytes, us, "GB/s")
         };
-        println!("  {kind:<22} {calls:>4} calls {us:9.1} us  {speed}");
+        println!("  {kind:<26} {calls:>4} calls {us:9.1} us  {speed}");
     }
 }

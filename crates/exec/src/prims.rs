@@ -25,20 +25,33 @@ pub fn materialize_const(shape: &[usize], init: &ConstInit) -> Tensor {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::Tensor`] when a kernel rejects its inputs (which
-/// indicates a shape-inference bug, since graphs are validated eagerly).
+/// Returns [`ExecError::Input`] for sources, opaque primitives and fewer
+/// inputs than the primitive reads, and [`ExecError::Tensor`] when a
+/// kernel rejects its inputs (which indicates a shape-inference bug, since
+/// graphs are validated eagerly).
 pub fn eval_prim(
     kind: &PrimKind,
     inputs: &[&Tensor],
     node: usize,
 ) -> Result<Vec<Tensor>, ExecError> {
     let wrap = |source| ExecError::Tensor { node, source };
+    let need = |arity: usize| {
+        if inputs.len() < arity {
+            Err(ExecError::Input(format!(
+                "node {node} expects {arity} inputs, got {}",
+                inputs.len()
+            )))
+        } else {
+            Ok(())
+        }
+    };
     match kind {
         PrimKind::Input { .. } => Err(ExecError::Input(format!(
             "input node {node} must be fed, not evaluated"
         ))),
         PrimKind::Constant { shape, init } => Ok(vec![materialize_const(shape, init)]),
         PrimKind::Elementwise(f) => {
+            need(f.arity())?;
             let out = match f {
                 EwFn::Unary(u) => inputs[0].unary(*u),
                 EwFn::Binary(b) => inputs[0].binary(inputs[1], *b).map_err(wrap)?,
@@ -48,43 +61,54 @@ pub fn eval_prim(
             Ok(vec![out])
         }
         PrimKind::Reduce { kind, axis } => {
+            need(1)?;
             Ok(vec![inputs[0].reduce(*axis, *kind).map_err(wrap)?])
         }
         PrimKind::Broadcast { axis, size } => {
+            need(1)?;
             Ok(vec![inputs[0].broadcast(*axis, *size).map_err(wrap)?])
         }
-        PrimKind::Layout(l) => match l {
-            LayoutFn::Transpose { perm } => Ok(vec![inputs[0].transpose(perm).map_err(wrap)?]),
-            LayoutFn::Reshape { shape } => {
-                Ok(vec![inputs[0].reshape(shape.clone()).map_err(wrap)?])
+        PrimKind::Layout(l) => {
+            need(1)?;
+            match l {
+                LayoutFn::Transpose { perm } => {
+                    Ok(vec![inputs[0].transpose(perm).map_err(wrap)?])
+                }
+                LayoutFn::Reshape { shape } => {
+                    Ok(vec![inputs[0].reshape(shape.clone()).map_err(wrap)?])
+                }
+                LayoutFn::Slice { starts, ends } => {
+                    Ok(vec![inputs[0].slice(starts, ends).map_err(wrap)?])
+                }
+                LayoutFn::Concat { axis } => Ok(vec![Tensor::concat(inputs, *axis).map_err(wrap)?]),
+                LayoutFn::Split { axis, sizes } => inputs[0].split(*axis, sizes).map_err(wrap),
+                LayoutFn::Pad {
+                    before,
+                    after,
+                    value,
+                } => Ok(vec![inputs[0].pad(before, after, *value).map_err(wrap)?]),
+                LayoutFn::Resize { out_h, out_w, mode } => Ok(vec![inputs[0]
+                    .resize2d(*out_h, *out_w, *mode)
+                    .map_err(wrap)?]),
             }
-            LayoutFn::Slice { starts, ends } => {
-                Ok(vec![inputs[0].slice(starts, ends).map_err(wrap)?])
+        }
+        PrimKind::Linear(l) => {
+            need(2)?;
+            match l {
+                LinearFn::MatMul { spec } => {
+                    Ok(vec![inputs[0].matmul(inputs[1], *spec).map_err(wrap)?])
+                }
+                LinearFn::Conv2d {
+                    stride,
+                    padding,
+                    groups,
+                } => Ok(vec![inputs[0]
+                    .conv2d(inputs[1], *stride, *padding, *groups)
+                    .map_err(wrap)?]),
             }
-            LayoutFn::Concat { axis } => Ok(vec![Tensor::concat(inputs, *axis).map_err(wrap)?]),
-            LayoutFn::Split { axis, sizes } => inputs[0].split(*axis, sizes).map_err(wrap),
-            LayoutFn::Pad {
-                before,
-                after,
-                value,
-            } => Ok(vec![inputs[0].pad(before, after, *value).map_err(wrap)?]),
-            LayoutFn::Resize { out_h, out_w, mode } => Ok(vec![inputs[0]
-                .resize2d(*out_h, *out_w, *mode)
-                .map_err(wrap)?]),
-        },
-        PrimKind::Linear(l) => match l {
-            LinearFn::MatMul { spec } => {
-                Ok(vec![inputs[0].matmul(inputs[1], *spec).map_err(wrap)?])
-            }
-            LinearFn::Conv2d {
-                stride,
-                padding,
-                groups,
-            } => Ok(vec![inputs[0]
-                .conv2d(inputs[1], *stride, *padding, *groups)
-                .map_err(wrap)?]),
-        },
+        }
         PrimKind::WindowReduce { spec, kind } => {
+            need(1)?;
             Ok(vec![inputs[0].pool2d(*spec, *kind).map_err(wrap)?])
         }
         PrimKind::Opaque { name, .. } => Err(ExecError::Input(format!(
@@ -236,7 +260,7 @@ mod tests {
     use super::*;
     use korch_cost::Device;
     use korch_orch::Orchestrator;
-    use korch_tensor::{BinaryOp, ReduceKind, UnaryOp};
+    use korch_tensor::{BinaryOp, MatMulSpec, PoolSpec, ReduceKind, ResizeMode, UnaryOp};
 
     fn softmax_prims(rows: usize, cols: usize) -> PrimGraph {
         let mut g = PrimGraph::new();
@@ -368,5 +392,99 @@ mod tests {
         let x = Tensor::from_vec(vec![3], vec![1.0, 2.0, 4.0]).unwrap();
         let out = execute_prims(&g, &[x]).unwrap();
         assert_eq!(out[0].as_slice(), &[1.0, 0.5, 0.25]);
+    }
+
+    /// Asserts `eval_prim` rejects `inputs` for `kind` with a typed
+    /// arity error instead of indexing past the operand list.
+    fn assert_short_operands(kind: PrimKind, inputs: &[&Tensor]) {
+        let err = eval_prim(&kind, inputs, 7).unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Input(m) if m.contains("node 7 expects")),
+            "{kind:?}: {err:?}"
+        );
+    }
+
+    #[test]
+    fn elementwise_rejects_missing_operands() {
+        let x = Tensor::zeros(vec![4]);
+        assert_short_operands(PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)), &[]);
+        assert_short_operands(PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)), &[&x]);
+        assert_short_operands(
+            PrimKind::Elementwise(EwFn::BinaryScalar(BinaryOp::Mul, 2.0)),
+            &[],
+        );
+        assert_short_operands(
+            PrimKind::Elementwise(EwFn::BinaryScalarLhs(BinaryOp::Sub, 1.0)),
+            &[],
+        );
+    }
+
+    #[test]
+    fn reduce_rejects_missing_operands() {
+        let kind = PrimKind::Reduce {
+            kind: ReduceKind::Sum,
+            axis: 0,
+        };
+        assert_short_operands(kind, &[]);
+    }
+
+    #[test]
+    fn broadcast_rejects_missing_operands() {
+        assert_short_operands(PrimKind::Broadcast { axis: 0, size: 2 }, &[]);
+    }
+
+    #[test]
+    fn layout_rejects_missing_operands() {
+        for l in [
+            LayoutFn::Transpose { perm: vec![1, 0] },
+            LayoutFn::Reshape { shape: vec![4] },
+            LayoutFn::Slice {
+                starts: vec![0],
+                ends: vec![1],
+            },
+            LayoutFn::Concat { axis: 0 },
+            LayoutFn::Split {
+                axis: 0,
+                sizes: vec![1, 1],
+            },
+            LayoutFn::Pad {
+                before: vec![1],
+                after: vec![1],
+                value: 0.0,
+            },
+            LayoutFn::Resize {
+                out_h: 2,
+                out_w: 2,
+                mode: ResizeMode::Nearest,
+            },
+        ] {
+            assert_short_operands(PrimKind::Layout(l), &[]);
+        }
+    }
+
+    #[test]
+    fn linear_rejects_missing_operands() {
+        let x = Tensor::zeros(vec![1, 1, 4, 4]);
+        let matmul = LinearFn::MatMul {
+            spec: MatMulSpec::new(),
+        };
+        let conv = LinearFn::Conv2d {
+            stride: 1,
+            padding: 0,
+            groups: 1,
+        };
+        for l in [matmul, conv] {
+            assert_short_operands(PrimKind::Linear(l.clone()), &[&x]);
+            assert_short_operands(PrimKind::Linear(l), &[]);
+        }
+    }
+
+    #[test]
+    fn window_reduce_rejects_missing_operands() {
+        let kind = PrimKind::WindowReduce {
+            spec: PoolSpec::new(2, 2),
+            kind: ReduceKind::Max,
+        };
+        assert_short_operands(kind, &[]);
     }
 }

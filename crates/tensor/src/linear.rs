@@ -2,9 +2,9 @@
 //! multiplication (optionally batched, with transpose flags) and 2-D
 //! convolution (NCHW / OIHW, strides, symmetric padding, groups).
 //!
-//! Both run on the packed/blocked microkernel of [`crate::pack`] — the
-//! GEBP split of a panel that is staged once and a register-blocked
-//! kernel that sweeps it.
+//! Both run on the kernels of [`crate::pack`] — the GEBP split of a
+//! panel that is staged once and a register-blocked kernel that sweeps
+//! it, and for depthwise conv a direct register-blocked loop.
 //!
 //! [`Tensor::matmul`]: the right operand is packed into row-major `[k][n]`
 //! panels (zero-copy unless `trans_b`) and each output row is computed
@@ -13,34 +13,41 @@
 //! preserved per output element — so results are bit-identical to the
 //! historical scalar triple loop (pinned by `crate::pack`'s tests).
 //!
-//! [`Tensor::conv2d`]: per (image, group) the conv is the GEMM
-//! `W[O/g][K] · P[K][OH·OW]` with `K = C/g·KH·KW`. The weight's OIHW rows
-//! are already the `[O/g][K]` left operand (no pack), so output channels
-//! are the rows the microkernel groups `MR` at a time. `P` is the column
-//! panel: row `p = (ci, ky, kx)` — the order the historical scalar loop
-//! accumulated in — holds that tap of channel `ci` at every output
-//! position, `0.0` where it falls in the padding. A pointwise conv (1×1,
-//! stride 1, padding 0) has `P` equal to the input planes and borrows
-//! them, the zero-copy case [`PackedB`] has without `trans_b`; every
-//! other shape fills one scratch panel per call, a column block of at
-//! most 96 KB at a time (a whole number of microkernel column blocks),
-//! reused across blocks, groups and images — cache-resident under the
-//! channel groups that sweep it, and under the allocator's 128 KB mmap
-//! threshold whatever the image size. For all finite operands the result
-//! is bit-identical to that scalar loop (`crate::pack`: the MR×NR
-//! contract, extended to conv).
+//! [`Tensor::conv2d`]: the input is staged zero-padded and split into its
+//! `s × s` stride phases, so every tap of every output row is a
+//! unit-stride run of one staged phase, padding included. A depthwise
+//! conv (`C/groups == 1` and `O/groups == 1`) runs a direct loop over the
+//! staging: per channel and tap `(ky, kx)` ascending, one multiply-add
+//! over the flattened span of output rows, in register blocks. Every
+//! other conv is, per (image, group), the GEMM `W[O/g][K] · P[K][OH·OW]`
+//! with `K = C/g·KH·KW`. The weight's OIHW rows are already the
+//! `[O/g][K]` left operand (no pack), so output channels are the rows the
+//! microkernel groups `MR` at a time. `P` is the column panel: row
+//! `p = (ci, ky, kx)` — the order the historical scalar loop accumulated
+//! in — holds that tap of channel `ci` at every output position, `0.0`
+//! where it falls in the padding. A pointwise conv (1×1, stride 1,
+//! padding 0) has `P` equal to the input planes and borrows them, the
+//! zero-copy case [`PackedB`] has without `trans_b`; every other shape
+//! fills one scratch panel per call by row copies out of the staging, a
+//! column block of at most 96 KB at a time (a whole number of microkernel
+//! column blocks), reused across blocks, groups and images —
+//! cache-resident under the channel groups that sweep it, and under the
+//! allocator's 128 KB mmap threshold whatever the image size. For all
+//! finite operands every path is bit-identical to that scalar loop
+//! (`crate::pack`: one contract for every conv path).
 //!
 //! # Outside the finite domain
 //!
 //! The scalar conv loop skipped padded taps and multiplied every other
-//! tap, zero weight or not. The lowering does what `matmul`'s left
+//! tap, zero weight or not. Every conv path does what `matmul`'s left
 //! operand always has: a **weight of exactly `0.0` skips its term**, so
 //! `0.0 · ∞` and `0.0 · NaN` contribute nothing where the loop produced
 //! `NaN`; and a **padded tap contributes `w · 0.0`** instead of being
 //! skipped, so an infinite or `NaN` weight over padding yields `NaN`
 //! where the loop produced a finite sum. With finite operands both terms
 //! are `±0.0` and, the accumulator starting at `+0.0`, change no bit.
-//! `pack`'s `conv_non_finite_contract` test pins both cases.
+//! `pack`'s `conv_non_finite_contract` test pins both cases on the
+//! panel, strided and depthwise paths.
 
 use crate::pack::{conv2d_blocked, matmul_rows_blocked, ConvGeom, PackedB};
 use crate::{Tensor, TensorError};

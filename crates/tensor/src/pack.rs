@@ -1,10 +1,10 @@
 //! Packed operand panels and the MR×NR register-blocked microkernel
-//! behind matmul and conv.
+//! behind matmul and conv, and the direct loop behind depthwise conv.
 //!
 //! [`Tensor::matmul`](crate::Tensor::matmul),
 //! [`Tensor::matmul_rows`](crate::Tensor::matmul_rows) and
-//! [`Tensor::conv2d`](crate::Tensor::conv2d) all drive the microkernel
-//! here instead of a naive per-element contraction. The design is the
+//! [`Tensor::conv2d`](crate::Tensor::conv2d) all drive the kernels here
+//! instead of a naive per-element contraction. The design is the
 //! classic GEBP pack-then-microkernel split:
 //!
 //! - [`PackedB`] lays the right operand out as row-major `[k][n]` panels —
@@ -37,11 +37,20 @@
 //!   `n % 8` columns run a block with a run-time width;
 //! - row groups smaller than `MR` (the `m % MR` remainder, or tiny row
 //!   tiles) run the same sweep row-at-a-time — the `G = 1` instantiation;
-//! - a conv is the same kernel on other operands ([`conv2d_blocked`]):
-//!   the rows are output channels, the left operand the weight's OIHW
-//!   rows as stored, the right operand a `[K][OH·OW]` column panel of
-//!   input taps — borrowed for a pointwise conv, otherwise filled one
-//!   cache-sized column block at a time into a per-call scratch.
+//! - a conv stages its input once, zero-padded and split into stride
+//!   phases (`stage`): tap `(ky, kx)` at output `(oy, ox)` is then
+//!   `phase[ky % s][kx % s][oy + ky/s][ox + kx/s]`, unit stride along `ox`
+//!   for every stride, padding included. Two loops read the staging. A
+//!   **depthwise** conv (one input and one output channel per group) runs
+//!   the direct loop `conv_depthwise`: per channel and tap, one
+//!   multiply-add over the flattened span of the staged phase, in
+//!   register blocks. **Every other** conv is the same microkernel on
+//!   other operands (`conv_panel`): the rows are output channels, the
+//!   left operand the weight's OIHW rows as stored, the right operand a
+//!   `[K][OH·OW]` column panel of input taps — borrowed for a pointwise
+//!   conv, otherwise filled by contiguous row copies out of the staging
+//!   (`fill_panel`), one cache-sized column block at a time into a
+//!   per-call scratch.
 //!
 //! # The MR×NR contract: bit-identity with the scalar path
 //!
@@ -67,27 +76,30 @@
 //! which is also why the `korch-runtime` tile executor may split output
 //! rows at any grain without changing a single output bit.
 //!
-//! ## The contract, extended to conv
+//! ## One contract for every conv path
 //!
 //! The historical conv loop kept one accumulator per output element,
 //! started at `0.0`, and added `x · w` over `(ci, ky, kx)` ascending,
-//! skipping taps that fall in the padding. The lowering keeps that chain
-//! and changes two things that cannot change a bit while operands are
-//! finite:
+//! skipping taps that fall in the padding. Both conv loops keep that
+//! chain and change the same two things, which cannot change a bit while
+//! operands are finite:
 //!
-//! - the column panel's rows are in `(ci, ky, kx)` order, so ascending
-//!   `p` *is* the loop's order, and the panel is a value copy (`w · x` and
-//!   `x · w` are the same IEEE product);
-//! - a padded tap is a panel `0.0`, so it adds `w · 0.0 = ±0.0` where the
-//!   loop added nothing, and a weight of exactly `0.0` is dropped by the
-//!   zero-skip where the loop added `0.0 · x = ±0.0`. An accumulator that
-//!   starts at `+0.0` is never `-0.0` (a sum is `-0.0` only when both
-//!   addends are), and `acc + ±0.0 == acc` bitwise for every other `acc`.
+//! - the panel's rows — and the depthwise loop's taps — are in
+//!   `(ci, ky, kx)` order, so each output element still sees its terms in
+//!   the loop's order, and the staging and the panel are value copies
+//!   (`w · x` and `x · w` are the same IEEE product);
+//! - a padded tap is a staged `0.0`, so it adds `w · 0.0 = ±0.0` where the
+//!   loop added nothing, and a weight of exactly `0.0` is skipped (by the
+//!   microkernel's zero-skip, or dropped from the depthwise tap list)
+//!   where the loop added `0.0 · x = ±0.0`. An accumulator that starts at
+//!   `+0.0` is never `-0.0` (a sum is `-0.0` only when both addends are),
+//!   and `acc + ±0.0 == acc` bitwise for every other `acc`.
 //!
-//! Column blocks and channel groups only choose which independent
-//! elements are computed together. Outside the finite domain the two
-//! changes are visible — `0.0 · ∞` is skipped, `∞ · padding` is not; see
-//! [`crate::linear`]'s "Outside the finite domain" and the
+//! Column blocks, staging windows, channel groups and the depthwise
+//! loop's discarded wide columns only choose which independent elements
+//! are computed together. Outside the finite domain the two changes are
+//! visible — `0.0 · ∞` is skipped, `∞ · padding` is not — identically on
+//! every path; see [`crate::linear`]'s "Outside the finite domain" and the
 //! `conv_non_finite_contract` test below.
 
 use crate::{Tensor, TensorError};
@@ -387,9 +399,15 @@ pub(crate) fn matmul_rows_blocked(
 /// 31 GFLOP/s, 64–124 KB 36–37.)
 const CONV_PANEL_ELEMS: usize = 24 * 1024;
 
+/// Output elements one block of the direct depthwise loop keeps in
+/// registers while it sweeps the taps: 64 `f32` lanes = eight 256-bit
+/// vector registers (the width rustc's autovectorizer picks on AVX-512
+/// hosts too), so each tap feeds eight independent accumulation chains.
+const DW_BLOCK: usize = 64;
+
 /// Geometry of a validated 2-D convolution (see
-/// [`Tensor::conv2d`](crate::Tensor::conv2d)), shared by the driver and
-/// the panel fill.
+/// [`Tensor::conv2d`](crate::Tensor::conv2d)), shared by the driver, the
+/// staging and the two loops that read it.
 pub(crate) struct ConvGeom {
     /// Input `[N, C, H, W]`.
     pub input: [usize; 4],
@@ -405,44 +423,235 @@ pub(crate) struct ConvGeom {
     pub groups: usize,
 }
 
-/// Computes a conv2d on the microkernel. Per (image, group) this is the
-/// GEMM `W[O/g][K] · P[K][OH·OW]`, `K = C/g·KH·KW`: the weight's OIHW rows
-/// are the left operand as stored, `P` is the column panel of input taps
-/// in `(ci, ky, kx)` row order (zero where a tap falls in the padding),
-/// and output channels run through [`mm_group_blocked`] in [`MR`]-high
-/// groups. A pointwise conv (1×1, stride 1, no padding) borrows the
-/// input planes as `P`; every other shape fills one scratch panel per
+impl ConvGeom {
+    /// Stride phases a tap can fall in, `[min(s, KH), min(s, KW)]`: tap
+    /// `(ky, kx)` reads phase `(ky % s, kx % s)`, so a kernel narrower
+    /// than the stride never reads the others.
+    fn phases(&self) -> [usize; 2] {
+        let [_, _, kh, kw] = self.weight;
+        [self.stride.min(kh), self.stride.min(kw)]
+    }
+
+    /// Whether the conv is depthwise — one input and one output channel
+    /// per group — and so runs the direct loop instead of the panel.
+    fn is_depthwise(&self) -> bool {
+        let [_, c, _, _] = self.input;
+        c == self.groups && self.weight[0] == self.groups
+    }
+
+    /// How far past an output row or column its taps reach in a phase
+    /// plane: `[(KH−1)/s, (KW−1)/s]`.
+    fn halo(&self) -> [usize; 2] {
+        let [_, _, kh, kw] = self.weight;
+        [(kh - 1) / self.stride, (kw - 1) / self.stride]
+    }
+
+    /// The window of phase rows and phase columns that output columns
+    /// `cols` (`j = oy·OW + ox`) read: their output rows, and their output
+    /// columns when they lie in one row (all columns otherwise), each
+    /// widened by the halo.
+    fn window(&self, cols: Range<usize>) -> [Range<usize>; 2] {
+        let ow = self.out[1];
+        let [hy, hx] = self.halo();
+        let (first, last) = (cols.start / ow, (cols.end - 1) / ow);
+        let xs = if first == last {
+            cols.start % ow..(cols.end - 1) % ow + 1
+        } else {
+            0..ow
+        };
+        [first..last + 1 + hy, xs.start..xs.end + hx]
+    }
+
+    /// Elements a staged window occupies: one `rows × cols` plane per
+    /// phase.
+    fn staged_len(&self, window: &[Range<usize>; 2]) -> usize {
+        let [sy, sx] = self.phases();
+        sy * sx * window[0].len() * window[1].len()
+    }
+
+    /// Offsets of the taps `(ky, kx)`, ascending, in a staged window
+    /// `[rows, cols]` high and wide: tap `t` of the output at
+    /// window-relative position `(y, x)` is `staged[offsets[t] + y·cols + x]`.
+    fn tap_offsets(&self, [rows, cols]: [usize; 2]) -> Vec<usize> {
+        let [_, _, kh, kw] = self.weight;
+        let (s, sx) = (self.stride, self.phases()[1]);
+        let mut offsets = Vec::with_capacity(kh * kw);
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let phase = (ky % s) * sx + kx % s;
+                offsets.push((phase * rows + ky / s) * cols + kx / s);
+            }
+        }
+        offsets
+    }
+}
+
+/// Stages `window` of one input channel `plane` (`[H][W]`) for the conv
+/// loops: the zero-padded plane split into its stride phases, phase
+/// `(py, px)` holding padded rows `py + s·i` and columns `px + s·t`, of
+/// which `dst` receives `i ∈ window[0]`, `t ∈ window[1]` (a `[rows][cols]`
+/// plane per phase, every element written). Tap `(ky, kx)` of output
+/// `(oy, ox)` is then `phase[ky % s][kx % s][oy + ky/s][ox + kx/s]` —
+/// unit stride along `ox` for every stride, and `0.0` wherever the tap
+/// falls in the padding.
+fn stage(plane: &[f32], geom: &ConvGeom, window: &[Range<usize>; 2], dst: &mut [f32]) {
+    let [_, _, h, w] = geom.input;
+    let sx = geom.phases()[1];
+    let (s, pad) = (geom.stride, geom.padding);
+    let [rows, cols] = window;
+    for (phase, out) in dst.chunks_exact_mut(rows.len() * cols.len()).enumerate() {
+        let (py, px) = (phase / sx, phase % sx);
+        // Window columns `t` whose padded column `px + s·t` is an input
+        // column, i.e. lies in `pad..pad + w`.
+        let t_lo = pad
+            .saturating_sub(px)
+            .div_ceil(s)
+            .clamp(cols.start, cols.end);
+        let t_hi = (w + pad)
+            .saturating_sub(px)
+            .div_ceil(s)
+            .clamp(t_lo, cols.end);
+        let (lo, hi) = (t_lo - cols.start, t_hi - cols.start);
+        for (i, row) in rows.clone().zip(out.chunks_exact_mut(cols.len())) {
+            let r = py + s * i;
+            if r < pad || r - pad >= h || lo == hi {
+                row.fill(0.0);
+                continue;
+            }
+            row[..lo].fill(0.0);
+            row[hi..].fill(0.0);
+            let src = &plane[(r - pad) * w + px + s * t_lo - pad..];
+            let valid = &mut row[lo..hi];
+            if s == 1 {
+                valid.copy_from_slice(&src[..valid.len()]);
+            } else {
+                let src = &src[..(valid.len() - 1) * s + 1];
+                for (t, d) in valid.iter_mut().enumerate() {
+                    *d = src[t * s];
+                }
+            }
+        }
+    }
+}
+
+/// Computes a conv2d: depthwise convs on the direct loop
+/// ([`conv_depthwise`]), every other shape as a GEMM on the microkernel
+/// ([`conv_panel`]).
+pub(crate) fn conv2d_blocked(x: &[f32], wt: &[f32], geom: &ConvGeom, out: &mut [f32]) {
+    let [_, cg, kh, kw] = geom.weight;
+    if cg * kh * kw == 0 {
+        // No taps: every output is the empty sum.
+        out.fill(0.0);
+        return;
+    }
+    if geom.is_depthwise() {
+        conv_depthwise(x, wt, geom, out);
+    } else {
+        conv_panel(x, wt, geom, out);
+    }
+}
+
+/// The direct depthwise loop (one input and one output channel per
+/// group). Per channel the whole input plane is staged ([`stage`]), then
+/// the output is computed over the *wide* plane `[OH][PW]` flattened,
+/// `PW = OW + (KW−1)/s` — so each tap is one multiply-add over a long
+/// unit-stride span of its phase, run in [`DW_BLOCK`]-wide register blocks
+/// ([`depthwise_block`]) — and the first `OW` columns of every wide row
+/// are the output plane. The other `PW − OW` columns (and the span's
+/// round-up to whole blocks) read neighbouring staged values and are
+/// discarded.
+fn conv_depthwise(x: &[f32], wt: &[f32], geom: &ConvGeom, out: &mut [f32]) {
+    let [_, _, h, w] = geom.input;
+    let [_, _, kh, kw] = geom.weight;
+    let [oh, ow] = geom.out;
+    let [hy, hx] = geom.halo();
+    let (ph, pw) = (oh + hy, ow + hx);
+    let window = [0..ph, 0..pw];
+    let span = (oh * pw).next_multiple_of(DW_BLOCK);
+    let chan = geom.staged_len(&window);
+    // Slack past the staged plane: the last block of a tap reads at most
+    // `span` elements beyond the tap's offset, which is `< chan`.
+    let mut staged = vec![0.0f32; chan + span];
+    let mut wide = vec![0.0f32; span];
+    let offsets = geom.tap_offsets([ph, pw]);
+    let mut taps = Vec::with_capacity(offsets.len());
+    for (q, oplane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        stage(&x[q * h * w..][..h * w], geom, &window, &mut staged[..chan]);
+        // The channel's nonzero weights with their tap offsets, `(ky, kx)`
+        // ascending: a weight of exactly `0.0` is skipped, as the
+        // microkernel skips a zero left operand.
+        let weights = &wt[q % geom.groups * kh * kw..][..kh * kw];
+        taps.clear();
+        let nonzero = offsets.iter().zip(weights).filter(|&(_, &wv)| wv != 0.0);
+        taps.extend(nonzero.map(|(&off, &wv)| (off, wv)));
+        for (j0, block) in (0..span)
+            .step_by(DW_BLOCK)
+            .zip(wide.chunks_exact_mut(DW_BLOCK))
+        {
+            depthwise_block(&taps, &staged[j0..], block);
+        }
+        for (orow, wrow) in oplane.chunks_exact_mut(ow).zip(wide.chunks_exact(pw)) {
+            orow.copy_from_slice(&wrow[..ow]);
+        }
+    }
+}
+
+/// One register block of the direct depthwise loop: `dst[t]` accumulates
+/// `wv · staged[off + t]` over `taps` in order, from `0.0`, the whole
+/// [`DW_BLOCK`]-wide accumulator in registers.
+///
+/// Never inlined, for the reason [`mm_block`] is not.
+#[inline(never)]
+fn depthwise_block(taps: &[(usize, f32)], staged: &[f32], dst: &mut [f32]) {
+    let mut acc = [0.0f32; DW_BLOCK];
+    for &(off, wv) in taps {
+        let src = &staged[off..off + DW_BLOCK];
+        for t in 0..DW_BLOCK {
+            acc[t] += wv * src[t];
+        }
+    }
+    dst.copy_from_slice(&acc);
+}
+
+/// Every conv but a depthwise one, on the microkernel. Per (image, group)
+/// this is the GEMM `W[O/g][K] · P[K][OH·OW]`, `K = C/g·KH·KW`: the
+/// weight's OIHW rows are the left operand as stored, `P` is the column
+/// panel of input taps in `(ci, ky, kx)` row order, and output channels
+/// run through [`mm_group_blocked`] in [`MR`]-high groups. A pointwise
+/// conv (1×1, stride 1, no padding) borrows the input planes as `P`;
+/// every other shape fills `P` ([`fill_panel`]) into one scratch per
 /// call, a block of at most [`CONV_PANEL_ELEMS`] elements (whole `NB`
 /// columns) at a time, reused across blocks, groups and images.
-pub(crate) fn conv2d_blocked(x: &[f32], wt: &[f32], geom: &ConvGeom, out: &mut [f32]) {
+fn conv_panel(x: &[f32], wt: &[f32], geom: &ConvGeom, out: &mut [f32]) {
     let [n, c, h, w] = geom.input;
     let [o, cg, kh, kw] = geom.weight;
     let ohw = geom.out[0] * geom.out[1];
-    if out.is_empty() {
-        return;
-    }
     let (k, ocg) = (cg * kh * kw, o / geom.groups);
     let pointwise = kh == 1 && kw == 1 && geom.stride == 1 && geom.padding == 0;
     let nc = if pointwise {
         ohw
     } else {
-        ((CONV_PANEL_ELEMS / k.max(1)).max(NB) / NB * NB).min(ohw)
+        ((CONV_PANEL_ELEMS / k).max(NB) / NB * NB).min(ohw)
     };
-    let mut scratch = vec![0.0f32; if pointwise { 0 } else { k * nc }];
+    let blocks = || (0..ohw).step_by(nc).map(move |j0| j0..ohw.min(j0 + nc));
+    let (mut scratch, mut staged) = if pointwise {
+        (Vec::new(), Vec::new())
+    } else {
+        // A panel block, and one channel's window sized for the largest.
+        let window = blocks().map(|b| geom.staged_len(&geom.window(b))).max();
+        (vec![0.0f32; k * nc], vec![0.0f32; window.unwrap_or(0)])
+    };
     for ni in 0..n {
         for g in 0..geom.groups {
             let xg = &x[(ni * c + g * cg) * h * w..][..cg * h * w];
             let wg = &wt[g * ocg * k..][..ocg * k];
             let og = &mut out[(ni * o + g * ocg) * ohw..][..ocg * ohw];
-            for j0 in (0..ohw).step_by(nc) {
-                let nb = nc.min(ohw - j0);
+            for cols in blocks() {
+                let (j0, nb) = (cols.start, cols.len());
                 let panel = if pointwise {
                     xg
                 } else {
-                    for (p, prow) in scratch[..k * nb].chunks_exact_mut(nb).enumerate() {
-                        let plane = &xg[p / (kh * kw) * h * w..][..h * w];
-                        fill_panel_row(prow, plane, geom, p / kw % kh, p % kw, j0);
-                    }
+                    fill_panel(xg, geom, cols, &mut staged, &mut scratch[..k * nb]);
                     &scratch[..k * nb]
                 };
                 for r0 in (0..ocg).step_by(MR) {
@@ -455,50 +664,71 @@ pub(crate) fn conv2d_blocked(x: &[f32], wt: &[f32], geom: &ConvGeom, out: &mut [
     }
 }
 
-/// Fills `dst` with columns `j0..j0 + dst.len()` of one panel row: tap
-/// `(ky, kx)` of input channel `plane` (`[H][W]`) at every output position
-/// `j = oy·OW + ox` of the block — `plane[oy·s + ky − pad][ox·s + kx − pad]`,
-/// or `0.0` where that falls outside the plane.
-fn fill_panel_row(
-    dst: &mut [f32],
-    plane: &[f32],
+/// Fills the column panel of output columns `cols` (`panel` is
+/// `[K][cols.len()]`) from the input planes `xg` of one group. Per input
+/// channel `ci` the window those columns read is staged ([`stage`], into
+/// `staged`, where it stays cache-resident), then row `(ci, ky, kx)` is
+/// tap `(ky, kx)` at every output position `j = oy·OW + ox` of the block —
+/// copied out of the staged phase with one contiguous copy per output row
+/// the block covers, padding included.
+fn fill_panel(
+    xg: &[f32],
     geom: &ConvGeom,
-    ky: usize,
-    kx: usize,
-    j0: usize,
+    cols: Range<usize>,
+    staged: &mut [f32],
+    panel: &mut [f32],
 ) {
     let [_, _, h, w] = geom.input;
-    let (ow, s, pad) = (geom.out[1], geom.stride, geom.padding);
-    // Output columns whose tap `ox·s + kx − pad` lies inside `0..w`.
-    let ox_lo = pad.saturating_sub(kx).div_ceil(s);
-    let ox_hi = (w + pad).saturating_sub(kx).div_ceil(s);
-    let (mut oy, mut ox0) = (j0 / ow, j0 % ow);
-    let mut rest = dst;
-    while !rest.is_empty() {
-        // One output row's share of the block: columns `ox0..ox1`.
-        let (seg, tail) = rest.split_at_mut((ow - ox0).min(rest.len()));
-        let ox1 = ox0 + seg.len();
-        let iy = oy * s + ky;
-        if iy < pad || iy - pad >= h {
-            seg.fill(0.0);
-        } else {
-            let lo = ox_lo.clamp(ox0, ox1);
-            let hi = ox_hi.clamp(lo, ox1);
-            seg[..lo - ox0].fill(0.0);
-            seg[hi - ox0..].fill(0.0);
-            if lo < hi {
-                let taps = &plane[(iy - pad) * w + lo * s + kx - pad..];
-                let valid = &mut seg[lo - ox0..hi - ox0];
-                if s == 1 {
-                    valid.copy_from_slice(&taps[..hi - lo]);
-                } else {
-                    for (d, tap) in valid.iter_mut().zip(taps.chunks(s)) {
-                        *d = tap[0];
-                    }
-                }
+    let ow = geom.out[1];
+    let nb = cols.len();
+    let window = geom.window(cols.clone());
+    let cw = window[1].len();
+    let offsets = geom.tap_offsets([window[0].len(), cw]);
+    let staged = &mut staged[..geom.staged_len(&window)];
+    // The block's first output position, relative to the window.
+    let (oy0, ox0) = (
+        cols.start / ow - window[0].start,
+        cols.start % ow - window[1].start,
+    );
+    for (ci, rows) in panel.chunks_exact_mut(offsets.len() * nb).enumerate() {
+        stage(&xg[ci * h * w..][..h * w], geom, &window, staged);
+        for (&off, row) in offsets.iter().zip(rows.chunks_exact_mut(nb)) {
+            let tap = &staged[off..];
+            let (mut oy, mut ox, mut d) = (oy0, ox0, 0);
+            while d < nb {
+                // Without halo columns (`KW ≤ s`) a window's rows are back
+                // to back, and the whole block is one run.
+                let len = if cw == ow { nb } else { (ow - ox).min(nb - d) };
+                copy_run(&mut row[d..d + len], &tap[oy * cw + ox..][..len]);
+                (d, oy, ox) = (d + len, oy + 1, 0);
             }
         }
-        (rest, oy, ox0) = (tail, oy + 1, 0);
+    }
+}
+
+/// `dst.copy_from_slice(src)` as 16- and 8-element register moves inlined
+/// into the caller: the panel fill copies one short run (an output row's
+/// share of a block, 8–32 elements on the model shapes) per row and tap,
+/// where a `memcpy` call per run made the fill 18–44 % slower.
+#[inline(always)]
+fn copy_run(dst: &mut [f32], src: &[f32]) {
+    let mut d16 = dst.chunks_exact_mut(16);
+    let mut s16 = src.chunks_exact(16);
+    for (d, s) in (&mut d16).zip(&mut s16) {
+        let s: &[f32; 16] = s.try_into().expect("16-element chunk");
+        let d: &mut [f32; 16] = d.try_into().expect("16-element chunk");
+        *d = *s;
+    }
+    let (dst, src) = (d16.into_remainder(), s16.remainder());
+    let mut d8 = dst.chunks_exact_mut(8);
+    let mut s8 = src.chunks_exact(8);
+    for (d, s) in (&mut d8).zip(&mut s8) {
+        let s: &[f32; 8] = s.try_into().expect("8-element chunk");
+        let d: &mut [f32; 8] = d.try_into().expect("8-element chunk");
+        *d = *s;
+    }
+    for (d, s) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
+        *d = *s;
     }
 }
 
@@ -767,6 +997,20 @@ mod tests {
         assert!(PackedB::pack(&Tensor::scalar(1.0), false).is_err());
     }
 
+    /// The geometry `Tensor::conv2d` hands the kernels for these operands.
+    fn geom_of(x: &Tensor, wt: &Tensor, stride: usize, padding: usize, groups: usize) -> ConvGeom {
+        let (input, weight) = (x.shape(), wt.shape());
+        let out = |i: usize| (input[i + 2] + 2 * padding - weight[i + 2]) / stride + 1;
+        ConvGeom {
+            input: [input[0], input[1], input[2], input[3]],
+            weight: [weight[0], weight[1], weight[2], weight[3]],
+            out: [out(0), out(1)],
+            stride,
+            padding,
+            groups,
+        }
+    }
+
     /// Asserts `conv2d` equals [`naive_conv2d`] bit for bit.
     fn assert_conv_bits(x: &Tensor, wt: &Tensor, stride: usize, padding: usize, groups: usize) {
         let got = x.conv2d(wt, stride, padding, groups).unwrap();
@@ -841,6 +1085,38 @@ mod tests {
                 }
             }
         }
+        // The direct depthwise loop over every stride, padding and
+        // kernel, at output widths composing every tail of its register
+        // blocks and wide rows, batch 2; and a depth multiplier (one input
+        // channel, several output channels per group), which stays on the
+        // panel.
+        let mut depthwise = 0;
+        for kernel in [1usize, 3, 5, 7] {
+            for stride in [1usize, 2, 4] {
+                for padding in [0usize, 1, 3] {
+                    for (i, ow) in TAIL_WIDTHS.into_iter().enumerate() {
+                        let oh = [1, 2, 5][i % 3];
+                        let side =
+                            |out: usize| ((out - 1) * stride + kernel).saturating_sub(2 * padding);
+                        let (h, w) = (side(oh).max(1), side(ow).max(1));
+                        for multiplier in [1usize, 3] {
+                            let x_shape = vec![2, 3, h, w];
+                            let w_shape = vec![3 * multiplier, 1, kernel, kernel];
+                            for (x, wt) in conv_operands(x_shape, w_shape) {
+                                let geom = geom_of(&x, &wt, stride, padding, 3);
+                                assert_eq!(geom.is_depthwise(), multiplier == 1);
+                                assert_conv_bits(&x, &wt, stride, padding, 3);
+                                depthwise += usize::from(multiplier == 1);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            depthwise >= 4 * 3 * 3 * 12 * 2,
+            "{depthwise} depthwise cases"
+        );
     }
 
     #[test]
@@ -848,12 +1124,20 @@ mod tests {
         // K = 16·9 = 144 cuts the 1024-column plane into blocks of
         // CONV_PANEL_ELEMS / 144 rounded down to NB columns, the last one
         // short; K = 3·49 = 147 on 33×33 leaves a block that is not a
-        // whole number of NB columns or of output rows.
+        // whole number of NB columns or of output rows. Output rows wider
+        // than a block (400 and 200 columns) stage windows that start and
+        // end inside a row, at stride 1 and 2. Input planes without rows
+        // or columns stage nothing but padding.
         let block = CONV_PANEL_ELEMS / 144 / NB * NB;
         assert!(block < 1024 && 1024 % block != 0);
         for (x_shape, w_shape, stride, padding, groups) in [
             (vec![2, 16, 32, 32], vec![32, 16, 3, 3], 1, 1, 1),
             (vec![1, 3, 33, 33], vec![MR + 1, 3, 7, 7], 1, 3, 1),
+            (vec![1, 16, 3, 400], vec![MR + 1, 16, 3, 3], 1, 1, 1),
+            (vec![1, 16, 5, 400], vec![MR + 1, 16, 3, 3], 2, 1, 1),
+            (vec![2, 2, 0, 3], vec![3, 2, 1, 1], 1, 1, 1),
+            (vec![1, 2, 2, 0], vec![4, 1, 1, 2], 1, 1, 2),
+            (vec![1, 2, 0, 0], vec![2, 1, 1, 1], 1, 1, 2),
             (vec![1, 32, 40, 40], vec![32, 1, 3, 3], 1, 1, 32),
             (vec![2, 8, 48, 48], vec![2 * 19, 4, 1, 1], 1, 0, 2),
         ] {
@@ -885,19 +1169,38 @@ mod tests {
 
     #[test]
     fn conv_non_finite_contract() {
-        // A weight of exactly 0.0 skips its term, as matmul's left operand
-        // always has: 0.0 · ∞ contributes nothing (the scalar loop: NaN).
-        let x = Tensor::from_vec(vec![1, 1, 1, 2], vec![f32::INFINITY, 1.0]).unwrap();
-        let wt = Tensor::from_vec(vec![1, 1, 1, 2], vec![0.0, 2.0]).unwrap();
-        assert_eq!(x.conv2d(&wt, 1, 0, 1).unwrap().as_slice(), &[2.0]);
-        assert!(naive_conv2d(&x, &wt, 1, 0, 1)[0].is_nan());
-        // A padded tap contributes w · 0.0 instead of being skipped: an
-        // infinite weight over padding is NaN (the scalar loop: finite).
-        let x = Tensor::from_vec(vec![1, 1, 1, 1], vec![3.0]).unwrap();
-        let wt = Tensor::from_vec(vec![1, 1, 1, 3], vec![f32::INFINITY, 1.0, 1.0]).unwrap();
-        let got = x.conv2d(&wt, 1, 1, 1).unwrap();
-        assert_eq!(got.shape(), &[1, 1, 3, 1]);
-        assert!(got.as_slice().iter().all(|v| v.is_nan()));
-        assert_eq!(naive_conv2d(&x, &wt, 1, 1, 1), vec![0.0, 3.0, 0.0]);
+        // Every case runs on the column panel (one input channel, two
+        // output channels) and on the depthwise loop (two channels, two
+        // groups), at stride 1 and 2: one contract on every path.
+        for stride in [1usize, 2] {
+            for (c, groups) in [(1usize, 1usize), (2, 2)] {
+                // A weight of exactly 0.0 skips its term, as matmul's left
+                // operand always has: 0.0 · ∞ contributes nothing (the
+                // scalar loop: NaN). One output per stride step.
+                let plane = [f32::INFINITY, 1.0].repeat(stride);
+                let x = Tensor::from_vec(vec![1, c, 1, 2 * stride], plane.repeat(c)).unwrap();
+                let wt = Tensor::from_vec(vec![2, 1, 1, 2], [0.0, 2.0].repeat(2)).unwrap();
+                assert_eq!(
+                    geom_of(&x, &wt, stride, 0, groups).is_depthwise(),
+                    groups == 2
+                );
+                let got = x.conv2d(&wt, stride, 0, groups).unwrap();
+                assert_eq!(got.shape(), &[1, 2, 1, stride]);
+                assert!(got.as_slice().iter().all(|&v| v == 2.0), "{got:?}");
+                assert!(naive_conv2d(&x, &wt, stride, 0, groups)
+                    .iter()
+                    .all(|v| v.is_nan()));
+                // A padded tap contributes w · 0.0 instead of being skipped:
+                // an infinite weight over padding is NaN (the scalar loop:
+                // finite). Tap kx = 0 is in the padding at every output.
+                let x = Tensor::from_vec(vec![1, c, 3, 1], [3.0, 1.0, 2.0].repeat(c)).unwrap();
+                let wt = Tensor::from_vec(vec![2, 1, 1, 3], [f32::INFINITY, 1.0, 1.0].repeat(2))
+                    .unwrap();
+                let got = x.conv2d(&wt, stride, 1, groups).unwrap();
+                assert!(got.as_slice().iter().all(|v| v.is_nan()), "{got:?}");
+                let naive = naive_conv2d(&x, &wt, stride, 1, groups);
+                assert!(naive.iter().all(|v| v.is_finite()), "{naive:?}");
+            }
+        }
     }
 }
