@@ -24,7 +24,7 @@ use korch_exec::execute_plan;
 use korch_ir::{EwFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_models::subgraphs::softmax_attention;
 use korch_orch::{Plan, SelectedKernel};
-use korch_runtime::{BatchConfig, PlanExecutor, RuntimeConfig, Server, ShardedExecutor};
+use korch_runtime::{BatchConfig, Model, PlanExecutor, RuntimeConfig, Server};
 use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, Tensor, UnaryOp};
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -974,51 +974,43 @@ fn bench_serving(c: &mut Criterion) {
     let server = Server::start(Arc::new(exec), BatchConfig::default());
     group.bench_function("batched_burst_16", |b| b.iter(|| burst(&server)));
     server.shutdown();
-    // The same burst over the plan replicated across 2 shards (each with
-    // its own arena and worker pool). On a multi-core host the router
-    // overlaps whole requests across shards on top of the executor's
-    // lane parallelism; on this 1-core CI container it degrades to
-    // round-robin dispatch plus routing overhead — the printed shard
-    // spread below is the structural check.
-    for shards in [2usize, 4] {
-        let exec = ShardedExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2), shards).unwrap();
-        let server = Server::start(Arc::new(exec), BatchConfig::default());
-        group.bench_with_input(
-            BenchmarkId::new("sharded_burst_16", shards),
-            &shards,
-            |b, _| b.iter(|| burst(&server)),
-        );
+    // The same burst over one executor at 2 and 4 request workers: every
+    // worker runs the one executor, each run on its own recycled run
+    // state, all of them booking into one arena.
+    let exec = Arc::new(PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2)).unwrap());
+    let workers = |n: usize| BatchConfig {
+        shards: n,
+        ..BatchConfig::default()
+    };
+    for n in [2usize, 4] {
+        let server = Server::start(Arc::clone(&exec) as Arc<dyn Model>, workers(n));
+        group.bench_with_input(BenchmarkId::new("burst_16/workers", n), &n, |b, _| {
+            b.iter(|| burst(&server))
+        });
         server.shutdown();
     }
     group.finish();
 
-    // One-shot conservation headline: 32 requests over 4 shards, every
-    // request served by exactly one shard, aggregate profile sees all.
-    let exec = Arc::new(ShardedExecutor::new(&g, &plan, RuntimeConfig::with_lanes(2), 4).unwrap());
-    let server = Server::start(
-        Arc::clone(&exec) as Arc<dyn korch_runtime::Model>,
-        BatchConfig::default(),
-    );
+    // One-shot conservation check: 32 requests over 4 workers, every one
+    // answered once, run once on the one executor, and its buffers back.
+    exec.reset_profile();
+    let server = Server::start(Arc::clone(&exec) as Arc<dyn Model>, workers(4));
     let handles: Vec<_> = (0..32).map(|_| server.submit(inputs.clone())).collect();
     for h in handles {
         black_box(h.wait().unwrap());
     }
     let stats = server.shutdown();
-    let shard_stats = korch_runtime::ShardControl::shard_stats(&*exec);
-    let served: Vec<u64> = shard_stats.iter().map(|s| s.served).collect();
     println!(
-        "serving/sharded_spread: {} requests over {} shards, served per shard {:?}, \
-         merged profile runs {}",
+        "serving/conservation: {} requests over 4 workers, {} errors, executor runs {}, \
+         arena live bytes {}",
         stats.requests,
-        shard_stats.len(),
-        served,
+        stats.errors,
         exec.profile().runs,
+        exec.arena_stats().live_bytes,
     );
-    assert_eq!(served.iter().sum::<u64>(), stats.requests);
-    assert!(
-        shard_stats.iter().all(|s| s.failures == 0 && s.live),
-        "healthy shards must not fail: {shard_stats:?}"
-    );
+    assert_eq!((stats.requests, stats.errors), (32, 0));
+    assert_eq!(exec.profile().runs, 32);
+    assert_eq!(exec.arena_stats().live_bytes, 0);
 }
 
 /// The closed calibration loop on a real model: compile, profile a few

@@ -7,7 +7,7 @@
 //! chosen graphs and plans into one whole-program `(graph, plan)`, and one
 //! [`PlanExecutor`] is compiled over it — constants materialized once,
 //! dependency edges precomputed, one buffer arena warm — so repeated
-//! inference (and the `korch_runtime::Server` batching front-end) pays
+//! inference (and the `korch_runtime::Server` front-end) pays
 //! optimization cost once and each request is a single executor run.
 //! Partitions exist only to bound the optimizer's search space; at run
 //! time a former boundary tensor is an ordinary intermediate, reclaimed at
@@ -15,27 +15,25 @@
 //! partition. [`Optimized::execute`] stays the differential oracle.
 //!
 //! [`CompiledModel::recalibrate`] closes the profiling loop: the wall
-//! times the executors accumulate fit a [`Calibration`], the orchestrator
+//! times the executor accumulates fit a [`Calibration`], the orchestrator
 //! re-runs over every partition with the calibrated cost model, the new
 //! plans are re-stitched, and the new program is swapped in atomically —
 //! in-flight requests finish on the executor they started with,
 //! subsequent ones run the re-orchestrated plan priced in measured host
 //! time.
 //!
-//! # Sharding
+//! # Concurrency
 //!
-//! All execution state lives in one [`ShardedExecutor`]: N shard replicas
-//! of the stitched program — each a `PlanExecutor` with its own arena —
-//! behind a `korch_runtime::ShardRouter` that sends every `execute` to the
-//! least-loaded live shard and retries on a sibling when a shard's run
-//! fails. [`CompiledModel::set_shards`] (or
-//! `korch_runtime::BatchConfig::shards` through a sharded `Server`)
-//! re-provisions the width; a compiled model starts at one shard. Each
-//! shard accumulates its own [`RuntimeProfile`]; drift measurement and
-//! recalibration consume the *merged* profile of all shards, and a
-//! recalibration ends in one [`ShardedExecutor::replan`], which replaces
-//! **every** shard (and the router) in one write, so shards never run
-//! different plan generations.
+//! Any number of threads may call [`CompiledModel::execute`] at once, and
+//! every call runs the **same** executor: a `PlanExecutor` arms a recycled
+//! run state per call and shares one arena and one profile across them,
+//! so a server's request workers need no copies of the program. The live
+//! executor, the sources it was stitched from, the calibration it was
+//! priced with and its plan generation sit behind one lock: `execute`
+//! clones the executor's `Arc` under the read guard and runs outside it,
+//! and a recalibration swaps all four in one write. A run that started
+//! before the swap finishes on the executor it holds; drift and
+//! calibration read the one executor's profile.
 
 use crate::pipeline::{Korch, KorchError, Optimized, PipelineStats};
 use crate::stitch::stitch;
@@ -44,15 +42,15 @@ use korch_exec::ExecError;
 use korch_ir::{PortRef, PrimGraph};
 use korch_orch::{Orchestrator, Plan};
 use korch_runtime::{
-    MemoryReport, Model, PlanExecutor, RuntimeConfig, RuntimeProfile, SelfTune, ShardControl,
-    ShardStats, ShardedExecutor, TuneOutcome,
+    ArenaStats, MemoryReport, Model, PlanExecutor, RuntimeConfig, RuntimeProfile, SelfTune,
+    ShardControl, ShardStats, TuneOutcome,
 };
 use korch_tensor::Tensor;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
-/// One shard's view of the compiled program: the stitched graph and plan,
-/// the program's ports, and the shard's executor. (A compiled model is one
-/// stitched program, so [`CompiledModel::partitions`] has one entry.)
+/// A view of the compiled program: the stitched graph and plan, the
+/// program's ports, and its executor. (A compiled model is one stitched
+/// program, so [`CompiledModel::partitions`] has one entry.)
 pub struct CompiledPartition {
     /// The stitched whole-program primitive graph.
     pub graph: PrimGraph,
@@ -84,10 +82,9 @@ pub struct RecalibrationReport {
     pub latency_ms: f64,
 }
 
-/// How the live program was priced. `recalibrate` holds the write lock
-/// across the executor swap, so a reader that takes the read guard *before*
-/// `exec.shards()` sees executors and the pricing they were built from.
-struct Pricing {
+/// The live program and how it was priced, swapped as one.
+struct Live {
+    executor: Arc<PlanExecutor>,
     /// The per-partition sources of the live program: what `recalibrate`
     /// re-orchestrates and re-stitches. Carries the plans' simulated
     /// latency.
@@ -97,26 +94,18 @@ struct Pricing {
     /// uncalibrated base — otherwise a freshly calibrated model would
     /// still look maximally drifted.
     calibration: Calibration,
+    /// Completed recalibration swaps.
+    generation: u64,
 }
 
 /// An optimized program compiled onto the parallel runtime.
 pub struct CompiledModel {
-    /// One `PlanExecutor` over the stitched program per shard, and the
-    /// router over them.
-    exec: ShardedExecutor,
-    pricing: RwLock<Pricing>,
-    /// Serializes [`CompiledModel::recalibrate`], so `pricing` is always
-    /// written by the pass whose `replan` landed last.
+    live: RwLock<Live>,
+    /// Serializes [`CompiledModel::recalibrate`], so every swap fits the
+    /// profile of the executor it replaces.
     recalibrating: Mutex<()>,
     stats: PipelineStats,
     runtime: RuntimeConfig,
-}
-
-/// The aggregate of every shard's profile (each read clones the profile
-/// under that executor's mutex).
-fn merged_profile(shards: &[Arc<PlanExecutor>]) -> RuntimeProfile {
-    let per_shard: Vec<RuntimeProfile> = shards.iter().map(|s| s.profile()).collect();
-    RuntimeProfile::merged(&per_shard.iter().collect::<Vec<_>>())
 }
 
 /// Mean relative prediction error of `profiler` against `profile`; `None`
@@ -135,7 +124,7 @@ fn model_error(
 
 impl CompiledModel {
     /// Stitches an optimizer result into one program and compiles it onto
-    /// the runtime (one shard).
+    /// the runtime.
     ///
     /// # Errors
     ///
@@ -148,10 +137,11 @@ impl CompiledModel {
     ) -> Result<Self, KorchError> {
         let (graph, plan) = stitch(optimized)?;
         Ok(Self {
-            exec: ShardedExecutor::new(&graph, &plan, runtime.clone(), 1)?,
-            pricing: RwLock::new(Pricing {
+            live: RwLock::new(Live {
+                executor: Arc::new(PlanExecutor::new(&graph, &plan, runtime.clone())?),
                 optimized: optimized.clone(),
                 calibration: Calibration::default(),
+                generation: 0,
             }),
             recalibrating: Mutex::new(()),
             stats: optimized.stats().clone(),
@@ -159,20 +149,26 @@ impl CompiledModel {
         })
     }
 
-    fn pricing(&self) -> std::sync::RwLockReadGuard<'_, Pricing> {
-        self.pricing.read().expect("pricing poisoned")
+    fn live(&self) -> RwLockReadGuard<'_, Live> {
+        self.live.read().expect("live program poisoned")
+    }
+
+    /// The live executor. Holders keep running the plan they observed
+    /// across a later [`CompiledModel::recalibrate`].
+    fn executor(&self) -> Arc<PlanExecutor> {
+        Arc::clone(&self.live().executor)
     }
 
     /// Simulated end-to-end latency in milliseconds (Eq. 2). After a
     /// [`CompiledModel::recalibrate`] swap, the units are calibrated —
     /// i.e. measured host — time.
     pub fn latency_ms(&self) -> f64 {
-        self.pricing().optimized.latency_ms()
+        self.live().optimized.latency_ms()
     }
 
     /// Total number of kernel launches.
     pub fn kernel_count(&self) -> usize {
-        self.exec.shards()[0].plan().kernel_count()
+        self.live().executor.plan().kernel_count()
     }
 
     /// Optimizer statistics carried over from the pipeline.
@@ -180,80 +176,70 @@ impl CompiledModel {
         &self.stats
     }
 
-    fn view(pricing: &Pricing, executor: &Arc<PlanExecutor>) -> CompiledPartition {
-        CompiledPartition {
-            graph: executor.graph().clone(),
-            plan: executor.plan().clone(),
-            inputs: pricing.optimized.input_ports().to_vec(),
-            outputs: pricing.optimized.output_ports().to_vec(),
-            executor: Arc::clone(executor),
-        }
-    }
-
-    /// The **primary shard's** view of the stitched program — always one
-    /// entry (all shards run the same graph and plan). The program may be
-    /// swapped by [`CompiledModel::recalibrate`]; the returned executor
-    /// keeps running the plan it was observed with.
+    /// The view of the stitched program — always one entry. The program
+    /// may be swapped by [`CompiledModel::recalibrate`]; the returned
+    /// executor keeps running the plan it was observed with.
     pub fn partitions(&self) -> Vec<CompiledPartition> {
-        let pricing = self.pricing();
-        vec![Self::view(&pricing, &self.exec.shards()[0])]
+        let live = self.live();
+        vec![CompiledPartition {
+            graph: live.executor.graph().clone(),
+            plan: live.executor.plan().clone(),
+            inputs: live.optimized.input_ports().to_vec(),
+            outputs: live.optimized.output_ports().to_vec(),
+            executor: Arc::clone(&live.executor),
+        }]
     }
 
     /// Statically verifies the live program: runs the `korch-verify`
     /// plan/schedule verifier and arena-lifetime abstract interpreter
-    /// over the primary shard's executor (all shards run the same plan).
+    /// over the executor.
     ///
     /// # Errors
     ///
     /// Returns [`KorchError::Verify`] with every broken invariant.
     pub fn verify(&self) -> Result<(), KorchError> {
-        Ok(korch_verify::check_executor(&self.exec.shards()[0])?)
+        Ok(korch_verify::check_executor(&self.executor())?)
     }
 
-    /// Every shard's view of the stitched program (index = shard id, one
-    /// entry each).
+    /// [`CompiledModel::partitions`], wrapped once more: the shape the
+    /// frozen benchmark reads.
     pub fn shard_snapshots(&self) -> Vec<Vec<CompiledPartition>> {
-        let pricing = self.pricing();
-        let shards = self.exec.shards();
-        shards
-            .iter()
-            .map(|s| vec![Self::view(&pricing, s)])
-            .collect()
-    }
-
-    /// Number of shard replicas currently provisioned.
-    pub fn shard_count(&self) -> usize {
-        self.exec.shard_count()
+        vec![self.partitions()]
     }
 
     /// Completed plan swaps: 0 at compile time, +1 per successful
-    /// [`CompiledModel::recalibrate`] (every swap re-plans all shards).
+    /// [`CompiledModel::recalibrate`].
     pub fn plan_generation(&self) -> u64 {
-        self.exec.generation()
+        self.live().generation
     }
 
     /// Static memory report of the stitched program, folded from the
-    /// primary executor's slot table, per shard (N shards provision N
-    /// arenas). Only program inputs, constants and
+    /// executor's slot table. Only program inputs, constants and
     /// program outputs are pinned; tensors that cross a partition boundary
     /// are reclaimed at their last reader like any other intermediate.
     pub fn memory_report(&self) -> MemoryReport {
-        self.exec.memory_report()
+        self.live().executor.memory_report().clone()
     }
 
-    /// The wall-time profile accumulated so far — the **aggregate** view:
-    /// every shard's profile of the stitched program merged into one
-    /// ([`RuntimeProfile::merge`]), which is what drift measurement and
-    /// recalibration fit from. Always one entry.
+    /// Live counters of the executor's buffer arena — the one pool every
+    /// concurrent run books into.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.live().executor.arena_stats()
+    }
+
+    /// The wall-time profile the live executor accumulated since it was
+    /// swapped in — what drift measurement and recalibration fit from.
+    /// Always one entry.
     pub fn profiles(&self) -> Vec<RuntimeProfile> {
-        vec![self.exec.profile()]
+        vec![self.live().executor.profile()]
     }
 
-    /// Calibration samples from every profiled kernel (aggregated over
-    /// shards).
+    /// Calibration samples from every profiled kernel.
     pub fn calibration_samples(&self) -> Vec<CalibrationSample> {
-        let shards = self.exec.shards();
-        merged_profile(&shards).calibration_samples(shards[0].graph(), shards[0].plan())
+        let executor = self.executor();
+        executor
+            .profile()
+            .calibration_samples(executor.graph(), executor.plan())
     }
 
     /// Fits a cost-model [`Calibration`] from everything measured so far
@@ -267,7 +253,7 @@ impl CompiledModel {
     /// until the first [`CompiledModel::recalibrate`], the fitted one
     /// after (it swaps together with the plans).
     pub fn applied_calibration(&self) -> Calibration {
-        self.pricing().calibration.clone()
+        self.live().calibration.clone()
     }
 
     /// Drift of the live model: mean relative prediction error of the
@@ -277,51 +263,27 @@ impl CompiledModel {
     /// been measured. This is the quantity a serving-side
     /// [`korch_runtime::RecalibrationPolicy`] thresholds.
     pub fn current_model_error(&self, base: &Profiler) -> Option<f64> {
-        let pricing = self.pricing();
-        let shards = self.exec.shards();
-        let fitted = base.clone().with_calibration(pricing.calibration.clone());
-        drop(pricing);
-        model_error(&merged_profile(&shards), &shards[0], &fitted)
-    }
-
-    /// Re-provisions the model to `n` shard replicas (clamped to ≥ 1) of
-    /// the live program: growing compiles fresh executors over the
-    /// current plan (existing shards stay warm), shrinking drops surplus
-    /// replicas (their profiles with them). The swap is atomic and also
-    /// resets the router; in-flight runs finish on the shard they
-    /// claimed. The plan itself — and [`CompiledModel::plan_generation`]
-    /// — is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] when a replica cannot be compiled; the
-    /// current shard set stays untouched.
-    pub fn set_shards(&self, n: usize) -> Result<(), ExecError> {
-        self.exec.set_shards(n)
-    }
-
-    /// Per-shard serving counters of the live router.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.exec.shard_stats()
+        let (executor, calibration) = {
+            let live = self.live();
+            (Arc::clone(&live.executor), live.calibration.clone())
+        };
+        let fitted = base.clone().with_calibration(calibration);
+        model_error(&executor.profile(), &executor, &fitted)
     }
 
     /// Closes the calibration loop in place: fits a [`Calibration`] from
-    /// every kernel measured so far (**all shards' profiles merged**),
-    /// re-runs the orchestrator over each partition's chosen graph with
-    /// the calibrated cost model, re-stitches the new plans into one
-    /// program and swaps it in with [`ShardedExecutor::replan`] — fresh
-    /// executors for **every shard** in one write, so a swap can never
-    /// leave shards running different plan generations, at whatever
-    /// width a concurrent [`CompiledModel::set_shards`] left. In-flight
-    /// `execute` calls finish on the executor they claimed; later calls
-    /// (and `Server` requests) run the new plan. Old profiles are
-    /// discarded with the old executors, so a subsequent `recalibrate`
-    /// fits the *new* plan's measurements. Concurrent calls run one
-    /// after the other.
+    /// every kernel the live executor measured, re-runs the orchestrator
+    /// over each partition's chosen graph with the calibrated cost model,
+    /// re-stitches the new plans into one program, compiles it, and swaps
+    /// it in with one write. In-flight `execute` calls finish on the
+    /// executor they hold; later calls (and `Server` requests) run the new
+    /// plan. The old profile is discarded with the old executor, so a
+    /// subsequent `recalibrate` fits the *new* plan's measurements.
+    /// Concurrent calls run one after the other.
     ///
     /// The intra-kernel split threshold is re-derived along the way: with
-    /// the default `RuntimeConfig::split_threshold_us = None`, every
-    /// fresh executor prices its threshold from its own plan
+    /// the default `RuntimeConfig::split_threshold_us = None`, the fresh
+    /// executor prices its threshold from its own plan
     /// (`total_latency / lanes`), and the re-orchestrated plan carries
     /// *calibrated* — i.e. measured-host — latencies, so which kernels
     /// are tile-eligible is re-decided in the same units the new plan
@@ -346,14 +308,16 @@ impl CompiledModel {
                 .map_or(0.0, |t| t.recorder().now_us())
         };
         let fit_start = recal_now();
-        let shards = self.exec.shards();
-        let program = &shards[0];
+        let (program, sources) = {
+            let live = self.live();
+            (Arc::clone(&live.executor), live.optimized.clone())
+        };
         let base = Profiler::new(korch.device().clone());
         // One snapshot, taken up front: serving continues while we fit,
-        // so reading the executors twice would score the fit against
+        // so reading the profile twice would score the fit against
         // measurements it was not fitted from.
-        let merged = merged_profile(&shards);
-        let samples = merged.calibration_samples(program.graph(), program.plan());
+        let profile = program.profile();
+        let samples = profile.calibration_samples(program.graph(), program.plan());
         if samples.is_empty() {
             return Err(KorchError::Exec(ExecError::Input(
                 "recalibrate needs at least one profiled run; execute the model first".into(),
@@ -361,16 +325,14 @@ impl CompiledModel {
         }
         let calibration = Calibration::fit(&base, &samples);
         let fitted = base.clone().with_calibration(calibration.clone());
-        let model_error_before = model_error(&merged, program, &base).unwrap_or(0.0);
-        let model_error_after = model_error(&merged, program, &fitted).unwrap_or(0.0);
-        let sources = self.pricing().optimized.clone();
+        let model_error_before = model_error(&profile, &program, &base).unwrap_or(0.0);
+        let model_error_after = model_error(&profile, &program, &fitted).unwrap_or(0.0);
         let replan_start = recal_now();
 
         // Re-orchestrate every partition's chosen variant with the
         // calibrated profiler (the transform search already picked the
         // variant; kernel selection is re-priced in measured host time),
-        // then stitch the new plans into the one program every shard will
-        // run.
+        // then stitch the new plans into one program.
         let orchestrator = Orchestrator::new(korch.device().clone())
             .with_config(korch.config().orchestrator.clone())
             .with_profiler(fitted);
@@ -381,14 +343,14 @@ impl CompiledModel {
             .collect::<Result<Vec<Plan>, KorchError>>()?;
         let optimized = sources.replanned(plans);
         let (graph, plan) = stitch(&optimized)?;
-        // Debug builds statically verify the freshly stitched program
+        let executor = Arc::new(PlanExecutor::new(&graph, &plan, self.runtime.clone())?);
+        // Debug builds statically verify the freshly compiled executor
         // before it can be swapped in: dependency edges, tile
-        // decompositions and the arena lifetime program are
-        // all checked on the artifact the new executors will run (every
-        // shard compiles the same one). On any violation the error
+        // decompositions and the arena lifetime program are all checked
+        // on the artifact that will run. On any violation the error
         // propagates and the current plan stays in place.
         #[cfg(debug_assertions)]
-        korch_verify::check_executor(&PlanExecutor::new(&graph, &plan, self.runtime.clone())?)?;
+        korch_verify::check_executor(&executor)?;
         let report = RecalibrationReport {
             calibration: calibration.clone(),
             model_error_before,
@@ -397,11 +359,13 @@ impl CompiledModel {
         };
         let swap_start = recal_now();
         let generation = {
-            let mut pricing = self.pricing.write().expect("pricing poisoned");
-            let generation = self.exec.replan(&graph, &plan, self.runtime.clone())?;
-            *pricing = Pricing {
+            let mut live = self.live.write().expect("live program poisoned");
+            let generation = live.generation + 1;
+            *live = Live {
+                executor,
                 optimized,
                 calibration,
+                generation,
             };
             generation
         };
@@ -428,18 +392,15 @@ impl CompiledModel {
         Ok(report)
     }
 
-    /// Executes the compiled program on the least-loaded live shard,
-    /// retrying on a sibling shard if that shard's run fails (exactly one
-    /// result is produced either way — see `korch_runtime::ShardRouter`).
-    /// Malformed requests (arity, shapes) are client errors and rejected
-    /// before routing, so they never count against a shard.
+    /// Executes the compiled program. Any number of calls may run at
+    /// once on the one executor.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on input mismatches or kernel failures (a
-    /// kernel failure only after every shard declined the run).
+    /// Returns [`ExecError`] on input mismatches (arity, shapes) or
+    /// kernel failures.
     pub fn execute(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-        self.exec.run(inputs)
+        self.executor().execute(inputs)
     }
 }
 
@@ -450,12 +411,12 @@ impl Model for CompiledModel {
 }
 
 impl ShardControl for CompiledModel {
-    fn set_shards(&self, n: usize) -> Result<(), ExecError> {
-        CompiledModel::set_shards(self, n)
+    fn set_shards(&self, _: usize) -> Result<(), ExecError> {
+        Ok(())
     }
 
     fn shard_stats(&self) -> Vec<ShardStats> {
-        CompiledModel::shard_stats(self)
+        Vec::new()
     }
 }
 
@@ -489,16 +450,6 @@ impl SelfTuningModel {
 impl Model for SelfTuningModel {
     fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
         self.model.execute(inputs)
-    }
-}
-
-impl ShardControl for SelfTuningModel {
-    fn set_shards(&self, n: usize) -> Result<(), ExecError> {
-        self.model.set_shards(n)
-    }
-
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        self.model.shard_stats()
     }
 }
 
@@ -608,8 +559,11 @@ mod tests {
         );
     }
 
+    /// Concurrent `execute` calls all run the one executor: every run
+    /// lands in its one profile, every buffer goes back to its one arena,
+    /// and a recalibration swaps that executor in one generation.
     #[test]
-    fn sharded_model_routes_replans_all_shards_and_stays_bit_identical() {
+    fn concurrent_executes_share_one_executor_across_a_recalibration() {
         let korch = Korch::new(Device::v100(), KorchConfig::default());
         let g = two_block_model();
         let compiled = korch
@@ -617,53 +571,45 @@ mod tests {
             .unwrap();
         let inputs = vec![Tensor::random(vec![16, 32], 4)];
         let reference = compiled.execute(&inputs).unwrap();
-        compiled.set_shards(3).unwrap();
-        assert_eq!(compiled.shard_count(), 3);
-        // Routing spreads serialized traffic; every run stays bit-identical.
-        for _ in 0..6 {
-            let out = compiled.execute(&inputs).unwrap();
-            for (a, b) in reference.iter().zip(&out) {
-                assert_eq!(a.as_slice(), b.as_slice(), "sharded run diverged");
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for _ in 0..4 {
+                        let out = compiled.execute(&inputs).unwrap();
+                        for (a, b) in reference.iter().zip(&out) {
+                            assert_eq!(a.as_slice(), b.as_slice(), "concurrent run diverged");
+                        }
+                    }
+                });
             }
-        }
-        let stats = compiled.shard_stats();
-        assert_eq!(stats.len(), 3);
-        // 7 successes total: the pre-shard run's counter is inherited by
-        // the re-provisioned router (shard 0 keeps its books).
-        assert_eq!(stats.iter().map(|s| s.served).sum::<u64>(), 7);
-        assert!(
-            stats.iter().all(|s| s.served > 0),
-            "rotating tie-break must spread serialized runs: {stats:?}"
-        );
-        assert_eq!(stats.iter().map(|s| s.failures).sum::<u64>(), 0);
-        // Profiles aggregate across shards: 1 unsharded + 6 sharded runs.
-        assert_eq!(compiled.profiles().iter().map(|p| p.runs).sum::<u64>(), 7);
-        // A recalibration swap re-plans *all* shards in one generation.
+        });
+        assert_eq!(compiled.profiles()[0].runs, 13);
+        assert_eq!(compiled.arena_stats().live_bytes, 0);
+        assert_eq!(compiled.shard_snapshots().len(), 1);
         assert_eq!(compiled.plan_generation(), 0);
+        let before = compiled.partitions()[0].executor.clone();
         let report = korch.recalibrate(&compiled).unwrap();
         assert!(report.model_error_after <= report.model_error_before + 1e-9);
-        assert_eq!(compiled.shard_count(), 3, "swap must keep the shard set");
         assert_eq!(compiled.plan_generation(), 1);
-        let snapshots = compiled.shard_snapshots();
-        for (s, shard) in snapshots.iter().enumerate() {
-            assert!(
-                shard.iter().all(|p| p.executor.profile().runs == 0),
-                "shard {s} must run a fresh executor after the swap"
-            );
-        }
-        // Fresh shard set serves the same bytes.
-        let out = compiled.execute(&inputs).unwrap();
-        for (a, b) in reference.iter().zip(&out) {
-            assert_eq!(a.as_slice(), b.as_slice(), "post-swap run diverged");
+        let after = compiled.partitions()[0].executor.clone();
+        assert!(
+            !Arc::ptr_eq(&before, &after),
+            "the swap installs a new executor"
+        );
+        assert_eq!(after.profile().runs, 0, "the new executor starts fresh");
+        // An executor observed before the swap keeps serving its plan.
+        for out in [before.execute(&inputs), compiled.execute(&inputs)] {
+            for (a, b) in reference.iter().zip(&out.unwrap()) {
+                assert_eq!(a.as_slice(), b.as_slice(), "post-swap run diverged");
+            }
         }
     }
 
-    /// A multi-partition program compiles to **one** stitched executor per
-    /// shard — `shards × 1` `PlanExecutor`s, not `shards × partitions` —
-    /// and a recalibration re-orchestrates every partition, re-stitches
-    /// and keeps that shape.
+    /// A multi-partition program compiles to **one** stitched executor —
+    /// not one per partition — and a recalibration re-orchestrates every
+    /// partition, re-stitches and keeps that shape.
     #[test]
-    fn multi_partition_model_runs_one_executor_per_shard() {
+    fn multi_partition_model_runs_one_executor() {
         let config = KorchConfig {
             partition_max_prims: 5,
             ..Default::default()
@@ -673,16 +619,13 @@ mod tests {
         assert!(optimized.partitions().len() >= 2, "want several partitions");
         let compiled =
             CompiledModel::from_optimized(&optimized, &RuntimeConfig::with_lanes(2)).unwrap();
-        compiled.set_shards(3).unwrap();
         let inputs = vec![Tensor::random(vec![16, 32], 4)];
         let oracle = optimized.execute(&inputs).unwrap();
         for generation in 0..2 {
-            let snapshots = compiled.shard_snapshots();
-            assert_eq!(snapshots.len(), 3);
-            assert!(snapshots.iter().all(|shard| shard.len() == 1));
-            assert_eq!(compiled.partitions().len(), 1);
+            let views = compiled.partitions();
+            assert_eq!(views.len(), 1);
             assert_eq!(compiled.profiles().len(), 1);
-            let program = &snapshots[0][0];
+            let program = &views[0];
             assert_eq!(program.plan.kernel_count(), compiled.kernel_count());
             assert_eq!(program.inputs, optimized.input_ports());
             assert_eq!(program.outputs, optimized.output_ports());
@@ -698,7 +641,7 @@ mod tests {
         // The sources kept for the next recalibration are the ones running.
         assert_eq!(
             compiled.kernel_count(),
-            compiled.pricing().optimized.kernel_count()
+            compiled.live().optimized.kernel_count()
         );
     }
 

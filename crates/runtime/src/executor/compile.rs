@@ -231,7 +231,7 @@ impl PlanExecutor {
             graph: g.clone(),
             plan: plan.clone(),
             timing_enabled: config.profile || telemetry.is_some(),
-            config,
+            profiling: config.profile,
             memory_report: table.memory_report(),
             table,
             kernels,

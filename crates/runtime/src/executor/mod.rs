@@ -50,7 +50,7 @@
 //! the run itself and can finish all of it alone. The other lanes are
 //! long-lived *helper* threads of one process-wide pool, grown at
 //! executor construction to the largest `lanes − 1` any executor asked
-//! for and shared by every executor, shard and request in the process.
+//! for and shared by every executor and request in the process.
 //! Helpers are called **for a surplus only**: the root kernels are dealt
 //! round-robin over the lanes' ready deques in kernel order (the first on
 //! lane 0, the caller's), the caller offers the pool one lane per root
@@ -315,11 +315,10 @@ pub struct PlanExecutor {
 /// profile and recycled run states.
 struct Core {
     graph: PrimGraph,
-    /// The source plan, kept so the executor can [`PlanExecutor::replicate`]
-    /// itself into an independent shard without the caller re-threading it.
     plan: Plan,
-    /// The construction config, kept for the same reason.
-    config: RuntimeConfig,
+    /// Whether runs fold their kernel times into `profile`
+    /// ([`RuntimeConfig::profile`]).
+    profiling: bool,
     kernels: Vec<KernelTask>,
     /// Kernels unblocked when each kernel retires (reverse dependency
     /// edges).
@@ -370,20 +369,6 @@ struct Core {
 }
 
 impl PlanExecutor {
-    /// Compiles an independent replica of this executor — same graph,
-    /// plan and configuration, fresh buffer arena and empty profile. The
-    /// building block of sharded execution ([`crate::ShardedExecutor`]):
-    /// replicas share no mutable state, so they run fully concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] when the plan no longer compiles (cannot
-    /// happen for a plan this executor was built from, barring resource
-    /// exhaustion).
-    pub fn replicate(&self) -> Result<Self, ExecError> {
-        Self::new(&self.core.graph, &self.core.plan, self.core.config.clone())
-    }
-
     /// The primitive graph this executor was compiled over.
     pub fn graph(&self) -> &PrimGraph {
         &self.core.graph
@@ -466,19 +451,6 @@ impl PlanExecutor {
         *p = RuntimeProfile::new(self.core.kernels.len());
     }
 
-    /// Validates `inputs` against the graph's input arity and shapes
-    /// without running anything — the check [`PlanExecutor::execute`]
-    /// performs before arming its run state, exposed so routing layers
-    /// (`crate::ShardedExecutor`) can reject malformed *client* requests
-    /// up front instead of burning a failure on every shard they retry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Input`] on arity or shape mismatches.
-    pub fn validate_inputs(&self, inputs: &[Tensor]) -> Result<(), ExecError> {
-        self.core.validate_inputs(inputs)
-    }
-
     /// Executes the plan on `inputs`, overlapping independent kernels
     /// across lanes. Produces exactly `execute_plan`'s outputs, bit for
     /// bit.
@@ -536,17 +508,13 @@ impl Core {
         if let Some(et) = &self.telemetry {
             et.emit_run(run, &log, &self.kernel_classes);
         }
-        if self.config.profile || log.steals > 0 || log.parks > 0 {
+        if self.profiling || log.steals > 0 || log.parks > 0 {
             let mut profile = lock_recover(&self.profile);
             // Intervals may have been timed for tracing alone; the
             // profile only ever sees them when profiling is on.
-            let samples: &[_] = if self.config.profile {
-                &log.samples
-            } else {
-                &[]
-            };
+            let samples: &[_] = if self.profiling { &log.samples } else { &[] };
             profile.merge_run(samples, log.steals, log.parks);
-            if self.config.profile && !failed {
+            if self.profiling && !failed {
                 profile.record_run(run.origin.elapsed().as_secs_f64() * 1e6);
             }
         }

@@ -2,9 +2,9 @@
 //! as the extra lanes of every multi-lane run in the process.
 //!
 //! One pool for all executors, grown (never shrunk) to the largest
-//! `lanes − 1` any of them was compiled for, so S shards × L lanes means
-//! at most L − 1 helper threads, not S·L thread starts per wave of
-//! requests. A run *offers* a lane; an idle helper claims the offer,
+//! `lanes − 1` any of them was compiled for, so W request workers × L
+//! lanes means at most L − 1 helper threads, not W·L thread starts per
+//! wave of requests. A run *offers* a lane; an idle helper claims the offer,
 //! attaches to the run, works the lane until the run is over, detaches
 //! and comes back. Helpers are `'static` threads under
 //! `forbid(unsafe_code)`, so an offer carries `Arc`s to everything the

@@ -36,21 +36,13 @@
 //!   FIFO admission queue drained by a fixed set of long-lived request
 //!   workers (a request starts the moment one is free; a model that
 //!   panics costs its own request only), with throughput / latency
-//!   statistics. Started over a [`SelfTune`] model it runs the whole
-//!   loop hands-free;
-//! - [`ShardedExecutor`] / [`ShardRouter`] / [`ShardSet`] — one plan
-//!   replicated across N independent executors (own arena, own profile)
-//!   behind a least-loaded router with retry-on-sibling failover,
-//!   so serving throughput is no longer capped by a single execution
-//!   context. Per-shard [`RuntimeProfile`]s merge
-//!   ([`RuntimeProfile::merge`]) into the one aggregate profile the
-//!   calibration fit consumes. `ShardedExecutor` is the one
-//!   holder of shard state: [`ShardControl::set_shards`] re-provisions
-//!   its width, [`ShardedExecutor::replan`] swaps **all** shards onto a
-//!   new plan in one write (a racing width change is honored, never
-//!   reverted, and shards never straddle plan generations). `korch-core`'s
-//!   `CompiledModel` is a `ShardedExecutor` over its stitched whole
-//!   program plus the optimizer state a recalibration re-plans from.
+//!   statistics. Its [`BatchConfig::shards`] workers all call one model:
+//!   a `PlanExecutor` serves concurrent `execute` calls itself (a
+//!   recycled run state per call, one arena, one profile), so nothing is
+//!   replicated. Started over a [`SelfTune`] model it runs the whole
+//!   loop hands-free. `korch-core`'s `CompiledModel` is one
+//!   `PlanExecutor` over its stitched whole program behind one lock,
+//!   plus the optimizer state a recalibration re-plans from.
 //!
 //! # The self-tuning cycle
 //!
@@ -81,15 +73,13 @@
 //! model follows the request's life: an `Admitted` instant at
 //! submission (carrying the queue depth), a `QueueWait` span from
 //! admission to the moment a request worker picks it up, a `Request`
-//! span around the model run, a
-//! `Routed` instant per shard-claim attempt (chosen shard, in-flight
-//! snapshot, retry flag), `Quarantine` entry/exit instants at failure
-//! streaks, per-lane `Kernel`/`Tile` spans from the executor's measured
-//! intervals, an `ArenaHighwater` instant per run, and `RecalPhase`
-//! fit/replan/swap spans tagged with the swapped-in plan generation.
+//! span around the model run, per-lane `Kernel`/`Tile` spans from the
+//! executor's measured intervals, an `ArenaHighwater` instant per run,
+//! and `RecalPhase` fit/replan/swap spans tagged with the swapped-in plan
+//! generation.
 //! Every event is tied to its request by a `TraceId` allocated at
 //! admission and propagated through a thread-local
-//! (`korch_telemetry::with_trace`) into the router and executor.
+//! (`korch_telemetry::with_trace`) into the executor.
 //!
 //! Two invariants make the events composable:
 //!
@@ -110,7 +100,7 @@
 //! trace-event JSON (loadable in `chrome://tracing` / Perfetto), and
 //! [`ServerStats::metrics`] embeds the hub's metrics-registry snapshot
 //! (queue depth, requests in flight, queue waits, steals, tile counters,
-//! quarantines, retune outcomes).
+//! retune outcomes).
 //!
 //! ```
 //! use korch_ir::{EwFn, PrimGraph, PrimKind};
@@ -140,17 +130,13 @@ mod deque;
 mod executor;
 mod profiler;
 mod serving;
-mod shard;
 
 pub use arena::{ArenaStats, BufferArena, MemoryReport, SlotInfo, SlotTable};
 pub use executor::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout};
 pub use profiler::{KernelInterval, KernelStats, RuntimeProfile};
 pub use serving::{
     BatchConfig, Model, RecalibrationPolicy, ResponseHandle, SelfTune, ServeError, Server,
-    ServerStats, TuneOutcome,
-};
-pub use shard::{
-    ShardControl, ShardRouter, ShardSet, ShardStats, ShardedExecutor, QUARANTINE_AFTER,
+    ServerStats, ShardControl, ShardStats, TuneOutcome,
 };
 
 use korch_exec::ExecError;

@@ -145,60 +145,6 @@ impl RuntimeProfile {
         self.parks += parks;
     }
 
-    /// Folds another profile of the **same plan** into this one
-    /// (equivalent to [`RuntimeProfile::merged`] over the pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the profiles have different kernel counts — merging
-    /// profiles of different plans would mis-attribute every statistic.
-    pub fn merge(&mut self, other: &RuntimeProfile) {
-        let merged = RuntimeProfile::merged(&[&*self, other]);
-        *self = merged;
-    }
-
-    /// Aggregates profiles of the **same plan** into one — the per-shard
-    /// → aggregate step of sharded execution (see
-    /// [`crate::ShardedExecutor`]): kernel stats are combined
-    /// (counts/totals summed, extrema widened) and the run, steal, park
-    /// and tile counters summed.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `profiles` is empty or the kernel counts differ.
-    pub fn merged(profiles: &[&RuntimeProfile]) -> RuntimeProfile {
-        assert!(!profiles.is_empty(), "merged needs at least one profile");
-        let n = profiles[0].per_kernel.len();
-        let mut out = RuntimeProfile::new(n);
-        for p in profiles {
-            assert_eq!(
-                p.per_kernel.len(),
-                n,
-                "merged profiles must describe the same plan"
-            );
-            for (a, b) in out.per_kernel.iter_mut().zip(&p.per_kernel) {
-                if b.count == 0 {
-                    continue;
-                }
-                if a.count == 0 {
-                    *a = *b;
-                } else {
-                    a.min_us = a.min_us.min(b.min_us);
-                    a.max_us = a.max_us.max(b.max_us);
-                    a.count += b.count;
-                    a.total_us += b.total_us;
-                }
-            }
-            out.runs += p.runs;
-            out.total_wall_us += p.total_wall_us;
-            out.steals += p.steals;
-            out.parks += p.parks;
-            out.tiled_kernels += p.tiled_kernels;
-            out.tile_tasks += p.tile_tasks;
-        }
-        out
-    }
-
     /// Records one kernel execution.
     pub fn record_kernel(&mut self, kernel: usize, wall_us: f64) {
         let s = &mut self.per_kernel[kernel];
@@ -346,9 +292,6 @@ mod tests {
         assert_eq!(p.per_kernel[1].count, 1);
         assert_eq!(p.tiled_kernels, 1);
         assert_eq!(p.tile_tasks, 3);
-        let merged = RuntimeProfile::merged(&[&p, &p]);
-        assert_eq!(merged.tiled_kernels, 2);
-        assert_eq!(merged.tile_tasks, 6);
     }
 
     #[test]

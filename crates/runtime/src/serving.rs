@@ -6,15 +6,18 @@
 //! pops it directly — one request per pop, no timer anywhere: a request
 //! starts the moment a worker is free and waits only while every worker
 //! is busy (*work conservation*; `korch_verify`'s `admission-dispatch`
-//! model is the protocol). The worker count is the in-flight cap:
-//! [`BatchConfig::shards`] for a server started over a [`ShardControl`]
-//! model — one request per replica, never more threads on the arenas than
-//! there are shards — and [`BatchConfig::max_batch`] for a plain
-//! [`Model`]. Constants stay materialized, every executor's buffer arena
-//! stays warm, and per-kernel profiles accumulate across requests. Every
-//! response is delivered through its request's one-shot slot *before* the
-//! worker touches the statistics; throughput and latency percentiles are
-//! tracked over a sliding window.
+//! model is the protocol). [`BatchConfig::shards`] is the worker count,
+//! and with it the in-flight cap, whichever constructor started the
+//! server. Every worker calls the **one** model: a `PlanExecutor` (or a
+//! `CompiledModel` over one) serves concurrent runs itself — each run
+//! arms its own recycled run state, helper lanes come from one
+//! process-wide pool, and the runs share one buffer arena and one profile
+//! — so the workers coordinate through nothing but the admission queue.
+//! Constants stay materialized, the arena stays warm, and per-kernel
+//! profiles accumulate across requests. Every response is delivered
+//! through its request's one-shot slot *before* the worker touches the
+//! statistics; throughput and latency percentiles are tracked over a
+//! sliding window.
 //!
 //! Nothing is stacked: each request runs the plan compiled for its own
 //! shape, so holding requests back to "batch" them bought only latency
@@ -26,6 +29,9 @@
 //! **Fault containment.** A panic inside [`Model::run`] is caught on the
 //! worker: that request answers [`ServeError::Panicked`],
 //! [`ServerStats::errors`] ticks, and the worker serves the next request.
+//! A failed request is answered once with its error and never retried:
+//! the plan is a pure function of its inputs, so a second run could only
+//! repeat the failure.
 //!
 //! A server started over a [`SelfTune`] model ([`Server::start_tuned`])
 //! additionally *tunes itself*: the worker whose completion takes the
@@ -38,16 +44,10 @@
 //! requests finish on the plan they started with — and [`ServerStats`]
 //! reports the recalibration count and the last sampled drift.
 //!
-//! A server started over a [`ShardControl`] model ([`Server::start_sharded`]
-//! / [`Server::start_tuned_sharded`]) is additionally *sharded*: at start
-//! it provisions [`BatchConfig::shards`] independent executor replicas of
-//! the model's current plan snapshot, each request is routed to the
-//! least-loaded live shard and retried on a sibling when a shard's run
-//! fails (see [`crate::ShardRouter::route`] for why this preserves
-//! exactly-once response delivery), and [`ServerStats::shards`] reports
-//! per-shard serving counters.
+//! [`Server::start_sharded`], [`ShardControl`], [`ShardStats`] and
+//! [`ServerStats::shards`] are names `src/bin/e2e-bench` compiles against;
+//! they replicate nothing and stay until ROADMAP item 1 deletes them.
 
-use crate::shard::{ShardControl, ShardStats};
 use korch_exec::ExecError;
 use korch_tensor::Tensor;
 use std::collections::VecDeque;
@@ -68,29 +68,24 @@ pub trait Model: Send + Sync + 'static {
     fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError>;
 }
 
-/// Serving policy. The name and two of the fields date from the batching
-/// front-end this server replaced; `src/bin/e2e-bench` constructs the
-/// struct by field, so they stay until ROADMAP item 7 deletes them.
+/// Serving policy. The name and three of the fields date from the
+/// batching and replicated front-ends this server replaced;
+/// `src/bin/e2e-bench` constructs the struct by field, so they stay until
+/// ROADMAP item 1 deletes them.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// In-flight cap of a server over a plain [`Model`]
-    /// ([`Server::start`] / [`Server::start_tuned`]): the number of
-    /// request workers, clamped to ≥ 1. A sharded server runs
-    /// [`BatchConfig::shards`] workers and ignores this.
+    /// Not consulted: no request is stacked with another.
     pub max_batch: usize,
-    /// No longer consulted: no request is ever held back for another.
+    /// Not consulted: no request is ever held back for another.
     pub max_wait: Duration,
     /// Drift-triggered auto-recalibration. Only consulted by servers
     /// started over a [`SelfTune`] model ([`Server::start_tuned`]);
     /// `None` disables the check entirely.
     pub recalibration: Option<RecalibrationPolicy>,
-    /// Independent executor replicas to provision at server start
-    /// (clamped to ≥ 1; 1 = unsharded), and with them the number of
-    /// request workers: a request is dispatched the moment a shard is
-    /// free and queues only when none is. Only consulted by servers
-    /// started over a [`ShardControl`] model ([`Server::start_sharded`] /
-    /// [`Server::start_tuned_sharded`]) — a plain [`Model`] carries no
-    /// replication handle, so [`Server::start`] serves it as-is.
+    /// Request workers, clamped to ≥ 1, for every constructor: the
+    /// in-flight cap. A request is dispatched the moment a worker is free
+    /// and queues only while none is. All of them run the one model.
+    /// Defaults to 8.
     pub shards: usize,
     /// Shared telemetry hub for request tracing and serving metrics.
     /// `None` (the default) keeps the serving path telemetry-free: no
@@ -107,7 +102,7 @@ impl Default for BatchConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             recalibration: None,
-            shards: 1,
+            shards: 8,
             telemetry: None,
         }
     }
@@ -365,14 +360,39 @@ pub struct ServerStats {
     /// post-fit error the new plans were priced with. `None` until the
     /// first check.
     pub last_model_error: Option<f64>,
-    /// Per-shard serving counters of a sharded server ([`Server::start_sharded`]
-    /// / [`Server::start_tuned_sharded`]); empty for unsharded servers.
+    /// One entry, folded from `requests` and `errors`: kept because the
+    /// frozen benchmark reads it.
     pub shards: Vec<ShardStats>,
     /// Snapshot of the shared metrics registry — serving gauges and
-    /// histograms plus whatever the executor and router registered on the
-    /// same hub. `None` unless the server was started with
+    /// histograms plus whatever the executor registered on the same hub.
+    /// `None` unless the server was started with
     /// [`BatchConfig::telemetry`].
     pub metrics: Option<korch_telemetry::MetricsSnapshot>,
+}
+
+/// The serving counters [`ServerStats::shards`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Requests answered successfully.
+    pub served: u64,
+    /// Requests answered with an error.
+    pub failures: u64,
+    /// Always 0: no request is retried.
+    pub adopted: u64,
+}
+
+/// Implemented by `korch_core`'s `CompiledModel` as a no-op; nothing in
+/// the workspace calls it.
+pub trait ShardControl: Send + Sync {
+    /// Does nothing: every request worker runs the one executor.
+    ///
+    /// # Errors
+    ///
+    /// Never fails.
+    fn set_shards(&self, n: usize) -> Result<(), ExecError>;
+
+    /// Empty: there are no replicas to report on.
+    fn shard_stats(&self) -> Vec<ShardStats>;
 }
 
 /// Everything the admission lock guards.
@@ -407,22 +427,16 @@ struct Shared {
 /// A serving front-end around a shared [`Model`].
 pub struct Server {
     shared: Arc<Shared>,
-    /// Shard facet of a sharded server; consulted by [`Server::stats`]
-    /// for per-shard counters.
-    shard: Option<Arc<dyn ShardControl>>,
     started: Instant,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts a server over `model` with [`BatchConfig::max_batch`]
-    /// request workers. Any [`BatchConfig::recalibration`] policy is
-    /// ignored — a plain [`Model`] cannot re-tune itself; use
-    /// [`Server::start_tuned`]. Likewise [`BatchConfig::shards`] is
-    /// ignored — a plain model carries no replication handle; use
-    /// [`Server::start_sharded`].
+    /// Starts a server over `model` with [`BatchConfig::shards`] request
+    /// workers. Any [`BatchConfig::recalibration`] policy is ignored — a
+    /// plain [`Model`] cannot re-tune itself; use [`Server::start_tuned`].
     pub fn start(model: Arc<dyn Model>, config: BatchConfig) -> Self {
-        Self::start_inner(model, None, None, config)
+        Self::start_inner(model, None, config)
     }
 
     /// Starts a self-tuning server: `model` serves requests *and* is
@@ -431,57 +445,24 @@ impl Server {
     /// tunable model opts into tuning).
     pub fn start_tuned<M: Model + SelfTune>(model: Arc<M>, config: BatchConfig) -> Self {
         let tuner: Arc<dyn SelfTune> = Arc::clone(&model) as Arc<dyn SelfTune>;
-        Self::start_inner(model, Some(tuner), None, config)
+        Self::start_inner(model, Some(tuner), config)
     }
 
-    /// Starts a sharded server: provisions [`BatchConfig::shards`]
-    /// independent executor replicas of `model`'s current plan snapshot
-    /// and as many request workers, then routes every request to the
-    /// least-loaded live shard with retry-on-sibling failover.
+    /// [`Server::start`], under the name the frozen benchmark calls.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] when a shard replica cannot be compiled; no
-    /// server is started and the model's shard set stays untouched.
-    pub fn start_sharded<M: Model + ShardControl>(
-        model: Arc<M>,
-        config: BatchConfig,
-    ) -> Result<Self, ExecError> {
-        model.set_shards(config.shards)?;
-        let shard: Arc<dyn ShardControl> = Arc::clone(&model) as Arc<dyn ShardControl>;
-        Ok(Self::start_inner(model, None, Some(shard), config))
-    }
-
-    /// [`Server::start_sharded`] + [`Server::start_tuned`] combined: the
-    /// server shards the model *and* drives drift-triggered
-    /// recalibration — each recalibration swap re-plans every shard
-    /// atomically while in-flight requests finish on their old per-shard
-    /// snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] when a shard replica cannot be compiled.
-    pub fn start_tuned_sharded<M: Model + SelfTune + ShardControl>(
-        model: Arc<M>,
-        config: BatchConfig,
-    ) -> Result<Self, ExecError> {
-        model.set_shards(config.shards)?;
-        let tuner: Arc<dyn SelfTune> = Arc::clone(&model) as Arc<dyn SelfTune>;
-        let shard: Arc<dyn ShardControl> = Arc::clone(&model) as Arc<dyn ShardControl>;
-        Ok(Self::start_inner(model, Some(tuner), Some(shard), config))
+    /// Never fails.
+    pub fn start_sharded<M: Model>(model: Arc<M>, config: BatchConfig) -> Result<Self, ExecError> {
+        Ok(Self::start(model, config))
     }
 
     fn start_inner(
         model: Arc<dyn Model>,
         tuner: Option<Arc<dyn SelfTune>>,
-        shard: Option<Arc<dyn ShardControl>>,
         config: BatchConfig,
     ) -> Self {
-        let cap = match &shard {
-            Some(_) => config.shards,
-            None => config.max_batch,
-        }
-        .max(1);
+        let cap = config.shards.max(1);
         let shared = Arc::new(Shared {
             model,
             admission: Mutex::default(),
@@ -503,7 +484,6 @@ impl Server {
             .collect();
         Self {
             shared,
-            shard,
             started: Instant::now(),
             workers,
         }
@@ -609,11 +589,11 @@ impl Server {
             throughput_rps: inner.requests as f64 / elapsed,
             recalibrations: inner.recalibrations,
             last_model_error: inner.last_model_error,
-            shards: self
-                .shard
-                .as_ref()
-                .map(|s| s.shard_stats())
-                .unwrap_or_default(),
+            shards: vec![ShardStats {
+                served: inner.requests - inner.errors,
+                failures: inner.errors,
+                adopted: 0,
+            }],
             metrics: self
                 .shared
                 .telemetry
@@ -827,8 +807,8 @@ impl Shared {
                         kind: korch_telemetry::EventKind::QueueWait,
                     });
                 }
-                // The trace id rides the worker thread so the router and
-                // executor tag their events with it.
+                // The trace id rides the worker thread so the executor
+                // tags its events with it.
                 let result = korch_telemetry::with_trace(trace, run);
                 span = rec.is_enabled().then(|| korch_telemetry::TraceEvent {
                     trace,
@@ -884,7 +864,7 @@ mod tests {
         let server = Server::start(
             Arc::new(Doubler),
             BatchConfig {
-                max_batch: 4,
+                shards: 4,
                 ..Default::default()
             },
         );
@@ -956,7 +936,7 @@ mod tests {
         let server = Server::start(
             Arc::new(Slow),
             BatchConfig {
-                max_batch: 1,
+                shards: 1,
                 ..Default::default()
             },
         );
@@ -989,9 +969,13 @@ mod tests {
         assert_eq!(before.p50_latency_us, 0.0);
         assert_eq!(before.p95_latency_us, 0.0);
         assert_eq!(before.mean_batch, 0.0);
-        assert!(
-            before.shards.is_empty(),
-            "unsharded server reports no shards"
+        assert_eq!(
+            before.shards,
+            vec![ShardStats {
+                served: 0,
+                failures: 0,
+                adopted: 0
+            }]
         );
         let after = server.shutdown();
         assert_eq!(after.requests, 0);
@@ -1013,5 +997,7 @@ mod tests {
         assert!(matches!(err, ServeError::Exec(_)));
         let stats = server.shutdown();
         assert_eq!(stats.errors, 1);
+        assert_eq!(stats.shards[0].failures, 1);
+        assert_eq!(stats.shards[0].served, 0);
     }
 }

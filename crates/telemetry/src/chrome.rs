@@ -5,10 +5,10 @@
 //! `"i"` instants and `"M"` process/thread-name metadata. Track layout:
 //!
 //! - **pid 0** is the serving layer. `tid 1` is the recalibration track,
-//!   `tid 2` the router bookkeeping track, and each request gets
-//!   its own `tid == TraceId` row (trace ids start above the reserved
-//!   tids) carrying its admission instant, queue-wait span, request span
-//!   and routing decisions.
+//!   `tid 2` the row of serving events not tied to a request, and each
+//!   request gets its own `tid == TraceId` row (trace ids start above the
+//!   reserved tids) carrying its admission instant, queue-wait span and
+//!   request span.
 //! - **pid = executor tag** for each `PlanExecutor`. `tid 1` is its arena
 //!   track; every run gets its own lane rows (and per-kernel rows for
 //!   synthesized tile parents) so concurrent runs on one executor never
@@ -24,9 +24,8 @@ use std::fmt::Write as _;
 
 /// Reserved serving-pid track for recalibration spans.
 const RECAL_TID: u64 = 1;
-/// Reserved serving-pid track for router instants not tied to a single
-/// request row.
-const ROUTER_TID: u64 = 2;
+/// Reserved serving-pid track for serving events not tied to a request.
+const UNTRACED_TID: u64 = 2;
 /// Reserved executor-pid track for arena highwater instants.
 const ARENA_TID: u64 = 1;
 /// First per-run track id inside an executor pid (clears the reserved ids).
@@ -105,8 +104,8 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut tile_groups: TileGroups = BTreeMap::new();
 
     for e in &events {
-        // A request's own row; untraced serving events share the router row.
-        let request_tid = if e.trace == 0 { ROUTER_TID } else { e.trace };
+        // A request's own row; untraced serving events share one row.
+        let request_tid = if e.trace == 0 { UNTRACED_TID } else { e.trace };
         match e.kind {
             EventKind::Admitted { queue_depth } => push(
                 &mut records,
@@ -142,43 +141,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 e.start_us,
                 e.dur_us,
                 format!("\"trace\": {}", e.trace),
-            ),
-            EventKind::Routed {
-                shard,
-                in_flight,
-                retry,
-            } => push(
-                &mut records,
-                Record {
-                    ts: e.start_us,
-                    seq: 0,
-                    pid: 0,
-                    tid: request_tid,
-                    ph: "i",
-                    name: "routed".into(),
-                    cat: "serving",
-                    args: format!(
-                        "\"trace\": {}, \"shard\": {shard}, \"in_flight\": {in_flight}, \"retry\": {retry}",
-                        e.trace
-                    ),
-                },
-            ),
-            EventKind::Quarantine { shard, entered } => push(
-                &mut records,
-                Record {
-                    ts: e.start_us,
-                    seq: 0,
-                    pid: 0,
-                    tid: ROUTER_TID,
-                    ph: "i",
-                    name: if entered {
-                        "quarantine-enter".into()
-                    } else {
-                        "quarantine-exit".into()
-                    },
-                    cat: "serving",
-                    args: format!("\"shard\": {shard}"),
-                },
             ),
             EventKind::Kernel {
                 exec,
@@ -356,7 +318,7 @@ fn track_name(pid: u64, tid: u64) -> String {
     if pid == 0 {
         match tid {
             RECAL_TID => "recalibration".into(),
-            ROUTER_TID => "router".into(),
+            UNTRACED_TID => "untraced".into(),
             t => format!("request-{t}"),
         }
     } else if tid == ARENA_TID {
@@ -612,16 +574,6 @@ mod tests {
             },
             TraceEvent {
                 trace: 17,
-                start_us: 4.0,
-                dur_us: 0.0,
-                kind: EventKind::Routed {
-                    shard: 1,
-                    in_flight: 2,
-                    retry: true,
-                },
-            },
-            TraceEvent {
-                trace: 17,
                 start_us: 5.0,
                 dur_us: 6.0,
                 kind: EventKind::Kernel {
@@ -645,15 +597,6 @@ mod tests {
             },
             TraceEvent {
                 trace: 0,
-                start_us: 19.0,
-                dur_us: 0.0,
-                kind: EventKind::Quarantine {
-                    shard: 2,
-                    entered: true,
-                },
-            },
-            TraceEvent {
-                trace: 0,
                 start_us: 20.0,
                 dur_us: 5.0,
                 kind: EventKind::RecalPhase {
@@ -667,8 +610,8 @@ mod tests {
         // queue-wait, request, kernel, 2 tiles, synthesized parent, recal.
         assert_eq!(check.spans, 7);
         assert_eq!(check.tile_spans, 2);
-        // admitted, routed, arena, quarantine.
-        assert_eq!(check.instants, 4);
+        // admitted, arena.
+        assert_eq!(check.instants, 2);
         assert_eq!(check.trace_ids, vec![17]);
         assert!(json.contains("\"displayTimeUnit\""));
         assert!(json.contains("executor-1"));

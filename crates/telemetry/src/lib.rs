@@ -1,16 +1,16 @@
 //! End-to-end tracing and metrics for the Korch runtime stack.
 //!
-//! Every layer of the runtime — request admission, queue wait, shard
-//! routing, kernel/tile execution, arena highwater, recalibration — can
+//! Every layer of the runtime — request admission, queue wait, request
+//! run, kernel/tile execution, arena highwater, recalibration — can
 //! record typed [`TraceEvent`]s into one shared [`TraceRecorder`] and bump
 //! handles from one shared [`MetricsRegistry`]. The [`Telemetry`] bundle
 //! ties the two together with the id allocators that make one request's
-//! lifecycle reconstructable across threads, shards and lanes:
+//! lifecycle reconstructable across threads, executors and lanes:
 //!
 //! - **One monotonic origin.** The recorder owns a single [`Instant`]; every
 //!   event timestamp is a µs offset from it. Layers that keep their own
 //!   per-run clock origin (the executor's `KernelInterval`s) rebase onto the
-//!   recorder origin once per run, so spans from different shards and lanes
+//!   recorder origin once per run, so spans from different runs and lanes
 //!   land on one comparable timeline — the same shared-clock-origin
 //!   invariant the profiler's overlap evidence relies on.
 //! - **Per-request [`TraceId`]s.** Allocated at admission, carried through
@@ -49,15 +49,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// First [`TraceId`] ever allocated. Ids below it are reserved for fixed
-/// exporter tracks (recalibration, router row), so a trace id can double
+/// exporter tracks (recalibration, untraced row), so a trace id can double
 /// as a Chrome `tid` without colliding with them.
 pub const FIRST_TRACE_ID: TraceId = 16;
 
 /// One tracing + metrics bundle shared by every layer of a runtime stack.
 ///
 /// Cloned as `Arc<Telemetry>` into `RuntimeConfig` / `BatchConfig`; the
-/// same instance must back the server, the router and every executor shard
-/// so their events share the recorder's clock origin.
+/// same instance must back the server and every executor so their events
+/// share the recorder's clock origin.
 pub struct Telemetry {
     recorder: TraceRecorder,
     metrics: MetricsRegistry,
@@ -181,16 +181,6 @@ mod tests {
             start_us: t0 + 5.0,
             dur_us: 40.0,
             kind: EventKind::Request,
-        });
-        rec.record(TraceEvent {
-            trace,
-            start_us: t0 + 6.0,
-            dur_us: 0.0,
-            kind: EventKind::Routed {
-                shard: 0,
-                in_flight: 1,
-                retry: false,
-            },
         });
         for tile in 0..2usize {
             rec.record(TraceEvent {

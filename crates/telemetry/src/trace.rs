@@ -7,17 +7,17 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-request trace identifier. `0` means "not tied to a request"
-/// (executor warm-ups, background recalibration, router bookkeeping).
+/// (executor warm-ups, background recalibration).
 pub type TraceId = u64;
 
 /// Which recalibration phase a [`EventKind::RecalPhase`] span covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecalPhase {
-    /// Fitting the cost-model calibration from the merged profiles.
+    /// Fitting the cost-model calibration from the executor's profile.
     Fit,
     /// Re-orchestrating every partition with the fitted cost model.
     Replan,
-    /// Building fresh shard executors and swapping the plan snapshot in.
+    /// Swapping the freshly compiled executor in.
     Swap,
 }
 
@@ -32,25 +32,8 @@ pub enum EventKind {
     },
     /// Span: admission → a request worker picked the request up.
     QueueWait,
-    /// Span: the model ran this request (covers routing + execution).
+    /// Span: the model ran this request.
     Request,
-    /// The router chose a shard for the current request.
-    Routed {
-        /// Chosen shard index.
-        shard: usize,
-        /// The shard's in-flight count at claim time (including this one).
-        in_flight: usize,
-        /// Whether this attempt is a retry after a sibling failed.
-        retry: bool,
-    },
-    /// A shard crossed the quarantine threshold (`entered`) or was revived
-    /// by a success (`!entered`).
-    Quarantine {
-        /// Shard index.
-        shard: usize,
-        /// `true` on quarantine entry, `false` on revival.
-        entered: bool,
-    },
     /// Span: one untiled kernel execution (rebased `KernelInterval`).
     Kernel {
         /// Executor tag (Chrome `pid`).

@@ -11,14 +11,6 @@
 //!   decrements the remaining-tiles countdown; the thread that takes the
 //!   countdown to 0 assembles and must see every chunk. Assemble once,
 //!   after all stores.
-//! - [`RouterInFlight`]: the shard router's in-flight accounting. Each
-//!   request claims the least-loaded untried shard (`fetch_add`), then
-//!   completes (`fetch_sub` + served/failure bookkeeping), retrying on
-//!   failure. Requests are conserved, responses exactly-once.
-//! - [`Quarantine`]: the shard failure streak. Failure `fetch_add`
-//!   enters quarantine iff the new streak == threshold *exactly*;
-//!   success `swap(0)` exits iff the previous streak was ≥ threshold.
-//!   Enter/exit events fire exactly once per transition.
 //! - [`ChaseLevDeque`]: the lock-free work-stealing deque at the heart of
 //!   the executor's scheduler. The owner pushes and pops at the bottom;
 //!   thieves race a CAS on the top. Modeled at single-atomic granularity
@@ -56,9 +48,6 @@
 //!   attached.
 
 use crate::explore::{explore, Exploration, ExploreError, Protocol, Step};
-
-/// Quarantine threshold: mirrors `korch_runtime::QUARANTINE_AFTER`.
-const QUARANTINE_AFTER: u32 = korch_runtime::QUARANTINE_AFTER as u32;
 
 // ---------------------------------------------------------------------
 // Dependency-counter release
@@ -244,267 +233,6 @@ impl Protocol for TileCountdown {
         }
         if !s.stored.iter().all(|&c| c) {
             return Err("assembly finished with a missing chunk".to_string());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Router in-flight accounting
-// ---------------------------------------------------------------------
-
-/// Per-request phase in [`RouterInFlight`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ReqPhase {
-    /// Not yet claimed a shard.
-    Idle,
-    /// In flight on shard `.0`.
-    Claimed(u8),
-    /// Responded (success or exhausted-all-shards failure).
-    Responded,
-}
-
-/// State of [`RouterInFlight`]: per-shard in-flight counters, per-request
-/// phase + tried set, and the served tally.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RouterState {
-    in_flight: Vec<u8>,
-    served: Vec<u8>,
-    phase: Vec<ReqPhase>,
-    /// Bitmask of shards each request already tried.
-    tried: Vec<u8>,
-    responded: u32,
-}
-
-/// The shard router's in-flight accounting: each request thread claims
-/// the least-loaded untried shard (`in_flight += 1`, one atomic step),
-/// then completes there (`in_flight -= 1` plus served/failure
-/// bookkeeping) — retrying on another shard if that one is failing.
-/// Requests must be conserved and answered exactly once.
-pub struct RouterInFlight {
-    /// Number of request threads.
-    pub requests: usize,
-    /// `failing[s]` ⇒ every attempt on shard `s` fails.
-    pub failing: Vec<bool>,
-}
-
-impl Protocol for RouterInFlight {
-    type State = RouterState;
-
-    fn name(&self) -> &'static str {
-        "router-in-flight"
-    }
-
-    fn init(&self) -> RouterState {
-        RouterState {
-            in_flight: vec![0; self.failing.len()],
-            served: vec![0; self.failing.len()],
-            phase: vec![ReqPhase::Idle; self.requests],
-            tried: vec![0; self.requests],
-            responded: 0,
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.requests
-    }
-
-    fn step(&self, s: &RouterState, t: usize) -> Step<RouterState> {
-        let shards = self.failing.len();
-        match s.phase[t] {
-            ReqPhase::Responded => Step::Done,
-            ReqPhase::Idle => {
-                // Claim: least-loaded untried shard by (in_flight, index),
-                // the router's tie-break. Claiming is one atomic step.
-                let pick = (0..shards)
-                    .filter(|&sh| s.tried[t] & (1 << sh) == 0)
-                    .min_by_key(|&sh| (s.in_flight[sh], sh));
-                let mut next = s.clone();
-                match pick {
-                    Some(sh) => {
-                        next.in_flight[sh] += 1;
-                        next.phase[t] = ReqPhase::Claimed(sh as u8);
-                        next.tried[t] |= 1 << sh;
-                    }
-                    None => {
-                        // Every shard tried and failed: respond with the
-                        // error exactly once.
-                        next.phase[t] = ReqPhase::Responded;
-                        next.responded += 1;
-                    }
-                }
-                Step::Next(next)
-            }
-            ReqPhase::Claimed(sh) => {
-                let sh = sh as usize;
-                let mut next = s.clone();
-                next.in_flight[sh] -= 1;
-                if self.failing[sh] {
-                    next.phase[t] = ReqPhase::Idle; // retry elsewhere
-                } else {
-                    next.served[sh] += 1;
-                    next.phase[t] = ReqPhase::Responded;
-                    next.responded += 1;
-                }
-                Step::Next(next)
-            }
-        }
-    }
-
-    fn check(&self, s: &RouterState) -> Result<(), String> {
-        if s.responded as usize > self.requests {
-            return Err(format!(
-                "{} responses for {} requests",
-                s.responded, self.requests
-            ));
-        }
-        // Conservation: every claimed-but-unfinished request is counted
-        // in exactly one shard's in_flight.
-        let claimed = s
-            .phase
-            .iter()
-            .filter(|p| matches!(p, ReqPhase::Claimed(_)))
-            .count();
-        let accounted: usize = s.in_flight.iter().map(|&c| c as usize).sum();
-        if claimed != accounted {
-            return Err(format!(
-                "{claimed} requests in flight but shards account for {accounted}"
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_final(&self, s: &RouterState) -> Result<(), String> {
-        if s.in_flight.iter().any(|&c| c != 0) {
-            return Err(format!("in_flight not drained: {:?}", s.in_flight));
-        }
-        if s.responded as usize != self.requests {
-            return Err(format!(
-                "{} of {} requests answered (lost request)",
-                s.responded, self.requests
-            ));
-        }
-        let served: usize = s.served.iter().map(|&c| c as usize).sum();
-        let healthy = self.failing.iter().any(|&f| !f);
-        let expect = if healthy { self.requests } else { 0 };
-        if served != expect {
-            return Err(format!("{served} served, expected {expect}"));
-        }
-        if s.served
-            .iter()
-            .zip(&self.failing)
-            .any(|(&c, &f)| f && c != 0)
-        {
-            return Err("a failing shard served a request".to_string());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Quarantine enter/exit
-// ---------------------------------------------------------------------
-
-/// One recorded outcome a [`Quarantine`] thread reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Outcome {
-    /// The run succeeded (streak `swap(0)`).
-    Ok,
-    /// The run failed (streak `fetch_add(1)`).
-    Fail,
-}
-
-/// State of [`Quarantine`]: the failure streak, enter/exit event tallies,
-/// and each reporter's remaining outcomes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QuarantineState {
-    streak: u32,
-    enters: u32,
-    exits: u32,
-    remaining: Vec<Vec<Outcome>>,
-}
-
-/// The shard quarantine protocol: concurrent reporters record run
-/// outcomes on one shard. A failure's `fetch_add` emits an *enter* event
-/// iff the new streak equals the threshold exactly; a success's
-/// `swap(0)` emits an *exit* event iff the previous streak was ≥ the
-/// threshold. Each transition must be announced exactly once.
-pub struct Quarantine {
-    /// Outcome sequence each reporter thread records, in order.
-    pub outcomes: Vec<Vec<Outcome>>,
-}
-
-impl Protocol for Quarantine {
-    type State = QuarantineState;
-
-    fn name(&self) -> &'static str {
-        "quarantine-enter-exit"
-    }
-
-    fn init(&self) -> QuarantineState {
-        QuarantineState {
-            streak: 0,
-            enters: 0,
-            exits: 0,
-            remaining: self.outcomes.clone(),
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    fn step(&self, s: &QuarantineState, t: usize) -> Step<QuarantineState> {
-        let Some((&o, rest)) = s.remaining[t].split_first() else {
-            return Step::Done;
-        };
-        let mut next = s.clone();
-        next.remaining[t] = rest.to_vec();
-        match o {
-            Outcome::Fail => {
-                next.streak += 1; // fetch_add(1) + 1 = the new streak
-                if next.streak == QUARANTINE_AFTER {
-                    next.enters += 1;
-                }
-            }
-            Outcome::Ok => {
-                let prev = next.streak; // swap(0) returns the old streak
-                next.streak = 0;
-                if prev >= QUARANTINE_AFTER {
-                    next.exits += 1;
-                }
-            }
-        }
-        Step::Next(next)
-    }
-
-    fn check(&self, s: &QuarantineState) -> Result<(), String> {
-        // Events must alternate enter, exit, enter, … — exactly-once per
-        // transition means the tallies never diverge by more than one and
-        // exits never lead.
-        if s.exits > s.enters {
-            return Err(format!(
-                "{} exit events against {} enters",
-                s.exits, s.enters
-            ));
-        }
-        if s.enters > s.exits + 1 {
-            return Err(format!(
-                "{} enter events against {} exits (double announcement)",
-                s.enters, s.exits
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_final(&self, s: &QuarantineState) -> Result<(), String> {
-        let quarantined = s.streak >= QUARANTINE_AFTER;
-        let announced = s.enters == s.exits + 1;
-        if quarantined != announced {
-            return Err(format!(
-                "terminal streak {} but {} enters / {} exits",
-                s.streak, s.enters, s.exits
-            ));
         }
         Ok(())
     }
@@ -1773,29 +1501,6 @@ pub fn verify_protocols() -> Result<Vec<(&'static str, Exploration)>, ExploreErr
         )?;
     }
 
-    for (requests, failing) in [
-        (1, vec![false]),
-        (2, vec![false, false]),
-        (3, vec![false, true]),
-        (2, vec![true, false, true]),
-        (2, vec![true, true]),
-    ] {
-        run(
-            "router-in-flight",
-            explore(&RouterInFlight { requests, failing }),
-        )?;
-    }
-
-    use Outcome::{Fail, Ok as Good};
-    for outcomes in [
-        vec![vec![Fail, Fail, Fail]],
-        vec![vec![Fail, Fail], vec![Fail, Good]],
-        vec![vec![Fail, Fail], vec![Fail], vec![Good]],
-        vec![vec![Good, Fail], vec![Fail, Fail], vec![Good]],
-    ] {
-        run("quarantine-enter-exit", explore(&Quarantine { outcomes }))?;
-    }
-
     use DequeOp::{Pop, Push};
     for (script, thieves) in [
         // The contested last element: owner pop vs one thief.
@@ -2054,9 +1759,9 @@ mod tests {
     #[test]
     fn exploration_suite_passes() {
         let results = verify_protocols().expect("all protocol models verify");
-        assert!(results.len() >= 42);
+        assert!(results.len() >= 33);
         let models: std::collections::BTreeSet<_> = results.iter().map(|(name, _)| name).collect();
-        assert_eq!(models.len(), 9, "{models:?}");
+        assert_eq!(models.len(), 7, "{models:?}");
         for (_, stats) in &results {
             assert!(stats.terminals >= 1);
         }
@@ -2144,10 +1849,5 @@ mod tests {
         let err = explore(&BrokenDepCounter).expect_err("off-by-one must be caught");
         assert_eq!(err.model, "broken-dep-counter");
         assert!(!err.trace.is_empty());
-    }
-
-    #[test]
-    fn quarantine_threshold_matches_runtime() {
-        assert_eq!(u64::from(QUARANTINE_AFTER), korch_runtime::QUARANTINE_AFTER);
     }
 }

@@ -1,14 +1,13 @@
-//! Self-tuning **sharded** serving end to end: compile a model onto the
-//! parallel runtime, stand up the work-conserving server with four
-//! independent executor shards (and as many long-lived request workers)
-//! and a drift-triggered recalibration policy, fire bursts of concurrent
-//! clients, and watch the server spread requests across the shards,
-//! re-fit its own cost model hands-free, and re-plan **all** shards in
-//! one atomic swap — no `recalibrate()` or `set_shards()` call anywhere
-//! in this file.
+//! Self-tuning serving end to end: compile a model onto the parallel
+//! runtime, stand up the work-conserving server with four long-lived
+//! request workers over the **one** compiled executor and a
+//! drift-triggered recalibration policy, fire bursts of concurrent
+//! clients, and watch the server re-fit its own cost model hands-free and
+//! swap the executor in one atomic write — no `recalibrate()` call
+//! anywhere in this file.
 //!
 //! The whole run is **traced**: one shared telemetry hub rides both the
-//! serving layer and every shard executor, and at the end the example
+//! serving layer and the executor, and at the end the example
 //! exports a Chrome trace-event JSON artifact (load it in
 //! `chrome://tracing` or Perfetto), validates it structurally, and
 //! prints the metrics-registry snapshot embedded in the final stats.
@@ -22,6 +21,7 @@ use korch::models::subgraphs::segformer_attention;
 use korch::runtime::{BatchConfig, RecalibrationPolicy, RuntimeConfig, Server};
 use korch::telemetry::{validate_chrome_trace, Telemetry};
 use korch::tensor::Tensor;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 /// below it.
 const DRIFT_THRESHOLD: f64 = 0.5;
 
-/// Independent executor replicas the server provisions.
-const SHARDS: usize = 4;
+/// Request workers, all running the one executor.
+const WORKERS: usize = 4;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Optimize + compile, bundled for self-tuning. `compile_tuned` runs
@@ -43,9 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // per-class calibration fit settles well under the drift threshold.
     let graph = segformer_attention(64, 64, 2);
     let korch = Korch::new(Device::v100(), KorchConfig::default());
-    // One telemetry hub for the whole stack: the serving layer, the
-    // router, and every shard executor record onto the same clock origin
-    // and trace-id space. Generous ring capacity so a long hands-free run
+    // One telemetry hub for the whole stack: the serving layer and the
+    // executor record onto the same clock origin and trace-id space. Generous ring capacity so a long hands-free run
     // keeps its most recent requests intact (rings drop oldest-first).
     let telemetry = Arc::new(Telemetry::with_capacity(8, 65536));
     let mut runtime = RuntimeConfig::with_lanes(4);
@@ -81,27 +80,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             _ => None,
         })
         .collect();
-    let server = Arc::new(
-        Server::start_tuned_sharded(
-            Arc::clone(&tuned),
-            BatchConfig {
-                recalibration: Some(RecalibrationPolicy {
-                    every_n_requests: 64,
-                    model_error_threshold: DRIFT_THRESHOLD,
-                }),
-                // Four independent executor replicas of the plan snapshot,
-                // one request in flight per replica: the router spreads
-                // the requests across them, a failed shard run would be
-                // retried on a sibling, and the drift check fits from all
-                // four shards' merged profiles.
-                shards: SHARDS,
-                telemetry: Some(Arc::clone(&telemetry)),
-                ..BatchConfig::default()
-            },
-        )
-        .expect("shard provisioning"),
-    );
-    assert_eq!(tuned.model().shard_count(), SHARDS);
+    let server = Arc::new(Server::start_tuned(
+        Arc::clone(&tuned),
+        BatchConfig {
+            recalibration: Some(RecalibrationPolicy {
+                every_n_requests: 64,
+                model_error_threshold: DRIFT_THRESHOLD,
+            }),
+            // Four requests in flight at most, all on the one executor:
+            // each run arms its own run state, and every run books into
+            // the one arena and the one profile the drift check reads.
+            shards: WORKERS,
+            telemetry: Some(Arc::clone(&telemetry)),
+            ..BatchConfig::default()
+        },
+    ));
+    let (submitted, answered) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     // Re-orchestrating under full serving load takes tens of seconds on a
     // busy single-core host, so the demo keeps traffic flowing until the
     // background recalibration lands (bounded by a generous deadline).
@@ -113,6 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|c| {
                 let server = Arc::clone(&server);
                 let shapes = input_shapes.clone();
+                let (submitted, answered) = (Arc::clone(&submitted), Arc::clone(&answered));
                 std::thread::spawn(move || {
                     for r in 0..8u64 {
                         let inputs: Vec<Tensor> = shapes
@@ -125,8 +120,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                                 )
                             })
                             .collect();
+                        submitted.fetch_add(1, Ordering::Relaxed);
                         let outputs = server.infer(inputs).expect("inference");
                         assert!(!outputs.is_empty());
+                        answered.fetch_add(1, Ordering::Relaxed);
                     }
                 })
             })
@@ -151,8 +148,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .enumerate()
         .map(|(i, s)| Tensor::random(s.clone(), 999 + i as u64))
         .collect();
+    submitted.fetch_add(1, Ordering::Relaxed);
     let outputs = server.infer(inputs)?;
     assert!(!outputs.is_empty());
+    answered.fetch_add(1, Ordering::Relaxed);
     let server = Arc::try_unwrap(server).ok().expect("all clients joined");
     let stats = server.shutdown();
 
@@ -178,12 +177,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         calibration.compute_scale,
     );
     println!("scheduler: {steals} tasks work-stolen across lanes");
-    for s in &stats.shards {
-        println!(
-            "shard {}:  {} served, {} failures, {} adopted retries, live={}",
-            s.shard, s.served, s.failures, s.adopted, s.live,
-        );
-    }
+    let arena = tuned.model().arena_stats();
+    println!(
+        "arena:    peak {} KiB resident in the one pool {WORKERS} workers share \
+         ({} KiB live at the end)",
+        arena.peak_bytes / 1024,
+        arena.live_bytes / 1024,
+    );
 
     // The acceptance bar for the hands-free loop: at least one automatic
     // recalibration fired and drift ended below the threshold.
@@ -196,26 +196,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "model error did not settle below the threshold: {:?}",
         stats.last_model_error
     );
-    // Sharding acceptance: the swap kept all four shards on one plan
-    // generation, every shard took traffic, every request was served by
-    // exactly one shard, and nothing failed.
-    assert_eq!(stats.shards.len(), SHARDS);
-    assert_eq!(tuned.model().shard_count(), SHARDS);
+    // Conservation over the workers: every submission was answered
+    // once, counted once, and none failed; every recalibration swapped
+    // exactly one plan generation in; no buffer outlived its run.
+    let submitted = submitted.load(Ordering::Relaxed);
+    assert_eq!(answered.load(Ordering::Relaxed), submitted);
+    assert_eq!(
+        stats.requests, submitted,
+        "every submission ran exactly once"
+    );
+    assert_eq!(stats.errors, 0);
     assert_eq!(
         tuned.model().plan_generation(),
         stats.recalibrations,
-        "every recalibration must swap one plan generation across all shards"
+        "every recalibration must swap exactly one plan generation"
     );
-    assert_eq!(
-        stats.shards.iter().map(|s| s.served).sum::<u64>(),
-        stats.requests,
-        "each request must be served by exactly one shard"
-    );
-    assert!(
-        stats.shards.iter().all(|s| s.served > 0 && s.live),
-        "the router must spread traffic over every shard: {:?}",
-        stats.shards
-    );
+    assert_eq!(arena.live_bytes, 0, "a run left buffers on the books");
 
     // 5. Export the whole run as a Chrome trace-event artifact and check
     //    it structurally: balanced span pairs, monotone timestamps, tile
@@ -246,13 +242,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("queue-wait histogram registered");
     println!(
         "metrics:  queue_wait mean {:.1} µs over {} waits; {} in flight at the end; \
-         {} steals, {} tile tasks, {} quarantines, {} retunes ok / {} failed",
+         {} steals, {} tile tasks, {} retunes ok / {} failed",
         waits.mean(),
         waits.count,
         metrics.gauge("serving.in_flight").unwrap_or(0),
         metrics.counter("executor.steals").unwrap_or(0),
         metrics.counter("executor.tile_tasks").unwrap_or(0),
-        metrics.counter("router.quarantines").unwrap_or(0),
         metrics.counter("serving.retunes_ok").unwrap_or(0),
         metrics.counter("serving.retunes_failed").unwrap_or(0),
     );
@@ -260,6 +255,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         waits.count, stats.requests,
         "every served request must observe one queue wait"
     );
-    println!("served a final request on the self-tuned sharded plan; all checks passed");
+    println!("served a final request on the self-tuned plan; all checks passed");
     Ok(())
 }

@@ -30,10 +30,9 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 /// Protocol models the exploration suite must cover: dep-counter release,
-/// tile-assembly countdown, router in-flight accounting, quarantine
-/// enter/exit, chase-lev-deque, park-unpark-epoch,
+/// tile-assembly countdown, chase-lev-deque, park-unpark-epoch,
 /// server-shutdown-handshake, admission-dispatch, run-handoff.
-const PROTOCOL_MODELS: usize = 9;
+const PROTOCOL_MODELS: usize = 7;
 
 fn corpus() -> Vec<(&'static str, OpGraph)> {
     vec![

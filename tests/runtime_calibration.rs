@@ -35,8 +35,7 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
         let server = Server::start_tuned(
             Arc::clone(&tuned),
             BatchConfig {
-                max_batch: 4,
-                shards: 1,
+                shards: 4,
                 recalibration: Some(RecalibrationPolicy {
                     every_n_requests: 4,
                     // CPU wall times dwarf simulated GPU micros, so the
@@ -150,8 +149,7 @@ fn self_tuning_model_contract() {
         "the retune's fit must be the calibration in force"
     );
     let program = &tuned.model().partitions()[0].executor;
-    let profiles = tuned.model().profiles();
-    let profile = korch::runtime::RuntimeProfile::merged(&profiles.iter().collect::<Vec<_>>());
+    let profile = program.profile();
     let under = |calibration| {
         let cost = korch::cost::Profiler::new(Device::v100()).with_calibration(calibration);
         profile.model_error(program.graph(), program.plan(), &cost)

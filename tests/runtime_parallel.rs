@@ -176,8 +176,9 @@ fn softmax_chain(blocks: usize) -> OpGraph {
 
 /// A failure in the *last* partition's kernel: by then the one executor
 /// holds everything the earlier partitions left alive, and its single
-/// `settle` has to unwind all of it — `live_bytes` returns to zero on
-/// every shard, at every lane count.
+/// `settle` has to unwind all of it — `live_bytes` returns to zero at
+/// every lane count, with two callers failing on the one executor at
+/// once.
 #[test]
 fn late_opaque_failure_settles_the_single_arena() {
     let mut g = softmax_chain(3);
@@ -209,15 +210,18 @@ fn late_opaque_failure_settles_the_single_arena() {
     for lanes in [1usize, 2, 4] {
         let compiled =
             CompiledModel::from_optimized(&optimized, &RuntimeConfig::with_lanes(lanes)).unwrap();
-        compiled.set_shards(2).unwrap();
-        for _ in 0..3 {
-            assert!(compiled.execute(&inputs).is_err(), "lanes={lanes}");
-        }
-        for (s, shard) in compiled.shard_snapshots().iter().enumerate() {
-            let arena = shard[0].executor.arena_stats();
-            assert!(arena.total_allocs > 0, "lanes={lanes} shard {s} never ran");
-            assert_eq!(arena.live_bytes, 0, "lanes={lanes} shard {s} leaked");
-        }
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..3 {
+                        assert!(compiled.execute(&inputs).is_err(), "lanes={lanes}");
+                    }
+                });
+            }
+        });
+        let arena = compiled.arena_stats();
+        assert!(arena.total_allocs > 0, "lanes={lanes} never ran");
+        assert_eq!(arena.live_bytes, 0, "lanes={lanes} leaked");
     }
 }
 

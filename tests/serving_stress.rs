@@ -6,8 +6,7 @@
 
 use korch::exec::ExecError;
 use korch::runtime::{
-    BatchConfig, Model, RecalibrationPolicy, ResponseHandle, SelfTune, Server, ShardControl,
-    ShardStats, TuneOutcome,
+    BatchConfig, Model, RecalibrationPolicy, ResponseHandle, SelfTune, Server, TuneOutcome,
 };
 use korch::tensor::Tensor;
 use std::collections::BTreeSet;
@@ -42,7 +41,7 @@ fn concurrent_submitters_race_shutdown_without_losing_responses() {
         let server = Arc::new(RwLock::new(Some(Server::start(
             Arc::clone(&model) as Arc<dyn Model>,
             BatchConfig {
-                max_batch: 4,
+                shards: 4,
                 ..Default::default()
             },
         ))));
@@ -169,7 +168,7 @@ fn tuned_server_survives_retune_races() {
         let server = Server::start_tuned(
             Arc::clone(&model),
             BatchConfig {
-                max_batch: 2,
+                shards: 2,
                 recalibration: Some(RecalibrationPolicy {
                     every_n_requests: 2,
                     model_error_threshold: 0.5,
@@ -254,7 +253,7 @@ fn a_request_starts_while_another_is_in_flight() {
                 b_entered: (Mutex::new(false), Condvar::new()),
             }),
             BatchConfig {
-                max_batch: 2,
+                shards: 2,
                 ..Default::default()
             },
         );
@@ -319,15 +318,6 @@ impl Model for Gated {
     }
 }
 
-impl ShardControl for Gated {
-    fn set_shards(&self, _: usize) -> Result<(), ExecError> {
-        Ok(())
-    }
-    fn shard_stats(&self) -> Vec<ShardStats> {
-        Vec::new()
-    }
-}
-
 /// Saturation: with every worker held inside `run`, queued requests
 /// start strictly in submission order, one per worker that comes
 /// free, and never more than `cap` are in flight.
@@ -363,14 +353,16 @@ fn assert_saturates_at(cap: usize, start: impl FnOnce(Arc<Gated>) -> Server + Se
     });
 }
 
+/// `BatchConfig::shards` is the worker count for every constructor, and
+/// `max_batch` is consulted by none.
 #[test]
-fn saturated_plain_server_dispatches_fifo_under_the_max_batch_cap() {
+fn saturated_plain_server_dispatches_fifo_under_the_shards_cap() {
     assert_saturates_at(3, |gate| {
         Server::start(
             gate,
             BatchConfig {
-                max_batch: 3,
-                shards: 7, // ignored without a ShardControl model
+                max_batch: 7,
+                shards: 3,
                 ..Default::default()
             },
         )
@@ -383,22 +375,23 @@ fn saturated_sharded_server_dispatches_fifo_under_the_shards_cap() {
         Server::start_sharded(
             gate,
             BatchConfig {
-                max_batch: 8, // never `shards × max_batch` threads
+                max_batch: 8,
                 shards: 2,
                 ..Default::default()
             },
         )
-        .expect("the gate provisions nothing")
+        .expect("starting a server cannot fail")
     });
 }
 
 #[test]
-fn zero_max_batch_clamps_to_one_worker() {
+fn zero_shards_clamps_to_one_worker() {
     assert_saturates_at(1, |gate| {
         Server::start(
             gate,
             BatchConfig {
                 max_batch: 0,
+                shards: 0,
                 ..Default::default()
             },
         )

@@ -1,8 +1,8 @@
-//! End-to-end observability acceptance: a 4-shard, 2-lane **tiled**
+//! End-to-end observability acceptance: a 4-worker, 2-lane **tiled**
 //! serving run with tracing enabled must export a Chrome trace-event
 //! artifact in which at least one request is reconstructable end to end
-//! by its `TraceId` — admission → worker pickup → shard route → kernel →
-//! tiles — verified both on the typed event stream and on the exported
+//! by its `TraceId` — admission → queue wait → request → kernel → tiles
+//! — verified both on the typed event stream and on the exported
 //! JSON (which the structural validator must accept). With tracing
 //! disabled the executor hot path must record nothing at all and keep
 //! its outputs bit-identical.
@@ -12,9 +12,7 @@
 //! never wall-clock.
 
 use korch::exec::execute_plan;
-use korch::runtime::{
-    BatchConfig, Model, PlanExecutor, ResponseHandle, RuntimeConfig, Server, ShardedExecutor,
-};
+use korch::runtime::{BatchConfig, Model, PlanExecutor, ResponseHandle, RuntimeConfig, Server};
 use korch::telemetry::{validate_chrome_trace, EventKind, Telemetry};
 use std::sync::Arc;
 
@@ -33,24 +31,20 @@ fn tiled_config(telemetry: Option<Arc<Telemetry>>) -> RuntimeConfig {
 }
 
 #[test]
-fn sharded_tiled_serving_exports_reconstructable_trace() {
+fn tiled_serving_exports_reconstructable_trace() {
     let (g, plan) = independent_plan(1);
     let inputs = prim_random_inputs(&g, 7);
     let reference = execute_plan(&g, &plan, &inputs).unwrap();
     let telemetry = Telemetry::shared();
-    let exec = Arc::new(
-        ShardedExecutor::new(&g, &plan, tiled_config(Some(Arc::clone(&telemetry))), 4).unwrap(),
-    );
-    let server = Server::start_sharded(
-        Arc::clone(&exec),
+    let exec = PlanExecutor::new(&g, &plan, tiled_config(Some(Arc::clone(&telemetry)))).unwrap();
+    let server = Server::start(
+        Arc::new(exec),
         BatchConfig {
-            max_batch: 4,
             shards: 4,
             telemetry: Some(Arc::clone(&telemetry)),
             ..Default::default()
         },
-    )
-    .expect("shard provisioning succeeds");
+    );
     let requests = 8u64;
     let handles: Vec<ResponseHandle> = (0..requests)
         .map(|_| server.submit(inputs.clone()))
@@ -62,19 +56,8 @@ fn sharded_tiled_serving_exports_reconstructable_trace() {
     assert_eq!(stats.requests, requests);
     assert_eq!(stats.errors, 0);
 
-    // Per-shard quarantine state and failure streaks ride ServerStats.
-    assert_eq!(stats.shards.len(), 4);
-    assert!(
-        stats
-            .shards
-            .iter()
-            .all(|s| s.live && s.consecutive_failures == 0),
-        "healthy shards must report live with a zero failure streak: {:?}",
-        stats.shards
-    );
-
-    // The embedded registry snapshot spans all three layers: serving
-    // histograms, executor tile counters, router quarantine counter.
+    // The embedded registry snapshot spans both layers: serving
+    // histograms and executor tile counters.
     let metrics = stats.metrics.as_ref().expect("telemetry was attached");
     assert_eq!(
         metrics
@@ -91,14 +74,29 @@ fn sharded_tiled_serving_exports_reconstructable_trace() {
     );
     assert!(metrics.counter("executor.tile_tasks").unwrap_or(0) > 0);
     assert!(metrics.counter("executor.tiled_kernels").unwrap_or(0) > 0);
-    assert_eq!(metrics.counter("router.quarantines"), Some(0));
 
     // Typed-event side: at least one trace id must carry the full chain
-    // admission → queue wait → request → route → tiles, in clock order
+    // admission → queue wait → request → tiles, in clock order
     // on the one shared origin. (A decomposed kernel's samples are all
     // tile-tagged; its whole-kernel span is synthesized by the exporter
     // and checked below via the validator's containment rule.)
     let events = telemetry.recorder().snapshot();
+    // Four workers, one executor: every kernel and tile span carries the
+    // one executor's tag.
+    let mut execs: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Kernel { exec, .. } | EventKind::Tile { exec, .. } => Some(exec),
+            _ => None,
+        })
+        .collect();
+    execs.sort_unstable();
+    execs.dedup();
+    assert_eq!(
+        execs.len(),
+        1,
+        "spans from more than one executor: {execs:?}"
+    );
     let mut traced: Vec<u64> = events.iter().map(|e| e.trace).filter(|&t| t != 0).collect();
     traced.sort_unstable();
     traced.dedup();
@@ -121,21 +119,15 @@ fn sharded_tiled_serving_exports_reconstructable_trace() {
             let Some(request) = of(&|k| matches!(k, EventKind::Request)) else {
                 return false;
             };
-            let Some(routed) = of(&|k| matches!(k, EventKind::Routed { .. })) else {
-                return false;
-            };
             let Some(tile) = of(&|k| matches!(k, EventKind::Tile { .. })) else {
                 return false;
             };
             // Queue wait starts at admission; the model run (request
-            // span), the route decision and the first tile all land at
-            // or after pickup. Tile offsets are rebased onto the shared
-            // origin from the executor's own run clock, so allow a
-            // microsecond of rebasing slack.
-            admitted <= wait + 1e-9
-                && admitted <= request + 1e-9
-                && request <= routed + 1e-6
-                && request <= tile + 1e-6
+            // span) and the first tile land at or after pickup. Tile
+            // offsets are rebased onto the shared origin from the
+            // executor's own run clock, so allow a microsecond of
+            // rebasing slack.
+            admitted <= wait + 1e-9 && admitted <= request + 1e-9 && request <= tile + 1e-6
         })
         .expect("at least one request must be reconstructable end to end");
 
@@ -183,7 +175,7 @@ fn disabled_telemetry_records_nothing_and_keeps_outputs() {
     let server = Server::start(
         Arc::new(PlanExecutor::new(&g, &plan, tiled_config(None)).unwrap()) as Arc<dyn Model>,
         BatchConfig {
-            max_batch: 2,
+            shards: 2,
             ..Default::default()
         },
     );
