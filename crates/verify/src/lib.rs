@@ -22,7 +22,7 @@
 //! | [`explore`]: dep-counter release fires exactly once | executor dependency-counter tests (`runtime_workstealing.rs`) |
 //! | [`explore`]: tile-assembly countdown assembles once, after every chunk landed | `runtime_tiling.rs` assembly tests |
 //! | [`explore`]: `Server::stop` sets the shutdown flag under the queue lock, so an idle request worker's check-then-wait never loses the wakeup | `korch-runtime` `serving::tests::idle_shutdown_never_loses_the_wakeup` |
-//! | [`explore`]: admission dispatch answers every request exactly once and leaves none queued beside an idle worker | `tests/serving_stress.rs` latch, saturation and shutdown-race tests; `tests/serving_workers.rs` request-conservation proptest |
+//! | [`explore`]: admission dispatch answers every request exactly once and leaves none queued beside an idle worker | `tests/serving_stress.rs` latch, saturation and shutdown-race tests; `tests/serving_sharded.rs` request-conservation proptest |
 //! | [`explore`]: run hand-off — no lane touches a recycled run state, the caller waits only on attached helpers | `tests/runtime_workstealing.rs`, `tests/runtime_parallel.rs` repeated runs on one executor at 2/4/8 lanes |
 //!
 //! The verifier consumes artifacts through the runtime's introspection

@@ -2,11 +2,12 @@
 //! structurally: any number of workers calling one `PlanExecutor` — bare
 //! or inside a compiled model — must never change computed bytes
 //! (differential vs the sequential interpreter at workers 1/2/4 ×
-//! lanes 1/2), the admission queue must conserve every request under
-//! injected failures (each handle resolves exactly once, each request
-//! runs exactly once), and a recalibration — automatic mid-serving, or
-//! racing concurrent `execute` calls — must swap the one executor in one
-//! generation while every run stays bit-identical.
+//! lanes 1/2), a panicking request must cost the server nothing else,
+//! and a recalibration — automatic mid-serving, or racing concurrent
+//! `execute` calls — must swap the one executor in one generation while
+//! every run stays bit-identical. The admission queue's conservation
+//! proptest runs through the benchmark's constructor, in
+//! `serving_sharded.rs`.
 //!
 //! Every assertion is structural (bit-equality, counters, conservation
 //! laws), never wall-clock or overlap timing.
@@ -19,8 +20,7 @@ use korch::runtime::{
     ServeError, Server,
 };
 use korch::tensor::Tensor;
-use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -56,8 +56,7 @@ fn serve_burst(
 /// Request workers over one executor are bit-identical to the sequential
 /// `execute_plan` interpreter at every workers × lanes combination, over
 /// a mixed burst (consecutive requests carry different inputs) — once
-/// over a bare `PlanExecutor`, once over a compiled model started the
-/// way the benchmark starts it. The one executor's profile sees every
+/// over a bare `PlanExecutor`, once over a compiled model. The one executor's profile sees every
 /// run and its one arena is back at zero live bytes.
 #[test]
 fn serving_is_bit_identical_to_execute_plan_at_every_workers_and_lanes() {
@@ -95,12 +94,11 @@ fn serving_is_bit_identical_to_execute_plan_at_every_workers_and_lanes() {
             let stats = serve_burst(server, &bare, &format!("bare {ctx}"));
             assert_eq!(stats.requests, bare.len() as u64);
             assert_eq!(stats.errors, 0);
-            assert_eq!(stats.shards[0].served, bare.len() as u64);
             assert_eq!(exec.profile().runs, bare.len() as u64, "{ctx}");
             assert_eq!(exec.arena_stats().live_bytes, 0, "{ctx}");
 
             let runs_before = compiled.profiles()[0].runs;
-            let server = Server::start_sharded(Arc::clone(&compiled), workers(n)).unwrap();
+            let server = Server::start(Arc::clone(&compiled) as Arc<dyn Model>, workers(n));
             let stats = serve_burst(server, &mixed, &format!("compiled {ctx}"));
             assert_eq!(stats.requests, mixed.len() as u64);
             assert_eq!(stats.errors, 0);
@@ -112,72 +110,6 @@ fn serving_is_bit_identical_to_execute_plan_at_every_workers_and_lanes() {
             assert_eq!(compiled.arena_stats().live_bytes, 0, "{ctx}");
             assert_eq!(compiled.plan_generation(), 0);
         }
-    }
-}
-
-/// Echoes its input unless the request's index (its payload) is set in
-/// the failure mask; counts every call.
-struct Flaky {
-    mask: u32,
-    calls: AtomicU64,
-}
-
-impl Model for Flaky {
-    fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        let i = inputs[0].as_slice()[0] as u32;
-        if self.mask & (1 << i) != 0 {
-            Err(ExecError::Input(format!("injected failure {i}")))
-        } else {
-            Ok(inputs.to_vec())
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Conservation on the admission queue under arbitrary (workers,
-    /// requests, failure mask): every handle resolves exactly once with
-    /// its own request's answer or its own injected error, every request
-    /// runs exactly once (nothing is retried), `requests` equals the
-    /// number submitted and `errors` the number injected.
-    #[test]
-    fn random_failure_masks_conserve_requests(
-        n in 1usize..5,
-        requests in 1usize..33,
-        mask in 0u32..u32::MAX,
-    ) {
-        let model = Arc::new(Flaky { mask, calls: AtomicU64::new(0) });
-        let server = Server::start(Arc::clone(&model) as Arc<dyn Model>, workers(n));
-        let handles: Vec<ResponseHandle> = (0..requests)
-            .map(|i| server.submit(vec![Tensor::full(vec![2], i as f32)]))
-            .collect();
-        let injected = (0..requests).filter(|i| mask & (1 << i) != 0).count() as u64;
-        let (mut oks, mut errs) = (0u64, 0u64);
-        for (i, h) in handles.into_iter().enumerate() {
-            match h.wait() {
-                Ok(out) => {
-                    prop_assert!(mask & (1 << i) == 0, "request {} was injected", i);
-                    prop_assert_eq!(out[0].as_slice(), &[i as f32; 2]);
-                    oks += 1;
-                }
-                Err(ServeError::Exec(e)) => {
-                    prop_assert!(e.to_string().ends_with(&format!("failure {i}")), "{}", e);
-                    errs += 1;
-                }
-                Err(other) => prop_assert!(false, "request {}: {:?}", i, other),
-            }
-        }
-        let stats = server.shutdown();
-        prop_assert_eq!(oks + errs, requests as u64);
-        prop_assert_eq!(errs, injected);
-        prop_assert_eq!(stats.requests, requests as u64);
-        prop_assert_eq!(stats.errors, injected);
-        prop_assert_eq!(model.calls.load(Ordering::SeqCst), requests as u64);
-        prop_assert_eq!(stats.shards[0].served, oks);
-        prop_assert_eq!(stats.shards[0].failures, errs);
-        prop_assert_eq!(stats.shards[0].adopted, 0);
     }
 }
 
