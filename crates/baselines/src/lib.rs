@@ -107,11 +107,6 @@ pub fn orchestrate_baseline(
     ))
 }
 
-/// Simulated end-to-end latency of a plan in milliseconds.
-pub fn plan_latency_ms(plan: &Plan) -> f64 {
-    plan.total_latency.as_millis()
-}
-
 /// Operator-level fusion class used by the baseline rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpClass {

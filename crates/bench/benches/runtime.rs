@@ -1029,7 +1029,7 @@ fn bench_recalibration(c: &mut Criterion) {
             for _ in 0..3 {
                 compiled.execute(&inputs).unwrap();
             }
-            black_box(korch.recalibrate(&compiled).unwrap())
+            black_box(compiled.recalibrate().unwrap())
         })
     });
     group.finish();
@@ -1043,7 +1043,7 @@ fn bench_recalibration(c: &mut Criterion) {
         compiled.execute(&inputs).unwrap();
     }
     let steals: u64 = compiled.profiles().iter().map(|p| p.steals).sum();
-    let report = korch.recalibrate(&compiled).unwrap();
+    let report = compiled.recalibrate().unwrap();
     println!(
         "recalibration/model_error: {:.3} -> {:.3} ({:.1}x tighter), \
          memory x{:.3e}, compute x{:.3e}, {} steals during profiling",

@@ -14,13 +14,17 @@
 //! its last reader and free to overlap with kernels of the next
 //! partition. [`Optimized::execute`] stays the differential oracle.
 //!
-//! [`CompiledModel::recalibrate`] closes the profiling loop: the wall
-//! times the executor accumulates fit a [`Calibration`], the orchestrator
-//! re-runs over every partition with the calibrated cost model, the new
-//! plans are re-stitched, and the new program is swapped in atomically —
-//! in-flight requests finish on the executor they started with,
-//! subsequent ones run the re-orchestrated plan priced in measured host
-//! time.
+//! A compiled model owns its pricing: it keeps the
+//! [`Orchestrator`](korch_orch::Orchestrator) that optimized it, and
+//! [`CompiledModel::recalibrate`] closes the profiling loop with it — the
+//! wall times the executor accumulates fit a [`Calibration`] of that
+//! orchestrator's profiler, the same orchestrator re-runs over every
+//! partition with the fitted profiler, the new plans are re-stitched, and
+//! the new program is swapped in atomically — in-flight requests finish
+//! on the executor they started with, subsequent ones run the
+//! re-orchestrated plan priced in measured host time. Through its
+//! [`SelfTune`] implementation a `korch_runtime::Server::start_tuned`
+//! server measures the model's drift and recalibrates it hands-free.
 //!
 //! # Concurrency
 //!
@@ -35,12 +39,12 @@
 //! before the swap finishes on the executor it holds; drift and
 //! calibration read the one executor's profile.
 
-use crate::pipeline::{Korch, KorchError, Optimized, PipelineStats};
+use crate::pipeline::{KorchError, Optimized, PipelineStats};
 use crate::stitch::stitch;
-use korch_cost::{Calibration, CalibrationSample, Profiler};
+use korch_cost::{Calibration, Profiler};
 use korch_exec::ExecError;
 use korch_ir::{PortRef, PrimGraph};
-use korch_orch::{Orchestrator, Plan};
+use korch_orch::Plan;
 use korch_runtime::{
     ArenaStats, MemoryReport, Model, PlanExecutor, RuntimeConfig, RuntimeProfile, SelfTune,
     ShardControl, ShardStats, TuneOutcome,
@@ -86,8 +90,8 @@ pub struct RecalibrationReport {
 struct Live {
     executor: Arc<PlanExecutor>,
     /// The per-partition sources of the live program: what `recalibrate`
-    /// re-orchestrates and re-stitches. Carries the plans' simulated
-    /// latency.
+    /// re-orchestrates and re-stitches, with the orchestrator that does
+    /// it. Carries the plans' simulated latency.
     optimized: Optimized,
     /// Calibration the live plans were priced with (default until the
     /// first recalibration). Drift is measured against *this*, not the
@@ -106,20 +110,6 @@ pub struct CompiledModel {
     recalibrating: Mutex<()>,
     stats: PipelineStats,
     runtime: RuntimeConfig,
-}
-
-/// Mean relative prediction error of `profiler` against `profile`; `None`
-/// when nothing has been measured.
-fn model_error(
-    profile: &RuntimeProfile,
-    program: &PlanExecutor,
-    profiler: &Profiler,
-) -> Option<f64> {
-    profile
-        .per_kernel
-        .iter()
-        .any(|s| s.count > 0)
-        .then(|| profile.model_error(program.graph(), program.plan(), profiler))
 }
 
 impl CompiledModel {
@@ -234,21 +224,6 @@ impl CompiledModel {
         vec![self.live().executor.profile()]
     }
 
-    /// Calibration samples from every profiled kernel.
-    pub fn calibration_samples(&self) -> Vec<CalibrationSample> {
-        let executor = self.executor();
-        executor
-            .profile()
-            .calibration_samples(executor.graph(), executor.plan())
-    }
-
-    /// Fits a cost-model [`Calibration`] from everything measured so far
-    /// (the profiling-feedback loop: compile → run → calibrate →
-    /// re-optimize with `Profiler::with_calibration`).
-    pub fn calibrate(&self, cost_profiler: &Profiler) -> Calibration {
-        Calibration::fit(cost_profiler, &self.calibration_samples())
-    }
-
     /// The [`Calibration`] the live plans were priced with: the default
     /// until the first [`CompiledModel::recalibrate`], the fitted one
     /// after (it swaps together with the plans).
@@ -260,26 +235,29 @@ impl CompiledModel {
     /// cost model the current plans were priced with (`base` +
     /// [`CompiledModel::applied_calibration`]) against the profile
     /// accumulated since the plans went live. `None` while no kernel has
-    /// been measured. This is the quantity a serving-side
-    /// [`korch_runtime::RecalibrationPolicy`] thresholds.
+    /// been measured. [`SelfTune::model_error`] reads it against the
+    /// profiler of the orchestrator that optimized the model.
     pub fn current_model_error(&self, base: &Profiler) -> Option<f64> {
         let (executor, calibration) = {
             let live = self.live();
             (Arc::clone(&live.executor), live.calibration.clone())
         };
         let fitted = base.clone().with_calibration(calibration);
-        model_error(&executor.profile(), &executor, &fitted)
+        executor
+            .profile()
+            .model_error(executor.graph(), executor.plan(), &fitted)
     }
 
-    /// Closes the calibration loop in place: fits a [`Calibration`] from
-    /// every kernel the live executor measured, re-runs the orchestrator
-    /// over each partition's chosen graph with the calibrated cost model,
-    /// re-stitches the new plans into one program, compiles it, and swaps
-    /// it in with one write. In-flight `execute` calls finish on the
-    /// executor they hold; later calls (and `Server` requests) run the new
-    /// plan. The old profile is discarded with the old executor, so a
-    /// subsequent `recalibrate` fits the *new* plan's measurements.
-    /// Concurrent calls run one after the other.
+    /// Closes the calibration loop in place: fits a [`Calibration`] of
+    /// the optimizing orchestrator's profiler from every kernel the live
+    /// executor measured, re-runs that orchestrator over each partition's
+    /// chosen graph with the fitted profiler, re-stitches the new plans
+    /// into one program, compiles it, and swaps it in with one write.
+    /// In-flight `execute` calls finish on the executor they hold; later
+    /// calls (and `Server` requests) run the new plan. The old profile is
+    /// discarded with the old executor, so a subsequent `recalibrate` fits
+    /// the *new* plan's measurements. Concurrent calls run one after the
+    /// other.
     ///
     /// The intra-kernel split threshold is re-derived along the way: with
     /// the default `RuntimeConfig::split_threshold_us = None`, the fresh
@@ -296,7 +274,7 @@ impl CompiledModel {
     /// Returns [`KorchError::Exec`] when no profiled run exists yet, and
     /// propagates orchestration/compilation failures (the current plan
     /// stays in place on any error).
-    pub fn recalibrate(&self, korch: &Korch) -> Result<RecalibrationReport, KorchError> {
+    pub fn recalibrate(&self) -> Result<RecalibrationReport, KorchError> {
         let _one_at_a_time = self.recalibrating.lock().expect("recalibration poisoned");
         // Phase boundary timestamps on the shared telemetry clock. The
         // spans themselves are recorded only after the successful swap —
@@ -312,7 +290,7 @@ impl CompiledModel {
             let live = self.live();
             (Arc::clone(&live.executor), live.optimized.clone())
         };
-        let base = Profiler::new(korch.device().clone());
+        let base = sources.orchestrator().profiler();
         // One snapshot, taken up front: serving continues while we fit,
         // so reading the profile twice would score the fit against
         // measurements it was not fitted from.
@@ -323,19 +301,22 @@ impl CompiledModel {
                 "recalibrate needs at least one profiled run; execute the model first".into(),
             )));
         }
-        let calibration = Calibration::fit(&base, &samples);
+        let calibration = Calibration::fit(base, &samples);
         let fitted = base.clone().with_calibration(calibration.clone());
-        let model_error_before = model_error(&profile, &program, &base).unwrap_or(0.0);
-        let model_error_after = model_error(&profile, &program, &fitted).unwrap_or(0.0);
+        let drift = |cost: &Profiler| {
+            profile
+                .model_error(program.graph(), program.plan(), cost)
+                .unwrap_or(0.0)
+        };
+        let model_error_before = drift(base);
+        let model_error_after = drift(&fitted);
         let replan_start = recal_now();
 
         // Re-orchestrate every partition's chosen variant with the
         // calibrated profiler (the transform search already picked the
         // variant; kernel selection is re-priced in measured host time),
         // then stitch the new plans into one program.
-        let orchestrator = Orchestrator::new(korch.device().clone())
-            .with_config(korch.config().orchestrator.clone())
-            .with_profiler(fitted);
+        let orchestrator = sources.orchestrator().clone().with_profiler(fitted);
         let plans = sources
             .partitions()
             .iter()
@@ -420,50 +401,20 @@ impl ShardControl for CompiledModel {
     }
 }
 
-/// A [`CompiledModel`] bundled with the [`Korch`] pipeline that built it,
-/// so it can re-tune itself: the [`SelfTune`] implementation lets
-/// `korch_runtime::Server::start_tuned` measure drift and trigger
-/// recalibration hands-free while the model keeps serving (plan swaps are
-/// atomic; in-flight requests finish on the plan they started with).
-pub struct SelfTuningModel {
-    korch: Korch,
-    model: CompiledModel,
-}
-
-impl SelfTuningModel {
-    /// Bundles a compiled model with its pipeline.
-    pub fn new(korch: Korch, model: CompiledModel) -> Self {
-        Self { korch, model }
-    }
-
-    /// The compiled model being served.
-    pub fn model(&self) -> &CompiledModel {
-        &self.model
-    }
-
-    /// The pipeline used for re-orchestration.
-    pub fn korch(&self) -> &Korch {
-        &self.korch
-    }
-}
-
-impl Model for SelfTuningModel {
-    fn run(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>, ExecError> {
-        self.model.execute(inputs)
-    }
-}
-
-impl SelfTune for SelfTuningModel {
+/// A compiled model re-tunes itself: served with
+/// `korch_runtime::Server::start_tuned`, it has its drift measured and is
+/// recalibrated hands-free while it keeps serving (plan swaps are atomic;
+/// in-flight requests finish on the plan they started with).
+impl SelfTune for CompiledModel {
+    /// [`CompiledModel::current_model_error`] against the uncalibrated
+    /// profiler of the orchestrator that optimized the model.
     fn model_error(&self) -> Option<f64> {
-        self.model
-            .current_model_error(&Profiler::new(self.korch.device().clone()))
+        let base = self.live().optimized.orchestrator().profiler().clone();
+        self.current_model_error(&base)
     }
 
     fn retune(&self) -> Result<TuneOutcome, String> {
-        let report = self
-            .model
-            .recalibrate(&self.korch)
-            .map_err(|e| e.to_string())?;
+        let report = self.recalibrate().map_err(|e| e.to_string())?;
         Ok(TuneOutcome {
             model_error_before: report.model_error_before,
             model_error_after: report.model_error_after,
@@ -531,7 +482,7 @@ mod tests {
         for _ in 0..4 {
             compiled.execute(&inputs).unwrap();
         }
-        let report = korch.recalibrate(&compiled).unwrap();
+        let report = compiled.recalibrate().unwrap();
         // CPU wall times dwarf the simulated GPU micros, so the fit
         // tightens dramatically in practice (see benches/runtime.rs for
         // the printed magnitude); the assert allows equality because
@@ -588,7 +539,7 @@ mod tests {
         assert_eq!(compiled.shard_snapshots().len(), 1);
         assert_eq!(compiled.plan_generation(), 0);
         let before = compiled.partitions()[0].executor.clone();
-        let report = korch.recalibrate(&compiled).unwrap();
+        let report = compiled.recalibrate().unwrap();
         assert!(report.model_error_after <= report.model_error_before + 1e-9);
         assert_eq!(compiled.plan_generation(), 1);
         let after = compiled.partitions()[0].executor.clone();
@@ -636,7 +587,7 @@ mod tests {
                 }
             }
             assert_eq!(compiled.plan_generation(), generation);
-            korch.recalibrate(&compiled).unwrap();
+            compiled.recalibrate().unwrap();
         }
         // The sources kept for the next recalibration are the ones running.
         assert_eq!(
@@ -695,7 +646,7 @@ mod tests {
             tiled > 0,
             "a zero split threshold must engage tiling in at least one partition"
         );
-        let report = korch.recalibrate(&compiled).unwrap();
+        let report = compiled.recalibrate().unwrap();
         assert!(report.model_error_after <= report.model_error_before + 1e-9);
         let out = compiled.execute(&inputs).unwrap();
         for (a, b) in expected.iter().zip(&out) {
@@ -711,7 +662,7 @@ mod tests {
             .compile_with(&g, &RuntimeConfig::with_lanes(2))
             .unwrap();
         assert!(
-            compiled.recalibrate(&korch).is_err(),
+            compiled.recalibrate().is_err(),
             "recalibrating an unprofiled model must fail, not swap blindly"
         );
     }
@@ -730,9 +681,17 @@ mod tests {
         let profiles = compiled.profiles();
         assert!(!profiles.is_empty());
         assert!(profiles.iter().all(|p| p.runs == 3));
-        assert!(!compiled.calibration_samples().is_empty());
-        let cal = compiled.calibrate(&Profiler::new(Device::v100()));
+        let program = &compiled.partitions()[0];
+        let samples = profiles[0].calibration_samples(&program.graph, &program.plan);
+        assert!(!samples.is_empty());
+        let base = Profiler::new(Device::v100());
+        let cal = Calibration::fit(&base, &samples);
         assert!(cal.memory_scale.is_finite() && cal.memory_scale > 0.0);
+        assert_eq!(
+            compiled.model_error(),
+            compiled.current_model_error(&base),
+            "self-tuning drift reads against the optimizing device's profiler"
+        );
         let report = compiled.memory_report();
         assert!(report.peak_resident_bytes <= report.allocate_everything_bytes);
     }

@@ -38,7 +38,7 @@ mod partition;
 mod pipeline;
 mod stitch;
 
-pub use compiled::{CompiledModel, CompiledPartition, RecalibrationReport, SelfTuningModel};
+pub use compiled::{CompiledModel, CompiledPartition, RecalibrationReport};
 pub use partition::{partition, Partition};
 pub use pipeline::{Korch, KorchConfig, KorchError, Optimized, OptimizedPartition, PipelineStats};
 pub use stitch::stitch;

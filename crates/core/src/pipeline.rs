@@ -136,6 +136,10 @@ pub struct Optimized {
     graph_input_ports: Vec<PortRef>,
     graph_output_ports: Vec<PortRef>,
     stats: PipelineStats,
+    /// The orchestrator that planned every partition: the device, the
+    /// orchestration settings, the backends and the (uncalibrated)
+    /// profiler the plans are priced with.
+    orchestrator: Orchestrator,
 }
 
 impl Optimized {
@@ -147,6 +151,11 @@ impl Optimized {
             part.plan = plan;
         }
         self
+    }
+
+    /// The orchestrator that planned this program.
+    pub(crate) fn orchestrator(&self) -> &Orchestrator {
+        &self.orchestrator
     }
 
     /// Simulated end-to-end latency in milliseconds (paper Eq. 2: the sum
@@ -359,6 +368,7 @@ impl Korch {
             graph_input_ports,
             graph_output_ports: pg.outputs().to_vec(),
             stats,
+            orchestrator,
         })
     }
 
@@ -432,39 +442,6 @@ impl Korch {
         crate::CompiledModel::from_optimized(&optimized, runtime)
     }
 
-    /// [`Korch::compile_with`], bundled for self-tuning: the returned
-    /// [`crate::SelfTuningModel`] implements both `korch_runtime::Model`
-    /// and `korch_runtime::SelfTune`, so `Server::start_tuned` can serve
-    /// it and drive drift-triggered recalibration hands-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KorchError`] on IR, orchestration or compilation failures.
-    pub fn compile_tuned(
-        &self,
-        g: &OpGraph,
-        runtime: &korch_runtime::RuntimeConfig,
-    ) -> Result<crate::SelfTuningModel, KorchError> {
-        let model = self.compile_with(g, runtime)?;
-        Ok(crate::SelfTuningModel::new(self.clone(), model))
-    }
-
-    /// Closes the calibration loop on a compiled model: fits a
-    /// `Calibration` from its accumulated runtime profile, re-orchestrates
-    /// every partition with the calibrated cost model, and atomically
-    /// swaps the new plans in (see [`crate::CompiledModel::recalibrate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KorchError`] when the model has no profiled runs yet or a
-    /// re-orchestration stage fails (the current plan stays in place).
-    pub fn recalibrate(
-        &self,
-        model: &crate::CompiledModel,
-    ) -> Result<crate::RecalibrationReport, KorchError> {
-        model.recalibrate(self)
-    }
-
     /// Convenience wrapper: optimize and functionally verify against the
     /// operator-graph reference on random inputs; returns the optimized
     /// program and the maximum absolute error.
@@ -507,6 +484,7 @@ impl Optimized {
             graph_input_ports,
             graph_output_ports,
             stats: PipelineStats::default(),
+            orchestrator: Orchestrator::new(Device::v100()),
         }
     }
 }

@@ -236,11 +236,6 @@ impl Profiler {
         self
     }
 
-    /// Replaces the calibration in place.
-    pub fn set_calibration(&mut self, calibration: Calibration) {
-        self.calibration = calibration;
-    }
-
     /// Latency of one kernel on the given backend, every tensor in its
     /// canonical layout.
     pub fn latency(&self, spec: &KernelSpec, backend: Backend) -> Micros {

@@ -75,7 +75,7 @@ pub use stream::{
     ResourceClass, StreamAssignment, StreamContention, StreamSchedule,
 };
 
-use korch_cost::{Backend, Device, Micros, Profiler};
+use korch_cost::{Backend, Device, Profiler};
 use korch_ir::PrimGraph;
 
 /// Configuration of the whole orchestration stage.
@@ -187,12 +187,5 @@ impl Orchestrator {
             report,
             truncated: space.truncated || cands.truncated,
         })
-    }
-
-    /// Prices an externally supplied plan (used by the baselines, which
-    /// construct their kernels rule-based rather than via BLP).
-    pub fn price_plan(&self, plan: &mut Plan) {
-        let total: Micros = plan.kernels.iter().map(|k| k.latency).sum();
-        plan.total_latency = total;
     }
 }

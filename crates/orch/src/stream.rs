@@ -7,9 +7,9 @@
 //! lanes with a list scheduler and simulates the resulting makespan under a
 //! resource-sharing model:
 //!
-//! - **dependencies** — a kernel starts only after, for each primitive it
-//!   reads from device memory, *some* kernel materializing that primitive
-//!   has finished;
+//! - **dependencies** — a kernel starts only after, for each port it reads
+//!   from device memory, the first kernel materializing that port has
+//!   finished ([`plan_dependencies`], the relation the executor runs by);
 //! - **launch pipelining** — each kernel's launch overhead is uncontended
 //!   (the driver pipelines launches across streams), so plans made of many
 //!   small kernels gain from multi-streaming even when every kernel is
@@ -31,7 +31,7 @@
 use crate::plan::Plan;
 use korch_cost::{kernel_spec, Device, Micros};
 use korch_ir::{NodeId, PrimGraph};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Resource class of a kernel body under concurrent execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,8 +221,7 @@ pub fn plan_dependencies(g: &PrimGraph, plan: &Plan) -> Result<Vec<Vec<usize>>, 
 
 /// [`ResourceClass`] of every kernel in `plan`, indexed like
 /// `plan.kernels`. This is the classification the contention simulation
-/// uses internally; the `korch-runtime` contention fitting uses it to
-/// decide which measured interval pairs contend for the same resource.
+/// uses internally.
 pub fn kernel_classes(g: &PrimGraph, plan: &Plan) -> Vec<ResourceClass> {
     plan.kernels
         .iter()
@@ -247,7 +246,8 @@ pub fn kernel_classes(g: &PrimGraph, plan: &Plan) -> Vec<ResourceClass> {
 ///
 /// # Panics
 ///
-/// Panics if `num_streams == 0`.
+/// Panics if `num_streams == 0`, or if [`plan_dependencies`] rejects the
+/// plan (a kernel reads a port no earlier kernel materializes).
 pub fn schedule_streams(
     g: &PrimGraph,
     plan: &Plan,
@@ -261,7 +261,8 @@ pub fn schedule_streams(
 ///
 /// # Panics
 ///
-/// Panics if `num_streams == 0`.
+/// Panics if `num_streams == 0`, or if [`plan_dependencies`] rejects the
+/// plan (a kernel reads a port no earlier kernel materializes).
 pub fn schedule_streams_with(
     g: &PrimGraph,
     plan: &Plan,
@@ -272,43 +273,22 @@ pub fn schedule_streams_with(
     assert!(num_streams > 0, "need at least one stream");
     let n = plan.kernels.len();
 
-    // Dependency edges: kernel i waits for the first (in plan order) kernel
-    // that materializes each primitive i reads from device memory.
-    let first_producer: HashMap<NodeId, usize> = {
-        let mut m = HashMap::new();
-        for (i, k) in plan.kernels.iter().enumerate() {
-            for o in &k.outputs {
-                m.entry(o.node).or_insert(i);
+    let deps = plan_dependencies(g, plan).unwrap_or_else(|e| panic!("{e}"));
+    let mut jobs: Vec<Job> = plan
+        .kernels
+        .iter()
+        .zip(deps)
+        .zip(kernel_classes(g, plan))
+        .map(|((k, deps), class)| {
+            let launch = device.launch_overhead_us.min(k.latency.0);
+            Job {
+                deps,
+                launch_left: launch,
+                body_left: k.latency.0 - launch,
+                class,
             }
-        }
-        m
-    };
-    let classes = kernel_classes(g, plan);
-    let mut jobs: Vec<Job> = Vec::with_capacity(n);
-    for (i, k) in plan.kernels.iter().enumerate() {
-        let member_set: BTreeSet<NodeId> = k.members.iter().copied().collect();
-        let mut deps: HashSet<usize> = HashSet::new();
-        for &m in &k.members {
-            for r in &g.node(m).inputs {
-                if member_set.contains(&r.node) || g.node(r.node).kind.is_source() {
-                    continue;
-                }
-                if let Some(&p) = first_producer.get(&r.node) {
-                    if p != i {
-                        deps.insert(p);
-                    }
-                }
-            }
-        }
-        let class = classes[i];
-        let launch = device.launch_overhead_us.min(k.latency.0);
-        jobs.push(Job {
-            deps: deps.into_iter().collect(),
-            launch_left: launch,
-            body_left: k.latency.0 - launch,
-            class,
-        });
-    }
+        })
+        .collect();
 
     // Event-driven simulation with processor sharing per resource class.
     let mut finished = vec![false; n];
@@ -664,45 +644,80 @@ mod tests {
         );
     }
 
+    /// `(start_us, end_us)` of every kernel, indexed like `plan.kernels`.
+    fn spans(s: &StreamSchedule) -> Vec<(f64, f64)> {
+        let mut spans = vec![(0.0, 0.0); s.assignments.len()];
+        for a in &s.assignments {
+            spans[a.kernel] = (a.start_us, a.end_us);
+        }
+        spans
+    }
+
     #[test]
     fn dependencies_are_respected() {
         let g = heterogeneous_branches();
         let plan = orchestrate(&g);
+        let deps = plan_dependencies(&g, &plan).unwrap();
         for streams in [1, 2, 4, 8] {
-            let s = schedule_streams(&g, &plan, streams, &Device::v100());
-            let end: HashMap<usize, f64> =
-                s.assignments.iter().map(|a| (a.kernel, a.end_us)).collect();
-            let start: HashMap<usize, f64> = s
-                .assignments
-                .iter()
-                .map(|a| (a.kernel, a.start_us))
-                .collect();
-            // Recompute the dependency relation and check start >= dep end.
-            let mut first_producer: HashMap<NodeId, usize> = HashMap::new();
-            for (i, k) in plan.kernels.iter().enumerate() {
-                for o in &k.outputs {
-                    first_producer.entry(o.node).or_insert(i);
-                }
-            }
-            for (i, k) in plan.kernels.iter().enumerate() {
-                let members: HashSet<NodeId> = k.members.iter().copied().collect();
-                for &m in &k.members {
-                    for r in &g.node(m).inputs {
-                        if members.contains(&r.node) || g.node(r.node).kind.is_source() {
-                            continue;
-                        }
-                        if let Some(&p) = first_producer.get(&r.node) {
-                            if p != i {
-                                assert!(
-                                    start[&i] >= end[&p] - 1e-9,
-                                    "kernel {i} started before its producer {p} finished"
-                                );
-                            }
-                        }
-                    }
+            let span = spans(&schedule_streams(&g, &plan, streams, &Device::v100()));
+            for (i, producers) in deps.iter().enumerate() {
+                for &p in producers {
+                    assert!(
+                        span[i].0 >= span[p].1 - 1e-9,
+                        "kernel {i} started before its producer {p} finished"
+                    );
                 }
             }
         }
+    }
+
+    /// Two kernels materialize different ports of one `Split`; a third
+    /// reads port 1. It waits on port 1's producer, not on whichever
+    /// kernel materialized *a* port of the node first.
+    #[test]
+    fn a_reader_waits_on_the_producer_of_its_port() {
+        let mut g = PrimGraph::new();
+        let x = g
+            .add(PrimKind::Input { shape: vec![4, 6] }, vec![])
+            .unwrap();
+        let split = g
+            .add(
+                PrimKind::Layout(korch_ir::LayoutFn::Split {
+                    axis: 1,
+                    sizes: vec![3, 3],
+                }),
+                vec![x.into()],
+            )
+            .unwrap();
+        let port1 = PortRef {
+            node: split,
+            port: 1,
+        };
+        let tanh = g
+            .add(
+                PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)),
+                vec![port1],
+            )
+            .unwrap();
+        g.mark_output(tanh).unwrap();
+        let kernel = |member, output: PortRef, latency| crate::plan::SelectedKernel {
+            members: vec![member],
+            outputs: vec![output],
+            latency: Micros(latency),
+            backend: Backend::Generated,
+        };
+        // Port 0's producer finishes long before port 1's.
+        let plan = Plan::from_kernels([
+            kernel(split, split.into(), 10.0),
+            kernel(split, port1, 50.0),
+            kernel(tanh, tanh.into(), 10.0),
+        ]);
+        let span = spans(&schedule_streams(&g, &plan, 3, &Device::v100()));
+        assert!(span[0].1 < span[1].1, "{span:?}");
+        assert!(
+            span[2].0 >= span[1].1 - 1e-9,
+            "the port-1 reader started before port 1 existed: {span:?}"
+        );
     }
 
     #[test]

@@ -515,7 +515,7 @@ impl Core {
             let samples: &[_] = if self.profiling { &log.samples } else { &[] };
             profile.merge_run(samples, log.steals, log.parks);
             if self.profiling && !failed {
-                profile.record_run(run.origin.elapsed().as_secs_f64() * 1e6);
+                profile.record_run();
             }
         }
         let result = if failed {

@@ -28,10 +28,10 @@
 //!   its slot and dropped when its last reader retires;
 //! - [`RuntimeProfile`] — per-kernel wall times folded from each run's
 //!   [`KernelInterval`]s (every lane timestamps against one shared clock
-//!   origin per run), and the one fitting hook:
-//!   [`RuntimeProfile::fit_calibration`] feeds measured latencies back
-//!   into the `korch_cost` analytical model (a tiled kernel's tiles sum
-//!   into one whole-kernel sample);
+//!   origin per run; a tiled kernel's tiles sum into one whole-kernel
+//!   sample), read back as `korch_cost` calibration samples
+//!   ([`RuntimeProfile::calibration_samples`]) and as a cost model's
+//!   drift ([`RuntimeProfile::model_error`]);
 //! - [`Server`] — a work-conserving front-end over any [`Model`]: one
 //!   FIFO admission queue drained by a fixed set of long-lived request
 //!   workers (a request starts the moment one is free; a model that
@@ -44,16 +44,16 @@
 //!   `PlanExecutor` over its stitched whole program behind one lock,
 //!   plus the optimizer state a recalibration re-plans from.
 //!
-//! # The self-tuning cycle
+//! # Recalibration
 //!
-//! `korch-core`'s `CompiledModel` + `SelfTuningModel` close the loop end
-//! to end — **measure → fit → re-orchestrate → swap**:
+//! `korch-core`'s `CompiledModel` implements [`SelfTune`] and closes the
+//! loop end to end — **measure → fit → re-orchestrate → swap**:
 //!
 //! 1. **measure** — every `execute` records per-kernel wall times;
 //! 2. **fit** — `Calibration::fit` scales the analytical cost model to
 //!    the measured kernel times;
-//! 3. **re-orchestrate** — the orchestrator re-runs with the calibrated
-//!    profiler, re-pricing kernel selection in measured host time (who
+//! 3. **re-orchestrate** — the orchestrator that optimized the model
+//!    re-runs with the calibrated profiler, re-pricing kernel selection in measured host time (who
 //!    runs what is not planned: the executor schedules the new plan from
 //!    its dependency DAG, like the old one);
 //! 4. **swap** — the new plans replace the old atomically; in-flight
@@ -381,13 +381,13 @@ mod tests {
         let cost = korch_cost::Profiler::new(Device::v100());
         let samples = profile.calibration_samples(&g, &plan);
         assert_eq!(samples.len(), plan.kernel_count());
-        let calibration = profile.fit_calibration(&g, &plan, &cost);
+        let calibration = korch_cost::Calibration::fit(&cost, &samples);
         // CPU wall times are far from simulated GPU micros; the fit must
         // still produce a finite positive scale and tighten the model.
         assert!(calibration.memory_scale.is_finite() && calibration.memory_scale > 0.0);
         let fitted = cost.clone().with_calibration(calibration);
-        let err_before = profile.model_error(&g, &plan, &cost);
-        let err_after = profile.model_error(&g, &plan, &fitted);
+        let err_before = profile.model_error(&g, &plan, &cost).unwrap();
+        let err_after = profile.model_error(&g, &plan, &fitted).unwrap();
         assert!(
             err_after <= err_before + 1e-9,
             "calibration should not worsen the fit: {err_before} -> {err_after}"

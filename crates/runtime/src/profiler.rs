@@ -5,11 +5,13 @@
 //! reproduction replaced it with an analytical model. The runtime closes
 //! the loop in the other direction: every kernel execution is timed, the
 //! accumulated means become [`CalibrationSample`]s, and
-//! [`Calibration::fit`] turns them into per-roofline-component scale
-//! factors, so the optimizer's cost model can be re-fitted to whatever
-//! host actually runs the plan.
+//! [`korch_cost::Calibration::fit`] turns them into per-roofline-component
+//! scale factors, so the optimizer's cost model can be re-fitted to
+//! whatever host actually runs the plan. [`RuntimeProfile::model_error`]
+//! is the one drift measure: how far a cost model's prices are from what
+//! was measured.
 
-use korch_cost::{Calibration, CalibrationSample, KernelSpec, Micros, Profiler};
+use korch_cost::{CalibrationSample, KernelSpec, Micros, Profiler};
 use korch_ir::{NodeId, PrimGraph};
 use korch_orch::Plan;
 use std::collections::{BTreeMap, BTreeSet};
@@ -21,10 +23,6 @@ pub struct KernelStats {
     pub count: u64,
     /// Total wall time, µs.
     pub total_us: f64,
-    /// Fastest execution, µs.
-    pub min_us: f64,
-    /// Slowest execution, µs.
-    pub max_us: f64,
 }
 
 impl KernelStats {
@@ -81,8 +79,6 @@ pub struct RuntimeProfile {
     pub per_kernel: Vec<KernelStats>,
     /// Completed `execute` calls.
     pub runs: u64,
-    /// Total end-to-end wall time across runs, µs.
-    pub total_wall_us: f64,
     /// Tasks (kernels or tiles) a lane took from the top of another
     /// lane's ready deque — counted at the deque, so a task made ready by
     /// one lane and run by another is one steal.
@@ -107,7 +103,6 @@ impl RuntimeProfile {
         Self {
             per_kernel: vec![KernelStats::default(); n],
             runs: 0,
-            total_wall_us: 0.0,
             steals: 0,
             parks: 0,
             tiled_kernels: 0,
@@ -148,46 +143,19 @@ impl RuntimeProfile {
     /// Records one kernel execution.
     pub fn record_kernel(&mut self, kernel: usize, wall_us: f64) {
         let s = &mut self.per_kernel[kernel];
-        if s.count == 0 {
-            s.min_us = wall_us;
-            s.max_us = wall_us;
-        } else {
-            s.min_us = s.min_us.min(wall_us);
-            s.max_us = s.max_us.max(wall_us);
-        }
         s.count += 1;
         s.total_us += wall_us;
     }
 
     /// Records one completed run.
-    pub fn record_run(&mut self, wall_us: f64) {
+    pub fn record_run(&mut self) {
         self.runs += 1;
-        self.total_wall_us += wall_us;
     }
 
     /// Σ mean kernel times, µs: the sequential-execution estimate of the
     /// measured plan (Eq. 2 over wall clocks).
     pub fn sequential_us(&self) -> f64 {
         self.per_kernel.iter().map(KernelStats::mean_us).sum()
-    }
-
-    /// Mean end-to-end wall time per run, µs.
-    pub fn mean_run_us(&self) -> f64 {
-        if self.runs == 0 {
-            0.0
-        } else {
-            self.total_wall_us / self.runs as f64
-        }
-    }
-
-    /// Measured speedup of overlapped execution over the sum of kernel
-    /// times (> 1 when lanes genuinely overlap).
-    pub fn overlap_speedup(&self) -> f64 {
-        let run = self.mean_run_us();
-        if run <= 0.0 {
-            return 1.0;
-        }
-        self.sequential_us() / run
     }
 
     /// Turns the profile into cost-model calibration samples: one per
@@ -209,21 +177,11 @@ impl RuntimeProfile {
             .collect()
     }
 
-    /// Fits a [`Calibration`] of `cost_profiler` from this profile (see
-    /// [`Calibration::fit`]).
-    pub fn fit_calibration(
-        &self,
-        g: &PrimGraph,
-        plan: &Plan,
-        cost_profiler: &Profiler,
-    ) -> Calibration {
-        Calibration::fit(cost_profiler, &self.calibration_samples(g, plan))
-    }
-
-    /// Prediction error of a cost model against this profile: mean of
-    /// `|predicted - measured| / measured` over profiled kernels. Useful
-    /// to confirm a fitted calibration actually tightened the model.
-    pub fn model_error(&self, g: &PrimGraph, plan: &Plan, cost_profiler: &Profiler) -> f64 {
+    /// Prediction error of a cost model against this profile — the drift
+    /// a recalibration is triggered by and scored with: mean of
+    /// `|predicted - measured| / measured` over profiled kernels. `None`
+    /// when no kernel has been measured.
+    pub fn model_error(&self, g: &PrimGraph, plan: &Plan, cost_profiler: &Profiler) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0usize;
         for (k, s) in plan.kernels.iter().zip(&self.per_kernel) {
@@ -236,11 +194,7 @@ impl RuntimeProfile {
             sum += (predicted - s.mean_us()).abs() / s.mean_us();
             n += 1;
         }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
+        (n > 0).then(|| sum / n as f64)
     }
 }
 
@@ -249,18 +203,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_track_extrema_and_mean() {
+    fn stats_track_count_and_mean() {
         let mut p = RuntimeProfile::new(2);
         p.record_kernel(0, 10.0);
         p.record_kernel(0, 30.0);
         p.record_kernel(1, 5.0);
-        p.record_run(40.0);
+        p.record_run();
         assert_eq!(p.per_kernel[0].count, 2);
-        assert_eq!(p.per_kernel[0].min_us, 10.0);
-        assert_eq!(p.per_kernel[0].max_us, 30.0);
         assert_eq!(p.per_kernel[0].mean_us(), 20.0);
         assert_eq!(p.sequential_us(), 25.0);
-        assert_eq!(p.mean_run_us(), 40.0);
+        assert_eq!(p.runs, 1);
     }
 
     /// A run whose kernel 0 executed as three tiles must record ONE
@@ -298,6 +250,11 @@ mod tests {
     fn empty_profile_is_neutral() {
         let p = RuntimeProfile::new(3);
         assert_eq!(p.sequential_us(), 0.0);
-        assert_eq!(p.overlap_speedup(), 1.0);
+        let cost = Profiler::new(korch_cost::Device::v100());
+        assert_eq!(
+            p.model_error(&PrimGraph::new(), &Plan::from_kernels([]), &cost),
+            None,
+            "nothing measured, no drift"
+        );
     }
 }

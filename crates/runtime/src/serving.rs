@@ -141,8 +141,8 @@ pub struct TuneOutcome {
 }
 
 /// A model that can measure its own prediction drift and re-tune itself
-/// in place — `korch-core`'s `SelfTuningModel` (a `CompiledModel` bundled
-/// with its pipeline) is the canonical implementation. The server calls
+/// in place — `korch-core`'s `CompiledModel` is the canonical
+/// implementation. The server calls
 /// [`SelfTune::retune`] from a background thread while requests keep
 /// flowing, so implementations must swap state atomically rather than
 /// lock it across the re-fit.

@@ -33,10 +33,10 @@ const DRIFT_THRESHOLD: f64 = 0.5;
 const WORKERS: usize = 4;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Optimize + compile, bundled for self-tuning. `compile_tuned` runs
-    //    the full Fig. 1 pipeline, stitches the partitions into one
-    //    program, builds one parallel executor over it, and keeps the
-    //    pipeline around so the model can re-orchestrate itself.
+    // 1. Optimize + compile. `compile_with` runs the full Fig. 1
+    //    pipeline, stitches the partitions into one program and builds one
+    //    parallel executor over it. The compiled model keeps the
+    //    orchestrator that optimized it, so it can re-orchestrate itself.
     // Segformer's efficient attention: its plan keeps several independent
     // kernels (q/k/v projections, attention, output), so more than one
     // lane has work — and its kernels are uniform enough that the
@@ -49,14 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry = Arc::new(Telemetry::with_capacity(8, 65536));
     let mut runtime = RuntimeConfig::with_lanes(4);
     runtime.telemetry = Some(Arc::clone(&telemetry));
-    let tuned = Arc::new(korch.compile_tuned(&graph, &runtime)?);
+    let tuned = Arc::new(korch.compile_with(&graph, &runtime)?);
     println!(
         "compiled: {} kernels, simulated {:.4} ms, {} partitions stitched into one program",
-        tuned.model().kernel_count(),
-        tuned.model().latency_ms(),
-        tuned.model().stats().partitions,
+        tuned.kernel_count(),
+        tuned.latency_ms(),
+        tuned.stats().partitions,
     );
-    let report = tuned.model().memory_report();
+    let report = tuned.memory_report();
     println!(
         "memory:   peak {} KiB resident vs {} KiB allocate-everything ({:.0}% saved)",
         report.peak_resident_bytes / 1024,
@@ -166,8 +166,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.p95_latency_us / 1e3,
         stats.throughput_rps,
     );
-    let steals: u64 = tuned.model().profiles().iter().map(|p| p.steals).sum();
-    let calibration = tuned.model().applied_calibration();
+    let steals: u64 = tuned.profiles().iter().map(|p| p.steals).sum();
+    let calibration = tuned.applied_calibration();
     println!(
         "self-tuned: {} auto-recalibration(s); model error now {:.3} \
          (threshold {DRIFT_THRESHOLD}); calibration memory x{:.3e}, compute x{:.3e}",
@@ -177,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         calibration.compute_scale,
     );
     println!("scheduler: {steals} tasks work-stolen across lanes");
-    let arena = tuned.model().arena_stats();
+    let arena = tuned.arena_stats();
     println!(
         "arena:    peak {} KiB resident in the one pool {WORKERS} workers share \
          ({} KiB live at the end)",
@@ -207,7 +207,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(stats.errors, 0);
     assert_eq!(
-        tuned.model().plan_generation(),
+        tuned.plan_generation(),
         stats.recalibrations,
         "every recalibration must swap exactly one plan generation"
     );

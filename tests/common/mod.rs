@@ -12,6 +12,8 @@ use korch::ir::{EwFn, NodeId, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
 use korch::orch::{Plan, SelectedKernel};
 use korch::tensor::{Tensor, UnaryOp};
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 /// One random tensor per `Input` node of an operator graph, seeded
 /// deterministically so failures reproduce.
@@ -68,6 +70,18 @@ pub fn assert_bit_identical(reference: &[Tensor], out: &[Tensor], ctx: &str) {
             b.as_slice(),
             "{ctx}: output {i} not bit-identical"
         );
+    }
+}
+
+/// Waits until a racing thread has bumped `counter` past `seen`, so the
+/// race a test asserts on really interleaves: a caller that never yields
+/// can otherwise finish every round before a freshly spawned thread is
+/// scheduled once. Panics after 30 s, when the racer has stopped (died).
+pub fn await_progress(counter: &AtomicU64, seen: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while counter.load(Ordering::Acquire) == seen {
+        assert!(Instant::now() < deadline, "the racing thread stalled");
+        std::thread::yield_now();
     }
 }
 

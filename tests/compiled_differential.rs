@@ -359,7 +359,7 @@ fn recalibrated_plans_stay_bit_identical() {
                 let out = compiled.execute(&inputs).unwrap();
                 assert_bit_identical(&reference, &out, &format!("{ctx} pre-swap"));
             }
-            let report = korch.recalibrate(&compiled).unwrap();
+            let report = compiled.recalibrate().unwrap();
             // The fit is only asserted to help on the whole-model cut: one
             // primitive per partition leaves tiny memory-bound kernels whose
             // wall times `Calibration::fit` does not reliably tighten.

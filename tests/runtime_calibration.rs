@@ -7,8 +7,8 @@
 //! Runs on the 1-core CI container: every assertion is structural
 //! (bit-equality, counters, bounds), never wall-clock.
 
-use korch::core::{Korch, KorchConfig};
-use korch::cost::Device;
+use korch::core::{CompiledModel, Korch, KorchConfig};
+use korch::cost::{Device, Profiler};
 use korch::runtime::{BatchConfig, RecalibrationPolicy, RuntimeConfig, SelfTune, Server};
 use korch::tensor::Tensor;
 use std::sync::Arc;
@@ -29,7 +29,7 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
     for lanes in [1usize, 2, 4] {
         let tuned = Arc::new(
             korch
-                .compile_tuned(&g, &RuntimeConfig::with_lanes(lanes))
+                .compile_with(&g, &RuntimeConfig::with_lanes(lanes))
                 .unwrap(),
         );
         let server = Server::start_tuned(
@@ -102,7 +102,7 @@ fn in_flight_snapshot_survives_the_swap() {
     for _ in 0..3 {
         compiled.execute(&inputs).unwrap();
     }
-    let report = korch.recalibrate(&compiled).unwrap();
+    let report = compiled.recalibrate().unwrap();
     assert!(report.model_error_after <= report.model_error_before + 1e-9);
     // The old executor still runs, producing the old (identical) bytes...
     let old_out = old_parts[0].executor.execute(&inputs).unwrap();
@@ -116,20 +116,21 @@ fn in_flight_snapshot_survives_the_swap() {
     );
 }
 
-/// `SelfTuningModel` surfaces drift exactly like the underlying model and
-/// refuses to retune unprofiled models without touching them.
+/// A compiled model's `SelfTune` drift is its own drift under the
+/// calibration in force, and it refuses to retune before it was profiled
+/// without touching anything.
 #[test]
 fn self_tuning_model_contract() {
     let g = model_graph();
     let korch = Korch::new(Device::v100(), KorchConfig::default());
     let tuned = korch
-        .compile_tuned(&g, &RuntimeConfig::with_lanes(2))
+        .compile_with(&g, &RuntimeConfig::with_lanes(2))
         .unwrap();
     assert!(tuned.model_error().is_none(), "no drift before any run");
     assert!(tuned.retune().is_err(), "retune needs a profiled run");
     let inputs = vec![Tensor::random(vec![16, 32], 1)];
-    let reference = tuned.model().execute(&inputs).unwrap();
-    tuned.model().execute(&inputs).unwrap();
+    let reference = tuned.execute(&inputs).unwrap();
+    tuned.execute(&inputs).unwrap();
     let drift = tuned.model_error().expect("drift after profiled runs");
     assert!(drift > 0.0);
     let outcome = tuned.retune().expect("profiled model retunes");
@@ -140,26 +141,90 @@ fn self_tuning_model_contract() {
     // two cold runs and the drift below from one warm run, so comparing
     // their sizes is comparing the host's mood (a preempted kernel in the
     // fitted runs once made the "residual" 239 against a gap of 0.99).
-    tuned.model().execute(&inputs).unwrap();
+    tuned.execute(&inputs).unwrap();
     let residual = tuned.model_error().expect("drift after retune");
-    let applied = tuned.model().applied_calibration();
+    let applied = tuned.applied_calibration();
     assert_ne!(
         applied,
         korch::cost::Calibration::default(),
         "the retune's fit must be the calibration in force"
     );
-    let program = &tuned.model().partitions()[0].executor;
+    let program = &tuned.partitions()[0].executor;
     let profile = program.profile();
     let under = |calibration| {
-        let cost = korch::cost::Profiler::new(Device::v100()).with_calibration(calibration);
+        let cost = Profiler::new(Device::v100()).with_calibration(calibration);
         profile.model_error(program.graph(), program.plan(), &cost)
     };
     assert_eq!(
-        residual,
+        Some(residual),
         under(applied),
-        "drift must be priced with the applied calibration (uncalibrated it is {})",
+        "drift must be priced with the applied calibration (uncalibrated it is {:?})",
         under(korch::cost::Calibration::default())
     );
-    let out = tuned.model().execute(&inputs).unwrap();
+    let out = tuned.execute(&inputs).unwrap();
     assert_bit_identical(&reference, &out, "retune changed the function");
+}
+
+/// A model built straight from an optimizer result owns its pricing:
+/// optimized for an A100 over several partitions, it reads its drift
+/// against the A100 profiler — not a default device — and, served with
+/// `Server::start_tuned`, recalibrates itself hands-free. Every
+/// recalibration is one plan generation and every response stays
+/// bit-identical to `Optimized::execute`.
+#[test]
+fn from_optimized_model_tunes_itself_against_its_own_device() {
+    let g = model_graph();
+    let config = KorchConfig {
+        partition_max_prims: 5,
+        ..Default::default()
+    };
+    let optimized = Korch::new(Device::a100(), config).optimize(&g).unwrap();
+    assert!(optimized.partitions().len() >= 2, "want several partitions");
+    let inputs = vec![Tensor::random(vec![16, 32], 6)];
+    let reference = optimized.execute(&inputs).unwrap();
+    let model =
+        Arc::new(CompiledModel::from_optimized(&optimized, &RuntimeConfig::with_lanes(2)).unwrap());
+    assert_eq!(model.model_error(), None, "no drift before any run");
+    let out = model.execute(&inputs).unwrap();
+    assert_bit_identical(&reference, &out, "first run");
+    let drift = model.model_error();
+    assert!(drift.is_some(), "drift after a profiled run");
+    assert_eq!(
+        drift,
+        model.current_model_error(&Profiler::new(Device::a100()))
+    );
+    assert_ne!(
+        drift,
+        model.current_model_error(&Profiler::new(Device::v100())),
+        "drift must be priced on the device the model was optimized for"
+    );
+    let server = Server::start_tuned(
+        Arc::clone(&model),
+        BatchConfig {
+            shards: 2,
+            recalibration: Some(RecalibrationPolicy {
+                every_n_requests: 4,
+                // CPU wall times dwarf simulated GPU micros: the trigger
+                // fires deterministically.
+                model_error_threshold: 0.05,
+            }),
+            ..Default::default()
+        },
+    );
+    for wave in 0..8 {
+        let handles: Vec<_> = (0..8).map(|_| server.submit(inputs.clone())).collect();
+        for h in handles {
+            let out = h.wait().expect("served response");
+            assert_bit_identical(&reference, &out, &format!("wave {wave}"));
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.errors), (64, 0));
+    assert!(
+        stats.recalibrations >= 1,
+        "drift above threshold must trigger a hands-free recalibration: {stats:?}"
+    );
+    assert_eq!(model.plan_generation(), stats.recalibrations);
+    let out = model.execute(&inputs).unwrap();
+    assert_bit_identical(&reference, &out, "after the last swap");
 }

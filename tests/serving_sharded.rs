@@ -28,7 +28,8 @@ use std::sync::Arc;
 
 mod common;
 use common::{
-    assert_bit_identical, independent_plan, model_graph, op_random_inputs, prim_random_inputs,
+    assert_bit_identical, await_progress, independent_plan, model_graph, op_random_inputs,
+    prim_random_inputs,
 };
 
 fn sharded(n: usize) -> BatchConfig {
@@ -295,26 +296,26 @@ fn recalibration_racing_set_shards_keeps_one_generation() {
         .unwrap();
     let rounds = 4u64;
     let done = AtomicBool::new(false);
-    let resized = std::thread::scope(|scope| {
+    let resized = AtomicU64::new(0);
+    std::thread::scope(|scope| {
         let resizer = scope.spawn(|| {
-            let mut resized = 0u64;
             for width in [3usize, 1, 4, 2].into_iter().cycle() {
                 if done.load(Ordering::Acquire) {
                     break;
                 }
                 compiled.set_shards(width).unwrap();
-                resized += 1;
+                resized.fetch_add(1, Ordering::Release);
             }
-            resized
         });
         let stop = StopOnDrop(&done);
         for round in 0..rounds {
+            await_progress(&resized, resized.load(Ordering::Acquire));
             // Profile the live generation before fitting it.
             for _ in 0..2 {
                 let out = compiled.execute(&inputs).unwrap();
                 assert_bit_identical(&reference, &out, &format!("round {round}"));
             }
-            let report = korch.recalibrate(&compiled).unwrap();
+            let report = compiled.recalibrate().unwrap();
             assert_eq!(compiled.plan_generation(), round + 1);
             let snapshots = compiled.shard_snapshots();
             assert_eq!(snapshots.len(), 1, "round {round}: one program");
@@ -328,16 +329,16 @@ fn recalibration_racing_set_shards_keeps_one_generation() {
             assert!(compiled.shard_stats().is_empty());
         }
         drop(stop);
-        resizer.join().unwrap()
+        resizer.join().unwrap();
     });
-    assert!(resized > 0, "the resizer never ran");
+    assert!(resized.into_inner() >= rounds, "the resizer never ran");
     assert_eq!(compiled.plan_generation(), rounds);
     assert_eq!(compiled.arena_stats().live_bytes, 0);
     let out = compiled.execute(&inputs).unwrap();
     assert_bit_identical(&reference, &out, "after the last swap");
 }
 
-/// The server's replan path — `SelfTune::retune` on a tuned model —
+/// The server's replan path — `SelfTune::retune` on a compiled model —
 /// racing a thread that calls `set_shards` and reads a snapshot without
 /// pause: no snapshot ever holds more than one program, and within each
 /// the plan it reports is the plan its executor runs (never one
@@ -350,15 +351,14 @@ fn replan_racing_set_shards_never_forks_generations() {
     let optimized = korch.optimize(&g).unwrap();
     let inputs = op_random_inputs(&g, 4);
     let reference = optimized.execute(&inputs).unwrap();
-    let tuned = korch
-        .compile_tuned(&g, &RuntimeConfig::with_lanes(2))
+    let model = korch
+        .compile_with(&g, &RuntimeConfig::with_lanes(2))
         .unwrap();
-    let model = tuned.model();
     let rounds = 4u64;
     let done = AtomicBool::new(false);
-    let watched = std::thread::scope(|scope| {
+    let watched = AtomicU64::new(0);
+    std::thread::scope(|scope| {
         let watcher = scope.spawn(|| {
-            let mut watched = 0u64;
             for width in [4usize, 1, 3, 2].into_iter().cycle() {
                 if done.load(Ordering::Acquire) {
                     break;
@@ -373,24 +373,24 @@ fn replan_racing_set_shards_never_forks_generations() {
                     program.executor.plan().latency_ms(),
                     "a snapshot mixed two generations"
                 );
-                watched += 1;
+                watched.fetch_add(1, Ordering::Release);
             }
-            watched
         });
         let stop = StopOnDrop(&done);
         for round in 0..rounds {
+            await_progress(&watched, watched.load(Ordering::Acquire));
             let out = model.execute(&inputs).unwrap();
             assert_bit_identical(&reference, &out, &format!("round {round}"));
-            let outcome = tuned.retune().unwrap();
+            let outcome = model.retune().unwrap();
             assert!(outcome.model_error_after.is_finite(), "round {round}");
             assert_eq!(model.plan_generation(), round + 1);
             let live = model.partitions();
             assert_eq!(live[0].executor.plan().latency_ms(), model.latency_ms());
         }
         drop(stop);
-        watcher.join().unwrap()
+        watcher.join().unwrap();
     });
-    assert!(watched > 0, "the watcher never ran");
+    assert!(watched.into_inner() >= rounds, "the watcher never ran");
     assert_eq!(model.plan_generation(), rounds);
     assert_eq!(model.arena_stats().live_bytes, 0);
     let out = model.execute(&inputs).unwrap();

@@ -20,12 +20,13 @@ use korch::runtime::{
     ServeError, Server,
 };
 use korch::tensor::Tensor;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
 use common::{
-    assert_bit_identical, independent_plan, model_graph, op_random_inputs, prim_random_inputs,
+    assert_bit_identical, await_progress, independent_plan, model_graph, op_random_inputs,
+    prim_random_inputs,
 };
 
 fn workers(n: usize) -> BatchConfig {
@@ -186,7 +187,7 @@ fn a_panicking_request_costs_the_server_nothing_else() {
     assert_eq!(touchy.model.arena_stats().live_bytes, 0);
 }
 
-/// Drift-triggered auto-recalibration over four workers on one tuned
+/// Drift-triggered auto-recalibration over four workers on one compiled
 /// model: every completed recalibration is one plan generation, and
 /// serving stays bit-identical across the swaps.
 #[test]
@@ -198,7 +199,7 @@ fn auto_recalibration_swaps_the_executor_mid_serving() {
     let reference = optimized.execute(&inputs).unwrap();
     let tuned = Arc::new(
         korch
-            .compile_tuned(&g, &RuntimeConfig::with_lanes(2))
+            .compile_with(&g, &RuntimeConfig::with_lanes(2))
             .unwrap(),
     );
     let server = Server::start_tuned(
@@ -214,7 +215,7 @@ fn auto_recalibration_swaps_the_executor_mid_serving() {
             ..Default::default()
         },
     );
-    assert_eq!(tuned.model().plan_generation(), 0);
+    assert_eq!(tuned.plan_generation(), 0);
     // Serve in waves so drift checks interleave with background swaps.
     for wave in 0..8 {
         let handles: Vec<_> = (0..8).map(|_| server.submit(inputs.clone())).collect();
@@ -230,9 +231,9 @@ fn auto_recalibration_swaps_the_executor_mid_serving() {
         stats.recalibrations >= 1,
         "drift above threshold must trigger at least one auto-recalibration: {stats:?}"
     );
-    assert_eq!(tuned.model().plan_generation(), stats.recalibrations);
-    assert_eq!(tuned.model().arena_stats().live_bytes, 0);
-    let out = tuned.model().execute(&inputs).unwrap();
+    assert_eq!(tuned.plan_generation(), stats.recalibrations);
+    assert_eq!(tuned.arena_stats().live_bytes, 0);
+    let out = tuned.execute(&inputs).unwrap();
     assert_bit_identical(&reference, &out, "after the last swap");
 }
 
@@ -253,25 +254,26 @@ fn recalibration_racing_concurrent_executes_keeps_one_generation() {
         .unwrap();
     let rounds = 4u64;
     let done = AtomicBool::new(false);
-    let ran = std::thread::scope(|scope| {
+    let ran = AtomicU64::new(0);
+    std::thread::scope(|scope| {
         let racers: Vec<_> = (0..2)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut ran = 0u64;
                     while !done.load(Ordering::Acquire) {
                         let out = compiled.execute(&inputs).unwrap();
                         assert_bit_identical(&reference, &out, "racing run");
-                        ran += 1;
+                        ran.fetch_add(1, Ordering::Release);
                     }
-                    ran
                 })
             })
             .collect();
         for round in 0..rounds {
+            // Every generation is raced before it is replaced.
+            await_progress(&ran, ran.load(Ordering::Acquire));
             // Profile the live generation before fitting it.
             let out = compiled.execute(&inputs).unwrap();
             assert_bit_identical(&reference, &out, &format!("round {round}"));
-            let report = korch.recalibrate(&compiled).unwrap();
+            let report = compiled.recalibrate().unwrap();
             assert_eq!(compiled.plan_generation(), round + 1);
             let live = compiled.partitions();
             assert_eq!(live.len(), 1);
@@ -283,9 +285,11 @@ fn recalibration_racing_concurrent_executes_keeps_one_generation() {
             assert_eq!(compiled.latency_ms(), report.latency_ms);
         }
         done.store(true, Ordering::Release);
-        racers.into_iter().map(|t| t.join().unwrap()).sum::<u64>()
+        for racer in racers {
+            racer.join().unwrap();
+        }
     });
-    assert!(ran > 0, "the racers never ran");
+    assert!(ran.into_inner() >= rounds, "the racers never ran");
     assert_eq!(compiled.plan_generation(), rounds);
     assert_eq!(compiled.arena_stats().live_bytes, 0);
     let out = compiled.execute(&inputs).unwrap();

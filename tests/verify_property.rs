@@ -165,7 +165,7 @@ proptest! {
             .map(|(i, shape)| Tensor::random(shape, seed + i as u64))
             .collect();
         compiled.execute(&inputs).expect("plan executes");
-        korch.recalibrate(&compiled).expect("recalibrate succeeds");
+        compiled.recalibrate().expect("recalibrate succeeds");
         compiled.verify().expect("swapped plans verify");
     }
 }

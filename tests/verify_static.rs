@@ -273,9 +273,7 @@ fn recalibrate_swap_is_verified_and_bit_stable() {
     // recalibrate runs check_executor over every fresh partition before
     // swapping; in release test runs the same call exercises the
     // hook-free path.
-    korch
-        .recalibrate(&compiled)
-        .expect("verified swap succeeds");
+    compiled.recalibrate().expect("verified swap succeeds");
     assert_eq!(compiled.plan_generation(), generation + 1);
     compiled.verify().expect("swapped plans verify");
     let out = compiled.execute(&inputs).unwrap();
