@@ -1,8 +1,8 @@
 //! Criterion benches for the beyond-paper extensions: the layout-aware BLP
-//! (§8), multi-stream scheduling (§5.3) and quick-prune identification
-//! (§8 tuning-time acceleration). Each bench first prints the plan-quality
-//! numbers once, then measures the optimizer-side runtime of the extension
-//! itself (the thing a compiler engineer would profile).
+//! (§8) and quick-prune identification (§8 tuning-time acceleration). Each
+//! bench first prints the plan-quality numbers once, then measures the
+//! optimizer-side runtime of the extension itself (the thing a compiler
+//! engineer would profile).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use korch_cost::{Backend, Device, Profiler};
@@ -10,8 +10,8 @@ use korch_fission::fission;
 use korch_ir::PrimGraph;
 use korch_models::subgraphs::softmax_attention;
 use korch_orch::{
-    enumerate_states, identify_kernels, optimize, optimize_with_layouts, schedule_streams,
-    Candidates, IdentifyConfig, LayoutConfig, OptimizeConfig,
+    enumerate_states, identify_kernels, optimize, optimize_with_layouts, Candidates,
+    IdentifyConfig, LayoutConfig, OptimizeConfig,
 };
 use std::hint::black_box;
 
@@ -54,27 +54,6 @@ fn bench_layout_blp(c: &mut Criterion) {
     });
 }
 
-fn bench_streams(c: &mut Criterion) {
-    let g = attention_prims();
-    let cands = candidates(&g, &IdentifyConfig::default());
-    let (plan, _) = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap();
-    let device = Device::v100();
-    for s in [1usize, 4] {
-        let sched = schedule_streams(&g, &plan, s, &device);
-        println!("streams S={s}: makespan {:.2} µs", sched.makespan.0);
-    }
-    c.bench_function("streams/schedule_4_lanes", |b| {
-        b.iter(|| {
-            black_box(schedule_streams(
-                black_box(&g),
-                black_box(&plan),
-                4,
-                &device,
-            ))
-        })
-    });
-}
-
 fn bench_quick_prune(c: &mut Criterion) {
     let g = attention_prims();
     let full = candidates(&g, &IdentifyConfig::default());
@@ -111,5 +90,5 @@ fn bench_quick_prune(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_layout_blp, bench_streams, bench_quick_prune);
+criterion_group!(benches, bench_layout_blp, bench_quick_prune);
 criterion_main!(benches);

@@ -22,8 +22,10 @@
 //!   picks its op's loop once per block, not per element.
 //!
 //! `run` is range-agnostic: callers may evaluate the whole output or any
-//! contiguous tile by slicing all external inputs with one range, which is
-//! exactly how [`crate::eval_prim_tiled`] restricts an elementwise primitive.
+//! contiguous tile by slicing all external inputs with one range — every
+//! input has the output's shape, so one flat range selects the same
+//! elements of each. The `korch-runtime` executor runs every elementwise
+//! kernel this way, a single member included.
 
 use crate::error::ExecError;
 use korch_ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};

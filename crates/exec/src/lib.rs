@@ -28,4 +28,4 @@ pub use chain::CompiledChain;
 pub use error::ExecError;
 pub use ops::{eval_op, execute_ops};
 pub use prims::{eval_prim, execute_plan, execute_prims, materialize_const};
-pub use tile::{eval_prim_tiled, prim_tilability, Tilability};
+pub use tile::{prim_tilability, Tilability};

@@ -11,7 +11,9 @@
 //!    §6.5 rejection heuristics;
 //! 3. [`optimize`] — the binary linear program of Eqs. 2–4 (with the
 //!    redundant-computation relaxation) solved by `korch-blp`;
-//! 4. [`Plan`] — the selected kernels scheduled sequentially (§5.3).
+//! 4. [`Plan`] — the selected kernels scheduled sequentially (§5.3), with
+//!    [`plan_dependencies`] the port-level readiness relation between them
+//!    that the `korch-runtime` executor runs its lanes by.
 //!
 //! The BLP is written once (`cover.rs`), over variables that *produce* and
 //! *require* keys of an ordered type: Eq. 3 rows for the keys that must be
@@ -57,7 +59,6 @@ mod layout;
 mod optimizer;
 mod plan;
 mod state;
-mod stream;
 
 pub use kernel::{
     backend_applicable, greedy_seed_groups, identify_kernels, CandidateKernel, Candidates,
@@ -68,12 +69,8 @@ pub use layout::{
     LayoutVariant, TensorLayout,
 };
 pub use optimizer::{optimize, OptimizeConfig, OrchError, SolveReport};
-pub use plan::{Plan, SelectedKernel};
+pub use plan::{plan_dependencies, MissingProducer, Plan, SelectedKernel};
 pub use state::{enumerate_states, BitSet, StateSpace};
-pub use stream::{
-    kernel_classes, plan_dependencies, schedule_streams, schedule_streams_with, MissingProducer,
-    ResourceClass, StreamAssignment, StreamContention, StreamSchedule,
-};
 
 use korch_cost::{Backend, Device, Profiler};
 use korch_ir::PrimGraph;

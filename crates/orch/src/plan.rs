@@ -1,8 +1,10 @@
 //! Executable plans: the output of the orchestration optimizer, consumed by
-//! the interpreter in `korch-exec` and by the report generators.
+//! the interpreter in `korch-exec` and by the report generators, and the
+//! port-level dependency relation between a plan's kernels.
 
 use korch_cost::{Backend, Micros};
-use korch_ir::{NodeId, PortRef};
+use korch_ir::{NodeId, PortRef, PrimGraph};
+use std::collections::{BTreeSet, HashMap};
 
 /// One kernel launch in the final executable (paper §5.3).
 #[derive(Debug, Clone)]
@@ -67,9 +69,193 @@ impl Plan {
     }
 }
 
+/// A plan read with no producer ordered before it: kernel `kernel` reads
+/// `port` from device memory, but no kernel at an index `<= kernel`
+/// materializes that port. Such a plan fails under every executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MissingProducer {
+    /// Index of the reading kernel in `plan.kernels`.
+    pub kernel: usize,
+    /// The port that is never materialized in time.
+    pub port: PortRef,
+}
+
+impl std::fmt::Display for MissingProducer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "plan kernel {} reads port {}:{} that no earlier kernel materializes",
+            self.kernel, self.port.node.0, self.port.port
+        )
+    }
+}
+
+/// Port-level kernel dependency edges of `plan` over `g`: kernel `i`
+/// depends on the first (plan-order) kernel that materializes each port
+/// one of its members reads from device memory — reads satisfied inside
+/// the kernel's own member set (or by graph sources, which exist before
+/// kernel 0) carry no edge. This is the exact readiness relation the
+/// `korch-runtime` executor compiles into its atomic dependency counters;
+/// `korch-verify` re-derives it here to cross-check compiled artifacts.
+///
+/// Every returned edge points at a strictly lower kernel index, so the
+/// relation is acyclic by construction and plan order is one of its
+/// topological orders.
+///
+/// # Errors
+///
+/// Returns [`MissingProducer`] when some kernel reads a port no kernel
+/// ordered before it materializes.
+pub fn plan_dependencies(g: &PrimGraph, plan: &Plan) -> Result<Vec<Vec<usize>>, MissingProducer> {
+    let mut first_producer: HashMap<PortRef, usize> = HashMap::new();
+    for (i, k) in plan.kernels.iter().enumerate() {
+        for o in &k.outputs {
+            first_producer.entry(*o).or_insert(i);
+        }
+    }
+    let mut all = Vec::with_capacity(plan.kernels.len());
+    for (i, k) in plan.kernels.iter().enumerate() {
+        let member_set: BTreeSet<NodeId> = k.members.iter().copied().collect();
+        let mut deps: BTreeSet<usize> = BTreeSet::new();
+        for &m in &k.members {
+            let node = g.node(m);
+            if node.kind.is_source() {
+                continue;
+            }
+            for r in &node.inputs {
+                // Mirrors the executors: sources exist before kernel 0 and
+                // carry no edge; non-source member values stay kernel-local.
+                if g.node(r.node).kind.is_source() || member_set.contains(&r.node) {
+                    continue;
+                }
+                match first_producer.get(r) {
+                    Some(&p) if p < i => {
+                        deps.insert(p);
+                    }
+                    Some(&p) if p == i => {}
+                    _ => {
+                        return Err(MissingProducer {
+                            kernel: i,
+                            port: *r,
+                        })
+                    }
+                }
+            }
+        }
+        all.push(deps.into_iter().collect());
+    }
+    Ok(all)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use korch_ir::{EwFn, LayoutFn, PrimKind};
+    use korch_tensor::UnaryOp;
+
+    /// A one-member kernel exporting `output`.
+    fn kernel(member: NodeId, output: PortRef) -> SelectedKernel {
+        SelectedKernel {
+            members: vec![member],
+            outputs: vec![output],
+            latency: Micros(1.0),
+            backend: Backend::Generated,
+        }
+    }
+
+    /// `x → split(3, 3) → tanh(port 1)`: the split node and its port 1.
+    fn split_graph() -> (PrimGraph, NodeId, PortRef, NodeId) {
+        let mut g = PrimGraph::new();
+        let x = g
+            .add(PrimKind::Input { shape: vec![4, 6] }, vec![])
+            .unwrap();
+        let split = g
+            .add(
+                PrimKind::Layout(LayoutFn::Split {
+                    axis: 1,
+                    sizes: vec![3, 3],
+                }),
+                vec![x.into()],
+            )
+            .unwrap();
+        let port1 = PortRef {
+            node: split,
+            port: 1,
+        };
+        let tanh = g
+            .add(
+                PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)),
+                vec![port1],
+            )
+            .unwrap();
+        g.mark_output(tanh).unwrap();
+        (g, split, port1, tanh)
+    }
+
+    /// Two kernels materialize different ports of one `Split`; a third
+    /// reads port 1. It depends on port 1's producer, not on whichever
+    /// kernel materialized *a* port of the node first.
+    #[test]
+    fn a_reader_waits_on_the_producer_of_its_port() {
+        let (g, split, port1, tanh) = split_graph();
+        let plan = Plan::from_kernels([
+            kernel(split, split.into()),
+            kernel(split, port1),
+            kernel(tanh, tanh.into()),
+        ]);
+        assert_eq!(
+            plan_dependencies(&g, &plan),
+            Ok(vec![vec![], vec![], vec![1]])
+        );
+    }
+
+    #[test]
+    fn a_read_with_no_earlier_producer_is_missing() {
+        let (g, split, port1, tanh) = split_graph();
+        // Port 1 is materialized only after its reader.
+        let plan = Plan::from_kernels([kernel(tanh, tanh.into()), kernel(split, port1)]);
+        assert_eq!(
+            plan_dependencies(&g, &plan),
+            Err(MissingProducer {
+                kernel: 0,
+                port: port1
+            })
+        );
+        // And never at all.
+        let plan = Plan::from_kernels([kernel(split, split.into()), kernel(tanh, tanh.into())]);
+        assert_eq!(
+            plan_dependencies(&g, &plan),
+            Err(MissingProducer {
+                kernel: 1,
+                port: port1
+            })
+        );
+    }
+
+    #[test]
+    fn own_output_and_source_reads_carry_no_edge() {
+        let (g, split, port1, tanh) = split_graph();
+        // Kernel 1 materializes port 1 itself and reads it; kernel 0
+        // reads only the graph input.
+        let plan = Plan::from_kernels([
+            kernel(split, split.into()),
+            SelectedKernel {
+                members: vec![tanh],
+                outputs: vec![port1, tanh.into()],
+                latency: Micros(1.0),
+                backend: Backend::Generated,
+            },
+        ]);
+        assert_eq!(plan_dependencies(&g, &plan), Ok(vec![vec![], vec![]]));
+        // A fused kernel's in-kernel read of its own member.
+        let plan = Plan::from_kernels([SelectedKernel {
+            members: vec![split, tanh],
+            outputs: vec![tanh.into()],
+            latency: Micros(1.0),
+            backend: Backend::Generated,
+        }]);
+        assert_eq!(plan_dependencies(&g, &plan), Ok(vec![vec![]]));
+    }
 
     #[test]
     fn execution_counts_detect_redundancy() {

@@ -2,7 +2,7 @@
 //! `PlanExecutor::new` so a run only indexes vectors.
 
 use super::{not_materialized, TileBodyKind};
-use korch_exec::{eval_prim, eval_prim_tiled, prim_tilability, CompiledChain, ExecError};
+use korch_exec::{eval_prim, prim_tilability, CompiledChain, ExecError};
 use korch_ir::{LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_tensor::{MatMulSpec, PackedB, Tensor, TensorError};
 use std::collections::{BTreeSet, HashMap};
@@ -122,9 +122,10 @@ impl KernelBody {
             }
             let mut body = non_source(g, members);
             if let (Some(m), None) = (body.next(), body.next()) {
-                let meta = g.meta(*out);
-                let tilable = prim_tilability(&g.node(m).kind, meta.shape()).grain();
-                if tilable.is_some() && *out == PortRef::from(m) && meta.numel() > 0 {
+                let (kind, meta) = (&g.node(m).kind, g.meta(*out));
+                let tilable = prim_tilability(kind, meta.shape()).grain().is_some()
+                    && !matches!(kind, PrimKind::Elementwise(_));
+                if tilable && *out == PortRef::from(m) && meta.numel() > 0 {
                     let inputs = &g.node(m).inputs;
                     let operands = inputs.iter().map(read_index).collect::<Result<_, _>>()?;
                     return Ok(KernelBody::Prim { node: m, operands });
@@ -239,20 +240,21 @@ impl KernelBody {
                 chain.run(&slices, out)
             }
             KernelBody::Prim { node, operands } => {
-                let ins: Vec<&Tensor> = operands
-                    .iter()
-                    .map(|&i| prepared.reads[i].as_ref())
-                    .collect();
-                match &prepared.packed {
-                    Some((spec, packed)) => {
+                let x = &prepared.reads[operands[0]];
+                match (&g.node(*node).kind, &prepared.packed) {
+                    (PrimKind::Reduce { kind, axis }, _) => x.reduce_tile(*axis, *kind, range, out),
+                    (PrimKind::Broadcast { axis, size }, _) => {
+                        x.broadcast_tile(*axis, *size, range, out)
+                    }
+                    (_, Some((spec, packed))) => {
                         let n = packed.n().max(1);
                         let rows = range.start / n..range.end / n;
-                        ins[0]
-                            .matmul_rows_packed(ins[1], packed, *spec, rows, out)
-                            .map_err(|source| tensor_error(*node, source))
+                        let rhs = &prepared.reads[operands[1]];
+                        x.matmul_rows_packed(rhs, packed, *spec, rows, out)
                     }
-                    None => eval_prim_tiled(&g.node(*node).kind, &ins, range, out, node.0),
+                    (kind, None) => unreachable!("{kind:?} is not a prim body"),
                 }
+                .map_err(|source| tensor_error(*node, source))
             }
         }
     }

@@ -230,8 +230,6 @@ impl PlanExecutor {
         let core = Core {
             graph: g.clone(),
             plan: plan.clone(),
-            timing_enabled: config.profile || telemetry.is_some(),
-            profiling: config.profile,
             memory_report: table.memory_report(),
             table,
             kernels,

@@ -7,9 +7,7 @@
 //! [`PlanExecutor`] overlaps them, scheduling from the dependency DAG it
 //! compiles and from nothing else — it is a pure function of
 //! `(graph, plan, RuntimeConfig)` — and its outputs are **bit-identical**
-//! to `execute_plan`'s whichever lane runs what. (`korch-orch` keeps a
-//! multi-stream *simulator* as a what-if tool of the optimizer side; the
-//! runtime neither runs it nor follows it.)
+//! to `execute_plan`'s whichever lane runs what.
 //!
 //! # Compile (`compile.rs`, `body.rs`)
 //!
@@ -209,8 +207,6 @@ pub struct RuntimeConfig {
     /// when a derived split threshold decides tile eligibility. Nothing
     /// else in the runtime reads it.
     pub device: Device,
-    /// Record per-kernel wall times on every run.
-    pub profile: bool,
     /// Plan-priced latency (µs, in the plan's own cost-model units —
     /// simulated device time at compile, calibrated host time after a
     /// recalibration) above which a tilable kernel is split. `None`
@@ -244,7 +240,6 @@ impl Default for RuntimeConfig {
                 .unwrap_or(1)
                 .min(8),
             device: Device::v100(),
-            profile: true,
             split_threshold_us: None,
             tile_rows: None,
             telemetry: None,
@@ -275,10 +270,10 @@ struct KernelTask {
 /// static verification ([`PlanExecutor::tile_layouts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileBodyKind {
-    /// Exactly one non-source member, of a tilable [`korch_ir::PrimKind`]; tiles
-    /// run `korch_exec::eval_prim_tiled` on it (matmul rows go through
-    /// the packed/blocked row kernel — a pure loop interchange of the
-    /// same contraction, so still bit-identical).
+    /// Exactly one non-source member, a reduce, broadcast or matmul;
+    /// tiles run its range kernel (`reduce_tile`, `broadcast_tile`, or
+    /// the packed/blocked row kernel for matmul rows — a pure loop
+    /// interchange of the same contraction, so still bit-identical).
     Single(NodeId),
     /// Every non-source member is elementwise over one shared shape; the
     /// fused chain evaluates per flat index on range-restricted operand
@@ -316,9 +311,6 @@ pub struct PlanExecutor {
 struct Core {
     graph: PrimGraph,
     plan: Plan,
-    /// Whether runs fold their kernel times into `profile`
-    /// ([`RuntimeConfig::profile`]).
-    profiling: bool,
     kernels: Vec<KernelTask>,
     /// Kernels unblocked when each kernel retires (reverse dependency
     /// edges).
@@ -336,9 +328,6 @@ struct Core {
     table: SlotTable,
     memory_report: MemoryReport,
     arena: BufferArena,
-    /// Whether kernel/tile intervals are timed at all: profiling wants
-    /// them for the calibration fit, telemetry wants them for trace spans.
-    timing_enabled: bool,
     /// Tracing handles, present only when the config carries a telemetry
     /// bundle. The hot path never consults this — workers time intervals
     /// exactly as for profiling and the spans are emitted once per run,
@@ -508,16 +497,12 @@ impl Core {
         if let Some(et) = &self.telemetry {
             et.emit_run(run, &log, &self.kernel_classes);
         }
-        if self.profiling || log.steals > 0 || log.parks > 0 {
-            let mut profile = lock_recover(&self.profile);
-            // Intervals may have been timed for tracing alone; the
-            // profile only ever sees them when profiling is on.
-            let samples: &[_] = if self.profiling { &log.samples } else { &[] };
-            profile.merge_run(samples, log.steals, log.parks);
-            if self.profiling && !failed {
-                profile.record_run();
-            }
+        let mut profile = lock_recover(&self.profile);
+        profile.merge_run(&log.samples, log.steals, log.parks);
+        if !failed {
+            profile.record_run();
         }
+        drop(profile);
         let result = if failed {
             let e = lock_recover(&state.error).take();
             Err(e.unwrap_or_else(|| ExecError::Input("executor failed".into())))

@@ -386,9 +386,9 @@ impl Core {
 
     /// Runs one task on worker lane `lane` — a whole kernel, or one tile
     /// of a decomposed one — timing its (start, end) interval against
-    /// the run's shared clock origin when profiling (a tile's interval
-    /// carries the parent kernel's index and its tile tag), and retires
-    /// the kernel once its output is published. A body that panics is
+    /// the run's shared clock origin (a tile's interval carries the
+    /// parent kernel's index and its tile tag), and retires the kernel
+    /// once its output is published. A body that panics is
     /// contained here and fails the run like a body that errs. On failure
     /// stores the error, flags the run failed, and wakes every parked
     /// worker so all lanes unwind (a no-op when running sequentially);
@@ -401,9 +401,7 @@ impl Core {
         log: &mut LaneLog,
     ) -> bool {
         let run = &state.ctx;
-        let start = self
-            .timing_enabled
-            .then(|| run.origin.elapsed().as_secs_f64() * 1e6);
+        let start_us = run.origin.elapsed().as_secs_f64() * 1e6;
         let (kernel, tile) = match task {
             Task::Kernel(k) => (k, None),
             Task::Tile { kernel, tile } => (kernel, Some(tile)),
@@ -420,15 +418,13 @@ impl Core {
         });
         match published {
             Ok(published) => {
-                if let Some(start_us) = start {
-                    log.samples.push(KernelInterval {
-                        kernel,
-                        lane,
-                        start_us,
-                        end_us: run.origin.elapsed().as_secs_f64() * 1e6,
-                        tile,
-                    });
-                }
+                log.samples.push(KernelInterval {
+                    kernel,
+                    lane,
+                    start_us,
+                    end_us: run.origin.elapsed().as_secs_f64() * 1e6,
+                    tile,
+                });
                 if published {
                     self.retire(kernel, lane, state);
                 }

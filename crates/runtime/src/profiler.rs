@@ -91,7 +91,7 @@ pub struct RuntimeProfile {
     pub parks: u64,
     /// Kernel executions that were decomposed into row-range tiles
     /// (counted once per decomposed kernel per run; derived from
-    /// tile-tagged intervals, so profiling must be enabled to count).
+    /// tile-tagged intervals).
     pub tiled_kernels: u64,
     /// Individual tile tasks executed across all decomposed kernels.
     pub tile_tasks: u64,

@@ -49,7 +49,7 @@
 //! `pack`'s `conv_non_finite_contract` test pins both cases on the
 //! panel, strided and depthwise paths.
 
-use crate::pack::{conv2d_blocked, matmul_rows_blocked, ConvGeom, PackedB};
+use crate::pack::{conv2d_blocked, ConvGeom, PackedB};
 use crate::{Tensor, TensorError};
 
 /// Transpose flags for a (batched) matrix multiplication, mirroring BLAS
@@ -72,7 +72,8 @@ impl MatMulSpec {
 }
 
 impl Tensor {
-    /// Matrix multiplication with optional batching and transpose flags.
+    /// Matrix multiplication with optional batching and transpose flags:
+    /// [`Tensor::matmul_rows_packed`] over every output row.
     ///
     /// Operands must have equal rank ≥ 2; leading (batch) dimensions must
     /// match elementwise. The contraction dimensions follow `spec`.
@@ -82,49 +83,46 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if ranks differ, rank < 2,
     /// batch dims differ, or inner dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor, spec: MatMulSpec) -> Result<Tensor, TensorError> {
+        let [batch, m, _, n] = self.matmul_dims(rhs, spec)?;
+        let packed = PackedB::pack(rhs, spec.trans_b)?;
+        let mut out = vec![0f32; batch * m * n];
+        self.matmul_rows_packed(rhs, &packed, spec, 0..batch * m, &mut out)?;
+        let mut out_shape = self.shape()[..self.rank() - 2].to_vec();
+        out_shape.extend([m, n]);
+        Tensor::from_vec(out_shape, out)
+    }
+
+    /// `[batch, m, k, n]` of `self.matmul(rhs, spec)`: `batch` is the
+    /// product of the shared leading dimensions, `m × k` and `k × n` the
+    /// operands after `spec`'s transposes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if ranks differ, rank < 2,
+    /// batch dims differ, or inner dimensions disagree.
+    pub(crate) fn matmul_dims(
+        &self,
+        rhs: &Tensor,
+        spec: MatMulSpec,
+    ) -> Result<[usize; 4], TensorError> {
+        let mismatch = || TensorError::ShapeMismatch {
+            lhs: self.shape().to_vec(),
+            rhs: rhs.shape().to_vec(),
+        };
         let ra = self.rank();
         let rb = rhs.rank();
-        if ra != rb || ra < 2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-            });
-        }
-        let batch_dims = &self.shape()[..ra - 2];
-        if batch_dims != &rhs.shape()[..rb - 2] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-            });
+        if ra != rb || ra < 2 || self.shape()[..ra - 2] != rhs.shape()[..rb - 2] {
+            return Err(mismatch());
         }
         let (am, ak) = (self.shape()[ra - 2], self.shape()[ra - 1]);
         let (bk, bn) = (rhs.shape()[rb - 2], rhs.shape()[rb - 1]);
         let (m, k1) = if spec.trans_a { (ak, am) } else { (am, ak) };
         let (k2, n) = if spec.trans_b { (bn, bk) } else { (bk, bn) };
         if k1 != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-            });
+            return Err(mismatch());
         }
-        let batch: usize = batch_dims.iter().product();
-        let mut out_shape = batch_dims.to_vec();
-        out_shape.push(m);
-        out_shape.push(n);
-        let mut out = vec![0f32; batch * m * n];
-        let packed = PackedB::pack(rhs, spec.trans_b)?;
-        matmul_rows_blocked(
-            self.as_slice(),
-            rhs.as_slice(),
-            &packed,
-            spec.trans_a,
-            am,
-            ak,
-            m,
-            0..batch * m,
-            &mut out,
-        );
-        Tensor::from_vec(out_shape, out)
+        let batch = self.shape()[..ra - 2].iter().product();
+        Ok([batch, m, k1, n])
     }
 
     /// 2-D convolution: input `[N, C, H, W]`, weight `[O, C/groups, KH, KW]`,

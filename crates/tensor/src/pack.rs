@@ -1,8 +1,8 @@
 //! Packed operand panels and the MR×NR register-blocked microkernel
 //! behind matmul and conv, and the direct loop behind depthwise conv.
 //!
-//! [`Tensor::matmul`](crate::Tensor::matmul),
-//! [`Tensor::matmul_rows`](crate::Tensor::matmul_rows) and
+//! [`Tensor::matmul_rows_packed`](crate::Tensor::matmul_rows_packed)
+//! (hence [`Tensor::matmul`](crate::Tensor::matmul)) and
 //! [`Tensor::conv2d`](crate::Tensor::conv2d) all drive the kernels here
 //! instead of a naive per-element contraction. The design is the
 //! classic GEBP pack-then-microkernel split:

@@ -33,51 +33,20 @@ impl ReduceKind {
 }
 
 impl Tensor {
-    /// Reduces along `axis` with the given aggregator, removing that axis.
+    /// Reduces along `axis` with the given aggregator, removing that axis:
+    /// [`Tensor::reduce_tile`] over the whole output.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank`.
     pub fn reduce(&self, axis: usize, kind: ReduceKind) -> Result<Tensor, TensorError> {
-        if axis >= self.rank() {
-            return Err(TensorError::AxisOutOfRange {
-                axis,
-                rank: self.rank(),
-            });
+        let mut out_shape = self.shape().to_vec();
+        if axis < out_shape.len() {
+            out_shape.remove(axis);
         }
-        let in_shape = self.shape();
-        let axis_len = in_shape[axis];
-        let out_shape: Vec<usize> = in_shape
-            .iter()
-            .enumerate()
-            .filter(|&(d, _)| d != axis)
-            .map(|(_, &s)| s)
-            .collect();
-        let outer: usize = in_shape[..axis].iter().product();
-        let inner: usize = in_shape[axis + 1..].iter().product();
-        let mut out = vec![0f32; outer * inner];
-        let data = self.as_slice();
-        for o in 0..outer {
-            for i in 0..inner {
-                let mut acc = match kind {
-                    ReduceKind::Sum | ReduceKind::Mean => 0.0,
-                    ReduceKind::Max => f32::NEG_INFINITY,
-                    ReduceKind::Min => f32::INFINITY,
-                };
-                for k in 0..axis_len {
-                    let v = data[(o * axis_len + k) * inner + i];
-                    acc = match kind {
-                        ReduceKind::Sum | ReduceKind::Mean => acc + v,
-                        ReduceKind::Max => acc.max(v),
-                        ReduceKind::Min => acc.min(v),
-                    };
-                }
-                if kind == ReduceKind::Mean {
-                    acc /= axis_len as f32;
-                }
-                out[o * inner + i] = acc;
-            }
-        }
+        let total = out_shape.iter().product();
+        let mut out = vec![0f32; total];
+        self.reduce_tile(axis, kind, 0..total, &mut out)?;
         Tensor::from_vec(out_shape, out)
     }
 

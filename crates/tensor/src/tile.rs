@@ -19,16 +19,17 @@
 //!   element loop is not unswitched and runs ~10× slower). They are the
 //!   only elementwise loops: [`Tensor::unary`] and friends, hence
 //!   `eval_prim`, walks and `CompiledChain` in `korch-exec`, all run them;
-//! - [`Tensor::matmul_rows`] / [`Tensor::matmul_rows_packed`] compute a
-//!   range of output rows with the full inner contraction per row on the
-//!   blocked microkernel of [`crate::pack`] — the same ascending-`p`
-//!   accumulation (with zero-skip) per output element as
-//!   [`Tensor::matmul`], just register-blocked, so tiled and monolithic
-//!   products agree bit for bit. The packed B panel is read-only and may
-//!   be shared across concurrent sibling tiles;
+//! - [`Tensor::matmul_rows_packed`] computes a range of output rows with
+//!   the full inner contraction per row on the blocked microkernel of
+//!   [`crate::pack`] — the ascending-`p` accumulation (with zero-skip)
+//!   per output element, just register-blocked — so tiled and monolithic
+//!   products agree bit for bit ([`Tensor::matmul`] is this kernel over
+//!   every row). The packed B panel is read-only and may be shared across
+//!   concurrent sibling tiles;
 //! - [`Tensor::reduce_tile`] computes a flat range of *output* elements,
 //!   each with its complete accumulation over the reduced axis in
-//!   sequential order — axis-aligned splitting, safe for every axis;
+//!   sequential order — axis-aligned splitting, safe for every axis (the
+//!   body of [`Tensor::reduce`] itself);
 //! - [`Tensor::broadcast_tile`] replicates the input into a flat output
 //!   range, a run at a time (the body of [`Tensor::broadcast`] itself).
 
@@ -127,36 +128,11 @@ impl Tensor {
     /// Computes output rows `rows` of `self.matmul(rhs, spec)` into `out`,
     /// where rows index the flattened `batch × m` leading output
     /// dimensions and `out` covers exactly `rows.len() * n` elements.
-    ///
-    /// Packs the right operand itself (free unless `spec.trans_b`) and
-    /// runs the blocked row microkernel of [`crate::pack`] — the same
-    /// accumulation order and zero-skip as [`Tensor::matmul`], so
-    /// concatenating row tiles reproduces the full product bit for bit.
-    /// Callers computing many tiles of one product should pack once with
-    /// [`PackedB::pack`] and use [`Tensor::matmul_rows_packed`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] for operand shapes
-    /// [`Tensor::matmul`] would reject, and
-    /// [`TensorError::InvalidArgument`] when `rows` is out of bounds or
-    /// `out` does not cover `rows.len() * n` elements.
-    pub fn matmul_rows(
-        &self,
-        rhs: &Tensor,
-        spec: MatMulSpec,
-        rows: Range<usize>,
-        out: &mut [f32],
-    ) -> Result<(), TensorError> {
-        let packed = PackedB::pack(rhs, spec.trans_b)?;
-        self.matmul_rows_packed(rhs, &packed, spec, rows, out)
-    }
-
-    /// [`Tensor::matmul_rows`] with a pre-packed right operand: `packed`
-    /// must be `PackedB::pack(rhs, spec.trans_b)`. The panel is read-only
-    /// here, so one pack may be shared across concurrent row tiles of the
-    /// same product (the `korch-runtime` tile executor packs once per
-    /// decomposed kernel).
+    /// `packed` must be `PackedB::pack(rhs, spec.trans_b)`. The panel is
+    /// read-only here, so one pack may be shared across concurrent row
+    /// tiles of the same product (the `korch-runtime` tile executor packs
+    /// once per decomposed kernel). [`Tensor::matmul`] is this kernel over
+    /// every row.
     ///
     /// # Errors
     ///
@@ -173,25 +149,7 @@ impl Tensor {
         rows: Range<usize>,
         out: &mut [f32],
     ) -> Result<(), TensorError> {
-        let ra = self.rank();
-        let rb = rhs.rank();
-        if ra != rb || ra < 2 || self.shape()[..ra - 2] != rhs.shape()[..rb - 2] {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-            });
-        }
-        let (am, ak) = (self.shape()[ra - 2], self.shape()[ra - 1]);
-        let (bk, bn) = (rhs.shape()[rb - 2], rhs.shape()[rb - 1]);
-        let (m, k1) = if spec.trans_a { (ak, am) } else { (am, ak) };
-        let (k2, n) = if spec.trans_b { (bn, bk) } else { (bk, bn) };
-        if k1 != k2 {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape().to_vec(),
-                rhs: rhs.shape().to_vec(),
-            });
-        }
-        let batch: usize = self.shape()[..ra - 2].iter().product();
+        let [batch, m, k1, n] = self.matmul_dims(rhs, spec)?;
         if packed.k() != k1
             || packed.n() != n
             || packed.batch() != batch
@@ -220,6 +178,8 @@ impl Tensor {
                 rows.len() * n
             )));
         }
+        let ra = self.rank();
+        let (am, ak) = (self.shape()[ra - 2], self.shape()[ra - 1]);
         matmul_rows_blocked(
             self.as_slice(),
             rhs.as_slice(),
@@ -236,9 +196,10 @@ impl Tensor {
 
     /// Computes the flat output range `out_range` of
     /// `self.reduce(axis, kind)` into `out`: every output element carries
-    /// its **complete** accumulation over the reduced axis, in the same
-    /// ascending order as [`Tensor::reduce`] — the axis-aligned split that
-    /// stays bit-identical for every `ReduceKind` and every axis.
+    /// its **complete** accumulation over the reduced axis, in ascending
+    /// order — the axis-aligned split that stays bit-identical for every
+    /// `ReduceKind` and every axis. [`Tensor::reduce`] is this body over
+    /// the range `0..total`.
     ///
     /// # Errors
     ///
@@ -275,27 +236,41 @@ impl Tensor {
                 out_range.len()
             )));
         }
+        if out.is_empty() {
+            return Ok(());
+        }
+        // Output element `(o, i)` reduces input elements `(o, k, i)` over
+        // ascending `k`. Walk the range an output row at a time with a
+        // running `o`: the first and last rows cut where the range starts
+        // and ends mid-row. `at` steps by `inner` — an index multiplied out
+        // per element is not strength-reduced here and slows the loop.
         let data = self.as_slice();
-        for (slot, flat) in out.iter_mut().zip(out_range.clone()) {
-            let o = flat / inner.max(1);
-            let i = flat % inner.max(1);
-            let mut acc = match kind {
-                ReduceKind::Sum | ReduceKind::Mean => 0.0,
-                ReduceKind::Max => f32::NEG_INFINITY,
-                ReduceKind::Min => f32::INFINITY,
-            };
-            for k in 0..axis_len {
-                let v = data[(o * axis_len + k) * inner + i];
-                acc = match kind {
-                    ReduceKind::Sum | ReduceKind::Mean => acc + v,
-                    ReduceKind::Max => acc.max(v),
-                    ReduceKind::Min => acc.min(v),
+        let (mut o, mut i0) = (out_range.start / inner, out_range.start % inner);
+        let mut pos = 0;
+        while pos < out.len() {
+            for i in i0..inner.min(i0 + out.len() - pos) {
+                let mut acc = match kind {
+                    ReduceKind::Sum | ReduceKind::Mean => 0.0,
+                    ReduceKind::Max => f32::NEG_INFINITY,
+                    ReduceKind::Min => f32::INFINITY,
                 };
+                let mut at = o * axis_len * inner + i;
+                for _ in 0..axis_len {
+                    let v = data[at];
+                    at += inner;
+                    acc = match kind {
+                        ReduceKind::Sum | ReduceKind::Mean => acc + v,
+                        ReduceKind::Max => acc.max(v),
+                        ReduceKind::Min => acc.min(v),
+                    };
+                }
+                if kind == ReduceKind::Mean {
+                    acc /= axis_len as f32;
+                }
+                out[pos] = acc;
+                pos += 1;
             }
-            if kind == ReduceKind::Mean {
-                acc /= axis_len as f32;
-            }
-            *slot = acc;
+            (o, i0) = (o + 1, 0);
         }
         Ok(())
     }
@@ -463,11 +438,12 @@ mod tests {
             let full = a.matmul(&b, spec).unwrap();
             let n = *full.shape().last().unwrap();
             let rows_total = full.numel() / n;
+            let packed = PackedB::pack(&b, spec.trans_b).unwrap();
             for tiles in [1usize, 3, rows_total] {
                 let mut out = vec![f32::NAN; full.numel()];
                 for r in ranges(rows_total, tiles) {
-                    a.matmul_rows(&b, spec, r.clone(), &mut out[r.start * n..r.end * n])
-                        .unwrap();
+                    let tile = &mut out[r.start * n..r.end * n];
+                    a.matmul_rows_packed(&b, &packed, spec, r, tile).unwrap();
                 }
                 assert_eq!(out, full.as_slice(), "{tiles} tiles diverged");
             }
@@ -478,43 +454,90 @@ mod tests {
     fn matmul_rows_validates_ranges() {
         let a = Tensor::random(vec![4, 3], 6);
         let b = Tensor::random(vec![3, 5], 7);
+        let spec = MatMulSpec::new();
+        let packed = PackedB::pack(&b, false).unwrap();
         let mut out = vec![0.0; 5];
-        assert!(a
-            .matmul_rows(&b, MatMulSpec::new(), 4..5, &mut out)
-            .is_err());
-        assert!(a
-            .matmul_rows(&b, MatMulSpec::new(), 0..2, &mut out)
-            .is_err());
+        let mut fits = |rhs: &Tensor, packed: &PackedB, rows: Range<usize>| {
+            a.matmul_rows_packed(rhs, packed, spec, rows, &mut out)
+                .is_ok()
+        };
+        assert!(fits(&b, &packed, 0..1));
+        // Rows past the end, and an output that does not cover the rows.
+        assert!(!fits(&b, &packed, 4..5));
+        assert!(!fits(&b, &packed, 0..2));
+        // An operand whose contraction disagrees.
         let c = Tensor::random(vec![4, 4], 8);
-        assert!(a
-            .matmul_rows(&c, MatMulSpec::new(), 0..1, &mut out)
-            .is_err());
+        let packed_c = PackedB::pack(&c, false).unwrap();
+        assert!(!fits(&c, &packed_c, 0..1));
+        // A panel packed for another operand or orientation.
+        assert!(!fits(&b, &PackedB::pack(&b, true).unwrap(), 0..1));
+        assert!(!fits(&b, &packed_c, 0..1));
     }
 
     #[test]
     fn reduce_tiles_are_bit_identical_for_every_axis_and_kind() {
-        let x = Tensor::random(vec![6, 5, 4], 9);
-        for axis in 0..3 {
-            for kind in [
-                ReduceKind::Sum,
-                ReduceKind::Mean,
-                ReduceKind::Max,
-                ReduceKind::Min,
-            ] {
-                let full = x.reduce(axis, kind).unwrap();
-                for tiles in [1usize, 7, full.numel()] {
-                    let mut out = vec![f32::NAN; full.numel()];
-                    for r in ranges(full.numel(), tiles) {
-                        x.reduce_tile(axis, kind, r.clone(), &mut out[r]).unwrap();
-                    }
-                    assert_eq!(
-                        out,
-                        full.as_slice(),
-                        "axis {axis} {kind:?} × {tiles} tiles diverged"
+        // Every axis of shapes from the degenerate (an empty reduced or
+        // kept axis) up, whole and through tiles whose ranges start and
+        // end mid-row. The reference is the per-element definition:
+        // output `(o, i)` folds input `(o, k, i)` over ascending `k`.
+        let mut cases = 0;
+        for shape in [
+            vec![7],
+            vec![6, 5, 4],
+            vec![3, 1, 9],
+            vec![2, 0, 3],
+            vec![0, 4],
+        ] {
+            let x = Tensor::random(shape.clone(), 9);
+            for axis in 0..shape.len() {
+                let len = shape[axis];
+                let inner: usize = shape[axis + 1..].iter().product();
+                let total = shape[..axis].iter().product::<usize>() * inner;
+                for kind in [
+                    ReduceKind::Sum,
+                    ReduceKind::Mean,
+                    ReduceKind::Max,
+                    ReduceKind::Min,
+                ] {
+                    let (init, op): (f32, fn(f32, f32) -> f32) = match kind {
+                        ReduceKind::Max => (f32::NEG_INFINITY, f32::max),
+                        ReduceKind::Min => (f32::INFINITY, f32::min),
+                        _ => (0.0, |a, v| a + v),
+                    };
+                    let want = Tensor::from_fn(vec![total], |f| {
+                        let (o, i) = (f / inner, f % inner);
+                        let mut acc = init;
+                        for k in 0..len {
+                            acc = op(acc, x.as_slice()[(o * len + k) * inner + i]);
+                        }
+                        if kind == ReduceKind::Mean {
+                            acc / len as f32
+                        } else {
+                            acc
+                        }
+                    })
+                    .into_vec();
+                    let full = x.reduce(axis, kind).unwrap();
+                    assert!(
+                        bits(full.as_slice()) == bits(&want),
+                        "{shape:?} axis {axis} {kind:?} diverged"
                     );
+                    for step in [1usize, 3, 7, total.max(1)] {
+                        let mut out = vec![f32::NAN; total];
+                        for start in (0..total).step_by(step) {
+                            let r = start..(start + step).min(total);
+                            x.reduce_tile(axis, kind, r.clone(), &mut out[r]).unwrap();
+                        }
+                        assert!(
+                            bits(&out) == bits(&want),
+                            "{shape:?} axis {axis} {kind:?} in tiles of {step} diverged"
+                        );
+                        cases += 1;
+                    }
                 }
             }
         }
+        assert!(cases > 40, "sweep shrank to {cases} cases");
     }
 
     #[test]

@@ -96,7 +96,6 @@ fn main() -> ExitCode {
             for lanes in [1usize, 2, 4] {
                 let config = RuntimeConfig {
                     split_threshold_us: Some(0.0),
-                    profile: false,
                     ..RuntimeConfig::with_lanes(lanes)
                 };
                 let exec = match PlanExecutor::new(graph, plan, config) {

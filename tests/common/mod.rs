@@ -132,8 +132,7 @@ pub fn model_graph() -> OpGraph {
 
 /// `branches` independent one-node memory-bound kernels (nothing fuses,
 /// nothing depends): every kernel is a root, so the run's whole shape is
-/// decided by how the roots are dealt over the lanes (and, in the stream
-/// simulator, by the contention rates).
+/// decided by how the roots are dealt over the lanes.
 pub fn independent_plan(branches: usize) -> (PrimGraph, Plan) {
     let mut g = PrimGraph::new();
     let mut kernels = Vec::with_capacity(branches);

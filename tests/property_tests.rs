@@ -12,9 +12,6 @@ use korch::tensor::{Tensor, UnaryOp};
 use korch::transform::{optimize_graph, SearchConfig};
 use proptest::prelude::*;
 
-mod common;
-use common::independent_plan;
-
 /// A random small operator graph: a chain of safe unary/softmax/norm ops
 /// over a 2-D tensor, with occasional residual adds.
 fn arb_op_graph() -> impl Strategy<Value = (OpGraph, Vec<usize>)> {
@@ -162,48 +159,6 @@ proptest! {
         let reference = execute_prims(&f.prim_graph, std::slice::from_ref(&x)).unwrap();
         let out = korch::exec::execute_plan(&f.prim_graph, &outcome.plan, &[x]).unwrap();
         prop_assert!(reference[0].allclose(&out[0], 1e-3));
-    }
-
-    /// Multi-stream schedules: one lane reproduces Eq. 2 exactly; more
-    /// lanes never increase the makespan and never violate dependencies
-    /// (checked inside `schedule_streams`' own assertions plus here).
-    #[test]
-    fn stream_schedules_are_sound((g, _shape) in arb_op_graph()) {
-        use korch::orch::schedule_streams;
-        let korch = Korch::new(Device::v100(), KorchConfig::default());
-        let optimized = korch.optimize(&g).unwrap();
-        for part in optimized.partitions() {
-            let seq = schedule_streams(&part.part.graph, &part.plan, 1, &Device::v100());
-            prop_assert!((seq.makespan.0 - part.plan.total_latency.0).abs() < 1e-6);
-            for s in [2usize, 4] {
-                let par = schedule_streams(&part.part.graph, &part.plan, s, &Device::v100());
-                prop_assert!(par.makespan.0 <= part.plan.total_latency.0 + 1e-6);
-            }
-        }
-    }
-
-    /// With enough streams for every kernel, `schedule_streams_with`'s
-    /// makespan is monotone non-decreasing in the sharing rates: less
-    /// contention can only promise a faster simulated schedule.
-    #[test]
-    fn makespan_is_monotone_in_sharing_rates(
-        branches in 2usize..6,
-        lo in 0.0f64..1.0,
-        hi in 0.0f64..1.0,
-    ) {
-        use korch::orch::{schedule_streams_with, StreamContention};
-        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-        let (g, plan) = independent_plan(branches);
-        let at = |rate: f64| {
-            let rates = StreamContention { memory_rate: rate, compute_rate: rate };
-            schedule_streams_with(&g, &plan, branches, &Device::v100(), &rates).makespan.0
-        };
-        prop_assert!(
-            at(lo) <= at(hi) + 1e-6,
-            "lower sharing rates must not slow the simulated schedule: \
-             rate {} -> {} µs vs rate {} -> {} µs",
-            lo, at(lo), hi, at(hi)
-        );
     }
 
     /// Quick-prune soundness at margin 1.0: the end-to-end pipeline

@@ -130,7 +130,6 @@ proptest! {
                     // actually occur at tiny scales.
                     split_threshold_us: Some(if tiling { 0.0 } else { f64::INFINITY }),
                     tile_rows: tiling.then_some(1),
-                    profile: false,
                     ..RuntimeConfig::with_lanes(lanes)
                 };
                 let exec = PlanExecutor::new(&g, &plan, config).unwrap();
