@@ -60,7 +60,7 @@ fn bench_quick_prune(c: &mut Criterion) {
     let pruned = candidates(
         &g,
         &IdentifyConfig {
-            quick_prune: true,
+            quick_prune: Some(1.0),
             ..Default::default()
         },
     );
@@ -78,7 +78,7 @@ fn bench_quick_prune(c: &mut Criterion) {
         (
             "quick_prune",
             IdentifyConfig {
-                quick_prune: true,
+                quick_prune: Some(1.0),
                 ..Default::default()
             },
         ),

@@ -24,7 +24,7 @@ use korch_exec::execute_plan;
 use korch_ir::{EwFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_models::subgraphs::softmax_attention;
 use korch_orch::{Plan, SelectedKernel};
-use korch_runtime::{BatchConfig, Model, PlanExecutor, RuntimeConfig, Server};
+use korch_runtime::{BatchConfig, Model, PlanExecutor, RuntimeConfig, Server, Tiling};
 use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, Tensor, UnaryOp};
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -464,8 +464,8 @@ fn bench_tiled(c: &mut Criterion) {
     // the compiled closure runs the whole register program per block.
     // `whole` isolates the closure (no tiling). The derived floor keeps
     // this memory-bound chain whole by default, so the tiled leg forces
-    // the split with an explicit zero threshold — it tracks the
-    // closure-under-tiling machinery, not the default policy.
+    // the split (`Tiling::Forced`) — it tracks the closure-under-tiling
+    // machinery, not the default policy.
     let (g, plan) = chain_kernel_plan(768);
     let inputs = bench_inputs(&g);
     let reference = execute_plan(&g, &plan, &inputs).unwrap();
@@ -473,7 +473,7 @@ fn bench_tiled(c: &mut Criterion) {
         &g,
         &plan,
         RuntimeConfig {
-            split_threshold_us: Some(f64::INFINITY),
+            tiling: Tiling::Off,
             ..RuntimeConfig::with_lanes(1)
         },
     )
@@ -482,7 +482,7 @@ fn bench_tiled(c: &mut Criterion) {
         &g,
         &plan,
         RuntimeConfig {
-            split_threshold_us: Some(0.0),
+            tiling: Tiling::Forced { tile_rows: None },
             ..RuntimeConfig::with_lanes(4)
         },
     )

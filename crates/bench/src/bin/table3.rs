@@ -46,8 +46,7 @@ fn main() {
         );
         for margin in MARGINS {
             let mut cfg = KorchConfig::default();
-            cfg.orchestrator.identify.quick_prune = true;
-            cfg.orchestrator.identify.quick_prune_margin = margin;
+            cfg.orchestrator.identify.quick_prune = Some(margin);
             let on = Korch::new(Device::v100(), cfg)
                 .optimize(&graph)
                 .expect("pipeline");

@@ -259,15 +259,12 @@ impl CompiledModel {
     /// the *new* plan's measurements. Concurrent calls run one after the
     /// other.
     ///
-    /// The intra-kernel split threshold is re-derived along the way: with
-    /// the default `RuntimeConfig::split_threshold_us = None`, the fresh
-    /// executor prices its threshold from its own plan
-    /// (`total_latency / lanes`), and the re-orchestrated plan carries
-    /// *calibrated* — i.e. measured-host — latencies, so which kernels
-    /// are tile-eligible is re-decided in the same units the new plan
-    /// is priced in. An explicit threshold is carried over verbatim
-    /// (it is the caller's responsibility that its units match the
-    /// calibrated pricing).
+    /// Under the default `Tiling::Auto` the intra-kernel split threshold
+    /// is re-derived along the way: the fresh executor prices it from its
+    /// own plan (`total_latency / lanes`), and the re-orchestrated plan
+    /// carries *calibrated* — i.e. measured-host — latencies, so which
+    /// kernels are tile-eligible is re-decided in the same units the new
+    /// plan is priced in.
     ///
     /// # Errors
     ///
@@ -428,6 +425,7 @@ mod tests {
     use crate::pipeline::{Korch, KorchConfig};
     use korch_cost::Device;
     use korch_ir::{OpGraph, OpKind};
+    use korch_runtime::Tiling;
     use korch_tensor::UnaryOp;
 
     fn two_block_model() -> OpGraph {
@@ -617,7 +615,7 @@ mod tests {
     }
 
     /// A compiled model whose executors tile their big kernels (forced
-    /// here via a zero split threshold) must stay bit-identical to the
+    /// here via `Tiling::Forced`) must stay bit-identical to the
     /// untiled compilation, keep serving bit-identically across a
     /// recalibration swap, and surface the decompositions through the
     /// aggregated profiles.
@@ -629,7 +627,7 @@ mod tests {
             .compile_with(&g, &RuntimeConfig::with_lanes(1))
             .unwrap();
         let tiled_runtime = RuntimeConfig {
-            split_threshold_us: Some(0.0),
+            tiling: Tiling::Forced { tile_rows: None },
             ..RuntimeConfig::with_lanes(2)
         };
         let compiled = korch.compile_with(&g, &tiled_runtime).unwrap();
@@ -644,7 +642,7 @@ mod tests {
         let tiled: u64 = compiled.profiles().iter().map(|p| p.tiled_kernels).sum();
         assert!(
             tiled > 0,
-            "a zero split threshold must engage tiling in at least one partition"
+            "forced tiling must engage in at least one partition"
         );
         let report = compiled.recalibrate().unwrap();
         assert!(report.model_error_after <= report.model_error_before + 1e-9);

@@ -71,11 +71,15 @@ pub struct KorchConfig {
     /// How many graph variants (including the original) are fully
     /// orchestrated per partition; the cheapest plan wins.
     pub variants_to_orchestrate: usize,
-    /// Orchestrator settings (state caps, kernel caps, solver budget).
+    /// Orchestrator settings (state cap, identification options, solver
+    /// budget).
     pub orchestrator: OrchestratorConfig,
-    /// Memoize per-partition outcomes by graph fingerprint (repeated blocks
-    /// — residual stages etc. — are optimized once, mirroring the paper's
-    /// TVM-database reuse).
+    /// Memoize per-partition outcomes by [`PrimGraph::fingerprint`],
+    /// mirroring the paper's TVM-database reuse. That key is exact: it
+    /// hashes node numbering and `ConstInit::Random` seeds, so only a
+    /// partition identical to an earlier one down to those hits — repeated
+    /// blocks of the benchmark models never do. A canonical key is
+    /// ROADMAP item 5(a).
     pub cache: bool,
 }
 
@@ -137,8 +141,8 @@ pub struct Optimized {
     graph_output_ports: Vec<PortRef>,
     stats: PipelineStats,
     /// The orchestrator that planned every partition: the device, the
-    /// orchestration settings, the backends and the (uncalibrated)
-    /// profiler the plans are priced with.
+    /// orchestration settings and the (uncalibrated) profiler the plans
+    /// are priced with.
     orchestrator: Orchestrator,
 }
 
@@ -333,7 +337,7 @@ impl Korch {
                 None => {
                     let (variant, plan, orch) =
                         self.optimize_partition(&orchestrator, &part.graph)?;
-                    stats.tuning_time_s += orch.tuning_time_s;
+                    stats.tuning_time_s += orch.report.tuning_time_s;
                     stats.quick_pruned += orch.quick_pruned;
                     stats.profile_tuning_s += orch.profile_tuning_s;
                     let rec = PartitionRecord {
@@ -395,7 +399,7 @@ impl Korch {
                 Err(OrchError::Infeasible(_)) => continue,
                 Err(e) => return Err(e.into()),
             };
-            tuning_time_s += orch.tuning_time_s;
+            tuning_time_s += orch.report.tuning_time_s;
             profile_tuning_s += orch.profile_tuning_s;
             quick_pruned += orch.quick_pruned;
             let better = best
@@ -406,7 +410,7 @@ impl Korch {
             }
         }
         if let Some((_, _, orch)) = best.as_mut() {
-            orch.tuning_time_s = tuning_time_s;
+            orch.report.tuning_time_s = tuning_time_s;
             orch.profile_tuning_s = profile_tuning_s;
             orch.quick_pruned = quick_pruned;
         }

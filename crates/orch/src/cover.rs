@@ -141,7 +141,8 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
 
     /// Solves the BLP by branch and bound, warm-started by the cheapest
     /// feasible of the greedy per-key incumbent and `warm_starts`, and
-    /// orders the selection.
+    /// orders the selection. A solve that exhausts `max_nodes` returns its
+    /// best incumbent.
     ///
     /// # Errors
     ///
@@ -150,7 +151,6 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
         &self,
         warm_starts: Vec<Vec<bool>>,
         max_nodes: usize,
-        best_effort: bool,
     ) -> Result<CoverSolution, OrchError> {
         let problem = &self.problem;
         let greedy = self.greedy().filter(|v| problem.feasible(v));
@@ -164,7 +164,7 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
             .min_by(|a, b| problem.objective_of(a).total_cmp(&problem.objective_of(b)));
         let solver = BranchAndBound {
             max_nodes,
-            best_on_limit: best_effort,
+            best_on_limit: true,
             rel_gap: 2e-2, // 2%: below the cost model's own fidelity
             incumbent,
             ..Default::default()
@@ -303,7 +303,7 @@ mod tests {
                 &vec![(1, 1.0), (3, -1.0)], // var 3 needs key 1
             ]
         );
-        let s = p.solve(vec![], 100, false).unwrap();
+        let s = p.solve(vec![], 100).unwrap();
         assert_eq!(s.order, [1, 3]);
         assert_eq!(s.report.greedy_objective_us, 3.0);
         assert_eq!(s.report.num_constraints, 4);

@@ -9,45 +9,34 @@ use korch_cost::{kernel_spec, Backend, KernelSpec, Micros, Profiler};
 use korch_ir::{NodeId, PortRef, PrimGraph, PrimKind};
 use std::collections::{BTreeSet, HashSet};
 
-/// Limits applied during kernel identification (the paper's §6.5 rejection
-/// heuristics plus safety caps).
-#[derive(Debug, Clone)]
+/// Maximum primitives per state-pair kernel ("too many operators to
+/// generate within one kernel", §6.5). Greedy-fusion seeds may exceed it.
+const MAX_KERNEL_PRIMS: usize = 18;
+
+/// Maximum linear-transformation primitives per kernel ("including
+/// multiple linear transformation primitives" is rejected, §6.5).
+const MAX_LINEAR_PER_KERNEL: usize = 1;
+
+/// Hard cap on the number of candidates.
+const MAX_CANDIDATES: usize = 50_000;
+
+/// The variable part of kernel identification; the §6.5 rejection
+/// heuristics and the candidate cap are fixed.
+#[derive(Debug, Clone, Default)]
 pub struct IdentifyConfig {
-    /// Maximum primitives per kernel ("too many operators to generate
-    /// within one kernel", §6.5).
-    pub max_kernel_prims: usize,
-    /// Maximum linear-transformation primitives per kernel ("including
-    /// multiple linear transformation primitives" is rejected, §6.5).
-    pub max_linear_per_kernel: usize,
-    /// Hard cap on the number of candidates.
-    pub max_candidates: usize,
     /// Allow kernels that materialize more than one output primitive
     /// (paper §5.2 restricts to one; §8 lists multi-output as future work).
     pub multi_output: bool,
     /// Skip tuning a candidate when its *optimistic* latency bound
     /// ([`Profiler::quick_latency`]) already loses to running its members
     /// as individual kernels — the paper's §8 "lightweight cost model to
-    /// quickly discard inefficient candidates".
-    pub quick_prune: bool,
-    /// Aggressiveness of the quick-prune filter: a candidate is discarded
-    /// when `quick_bound × margin ≥ singleton cover`. At `1.0` the filter
-    /// is *provably sound* (the bound lower-bounds every backend, so the
-    /// exact profiler would reject the candidate too); larger margins trade
+    /// quickly discard inefficient candidates". `Some(margin)` discards a
+    /// candidate when `quick_bound × margin ≥ singleton cover`; `None`
+    /// (the default) profiles every candidate. At `Some(1.0)` the filter is
+    /// *provably sound* (the bound lower-bounds every backend, so the exact
+    /// profiler would reject the candidate too); larger margins trade
     /// optimality for tuning time — the trade-off the §8 study sweeps.
-    pub quick_prune_margin: f64,
-}
-
-impl Default for IdentifyConfig {
-    fn default() -> Self {
-        Self {
-            max_kernel_prims: 18,
-            max_linear_per_kernel: 1,
-            max_candidates: 50_000,
-            multi_output: false,
-            quick_prune: false,
-            quick_prune_margin: 1.0,
-        }
-    }
+    pub quick_prune: Option<f64>,
 }
 
 /// A candidate kernel: a convex set of primitives, the primitives it
@@ -118,9 +107,6 @@ pub(crate) fn required_outputs(g: &PrimGraph) -> impl Iterator<Item = NodeId> + 
 pub struct Candidates {
     /// All accepted candidate kernels.
     pub kernels: Vec<CandidateKernel>,
-    /// Number of convex subgraphs considered (before output-set expansion
-    /// and rejection).
-    pub subgraphs_considered: usize,
     /// Whether the candidate cap was hit.
     pub truncated: bool,
     /// Complete greedy-fusion selections (each a disjoint cover of all
@@ -159,7 +145,6 @@ pub fn identify_kernels(
         tuned: HashSet::new(),
         out: Candidates {
             kernels: Vec::new(),
-            subgraphs_considered: 0,
             truncated: false,
             seed_selections: Vec::new(),
             tuning_time_s: 0.0,
@@ -183,7 +168,7 @@ pub fn identify_kernels(
 
     // Greedy-fusion seed groups: guarantee the candidate set contains the
     // strategies a rule-based fuser would pick, even when the state DFS is
-    // truncated on wide graphs. These may exceed `max_kernel_prims`.
+    // truncated on wide graphs. These may exceed `MAX_KERNEL_PRIMS`.
     for (close_at_reduce, isolate_fan_in, linear_open) in [
         (false, false, true),
         (true, false, true),
@@ -215,7 +200,7 @@ pub fn identify_kernels(
                 continue;
             }
             let members = d1.diff_from(d2);
-            if members.is_empty() || members.len() > config.max_kernel_prims {
+            if members.is_empty() || members.len() > MAX_KERNEL_PRIMS {
                 continue;
             }
             // Reject fusions that cannot beat running their members as
@@ -253,7 +238,7 @@ impl Admission<'_> {
     /// alone).
     fn rejects(&self, members: &[NodeId]) -> bool {
         let kinds = || members.iter().map(|&m| &self.g.node(m).kind);
-        kinds().filter(|k| k.is_linear()).count() > self.config.max_linear_per_kernel
+        kinds().filter(|k| k.is_linear()).count() > MAX_LINEAR_PER_KERNEL
             || (members.len() > 1 && kinds().any(|k| matches!(k, PrimKind::Opaque { .. })))
     }
 
@@ -268,7 +253,6 @@ impl Admission<'_> {
         if self.out.truncated || !self.seen.insert(members.to_vec()) {
             return;
         }
-        self.out.subgraphs_considered += 1;
         if self.rejects(members) {
             return;
         }
@@ -280,8 +264,9 @@ impl Admission<'_> {
             // §8 tuning-time acceleration: an optimistic, tuning-free
             // bound that already loses to the singleton cover proves the
             // candidate can never be selected — skip profiling it.
-            if config.quick_prune
-                && self.profiler.quick_latency(&spec).0 * config.quick_prune_margin >= reject_at
+            if config
+                .quick_prune
+                .is_some_and(|margin| self.profiler.quick_latency(&spec).0 * margin >= reject_at)
             {
                 self.out.quick_pruned += 1;
                 continue;
@@ -312,7 +297,7 @@ impl Admission<'_> {
                 latency,
                 tuning_s,
             });
-            if self.out.kernels.len() >= config.max_candidates {
+            if self.out.kernels.len() >= MAX_CANDIDATES {
                 self.out.truncated = true;
                 return;
             }
@@ -726,22 +711,43 @@ mod tests {
 
     #[test]
     fn kernel_size_cap_respected() {
-        let g = softmax_prims();
-        let space = enumerate_states(&g, 1000);
-        let config = IdentifyConfig {
-            max_kernel_prims: 2,
-            ..Default::default()
-        };
-        let c = identify_kernels(
-            &g,
-            &space,
-            &Profiler::new(Device::v100()),
-            &config,
-            &[Backend::Generated],
-        );
-        // Only greedy-fusion seeds may exceed the cap.
-        assert!(c.kernels.iter().all(|k| k.seeded || k.members.len() <= 2));
-        assert!(c.kernels.iter().any(|k| k.seeded));
+        // A pointwise chain longer than the cap: every window of it is a
+        // state difference, and the greedy seeds fuse all of it.
+        let mut g = PrimGraph::new();
+        let mut cur: PortRef = g
+            .add(
+                PrimKind::Input {
+                    shape: vec![64, 64],
+                },
+                vec![],
+            )
+            .unwrap()
+            .into();
+        let len = MAX_KERNEL_PRIMS + 6;
+        for i in 0..len {
+            let op = if i % 2 == 0 {
+                UnaryOp::Tanh
+            } else {
+                UnaryOp::Abs
+            };
+            cur = g
+                .add(PrimKind::Elementwise(EwFn::Unary(op)), vec![cur])
+                .unwrap()
+                .into();
+        }
+        g.mark_output(cur.node).unwrap();
+        let c = default_candidates(&g);
+        // State pairs stop at the cap, and reach it...
+        assert!(c
+            .kernels
+            .iter()
+            .all(|k| k.seeded || k.members.len() <= MAX_KERNEL_PRIMS));
+        assert!(c
+            .kernels
+            .iter()
+            .any(|k| !k.seeded && k.members.len() == MAX_KERNEL_PRIMS));
+        // ...while greedy-fusion seeds may exceed it.
+        assert!(c.kernels.iter().any(|k| k.seeded && k.members.len() == len));
     }
 
     #[test]
@@ -820,7 +826,6 @@ mod tests {
             );
         }
         assert!(c.kernels.len() >= 8);
-        let _ = c.subgraphs_considered;
     }
 
     #[test]
@@ -838,7 +843,7 @@ mod tests {
             &space,
             &profiler,
             &IdentifyConfig {
-                quick_prune: true,
+                quick_prune: Some(1.0),
                 ..Default::default()
             },
             &backends,
@@ -904,7 +909,7 @@ mod tests {
         let space = enumerate_states(&g, 10_000);
         let profiler = Profiler::new(Device::v100());
         let cfg = IdentifyConfig {
-            quick_prune: true,
+            quick_prune: Some(1.0),
             ..Default::default()
         };
         let pruned = identify_kernels(

@@ -84,13 +84,12 @@ pub struct LayoutOutcome {
     pub report: SolveReport,
 }
 
-/// Configuration of the layout-aware solve.
+/// Configuration of the layout-aware solve. On budget exhaustion the
+/// solve falls back to its best incumbent.
 #[derive(Debug, Clone)]
 pub struct LayoutConfig {
     /// Branch-and-bound node budget.
     pub solver_max_nodes: usize,
-    /// Fall back to the best incumbent on budget exhaustion.
-    pub best_effort: bool,
     /// Cap on the number of BLP variables (variants). Base singletons and
     /// relabel variants are always kept.
     pub max_variants: usize,
@@ -100,7 +99,6 @@ impl Default for LayoutConfig {
     fn default() -> Self {
         Self {
             solver_max_nodes: 800,
-            best_effort: true,
             max_variants: 500,
         }
     }
@@ -340,11 +338,7 @@ pub fn optimize_with_layouts(
     let must = required_outputs(g)
         .map(|t| (t, TensorLayout::Standard))
         .collect();
-    let solution = CoverProblem::new(vars, must)?.solve(
-        vec![],
-        config.solver_max_nodes,
-        config.best_effort,
-    )?;
+    let solution = CoverProblem::new(vars, must)?.solve(vec![], config.solver_max_nodes)?;
 
     let chosen = solution.order.iter().map(|&i| variants[i]);
     let plan = Plan::from_kernels(chosen.clone().map(|v| SelectedKernel {

@@ -80,7 +80,7 @@ use korch_ir::PrimGraph;
 pub struct OrchestratorConfig {
     /// Execution-state enumeration cap.
     pub max_states: Option<usize>,
-    /// Kernel identification limits.
+    /// Kernel identification options.
     pub identify: IdentifyConfig,
     /// BLP construction and solver settings.
     pub optimize: OptimizeConfig,
@@ -93,11 +93,6 @@ pub struct Orchestration {
     pub plan: Plan,
     /// Number of execution states enumerated.
     pub num_states: usize,
-    /// Number of candidate kernels identified (Table 2 column).
-    pub num_candidates: usize,
-    /// Simulated tuning time over all *unique* candidates, seconds
-    /// (Table 2 column; mirrors the paper's TVM-database caching).
-    pub tuning_time_s: f64,
     /// Simulated tuning clock of the *identification* stage: every
     /// database-distinct candidate that was profiled, including ones the
     /// rejection heuristics later discard (the §8 study's denominator).
@@ -105,40 +100,39 @@ pub struct Orchestration {
     /// Candidates discarded by the quick cost bound without profiling
     /// (0 unless [`IdentifyConfig::quick_prune`] is enabled).
     pub quick_pruned: usize,
-    /// Solver statistics.
+    /// Solver statistics; `report.tuning_time_s` is the simulated tuning
+    /// time over all *unique* BLP-fed candidates, seconds (Table 2 column;
+    /// mirrors the paper's TVM-database caching).
     pub report: SolveReport,
-    /// Whether state or candidate enumeration hit a cap.
-    pub truncated: bool,
 }
+
+/// The backends every candidate kernel is priced on, tried in this order
+/// (the cheapest applicable wins, the first on ties).
+const BACKENDS: [Backend; 2] = [Backend::Generated, Backend::Vendor];
 
 /// Bundles state enumeration, kernel identification and BLP optimization.
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     profiler: Profiler,
     config: OrchestratorConfig,
-    backends: Vec<Backend>,
 }
 
 impl Orchestrator {
-    /// Orchestrator for a device with default configuration and the
-    /// standard backend pair (generated + vendor).
+    /// Orchestrator pricing kernels on `device` with the default
+    /// configuration. Candidates are priced on the generated and the
+    /// vendor backend; another backend list composes
+    /// [`enumerate_states`], [`identify_kernels`] and [`optimize`]
+    /// directly.
     pub fn new(device: Device) -> Self {
         Self {
             profiler: Profiler::new(device),
             config: OrchestratorConfig::default(),
-            backends: vec![Backend::Generated, Backend::Vendor],
         }
     }
 
     /// Replaces the configuration.
     pub fn with_config(mut self, config: OrchestratorConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Replaces the candidate backends.
-    pub fn with_backends(mut self, backends: Vec<Backend>) -> Self {
-        self.backends = backends;
         self
     }
 
@@ -165,24 +159,15 @@ impl Orchestrator {
     pub fn orchestrate(&self, g: &PrimGraph) -> Result<Orchestration, OrchError> {
         let max_states = self.config.max_states.unwrap_or(1_500);
         let space = enumerate_states(g, max_states);
-        let cands = identify_kernels(
-            g,
-            &space,
-            &self.profiler,
-            &self.config.identify,
-            &self.backends,
-        );
+        let identify = &self.config.identify;
+        let cands = identify_kernels(g, &space, &self.profiler, identify, &BACKENDS);
         let (plan, report) = optimize(g, &cands, Some(&space), &self.config.optimize)?;
-        let tuning_time_s = report.tuning_time_s;
         Ok(Orchestration {
             plan,
             num_states: space.states.len(),
-            num_candidates: cands.kernels.len(),
-            tuning_time_s,
             profile_tuning_s: cands.tuning_time_s,
             quick_pruned: cands.quick_pruned,
             report,
-            truncated: space.truncated || cands.truncated,
         })
     }
 }

@@ -38,7 +38,14 @@ impl fmt::Display for OrchError {
 
 impl Error for OrchError {}
 
-/// Configuration of the BLP construction and solve.
+/// Maximum candidates fed to the BLP. Beyond this, singletons and seeds
+/// are kept (for feasibility) and the most efficient fusions fill the
+/// remainder — an extension of the paper's §6.5 rejection heuristics that
+/// keeps the solve tractable on one CPU core.
+const MAX_BLP_CANDIDATES: usize = 220;
+
+/// Configuration of the BLP construction and solve. On budget exhaustion
+/// the solve falls back to its best incumbent.
 #[derive(Debug, Clone)]
 pub struct OptimizeConfig {
     /// Allow primitives to be executed by multiple selected kernels
@@ -47,14 +54,6 @@ pub struct OptimizeConfig {
     pub allow_redundancy: bool,
     /// Branch-and-bound node budget.
     pub solver_max_nodes: usize,
-    /// On budget exhaustion, fall back to the best incumbent instead of
-    /// failing.
-    pub best_effort: bool,
-    /// Maximum candidates fed to the BLP. Beyond this, singletons are kept
-    /// (for feasibility) and the most efficient fusions fill the remainder
-    /// — an extension of the paper's §6.5 rejection heuristics that keeps
-    /// the solve tractable on one CPU core.
-    pub max_blp_candidates: usize,
 }
 
 impl Default for OptimizeConfig {
@@ -62,8 +61,6 @@ impl Default for OptimizeConfig {
         Self {
             allow_redundancy: true,
             solver_max_nodes: 600,
-            best_effort: true,
-            max_blp_candidates: 220,
         }
     }
 }
@@ -102,7 +99,7 @@ pub fn optimize(
 ) -> Result<(Plan, SolveReport), OrchError> {
     let candidates = cap_vars(
         &cands.kernels,
-        config.max_blp_candidates,
+        MAX_BLP_CANDIDATES,
         |k| k.members.len() == 1 || k.seeded,
         |k| k.latency.0 / k.members.len() as f64,
     );
@@ -159,7 +156,7 @@ pub fn optimize(
     });
     let warm_starts = dp.into_iter().chain(seeds).collect();
 
-    let solution = problem.solve(warm_starts, config.solver_max_nodes, config.best_effort)?;
+    let solution = problem.solve(warm_starts, config.solver_max_nodes)?;
     let plan = Plan::from_kernels(solution.order.iter().map(|&i| candidates[i].selected()));
     let report = SolveReport {
         tuning_time_s: candidates.iter().map(|k| k.tuning_s).sum(),

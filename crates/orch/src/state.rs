@@ -81,7 +81,6 @@ pub fn enumerate_states(g: &PrimGraph, max_states: usize) -> StateSpace {
             initial.insert(id.0);
         }
     }
-    let succ = g.successors();
     let mut db: HashSet<BitSet> = HashSet::new();
     let mut order: Vec<BitSet> = Vec::new();
     db.insert(initial.clone());
@@ -117,7 +116,6 @@ pub fn enumerate_states(g: &PrimGraph, max_states: usize) -> StateSpace {
             break;
         }
     }
-    let _ = succ;
     StateSpace {
         states: order,
         truncated,

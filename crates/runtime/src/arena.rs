@@ -275,13 +275,6 @@ impl BufferArena {
             free_bytes: inner.free_bytes,
         }
     }
-
-    /// Drops everything parked in the free pool and resets live counters
-    /// (between serving sessions).
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("arena poisoned");
-        *inner = ArenaInner::default();
-    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
 //! Plan compilation: [`PlanExecutor::new`] in three steps — value-slot
 //! assignment, per-kernel lowering (reads, dependencies, body), and tile
-//! classification against the split threshold and its overhead floor.
+//! classification under the [`Tiling`] mode.
 
 use super::body::{kernel_reads, KernelBody};
 use super::emit::ExecTelemetry;
 use super::{
-    not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout,
+    not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind,
+    TileLayout, Tiling,
 };
 use crate::arena::{BufferArena, SlotInfo, SlotTable};
 use crate::profiler::RuntimeProfile;
-use korch_cost::Device;
 use korch_exec::{materialize_const, ExecError};
 use korch_ir::{LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_orch::{Plan, SelectedKernel};
@@ -173,28 +173,27 @@ impl PlanExecutor {
             }
         }
 
-        // Intra-kernel tiling: price the split threshold from the plan's
-        // own cost estimates (a kernel is split-worthy when it alone
-        // exceeds one lane's fair share of the plan), then cut ranges for
-        // the range-bodied kernels above it.
-        let split_threshold_us = config
-            .split_threshold_us
-            .unwrap_or(plan.total_latency.0 / lanes as f64);
-        let derived_threshold = config.split_threshold_us.is_none();
+        // Intra-kernel tiling: under `Auto` a kernel is split-worthy when
+        // it alone exceeds one lane's fair share of the plan's own cost
+        // estimates; ranges are cut for the range-bodied kernels the mode
+        // admits.
+        let auto = config.tiling == Tiling::Auto;
+        let lane_share_us = plan.total_latency.0 / lanes as f64;
         let tile_specs: Vec<Option<TileLayout>> = kernels
             .iter()
             .zip(&plan.kernels)
             .map(|(task, k)| {
-                if lanes < 2 || k.latency.0 <= split_threshold_us {
+                if lanes < 2
+                    || config.tiling == Tiling::Off
+                    || (auto && k.latency.0 <= lane_share_us)
+                {
                     return None;
                 }
                 // Cut first: the overhead floor prices the partition the
                 // kernel would actually get (its grain decides how
-                // assembly traffic is charged). Plan-derived thresholds
-                // enforce the floor; explicit thresholds bypass it so
-                // tests can sweep degenerate splits.
+                // assembly traffic is charged).
                 let spec = Self::classify_tiling(g, &task.body, k, &config)?;
-                if derived_threshold && !Self::clears_tile_floor(&spec, k, &config.device, lanes) {
+                if auto && !Self::clears_tile_floor(&spec, k, lanes) {
                     return None;
                 }
                 Some(spec)
@@ -243,7 +242,6 @@ impl PlanExecutor {
             profile: Mutex::new(RuntimeProfile::new(plan.kernels.len())),
             tile_specs,
             kernel_classes,
-            split_threshold_us,
             roots,
             workers,
             free_runs: Mutex::new(Vec::new()),
@@ -255,10 +253,20 @@ impl PlanExecutor {
         })
     }
 
-    /// Per-tile overhead floor applied to plan-derived split thresholds:
-    /// splitting a kernel across the lanes only pays when one lane's
-    /// share of the kernel body outweighs the fixed cost every tile adds
-    /// — a slice of the launch/dispatch overhead plus the assembly pass
+    /// Kernel launch cost of the default pricing target (the V100 the
+    /// optimizer prices plans for), µs: the share of a plan-priced
+    /// latency that is not body time, and the unit a tile's dispatch
+    /// slice is cut from.
+    const TILE_LAUNCH_US: f64 = 5.0;
+
+    /// Memory bandwidth of the default pricing target, GB/s: what the
+    /// assembly pass of a split kernel streams its chunks back at.
+    const TILE_MEM_BW_GBPS: f64 = 900.0;
+
+    /// Per-tile overhead floor of [`Tiling::Auto`]: splitting a kernel
+    /// across the lanes only pays when one lane's share of the kernel body
+    /// outweighs the fixed cost every tile adds — a slice of the
+    /// launch/dispatch overhead plus the assembly pass
     /// that streams the chunks back into one buffer.
     ///
     /// The assembly charge is split by **body kind** (the partition's
@@ -272,18 +280,13 @@ impl PlanExecutor {
     /// elementwise chain look split-worthy when the measured split ran
     /// 0.96× the whole compiled kernel; a dim-192 matmul similarly ran
     /// 0.91× when split. Both now sit under their floors and run whole.
-    fn clears_tile_floor(
-        spec: &TileLayout,
-        k: &SelectedKernel,
-        device: &Device,
-        lanes: usize,
-    ) -> bool {
+    fn clears_tile_floor(spec: &TileLayout, k: &SelectedKernel, lanes: usize) -> bool {
         // The body divides over the lanes the caller asked for (at least
         // two, or nothing is classified). The host enters in one place:
         // `RuntimeConfig::default()` clamps that request to its cores.
         let par = lanes as f64;
         let out_bytes = (spec.out_shape.iter().product::<usize>() * 4) as f64;
-        let per_tile_body = (k.latency.0 - device.launch_overhead_us).max(0.0) / par;
+        let per_tile_body = (k.latency.0 - Self::TILE_LAUNCH_US).max(0.0) / par;
         let assembly_bytes = if spec.grain == 1 {
             out_bytes
         } else {
@@ -292,8 +295,7 @@ impl PlanExecutor {
         // Per-tile fixed cost: a fraction of one kernel launch (tiles are
         // enqueue+steal, far cheaper than a driver launch) plus the
         // assembly traffic (bytes / bandwidth; 1 GB/s = 1000 bytes/µs).
-        let floor =
-            device.launch_overhead_us / 8.0 + assembly_bytes / (device.mem_bw_gbps * 1000.0);
+        let floor = Self::TILE_LAUNCH_US / 8.0 + assembly_bytes / (Self::TILE_MEM_BW_GBPS * 1000.0);
         per_tile_body > floor
     }
 
@@ -313,8 +315,11 @@ impl PlanExecutor {
             return None;
         }
         let rows_total = total / grain;
-        let tile_rows = config
-            .tile_rows
+        let pinned_rows = match config.tiling {
+            Tiling::Forced { tile_rows } => tile_rows,
+            Tiling::Auto | Tiling::Off => None,
+        };
+        let tile_rows = pinned_rows
             .unwrap_or_else(|| {
                 let fair = rows_total.div_ceil(config.lanes.max(1));
                 // Matmul tiles run korch-tensor's MR×NR microkernel; grains
@@ -333,10 +338,10 @@ impl PlanExecutor {
             })
             .clamp(1, rows_total);
         let n_tiles = rows_total.div_ceil(tile_rows);
-        // Auto-sized partitions only pay off with real parallelism; an
-        // explicit `tile_rows` is honored even at one tile so tests can
+        // Auto-sized partitions only pay off with real parallelism; a
+        // pinned `tile_rows` is honored even at one tile so tests can
         // sweep degenerate partitions through the tile path.
-        if n_tiles < 2 && config.tile_rows.is_none() {
+        if n_tiles < 2 && pinned_rows.is_none() {
             return None;
         }
         let tiles = (0..n_tiles)

@@ -106,14 +106,14 @@
 //! idle. The executor therefore decomposes such a kernel into
 //! **row-range tiles**:
 //!
-//! - at compile time a range-bodied kernel is *tile-eligible* when its
-//!   plan-priced latency exceeds the split threshold
-//!   ([`RuntimeConfig::split_threshold_us`], by default one lane's fair
-//!   share of the plan, `total_latency / lanes` — re-derived whenever a
-//!   recalibration re-prices the plan). Plan-derived thresholds also
-//!   require the kernel to clear a per-tile overhead floor — splitting
-//!   must buy more body time per lane than it spends on tile dispatch
-//!   and chunk assembly. Its [`TileLayout`] is cut then;
+//! - at compile time [`RuntimeConfig::tiling`] decides which range-bodied
+//!   kernels are *tile-eligible*. Under [`Tiling::Auto`] (the default) a
+//!   kernel is when its plan-priced latency exceeds one lane's fair share
+//!   of the plan, `total_latency / lanes` — re-derived whenever a
+//!   recalibration re-prices the plan — and it clears a per-tile overhead
+//!   floor: splitting must buy more body time per lane than it spends on
+//!   tile dispatch and chunk assembly. [`Tiling::Off`] cuts none and
+//!   [`Tiling::Forced`] every one. Its [`TileLayout`] is cut then;
 //! - at run time, a popped tile-eligible kernel is split **only when the
 //!   ready queues cannot keep the other workers busy**. Its operands are
 //!   prepared once and its tiles enter the decomposing worker's own
@@ -158,7 +158,7 @@ use crate::arena::{BufferArena, MemoryReport, SlotTable};
 use crate::profiler::RuntimeProfile;
 use body::KernelBody;
 use emit::{ExecTelemetry, RunCtx};
-use korch_cost::{Device, KernelClass};
+use korch_cost::KernelClass;
 use korch_exec::ExecError;
 use korch_ir::{NodeId, PortRef, PrimGraph};
 use korch_orch::Plan;
@@ -196,33 +196,39 @@ fn not_materialized(port: &PortRef) -> ExecError {
     }
 }
 
+/// Which range-bodied kernels the executor cuts into row-range tiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tiling {
+    /// A kernel is cut when its plan-priced latency exceeds one lane's
+    /// fair share of the plan (`total_latency / lanes`) and one lane's
+    /// share of its body clears the per-tile overhead floor (a launch
+    /// slice plus the chunk assembly traffic) — splitting it must save
+    /// more than it costs. Both are priced in the plan's own units
+    /// (simulated device time at compile, calibrated host time after a
+    /// recalibration), so `recalibrate()` re-decides eligibility in the
+    /// units it re-priced the plan in. Tiles are one per lane.
+    Auto,
+    /// No kernel is cut: every kernel runs whole.
+    Off,
+    /// Every range-bodied kernel is cut, latency and floor unchecked — how
+    /// tests and `korch-verify` reach every partition a plan can get.
+    /// `tile_rows` pins the rows (grain units) per tile and is honoured
+    /// even at one tile; `None` cuts one tile per lane and keeps a kernel
+    /// whole below two tiles.
+    Forced {
+        /// Rows (grain units) per tile; `None` = one tile per lane.
+        tile_rows: Option<usize>,
+    },
+}
+
 /// Configuration of the runtime executor.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Lanes a run may occupy: the calling thread plus `lanes − 1` pooled
     /// helpers (1 = sequential in-thread execution).
     pub lanes: usize,
-    /// Unit system of the per-tile overhead floor: the launch overhead
-    /// and memory bandwidth a plan-priced kernel latency is set against
-    /// when a derived split threshold decides tile eligibility. Nothing
-    /// else in the runtime reads it.
-    pub device: Device,
-    /// Plan-priced latency (µs, in the plan's own cost-model units —
-    /// simulated device time at compile, calibrated host time after a
-    /// recalibration) above which a tilable kernel is split. `None`
-    /// derives it from the plan itself: `total_latency / lanes`, i.e. a
-    /// kernel is "too big" when it alone exceeds one lane's fair share of
-    /// the plan — scale-free, so `recalibrate()` re-derives it
-    /// automatically when it re-prices plans in measured host time.
-    /// Derived thresholds additionally price each candidate against a
-    /// per-tile overhead floor (launch slice + chunk assembly traffic):
-    /// a kernel whose per-lane body share sits under the floor runs whole
-    /// — splitting it would cost more than it saves. Explicit thresholds
-    /// skip the floor so tests can force degenerate splits.
-    pub split_threshold_us: Option<f64>,
-    /// Rows (grain units) per tile. `None` splits a kernel into one tile
-    /// per lane; tests pin explicit sizes (1, 7, …) to sweep partitions.
-    pub tile_rows: Option<usize>,
+    /// Which kernels may split into tiles (with two lanes or more).
+    pub tiling: Tiling,
     /// Tracing + metrics sink shared with the serving stack. `None` (the
     /// default) is the zero-cost path: the executor records no timestamps
     /// beyond profiling, allocates nothing for telemetry, and touches no
@@ -239,9 +245,7 @@ impl Default for RuntimeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-            device: Device::v100(),
-            split_threshold_us: None,
-            tile_rows: None,
+            tiling: Tiling::Auto,
             telemetry: None,
         }
     }
@@ -341,8 +345,6 @@ struct Core {
     /// telemetry gauges. Built once at compile; unused (but cheap) when
     /// telemetry is off.
     kernel_classes: Vec<(KernelClass, f64)>,
-    /// The split threshold actually in force (explicit or plan-derived).
-    split_threshold_us: f64,
     /// Dependency-free kernels in kernel order — the run's initial ready
     /// set, dealt round-robin over the lanes' deques.
     roots: Vec<usize>,
@@ -403,15 +405,8 @@ impl PlanExecutor {
         self.core.workers
     }
 
-    /// The intra-kernel split threshold in force, in the plan's pricing
-    /// units (explicit [`RuntimeConfig::split_threshold_us`], or the
-    /// plan-derived default `total_latency / lanes`).
-    pub fn split_threshold_us(&self) -> f64 {
-        self.core.split_threshold_us
-    }
-
-    /// Number of kernels eligible for tile decomposition (cost estimate
-    /// above the split threshold and a tilable member shape). Whether an
+    /// Number of kernels eligible for tile decomposition (a tilable
+    /// member shape the [`RuntimeConfig::tiling`] mode cuts). Whether an
     /// eligible kernel actually splits in a given run depends on sibling
     /// lanes being idle when it turns ready.
     pub fn tileable_kernels(&self) -> usize {

@@ -132,7 +132,7 @@ mod profiler;
 mod serving;
 
 pub use arena::{ArenaStats, BufferArena, MemoryReport, SlotInfo, SlotTable};
-pub use executor::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout};
+pub use executor::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout, Tiling};
 pub use profiler::{KernelInterval, KernelStats, RuntimeProfile};
 pub use serving::{
     BatchConfig, Model, RecalibrationPolicy, ResponseHandle, SelfTune, ServeError, Server,

@@ -78,10 +78,11 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// Not consulted: no request is ever held back for another.
     pub max_wait: Duration,
-    /// Drift-triggered auto-recalibration. Only consulted by servers
-    /// started over a [`SelfTune`] model ([`Server::start_tuned`]);
-    /// `None` disables the check entirely.
-    pub recalibration: Option<RecalibrationPolicy>,
+    /// Drift-triggered auto-recalibration: every server started over a
+    /// [`SelfTune`] model ([`Server::start_tuned`]) follows it, and no
+    /// other server reads it. Defaults to [`RecalibrationPolicy::default`]
+    /// (32 requests, 0.25).
+    pub recalibration: RecalibrationPolicy,
     /// Request workers, clamped to ≥ 1, for every constructor: the
     /// in-flight cap. A request is dispatched the moment a worker is free
     /// and queues only while none is. All of them run the one model.
@@ -101,7 +102,7 @@ impl Default for BatchConfig {
         Self {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
-            recalibration: None,
+            recalibration: RecalibrationPolicy::default(),
             shards: 8,
             telemetry: None,
         }
@@ -433,16 +434,16 @@ pub struct Server {
 
 impl Server {
     /// Starts a server over `model` with [`BatchConfig::shards`] request
-    /// workers. Any [`BatchConfig::recalibration`] policy is ignored — a
-    /// plain [`Model`] cannot re-tune itself; use [`Server::start_tuned`].
+    /// workers. [`BatchConfig::recalibration`] is ignored — a plain
+    /// [`Model`] cannot re-tune itself; use [`Server::start_tuned`].
     pub fn start(model: Arc<dyn Model>, config: BatchConfig) -> Self {
         Self::start_inner(model, None, config)
     }
 
     /// Starts a self-tuning server: `model` serves requests *and* is
     /// consulted for drift / recalibration per
-    /// [`BatchConfig::recalibration`] (defaulted when `None` — passing a
-    /// tunable model opts into tuning).
+    /// [`BatchConfig::recalibration`] (passing a tunable model opts into
+    /// tuning).
     pub fn start_tuned<M: Model + SelfTune>(model: Arc<M>, config: BatchConfig) -> Self {
         let tuner: Arc<dyn SelfTune> = Arc::clone(&model) as Arc<dyn SelfTune>;
         Self::start_inner(model, Some(tuner), config)
@@ -470,7 +471,7 @@ impl Server {
             stats: Mutex::default(),
             tuning: tuner.map(|tuner| Tuning {
                 tuner,
-                policy: config.recalibration.unwrap_or_default(),
+                policy: config.recalibration,
                 served: AtomicU64::new(0),
                 in_flight: Mutex::new(None),
             }),

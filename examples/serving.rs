@@ -83,10 +83,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Arc::new(Server::start_tuned(
         Arc::clone(&tuned),
         BatchConfig {
-            recalibration: Some(RecalibrationPolicy {
+            recalibration: RecalibrationPolicy {
                 every_n_requests: 64,
                 model_error_threshold: DRIFT_THRESHOLD,
-            }),
+            },
             // Four requests in flight at most, all on the one executor:
             // each run arms its own run state, and every run books into
             // the one arena and the one profile the drift check reads.

@@ -6,9 +6,9 @@
 //! plan verifier and arena-lifetime abstract interpreter over
 //! every optimized partition **and** each model's stitched whole program
 //! (the one artifact a `CompiledModel` executes) × lane count {1, 2, 4},
-//! with the split threshold forced to zero so every tile partition these
-//! plans can get is cut and checked (under the derived threshold's
-//! overhead floor these small plans cut none). Finishes with the exhaustive
+//! with tiling forced so every tile partition these plans can get is cut
+//! and checked (under the default tiling's overhead floor these small
+//! plans cut none). Finishes with the exhaustive
 //! schedule-exploration suite over the scheduler's atomic protocol
 //! models. Exits non-zero on any violation — or if the corpus yields no
 //! tile layout at all, which would make the tiling checks vacuous — so CI
@@ -24,7 +24,7 @@ use korch::models::{
     candy, efficientvit, segformer, subgraphs, yolov4, yolox_nano, CandyConfig, EfficientVitConfig,
     SegformerConfig, YoloConfig,
 };
-use korch::runtime::{PlanExecutor, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::verify::{models::verify_protocols, verify_executor};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
             let is_stitched = nth == optimized.partitions().len();
             for lanes in [1usize, 2, 4] {
                 let config = RuntimeConfig {
-                    split_threshold_us: Some(0.0),
+                    tiling: Tiling::Forced { tile_rows: None },
                     ..RuntimeConfig::with_lanes(lanes)
                 };
                 let exec = match PlanExecutor::new(graph, plan, config) {

@@ -4,7 +4,8 @@
 //! plan. Rows emitted in hash iteration order break this — the pivot count
 //! of two solves in one process differs, which e2e-bench records as
 //! `blp.pivots_spread` above 1 and a compile whose time varies by the
-//! program's own doing.
+//! program's own doing. `Orchestrator::orchestrate` is that same solve
+//! behind the stages e2e-bench times one by one.
 
 use korch::core::partition;
 use korch::cost::{Backend, Device, Profiler};
@@ -13,7 +14,7 @@ use korch::ir::OpGraph;
 use korch::models::subgraphs;
 use korch::orch::{
     enumerate_states, identify_kernels, optimize, optimize_with_layouts, IdentifyConfig,
-    LayoutConfig, OptimizeConfig, Plan, SolveReport,
+    LayoutConfig, OptimizeConfig, Orchestrator, Plan, SolveReport,
 };
 
 /// What must repeat exactly: the problem size, the search, the plan.
@@ -44,7 +45,6 @@ fn assert_solves_repeat(name: &str, model: &OpGraph) {
     let layout_config = LayoutConfig {
         max_variants: 300,
         solver_max_nodes: 96,
-        best_effort: true,
     };
     let prims = fission(model).unwrap().prim_graph;
     let mut pivots = 0;
@@ -97,4 +97,36 @@ fn segformer_attention_solves_repeat_exactly() {
         "segformer_attention",
         &subgraphs::segformer_attention(64, 64, 2),
     );
+}
+
+/// `Orchestrator::orchestrate` is the composition e2e-bench replays stage
+/// by stage (`orch.states`, `orch.identify`, `orch.blp`): the same kernels
+/// to the latency bit and the same pivots, so those layer metrics time
+/// what the pipeline runs.
+#[test]
+fn orchestrate_is_the_per_layer_composition() {
+    let device = Device::v100();
+    let orchestrator = Orchestrator::new(device.clone());
+    let profiler = Profiler::new(device);
+    let prims = fission(&subgraphs::efficientvit_attention(64, 16))
+        .unwrap()
+        .prim_graph;
+    for (i, part) in partition(&prims, 28).unwrap().iter().enumerate() {
+        let g = &part.graph;
+        let space = enumerate_states(g, 1_500);
+        let cands = identify_kernels(
+            g,
+            &space,
+            &profiler,
+            &IdentifyConfig::default(),
+            &[Backend::Generated, Backend::Vendor],
+        );
+        let (plan, report) = optimize(g, &cands, Some(&space), &OptimizeConfig::default()).unwrap();
+        let whole = orchestrator.orchestrate(g).unwrap();
+        assert_eq!(
+            fingerprint(&whole.plan, &whole.report),
+            fingerprint(&plan, &report),
+            "partition {i}"
+        );
+    }
 }

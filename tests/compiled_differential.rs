@@ -14,7 +14,7 @@ use korch::cost::Device;
 use korch::exec::execute_plan;
 use korch::ir::{EwFn, NodeId, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
 use korch::orch::Plan;
-use korch::runtime::{PlanExecutor, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::tensor::{BinaryOp, MatMulSpec, Tensor, UnaryOp};
 use proptest::prelude::*;
 
@@ -25,7 +25,7 @@ use common::{assert_bit_identical, kernel_of, op_random_inputs, plan_of, prim_ra
 /// (which dispatches chains through their compiled closure).
 fn whole_config(lanes: usize) -> RuntimeConfig {
     RuntimeConfig {
-        split_threshold_us: Some(f64::INFINITY),
+        tiling: Tiling::Off,
         ..RuntimeConfig::with_lanes(lanes)
     }
 }
@@ -51,8 +51,7 @@ fn tile_row_sweep() -> [Option<usize>; 6] {
 /// (`None` = one tile per lane).
 fn tiled_config(lanes: usize, tile_rows: Option<usize>) -> RuntimeConfig {
     RuntimeConfig {
-        split_threshold_us: Some(0.0),
-        tile_rows,
+        tiling: Tiling::Forced { tile_rows },
         ..RuntimeConfig::with_lanes(lanes)
     }
 }

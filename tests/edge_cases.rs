@@ -6,7 +6,7 @@ use korch::cost::{Backend, Device, Profiler};
 use korch::exec::execute_plan;
 use korch::fission::fission;
 use korch::ir::{ConstInit, EwFn, LayoutFn, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
-use korch::orch::{enumerate_states, identify_kernels, IdentifyConfig, Orchestrator};
+use korch::orch::{enumerate_states, identify_kernels, optimize, IdentifyConfig, OptimizeConfig};
 use korch::runtime::RuntimeConfig;
 use korch::tensor::{BinaryOp, Tensor, UnaryOp};
 
@@ -97,14 +97,21 @@ fn deep_chain_partitions_and_verifies() {
 
 #[test]
 fn trt_backend_orchestrator() {
-    // Orchestrating with the TensorRT-runtime backend list must also work.
+    // Orchestrating with the TensorRT-runtime backend list must also work:
+    // the orchestration steps composed with another backend list.
     let g = korch::models::subgraphs::softmax_attention(64, 32);
-    let f = fission(&g).unwrap();
-    let orch =
-        Orchestrator::new(Device::a100()).with_backends(vec![Backend::TrtRuntime, Backend::Vendor]);
-    let o = orch.orchestrate(&f.prim_graph).unwrap();
-    assert!(o.plan.kernel_count() >= 1);
-    assert!(o.plan.total_latency.0 > 0.0);
+    let pg = fission(&g).unwrap().prim_graph;
+    let space = enumerate_states(&pg, 1_500);
+    let cands = identify_kernels(
+        &pg,
+        &space,
+        &Profiler::new(Device::a100()),
+        &IdentifyConfig::default(),
+        &[Backend::TrtRuntime, Backend::Vendor],
+    );
+    let (plan, _) = optimize(&pg, &cands, Some(&space), &OptimizeConfig::default()).unwrap();
+    assert!(plan.kernel_count() >= 1);
+    assert!(plan.total_latency.0 > 0.0);
 }
 
 #[test]

@@ -167,7 +167,7 @@ proptest! {
     fn quick_prune_is_sound_end_to_end((g, _shape) in arb_op_graph()) {
         let base = Korch::new(Device::v100(), KorchConfig::default());
         let mut cfg = KorchConfig::default();
-        cfg.orchestrator.identify.quick_prune = true;
+        cfg.orchestrator.identify.quick_prune = Some(1.0);
         let pruned = Korch::new(Device::v100(), cfg);
         let a = base.optimize(&g).unwrap();
         let b = pruned.optimize(&g).unwrap();

@@ -36,13 +36,13 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
             Arc::clone(&tuned),
             BatchConfig {
                 shards: 4,
-                recalibration: Some(RecalibrationPolicy {
+                recalibration: RecalibrationPolicy {
                     every_n_requests: 4,
                     // CPU wall times dwarf simulated GPU micros, so the
                     // uncalibrated drift is far above this: the trigger
                     // fires deterministically.
                     model_error_threshold: 0.05,
-                }),
+                },
                 ..Default::default()
             },
         );
@@ -78,6 +78,47 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
             "bad drift sample {drift}"
         );
     }
+}
+
+/// `BatchConfig::default()` carries a live policy: a self-tuning server
+/// started with it samples drift every 32 requests and recalibrates a
+/// model whose drift exceeds 0.25.
+#[test]
+fn default_policy_recalibrates_a_drifting_model() {
+    let g = model_graph();
+    let korch = Korch::new(Device::v100(), KorchConfig::default());
+    let model = Arc::new(
+        korch
+            .compile_with(&g, &RuntimeConfig::with_lanes(2))
+            .unwrap(),
+    );
+    let inputs = vec![Tensor::random(vec![16, 32], 5)];
+    let reference = model.execute(&inputs).unwrap();
+    model.execute(&inputs).unwrap();
+    // CPU wall times dwarf simulated GPU micros: the warmed-up model
+    // drifts far above the default threshold on any host.
+    let policy = RecalibrationPolicy::default();
+    let drift = model.model_error().expect("drift after profiled runs");
+    assert!(
+        drift > policy.model_error_threshold,
+        "warmed-up drift {drift} must exceed the default threshold"
+    );
+    let server = Server::start_tuned(Arc::clone(&model), BatchConfig::default());
+    let requests = 2 * policy.every_n_requests;
+    for _ in 0..requests / 8 {
+        let handles: Vec<_> = (0..8).map(|_| server.submit(inputs.clone())).collect();
+        for h in handles {
+            let out = h.wait().expect("served response");
+            assert_bit_identical(&reference, &out, "default policy");
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.requests, stats.errors), (requests, 0));
+    assert!(
+        stats.recalibrations >= 1,
+        "the default policy must recalibrate a drifting model: {stats:?}"
+    );
+    assert_eq!(model.plan_generation(), stats.recalibrations);
 }
 
 /// A program snapshot taken before `recalibrate` keeps serving the old
@@ -202,12 +243,12 @@ fn from_optimized_model_tunes_itself_against_its_own_device() {
         Arc::clone(&model),
         BatchConfig {
             shards: 2,
-            recalibration: Some(RecalibrationPolicy {
+            recalibration: RecalibrationPolicy {
                 every_n_requests: 4,
                 // CPU wall times dwarf simulated GPU micros: the trigger
                 // fires deterministically.
                 model_error_threshold: 0.05,
-            }),
+            },
             ..Default::default()
         },
     );

@@ -4,9 +4,8 @@
 //! `Optimized::execute` — the oracle), through `execute_plan` on the
 //! stitched whole program, and through the `korch-runtime` work-stealing
 //! executor over that program at 1, 2, 4 and 8 lanes, then again at 2 and
-//! 4 lanes with the split threshold forced to zero so the models' range
-//! kernels run as tiles; outputs must be **bit-identical** and no
-//! configuration may deadlock.
+//! 4 lanes with tiling forced so the models' range kernels run as tiles;
+//! outputs must be **bit-identical** and no configuration may deadlock.
 
 use korch::core::{stitch, CompiledModel, Korch, KorchConfig, Optimized};
 use korch::cost::Device;
@@ -16,7 +15,7 @@ use korch::models::subgraphs::{
     efficientvit_attention, instance_norm_block, segformer_attention, segformer_decoder_sized,
     softmax_attention, with_opaque_topk,
 };
-use korch::runtime::{PlanExecutor, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 
 mod common;
 use common::{assert_bit_identical, op_random_inputs};
@@ -64,13 +63,13 @@ fn assert_compiled_matches_oracle(name: &str, optimized: &Optimized, g: &OpGraph
     assert_bit_identical(&reference, &interpreted, &format!("{name}, stitched"));
     let whole = [1usize, 2, 4, 8].map(RuntimeConfig::with_lanes);
     let tiled = [2usize, 4].map(|lanes| RuntimeConfig {
-        split_threshold_us: Some(0.0),
+        tiling: Tiling::Forced { tile_rows: None },
         ..RuntimeConfig::with_lanes(lanes)
     });
     for config in whole.iter().chain(&tiled) {
         let ctx = format!(
-            "{name} at {} lanes, split threshold {:?}",
-            config.lanes, config.split_threshold_us
+            "{name} at {} lanes, tiling {:?}",
+            config.lanes, config.tiling
         );
         let compiled = CompiledModel::from_optimized(optimized, config)
             .unwrap_or_else(|e| panic!("{ctx}: compile failed: {e}"));

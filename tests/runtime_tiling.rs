@@ -1,8 +1,8 @@
 //! Intra-kernel tiling tests: decomposed kernels must execute
 //! bit-identically to the sequential `execute_plan` interpreter across a
 //! differential matrix of random tilable plans × tile sizes × lane
-//! counts, the classifier must keep monolithic shapes whole, the split
-//! threshold must gate decomposition, and the buffer arena must conserve
+//! counts, the classifier must keep monolithic shapes whole, the tiling
+//! mode must gate decomposition, and the buffer arena must conserve
 //! (`live_bytes == 0`) after tiled runs — including runs a kernel failure
 //! aborts while sibling tiles are in flight.
 //!
@@ -14,7 +14,7 @@ use korch::cost::Micros;
 use korch::exec::execute_plan;
 use korch::ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch::orch::Plan;
-use korch::runtime::{PlanExecutor, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::tensor::{BinaryOp, MatMulSpec, ReduceKind, UnaryOp};
 use proptest::prelude::*;
 
@@ -22,12 +22,11 @@ mod common;
 use common::{assert_bit_identical, kernel_of, plan_of, prim_random_inputs};
 
 /// Forces every tile-eligible kernel to split regardless of its cost
-/// estimate, with an explicit tile size in grain rows (`None` = one tile
-/// per lane).
+/// estimate (`Tiling::Forced`), with an explicit tile size in grain rows
+/// (`None` = one tile per lane).
 fn tiling_config(lanes: usize, tile_rows: Option<usize>) -> RuntimeConfig {
     RuntimeConfig {
-        split_threshold_us: Some(0.0),
-        tile_rows,
+        tiling: Tiling::Forced { tile_rows },
         ..RuntimeConfig::with_lanes(lanes)
     }
 }
@@ -275,13 +274,9 @@ fn single_kernel_plan_splits_into_lane_tiles() {
     let inputs = prim_random_inputs(&g, 11);
     let reference = execute_plan(&g, &plan, &inputs).unwrap();
     for lanes in [2usize, 4] {
-        // Default (None) threshold: a single-kernel plan always exceeds
-        // its lane share, so tiling engages without any explicit config.
+        // Default (`Auto`) tiling: a single-kernel plan always exceeds its
+        // lane share, so tiling engages without any explicit config.
         let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
-        assert!(
-            (exec.split_threshold_us() - plan.total_latency.0 / lanes as f64).abs() < 1e-12,
-            "default threshold must be the plan's per-lane share"
-        );
         assert_eq!(exec.tileable_kernels(), 1);
         let runs = 3u64;
         for _ in 0..runs {
@@ -307,7 +302,7 @@ fn single_kernel_plan_splits_into_lane_tiles() {
 
 /// Monolithic shapes must never split: layout kernels, softmax-style
 /// fused kernels (mixed member kinds), and multi-output kernels all stay
-/// whole even with a zero threshold.
+/// whole even under forced tiling.
 #[test]
 fn monolithic_kernels_stay_whole() {
     let mut g = PrimGraph::new();
@@ -390,13 +385,13 @@ fn monolithic_kernels_stay_whole() {
     assert_eq!(profile.tile_tasks, 0);
 }
 
-/// The split threshold gates decomposition: infinite keeps everything
-/// whole, zero (or the derived default on a long-pole kernel) splits.
+/// The tiling mode gates decomposition: `Off` keeps everything whole,
+/// `Forced` (or `Auto` on a long-pole kernel) splits.
 #[test]
 fn split_threshold_and_switch_gate_tiling() {
     let (g, plan) = build_plan(&[Branch::Chain { ops: vec![0, 1] }], 48, 48);
     let never = RuntimeConfig {
-        split_threshold_us: Some(f64::INFINITY),
+        tiling: Tiling::Off,
         ..RuntimeConfig::with_lanes(4)
     };
     assert_eq!(
@@ -407,10 +402,6 @@ fn split_threshold_and_switch_gate_tiling() {
     );
     let forced = PlanExecutor::new(&g, &plan, tiling_config(4, None)).unwrap();
     assert_eq!(forced.tileable_kernels(), 1);
-    assert!(
-        (forced.split_threshold_us() - 0.0).abs() < f64::EPSILON,
-        "explicit threshold must be reported verbatim"
-    );
     // Single-lane configs never tile (nothing to overlap with).
     let single = PlanExecutor::new(&g, &plan, tiling_config(1, None)).unwrap();
     assert_eq!(single.tileable_kernels(), 0);
@@ -601,7 +592,7 @@ fn derived_threshold_prices_kernels_against_lane_share() {
         1,
         "only the dominant kernel may exceed its lane share"
     );
-    // With the floor bypassed, the explicit zero threshold tiles both.
+    // Forced tiling bypasses the lane share and the floor: both tile.
     let forced = PlanExecutor::new(&g, &plan, tiling_config(2, None)).unwrap();
     assert_eq!(forced.tileable_kernels(), 2, "zero threshold tiles both");
 }
@@ -610,15 +601,15 @@ fn derived_threshold_prices_kernels_against_lane_share() {
 /// benchmark shape that ran 0.91× when split — must stay whole under the
 /// derived default threshold. Its per-tile body time does not clear the
 /// per-tile overhead floor, so splitting could only add dispatch cost.
-/// An explicit threshold still forces the split (the differential suites
-/// rely on that), so only the *default* policy is pinned here.
+/// Forced tiling still splits it (the differential suites rely on that),
+/// so only the *default* policy is pinned here.
 /// Regression pin for the elementwise mispricing: a single 768×768
 /// fused elementwise chain — the benchmark shape that ran 0.96× when
 /// split — must stay whole under the derived default. Its body is
 /// memory-bound, so the assembly pass re-streams the full output through
 /// the same saturated bus and the floor now charges every byte of it;
-/// the compiled whole-kernel closure wins. Explicit thresholds still
-/// force the split (the differential suites rely on that).
+/// the compiled whole-kernel closure wins. Forced tiling still splits it
+/// (the differential suites rely on that).
 #[test]
 fn default_threshold_keeps_large_elementwise_whole() {
     let (g, plan) = build_plan(&[Branch::Chain { ops: vec![2, 0] }], 768, 768);

@@ -11,7 +11,7 @@
 use korch::exec::execute_plan;
 use korch::ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch::orch::{Plan, SelectedKernel};
-use korch::runtime::{PlanExecutor, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::tensor::{BinaryOp, UnaryOp};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -264,7 +264,7 @@ fn single_root_fork_is_scheduled_and_rebalanced_by_stealing() {
 fn compile_is_a_pure_function_of_its_inputs() {
     let (g, plan) = fork_plan(3, &[96, 96]);
     let config = RuntimeConfig {
-        split_threshold_us: Some(0.0),
+        tiling: Tiling::Forced { tile_rows: None },
         ..RuntimeConfig::with_lanes(4)
     };
     let a = PlanExecutor::new(&g, &plan, config.clone()).unwrap();

@@ -169,10 +169,10 @@ fn tuned_server_survives_retune_races() {
             Arc::clone(&model),
             BatchConfig {
                 shards: 2,
-                recalibration: Some(RecalibrationPolicy {
+                recalibration: RecalibrationPolicy {
                     every_n_requests: 2,
                     model_error_threshold: 0.5,
-                }),
+                },
                 ..Default::default()
             },
         );

@@ -208,10 +208,10 @@ fn auto_recalibration_swaps_the_executor_mid_serving() {
             shards: 4,
             // CPU wall times dwarf simulated GPU micros, so drift is far
             // above this threshold: the trigger fires deterministically.
-            recalibration: Some(RecalibrationPolicy {
+            recalibration: RecalibrationPolicy {
                 every_n_requests: 4,
                 model_error_threshold: 0.05,
-            }),
+            },
             ..Default::default()
         },
     );

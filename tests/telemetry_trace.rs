@@ -12,19 +12,21 @@
 //! never wall-clock.
 
 use korch::exec::execute_plan;
-use korch::runtime::{BatchConfig, Model, PlanExecutor, ResponseHandle, RuntimeConfig, Server};
+use korch::runtime::{
+    BatchConfig, Model, PlanExecutor, ResponseHandle, RuntimeConfig, Server, Tiling,
+};
 use korch::telemetry::{validate_chrome_trace, EventKind, Telemetry};
 use std::sync::Arc;
 
 mod common;
 use common::{assert_bit_identical, independent_plan, prim_random_inputs};
 
-/// Two lanes with a forced split threshold: the single-kernel plan below
+/// Two lanes with forced tiling: the single-kernel plan below
 /// always decomposes into row-range tiles, so every traced request
 /// carries tile spans.
 fn tiled_config(telemetry: Option<Arc<Telemetry>>) -> RuntimeConfig {
     RuntimeConfig {
-        split_threshold_us: Some(0.0),
+        tiling: Tiling::Forced { tile_rows: None },
         telemetry,
         ..RuntimeConfig::with_lanes(2)
     }

@@ -9,7 +9,7 @@ use korch::core::{Korch, KorchConfig};
 use korch::cost::Device;
 use korch::ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch::orch::Plan;
-use korch::runtime::{PlanExecutor, RuntimeConfig};
+use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::tensor::{BinaryOp, Tensor, UnaryOp};
 use korch::verify::verify_executor;
 use proptest::prelude::*;
@@ -128,8 +128,11 @@ proptest! {
                 let config = RuntimeConfig {
                     // Force aggressive decomposition so tiled artifacts
                     // actually occur at tiny scales.
-                    split_threshold_us: Some(if tiling { 0.0 } else { f64::INFINITY }),
-                    tile_rows: tiling.then_some(1),
+                    tiling: if tiling {
+                        Tiling::Forced { tile_rows: Some(1) }
+                    } else {
+                        Tiling::Off
+                    },
                     ..RuntimeConfig::with_lanes(lanes)
                 };
                 let exec = PlanExecutor::new(&g, &plan, config).unwrap();

@@ -9,7 +9,7 @@ use korch::cost::Device;
 use korch::ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch::models::subgraphs::{instance_norm_block, softmax_attention};
 use korch::orch::Plan;
-use korch::runtime::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout};
+use korch::runtime::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout, Tiling};
 use korch::tensor::{BinaryOp, Tensor, UnaryOp};
 use korch::verify::{
     models::verify_protocols, verify_executor, verify_lifetimes, verify_plan, LifetimeProgram,
@@ -80,7 +80,7 @@ fn compiled_artifacts_are_accepted() {
             for lanes in [1, 2, 4] {
                 for tiling in [false, true] {
                     let config = RuntimeConfig {
-                        split_threshold_us: (!tiling).then_some(f64::INFINITY),
+                        tiling: if tiling { Tiling::Auto } else { Tiling::Off },
                         ..RuntimeConfig::with_lanes(lanes)
                     };
                     let exec = PlanExecutor::new(&part.part.graph, &part.plan, config).unwrap();
