@@ -1,7 +1,7 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
-//! redundant computation on/off, multi-output kernels on/off, and the
-//! transformation search on/off. Each prints the plan quality (simulated
-//! latency) once, then benchmarks the optimizer configuration.
+//! Ablation benches for the optimizer's design choices: redundant
+//! computation (the §4.2 relaxation) on/off, multi-output kernels on/off,
+//! and the transformation search on/off. Each prints the plan quality
+//! (simulated latency) once, then benchmarks the optimizer configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use korch_core::{Korch, KorchConfig};

@@ -1,23 +1,15 @@
-//! Criterion benches for the beyond-paper extensions: the layout-aware BLP
-//! (§8) and quick-prune identification (§8 tuning-time acceleration). Each
-//! bench first prints the plan-quality numbers once, then measures the
-//! optimizer-side runtime of the extension itself (the thing a compiler
-//! engineer would profile).
+//! Criterion bench for the beyond-paper quick-prune identification (§8
+//! tuning-time acceleration): prints the candidate and tuning-time numbers
+//! once, then measures the optimizer-side runtime of identification with
+//! and without the prune (the thing a compiler engineer would profile).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use korch_cost::{Backend, Device, Profiler};
 use korch_fission::fission;
 use korch_ir::PrimGraph;
 use korch_models::subgraphs::softmax_attention;
-use korch_orch::{
-    enumerate_states, identify_kernels, optimize, optimize_with_layouts, Candidates,
-    IdentifyConfig, LayoutConfig, OptimizeConfig,
-};
+use korch_orch::{enumerate_states, identify_kernels, Candidates, IdentifyConfig};
 use std::hint::black_box;
-
-fn attention_prims() -> PrimGraph {
-    fission(&softmax_attention(256, 64)).unwrap().prim_graph
-}
 
 fn candidates(g: &PrimGraph, config: &IdentifyConfig) -> Candidates {
     let space = enumerate_states(g, 10_000);
@@ -30,32 +22,8 @@ fn candidates(g: &PrimGraph, config: &IdentifyConfig) -> Candidates {
     )
 }
 
-fn bench_layout_blp(c: &mut Criterion) {
-    let g = attention_prims();
-    let cands = candidates(&g, &IdentifyConfig::default());
-    let profiler = Profiler::new(Device::v100());
-    let (std_plan, _) = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap();
-    let outcome = optimize_with_layouts(&g, &cands, &profiler, &LayoutConfig::default()).unwrap();
-    println!(
-        "layout BLP on attention: standard {:.2} µs vs layout-aware {:.2} µs ({} variants)",
-        std_plan.total_latency.0, outcome.plan.total_latency.0, outcome.report.num_candidates,
-    );
-    c.bench_function("layout_blp/attention_256x64", |b| {
-        b.iter(|| {
-            let o = optimize_with_layouts(
-                black_box(&g),
-                black_box(&cands),
-                &profiler,
-                &LayoutConfig::default(),
-            )
-            .unwrap();
-            black_box(o.plan.total_latency)
-        })
-    });
-}
-
 fn bench_quick_prune(c: &mut Criterion) {
-    let g = attention_prims();
+    let g = fission(&softmax_attention(256, 64)).unwrap().prim_graph;
     let full = candidates(&g, &IdentifyConfig::default());
     let pruned = candidates(
         &g,
@@ -90,5 +58,5 @@ fn bench_quick_prune(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_layout_blp, bench_quick_prune);
+criterion_group!(benches, bench_quick_prune);
 criterion_main!(benches);

@@ -6,7 +6,8 @@
 //! candidate kernel*, so any cost oracle that preserves the paper's decision
 //! structure — fusion saves launches and intermediate traffic, GEMM layout
 //! matters, over-fused generated kernels fall off a cliff — reproduces the
-//! paper's qualitative results. See `DESIGN.md` for the calibration notes.
+//! paper's qualitative results. The roofline terms are documented in the
+//! `model` module; the fitted corrections in [`Calibration`].
 //!
 //! ```
 //! use korch_cost::{Backend, Device, Profiler, KernelSpec};
@@ -34,8 +35,5 @@ mod model;
 mod spec;
 
 pub use device::Device;
-pub use model::{
-    gemm_shape_efficiency, swapped_io_factor, Backend, Calibration, CalibrationSample, Micros,
-    Profiler,
-};
+pub use model::{gemm_shape_efficiency, Backend, Calibration, CalibrationSample, Micros, Profiler};
 pub use spec::{kernel_spec, GemmShape, KernelClass, KernelSpec, PatternClass};

@@ -236,30 +236,13 @@ impl Profiler {
         self
     }
 
-    /// Latency of one kernel on the given backend, every tensor in its
-    /// canonical layout.
+    /// Latency of one kernel on the given backend.
     pub fn latency(&self, spec: &KernelSpec, backend: Backend) -> Micros {
-        self.latency_with_layout(spec, backend, 1.0, 0)
-    }
-
-    /// Latency of a kernel whose tensors deviate from their canonical data
-    /// layout (the §8 layout-aware BLP extension): `gemm_layout_eff`
-    /// multiplies the efficiency of every linear primitive (see
-    /// [`swapped_io_factor`]) and `extra_pattern_classes` adds strided
-    /// access-pattern classes for physically-transposed reads/writes of
-    /// memory-bound kernels. Opaque kernels are layout-blind.
-    pub fn latency_with_layout(
-        &self,
-        spec: &KernelSpec,
-        backend: Backend,
-        gemm_layout_eff: f64,
-        extra_pattern_classes: u32,
-    ) -> Micros {
         if spec.has_opaque {
             return self.opaque_latency(spec);
         }
-        let t_mem = self.memory_time_us(spec, backend, extra_pattern_classes);
-        let t_compute = self.compute_time_us(spec, backend, gemm_layout_eff);
+        let t_mem = self.memory_time_us(spec, backend);
+        let t_compute = self.compute_time_us(spec, backend);
         let cf = self.calibration.class_factor(spec.class());
         Micros(self.launch_us() + t_mem.max(t_compute) * cf)
     }
@@ -334,10 +317,9 @@ impl Profiler {
         (self.device.l2_cache_mib * 32.0 * 1024.0 * 1024.0) as u64
     }
 
-    fn memory_time_us(&self, spec: &KernelSpec, backend: Backend, extra_patterns: u32) -> f64 {
-        let pattern_classes = spec.pattern_classes + extra_patterns;
+    fn memory_time_us(&self, spec: &KernelSpec, backend: Backend) -> f64 {
         let mut eff = MEM_EFFICIENCY;
-        eff *= match pattern_classes {
+        eff *= match spec.pattern_classes {
             0 | 1 => 1.0,
             2 => 0.85,
             _ => 0.72,
@@ -347,7 +329,7 @@ impl Profiler {
         // beyond cache) cannot be scheduled well; bandwidth efficiency
         // collapses.
         if backend == Backend::Generated
-            && pattern_classes >= 3
+            && spec.pattern_classes >= 3
             && spec.bytes_moved() > self.footprint_threshold_bytes()
         {
             eff *= 0.30;
@@ -356,29 +338,17 @@ impl Profiler {
             * self.calibration.memory_scale
     }
 
-    fn compute_time_us(&self, spec: &KernelSpec, backend: Backend, layout_eff: f64) -> f64 {
+    fn compute_time_us(&self, spec: &KernelSpec, backend: Backend) -> f64 {
         // Non-linear FLOPs run on CUDA cores at modest efficiency; they are
         // almost always hidden behind memory time.
         let mut t = spec.pointwise_flops as f64 / (self.device.fp32_tflops * 0.5 * 1e6);
         let peak = self.device.linear_peak_tflops();
         for g in &spec.linear {
-            let eff = backend.gemm_base_efficiency() * gemm_shape_efficiency(*g) * layout_eff;
+            let eff = backend.gemm_base_efficiency() * gemm_shape_efficiency(*g);
             t += g.flops() as f64 / (peak * eff * 1e6);
         }
         t * self.calibration.compute_scale
     }
-}
-
-/// Efficiency multiplier for a GEMM operand that is physically stored with
-/// its last two dimensions swapped (read "against the grain"). Transposed
-/// access to a near-square, tile-friendly matrix is almost free on modern
-/// GEMM kernels (every `op()` combination is well supported), but an
-/// extreme-aspect matrix read against its storage order wastes most of
-/// each cache line — the regime behind the paper's Fig. 8 anecdote, where
-/// relayouting a 1024:1 matrix made the same MatrixMultiply 3.52× faster.
-pub fn swapped_io_factor(rows: u64, cols: u64) -> f64 {
-    let (lo, hi) = (rows.min(cols).max(1) as f64, rows.max(cols).max(1) as f64);
-    (lo / hi).powf(0.12).clamp(0.35, 0.95)
 }
 
 /// Tile-quantization efficiency of a GEMM: balanced, large dimensions reach
@@ -767,10 +737,10 @@ mod tests {
     }
 
     #[test]
-    fn canonical_latency_is_the_layout_model_at_identity_bit_for_bit() {
-        // `latency` is `latency_with_layout(.., 1.0, 0)`; the bit patterns
-        // are what the two separately written models both returned before
-        // they were merged (calibrated, so every scale is exercised).
+    fn latency_and_quick_bound_match_recorded_bits() {
+        // Recorded bit patterns of `latency` and `quick_latency`, calibrated
+        // so every scale is exercised: a refactor of the model must return
+        // exactly these, not merely something close.
         let p = Profiler::new(Device::v100()).with_calibration(Calibration {
             memory_scale: 2.5,
             compute_scale: 0.4,
@@ -815,10 +785,8 @@ mod tests {
         let backends = [Backend::Generated, Backend::Vendor, Backend::TrtRuntime];
         for (spec, latencies, quick) in golden {
             for (backend, bits) in backends.into_iter().zip(latencies) {
-                let canonical = p.latency(spec, backend).0.to_bits();
-                let identity = p.latency_with_layout(spec, backend, 1.0, 0).0.to_bits();
-                assert_eq!(canonical, identity, "{backend:?} {spec:?}");
-                assert_eq!(canonical, bits, "{backend:?} {spec:?}");
+                let latency = p.latency(spec, backend).0.to_bits();
+                assert_eq!(latency, bits, "{backend:?} {spec:?}");
             }
             assert_eq!(p.quick_latency(spec).0.to_bits(), quick, "{spec:?}");
         }

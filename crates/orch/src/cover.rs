@@ -5,9 +5,8 @@
 //! cost; a selection is valid when every must-produce key is produced
 //! (Eq. 3) and every key a selected variable requires is produced by some
 //! selected variable (Eq. 4); the cheapest valid selection wins (Eq. 2).
-//! The standard solve instantiates the key as a primitive (`NodeId`), the
-//! §8 layout-aware solve as a *(primitive, layout)* pair — the lifting is
-//! data, not a second formulation.
+//! [`optimize`](crate::optimize) instantiates the key as a primitive
+//! (`NodeId`); the unit tests use small integers.
 //!
 //! Everything here is a function of the variables in the order given:
 //! rows are emitted for the must-produce keys in key order, then per
@@ -28,8 +27,8 @@ pub(crate) struct CoverVar<K> {
     pub requires: Vec<K>,
     /// Objective coefficient (latency, µs).
     pub cost: f64,
-    /// The kernel executes one primitive reading canonical inputs: it may
-    /// stand in for its key in the warm start and in deadlock repair.
+    /// The kernel executes one primitive: it may stand in for its key in
+    /// the warm start and in deadlock repair.
     pub singleton: bool,
 }
 

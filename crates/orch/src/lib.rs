@@ -15,19 +15,17 @@
 //!    [`plan_dependencies`] the port-level readiness relation between them
 //!    that the `korch-runtime` executor runs its lanes by.
 //!
-//! The BLP is written once (`cover.rs`), over variables that *produce* and
-//! *require* keys of an ordered type: Eq. 3 rows for the keys that must be
-//! produced, Eq. 4 rows per variable requirement, the one-kernel-per-key
-//! warm start, the candidate cap, the branch-and-bound call and the
-//! dependency-respecting kernel order with singleton deadlock repair.
-//! [`optimize`] instantiates it with one key per primitive (and adds its
-//! chain-DP / seed warm starts and the no-redundancy rows);
-//! [`optimize_with_layouts`] — the §8 extension — with one key per
-//! *(primitive, [`TensorLayout`])* pair and one variable per
-//! [`LayoutVariant`]. Rows are emitted in a fixed order (must-produce keys
-//! ascending, then variables in candidate order, each one's requirements
-//! ascending) and no hash iteration reaches the solver, so the same
-//! [`Candidates`] always cost the same pivots and yield the same [`Plan`].
+//! The BLP is built in `cover.rs`, over variables that *produce* and
+//! *require* keys: Eq. 3 rows for the keys that must be produced, Eq. 4
+//! rows per variable requirement, the one-kernel-per-key warm start, the
+//! candidate cap, the branch-and-bound call and the dependency-respecting
+//! kernel order with singleton deadlock repair. [`optimize`] instantiates
+//! it with one key per primitive and adds its chain-DP / seed warm starts
+//! and the no-redundancy rows. Rows are emitted in a fixed order
+//! (must-produce keys ascending, then variables in candidate order, each
+//! one's requirements ascending) and no hash iteration reaches the solver,
+//! so the same [`Candidates`] always cost the same pivots and yield the
+//! same [`Plan`].
 //!
 //! [`Orchestrator`] bundles the four steps:
 //!
@@ -55,7 +53,6 @@
 
 mod cover;
 mod kernel;
-mod layout;
 mod optimizer;
 mod plan;
 mod state;
@@ -63,10 +60,6 @@ mod state;
 pub use kernel::{
     backend_applicable, greedy_seed_groups, identify_kernels, CandidateKernel, Candidates,
     IdentifyConfig,
-};
-pub use layout::{
-    layout_variants, optimize_with_layouts, KernelLayout, LayoutConfig, LayoutOutcome,
-    LayoutVariant, TensorLayout,
 };
 pub use optimizer::{optimize, OptimizeConfig, OrchError, SolveReport};
 pub use plan::{plan_dependencies, MissingProducer, Plan, SelectedKernel};

@@ -1,8 +1,7 @@
 //! The kernel orchestration optimizer (paper §4.2): the binary linear
 //! program of Eqs. 2–4 over the identified candidate kernels — the
-//! cover problem (`cover.rs`) with one key per primitive — plus what only the
-//! standard solve has: the chain-DP and seed warm starts and the
-//! no-redundancy ablation rows.
+//! cover problem (`cover.rs`) with one key per primitive — plus the
+//! chain-DP and seed warm starts and the no-redundancy ablation rows.
 
 use crate::cover::{cap_vars, CoverProblem, CoverVar};
 use crate::kernel::{required_outputs, CandidateKernel};

@@ -13,8 +13,8 @@ use korch::fission::fission;
 use korch::ir::OpGraph;
 use korch::models::subgraphs;
 use korch::orch::{
-    enumerate_states, identify_kernels, optimize, optimize_with_layouts, IdentifyConfig,
-    LayoutConfig, OptimizeConfig, Orchestrator, Plan, SolveReport,
+    enumerate_states, identify_kernels, optimize, IdentifyConfig, OptimizeConfig, Orchestrator,
+    Plan, SolveReport,
 };
 
 /// What must repeat exactly: the problem size, the search, the plan.
@@ -33,18 +33,12 @@ fn fingerprint(plan: &Plan, report: &SolveReport) -> String {
 fn assert_solves_repeat(name: &str, model: &OpGraph) {
     let profiler = Profiler::new(Device::v100());
     // Repeatability does not need the search finished: a hundred nodes
-    // (and, for the layout-aware solve, which takes 5 s at its defaults on
-    // the Segformer block in release and far longer in debug, a smaller
-    // variant cap) re-bound one dictionary a few hundred times and rebuild
-    // it a few dozen, which is simplex work enough to differ when rows are
+    // re-bound one dictionary a few hundred times and rebuild it a few
+    // dozen, which is simplex work enough to differ when rows are
     // reordered; best-effort returns what the budget found.
     let config = OptimizeConfig {
         solver_max_nodes: 96,
         ..OptimizeConfig::default()
-    };
-    let layout_config = LayoutConfig {
-        max_variants: 300,
-        solver_max_nodes: 96,
     };
     let prims = fission(model).unwrap().prim_graph;
     let mut pivots = 0;
@@ -64,20 +58,6 @@ fn assert_solves_repeat(name: &str, model: &OpGraph) {
             fingerprint(&plan, &report)
         };
         assert_eq!(standard(), standard(), "{name} partition {i}: optimize");
-        let layout_aware = || {
-            let o = optimize_with_layouts(g, &cands, &profiler, &layout_config).unwrap();
-            let layouts: Vec<_> = o
-                .layouts
-                .iter()
-                .map(|l| (l.out_swapped, &l.swapped_inputs))
-                .collect();
-            format!("{} {layouts:?}", fingerprint(&o.plan, &o.report))
-        };
-        assert_eq!(
-            layout_aware(),
-            layout_aware(),
-            "{name} partition {i}: optimize_with_layouts"
-        );
     }
     // The claim is about simplex work, so the inputs must cause some.
     assert!(pivots > 0, "{name}: every solve was trivial");

@@ -44,7 +44,12 @@ fn assert_baselines_match_reference(g: &korch::ir::OpGraph, seed: u64, tol: f32)
     let inputs = random_inputs(g, seed);
     let reference = execute_ops(g, &inputs).expect("reference");
     let f = fission(g).expect("fission");
-    for b in [Baseline::PyTorch, Baseline::Tvm, Baseline::TensorRt] {
+    for b in [
+        Baseline::PyTorch,
+        Baseline::Tvm,
+        Baseline::TensorRt,
+        Baseline::DnnFusion,
+    ] {
         let plan = orchestrate_baseline(b, g, &Device::v100()).expect("baseline");
         let out = execute_plan(&f.prim_graph, &plan, &inputs).expect("execute");
         for (r, o) in reference.iter().zip(&out) {

@@ -121,46 +121,6 @@ proptest! {
         prop_assert!(a[0].allclose(&b[0], 1e-6));
     }
 
-    /// The layout-aware BLP (§8 extension) never loses to the standard BLP
-    /// (its all-canonical variants embed it), and its plan stays executable.
-    #[test]
-    fn layout_blp_parity_on_random_graphs((g, shape) in arb_op_graph(), seed in 0u64..1000) {
-        use korch::cost::{Backend, Profiler};
-        use korch::orch::{
-            enumerate_states, identify_kernels, optimize, optimize_with_layouts,
-            IdentifyConfig, LayoutConfig, OptimizeConfig,
-        };
-        let f = fission(&g).unwrap();
-        let profiler = Profiler::new(Device::v100());
-        let space = enumerate_states(&f.prim_graph, 10_000);
-        let cands = identify_kernels(
-            &f.prim_graph,
-            &space,
-            &profiler,
-            &IdentifyConfig::default(),
-            &[Backend::Generated, Backend::Vendor],
-        );
-        let (std_plan, _) =
-            optimize(&f.prim_graph, &cands, Some(&space), &OptimizeConfig::default()).unwrap();
-        let outcome = optimize_with_layouts(
-            &f.prim_graph,
-            &cands,
-            &profiler,
-            &LayoutConfig::default(),
-        )
-        .unwrap();
-        prop_assert!(
-            outcome.plan.total_latency.0 <= std_plan.total_latency.0 * 1.02 + 1e-9,
-            "layout-aware lost: {} vs {}",
-            outcome.plan.total_latency.0,
-            std_plan.total_latency.0
-        );
-        let x = Tensor::random(shape, seed);
-        let reference = execute_prims(&f.prim_graph, std::slice::from_ref(&x)).unwrap();
-        let out = korch::exec::execute_plan(&f.prim_graph, &outcome.plan, &[x]).unwrap();
-        prop_assert!(reference[0].allclose(&out[0], 1e-3));
-    }
-
     /// Quick-prune soundness at margin 1.0: the end-to-end pipeline
     /// objective is unchanged when provably-losing candidates are skipped.
     #[test]
