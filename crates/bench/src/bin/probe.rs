@@ -12,7 +12,8 @@
 //!   `Korch::optimize` stage by stage and prints one line per orchestrated
 //!   (partition, variant) — problem size, identification time, the
 //!   search's nodes, LP solves and pivots, solve time and the objective
-//!   against the greedy warm start — then the model's totals.
+//!   against the warm start the search began from (the best of greedy,
+//!   chain-DP and seeds) — then the model's totals.
 use korch_core::{partition, stitch, Korch, KorchConfig};
 use korch_cost::{Backend, Device, Profiler};
 use korch_exec::{eval_prim, materialize_const};
@@ -94,7 +95,7 @@ fn blp_table(g: &OpGraph) {
     let prims = fission(g).expect("fission").prim_graph;
     let parts = partition(&prims, config.partition_max_prims).expect("partition");
     println!(
-        "part var prims states cands identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us  greedy_us"
+        "part var prims states cands identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us    warm_us"
     );
     let mut seen = HashSet::new();
     let (mut identify_total, mut solve_total) = (0.0, 0.0);
@@ -128,7 +129,7 @@ fn blp_table(g: &OpGraph) {
                         r.solver_lp_solves,
                         r.solver_pivots,
                         plan.total_latency.0,
-                        r.greedy_objective_us
+                        r.warm_objective_us
                     );
                     nodes += r.solver_nodes;
                     lps += r.solver_lp_solves;

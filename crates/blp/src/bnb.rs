@@ -1,6 +1,9 @@
 //! Best-first branch & bound over the simplex LP relaxation — the exact 0/1
 //! solver Korch uses in place of PuLP/CBC. One [`Lp`] is built per solve;
-//! the root, the dive and every child re-bound and re-solve it.
+//! the root and every child re-bound and re-solve it. The search starts
+//! from the caller's incumbent alone (the orchestrator passes the best of
+//! its warm starts) and improves it only at integral nodes: it runs no
+//! incumbent heuristic of its own.
 
 use crate::problem::{BlpError, BlpProblem, BlpSolution, SolveStats};
 use crate::simplex::{Lp, LpOutcome};
@@ -8,19 +11,22 @@ use crate::Solver;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Values within this distance of 0/1 are considered integral.
+const INT_TOL: f64 = 1e-6;
+
 /// Exact 0/1 solver: LP-relaxation branch & bound with best-first search
 /// and most-fractional branching.
 #[derive(Debug, Clone)]
 pub struct BranchAndBound {
     /// Maximum number of branch-and-bound nodes before giving up.
     pub max_nodes: usize,
-    /// Values within this distance of 0/1 are considered integral.
-    pub int_tol: f64,
-    /// Optional warm-start incumbent (e.g. from a greedy heuristic): a
-    /// feasible assignment whose objective becomes the initial upper bound.
+    /// Warm-start incumbent: a feasible assignment whose objective becomes
+    /// the initial upper bound, and the only one the search starts from.
+    /// Ignored when its length is wrong or it violates a constraint.
     pub incumbent: Option<Vec<bool>>,
     /// When the node budget is exhausted, return the best incumbent found
-    /// so far (best-effort mode) instead of [`BlpError::Limit`].
+    /// so far (best-effort mode) instead of [`BlpError::Limit`]. Without
+    /// one the solve still ends in [`BlpError::Limit`].
     pub best_on_limit: bool,
     /// Relative optimality gap: a node is pruned when its LP bound is
     /// within `rel_gap · |incumbent|` of the incumbent. The default 1e-4
@@ -33,7 +39,6 @@ impl Default for BranchAndBound {
     fn default() -> Self {
         Self {
             max_nodes: 200_000,
-            int_tol: 1e-6,
             incumbent: None,
             best_on_limit: false,
             rel_gap: 1e-4,
@@ -47,110 +52,9 @@ impl BranchAndBound {
         Self::default()
     }
 
-    /// Supplies a warm-start incumbent (must be feasible; checked at solve
-    /// time and ignored otherwise).
-    pub fn with_incumbent(mut self, values: Vec<bool>) -> Self {
-        self.incumbent = Some(values);
-        self
-    }
-
     fn gap(&self, ub: f64) -> f64 {
         (self.rel_gap * ub.abs()).max(1e-9)
     }
-}
-
-/// Depth-first LP dive: repeatedly fix the fractional variable of largest
-/// value (the kernel the relaxation selects most) to 1 — to 0 first when
-/// that value is below 0.3 — and re-solve, trying the other value when the
-/// first is infeasible; yields an integral, feasible incumbent in a handful
-/// of LP solves when the instance is covering-shaped.
-fn dive(
-    problem: &BlpProblem,
-    lp: &mut Lp,
-    root_x: &[f64],
-    root_fixed: &[Option<f64>],
-    int_tol: f64,
-) -> Option<(Vec<bool>, f64)> {
-    let mut fixed = root_fixed.to_vec();
-    let mut x = root_x.to_vec();
-    for _ in 0..problem.num_vars() {
-        let frac = x
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| (v - v.round()).abs() > int_tol)
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let Some((j, &vj)) = frac else {
-            let vals: Vec<bool> = x.iter().map(|&v| v > 0.5).collect();
-            if problem.feasible(&vals) {
-                let obj = problem.objective_of(&vals);
-                return Some((vals, obj));
-            }
-            return None;
-        };
-        // Prefer rounding *up* (selecting the kernel) — feasibility-safe for
-        // covering rows; fall back to 0 if that branch is infeasible.
-        let first = if vj >= 0.3 { 1.0 } else { 0.0 };
-        let mut done = false;
-        for v in [first, 1.0 - first] {
-            fixed[j] = Some(v);
-            match lp.solve(&fixed) {
-                LpOutcome::Optimal { x: nx, .. } => {
-                    x = nx;
-                    done = true;
-                    break;
-                }
-                LpOutcome::Infeasible => {}
-            }
-        }
-        if !done {
-            return None;
-        }
-    }
-    None
-}
-
-/// LP-guided rounding with greedy repair: round the relaxation, then fix
-/// violated constraints one variable at a time (preferring variables the LP
-/// liked). Produces the strong early incumbent that makes gap pruning bite
-/// on covering-style instances, whose LP bound sits well below the integer
-/// optimum.
-fn round_and_repair(problem: &BlpProblem, x: &[f64]) -> Option<Vec<bool>> {
-    let mut vals: Vec<bool> = x.iter().map(|&v| v > 0.5).collect();
-    for _ in 0..=2 * problem.num_vars() {
-        let Some(c) = problem.constraints.iter().find(|c| !c.satisfied(&vals)) else {
-            return Some(vals);
-        };
-        let lhs = c.lhs(&vals);
-        let need_more = match c.sense {
-            crate::Sense::Ge => true,
-            crate::Sense::Le => false,
-            crate::Sense::Eq => lhs < c.rhs,
-        };
-        let candidate = if need_more {
-            c.coeffs
-                .iter()
-                .filter(|&&(j, a)| a > 0.0 && !vals[j])
-                .max_by(|&&(j1, _), &&(j2, _)| {
-                    x[j1]
-                        .partial_cmp(&x[j2])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|&(j, _)| (j, true))
-        } else {
-            c.coeffs
-                .iter()
-                .filter(|&&(j, a)| a > 0.0 && vals[j])
-                .min_by(|&&(j1, _), &&(j2, _)| {
-                    x[j1]
-                        .partial_cmp(&x[j2])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|&(j, _)| (j, false))
-        };
-        let (j, v) = candidate?;
-        vals[j] = v;
-    }
-    None
 }
 
 struct Node {
@@ -209,33 +113,16 @@ impl Solver for BranchAndBound {
                     })
                     .ok_or(BlpError::Infeasible)
             }
-            LpOutcome::Optimal { objective, x, .. } => {
-                // LP-guided incumbents: rounding repair plus a single dive.
-                // Both are cheap and make gap pruning effective immediately.
-                if let Some(r) = round_and_repair(problem, &x) {
-                    if problem.feasible(&r) {
-                        let obj = problem.objective_of(&r);
-                        if best.as_ref().is_none_or(|(_, ub)| obj < *ub) {
-                            best = Some((r, obj));
-                        }
-                    }
-                }
-                if let Some((r, obj)) = dive(problem, &mut lp, &x, &root_fixed, self.int_tol) {
-                    if best.as_ref().is_none_or(|(_, ub)| obj < *ub) {
-                        best = Some((r, obj));
-                    }
-                }
-                heap.push(Node {
-                    bound: objective,
-                    fixed: root_fixed,
-                    x,
-                });
-            }
+            LpOutcome::Optimal { objective, x, .. } => heap.push(Node {
+                bound: objective,
+                fixed: root_fixed,
+                x,
+            }),
         }
 
         while let Some(Node { bound, fixed, x }) = heap.pop() {
             if nodes >= self.max_nodes {
-                if self.best_on_limit {
+                if self.best_on_limit && best.is_some() {
                     break;
                 }
                 return Err(BlpError::Limit);
@@ -250,7 +137,7 @@ impl Solver for BranchAndBound {
             let mut branch: Option<(usize, f64)> = None;
             for (j, &v) in x.iter().enumerate() {
                 let frac = (v - v.round()).abs();
-                if frac > self.int_tol {
+                if frac > INT_TOL {
                     let dist_half = (v.fract() - 0.5).abs();
                     if branch.is_none_or(|(_, d)| dist_half < d) {
                         branch = Some((j, dist_half));
@@ -309,14 +196,20 @@ mod tests {
     use super::*;
     use crate::problem::Constraint;
 
-    #[test]
-    fn integral_gap_instance() {
-        // The odd-cycle cover whose LP optimum (1.5) is fractional:
-        // B&B must close the gap to the integer optimum 2.
+    /// The odd-cycle cover, whose LP optimum (1.5, all halves) is
+    /// fractional while the integer optimum is 2.
+    fn odd_cycle() -> BlpProblem {
         let mut p = BlpProblem::minimize(vec![1.0, 1.0, 1.0]);
         p.add(Constraint::ge(vec![(0, 1.0), (1, 1.0)], 1.0));
         p.add(Constraint::ge(vec![(1, 1.0), (2, 1.0)], 1.0));
         p.add(Constraint::ge(vec![(2, 1.0), (0, 1.0)], 1.0));
+        p
+    }
+
+    #[test]
+    fn integral_gap_instance() {
+        // B&B must close the gap to the integer optimum.
+        let p = odd_cycle();
         let sol = BranchAndBound::default().solve(&p).unwrap();
         assert_eq!(sol.objective, 2.0);
         assert_eq!(sol.values.iter().filter(|&&v| v).count(), 2);
@@ -327,10 +220,12 @@ mod tests {
     fn warm_start_incumbent_used() {
         let mut p = BlpProblem::minimize(vec![1.0, 1.0, 1.0]);
         p.add(Constraint::ge(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 1.0));
-        let sol = BranchAndBound::default()
-            .with_incumbent(vec![true, true, true])
-            .solve(&p)
-            .unwrap();
+        let sol = BranchAndBound {
+            incumbent: Some(vec![true, true, true]),
+            ..Default::default()
+        }
+        .solve(&p)
+        .unwrap();
         // The optimum (1.0) beats the warm start (3.0).
         assert_eq!(sol.objective, 1.0);
     }
@@ -339,10 +234,12 @@ mod tests {
     fn infeasible_warm_start_ignored() {
         let mut p = BlpProblem::minimize(vec![1.0]);
         p.add(Constraint::ge(vec![(0, 1.0)], 1.0));
-        let sol = BranchAndBound::default()
-            .with_incumbent(vec![false]) // violates the constraint
-            .solve(&p)
-            .unwrap();
+        let sol = BranchAndBound {
+            incumbent: Some(vec![false]), // violates the constraint
+            ..Default::default()
+        }
+        .solve(&p)
+        .unwrap();
         assert_eq!(sol.values, vec![true]);
     }
 
@@ -359,6 +256,27 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(solver.solve(&p), Err(BlpError::Limit)));
+    }
+
+    #[test]
+    fn budget_fallback_returns_the_callers_incumbent_or_limit() {
+        // With no node to spend, best-effort mode returns the caller's
+        // incumbent untouched: the solver adds none of its own.
+        let p = odd_cycle();
+        let spent = |incumbent| {
+            BranchAndBound {
+                max_nodes: 0,
+                best_on_limit: true,
+                incumbent,
+                ..Default::default()
+            }
+            .solve(&p)
+        };
+        let sol = spent(Some(vec![true; 3])).unwrap();
+        assert_eq!(sol.values, vec![true; 3]);
+        assert_eq!(sol.objective, 3.0);
+        // Without one, running out of budget is not infeasibility.
+        assert!(matches!(spent(None), Err(BlpError::Limit)));
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Total simplex pivots across all LP solves (0 for Balas).
     pub pivots: usize,
-    /// LP relaxations solved across root, dive and children (0 for Balas).
+    /// LP relaxations solved across the root and every child (0 for Balas).
     pub lp_solves: usize,
 }
 

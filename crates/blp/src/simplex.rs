@@ -30,13 +30,6 @@ pub enum LpOutcome {
     Infeasible,
 }
 
-/// Solves the LP relaxation of `problem` with additional variable fixings
-/// (`fixed[j] = Some(v)` pins variable `j` to `v ∈ {0.0, 1.0}`): builds an
-/// [`Lp`] and solves it once.
-pub fn solve_lp(problem: &BlpProblem, fixed: &[Option<f64>]) -> LpOutcome {
-    Lp::new(problem).solve(fixed)
-}
-
 /// The LP relaxation of one [`BlpProblem`] — `min c·x` over its rows and
 /// `0 ≤ x ≤ 1` — re-solvable under any fixing.
 ///
@@ -354,7 +347,7 @@ mod tests {
     use crate::problem::Constraint;
 
     fn lp(p: &BlpProblem) -> (Vec<f64>, f64) {
-        match solve_lp(p, &vec![None; p.num_vars()]) {
+        match Lp::new(p).solve(&vec![None; p.num_vars()]) {
             LpOutcome::Optimal { x, objective, .. } => (x, objective),
             LpOutcome::Infeasible => panic!("unexpected infeasible"),
         }
@@ -395,7 +388,7 @@ mod tests {
     fn infeasible_detected() {
         let mut p = BlpProblem::minimize(vec![1.0]);
         p.add(Constraint::ge(vec![(0, 1.0)], 2.0)); // x >= 2 impossible with x <= 1
-        assert_eq!(solve_lp(&p, &[None]), LpOutcome::Infeasible);
+        assert_eq!(Lp::new(&p).solve(&[None]), LpOutcome::Infeasible);
     }
 
     #[test]
@@ -412,7 +405,7 @@ mod tests {
         let mut p = BlpProblem::minimize(vec![1.0, 1.0]);
         p.add(Constraint::ge(vec![(0, 1.0), (1, 1.0)], 1.0));
         // Fix the cheap option to 0 -> other must be 1.
-        match solve_lp(&p, &[Some(0.0), None]) {
+        match Lp::new(&p).solve(&[Some(0.0), None]) {
             LpOutcome::Optimal { x, objective, .. } => {
                 assert!((x[1] - 1.0).abs() < 1e-6);
                 assert!((objective - 1.0).abs() < 1e-6);
@@ -420,7 +413,10 @@ mod tests {
             LpOutcome::Infeasible => panic!(),
         }
         // Fixing both to 0 is infeasible.
-        assert_eq!(solve_lp(&p, &[Some(0.0), Some(0.0)]), LpOutcome::Infeasible);
+        assert_eq!(
+            Lp::new(&p).solve(&[Some(0.0), Some(0.0)]),
+            LpOutcome::Infeasible
+        );
     }
 
     #[test]
@@ -539,7 +535,7 @@ mod tests {
         fn cold_solves_match_the_reference(seed in 0u64..u64::MAX) {
             let p = cover_shaped(seed);
             let fixed = random_fixing(&mut Rng(!seed | 1), p.num_vars());
-            assert_agrees(&p, &fixed, &solve_lp(&p, &fixed), "cold");
+            assert_agrees(&p, &fixed, &Lp::new(&p).solve(&fixed), "cold");
             let mut least_index = Lp::new(&p);
             least_index.stall_limit = 0;
             assert_agrees(&p, &fixed, &least_index.solve(&fixed), "cold, least index");

@@ -75,16 +75,17 @@ pub struct KernelSpec {
     pub has_opaque: bool,
 }
 
-/// Roofline class of a kernel, the granularity at which [`Calibration`]
-/// (`crate::Calibration`) learns per-class throughput scales. The classes
-/// follow the microkernel structure in `korch-tensor`: a GEMM whose
-/// dominant output tile has at least [`korch_tensor::MATMUL_MR`] of the
-/// rows the microkernel groups ([`GemmShape::mr_rows`]: a matmul's `m`, a
-/// conv's output channels per group) runs the register-blocked MR×NR
-/// microkernel at full throughput, while skinnier GEMMs — a depthwise
-/// conv has one row per group — fall back to the row-at-a-time path and
-/// behave closer to a memory-bound sweep. Memory-intensive kernels (no
-/// linear primitive) are priced off the bandwidth roofline.
+/// Roofline class of a kernel, the granularity at which
+/// [`Calibration`](crate::Calibration) learns per-class throughput
+/// scales. The classes follow the microkernel structure in
+/// `korch-tensor`: a GEMM whose dominant output tile has at least
+/// [`korch_tensor::MATMUL_MR`] of the rows the microkernel groups
+/// ([`GemmShape::mr_rows`]: a matmul's `m`, a conv's output channels per
+/// group) runs the register-blocked MR×NR microkernel at full
+/// throughput, while skinnier GEMMs — a depthwise conv has one row per
+/// group — fall back to the row-at-a-time path and behave closer to a
+/// memory-bound sweep. Memory-intensive kernels (no linear primitive)
+/// are priced off the bandwidth roofline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KernelClass {
     /// No linear-transformation primitive: bandwidth-limited.

@@ -139,9 +139,10 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
     }
 
     /// Solves the BLP by branch and bound, warm-started by the cheapest
-    /// feasible of the greedy per-key incumbent and `warm_starts`, and
-    /// orders the selection. A solve that exhausts `max_nodes` returns its
-    /// best incumbent.
+    /// feasible of the greedy per-key incumbent and `warm_starts` (the only
+    /// incumbent the search starts from), and orders the selection. A
+    /// solve that exhausts `max_nodes` returns its best incumbent, or
+    /// [`OrchError::SolverBudget`] when it has none.
     ///
     /// # Errors
     ///
@@ -152,21 +153,20 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
         max_nodes: usize,
     ) -> Result<CoverSolution, OrchError> {
         let problem = &self.problem;
-        let greedy = self.greedy().filter(|v| problem.feasible(v));
-        let greedy_objective_us = greedy
-            .as_ref()
-            .map_or(f64::NAN, |v| problem.objective_of(v));
-        let incumbent = greedy
+        let incumbent = self
+            .greedy()
             .into_iter()
             .chain(warm_starts)
             .filter(|v| problem.feasible(v))
             .min_by(|a, b| problem.objective_of(a).total_cmp(&problem.objective_of(b)));
+        let warm_objective_us = incumbent
+            .as_ref()
+            .map_or(f64::NAN, |v| problem.objective_of(v));
         let solver = BranchAndBound {
             max_nodes,
             best_on_limit: true,
             rel_gap: 2e-2, // 2%: below the cost model's own fidelity
             incumbent,
-            ..Default::default()
         };
         let solution = solver.solve(problem).map_err(|e| match e {
             BlpError::Infeasible => OrchError::Infeasible("BLP has no 0/1 solution".into()),
@@ -184,7 +184,7 @@ impl<K: Ord + Copy + Debug> CoverProblem<K> {
                 solver_nodes: solution.stats.nodes,
                 solver_pivots: solution.stats.pivots,
                 solver_lp_solves: solution.stats.lp_solves,
-                greedy_objective_us,
+                warm_objective_us,
             },
         })
     }
@@ -302,9 +302,11 @@ mod tests {
                 &vec![(1, 1.0), (3, -1.0)], // var 3 needs key 1
             ]
         );
-        let s = p.solve(vec![], 100).unwrap();
+        // The warm start the search begins from is the cheaper of the
+        // greedy singletons (3.0) and the one given (1 + 1.5).
+        let s = p.solve(vec![vec![false, true, false, true]], 100).unwrap();
         assert_eq!(s.order, [1, 3]);
-        assert_eq!(s.report.greedy_objective_us, 3.0);
+        assert_eq!(s.report.warm_objective_us, 2.5);
         assert_eq!(s.report.num_constraints, 4);
     }
 

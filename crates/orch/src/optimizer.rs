@@ -79,8 +79,9 @@ pub struct SolveReport {
     pub solver_pivots: usize,
     /// LP relaxations solved.
     pub solver_lp_solves: usize,
-    /// Objective of the greedy warm-start incumbent (µs).
-    pub greedy_objective_us: f64,
+    /// Objective of the incumbent the search starts from (µs): the
+    /// cheapest of the greedy singleton cover, the chain-DP and the seeds.
+    pub warm_objective_us: f64,
 }
 
 /// Builds and solves the kernel orchestration BLP, returning an executable
@@ -291,19 +292,22 @@ mod tests {
         let (plan, report) = run(&g, &OptimizeConfig::default());
         assert_eq!(plan.kernels.len(), 1, "plan: {plan:?}");
         assert_eq!(plan.kernels[0].members.len(), 4);
-        assert!(report.greedy_objective_us >= plan.total_latency.0);
+        assert!(report.warm_objective_us >= plan.total_latency.0);
     }
 
     #[test]
     fn optimal_never_worse_than_greedy() {
+        // The warm start is the cheapest of greedy, DP and seeds, so
+        // holding the plan to it is at least as strict as holding it to
+        // the greedy cover.
         for (r, c) in [(8, 8), (128, 256), (1024, 64)] {
             let g = softmax_prims(r, c);
             let (plan, report) = run(&g, &OptimizeConfig::default());
             assert!(
-                plan.total_latency.0 <= report.greedy_objective_us + 1e-6,
-                "{r}x{c}: optimal {} vs greedy {}",
+                plan.total_latency.0 <= report.warm_objective_us + 1e-6,
+                "{r}x{c}: optimal {} vs warm start {}",
                 plan.total_latency.0,
-                report.greedy_objective_us
+                report.warm_objective_us
             );
         }
     }

@@ -7,11 +7,12 @@
 //! ties the two together with the id allocators that make one request's
 //! lifecycle reconstructable across threads, executors and lanes:
 //!
-//! - **One monotonic origin.** The recorder owns a single [`Instant`]; every
-//!   event timestamp is a µs offset from it. Layers that keep their own
-//!   per-run clock origin (the executor's `KernelInterval`s) rebase onto the
-//!   recorder origin once per run, so spans from different runs and lanes
-//!   land on one comparable timeline.
+//! - **One monotonic origin.** The recorder owns a single
+//!   [`Instant`](std::time::Instant); every event timestamp is a µs
+//!   offset from it. Layers that keep their own per-run clock origin (the
+//!   executor's `KernelInterval`s) rebase onto the recorder origin once
+//!   per run, so spans from different runs and lanes land on one
+//!   comparable timeline.
 //! - **Per-request [`TraceId`]s.** Allocated at admission, carried through
 //!   the serving thread via [`with_trace`]/[`current_trace`] thread-locals,
 //!   read once per `execute` into the run context, and stamped on every

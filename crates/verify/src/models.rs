@@ -1,8 +1,8 @@
 //! Protocol models for the runtime's atomic protocols, checked
 //! exhaustively by [`crate::explore`]. Each model is the runtime's
 //! actual atomic recipe transcribed as a transition system — one
-//! [`Step`](crate::explore::Step) per atomic RMW — with the invariant
-//! the dynamic tests only spot-check:
+//! [`Step`] per atomic RMW — with the invariant the dynamic tests only
+//! spot-check:
 //!
 //! - [`DepCounter`]: the executor's dependency counter. Each producer
 //!   retires with one `fetch_sub`; the thread that observes the counter

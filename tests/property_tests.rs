@@ -2,7 +2,7 @@
 //! transformation search and orchestration must preserve semantics, and the
 //! BLP solvers must agree with each other.
 
-use korch::blp::{BalasSolver, BlpProblem, BranchAndBound, Constraint, Solver};
+use korch::blp::{BalasSolver, BlpProblem, BranchAndBound, Constraint, Lp, LpOutcome, Solver};
 use korch::core::{Korch, KorchConfig};
 use korch::cost::Device;
 use korch::exec::{execute_ops, execute_prims};
@@ -167,7 +167,10 @@ fn arb_blp() -> impl Strategy<Value = BlpProblem> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Branch & bound and Balas implicit enumeration agree on the optimum.
+    /// Branch & bound and Balas implicit enumeration agree on the optimum,
+    /// and so does branch & bound started from the all-selected incumbent
+    /// whenever that one is feasible: a caller's incumbent is the only
+    /// one the search starts from.
     #[test]
     fn solvers_agree(p in arb_blp()) {
         let exact = BranchAndBound { rel_gap: 0.0, ..Default::default() };
@@ -177,18 +180,26 @@ proptest! {
             "bnb {} vs balas {}", a.objective, b.objective);
         prop_assert!(p.feasible(&a.values));
         prop_assert!(p.feasible(&b.values));
+        let all = vec![true; p.num_vars()];
+        if p.feasible(&all) {
+            let warm = BranchAndBound { incumbent: Some(all), ..exact };
+            let w = warm.solve(&p).unwrap();
+            prop_assert!((w.objective - b.objective).abs() < 1e-6,
+                "warm-started bnb {} vs balas {}", w.objective, b.objective);
+            prop_assert!(p.feasible(&w.values));
+        }
     }
 
     /// The LP relaxation lower-bounds the integer optimum.
     #[test]
     fn lp_bound_is_valid(p in arb_blp()) {
         let sol = BalasSolver::default().solve(&p).unwrap();
-        match korch::blp::solve_lp(&p, &vec![None; p.num_vars()]) {
-            korch::blp::LpOutcome::Optimal { objective, .. } => {
+        match Lp::new(&p).solve(&vec![None; p.num_vars()]) {
+            LpOutcome::Optimal { objective, .. } => {
                 prop_assert!(objective <= sol.objective + 1e-6,
                     "LP bound {} above optimum {}", objective, sol.objective);
             }
-            korch::blp::LpOutcome::Infeasible => prop_assert!(false, "LP infeasible but IP feasible"),
+            LpOutcome::Infeasible => prop_assert!(false, "LP infeasible but IP feasible"),
         }
     }
 }
