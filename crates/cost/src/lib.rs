@@ -36,4 +36,6 @@ mod spec;
 
 pub use device::Device;
 pub use model::{gemm_shape_efficiency, Backend, Calibration, CalibrationSample, Micros, Profiler};
-pub use spec::{kernel_spec, GemmShape, KernelClass, KernelSpec, PatternClass};
+pub use spec::{
+    kernel_spec, member_spec, output_bytes, GemmShape, KernelClass, KernelSpec, PatternClass,
+};

@@ -1,9 +1,16 @@
 //! Extraction of a priceable [`KernelSpec`] from a candidate subgraph of a
 //! primitive graph (the "kernel generation" half of the paper's kernel
 //! profiler, reduced to the features the latency model needs).
+//!
+//! A spec is built in two passes. The member pass ([`member_spec`]) reads
+//! everything that depends only on the member set: input bytes, FLOPs,
+//! GEMM shapes, passes, pattern classes and the opaque flag. The output
+//! pass ([`output_bytes`]) prices one choice of materialized ports. Kernel
+//! identification runs the member pass once per subgraph and the output
+//! pass once per output set; [`kernel_spec`] runs both for one kernel.
 
 use korch_ir::{LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// GEMM-normalized geometry of one linear-transformation primitive.
 /// Convolutions are mapped to their implicit-GEMM dimensions.
@@ -147,99 +154,107 @@ impl KernelSpec {
 }
 
 /// Builds the [`KernelSpec`] for executing the primitives in `members`
-/// while materializing exactly `outputs` to device memory.
+/// while materializing exactly `outputs` to device memory: the member
+/// pass ([`member_spec`]) plus the output pass ([`output_bytes`]).
 ///
 /// # Panics
 ///
 /// Panics if an output port does not belong to a member node.
 pub fn kernel_spec(g: &PrimGraph, members: &BTreeSet<NodeId>, outputs: &[PortRef]) -> KernelSpec {
-    let mut input_ports: HashSet<PortRef> = HashSet::new();
+    let members: Vec<NodeId> = members.iter().copied().collect();
+    KernelSpec {
+        output_bytes: output_bytes(g, &members, outputs),
+        ..member_spec(g, &members)
+    }
+}
+
+/// The member pass: every feature of a kernel over `members` (ascending,
+/// distinct) that does not depend on which ports it materializes — input
+/// bytes, FLOPs, GEMM shapes, passes, pattern classes, the opaque flag.
+/// `output_bytes` is left 0; one output set fills it with
+/// [`output_bytes`], so a subgraph with several output choices runs this
+/// pass once.
+pub fn member_spec(g: &PrimGraph, members: &[NodeId]) -> KernelSpec {
+    let is_member = |id: NodeId| members.binary_search(&id).is_ok();
+    // A reduce some member reads has an in-kernel consumer. Walking the
+    // members keeps this pass independent of the graph's size (a plan
+    // prices every kernel of a whole program).
+    let read_by_member =
+        |id: NodeId| (members.iter()).any(|&m| g.node(m).inputs.iter().any(|r| r.node == id));
+    let mut input_ports: Vec<PortRef> = Vec::new();
     let mut pointwise_flops = 0u64;
     let mut linear = Vec::new();
-    let mut classes: BTreeSet<PatternClass> = BTreeSet::new();
+    let mut classes = 0u8; // one bit per `PatternClass`
     let mut has_opaque = false;
     let mut inner_reduce_reuse = 0u32;
-
-    // Nodes some member reads: a reduce in this set has an in-kernel
-    // consumer. Walking the members keeps this call independent of the
-    // graph's size (a plan prices every kernel of a whole program).
-    let read_by_member: HashSet<NodeId> = members
-        .iter()
-        .flat_map(|&m| g.node(m).inputs.iter().map(|r| r.node))
-        .collect();
+    let mut n_prims = 0;
 
     for &id in members {
         let node = g.node(id);
-        for r in &node.inputs {
-            if !members.contains(&r.node) {
-                input_ports.insert(*r);
-            }
-        }
+        input_ports.extend(node.inputs.iter().filter(|r| !is_member(r.node)));
+        n_prims += usize::from(!node.kind.is_source());
         let out_numel: u64 = node.out_metas.iter().map(|m| m.numel() as u64).sum();
         match &node.kind {
             PrimKind::Input { .. } | PrimKind::Constant { .. } => {}
             PrimKind::Elementwise(_) => pointwise_flops += out_numel,
             PrimKind::Reduce { .. } => {
-                let in_numel = g.meta(node.inputs[0]).numel() as u64;
-                pointwise_flops += in_numel;
-                if read_by_member.contains(&id) {
-                    inner_reduce_reuse += 1;
-                }
+                pointwise_flops += g.meta(node.inputs[0]).numel() as u64;
+                inner_reduce_reuse += u32::from(read_by_member(id));
             }
             PrimKind::Broadcast { .. } => {}
             PrimKind::WindowReduce { spec, .. } => {
                 pointwise_flops += out_numel * (spec.kernel * spec.kernel) as u64;
             }
             PrimKind::Layout(l) => {
-                match l {
-                    LayoutFn::Reshape { .. } => {} // pure index arithmetic
-                    LayoutFn::Transpose { .. } => {
-                        classes.insert(PatternClass::Strided);
-                    }
+                classes |= match l {
+                    LayoutFn::Reshape { .. } => 0, // pure index arithmetic
+                    LayoutFn::Transpose { .. } => 1 << PatternClass::Strided as u8,
                     LayoutFn::Slice { .. }
                     | LayoutFn::Concat { .. }
                     | LayoutFn::Split { .. }
-                    | LayoutFn::Pad { .. } => {
-                        classes.insert(PatternClass::Blocked);
-                    }
-                    LayoutFn::Resize { .. } => {
-                        classes.insert(PatternClass::Gather);
-                    }
-                }
+                    | LayoutFn::Pad { .. } => 1 << PatternClass::Blocked as u8,
+                    LayoutFn::Resize { .. } => 1 << PatternClass::Gather as u8,
+                };
             }
-            PrimKind::Linear(l) => {
-                linear.push(gemm_shape(g, id, l));
-            }
+            PrimKind::Linear(l) => linear.push(gemm_shape(g, id, l)),
             PrimKind::Opaque { .. } => has_opaque = true,
         }
     }
-
-    let input_bytes: u64 = input_ports
-        .iter()
-        .map(|r| g.meta(*r).byte_size() as u64)
-        .sum();
-    let out_set: HashSet<PortRef> = outputs.iter().copied().collect();
-    for o in &out_set {
-        assert!(
-            members.contains(&o.node),
-            "output {o:?} not produced by a member"
-        );
-    }
-    let output_bytes: u64 = out_set.iter().map(|r| g.meta(*r).byte_size() as u64).sum();
+    input_ports.sort_unstable();
+    input_ports.dedup();
 
     KernelSpec {
-        n_prims: members
+        n_prims,
+        input_bytes: input_ports
             .iter()
-            .filter(|&&id| !g.node(id).kind.is_source())
-            .count(),
-        input_bytes,
-        output_bytes,
+            .map(|&r| g.meta(r).byte_size() as u64)
+            .sum(),
+        output_bytes: 0,
         pointwise_flops,
         linear,
         passes: (1 + inner_reduce_reuse).min(3),
-        pattern_classes: classes.len() as u32,
+        pattern_classes: classes.count_ones(),
         has_opaque,
     }
+}
+
+/// The output pass: bytes a kernel over `members` (ascending) writes to
+/// device memory when it materializes `outputs`, each distinct port once.
+///
+/// # Panics
+///
+/// Panics if an output port does not belong to a member node.
+pub fn output_bytes(g: &PrimGraph, members: &[NodeId], outputs: &[PortRef]) -> u64 {
+    let distinct = (outputs.iter().enumerate()).filter(|&(i, o)| !outputs[..i].contains(o));
+    distinct
+        .map(|(_, &o)| {
+            assert!(
+                members.binary_search(&o.node).is_ok(),
+                "output {o:?} not produced by a member"
+            );
+            g.meta(o).byte_size() as u64
+        })
+        .sum()
 }
 
 /// Implicit-GEMM geometry of a linear primitive node.
@@ -340,6 +355,174 @@ mod tests {
         let spec = kernel_spec(&g, &members, &[n[2].into()]);
         assert_eq!(spec.passes, 1);
         assert_eq!(spec.output_bytes, 4 * 4);
+    }
+
+    /// The set-based `kernel_spec` the two passes replaced: the
+    /// definition they must reproduce.
+    fn reference_spec(
+        g: &PrimGraph,
+        members: &BTreeSet<NodeId>,
+        outputs: &[PortRef],
+    ) -> KernelSpec {
+        use std::collections::HashSet;
+        let mut input_ports: HashSet<PortRef> = HashSet::new();
+        let mut pointwise_flops = 0u64;
+        let mut linear = Vec::new();
+        let mut classes: BTreeSet<PatternClass> = BTreeSet::new();
+        let mut has_opaque = false;
+        let mut inner_reduce_reuse = 0u32;
+        let read_by_member: HashSet<NodeId> = members
+            .iter()
+            .flat_map(|&m| g.node(m).inputs.iter().map(|r| r.node))
+            .collect();
+        for &id in members {
+            let node = g.node(id);
+            for r in &node.inputs {
+                if !members.contains(&r.node) {
+                    input_ports.insert(*r);
+                }
+            }
+            let out_numel: u64 = node.out_metas.iter().map(|m| m.numel() as u64).sum();
+            match &node.kind {
+                PrimKind::Input { .. } | PrimKind::Constant { .. } => {}
+                PrimKind::Elementwise(_) => pointwise_flops += out_numel,
+                PrimKind::Reduce { .. } => {
+                    pointwise_flops += g.meta(node.inputs[0]).numel() as u64;
+                    if read_by_member.contains(&id) {
+                        inner_reduce_reuse += 1;
+                    }
+                }
+                PrimKind::Broadcast { .. } => {}
+                PrimKind::WindowReduce { spec, .. } => {
+                    pointwise_flops += out_numel * (spec.kernel * spec.kernel) as u64;
+                }
+                PrimKind::Layout(l) => {
+                    let class = match l {
+                        LayoutFn::Reshape { .. } => None,
+                        LayoutFn::Transpose { .. } => Some(PatternClass::Strided),
+                        LayoutFn::Resize { .. } => Some(PatternClass::Gather),
+                        _ => Some(PatternClass::Blocked),
+                    };
+                    classes.extend(class);
+                }
+                PrimKind::Linear(l) => linear.push(gemm_shape(g, id, l)),
+                PrimKind::Opaque { .. } => has_opaque = true,
+            }
+        }
+        let bytes = |ports: &HashSet<PortRef>| -> u64 {
+            ports.iter().map(|r| g.meta(*r).byte_size() as u64).sum()
+        };
+        KernelSpec {
+            n_prims: members
+                .iter()
+                .filter(|&&id| !g.node(id).kind.is_source())
+                .count(),
+            input_bytes: bytes(&input_ports),
+            output_bytes: bytes(&outputs.iter().copied().collect()),
+            pointwise_flops,
+            linear,
+            passes: (1 + inner_reduce_reuse).min(3),
+            pattern_classes: classes.len() as u32,
+            has_opaque,
+        }
+    }
+
+    #[test]
+    fn two_passes_match_the_set_based_spec() {
+        // Every member set of a graph with each feature the passes read
+        // (a GEMM, a reused reduce, three layout classes, a reshape,
+        // shared inputs, a constant), every member's ports as outputs
+        // with one repeated.
+        let mut g = PrimGraph::new();
+        let mut add = |kind, inputs: Vec<PortRef>| g.add(kind, inputs).unwrap();
+        let x = add(
+            PrimKind::Input {
+                shape: vec![1, 2, 4, 4],
+            },
+            vec![],
+        );
+        let w = add(
+            PrimKind::Constant {
+                shape: vec![1, 2, 4, 4],
+                init: ConstInit::Random(3),
+            },
+            vec![],
+        );
+        let t = add(
+            PrimKind::Layout(LayoutFn::Transpose {
+                perm: vec![0, 1, 3, 2],
+            }),
+            vec![x.into()],
+        );
+        let m = add(
+            PrimKind::Linear(LinearFn::MatMul {
+                spec: MatMulSpec::new(),
+            }),
+            vec![t.into(), w.into()],
+        );
+        let e = add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)),
+            vec![m.into()],
+        );
+        let r = add(
+            PrimKind::Reduce {
+                kind: ReduceKind::Sum,
+                axis: 3,
+            },
+            vec![e.into()],
+        );
+        let b = add(PrimKind::Broadcast { axis: 3, size: 4 }, vec![r.into()]);
+        let d = add(
+            PrimKind::Elementwise(EwFn::Binary(BinaryOp::Div)),
+            vec![e.into(), b.into()],
+        );
+        let z = add(
+            PrimKind::Layout(LayoutFn::Resize {
+                out_h: 8,
+                out_w: 8,
+                mode: korch_tensor::ResizeMode::Nearest,
+            }),
+            vec![d.into()],
+        );
+        let p = add(
+            PrimKind::Layout(LayoutFn::Pad {
+                before: vec![0, 0, 1, 1],
+                after: vec![0, 0, 1, 1],
+                value: 0.0,
+            }),
+            vec![z.into()],
+        );
+        let s = add(
+            PrimKind::Layout(LayoutFn::Reshape {
+                shape: vec![2, 100],
+            }),
+            vec![p.into()],
+        );
+        let nodes: Vec<NodeId> = g.iter().map(|(id, _)| id).collect();
+        assert_eq!(nodes.last(), Some(&s));
+        for mask in 1u32..(1 << nodes.len()) {
+            let set: BTreeSet<NodeId> = (0..nodes.len())
+                .filter(|i| mask & 1 << i != 0)
+                .map(|i| nodes[i])
+                .collect();
+            let members: Vec<NodeId> = set.iter().copied().collect();
+            let member = member_spec(&g, &members);
+            assert_eq!(member.output_bytes, 0);
+            for &o in &members {
+                let outputs = [o.into(), members[0].into(), o.into()];
+                let expect = reference_spec(&g, &set, &outputs);
+                assert_eq!(kernel_spec(&g, &set, &outputs), expect, "{members:?}");
+                let bytes = output_bytes(&g, &members, &outputs);
+                assert_eq!(bytes, expect.output_bytes);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not produced by a member")]
+    fn output_of_a_non_member_is_refused() {
+        let (g, n) = softmax_graph();
+        output_bytes(&g, &[n[1], n[2]], &[n[4].into()]);
     }
 
     #[test]

@@ -2,12 +2,23 @@
 //! of execution states `D1 ⊂ D2` yields a convex candidate subgraph
 //! `P′ = D2 \ D1`; each valid possible-output choice of `P′` becomes a
 //! candidate kernel, priced by the profiler on its best backend.
+//!
+//! The work is paid per *distinct subgraph*, not per state pair or per
+//! candidate. State pairs are compared on the words of their
+//! [`BitSet`]s, and a difference already seen (about two thirds of the
+//! in-cap pairs on a Candy CNN) is dropped before it allocates. A fresh
+//! subgraph runs the member pass of its cost spec
+//! ([`korch_cost::member_spec`]) and its backend applicability test
+//! once; each of its output sets adds only the output pass
+//! ([`korch_cost::output_bytes`]) and its pricing. The candidates, their
+//! order and their prices are those of pricing every output set with
+//! [`korch_cost::kernel_spec`].
 
 use crate::plan::SelectedKernel;
-use crate::state::StateSpace;
-use korch_cost::{kernel_spec, Backend, KernelSpec, Micros, Profiler};
+use crate::state::{BitSet, StateSpace};
+use korch_cost::{member_spec, output_bytes, Backend, KernelSpec, Micros, Profiler};
 use korch_ir::{NodeId, PortRef, PrimGraph, PrimKind};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// Maximum primitives per state-pair kernel ("too many operators to
 /// generate within one kernel", §6.5). Greedy-fusion seeds may exceed it.
@@ -137,12 +148,12 @@ pub fn identify_kernels(
     let mut adm = Admission {
         g,
         succ: g.successors(),
-        graph_outputs: g.outputs().iter().copied().collect(),
+        graph_outputs: graph_outputs_by_node(g),
         profiler,
         config,
         backends,
         seen: HashSet::new(),
-        tuned: HashSet::new(),
+        tuned: vec![HashSet::new(); backends.len()],
         out: Candidates {
             kernels: Vec::new(),
             truncated: false,
@@ -194,22 +205,30 @@ pub fn identify_kernels(
         adm.out.seed_selections.push(vec![all]);
     }
 
-    'outer: for d1 in &space.states {
-        for d2 in &space.states {
-            if d1 == d2 || !d1.is_subset(d2) {
-                continue;
-            }
-            let members = d1.diff_from(d2);
-            if members.is_empty() || members.len() > MAX_KERNEL_PRIMS {
-                continue;
-            }
-            // Reject fusions that cannot beat running their members as
-            // individual kernels (launch savings are already priced in).
-            let singleton_sum: f64 = members.iter().map(|m| singleton_latency[m.0]).sum();
-            adm.admit(&members, false, singleton_sum);
+    // State pairs `D1 ⊂ D2`, on words: `|D2 \ D1| = |D2| − |D1|` skips
+    // every pair outside the size cap before a word is read, and one
+    // reused difference set carries the subset test and the `seen` probe,
+    // so only a fresh member set allocates.
+    let sizes: Vec<usize> = space.states.iter().map(BitSet::count).collect();
+    let mut diff = BitSet::empty(g.len());
+    'outer: for (d1, &n1) in space.states.iter().zip(&sizes) {
+        for (d2, &n2) in space.states.iter().zip(&sizes) {
             if adm.out.truncated {
                 break 'outer;
             }
+            if n2 <= n1 || n2 - n1 > MAX_KERNEL_PRIMS || d1.diff_if_subset(d2, &mut diff).is_none()
+            {
+                continue;
+            }
+            if adm.seen.contains(&diff) {
+                continue;
+            }
+            adm.seen.insert(diff.clone());
+            let members = diff.ids();
+            // Reject fusions that cannot beat running their members as
+            // individual kernels (launch savings are already priced in).
+            let singleton_sum: f64 = members.iter().map(|m| singleton_latency[m.0]).sum();
+            adm.price(&members, false, singleton_sum);
         }
     }
     adm.out
@@ -219,15 +238,17 @@ pub fn identify_kernels(
 struct Admission<'a> {
     g: &'a PrimGraph,
     succ: Vec<Vec<NodeId>>,
-    graph_outputs: HashSet<PortRef>,
+    /// Per node, its ports that are graph outputs.
+    graph_outputs: Vec<Vec<PortRef>>,
     profiler: &'a Profiler,
     config: &'a IdentifyConfig,
     backends: &'a [Backend],
     /// Member sets already admitted (or rejected) once.
-    seen: HashSet<Vec<NodeId>>,
-    /// The tuning database (paper §6.5): candidates with identical cost
-    /// features share one tuned schedule and are charged once.
-    tuned: HashSet<(KernelSpec, Backend)>,
+    seen: HashSet<BitSet>,
+    /// The tuning database (paper §6.5), one per backend, in `backends`
+    /// order: candidates with identical cost features share one tuned
+    /// schedule and are charged once.
+    tuned: Vec<HashSet<KernelSpec>>,
     out: Candidates,
 }
 
@@ -242,25 +263,35 @@ impl Admission<'_> {
             || (members.len() > 1 && kinds().any(|k| matches!(k, PrimKind::Opaque { .. })))
     }
 
-    /// Admits subgraph `members` (ascending) unless it was seen before:
-    /// expands its possible output sets and, per output set, prices the
-    /// candidate on its best backend, charges its tuning once, and keeps
-    /// it when its latency is below `reject_at` (the latency of running
-    /// the members as individual kernels; `∞` keeps everything a backend
-    /// serves). A rejected candidate is the profiler "returning ∞"
-    /// (Algorithm 1 line 19). Stops at the candidate cap.
+    /// Admits subgraph `members` (ascending) unless it was seen before;
+    /// see [`Admission::price`].
     fn admit(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) {
-        if self.out.truncated || !self.seen.insert(members.to_vec()) {
-            return;
+        if !self.out.truncated && self.seen.insert(BitSet::from_ids(self.g.len(), members)) {
+            self.price(members, seeded, reject_at);
         }
-        if self.rejects(members) {
+    }
+
+    /// Prices a fresh subgraph `members` (ascending): runs the member pass
+    /// of its spec once, expands its possible output sets and, per output
+    /// set, adds the output pass, prices the candidate on its best
+    /// backend, charges its tuning once, and keeps it when its latency is
+    /// below `reject_at` (the latency of running the members as individual
+    /// kernels; `∞` keeps everything a backend serves). A rejected
+    /// candidate is the profiler "returning ∞" (Algorithm 1 line 19).
+    /// Stops at the candidate cap.
+    fn price(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) {
+        if self.out.truncated || self.rejects(members) {
             return;
         }
         let (g, config) = (self.g, self.config);
-        let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
-        let output_sets = expand_outputs(g, &member_set, &self.succ, &self.graph_outputs, config);
+        let mut spec = member_spec(g, members);
+        // Applicability reads member features only: one test per subgraph.
+        let applicable: Vec<(usize, Backend)> = (self.backends.iter().copied().enumerate())
+            .filter(|&(_, b)| backend_applicable(g, members, &spec, b))
+            .collect();
+        let output_sets = expand_outputs(g, members, &self.succ, &self.graph_outputs, config);
         for (output_nodes, outputs, full_output) in output_sets {
-            let spec = kernel_spec(g, &member_set, &outputs);
+            spec.output_bytes = output_bytes(g, members, &outputs);
             // §8 tuning-time acceleration: an optimistic, tuning-free
             // bound that already loses to the singleton cover proves the
             // candidate can never be selected — skip profiling it.
@@ -271,16 +302,15 @@ impl Admission<'_> {
                 self.out.quick_pruned += 1;
                 continue;
             }
-            let priced = (self.backends.iter())
-                .filter(|&&b| backend_applicable(g, members, &spec, b))
-                .map(|&b| (b, self.profiler.latency(&spec, b)));
+            let priced = (applicable.iter()).map(|&(i, b)| (i, b, self.profiler.latency(&spec, b)));
             // The cheapest applicable backend, the first on ties.
-            let best = priced.reduce(|best, next| if next.1 .0 < best.1 .0 { next } else { best });
-            let Some((backend, latency)) = best else {
+            let best = priced.reduce(|best, next| if next.2 .0 < best.2 .0 { next } else { best });
+            let Some((slot, backend, latency)) = best else {
                 continue;
             };
             let tuning_s = self.profiler.tuning_time_s(&spec, backend);
-            if self.tuned.insert((spec.clone(), backend)) {
+            if !self.tuned[slot].contains(&spec) {
+                self.tuned[slot].insert(spec.clone());
                 self.out.tuning_time_s += tuning_s;
             }
             if latency.0 >= reject_at {
@@ -292,7 +322,7 @@ impl Admission<'_> {
                 seeded,
                 output_nodes,
                 outputs,
-                spec,
+                spec: spec.clone(),
                 backend,
                 latency,
                 tuning_s,
@@ -461,6 +491,15 @@ pub fn greedy_seed_groups(
         .collect()
 }
 
+/// Per node of `g`, its ports that are graph outputs.
+fn graph_outputs_by_node(g: &PrimGraph) -> Vec<Vec<PortRef>> {
+    let mut by_node = vec![Vec::new(); g.len()];
+    for &p in g.outputs() {
+        by_node[p.node.0].push(p);
+    }
+    by_node
+}
+
 /// One possible output set of a subgraph: the output nodes, the ports
 /// they write to device memory, and whether that is everything visible.
 type OutputSet = (Vec<NodeId>, Vec<PortRef>, bool);
@@ -471,34 +510,27 @@ type OutputSet = (Vec<NodeId>, Vec<PortRef>, bool);
 /// all non-empty subsets up to size 2 are considered.
 fn expand_outputs(
     g: &PrimGraph,
-    members: &BTreeSet<NodeId>,
+    members: &[NodeId],
     succ: &[Vec<NodeId>],
-    graph_outputs: &HashSet<PortRef>,
+    graph_outputs: &[Vec<PortRef>],
     config: &IdentifyConfig,
 ) -> Vec<OutputSet> {
     // Qualifying nodes and, per node, the ports that are externally visible.
     let mut qualifying: Vec<(NodeId, Vec<PortRef>)> = Vec::new();
     for &m in members {
-        let mut ports: BTreeSet<PortRef> = BTreeSet::new();
+        let mut ports: Vec<PortRef> = Vec::new();
         // Ports consumed by nodes outside the subgraph.
         for &s in &succ[m.0] {
-            if !members.contains(&s) {
-                for r in &g.node(s).inputs {
-                    if r.node == m {
-                        ports.insert(*r);
-                    }
-                }
+            if members.binary_search(&s).is_err() {
+                ports.extend(g.node(s).inputs.iter().filter(|r| r.node == m));
             }
         }
         // Ports that are graph outputs.
-        for port in 0..g.node(m).out_metas.len() {
-            let p = PortRef { node: m, port };
-            if graph_outputs.contains(&p) {
-                ports.insert(p);
-            }
-        }
+        ports.extend_from_slice(&graph_outputs[m.0]);
         if !ports.is_empty() {
-            qualifying.push((m, ports.into_iter().collect()));
+            ports.sort_unstable();
+            ports.dedup();
+            qualifying.push((m, ports));
         }
     }
     let mut out = Vec::new();
@@ -567,6 +599,7 @@ mod tests {
     use korch_cost::Device;
     use korch_ir::{EwFn, LayoutFn, LinearFn};
     use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, UnaryOp};
+    use std::collections::BTreeSet;
 
     /// The Fig. 4a-style softmax attention subgraph used across tests.
     fn softmax_prims() -> PrimGraph {

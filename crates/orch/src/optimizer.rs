@@ -6,6 +6,7 @@
 use crate::cover::{cap_vars, CoverProblem, CoverVar};
 use crate::kernel::{required_outputs, CandidateKernel};
 use crate::plan::Plan;
+use crate::state::{BitSet, StateSpace};
 use korch_blp::Constraint;
 use korch_ir::{NodeId, PrimGraph};
 use std::collections::{BTreeMap, HashMap};
@@ -94,7 +95,7 @@ pub struct SolveReport {
 pub fn optimize(
     g: &PrimGraph,
     cands: &crate::kernel::Candidates,
-    space: Option<&crate::state::StateSpace>,
+    space: Option<&StateSpace>,
     config: &OptimizeConfig,
 ) -> Result<(Plan, SolveReport), OrchError> {
     let candidates = cap_vars(
@@ -129,22 +130,12 @@ pub fn optimize(
         }
     }
 
-    // Cheapest full-output candidate per member set: what the chain-DP
-    // edges and the seed groups select.
-    let mut by_members: HashMap<&[NodeId], usize> = HashMap::new();
-    for (i, k) in candidates.iter().enumerate() {
-        if k.full_output {
-            let e = by_members.entry(k.members.as_slice()).or_insert(i);
-            if k.latency.0 < candidates[*e].latency.0 {
-                *e = i;
-            }
-        }
-    }
+    let by_members = full_output_by_members(&candidates);
     // Chain-DP warm start: shortest path over execution states where each
     // edge is the full-output kernel of the state difference. Polynomial,
     // disjoint-cover, usually within a few percent of the BLP optimum —
     // this is what makes branch & bound converge quickly.
-    let dp = space.and_then(|s| dp_incumbent(&candidates, &by_members, s));
+    let dp = space.and_then(|s| dp_incumbent(&candidates, &by_members, s, g.len()));
     // Greedy-fusion seed incumbents: the TVM-/TensorRT-shaped strategies,
     // guaranteeing the BLP result is at least as good as rule-based fusion.
     let seeds = cands.seed_selections.iter().filter_map(|selection| {
@@ -165,44 +156,70 @@ pub fn optimize(
     Ok((plan, report))
 }
 
+/// Cheapest full-output candidate per member set: what the chain-DP edges
+/// and the seed groups select.
+fn full_output_by_members<'a>(candidates: &[&'a CandidateKernel]) -> HashMap<&'a [NodeId], usize> {
+    let mut by_members: HashMap<&[NodeId], usize> = HashMap::new();
+    for (i, k) in candidates.iter().enumerate() {
+        if k.full_output {
+            let e = by_members.entry(k.members.as_slice()).or_insert(i);
+            if k.latency.0 < candidates[*e].latency.0 {
+                *e = i;
+            }
+        }
+    }
+    by_members
+}
+
 /// The chain-DP incumbent: treats orchestration as a shortest path through
-/// execution states (every edge = the *full-output* kernel of the state
-/// difference, looked up in `by_members`) and returns the
+/// execution states over `width` nodes (every edge = the *full-output*
+/// kernel of the state difference, looked up in `by_members`) and returns the
 /// selected-candidate vector of the best chain. This is exactly the
 /// disjoint, no-redundancy strategy space of prior work (paper §4.2 /
 /// "Dynamic programming solutions" in §7), used here as a warm start that
 /// the BLP then improves upon.
+///
+/// States are relaxed in size order over the candidate edges, not over
+/// all state pairs: from state `S`, each full-output member set `M`
+/// disjoint from `S` leads to `S ∪ M` when that is an enumerated state.
+/// A target is reached from `S` through the one candidate of its
+/// difference, so `dist` and `back` are those of relaxing every pair.
 fn dp_incumbent(
     candidates: &[&CandidateKernel],
     by_members: &HashMap<&[NodeId], usize>,
-    space: &crate::state::StateSpace,
+    space: &StateSpace,
+    width: usize,
 ) -> Option<Vec<bool>> {
     let states = &space.states;
-    let m = states.len();
     // Order states by size so relaxation sweeps forward.
-    let mut order: Vec<usize> = (0..m).collect();
+    let mut order: Vec<usize> = (0..states.len()).collect();
     order.sort_by_key(|&i| states[i].count());
     let full = *order.last()?;
     let start = order[0];
-    let mut dist = vec![f64::INFINITY; m];
-    let mut back: Vec<Option<(usize, usize)>> = vec![None; m]; // (prev state, candidate)
+    let index: HashMap<&BitSet, usize> = states.iter().enumerate().map(|(i, s)| (s, i)).collect();
+    let mut edges: Vec<(BitSet, usize)> = (by_members.iter())
+        .map(|(members, &c)| (BitSet::from_ids(width, members), c))
+        .collect();
+    edges.sort_unstable_by_key(|&(_, c)| c); // no hash order reaches the solver
+    let mut dist = vec![f64::INFINITY; states.len()];
+    let mut back: Vec<Option<(usize, usize)>> = vec![None; states.len()]; // (prev state, candidate)
     dist[start] = 0.0;
+    let mut next = BitSet::empty(width);
     for &i in &order {
         if dist[i].is_infinite() {
             continue;
         }
-        for &j in &order {
-            if states[j].count() <= states[i].count() || !states[i].is_subset(&states[j]) {
+        for (members, c) in &edges {
+            if !states[i].union_if_disjoint(members, &mut next) {
                 continue;
             }
-            let diff = states[i].diff_from(&states[j]);
-            let Some(&c) = by_members.get(diff.as_slice()) else {
+            let Some(&j) = index.get(&next) else {
                 continue;
             };
-            let nd = dist[i] + candidates[c].latency.0;
+            let nd = dist[i] + candidates[*c].latency.0;
             if nd < dist[j] {
                 dist[j] = nd;
-                back[j] = Some((i, c));
+                back[j] = Some((i, *c));
             }
         }
     }
@@ -224,8 +241,8 @@ mod tests {
     use crate::kernel::{identify_kernels, IdentifyConfig};
     use crate::state::enumerate_states;
     use korch_cost::{Backend, Device, Profiler};
-    use korch_ir::{EwFn, PrimKind};
-    use korch_tensor::{BinaryOp, ReduceKind, UnaryOp};
+    use korch_ir::{EwFn, LinearFn, PrimKind};
+    use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, UnaryOp};
     use std::collections::HashSet;
 
     fn softmax_prims(rows: usize, cols: usize) -> PrimGraph {
@@ -372,6 +389,144 @@ mod tests {
         only_exp.seed_selections.clear();
         let err = optimize(&g, &only_exp, None, &OptimizeConfig::default()).unwrap_err();
         assert!(matches!(err, OrchError::Infeasible(_)));
+    }
+
+    /// The chain-DP as a relaxation over every ordered pair of states:
+    /// the definition [`dp_incumbent`] must reproduce.
+    fn dp_all_pairs(
+        candidates: &[&CandidateKernel],
+        by_members: &HashMap<&[NodeId], usize>,
+        space: &StateSpace,
+    ) -> Option<Vec<bool>> {
+        let states = &space.states;
+        let m = states.len();
+        let mut order: Vec<usize> = (0..m).collect();
+        order.sort_by_key(|&i| states[i].count());
+        let full = *order.last()?;
+        let start = order[0];
+        let mut dist = vec![f64::INFINITY; m];
+        let mut back: Vec<Option<(usize, usize)>> = vec![None; m];
+        dist[start] = 0.0;
+        for &i in &order {
+            if dist[i].is_infinite() {
+                continue;
+            }
+            for &j in &order {
+                if states[j].count() <= states[i].count() || !states[i].is_subset(&states[j]) {
+                    continue;
+                }
+                let diff = states[i].diff_from(&states[j]);
+                let Some(&c) = by_members.get(diff.as_slice()) else {
+                    continue;
+                };
+                let nd = dist[i] + candidates[c].latency.0;
+                if nd < dist[j] {
+                    dist[j] = nd;
+                    back[j] = Some((i, c));
+                }
+            }
+        }
+        if dist[full].is_infinite() {
+            return None;
+        }
+        let mut values = vec![false; candidates.len()];
+        let mut cur = full;
+        while let Some((prev, c)) = back[cur] {
+            values[c] = true;
+            cur = prev;
+        }
+        Some(values)
+    }
+
+    /// A random DAG of `n` primitives over two inputs, seeded: unary and
+    /// binary elementwise nodes, reduce + broadcast pairs and matmuls,
+    /// each reading up to four nodes back; the last node and, now and
+    /// then, an inner one are outputs.
+    fn random_dag(seed: u64, n: usize) -> PrimGraph {
+        let mut state = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % m as u64) as usize
+        };
+        let mut g = PrimGraph::new();
+        let x = g
+            .add(PrimKind::Input { shape: vec![8, 8] }, vec![])
+            .unwrap();
+        let y = g
+            .add(PrimKind::Input { shape: vec![8, 8] }, vec![])
+            .unwrap();
+        let mut ids = vec![x, y];
+        for _ in 0..n {
+            let pick = |ids: &[NodeId], back: usize| ids[ids.len() - 1 - back.min(ids.len() - 1)];
+            let (a, b) = (pick(&ids, next(4)), pick(&ids, next(4)));
+            let id = match next(6) {
+                0 | 1 => g.add(
+                    PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)),
+                    vec![a.into()],
+                ),
+                2 | 3 => g.add(
+                    PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)),
+                    vec![a.into(), b.into()],
+                ),
+                4 => {
+                    let r = g
+                        .add(
+                            PrimKind::Reduce {
+                                kind: ReduceKind::Sum,
+                                axis: 1,
+                            },
+                            vec![a.into()],
+                        )
+                        .unwrap();
+                    g.add(PrimKind::Broadcast { axis: 1, size: 8 }, vec![r.into()])
+                }
+                _ => g.add(
+                    PrimKind::Linear(LinearFn::MatMul {
+                        spec: MatMulSpec::new(),
+                    }),
+                    vec![a.into(), b.into()],
+                ),
+            };
+            ids.push(id.unwrap());
+            if next(5) == 0 {
+                g.mark_output(*ids.last().unwrap()).unwrap();
+            }
+        }
+        g.mark_output(*ids.last().unwrap()).unwrap();
+        g
+    }
+
+    #[test]
+    fn dp_over_candidate_edges_matches_all_pairs() {
+        let profiler = Profiler::new(Device::v100());
+        let backends = [Backend::Generated, Backend::Vendor];
+        let mut found = 0;
+        for seed in 0..40 {
+            let g = random_dag(seed, 4 + (seed as usize % 9));
+            // The whole state space, and truncated ones whose full state
+            // is missing or only reachable through gaps.
+            for max_states in [10_000, 40, 7, 2] {
+                let space = enumerate_states(&g, max_states);
+                let cands =
+                    identify_kernels(&g, &space, &profiler, &IdentifyConfig::default(), &backends);
+                let candidates = cap_vars(
+                    &cands.kernels,
+                    MAX_BLP_CANDIDATES,
+                    |k| k.members.len() == 1 || k.seeded,
+                    |k| k.latency.0 / k.members.len() as f64,
+                );
+                let by_members = full_output_by_members(&candidates);
+                let fast = dp_incumbent(&candidates, &by_members, &space, g.len());
+                let reference = dp_all_pairs(&candidates, &by_members, &space);
+                assert_eq!(fast, reference, "seed {seed}, max_states {max_states}");
+                found += usize::from(fast.is_some());
+            }
+        }
+        assert!(found > 40, "the chain-DP found a chain only {found} times");
     }
 
     #[test]

@@ -45,12 +45,7 @@ impl BitSet {
     pub fn diff_from(&self, other: &BitSet) -> Vec<NodeId> {
         let mut out = Vec::new();
         for (w, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let mut bits = b & !a;
-            while bits != 0 {
-                let t = bits.trailing_zeros() as usize;
-                out.push(NodeId(w * 64 + t));
-                bits &= bits - 1;
-            }
+            push_ids(&mut out, w, b & !a);
         }
         out
     }
@@ -58,6 +53,60 @@ impl BitSet {
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The set over `n` bits holding `ids`.
+    pub fn from_ids(n: usize, ids: &[NodeId]) -> Self {
+        let mut set = Self::empty(n);
+        for id in ids {
+            set.insert(id.0);
+        }
+        set
+    }
+
+    /// The set bits as node ids, ascending.
+    pub fn ids(&self) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for (w, &bits) in self.words.iter().enumerate() {
+            push_ids(&mut out, w, bits);
+        }
+        out
+    }
+
+    /// When `self ⊆ other`, writes `other \ self` into `out` (same width)
+    /// and returns its size; otherwise `None`, leaving `out` unspecified.
+    /// Subset test, difference and popcount share one pass over the words.
+    pub fn diff_if_subset(&self, other: &BitSet, out: &mut BitSet) -> Option<usize> {
+        let mut count = 0;
+        for ((o, &a), &b) in out.words.iter_mut().zip(&self.words).zip(&other.words) {
+            if a & !b != 0 {
+                return None;
+            }
+            *o = b & !a;
+            count += o.count_ones() as usize;
+        }
+        Some(count)
+    }
+
+    /// When `self` and `other` are disjoint, writes `self ∪ other` into
+    /// `out` (same width) and returns `true`; otherwise `false`, leaving
+    /// `out` unspecified.
+    pub fn union_if_disjoint(&self, other: &BitSet, out: &mut BitSet) -> bool {
+        for ((o, &a), &b) in out.words.iter_mut().zip(&self.words).zip(&other.words) {
+            if a & b != 0 {
+                return false;
+            }
+            *o = a | b;
+        }
+        true
+    }
+}
+
+/// Appends the ids of the set bits of word `w` to `out`, ascending.
+fn push_ids(out: &mut Vec<NodeId>, w: usize, mut bits: u64) {
+    while bits != 0 {
+        out.push(NodeId(w * 64 + bits.trailing_zeros() as usize));
+        bits &= bits - 1;
     }
 }
 

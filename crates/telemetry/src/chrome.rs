@@ -69,7 +69,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 name: String,
                 cat: &'static str,
                 start: f64,
-                dur: f64,
+                end: f64,
                 args: String| {
         push(
             records,
@@ -87,7 +87,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         push(
             records,
             Record {
-                ts: start + dur.max(0.0),
+                ts: end,
                 seq: 0,
                 pid,
                 tid,
@@ -98,6 +98,21 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             },
         );
     };
+
+    let end_of = |e: &TraceEvent| e.start_us + e.dur_us.max(0.0);
+    // A recalibration's phases are back to back (one clock reading ends a
+    // phase and starts the next), so each phase ends where the next phase
+    // of its generation starts, exactly: `start + dur` may round past that
+    // start and close the phase after its successor opened.
+    let recal_starts: BTreeMap<(u64, u8), f64> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RecalPhase { phase, generation } => {
+                Some(((generation, phase as u8), e.start_us))
+            }
+            _ => None,
+        })
+        .collect();
 
     // (exec, run, kernel) -> (min start, max end, tile count, trace).
     type TileGroups = BTreeMap<(u64, u64, usize), (f64, f64, usize, u64)>;
@@ -128,7 +143,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 "queue-wait".into(),
                 "serving",
                 e.start_us,
-                e.dur_us,
+                end_of(e),
                 format!("\"trace\": {}", e.trace),
             ),
             EventKind::Request => span(
@@ -139,7 +154,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 "request".into(),
                 "serving",
                 e.start_us,
-                e.dur_us,
+                end_of(e),
                 format!("\"trace\": {}", e.trace),
             ),
             EventKind::Kernel {
@@ -155,7 +170,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 format!("kernel k{kernel}"),
                 "kernel",
                 e.start_us,
-                e.dur_us,
+                end_of(e),
                 format!(
                     "\"trace\": {}, \"run\": {run}, \"kernel\": {kernel}, \"lane\": {lane}",
                     e.trace
@@ -176,13 +191,13 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     format!("tile k{kernel}.{tile}"),
                     "tile",
                     e.start_us,
-                    e.dur_us,
+                    end_of(e),
                     format!(
                         "\"trace\": {}, \"run\": {run}, \"kernel\": {kernel}, \"lane\": {lane}, \"tile\": {tile}",
                         e.trace
                     ),
                 );
-                let end = e.start_us + e.dur_us.max(0.0);
+                let end = end_of(e);
                 let g = tile_groups
                     .entry((exec, run, kernel))
                     .or_insert((e.start_us, end, 0, e.trace));
@@ -222,7 +237,10 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                 },
                 "recal",
                 e.start_us,
-                e.dur_us,
+                recal_starts
+                    .get(&(generation, phase as u8 + 1))
+                    .copied()
+                    .unwrap_or_else(|| end_of(e)),
                 format!("\"generation\": {generation}"),
             ),
         }
@@ -240,7 +258,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             format!("kernel k{kernel}"),
             "kernel",
             start,
-            end - start,
+            end,
             format!("\"trace\": {trace}, \"run\": {run}, \"kernel\": {kernel}, \"tiles\": {tiles}"),
         );
     }
@@ -660,6 +678,46 @@ mod tests {
         ];
         let check = validate_chrome_trace(&chrome_trace_json(&events)).expect("valid");
         assert_eq!(check.spans, 2);
+    }
+
+    #[test]
+    fn adjacent_recal_phases_close_where_the_next_opens() {
+        // Clock readings of one recalibration whose replan phase, recorded
+        // as `(start, end − start)`, sums back to past the swap's start.
+        let (fit, replan, swap, end) = (
+            30_000.0,
+            31_192.112_898_659_76,
+            215_381.714_363_104_1,
+            215_390.5,
+        );
+        assert!(replan + (swap - replan) > swap, "not the rounding case");
+        let phase = |phase, start: f64, end: f64| TraceEvent {
+            trace: 0,
+            start_us: start,
+            dur_us: end - start,
+            kind: EventKind::RecalPhase {
+                phase,
+                generation: 2,
+            },
+        };
+        let events = vec![
+            phase(RecalPhase::Swap, swap, end),
+            phase(RecalPhase::Fit, fit, replan),
+            phase(RecalPhase::Replan, replan, swap),
+        ];
+        let json = chrome_trace_json(&events);
+        let check = validate_chrome_trace(&json).expect("valid");
+        assert_eq!(check.spans, 3);
+        // Each phase closes (E) before the next opens (B), at one time.
+        let at = |needle: &str| json.find(needle).expect(needle);
+        assert!(
+            at("\"recal:replan\", \"cat\": \"recal\", \"ph\": \"E\"")
+                < at("\"recal:swap\", \"cat\": \"recal\", \"ph\": \"B\"")
+        );
+        assert!(
+            at("\"recal:fit\", \"cat\": \"recal\", \"ph\": \"E\"")
+                < at("\"recal:replan\", \"cat\": \"recal\", \"ph\": \"B\"")
+        );
     }
 
     #[test]

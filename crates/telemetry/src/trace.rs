@@ -10,7 +10,9 @@ use std::time::Instant;
 /// (executor warm-ups, background recalibration).
 pub type TraceId = u64;
 
-/// Which recalibration phase a [`EventKind::RecalPhase`] span covers.
+/// Which recalibration phase a [`EventKind::RecalPhase`] span covers,
+/// declared in the order the phases run (the Chrome exporter ends each
+/// phase where the next one starts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecalPhase {
     /// Fitting the cost-model calibration from the executor's profile.

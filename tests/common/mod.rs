@@ -1,6 +1,7 @@
-//! Shared fixtures for the runtime integration tests: graph builders,
-//! plan constructors, random-input generators and the differential
-//! bit-identity comparison every runtime test suite leans on.
+//! Shared fixtures for the integration tests: graph builders (theorem 1's
+//! random DAGs among them), plan constructors, random-input generators and
+//! the differential bit-identity comparison every runtime test suite leans
+//! on.
 //!
 //! Each integration-test binary compiles this module independently via
 //! `mod common;` and uses its own subset of the helpers, hence the
@@ -10,7 +11,8 @@
 use korch::cost::{kernel_spec, Backend, Device, Profiler};
 use korch::ir::{EwFn, NodeId, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
 use korch::orch::{Plan, SelectedKernel};
-use korch::tensor::{Tensor, UnaryOp};
+use korch::tensor::{BinaryOp, Tensor, UnaryOp};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -160,4 +162,34 @@ pub fn independent_plan(branches: usize) -> (PrimGraph, Plan) {
         .collect();
     let plan = plan_of(kernels);
     (g, plan)
+}
+
+/// A random DAG of unary/binary elementwise primitives over one input.
+pub fn arb_dag() -> impl Strategy<Value = PrimGraph> {
+    // Each entry: (use_binary, src1 offset, src2 offset)
+    prop::collection::vec((prop::bool::ANY, 1usize..5, 1usize..5), 2..10).prop_map(|nodes| {
+        let mut g = PrimGraph::new();
+        let x = g.add(PrimKind::Input { shape: vec![4] }, vec![]).unwrap();
+        let mut ids: Vec<NodeId> = vec![x];
+        for (binary, o1, o2) in nodes {
+            let s1 = ids[ids.len() - o1.min(ids.len())];
+            let s2 = ids[ids.len() - o2.min(ids.len())];
+            let id = if binary {
+                g.add(
+                    PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)),
+                    vec![s1.into(), s2.into()],
+                )
+                .unwrap()
+            } else {
+                g.add(
+                    PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)),
+                    vec![s1.into()],
+                )
+                .unwrap()
+            };
+            ids.push(id);
+        }
+        g.mark_output(*ids.last().unwrap()).unwrap();
+        g
+    })
 }

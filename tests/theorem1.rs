@@ -2,41 +2,13 @@
 //! iff it is the difference of two execution states. Random DAGs, both
 //! directions.
 
-use korch::ir::{EwFn, NodeId, PrimGraph, PrimKind};
+use common::arb_dag;
+use korch::ir::{NodeId, PrimGraph};
 use korch::orch::{enumerate_states, BitSet};
-use korch::tensor::{BinaryOp, UnaryOp};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// A random DAG of unary/binary elementwise primitives over one input.
-fn arb_dag() -> impl Strategy<Value = PrimGraph> {
-    // Each entry: (use_binary, src1 offset, src2 offset)
-    prop::collection::vec((prop::bool::ANY, 1usize..5, 1usize..5), 2..10).prop_map(|nodes| {
-        let mut g = PrimGraph::new();
-        let x = g.add(PrimKind::Input { shape: vec![4] }, vec![]).unwrap();
-        let mut ids: Vec<NodeId> = vec![x];
-        for (binary, o1, o2) in nodes {
-            let s1 = ids[ids.len() - o1.min(ids.len())];
-            let s2 = ids[ids.len() - o2.min(ids.len())];
-            let id = if binary {
-                g.add(
-                    PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)),
-                    vec![s1.into(), s2.into()],
-                )
-                .unwrap()
-            } else {
-                g.add(
-                    PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)),
-                    vec![s1.into()],
-                )
-                .unwrap()
-            };
-            ids.push(id);
-        }
-        g.mark_output(*ids.last().unwrap()).unwrap();
-        g
-    })
-}
+mod common;
 
 fn computational(g: &PrimGraph) -> Vec<NodeId> {
     g.iter()
@@ -140,6 +112,11 @@ proptest! {
 
 #[test]
 fn bitset_subset_diff_consistency() {
+    // 130 bits span three words; bits 0, 63/64 and 129 sit on the edges.
+    let set = |ids: &[usize]| {
+        let ids: Vec<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
+        BitSet::from_ids(130, &ids)
+    };
     let mut a = BitSet::empty(130);
     let mut b = BitSet::empty(130);
     for i in [0usize, 64, 129] {
@@ -149,4 +126,58 @@ fn bitset_subset_diff_consistency() {
     assert!(a.is_subset(&b));
     let d = a.diff_from(&b);
     assert_eq!(d, vec![NodeId(0), NodeId(129)]);
+    assert_eq!(b, set(&[0, 64, 129]));
+    assert_eq!(b.ids(), vec![NodeId(0), NodeId(64), NodeId(129)]);
+
+    // Difference-if-subset: the difference, its size, and `None` as soon
+    // as one word breaks the subset relation.
+    let mut out = set(&[1, 2, 3]); // stale contents are overwritten
+    assert_eq!(a.diff_if_subset(&b, &mut out), Some(2));
+    assert_eq!(out, set(&[0, 129]));
+    assert_eq!(out.ids(), d);
+    assert_eq!(b.diff_if_subset(&b, &mut out), Some(0));
+    assert_eq!(out, BitSet::empty(130));
+    assert_eq!(b.diff_if_subset(&a, &mut out), None);
+    assert_eq!(set(&[63, 128]).diff_if_subset(&b, &mut out), None);
+    assert_eq!(
+        set(&[129]).diff_if_subset(&set(&[63, 64, 129]), &mut out),
+        Some(2)
+    );
+    assert_eq!(out, set(&[63, 64]));
+
+    // Union-if-disjoint: the union across every word, refused on any
+    // shared bit (the last word included).
+    assert!(set(&[0, 129]).union_if_disjoint(&set(&[63, 64]), &mut out));
+    assert_eq!(out, set(&[0, 63, 64, 129]));
+    assert_eq!(out.count(), 4);
+    assert!(!b.union_if_disjoint(&set(&[5, 129]), &mut out));
+    assert!(!b.union_if_disjoint(&a, &mut out));
+    assert!(BitSet::empty(130).union_if_disjoint(&b, &mut out));
+    assert_eq!(out, b);
+
+    // Exhaustively over sets drawn from the boundary bits, the word
+    // operations agree with the element-wise definitions.
+    let bits = [0usize, 1, 63, 64, 65, 127, 128, 129];
+    let from_mask = |m: u32| -> Vec<usize> {
+        (0..bits.len())
+            .filter(|i| m & (1 << i) != 0)
+            .map(|i| bits[i])
+            .collect()
+    };
+    for ma in 0u32..(1 << bits.len()) {
+        for mb in (0u32..(1 << bits.len())).step_by(7) {
+            let (x, y) = (set(&from_mask(ma)), set(&from_mask(mb)));
+            let subset = ma & !mb == 0;
+            let expect_diff = (subset).then(|| from_mask(mb & !ma).len());
+            assert_eq!(x.diff_if_subset(&y, &mut out), expect_diff);
+            if subset {
+                assert_eq!(out, set(&from_mask(mb & !ma)));
+            }
+            let disjoint = ma & mb == 0;
+            assert_eq!(x.union_if_disjoint(&y, &mut out), disjoint);
+            if disjoint {
+                assert_eq!(out, set(&from_mask(ma | mb)));
+            }
+        }
+    }
 }
