@@ -13,7 +13,9 @@
 //!   (partition, variant) — problem size, identification time, the
 //!   search's nodes, LP solves and pivots, solve time and the objective
 //!   against the warm start the search began from (the best of greedy,
-//!   chain-DP and seeds) — then the model's totals.
+//!   chain-DP and seeds) — then the model's totals, and one
+//!   `Korch::optimize` wall time (its jobs on every core) against the
+//!   identify + solve total: the speedup and parallel efficiency.
 use korch_core::{partition, stitch, Korch, KorchConfig};
 use korch_cost::{Backend, Device, Profiler};
 use korch_exec::{eval_prim, materialize_const};
@@ -65,8 +67,8 @@ fn main() {
     let korch = Korch::new(Device::v100(), KorchConfig::default());
     let opt = korch.optimize(&g).expect("optimize");
     println!(
-        "optimized in {:.1}s: {:.3} ms, {} kernels, stats {:?}",
-        t0.elapsed().as_secs_f64(),
+        "optimized in {:.1} ms: {:.3} ms, {} kernels, stats {:?}",
+        t0.elapsed().as_secs_f64() * 1e3,
         opt.latency_ms(),
         opt.kernel_count(),
         opt.stats()
@@ -145,6 +147,18 @@ fn blp_table(g: &OpGraph) {
     }
     println!(
         "total: identify {identify_total:.1} ms, solve {solve_total:.1} ms, {nodes} nodes, {lps} LP solves, {pivots} pivots"
+    );
+    let (optimize_ms, _) = timed(|| {
+        Korch::new(Device::v100(), config)
+            .optimize(g)
+            .expect("optimize")
+    });
+    let sequential_ms = identify_total + solve_total;
+    let speedup = sequential_ms / optimize_ms;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "parallel: Korch::optimize {optimize_ms:.1} ms on {cores} cores for identify + solve {sequential_ms:.1} ms one after the other: {speedup:.2}x, efficiency {:.2}",
+        speedup / cores as f64
     );
 }
 

@@ -312,12 +312,15 @@ impl CompiledModel {
         // Re-orchestrate every partition's chosen variant with the
         // calibrated profiler (the transform search already picked the
         // variant; kernel selection is re-priced in measured host time),
-        // then stitch the new plans into one program.
+        // then stitch the new plans into one program. The partitions are
+        // independent jobs on every core; the first error in partition
+        // order is returned.
         let orchestrator = sources.orchestrator().clone().with_profiler(fitted);
-        let plans = sources
-            .partitions()
-            .iter()
-            .map(|p| Ok(orchestrator.orchestrate(&p.part.graph)?.plan))
+        let graphs: Vec<&PrimGraph> = sources.partitions().iter().map(|p| &p.part.graph).collect();
+        let plans = orchestrator
+            .orchestrate_all(&graphs)
+            .into_iter()
+            .map(|o| Ok(o?.plan))
             .collect::<Result<Vec<Plan>, KorchError>>()?;
         let optimized = sources.replanned(plans);
         let (graph, plan) = stitch(&optimized)?;

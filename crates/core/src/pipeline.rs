@@ -1,6 +1,13 @@
 //! The end-to-end Korch pipeline (paper Fig. 1): graph partitioner →
 //! operator fission → primitive-graph optimizer → kernel orchestration →
 //! executable.
+//!
+//! Orchestration runs on every core. The partitions, and the transform
+//! variants of each, are independent subproblems: every distinct
+//! (partition, variant) is one job of [`Orchestrator::orchestrate_all`].
+//! The results are folded sequentially in (partition, variant) order, so
+//! the chosen variants, plans and [`PipelineStats`] are those of running
+//! the jobs one after the other.
 
 use crate::partition::{partition, Partition};
 use korch_cost::{Device, Micros};
@@ -263,12 +270,82 @@ impl Optimized {
 /// What optimizing one partition yields — the value the fingerprint
 /// cache memoizes, so a repeated block reuses the variant and plan and is
 /// charged its candidates and states but no tuning time.
-#[derive(Clone)]
 struct PartitionRecord {
     variant: PrimGraph,
     plan: Plan,
     candidates: usize,
     states: usize,
+    /// Tuning clocks and quick-pruned counts summed over *every*
+    /// orchestrated variant, so Table 2 / Table 3 accounting reflects all
+    /// work done, independent of which variant wins.
+    tuning_time_s: f64,
+    profile_tuning_s: f64,
+    quick_pruned: usize,
+}
+
+/// Folds one partition's orchestrated variants (the original partition
+/// graph plus the best transformed ones, in search order) with their
+/// orchestration results, in that order: an infeasible variant is
+/// skipped, the first strictly cheaper plan wins, and any other error is
+/// returned as it is met. The results come from jobs that ran on every
+/// core; folding them in order is what keeps the choice that of
+/// orchestrating the variants one after the other.
+fn optimize_partition(
+    variants: Vec<PrimGraph>,
+    results: impl IntoIterator<Item = Result<Orchestration, OrchError>>,
+) -> Result<PartitionRecord, KorchError> {
+    let mut best: Option<(PrimGraph, Orchestration)> = None;
+    let mut tuning_time_s = 0.0;
+    let mut profile_tuning_s = 0.0;
+    let mut quick_pruned = 0usize;
+    for (variant, result) in variants.into_iter().zip(results) {
+        let orch = match result {
+            Ok(o) => o,
+            Err(OrchError::Infeasible(_)) => continue,
+            Err(e) => return Err(e.into()),
+        };
+        tuning_time_s += orch.report.tuning_time_s;
+        profile_tuning_s += orch.profile_tuning_s;
+        quick_pruned += orch.quick_pruned;
+        let better = best
+            .as_ref()
+            .is_none_or(|(_, b)| orch.plan.total_latency.0 < b.plan.total_latency.0);
+        if better {
+            best = Some((variant, orch));
+        }
+    }
+    let (variant, orch) = best.ok_or_else(|| {
+        KorchError::Orch(OrchError::Infeasible(
+            "no variant could be orchestrated".into(),
+        ))
+    })?;
+    Ok(PartitionRecord {
+        variant,
+        plan: orch.plan,
+        candidates: orch.report.num_candidates,
+        states: orch.num_states,
+        tuning_time_s,
+        profile_tuning_s,
+        quick_pruned,
+    })
+}
+
+/// Folds the job results of [`Orchestrator::orchestrate_all`] (every
+/// distinct partition's variants, flattened in order) back into one
+/// record per distinct partition, in partition order: the first error in
+/// (partition, variant) order is the one returned.
+fn fold_partitions(
+    variants: Vec<Vec<PrimGraph>>,
+    results: Vec<Result<Orchestration, OrchError>>,
+) -> Result<Vec<PartitionRecord>, KorchError> {
+    let mut results = results.into_iter();
+    variants
+        .into_iter()
+        .map(|v| {
+            let n = v.len();
+            optimize_partition(v, results.by_ref().take(n))
+        })
+        .collect()
 }
 
 /// The end-to-end optimizer (paper Fig. 1).
@@ -306,60 +383,83 @@ impl Korch {
 
     /// Optimizes an already-fissioned primitive graph.
     ///
+    /// Every distinct partition (the fingerprint cache decides which are
+    /// distinct) gets its transform variants; each orchestrated
+    /// (partition, variant) is one job of
+    /// [`Orchestrator::orchestrate_all`], which runs them on every core.
+    /// The results are then folded sequentially in partition order (see
+    /// `optimize_partition`), so the plans, chosen variants and
+    /// [`PipelineStats`] are those of orchestrating one job after the
+    /// other.
+    ///
     /// # Errors
     ///
-    /// Returns [`KorchError`] on orchestration failures.
+    /// Returns [`KorchError`] on orchestration failures: the first one in
+    /// (partition, variant) order.
     pub fn optimize_prims(&self, pg: &PrimGraph) -> Result<Optimized, KorchError> {
         let parts = partition(pg, self.config.partition_max_prims)?;
+        let orchestrator =
+            Orchestrator::new(self.device.clone()).with_config(self.config.orchestrator.clone());
+        // `distinct[d]` is the first partition of each fingerprint and
+        // `record_of[i]` the distinct partition partition `i` reuses.
+        let mut distinct: Vec<&PrimGraph> = Vec::new();
+        let mut record_of = Vec::with_capacity(parts.len());
+        let mut first_of: HashMap<u64, usize> = HashMap::new();
+        for part in &parts {
+            let d = if self.config.cache {
+                *first_of
+                    .entry(part.graph.fingerprint())
+                    .or_insert(distinct.len())
+            } else {
+                distinct.len()
+            };
+            if d == distinct.len() {
+                distinct.push(&part.graph);
+            }
+            record_of.push(d);
+        }
+        let take = self.config.variants_to_orchestrate.max(1);
+        let variants: Vec<Vec<PrimGraph>> = distinct
+            .iter()
+            .map(|g| {
+                let mut v = optimize_graph(g, &self.config.transform);
+                v.truncate(take);
+                v
+            })
+            .collect();
+        let jobs: Vec<&PrimGraph> = variants.iter().flatten().collect();
+        let results = orchestrator.orchestrate_all(&jobs);
+        let records = fold_partitions(variants, results)?;
+
         let mut stats = PipelineStats {
             prim_nodes: pg.nodes().iter().filter(|n| !n.kind.is_source()).count(),
             partitions: parts.len(),
             prim_stats: PrimStats::of(pg),
             ..Default::default()
         };
-        let orchestrator =
-            Orchestrator::new(self.device.clone()).with_config(self.config.orchestrator.clone());
-        let mut cache: HashMap<u64, PartitionRecord> = HashMap::new();
         let mut optimized_parts = Vec::with_capacity(parts.len());
-        for part in parts {
-            let fp = part.graph.fingerprint();
-            let cached = if self.config.cache {
-                cache.get(&fp).cloned()
+        let mut charged = 0;
+        for (part, d) in parts.into_iter().zip(record_of) {
+            let rec = &records[d];
+            // Records are numbered in partition order, so a partition
+            // that does not open the next one is a cache hit: tuning
+            // reuses the database, no extra time.
+            if d < charged {
+                stats.cache_hits += 1;
             } else {
-                None
-            };
-            let rec = match cached {
-                Some(hit) => {
-                    // Tuning reuses the database: no extra time.
-                    stats.cache_hits += 1;
-                    hit
-                }
-                None => {
-                    let (variant, plan, orch) =
-                        self.optimize_partition(&orchestrator, &part.graph)?;
-                    stats.tuning_time_s += orch.report.tuning_time_s;
-                    stats.quick_pruned += orch.quick_pruned;
-                    stats.profile_tuning_s += orch.profile_tuning_s;
-                    let rec = PartitionRecord {
-                        variant,
-                        plan,
-                        candidates: orch.report.num_candidates,
-                        states: orch.num_states,
-                    };
-                    if self.config.cache {
-                        cache.insert(fp, rec.clone());
-                    }
-                    rec
-                }
-            };
+                charged += 1;
+                stats.tuning_time_s += rec.tuning_time_s;
+                stats.quick_pruned += rec.quick_pruned;
+                stats.profile_tuning_s += rec.profile_tuning_s;
+            }
             stats.candidate_kernels += rec.candidates;
             stats.states += rec.states;
             optimized_parts.push(OptimizedPartition {
                 part: Partition {
-                    graph: rec.variant,
+                    graph: rec.variant.clone(),
                     ..part
                 },
-                plan: rec.plan,
+                plan: rec.plan.clone(),
             });
         }
         let graph_input_ports: Vec<PortRef> = pg
@@ -373,51 +473,6 @@ impl Korch {
             graph_output_ports: pg.outputs().to_vec(),
             stats,
             orchestrator,
-        })
-    }
-
-    /// Orchestrates the original partition graph plus the best transformed
-    /// variants and keeps the cheapest plan.
-    fn optimize_partition(
-        &self,
-        orchestrator: &Orchestrator,
-        g: &PrimGraph,
-    ) -> Result<(PrimGraph, Plan, Orchestration), KorchError> {
-        let variants = optimize_graph(g, &self.config.transform);
-        let take = self.config.variants_to_orchestrate.max(1);
-        let mut best: Option<(PrimGraph, Plan, Orchestration)> = None;
-        // Every orchestrated variant pays real profiling; the chosen
-        // variant’s Orchestration carries the *summed* tuning clocks so
-        // Table 2 / Table 3 accounting reflects all work done, independent
-        // of which variant wins.
-        let mut tuning_time_s = 0.0;
-        let mut profile_tuning_s = 0.0;
-        let mut quick_pruned = 0usize;
-        for variant in variants.into_iter().take(take) {
-            let orch = match orchestrator.orchestrate(&variant) {
-                Ok(o) => o,
-                Err(OrchError::Infeasible(_)) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            tuning_time_s += orch.report.tuning_time_s;
-            profile_tuning_s += orch.profile_tuning_s;
-            quick_pruned += orch.quick_pruned;
-            let better = best
-                .as_ref()
-                .is_none_or(|(_, p, _)| orch.plan.total_latency.0 < p.total_latency.0);
-            if better {
-                best = Some((variant, orch.plan.clone(), orch));
-            }
-        }
-        if let Some((_, _, orch)) = best.as_mut() {
-            orch.report.tuning_time_s = tuning_time_s;
-            orch.profile_tuning_s = profile_tuning_s;
-            orch.quick_pruned = quick_pruned;
-        }
-        best.ok_or_else(|| {
-            KorchError::Orch(OrchError::Infeasible(
-                "no variant could be orchestrated".into(),
-            ))
         })
     }
 
@@ -652,6 +707,106 @@ mod tests {
         let g = small_model();
         let optimized = korch.optimize(&g).unwrap();
         assert!(optimized.execute(&[]).is_err());
+    }
+
+    /// Variant `i` of a fold test: told apart by its node count.
+    fn variant(i: usize) -> PrimGraph {
+        let mut g = PrimGraph::new();
+        for _ in 0..=i {
+            g.add(PrimKind::Input { shape: vec![1] }, vec![]).unwrap();
+        }
+        g
+    }
+
+    /// An orchestration whose plan costs `us` and whose BLP-fed and
+    /// identification tuning clocks are `tuning_s` and ten times that.
+    fn solved(us: f64, tuning_s: f64) -> Result<Orchestration, OrchError> {
+        Ok(Orchestration {
+            plan: Plan {
+                kernels: Vec::new(),
+                total_latency: Micros(us),
+            },
+            num_states: 1,
+            profile_tuning_s: 10.0 * tuning_s,
+            quick_pruned: 1,
+            report: korch_orch::SolveReport {
+                tuning_time_s: tuning_s,
+                ..Default::default()
+            },
+        })
+    }
+
+    fn infeasible() -> Result<Orchestration, OrchError> {
+        Err(OrchError::Infeasible("test".into()))
+    }
+
+    fn fold(results: Vec<Result<Orchestration, OrchError>>) -> Result<PartitionRecord, KorchError> {
+        optimize_partition((0..results.len()).map(variant).collect(), results)
+    }
+
+    #[test]
+    fn fold_skips_an_infeasible_variant() {
+        let rec = fold(vec![infeasible(), solved(7.0, 1.0)]).unwrap();
+        assert_eq!(rec.variant.len(), 2, "variant 1 wins");
+        assert_eq!(rec.plan.total_latency.0, 7.0);
+        // Every orchestrated variant is charged, the winner carries the sums.
+        let rec = fold(vec![solved(9.0, 1.0), infeasible(), solved(8.0, 2.0)]).unwrap();
+        assert_eq!(rec.variant.len(), 3);
+        assert_eq!((rec.tuning_time_s, rec.profile_tuning_s), (3.0, 30.0));
+        assert_eq!(rec.quick_pruned, 2);
+    }
+
+    #[test]
+    fn fold_keeps_the_first_of_equal_plans() {
+        let rec = fold(vec![solved(5.0, 1.0), solved(4.0, 1.0), solved(4.0, 1.0)]).unwrap();
+        assert_eq!(rec.variant.len(), 2, "strict < keeps variant 1");
+    }
+
+    #[test]
+    fn fold_of_only_infeasible_variants_fails() {
+        match fold(vec![infeasible(), infeasible()]) {
+            Err(KorchError::Orch(OrchError::Infeasible(why))) => {
+                assert_eq!(why, "no variant could be orchestrated")
+            }
+            other => panic!(
+                "expected infeasible, got {:?}",
+                other.map(|r| r.variant.len())
+            ),
+        }
+    }
+
+    #[test]
+    fn fold_returns_the_first_error_in_partition_variant_order() {
+        let variants = |n: usize| (0..n).map(variant).collect::<Vec<_>>();
+        // Partition 0 is feasible; partition 1's variant 1 fails before
+        // its variant 2 and before partition 2 — and after a feasible
+        // variant 0, which does not save the partition.
+        let results = vec![
+            solved(1.0, 1.0),
+            infeasible(),
+            solved(1.0, 1.0),
+            Err(OrchError::SolverBudget),
+            Err(OrchError::Unschedulable),
+            Err(OrchError::Unschedulable),
+        ];
+        let err = fold_partitions(vec![variants(2), variants(3), variants(1)], results);
+        assert!(
+            matches!(err, Err(KorchError::Orch(OrchError::SolverBudget))),
+            "{:?}",
+            err.map(|r| r.len())
+        );
+        // An infeasible partition ahead of a failing one is the error.
+        let results = vec![infeasible(), Err(OrchError::SolverBudget)];
+        let err = fold_partitions(vec![variants(1), variants(1)], results);
+        assert!(matches!(
+            err,
+            Err(KorchError::Orch(OrchError::Infeasible(_)))
+        ));
+        // All feasible: one record per partition, in order.
+        let results = vec![solved(2.0, 1.0), solved(1.0, 1.0), solved(3.0, 1.0)];
+        let recs = fold_partitions(vec![variants(2), variants(1)], results).unwrap();
+        let chosen: Vec<usize> = recs.iter().map(|r| r.variant.len()).collect();
+        assert_eq!(chosen, [2, 1]);
     }
 
     #[test]

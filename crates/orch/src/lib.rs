@@ -27,7 +27,9 @@
 //! so the same [`Candidates`] always cost the same pivots and yield the
 //! same [`Plan`].
 //!
-//! [`Orchestrator`] bundles the four steps:
+//! [`Orchestrator`] bundles the four steps, and
+//! [`Orchestrator::orchestrate_all`] runs them on many graphs at once,
+//! one job per graph on every core:
 //!
 //! ```
 //! use korch_cost::Device;
@@ -67,6 +69,7 @@ pub use state::{enumerate_states, BitSet, StateSpace};
 
 use korch_cost::{Backend, Device, Profiler};
 use korch_ir::PrimGraph;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of the whole orchestration stage.
 #[derive(Debug, Clone, Default)]
@@ -162,5 +165,43 @@ impl Orchestrator {
             quick_pruned: cands.quick_pruned,
             report,
         })
+    }
+
+    /// [`Orchestrator::orchestrate`] on every graph, one job per graph, on
+    /// `available_parallelism().min(graphs.len())` scoped threads (the
+    /// caller is one of them) that pull jobs from one atomic index. The
+    /// jobs share nothing but `self`, so each result is the one a
+    /// sequential call returns; results come back in input order, each
+    /// error at its own position. A panicking job panics the caller.
+    pub fn orchestrate_all(&self, graphs: &[&PrimGraph]) -> Vec<Result<Orchestration, OrchError>> {
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(graphs.len());
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // Relaxed: the index hands out job numbers and publishes
+                // nothing; the results travel back through `join`.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(g) = graphs.get(i) else {
+                    return done;
+                };
+                done.push((i, self.orchestrate(g)));
+            }
+        };
+        let mut done = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for h in helpers {
+                done.extend(
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            done
+        });
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }

@@ -1,0 +1,291 @@
+//! `Korch::optimize_prims` orchestrates every distinct (partition,
+//! variant) as an independent job on every core and folds the results in
+//! order. It must compile exactly what orchestrating one job after the
+//! other compiles. `sequential_optimize` below is that definition: per
+//! partition in order, the fingerprint cache, the variants in order, the
+//! strict `<` and the stats summed in order. The chosen variants, every
+//! plan kernel and every `PipelineStats` field must match it, with
+//! latencies and clocks equal to the bit. `Orchestrator::orchestrate_all`
+//! must return what one `orchestrate` per graph returns, in input order.
+
+use korch::core::{partition, Korch, KorchConfig, Optimized};
+use korch::cost::{Calibration, Device, KernelClass, Profiler};
+use korch::fission::fission;
+use korch::ir::{EwFn, LinearFn, OpGraph, OpKind, PrimGraph, PrimKind, PrimStats};
+use korch::models::{candy, subgraphs, CandyConfig};
+use korch::orch::{OrchError, Orchestration, Orchestrator, Plan};
+use korch::tensor::{MatMulSpec, UnaryOp};
+use korch::transform::optimize_graph;
+use proptest::prelude::*;
+use std::collections::HashMap;
+
+mod common;
+
+/// One partition of the sequential reference: the chosen variant's
+/// fingerprint and its plan.
+struct Chosen {
+    fingerprint: u64,
+    plan: Plan,
+}
+
+/// The `PipelineStats` fields, f64s by bits.
+#[derive(Debug, PartialEq)]
+struct Stats {
+    prim_nodes: usize,
+    candidate_kernels: usize,
+    tuning_time_s: u64,
+    partitions: usize,
+    cache_hits: usize,
+    states: usize,
+    quick_pruned: usize,
+    profile_tuning_s: u64,
+    prim_stats: PrimStats,
+}
+
+/// `Korch::optimize_prims` by definition: one orchestration after the
+/// other.
+fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, Stats) {
+    let parts = partition(pg, config.partition_max_prims).unwrap();
+    let orchestrator = Orchestrator::new(Device::v100()).with_config(config.orchestrator.clone());
+    let mut stats = Stats {
+        prim_nodes: pg.nodes().iter().filter(|n| !n.kind.is_source()).count(),
+        candidate_kernels: 0,
+        tuning_time_s: 0,
+        partitions: parts.len(),
+        cache_hits: 0,
+        states: 0,
+        quick_pruned: 0,
+        profile_tuning_s: 0,
+        prim_stats: PrimStats::of(pg),
+    };
+    let (mut tuning_time_s, mut profile_tuning_s) = (0.0f64, 0.0f64);
+    // fingerprint → (chosen variant, plan, candidates, states)
+    let mut cache: HashMap<u64, (u64, Plan, usize, usize)> = HashMap::new();
+    let mut chosen = Vec::new();
+    for part in &parts {
+        let fp = part.graph.fingerprint();
+        let rec = if let Some(hit) = cache.get(&fp).filter(|_| config.cache) {
+            stats.cache_hits += 1;
+            hit.clone()
+        } else {
+            let variants = optimize_graph(&part.graph, &config.transform);
+            let mut best: Option<(u64, Orchestration)> = None;
+            let (mut tuning, mut profile, mut pruned) = (0.0, 0.0, 0);
+            for v in variants.iter().take(config.variants_to_orchestrate.max(1)) {
+                let orch = match orchestrator.orchestrate(v) {
+                    Ok(o) => o,
+                    Err(OrchError::Infeasible(_)) => continue,
+                    Err(e) => panic!("sequential reference: {e}"),
+                };
+                tuning += orch.report.tuning_time_s;
+                profile += orch.profile_tuning_s;
+                pruned += orch.quick_pruned;
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, b)| orch.plan.total_latency.0 < b.plan.total_latency.0)
+                {
+                    best = Some((v.fingerprint(), orch));
+                }
+            }
+            let (variant, orch) = best.expect("some variant orchestrates");
+            tuning_time_s += tuning;
+            profile_tuning_s += profile;
+            stats.quick_pruned += pruned;
+            let rec = (
+                variant,
+                orch.plan,
+                orch.report.num_candidates,
+                orch.num_states,
+            );
+            if config.cache {
+                cache.insert(fp, rec.clone());
+            }
+            rec
+        };
+        stats.candidate_kernels += rec.2;
+        stats.states += rec.3;
+        chosen.push(Chosen {
+            fingerprint: rec.0,
+            plan: rec.1,
+        });
+    }
+    stats.tuning_time_s = tuning_time_s.to_bits();
+    stats.profile_tuning_s = profile_tuning_s.to_bits();
+    (chosen, stats)
+}
+
+/// A plan, field for field with latencies by bits.
+fn plan_bits(plan: &Plan) -> String {
+    let kernels: Vec<_> = plan
+        .kernels
+        .iter()
+        .map(|k| (&k.members, &k.outputs, k.backend, k.latency.0.to_bits()))
+        .collect();
+    format!("{kernels:?} total {}", plan.total_latency.0.to_bits())
+}
+
+fn stats_of(opt: &Optimized) -> Stats {
+    let s = opt.stats();
+    Stats {
+        prim_nodes: s.prim_nodes,
+        candidate_kernels: s.candidate_kernels,
+        tuning_time_s: s.tuning_time_s.to_bits(),
+        partitions: s.partitions,
+        cache_hits: s.cache_hits,
+        states: s.states,
+        quick_pruned: s.quick_pruned,
+        profile_tuning_s: s.profile_tuning_s.to_bits(),
+        prim_stats: s.prim_stats,
+    }
+}
+
+fn assert_compiles_as_sequential(name: &str, model: &OpGraph, config: KorchConfig) -> Stats {
+    let pg = fission(model).unwrap().prim_graph;
+    let (chosen, stats) = sequential_optimize(&config, &pg);
+    let opt = Korch::new(Device::v100(), config)
+        .optimize_prims(&pg)
+        .unwrap();
+    assert_eq!(opt.partitions().len(), chosen.len(), "{name}: partitions");
+    for (i, (got, want)) in opt.partitions().iter().zip(&chosen).enumerate() {
+        assert_eq!(
+            got.part.graph.fingerprint(),
+            want.fingerprint,
+            "{name} partition {i}: chosen variant"
+        );
+        assert_eq!(
+            plan_bits(&got.plan),
+            plan_bits(&want.plan),
+            "{name} partition {i}: plan"
+        );
+    }
+    assert_eq!(stats_of(&opt), stats, "{name}: stats");
+    stats
+}
+
+#[test]
+fn candy_compiles_as_sequential() {
+    let model = candy(CandyConfig {
+        resolution: 32,
+        width: 8,
+        residual_blocks: 0,
+    });
+    assert_compiles_as_sequential("candy32", &model, KorchConfig::default());
+}
+
+#[test]
+fn efficientvit_attention_compiles_as_sequential() {
+    let model = subgraphs::efficientvit_attention(64, 16);
+    assert_compiles_as_sequential("effvit64", &model, KorchConfig::default());
+}
+
+/// Three identical blocks of softmax → relu: the partitions repeat, so
+/// the fingerprint cache must hit and charge the hits no tuning time.
+#[test]
+fn repeated_blocks_compile_as_sequential() {
+    let mut g = OpGraph::new();
+    let mut x = g
+        .add(
+            OpKind::Input {
+                shape: vec![32, 64],
+            },
+            vec![],
+        )
+        .unwrap();
+    for _ in 0..3 {
+        let s = g.add(OpKind::Softmax { axis: 1 }, vec![x.into()]).unwrap();
+        x = g.add(OpKind::Unary(UnaryOp::Relu), vec![s.into()]).unwrap();
+    }
+    g.mark_output(x).unwrap();
+    let config = KorchConfig {
+        partition_max_prims: 5,
+        ..Default::default()
+    };
+    let stats = assert_compiles_as_sequential("repeated", &g, config.clone());
+    assert!(stats.cache_hits >= 1, "{stats:?}");
+    let uncached = KorchConfig {
+        cache: false,
+        ..config
+    };
+    let stats = assert_compiles_as_sequential("repeated, no cache", &g, uncached);
+    assert_eq!(stats.cache_hits, 0);
+}
+
+/// `x @ w → relu`: under a profiler that prices every GEMM at infinity
+/// no candidate materializes the matmul, so it is infeasible.
+fn gemm_graph() -> PrimGraph {
+    let mut g = PrimGraph::new();
+    let x = g
+        .add(PrimKind::Input { shape: vec![8, 8] }, vec![])
+        .unwrap();
+    let w = g
+        .add(PrimKind::Input { shape: vec![8, 8] }, vec![])
+        .unwrap();
+    let spec = MatMulSpec::new();
+    let m = g
+        .add(
+            PrimKind::Linear(LinearFn::MatMul { spec }),
+            vec![x.into(), w.into()],
+        )
+        .unwrap();
+    let r = g
+        .add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Relu)),
+            vec![m.into()],
+        )
+        .unwrap();
+    g.mark_output(r).unwrap();
+    g
+}
+
+/// An orchestration result, field for field (Debug prints every f64
+/// round-trip exactly).
+fn result_bits(r: &Result<Orchestration, OrchError>) -> String {
+    match r {
+        Ok(o) => format!(
+            "{} states {} profile {} pruned {} report {:?}",
+            plan_bits(&o.plan),
+            o.num_states,
+            o.profile_tuning_s.to_bits(),
+            o.quick_pruned,
+            o.report
+        ),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Theorem 1's random DAGs, with infeasible graphs at random
+    /// positions: `orchestrate_all` returns one result per graph, in
+    /// input order, each what `orchestrate` returns for it.
+    #[test]
+    fn orchestrate_all_is_orchestrate_in_input_order(
+        dags in prop::collection::vec(common::arb_dag(), 1..6),
+        infeasible_at in prop::collection::vec(0usize..6, 0..3),
+    ) {
+        let mut graphs: Vec<(PrimGraph, bool)> = dags.into_iter().map(|g| (g, false)).collect();
+        for &i in &infeasible_at {
+            graphs.insert(i.min(graphs.len()), (gemm_graph(), true));
+        }
+        let no_gemm = Calibration {
+            class_scales: vec![
+                (KernelClass::GemmBlocked, f64::INFINITY),
+                (KernelClass::GemmSkinny, f64::INFINITY),
+            ],
+            ..Calibration::default()
+        };
+        let orchestrator = Orchestrator::new(Device::v100())
+            .with_profiler(Profiler::new(Device::v100()).with_calibration(no_gemm));
+        let refs: Vec<&PrimGraph> = graphs.iter().map(|(g, _)| g).collect();
+        let all = orchestrator.orchestrate_all(&refs);
+        prop_assert_eq!(all.len(), graphs.len());
+        for (i, ((g, gemm), got)) in graphs.iter().zip(&all).enumerate() {
+            let want = orchestrator.orchestrate(g);
+            prop_assert_eq!(result_bits(got), result_bits(&want), "graph {}", i);
+            let infeasible = matches!(got, Err(OrchError::Infeasible(_)));
+            prop_assert_eq!(infeasible, *gemm, "graph {}", i);
+        }
+        prop_assert!(orchestrator.orchestrate_all(&[]).is_empty());
+    }
+}

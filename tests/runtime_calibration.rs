@@ -86,7 +86,15 @@ fn auto_recalibration_is_bit_identical_mid_serving() {
 #[test]
 fn default_policy_recalibrates_a_drifting_model() {
     let g = model_graph();
-    let korch = Korch::new(Device::v100(), KorchConfig::default());
+    // Priced with a 1 ms launch, every kernel of this tiny model is
+    // predicted far slower than any host runs it, and the fit leaves
+    // launch overhead alone: the drift stays above the threshold at every
+    // check, cold or warm, before and after a recalibration.
+    let device = Device {
+        launch_overhead_us: 1000.0,
+        ..Device::v100()
+    };
+    let korch = Korch::new(device, KorchConfig::default());
     let model = Arc::new(
         korch
             .compile_with(&g, &RuntimeConfig::with_lanes(2))
@@ -95,8 +103,6 @@ fn default_policy_recalibrates_a_drifting_model() {
     let inputs = vec![Tensor::random(vec![16, 32], 5)];
     let reference = model.execute(&inputs).unwrap();
     model.execute(&inputs).unwrap();
-    // CPU wall times dwarf simulated GPU micros: the warmed-up model
-    // drifts far above the default threshold on any host.
     let policy = RecalibrationPolicy::default();
     let drift = model.model_error().expect("drift after profiled runs");
     assert!(
@@ -114,6 +120,13 @@ fn default_policy_recalibrates_a_drifting_model() {
     }
     let stats = server.shutdown();
     assert_eq!((stats.requests, stats.errors), (requests, 0));
+    let last = stats
+        .last_model_error
+        .expect("drift must have been sampled");
+    assert!(
+        last > policy.model_error_threshold,
+        "the drift must hold by construction: {stats:?}"
+    );
     assert!(
         stats.recalibrations >= 1,
         "the default policy must recalibrate a drifting model: {stats:?}"
