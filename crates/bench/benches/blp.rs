@@ -9,7 +9,7 @@ use korch_blp::{BalasSolver, BlpProblem, BranchAndBound, Constraint, Lp, LpOutco
 use korch_core::{partition, KorchConfig};
 use korch_cost::{Backend, Device, Profiler};
 use korch_fission::fission;
-use korch_orch::{enumerate_states, identify_kernels, optimize};
+use korch_orch::{enumerate_states, identify_kernels, optimize, DEFAULT_MAX_STATES};
 use korch_transform::optimize_graph;
 use std::hint::black_box;
 
@@ -60,7 +60,10 @@ fn bench_orchestration(c: &mut Criterion) {
     let parts = partition(&prims, config.partition_max_prims).unwrap();
     let part = &parts[HARD_PARTITION.0].graph;
     let g = &optimize_graph(part, &config.transform)[HARD_PARTITION.1];
-    let space = enumerate_states(g, config.orchestrator.max_states.unwrap_or(1_500));
+    let space = enumerate_states(
+        g,
+        config.orchestrator.max_states.unwrap_or(DEFAULT_MAX_STATES),
+    );
     let cands = identify_kernels(
         g,
         &space,

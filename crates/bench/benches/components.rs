@@ -6,7 +6,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use korch_cost::{Backend, Device, Profiler};
 use korch_fission::fission;
 use korch_models::subgraphs::softmax_attention;
-use korch_orch::{enumerate_states, identify_kernels, IdentifyConfig, Orchestrator};
+use korch_orch::{
+    enumerate_states, identify_kernels, IdentifyConfig, Orchestrator, DEFAULT_MAX_STATES,
+};
 use korch_transform::{optimize_graph, SearchConfig};
 use std::hint::black_box;
 
@@ -21,10 +23,10 @@ fn bench_components(c: &mut Criterion) {
     });
 
     c.bench_function("enumerate_states/softmax_attention", |b| {
-        b.iter(|| enumerate_states(black_box(&pg), 1500))
+        b.iter(|| enumerate_states(black_box(&pg), DEFAULT_MAX_STATES))
     });
 
-    let space = enumerate_states(&pg, 1500);
+    let space = enumerate_states(&pg, DEFAULT_MAX_STATES);
     c.bench_function("identify_kernels/softmax_attention", |b| {
         b.iter(|| {
             identify_kernels(

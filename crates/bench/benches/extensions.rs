@@ -34,9 +34,9 @@ fn bench_quick_prune(c: &mut Criterion) {
     );
     println!(
         "identification: {} candidates / {:.1} s tuning (full) vs {} / {:.1} s (quick-pruned, {} skipped)",
-        full.kernels.len(),
+        full.admitted,
         full.tuning_time_s,
-        pruned.kernels.len(),
+        pruned.admitted,
         pruned.tuning_time_s,
         pruned.quick_pruned,
     );
@@ -52,7 +52,7 @@ fn bench_quick_prune(c: &mut Criterion) {
         ),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(candidates(black_box(&g), &cfg).kernels.len()))
+            b.iter(|| black_box(candidates(black_box(&g), &cfg).admitted))
         });
     }
     group.finish();

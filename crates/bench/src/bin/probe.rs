@@ -22,7 +22,7 @@ use korch_exec::{eval_prim, materialize_const};
 use korch_fission::fission;
 use korch_ir::{LinearFn, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch_models::SegformerConfig;
-use korch_orch::{enumerate_states, identify_kernels, optimize, OrchError};
+use korch_orch::{enumerate_states, identify_kernels, optimize, OrchError, DEFAULT_MAX_STATES};
 use korch_tensor::{conv2d_flops, matmul_flops, Tensor};
 use korch_transform::optimize_graph;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -93,7 +93,7 @@ fn blp_table(g: &OpGraph) {
     let config = KorchConfig::default();
     let profiler = Profiler::new(Device::v100());
     let backends = [Backend::Generated, Backend::Vendor];
-    let max_states = config.orchestrator.max_states.unwrap_or(1_500);
+    let max_states = config.orchestrator.max_states.unwrap_or(DEFAULT_MAX_STATES);
     let prims = fission(g).expect("fission").prim_graph;
     let parts = partition(&prims, config.partition_max_prims).expect("partition");
     println!(
@@ -119,7 +119,7 @@ fn blp_table(g: &OpGraph) {
             let head = format!(
                 "{pi:>4} {vi:>3} {prims:>5} {:>6} {:>5} {identify_ms:>11.1}",
                 space.states.len(),
-                cands.kernels.len()
+                cands.admitted
             );
             match solved {
                 Ok((plan, r)) => {

@@ -50,27 +50,6 @@ pub(crate) struct CoverSolution {
     pub report: SolveReport,
 }
 
-/// Keeps the BLP tractable: when `items` exceeds `cap`, retains every
-/// `protected` item (singletons and seeds guarantee feasibility and
-/// baseline parity) in the order given, then the rest by ascending
-/// `efficiency` (latency per member primitive) up to the cap — an extension
-/// of the paper's §6.5 rejection heuristics.
-pub(crate) fn cap_vars<T>(
-    items: &[T],
-    cap: usize,
-    protected: impl Fn(&T) -> bool,
-    efficiency: impl Fn(&T) -> f64,
-) -> Vec<&T> {
-    if items.len() <= cap {
-        return items.iter().collect();
-    }
-    let (mut kept, mut rest): (Vec<&T>, Vec<&T>) = items.iter().partition(|t| protected(t));
-    rest.sort_by(|a, b| efficiency(a).total_cmp(&efficiency(b)));
-    rest.truncate(cap.saturating_sub(kept.len()));
-    kept.append(&mut rest);
-    kept
-}
-
 impl<K: Ord + Copy + Debug> CoverProblem<K> {
     /// Builds the Eq. 3 rows for `must` and the Eq. 4 rows for every
     /// variable's requirements.
@@ -334,13 +313,5 @@ mod tests {
         assert!(matches!(missing_output, Err(OrchError::Infeasible(_))));
         let missing_input = CoverProblem::new(vec![var(&[1], &[7], 1.0, true)], vec![1]);
         assert!(matches!(missing_input, Err(OrchError::Infeasible(_))));
-    }
-
-    #[test]
-    fn cap_keeps_protected_then_most_efficient() {
-        let items = [(5.0, false), (9.0, true), (1.0, false), (3.0, false)];
-        let kept = cap_vars(&items, 3, |t| t.1, |t| t.0);
-        assert_eq!(kept, [&(9.0, true), &(1.0, false), &(3.0, false)]);
-        assert_eq!(cap_vars(&items, 4, |t| t.1, |t| t.0).len(), 4);
     }
 }

@@ -13,12 +13,20 @@
 //! ([`korch_cost::output_bytes`]) and its pricing. The candidates, their
 //! order and their prices are those of pricing every output set with
 //! [`korch_cost::kernel_spec`].
+//!
+//! Identification returns the BLP's variables and nothing more: at most
+//! `MAX_BLP_CANDIDATES` (220), unless the singletons and seeds alone are
+//! more. Every candidate is priced, charged to the tuning database and
+//! counted, but the state-pair loop keeps only the best it has seen in a
+//! bounded max-heap, and a candidate that cannot enter the heap is never
+//! built. On a 32×32 Candy CNN that is 1 100 kept of 139 359 admitted.
 
 use crate::plan::SelectedKernel;
 use crate::state::{BitSet, StateSpace};
 use korch_cost::{member_spec, output_bytes, Backend, KernelSpec, Micros, Profiler};
 use korch_ir::{NodeId, PortRef, PrimGraph, PrimKind};
-use std::collections::HashSet;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Maximum primitives per state-pair kernel ("too many operators to
 /// generate within one kernel", §6.5). Greedy-fusion seeds may exceed it.
@@ -28,8 +36,15 @@ const MAX_KERNEL_PRIMS: usize = 18;
 /// multiple linear transformation primitives" is rejected, §6.5).
 const MAX_LINEAR_PER_KERNEL: usize = 1;
 
-/// Hard cap on the number of candidates.
+/// Hard cap on the number of candidates admitted; identification stops
+/// there.
 const MAX_CANDIDATES: usize = 50_000;
+
+/// Maximum candidates handed to the BLP. Beyond this, singletons and seeds
+/// are kept (for feasibility) and the most efficient fusions fill the
+/// remainder — an extension of the paper's §6.5 rejection heuristics that
+/// keeps the solve tractable on one CPU core.
+const MAX_BLP_CANDIDATES: usize = 220;
 
 /// The variable part of kernel identification; the §6.5 rejection
 /// heuristics and the candidate cap are fixed.
@@ -116,9 +131,16 @@ pub(crate) fn required_outputs(g: &PrimGraph) -> impl Iterator<Item = NodeId> + 
 /// Result of kernel identification.
 #[derive(Debug, Clone)]
 pub struct Candidates {
-    /// All accepted candidate kernels.
+    /// The BLP's variables. When at most 220 candidates were admitted,
+    /// all of them in admission order. Otherwise every singleton and seed
+    /// in admission order, then the most efficient other candidates
+    /// (lowest latency per member primitive, the earlier admitted on
+    /// ties) up to 220 in all; singletons and seeds are kept even beyond.
     pub kernels: Vec<CandidateKernel>,
-    /// Whether the candidate cap was hit.
+    /// Candidates admitted: priced on a backend and below their rejection
+    /// threshold, whether kept in `kernels` or not.
+    pub admitted: usize,
+    /// Whether admission stopped at the 50 000-candidate cap.
     pub truncated: bool,
     /// Complete greedy-fusion selections (each a disjoint cover of all
     /// primitives by member sets); used as BLP warm-start incumbents.
@@ -131,7 +153,8 @@ pub struct Candidates {
     pub quick_pruned: usize,
 }
 
-/// Identifies candidate kernels from an enumerated state space.
+/// Identifies candidate kernels from an enumerated state space and keeps
+/// the ones the BLP takes (see [`Candidates::kernels`]).
 ///
 /// `backends` are tried in order; the cheapest *applicable* one wins:
 /// memory-intensive kernels may not use [`Backend::Vendor`], and vendor
@@ -154,8 +177,10 @@ pub fn identify_kernels(
         backends,
         seen: HashSet::new(),
         tuned: vec![HashSet::new(); backends.len()],
+        keep: Keep::default(),
         out: Candidates {
             kernels: Vec::new(),
+            admitted: 0,
             truncated: false,
             seed_selections: Vec::new(),
             tuning_time_s: 0.0,
@@ -171,10 +196,7 @@ pub fn identify_kernels(
         if node.kind.is_source() {
             continue;
         }
-        let first = adm.out.kernels.len();
-        adm.admit(&[id], false, f64::INFINITY);
-        let priced = adm.out.kernels[first..].iter().map(|k| k.latency.0);
-        singleton_latency[id.0] = priced.fold(f64::INFINITY, f64::min);
+        singleton_latency[id.0] = adm.admit(&[id], false, f64::INFINITY);
     }
 
     // Greedy-fusion seed groups: guarantee the candidate set contains the
@@ -231,6 +253,8 @@ pub fn identify_kernels(
             adm.price(&members, false, singleton_sum);
         }
     }
+    adm.out.admitted = adm.keep.admitted;
+    adm.out.kernels = adm.keep.into_kernels();
     adm.out
 }
 
@@ -249,7 +273,100 @@ struct Admission<'a> {
     /// order: candidates with identical cost features share one tuned
     /// schedule and are charged once.
     tuned: Vec<HashSet<KernelSpec>>,
+    keep: Keep,
+    /// Everything but the kept kernels, which `keep` holds until the end.
     out: Candidates,
+}
+
+/// The bounded keep: every protected candidate (singletons and seeds) and,
+/// in a max-heap, the best `MAX_BLP_CANDIDATES − protected` others.
+#[derive(Default)]
+struct Keep {
+    /// Candidates admitted so far; the next one's admission sequence.
+    admitted: usize,
+    /// Singletons and seeds, in admission order.
+    protected: Vec<Ranked>,
+    /// The best other candidates so far, the worst on top.
+    best: BinaryHeap<Ranked>,
+}
+
+/// A kept candidate and its rank: (latency per member primitive,
+/// admission sequence).
+struct Ranked {
+    rank: (f64, usize),
+    kernel: CandidateKernel,
+}
+
+/// The ranking order: more efficient first, the earlier admitted on ties.
+fn by_rank((e1, s1): (f64, usize), (e2, s2): (f64, usize)) -> Ordering {
+    e1.total_cmp(&e2).then(s1.cmp(&s2))
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        by_rank(self.rank, other.rank)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+impl Keep {
+    /// Heap slots left beside the protected candidates.
+    fn room(&self) -> usize {
+        MAX_BLP_CANDIDATES.saturating_sub(self.protected.len())
+    }
+
+    /// Counts an admitted candidate and keeps it when it is protected (a
+    /// singleton or a seed) or ranks among the best others, evicting the
+    /// worst over the room left; `build` runs only for a kept candidate.
+    fn offer(&mut self, protected: bool, efficiency: f64, build: impl FnOnce() -> CandidateKernel) {
+        let rank = (efficiency, self.admitted);
+        self.admitted += 1;
+        let takes = protected
+            || self.best.len() < self.room()
+            || (self.best.peek()).is_some_and(|worst| by_rank(rank, worst.rank).is_lt());
+        if !takes {
+            return;
+        }
+        let kept = Ranked {
+            rank,
+            kernel: build(),
+        };
+        if protected {
+            self.protected.push(kept);
+        } else {
+            self.best.push(kept);
+        }
+        if self.best.len() > self.room() {
+            self.best.pop();
+        }
+    }
+
+    /// The BLP's variables: everything in admission order when nothing
+    /// was evicted, else the protected candidates in order and then the
+    /// rest by rank.
+    fn into_kernels(self) -> Vec<CandidateKernel> {
+        let mut kept = self.protected;
+        if self.admitted <= MAX_BLP_CANDIDATES {
+            kept.extend(self.best);
+            kept.sort_unstable_by_key(|r| r.rank.1);
+        } else {
+            kept.extend(self.best.into_sorted_vec());
+        }
+        kept.into_iter().map(|r| r.kernel).collect()
+    }
 }
 
 impl Admission<'_> {
@@ -265,9 +382,11 @@ impl Admission<'_> {
 
     /// Admits subgraph `members` (ascending) unless it was seen before;
     /// see [`Admission::price`].
-    fn admit(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) {
+    fn admit(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) -> f64 {
         if !self.out.truncated && self.seen.insert(BitSet::from_ids(self.g.len(), members)) {
-            self.price(members, seeded, reject_at);
+            self.price(members, seeded, reject_at)
+        } else {
+            f64::INFINITY
         }
     }
 
@@ -278,10 +397,13 @@ impl Admission<'_> {
     /// below `reject_at` (the latency of running the members as individual
     /// kernels; `∞` keeps everything a backend serves). A rejected
     /// candidate is the profiler "returning ∞" (Algorithm 1 line 19).
-    /// Stops at the candidate cap.
-    fn price(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) {
+    /// An admitted candidate is counted, and built only when the keep
+    /// takes it. Stops at the candidate cap. Returns the lowest admitted
+    /// latency (`∞` when none).
+    fn price(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) -> f64 {
+        let mut lowest = f64::INFINITY;
         if self.out.truncated || self.rejects(members) {
-            return;
+            return lowest;
         }
         let (g, config) = (self.g, self.config);
         let mut spec = member_spec(g, members);
@@ -316,7 +438,10 @@ impl Admission<'_> {
             if latency.0 >= reject_at {
                 continue;
             }
-            self.out.kernels.push(CandidateKernel {
+            lowest = lowest.min(latency.0);
+            let protected = seeded || members.len() == 1;
+            let efficiency = latency.0 / members.len() as f64;
+            self.keep.offer(protected, efficiency, || CandidateKernel {
                 members: members.to_vec(),
                 full_output,
                 seeded,
@@ -327,11 +452,12 @@ impl Admission<'_> {
                 latency,
                 tuning_s,
             });
-            if self.out.kernels.len() >= MAX_CANDIDATES {
+            if self.keep.admitted >= MAX_CANDIDATES {
                 self.out.truncated = true;
-                return;
+                return lowest;
             }
         }
+        lowest
     }
 }
 
@@ -966,6 +1092,92 @@ mod tests {
             pruned.tuning_time_s,
             full.tuning_time_s
         );
+    }
+
+    /// A stand-in candidate of `members` primitives, told apart by `tag`
+    /// (its tuning time).
+    fn tagged(tag: usize, members: usize, seeded: bool) -> CandidateKernel {
+        CandidateKernel {
+            members: (0..members).map(NodeId).collect(),
+            full_output: true,
+            seeded,
+            output_nodes: vec![NodeId(members - 1)],
+            outputs: vec![],
+            spec: KernelSpec {
+                n_prims: members,
+                input_bytes: 0,
+                output_bytes: 0,
+                pointwise_flops: 0,
+                linear: vec![],
+                passes: 1,
+                pattern_classes: 1,
+                has_opaque: false,
+            },
+            backend: Backend::Generated,
+            latency: Micros(1.0),
+            tuning_s: tag as f64,
+        }
+    }
+
+    /// Offers `n` protected singletons tagged from 1 000 on.
+    fn protected_singletons(keep: &mut Keep, n: usize) {
+        for i in 0..n {
+            keep.offer(true, 1.0, || tagged(1_000 + i, 1, false));
+        }
+    }
+
+    fn tags(keep: Keep) -> Vec<usize> {
+        let kernels = keep.into_kernels();
+        kernels.iter().map(|k| k.tuning_s as usize).collect()
+    }
+
+    #[test]
+    fn keep_breaks_efficiency_ties_by_admission() {
+        let mut keep = Keep::default();
+        protected_singletons(&mut keep, MAX_BLP_CANDIDATES - 2);
+        keep.offer(false, 2.0, || tagged(1, 2, false));
+        keep.offer(false, 2.0, || tagged(2, 2, false));
+        keep.offer(false, 2.0, || unreachable!("a later tie is never built"));
+        assert_eq!(keep.admitted, MAX_BLP_CANDIDATES + 1);
+        let kept = tags(keep);
+        assert_eq!(kept.len(), MAX_BLP_CANDIDATES);
+        assert_eq!(
+            kept[..MAX_BLP_CANDIDATES - 2],
+            (1_000..1_218).collect::<Vec<_>>()
+        );
+        assert_eq!(kept[MAX_BLP_CANDIDATES - 2..], [1, 2]);
+    }
+
+    #[test]
+    fn keep_evicts_the_worst_for_a_cheaper_candidate() {
+        let mut keep = Keep::default();
+        protected_singletons(&mut keep, MAX_BLP_CANDIDATES - 2);
+        keep.offer(false, 3.0, || tagged(3, 2, false));
+        keep.offer(false, 2.0, || tagged(2, 2, false));
+        keep.offer(false, 1.0, || tagged(1, 2, false));
+        let kept = tags(keep);
+        assert_eq!(kept[MAX_BLP_CANDIDATES - 2..], [1, 2]);
+    }
+
+    #[test]
+    fn keep_holds_only_protected_beyond_the_cap() {
+        let mut keep = Keep::default();
+        protected_singletons(&mut keep, MAX_BLP_CANDIDATES);
+        keep.offer(false, 0.0, || unreachable!("no room is left"));
+        keep.offer(true, 9.0, || tagged(9, 3, true));
+        let mut expected: Vec<usize> = (1_000..1_000 + MAX_BLP_CANDIDATES).collect();
+        expected.push(9);
+        assert_eq!(tags(keep), expected);
+    }
+
+    #[test]
+    fn keep_under_the_cap_is_admission_order() {
+        let mut keep = Keep::default();
+        keep.offer(false, 5.0, || tagged(5, 2, false));
+        keep.offer(true, 7.0, || tagged(7, 1, false));
+        keep.offer(false, 1.0, || tagged(1, 3, false));
+        keep.offer(true, 4.0, || tagged(4, 4, true));
+        assert_eq!(tags(keep), [5, 7, 1, 4]);
     }
 
     #[test]

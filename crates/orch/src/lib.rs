@@ -18,10 +18,12 @@
 //! The BLP is built in `cover.rs`, over variables that *produce* and
 //! *require* keys: Eq. 3 rows for the keys that must be produced, Eq. 4
 //! rows per variable requirement, the one-kernel-per-key warm start, the
-//! candidate cap, the branch-and-bound call and the dependency-respecting
-//! kernel order with singleton deadlock repair. [`optimize`] instantiates
-//! it with one key per primitive and adds its chain-DP / seed warm starts
-//! and the no-redundancy rows. Rows are emitted in a fixed order
+//! branch-and-bound call and the dependency-respecting kernel order with
+//! singleton deadlock repair. Its variables are the candidates
+//! [`identify_kernels`] keeps: at most 220, unless the singletons and
+//! seeds alone are more. [`optimize`] instantiates it with one key per
+//! primitive and adds its chain-DP / seed warm starts and the
+//! no-redundancy rows. Rows are emitted in a fixed order
 //! (must-produce keys ascending, then variables in candidate order, each
 //! one's requirements ascending) and no hash iteration reaches the solver,
 //! so the same [`Candidates`] always cost the same pivots and yield the
@@ -71,10 +73,14 @@ use korch_cost::{Backend, Device, Profiler};
 use korch_ir::PrimGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The execution-state enumeration cap [`Orchestrator`] applies when
+/// [`OrchestratorConfig::max_states`] is `None`.
+pub const DEFAULT_MAX_STATES: usize = 1_500;
+
 /// Configuration of the whole orchestration stage.
 #[derive(Debug, Clone, Default)]
 pub struct OrchestratorConfig {
-    /// Execution-state enumeration cap.
+    /// Execution-state enumeration cap ([`DEFAULT_MAX_STATES`] when `None`).
     pub max_states: Option<usize>,
     /// Kernel identification options.
     pub identify: IdentifyConfig,
@@ -153,7 +159,7 @@ impl Orchestrator {
     /// Returns [`OrchError`] when no feasible kernel cover exists or the
     /// solver budget is exhausted without an incumbent.
     pub fn orchestrate(&self, g: &PrimGraph) -> Result<Orchestration, OrchError> {
-        let max_states = self.config.max_states.unwrap_or(1_500);
+        let max_states = self.config.max_states.unwrap_or(DEFAULT_MAX_STATES);
         let space = enumerate_states(g, max_states);
         let identify = &self.config.identify;
         let cands = identify_kernels(g, &space, &self.profiler, identify, &BACKENDS);

@@ -3,7 +3,7 @@
 //! cover problem (`cover.rs`) with one key per primitive — plus the
 //! chain-DP and seed warm starts and the no-redundancy ablation rows.
 
-use crate::cover::{cap_vars, CoverProblem, CoverVar};
+use crate::cover::{CoverProblem, CoverVar};
 use crate::kernel::{required_outputs, CandidateKernel};
 use crate::plan::Plan;
 use crate::state::{BitSet, StateSpace};
@@ -37,12 +37,6 @@ impl fmt::Display for OrchError {
 }
 
 impl Error for OrchError {}
-
-/// Maximum candidates fed to the BLP. Beyond this, singletons and seeds
-/// are kept (for feasibility) and the most efficient fusions fill the
-/// remainder — an extension of the paper's §6.5 rejection heuristics that
-/// keeps the solve tractable on one CPU core.
-const MAX_BLP_CANDIDATES: usize = 220;
 
 /// Configuration of the BLP construction and solve. On budget exhaustion
 /// the solve falls back to its best incumbent.
@@ -89,6 +83,10 @@ pub struct SolveReport {
 /// [`Plan`]: the cover problem (`cover.rs`) keyed by primitive, warm-started
 /// by the chain-DP and greedy-fusion seed incumbents.
 ///
+/// Every kernel in `cands` is a variable: `optimize` solves over what it is
+/// given. [`identify_kernels`](crate::identify_kernels) hands it at most
+/// 220, unless the singletons and seeds alone are more.
+///
 /// # Errors
 ///
 /// See [`OrchError`].
@@ -98,12 +96,7 @@ pub fn optimize(
     space: Option<&StateSpace>,
     config: &OptimizeConfig,
 ) -> Result<(Plan, SolveReport), OrchError> {
-    let candidates = cap_vars(
-        &cands.kernels,
-        MAX_BLP_CANDIDATES,
-        |k| k.members.len() == 1 || k.seeded,
-        |k| k.latency.0 / k.members.len() as f64,
-    );
+    let candidates = &cands.kernels;
     let n = candidates.len();
     let vars = candidates
         .iter()
@@ -130,12 +123,12 @@ pub fn optimize(
         }
     }
 
-    let by_members = full_output_by_members(&candidates);
+    let by_members = full_output_by_members(candidates);
     // Chain-DP warm start: shortest path over execution states where each
     // edge is the full-output kernel of the state difference. Polynomial,
     // disjoint-cover, usually within a few percent of the BLP optimum —
     // this is what makes branch & bound converge quickly.
-    let dp = space.and_then(|s| dp_incumbent(&candidates, &by_members, s, g.len()));
+    let dp = space.and_then(|s| dp_incumbent(candidates, &by_members, s, g.len()));
     // Greedy-fusion seed incumbents: the TVM-/TensorRT-shaped strategies,
     // guaranteeing the BLP result is at least as good as rule-based fusion.
     let seeds = cands.seed_selections.iter().filter_map(|selection| {
@@ -158,7 +151,7 @@ pub fn optimize(
 
 /// Cheapest full-output candidate per member set: what the chain-DP edges
 /// and the seed groups select.
-fn full_output_by_members<'a>(candidates: &[&'a CandidateKernel]) -> HashMap<&'a [NodeId], usize> {
+fn full_output_by_members(candidates: &[CandidateKernel]) -> HashMap<&[NodeId], usize> {
     let mut by_members: HashMap<&[NodeId], usize> = HashMap::new();
     for (i, k) in candidates.iter().enumerate() {
         if k.full_output {
@@ -185,7 +178,7 @@ fn full_output_by_members<'a>(candidates: &[&'a CandidateKernel]) -> HashMap<&'a
 /// A target is reached from `S` through the one candidate of its
 /// difference, so `dist` and `back` are those of relaxing every pair.
 fn dp_incumbent(
-    candidates: &[&CandidateKernel],
+    candidates: &[CandidateKernel],
     by_members: &HashMap<&[NodeId], usize>,
     space: &StateSpace,
     width: usize,
@@ -394,7 +387,7 @@ mod tests {
     /// The chain-DP as a relaxation over every ordered pair of states:
     /// the definition [`dp_incumbent`] must reproduce.
     fn dp_all_pairs(
-        candidates: &[&CandidateKernel],
+        candidates: &[CandidateKernel],
         by_members: &HashMap<&[NodeId], usize>,
         space: &StateSpace,
     ) -> Option<Vec<bool>> {
@@ -513,15 +506,9 @@ mod tests {
                 let space = enumerate_states(&g, max_states);
                 let cands =
                     identify_kernels(&g, &space, &profiler, &IdentifyConfig::default(), &backends);
-                let candidates = cap_vars(
-                    &cands.kernels,
-                    MAX_BLP_CANDIDATES,
-                    |k| k.members.len() == 1 || k.seeded,
-                    |k| k.latency.0 / k.members.len() as f64,
-                );
-                let by_members = full_output_by_members(&candidates);
-                let fast = dp_incumbent(&candidates, &by_members, &space, g.len());
-                let reference = dp_all_pairs(&candidates, &by_members, &space);
+                let by_members = full_output_by_members(&cands.kernels);
+                let fast = dp_incumbent(&cands.kernels, &by_members, &space, g.len());
+                let reference = dp_all_pairs(&cands.kernels, &by_members, &space);
                 assert_eq!(fast, reference, "seed {seed}, max_states {max_states}");
                 found += usize::from(fast.is_some());
             }

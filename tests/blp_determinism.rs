@@ -14,7 +14,7 @@ use korch::ir::OpGraph;
 use korch::models::subgraphs;
 use korch::orch::{
     enumerate_states, identify_kernels, optimize, IdentifyConfig, OptimizeConfig, Orchestrator,
-    Plan, SolveReport,
+    Plan, SolveReport, DEFAULT_MAX_STATES,
 };
 
 /// What must repeat exactly: the problem size, the search, the plan.
@@ -44,7 +44,7 @@ fn assert_solves_repeat(name: &str, model: &OpGraph) {
     let mut pivots = 0;
     for (i, part) in partition(&prims, 28).unwrap().iter().enumerate() {
         let g = &part.graph;
-        let space = enumerate_states(g, 1_500);
+        let space = enumerate_states(g, DEFAULT_MAX_STATES);
         let cands = identify_kernels(
             g,
             &space,
@@ -93,7 +93,7 @@ fn orchestrate_is_the_per_layer_composition() {
         .prim_graph;
     for (i, part) in partition(&prims, 28).unwrap().iter().enumerate() {
         let g = &part.graph;
-        let space = enumerate_states(g, 1_500);
+        let space = enumerate_states(g, DEFAULT_MAX_STATES);
         let cands = identify_kernels(
             g,
             &space,

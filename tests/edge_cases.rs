@@ -6,7 +6,10 @@ use korch::cost::{Backend, Device, Profiler};
 use korch::exec::execute_plan;
 use korch::fission::fission;
 use korch::ir::{ConstInit, EwFn, LayoutFn, OpGraph, OpKind, PortRef, PrimGraph, PrimKind};
-use korch::orch::{enumerate_states, identify_kernels, optimize, IdentifyConfig, OptimizeConfig};
+use korch::orch::{
+    enumerate_states, identify_kernels, optimize, IdentifyConfig, OptimizeConfig,
+    DEFAULT_MAX_STATES,
+};
 use korch::runtime::RuntimeConfig;
 use korch::tensor::{BinaryOp, Tensor, UnaryOp};
 
@@ -101,7 +104,7 @@ fn trt_backend_orchestrator() {
     // the orchestration steps composed with another backend list.
     let g = korch::models::subgraphs::softmax_attention(64, 32);
     let pg = fission(&g).unwrap().prim_graph;
-    let space = enumerate_states(&pg, 1_500);
+    let space = enumerate_states(&pg, DEFAULT_MAX_STATES);
     let cands = identify_kernels(
         &pg,
         &space,

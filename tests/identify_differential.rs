@@ -3,10 +3,13 @@
 //! exactly what pricing every state pair and every output set from
 //! scratch identifies. `reference_identify` below is that definition:
 //! the pair loop over member-id vectors and one `kernel_spec` per output
-//! set. `identify_kernels` must match it field for field and in order —
-//! the BLP's rows follow candidate order, and a truncated run keeps the
-//! first 50 000 candidates — with latencies and tuning clocks equal to
-//! the bit.
+//! set. `identify_kernels` keeps only the BLP's variables, so the
+//! reference's candidates go through `cap_vars`, the cap's definition as
+//! a stable sort of the whole list. `identify_kernels` must match the capped list field for field and in
+//! order — the BLP's rows follow candidate order, and a truncated run
+//! admits the first 50 000 candidates — with latencies and tuning clocks
+//! equal to the bit, and count as many admitted candidates as the
+//! reference builds.
 
 use korch::core::partition;
 use korch::cost::{kernel_spec, Backend, Device, KernelSpec, Profiler};
@@ -15,7 +18,7 @@ use korch::ir::{NodeId, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch::models::{candy, subgraphs, CandyConfig};
 use korch::orch::{
     backend_applicable, enumerate_states, greedy_seed_groups, identify_kernels, CandidateKernel,
-    Candidates, IdentifyConfig, StateSpace,
+    Candidates, IdentifyConfig, StateSpace, DEFAULT_MAX_STATES,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
@@ -26,6 +29,9 @@ mod common;
 const MAX_KERNEL_PRIMS: usize = 18;
 const MAX_LINEAR_PER_KERNEL: usize = 1;
 const MAX_CANDIDATES: usize = 50_000;
+
+/// The BLP's variable cap.
+const MAX_BLP_CANDIDATES: usize = 220;
 
 /// The backends `Orchestrator` prices on.
 const BACKENDS: [Backend; 2] = [Backend::Generated, Backend::Vendor];
@@ -51,6 +57,7 @@ fn reference_identify(
         tuned: HashSet::new(),
         out: Candidates {
             kernels: Vec::new(),
+            admitted: 0,
             truncated: false,
             seed_selections: Vec::new(),
             tuning_time_s: 0.0,
@@ -215,8 +222,27 @@ impl Reference<'_> {
     }
 }
 
-/// `identify_kernels` against the reference on one graph; returns what
-/// both identified.
+/// The cap as `optimize` applied it: when `items` exceeds `cap`, every
+/// `protected` item in the order given, then the rest by ascending
+/// `efficiency` (a stable sort) up to the cap.
+fn cap_vars<T>(
+    items: &[T],
+    cap: usize,
+    protected: impl Fn(&T) -> bool,
+    efficiency: impl Fn(&T) -> f64,
+) -> Vec<&T> {
+    if items.len() <= cap {
+        return items.iter().collect();
+    }
+    let (mut kept, mut rest): (Vec<&T>, Vec<&T>) = items.iter().partition(|t| protected(t));
+    rest.sort_by(|a, b| efficiency(a).total_cmp(&efficiency(b)));
+    rest.truncate(cap.saturating_sub(kept.len()));
+    kept.append(&mut rest);
+    kept
+}
+
+/// `identify_kernels` against the capped reference on one graph; returns
+/// what `identify_kernels` identified.
 fn assert_identifies_as_reference(
     ctx: &str,
     g: &PrimGraph,
@@ -243,11 +269,18 @@ fn assert_identifies_as_reference(
         reference.tuning_time_s
     );
     assert_eq!(
-        fast.kernels.len(),
+        fast.admitted,
         reference.kernels.len(),
-        "{ctx}: candidate count"
+        "{ctx}: admitted count"
     );
-    for (i, (a, b)) in fast.kernels.iter().zip(&reference.kernels).enumerate() {
+    let capped = cap_vars(
+        &reference.kernels,
+        MAX_BLP_CANDIDATES,
+        |k| k.members.len() == 1 || k.seeded,
+        |k| k.latency.0 / k.members.len() as f64,
+    );
+    assert_eq!(fast.kernels.len(), capped.len(), "{ctx}: candidate count");
+    for (i, (a, b)) in fast.kernels.iter().zip(capped).enumerate() {
         let fields = |k: &CandidateKernel| {
             (
                 k.members.clone(),
@@ -303,7 +336,7 @@ fn model_identifies_as_the_reference(name: &str, model: &OpGraph) -> bool {
     let prims = fission(model).unwrap().prim_graph;
     let mut truncated = false;
     for (i, part) in partition(&prims, 28).unwrap().iter().enumerate() {
-        let space = enumerate_states(&part.graph, 1_500);
+        let space = enumerate_states(&part.graph, DEFAULT_MAX_STATES);
         let ctx = format!("{name} partition {i}");
         let cands =
             assert_identifies_as_reference(&ctx, &part.graph, &space, &IdentifyConfig::default());
