@@ -24,7 +24,7 @@ mod grouping;
 
 pub use grouping::{groups_to_plan, trt_with_fission};
 
-use korch_cost::{Backend, Device, Micros, Profiler};
+use korch_cost::{Backend, Device, Profiler};
 use korch_fission::FissionEngine;
 use korch_ir::{IrError, NodeId, OpGraph, OpKind, PrimGraph};
 use korch_orch::Plan;
@@ -400,24 +400,6 @@ fn dnnfusion_group_of(g: &OpGraph) -> (Vec<Option<usize>>, usize) {
         }
     }
     (group_of, n_groups)
-}
-
-/// Priced kernel statistics of a baseline plan, for the case-study tables.
-#[derive(Debug, Clone)]
-pub struct KernelBreakdown {
-    /// `(member count, latency ms)` per kernel in execution order.
-    pub kernels: Vec<(usize, f64)>,
-}
-
-/// Extracts the per-kernel breakdown of a plan.
-pub fn breakdown(plan: &Plan) -> KernelBreakdown {
-    KernelBreakdown {
-        kernels: plan
-            .kernels
-            .iter()
-            .map(|k| (k.members.len(), Micros(k.latency.0).as_millis()))
-            .collect(),
-    }
 }
 
 #[cfg(test)]

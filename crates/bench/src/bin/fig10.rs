@@ -5,7 +5,7 @@
 //! 1024:1 GEMM layout. Paper: 3.29x for the whole block; the layout-fixed
 //! MatMul alone is 3.52x faster.
 
-use korch_baselines::{breakdown, orchestrate_baseline, Baseline};
+use korch_baselines::{orchestrate_baseline, Baseline};
 use korch_core::{Korch, KorchConfig};
 use korch_cost::{gemm_shape_efficiency, Device, GemmShape};
 use korch_models::subgraphs::efficientvit_attention;
@@ -66,7 +66,8 @@ fn main() {
     println!("\n  GEMM layout effect (cost model): {ratio:.2}x   (paper k5 vs k8: 3.52x)");
 
     println!("\n  TensorRT per-kernel breakdown (members, ms):");
-    for (m, ms) in breakdown(&trt).kernels {
+    for k in &trt.kernels {
+        let (m, ms) = (k.members.len(), k.latency.as_millis());
         println!("    {m:3} prims  {ms:.4} ms");
     }
 }

@@ -4,7 +4,7 @@
 //! elementwise tail with the following ReLU and Pad. Paper: 0.0911 ms vs
 //! 0.0692 ms = 1.32x.
 
-use korch_baselines::{breakdown, orchestrate_baseline, Baseline};
+use korch_baselines::{orchestrate_baseline, Baseline};
 use korch_core::{Korch, KorchConfig};
 use korch_cost::Device;
 use korch_models::subgraphs::instance_norm_block;
@@ -19,7 +19,8 @@ fn main() {
 
     println!("Figure 12: Candy InstanceNorm->ReLU->Pad pattern (V100)\n");
     println!("  TensorRT ({} kernels):", trt.kernel_count());
-    for (i, (m, ms)) in breakdown(&trt).kernels.iter().enumerate() {
+    for (i, k) in trt.kernels.iter().enumerate() {
+        let (m, ms) = (k.members.len(), k.latency.as_millis());
         println!("    k{}: {m:2} prims  {ms:.4} ms", i + 1);
     }
     let a = trt.total_latency.as_millis();

@@ -18,16 +18,14 @@ const INT_TOL: f64 = 1e-6;
 /// and most-fractional branching.
 #[derive(Debug, Clone)]
 pub struct BranchAndBound {
-    /// Maximum number of branch-and-bound nodes before giving up.
+    /// Maximum number of branch-and-bound nodes. A search that runs out
+    /// returns the best incumbent it has (the caller's or a better one),
+    /// and [`BlpError::Limit`] when it has none.
     pub max_nodes: usize,
     /// Warm-start incumbent: a feasible assignment whose objective becomes
     /// the initial upper bound, and the only one the search starts from.
     /// Ignored when its length is wrong or it violates a constraint.
     pub incumbent: Option<Vec<bool>>,
-    /// When the node budget is exhausted, return the best incumbent found
-    /// so far (best-effort mode) instead of [`BlpError::Limit`]. Without
-    /// one the solve still ends in [`BlpError::Limit`].
-    pub best_on_limit: bool,
     /// Relative optimality gap: a node is pruned when its LP bound is
     /// within `rel_gap · |incumbent|` of the incumbent. The default 1e-4
     /// proves optimality to 0.01% — far below the cost model's fidelity —
@@ -40,18 +38,12 @@ impl Default for BranchAndBound {
         Self {
             max_nodes: 200_000,
             incumbent: None,
-            best_on_limit: false,
             rel_gap: 1e-4,
         }
     }
 }
 
 impl BranchAndBound {
-    /// Creates a solver with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn gap(&self, ub: f64) -> f64 {
         (self.rel_gap * ub.abs()).max(1e-9)
     }
@@ -122,7 +114,7 @@ impl Solver for BranchAndBound {
 
         while let Some(Node { bound, fixed, x }) = heap.pop() {
             if nodes >= self.max_nodes {
-                if self.best_on_limit && best.is_some() {
+                if best.is_some() {
                     break;
                 }
                 return Err(BlpError::Limit);
@@ -260,13 +252,12 @@ mod tests {
 
     #[test]
     fn budget_fallback_returns_the_callers_incumbent_or_limit() {
-        // With no node to spend, best-effort mode returns the caller's
-        // incumbent untouched: the solver adds none of its own.
+        // With no node to spend, the solve returns the caller's incumbent
+        // untouched: the solver adds none of its own.
         let p = odd_cycle();
         let spent = |incumbent| {
             BranchAndBound {
                 max_nodes: 0,
-                best_on_limit: true,
                 incumbent,
                 ..Default::default()
             }

@@ -319,32 +319,6 @@ impl<K: NodeKind> Graph<K> {
         }
         Ok((out, remap))
     }
-
-    /// Renders the graph in Graphviz DOT format.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph g {\n  rankdir=TB;\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            s.push_str(&format!("  n{i} [label=\"{}: {}\"];\n", i, n.kind.label()));
-        }
-        for (i, n) in self.nodes.iter().enumerate() {
-            for r in &n.inputs {
-                let meta = &self.nodes[r.node.0].out_metas[r.port];
-                s.push_str(&format!(
-                    "  n{} -> n{i} [label=\"{:?}\"];\n",
-                    r.node.0,
-                    meta.shape()
-                ));
-            }
-        }
-        for (k, o) in self.outputs.iter().enumerate() {
-            s.push_str(&format!(
-                "  out{k} [shape=doublecircle,label=\"out{k}\"];\n"
-            ));
-            s.push_str(&format!("  n{} -> out{k};\n", o.node.0));
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 /// Precomputed transitive reachability matrix (bitset rows).
@@ -521,14 +495,5 @@ mod tests {
             .unwrap();
         g.mark_output(use2).unwrap();
         assert_eq!(g.node(split).out_metas.len(), 3);
-    }
-
-    #[test]
-    fn dot_output_contains_nodes() {
-        let (g, _) = diamond();
-        let dot = g.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("n0 -> n1"));
-        assert!(dot.contains("doublecircle"));
     }
 }

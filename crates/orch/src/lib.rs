@@ -15,19 +15,17 @@
 //!    [`plan_dependencies`] the port-level readiness relation between them
 //!    that the `korch-runtime` executor runs its lanes by.
 //!
-//! The BLP is built in `cover.rs`, over variables that *produce* and
-//! *require* keys: Eq. 3 rows for the keys that must be produced, Eq. 4
-//! rows per variable requirement, the one-kernel-per-key warm start, the
-//! branch-and-bound call and the dependency-respecting kernel order with
-//! singleton deadlock repair. Its variables are the candidates
-//! [`identify_kernels`] keeps: at most 220, unless the singletons and
-//! seeds alone are more. [`optimize`] instantiates it with one key per
-//! primitive and adds its chain-DP / seed warm starts and the
-//! no-redundancy rows. Rows are emitted in a fixed order
-//! (must-produce keys ascending, then variables in candidate order, each
-//! one's requirements ascending) and no hash iteration reaches the solver,
-//! so the same [`Candidates`] always cost the same pivots and yield the
-//! same [`Plan`].
+//! [`optimize`] builds the BLP straight from the candidates, keyed by
+//! primitive: Eq. 3 rows for the primitives that must be produced, Eq. 4
+//! rows per primitive a candidate reads, the one-kernel-per-primitive,
+//! chain-DP and seed warm starts, the branch-and-bound call and the
+//! dependency-respecting kernel order with singleton deadlock repair. Its
+//! variables are the candidates [`identify_kernels`] keeps: at most 220,
+//! unless the singletons and seeds alone are more. Rows are emitted in a
+//! fixed order (must-produce primitives ascending, then candidates in
+//! order, each one's reads ascending) and no hash iteration reaches the
+//! solver, so the same [`Candidates`] always cost the same pivots and
+//! yield the same [`Plan`].
 //!
 //! [`Orchestrator`] bundles the four steps, and
 //! [`Orchestrator::orchestrate_all`] runs them on many graphs at once,
@@ -55,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cover;
 mod kernel;
 mod optimizer;
 mod plan;

@@ -1,15 +1,20 @@
 //! The kernel orchestration optimizer (paper §4.2): the binary linear
-//! program of Eqs. 2–4 over the identified candidate kernels — the
-//! cover problem (`cover.rs`) with one key per primitive — plus the
-//! chain-DP and seed warm starts and the no-redundancy ablation rows.
+//! program of Eqs. 2–4 over the identified candidate kernels, keyed by
+//! primitive, warm-started by the greedy singleton cover, the chain-DP and
+//! the seed selections, with the no-redundancy ablation rows.
+//!
+//! Everything here is a function of the candidates in the order given:
+//! rows are emitted for the must-produce primitives ascending, then per
+//! candidate for its reads ascending, and every table is indexed by
+//! candidate position or `NodeId`. No hash iteration reaches the solver,
+//! so the same candidates take the same pivots every time they are solved.
 
-use crate::cover::{CoverProblem, CoverVar};
-use crate::kernel::{required_outputs, CandidateKernel};
+use crate::kernel::{required_outputs, CandidateKernel, Candidates};
 use crate::plan::Plan;
 use crate::state::{BitSet, StateSpace};
-use korch_blp::Constraint;
+use korch_blp::{BlpError, BlpProblem, BranchAndBound, Constraint, Solver};
 use korch_ir::{NodeId, PrimGraph};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -80,8 +85,15 @@ pub struct SolveReport {
 }
 
 /// Builds and solves the kernel orchestration BLP, returning an executable
-/// [`Plan`]: the cover problem (`cover.rs`) keyed by primitive, warm-started
-/// by the chain-DP and greedy-fusion seed incumbents.
+/// [`Plan`]. One variable per candidate, costed by its latency (Eq. 2);
+/// every graph output is produced by a selected kernel (Eq. 3) and every
+/// primitive a selected kernel reads is produced by another (Eq. 4).
+///
+/// Branch and bound starts from the cheapest feasible of the greedy
+/// singleton cover, the chain-DP over `space` and the greedy-fusion seed
+/// selections, the first on ties; when it exhausts
+/// [`OptimizeConfig::solver_max_nodes`] it returns that incumbent or a
+/// better one it found. The selection is then ordered wave by wave.
 ///
 /// Every kernel in `cands` is a variable: `optimize` solves over what it is
 /// given. [`identify_kernels`](crate::identify_kernels) hands it at most
@@ -92,33 +104,28 @@ pub struct SolveReport {
 /// See [`OrchError`].
 pub fn optimize(
     g: &PrimGraph,
-    cands: &crate::kernel::Candidates,
+    cands: &Candidates,
     space: Option<&StateSpace>,
     config: &OptimizeConfig,
 ) -> Result<(Plan, SolveReport), OrchError> {
     let candidates = &cands.kernels;
     let n = candidates.len();
-    let vars = candidates
-        .iter()
-        .map(|k| CoverVar {
-            produces: k.output_nodes.clone(),
-            requires: k.external_inputs(g),
-            cost: k.latency.0,
-            singleton: k.members.len() == 1,
-        })
-        .collect();
-    let mut problem = CoverProblem::new(vars, required_outputs(g).collect())?;
+    let cover = Cover::new(g, candidates);
+    let mut must: Vec<NodeId> = required_outputs(g).collect();
+    must.sort_unstable();
+    must.dedup();
+    let mut problem = cover.problem(&must)?;
 
     // Optional disjointness (no-redundancy ablation): each primitive is
     // *executed* by at most one selected kernel.
     if !config.allow_redundancy {
-        let mut executed_by: BTreeMap<NodeId, Vec<(usize, f64)>> = BTreeMap::new();
+        let mut executed_by: Vec<Vec<(usize, f64)>> = vec![Vec::new(); g.len()];
         for (i, k) in candidates.iter().enumerate() {
             for &m in &k.members {
-                executed_by.entry(m).or_default().push((i, 1.0));
+                executed_by[m.0].push((i, 1.0));
             }
         }
-        for ks in executed_by.into_values().filter(|ks| ks.len() > 1) {
+        for ks in executed_by.into_iter().filter(|ks| ks.len() > 1) {
             problem.add(Constraint::le(ks, 1.0));
         }
     }
@@ -138,15 +145,193 @@ pub fn optimize(
         }
         Some(values)
     });
-    let warm_starts = dp.into_iter().chain(seeds).collect();
+    let incumbent = (cover.greedy(&must).into_iter().chain(dp).chain(seeds))
+        .filter(|v| problem.feasible(v))
+        .min_by(|a, b| problem.objective_of(a).total_cmp(&problem.objective_of(b)));
+    let warm_objective_us = incumbent
+        .as_ref()
+        .map_or(f64::NAN, |v| problem.objective_of(v));
 
-    let solution = problem.solve(warm_starts, config.solver_max_nodes)?;
-    let plan = Plan::from_kernels(solution.order.iter().map(|&i| candidates[i].selected()));
+    let solver = BranchAndBound {
+        max_nodes: config.solver_max_nodes,
+        rel_gap: 2e-2, // 2%: below the cost model's own fidelity
+        incumbent,
+    };
+    let solution = solver.solve(&problem).map_err(|e| match e {
+        BlpError::Infeasible => OrchError::Infeasible("BLP has no 0/1 solution".into()),
+        BlpError::Limit => OrchError::SolverBudget,
+    })?;
+    let selected: Vec<usize> = (0..n).filter(|&i| solution.values[i]).collect();
+    let order = cover.order(&selected)?;
+    let plan = Plan::from_kernels(order.iter().map(|&i| candidates[i].selected()));
     let report = SolveReport {
+        num_candidates: n,
         tuning_time_s: candidates.iter().map(|k| k.tuning_s).sum(),
-        ..solution.report
+        num_constraints: problem.constraints.len(),
+        solver_nodes: solution.stats.nodes,
+        solver_pivots: solution.stats.pivots,
+        solver_lp_solves: solution.stats.lp_solves,
+        warm_objective_us,
     };
     Ok((plan, report))
+}
+
+/// The candidates seen through the primitives they produce and read,
+/// with per-primitive tables indexed by `NodeId`.
+struct Cover<'a> {
+    kernels: &'a [CandidateKernel],
+    /// Per candidate: the primitives it reads (`external_inputs`).
+    reads: Vec<Vec<NodeId>>,
+    /// Per primitive: the candidates that produce it, in candidate order.
+    producers: Vec<Vec<usize>>,
+    /// Per primitive: its cheapest singleton candidate, the first on ties.
+    /// A singleton may stand in for its primitive in the greedy cover and
+    /// in deadlock repair.
+    singleton: Vec<Option<usize>>,
+}
+
+impl<'a> Cover<'a> {
+    fn new(g: &PrimGraph, kernels: &'a [CandidateKernel]) -> Self {
+        let mut producers = vec![Vec::new(); g.len()];
+        let mut singleton: Vec<Option<usize>> = vec![None; g.len()];
+        for (i, k) in kernels.iter().enumerate() {
+            for &p in &k.output_nodes {
+                producers[p.0].push(i);
+                if k.members.len() == 1 {
+                    let best = singleton[p.0].get_or_insert(i);
+                    if k.latency.0 < kernels[*best].latency.0 {
+                        *best = i;
+                    }
+                }
+            }
+        }
+        Self {
+            kernels,
+            reads: kernels.iter().map(|k| k.external_inputs(g)).collect(),
+            producers,
+            singleton,
+        }
+    }
+
+    /// The BLP of Eqs. 2–4: the Eq. 3 row of every primitive in `must`
+    /// (ascending), then the Eq. 4 rows of every candidate's reads.
+    ///
+    /// # Errors
+    ///
+    /// [`OrchError::Infeasible`] when no candidate produces a primitive
+    /// that `must` or some candidate needs.
+    fn problem(&self, must: &[NodeId]) -> Result<BlpProblem, OrchError> {
+        let producers_of = |p: NodeId| match self.producers[p.0].as_slice() {
+            [] => Err(OrchError::Infeasible(format!(
+                "{p:?} is needed but no candidate materializes it"
+            ))),
+            ps => Ok(ps),
+        };
+        let mut problem = BlpProblem::minimize(self.kernels.iter().map(|k| k.latency.0).collect());
+        // Output constraints (Eq. 3): every must-produce primitive is
+        // materialized by at least one selected kernel.
+        for &p in must {
+            let row = producers_of(p)?.iter().map(|&c| (c, 1.0)).collect();
+            problem.add(Constraint::ge(row, 1.0));
+        }
+        // Dependency constraints (Eq. 4): a kernel can run only if each
+        // primitive it reads is materialized by some selected kernel.
+        for (i, reads) in self.reads.iter().enumerate() {
+            for &p in reads {
+                let ps = producers_of(p)?;
+                if ps.contains(&i) {
+                    continue; // the kernel produces the read itself: vacuous
+                }
+                let mut row: Vec<(usize, f64)> = ps.iter().map(|&c| (c, 1.0)).collect();
+                row.push((i, -1.0));
+                problem.add(Constraint::ge(row, 0.0));
+            }
+        }
+        Ok(problem)
+    }
+
+    /// Makes `p` available through its cheapest singleton, after the
+    /// singletons that one's own reads need. Terminates because singleton
+    /// reads follow the primitive graph's topological order.
+    fn make_available(
+        &self,
+        p: NodeId,
+        available: &mut [bool],
+        ordered: &mut Vec<usize>,
+    ) -> Result<(), OrchError> {
+        if available[p.0] {
+            return Ok(());
+        }
+        let i = self.singleton[p.0].ok_or(OrchError::Unschedulable)?;
+        for &r in &self.reads[i] {
+            self.make_available(r, available, ordered)?;
+        }
+        ordered.push(i);
+        for &o in &self.kernels[i].output_nodes {
+            available[o.0] = true;
+        }
+        Ok(())
+    }
+
+    /// The "one kernel per primitive" warm start: every primitive in
+    /// `must` and everything it transitively reads, each by its cheapest
+    /// singleton. Feasible whenever the singletons exist.
+    fn greedy(&self, must: &[NodeId]) -> Option<Vec<bool>> {
+        let mut available = vec![false; self.producers.len()];
+        let mut chosen = Vec::new();
+        for &p in must {
+            self.make_available(p, &mut available, &mut chosen).ok()?;
+        }
+        let mut values = vec![false; self.kernels.len()];
+        for i in chosen {
+            values[i] = true;
+        }
+        Some(values)
+    }
+
+    /// Orders the selected kernels so each runs after the kernels that
+    /// materialize what it reads (paper §5.3: sequential execution), wave
+    /// by wave.
+    ///
+    /// Eqs. 3–4 do not rule out *mutual* waits between interleaved convex
+    /// kernels (A outputs what B reads while B outputs what A reads). Such
+    /// deadlocks are rare; they are repaired by running singletons for the
+    /// unmet reads of the kernel with the fewest of them.
+    fn order(&self, selected: &[usize]) -> Result<Vec<usize>, OrchError> {
+        let mut available = vec![false; self.producers.len()];
+        let mut remaining = selected.to_vec();
+        let mut ordered = Vec::with_capacity(selected.len());
+        let unmet = |i: usize, available: &[bool]| -> Vec<NodeId> {
+            let reads = self.reads[i].iter();
+            reads.filter(|p| !available[p.0]).copied().collect()
+        };
+        while !remaining.is_empty() {
+            let wave_start = ordered.len();
+            remaining.retain(|&i| {
+                let ready = unmet(i, &available).is_empty();
+                if ready {
+                    ordered.push(i);
+                }
+                !ready
+            });
+            if ordered.len() > wave_start {
+                for &i in &ordered[wave_start..] {
+                    for &o in &self.kernels[i].output_nodes {
+                        available[o.0] = true;
+                    }
+                }
+            } else {
+                let blocked = remaining.iter().map(|&i| unmet(i, &available));
+                let fewest = blocked
+                    .min_by_key(Vec::len)
+                    .ok_or(OrchError::Unschedulable)?;
+                for p in fewest {
+                    self.make_available(p, &mut available, &mut ordered)?;
+                }
+            }
+        }
+        Ok(ordered)
+    }
 }
 
 /// Cheapest full-output candidate per member set: what the chain-DP edges
@@ -233,7 +418,7 @@ mod tests {
     use super::*;
     use crate::kernel::{identify_kernels, IdentifyConfig};
     use crate::state::enumerate_states;
-    use korch_cost::{Backend, Device, Profiler};
+    use korch_cost::{Backend, Device, KernelSpec, Micros, Profiler};
     use korch_ir::{EwFn, LinearFn, PrimKind};
     use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, UnaryOp};
     use std::collections::HashSet;
@@ -524,5 +709,127 @@ mod tests {
         let (plan, _) = run(&g, &OptimizeConfig::default());
         let sum: f64 = plan.kernels.iter().map(|k| k.latency.0).sum();
         assert!((plan.total_latency.0 - sum).abs() < 1e-9);
+    }
+
+    /// Node 0 is an input and node `i + 1` is `exp(node reads[i])`;
+    /// `outputs` are marked.
+    fn exps(reads: &[usize], outputs: &[usize]) -> PrimGraph {
+        let mut g = PrimGraph::new();
+        g.add(PrimKind::Input { shape: vec![8, 8] }, vec![])
+            .unwrap();
+        for &r in reads {
+            let exp = PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp));
+            g.add(exp, vec![NodeId(r).into()]).unwrap();
+        }
+        for &o in outputs {
+            g.mark_output(NodeId(o)).unwrap();
+        }
+        g
+    }
+
+    /// A full-output candidate executing `members`, materializing
+    /// `outputs`, at `cost` µs.
+    fn cand(members: &[usize], outputs: &[usize], cost: f64) -> CandidateKernel {
+        CandidateKernel {
+            members: members.iter().map(|&m| NodeId(m)).collect(),
+            full_output: true,
+            seeded: false,
+            output_nodes: outputs.iter().map(|&o| NodeId(o)).collect(),
+            outputs: outputs.iter().map(|&o| NodeId(o).into()).collect(),
+            spec: KernelSpec {
+                n_prims: members.len(),
+                input_bytes: 0,
+                output_bytes: 0,
+                pointwise_flops: 0,
+                linear: vec![],
+                passes: 1,
+                pattern_classes: 1,
+                has_opaque: false,
+            },
+            backend: Backend::Generated,
+            latency: Micros(cost),
+            tuning_s: 0.0,
+        }
+    }
+
+    fn candidates(kernels: Vec<CandidateKernel>, seeds: &[&[&[usize]]]) -> Candidates {
+        let ids = |members: &[usize]| members.iter().map(|&m| NodeId(m)).collect();
+        Candidates {
+            admitted: kernels.len(),
+            kernels,
+            truncated: false,
+            seed_selections: seeds
+                .iter()
+                .map(|s| s.iter().map(|m| ids(m)).collect())
+                .collect(),
+            tuning_time_s: 0.0,
+            quick_pruned: 0,
+        }
+    }
+
+    #[test]
+    fn rows_follow_outputs_then_candidate_reads() {
+        // x -> 1 -> 2 -> 3 as singletons plus one fusion of {2, 3}.
+        let g = exps(&[0, 1, 2], &[3]);
+        let kernels = |fused: f64| {
+            vec![
+                cand(&[3], &[3], 1.0),
+                cand(&[1], &[1], 1.0),
+                cand(&[2], &[2], 1.0),
+                cand(&[2, 3], &[3], fused),
+            ]
+        };
+        let ks = kernels(1.5);
+        let problem = Cover::new(&g, &ks).problem(&[NodeId(3)]).unwrap();
+        let rows: Vec<_> = problem.constraints.iter().map(|c| &c.coeffs).collect();
+        assert_eq!(
+            rows,
+            [
+                &vec![(0, 1.0), (3, 1.0)],  // Eq. 3: primitive 3
+                &vec![(2, 1.0), (0, -1.0)], // Eq. 4: candidate 0 reads 2
+                &vec![(1, 1.0), (2, -1.0)], // candidate 2 reads 1
+                &vec![(1, 1.0), (3, -1.0)], // candidate 3 reads 1
+            ]
+        );
+        // The warm start the search begins from is the cheaper of the
+        // greedy singletons (3.0) and the seed selection {1}, {2, 3}.
+        for (fused, warm) in [(1.5, 2.5), (2.5, 3.0)] {
+            let cands = candidates(kernels(fused), &[&[&[1], &[2, 3]]]);
+            let (plan, report) = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap();
+            assert_eq!(report.warm_objective_us, warm, "fused at {fused}");
+            assert_eq!(report.num_constraints, 4);
+            assert!(plan.total_latency.0 <= warm);
+        }
+        let cands = candidates(kernels(1.5), &[&[&[1], &[2, 3]]]);
+        let (plan, _) = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap();
+        let members: Vec<_> = plan.kernels.iter().map(|k| k.members.clone()).collect();
+        assert_eq!(members, [vec![NodeId(1)], vec![NodeId(2), NodeId(3)]]);
+    }
+
+    #[test]
+    fn mutual_wait_is_repaired_with_singletons() {
+        // 1 and 2 read the input, 3 reads 2 and 4 reads 1. Candidate 0
+        // executes {1, 3}, outputs 1 and reads 2; candidate 1 executes
+        // {2, 4}, outputs 2 and reads 1: each waits for the other.
+        // Singletons 2 and 3 (reading nothing) break the cycle.
+        let g = exps(&[0, 0, 2, 1], &[3, 4]);
+        let pair = vec![cand(&[1, 3], &[1], 1.0), cand(&[2, 4], &[2], 1.0)];
+        let mut kernels = pair.clone();
+        kernels.extend([cand(&[1], &[1], 5.0), cand(&[2], &[2], 4.0)]);
+        assert_eq!(Cover::new(&g, &kernels).order(&[0, 1]).unwrap(), [3, 0, 1]);
+        // Without singletons the pair cannot be ordered at all.
+        let err = Cover::new(&g, &pair).order(&[0, 1]).unwrap_err();
+        assert_eq!(err, OrchError::Unschedulable);
+    }
+
+    #[test]
+    fn unproduced_outputs_and_reads_are_infeasible() {
+        // x -> 1 -> 2; the output 2 or the read 1 has no producer.
+        let g = exps(&[0, 1], &[2]);
+        for kernel in [cand(&[1], &[1], 1.0), cand(&[2], &[2], 1.0)] {
+            let cands = candidates(vec![kernel], &[]);
+            let err = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap_err();
+            assert!(matches!(err, OrchError::Infeasible(_)), "{err:?}");
+        }
     }
 }

@@ -28,8 +28,7 @@
 //!   B/E pairs, monotone timestamps, tile spans contained in their parent
 //!   kernel spans) using the bundled dependency-free [`json`] parser.
 //!   [`MetricsRegistry::snapshot`] produces the [`MetricsSnapshot`] that
-//!   `ServerStats` embeds and a future HTTP `/stats` endpoint can serve
-//!   verbatim via [`MetricsSnapshot::to_json`].
+//!   `ServerStats` embeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -221,8 +221,7 @@ impl MetricsRegistry {
 }
 
 /// Point-in-time copy of a [`MetricsRegistry`], name-sorted so snapshots
-/// compare and serialize deterministically. This is the payload
-/// `ServerStats` embeds and a `/stats` endpoint serves verbatim.
+/// compare deterministically. This is the payload `ServerStats` embeds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter.
@@ -253,43 +252,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v)
-    }
-
-    /// Render as a deterministic JSON object (hand-rolled — the build
-    /// container has no crates.io access).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            write!(out, "{sep} \"{}\": {v}", crate::json::escape(n)).unwrap();
-        }
-        out.push_str(" },\n  \"gauges\": {");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            write!(out, "{sep} \"{}\": {v}", crate::json::escape(n)).unwrap();
-        }
-        out.push_str(" },\n  \"histograms\": {");
-        for (i, (n, h)) in self.histograms.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            write!(
-                out,
-                "{sep} \"{}\": {{ \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                crate::json::escape(n),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-            )
-            .unwrap();
-            for (j, (upper, n)) in h.buckets.iter().enumerate() {
-                let sep = if j == 0 { "" } else { ", " };
-                write!(out, "{sep}[{upper}, {n}]").unwrap();
-            }
-            out.push_str("] }");
-        }
-        out.push_str(" }\n}\n");
-        out
     }
 }
 
@@ -338,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_name_sorted_and_json_parses() {
+    fn snapshot_is_name_sorted() {
         let reg = MetricsRegistry::new();
         reg.counter("zeta").add(2);
         reg.counter("alpha").add(1);
@@ -351,11 +313,6 @@ mod tests {
         assert_eq!(snap.gauge("mid"), Some(-5));
         assert_eq!(snap.histogram("h").unwrap().count, 1);
         assert_eq!(snap.counter("missing"), None);
-        let parsed = crate::json::parse(&snap.to_json()).expect("valid json");
-        let counters = parsed.get("counters").expect("counters object");
-        assert_eq!(counters.get("zeta").and_then(|v| v.as_f64()), Some(2.0));
-        let h = parsed.get("histograms").and_then(|v| v.get("h")).unwrap();
-        assert_eq!(h.get("count").and_then(|v| v.as_f64()), Some(1.0));
     }
 
     #[test]

@@ -33,8 +33,8 @@ mod search;
 
 pub use rewrite::Rewrite;
 pub use rules::{
-    default_rules, rules_preserve_outputs, DivMatMulReorder, FoldTransposeIntoMatMul,
-    MergeSharedMatMuls, ReduceToMatMul, Rule,
+    default_rules, DivMatMulReorder, FoldTransposeIntoMatMul, MergeSharedMatMuls, ReduceToMatMul,
+    Rule,
 };
 pub use rules_extra::{ComposeReshapes, ComposeTransposes, MergeSharedRhsMatMuls};
-pub use search::{heuristic_cost, optimize_graph, optimize_graph_with_rules, SearchConfig};
+pub use search::{heuristic_cost, optimize_graph, SearchConfig};

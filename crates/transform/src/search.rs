@@ -8,7 +8,7 @@
 //! happens downstream: `korch-core` orchestrates the top variants and keeps
 //! the plan with the lowest profiled latency.
 
-use crate::rules::{default_rules, Rule};
+use crate::rules::default_rules;
 use korch_ir::{PrimGraph, PrimKind};
 use std::collections::HashSet;
 
@@ -55,15 +55,7 @@ pub fn heuristic_cost(g: &PrimGraph) -> f64 {
 /// Runs the bounded search, returning deduplicated variants (original
 /// first), ordered by [`heuristic_cost`].
 pub fn optimize_graph(g: &PrimGraph, config: &SearchConfig) -> Vec<PrimGraph> {
-    optimize_graph_with_rules(g, config, &default_rules())
-}
-
-/// [`optimize_graph`] with an explicit rule set.
-pub fn optimize_graph_with_rules(
-    g: &PrimGraph,
-    config: &SearchConfig,
-    rules: &[Box<dyn Rule>],
-) -> Vec<PrimGraph> {
+    let rules = default_rules();
     let mut seen: HashSet<u64> = HashSet::new();
     seen.insert(g.fingerprint());
     let mut all: Vec<PrimGraph> = vec![g.clone()];
@@ -71,7 +63,7 @@ pub fn optimize_graph_with_rules(
     for _ in 0..config.max_depth {
         let mut next: Vec<PrimGraph> = Vec::new();
         for graph in &frontier {
-            for rule in rules {
+            for rule in &rules {
                 for variant in rule.apply_all(graph) {
                     if seen.insert(variant.fingerprint()) {
                         next.push(variant);

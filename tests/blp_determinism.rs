@@ -35,7 +35,7 @@ fn assert_solves_repeat(name: &str, model: &OpGraph) {
     // Repeatability does not need the search finished: a hundred nodes
     // re-bound one dictionary a few hundred times and rebuild it a few
     // dozen, which is simplex work enough to differ when rows are
-    // reordered; best-effort returns what the budget found.
+    // reordered; a solve out of nodes returns its incumbent.
     let config = OptimizeConfig {
         solver_max_nodes: 96,
         ..OptimizeConfig::default()
