@@ -57,7 +57,8 @@ pub trait Solver {
     ///
     /// Returns [`BlpError::Infeasible`] when no 0/1 assignment satisfies the
     /// constraints, or [`BlpError::Limit`] when the configured node/iteration
-    /// budget is exhausted before optimality is proven.
+    /// budget is exhausted before optimality is proven ([`BranchAndBound`]
+    /// returns its incumbent instead when it has one).
     fn solve(&self, problem: &BlpProblem) -> Result<BlpSolution, BlpError>;
 }
 
