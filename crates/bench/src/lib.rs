@@ -1,7 +1,7 @@
 //! Benchmark harnesses regenerating every table and figure of the paper's
 //! evaluation. Shared reporting helpers live here; each figure or table has
-//! a binary under `src/bin/` named after it (`fig4` … `fig13`, `table2`,
-//! `table3`), whose module doc says what it reproduces.
+//! a binary under `src/bin/` named after it (`fig4` … `fig13`,
+//! `table2`), whose module doc says what it reproduces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

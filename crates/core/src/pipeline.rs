@@ -111,8 +111,11 @@ pub struct PipelineStats {
     /// profiled + fed to the BLP, across all partitions (Table 2
     /// "# Candidate Kernels"; the paper likewise counts post-rejection).
     pub candidate_kernels: usize,
-    /// Simulated tuning time in seconds; partition-cache hits reuse the
-    /// database and are not re-tuned (Table 2 "Tuning Time").
+    /// Simulated tuning time in seconds, the one tuning clock: each
+    /// orchestrated graph charges every distinct `(spec, backend)` among
+    /// its BLP variables once (see [`korch_orch::SolveReport`]), and
+    /// partition-cache hits reuse the database and are not re-tuned
+    /// (Table 2 "Tuning Time").
     pub tuning_time_s: f64,
     /// Number of partitions.
     pub partitions: usize,
@@ -120,13 +123,6 @@ pub struct PipelineStats {
     pub cache_hits: usize,
     /// Execution states across all orchestrated graphs.
     pub states: usize,
-    /// Candidates discarded untuned by the quick cost bound (§8 study;
-    /// 0 unless `IdentifyConfig::quick_prune` is on).
-    pub quick_pruned: usize,
-    /// Identification-stage tuning clock: every database-distinct candidate
-    /// that was profiled, including ones later rejected (the §8 study's
-    /// denominator; `tuning_time_s` counts only BLP-fed candidates).
-    pub profile_tuning_s: f64,
     /// Per-category primitive counts.
     pub prim_stats: PrimStats,
 }
@@ -253,10 +249,19 @@ impl Optimized {
     ///
     /// # Errors
     ///
-    /// Returns [`KorchError::Exec`] on execution failures.
+    /// Returns [`KorchError::Exec`] on execution failures and when the
+    /// program returns another number of outputs, or another shape, than
+    /// the reference.
     pub fn verify(&self, op_graph: &OpGraph, inputs: &[Tensor]) -> Result<f32, KorchError> {
         let reference = execute_ops(op_graph, inputs)?;
         let optimized = self.execute(inputs)?;
+        if optimized.len() != reference.len() {
+            return Err(KorchError::Exec(ExecError::Input(format!(
+                "program returns {} outputs, the reference {}",
+                optimized.len(),
+                reference.len()
+            ))));
+        }
         let mut max_err = 0f32;
         for (a, b) in reference.iter().zip(&optimized) {
             max_err = max_err.max(a.max_abs_diff(b).map_err(|e| {
@@ -275,12 +280,10 @@ struct PartitionRecord {
     plan: Plan,
     candidates: usize,
     states: usize,
-    /// Tuning clocks and quick-pruned counts summed over *every*
-    /// orchestrated variant, so Table 2 / Table 3 accounting reflects all
-    /// work done, independent of which variant wins.
+    /// Tuning time summed over *every* orchestrated variant, so Table 2
+    /// accounting reflects all work done, independent of which variant
+    /// wins.
     tuning_time_s: f64,
-    profile_tuning_s: f64,
-    quick_pruned: usize,
 }
 
 /// Folds one partition's orchestrated variants (the original partition
@@ -296,8 +299,6 @@ fn optimize_partition(
 ) -> Result<PartitionRecord, KorchError> {
     let mut best: Option<(PrimGraph, Orchestration)> = None;
     let mut tuning_time_s = 0.0;
-    let mut profile_tuning_s = 0.0;
-    let mut quick_pruned = 0usize;
     for (variant, result) in variants.into_iter().zip(results) {
         let orch = match result {
             Ok(o) => o,
@@ -305,8 +306,6 @@ fn optimize_partition(
             Err(e) => return Err(e.into()),
         };
         tuning_time_s += orch.report.tuning_time_s;
-        profile_tuning_s += orch.profile_tuning_s;
-        quick_pruned += orch.quick_pruned;
         let better = best
             .as_ref()
             .is_none_or(|(_, b)| orch.plan.total_latency.0 < b.plan.total_latency.0);
@@ -325,8 +324,6 @@ fn optimize_partition(
         candidates: orch.report.num_candidates,
         states: orch.num_states,
         tuning_time_s,
-        profile_tuning_s,
-        quick_pruned,
     })
 }
 
@@ -449,8 +446,6 @@ impl Korch {
             } else {
                 charged += 1;
                 stats.tuning_time_s += rec.tuning_time_s;
-                stats.quick_pruned += rec.quick_pruned;
-                stats.profile_tuning_s += rec.profile_tuning_s;
             }
             stats.candidate_kernels += rec.candidates;
             stats.states += rec.states;
@@ -702,6 +697,48 @@ mod tests {
     }
 
     #[test]
+    fn verify_rejects_a_missing_output() {
+        // x -> relu and x -> tanh are the reference's two outputs; the
+        // program computes relu alone.
+        let mut g = OpGraph::new();
+        let x = g.add(OpKind::Input { shape: vec![8] }, vec![]).unwrap();
+        let relu = g.add(OpKind::Unary(UnaryOp::Relu), vec![x.into()]).unwrap();
+        let tanh = g.add(OpKind::Unary(UnaryOp::Tanh), vec![x.into()]).unwrap();
+        g.mark_output(relu).unwrap();
+        let mut part = PrimGraph::new();
+        let input = part
+            .add(PrimKind::Input { shape: vec![8] }, vec![])
+            .unwrap();
+        let ew = korch_ir::EwFn::Unary(UnaryOp::Relu);
+        let y = part
+            .add(PrimKind::Elementwise(ew), vec![input.into()])
+            .unwrap();
+        part.mark_output(y).unwrap();
+        let plan = Orchestrator::new(Device::v100())
+            .orchestrate(&part)
+            .unwrap()
+            .plan;
+        let outer = |node| PortRef::from(korch_ir::NodeId(node));
+        let part = Partition {
+            graph: part,
+            inputs: vec![outer(0)],
+            outputs: vec![outer(1)],
+        };
+        let program = Optimized::assemble(
+            vec![OptimizedPartition { part, plan }],
+            vec![outer(0)],
+            vec![outer(1)],
+        );
+        let inputs = [Tensor::random(vec![8], 3)];
+        assert_eq!(program.verify(&g, &inputs).unwrap(), 0.0);
+        g.mark_output(tanh).unwrap();
+        assert!(matches!(
+            program.verify(&g, &inputs),
+            Err(KorchError::Exec(ExecError::Input(_)))
+        ));
+    }
+
+    #[test]
     fn wrong_input_arity_rejected() {
         let korch = Korch::new(Device::v100(), KorchConfig::default());
         let g = small_model();
@@ -718,8 +755,8 @@ mod tests {
         g
     }
 
-    /// An orchestration whose plan costs `us` and whose BLP-fed and
-    /// identification tuning clocks are `tuning_s` and ten times that.
+    /// An orchestration whose plan costs `us` and whose tuning clock reads
+    /// `tuning_s`.
     fn solved(us: f64, tuning_s: f64) -> Result<Orchestration, OrchError> {
         Ok(Orchestration {
             plan: Plan {
@@ -727,8 +764,6 @@ mod tests {
                 total_latency: Micros(us),
             },
             num_states: 1,
-            profile_tuning_s: 10.0 * tuning_s,
-            quick_pruned: 1,
             report: korch_orch::SolveReport {
                 tuning_time_s: tuning_s,
                 ..Default::default()
@@ -752,8 +787,7 @@ mod tests {
         // Every orchestrated variant is charged, the winner carries the sums.
         let rec = fold(vec![solved(9.0, 1.0), infeasible(), solved(8.0, 2.0)]).unwrap();
         assert_eq!(rec.variant.len(), 3);
-        assert_eq!((rec.tuning_time_s, rec.profile_tuning_s), (3.0, 30.0));
-        assert_eq!(rec.quick_pruned, 2);
+        assert_eq!(rec.tuning_time_s, 3.0);
     }
 
     #[test]

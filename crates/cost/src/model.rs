@@ -247,35 +247,6 @@ impl Profiler {
         Micros(self.launch_us() + t_mem.max(t_compute) * cf)
     }
 
-    /// Optimistic latency lower bound, computable *without* tuning the
-    /// kernel (the paper's §8 "lightweight cost model to quickly discard
-    /// inefficient candidates"). For every backend `b`,
-    /// `quick_latency(spec) <= latency(spec, b)`: the bound assumes the best
-    /// achievable bandwidth efficiency, no pattern-interleaving derate, no
-    /// over-fusion cliff, and peak vendor GEMM efficiency — so discarding a
-    /// candidate whose *bound* already loses is always sound.
-    pub fn quick_latency(&self, spec: &KernelSpec) -> Micros {
-        if spec.has_opaque {
-            return self.opaque_latency(spec);
-        }
-        // Each component carries the same calibration factor as the real
-        // model, so the bound survives calibration unchanged.
-        let t_mem = spec.bytes_moved() as f64 / (self.device.mem_bw_gbps * MEM_EFFICIENCY * 1000.0)
-            * self.calibration.memory_scale;
-        let mut t_compute = spec.pointwise_flops as f64 / (self.device.fp32_tflops * 0.5 * 1e6);
-        let peak = self.device.linear_peak_tflops();
-        for g in &spec.linear {
-            // Best case across backends: vendor-grade base efficiency.
-            let eff = 0.85 * gemm_shape_efficiency(*g);
-            t_compute += g.flops() as f64 / (peak * eff * 1e6);
-        }
-        t_compute *= self.calibration.compute_scale;
-        // The class refinement multiplies the whole body in `latency` as
-        // well, so the bound survives per-class calibration unchanged.
-        let cf = self.calibration.class_factor(spec.class());
-        Micros(self.launch_us() + t_mem.max(t_compute) * cf)
-    }
-
     /// Per-kernel launch plus host dispatch overhead — the same for every
     /// backend: all three runtimes launch pre-compiled kernels from a
     /// compiled engine (paper §5.3 stitches Korch's kernels the same way).
@@ -535,46 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn quick_latency_lower_bounds_every_backend() {
-        let p = Profiler::new(Device::v100());
-        let specs = [
-            mem_spec(1 << 20, 1 << 20),
-            KernelSpec {
-                pattern_classes: 3,
-                ..mem_spec(256 << 20, 256 << 20)
-            },
-            KernelSpec {
-                linear: vec![GemmShape {
-                    batch: 1,
-                    m: 1024,
-                    n: 1,
-                    k: 1024,
-                    mr_rows: 1024,
-                }],
-                ..mem_spec(4 << 20, 4 << 10)
-            },
-            KernelSpec {
-                has_opaque: true,
-                ..mem_spec(1 << 18, 1 << 18)
-            },
-            KernelSpec {
-                passes: 3,
-                ..mem_spec(8 << 20, 8 << 20)
-            },
-        ];
-        for spec in &specs {
-            let bound = p.quick_latency(spec).0;
-            for b in [Backend::Generated, Backend::Vendor, Backend::TrtRuntime] {
-                assert!(
-                    bound <= p.latency(spec, b).0 + 1e-12,
-                    "bound {bound} above {b:?} latency {} for {spec:?}",
-                    p.latency(spec, b).0
-                );
-            }
-        }
-    }
-
-    #[test]
     fn calibration_fit_recovers_per_class_scales() {
         // Synthesize measurements from a "host" that is 3x slower on
         // memory-bound kernels and 0.5x on compute-bound ones; the fit must
@@ -697,48 +628,8 @@ mod tests {
     }
 
     #[test]
-    fn quick_latency_bound_survives_calibration() {
-        let p = Profiler::new(Device::v100()).with_calibration(Calibration {
-            memory_scale: 2.5,
-            compute_scale: 0.4,
-            class_scales: vec![
-                (KernelClass::GemmBlocked, 0.5),
-                (KernelClass::GemmSkinny, 1.4),
-                (KernelClass::Memory, 0.9),
-            ],
-        });
-        let specs = [
-            mem_spec(1 << 20, 1 << 20),
-            KernelSpec {
-                linear: vec![GemmShape {
-                    batch: 1,
-                    m: 1024,
-                    n: 1,
-                    k: 1024,
-                    mr_rows: 1024,
-                }],
-                ..mem_spec(4 << 20, 4 << 10)
-            },
-            KernelSpec {
-                has_opaque: true,
-                ..mem_spec(1 << 18, 1 << 18)
-            },
-        ];
-        for spec in &specs {
-            let bound = p.quick_latency(spec).0;
-            for b in [Backend::Generated, Backend::Vendor, Backend::TrtRuntime] {
-                assert!(
-                    bound <= p.latency(spec, b).0 + 1e-12,
-                    "calibrated bound {bound} above {b:?} latency {}",
-                    p.latency(spec, b).0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn latency_and_quick_bound_match_recorded_bits() {
-        // Recorded bit patterns of `latency` and `quick_latency`, calibrated
+    fn latency_matches_recorded_bits() {
+        // Recorded bit patterns of `latency`, calibrated
         // so every scale is exercised: a refactor of the model must return
         // exactly these, not merely something close.
         let p = Profiler::new(Device::v100()).with_calibration(Calibration {
@@ -768,27 +659,24 @@ mod tests {
             has_opaque: true,
             ..memory_bound.clone()
         };
-        // [generated, vendor, trt-runtime], quick bound
-        let golden: [(&KernelSpec, [u64; 3], u64); 3] = [
+        // [generated, vendor, trt-runtime]
+        let golden: [(&KernelSpec, [u64; 3]); 3] = [
             (
                 &memory_bound,
                 [0x40c56d40156ac017, 0x40a9bd4ce68019b3, 0x40a9bd4ce68019b3],
-                0x40a28b18a5f5d511,
             ),
             (
                 &gemm,
                 [0x40294060a7beedc8, 0x4027b4f5d04451fa, 0x4027b4f5d04451fa],
-                0x4027b4f5d04451fa,
             ),
-            (&opaque, [0x40b183ec9cbd821e; 3], 0x40b183ec9cbd821e),
+            (&opaque, [0x40b183ec9cbd821e; 3]),
         ];
         let backends = [Backend::Generated, Backend::Vendor, Backend::TrtRuntime];
-        for (spec, latencies, quick) in golden {
+        for (spec, latencies) in golden {
             for (backend, bits) in backends.into_iter().zip(latencies) {
                 let latency = p.latency(spec, backend).0.to_bits();
                 assert_eq!(latency, bits, "{backend:?} {spec:?}");
             }
-            assert_eq!(p.quick_latency(spec).0.to_bits(), quick, "{spec:?}");
         }
     }
 

@@ -16,10 +16,11 @@
 //!
 //! Identification returns the BLP's variables and nothing more: at most
 //! `MAX_BLP_CANDIDATES` (220), unless the singletons and seeds alone are
-//! more. Every candidate is priced, charged to the tuning database and
-//! counted, but the state-pair loop keeps only the best it has seen in a
-//! bounded max-heap, and a candidate that cannot enter the heap is never
-//! built. On a 32×32 Candy CNN that is 1 100 kept of 139 359 admitted.
+//! more. Every candidate is priced and counted, but the state-pair loop
+//! keeps only the best it has seen in a bounded max-heap, and a candidate
+//! that cannot enter the heap is never built (nor charged its simulated
+//! tuning time). On a 32×32 Candy CNN that is 1 100 kept of 139 359
+//! admitted.
 
 use crate::plan::SelectedKernel;
 use crate::state::{BitSet, StateSpace};
@@ -53,16 +54,6 @@ pub struct IdentifyConfig {
     /// Allow kernels that materialize more than one output primitive
     /// (paper §5.2 restricts to one; §8 lists multi-output as future work).
     pub multi_output: bool,
-    /// Skip tuning a candidate when its *optimistic* latency bound
-    /// ([`Profiler::quick_latency`]) already loses to running its members
-    /// as individual kernels — the paper's §8 "lightweight cost model to
-    /// quickly discard inefficient candidates". `Some(margin)` discards a
-    /// candidate when `quick_bound × margin ≥ singleton cover`; `None`
-    /// (the default) profiles every candidate. At `Some(1.0)` the filter is
-    /// *provably sound* (the bound lower-bounds every backend, so the exact
-    /// profiler would reject the candidate too); larger margins trade
-    /// optimality for tuning time — the trade-off the §8 study sweeps.
-    pub quick_prune: Option<f64>,
 }
 
 /// A candidate kernel: a convex set of primitives, the primitives it
@@ -87,7 +78,8 @@ pub struct CandidateKernel {
     pub backend: Backend,
     /// Profiled latency on that backend.
     pub latency: Micros,
-    /// Simulated tuning time for Table 2 accounting.
+    /// Simulated tuning time on `backend` (Table 2 accounting; `optimize`
+    /// charges each distinct `(spec, backend)` once).
     pub tuning_s: f64,
 }
 
@@ -128,7 +120,10 @@ pub(crate) fn required_outputs(g: &PrimGraph) -> impl Iterator<Item = NodeId> + 
     outputs.filter(|&t| !g.node(t).kind.is_source())
 }
 
-/// Result of kernel identification.
+/// Result of kernel identification. It keeps no tuning clock: each kept
+/// candidate carries its [`CandidateKernel::tuning_s`], and
+/// [`optimize`](crate::optimize) charges each distinct `(spec, backend)`
+/// among them once.
 #[derive(Debug, Clone)]
 pub struct Candidates {
     /// The BLP's variables. When at most 220 candidates were admitted,
@@ -145,12 +140,6 @@ pub struct Candidates {
     /// Complete greedy-fusion selections (each a disjoint cover of all
     /// primitives by member sets); used as BLP warm-start incumbents.
     pub seed_selections: Vec<Vec<Vec<NodeId>>>,
-    /// Total simulated tuning time of every candidate actually profiled
-    /// (Table 2 accounting; quick-pruned candidates cost nothing).
-    pub tuning_time_s: f64,
-    /// Candidates discarded by the quick lower bound without profiling
-    /// (§8 tuning-time acceleration).
-    pub quick_pruned: usize,
 }
 
 /// Identifies candidate kernels from an enumerated state space and keeps
@@ -176,15 +165,12 @@ pub fn identify_kernels(
         config,
         backends,
         seen: HashSet::new(),
-        tuned: vec![HashSet::new(); backends.len()],
         keep: Keep::default(),
         out: Candidates {
             kernels: Vec::new(),
             admitted: 0,
             truncated: false,
             seed_selections: Vec::new(),
-            tuning_time_s: 0.0,
-            quick_pruned: 0,
         },
     };
 
@@ -269,10 +255,6 @@ struct Admission<'a> {
     backends: &'a [Backend],
     /// Member sets already admitted (or rejected) once.
     seen: HashSet<BitSet>,
-    /// The tuning database (paper §6.5), one per backend, in `backends`
-    /// order: candidates with identical cost features share one tuned
-    /// schedule and are charged once.
-    tuned: Vec<HashSet<KernelSpec>>,
     keep: Keep,
     /// Everything but the kept kernels, which `keep` holds until the end.
     out: Candidates,
@@ -393,11 +375,11 @@ impl Admission<'_> {
     /// Prices a fresh subgraph `members` (ascending): runs the member pass
     /// of its spec once, expands its possible output sets and, per output
     /// set, adds the output pass, prices the candidate on its best
-    /// backend, charges its tuning once, and keeps it when its latency is
-    /// below `reject_at` (the latency of running the members as individual
-    /// kernels; `∞` keeps everything a backend serves). A rejected
-    /// candidate is the profiler "returning ∞" (Algorithm 1 line 19).
-    /// An admitted candidate is counted, and built only when the keep
+    /// backend, and keeps it when its latency is below `reject_at` (the
+    /// latency of running the members as individual kernels; `∞` keeps
+    /// everything a backend serves). A rejected candidate is the profiler
+    /// "returning ∞" (Algorithm 1 line 19). An admitted candidate is
+    /// counted, and built and charged its tuning time only when the keep
     /// takes it. Stops at the candidate cap. Returns the lowest admitted
     /// latency (`∞` when none).
     fn price(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) -> f64 {
@@ -405,36 +387,21 @@ impl Admission<'_> {
         if self.out.truncated || self.rejects(members) {
             return lowest;
         }
-        let (g, config) = (self.g, self.config);
+        let (g, profiler) = (self.g, self.profiler);
         let mut spec = member_spec(g, members);
         // Applicability reads member features only: one test per subgraph.
-        let applicable: Vec<(usize, Backend)> = (self.backends.iter().copied().enumerate())
-            .filter(|&(_, b)| backend_applicable(g, members, &spec, b))
+        let applicable: Vec<Backend> = (self.backends.iter().copied())
+            .filter(|&b| backend_applicable(g, members, &spec, b))
             .collect();
-        let output_sets = expand_outputs(g, members, &self.succ, &self.graph_outputs, config);
+        let output_sets = expand_outputs(g, members, &self.succ, &self.graph_outputs, self.config);
         for (output_nodes, outputs, full_output) in output_sets {
             spec.output_bytes = output_bytes(g, members, &outputs);
-            // §8 tuning-time acceleration: an optimistic, tuning-free
-            // bound that already loses to the singleton cover proves the
-            // candidate can never be selected — skip profiling it.
-            if config
-                .quick_prune
-                .is_some_and(|margin| self.profiler.quick_latency(&spec).0 * margin >= reject_at)
-            {
-                self.out.quick_pruned += 1;
-                continue;
-            }
-            let priced = (applicable.iter()).map(|&(i, b)| (i, b, self.profiler.latency(&spec, b)));
+            let priced = (applicable.iter()).map(|&b| (b, profiler.latency(&spec, b)));
             // The cheapest applicable backend, the first on ties.
-            let best = priced.reduce(|best, next| if next.2 .0 < best.2 .0 { next } else { best });
-            let Some((slot, backend, latency)) = best else {
+            let best = priced.reduce(|best, next| if next.1 .0 < best.1 .0 { next } else { best });
+            let Some((backend, latency)) = best else {
                 continue;
             };
-            let tuning_s = self.profiler.tuning_time_s(&spec, backend);
-            if !self.tuned[slot].contains(&spec) {
-                self.tuned[slot].insert(spec.clone());
-                self.out.tuning_time_s += tuning_s;
-            }
             if latency.0 >= reject_at {
                 continue;
             }
@@ -450,7 +417,7 @@ impl Admission<'_> {
                 spec: spec.clone(),
                 backend,
                 latency,
-                tuning_s,
+                tuning_s: profiler.tuning_time_s(&spec, backend),
             });
             if self.keep.admitted >= MAX_CANDIDATES {
                 self.out.truncated = true;
@@ -924,10 +891,7 @@ mod tests {
             &g,
             &space,
             &Profiler::new(Device::v100()),
-            &IdentifyConfig {
-                multi_output: true,
-                ..Default::default()
-            },
+            &IdentifyConfig { multi_output: true },
             &[Backend::Generated],
         );
         // Full-output candidates exist in both modes (the chain-DP needs
@@ -985,113 +949,6 @@ mod tests {
             );
         }
         assert!(c.kernels.len() >= 8);
-    }
-
-    #[test]
-    fn quick_prune_saves_tuning_without_losing_winners() {
-        // §8 tuning-time acceleration: with the quick bound on, fewer
-        // candidates are tuned, but every candidate that could win (beat
-        // its singleton cover) is still present.
-        let g = softmax_prims();
-        let space = enumerate_states(&g, 10_000);
-        let profiler = Profiler::new(Device::v100());
-        let backends = [Backend::Generated, Backend::Vendor];
-        let full = identify_kernels(&g, &space, &profiler, &IdentifyConfig::default(), &backends);
-        let pruned = identify_kernels(
-            &g,
-            &space,
-            &profiler,
-            &IdentifyConfig {
-                quick_prune: Some(1.0),
-                ..Default::default()
-            },
-            &backends,
-        );
-        assert_eq!(full.quick_pruned, 0);
-        assert!(pruned.tuning_time_s <= full.tuning_time_s);
-        // Soundness: the surviving candidate sets must be identical — the
-        // quick bound only discards candidates the exact pricing would
-        // discard too (bound <= true latency, and the rejection threshold
-        // is the same singleton sum).
-        let key = |k: &CandidateKernel| (k.members.clone(), k.outputs.clone());
-        let full_set: HashSet<_> = full.kernels.iter().map(key).collect();
-        let pruned_set: HashSet<_> = pruned.kernels.iter().map(key).collect();
-        assert_eq!(full_set, pruned_set);
-    }
-
-    #[test]
-    fn quick_prune_discards_untuned_candidates_on_large_graphs() {
-        // A long pointwise chain over a big tensor: most multi-member
-        // windows lose to their singleton covers once passes pile up, so
-        // the quick bound should skip a measurable share of tunings.
-        let mut g = PrimGraph::new();
-        let x = g
-            .add(
-                PrimKind::Input {
-                    shape: vec![1024, 1024],
-                },
-                vec![],
-            )
-            .unwrap();
-        let mut cur: PortRef = x.into();
-        for i in 0..8 {
-            // Alternate reduce+broadcast (multi-pass when fused) with
-            // pointwise links.
-            if i % 3 == 2 {
-                let r = g
-                    .add(
-                        PrimKind::Reduce {
-                            kind: ReduceKind::Sum,
-                            axis: 1,
-                        },
-                        vec![cur],
-                    )
-                    .unwrap();
-                let b = g
-                    .add(
-                        PrimKind::Broadcast {
-                            axis: 1,
-                            size: 1024,
-                        },
-                        vec![r.into()],
-                    )
-                    .unwrap();
-                cur = b.into();
-            } else {
-                cur = g
-                    .add(PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)), vec![cur])
-                    .unwrap()
-                    .into();
-            }
-        }
-        g.mark_output(cur.node).unwrap();
-        let space = enumerate_states(&g, 10_000);
-        let profiler = Profiler::new(Device::v100());
-        let cfg = IdentifyConfig {
-            quick_prune: Some(1.0),
-            ..Default::default()
-        };
-        let pruned = identify_kernels(
-            &g,
-            &space,
-            &profiler,
-            &cfg,
-            &[Backend::Generated, Backend::Vendor],
-        );
-        let full = identify_kernels(
-            &g,
-            &space,
-            &profiler,
-            &IdentifyConfig::default(),
-            &[Backend::Generated, Backend::Vendor],
-        );
-        assert!(pruned.quick_pruned > 0, "nothing was quick-pruned");
-        assert!(
-            pruned.tuning_time_s < full.tuning_time_s,
-            "quick pruning saved no tuning time: {} vs {}",
-            pruned.tuning_time_s,
-            full.tuning_time_s
-        );
     }
 
     /// A stand-in candidate of `members` primitives, told apart by `tag`

@@ -25,7 +25,9 @@
 //! fixed order (must-produce primitives ascending, then candidates in
 //! order, each one's reads ascending) and no hash iteration reaches the
 //! solver, so the same [`Candidates`] always cost the same pivots and
-//! yield the same [`Plan`].
+//! yield the same [`Plan`]. [`optimize`] also keeps the one simulated
+//! tuning clock (Table 2): the tuning database is a set of the distinct
+//! `(spec, backend)` pairs among the variables, each charged once.
 //!
 //! [`Orchestrator`] bundles the four steps, and
 //! [`Orchestrator::orchestrate_all`] runs them on many graphs at once,
@@ -92,16 +94,10 @@ pub struct Orchestration {
     pub plan: Plan,
     /// Number of execution states enumerated.
     pub num_states: usize,
-    /// Simulated tuning clock of the *identification* stage: every
-    /// database-distinct candidate that was profiled, including ones the
-    /// rejection heuristics later discard (the §8 study's denominator).
-    pub profile_tuning_s: f64,
-    /// Candidates discarded by the quick cost bound without profiling
-    /// (0 unless [`IdentifyConfig::quick_prune`] is enabled).
-    pub quick_pruned: usize,
-    /// Solver statistics; `report.tuning_time_s` is the simulated tuning
-    /// time over all *unique* BLP-fed candidates, seconds (Table 2 column;
-    /// mirrors the paper's TVM-database caching).
+    /// Solver statistics; `report.tuning_time_s` is the one simulated
+    /// tuning clock: every distinct `(spec, backend)` among the BLP's
+    /// variables charged once, seconds (Table 2 column; mirrors the
+    /// paper's TVM-database caching).
     pub report: SolveReport,
 }
 
@@ -164,8 +160,6 @@ impl Orchestrator {
         Ok(Orchestration {
             plan,
             num_states: space.states.len(),
-            profile_tuning_s: cands.tuning_time_s,
-            quick_pruned: cands.quick_pruned,
             report,
         })
     }

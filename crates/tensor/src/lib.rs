@@ -267,6 +267,9 @@ impl Tensor {
     }
 
     /// Maximum absolute difference against `other`, for tolerance checks.
+    /// Two NaNs, or two equal values (`inf` and `inf` too), differ by 0;
+    /// any other pair whose difference is NaN — a NaN against a number —
+    /// differs by `f32::INFINITY`, so no mismatch is folded away.
     ///
     /// # Errors
     ///
@@ -282,7 +285,11 @@ impl Tensor {
             .data
             .iter()
             .zip(&other.data)
-            .map(|(&a, &b)| (a - b).abs())
+            .map(|(&a, &b)| match (a - b).abs() {
+                d if !d.is_nan() => d,
+                _ if a == b || (a.is_nan() && b.is_nan()) => 0.0,
+                _ => f32::INFINITY,
+            })
             .fold(0.0, f32::max))
     }
 
@@ -425,6 +432,24 @@ mod tests {
         let b = Tensor::from_vec(vec![2], vec![1.0 + 1e-6, 100.0 + 1e-4]).unwrap();
         assert!(a.allclose(&b, 1e-5));
         assert!(!a.allclose(&b, 1e-9));
+    }
+
+    #[test]
+    fn max_abs_diff_counts_nan_mismatches() {
+        let diff = |a: f32, b: f32| {
+            let t = |v| Tensor::from_vec(vec![2], vec![0.5, v]).unwrap();
+            t(a).max_abs_diff(&t(b)).unwrap()
+        };
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        assert_eq!(diff(nan, 1.0), inf);
+        assert_eq!(diff(1.0, nan), inf);
+        assert_eq!(diff(nan, inf), inf);
+        assert_eq!(diff(inf, -inf), inf);
+        assert_eq!(diff(nan, nan), 0.0);
+        assert_eq!(diff(inf, inf), 0.0);
+        assert_eq!(diff(-inf, -inf), 0.0);
+        assert_eq!(diff(0.0, -0.0), 0.0);
+        assert_eq!(diff(1.0, 3.5), 2.5);
     }
 
     #[test]

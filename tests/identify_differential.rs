@@ -7,12 +7,12 @@
 //! reference's candidates go through `cap_vars`, the cap's definition as
 //! a stable sort of the whole list. `identify_kernels` must match the capped list field for field and in
 //! order — the BLP's rows follow candidate order, and a truncated run
-//! admits the first 50 000 candidates — with latencies and tuning clocks
+//! admits the first 50 000 candidates — with latencies and tuning times
 //! equal to the bit, and count as many admitted candidates as the
 //! reference builds.
 
 use korch::core::partition;
-use korch::cost::{kernel_spec, Backend, Device, KernelSpec, Profiler};
+use korch::cost::{kernel_spec, Backend, Device, Profiler};
 use korch::fission::fission;
 use korch::ir::{NodeId, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch::models::{candy, subgraphs, CandyConfig};
@@ -37,8 +37,7 @@ const MAX_BLP_CANDIDATES: usize = 220;
 const BACKENDS: [Backend; 2] = [Backend::Generated, Backend::Vendor];
 
 /// Identification by definition: every state pair allocates its member
-/// vector, every output set gets its own `kernel_spec`, the tuning
-/// database is one set of (spec, backend) pairs.
+/// vector, every output set gets its own `kernel_spec`.
 fn reference_identify(
     g: &PrimGraph,
     space: &StateSpace,
@@ -54,14 +53,11 @@ fn reference_identify(
         config,
         backends,
         seen: HashSet::new(),
-        tuned: HashSet::new(),
         out: Candidates {
             kernels: Vec::new(),
             admitted: 0,
             truncated: false,
             seed_selections: Vec::new(),
-            tuning_time_s: 0.0,
-            quick_pruned: 0,
         },
     };
     let mut singleton_latency = vec![f64::INFINITY; g.len()];
@@ -122,7 +118,6 @@ struct Reference<'a> {
     config: &'a IdentifyConfig,
     backends: &'a [Backend],
     seen: HashSet<Vec<NodeId>>,
-    tuned: HashSet<(KernelSpec, Backend)>,
     out: Candidates,
 }
 
@@ -141,12 +136,6 @@ impl Reference<'_> {
         let member_set: BTreeSet<NodeId> = members.iter().copied().collect();
         for (output_nodes, outputs, full_output) in self.output_sets(&member_set) {
             let spec = kernel_spec(g, &member_set, &outputs);
-            if (self.config.quick_prune)
-                .is_some_and(|margin| self.profiler.quick_latency(&spec).0 * margin >= reject_at)
-            {
-                self.out.quick_pruned += 1;
-                continue;
-            }
             let priced = (self.backends.iter())
                 .filter(|&&b| backend_applicable(g, members, &spec, b))
                 .map(|&b| (b, self.profiler.latency(&spec, b)));
@@ -155,9 +144,6 @@ impl Reference<'_> {
                 continue;
             };
             let tuning_s = self.profiler.tuning_time_s(&spec, backend);
-            if self.tuned.insert((spec.clone(), backend)) {
-                self.out.tuning_time_s += tuning_s;
-            }
             if latency.0 >= reject_at {
                 continue;
             }
@@ -254,19 +240,8 @@ fn assert_identifies_as_reference(
     let reference = reference_identify(g, space, &profiler, config, &BACKENDS);
     assert_eq!(fast.truncated, reference.truncated, "{ctx}: truncated");
     assert_eq!(
-        fast.quick_pruned, reference.quick_pruned,
-        "{ctx}: quick_pruned"
-    );
-    assert_eq!(
         fast.seed_selections, reference.seed_selections,
         "{ctx}: seed selections"
-    );
-    assert_eq!(
-        fast.tuning_time_s.to_bits(),
-        reference.tuning_time_s.to_bits(),
-        "{ctx}: tuning clock {} vs {}",
-        fast.tuning_time_s,
-        reference.tuning_time_s
     );
     assert_eq!(
         fast.admitted,
@@ -300,17 +275,10 @@ fn assert_identifies_as_reference(
 }
 
 /// Every identify configuration a caller can set.
-fn configs() -> [IdentifyConfig; 3] {
+fn configs() -> [IdentifyConfig; 2] {
     [
         IdentifyConfig::default(),
-        IdentifyConfig {
-            quick_prune: Some(1.0),
-            ..Default::default()
-        },
-        IdentifyConfig {
-            multi_output: true,
-            ..Default::default()
-        },
+        IdentifyConfig { multi_output: true },
     ]
 }
 

@@ -37,8 +37,6 @@ struct Stats {
     partitions: usize,
     cache_hits: usize,
     states: usize,
-    quick_pruned: usize,
-    profile_tuning_s: u64,
     prim_stats: PrimStats,
 }
 
@@ -54,11 +52,9 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
         partitions: parts.len(),
         cache_hits: 0,
         states: 0,
-        quick_pruned: 0,
-        profile_tuning_s: 0,
         prim_stats: PrimStats::of(pg),
     };
-    let (mut tuning_time_s, mut profile_tuning_s) = (0.0f64, 0.0f64);
+    let mut tuning_time_s = 0.0f64;
     // fingerprint → (chosen variant, plan, candidates, states)
     let mut cache: HashMap<u64, (u64, Plan, usize, usize)> = HashMap::new();
     let mut chosen = Vec::new();
@@ -70,7 +66,7 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
         } else {
             let variants = optimize_graph(&part.graph, &config.transform);
             let mut best: Option<(u64, Orchestration)> = None;
-            let (mut tuning, mut profile, mut pruned) = (0.0, 0.0, 0);
+            let mut tuning = 0.0;
             for v in variants.iter().take(config.variants_to_orchestrate.max(1)) {
                 let orch = match orchestrator.orchestrate(v) {
                     Ok(o) => o,
@@ -78,8 +74,6 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
                     Err(e) => panic!("sequential reference: {e}"),
                 };
                 tuning += orch.report.tuning_time_s;
-                profile += orch.profile_tuning_s;
-                pruned += orch.quick_pruned;
                 if best
                     .as_ref()
                     .is_none_or(|(_, b)| orch.plan.total_latency.0 < b.plan.total_latency.0)
@@ -89,8 +83,6 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
             }
             let (variant, orch) = best.expect("some variant orchestrates");
             tuning_time_s += tuning;
-            profile_tuning_s += profile;
-            stats.quick_pruned += pruned;
             let rec = (
                 variant,
                 orch.plan,
@@ -110,7 +102,6 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
         });
     }
     stats.tuning_time_s = tuning_time_s.to_bits();
-    stats.profile_tuning_s = profile_tuning_s.to_bits();
     (chosen, stats)
 }
 
@@ -133,8 +124,6 @@ fn stats_of(opt: &Optimized) -> Stats {
         partitions: s.partitions,
         cache_hits: s.cache_hits,
         states: s.states,
-        quick_pruned: s.quick_pruned,
-        profile_tuning_s: s.profile_tuning_s.to_bits(),
         prim_stats: s.prim_stats,
     }
 }
@@ -242,11 +231,9 @@ fn gemm_graph() -> PrimGraph {
 fn result_bits(r: &Result<Orchestration, OrchError>) -> String {
     match r {
         Ok(o) => format!(
-            "{} states {} profile {} pruned {} report {:?}",
+            "{} states {} report {:?}",
             plan_bits(&o.plan),
             o.num_states,
-            o.profile_tuning_s.to_bits(),
-            o.quick_pruned,
             o.report
         ),
         Err(e) => format!("{e:?}"),
