@@ -9,11 +9,14 @@
 //!   member, per kernel and per primitive kind (convs per path:
 //!   depthwise, pointwise, panel).
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
-//!   `Korch::optimize` stage by stage and prints one line per orchestrated
-//!   (partition, variant) — problem size, identification time, the
-//!   search's nodes, LP solves and pivots, solve time and the objective
-//!   against the warm start the search began from (the best of greedy,
-//!   chain-DP and seeds) — then the model's totals, and one
+//!   `Korch::optimize` stage by stage, one job after the other, and prints
+//!   one line per (partition, variant) it takes — a variant equal to a
+//!   later one by `canonical_key` as `dup of v<k>`, unsolved; every
+//!   other one with its problem size, identification time, the search's
+//!   nodes, LP solves and pivots, solve time and the objective against
+//!   the warm start the search began from (the best of greedy, chain-DP
+//!   and seeds) and the cutoff it was solved with (the cheapest earlier
+//!   warm start, `-` for none) — then the model's totals, and one
 //!   `Korch::optimize` wall time (its jobs on every core) against the
 //!   identify + solve total: the speedup and parallel efficiency.
 use korch_core::{partition, stitch, Korch, KorchConfig};
@@ -22,7 +25,9 @@ use korch_exec::{eval_prim, materialize_const};
 use korch_fission::fission;
 use korch_ir::{LinearFn, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch_models::SegformerConfig;
-use korch_orch::{enumerate_states, identify_kernels, optimize, OrchError, DEFAULT_MAX_STATES};
+use korch_orch::{
+    enumerate_states, identify_kernels, OrchError, OrchestrationBlp, DEFAULT_MAX_STATES,
+};
 use korch_tensor::{conv2d_flops, matmul_flops, Tensor};
 use korch_transform::optimize_graph;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -87,8 +92,8 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 }
 
 /// `Korch::optimize` at its defaults, one stage at a time: every
-/// (partition, variant) the pipeline orchestrates, in its order, a repeated
-/// partition once.
+/// (partition, variant) the pipeline takes, in its order, a repeated
+/// partition once, each later variant solved with the pipeline's cutoff.
 fn blp_table(g: &OpGraph) {
     let config = KorchConfig::default();
     let profiler = Profiler::new(Device::v100());
@@ -97,7 +102,7 @@ fn blp_table(g: &OpGraph) {
     let prims = fission(g).expect("fission").prim_graph;
     let parts = partition(&prims, config.partition_max_prims).expect("partition");
     println!(
-        "part var prims states cands identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us    warm_us"
+        "part var prims states cands identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us    warm_us  cutoff_us"
     );
     let mut seen = HashSet::new();
     let (mut identify_total, mut solve_total) = (0.0, 0.0);
@@ -106,25 +111,41 @@ fn blp_table(g: &OpGraph) {
         if !seen.insert(part.graph.fingerprint()) {
             continue;
         }
-        let variants = optimize_graph(&part.graph, &config.transform);
-        let take = config.variants_to_orchestrate.max(1);
-        for (vi, v) in variants.iter().take(take).enumerate() {
+        let mut variants = optimize_graph(&part.graph, &config.transform);
+        variants.truncate(config.variants_to_orchestrate.max(1));
+        let keys: Vec<u64> = variants.iter().map(|v| v.canonical_key()).collect();
+        // The warm starts of the variants solved so far, infinity for none.
+        let mut warm_starts: Vec<f64> = Vec::new();
+        for (vi, v) in variants.iter().enumerate() {
+            let last = keys.iter().rposition(|&k| k == keys[vi]).unwrap_or(vi);
+            if last > vi {
+                println!("{pi:>4} {vi:>3}  dup of v{last}");
+                continue;
+            }
             let space = enumerate_states(v, max_states);
             let identify = &config.orchestrator.identify;
             let (identify_ms, cands) =
                 timed(|| identify_kernels(v, &space, &profiler, identify, &backends));
-            let (solve_ms, solved) =
-                timed(|| optimize(v, &cands, Some(&space), &config.orchestrator.optimize));
+            let cutoff = Some(warm_starts.iter().copied().fold(f64::INFINITY, f64::min))
+                .filter(|c| c.is_finite());
+            let (solve_ms, solved) = timed(|| {
+                let blp =
+                    OrchestrationBlp::build(v, &cands, Some(&space), &config.orchestrator.optimize);
+                let warm = blp.as_ref().ok().and_then(|b| b.warm_objective_us());
+                warm_starts.push(warm.unwrap_or(f64::INFINITY));
+                blp?.solve(cutoff)
+            });
             let prims = v.iter().filter(|(_, n)| !n.kind.is_source()).count();
             let head = format!(
                 "{pi:>4} {vi:>3} {prims:>5} {:>6} {:>5} {identify_ms:>11.1}",
                 space.states.len(),
                 cands.admitted
             );
+            let cutoff = cutoff.map_or("-".to_string(), |c| format!("{c:.4}"));
             match solved {
                 Ok((plan, r)) => {
                     println!(
-                        "{head} {:>6} x {:<4} {:>6} {:>5} {:>7} {solve_ms:>9.1} {:>13.4} {:>10.4}",
+                        "{head} {:>6} x {:<4} {:>6} {:>5} {:>7} {solve_ms:>9.1} {:>13.4} {:>10.4} {cutoff:>10}",
                         r.num_candidates,
                         r.num_constraints,
                         r.solver_nodes,
@@ -137,8 +158,10 @@ fn blp_table(g: &OpGraph) {
                     lps += r.solver_lp_solves;
                     pivots += r.solver_pivots;
                 }
-                // The pipeline skips a variant no kernel set covers.
+                // The pipeline skips a variant no kernel set covers, and
+                // one with no warm start and nothing below its cutoff.
                 Err(OrchError::Infeasible(why)) => println!("{head}  infeasible: {why}"),
+                Err(OrchError::Cutoff) => println!("{head}  nothing below cutoff {cutoff}"),
                 Err(e) => panic!("partition {pi} variant {vi}: {e}"),
             }
             identify_total += identify_ms;

@@ -63,6 +63,7 @@ fn main() {
         "\nNotes: our fission rules are finer-grained than the paper's (norms\n\
          decompose into ~12 primitives), so node and candidate counts run higher;\n\
          tuning time is simulated MetaSchedule accounting (§5.2: most memory\n\
-         kernels tune within 2 minutes, vendor kernels are lookups)."
+         kernels tune within 2 minutes, vendor kernels are lookups), one tuning\n\
+         database per model."
     );
 }

@@ -155,6 +155,9 @@ pub enum BlpError {
     Infeasible,
     /// The node/iteration budget was exhausted before proving optimality.
     Limit,
+    /// Nothing lies below the solver's cutoff and the caller gave no
+    /// incumbent: every solution there may be costs at least the cutoff.
+    Cutoff,
 }
 
 impl fmt::Display for BlpError {
@@ -162,6 +165,7 @@ impl fmt::Display for BlpError {
         match self {
             BlpError::Infeasible => write!(f, "problem is infeasible"),
             BlpError::Limit => write!(f, "solver budget exhausted before optimality"),
+            BlpError::Cutoff => write!(f, "no solution below the cutoff"),
         }
     }
 }

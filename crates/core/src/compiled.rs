@@ -314,12 +314,16 @@ impl CompiledModel {
         // variant; kernel selection is re-priced in measured host time),
         // then stitch the new plans into one program. The partitions are
         // independent jobs on every core; the first error in partition
-        // order is returned.
+        // order is returned. Each partition is a group of one graph, so
+        // no solve is cut off.
         let orchestrator = sources.orchestrator().clone().with_profiler(fitted);
-        let graphs: Vec<&PrimGraph> = sources.partitions().iter().map(|p| &p.part.graph).collect();
+        let groups: Vec<Vec<&PrimGraph>> = (sources.partitions().iter())
+            .map(|p| vec![&p.part.graph])
+            .collect();
         let plans = orchestrator
-            .orchestrate_all(&graphs)
+            .orchestrate_all(&groups)
             .into_iter()
+            .flatten()
             .map(|o| Ok(o?.plan))
             .collect::<Result<Vec<Plan>, KorchError>>()?;
         let optimized = sources.replanned(plans);

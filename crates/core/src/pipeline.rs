@@ -2,12 +2,18 @@
 //! operator fission → primitive-graph optimizer → kernel orchestration →
 //! executable.
 //!
-//! Orchestration runs on every core. The partitions, and the transform
-//! variants of each, are independent subproblems: every distinct
-//! (partition, variant) is one job of [`Orchestrator::orchestrate_all`].
-//! The results are folded sequentially in (partition, variant) order, so
-//! the chosen variants, plans and [`PipelineStats`] are those of running
-//! the jobs one after the other.
+//! Orchestration runs on every core. The partitions are independent
+//! subproblems, and so are the transform variants of each: every distinct
+//! variant of every distinct partition is one job of
+//! [`Orchestrator::orchestrate_all`], grouped by partition. A variant
+//! that equals a later one of its partition up to node numbering
+//! ([`PrimGraph::canonical_key`]) is dropped before orchestrating, and
+//! each variant after the first is solved with a cutoff at the cheapest
+//! warm start before it, so it pays only for plans that could win. The
+//! results are folded sequentially in (partition, variant) order, so the
+//! chosen variants, plans and [`PipelineStats`] are those of
+//! orchestrating the distinct variants one after the other without
+//! cutoffs.
 
 use crate::partition::{partition, Partition};
 use korch_cost::{Device, Micros};
@@ -17,7 +23,7 @@ use korch_ir::{IrError, OpGraph, PortRef, PrimGraph, PrimKind, PrimStats};
 use korch_orch::{OrchError, Orchestration, Orchestrator, OrchestratorConfig, Plan};
 use korch_tensor::Tensor;
 use korch_transform::{optimize_graph, SearchConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -75,8 +81,14 @@ pub struct KorchConfig {
     pub partition_max_prims: usize,
     /// Transformation search budget per partition.
     pub transform: SearchConfig,
-    /// How many graph variants (including the original) are fully
-    /// orchestrated per partition; the cheapest plan wins.
+    /// How many of the transform search's graph variants (the original
+    /// first) a partition takes; of those, at most this many *distinct*
+    /// ones are orchestrated. The cheapest plan wins. Of variants equal
+    /// up to node numbering only the last is kept: identification breaks
+    /// ties by node number, so duplicates can still plan differently, and
+    /// on this repository's models keeping the last reproduces the plan
+    /// of orchestrating them all (on efficientvit-tiny's partition 19 the
+    /// first of two duplicates plans 35.0 µs, the last 25.0).
     pub variants_to_orchestrate: usize,
     /// Orchestrator settings (state cap, identification options, solver
     /// budget).
@@ -85,8 +97,11 @@ pub struct KorchConfig {
     /// mirroring the paper's TVM-database reuse. That key is exact: it
     /// hashes node numbering and `ConstInit::Random` seeds, so only a
     /// partition identical to an earlier one down to those hits — repeated
-    /// blocks of the benchmark models never do. A canonical key is
-    /// ROADMAP item 5(a).
+    /// blocks of the benchmark models never do. The variant dedupe uses
+    /// [`PrimGraph::canonical_key`], which ignores numbering but still
+    /// hashes seeds; keying the cache by it as well needs a hit to rebind
+    /// the partition's numbering (ROADMAP item 5(a)). Whether or not it
+    /// is on, the tuning clock keeps one database per model.
     pub cache: bool,
 }
 
@@ -111,11 +126,13 @@ pub struct PipelineStats {
     /// profiled + fed to the BLP, across all partitions (Table 2
     /// "# Candidate Kernels"; the paper likewise counts post-rejection).
     pub candidate_kernels: usize,
-    /// Simulated tuning time in seconds, the one tuning clock: each
-    /// orchestrated graph charges every distinct `(spec, backend)` among
-    /// its BLP variables once (see [`korch_orch::SolveReport`]), and
-    /// partition-cache hits reuse the database and are not re-tuned
-    /// (Table 2 "Tuning Time").
+    /// Simulated tuning time in seconds, the one tuning clock: one
+    /// tuning database for the whole model, the union of every
+    /// orchestrated graph's [`korch_orch::SolveReport::tuned`] in
+    /// (partition, variant) order, each distinct `(spec, backend)`
+    /// charged once. Partition-cache hits and dropped duplicate variants
+    /// are orchestrated by nobody and charge nothing (Table 2 "Tuning
+    /// Time").
     pub tuning_time_s: f64,
     /// Number of partitions.
     pub partitions: usize,
@@ -280,32 +297,26 @@ struct PartitionRecord {
     plan: Plan,
     candidates: usize,
     states: usize,
-    /// Tuning time summed over *every* orchestrated variant, so Table 2
-    /// accounting reflects all work done, independent of which variant
-    /// wins.
-    tuning_time_s: f64,
 }
 
 /// Folds one partition's orchestrated variants (the original partition
-/// graph plus the best transformed ones, in search order) with their
-/// orchestration results, in that order: an infeasible variant is
-/// skipped, the first strictly cheaper plan wins, and any other error is
-/// returned as it is met. The results come from jobs that ran on every
-/// core; folding them in order is what keeps the choice that of
-/// orchestrating the variants one after the other.
+/// graph plus the best distinct transformed ones, in search order) with
+/// their orchestration results, in that order: an infeasible or cut-off
+/// variant is skipped, the first strictly cheaper plan wins, and any
+/// other error is returned as it is met. The results come from jobs that
+/// ran on every core; folding them in order is what keeps the choice that
+/// of orchestrating the variants one after the other.
 fn optimize_partition(
     variants: Vec<PrimGraph>,
-    results: impl IntoIterator<Item = Result<Orchestration, OrchError>>,
+    results: Vec<Result<Orchestration, OrchError>>,
 ) -> Result<PartitionRecord, KorchError> {
     let mut best: Option<(PrimGraph, Orchestration)> = None;
-    let mut tuning_time_s = 0.0;
     for (variant, result) in variants.into_iter().zip(results) {
         let orch = match result {
             Ok(o) => o,
-            Err(OrchError::Infeasible(_)) => continue,
+            Err(OrchError::Infeasible(_) | OrchError::Cutoff) => continue,
             Err(e) => return Err(e.into()),
         };
-        tuning_time_s += orch.report.tuning_time_s;
         let better = best
             .as_ref()
             .is_none_or(|(_, b)| orch.plan.total_latency.0 < b.plan.total_latency.0);
@@ -323,26 +334,32 @@ fn optimize_partition(
         plan: orch.plan,
         candidates: orch.report.num_candidates,
         states: orch.num_states,
-        tuning_time_s,
     })
 }
 
-/// Folds the job results of [`Orchestrator::orchestrate_all`] (every
-/// distinct partition's variants, flattened in order) back into one
-/// record per distinct partition, in partition order: the first error in
-/// (partition, variant) order is the one returned.
+/// Folds the grouped job results of [`Orchestrator::orchestrate_all`]
+/// (every distinct partition's variants) into one record per distinct
+/// partition, in partition order — the first error in (partition,
+/// variant) order is the one returned — and the model's tuning clock:
+/// every orchestrated graph's tuning database unioned in that order, each
+/// distinct `(spec, backend)` charged once.
 fn fold_partitions(
     variants: Vec<Vec<PrimGraph>>,
-    results: Vec<Result<Orchestration, OrchError>>,
-) -> Result<Vec<PartitionRecord>, KorchError> {
-    let mut results = results.into_iter();
-    variants
-        .into_iter()
-        .map(|v| {
-            let n = v.len();
-            optimize_partition(v, results.by_ref().take(n))
-        })
-        .collect()
+    results: Vec<Vec<Result<Orchestration, OrchError>>>,
+) -> Result<(Vec<PartitionRecord>, f64), KorchError> {
+    let mut tuned = HashSet::new();
+    let mut tuning_time_s = 0.0;
+    for orch in results.iter().flatten().flatten() {
+        for t in &orch.report.tuned {
+            if tuned.insert((&t.spec, t.backend)) {
+                tuning_time_s += t.tuning_s;
+            }
+        }
+    }
+    let records = (variants.into_iter().zip(results))
+        .map(|(v, r)| optimize_partition(v, r))
+        .collect::<Result<_, _>>()?;
+    Ok((records, tuning_time_s))
 }
 
 /// The end-to-end optimizer (paper Fig. 1).
@@ -381,13 +398,16 @@ impl Korch {
     /// Optimizes an already-fissioned primitive graph.
     ///
     /// Every distinct partition (the fingerprint cache decides which are
-    /// distinct) gets its transform variants; each orchestrated
-    /// (partition, variant) is one job of
-    /// [`Orchestrator::orchestrate_all`], which runs them on every core.
-    /// The results are then folded sequentially in partition order (see
+    /// distinct) gets its transform variants, of which the first
+    /// [`KorchConfig::variants_to_orchestrate`] are taken and those equal
+    /// to a later one by [`PrimGraph::canonical_key`] dropped. Each
+    /// remaining (partition, variant) is one job of
+    /// [`Orchestrator::orchestrate_all`], which runs them on every core,
+    /// a later variant cut off at the cheapest warm start before it. The
+    /// results are then folded sequentially in partition order (see
     /// `optimize_partition`), so the plans, chosen variants and
-    /// [`PipelineStats`] are those of orchestrating one job after the
-    /// other.
+    /// [`PipelineStats`] are those of orchestrating the distinct
+    /// variants one after the other without cutoffs.
     ///
     /// # Errors
     ///
@@ -421,31 +441,35 @@ impl Korch {
             .map(|g| {
                 let mut v = optimize_graph(g, &self.config.transform);
                 v.truncate(take);
+                let mut later = HashSet::with_capacity(v.len());
+                let mut v: Vec<PrimGraph> = (v.into_iter().rev())
+                    .filter(|v| later.insert(v.canonical_key()))
+                    .collect();
+                v.reverse();
                 v
             })
             .collect();
-        let jobs: Vec<&PrimGraph> = variants.iter().flatten().collect();
-        let results = orchestrator.orchestrate_all(&jobs);
-        let records = fold_partitions(variants, results)?;
+        let groups: Vec<Vec<&PrimGraph>> = variants.iter().map(|v| v.iter().collect()).collect();
+        let results = orchestrator.orchestrate_all(&groups);
+        let (records, tuning_time_s) = fold_partitions(variants, results)?;
 
         let mut stats = PipelineStats {
             prim_nodes: pg.nodes().iter().filter(|n| !n.kind.is_source()).count(),
             partitions: parts.len(),
+            tuning_time_s,
             prim_stats: PrimStats::of(pg),
             ..Default::default()
         };
         let mut optimized_parts = Vec::with_capacity(parts.len());
-        let mut charged = 0;
+        let mut opened = 0;
         for (part, d) in parts.into_iter().zip(record_of) {
             let rec = &records[d];
             // Records are numbered in partition order, so a partition
-            // that does not open the next one is a cache hit: tuning
-            // reuses the database, no extra time.
-            if d < charged {
+            // that does not open the next one is a cache hit.
+            if d < opened {
                 stats.cache_hits += 1;
             } else {
-                charged += 1;
-                stats.tuning_time_s += rec.tuning_time_s;
+                opened += 1;
             }
             stats.candidate_kernels += rec.candidates;
             stats.states += rec.states;
@@ -755,9 +779,28 @@ mod tests {
         g
     }
 
-    /// An orchestration whose plan costs `us` and whose tuning clock reads
-    /// `tuning_s`.
-    fn solved(us: f64, tuning_s: f64) -> Result<Orchestration, OrchError> {
+    /// A tuning-database entry: a kernel of `n_prims` primitives on the
+    /// generated backend, tuned in `tuning_s`.
+    fn tuned(n_prims: usize, tuning_s: f64) -> korch_orch::TunedKernel {
+        korch_orch::TunedKernel {
+            spec: korch_cost::KernelSpec {
+                n_prims,
+                input_bytes: 0,
+                output_bytes: 0,
+                pointwise_flops: 0,
+                linear: vec![],
+                passes: 1,
+                pattern_classes: 1,
+                has_opaque: false,
+            },
+            backend: korch_cost::Backend::Generated,
+            tuning_s,
+        }
+    }
+
+    /// An orchestration whose plan costs `us` and whose tuning database
+    /// is `tuned`.
+    fn solved(us: f64, tuned: Vec<korch_orch::TunedKernel>) -> Result<Orchestration, OrchError> {
         Ok(Orchestration {
             plan: Plan {
                 kernels: Vec::new(),
@@ -765,7 +808,7 @@ mod tests {
             },
             num_states: 1,
             report: korch_orch::SolveReport {
-                tuning_time_s: tuning_s,
+                tuned,
                 ..Default::default()
             },
         })
@@ -780,19 +823,22 @@ mod tests {
     }
 
     #[test]
-    fn fold_skips_an_infeasible_variant() {
-        let rec = fold(vec![infeasible(), solved(7.0, 1.0)]).unwrap();
+    fn fold_skips_an_infeasible_or_cut_off_variant() {
+        let rec = fold(vec![infeasible(), solved(7.0, vec![])]).unwrap();
         assert_eq!(rec.variant.len(), 2, "variant 1 wins");
         assert_eq!(rec.plan.total_latency.0, 7.0);
-        // Every orchestrated variant is charged, the winner carries the sums.
-        let rec = fold(vec![solved(9.0, 1.0), infeasible(), solved(8.0, 2.0)]).unwrap();
-        assert_eq!(rec.variant.len(), 3);
-        assert_eq!(rec.tuning_time_s, 3.0);
+        let rec = fold(vec![solved(9.0, vec![]), Err(OrchError::Cutoff)]).unwrap();
+        assert_eq!(rec.variant.len(), 1, "variant 0 wins");
     }
 
     #[test]
     fn fold_keeps_the_first_of_equal_plans() {
-        let rec = fold(vec![solved(5.0, 1.0), solved(4.0, 1.0), solved(4.0, 1.0)]).unwrap();
+        let rec = fold(vec![
+            solved(5.0, vec![]),
+            solved(4.0, vec![]),
+            solved(4.0, vec![]),
+        ])
+        .unwrap();
         assert_eq!(rec.variant.len(), 2, "strict < keeps variant 1");
     }
 
@@ -812,35 +858,60 @@ mod tests {
     #[test]
     fn fold_returns_the_first_error_in_partition_variant_order() {
         let variants = |n: usize| (0..n).map(variant).collect::<Vec<_>>();
+        let ok = || solved(1.0, vec![]);
         // Partition 0 is feasible; partition 1's variant 1 fails before
         // its variant 2 and before partition 2 — and after a feasible
         // variant 0, which does not save the partition.
         let results = vec![
-            solved(1.0, 1.0),
-            infeasible(),
-            solved(1.0, 1.0),
-            Err(OrchError::SolverBudget),
-            Err(OrchError::Unschedulable),
-            Err(OrchError::Unschedulable),
+            vec![ok(), infeasible()],
+            vec![
+                ok(),
+                Err(OrchError::SolverBudget),
+                Err(OrchError::Unschedulable),
+            ],
+            vec![Err(OrchError::Unschedulable)],
         ];
         let err = fold_partitions(vec![variants(2), variants(3), variants(1)], results);
         assert!(
             matches!(err, Err(KorchError::Orch(OrchError::SolverBudget))),
             "{:?}",
-            err.map(|r| r.len())
+            err.map(|(r, _)| r.len())
         );
         // An infeasible partition ahead of a failing one is the error.
-        let results = vec![infeasible(), Err(OrchError::SolverBudget)];
+        let results = vec![vec![infeasible()], vec![Err(OrchError::SolverBudget)]];
         let err = fold_partitions(vec![variants(1), variants(1)], results);
         assert!(matches!(
             err,
             Err(KorchError::Orch(OrchError::Infeasible(_)))
         ));
         // All feasible: one record per partition, in order.
-        let results = vec![solved(2.0, 1.0), solved(1.0, 1.0), solved(3.0, 1.0)];
-        let recs = fold_partitions(vec![variants(2), variants(1)], results).unwrap();
+        let results = vec![vec![solved(2.0, vec![]), ok()], vec![solved(3.0, vec![])]];
+        let (recs, _) = fold_partitions(vec![variants(2), variants(1)], results).unwrap();
         let chosen: Vec<usize> = recs.iter().map(|r| r.variant.len()).collect();
         assert_eq!(chosen, [2, 1]);
+    }
+
+    #[test]
+    fn a_spec_two_partitions_share_is_tuned_once() {
+        // Partition 0's variants have specs {1, 2} and {2, 3}; partition
+        // 1's one variant {1, 4}. One model-wide database tunes 1..=4 once
+        // each, whichever variant won; an infeasible variant charges
+        // nothing.
+        let results = vec![
+            vec![
+                solved(2.0, vec![tuned(1, 1.0), tuned(2, 2.0)]),
+                solved(1.0, vec![tuned(2, 2.0), tuned(3, 4.0)]),
+            ],
+            vec![
+                infeasible(),
+                solved(3.0, vec![tuned(1, 1.0), tuned(4, 8.0)]),
+            ],
+        ];
+        let variants = |n: usize| (0..n).map(variant).collect::<Vec<_>>();
+        let (recs, tuning_time_s) =
+            fold_partitions(vec![variants(2), variants(2)], results).unwrap();
+        assert_eq!(recs.len(), 2);
+        assert_eq!(tuning_time_s, 1.0 + 2.0 + 4.0 + 8.0);
     }
 
     #[test]

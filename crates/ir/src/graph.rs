@@ -7,8 +7,9 @@
 
 use crate::error::IrError;
 use crate::meta::TensorMeta;
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// Identifier of a node within one graph.
@@ -45,6 +46,10 @@ pub trait NodeKind: Clone + std::fmt::Debug {
     /// Feeds a structural fingerprint of this kind into `hasher`
     /// (used for graph deduplication during superoptimization).
     fn fingerprint(&self, hasher: &mut dyn Hasher);
+
+    /// `true` for a graph-input placeholder: inputs are fed by position,
+    /// so their order is part of the graph, unlike other sources'.
+    fn is_input(&self) -> bool;
 }
 
 /// A node: a kind plus its input ports and inferred output metadata.
@@ -253,6 +258,82 @@ impl<K: NodeKind> Graph<K> {
         h.finish()
     }
 
+    /// Numbering-independent structural key: equal for two graphs that
+    /// differ only in how their nodes are numbered, barring a 64-bit
+    /// collision.
+    ///
+    /// The nodes are relabelled in Kahn's topological order, taking ready
+    /// nodes by a bottom-up structural hash (kind, graph-input position,
+    /// and each input's hash and port), the lower old id on ties. The key
+    /// then hashes the kinds exactly (constant seeds and fill scalars
+    /// included), the edges by their new ids, the graph inputs in
+    /// positional order and the outputs in order, so equal keys mean the
+    /// same graph up to numbering. A tie between structurally equal nodes
+    /// may order two renumberings apart and miss a duplicate; it can
+    /// never merge two different graphs. [`Graph::fingerprint`] stays the
+    /// exact, numbering-sensitive hash.
+    pub fn canonical_key(&self) -> u64 {
+        let n = self.nodes.len();
+        let mut shape_hash: Vec<u64> = Vec::with_capacity(n);
+        let mut input_position = 0usize;
+        let mut consumers = vec![Vec::new(); n];
+        for (i, node) in self.nodes.iter().enumerate() {
+            let mut h = DefaultHasher::new();
+            node.kind.fingerprint(&mut h);
+            if node.kind.is_input() {
+                input_position.hash(&mut h);
+                input_position += 1;
+            }
+            for r in &node.inputs {
+                shape_hash[r.node.0].hash(&mut h);
+                r.port.hash(&mut h);
+                consumers[r.node.0].push(i); // once per edge, like `waiting`
+            }
+            shape_hash.push(h.finish());
+        }
+        let mut waiting: Vec<usize> = self.nodes.iter().map(|n| n.inputs.len()).collect();
+        let mut ready: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
+            .filter(|&i| waiting[i] == 0)
+            .map(|i| Reverse((shape_hash[i], i)))
+            .collect();
+        let mut new_id = vec![0usize; n];
+        let mut order = Vec::with_capacity(n);
+        while let Some(Reverse((_, i))) = ready.pop() {
+            new_id[i] = order.len();
+            order.push(i);
+            for &c in &consumers[i] {
+                waiting[c] -= 1;
+                if waiting[c] == 0 {
+                    ready.push(Reverse((shape_hash[c], c)));
+                }
+            }
+        }
+        let mut h = DefaultHasher::new();
+        for &i in &order {
+            let node = &self.nodes[i];
+            node.kind.fingerprint(&mut h);
+            for r in &node.inputs {
+                new_id[r.node.0].hash(&mut h);
+                r.port.hash(&mut h);
+            }
+            0xfeed_u16.hash(&mut h);
+        }
+        let inputs = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.kind.is_input());
+        for (i, _) in inputs {
+            new_id[i].hash(&mut h);
+        }
+        0xbeef_u16.hash(&mut h);
+        for o in &self.outputs {
+            new_id[o.node.0].hash(&mut h);
+            o.port.hash(&mut h);
+        }
+        h.finish()
+    }
+
     /// Returns a copy with all nodes unreachable from the outputs removed
     /// (dead-code elimination after graph rewrites), plus the id remapping.
     ///
@@ -363,6 +444,9 @@ mod tests {
         }
         fn label(&self) -> String {
             format!("{self:?}")
+        }
+        fn is_input(&self) -> bool {
+            false
         }
         fn fingerprint(&self, hasher: &mut dyn Hasher) {
             match self {

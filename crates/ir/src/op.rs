@@ -647,6 +647,10 @@ impl NodeKind for OpKind {
         }
     }
 
+    fn is_input(&self) -> bool {
+        matches!(self, OpKind::Input { .. })
+    }
+
     fn fingerprint(&self, h: &mut dyn Hasher) {
         // Operator graphs are not deduplicated by hash in this project, so a
         // label-based fingerprint is sufficient and keeps this maintainable.

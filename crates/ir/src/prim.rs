@@ -457,6 +457,10 @@ impl NodeKind for PrimKind {
         }
     }
 
+    fn is_input(&self) -> bool {
+        matches!(self, PrimKind::Input { .. })
+    }
+
     fn fingerprint(&self, h: &mut dyn Hasher) {
         match self {
             PrimKind::Input { shape } => {
@@ -1004,5 +1008,150 @@ mod tests {
         PrimKind::Elementwise(EwFn::BinaryScalar(BinaryOp::Add, 1.0)).fingerprint(&mut h1);
         PrimKind::Elementwise(EwFn::BinaryScalar(BinaryOp::Add, 2.0)).fingerprint(&mut h2);
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    /// A primitive graph from `(kind, [(node, port)])` in node order, with
+    /// `outputs` marked in order.
+    fn graph(nodes: Vec<(PrimKind, Vec<(usize, usize)>)>, outputs: &[(usize, usize)]) -> PrimGraph {
+        let port = |(node, port)| crate::PortRef {
+            node: crate::NodeId(node),
+            port,
+        };
+        let mut g = PrimGraph::new();
+        for (kind, inputs) in nodes {
+            g.add(kind, inputs.into_iter().map(port).collect()).unwrap();
+        }
+        for &o in outputs {
+            g.mark_output(port(o)).unwrap();
+        }
+        g
+    }
+
+    fn input() -> PrimKind {
+        PrimKind::Input { shape: vec![2, 4] }
+    }
+
+    fn constant(seed: u64) -> PrimKind {
+        PrimKind::Constant {
+            shape: vec![2, 4],
+            init: ConstInit::Random(seed),
+        }
+    }
+
+    fn ew(op: BinaryOp) -> PrimKind {
+        PrimKind::Elementwise(EwFn::Binary(op))
+    }
+
+    fn exp() -> PrimKind {
+        PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp))
+    }
+
+    /// `x`, `c = const(seed)`, `a = x + c`, `e = exp(x)`, `a * e`.
+    fn branches(seed: u64) -> PrimGraph {
+        graph(
+            vec![
+                (input(), vec![]),
+                (constant(seed), vec![]),
+                (ew(BinaryOp::Add), vec![(0, 0), (1, 0)]),
+                (exp(), vec![(0, 0)]),
+                (ew(BinaryOp::Mul), vec![(2, 0), (3, 0)]),
+            ],
+            &[(4, 0)],
+        )
+    }
+
+    #[test]
+    fn canonical_key_ignores_numbering() {
+        let key = branches(7).canonical_key();
+        // The constant numbered first instead of second.
+        let renumbered_source = graph(
+            vec![
+                (constant(7), vec![]),
+                (input(), vec![]),
+                (ew(BinaryOp::Add), vec![(1, 0), (0, 0)]),
+                (exp(), vec![(1, 0)]),
+                (ew(BinaryOp::Mul), vec![(2, 0), (3, 0)]),
+            ],
+            &[(4, 0)],
+        );
+        // The two independent branches numbered the other way round.
+        let swapped_branches = graph(
+            vec![
+                (input(), vec![]),
+                (exp(), vec![(0, 0)]),
+                (constant(7), vec![]),
+                (ew(BinaryOp::Add), vec![(0, 0), (2, 0)]),
+                (ew(BinaryOp::Mul), vec![(3, 0), (1, 0)]),
+            ],
+            &[(4, 0)],
+        );
+        assert_eq!(renumbered_source.canonical_key(), key);
+        assert_eq!(swapped_branches.canonical_key(), key);
+        assert_ne!(renumbered_source.fingerprint(), branches(7).fingerprint());
+    }
+
+    #[test]
+    fn canonical_key_tells_different_graphs_apart() {
+        let key = branches(7).canonical_key();
+        assert_ne!(branches(8).canonical_key(), key, "constant seed");
+        // `a * a` instead of `a * e`: one edge moved.
+        let mut g = branches(7);
+        let moved_edge = graph(
+            vec![
+                (input(), vec![]),
+                (constant(7), vec![]),
+                (ew(BinaryOp::Add), vec![(0, 0), (1, 0)]),
+                (exp(), vec![(0, 0)]),
+                (ew(BinaryOp::Mul), vec![(2, 0), (2, 0)]),
+            ],
+            &[(4, 0), (3, 0)],
+        );
+        g.mark_output(crate::NodeId(3)).unwrap();
+        assert_ne!(moved_edge.canonical_key(), g.canonical_key(), "edge");
+
+        // `x - y` against `y - x`, the inputs fed in the same order.
+        let sub = |first: usize| {
+            graph(
+                vec![
+                    (input(), vec![]),
+                    (input(), vec![]),
+                    (ew(BinaryOp::Sub), vec![(first, 0), (1 - first, 0)]),
+                ],
+                &[(2, 0)],
+            )
+        };
+        assert_ne!(sub(0).canonical_key(), sub(1).canonical_key(), "inputs");
+
+        // Which half of a split the consumer reads.
+        let split = |port: usize| {
+            let halves = LayoutFn::Split {
+                axis: 1,
+                sizes: vec![2, 2],
+            };
+            graph(
+                vec![
+                    (input(), vec![]),
+                    (PrimKind::Layout(halves), vec![(0, 0)]),
+                    (exp(), vec![(1, port)]),
+                ],
+                &[(2, 0)],
+            )
+        };
+        assert_ne!(split(0).canonical_key(), split(1).canonical_key(), "port");
+
+        // The same two outputs, listed the other way round.
+        let mut ae = branches(7);
+        ae.mark_output(crate::NodeId(3)).unwrap();
+        let ea = graph(
+            vec![
+                (input(), vec![]),
+                (constant(7), vec![]),
+                (ew(BinaryOp::Add), vec![(0, 0), (1, 0)]),
+                (exp(), vec![(0, 0)]),
+                (ew(BinaryOp::Mul), vec![(2, 0), (3, 0)]),
+            ],
+            &[(3, 0), (4, 0)],
+        );
+        assert_ne!(ae.canonical_key(), ea.canonical_key(), "output order");
     }
 }

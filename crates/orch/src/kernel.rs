@@ -122,8 +122,8 @@ pub(crate) fn required_outputs(g: &PrimGraph) -> impl Iterator<Item = NodeId> + 
 
 /// Result of kernel identification. It keeps no tuning clock: each kept
 /// candidate carries its [`CandidateKernel::tuning_s`], and
-/// [`optimize`](crate::optimize) charges each distinct `(spec, backend)`
-/// among them once.
+/// [`optimize`](crate::optimize) lists each distinct `(spec, backend)`
+/// among them once in [`SolveReport::tuned`](crate::SolveReport::tuned).
 #[derive(Debug, Clone)]
 pub struct Candidates {
     /// The BLP's variables. When at most 220 candidates were admitted,

@@ -25,13 +25,16 @@
 //! fixed order (must-produce primitives ascending, then candidates in
 //! order, each one's reads ascending) and no hash iteration reaches the
 //! solver, so the same [`Candidates`] always cost the same pivots and
-//! yield the same [`Plan`]. [`optimize`] also keeps the one simulated
-//! tuning clock (Table 2): the tuning database is a set of the distinct
-//! `(spec, backend)` pairs among the variables, each charged once.
+//! yield the same [`Plan`]. It is [`OrchestrationBlp::build`] (rows and
+//! warm start) then [`OrchestrationBlp::solve`], which may take a cutoff.
+//! Each solve also reports its graph's tuning database (Table 2): the
+//! distinct `(spec, backend)` pairs among the variables, each charged
+//! once.
 //!
 //! [`Orchestrator`] bundles the four steps, and
 //! [`Orchestrator::orchestrate_all`] runs them on many graphs at once,
-//! one job per graph on every core:
+//! one job per graph on every core, each graph after the first of its
+//! group cut off at the cheapest warm start of the graphs before it:
 //!
 //! ```
 //! use korch_cost::Device;
@@ -64,13 +67,16 @@ pub use kernel::{
     backend_applicable, greedy_seed_groups, identify_kernels, CandidateKernel, Candidates,
     IdentifyConfig,
 };
-pub use optimizer::{optimize, OptimizeConfig, OrchError, SolveReport};
+pub use optimizer::{
+    optimize, OptimizeConfig, OrchError, OrchestrationBlp, SolveReport, TunedKernel,
+};
 pub use plan::{plan_dependencies, MissingProducer, Plan, SelectedKernel};
 pub use state::{enumerate_states, BitSet, StateSpace};
 
 use korch_cost::{Backend, Device, Profiler};
 use korch_ir::PrimGraph;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// The execution-state enumeration cap [`Orchestrator`] applies when
 /// [`OrchestratorConfig::max_states`] is `None`.
@@ -94,10 +100,9 @@ pub struct Orchestration {
     pub plan: Plan,
     /// Number of execution states enumerated.
     pub num_states: usize,
-    /// Solver statistics; `report.tuning_time_s` is the one simulated
-    /// tuning clock: every distinct `(spec, backend)` among the BLP's
-    /// variables charged once, seconds (Table 2 column; mirrors the
-    /// paper's TVM-database caching).
+    /// Solver statistics; `report.tuned` is this graph's tuning database
+    /// (every distinct `(spec, backend)` among the BLP's variables, with
+    /// its simulated tuning seconds), which a model-wide clock unions.
     pub report: SolveReport,
 }
 
@@ -152,11 +157,24 @@ impl Orchestrator {
     /// Returns [`OrchError`] when no feasible kernel cover exists or the
     /// solver budget is exhausted without an incumbent.
     pub fn orchestrate(&self, g: &PrimGraph) -> Result<Orchestration, OrchError> {
+        self.orchestrate_below(g, |_| None)
+    }
+
+    /// [`Orchestrator::orchestrate`], solved with the cutoff `cutoff`
+    /// returns once it is handed the built BLP's warm-start objective
+    /// (`None` when it has no warm start).
+    fn orchestrate_below(
+        &self,
+        g: &PrimGraph,
+        cutoff: impl FnOnce(Option<f64>) -> Option<f64>,
+    ) -> Result<Orchestration, OrchError> {
         let max_states = self.config.max_states.unwrap_or(DEFAULT_MAX_STATES);
         let space = enumerate_states(g, max_states);
         let identify = &self.config.identify;
         let cands = identify_kernels(g, &space, &self.profiler, identify, &BACKENDS);
-        let (plan, report) = optimize(g, &cands, Some(&space), &self.config.optimize)?;
+        let blp = OrchestrationBlp::build(g, &cands, Some(&space), &self.config.optimize)?;
+        let cutoff = cutoff(blp.warm_objective_us());
+        let (plan, report) = blp.solve(cutoff)?;
         Ok(Orchestration {
             plan,
             num_states: space.states.len(),
@@ -164,27 +182,56 @@ impl Orchestrator {
         })
     }
 
-    /// [`Orchestrator::orchestrate`] on every graph, one job per graph, on
-    /// `available_parallelism().min(graphs.len())` scoped threads (the
-    /// caller is one of them) that pull jobs from one atomic index. The
-    /// jobs share nothing but `self`, so each result is the one a
-    /// sequential call returns; results come back in input order, each
+    /// [`Orchestrator::orchestrate`] on every graph of every group, one
+    /// job per graph, on `available_parallelism()` scoped threads at most
+    /// (the caller is one of them) that pull jobs from one atomic index in
+    /// (group, graph) order. Results come back grouped as given, each
     /// error at its own position. A panicking job panics the caller.
-    pub fn orchestrate_all(&self, graphs: &[&PrimGraph]) -> Vec<Result<Orchestration, OrchError>> {
+    ///
+    /// A group holds alternatives for one partition — its transform
+    /// variants — of which only the cheapest plan matters. Graph `k` of a
+    /// group is solved with a cutoff: the cheapest warm start among graphs
+    /// `0..k`, which each job publishes as soon as its BLP is built, and
+    /// which job `k` waits for. A graph's plan costs no more than its warm
+    /// start, so a plan the cutoff prunes is never strictly cheaper than
+    /// an earlier graph's: the first strictly cheapest plan of a group is
+    /// the one uncut solves choose. A cut-off graph returns its warm start
+    /// (or [`OrchError::Cutoff`] without one). The cutoffs are warm
+    /// starts, functions of the graphs alone, so every result is the same
+    /// on one thread or many; only the waiting depends on timing. Since
+    /// jobs are taken in order, every graph a job waits for is already
+    /// running, and a job that fails or panics publishes "no bound".
+    pub fn orchestrate_all(
+        &self,
+        groups: &[Vec<&PrimGraph>],
+    ) -> Vec<Vec<Result<Orchestration, OrchError>>> {
+        let jobs: Vec<(usize, usize)> = (groups.iter().enumerate())
+            .flat_map(|(p, graphs)| (0..graphs.len()).map(move |k| (p, k)))
+            .collect();
+        let boards: Vec<WarmStarts> = groups.iter().map(|g| WarmStarts::new(g.len())).collect();
         let threads = std::thread::available_parallelism()
             .map_or(1, |n| n.get())
-            .min(graphs.len());
+            .min(jobs.len());
         let next = AtomicUsize::new(0);
         let work = || {
             let mut done = Vec::new();
             loop {
                 // Relaxed: the index hands out job numbers and publishes
-                // nothing; the results travel back through `join`.
+                // nothing; warm starts travel through the boards' mutexes
+                // and results through `join`.
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(g) = graphs.get(i) else {
+                let Some(&(p, k)) = jobs.get(i) else {
                     return done;
                 };
-                done.push((i, self.orchestrate(g)));
+                let slot = Publication {
+                    board: &boards[p],
+                    k,
+                };
+                let result = self.orchestrate_below(groups[p][k], |warm| {
+                    slot.board.publish(k, warm.unwrap_or(f64::INFINITY));
+                    slot.board.cheapest_before(k)
+                });
+                done.push((i, result));
             }
         };
         let mut done = std::thread::scope(|s| {
@@ -199,6 +246,73 @@ impl Orchestrator {
             done
         });
         done.sort_unstable_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, r)| r).collect()
+        let mut grouped: Vec<Vec<_>> = groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
+        for (i, result) in done {
+            grouped[jobs[i].0].push(result);
+        }
+        grouped
+    }
+}
+
+/// The warm-start objectives of one group's graphs (µs), each published
+/// once by its job: `None` while pending, infinity for "no bound".
+struct WarmStarts {
+    published: Mutex<Vec<Option<f64>>>,
+    changed: Condvar,
+}
+
+impl WarmStarts {
+    fn new(graphs: usize) -> Self {
+        Self {
+            published: Mutex::new(vec![None; graphs]),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The slots; no code panics while holding them, so a poisoned lock
+    /// still holds whole values.
+    fn lock(&self) -> MutexGuard<'_, Vec<Option<f64>>> {
+        self.published
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes graph `k`'s warm start unless it already has one, and
+    /// wakes the waiters.
+    fn publish(&self, k: usize, warm: f64) {
+        let mut published = self.lock();
+        if published[k].is_none() {
+            published[k] = Some(warm);
+            drop(published);
+            self.changed.notify_all();
+        }
+    }
+
+    /// Waits until graphs `0..k` have published, then returns the
+    /// cheapest of their warm starts, `None` when none has a bound.
+    fn cheapest_before(&self, k: usize) -> Option<f64> {
+        let mut published = self.lock();
+        loop {
+            let cheapest =
+                (published[..k].iter()).try_fold(f64::INFINITY, |c, w| Some(c.min((*w)?)));
+            if let Some(c) = cheapest {
+                return Some(c).filter(|c| c.is_finite());
+            }
+            published = (self.changed.wait(published)).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Graph `k`'s slot on its group's board. Dropping it publishes "no
+/// bound" unless the job published a warm start, so a job that fails or
+/// panics before publishing never leaves a later graph waiting.
+struct Publication<'a> {
+    board: &'a WarmStarts,
+    k: usize,
+}
+
+impl Drop for Publication<'_> {
+    fn drop(&mut self) {
+        self.board.publish(self.k, f64::INFINITY);
     }
 }

@@ -13,6 +13,7 @@ use crate::kernel::{required_outputs, CandidateKernel, Candidates};
 use crate::plan::Plan;
 use crate::state::{BitSet, StateSpace};
 use korch_blp::{BlpError, BlpProblem, BranchAndBound, Constraint, Solver};
+use korch_cost::{Backend, KernelSpec};
 use korch_ir::{NodeId, PrimGraph};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -26,6 +27,9 @@ pub enum OrchError {
     Infeasible(String),
     /// The BLP solver hit its budget and no incumbent was available.
     SolverBudget,
+    /// No plan lies below the solve's cutoff and the graph has no warm
+    /// start: whatever plan it has costs at least the cutoff.
+    Cutoff,
     /// Selected kernels could not be scheduled (would indicate a bug in the
     /// dependency constraints).
     Unschedulable,
@@ -36,6 +40,7 @@ impl fmt::Display for OrchError {
         match self {
             OrchError::Infeasible(what) => write!(f, "no feasible orchestration: {what}"),
             OrchError::SolverBudget => write!(f, "solver budget exhausted without incumbent"),
+            OrchError::Cutoff => write!(f, "no plan below the cutoff"),
             OrchError::Unschedulable => write!(f, "selected kernels cannot be ordered"),
         }
     }
@@ -64,15 +69,29 @@ impl Default for OptimizeConfig {
     }
 }
 
+/// One entry of the simulated tuning database (the paper's TVM-database
+/// caching, §6.5): a distinct `(spec, backend)` and the seconds tuning it
+/// costs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TunedKernel {
+    /// The kernel's cost features.
+    pub spec: KernelSpec,
+    /// The backend it is tuned for.
+    pub backend: Backend,
+    /// Simulated tuning time, seconds.
+    pub tuning_s: f64,
+}
+
 /// Statistics of one orchestration solve.
 #[derive(Debug, Clone, Default)]
 pub struct SolveReport {
     /// Number of candidate kernels (BLP variables).
     pub num_candidates: usize,
-    /// Simulated tuning time of the candidates, seconds: each distinct
-    /// `(spec, backend)` pair is tuned once (the paper's tuning database,
-    /// §6.5), the first candidate that has it charged.
-    pub tuning_time_s: f64,
+    /// The tuning database of the candidates: each distinct
+    /// `(spec, backend)` pair once, in candidate order, the first
+    /// candidate that has it charged. A model shares one database across
+    /// its graphs (`korch_core` unions them).
+    pub tuned: Vec<TunedKernel>,
     /// Number of BLP constraints.
     pub num_constraints: usize,
     /// Branch-and-bound nodes explored.
@@ -87,19 +106,8 @@ pub struct SolveReport {
 }
 
 /// Builds and solves the kernel orchestration BLP, returning an executable
-/// [`Plan`]. One variable per candidate, costed by its latency (Eq. 2);
-/// every graph output is produced by a selected kernel (Eq. 3) and every
-/// primitive a selected kernel reads is produced by another (Eq. 4).
-///
-/// Branch and bound starts from the cheapest feasible of the greedy
-/// singleton cover, the chain-DP over `space` and the greedy-fusion seed
-/// selections, the first on ties; when it exhausts
-/// [`OptimizeConfig::solver_max_nodes`] it returns that incumbent or a
-/// better one it found. The selection is then ordered wave by wave.
-///
-/// Every kernel in `cands` is a variable: `optimize` solves over what it is
-/// given. [`identify_kernels`](crate::identify_kernels) hands it at most
-/// 220, unless the singletons and seeds alone are more.
+/// [`Plan`]: [`OrchestrationBlp::build`], then
+/// [`OrchestrationBlp::solve`] without a cutoff.
 ///
 /// # Errors
 ///
@@ -110,83 +118,155 @@ pub fn optimize(
     space: Option<&StateSpace>,
     config: &OptimizeConfig,
 ) -> Result<(Plan, SolveReport), OrchError> {
-    let candidates = &cands.kernels;
-    let n = candidates.len();
-    let cover = Cover::new(g, candidates);
-    let mut must: Vec<NodeId> = required_outputs(g).collect();
-    must.sort_unstable();
-    must.dedup();
-    let mut problem = cover.problem(&must)?;
-
-    // Optional disjointness (no-redundancy ablation): each primitive is
-    // *executed* by at most one selected kernel.
-    if !config.allow_redundancy {
-        let mut executed_by: Vec<Vec<(usize, f64)>> = vec![Vec::new(); g.len()];
-        for (i, k) in candidates.iter().enumerate() {
-            for &m in &k.members {
-                executed_by[m.0].push((i, 1.0));
-            }
-        }
-        for ks in executed_by.into_iter().filter(|ks| ks.len() > 1) {
-            problem.add(Constraint::le(ks, 1.0));
-        }
-    }
-
-    let by_members = full_output_by_members(candidates);
-    // Chain-DP warm start: shortest path over execution states where each
-    // edge is the full-output kernel of the state difference. Polynomial,
-    // disjoint-cover, usually within a few percent of the BLP optimum —
-    // this is what makes branch & bound converge quickly.
-    let dp = space.and_then(|s| dp_incumbent(candidates, &by_members, s, g.len()));
-    // Greedy-fusion seed incumbents: the TVM-/TensorRT-shaped strategies,
-    // guaranteeing the BLP result is at least as good as rule-based fusion.
-    let seeds = cands.seed_selections.iter().filter_map(|selection| {
-        let mut values = vec![false; n];
-        for members in selection {
-            values[*by_members.get(members.as_slice())?] = true;
-        }
-        Some(values)
-    });
-    let incumbent = (cover.greedy(&must).into_iter().chain(dp).chain(seeds))
-        .filter(|v| problem.feasible(v))
-        .min_by(|a, b| problem.objective_of(a).total_cmp(&problem.objective_of(b)));
-    let warm_objective_us = incumbent
-        .as_ref()
-        .map_or(f64::NAN, |v| problem.objective_of(v));
-
-    let solver = BranchAndBound {
-        max_nodes: config.solver_max_nodes,
-        rel_gap: 2e-2, // 2%: below the cost model's own fidelity
-        incumbent,
-    };
-    let solution = solver.solve(&problem).map_err(|e| match e {
-        BlpError::Infeasible => OrchError::Infeasible("BLP has no 0/1 solution".into()),
-        BlpError::Limit => OrchError::SolverBudget,
-    })?;
-    let selected: Vec<usize> = (0..n).filter(|&i| solution.values[i]).collect();
-    let order = cover.order(&selected)?;
-    let plan = Plan::from_kernels(order.iter().map(|&i| candidates[i].selected()));
-    let report = SolveReport {
-        num_candidates: n,
-        tuning_time_s: tuning_time_s(candidates),
-        num_constraints: problem.constraints.len(),
-        solver_nodes: solution.stats.nodes,
-        solver_pivots: solution.stats.pivots,
-        solver_lp_solves: solution.stats.lp_solves,
-        warm_objective_us,
-    };
-    Ok((plan, report))
+    OrchestrationBlp::build(g, cands, space, config)?.solve(None)
 }
 
-/// The simulated tuning time of `candidates`: a candidate whose
-/// `(spec, backend)` an earlier one already has reuses its schedule from
-/// the tuning database and costs nothing.
-fn tuning_time_s(candidates: &[CandidateKernel]) -> f64 {
+/// The kernel orchestration BLP of one graph, built and warm-started but
+/// not solved. One variable per candidate, costed by its latency (Eq. 2);
+/// every graph output is produced by a selected kernel (Eq. 3) and every
+/// primitive a selected kernel reads is produced by another (Eq. 4).
+///
+/// Every kernel in the candidates is a variable: the BLP solves over
+/// what it is given. [`identify_kernels`](crate::identify_kernels) hands
+/// it at most 220, unless the singletons and seeds alone are more.
+pub struct OrchestrationBlp<'a> {
+    cover: Cover<'a>,
+    problem: BlpProblem,
+    incumbent: Option<Vec<bool>>,
+    report: SolveReport,
+    max_nodes: usize,
+}
+
+impl<'a> OrchestrationBlp<'a> {
+    /// Emits the rows and picks the warm start: the cheapest feasible of
+    /// the greedy singleton cover, the chain-DP over `space` and the
+    /// greedy-fusion seed selections, the first on ties.
+    ///
+    /// # Errors
+    ///
+    /// [`OrchError::Infeasible`] when no candidate produces a primitive
+    /// that an output or some candidate needs.
+    pub fn build(
+        g: &PrimGraph,
+        cands: &'a Candidates,
+        space: Option<&StateSpace>,
+        config: &OptimizeConfig,
+    ) -> Result<Self, OrchError> {
+        let candidates = &cands.kernels;
+        let n = candidates.len();
+        let cover = Cover::new(g, candidates);
+        let mut must: Vec<NodeId> = required_outputs(g).collect();
+        must.sort_unstable();
+        must.dedup();
+        let mut problem = cover.problem(&must)?;
+
+        // Optional disjointness (no-redundancy ablation): each primitive is
+        // *executed* by at most one selected kernel.
+        if !config.allow_redundancy {
+            let mut executed_by: Vec<Vec<(usize, f64)>> = vec![Vec::new(); g.len()];
+            for (i, k) in candidates.iter().enumerate() {
+                for &m in &k.members {
+                    executed_by[m.0].push((i, 1.0));
+                }
+            }
+            for ks in executed_by.into_iter().filter(|ks| ks.len() > 1) {
+                problem.add(Constraint::le(ks, 1.0));
+            }
+        }
+
+        let by_members = full_output_by_members(candidates);
+        // Chain-DP warm start: shortest path over execution states where each
+        // edge is the full-output kernel of the state difference. Polynomial,
+        // disjoint-cover, usually within a few percent of the BLP optimum —
+        // this is what makes branch & bound converge quickly.
+        let dp = space.and_then(|s| dp_incumbent(candidates, &by_members, s, g.len()));
+        // Greedy-fusion seed incumbents: the TVM-/TensorRT-shaped strategies,
+        // guaranteeing the BLP result is at least as good as rule-based fusion.
+        let seeds = cands.seed_selections.iter().filter_map(|selection| {
+            let mut values = vec![false; n];
+            for members in selection {
+                values[*by_members.get(members.as_slice())?] = true;
+            }
+            Some(values)
+        });
+        let incumbent = (cover.greedy(&must).into_iter().chain(dp).chain(seeds))
+            .filter(|v| problem.feasible(v))
+            .min_by(|a, b| problem.objective_of(a).total_cmp(&problem.objective_of(b)));
+        let report = SolveReport {
+            num_candidates: n,
+            tuned: tuning_database(candidates),
+            num_constraints: problem.constraints.len(),
+            warm_objective_us: incumbent
+                .as_ref()
+                .map_or(f64::NAN, |v| problem.objective_of(v)),
+            ..Default::default()
+        };
+        Ok(Self {
+            cover,
+            problem,
+            incumbent,
+            report,
+            max_nodes: config.solver_max_nodes,
+        })
+    }
+
+    /// The warm start's objective (µs), `None` when no warm start is
+    /// feasible. The solve returns it or a cheaper plan.
+    pub fn warm_objective_us(&self) -> Option<f64> {
+        Some(self.report.warm_objective_us).filter(|w| !w.is_nan())
+    }
+
+    /// Runs branch and bound from the warm start and orders the selection
+    /// wave by wave. With a `cutoff` (µs) the search ends at the first
+    /// node whose bound reaches it: when the solve without a cutoff finds
+    /// a plan below the cutoff, this one returns the same plan, and
+    /// otherwise the warm start. When the search exhausts
+    /// [`OptimizeConfig::solver_max_nodes`] it returns the warm start or a
+    /// better plan it found.
+    ///
+    /// # Errors
+    ///
+    /// [`OrchError::Cutoff`] when there is no warm start and nothing below
+    /// the cutoff; otherwise see [`OrchError`].
+    pub fn solve(self, cutoff: Option<f64>) -> Result<(Plan, SolveReport), OrchError> {
+        let solver = BranchAndBound {
+            max_nodes: self.max_nodes,
+            rel_gap: 2e-2, // 2%: below the cost model's own fidelity
+            incumbent: self.incumbent,
+            cutoff,
+        };
+        let solution = solver.solve(&self.problem).map_err(|e| match e {
+            BlpError::Infeasible => OrchError::Infeasible("BLP has no 0/1 solution".into()),
+            BlpError::Limit => OrchError::SolverBudget,
+            BlpError::Cutoff => OrchError::Cutoff,
+        })?;
+        let n = self.cover.kernels.len();
+        let selected: Vec<usize> = (0..n).filter(|&i| solution.values[i]).collect();
+        let order = self.cover.order(&selected)?;
+        let plan = Plan::from_kernels(order.iter().map(|&i| self.cover.kernels[i].selected()));
+        let report = SolveReport {
+            solver_nodes: solution.stats.nodes,
+            solver_pivots: solution.stats.pivots,
+            solver_lp_solves: solution.stats.lp_solves,
+            ..self.report
+        };
+        Ok((plan, report))
+    }
+}
+
+/// The tuning database of `candidates`: a candidate whose `(spec,
+/// backend)` an earlier one already has reuses its schedule and costs
+/// nothing.
+fn tuning_database(candidates: &[CandidateKernel]) -> Vec<TunedKernel> {
     let mut tuned = HashSet::with_capacity(candidates.len());
     (candidates.iter())
         .filter(|k| tuned.insert((&k.spec, k.backend)))
-        .map(|k| k.tuning_s)
-        .sum()
+        .map(|k| TunedKernel {
+            spec: k.spec.clone(),
+            backend: k.backend,
+            tuning_s: k.tuning_s,
+        })
+        .collect()
 }
 
 /// The candidates seen through the primitives they produce and read,
@@ -797,7 +877,19 @@ mod tests {
         let cands = candidates(kernels, &[]);
         let (_, report) = optimize(&g, &cands, None, &OptimizeConfig::default()).unwrap();
         assert_eq!(report.num_candidates, 4);
-        assert_eq!(report.tuning_time_s, 3.0 + 2.0 + 5.0);
+        let tuned: Vec<_> = report
+            .tuned
+            .iter()
+            .map(|t| (t.backend, t.tuning_s))
+            .collect();
+        assert_eq!(
+            tuned,
+            [
+                (Backend::Generated, 3.0),
+                (Backend::Vendor, 2.0),
+                (Backend::Generated, 5.0)
+            ]
+        );
     }
 
     #[test]

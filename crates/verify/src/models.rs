@@ -46,6 +46,13 @@
 //!   last lane to detach and recycles the run state. No lane touches a
 //!   recycled state; the caller never waits on a helper that has not
 //!   attached.
+//! - [`CutoffHandoff`]: `Orchestrator::orchestrate_all` handing warm
+//!   starts from a partition's earlier variants to its later ones —
+//!   workers take jobs off one index in (partition, variant) order, each
+//!   publishes its warm start under a mutex (a drop guard publishes "no
+//!   bound" when the job panics first) and waits on a condvar for every
+//!   earlier variant's. Every waiter reads every earlier publication and
+//!   none waits forever.
 
 use crate::explore::{explore, Exploration, ExploreError, Protocol, Step};
 
@@ -1452,6 +1459,207 @@ impl Protocol for RunHandoff {
 }
 
 // ---------------------------------------------------------------------
+// Cross-variant cutoff hand-off
+// ---------------------------------------------------------------------
+
+/// A worker's program counter in [`CutoffHandoff`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum HandoffPhase {
+    /// Taking the next job off the shared index.
+    Take,
+    /// Building job `job`'s BLP: publishing its warm start is next, or,
+    /// for a job that panics, unwinding.
+    Build { job: usize },
+    /// Published job `job`'s warm start: `notify_all` is next, then the
+    /// wait for the earlier variants' (or death, after an unwind).
+    Notify { job: usize, unwinding: bool },
+    /// Under the lock: every earlier variant published, or wait.
+    Check { job: usize },
+    /// In `Condvar::wait` for job `job`'s earlier variants.
+    Waiting { job: usize },
+    /// The thread panicked: it takes no more jobs.
+    Dead,
+}
+
+/// State of [`CutoffHandoff`]: the job index, each job's published warm
+/// start (`u8::MAX` for "no bound"), which earlier slots each job saw
+/// published when it read its cutoff, the notifications in flight, and
+/// every program counter.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CutoffHandoffState {
+    next: usize,
+    published: Vec<Option<u8>>,
+    /// Per job: the bitmask of published slots of its partition and the
+    /// cutoff it read, once it has read one.
+    read: Vec<Option<(u32, u8)>>,
+    /// Per worker: a `notify_all` reached it while it waited.
+    woken: Vec<bool>,
+    workers: Vec<HandoffPhase>,
+}
+
+/// `Orchestrator::orchestrate_all`'s warm-start hand-off, one step per
+/// critical section and condvar call. Jobs are `(partition, variant)`
+/// pairs in that order, taken off one atomic index. A job builds its BLP,
+/// publishes its warm start in its partition's slot under the mutex,
+/// `notify_all`s, then — under the mutex — reads the cheapest warm start
+/// of its partition's earlier variants if all have published, and
+/// otherwise waits on the condvar (releasing the mutex in the same step).
+/// A job in `panics` panics while building: its drop guard publishes "no
+/// bound" and notifies as it unwinds, and its thread takes no more jobs.
+/// (A job whose BLP cannot be built returns its error through the same
+/// guard, and its thread goes on.)
+///
+/// Safety: a job's cutoff is read only after every earlier variant of its
+/// partition published, and is the cheapest of their warm starts. The
+/// explorer's deadlock detection is the liveness check: no waiter is
+/// left waiting for a slot nobody will fill.
+pub struct CutoffHandoff {
+    /// Variants per partition.
+    pub variants: Vec<usize>,
+    /// Worker threads.
+    pub workers: usize,
+    /// Jobs (indices in (partition, variant) order) that panic before
+    /// publishing.
+    pub panics: Vec<usize>,
+    /// `false` is the broken twin: no drop guard, so a panicking job
+    /// publishes nothing.
+    pub guard: bool,
+}
+
+impl CutoffHandoff {
+    /// `(partition, variant)` of every job, in index order.
+    fn jobs(&self) -> Vec<(usize, usize)> {
+        (self.variants.iter().enumerate())
+            .flat_map(|(p, &n)| (0..n).map(move |k| (p, k)))
+            .collect()
+    }
+
+    /// Job `job`'s warm start: decreasing in the variant, so every
+    /// earlier publication can lower a later variant's cutoff.
+    fn warm(&self, job: usize) -> u8 {
+        10 - self.jobs()[job].1 as u8
+    }
+
+    /// The job indices of `job`'s partition's earlier variants.
+    fn earlier(&self, job: usize) -> std::ops::Range<usize> {
+        let k = self.jobs()[job].1;
+        job - k..job
+    }
+}
+
+impl Protocol for CutoffHandoff {
+    type State = CutoffHandoffState;
+
+    fn name(&self) -> &'static str {
+        "cutoff-handoff"
+    }
+
+    fn init(&self) -> CutoffHandoffState {
+        let jobs = self.jobs().len();
+        CutoffHandoffState {
+            next: 0,
+            published: vec![None; jobs],
+            read: vec![None; jobs],
+            woken: vec![false; self.workers],
+            workers: vec![HandoffPhase::Take; self.workers],
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.workers
+    }
+
+    fn step(&self, s: &CutoffHandoffState, t: usize) -> Step<CutoffHandoffState> {
+        let mut next = s.clone();
+        next.workers[t] = match s.workers[t] {
+            HandoffPhase::Take => {
+                if s.next == s.published.len() {
+                    return Step::Done;
+                }
+                next.next += 1;
+                HandoffPhase::Build { job: s.next }
+            }
+            HandoffPhase::Build { job } => {
+                let unwinding = self.panics.contains(&job);
+                if unwinding && !self.guard {
+                    HandoffPhase::Dead
+                } else {
+                    let warm = if unwinding { u8::MAX } else { self.warm(job) };
+                    next.published[job].get_or_insert(warm);
+                    HandoffPhase::Notify { job, unwinding }
+                }
+            }
+            HandoffPhase::Notify { job, unwinding } => {
+                for (w, phase) in s.workers.iter().enumerate() {
+                    if matches!(phase, HandoffPhase::Waiting { .. }) {
+                        next.woken[w] = true;
+                    }
+                }
+                if unwinding {
+                    HandoffPhase::Dead
+                } else {
+                    HandoffPhase::Check { job }
+                }
+            }
+            HandoffPhase::Check { job } => {
+                let earlier = self.earlier(job);
+                if earlier.clone().all(|j| s.published[j].is_some()) {
+                    let seen = earlier
+                        .clone()
+                        .fold(0u32, |m, j| m | 1 << (j - earlier.start));
+                    let cutoff = earlier.filter_map(|j| s.published[j]).min();
+                    next.read[job] = Some((seen, cutoff.unwrap_or(u8::MAX)));
+                    HandoffPhase::Take
+                } else {
+                    HandoffPhase::Waiting { job }
+                }
+            }
+            HandoffPhase::Waiting { job } => {
+                if !s.woken[t] {
+                    return Step::Blocked;
+                }
+                next.woken[t] = false;
+                HandoffPhase::Check { job }
+            }
+            HandoffPhase::Dead => return Step::Done,
+        };
+        Step::Next(next)
+    }
+
+    fn check(&self, s: &CutoffHandoffState) -> Result<(), String> {
+        for (job, read) in s.read.iter().enumerate() {
+            let Some((seen, cutoff)) = *read else {
+                continue;
+            };
+            let earlier = self.earlier(job);
+            let all = (1u32 << earlier.len()) - 1;
+            if seen != all {
+                return Err(format!(
+                    "job {job} read its cutoff before every earlier publication"
+                ));
+            }
+            let want = (earlier.filter(|j| !self.panics.contains(j)))
+                .map(|j| self.warm(j))
+                .min()
+                .unwrap_or(u8::MAX);
+            if cutoff != want {
+                return Err(format!("job {job} read cutoff {cutoff}, not {want}"));
+            }
+        }
+        Ok(())
+    }
+
+    fn check_final(&self, s: &CutoffHandoffState) -> Result<(), String> {
+        for job in 0..s.next {
+            if !self.panics.contains(&job) && s.read[job].is_none() {
+                return Err(format!("job {job} was taken but never read its cutoff"));
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
 // The suite
 // ---------------------------------------------------------------------
 
@@ -1593,6 +1801,30 @@ pub fn verify_protocols() -> Result<Vec<(&'static str, Exploration)>, ExploreErr
                 tasks,
                 runs,
                 wait_for_detach: true,
+            }),
+        )?;
+    }
+
+    for (variants, workers, panics) in [
+        // One worker: every earlier variant is done before a later one.
+        (vec![3], 1, vec![]),
+        // Variant 1 waits for variant 0, which may still be building.
+        (vec![2], 2, vec![]),
+        (vec![3], 3, vec![]),
+        // Variant 0 panics before publishing: its guard must release
+        // the waiters, and the surviving worker drains the rest.
+        (vec![2], 2, vec![0]),
+        (vec![3], 2, vec![1]),
+        // A second partition waits on its own variants only.
+        (vec![1, 2], 2, vec![1]),
+    ] {
+        run(
+            "cutoff-handoff",
+            explore(&CutoffHandoff {
+                variants,
+                workers,
+                panics,
+                guard: true,
             }),
         )?;
     }
@@ -1759,9 +1991,9 @@ mod tests {
     #[test]
     fn exploration_suite_passes() {
         let results = verify_protocols().expect("all protocol models verify");
-        assert!(results.len() >= 33);
+        assert!(results.len() >= 39);
         let models: std::collections::BTreeSet<_> = results.iter().map(|(name, _)| name).collect();
-        assert_eq!(models.len(), 7, "{models:?}");
+        assert_eq!(models.len(), 8, "{models:?}");
         for (_, stats) in &results {
             assert!(stats.terminals >= 1);
         }
@@ -1842,6 +2074,24 @@ mod tests {
         // worker locks and checks, stopper stores and notifies nobody,
         // worker waits.
         assert_eq!(err.trace, vec![0, 0, 1, 1, 0]);
+    }
+
+    #[test]
+    fn a_panic_without_the_guard_strands_the_waiter() {
+        // Variant 0 panics before publishing and nothing publishes for
+        // it: variant 1's worker waits forever.
+        let err = explore(&CutoffHandoff {
+            variants: vec![2],
+            workers: 2,
+            panics: vec![0],
+            guard: false,
+        })
+        .expect_err("a publication lost to a panic must be caught");
+        assert!(
+            err.message.contains("deadlock"),
+            "expected a deadlock, got: {}",
+            err.message
+        );
     }
 
     #[test]

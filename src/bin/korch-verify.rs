@@ -31,8 +31,9 @@ use std::process::ExitCode;
 
 /// Protocol models the exploration suite must cover: dep-counter release,
 /// tile-assembly countdown, chase-lev-deque, park-unpark-epoch,
-/// server-shutdown-handshake, admission-dispatch, run-handoff.
-const PROTOCOL_MODELS: usize = 7;
+/// server-shutdown-handshake, admission-dispatch, run-handoff,
+/// cutoff-handoff.
+const PROTOCOL_MODELS: usize = 8;
 
 fn corpus() -> Vec<(&'static str, OpGraph)> {
     vec![

@@ -1,12 +1,18 @@
 //! `Korch::optimize_prims` orchestrates every distinct (partition,
-//! variant) as an independent job on every core and folds the results in
-//! order. It must compile exactly what orchestrating one job after the
-//! other compiles. `sequential_optimize` below is that definition: per
-//! partition in order, the fingerprint cache, the variants in order, the
-//! strict `<` and the stats summed in order. The chosen variants, every
-//! plan kernel and every `PipelineStats` field must match it, with
-//! latencies and clocks equal to the bit. `Orchestrator::orchestrate_all`
-//! must return what one `orchestrate` per graph returns, in input order.
+//! variant) as an independent job on every core, each later variant cut
+//! off at the cheapest warm start before it, and folds the results in
+//! order. It must compile exactly what orchestrating the distinct variants
+//! one after the other, uncut, compiles. `sequential_optimize` below is
+//! that definition: per partition in order, the fingerprint cache, the
+//! variants in order with those equal to a later one by `canonical_key`
+//! dropped, one uncut `orchestrate` each, the strict `<`,
+//! the stats summed in order and one model-wide tuning database. The
+//! chosen variants, every plan kernel and every `PipelineStats` field must
+//! match it, with latencies and clocks equal to the bit.
+//! `Orchestrator::orchestrate_all` over one-graph groups must return what
+//! one `orchestrate` per graph returns, in input order; over larger groups
+//! its first strictly cheapest plan per group must be the uncut one, and
+//! repeated calls must return the same results.
 
 use korch::core::{partition, Korch, KorchConfig, Optimized};
 use korch::cost::{Calibration, Device, KernelClass, Profiler};
@@ -17,7 +23,7 @@ use korch::orch::{OrchError, Orchestration, Orchestrator, Plan};
 use korch::tensor::{MatMulSpec, UnaryOp};
 use korch::transform::optimize_graph;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 mod common;
 
@@ -40,8 +46,8 @@ struct Stats {
     prim_stats: PrimStats,
 }
 
-/// `Korch::optimize_prims` by definition: one orchestration after the
-/// other.
+/// `Korch::optimize_prims` by definition: one uncut orchestration after
+/// the other.
 fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, Stats) {
     let parts = partition(pg, config.partition_max_prims).unwrap();
     let orchestrator = Orchestrator::new(Device::v100()).with_config(config.orchestrator.clone());
@@ -55,6 +61,7 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
         prim_stats: PrimStats::of(pg),
     };
     let mut tuning_time_s = 0.0f64;
+    let mut database = HashSet::new();
     // fingerprint → (chosen variant, plan, candidates, states)
     let mut cache: HashMap<u64, (u64, Plan, usize, usize)> = HashMap::new();
     let mut chosen = Vec::new();
@@ -64,16 +71,24 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
             stats.cache_hits += 1;
             hit.clone()
         } else {
-            let variants = optimize_graph(&part.graph, &config.transform);
+            let mut variants = optimize_graph(&part.graph, &config.transform);
+            variants.truncate(config.variants_to_orchestrate.max(1));
+            let keys: Vec<u64> = variants.iter().map(PrimGraph::canonical_key).collect();
             let mut best: Option<(u64, Orchestration)> = None;
-            let mut tuning = 0.0;
-            for v in variants.iter().take(config.variants_to_orchestrate.max(1)) {
+            for (i, v) in variants.iter().enumerate() {
+                if keys[i + 1..].contains(&keys[i]) {
+                    continue;
+                }
                 let orch = match orchestrator.orchestrate(v) {
                     Ok(o) => o,
                     Err(OrchError::Infeasible(_)) => continue,
                     Err(e) => panic!("sequential reference: {e}"),
                 };
-                tuning += orch.report.tuning_time_s;
+                for t in &orch.report.tuned {
+                    if database.insert((t.spec.clone(), t.backend)) {
+                        tuning_time_s += t.tuning_s;
+                    }
+                }
                 if best
                     .as_ref()
                     .is_none_or(|(_, b)| orch.plan.total_latency.0 < b.plan.total_latency.0)
@@ -82,7 +97,6 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
                 }
             }
             let (variant, orch) = best.expect("some variant orchestrates");
-            tuning_time_s += tuning;
             let rec = (
                 variant,
                 orch.plan,
@@ -240,12 +254,42 @@ fn result_bits(r: &Result<Orchestration, OrchError>) -> String {
     }
 }
 
+/// The profiler under which `gemm_graph` is infeasible.
+fn no_gemm_orchestrator() -> Orchestrator {
+    let no_gemm = Calibration {
+        class_scales: vec![
+            (KernelClass::GemmBlocked, f64::INFINITY),
+            (KernelClass::GemmSkinny, f64::INFINITY),
+        ],
+        ..Calibration::default()
+    };
+    Orchestrator::new(Device::v100())
+        .with_profiler(Profiler::new(Device::v100()).with_calibration(no_gemm))
+}
+
+/// The fold of `Korch::optimize_prims` over one group's results: the
+/// position of the first strictly cheapest plan, skipping the graphs
+/// without one.
+fn first_cheapest(results: &[Result<Orchestration, OrchError>]) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, r) in results.iter().enumerate() {
+        if let Ok(o) = r {
+            let us = o.plan.total_latency.0;
+            if best.is_none_or(|(_, b)| us < b) {
+                best = Some((i, us));
+            }
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Theorem 1's random DAGs, with infeasible graphs at random
-    /// positions: `orchestrate_all` returns one result per graph, in
-    /// input order, each what `orchestrate` returns for it.
+    /// positions, each a group of its own (what a recalibration passes):
+    /// `orchestrate_all` returns one result per graph, in input order,
+    /// each what `orchestrate` returns for it.
     #[test]
     fn orchestrate_all_is_orchestrate_in_input_order(
         dags in prop::collection::vec(common::arb_dag(), 1..6),
@@ -255,24 +299,60 @@ proptest! {
         for &i in &infeasible_at {
             graphs.insert(i.min(graphs.len()), (gemm_graph(), true));
         }
-        let no_gemm = Calibration {
-            class_scales: vec![
-                (KernelClass::GemmBlocked, f64::INFINITY),
-                (KernelClass::GemmSkinny, f64::INFINITY),
-            ],
-            ..Calibration::default()
-        };
-        let orchestrator = Orchestrator::new(Device::v100())
-            .with_profiler(Profiler::new(Device::v100()).with_calibration(no_gemm));
-        let refs: Vec<&PrimGraph> = graphs.iter().map(|(g, _)| g).collect();
-        let all = orchestrator.orchestrate_all(&refs);
+        let orchestrator = no_gemm_orchestrator();
+        let groups: Vec<Vec<&PrimGraph>> = graphs.iter().map(|(g, _)| vec![g]).collect();
+        let all = orchestrator.orchestrate_all(&groups);
         prop_assert_eq!(all.len(), graphs.len());
         for (i, ((g, gemm), got)) in graphs.iter().zip(&all).enumerate() {
+            prop_assert_eq!(got.len(), 1);
             let want = orchestrator.orchestrate(g);
-            prop_assert_eq!(result_bits(got), result_bits(&want), "graph {}", i);
-            let infeasible = matches!(got, Err(OrchError::Infeasible(_)));
+            prop_assert_eq!(result_bits(&got[0]), result_bits(&want), "graph {}", i);
+            let infeasible = matches!(got[0], Err(OrchError::Infeasible(_)));
             prop_assert_eq!(infeasible, *gemm, "graph {}", i);
         }
         prop_assert!(orchestrator.orchestrate_all(&[]).is_empty());
+    }
+
+    /// Groups of random DAGs and infeasible graphs, solved with cutoffs:
+    /// each group's first strictly cheapest plan is the one uncut solves
+    /// choose, to the bit; the first graph of a group is never cut; a cut
+    /// graph's plan is never cheaper than the uncut choice; and a repeated
+    /// call returns the same results, reports included.
+    #[test]
+    fn grouped_orchestrate_all_chooses_the_uncut_plan(
+        groups in prop::collection::vec(
+            prop::collection::vec((common::arb_dag(), 0usize..5), 1..4),
+            1..4,
+        ),
+    ) {
+        // One graph in five is the infeasible GEMM.
+        let groups: Vec<Vec<PrimGraph>> = groups
+            .into_iter()
+            .map(|g| g.into_iter().map(|(dag, pick)| if pick == 0 { gemm_graph() } else { dag }).collect())
+            .collect();
+        let orchestrator = no_gemm_orchestrator();
+        let refs: Vec<Vec<&PrimGraph>> = groups.iter().map(|g| g.iter().collect()).collect();
+        let all = orchestrator.orchestrate_all(&refs);
+        prop_assert_eq!(all.len(), groups.len());
+        for (p, (graphs, got)) in groups.iter().zip(&all).enumerate() {
+            prop_assert_eq!(got.len(), graphs.len());
+            let uncut: Vec<_> = graphs.iter().map(|g| orchestrator.orchestrate(g)).collect();
+            prop_assert_eq!(result_bits(&got[0]), result_bits(&uncut[0]), "group {}", p);
+            let chosen = first_cheapest(&uncut);
+            prop_assert_eq!(first_cheapest(got), chosen, "group {}", p);
+            if let Some(i) = chosen {
+                let (Ok(want), Ok(have)) = (&uncut[i], &got[i]) else {
+                    unreachable!("the chosen graphs have plans");
+                };
+                prop_assert_eq!(plan_bits(&have.plan), plan_bits(&want.plan), "group {}", p);
+                for r in got.iter().flatten() {
+                    prop_assert!(r.plan.total_latency.0 >= want.plan.total_latency.0);
+                }
+            }
+        }
+        let again = orchestrator.orchestrate_all(&refs);
+        for (a, b) in all.iter().flatten().zip(again.iter().flatten()) {
+            prop_assert_eq!(result_bits(a), result_bits(b));
+        }
     }
 }
