@@ -32,7 +32,8 @@ fn main() {
     println!("Figure 4: kernel identification on the softmax-attention subgraph\n");
     println!("  primitives:            {n_prims}");
     println!("  execution states:      {}", space.states.len());
-    println!("  candidate kernels:     {}", cands.admitted);
+    println!("  member sets priced:    {}", cands.priced);
+    println!("  candidate kernels:     {}", cands.kernels.len());
     println!("  (paper's Fig 4 example: 12 primitives -> 21 kernels)\n");
 
     // --- §6.4: Softmax mapped to several kernels on Segformer attention ---

@@ -12,11 +12,13 @@
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
 //!   one line per (partition, variant) it takes — a variant equal to a
 //!   later one by `canonical_key` as `dup of v<k>`, unsolved; every
-//!   other one with its problem size, identification time, the search's
-//!   nodes, LP solves and pivots, solve time and the objective against
-//!   the warm start the search began from (the best of greedy, chain-DP
-//!   and seeds) and the cutoff it was solved with (the cheapest earlier
-//!   warm start, `-` for none) — then the model's totals, and one
+//!   other one with its problem size, what identification did (distinct
+//!   member sets `priced`, state pairs the latency floor `skipped`
+//!   unread, candidates `kept` as BLP variables) and its time, the
+//!   search's nodes, LP solves and pivots, solve time and the objective
+//!   against the warm start the search began from (the best of greedy,
+//!   chain-DP and seeds) and the cutoff it was solved with (the cheapest
+//!   earlier warm start, `-` for none) — then the model's totals, and one
 //!   `Korch::optimize` wall time (its jobs on every core) against the
 //!   identify + solve total: the speedup and parallel efficiency.
 use korch_core::{partition, stitch, Korch, KorchConfig};
@@ -102,7 +104,7 @@ fn blp_table(g: &OpGraph) {
     let prims = fission(g).expect("fission").prim_graph;
     let parts = partition(&prims, config.partition_max_prims).expect("partition");
     println!(
-        "part var prims states cands identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us    warm_us  cutoff_us"
+        "part var prims states priced skipped  kept identify_ms   vars x rows  nodes   lps  pivots  solve_ms  objective_us    warm_us  cutoff_us"
     );
     let mut seen = HashSet::new();
     let (mut identify_total, mut solve_total) = (0.0, 0.0);
@@ -137,9 +139,11 @@ fn blp_table(g: &OpGraph) {
             });
             let prims = v.iter().filter(|(_, n)| !n.kind.is_source()).count();
             let head = format!(
-                "{pi:>4} {vi:>3} {prims:>5} {:>6} {:>5} {identify_ms:>11.1}",
+                "{pi:>4} {vi:>3} {prims:>5} {:>6} {:>6} {:>7} {:>5} {identify_ms:>11.1}",
                 space.states.len(),
-                cands.admitted
+                cands.priced,
+                cands.skipped,
+                cands.kernels.len()
             );
             let cutoff = cutoff.map_or("-".to_string(), |c| format!("{c:.4}"));
             match solved {

@@ -247,6 +247,15 @@ impl Profiler {
         Micros(self.launch_us() + t_mem.max(t_compute) * cf)
     }
 
+    /// A lower bound on [`Profiler::latency`] over every spec and backend:
+    /// the launch term, which every kernel pays at least once (for a
+    /// non-negative calibration, as every [`Calibration::fit`] is).
+    /// Kernel identification skips a member set whose floor per member
+    /// cannot beat the worst candidate it keeps, so the bound must hold.
+    pub fn latency_floor_us(&self) -> f64 {
+        self.launch_us()
+    }
+
     /// Per-kernel launch plus host dispatch overhead — the same for every
     /// backend: all three runtimes launch pre-compiled kernels from a
     /// compiled engine (paper §5.3 stitches Korch's kernels the same way).
@@ -339,6 +348,7 @@ pub fn gemm_shape_efficiency(g: GemmShape) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem_spec(bytes_in: u64, bytes_out: u64) -> KernelSpec {
         KernelSpec {
@@ -688,5 +698,73 @@ mod tests {
         spec.has_opaque = true;
         let opaque = p.latency(&spec, Backend::Generated).0;
         assert!(opaque > normal);
+    }
+
+    /// A random kernel: up to two GEMMs, any pass and pattern count,
+    /// opaque or not, its sizes log-uniform from nothing (a launch-only
+    /// kernel) to gigabytes.
+    fn arb_spec() -> impl Strategy<Value = KernelSpec> {
+        let size = |bits: u32| (0..bits).prop_map(|e| (1u64 << e) - 1);
+        let gemm = (size(7), size(13), size(13), size(13)).prop_map(|(batch, m, n, k)| GemmShape {
+            batch,
+            m,
+            n,
+            k,
+            mr_rows: m,
+        });
+        let sizes = (1usize..24, size(31), size(31), size(33));
+        let shape = (1u32..4, 0u32..5, prop::bool::ANY);
+        (sizes, prop::collection::vec(gemm, 0..3), shape).prop_map(
+            |((n_prims, input_bytes, output_bytes, pointwise_flops), linear, shape)| KernelSpec {
+                n_prims,
+                input_bytes,
+                output_bytes,
+                pointwise_flops,
+                linear,
+                passes: shape.0,
+                pattern_classes: shape.1,
+                has_opaque: shape.2,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `latency_floor_us` bounds every price from below, on every
+        /// device and backend, with the eager baseline's dispatch overhead
+        /// and under a calibration fitted to measurements 0.05–20× off.
+        #[test]
+        fn latency_floor_bounds_every_price(
+            specs in prop::collection::vec(arb_spec(), 1..6),
+            factors in prop::collection::vec(0.05f64..20.0, 6),
+            device in 0usize..4,
+            eager in prop::bool::ANY,
+        ) {
+            let backends = [Backend::Generated, Backend::Vendor, Backend::TrtRuntime];
+            let mut base = Profiler::new(Device::generations()[device].clone());
+            if eager {
+                base.dispatch_overhead_us = 8.0; // the PyTorch-like baseline's
+            }
+            let samples: Vec<CalibrationSample> = (specs.iter().zip(&factors))
+                .zip(backends.iter().cycle())
+                .map(|((spec, f), &backend)| CalibrationSample {
+                    spec: spec.clone(),
+                    backend,
+                    measured: Micros(base.latency(spec, backend).0 * f),
+                })
+                .collect();
+            let fitted = base.clone().with_calibration(Calibration::fit(&base, &samples));
+            for p in [&base, &fitted] {
+                let floor = p.latency_floor_us();
+                prop_assert!(floor > 0.0);
+                for spec in &specs {
+                    for b in backends {
+                        let latency = p.latency(spec, b).0;
+                        prop_assert!(latency >= floor, "{b:?} {spec:?}: {latency} < {floor}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -16,11 +16,14 @@
 //!
 //! Identification returns the BLP's variables and nothing more: at most
 //! `MAX_BLP_CANDIDATES` (220), unless the singletons and seeds alone are
-//! more. Every candidate is priced and counted, but the state-pair loop
-//! keeps only the best it has seen in a bounded max-heap, and a candidate
-//! that cannot enter the heap is never built (nor charged its simulated
-//! tuning time). On a 32×32 Candy CNN that is 1 100 kept of 139 359
-//! admitted.
+//! more. The state-pair loop keeps only the best candidates it has seen
+//! in a bounded max-heap, and a candidate that cannot enter the heap is
+//! never built. Once that heap ranks and is full, a state pair whose
+//! member count `n` puts even the profiler's latency floor over `n` at
+//! or above the heap's worst latency per member is skipped unpriced: no
+//! output set of it could be kept. The 1 500-state cap, the per-kernel
+//! primitive cap and a cap on the member sets priced bound the loop;
+//! nothing counts admissions.
 
 use crate::plan::SelectedKernel;
 use crate::state::{BitSet, StateSpace};
@@ -37,9 +40,11 @@ const MAX_KERNEL_PRIMS: usize = 18;
 /// multiple linear transformation primitives" is rejected, §6.5).
 const MAX_LINEAR_PER_KERNEL: usize = 1;
 
-/// Hard cap on the number of candidates admitted; identification stops
-/// there.
-const MAX_CANDIDATES: usize = 50_000;
+/// Distinct member sets priced, after which the state-pair loop stops. It
+/// bounds identification's work, not its candidates: left uncapped, the
+/// sets priced past it on EfficientViT's and YOLOv4's widest partitions
+/// (up to 25 000) slowed identification and made the BLPs harder.
+const MAX_PRICED: usize = 10_000;
 
 /// Maximum candidates handed to the BLP. Beyond this, singletons and seeds
 /// are kept (for feasibility) and the most efficient fusions fill the
@@ -126,17 +131,21 @@ pub(crate) fn required_outputs(g: &PrimGraph) -> impl Iterator<Item = NodeId> + 
 /// among them once in [`SolveReport::tuned`](crate::SolveReport::tuned).
 #[derive(Debug, Clone)]
 pub struct Candidates {
-    /// The BLP's variables. When at most 220 candidates were admitted,
-    /// all of them in admission order. Otherwise every singleton and seed
-    /// in admission order, then the most efficient other candidates
-    /// (lowest latency per member primitive, the earlier admitted on
-    /// ties) up to 220 in all; singletons and seeds are kept even beyond.
+    /// The BLP's variables. When at most 220 candidates were admitted
+    /// (priced on a backend and below their rejection threshold), all of
+    /// them in admission order. Otherwise every singleton and seed in
+    /// admission order, then the most efficient other candidates (lowest
+    /// latency per member primitive, the earlier admitted on ties) up to
+    /// 220 in all; singletons and seeds are kept even beyond.
     pub kernels: Vec<CandidateKernel>,
-    /// Candidates admitted: priced on a backend and below their rejection
-    /// threshold, whether kept in `kernels` or not.
-    pub admitted: usize,
-    /// Whether admission stopped at the 50 000-candidate cap.
-    pub truncated: bool,
+    /// Distinct member sets priced: each ran its member pass once and
+    /// priced every output set, whether a candidate was kept or not.
+    pub priced: usize,
+    /// State pairs in the size window skipped unread because the latency
+    /// floor ruled their member set out (see the module doc). A pair is
+    /// counted before its subset test, and a member set may be skipped
+    /// once per pair that yields it.
+    pub skipped: usize,
     /// Complete greedy-fusion selections (each a disjoint cover of all
     /// primitives by member sets); used as BLP warm-start incumbents.
     pub seed_selections: Vec<Vec<Vec<NodeId>>>,
@@ -157,6 +166,19 @@ pub fn identify_kernels(
     config: &IdentifyConfig,
     backends: &[Backend],
 ) -> Candidates {
+    identify_capped(g, space, profiler, config, backends, MAX_PRICED)
+}
+
+/// [`identify_kernels`], its state-pair loop stopping at a fresh member
+/// set once `max_priced` sets are priced.
+fn identify_capped(
+    g: &PrimGraph,
+    space: &StateSpace,
+    profiler: &Profiler,
+    config: &IdentifyConfig,
+    backends: &[Backend],
+    max_priced: usize,
+) -> Candidates {
     let mut adm = Admission {
         g,
         succ: g.successors(),
@@ -168,8 +190,8 @@ pub fn identify_kernels(
         keep: Keep::default(),
         out: Candidates {
             kernels: Vec::new(),
-            admitted: 0,
-            truncated: false,
+            priced: 0,
+            skipped: 0,
             seed_selections: Vec::new(),
         },
     };
@@ -214,22 +236,33 @@ pub fn identify_kernels(
     }
 
     // State pairs `D1 ⊂ D2`, on words: `|D2 \ D1| = |D2| − |D1|` skips
-    // every pair outside the size cap before a word is read, and one
-    // reused difference set carries the subset test and the `seen` probe,
-    // so only a fresh member set allocates.
+    // every pair outside the size cap, and every pair the latency floor
+    // rules out, before a word is read; one reused difference set carries
+    // the subset test and the `seen` probe, so only a fresh member set
+    // allocates.
     let sizes: Vec<usize> = space.states.iter().map(BitSet::count).collect();
+    let floor = profiler.latency_floor_us();
+    let mut fewest = adm.keep.fewest_members(floor);
     let mut diff = BitSet::empty(g.len());
     'outer: for (d1, &n1) in space.states.iter().zip(&sizes) {
         for (d2, &n2) in space.states.iter().zip(&sizes) {
-            if adm.out.truncated {
-                break 'outer;
+            if n2 <= n1 || n2 - n1 > MAX_KERNEL_PRIMS {
+                continue;
             }
-            if n2 <= n1 || n2 - n1 > MAX_KERNEL_PRIMS || d1.diff_if_subset(d2, &mut diff).is_none()
-            {
+            // Too few members to be kept even at the floor. The keep's
+            // worst only improves, so a skipped set never needs `seen`.
+            if n2 - n1 < fewest {
+                adm.out.skipped += 1;
+                continue;
+            }
+            if d1.diff_if_subset(d2, &mut diff).is_none() {
                 continue;
             }
             if adm.seen.contains(&diff) {
                 continue;
+            }
+            if adm.out.priced >= max_priced {
+                break 'outer;
             }
             adm.seen.insert(diff.clone());
             let members = diff.ids();
@@ -237,9 +270,9 @@ pub fn identify_kernels(
             // individual kernels (launch savings are already priced in).
             let singleton_sum: f64 = members.iter().map(|m| singleton_latency[m.0]).sum();
             adm.price(&members, false, singleton_sum);
+            fewest = adm.keep.fewest_members(floor);
         }
     }
-    adm.out.admitted = adm.keep.admitted;
     adm.out.kernels = adm.keep.into_kernels();
     adm.out
 }
@@ -253,7 +286,7 @@ struct Admission<'a> {
     profiler: &'a Profiler,
     config: &'a IdentifyConfig,
     backends: &'a [Backend],
-    /// Member sets already admitted (or rejected) once.
+    /// Member sets already priced (or rejected) once.
     seen: HashSet<BitSet>,
     keep: Keep,
     /// Everything but the kept kernels, which `keep` holds until the end.
@@ -264,8 +297,9 @@ struct Admission<'a> {
 /// in a max-heap, the best `MAX_BLP_CANDIDATES − protected` others.
 #[derive(Default)]
 struct Keep {
-    /// Candidates admitted so far; the next one's admission sequence.
-    admitted: usize,
+    /// Candidates offered (admitted) so far; the next one's admission
+    /// sequence.
+    offered: usize,
     /// Singletons and seeds, in admission order.
     protected: Vec<Ranked>,
     /// The best other candidates so far, the worst on top.
@@ -310,12 +344,28 @@ impl Keep {
         MAX_BLP_CANDIDATES.saturating_sub(self.protected.len())
     }
 
+    /// The fewest members an unprotected set needs to be kept, given a
+    /// `floor` under every latency (`MAX_KERNEL_PRIMS + 1` for none). Once
+    /// the keep ranks (more than `MAX_BLP_CANDIDATES` offered, so
+    /// admission order no longer decides the output) and its heap is
+    /// full, a set of `n` costs at least `floor / n` per member, which
+    /// must beat the heap's worst: a later candidate loses the tie.
+    /// `floor / n` falls as `n` grows, so every larger set may be kept.
+    fn fewest_members(&self, floor: f64) -> usize {
+        let ranks = self.offered > MAX_BLP_CANDIDATES && self.best.len() >= self.room();
+        let beats = |bar: f64| (1..=MAX_KERNEL_PRIMS).find(|&n| floor / (n as f64) < bar);
+        match self.best.peek().filter(|_| ranks) {
+            Some(worst) => beats(worst.rank.0).unwrap_or(MAX_KERNEL_PRIMS + 1),
+            None => 1,
+        }
+    }
+
     /// Counts an admitted candidate and keeps it when it is protected (a
     /// singleton or a seed) or ranks among the best others, evicting the
     /// worst over the room left; `build` runs only for a kept candidate.
     fn offer(&mut self, protected: bool, efficiency: f64, build: impl FnOnce() -> CandidateKernel) {
-        let rank = (efficiency, self.admitted);
-        self.admitted += 1;
+        let rank = (efficiency, self.offered);
+        self.offered += 1;
         let takes = protected
             || self.best.len() < self.room()
             || (self.best.peek()).is_some_and(|worst| by_rank(rank, worst.rank).is_lt());
@@ -341,7 +391,7 @@ impl Keep {
     /// rest by rank.
     fn into_kernels(self) -> Vec<CandidateKernel> {
         let mut kept = self.protected;
-        if self.admitted <= MAX_BLP_CANDIDATES {
+        if self.offered <= MAX_BLP_CANDIDATES {
             kept.extend(self.best);
             kept.sort_unstable_by_key(|r| r.rank.1);
         } else {
@@ -365,7 +415,7 @@ impl Admission<'_> {
     /// Admits subgraph `members` (ascending) unless it was seen before;
     /// see [`Admission::price`].
     fn admit(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) -> f64 {
-        if !self.out.truncated && self.seen.insert(BitSet::from_ids(self.g.len(), members)) {
+        if self.seen.insert(BitSet::from_ids(self.g.len(), members)) {
             self.price(members, seeded, reject_at)
         } else {
             f64::INFINITY
@@ -380,13 +430,13 @@ impl Admission<'_> {
     /// everything a backend serves). A rejected candidate is the profiler
     /// "returning ∞" (Algorithm 1 line 19). An admitted candidate is
     /// counted, and built and charged its tuning time only when the keep
-    /// takes it. Stops at the candidate cap. Returns the lowest admitted
-    /// latency (`∞` when none).
+    /// takes it. Returns the lowest admitted latency (`∞` when none).
     fn price(&mut self, members: &[NodeId], seeded: bool, reject_at: f64) -> f64 {
         let mut lowest = f64::INFINITY;
-        if self.out.truncated || self.rejects(members) {
+        if self.rejects(members) {
             return lowest;
         }
+        self.out.priced += 1;
         let (g, profiler) = (self.g, self.profiler);
         let mut spec = member_spec(g, members);
         // Applicability reads member features only: one test per subgraph.
@@ -419,10 +469,6 @@ impl Admission<'_> {
                 latency,
                 tuning_s: profiler.tuning_time_s(&spec, backend),
             });
-            if self.keep.admitted >= MAX_CANDIDATES {
-                self.out.truncated = true;
-                return lowest;
-            }
         }
         lowest
     }
@@ -694,6 +740,9 @@ mod tests {
     use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, UnaryOp};
     use std::collections::BTreeSet;
 
+    /// The backends `Orchestrator` prices on.
+    const BACKENDS: [Backend; 2] = [Backend::Generated, Backend::Vendor];
+
     /// The Fig. 4a-style softmax attention subgraph used across tests.
     fn softmax_prims() -> PrimGraph {
         let mut g = PrimGraph::new();
@@ -740,7 +789,7 @@ mod tests {
             &space,
             &Profiler::new(Device::v100()),
             &IdentifyConfig::default(),
-            &[Backend::Generated, Backend::Vendor],
+            &BACKENDS,
         )
     }
 
@@ -760,7 +809,6 @@ mod tests {
                 "missing singleton for node {id}"
             );
         }
-        assert!(!c.truncated);
     }
 
     #[test]
@@ -835,10 +883,9 @@ mod tests {
         assert!(c.kernels.is_empty());
     }
 
-    #[test]
-    fn kernel_size_cap_respected() {
-        // A pointwise chain longer than the cap: every window of it is a
-        // state difference, and the greedy seeds fuse all of it.
+    /// A pointwise chain of `len` primitives: every window of it is a
+    /// state difference, and the greedy seeds fuse all of it.
+    fn chain(len: usize) -> PrimGraph {
         let mut g = PrimGraph::new();
         let mut cur: PortRef = g
             .add(
@@ -849,7 +896,6 @@ mod tests {
             )
             .unwrap()
             .into();
-        let len = MAX_KERNEL_PRIMS + 6;
         for i in 0..len {
             let op = if i % 2 == 0 {
                 UnaryOp::Tanh
@@ -862,7 +908,13 @@ mod tests {
                 .into();
         }
         g.mark_output(cur.node).unwrap();
-        let c = default_candidates(&g);
+        g
+    }
+
+    #[test]
+    fn kernel_size_cap_respected() {
+        let len = MAX_KERNEL_PRIMS + 6;
+        let c = default_candidates(&chain(len));
         // State pairs stop at the cap, and reach it...
         assert!(c
             .kernels
@@ -874,6 +926,23 @@ mod tests {
             .any(|k| !k.seeded && k.members.len() == MAX_KERNEL_PRIMS));
         // ...while greedy-fusion seeds may exceed it.
         assert!(c.kernels.iter().any(|k| k.seeded && k.members.len() == len));
+    }
+
+    #[test]
+    fn pair_loop_stops_at_the_priced_cap() {
+        let g = chain(MAX_KERNEL_PRIMS + 6);
+        let space = enumerate_states(&g, 10_000);
+        let capped = |cap| {
+            let (p, config) = (Profiler::new(Device::v100()), IdentifyConfig::default());
+            identify_capped(&g, &space, &p, &config, &BACKENDS, cap).priced
+        };
+        // Singletons and seeds are priced whatever the cap.
+        let before_pairs = capped(0);
+        let all = default_candidates(&g).priced;
+        assert!(all > before_pairs + 2);
+        for cap in before_pairs..=all {
+            assert_eq!(capped(cap), cap);
+        }
     }
 
     #[test]
@@ -995,7 +1064,7 @@ mod tests {
         keep.offer(false, 2.0, || tagged(1, 2, false));
         keep.offer(false, 2.0, || tagged(2, 2, false));
         keep.offer(false, 2.0, || unreachable!("a later tie is never built"));
-        assert_eq!(keep.admitted, MAX_BLP_CANDIDATES + 1);
+        assert_eq!(keep.offered, MAX_BLP_CANDIDATES + 1);
         let kept = tags(keep);
         assert_eq!(kept.len(), MAX_BLP_CANDIDATES);
         assert_eq!(
@@ -1003,6 +1072,25 @@ mod tests {
             (1_000..1_218).collect::<Vec<_>>()
         );
         assert_eq!(kept[MAX_BLP_CANDIDATES - 2..], [1, 2]);
+    }
+
+    #[test]
+    fn keep_skips_nothing_until_it_ranks_full() {
+        let floor = 6.0;
+        let mut keep = Keep::default();
+        protected_singletons(&mut keep, MAX_BLP_CANDIDATES - 2);
+        keep.offer(false, 3.0, || tagged(3, 2, false));
+        assert_eq!(keep.fewest_members(floor), 1, "the heap has room");
+        keep.offer(false, 2.0, || tagged(2, 2, false));
+        // Full, but a 221st admission would still switch the output from
+        // admission order to rank order.
+        assert_eq!(keep.fewest_members(floor), 1, "admission order decides");
+        keep.offer(false, 4.0, || unreachable!("worse than the worst"));
+        // 6 / 2 = 3 ties the worst and loses; 6 / 3 beats it.
+        assert_eq!(keep.fewest_members(floor), 3);
+        keep.offer(false, 1.0, || tagged(1, 2, false));
+        assert_eq!(keep.fewest_members(floor), 4, "the worst only improves");
+        assert_eq!(keep.fewest_members(1e9), MAX_KERNEL_PRIMS + 1);
     }
 
     #[test]

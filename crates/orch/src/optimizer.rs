@@ -847,9 +847,9 @@ mod tests {
     fn candidates(kernels: Vec<CandidateKernel>, seeds: &[&[&[usize]]]) -> Candidates {
         let ids = |members: &[usize]| members.iter().map(|&m| NodeId(m)).collect();
         Candidates {
-            admitted: kernels.len(),
+            priced: kernels.len(),
+            skipped: 0,
             kernels,
-            truncated: false,
             seed_selections: seeds
                 .iter()
                 .map(|s| s.iter().map(|m| ids(m)).collect())
