@@ -197,21 +197,6 @@ impl CompiledChain {
         ))
     }
 
-    /// Number of external inputs `run` expects, in compile order.
-    pub fn input_count(&self) -> usize {
-        self.n_inputs
-    }
-
-    /// Number of lowered instructions (non-source chain members).
-    pub fn instr_count(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Number of virtual registers the program needs.
-    pub fn register_count(&self) -> usize {
-        self.n_regs
-    }
-
     /// Executes the chain over `inputs`, writing every element of `out`.
     ///
     /// All slices must share `out.len()`; inputs are the external ports
@@ -366,8 +351,8 @@ mod tests {
         let members = vec![a, b, c, d, e];
         let (chain, ports) = CompiledChain::compile(&g, &members, e.into()).unwrap();
         assert_eq!(ports, vec![PortRef::from(x), PortRef::from(y)]);
-        assert_eq!(chain.input_count(), 2);
-        assert_eq!(chain.instr_count(), 5);
+        assert_eq!(chain.n_inputs, 2);
+        assert_eq!(chain.instrs.len(), 5);
 
         let xs = Tensor::random(vec![3000], 1);
         let ys = Tensor::random(vec![3000], 2);
@@ -442,11 +427,11 @@ mod tests {
         }
         g.mark_output(cur.node).unwrap();
         let (chain, _) = CompiledChain::compile(&g, &members, cur).unwrap();
-        assert_eq!(chain.instr_count(), 8);
+        assert_eq!(chain.instrs.len(), 8);
         assert!(
-            chain.register_count() <= 2,
+            chain.n_regs <= 2,
             "linear chain should ping-pong two registers, used {}",
-            chain.register_count()
+            chain.n_regs
         );
     }
 
@@ -472,7 +457,7 @@ mod tests {
         g.mark_output(s).unwrap();
         let (chain, ports) = CompiledChain::compile(&g, &[c, s], s.into()).unwrap();
         assert_eq!(ports, vec![PortRef::from(x), PortRef::from(c)]);
-        assert_eq!(chain.input_count(), 2);
+        assert_eq!(chain.n_inputs, 2);
     }
 
     #[test]

@@ -185,17 +185,6 @@ impl<K: NodeKind> Graph<K> {
         succ.into_iter().map(|s| s.into_iter().collect()).collect()
     }
 
-    /// Direct predecessor node ids of each node (deduplicated, sorted).
-    pub fn predecessors(&self) -> Vec<Vec<NodeId>> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                let set: BTreeSet<NodeId> = n.inputs.iter().map(|r| r.node).collect();
-                set.into_iter().collect()
-            })
-            .collect()
-    }
-
     /// Transitive reachability: `reach[a][b]` is `true` iff there is a path
     /// from node `a` to node `b`. O(V·E/64) via bitset rows.
     pub fn reachability(&self) -> Reachability {
@@ -503,14 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn successors_and_predecessors() {
+    fn diamond_successors() {
         let (g, n) = diamond();
         let succ = g.successors();
         assert_eq!(succ[n[0].0], vec![n[1], n[2]]);
         assert_eq!(succ[n[3].0], vec![]);
-        let pred = g.predecessors();
-        assert_eq!(pred[n[3].0], vec![n[1], n[2]]);
-        assert_eq!(pred[n[0].0], vec![]);
     }
 
     #[test]

@@ -36,7 +36,6 @@ mod graph;
 mod meta;
 mod op;
 mod prim;
-pub mod text;
 
 pub use error::IrError;
 pub use graph::{Graph, Node, NodeId, NodeKind, PortRef, Reachability};

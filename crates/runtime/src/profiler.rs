@@ -152,12 +152,6 @@ impl RuntimeProfile {
         self.runs += 1;
     }
 
-    /// Σ mean kernel times, µs: the sequential-execution estimate of the
-    /// measured plan (Eq. 2 over wall clocks).
-    pub fn sequential_us(&self) -> f64 {
-        self.per_kernel.iter().map(KernelStats::mean_us).sum()
-    }
-
     /// Turns the profile into cost-model calibration samples: one per
     /// kernel that has measurements, with the kernel's spec extracted from
     /// the plan and the mean measured wall time.
@@ -211,7 +205,7 @@ mod tests {
         p.record_run();
         assert_eq!(p.per_kernel[0].count, 2);
         assert_eq!(p.per_kernel[0].mean_us(), 20.0);
-        assert_eq!(p.sequential_us(), 25.0);
+        assert_eq!(p.per_kernel[1].mean_us(), 5.0);
         assert_eq!(p.runs, 1);
     }
 
@@ -249,7 +243,7 @@ mod tests {
     #[test]
     fn empty_profile_is_neutral() {
         let p = RuntimeProfile::new(3);
-        assert_eq!(p.sequential_us(), 0.0);
+        assert!(p.per_kernel.iter().all(|s| s.count == 0));
         let cost = Profiler::new(korch_cost::Device::v100());
         assert_eq!(
             p.model_error(&PrimGraph::new(), &Plan::from_kernels([]), &cost),

@@ -281,10 +281,10 @@ impl ResponseHandle {
         }
     }
 
-    /// Non-blocking poll; `None` while the request is still in flight.
-    /// The response is handed over once: the poll that returns it empties
-    /// the slot.
-    pub fn try_wait(&self) -> Option<Result<Vec<Tensor>, ServeError>> {
+    /// Test seam: non-blocking poll, `None` while the request is still
+    /// in flight. The poll that returns the response empties the slot.
+    #[cfg(test)]
+    pub(crate) fn try_wait(&self) -> Option<Result<Vec<Tensor>, ServeError>> {
         self.slot.reply.lock().expect("reply slot poisoned").take()
     }
 }

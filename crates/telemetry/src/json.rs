@@ -72,14 +72,6 @@ impl Value {
         }
     }
 
-    /// Boolean value, if a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Element slice, if an array.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -323,7 +315,7 @@ mod tests {
         assert_eq!(a[0].as_f64(), Some(1.0));
         assert_eq!(a[1].as_f64(), Some(-2.5));
         assert_eq!(a[2].as_str(), Some("x\n\"y\""));
-        assert_eq!(a[3].as_bool(), Some(true));
+        assert_eq!(a[3], Value::Bool(true));
         assert_eq!(a[4], Value::Null);
         assert_eq!(
             v.get("b").and_then(|b| b.get("c")).and_then(Value::as_f64),

@@ -243,29 +243,6 @@ impl Tensor {
         }
     }
 
-    /// Combines two same-shaped tensors elementwise with `f`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn zip_map(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Result<Self, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                lhs: self.shape.clone(),
-                rhs: other.shape.clone(),
-            });
-        }
-        Ok(Self {
-            shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        })
-    }
-
     /// Maximum absolute difference against `other`, for tolerance checks.
     /// Two NaNs, or two equal values (`inf` and `inf` too), differ by 0;
     /// any other pair whose difference is NaN — a NaN against a number —
@@ -408,13 +385,6 @@ mod tests {
         t.set(&[1, 2], 7.0);
         assert_eq!(t.at(&[1, 2]), 7.0);
         assert_eq!(t.at(&[0, 0]), 0.0);
-    }
-
-    #[test]
-    fn zip_map_rejects_mismatch() {
-        let a = Tensor::zeros(vec![2]);
-        let b = Tensor::zeros(vec![3]);
-        assert!(a.zip_map(&b, |x, y| x + y).is_err());
     }
 
     #[test]

@@ -132,6 +132,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BinaryOp;
 
     #[test]
     fn reduce_sum_middle_axis() {
@@ -201,7 +202,7 @@ mod tests {
         let e = x.map(f32::exp);
         let s = e.reduce_sum(1).unwrap();
         let b = s.broadcast(1, 8).unwrap();
-        let sm = e.zip_map(&b, |a, d| a / d).unwrap();
+        let sm = e.binary(&b, BinaryOp::Div).unwrap();
         let rows = sm.reduce_sum(1).unwrap();
         for &r in rows.as_slice() {
             assert!((r - 1.0).abs() < 1e-5);

@@ -439,55 +439,6 @@ fn gemm_matches_reference() {
 }
 
 #[test]
-fn new_ops_round_trip_through_text() {
-    let mut g = OpGraph::new();
-    let x = g
-        .add(
-            OpKind::Input {
-                shape: vec![2, 4, 3, 3],
-            },
-            vec![],
-        )
-        .unwrap();
-    let s = g
-        .add(
-            OpKind::Constant {
-                shape: vec![4],
-                init: korch::ir::ConstInit::Ones,
-            },
-            vec![],
-        )
-        .unwrap();
-    let b = g
-        .add(
-            OpKind::Constant {
-                shape: vec![4],
-                init: korch::ir::ConstInit::Zeros,
-            },
-            vec![],
-        )
-        .unwrap();
-    let gn = g
-        .add(
-            OpKind::GroupNorm {
-                groups: 2,
-                eps: 1e-5,
-            },
-            vec![x.into(), s.into(), b.into()],
-        )
-        .unwrap();
-    let e = g.add(OpKind::Elu { alpha: 0.75 }, vec![gn.into()]).unwrap();
-    let gt = g.add(OpKind::GeluTanh, vec![e.into()]).unwrap();
-    let ls = g
-        .add(OpKind::LogSoftmax { axis: 1 }, vec![gt.into()])
-        .unwrap();
-    g.mark_output(ls).unwrap();
-    let text = korch::ir::text::op_to_text(&g);
-    let back = korch::ir::text::op_from_text(&text).unwrap();
-    assert_eq!(back.fingerprint(), g.fingerprint());
-}
-
-#[test]
 fn new_ops_orchestrate_end_to_end() {
     // RMSNorm -> GeluTanh -> Gemm: a Llama-flavoured block tail.
     let mut g = OpGraph::new();

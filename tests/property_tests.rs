@@ -95,31 +95,6 @@ proptest! {
         let (_, err) = korch.optimize_verified(&g, seed).unwrap();
         prop_assert!(err < 1e-3, "pipeline diverged: {err}");
     }
-
-    /// Text serialization round-trips arbitrary operator graphs exactly
-    /// (structure, outputs, and a second print is byte-identical).
-    #[test]
-    fn op_text_round_trips((g, _shape) in arb_op_graph()) {
-        let text = korch::ir::text::op_to_text(&g);
-        let back = korch::ir::text::op_from_text(&text).unwrap();
-        prop_assert_eq!(back.fingerprint(), g.fingerprint());
-        prop_assert_eq!(back.outputs(), g.outputs());
-        prop_assert_eq!(korch::ir::text::op_to_text(&back), text);
-    }
-
-    /// Fissioned primitive graphs survive the text round trip, and the
-    /// parsed copy still computes the same function.
-    #[test]
-    fn prim_text_round_trips((g, shape) in arb_op_graph(), seed in 0u64..1000) {
-        let f = fission(&g).unwrap();
-        let text = korch::ir::text::prim_to_text(&f.prim_graph);
-        let back = korch::ir::text::prim_from_text(&text).unwrap();
-        prop_assert_eq!(back.fingerprint(), f.prim_graph.fingerprint());
-        let x = Tensor::random(shape, seed);
-        let a = execute_prims(&f.prim_graph, std::slice::from_ref(&x)).unwrap();
-        let b = execute_prims(&back, &[x]).unwrap();
-        prop_assert!(a[0].allclose(&b[0], 1e-6));
-    }
 }
 
 /// Random covering-style BLP instances.
