@@ -10,8 +10,9 @@
 //!   depthwise, pointwise, panel).
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
-//!   one line per (partition, variant) it takes — a variant equal to a
-//!   later one by `canonical_key` as `dup of v<k>`, unsolved; every
+//!   one line per (partition, variant) it takes — a variant whose
+//!   canonical numbering equals an earlier one's as `dup of v<k>`,
+//!   unsolved; every
 //!   other one with its problem size, what identification did (distinct
 //!   member sets `priced`, state pairs the latency floor `skipped`
 //!   unread, candidates `kept` as BLP variables) and its time, the
@@ -113,15 +114,17 @@ fn blp_table(g: &OpGraph) {
         if !seen.insert(part.graph.fingerprint()) {
             continue;
         }
-        let mut variants = optimize_graph(&part.graph, &config.transform);
-        variants.truncate(config.variants_to_orchestrate.max(1));
-        let keys: Vec<u64> = variants.iter().map(|v| v.canonical_key()).collect();
+        let variants: Vec<PrimGraph> = (optimize_graph(&part.graph, &config.transform).iter())
+            .take(config.variants_to_orchestrate.max(1))
+            .map(PrimGraph::canonical)
+            .collect();
+        let keys: Vec<u64> = variants.iter().map(PrimGraph::fingerprint).collect();
         // The warm starts of the variants solved so far, infinity for none.
         let mut warm_starts: Vec<f64> = Vec::new();
         for (vi, v) in variants.iter().enumerate() {
-            let last = keys.iter().rposition(|&k| k == keys[vi]).unwrap_or(vi);
-            if last > vi {
-                println!("{pi:>4} {vi:>3}  dup of v{last}");
+            let first = keys.iter().position(|&k| k == keys[vi]).unwrap_or(vi);
+            if first < vi {
+                println!("{pi:>4} {vi:>3}  dup of v{first}");
                 continue;
             }
             let space = enumerate_states(v, max_states);

@@ -356,22 +356,20 @@ impl CompiledModel {
         };
         if let Some(t) = &self.runtime.telemetry {
             let rec = t.recorder();
-            if rec.is_enabled() {
-                let swap_end = rec.now_us();
-                use korch_telemetry::{EventKind, RecalPhase, TraceEvent};
-                let phases = [
-                    (RecalPhase::Fit, fit_start, replan_start),
-                    (RecalPhase::Replan, replan_start, swap_start),
-                    (RecalPhase::Swap, swap_start, swap_end),
-                ];
-                for (phase, start_us, end_us) in phases {
-                    rec.record(TraceEvent {
-                        trace: 0,
-                        start_us,
-                        dur_us: (end_us - start_us).max(0.0),
-                        kind: EventKind::RecalPhase { phase, generation },
-                    });
-                }
+            let swap_end = rec.now_us();
+            use korch_telemetry::{EventKind, RecalPhase, TraceEvent};
+            let phases = [
+                (RecalPhase::Fit, fit_start, replan_start),
+                (RecalPhase::Replan, replan_start, swap_start),
+                (RecalPhase::Swap, swap_start, swap_end),
+            ];
+            for (phase, start_us, end_us) in phases {
+                rec.record(TraceEvent {
+                    trace: 0,
+                    start_us,
+                    dur_us: (end_us - start_us).max(0.0),
+                    kind: EventKind::RecalPhase { phase, generation },
+                });
             }
         }
         Ok(report)

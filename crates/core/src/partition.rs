@@ -16,7 +16,9 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// The extracted subgraph (with fresh `Input` nodes for tensors flowing
-    /// in from earlier partitions; constants are cloned in).
+    /// in from earlier partitions; constants are cloned in), in its
+    /// canonical numbering ([`PrimGraph::canonical`]): two partitions equal
+    /// up to node numbering are one graph, and plan alike.
     pub graph: PrimGraph,
     /// Outer ports feeding this partition — one entry per `Input` node of
     /// `graph`, in node order. Entries are either original program-input
@@ -187,7 +189,7 @@ fn extract(
         }
     }
     Ok(Partition {
-        graph: sub,
+        graph: sub.canonical(),
         inputs,
         outputs,
     })

@@ -5,11 +5,13 @@
 //! Orchestration runs on every core. The partitions are independent
 //! subproblems, and so are the transform variants of each: every distinct
 //! variant of every distinct partition is one job of
-//! [`Orchestrator::orchestrate_all`], grouped by partition. A variant
-//! that equals a later one of its partition up to node numbering
-//! ([`PrimGraph::canonical_key`]) is dropped before orchestrating, and
-//! each variant after the first is solved with a cutoff at the cheapest
-//! warm start before it, so it pays only for plans that could win. The
+//! [`Orchestrator::orchestrate_all`], grouped by partition. Every
+//! partition and variant enters orchestration in its canonical numbering
+//! ([`PrimGraph::canonical`]), so graphs equal up to node numbering are one
+//! graph and plan alike; a variant equal to an earlier one of its
+//! partition is dropped before orchestrating, and each variant after the
+//! first is solved with a cutoff at the cheapest warm start before it, so
+//! it pays only for plans that could win. The
 //! results are folded sequentially in (partition, variant) order, so the
 //! chosen variants, plans and [`PipelineStats`] are those of
 //! orchestrating the distinct variants one after the other without
@@ -82,26 +84,22 @@ pub struct KorchConfig {
     /// Transformation search budget per partition.
     pub transform: SearchConfig,
     /// How many of the transform search's graph variants (the original
-    /// first) a partition takes; of those, at most this many *distinct*
-    /// ones are orchestrated. The cheapest plan wins. Of variants equal
-    /// up to node numbering only the last is kept: identification breaks
-    /// ties by node number, so duplicates can still plan differently, and
-    /// on this repository's models keeping the last reproduces the plan
-    /// of orchestrating them all (on efficientvit-tiny's partition 19 the
-    /// first of two duplicates plans 35.0 µs, the last 25.0).
+    /// first) a partition takes. Each is put in its canonical numbering
+    /// and the first of each [`PrimGraph::fingerprint`] is orchestrated,
+    /// so at most this many *distinct* variants are. The cheapest plan
+    /// wins.
     pub variants_to_orchestrate: usize,
     /// Orchestrator settings (state cap, identification options, solver
     /// budget).
     pub orchestrator: OrchestratorConfig,
     /// Memoize per-partition outcomes by [`PrimGraph::fingerprint`],
-    /// mirroring the paper's TVM-database reuse. That key is exact: it
-    /// hashes node numbering and `ConstInit::Random` seeds, so only a
-    /// partition identical to an earlier one down to those hits — repeated
-    /// blocks of the benchmark models never do. The variant dedupe uses
-    /// [`PrimGraph::canonical_key`], which ignores numbering but still
-    /// hashes seeds; keying the cache by it as well needs a hit to rebind
-    /// the partition's numbering (ROADMAP item 5(a)). Whether or not it
-    /// is on, the tuning clock keeps one database per model.
+    /// mirroring the paper's TVM-database reuse. Partitions come in their
+    /// canonical numbering, so the key is free of numbering, but it still
+    /// hashes `ConstInit::Random` seeds: repeated blocks of the benchmark
+    /// models carry their own weights, so the cache has 0 hits on every
+    /// model (a seed-blind key would need a hit to rebind constants).
+    /// Whether or not it is on, the tuning clock keeps one database per
+    /// model.
     pub cache: bool,
 }
 
@@ -399,8 +397,8 @@ impl Korch {
     ///
     /// Every distinct partition (the fingerprint cache decides which are
     /// distinct) gets its transform variants, of which the first
-    /// [`KorchConfig::variants_to_orchestrate`] are taken and those equal
-    /// to a later one by [`PrimGraph::canonical_key`] dropped. Each
+    /// [`KorchConfig::variants_to_orchestrate`] are taken, each in its
+    /// canonical numbering, and those equal to an earlier one dropped. Each
     /// remaining (partition, variant) is one job of
     /// [`Orchestrator::orchestrate_all`], which runs them on every core,
     /// a later variant cut off at the cheapest warm start before it. The
@@ -439,14 +437,12 @@ impl Korch {
         let variants: Vec<Vec<PrimGraph>> = distinct
             .iter()
             .map(|g| {
-                let mut v = optimize_graph(g, &self.config.transform);
-                v.truncate(take);
-                let mut later = HashSet::with_capacity(v.len());
-                let mut v: Vec<PrimGraph> = (v.into_iter().rev())
-                    .filter(|v| later.insert(v.canonical_key()))
-                    .collect();
-                v.reverse();
-                v
+                let mut seen = HashSet::with_capacity(take);
+                (optimize_graph(g, &self.config.transform).iter())
+                    .take(take)
+                    .map(PrimGraph::canonical)
+                    .filter(|v| seen.insert(v.fingerprint()))
+                    .collect()
             })
             .collect();
         let groups: Vec<Vec<&PrimGraph>> = variants.iter().map(|v| v.iter().collect()).collect();

@@ -247,80 +247,110 @@ impl<K: NodeKind> Graph<K> {
         h.finish()
     }
 
-    /// Numbering-independent structural key: equal for two graphs that
-    /// differ only in how their nodes are numbered, barring a 64-bit
-    /// collision.
+    /// The graph in its canonical numbering: two graphs that differ only
+    /// in how their nodes are numbered get one copy, node for node,
+    /// barring a 64-bit hash collision. It computes what the graph
+    /// computes, and its inputs and outputs keep their positions, so it
+    /// replaces the graph wherever inputs are fed by node order.
     ///
-    /// The nodes are relabelled in Kahn's topological order, taking ready
-    /// nodes by a bottom-up structural hash (kind, graph-input position,
-    /// and each input's hash and port), the lower old id on ties. The key
-    /// then hashes the kinds exactly (constant seeds and fill scalars
-    /// included), the edges by their new ids, the graph inputs in
-    /// positional order and the outputs in order, so equal keys mean the
-    /// same graph up to numbering. A tie between structurally equal nodes
-    /// may order two renumberings apart and miss a duplicate; it can
-    /// never merge two different graphs. [`Graph::fingerprint`] stays the
-    /// exact, numbering-sensitive hash.
-    pub fn canonical_key(&self) -> u64 {
+    /// Graph inputs come first, in positional order. The other nodes
+    /// follow in Kahn's topological order. Ready nodes are ranked by a
+    /// bottom-up hash (kind, graph-input position, each input's hash and
+    /// port), then by a top-down hash (each consumer's two hashes, the
+    /// operand slot and port it reads, and the node's graph-output
+    /// positions), then by the canonical ids of their operands, and only
+    /// then by their old id. The hashes tell apart twins that look alike
+    /// from one side only, such as a norm's equal `Ones` and `Zeros`
+    /// constants and the readers of each; the operand ids tell apart
+    /// readers that look alike from both sides but read different twins
+    /// (an unused `exp` of each of two equal constants). A tie left after
+    /// every rank may order two renumberings apart; it can never merge
+    /// two different graphs. [`Graph::fingerprint`] of the copy is then a
+    /// numbering-free key.
+    pub fn canonical(&self) -> Self {
         let n = self.nodes.len();
-        let mut shape_hash: Vec<u64> = Vec::with_capacity(n);
-        let mut input_position = 0usize;
-        let mut consumers = vec![Vec::new(); n];
+        let mut up: Vec<u64> = Vec::with_capacity(n);
+        let mut inputs = Vec::new();
+        // (consumer, operand slot, port), once per edge.
+        let mut reads = vec![Vec::new(); n];
         for (i, node) in self.nodes.iter().enumerate() {
             let mut h = DefaultHasher::new();
             node.kind.fingerprint(&mut h);
             if node.kind.is_input() {
-                input_position.hash(&mut h);
-                input_position += 1;
+                inputs.len().hash(&mut h);
+                inputs.push(i);
             }
-            for r in &node.inputs {
-                shape_hash[r.node.0].hash(&mut h);
+            for (slot, r) in node.inputs.iter().enumerate() {
+                up[r.node.0].hash(&mut h);
                 r.port.hash(&mut h);
-                consumers[r.node.0].push(i); // once per edge, like `waiting`
+                reads[r.node.0].push((i, slot, r.port));
             }
-            shape_hash.push(h.finish());
+            up.push(h.finish());
         }
-        let mut waiting: Vec<usize> = self.nodes.iter().map(|n| n.inputs.len()).collect();
-        let mut ready: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
-            .filter(|&i| waiting[i] == 0)
-            .map(|i| Reverse((shape_hash[i], i)))
+        let mut exported = vec![Vec::new(); n];
+        for (position, o) in self.outputs.iter().enumerate() {
+            exported[o.node.0].push((position, o.port));
+        }
+        let mut down = vec![0u64; n];
+        for i in (0..n).rev() {
+            let mut by: Vec<_> = (reads[i].iter())
+                .map(|&(c, slot, port)| (up[c], down[c], slot, port))
+                .collect();
+            by.sort_unstable();
+            let mut h = DefaultHasher::new();
+            by.hash(&mut h);
+            exported[i].hash(&mut h);
+            down[i] = h.finish();
+        }
+
+        let mut new_id = vec![usize::MAX; n];
+        let rank = |i: usize, new_id: &[usize]| {
+            let node = &self.nodes[i];
+            let operands: Vec<_> = (node.inputs.iter())
+                .map(|r| (new_id[r.node.0], r.port))
+                .collect();
+            Reverse((up[i], down[i], operands, i))
+        };
+        let mut ready: BinaryHeap<_> = (0..n)
+            .filter(|&i| self.nodes[i].inputs.is_empty() && !self.nodes[i].kind.is_input())
+            .map(|i| rank(i, &new_id))
             .collect();
-        let mut new_id = vec![0usize; n];
-        let mut order = Vec::with_capacity(n);
-        while let Some(Reverse((_, i))) = ready.pop() {
-            new_id[i] = order.len();
-            order.push(i);
-            for &c in &consumers[i] {
-                waiting[c] -= 1;
-                if waiting[c] == 0 {
-                    ready.push(Reverse((shape_hash[c], c)));
+        let mut waiting: Vec<usize> = self.nodes.iter().map(|n| n.inputs.len()).collect();
+        let mut order = inputs;
+        let mut placed = 0;
+        loop {
+            while let Some(&i) = order.get(placed) {
+                new_id[i] = placed;
+                placed += 1;
+                for &(c, _, _) in &reads[i] {
+                    waiting[c] -= 1;
+                    if waiting[c] == 0 {
+                        ready.push(rank(c, &new_id));
+                    }
                 }
             }
+            let Some(Reverse((.., i))) = ready.pop() else {
+                break;
+            };
+            order.push(i);
         }
-        let mut h = DefaultHasher::new();
-        for &i in &order {
-            let node = &self.nodes[i];
-            node.kind.fingerprint(&mut h);
-            for r in &node.inputs {
-                new_id[r.node.0].hash(&mut h);
-                r.port.hash(&mut h);
-            }
-            0xfeed_u16.hash(&mut h);
+        let relabel = |r: &PortRef| PortRef {
+            node: NodeId(new_id[r.node.0]),
+            port: r.port,
+        };
+        Graph {
+            nodes: (order.iter())
+                .map(|&i| {
+                    let node = &self.nodes[i];
+                    Node {
+                        kind: node.kind.clone(),
+                        inputs: node.inputs.iter().map(relabel).collect(),
+                        out_metas: node.out_metas.clone(),
+                    }
+                })
+                .collect(),
+            outputs: self.outputs.iter().map(relabel).collect(),
         }
-        let inputs = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kind.is_input());
-        for (i, _) in inputs {
-            new_id[i].hash(&mut h);
-        }
-        0xbeef_u16.hash(&mut h);
-        for o in &self.outputs {
-            new_id[o.node.0].hash(&mut h);
-            o.port.hash(&mut h);
-        }
-        h.finish()
     }
 
     /// Returns a copy with all nodes unreachable from the outputs removed

@@ -1060,9 +1060,14 @@ mod tests {
         )
     }
 
+    /// The numbering-free key: the canonical copy's fingerprint.
+    fn key(g: &PrimGraph) -> u64 {
+        g.canonical().fingerprint()
+    }
+
     #[test]
-    fn canonical_key_ignores_numbering() {
-        let key = branches(7).canonical_key();
+    fn canonical_ignores_numbering() {
+        let want = key(&branches(7));
         // The constant numbered first instead of second.
         let renumbered_source = graph(
             vec![
@@ -1085,15 +1090,15 @@ mod tests {
             ],
             &[(4, 0)],
         );
-        assert_eq!(renumbered_source.canonical_key(), key);
-        assert_eq!(swapped_branches.canonical_key(), key);
+        assert_eq!(key(&renumbered_source), want);
+        assert_eq!(key(&swapped_branches), want);
         assert_ne!(renumbered_source.fingerprint(), branches(7).fingerprint());
     }
 
     #[test]
-    fn canonical_key_tells_different_graphs_apart() {
-        let key = branches(7).canonical_key();
-        assert_ne!(branches(8).canonical_key(), key, "constant seed");
+    fn canonical_tells_different_graphs_apart() {
+        let want = key(&branches(7));
+        assert_ne!(key(&branches(8)), want, "constant seed");
         // `a * a` instead of `a * e`: one edge moved.
         let mut g = branches(7);
         let moved_edge = graph(
@@ -1107,7 +1112,7 @@ mod tests {
             &[(4, 0), (3, 0)],
         );
         g.mark_output(crate::NodeId(3)).unwrap();
-        assert_ne!(moved_edge.canonical_key(), g.canonical_key(), "edge");
+        assert_ne!(key(&moved_edge), key(&g), "edge");
 
         // `x - y` against `y - x`, the inputs fed in the same order.
         let sub = |first: usize| {
@@ -1120,7 +1125,7 @@ mod tests {
                 &[(2, 0)],
             )
         };
-        assert_ne!(sub(0).canonical_key(), sub(1).canonical_key(), "inputs");
+        assert_ne!(key(&sub(0)), key(&sub(1)), "inputs");
 
         // Which half of a split the consumer reads.
         let split = |port: usize| {
@@ -1137,7 +1142,7 @@ mod tests {
                 &[(2, 0)],
             )
         };
-        assert_ne!(split(0).canonical_key(), split(1).canonical_key(), "port");
+        assert_ne!(key(&split(0)), key(&split(1)), "port");
 
         // The same two outputs, listed the other way round.
         let mut ae = branches(7);
@@ -1152,6 +1157,6 @@ mod tests {
             ],
             &[(3, 0), (4, 0)],
         );
-        assert_ne!(ae.canonical_key(), ea.canonical_key(), "output order");
+        assert_ne!(key(&ae), key(&ea), "output order");
     }
 }

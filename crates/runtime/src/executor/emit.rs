@@ -62,9 +62,6 @@ impl ExecTelemetry {
     /// after the workers joined — never on the kernel hot path.
     pub(super) fn emit_run(&self, run: &RunCtx, log: &LaneLog, classes: &[(KernelClass, f64)]) {
         let rec = self.shared.recorder();
-        if !rec.is_enabled() {
-            return;
-        }
         // Per-kernel flags, indexed like `classes`.
         let mut tiled = vec![false; classes.len()];
         let mut counted = vec![false; classes.len()];
@@ -127,9 +124,6 @@ impl ExecTelemetry {
     /// return to the pinned baseline; peak is the highwater).
     pub(super) fn emit_arena(&self, stats: &crate::arena::ArenaStats) {
         let rec = self.shared.recorder();
-        if !rec.is_enabled() {
-            return;
-        }
         rec.record(korch_telemetry::TraceEvent {
             trace: 0,
             start_us: rec.now_us(),

@@ -89,12 +89,11 @@
 //!   run start and rebases every kernel/tile interval onto the shared
 //!   timeline, so serving-side and executor-side spans interleave
 //!   correctly in one exported trace.
-//! - **Zero-cost disabled path** — with `telemetry: None` nothing is
-//!   recorded, allocated, or timed beyond what profiling already does;
-//!   with a hub attached but its recorder gated off, recording is a
-//!   single relaxed atomic load and the pre-allocated ring buffers stay
-//!   untouched (bounded drop-oldest rings: tracing never reallocates on
-//!   the hot path).
+//! - **Zero-cost disabled path** — `telemetry: None` runs no telemetry
+//!   code: nothing is recorded, allocated, or timed beyond what profiling
+//!   already does. With a hub attached, every span goes into its
+//!   pre-allocated rings (bounded drop-oldest: tracing never reallocates
+//!   on the hot path).
 //!
 //! `Telemetry::chrome_trace` exports the recorder snapshot as Chrome
 //! trace-event JSON (loadable in `chrome://tracing` / Perfetto), and

@@ -515,14 +515,12 @@ impl Server {
                 let admitted_us = rec.now_us();
                 let depth = q.requests.len() + 1;
                 t.queue_depth.set(depth as i64);
-                if rec.is_enabled() {
-                    rec.record(korch_telemetry::TraceEvent {
-                        trace,
-                        start_us: admitted_us,
-                        dur_us: 0.0,
-                        kind: korch_telemetry::EventKind::Admitted { queue_depth: depth },
-                    });
-                }
+                rec.record(korch_telemetry::TraceEvent {
+                    trace,
+                    start_us: admitted_us,
+                    dur_us: 0.0,
+                    kind: korch_telemetry::EventKind::Admitted { queue_depth: depth },
+                });
                 (trace, admitted_us)
             }
             None => (0, 0.0),
@@ -786,8 +784,7 @@ impl Shared {
                 .map_err(|payload| ServeError::Panicked(crate::panic_message(&*payload)))
                 .and_then(|ran| ran.map_err(ServeError::Exec))
         };
-        let mut span = None;
-        let result = match &self.telemetry {
+        let (result, span) = match &self.telemetry {
             Some(t) => {
                 let rec = t.shared.recorder();
                 let wait_us = (rec.now_us() - admitted_us).max(0.0);
@@ -800,26 +797,24 @@ impl Shared {
                 let pickup_us = admitted_us + wait_us;
                 t.queue_wait_us.observe(wait_us as u64);
                 t.in_flight.add(1);
-                if rec.is_enabled() {
-                    rec.record(korch_telemetry::TraceEvent {
-                        trace,
-                        start_us: admitted_us,
-                        dur_us: wait_us,
-                        kind: korch_telemetry::EventKind::QueueWait,
-                    });
-                }
+                rec.record(korch_telemetry::TraceEvent {
+                    trace,
+                    start_us: admitted_us,
+                    dur_us: wait_us,
+                    kind: korch_telemetry::EventKind::QueueWait,
+                });
                 // The trace id rides the worker thread so the executor
                 // tags its events with it.
                 let result = korch_telemetry::with_trace(trace, run);
-                span = rec.is_enabled().then(|| korch_telemetry::TraceEvent {
+                let span = korch_telemetry::TraceEvent {
                     trace,
                     start_us: pickup_us,
                     dur_us: (rec.now_us() - pickup_us).max(0.0),
                     kind: korch_telemetry::EventKind::Request,
-                });
-                result
+                };
+                (result, Some((t, span)))
             }
-            None => run(),
+            None => (run(), None),
         };
         let latency_us = enqueued.elapsed().as_secs_f64() * 1e6;
         let failed = result.is_err();
@@ -827,11 +822,9 @@ impl Shared {
         // The answer goes out before the bookkeeping below, which is the
         // server's business, not the caller's latency.
         reply.send(result);
-        if let Some(t) = &self.telemetry {
+        if let Some((t, span)) = span {
             t.in_flight.add(-1);
-            if let Some(event) = span {
-                t.shared.recorder().record(event);
-            }
+            t.shared.recorder().record(span);
         }
         let mut s = self.stats.lock().expect("stats poisoned");
         s.requests += 1;

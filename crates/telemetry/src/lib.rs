@@ -19,9 +19,9 @@
 //!   kernel/tile span the run produces.
 //! - **Bounded, allocation-free recording.** The recorder is a fixed set of
 //!   fixed-capacity ring buffers (drop-oldest); [`TraceEvent`] is `Copy`, so
-//!   recording never allocates. The *disabled* path is an `Option` check in
-//!   the host layers plus an atomic load here — no timestamps, no locks,
-//!   no allocation.
+//!   recording never allocates. Telemetry is off when a host layer holds
+//!   none (`telemetry: None`): that path is one `Option` check — no
+//!   timestamps, no locks, no allocation.
 //! - **Exporters.** [`chrome_trace_json`] renders a snapshot as Chrome
 //!   trace-event JSON (loadable in `chrome://tracing` / Perfetto), and
 //!   [`validate_chrome_trace`] structurally verifies an export (balanced
@@ -132,7 +132,6 @@ impl Default for Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("enabled", &self.recorder.is_enabled())
             .field("events", &self.recorder.len())
             .field("dropped", &self.recorder.dropped())
             .finish()

@@ -2,7 +2,7 @@
 //! thread-local trace-id context.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -135,29 +135,26 @@ impl SpanRing {
 /// Bounded span recorder: a fixed set of fixed-capacity ring buffers
 /// sharing ONE monotonic clock origin.
 ///
-/// Recording is an atomic enabled-check, one ring pick, one mutex lock and
-/// a `Copy` store — never an allocation (each ring's buffer is
-/// pre-allocated). When full, the oldest events are overwritten
-/// (drop-oldest) and counted in [`TraceRecorder::dropped`]. Concurrent
-/// recorders spread over the rings: layers with a natural lane index use
-/// [`TraceRecorder::record_at`]; everything else round-robins via
-/// [`TraceRecorder::record`].
+/// Recording is one ring pick, one mutex lock and a `Copy` store — never
+/// an allocation (each ring's buffer is pre-allocated). When full, the
+/// oldest events are overwritten (drop-oldest) and counted in
+/// [`TraceRecorder::dropped`]. Concurrent recorders spread over the rings:
+/// layers with a natural lane index use [`TraceRecorder::record_at`];
+/// everything else round-robins via [`TraceRecorder::record`].
 pub struct TraceRecorder {
     origin: Instant,
-    enabled: AtomicBool,
     cursor: AtomicUsize,
     rings: Vec<Mutex<SpanRing>>,
 }
 
 impl TraceRecorder {
     /// A recorder with `rings` ring buffers of `capacity` events each
-    /// (both clamped to at least 1), enabled, with origin = now.
+    /// (both clamped to at least 1), with origin = now.
     pub fn new(rings: usize, capacity: usize) -> Self {
         let rings = rings.max(1);
         let capacity = capacity.max(1);
         TraceRecorder {
             origin: Instant::now(),
-            enabled: AtomicBool::new(true),
             cursor: AtomicUsize::new(0),
             rings: (0..rings)
                 .map(|_| Mutex::new(SpanRing::new(capacity)))
@@ -171,22 +168,8 @@ impl TraceRecorder {
         self.origin.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Toggle recording. While disabled, [`TraceRecorder::record`] is a
-    /// single relaxed atomic load.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Record one event into a round-robin-chosen ring.
     pub fn record(&self, event: TraceEvent) {
-        if !self.is_enabled() {
-            return;
-        }
         let ring = self.cursor.fetch_add(1, Ordering::Relaxed) % self.rings.len();
         self.rings[ring].lock().unwrap().push(event);
     }
@@ -194,9 +177,6 @@ impl TraceRecorder {
     /// Record one event into the ring for `lane` (modulo the ring count);
     /// lets per-lane emitters avoid cross-lane lock contention.
     pub fn record_at(&self, lane: usize, event: TraceEvent) {
-        if !self.is_enabled() {
-            return;
-        }
         self.rings[lane % self.rings.len()]
             .lock()
             .unwrap()
@@ -289,18 +269,6 @@ mod tests {
         let starts: Vec<f64> = snap.iter().map(|e| e.start_us).collect();
         assert_eq!(starts, vec![3.0, 4.0, 5.0, 6.0]);
         assert_eq!(rec.dropped(), 3);
-    }
-
-    #[test]
-    fn disabled_recorder_records_nothing() {
-        let rec = TraceRecorder::new(2, 8);
-        rec.set_enabled(false);
-        rec.record(ev(1.0));
-        rec.record_at(1, ev(2.0));
-        assert!(rec.is_empty());
-        rec.set_enabled(true);
-        rec.record(ev(3.0));
-        assert_eq!(rec.len(), 1);
     }
 
     #[test]

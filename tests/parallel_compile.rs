@@ -4,8 +4,8 @@
 //! order. It must compile exactly what orchestrating the distinct variants
 //! one after the other, uncut, compiles. `sequential_optimize` below is
 //! that definition: per partition in order, the fingerprint cache, the
-//! variants in order with those equal to a later one by `canonical_key`
-//! dropped, one uncut `orchestrate` each, the strict `<`,
+//! variants in their canonical numbering, in order, with those equal to
+//! an earlier one dropped, one uncut `orchestrate` each, the strict `<`,
 //! the stats summed in order and one model-wide tuning database. The
 //! chosen variants, every plan kernel and every `PipelineStats` field must
 //! match it, with latencies and clocks equal to the bit.
@@ -73,10 +73,11 @@ fn sequential_optimize(config: &KorchConfig, pg: &PrimGraph) -> (Vec<Chosen>, St
         } else {
             let mut variants = optimize_graph(&part.graph, &config.transform);
             variants.truncate(config.variants_to_orchestrate.max(1));
-            let keys: Vec<u64> = variants.iter().map(PrimGraph::canonical_key).collect();
+            let variants: Vec<PrimGraph> = variants.iter().map(PrimGraph::canonical).collect();
+            let keys: Vec<u64> = variants.iter().map(PrimGraph::fingerprint).collect();
             let mut best: Option<(u64, Orchestration)> = None;
             for (i, v) in variants.iter().enumerate() {
-                if keys[i + 1..].contains(&keys[i]) {
+                if keys[..i].contains(&keys[i]) {
                     continue;
                 }
                 let orch = match orchestrator.orchestrate(v) {
