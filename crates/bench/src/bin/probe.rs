@@ -2,12 +2,14 @@
 //!
 //! - `probe <model>`: how long does the full pipeline take?
 //! - `probe members <model>`: what does each member of each kernel of the
-//!   stitched plan cost? Every non-source member is timed alone through
+//!   stitched plan cost? Every member a request runs — neither a source
+//!   nor folded by `PlanExecutor::new` — is timed alone through
 //!   `eval_prim` on the operands it sees in a real run (min of
 //!   [`MEMBER_CALLS`] warm calls) and reported with its achieved GB/s
 //!   (operand + result bytes) or, for linear primitives, GFLOP/s — per
 //!   member, per kernel and per primitive kind (convs per path:
-//!   depthwise, pointwise, panel).
+//!   depthwise, pointwise, panel). A first line counts the folded members
+//!   and the bytes the executor holds of them.
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
 //!   one line per (partition, variant) it takes — a variant whose
@@ -26,11 +28,12 @@ use korch_core::{partition, stitch, Korch, KorchConfig};
 use korch_cost::{Backend, Device, Profiler};
 use korch_exec::{eval_prim, materialize_const};
 use korch_fission::fission;
-use korch_ir::{LinearFn, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
+use korch_ir::{LinearFn, NodeId, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch_models::SegformerConfig;
 use korch_orch::{
     enumerate_states, identify_kernels, OrchError, OrchestrationBlp, DEFAULT_MAX_STATES,
 };
+use korch_runtime::{PlanExecutor, RuntimeConfig, SlotInfo};
 use korch_tensor::{conv2d_flops, matmul_flops, Tensor};
 use korch_transform::optimize_graph;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -248,6 +251,15 @@ fn rate(work: f64, us: f64, unit: &str) -> String {
 }
 
 fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
+    let exec = PlanExecutor::new(g, plan, RuntimeConfig::with_lanes(1)).expect("executor");
+    let folded: HashSet<NodeId> = exec.folded().iter().copied().collect();
+    // Folded ports a kernel reads are the source slots of non-source nodes.
+    let held: u64 = (exec.slot_table().slots.iter())
+        .filter(|s| s.source && !g.node(s.port.node).kind.is_source())
+        .map(SlotInfo::bytes)
+        .sum();
+    println!("folded: {} members, {held} B held", folded.len());
+
     // One real run of the primitive graph, every port kept, so each
     // member below is timed on the operands it sees in a request.
     let mut values: HashMap<PortRef, Tensor> = HashMap::new();
@@ -279,7 +291,7 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
         let mut kernel_us = 0.0;
         for m in members {
             let node = g.node(m);
-            if node.kind.is_source() {
+            if node.kind.is_source() || folded.contains(&m) {
                 continue;
             }
             let ins: Vec<&Tensor> = node.inputs.iter().map(|r| &values[r]).collect();

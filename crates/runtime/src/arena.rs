@@ -13,6 +13,10 @@
 //! [`SlotTable`] is that program, compiled once by `PlanExecutor::new`:
 //! the scheduler counts its readers down, [`MemoryReport`] is folded from
 //! it, and `korch-verify` interprets it — there is no second derivation.
+//! Its *source* slots are filled before kernel 0 and pinned: graph
+//! inputs (a staged copy per run), and constants and folded ports —
+//! run-invariant members compile evaluated once — shared by every run
+//! and never booked.
 //!
 //! The **pool** serves exactly the buffers the runtime allocates itself:
 //! staged input copies, range-body outputs, tile chunks and their
@@ -36,7 +40,8 @@ pub struct MemoryReport {
     /// Peak-resident bytes under last-reader reclamation, assuming the
     /// plan's sequential kernel order.
     pub peak_resident_bytes: u64,
-    /// Bytes of graph inputs + outputs, which can never be reclaimed.
+    /// Bytes of the pinned slots, which are never reclaimed mid-run:
+    /// graph inputs, constants, folded ports and graph outputs.
     pub pinned_bytes: u64,
     /// Number of materialized buffers that die before the plan ends.
     pub reclaimable_buffers: usize,
@@ -63,15 +68,19 @@ pub struct SlotInfo {
     /// Kernels reading the slot: the countdown a run starts from. The
     /// reader that takes it to zero releases an unpinned slot's buffer.
     pub readers: usize,
-    /// The slot survives the whole run (graph input, constant, output).
+    /// The slot survives the whole run (graph input, constant, folded
+    /// port, output).
     pub pinned: bool,
-    /// The slot is filled before kernel 0 (graph input or constant).
+    /// The slot is filled before kernel 0: a graph input, a constant or
+    /// a folded port (the output of a run-invariant member compile
+    /// evaluated once).
     pub source: bool,
     /// The runtime allocates the slot's storage itself — a staged input
     /// copy, or the output of range bodies only — so a dead buffer goes
     /// back to the pool, where the next run takes it. `false` for a slot
     /// some walk body writes (its buffer is moved in and dropped when
-    /// dead) and for constants (shared across runs, never booked).
+    /// dead) and for constants and folded ports (shared across runs,
+    /// never booked).
     pub pooled: bool,
 }
 

@@ -1,5 +1,6 @@
 //! Plan compilation: [`PlanExecutor::new`] in three steps — value-slot
-//! assignment, per-kernel lowering (reads, dependencies, body), and tile
+//! assignment (folding run-invariant members into constants on the way),
+//! per-kernel lowering (reads, dependencies, body), and tile
 //! classification under the [`Tiling`] mode.
 
 use super::body::{kernel_reads, KernelBody};
@@ -10,15 +11,15 @@ use super::{
 };
 use crate::arena::{BufferArena, SlotInfo, SlotTable};
 use crate::profiler::RuntimeProfile;
-use korch_exec::{materialize_const, ExecError};
+use korch_exec::{eval_prim, materialize_const, ExecError};
 use korch_ir::{LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_orch::{Plan, SelectedKernel};
 use korch_tensor::Tensor;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-/// The slot table under construction: one slot per source and per port a
-/// kernel reads or materializes.
+/// The slot table under construction: one slot per graph input and per
+/// port a kernel reads or materializes.
 #[derive(Default)]
 struct Slots {
     index: HashMap<PortRef, usize>,
@@ -41,8 +42,8 @@ impl Slots {
     }
 
     /// The pinned slot of source `port`. A staged input copy is the
-    /// runtime's own buffer (`pooled`); a constant is shared across runs
-    /// and never booked.
+    /// runtime's own buffer (`pooled`); a constant or folded port is
+    /// shared across runs and never booked.
     fn source_slot(&mut self, g: &PrimGraph, port: PortRef, pooled: bool) -> usize {
         let s = self.slot_of(g, port);
         let slot = &mut self.table.slots[s];
@@ -52,33 +53,89 @@ impl Slots {
 }
 
 /// Input slots in feed order with their expected shapes, and constant
-/// slots with their tensors materialized once.
+/// slots — constants and folded ports — with their tensors computed once.
 type Sources = (Vec<(usize, Vec<usize>)>, Vec<(usize, Arc<Tensor>)>);
 
-fn assign_sources(g: &PrimGraph, slots: &mut Slots) -> Sources {
-    let mut input_slots = Vec::new();
-    let mut const_slots = Vec::new();
-    for (id, node) in g.iter() {
-        match &node.kind {
-            PrimKind::Input { shape } => {
-                input_slots.push((slots.source_slot(g, id.into(), true), shape.clone()));
-            }
-            PrimKind::Constant { shape, init } => {
-                let t = Arc::new(materialize_const(shape, init));
-                const_slots.push((slots.source_slot(g, id.into(), false), t));
-            }
-            _ => {}
-        }
+/// Per node, whether it is *run-invariant*: a plan member, neither a
+/// source nor `Opaque`, reading only constants and other run-invariant
+/// nodes, and neither exported by a kernel nor a graph output. Every run
+/// would compute such a node to the same value, so compile folds it once
+/// and no kernel runs it. The export rule keeps every kernel non-empty
+/// and every kernel output and dependency edge where the plan put it.
+fn run_invariant(g: &PrimGraph, plan: &Plan) -> Vec<bool> {
+    // Plan members that are no kernel output and no graph output.
+    let mut candidate = vec![false; g.len()];
+    for m in plan.kernels.iter().flat_map(|k| &k.members) {
+        candidate[m.0] = true;
     }
-    (input_slots, const_slots)
+    for p in plan
+        .kernels
+        .iter()
+        .flat_map(|k| &k.outputs)
+        .chain(g.outputs())
+    {
+        candidate[p.node.0] = false;
+    }
+    let mut folded = vec![false; g.len()];
+    for (id, node) in g.iter() {
+        folded[id.0] = candidate[id.0]
+            && !node.kind.is_source()
+            && !matches!(node.kind, PrimKind::Opaque { .. })
+            && node.inputs.iter().all(|r| {
+                folded[r.node.0] || matches!(g.node(r.node).kind, PrimKind::Constant { .. })
+            });
+    }
+    folded
 }
 
-/// Lowers every plan kernel: the ports it reads from memory (counted as
-/// readers of their slots), the earlier kernels that materialize them,
-/// its output slots and its body.
+/// Fills the source slots in node order: every graph input; and every
+/// constant or folded port a kernel reads or the graph outputs, its value
+/// materialized — or, for a folded node, evaluated by `eval_prim` — once.
+/// A constant that only folded nodes read (or nothing reads) gets no
+/// slot, so no run fills it.
+fn assign_sources(
+    g: &PrimGraph,
+    folded: &[bool],
+    read: &HashSet<PortRef>,
+    slots: &mut Slots,
+) -> Result<Sources, ExecError> {
+    let mut input_slots = Vec::new();
+    let mut const_slots = Vec::new();
+    let mut values: HashMap<PortRef, Arc<Tensor>> = HashMap::new();
+    for (id, node) in g.iter() {
+        let outs = match &node.kind {
+            PrimKind::Input { shape } => {
+                input_slots.push((slots.source_slot(g, id.into(), true), shape.clone()));
+                continue;
+            }
+            PrimKind::Constant { shape, init } => vec![materialize_const(shape, init)],
+            kind if folded[id.0] => {
+                let ins: Vec<&Tensor> = node.inputs.iter().map(|r| values[r].as_ref()).collect();
+                eval_prim(kind, &ins, id.0)?
+            }
+            _ => continue,
+        };
+        for (port, t) in outs.into_iter().enumerate() {
+            let port = PortRef { node: id, port };
+            let t = Arc::new(t);
+            if read.contains(&port) || g.outputs().contains(&port) {
+                const_slots.push((slots.source_slot(g, port, false), Arc::clone(&t)));
+            }
+            values.insert(port, t);
+        }
+    }
+    Ok((input_slots, const_slots))
+}
+
+/// Lowers every plan kernel over its `members` that run (folded ones
+/// removed) and the ports they read from memory (counted as readers of
+/// their slots): the earlier kernels that materialize those ports, its
+/// output slots and its body.
 fn compile_kernels(
     g: &PrimGraph,
     plan: &Plan,
+    lowered: Vec<(Vec<NodeId>, Vec<PortRef>)>,
+    folded: &[bool],
     slots: &mut Slots,
 ) -> Result<Vec<KernelTask>, ExecError> {
     // First (in plan order) kernel materializing each port.
@@ -89,13 +146,10 @@ fn compile_kernels(
         }
     }
     let mut kernels = Vec::with_capacity(plan.kernels.len());
-    for (i, k) in plan.kernels.iter().enumerate() {
-        let mut members = k.members.clone();
-        members.sort_unstable();
-        let read_ports = kernel_reads(g, &members);
+    for (i, (k, (members, read_ports))) in plan.kernels.iter().zip(lowered).enumerate() {
         let mut deps: BTreeSet<usize> = BTreeSet::new();
         for port in &read_ports {
-            if g.node(port.node).kind.is_source() {
+            if g.node(port.node).kind.is_source() || folded[port.node.0] {
                 continue;
             }
             match first_producer.get(port) {
@@ -144,12 +198,25 @@ impl PlanExecutor {
     /// Returns [`ExecError::Input`] if the plan reads a port no earlier
     /// kernel materializes and [`ExecError::NotMaterialized`] if a kernel
     /// declares an output none of its members computes (such plans would
-    /// also fail under `execute_plan`).
+    /// also fail under `execute_plan`), and the error of a run-invariant
+    /// member that does not evaluate.
     pub fn new(g: &PrimGraph, plan: &Plan, config: RuntimeConfig) -> Result<Self, ExecError> {
         let lanes = config.lanes.max(1);
+        let folded = run_invariant(g, plan);
+        // Each kernel's members that run, and the ports they read.
+        let lowered: Vec<(Vec<NodeId>, Vec<PortRef>)> = (plan.kernels.iter())
+            .map(|k| {
+                let mut members: Vec<NodeId> =
+                    k.members.iter().copied().filter(|m| !folded[m.0]).collect();
+                members.sort_unstable();
+                let reads = kernel_reads(g, &members);
+                (members, reads)
+            })
+            .collect();
+        let read: HashSet<PortRef> = lowered.iter().flat_map(|(_, r)| r).copied().collect();
         let mut slots = Slots::default();
-        let (input_slots, const_slots) = assign_sources(g, &mut slots);
-        let kernels = compile_kernels(g, plan, &mut slots)?;
+        let (input_slots, const_slots) = assign_sources(g, &folded, &read, &mut slots)?;
+        let kernels = compile_kernels(g, plan, lowered, &folded, &mut slots)?;
         let Slots { index, mut table } = slots;
 
         let mut const_slot = vec![false; table.slots.len()];
@@ -236,6 +303,7 @@ impl PlanExecutor {
             input_slots,
             const_slots,
             const_slot,
+            folded: (0..g.len()).filter(|&i| folded[i]).map(NodeId).collect(),
             output_slots,
             arena: BufferArena::new(),
             telemetry,

@@ -11,11 +11,20 @@
 //!
 //! # Compile (`compile.rs`, `body.rs`)
 //!
-//! [`PlanExecutor::new`] assigns every source and every port a kernel
-//! reads or materializes a *value slot* — the [`SlotTable`], the one
-//! lifetime program a run executes, `korch-verify` interprets and the
+//! [`PlanExecutor::new`] first folds the plan's *run-invariant* members
+//! ([`PlanExecutor::folded`]): a member that is neither a source nor
+//! `Opaque`, reads only constants and other run-invariant members, and
+//! that no kernel exports and the graph does not output — a bias, a norm
+//! scale, `sqrt(var + ε)`, the broadcasts that stretch them over a feature
+//! map. Each is evaluated once, in node order, by `korch_exec::eval_prim`
+//! (the interpreter's arithmetic, so runs stay bit-identical), and no
+//! kernel runs it again; a kernel that read it reads it from memory, like
+//! a constant. It then assigns every graph input, every constant or folded
+//! port a kernel reads or the graph outputs, and every port a kernel
+//! materializes a *value slot* — the [`SlotTable`], the one lifetime
+//! program a run executes, `korch-verify` interprets and the
 //! [`MemoryReport`] is folded from — derives kernel dependencies from the
-//! reads, and lowers each kernel to one `KernelBody`:
+//! reads, and lowers each kernel's remaining members to one `KernelBody`:
 //!
 //! - **walk** — the general body and most of the traffic: every
 //!   non-source member, in ascending order, evaluated whole by
@@ -135,7 +144,10 @@
 //! Every buffer a run materializes is booked in the [`BufferArena`] and
 //! leaves the books when its slot's last reader retires — pinned input
 //! copies when the run settles — on success and on every failure path
-//! alike. The recycling pool serves exactly the buffers the runtime
+//! alike. Constants and folded ports are not: compile computed them once,
+//! every run shares them, and they cost memory for the executor's life
+//! (on segformer32 the folded ports hold 90 KB against 37 KB of weights;
+//! each is a tensor every run used to materialize, briefly). The recycling pool serves exactly the buffers the runtime
 //! allocates itself: staged input copies, range-body outputs, tile chunks
 //! and their assembly. Whether a dead slot's storage goes back there is a
 //! compile-time fact of the slot ([`crate::SlotInfo::pooled`]): a walk's output
@@ -321,10 +333,14 @@ struct Core {
     dependents: Vec<Vec<usize>>,
     /// Input slots in feed order, with expected shapes.
     input_slots: Vec<(usize, Vec<usize>)>,
-    /// Constant tensors, materialized once and shared across runs.
+    /// Constant and folded tensors, computed once and shared across runs.
     const_slots: Vec<(usize, Arc<Tensor>)>,
-    /// Slots backed by shared constants (never arena-tracked).
+    /// Slots backed by shared constants or folded ports (never
+    /// arena-tracked).
     const_slot: Vec<bool>,
+    /// Run-invariant members, ascending: evaluated once at compile, run
+    /// by no kernel.
+    folded: Vec<NodeId>,
     /// Graph output ports → slots.
     output_slots: Vec<(PortRef, usize)>,
     /// The lifetime program: per slot its size, reader countdown, pin and
@@ -395,6 +411,15 @@ impl PlanExecutor {
     /// read-after-release on it rather than on a re-derivation.
     pub fn slot_table(&self) -> &SlotTable {
         &self.core.table
+    }
+
+    /// The run-invariant members compile folded, ascending: plan members
+    /// that read only constants and each other, and that no kernel
+    /// exports and the graph does not output. Each was evaluated once by
+    /// `eval_prim`; no kernel runs it, and a port of one that a kernel
+    /// reads is a constant slot of [`PlanExecutor::slot_table`].
+    pub fn folded(&self) -> &[NodeId] {
+        &self.core.folded
     }
 
     /// Lanes a run is scheduled over: every requested lane when two

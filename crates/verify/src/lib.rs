@@ -27,8 +27,8 @@
 //!
 //! The verifier consumes artifacts through the runtime's introspection
 //! API (`PlanExecutor::kernel_dependencies`, `tile_layouts`,
-//! `slot_table`) rather than re-deriving them: what is checked is what
-//! will run.
+//! `slot_table`, `folded`) rather than re-deriving them: what is checked
+//! is what will run.
 //! [`check_executor`] bundles every static analysis over one compiled
 //! executor; `CompiledModel::recalibrate` runs it (in debug builds) on
 //! each freshly orchestrated plan before the atomic swap.

@@ -10,7 +10,7 @@
 
 use crate::{port_name, Rule, Violation};
 use korch_exec::{prim_tilability, Tilability};
-use korch_ir::{PortRef, PrimGraph, PrimKind};
+use korch_ir::{NodeId, PortRef, PrimGraph, PrimKind};
 use korch_orch::{plan_dependencies, Plan};
 use korch_runtime::{PlanExecutor, SlotTable, TileBodyKind, TileLayout};
 
@@ -27,6 +27,9 @@ pub struct PlanArtifact {
     /// The value-slot table the scheduler counts down and the arena
     /// books ([`crate::LifetimeProgram::from_slots`] unrolls it).
     pub slots: SlotTable,
+    /// Members the executor folded at compile (run by no kernel), as
+    /// [`PlanExecutor::folded`] lists them.
+    pub folded: Vec<NodeId>,
 }
 
 impl PlanArtifact {
@@ -36,6 +39,7 @@ impl PlanArtifact {
             deps: exec.kernel_dependencies(),
             tiles: exec.tile_layouts(),
             slots: exec.slot_table().clone(),
+            folded: exec.folded().to_vec(),
         }
     }
 }
@@ -69,7 +73,7 @@ pub fn verify_plan(g: &PrimGraph, plan: &Plan, artifact: &PlanArtifact) -> Vec<V
     check_producers(g, plan, &mut out);
     for (i, layout) in artifact.tiles.iter().enumerate() {
         if let Some(layout) = layout {
-            check_tiling(g, plan, i, layout, &mut out);
+            check_tiling(g, plan, i, layout, &artifact.folded, &mut out);
         }
     }
     out
@@ -212,12 +216,15 @@ fn check_producers(g: &PrimGraph, plan: &Plan, out: &mut Vec<Violation>) {
 /// accumulation (matmul), so the bit-identity obligations checked here
 /// are exactly the ones the compiled bodies must also satisfy. The
 /// `TileBodyKind` variants and their eligibility rules are unchanged by
-/// compilation.
+/// compilation. A member the executor folded ([`PlanArtifact::folded`])
+/// reaches the tiles as a constant operand, so the chain check skips it
+/// like a source.
 fn check_tiling(
     g: &PrimGraph,
     plan: &Plan,
     kernel: usize,
     layout: &TileLayout,
+    folded: &[NodeId],
     out: &mut Vec<Violation>,
 ) {
     let k = &plan.kernels[kernel];
@@ -306,7 +313,7 @@ fn check_tiling(
             let mut sound = true;
             for &m in &k.members {
                 let node = g.node(m);
-                if node.kind.is_source() {
+                if node.kind.is_source() || folded.contains(&m) {
                     continue;
                 }
                 let uniform = matches!(node.kind, PrimKind::Elementwise(_))

@@ -4,7 +4,11 @@
 //! whole-kernel and tiled, across random chain shapes and op mixes,
 //! every matmul transpose variant, tile sizes straddling the register
 //! block ({1, MR−1, MR, MR+1, all rows}, MR = `MATMUL_MR`) × lanes
-//! {1, 2, 4}, and across a `recalibrate` plan swap.
+//! {1, 2, 4}, and across a `recalibrate` plan swap. The weight-only
+//! members `PlanExecutor::new` folds into constants are held to the same
+//! law: a folded bias under a chain, an exported or graph-output
+//! weight-only port, `Opaque` over a constant, a folded node two kernels
+//! share, and the stitched Segformer-tiny program.
 //!
 //! Everything here asserts bytes and conservation laws, never wall-clock:
 //! CI runners are 1-core, where lanes time-slice instead of overlapping.
@@ -403,4 +407,235 @@ fn whole_matmul_matches_naive_contraction() {
         &naive[..],
         "blocked matmul diverged from naive order"
     );
+}
+
+/// A `[64, 32]` graph input and `bcast(c)`, the `[32]` constant `c`
+/// stretched over 64 rows: a per-channel bias as fission leaves it.
+fn input_and_bias(g: &mut PrimGraph) -> (NodeId, NodeId, NodeId) {
+    let x = g
+        .add(
+            PrimKind::Input {
+                shape: vec![64, 32],
+            },
+            vec![],
+        )
+        .unwrap();
+    let c = g
+        .add(
+            PrimKind::Constant {
+                shape: vec![32],
+                init: korch::ir::ConstInit::Random(7),
+            },
+            vec![],
+        )
+        .unwrap();
+    let b = g
+        .add(PrimKind::Broadcast { axis: 0, size: 64 }, vec![c.into()])
+        .unwrap();
+    (x, c, b)
+}
+
+fn binary(g: &mut PrimGraph, op: BinaryOp, a: NodeId, b: NodeId) -> NodeId {
+    g.add(
+        PrimKind::Elementwise(EwFn::Binary(op)),
+        vec![a.into(), b.into()],
+    )
+    .unwrap()
+}
+
+/// Runs `plan` at 1 and 2 lanes whole and at 2 lanes force-tiled (8
+/// rows and one tile per lane), twice each: bit-identical to
+/// `execute_plan` — or failing where it fails — with the arena back at
+/// zero live bytes after every run. Returns the executors.
+fn folded_runs(g: &PrimGraph, plan: &Plan) -> Vec<PlanExecutor> {
+    let inputs = prim_random_inputs(g, 3);
+    let reference = execute_plan(g, plan, &inputs);
+    let configs = [
+        whole_config(1),
+        whole_config(2),
+        tiled_config(2, Some(8)),
+        tiled_config(2, None),
+    ];
+    configs
+        .into_iter()
+        .map(|config| {
+            let ctx = format!("lanes {} tiling {:?}", config.lanes, config.tiling);
+            let exec = PlanExecutor::new(g, plan, config).unwrap();
+            for run in 0..2 {
+                match (&reference, exec.execute(&inputs)) {
+                    (Ok(want), Ok(got)) => {
+                        assert_bit_identical(want, &got, &format!("{ctx} run {run}"))
+                    }
+                    (Err(_), Err(_)) => {}
+                    (want, got) => panic!("{ctx} run {run}: {want:?} but {got:?}"),
+                }
+                assert_eq!(exec.arena_stats().live_bytes, 0, "{ctx} run {run}");
+            }
+            exec
+        })
+        .collect()
+}
+
+/// The slot of `node`'s port 0, if the executor gave it one.
+fn slot_of(exec: &PlanExecutor, node: NodeId) -> Option<&korch::runtime::SlotInfo> {
+    let port = PortRef::from(node);
+    exec.slot_table().slots.iter().find(|s| s.port == port)
+}
+
+/// `x + bcast(c)` in one kernel: the broadcast is folded, its port is a
+/// pinned, unpooled source slot, `c` — read by the fold alone — has no
+/// slot, and what runs is a one-member chain that tiles.
+#[test]
+fn a_folded_bias_leaves_a_chain_that_tiles() {
+    let mut g = PrimGraph::new();
+    let (x, c, b) = input_and_bias(&mut g);
+    let y = binary(&mut g, BinaryOp::Add, x, b);
+    g.mark_output(y).unwrap();
+    let plan = plan_of(vec![kernel_of(&g, vec![b, y], vec![y.into()])]);
+    for exec in folded_runs(&g, &plan) {
+        assert_eq!(exec.folded(), [b]);
+        assert!(slot_of(&exec, c).is_none(), "only the fold reads c");
+        let bias = slot_of(&exec, b).expect("the kernel reads the folded port");
+        assert!(bias.source && bias.pinned && !bias.pooled, "{bias:?}");
+        assert_eq!(bias.readers, 1);
+        if exec.lane_count() == 2 {
+            assert_eq!(exec.tileable_kernels(), 1, "the chain tiles");
+        }
+    }
+}
+
+/// A weight-only port one kernel exports and another reads is not folded
+/// — the exporter still computes it every run, from the folded broadcast
+/// under it — and the reader keeps its dependency edge.
+#[test]
+fn an_exported_weight_only_port_still_runs() {
+    let mut g = PrimGraph::new();
+    let (x, _, b) = input_and_bias(&mut g);
+    let s = g
+        .add(
+            PrimKind::Elementwise(EwFn::BinaryScalar(BinaryOp::Mul, 1.5)),
+            vec![b.into()],
+        )
+        .unwrap();
+    let y = binary(&mut g, BinaryOp::Add, x, s);
+    g.mark_output(y).unwrap();
+    let plan = plan_of(vec![
+        kernel_of(&g, vec![b, s], vec![s.into()]),
+        kernel_of(&g, vec![y], vec![y.into()]),
+    ]);
+    for exec in folded_runs(&g, &plan) {
+        assert_eq!(exec.folded(), [b]);
+        assert_eq!(exec.kernel_dependencies(), [vec![], vec![0]]);
+        assert!(!slot_of(&exec, s).unwrap().source);
+    }
+}
+
+/// A weight-only graph output is computed by its kernel every run and
+/// handed out like any other output; the broadcast under it folds.
+#[test]
+fn a_weight_only_graph_output_is_not_folded() {
+    let mut g = PrimGraph::new();
+    let (x, _, b) = input_and_bias(&mut g);
+    let e = g
+        .add(
+            PrimKind::Elementwise(EwFn::Unary(UnaryOp::Exp)),
+            vec![b.into()],
+        )
+        .unwrap();
+    let y = binary(&mut g, BinaryOp::Mul, x, e);
+    g.mark_output(e).unwrap();
+    g.mark_output(y).unwrap();
+    let plan = plan_of(vec![kernel_of(&g, vec![b, e, y], vec![e.into(), y.into()])]);
+    for exec in folded_runs(&g, &plan) {
+        assert_eq!(exec.folded(), [b]);
+        assert!(slot_of(&exec, e).unwrap().pinned);
+    }
+}
+
+/// `Opaque` over a constant is not folded: compile succeeds and every run
+/// fails where `execute_plan` fails, settling the arena.
+#[test]
+fn opaque_over_a_constant_still_fails_at_run_time() {
+    let mut g = PrimGraph::new();
+    let (x, _, b) = input_and_bias(&mut g);
+    let o = g
+        .add(
+            PrimKind::Opaque {
+                name: "external".into(),
+                out_shapes: vec![vec![64, 32]],
+            },
+            vec![b.into()],
+        )
+        .unwrap();
+    let y = binary(&mut g, BinaryOp::Add, x, o);
+    g.mark_output(y).unwrap();
+    let plan = plan_of(vec![kernel_of(&g, vec![b, o, y], vec![y.into()])]);
+    let inputs = prim_random_inputs(&g, 3);
+    assert!(execute_plan(&g, &plan, &inputs).is_err());
+    for exec in folded_runs(&g, &plan) {
+        assert_eq!(exec.folded(), [b], "the broadcast under it still folds");
+        assert!(exec.execute(&inputs).is_err());
+    }
+}
+
+/// One weight-only node two kernels share is folded once: both read its
+/// one slot.
+#[test]
+fn a_weight_only_node_two_kernels_share_is_folded_once() {
+    let mut g = PrimGraph::new();
+    let (x, _, b) = input_and_bias(&mut g);
+    let y1 = binary(&mut g, BinaryOp::Add, x, b);
+    let y2 = binary(&mut g, BinaryOp::Mul, x, b);
+    g.mark_output(y1).unwrap();
+    g.mark_output(y2).unwrap();
+    let plan = plan_of(vec![
+        kernel_of(&g, vec![b, y1], vec![y1.into()]),
+        kernel_of(&g, vec![b, y2], vec![y2.into()]),
+    ]);
+    for exec in folded_runs(&g, &plan) {
+        assert_eq!(exec.folded(), [b]);
+        assert_eq!(slot_of(&exec, b).unwrap().readers, 2);
+    }
+}
+
+/// The stitched Segformer-tiny executor folds: some source slots hold
+/// non-source nodes (each folded, pinned, unpooled), and no slot is left
+/// for a constant only folded members read.
+#[test]
+fn segformer_tiny_folds_its_weight_only_members() {
+    let graph = korch::models::segformer(korch::models::SegformerConfig::tiny());
+    let korch = Korch::new(Device::v100(), KorchConfig::default());
+    let compiled = korch.compile(&graph).unwrap();
+    let exec = &compiled.partitions()[0].executor;
+    let g = exec.graph();
+    let folded = exec.folded();
+    let table = exec.slot_table();
+    let mut folded_slots = 0;
+    for slot in table.slots.iter().filter(|s| s.source) {
+        if !g.node(slot.port.node).kind.is_source() {
+            assert!(folded.contains(&slot.port.node), "{slot:?}");
+            assert!(slot.pinned && !slot.pooled, "{slot:?}");
+            folded_slots += 1;
+        }
+    }
+    assert!(folded_slots > 0, "no folded port has a slot");
+    let mut fold_only = 0;
+    for (c, node) in g.iter() {
+        if !matches!(node.kind, PrimKind::Constant { .. }) {
+            continue;
+        }
+        let mut readers = g
+            .iter()
+            .filter(|(_, n)| n.inputs.iter().any(|r| r.node == c))
+            .peekable();
+        if readers.peek().is_some() && readers.all(|(r, _)| folded.contains(&r)) {
+            assert!(slot_of(exec, c).is_none(), "constant {} keeps a slot", c.0);
+            fold_only += 1;
+        }
+    }
+    assert!(fold_only > 0, "no constant is read by folded members alone");
+    let inputs = op_random_inputs(&graph, 9);
+    let reference = compiled.execute(&inputs).unwrap();
+    let interpreted = execute_plan(g, exec.plan(), &inputs).unwrap();
+    assert_bit_identical(&interpreted, &reference, "segformer-tiny");
 }

@@ -187,8 +187,8 @@ fn self_tuning_model_contract() {
     tuned.execute(&inputs).unwrap();
     let drift = tuned.model_error().expect("drift after profiled runs");
     assert!(drift > 0.0);
-    let outcome = tuned.retune().expect("profiled model retunes");
-    assert!(outcome.model_error_after <= outcome.model_error_before + 1e-9);
+    let report = tuned.recalibrate().expect("profiled model retunes");
+    assert!(report.model_error_after <= report.model_error_before + 1e-9);
     // Post-retune drift is measured against the *applied* calibration, so
     // a freshly tuned model reports the residual fit error, not the raw
     // uncalibrated gap. Pinned on the profile itself — the fit came from
@@ -197,10 +197,12 @@ fn self_tuning_model_contract() {
     // fitted runs once made the "residual" 239 against a gap of 0.99).
     tuned.execute(&inputs).unwrap();
     let residual = tuned.model_error().expect("drift after retune");
+    // The fit itself may be the default: `Calibration::fit` skips every
+    // sample at or under the launch term, and on a fast host no kernel of
+    // this model takes longer.
     let applied = tuned.applied_calibration();
-    assert_ne!(
-        applied,
-        korch::cost::Calibration::default(),
+    assert_eq!(
+        applied, report.calibration,
         "the retune's fit must be the calibration in force"
     );
     let program = &tuned.partitions()[0].executor;

@@ -6,7 +6,7 @@
 
 use korch::core::{Korch, KorchConfig};
 use korch::cost::Device;
-use korch::ir::{EwFn, NodeId, PortRef, PrimGraph, PrimKind};
+use korch::ir::{ConstInit, EwFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch::models::subgraphs::{instance_norm_block, softmax_attention};
 use korch::orch::Plan;
 use korch::runtime::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout, Tiling};
@@ -168,6 +168,74 @@ fn multi_output_kernel_cannot_be_tile_eligible() {
         .expect("tile-eligibility-unsound violation");
     assert_eq!(v.kernel, Some(0));
     assert!(v.detail.contains("2 outputs"), "{}", v.detail);
+}
+
+/// `x[64, 32] + bcast(c[32])` in one kernel, force-tiled at 8 rows over 2
+/// lanes: the executor folds the broadcast and tiles the one-member chain
+/// left, and runs it bit-identically. The verifier reads the folded set
+/// off the artifact and accepts; an artifact that drops it is rejected,
+/// naming the broadcast as a non-elementwise member.
+#[test]
+fn a_chain_over_a_folded_broadcast_verifies() {
+    let mut g = PrimGraph::new();
+    let x = g
+        .add(
+            PrimKind::Input {
+                shape: vec![64, 32],
+            },
+            vec![],
+        )
+        .unwrap();
+    let c = g
+        .add(
+            PrimKind::Constant {
+                shape: vec![32],
+                init: ConstInit::Random(7),
+            },
+            vec![],
+        )
+        .unwrap();
+    let b = g
+        .add(PrimKind::Broadcast { axis: 0, size: 64 }, vec![c.into()])
+        .unwrap();
+    let y = g
+        .add(
+            PrimKind::Elementwise(EwFn::Binary(BinaryOp::Add)),
+            vec![x.into(), b.into()],
+        )
+        .unwrap();
+    g.mark_output(y).unwrap();
+    let plan = plan_of(vec![kernel_of(&g, vec![b, y], vec![y.into()])]);
+    let config = RuntimeConfig {
+        tiling: Tiling::Forced { tile_rows: Some(8) },
+        ..RuntimeConfig::with_lanes(2)
+    };
+    let exec = PlanExecutor::new(&g, &plan, config).unwrap();
+    assert_eq!(exec.folded(), [b]);
+    assert_eq!(exec.tileable_kernels(), 1);
+    let inputs = vec![Tensor::random(vec![64, 32], 5)];
+    let reference = korch::exec::execute_plan(&g, &plan, &inputs).unwrap();
+    assert_bit_identical(&reference, &exec.execute(&inputs).unwrap(), "folded chain");
+    assert_eq!(exec.arena_stats().live_bytes, 0);
+    assert!(
+        verify_executor(&exec).is_empty(),
+        "{:?}",
+        verify_executor(&exec)
+    );
+
+    let mut art = PlanArtifact::from_executor(&exec);
+    assert_eq!(art.folded, [b]);
+    art.folded.clear();
+    let violations = verify_plan(&g, &plan, &art);
+    let v = violations
+        .iter()
+        .find(|v| v.rule == Rule::TileEligibilityUnsound)
+        .expect("tile-eligibility-unsound violation");
+    assert!(
+        v.detail.contains(&format!("member node {}", b.0)),
+        "{}",
+        v.detail
+    );
 }
 
 /// Mutation: releasing a buffer before its last reader must surface as a
