@@ -3,13 +3,17 @@
 //! - `probe <model>`: how long does the full pipeline take?
 //! - `probe members <model>`: what does each member of each kernel of the
 //!   stitched plan cost? Every member a request runs — neither a source
-//!   nor folded by `PlanExecutor::new` — is timed alone through
-//!   `eval_prim` on the operands it sees in a real run (min of
-//!   [`MEMBER_CALLS`] warm calls) and reported with its achieved GB/s
-//!   (operand + result bytes) or, for linear primitives, GFLOP/s — per
-//!   member, per kernel and per primitive kind (convs per path:
-//!   depthwise, pointwise, panel). A first line counts the folded members
-//!   and the bytes the executor holds of them.
+//!   nor folded by `PlanExecutor::new` — is timed alone the way a walk
+//!   runs it, on the operands it sees in a real run (min of
+//!   [`MEMBER_CALLS`] warm calls): into one reused output buffer through
+//!   `eval_prim_into` when it has an into-slice kernel, through
+//!   `eval_prim` otherwise (marked `*`). Each is reported with its
+//!   achieved GB/s (operand + result bytes) or, for linear primitives,
+//!   GFLOP/s — per member, per kernel and per primitive kind (convs per
+//!   path: depthwise, pointwise, panel). Two first lines count the folded
+//!   members and the bytes the executor holds of them, and the bytes a
+//!   warm run allocates (`ArenaStats::fresh_bytes`) against the walk
+//!   scratch a run state holds.
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
 //!   one line per (partition, variant) it takes — a variant whose
@@ -26,7 +30,7 @@
 //!   identify + solve total: the speedup and parallel efficiency.
 use korch_core::{partition, stitch, Korch, KorchConfig};
 use korch_cost::{Backend, Device, Profiler};
-use korch_exec::{eval_prim, materialize_const};
+use korch_exec::{eval_prim, eval_prim_into, evaluates_into, materialize_const};
 use korch_fission::fission;
 use korch_ir::{LinearFn, NodeId, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch_models::SegformerConfig;
@@ -281,6 +285,44 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
         }
     }
 
+    // Warm the executor, then count what one more run allocates.
+    let inputs: Vec<Tensor> = (g.iter())
+        .filter_map(|(_, n)| match &n.kind {
+            PrimKind::Input { shape } => Some(Tensor::random(shape.clone(), 2)),
+            _ => None,
+        })
+        .collect();
+    for _ in 0..3 {
+        exec.execute(&inputs).expect("execute");
+    }
+    let before = exec.arena_stats().fresh_bytes;
+    exec.execute(&inputs).expect("execute");
+    println!(
+        "fresh: {} B per warm run, scratch: {} B",
+        exec.arena_stats().fresh_bytes - before,
+        exec.memory_report().scratch_bytes
+    );
+    // What a warm run must allocate: the outputs of the members that
+    // still call `eval_prim`, and the graph outputs handed to the caller
+    // out of pool buffers.
+    let eval: u64 = (plan.kernels.iter().flat_map(|k| &k.members))
+        .filter(|m| !folded.contains(m))
+        .map(|&m| g.node(m))
+        .filter(|n| !n.kind.is_source())
+        .filter(|n| !evaluates_into(&n.kind) || n.out_metas.len() > 1)
+        .flat_map(|n| &n.out_metas)
+        .map(|t| t.byte_size() as u64)
+        .sum();
+    let table = exec.slot_table();
+    let handed: u64 = (table.slots.iter())
+        .filter(|s| g.outputs().contains(&s.port) && s.pooled && !s.source)
+        .map(SlotInfo::bytes)
+        .sum();
+    println!(
+        "by design: {} B per run (eval_prim outputs {eval} B, outputs handed out {handed} B)",
+        eval + handed
+    );
+
     // kind → (calls, µs, bytes, flops)
     let mut by_kind: BTreeMap<String, (usize, f64, f64, f64)> = BTreeMap::new();
     let mut total_us = 0.0;
@@ -295,14 +337,22 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
                 continue;
             }
             let ins: Vec<&Tensor> = node.inputs.iter().map(|r| &values[r]).collect();
+            let out = &values[&PortRef::from(m)];
+            let into = evaluates_into(&node.kind) && node.out_metas.len() == 1;
+            let mut buf = out.clone();
             let us = (0..MEMBER_CALLS)
                 .map(|_| {
                     let t = Instant::now();
-                    black_box(eval_prim(black_box(&node.kind), black_box(&ins), m.0).unwrap());
+                    if into {
+                        let (x, y) = (black_box(ins[0]), ins.get(1).copied());
+                        eval_prim_into(black_box(&node.kind), x, y, &mut buf, m.0).unwrap();
+                        black_box(&buf);
+                    } else {
+                        black_box(eval_prim(black_box(&node.kind), black_box(&ins), m.0).unwrap());
+                    }
                     t.elapsed().as_secs_f64() * 1e6
                 })
                 .fold(f64::INFINITY, f64::min);
-            let out = &values[&PortRef::from(m)];
             let out_bytes: usize = node.out_metas.iter().map(|t| t.byte_size()).sum();
             let bytes = (ins.iter().map(|t| t.byte_size()).sum::<usize>() + out_bytes) as f64;
             let flops = linear_flops(&node.kind, &ins, out);
@@ -312,7 +362,7 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
             };
             rows.push(format!(
                 "    {:<22} {:<18} {us:9.2} us  {speed}",
-                node.kind.label(),
+                node.kind.label() + if into { "" } else { " *" },
                 format!("{:?}", out.shape())
             ));
             let e = by_kind.entry(kind_key(&node.kind, &ins)).or_default();

@@ -3,7 +3,7 @@
 use crate::error::ExecError;
 use korch_ir::{ConstInit, EwFn, LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_orch::Plan;
-use korch_tensor::Tensor;
+use korch_tensor::{Tensor, TensorError};
 use std::collections::HashMap;
 
 /// Materializes a constant tensor from its init spec.
@@ -114,6 +114,107 @@ pub fn eval_prim(
         PrimKind::Opaque { name, .. } => Err(ExecError::Input(format!(
             "opaque primitive '{name}' has no interpreter"
         ))),
+    }
+}
+
+/// Whether [`eval_prim_into`] evaluates `kind`: the primitives whose
+/// allocating `Tensor` method is an into-slice kernel over a fresh output
+/// — elementwise, reduce, broadcast, transpose, reshape, matmul and conv.
+/// Slice, concat, split, pad, resize and window-reduce are not.
+pub fn evaluates_into(kind: &PrimKind) -> bool {
+    match kind {
+        PrimKind::Elementwise(_) | PrimKind::Reduce { .. } | PrimKind::Broadcast { .. } => true,
+        PrimKind::Layout(l) => matches!(l, LayoutFn::Transpose { .. } | LayoutFn::Reshape { .. }),
+        PrimKind::Linear(_) => true,
+        _ => false,
+    }
+}
+
+/// Evaluates one single-output primitive [`evaluates_into`] accepts on
+/// `x` (and `y`, the second operand of a binary elementwise or linear
+/// primitive) into `out`, whose shape the caller set to the primitive's
+/// output shape. Runs the into-slice kernel [`eval_prim`]'s allocating
+/// `Tensor` method runs, so the bits are [`eval_prim`]'s; every element
+/// of `out` is written, whatever it held.
+///
+/// # Errors
+///
+/// [`eval_prim`]'s errors for the same operands: [`ExecError::Input`]
+/// for a missing second operand, [`ExecError::Tensor`] when a kernel
+/// rejects its operands or `out` does not have the output's shape.
+///
+/// # Panics
+///
+/// Panics on a primitive [`evaluates_into`] rejects.
+pub fn eval_prim_into(
+    kind: &PrimKind,
+    x: &Tensor,
+    y: Option<&Tensor>,
+    out: &mut Tensor,
+    node: usize,
+) -> Result<(), ExecError> {
+    use korch_tensor::{binary_scalar_lhs_tile, binary_scalar_tile, binary_tile, unary_tile};
+    let wrap = |source| ExecError::Tensor { node, source };
+    let second =
+        || y.ok_or_else(|| ExecError::Input(format!("node {node} expects 2 inputs, got 1")));
+    let mismatch = |lhs: &Tensor, rhs: &Tensor| {
+        wrap(TensorError::ShapeMismatch {
+            lhs: lhs.shape().to_vec(),
+            rhs: rhs.shape().to_vec(),
+        })
+    };
+    match kind {
+        PrimKind::Elementwise(f) => {
+            let y = match f {
+                EwFn::Binary(_) => Some(second()?),
+                _ => None,
+            };
+            if let Some(y) = y.filter(|y| y.shape() != x.shape()) {
+                return Err(mismatch(x, y));
+            }
+            if x.shape() != out.shape() {
+                return Err(mismatch(x, out));
+            }
+            let (x, o) = (x.as_slice(), out.as_mut_slice());
+            match (f, y) {
+                (EwFn::Unary(u), _) => unary_tile(*u, x, o),
+                (EwFn::Binary(b), Some(y)) => binary_tile(*b, x, y.as_slice(), o),
+                (EwFn::BinaryScalar(b, c), _) => binary_scalar_tile(*b, x, *c, o),
+                (EwFn::BinaryScalarLhs(b, c), _) => binary_scalar_lhs_tile(*b, *c, x, o),
+                (EwFn::Binary(_), None) => unreachable!("checked above"),
+            }
+            Ok(())
+        }
+        PrimKind::Reduce { kind, axis } => x
+            .reduce_into(*axis, *kind, out.as_mut_slice())
+            .map_err(wrap),
+        PrimKind::Broadcast { axis, size } => x
+            .broadcast_into(*axis, *size, out.as_mut_slice())
+            .map_err(wrap),
+        PrimKind::Layout(LayoutFn::Transpose { perm }) => {
+            x.transpose_into(perm, out.as_mut_slice()).map_err(wrap)
+        }
+        PrimKind::Layout(LayoutFn::Reshape { .. }) => {
+            if x.numel() != out.numel() {
+                return Err(wrap(TensorError::ElementCount {
+                    expected: out.numel(),
+                    actual: x.numel(),
+                }));
+            }
+            out.as_mut_slice().copy_from_slice(x.as_slice());
+            Ok(())
+        }
+        PrimKind::Linear(LinearFn::MatMul { spec }) => {
+            (x.matmul_into(second()?, *spec, out.as_mut_slice())).map_err(wrap)
+        }
+        PrimKind::Linear(LinearFn::Conv2d {
+            stride,
+            padding,
+            groups,
+        }) => {
+            (x.conv2d_into(second()?, *stride, *padding, *groups, out.as_mut_slice())).map_err(wrap)
+        }
+        other => unreachable!("{other:?} has no into-slice kernel"),
     }
 }
 

@@ -18,16 +18,22 @@
 //! run-invariant members compile evaluated once — shared by every run
 //! and never booked.
 //!
-//! The **pool** serves exactly the buffers the runtime allocates itself:
-//! staged input copies, range-body outputs, tile chunks and their
-//! assembly. A walk body's output is the buffer its last member wrote,
-//! moved into the slot — booked like any other, but dropped when it dies:
-//! nothing would take it from the pool, so parking it would only grow the
-//! pool by one buffer per walk output per run.
+//! The **pool** serves the buffers the runtime allocates itself: staged
+//! input copies, range-body outputs, tile chunks and their assembly, and
+//! the exports of a walk's steps that write into a buffer. What a walk
+//! keeps to itself lives in the run state's *scratch* instead — buffers
+//! assigned at compile by lifetime, shared by every walk a lane runs, and
+//! never booked here: a lane takes no lock per step. Only a walk step that
+//! still calls `eval_prim` allocates its own output; exported, that
+//! buffer is moved into its slot and dropped when dead (parked, it would
+//! grow the pool by one buffer per run). [`ArenaStats::fresh_bytes`]
+//! counts every byte allocated because neither the pool nor the scratch
+//! had a buffer.
 
 use korch_ir::PortRef;
 use std::collections::btree_map::Entry as BTreeEntry;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Memory behavior of one plan, folded from its [`SlotTable`] alone (no
@@ -45,6 +51,12 @@ pub struct MemoryReport {
     pub pinned_bytes: u64,
     /// Number of materialized buffers that die before the plan ends.
     pub reclaimable_buffers: usize,
+    /// Walk scratch one run state holds at most: one lane's buffers (every
+    /// walk's locals, placed by lifetime and shared by size between
+    /// walks) times the lanes a run is scheduled over. Never booked;
+    /// allocated on a state's first run and kept. `PlanExecutor::new`
+    /// sets it; [`SlotTable::memory_report`], which knows no walk, reads 0.
+    pub scratch_bytes: u64,
 }
 
 impl MemoryReport {
@@ -76,11 +88,11 @@ pub struct SlotInfo {
     /// evaluated once).
     pub source: bool,
     /// The runtime allocates the slot's storage itself — a staged input
-    /// copy, or the output of range bodies only — so a dead buffer goes
-    /// back to the pool, where the next run takes it. `false` for a slot
-    /// some walk body writes (its buffer is moved in and dropped when
-    /// dead) and for constants and folded ports (shared across runs,
-    /// never booked).
+    /// copy, a range body's output, a walk export some step wrote into —
+    /// so a dead buffer goes back to the pool, where the next run takes
+    /// it. `false` for a slot a walk exports from a step that still calls
+    /// `eval_prim` (its buffer is moved in and dropped when dead) and for
+    /// constants and folded ports (shared across runs, never booked).
     pub pooled: bool,
 }
 
@@ -165,6 +177,7 @@ impl SlotTable {
             peak_resident_bytes: peak,
             pinned_bytes: pinned,
             reclaimable_buffers: releases.iter().map(Vec::len).sum(),
+            scratch_bytes: 0,
         }
     }
 }
@@ -174,6 +187,9 @@ impl SlotTable {
 #[derive(Debug, Default)]
 pub struct BufferArena {
     inner: Mutex<ArenaInner>,
+    /// See [`ArenaStats::fresh_bytes`]; outside the lock, so a walk
+    /// counts an `eval_prim` output without taking it.
+    fresh_bytes: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -200,6 +216,10 @@ pub struct ArenaStats {
     pub reuse_hits: u64,
     /// Bytes parked in the free pool.
     pub free_bytes: u64,
+    /// Bytes allocated because neither the pool nor a walk's scratch had
+    /// a buffer: pool misses, scratch a run state allocates on its first
+    /// run, and the outputs of walk steps that still call `eval_prim`.
+    pub fresh_bytes: u64,
 }
 
 impl ArenaInner {
@@ -242,9 +262,19 @@ impl BufferArena {
         inner.free.entry(numel).or_default().push(storage);
     }
 
-    /// Takes a dead buffer off the books without parking its storage: a
-    /// walk output (dropped — the pool has no taker for it), a tensor
-    /// moved out to the caller, or a handle that is still shared.
+    /// Parks storage that was never booked — the export buffers a walk
+    /// took before it failed — for [`BufferArena::take`].
+    pub fn recycle(&self, storage: Vec<f32>) {
+        let bytes = (storage.len() * 4) as u64;
+        let mut inner = self.inner.lock().expect("arena poisoned");
+        inner.free_bytes += bytes;
+        inner.free.entry(storage.len()).or_default().push(storage);
+    }
+
+    /// Takes a dead buffer off the books without parking its storage: an
+    /// `eval_prim` output a walk moved in (the pool has no taker for
+    /// it), a tensor moved out to the caller, or a handle that is still
+    /// shared.
     pub fn release_untracked(&self, numel: usize) {
         let mut inner = self.inner.lock().expect("arena poisoned");
         inner.unbook((numel * 4) as u64);
@@ -273,6 +303,23 @@ impl BufferArena {
         buf
     }
 
+    /// Storage of exactly `numel` elements for a buffer the caller books
+    /// itself: a parked one ([`BufferArena::take`]), else a fresh
+    /// allocation counted in [`ArenaStats::fresh_bytes`]. Contents are
+    /// unspecified; every user overwrites the whole buffer.
+    pub fn take_or_alloc(&self, numel: usize) -> Vec<f32> {
+        self.take(numel).unwrap_or_else(|| {
+            self.note_fresh((numel * 4) as u64);
+            vec![0.0; numel]
+        })
+    }
+
+    /// Counts `bytes` the executor allocated outside the pool (see
+    /// [`ArenaStats::fresh_bytes`]).
+    pub fn note_fresh(&self, bytes: u64) {
+        self.fresh_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> ArenaStats {
         let inner = self.inner.lock().expect("arena poisoned");
@@ -282,6 +329,7 @@ impl BufferArena {
             total_allocs: inner.total_allocs,
             reuse_hits: inner.reuse_hits,
             free_bytes: inner.free_bytes,
+            fresh_bytes: self.fresh_bytes.load(Ordering::Relaxed),
         }
     }
 }

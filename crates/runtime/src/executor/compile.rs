@@ -3,13 +3,13 @@
 //! per-kernel lowering (reads, dependencies, body), and tile
 //! classification under the [`Tiling`] mode.
 
-use super::body::{kernel_reads, KernelBody};
+use super::body::{kernel_reads, KernelBody, ScratchPlan};
 use super::emit::ExecTelemetry;
 use super::{
     not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind,
     TileLayout, Tiling,
 };
-use crate::arena::{BufferArena, SlotInfo, SlotTable};
+use crate::arena::{BufferArena, MemoryReport, SlotInfo, SlotTable};
 use crate::profiler::RuntimeProfile;
 use korch_exec::{eval_prim, materialize_const, ExecError};
 use korch_ir::{LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
@@ -130,13 +130,14 @@ fn assign_sources(
 /// Lowers every plan kernel over its `members` that run (folded ones
 /// removed) and the ports they read from memory (counted as readers of
 /// their slots): the earlier kernels that materialize those ports, its
-/// output slots and its body.
+/// output slots and its body, whose walk locals go to `scratch`.
 fn compile_kernels(
     g: &PrimGraph,
     plan: &Plan,
     lowered: Vec<(Vec<NodeId>, Vec<PortRef>)>,
     folded: &[bool],
     slots: &mut Slots,
+    scratch: &mut ScratchPlan,
 ) -> Result<Vec<KernelTask>, ExecError> {
     // First (in plan order) kernel materializing each port.
     let mut first_producer: HashMap<PortRef, usize> = HashMap::new();
@@ -166,7 +167,7 @@ fn compile_kernels(
                 }
             }
         }
-        let body = KernelBody::compile(g, &members, &read_ports, &k.outputs)?;
+        let body = KernelBody::compile(g, &members, &read_ports, &k.outputs, scratch)?;
         let mut with_slots = |ports: &[PortRef]| -> Vec<usize> {
             ports.iter().map(|p| slots.slot_of(g, *p)).collect()
         };
@@ -175,10 +176,10 @@ fn compile_kernels(
         for &s in &reads {
             table.slots[s].readers += 1;
         }
-        // A range body evaluates into a buffer the runtime took itself;
-        // a slot any walk writes may hold a buffer that was moved in.
-        for &s in &writes {
-            table.slots[s].pooled &= !matches!(body, KernelBody::Walk { .. });
+        // Bodies write into buffers the runtime took from the pool, but
+        // for a walk export `eval_prim` allocated: that one is moved in.
+        for (i, &s) in writes.iter().enumerate() {
+            table.slots[s].pooled &= !body.moves_export(i);
         }
         table.reads.push(reads);
         table.writes.push(writes);
@@ -216,7 +217,8 @@ impl PlanExecutor {
         let read: HashSet<PortRef> = lowered.iter().flat_map(|(_, r)| r).copied().collect();
         let mut slots = Slots::default();
         let (input_slots, const_slots) = assign_sources(g, &folded, &read, &mut slots)?;
-        let kernels = compile_kernels(g, plan, lowered, &folded, &mut slots)?;
+        let mut scratch = ScratchPlan::default();
+        let kernels = compile_kernels(g, plan, lowered, &folded, &mut slots, &mut scratch)?;
         let Slots { index, mut table } = slots;
 
         let mut const_slot = vec![false; table.slots.len()];
@@ -296,7 +298,11 @@ impl PlanExecutor {
         let core = Core {
             graph: g.clone(),
             plan: plan.clone(),
-            memory_report: table.memory_report(),
+            memory_report: MemoryReport {
+                scratch_bytes: (scratch.sizes.iter().sum::<usize>() * 4 * workers) as u64,
+                ..table.memory_report()
+            },
+            scratch: scratch.sizes,
             table,
             kernels,
             dependents,

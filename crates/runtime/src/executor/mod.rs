@@ -27,14 +27,23 @@
 //! reads, and lowers each kernel's remaining members to one `KernelBody`:
 //!
 //! - **walk** — the general body and most of the traffic: every
-//!   non-source member, in ascending order, evaluated whole by
-//!   `korch_exec::eval_prim` with operands resolved at compile time to
-//!   either a read slot or an earlier step's output (`execute_plan`'s
-//!   rule), so a run indexes vectors and builds no maps. Compile also
-//!   records each step's last in-kernel reader: a run drops a step's
-//!   output there (exports excepted) and a `Reshape` of an operand that
-//!   dies at it takes the buffer, so the allocator hands the next member
-//!   the block that was just freed, still in cache;
+//!   non-source member, in ascending order, evaluated whole with operands
+//!   resolved at compile time to either a read slot or an earlier step's
+//!   output (`execute_plan`'s rule), so a run indexes vectors and builds
+//!   no maps. A step with an into-slice kernel — elementwise, reduce,
+//!   broadcast, transpose, reshape, matmul, conv
+//!   (`korch_exec::eval_prim_into`, the loop `eval_prim`'s allocating
+//!   form runs, so the same bits) — writes into a buffer the run already
+//!   owns: a local into the lane's *scratch*, an export into a buffer
+//!   taken from the arena pool. Compile places each local in the scratch
+//!   by its last in-kernel reader: a dead local's buffer goes to the next
+//!   local of its size, so a long row-wise kernel cycles through a few
+//!   cache-hot blocks, and a `Reshape` of a local that dies at it
+//!   relabels that buffer. Every walk's locals are dead when it ends, so
+//!   all walks share one scratch per lane, as large as the most any one
+//!   of them holds of each size. The other steps (slice, concat, split,
+//!   pad, resize, window-reduce, opaque) call `korch_exec::eval_prim` and
+//!   keep what it allocates;
 //! - **chain** — a single-output fused elementwise chain (down to one
 //!   member) compiled to a [`korch_exec::CompiledChain`] register
 //!   program;
@@ -147,14 +156,20 @@
 //! alike. Constants and folded ports are not: compile computed them once,
 //! every run shares them, and they cost memory for the executor's life
 //! (on segformer32 the folded ports hold 90 KB against 37 KB of weights;
-//! each is a tensor every run used to materialize, briefly). The recycling pool serves exactly the buffers the runtime
-//! allocates itself: staged input copies, range-body outputs, tile chunks
-//! and their assembly. Whether a dead slot's storage goes back there is a
-//! compile-time fact of the slot ([`crate::SlotInfo::pooled`]): a walk's output
-//! was allocated by its last member and moved in, the pool has no taker
-//! for it, so it is dropped. Output tensors are *moved* out to the caller
-//! (the run holds the only handle once the lanes are done), so their
-//! bytes leave the books and their storage the pool. Lanes log kernel/tile
+//! each is a tensor every run used to materialize, briefly). The
+//! recycling pool serves every buffer the runtime books: staged input
+//! copies, range-body outputs, tile chunks and their assembly, and walk
+//! exports. Whether a dead slot's storage goes back there is a
+//! compile-time fact of the slot ([`crate::SlotInfo::pooled`]): only a
+//! walk export that `eval_prim` allocated is moved in and dropped when
+//! dead. A walk's locals are never booked: they live in the run state's
+//! scratch, one per lane, allocated when the state is made and kept
+//! while it is recycled ([`crate::MemoryReport::scratch_bytes`]), so a
+//! warm run allocates only the `eval_prim` outputs and the outputs it
+//! hands the caller ([`crate::ArenaStats::fresh_bytes`] counts it). Output
+//! tensors are *moved* out to the caller (the run holds the only handle
+//! once the lanes are done), so their bytes leave the books and their
+//! storage the pool. Lanes log kernel/tile
 //! intervals lane-locally against one clock origin per run; once every
 //! lane has detached the run folds them into the [`RuntimeProfile`] and,
 //! when a telemetry hub is configured, rebases them onto its shared
@@ -347,6 +362,9 @@ struct Core {
     /// pool facts; per kernel the slots it reads and writes.
     table: SlotTable,
     memory_report: MemoryReport,
+    /// The lane scratch of walk locals: buffer sizes (`f32` elements),
+    /// indexed by the walks' `Scratch` placements.
+    scratch: Vec<usize>,
     arena: BufferArena,
     /// Tracing handles, present only when the config carries a telemetry
     /// bundle. The hot path never consults this — workers time intervals
@@ -615,12 +633,15 @@ impl Core {
     fn feed(&self, inputs: &[Tensor]) -> Result<Arc<RunState>, ExecError> {
         self.validate_inputs(inputs)?;
         // A helper lane that has detached from a state's last run but not
-        // yet let go of its handle keeps that state; nothing else holds
-        // one, so a count of one is a sole handle for good.
-        let mut state = lock_recover(&self.free_runs)
-            .pop()
-            .filter(|recycled| Arc::strong_count(recycled) == 1)
-            .unwrap_or_else(|| Arc::new(RunState::new(self)));
+        // yet let go of its handle keeps that state (on the list, for a
+        // later run); nothing else holds one, so a count of one is a sole
+        // handle for good.
+        let recycled = {
+            let mut free = lock_recover(&self.free_runs);
+            let sole = free.iter().rposition(|s| Arc::strong_count(s) == 1);
+            sole.map(|i| free.swap_remove(i))
+        };
+        let mut state = recycled.unwrap_or_else(|| Arc::new(RunState::new(self)));
         let armed = Arc::get_mut(&mut state).expect("sole handle: fresh, or just checked");
         armed.rearm(self, RunCtx::new(self.telemetry.as_ref()));
         for ((s, _), t) in self.input_slots.iter().zip(inputs) {
@@ -639,7 +660,18 @@ impl Core {
     /// every user overwrites the whole buffer.
     fn take_buf(&self, len: usize) -> Vec<f32> {
         self.arena.adopt(len);
-        self.arena.take(len).unwrap_or_else(|| vec![0.0; len])
+        self.arena.take_or_alloc(len)
+    }
+
+    /// One lane's walk scratch, every buffer allocated (and counted as
+    /// fresh): a run state holds one per lane for its whole life.
+    fn new_scratch(&self) -> Vec<Option<Tensor>> {
+        let bytes: usize = self.scratch.iter().sum::<usize>() * 4;
+        self.arena.note_fresh(bytes as u64);
+        self.scratch
+            .iter()
+            .map(|&n| Some(Tensor::zeros(vec![n])))
+            .collect()
     }
 
     /// Copies a fed input into an arena buffer.

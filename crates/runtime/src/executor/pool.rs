@@ -90,6 +90,6 @@ fn help() {
                 pool = OFFERED.wait(pool).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        core.run_helper(lane, &state);
+        core.run_helper(lane, state);
     }
 }

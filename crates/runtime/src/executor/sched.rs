@@ -148,6 +148,11 @@ pub(super) struct RunState {
     pub(super) error: Mutex<Option<ExecError>>,
     /// The run's clock origin, trace ids and merged lane logs.
     pub(super) ctx: RunCtx,
+    /// Per lane, the scratch its walks keep their locals in (see
+    /// `Core::scratch`): allocated with the state, kept across runs,
+    /// contents unspecified. A lane runs one kernel at a time, so its
+    /// lock is never contended.
+    scratch: Vec<Mutex<Vec<Option<Tensor>>>>,
 }
 
 impl RunState {
@@ -191,6 +196,9 @@ impl RunState {
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
             ctx: RunCtx::new(None),
+            scratch: (0..core.workers)
+                .map(|_| Mutex::new(core.new_scratch()))
+                .collect(),
         }
     }
 
@@ -309,13 +317,15 @@ impl Core {
     /// A pooled helper's whole part in a run it has attached to: work as
     /// lane `lane` until the run is over, then detach — the last helper
     /// out wakes the caller, which may be parked waiting for exactly
-    /// that.
-    pub(super) fn run_helper(self: &Arc<Self>, lane: usize, state: &Arc<RunState>) {
-        self.run_worker(lane, state);
-        if state.attached.fetch_sub(1, Ordering::SeqCst) == 1 {
-            if let Some(caller) = state.lane_threads[0].get() {
-                caller.unpark();
-            }
+    /// that. The helper lets go of the state as it detaches, so the
+    /// caller's next run finds it free to re-arm, scratch and all.
+    pub(super) fn run_helper(self: &Arc<Self>, lane: usize, state: Arc<RunState>) {
+        self.run_worker(lane, &state);
+        let caller = state.lane_threads[0].get().cloned();
+        let last = state.attached.fetch_sub(1, Ordering::SeqCst) == 1;
+        drop(state);
+        if let Some(caller) = caller.filter(|_| last) {
+            caller.unpark();
         }
     }
 
@@ -407,7 +417,7 @@ impl Core {
             Task::Tile { kernel, tile } => (kernel, Some(tile)),
         };
         let published = catch_unwind(AssertUnwindSafe(|| match tile {
-            None => self.run_whole(kernel, state).map(|()| true),
+            None => self.run_whole(kernel, lane, state).map(|()| true),
             Some(tile) => self.run_tile(kernel, tile, state),
         }))
         .unwrap_or_else(|payload| {
@@ -483,11 +493,12 @@ impl Core {
         }
     }
 
-    /// Executes kernel `k` whole and publishes its outputs. A range body
-    /// evaluates `0..total` straight into the pooled buffer that becomes
-    /// the published tensor; a walk body's exports are the buffers its
-    /// members wrote, moved into their slots and booked there.
-    fn run_whole(&self, k: usize, state: &RunState) -> Result<(), ExecError> {
+    /// Executes kernel `k` whole on lane `lane` and publishes its
+    /// outputs. A range body evaluates `0..total` straight into the pooled
+    /// buffer that becomes the published tensor; a walk body runs with
+    /// its locals in the lane's scratch, and its exports are booked here
+    /// and moved into their slots.
+    fn run_whole(&self, k: usize, lane: usize, state: &RunState) -> Result<(), ExecError> {
         #[cfg(test)]
         assert!(
             self.panic_at.load(Ordering::Relaxed) != k,
@@ -495,8 +506,10 @@ impl Core {
         );
         let writes = &self.table.writes[k];
         let prepared = self.prepare(k, state)?;
-        if let KernelBody::Walk { steps, exports } = &self.kernels[k].body {
-            let exported = KernelBody::walk(steps, exports, &self.graph, &prepared)?;
+        if let KernelBody::Walk(walk) = &self.kernels[k].body {
+            let mut scratch = lock_recover(&state.scratch[lane]);
+            let exported = walk.run(&self.graph, &prepared, &mut scratch, &self.arena)?;
+            drop(scratch);
             for (&s, t) in writes.iter().zip(exported) {
                 self.arena.adopt(self.table.slots[s].numel);
                 self.publish_output(s, t, state);

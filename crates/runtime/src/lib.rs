@@ -22,10 +22,11 @@
 //!   reclamation; [`MemoryReport`] is folded from it and `korch-verify`
 //!   interprets it) and the books and pool behind it: peak-resident
 //!   accounting (vs. the interpreter's allocate-everything behavior) and
-//!   size-classed reuse of the buffers the runtime allocates itself —
-//!   staged inputs, range-body outputs, tile chunks and their assembly. A
-//!   walk body's output is the buffer its last member wrote, moved into
-//!   its slot and dropped when its last reader retires;
+//!   size-classed reuse of every buffer the runtime books — staged
+//!   inputs, range-body outputs, tile chunks and their assembly, walk
+//!   exports. A walk's locals live in its run state's scratch instead, and
+//!   only its steps without an into-slice kernel allocate their outputs
+//!   ([`ArenaStats::fresh_bytes`] counts what a run allocates);
 //! - [`RuntimeProfile`] — per-kernel wall times folded from each run's
 //!   [`KernelInterval`]s (every lane timestamps against one shared clock
 //!   origin per run; a tiled kernel's tiles sum into one whole-kernel
@@ -160,9 +161,11 @@ impl Model for PlanExecutor {
 mod tests {
     use super::*;
     use korch_cost::Device;
+    use korch_cost::{Backend, Micros};
     use korch_exec::{execute_plan, execute_prims};
-    use korch_ir::{ConstInit, EwFn, LinearFn, PortRef, PrimGraph, PrimKind};
+    use korch_ir::{ConstInit, EwFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
     use korch_orch::Orchestrator;
+    use korch_orch::{Plan, SelectedKernel};
     use korch_tensor::{BinaryOp, MatMulSpec, ReduceKind, Tensor, UnaryOp};
 
     /// Wide graph: `branches` independent softmax-ish chains, so plans
@@ -281,6 +284,94 @@ mod tests {
         }
     }
 
+    /// `x → exp → sum → bcast → div`, then `tanh → sum → bcast → sub` on
+    /// the result: two walk kernels in a chain, the first exporting its
+    /// `div` to the second.
+    fn two_walks() -> (PrimGraph, Plan) {
+        let mut g = PrimGraph::new();
+        let x = g
+            .add(
+                PrimKind::Input {
+                    shape: vec![16, 32],
+                },
+                vec![],
+            )
+            .unwrap();
+        let mut kernels = Vec::new();
+        let (mut from, mut kernel_ops) = (x, [UnaryOp::Exp, UnaryOp::Tanh].into_iter());
+        for binary in [BinaryOp::Div, BinaryOp::Sub] {
+            let unary = kernel_ops.next().unwrap();
+            let mut add = |kind: PrimKind, inputs: &[NodeId]| {
+                g.add(kind, inputs.iter().map(|&n| n.into()).collect())
+                    .unwrap()
+            };
+            let e = add(PrimKind::Elementwise(EwFn::Unary(unary)), &[from]);
+            let sum = ReduceKind::Sum;
+            let r = add(PrimKind::Reduce { kind: sum, axis: 1 }, &[e]);
+            let b = add(PrimKind::Broadcast { axis: 1, size: 32 }, &[r]);
+            let d = add(PrimKind::Elementwise(EwFn::Binary(binary)), &[e, b]);
+            kernels.push(SelectedKernel {
+                members: vec![e, r, b, d],
+                outputs: vec![d.into()],
+                latency: Micros(1.0),
+                backend: Backend::Generated,
+            });
+            from = d;
+        }
+        g.mark_output(from).unwrap();
+        let plan = Plan {
+            kernels,
+            total_latency: Micros(2.0),
+        };
+        (g, plan)
+    }
+
+    /// A walk kernel that panics after an earlier walk of its run wrote
+    /// the lane scratch fails its run alone; the next runs on the recycled
+    /// state overwrite whatever the scratch held and are bit-identical,
+    /// allocating no more than before the panic (the output they hand
+    /// out), and the books settle after every run.
+    #[test]
+    fn a_walk_that_panics_leaves_its_state_reusable() {
+        let (g, plan) = two_walks();
+        let inputs = inputs_for(&g, 3);
+        let reference = execute_plan(&g, &plan, &inputs).unwrap();
+        let out_bytes = reference[0].byte_size() as u64;
+        for lanes in [1, 2] {
+            let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+            assert!(exec.memory_report().scratch_bytes > 0);
+            let warm = |exec: &PlanExecutor, ctx: &str| {
+                for run in 0..3 {
+                    let before = exec.arena_stats();
+                    let out = exec.execute(&inputs).unwrap();
+                    let after = exec.arena_stats();
+                    assert_eq!(
+                        reference[0].as_slice(),
+                        out[0].as_slice(),
+                        "{ctx} run {run}"
+                    );
+                    assert_eq!(after.live_bytes, 0, "{ctx} run {run}");
+                    if run > 0 {
+                        let fresh = after.fresh_bytes - before.fresh_bytes;
+                        assert_eq!(fresh, out_bytes, "{ctx} run {run}");
+                    }
+                }
+            };
+            warm(&exec, &format!("lanes={lanes} before"));
+            exec.panic_at_kernel(1);
+            for _ in 0..2 {
+                let failed = exec.execute(&inputs);
+                assert!(matches!(
+                    failed,
+                    Err(ExecError::KernelPanicked { kernel: 1, .. })
+                ));
+                assert_eq!(exec.arena_stats().live_bytes, 0, "lanes={lanes}");
+            }
+            exec.panic_at_kernel(usize::MAX);
+            warm(&exec, &format!("lanes={lanes} after"));
+        }
+    }
+
     #[test]
     fn repeated_runs_reuse_buffers() {
         let g = wide_graph(3, 32, 64);
@@ -308,12 +399,12 @@ mod tests {
         }
     }
 
-    /// The pool serves the buffers the runtime allocates itself and
-    /// nothing else. In a walk-only plan those are the staged input
-    /// copies: every warm run takes exactly that many buffers from the
-    /// pool and parks them again, and the walk outputs — moved into their
-    /// slots, dropped or handed to the caller when dead — never reach it,
-    /// so the pool is as deep after run 1 000 as after run 2.
+    /// The pool serves every buffer the runtime books, walk exports
+    /// included, and a walk's locals live in the run state's scratch. In a
+    /// walk-only plan a warm run books one buffer per staged input and one
+    /// per walk export, takes each from the pool, and allocates afresh
+    /// only the outputs it hands the caller (the pool cannot have them
+    /// back) — so the pool is as deep after run 1 000 as after run 2.
     #[test]
     fn walk_outputs_never_grow_the_pool() {
         let g = wide_graph(3, 8, 16);
@@ -323,14 +414,20 @@ mod tests {
             .plan;
         let inputs = inputs_for(&g, 5);
         let reference = execute_plan(&g, &plan, &inputs).unwrap();
+        let out_bytes: usize = reference.iter().map(Tensor::byte_size).sum();
         for lanes in [1, 2] {
             let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
             let table = exec.slot_table();
-            let written = table.writes.iter().flatten();
+            let exports = table.writes.iter().flatten();
             assert!(
-                written.clone().count() > 0 && written.clone().all(|&s| !table.slots[s].pooled),
-                "every kernel of the plan is a walk"
+                exports.clone().count() > 0 && exports.clone().all(|&s| table.slots[s].pooled),
+                "every walk export is a pool buffer"
             );
+            assert!(
+                exec.memory_report().scratch_bytes > 0,
+                "the walks keep locals"
+            );
+            let bookings = inputs.len() + exports.count();
             let mut steady = None;
             for run in 1..=1000 {
                 let before = exec.arena_stats();
@@ -341,9 +438,14 @@ mod tests {
                     continue;
                 }
                 assert_eq!(
-                    (after.reuse_hits - before.reuse_hits) as usize,
-                    inputs.len(),
-                    "lanes={lanes} run={run}: one take per staged input"
+                    (after.total_allocs - before.total_allocs) as usize,
+                    bookings,
+                    "lanes={lanes} run={run}: one booking per staged input and walk export"
+                );
+                assert_eq!(
+                    (after.fresh_bytes - before.fresh_bytes) as usize,
+                    out_bytes,
+                    "lanes={lanes} run={run}: only the outputs are allocated afresh"
                 );
                 assert_eq!(
                     *steady.get_or_insert(after.free_bytes),
@@ -356,8 +458,6 @@ mod tests {
                     }
                 }
             }
-            let input_bytes: usize = inputs.iter().map(Tensor::byte_size).sum();
-            assert_eq!(steady, Some(input_bytes as u64));
         }
     }
 

@@ -92,13 +92,28 @@ fn copy_strided(data: &[f32], dims: &[(usize, usize)], out: &mut [f32]) {
 }
 
 impl Tensor {
-    /// Permutes dimensions: output dim `d` is input dim `perm[d]`.
+    /// Permutes dimensions: output dim `d` is input dim `perm[d]` —
+    /// [`Tensor::transpose_into`] over a fresh output.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if `perm` is not a
     /// permutation of `0..rank`.
     pub fn transpose(&self, perm: &[usize]) -> Result<Tensor, TensorError> {
+        let mut out = vec![0f32; self.numel()];
+        self.transpose_into(perm, &mut out)?;
+        let out_shape = perm.iter().map(|&p| self.shape()[p]).collect();
+        Tensor::from_vec(out_shape, out)
+    }
+
+    /// Writes `self.transpose(perm)` row-major into `out`, every element.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] if `perm` is not a
+    /// permutation of `0..rank` or `out` does not hold exactly
+    /// `self.numel()` elements.
+    pub fn transpose_into(&self, perm: &[usize], out: &mut [f32]) -> Result<(), TensorError> {
         let rank = self.rank();
         if perm.len() != rank {
             return Err(TensorError::InvalidArgument(format!(
@@ -114,14 +129,18 @@ impl Tensor {
             }
             seen[p] = true;
         }
+        if out.len() != self.numel() {
+            return Err(TensorError::ElementCount {
+                expected: self.numel(),
+                actual: out.len(),
+            });
+        }
         let in_shape = self.shape();
         let in_strides = strides_of(in_shape);
-        let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
         let dims: Vec<(usize, usize)> =
             perm.iter().map(|&p| (in_shape[p], in_strides[p])).collect();
-        let mut out = vec![0f32; self.numel()];
-        copy_strided(self.as_slice(), &dims, &mut out);
-        Tensor::from_vec(out_shape, out)
+        copy_strided(self.as_slice(), &dims, out);
+        Ok(())
     }
 
     /// Reinterprets the data with a new shape of equal element count.
@@ -536,5 +555,25 @@ mod tests {
         );
         assert_eq!(p.at(&[0, 0]), 0.0);
         assert_eq!(p.at(&[1, 1]), 1.0);
+    }
+
+    /// `transpose_into` over a buffer of stale values writes every element
+    /// `transpose` returns, bit for bit, for every permutation up to rank
+    /// 4, and rejects a buffer of the wrong size.
+    #[test]
+    fn transpose_into_matches_transpose_over_stale_buffers() {
+        for rank in 0..=4usize {
+            let shape: Vec<usize> = [3, 17, 2, 16][..rank].to_vec();
+            let t = Tensor::random(shape, rank as u64);
+            for perm in permutations(rank) {
+                let want = t.transpose(&perm).unwrap();
+                let mut out = vec![f32::NAN; t.numel()];
+                t.transpose_into(&perm, &mut out).unwrap();
+                assert_eq!(bits(&out), bits(want.as_slice()), "perm {perm:?}");
+            }
+        }
+        let t = Tensor::random(vec![2, 3], 9);
+        assert!(t.transpose_into(&[1, 0], &mut [0.0; 5]).is_err());
+        assert!(t.transpose_into(&[0, 0], &mut [0.0; 6]).is_err());
     }
 }

@@ -211,6 +211,26 @@ impl Tensor {
         Self::from_vec(shape, self.data)
     }
 
+    /// Gives the tensor a new shape of equal element count in place, reusing
+    /// the shape's own storage — [`Tensor::into_shape`] for a buffer that
+    /// stays where it is (a walk's scratch, relabelled per step).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ElementCount`] if element counts differ.
+    pub fn set_shape(&mut self, shape: &[usize]) -> Result<(), TensorError> {
+        let numel: usize = shape.iter().product();
+        if numel != self.data.len() {
+            return Err(TensorError::ElementCount {
+                expected: numel,
+                actual: self.data.len(),
+            });
+        }
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        Ok(())
+    }
+
     /// Row-major strides for this tensor's shape.
     pub fn strides(&self) -> Vec<usize> {
         strides_of(&self.shape)

@@ -84,12 +84,31 @@ impl Tensor {
     /// batch dims differ, or inner dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor, spec: MatMulSpec) -> Result<Tensor, TensorError> {
         let [batch, m, _, n] = self.matmul_dims(rhs, spec)?;
-        let packed = PackedB::pack(rhs, spec.trans_b)?;
         let mut out = vec![0f32; batch * m * n];
-        self.matmul_rows_packed(rhs, &packed, spec, 0..batch * m, &mut out)?;
+        self.matmul_into(rhs, spec, &mut out)?;
         let mut out_shape = self.shape()[..self.rank() - 2].to_vec();
         out_shape.extend([m, n]);
         Tensor::from_vec(out_shape, out)
+    }
+
+    /// Writes `self.matmul(rhs, spec)` row-major into `out`, every
+    /// element: `rhs` packed once ([`PackedB::pack`]), then
+    /// [`Tensor::matmul_rows_packed`] over every output row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] for operands
+    /// [`Tensor::matmul`] rejects and [`TensorError::InvalidArgument`] if
+    /// `out` is not the output's size.
+    pub fn matmul_into(
+        &self,
+        rhs: &Tensor,
+        spec: MatMulSpec,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let [batch, m, _, _] = self.matmul_dims(rhs, spec)?;
+        let packed = PackedB::pack(rhs, spec.trans_b)?;
+        self.matmul_rows_packed(rhs, &packed, spec, 0..batch * m, out)
     }
 
     /// `[batch, m, k, n]` of `self.matmul(rhs, spec)`: `batch` is the
@@ -126,7 +145,8 @@ impl Tensor {
     }
 
     /// 2-D convolution: input `[N, C, H, W]`, weight `[O, C/groups, KH, KW]`,
-    /// symmetric zero padding, square stride.
+    /// symmetric zero padding, square stride — [`Tensor::conv2d_into`]
+    /// over a fresh output.
     ///
     /// # Errors
     ///
@@ -138,6 +158,49 @@ impl Tensor {
         padding: usize,
         groups: usize,
     ) -> Result<Tensor, TensorError> {
+        let geom = self.conv_geom(weight, stride, padding, groups)?;
+        let ([n, _, _, _], [o, _, _, _], [oh, ow]) = (geom.input, geom.weight, geom.out);
+        let mut out = vec![0f32; n * o * oh * ow];
+        self.conv2d_into(weight, stride, padding, groups, &mut out)?;
+        Tensor::from_vec(vec![n, o, oh, ow], out)
+    }
+
+    /// Writes `self.conv2d(weight, stride, padding, groups)` (`[N, O, OH,
+    /// OW]`, row-major) into `out`, every element.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for rank/channel/group mismatches and
+    /// [`TensorError::ElementCount`] if `out` is not the output's size.
+    pub fn conv2d_into(
+        &self,
+        weight: &Tensor,
+        stride: usize,
+        padding: usize,
+        groups: usize,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let geom = self.conv_geom(weight, stride, padding, groups)?;
+        let ([n, _, _, _], [o, _, _, _], [oh, ow]) = (geom.input, geom.weight, geom.out);
+        if out.len() != n * o * oh * ow {
+            return Err(TensorError::ElementCount {
+                expected: n * o * oh * ow,
+                actual: out.len(),
+            });
+        }
+        conv2d_blocked(self.as_slice(), weight.as_slice(), &geom, out);
+        Ok(())
+    }
+
+    /// The validated geometry of `self.conv2d(weight, stride, padding,
+    /// groups)`.
+    fn conv_geom(
+        &self,
+        weight: &Tensor,
+        stride: usize,
+        padding: usize,
+        groups: usize,
+    ) -> Result<ConvGeom, TensorError> {
         if self.rank() != 4 || weight.rank() != 4 {
             return Err(TensorError::ShapeMismatch {
                 lhs: self.shape().to_vec(),
@@ -171,19 +234,17 @@ impl Tensor {
                 "kernel larger than padded input".into(),
             ));
         }
-        let oh = (h + 2 * padding - kh) / stride + 1;
-        let ow = (w + 2 * padding - kw) / stride + 1;
-        let mut out = vec![0f32; n * o * oh * ow];
-        let geom = ConvGeom {
+        Ok(ConvGeom {
             input: [n, c, h, w],
             weight: [o, cg, kh, kw],
-            out: [oh, ow],
+            out: [
+                (h + 2 * padding - kh) / stride + 1,
+                (w + 2 * padding - kw) / stride + 1,
+            ],
             stride,
             padding,
             groups,
-        };
-        conv2d_blocked(self.as_slice(), weight.as_slice(), &geom, &mut out);
-        Tensor::from_vec(vec![n, o, oh, ow], out)
+        })
     }
 }
 
@@ -361,5 +422,73 @@ mod tests {
     fn flop_counters() {
         assert_eq!(matmul_flops(1, 2, 3, 4), 48);
         assert_eq!(conv2d_flops(1, 8, 4, 4, 3, 3, 3), 2 * 8 * 16 * 27);
+    }
+
+    /// `conv2d_into` over a buffer of stale values writes every element
+    /// `conv2d` returns, bit for bit, on the depthwise, pointwise and panel
+    /// paths (strided and grouped included), and rejects a buffer of the
+    /// wrong size.
+    #[test]
+    fn conv2d_into_matches_conv2d_on_every_path() {
+        // (input, weight, stride, padding, groups)
+        let cases = [
+            ([1, 6, 9, 9], [6, 1, 3, 3], 1, 1, 6),    // depthwise
+            ([2, 4, 8, 8], [4, 1, 3, 3], 2, 1, 4),    // depthwise, strided
+            ([1, 8, 7, 7], [16, 8, 1, 1], 1, 0, 1),   // pointwise
+            ([1, 3, 16, 16], [8, 3, 3, 3], 1, 1, 1),  // panel
+            ([2, 4, 9, 9], [6, 2, 3, 3], 2, 1, 2),    // panel, strided, grouped
+            ([1, 3, 32, 32], [16, 3, 7, 7], 4, 3, 1), // patch embedding
+        ];
+        for (i, (x, w, stride, padding, groups)) in cases.into_iter().enumerate() {
+            let x = Tensor::random(x.to_vec(), 2 * i as u64);
+            let w = Tensor::random(w.to_vec(), 2 * i as u64 + 1);
+            let want = x.conv2d(&w, stride, padding, groups).unwrap();
+            let mut out = vec![f32::NAN; want.numel()];
+            x.conv2d_into(&w, stride, padding, groups, &mut out)
+                .unwrap();
+            assert_eq!(crate::bits(&out), crate::bits(want.as_slice()), "case {i}");
+            let mut short = vec![0.0; want.numel() - 1];
+            assert!(x
+                .conv2d_into(&w, stride, padding, groups, &mut short)
+                .is_err());
+        }
+    }
+
+    /// `PackedB::pack` + `matmul_rows_packed` over every row (what
+    /// `matmul_into` runs) writes every element `matmul` returns, bit for
+    /// bit, under every transpose combination, batched and not.
+    #[test]
+    fn packed_rows_over_every_row_match_matmul() {
+        for (a, b) in [
+            (vec![9, 13], vec![13, 35]),
+            (vec![3, 5, 7], vec![3, 7, 17]),
+            (vec![5, 5], vec![5, 5]),
+        ] {
+            let (x, y) = (Tensor::random(a, 1), Tensor::random(b, 2));
+            for (trans_a, trans_b) in [(false, false), (true, false), (false, true), (true, true)] {
+                let spec = MatMulSpec { trans_a, trans_b };
+                let r = x.rank();
+                let mut shape_a = x.shape().to_vec();
+                let mut shape_b = y.shape().to_vec();
+                if trans_a {
+                    shape_a.swap(r - 2, r - 1);
+                }
+                if trans_b {
+                    shape_b.swap(r - 2, r - 1);
+                }
+                let xa = Tensor::random(shape_a, 3);
+                let yb = Tensor::random(shape_b, 4);
+                let want = xa.matmul(&yb, spec).unwrap();
+                let rows = want.numel() / want.shape()[r - 1];
+                let packed = PackedB::pack(&yb, trans_b).unwrap();
+                let mut out = vec![f32::NAN; want.numel()];
+                xa.matmul_rows_packed(&yb, &packed, spec, 0..rows, &mut out)
+                    .unwrap();
+                assert_eq!(crate::bits(&out), crate::bits(want.as_slice()), "{spec:?}");
+                let mut into = vec![f32::NAN; want.numel()];
+                xa.matmul_into(&yb, spec, &mut into).unwrap();
+                assert_eq!(crate::bits(&into), crate::bits(want.as_slice()), "{spec:?}");
+            }
+        }
     }
 }

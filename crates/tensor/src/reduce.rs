@@ -34,7 +34,7 @@ impl ReduceKind {
 
 impl Tensor {
     /// Reduces along `axis` with the given aggregator, removing that axis:
-    /// [`Tensor::reduce_tile`] over the whole output.
+    /// [`Tensor::reduce_into`] over a fresh output.
     ///
     /// # Errors
     ///
@@ -44,10 +44,40 @@ impl Tensor {
         if axis < out_shape.len() {
             out_shape.remove(axis);
         }
-        let total = out_shape.iter().product();
-        let mut out = vec![0f32; total];
-        self.reduce_tile(axis, kind, 0..total, &mut out)?;
+        let mut out = vec![0f32; out_shape.iter().product()];
+        self.reduce_into(axis, kind, &mut out)?;
         Tensor::from_vec(out_shape, out)
+    }
+
+    /// Writes `self.reduce(axis, kind)` into `out`, every element:
+    /// [`Tensor::reduce_tile`] over the whole output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::AxisOutOfRange`] if `axis >= rank` and
+    /// [`TensorError::ElementCount`] if `out` is not the output's size.
+    pub fn reduce_into(
+        &self,
+        axis: usize,
+        kind: ReduceKind,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        if axis >= self.rank() {
+            return Err(TensorError::AxisOutOfRange {
+                axis,
+                rank: self.rank(),
+            });
+        }
+        let shape = self.shape();
+        let total =
+            shape[..axis].iter().product::<usize>() * shape[axis + 1..].iter().product::<usize>();
+        if out.len() != total {
+            return Err(TensorError::ElementCount {
+                expected: total,
+                actual: out.len(),
+            });
+        }
+        self.reduce_tile(axis, kind, 0..total, out)
     }
 
     /// Convenience wrapper for [`Tensor::reduce`] with [`ReduceKind::Sum`].
@@ -68,12 +98,40 @@ impl Tensor {
     /// Returns [`TensorError::AxisOutOfRange`] if `axis > rank` (inserting at
     /// `rank` appends a trailing dimension).
     pub fn broadcast(&self, axis: usize, size: usize) -> Result<Tensor, TensorError> {
-        let total = self.numel() * size;
-        let mut out = vec![0f32; total];
-        self.broadcast_tile(axis, size, 0..total, &mut out)?;
+        let mut out = vec![0f32; self.numel() * size];
+        self.broadcast_into(axis, size, &mut out)?;
         let mut out_shape = self.shape().to_vec();
         out_shape.insert(axis, size);
         Tensor::from_vec(out_shape, out)
+    }
+
+    /// Writes `self.broadcast(axis, size)` into `out`, every element:
+    /// [`Tensor::broadcast_tile`] over the whole output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::AxisOutOfRange`] if `axis > rank` and
+    /// [`TensorError::ElementCount`] if `out` is not the output's size.
+    pub fn broadcast_into(
+        &self,
+        axis: usize,
+        size: usize,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        if axis > self.rank() {
+            return Err(TensorError::AxisOutOfRange {
+                axis,
+                rank: self.rank(),
+            });
+        }
+        let total = self.numel() * size;
+        if out.len() != total {
+            return Err(TensorError::ElementCount {
+                expected: total,
+                actual: out.len(),
+            });
+        }
+        self.broadcast_tile(axis, size, 0..total, out)
     }
 
     /// Broadcasts this tensor to `target` shape using NumPy-style rules

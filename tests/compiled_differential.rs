@@ -21,6 +21,7 @@ use korch::orch::Plan;
 use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::tensor::{BinaryOp, MatMulSpec, Tensor, UnaryOp};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 mod common;
 use common::{assert_bit_identical, kernel_of, op_random_inputs, plan_of, prim_random_inputs};
@@ -638,4 +639,243 @@ fn segformer_tiny_folds_its_weight_only_members() {
     let reference = compiled.execute(&inputs).unwrap();
     let interpreted = execute_plan(g, exec.plan(), &inputs).unwrap();
     assert_bit_identical(&interpreted, &reference, "segformer-tiny");
+}
+
+/// What each run of `exec` allocates by design, in bytes: the outputs of
+/// the walk members `korch_exec::eval_prim` still evaluates — counted
+/// from the graph and plan alone: every primitive outside
+/// `evaluates_into`, or with more than one output, can only run in a
+/// walk — and the graph outputs the run hands the caller from pool
+/// buffers, which the pool cannot have back.
+fn fresh_by_design(exec: &PlanExecutor) -> (u64, u64) {
+    let g = exec.graph();
+    let folded = exec.folded();
+    let eval: BTreeSet<NodeId> = (exec.plan().kernels.iter())
+        .flat_map(|k| k.members.iter().copied())
+        .filter(|m| {
+            let node = g.node(*m);
+            !node.kind.is_source()
+                && !folded.contains(m)
+                && (!korch::exec::evaluates_into(&node.kind) || node.out_metas.len() > 1)
+        })
+        .collect();
+    let eval_bytes = (eval.iter())
+        .flat_map(|&m| &g.node(m).out_metas)
+        .map(|t| t.byte_size() as u64)
+        .sum();
+    let table = exec.slot_table();
+    let handed = (g.outputs().iter())
+        .filter_map(|o| table.slots.iter().find(|s| s.port == *o))
+        .filter(|s| s.pooled && !s.source)
+        .map(|s| s.bytes())
+        .sum();
+    (eval_bytes, handed)
+}
+
+/// Runs `exec` five times, then twenty more that must each be
+/// bit-identical to `reference`, settle the arena and allocate exactly
+/// `fresh` bytes besides what they leave parked in the pool. Everything a
+/// run books but the outputs it hands out goes back to the pool, so a
+/// pool miss (fresh) that is not an output grows the pool by as much: at
+/// one lane the schedule is fixed and the pool never grows once warm; at
+/// two, a schedule that holds more buffers of a size at once than any
+/// before it grows the pool by what it missed.
+fn assert_warm_fresh(
+    exec: &PlanExecutor,
+    inputs: &[Tensor],
+    reference: &[Tensor],
+    fresh: u64,
+    ctx: &str,
+) {
+    for _ in 0..5 {
+        exec.execute(inputs).unwrap();
+    }
+    for run in 0..20 {
+        let before = exec.arena_stats();
+        let out = exec.execute(inputs).unwrap();
+        let after = exec.arena_stats();
+        assert_bit_identical(reference, &out, &format!("{ctx} run {run}"));
+        assert_eq!(after.live_bytes, 0, "{ctx} run {run}");
+        let grown = after.free_bytes as i64 - before.free_bytes as i64;
+        if exec.lane_count() == 1 {
+            assert_eq!(grown, 0, "{ctx} run {run}: the pool grew");
+        }
+        let allocated = (after.fresh_bytes - before.fresh_bytes) as i64;
+        assert_eq!(allocated - grown, fresh as i64, "{ctx} run {run}");
+    }
+}
+
+/// The stitched Segformers at one and two lanes: a warm run allocates
+/// the outputs of the three walk members that still call `eval_prim` and
+/// the output it hands the caller, nothing else — every other walk step
+/// writes into the lane's scratch or a pool buffer.
+#[test]
+fn warm_runs_allocate_only_eval_outputs_and_handed_outputs() {
+    let korch = Korch::new(Device::v100(), KorchConfig::default());
+    let segformer64 = korch::models::SegformerConfig {
+        resolution: 64,
+        batch: 1,
+        dims: vec![16, 32],
+        blocks: 1,
+        sr_ratios: vec![2, 1],
+        decoder_dim: 32,
+    };
+    for (name, config) in [
+        ("segformer32", korch::models::SegformerConfig::tiny()),
+        ("segformer64", segformer64),
+    ] {
+        let graph = korch::models::segformer(config);
+        let compiled = korch.compile(&graph).unwrap();
+        let stitched = &compiled.partitions()[0].executor;
+        let (g, plan) = (stitched.graph(), stitched.plan());
+        let inputs = op_random_inputs(&graph, 4);
+        let reference = execute_plan(g, plan, &inputs).unwrap();
+        for lanes in [1, 2] {
+            let exec = PlanExecutor::new(g, plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+            let (eval, handed) = fresh_by_design(&exec);
+            assert!(eval > 0 && handed > 0, "{name}: {eval} / {handed}");
+            assert!(exec.memory_report().scratch_bytes > 0, "{name}");
+            let ctx = format!("{name} lanes {lanes}");
+            assert_warm_fresh(&exec, &inputs, &reference, eval + handed, &ctx);
+        }
+    }
+}
+
+/// One walk kernel of converted steps only — a conv, a copying and an
+/// aliasing reshape, a transpose, a matmul, a reduce, a broadcast and
+/// elementwise members — exporting two ports. With `opaque`, an `Opaque`
+/// member follows the converted steps, so the walk fails mid-way after
+/// its first export buffer was written.
+fn converted_walk(opaque: bool) -> (PrimGraph, Plan) {
+    let mut g = PrimGraph::new();
+    let mut add = |kind: PrimKind, inputs: &[NodeId]| {
+        g.add(kind, inputs.iter().map(|&n| n.into()).collect())
+            .unwrap()
+    };
+    let x = add(
+        PrimKind::Input {
+            shape: vec![2, 4, 6, 6],
+        },
+        &[],
+    );
+    let w = add(
+        PrimKind::Constant {
+            shape: vec![8, 4, 3, 3],
+            init: korch::ir::ConstInit::Random(3),
+        },
+        &[],
+    );
+    let conv = korch::ir::LinearFn::Conv2d {
+        stride: 1,
+        padding: 1,
+        groups: 1,
+    };
+    let c = add(PrimKind::Linear(conv), &[x, w]);
+    let reshape = |shape: Vec<usize>| PrimKind::Layout(korch::ir::LayoutFn::Reshape { shape });
+    let r = add(reshape(vec![2, 8, 36]), &[c]);
+    let t = add(
+        PrimKind::Layout(korch::ir::LayoutFn::Transpose {
+            perm: vec![0, 2, 1],
+        }),
+        &[r],
+    );
+    let spec = MatMulSpec::new();
+    let m = add(
+        PrimKind::Linear(korch::ir::LinearFn::MatMul { spec }),
+        &[t, r],
+    );
+    let sum = korch::tensor::ReduceKind::Sum;
+    let red = add(PrimKind::Reduce { kind: sum, axis: 2 }, &[m]);
+    let b = add(PrimKind::Broadcast { axis: 2, size: 36 }, &[red]);
+    let d = add(PrimKind::Elementwise(EwFn::Binary(BinaryOp::Div)), &[m, b]);
+    let q = add(reshape(vec![2, 1296]), &[b]);
+    let mut last = add(PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)), &[q]);
+    let mut members = vec![c, r, t, m, red, b, d, q, last];
+    if opaque {
+        let o = PrimKind::Opaque {
+            name: "external".into(),
+            out_shapes: vec![vec![2, 1296]],
+        };
+        last = add(o, &[last]);
+        members.push(last);
+    }
+    g.mark_output(d).unwrap();
+    g.mark_output(last).unwrap();
+    let kernel = kernel_of(&g, members, vec![d.into(), last.into()]);
+    (g, plan_of(vec![kernel]))
+}
+
+/// A walk of converted steps allocates nothing by design but the two
+/// outputs it hands the caller, at one and two lanes, bit-identically.
+#[test]
+fn a_walk_of_converted_steps_allocates_only_what_it_hands_out() {
+    let (g, plan) = converted_walk(false);
+    let inputs = prim_random_inputs(&g, 6);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    for lanes in [1, 2] {
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        let (eval, handed) = fresh_by_design(&exec);
+        assert_eq!(eval, 0);
+        let out_bytes: usize = reference.iter().map(Tensor::byte_size).sum();
+        assert_eq!(handed, out_bytes as u64);
+        let ctx = format!("converted walk lanes {lanes}");
+        assert_warm_fresh(&exec, &inputs, &reference, handed, &ctx);
+    }
+}
+
+/// A walk that fails mid-way fails every run where `execute_plan`
+/// fails, settles the books, and gives the export buffer it had written
+/// back to the pool: from the second run on, a failing run takes it from
+/// there again and allocates nothing.
+#[test]
+fn a_walk_failing_mid_way_returns_its_export_buffers() {
+    let (g, plan) = converted_walk(true);
+    let inputs = prim_random_inputs(&g, 6);
+    assert!(execute_plan(&g, &plan, &inputs).is_err());
+    for lanes in [1, 2] {
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        for run in 0..6 {
+            let before = exec.arena_stats();
+            assert!(exec.execute(&inputs).is_err(), "lanes {lanes} run {run}");
+            let after = exec.arena_stats();
+            assert_eq!(after.live_bytes, 0, "lanes {lanes} run {run}");
+            if run > 0 {
+                assert_eq!(
+                    after.fresh_bytes, before.fresh_bytes,
+                    "lanes {lanes} run {run}"
+                );
+                assert_eq!(
+                    after.free_bytes, before.free_bytes,
+                    "lanes {lanes} run {run}"
+                );
+            }
+        }
+    }
+}
+
+/// Two threads calling `execute` on one executor at once, 200 runs
+/// each: every run is bit-identical to `execute_plan` — the concurrent
+/// runs take turns over the recycled states, each with its own scratch —
+/// and the books settle.
+#[test]
+fn two_callers_share_one_executor_bit_identically() {
+    let (g, plan) = converted_walk(false);
+    let inputs = prim_random_inputs(&g, 8);
+    let reference = execute_plan(&g, &plan, &inputs).unwrap();
+    for lanes in [1, 2] {
+        let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        std::thread::scope(|scope| {
+            for caller in 0..2 {
+                let (exec, inputs, reference) = (&exec, &inputs, &reference);
+                scope.spawn(move || {
+                    for run in 0..200 {
+                        let out = exec.execute(inputs).unwrap();
+                        let ctx = format!("lanes {lanes} caller {caller} run {run}");
+                        assert_bit_identical(reference, &out, &ctx);
+                    }
+                });
+            }
+        });
+        assert_eq!(exec.arena_stats().live_bytes, 0, "lanes {lanes}");
+    }
 }

@@ -530,12 +530,13 @@ fn shutdown_while_parked_terminates() {
 /// materialize `e`, and whichever loses must have its copy reclaimed with
 /// `live_bytes` back at zero. Pinned on the arena's books, run by run: a
 /// run books five equal buffers (the input copy, `e` twice, `r`, `s`) and
-/// hands two (`r`, `s`) to the caller. The pool serves only what the
-/// runtime allocates for a slot no walk writes, so of the other three
-/// exactly one — the staged input copy — comes back to it (still parked,
-/// `free_bytes`, or taken again, `reuse_hits`); both copies of `e` are
-/// dropped where they die, and the pool holds one buffer however many
-/// runs have passed.
+/// hands two (`r`, `s`) to the caller. Every one of them was taken from
+/// the pool (the walk writes its exports into pool buffers too), so the
+/// other three — the staged input copy and both copies of `e` — come back
+/// to it (still parked, `free_bytes`, or taken again, `reuse_hits`), and
+/// the pool never holds more than those three however many runs have
+/// passed: exactly two between runs at one lane, where the loser's copy
+/// of `e` is back before `s` is taken.
 #[test]
 fn redundant_producer_conserves_arena_pool() {
     let mut g = PrimGraph::new();
@@ -595,11 +596,18 @@ fn redundant_producer_conserves_arena_pool() {
             let retaken = (after.reuse_hits - before.reuse_hits) as i64;
             assert_eq!(
                 parked + retaken,
-                1,
-                "run {run} at {lanes} lanes: the input copy, and nothing else, must \
-                 return to the pool ({before:?} -> {after:?})"
+                3,
+                "run {run} at {lanes} lanes: the input copy and both copies of `e`, \
+                 and nothing else, must return to the pool ({before:?} -> {after:?})"
             );
-            assert_eq!(after.free_bytes as i64, buffer, "the pool must not grow");
+            assert!(after.free_bytes as i64 <= 3 * buffer, "the pool grew");
+            if lanes == 1 {
+                assert_eq!(
+                    after.free_bytes as i64,
+                    2 * buffer,
+                    "the pool must not grow"
+                );
+            }
         }
         assert!(
             exec.arena_stats().reuse_hits > 0,
