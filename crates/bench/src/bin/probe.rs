@@ -5,15 +5,14 @@
 //!   stitched plan cost? Every member a request runs — neither a source
 //!   nor folded by `PlanExecutor::new` — is timed alone the way a walk
 //!   runs it, on the operands it sees in a real run (min of
-//!   [`MEMBER_CALLS`] warm calls): into one reused output buffer through
-//!   `eval_prim_into` when it has an into-slice kernel, through
-//!   `eval_prim` otherwise (marked `*`). Each is reported with its
+//!   [`MEMBER_CALLS`] warm calls) through `eval_prim_into`, into one
+//!   set of output buffers reused across the calls. Each is reported with its
 //!   achieved GB/s (operand + result bytes) or, for linear primitives,
 //!   GFLOP/s — per member, per kernel and per primitive kind (convs per
 //!   path: depthwise, pointwise, panel). Two first lines count the folded
 //!   members and the bytes the executor holds of them, and the bytes a
 //!   warm run allocates (`ArenaStats::fresh_bytes`) against the walk
-//!   scratch a run state holds.
+//!   scratch a run state holds and the outputs it hands the caller.
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
 //!   one line per (partition, variant) it takes — a variant whose
@@ -30,7 +29,7 @@
 //!   identify + solve total: the speedup and parallel efficiency.
 use korch_core::{partition, stitch, Korch, KorchConfig};
 use korch_cost::{Backend, Device, Profiler};
-use korch_exec::{eval_prim, eval_prim_into, evaluates_into, materialize_const};
+use korch_exec::{eval_prim, eval_prim_into, materialize_const};
 use korch_fission::fission;
 use korch_ir::{LinearFn, NodeId, NodeKind, OpGraph, PortRef, PrimGraph, PrimKind};
 use korch_models::SegformerConfig;
@@ -302,26 +301,14 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
         exec.arena_stats().fresh_bytes - before,
         exec.memory_report().scratch_bytes
     );
-    // What a warm run must allocate: the outputs of the members that
-    // still call `eval_prim`, and the graph outputs handed to the caller
-    // out of pool buffers.
-    let eval: u64 = (plan.kernels.iter().flat_map(|k| &k.members))
-        .filter(|m| !folded.contains(m))
-        .map(|&m| g.node(m))
-        .filter(|n| !n.kind.is_source())
-        .filter(|n| !evaluates_into(&n.kind) || n.out_metas.len() > 1)
-        .flat_map(|n| &n.out_metas)
-        .map(|t| t.byte_size() as u64)
-        .sum();
+    // What a warm run must allocate: the graph outputs it hands the
+    // caller out of pool buffers.
     let table = exec.slot_table();
     let handed: u64 = (table.slots.iter())
         .filter(|s| g.outputs().contains(&s.port) && s.pooled && !s.source)
         .map(SlotInfo::bytes)
         .sum();
-    println!(
-        "by design: {} B per run (eval_prim outputs {eval} B, outputs handed out {handed} B)",
-        eval + handed
-    );
+    println!("by design: {handed} B per run (the outputs handed out)");
 
     // kind → (calls, µs, bytes, flops)
     let mut by_kind: BTreeMap<String, (usize, f64, f64, f64)> = BTreeMap::new();
@@ -338,18 +325,14 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
             }
             let ins: Vec<&Tensor> = node.inputs.iter().map(|r| &values[r]).collect();
             let out = &values[&PortRef::from(m)];
-            let into = evaluates_into(&node.kind) && node.out_metas.len() == 1;
-            let mut buf = out.clone();
+            let mut bufs: Vec<Tensor> = (0..node.out_metas.len())
+                .map(|port| values[&PortRef { node: m, port }].clone())
+                .collect();
             let us = (0..MEMBER_CALLS)
                 .map(|_| {
                     let t = Instant::now();
-                    if into {
-                        let (x, y) = (black_box(ins[0]), ins.get(1).copied());
-                        eval_prim_into(black_box(&node.kind), x, y, &mut buf, m.0).unwrap();
-                        black_box(&buf);
-                    } else {
-                        black_box(eval_prim(black_box(&node.kind), black_box(&ins), m.0).unwrap());
-                    }
+                    eval_prim_into(black_box(&node.kind), black_box(&ins), &mut bufs, m.0).unwrap();
+                    black_box(&bufs);
                     t.elapsed().as_secs_f64() * 1e6
                 })
                 .fold(f64::INFINITY, f64::min);
@@ -362,7 +345,7 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
             };
             rows.push(format!(
                 "    {:<22} {:<18} {us:9.2} us  {speed}",
-                node.kind.label() + if into { "" } else { " *" },
+                node.kind.label(),
                 format!("{:?}", out.shape())
             ));
             let e = by_kind.entry(kind_key(&node.kind, &ins)).or_default();

@@ -14,12 +14,12 @@
 //!   chain needs a handful of 1024-element scratch blocks that stay in L1
 //!   instead of N full-size intermediates streaming through memory;
 //! - within each block, each instruction runs its member's tile kernel
-//!   (`unary_tile`, `binary_tile`, …) — the kernels `Tensor::unary` and
-//!   friends, hence [`crate::eval_prim`] and every walk, run over whole
-//!   tensors — in member order, so every element experiences the
-//!   identical sequence of `f32` operations and compiled output is
-//!   bit-identical to the interpreted walk by construction. The kernel
-//!   picks its op's loop once per block, not per element.
+//!   (`unary_tile`, `binary_tile`, …) — the kernels
+//!   [`crate::eval_prim_into`], hence `eval_prim` and every walk step,
+//!   runs over whole tensors — in member order, so every element
+//!   experiences the identical sequence of `f32` operations and compiled
+//!   output is bit-identical to the interpreted walk by construction. The
+//!   kernel picks its op's loop once per block, not per element.
 //!
 //! `run` is range-agnostic: callers may evaluate the whole output or any
 //! contiguous tile by slicing all external inputs with one range — every

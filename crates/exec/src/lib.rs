@@ -27,7 +27,5 @@ mod tile;
 pub use chain::CompiledChain;
 pub use error::ExecError;
 pub use ops::{eval_op, execute_ops};
-pub use prims::{
-    eval_prim, eval_prim_into, evaluates_into, execute_plan, execute_prims, materialize_const,
-};
+pub use prims::{eval_prim, eval_prim_into, execute_plan, execute_prims, materialize_const};
 pub use tile::{prim_tilability, Tilability};

@@ -1,7 +1,10 @@
 //! Interpreter for primitive graphs and orchestrated kernel plans.
 
 use crate::error::ExecError;
-use korch_ir::{ConstInit, EwFn, LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
+use korch_ir::{
+    ConstInit, EwFn, IrError, LayoutFn, LinearFn, NodeId, NodeKind, PortRef, PrimGraph, PrimKind,
+    TensorMeta,
+};
 use korch_orch::Plan;
 use korch_tensor::{Tensor, TensorError};
 use std::collections::HashMap;
@@ -21,12 +24,15 @@ pub fn materialize_const(shape: &[usize], init: &ConstInit) -> Tensor {
     }
 }
 
-/// Evaluates one primitive on already-computed input tensors.
+/// Evaluates one primitive on already-computed input tensors: allocates
+/// the outputs [`NodeKind::infer`] gives it and runs [`eval_prim_into`]
+/// over them.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::Input`] for sources, opaque primitives and fewer
-/// inputs than the primitive reads, and [`ExecError::Tensor`] when a
+/// inputs than the primitive reads, [`ExecError::Graph`] for operands
+/// whose shapes the primitive rejects, and [`ExecError::Tensor`] when a
 /// kernel rejects its inputs (which indicates a shape-inference bug, since
 /// graphs are validated eagerly).
 pub fn eval_prim(
@@ -34,187 +40,175 @@ pub fn eval_prim(
     inputs: &[&Tensor],
     node: usize,
 ) -> Result<Vec<Tensor>, ExecError> {
-    let wrap = |source| ExecError::Tensor { node, source };
-    let need = |arity: usize| {
-        if inputs.len() < arity {
-            Err(ExecError::Input(format!(
-                "node {node} expects {arity} inputs, got {}",
-                inputs.len()
+    let metas: Vec<TensorMeta> = (inputs.iter())
+        .map(|t| TensorMeta::new(t.shape().to_vec()))
+        .collect();
+    let mut outs: Vec<Tensor> = match kind.infer(&metas) {
+        Ok(outs) => outs
+            .iter()
+            .map(|m| Tensor::zeros(m.shape().to_vec()))
+            .collect(),
+        Err(IrError::Arity {
+            expected, actual, ..
+        }) => {
+            return Err(ExecError::Input(format!(
+                "node {node} expects {expected} inputs, got {actual}"
             )))
-        } else {
-            Ok(())
         }
+        Err(e) => return Err(ExecError::Graph(e)),
     };
-    match kind {
-        PrimKind::Input { .. } => Err(ExecError::Input(format!(
-            "input node {node} must be fed, not evaluated"
-        ))),
-        PrimKind::Constant { shape, init } => Ok(vec![materialize_const(shape, init)]),
-        PrimKind::Elementwise(f) => {
-            need(f.arity())?;
-            let out = match f {
-                EwFn::Unary(u) => inputs[0].unary(*u),
-                EwFn::Binary(b) => inputs[0].binary(inputs[1], *b).map_err(wrap)?,
-                EwFn::BinaryScalar(b, c) => inputs[0].binary_scalar(*c, *b),
-                EwFn::BinaryScalarLhs(b, c) => inputs[0].binary_scalar_lhs(*c, *b),
-            };
-            Ok(vec![out])
-        }
-        PrimKind::Reduce { kind, axis } => {
-            need(1)?;
-            Ok(vec![inputs[0].reduce(*axis, *kind).map_err(wrap)?])
-        }
-        PrimKind::Broadcast { axis, size } => {
-            need(1)?;
-            Ok(vec![inputs[0].broadcast(*axis, *size).map_err(wrap)?])
-        }
-        PrimKind::Layout(l) => {
-            need(1)?;
-            match l {
-                LayoutFn::Transpose { perm } => {
-                    Ok(vec![inputs[0].transpose(perm).map_err(wrap)?])
-                }
-                LayoutFn::Reshape { shape } => {
-                    Ok(vec![inputs[0].reshape(shape.clone()).map_err(wrap)?])
-                }
-                LayoutFn::Slice { starts, ends } => {
-                    Ok(vec![inputs[0].slice(starts, ends).map_err(wrap)?])
-                }
-                LayoutFn::Concat { axis } => Ok(vec![Tensor::concat(inputs, *axis).map_err(wrap)?]),
-                LayoutFn::Split { axis, sizes } => inputs[0].split(*axis, sizes).map_err(wrap),
-                LayoutFn::Pad {
-                    before,
-                    after,
-                    value,
-                } => Ok(vec![inputs[0].pad(before, after, *value).map_err(wrap)?]),
-                LayoutFn::Resize { out_h, out_w, mode } => Ok(vec![inputs[0]
-                    .resize2d(*out_h, *out_w, *mode)
-                    .map_err(wrap)?]),
-            }
-        }
-        PrimKind::Linear(l) => {
-            need(2)?;
-            match l {
-                LinearFn::MatMul { spec } => {
-                    Ok(vec![inputs[0].matmul(inputs[1], *spec).map_err(wrap)?])
-                }
-                LinearFn::Conv2d {
-                    stride,
-                    padding,
-                    groups,
-                } => Ok(vec![inputs[0]
-                    .conv2d(inputs[1], *stride, *padding, *groups)
-                    .map_err(wrap)?]),
-            }
-        }
-        PrimKind::WindowReduce { spec, kind } => {
-            need(1)?;
-            Ok(vec![inputs[0].pool2d(*spec, *kind).map_err(wrap)?])
-        }
-        PrimKind::Opaque { name, .. } => Err(ExecError::Input(format!(
-            "opaque primitive '{name}' has no interpreter"
-        ))),
-    }
+    eval_prim_into(kind, inputs, &mut outs, node)?;
+    Ok(outs)
 }
 
-/// Whether [`eval_prim_into`] evaluates `kind`: the primitives whose
-/// allocating `Tensor` method is an into-slice kernel over a fresh output
-/// — elementwise, reduce, broadcast, transpose, reshape, matmul and conv.
-/// Slice, concat, split, pad, resize and window-reduce are not.
-pub fn evaluates_into(kind: &PrimKind) -> bool {
-    match kind {
-        PrimKind::Elementwise(_) | PrimKind::Reduce { .. } | PrimKind::Broadcast { .. } => true,
-        PrimKind::Layout(l) => matches!(l, LayoutFn::Transpose { .. } | LayoutFn::Reshape { .. }),
-        PrimKind::Linear(_) => true,
-        _ => false,
-    }
-}
-
-/// Evaluates one single-output primitive [`evaluates_into`] accepts on
-/// `x` (and `y`, the second operand of a binary elementwise or linear
-/// primitive) into `out`, whose shape the caller set to the primitive's
-/// output shape. Runs the into-slice kernel [`eval_prim`]'s allocating
-/// `Tensor` method runs, so the bits are [`eval_prim`]'s; every element
-/// of `out` is written, whatever it held.
+/// Evaluates one primitive on `inputs` into `outs`, one tensor per output
+/// port, whose shapes the caller set to the primitive's output shapes —
+/// the one interpreter of every primitive: [`eval_prim`] runs it over
+/// fresh outputs, a runtime walk over buffers it owns, so both compute
+/// the same bits. Each arm runs the into-slice kernel its allocating
+/// `Tensor` method runs; every element of every output is written,
+/// whatever it held.
 ///
 /// # Errors
 ///
-/// [`eval_prim`]'s errors for the same operands: [`ExecError::Input`]
-/// for a missing second operand, [`ExecError::Tensor`] when a kernel
-/// rejects its operands or `out` does not have the output's shape.
-///
-/// # Panics
-///
-/// Panics on a primitive [`evaluates_into`] rejects.
+/// Returns [`ExecError::Input`] for inputs, opaque primitives and a
+/// missing operand, and [`ExecError::Tensor`] when a kernel rejects its
+/// operands, `outs` does not hold one tensor per output port, or an
+/// output has the wrong size (the wrong shape, for an elementwise
+/// primitive or a constant).
 pub fn eval_prim_into(
     kind: &PrimKind,
-    x: &Tensor,
-    y: Option<&Tensor>,
-    out: &mut Tensor,
+    inputs: &[&Tensor],
+    outs: &mut [Tensor],
     node: usize,
 ) -> Result<(), ExecError> {
     use korch_tensor::{binary_scalar_lhs_tile, binary_scalar_tile, binary_tile, unary_tile};
-    let wrap = |source| ExecError::Tensor { node, source };
-    let second =
-        || y.ok_or_else(|| ExecError::Input(format!("node {node} expects 2 inputs, got 1")));
+    let operand = |i: usize| {
+        inputs.get(i).copied().ok_or_else(|| {
+            ExecError::Input(format!(
+                "node {node} expects {} inputs, got {}",
+                i + 1,
+                inputs.len()
+            ))
+        })
+    };
     let mismatch = |lhs: &Tensor, rhs: &Tensor| {
-        wrap(TensorError::ShapeMismatch {
+        Err(TensorError::ShapeMismatch {
             lhs: lhs.shape().to_vec(),
             rhs: rhs.shape().to_vec(),
         })
     };
-    match kind {
-        PrimKind::Elementwise(f) => {
-            let y = match f {
-                EwFn::Binary(_) => Some(second()?),
-                _ => None,
-            };
-            if let Some(y) = y.filter(|y| y.shape() != x.shape()) {
-                return Err(mismatch(x, y));
-            }
-            if x.shape() != out.shape() {
-                return Err(mismatch(x, out));
-            }
-            let (x, o) = (x.as_slice(), out.as_mut_slice());
-            match (f, y) {
-                (EwFn::Unary(u), _) => unary_tile(*u, x, o),
-                (EwFn::Binary(b), Some(y)) => binary_tile(*b, x, y.as_slice(), o),
-                (EwFn::BinaryScalar(b, c), _) => binary_scalar_tile(*b, x, *c, o),
-                (EwFn::BinaryScalarLhs(b, c), _) => binary_scalar_lhs_tile(*b, *c, x, o),
-                (EwFn::Binary(_), None) => unreachable!("checked above"),
-            }
-            Ok(())
+    let written = match kind {
+        PrimKind::Input { .. } => {
+            return Err(ExecError::Input(format!(
+                "input node {node} must be fed, not evaluated"
+            )))
         }
-        PrimKind::Reduce { kind, axis } => x
-            .reduce_into(*axis, *kind, out.as_mut_slice())
-            .map_err(wrap),
-        PrimKind::Broadcast { axis, size } => x
-            .broadcast_into(*axis, *size, out.as_mut_slice())
-            .map_err(wrap),
+        PrimKind::Opaque { name, .. } => {
+            return Err(ExecError::Input(format!(
+                "opaque primitive '{name}' has no interpreter"
+            )))
+        }
+        PrimKind::Constant { shape, init } => {
+            let (c, out) = (materialize_const(shape, init), one(outs, node)?);
+            if c.shape() == out.shape() {
+                out.as_mut_slice().copy_from_slice(c.as_slice());
+                Ok(())
+            } else {
+                mismatch(&c, out)
+            }
+        }
+        PrimKind::Elementwise(f) => {
+            let (x, out) = (operand(0)?, one(outs, node)?);
+            let y = match f {
+                EwFn::Binary(_) => operand(1)?,
+                _ => x,
+            };
+            if y.shape() != x.shape() {
+                mismatch(x, y)
+            } else if x.shape() != out.shape() {
+                mismatch(x, out)
+            } else {
+                let (x, y, o) = (x.as_slice(), y.as_slice(), out.as_mut_slice());
+                match f {
+                    EwFn::Unary(u) => unary_tile(*u, x, o),
+                    EwFn::Binary(b) => binary_tile(*b, x, y, o),
+                    EwFn::BinaryScalar(b, c) => binary_scalar_tile(*b, x, *c, o),
+                    EwFn::BinaryScalarLhs(b, c) => binary_scalar_lhs_tile(*b, *c, x, o),
+                }
+                Ok(())
+            }
+        }
+        PrimKind::Reduce { kind, axis } => {
+            (operand(0)?).reduce_into(*axis, *kind, one(outs, node)?.as_mut_slice())
+        }
+        PrimKind::Broadcast { axis, size } => {
+            (operand(0)?).broadcast_into(*axis, *size, one(outs, node)?.as_mut_slice())
+        }
         PrimKind::Layout(LayoutFn::Transpose { perm }) => {
-            x.transpose_into(perm, out.as_mut_slice()).map_err(wrap)
+            (operand(0)?).transpose_into(perm, one(outs, node)?.as_mut_slice())
         }
         PrimKind::Layout(LayoutFn::Reshape { .. }) => {
-            if x.numel() != out.numel() {
-                return Err(wrap(TensorError::ElementCount {
-                    expected: out.numel(),
+            let (x, out) = (operand(0)?, one(outs, node)?.as_mut_slice());
+            if x.numel() == out.len() {
+                out.copy_from_slice(x.as_slice());
+                Ok(())
+            } else {
+                Err(TensorError::ElementCount {
+                    expected: out.len(),
                     actual: x.numel(),
-                }));
+                })
             }
-            out.as_mut_slice().copy_from_slice(x.as_slice());
-            Ok(())
+        }
+        PrimKind::Layout(LayoutFn::Slice { starts, ends }) => {
+            (operand(0)?).slice_into(starts, ends, one(outs, node)?.as_mut_slice())
+        }
+        PrimKind::Layout(LayoutFn::Concat { axis }) => {
+            Tensor::concat_into(inputs, *axis, one(outs, node)?.as_mut_slice())
+        }
+        PrimKind::Layout(LayoutFn::Split { axis, sizes }) => {
+            let x = operand(0)?;
+            let mut parts: Vec<&mut [f32]> = outs.iter_mut().map(Tensor::as_mut_slice).collect();
+            x.split_into(*axis, sizes, &mut parts)
+        }
+        PrimKind::Layout(LayoutFn::Pad {
+            before,
+            after,
+            value,
+        }) => (operand(0)?).pad_into(before, after, *value, one(outs, node)?.as_mut_slice()),
+        PrimKind::Layout(LayoutFn::Resize { out_h, out_w, mode }) => {
+            (operand(0)?).resize2d_into(*out_h, *out_w, *mode, one(outs, node)?.as_mut_slice())
         }
         PrimKind::Linear(LinearFn::MatMul { spec }) => {
-            (x.matmul_into(second()?, *spec, out.as_mut_slice())).map_err(wrap)
+            let (x, w, o) = (operand(0)?, operand(1)?, one(outs, node)?.as_mut_slice());
+            x.matmul_into(w, *spec, o)
         }
         PrimKind::Linear(LinearFn::Conv2d {
             stride,
             padding,
             groups,
         }) => {
-            (x.conv2d_into(second()?, *stride, *padding, *groups, out.as_mut_slice())).map_err(wrap)
+            let (x, w, o) = (operand(0)?, operand(1)?, one(outs, node)?.as_mut_slice());
+            x.conv2d_into(w, *stride, *padding, *groups, o)
         }
-        other => unreachable!("{other:?} has no into-slice kernel"),
+        PrimKind::WindowReduce { spec, kind } => {
+            (operand(0)?).pool2d_into(*spec, *kind, one(outs, node)?.as_mut_slice())
+        }
+    };
+    written.map_err(|source| ExecError::Tensor { node, source })
+}
+
+/// The output of a one-output primitive: `outs` must hold exactly one.
+fn one(outs: &mut [Tensor], node: usize) -> Result<&mut Tensor, ExecError> {
+    match outs {
+        [out] => Ok(out),
+        _ => Err(ExecError::Tensor {
+            node,
+            source: TensorError::InvalidArgument(format!(
+                "{} outputs for a one-output primitive",
+                outs.len()
+            )),
+        }),
     }
 }
 
@@ -587,5 +581,63 @@ mod tests {
             kind: ReduceKind::Max,
         };
         assert_short_operands(kind, &[]);
+    }
+
+    /// `eval_prim_into` of every layout, resize and window-reduce kind
+    /// writes what `eval_prim` returns into outputs of stale values, and
+    /// rejects an output of the wrong size, or the wrong number of them,
+    /// with a typed error rather than a panic or a write out of bounds.
+    #[test]
+    fn eval_prim_into_rejects_outputs_of_the_wrong_size_or_count() {
+        let x = Tensor::random(vec![1, 2, 4, 4], 5);
+        let kinds = [
+            LayoutFn::Slice {
+                starts: vec![0, 1, 1, 0],
+                ends: vec![1, 2, 3, 4],
+            },
+            LayoutFn::Concat { axis: 1 },
+            LayoutFn::Split {
+                axis: 1,
+                sizes: vec![1, 1],
+            },
+            LayoutFn::Pad {
+                before: vec![0, 0, 1, 2],
+                after: vec![0, 1, 0, 2],
+                value: 3.0,
+            },
+            LayoutFn::Resize {
+                out_h: 3,
+                out_w: 6,
+                mode: ResizeMode::Bilinear,
+            },
+        ]
+        .map(PrimKind::Layout);
+        let pool = PrimKind::WindowReduce {
+            spec: PoolSpec::new(2, 2),
+            kind: ReduceKind::Max,
+        };
+        for kind in kinds.iter().chain([&pool]) {
+            let want = eval_prim(kind, &[&x], 9).unwrap();
+            let mut outs: Vec<Tensor> = (want.iter())
+                .map(|t| Tensor::full(t.shape().to_vec(), f32::NAN))
+                .collect();
+            eval_prim_into(kind, &[&x], &mut outs, 9).unwrap();
+            assert_eq!(outs, want, "{kind:?}");
+            let mut wrong: Vec<Tensor> = (want.iter())
+                .map(|t| Tensor::zeros(vec![t.numel() + 1]))
+                .collect();
+            let err = eval_prim_into(kind, &[&x], &mut wrong, 9).unwrap_err();
+            assert!(
+                matches!(err, ExecError::Tensor { node: 9, .. }),
+                "{kind:?}: {err:?}"
+            );
+            let mut extra = want.clone();
+            extra.push(Tensor::zeros(vec![1]));
+            let err = eval_prim_into(kind, &[&x], &mut extra, 9).unwrap_err();
+            assert!(
+                matches!(err, ExecError::Tensor { node: 9, .. }),
+                "{kind:?}: {err:?}"
+            );
+        }
     }
 }

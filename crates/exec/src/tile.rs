@@ -7,8 +7,8 @@
 //! A primitive is *tilable* when a contiguous range of its flat output can
 //! be computed from the unrestricted inputs with exactly the arithmetic
 //! the full kernel would perform for those elements — no re-association,
-//! no cross-range dependency — so any tile partition reproduces
-//! [`crate::eval_prim`] bit for bit:
+//! no cross-range dependency — so any tile partition reproduces the
+//! whole-tensor evaluation, [`crate::eval_prim_into`], bit for bit:
 //!
 //! | [`PrimKind`]                 | [`Tilability`]                    |
 //! |------------------------------|-----------------------------------|
@@ -41,7 +41,7 @@ pub enum Tilability {
         /// Flat output elements per indivisible row.
         grain: usize,
     },
-    /// No bit-stable split; evaluate via [`crate::eval_prim`] as a whole.
+    /// No bit-stable split; evaluate whole, via [`crate::eval_prim_into`].
     Monolithic,
 }
 

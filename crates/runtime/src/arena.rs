@@ -18,17 +18,14 @@
 //! run-invariant members compile evaluated once — shared by every run
 //! and never booked.
 //!
-//! The **pool** serves the buffers the runtime allocates itself: staged
-//! input copies, range-body outputs, tile chunks and their assembly, and
-//! the exports of a walk's steps that write into a buffer. What a walk
-//! keeps to itself lives in the run state's *scratch* instead — buffers
-//! assigned at compile by lifetime, shared by every walk a lane runs, and
-//! never booked here: a lane takes no lock per step. Only a walk step that
-//! still calls `eval_prim` allocates its own output; exported, that
-//! buffer is moved into its slot and dropped when dead (parked, it would
-//! grow the pool by one buffer per run). [`ArenaStats::fresh_bytes`]
-//! counts every byte allocated because neither the pool nor the scratch
-//! had a buffer.
+//! The **pool** serves every buffer a run books: staged input copies,
+//! range-body outputs, tile chunks and their assembly, and walk exports.
+//! What a walk keeps to itself lives in the run state's *scratch*
+//! instead — buffers assigned at compile by lifetime, shared by every
+//! walk a lane runs, and never booked here: a lane takes no lock per
+//! step. [`ArenaStats::fresh_bytes`] counts every byte allocated because
+//! neither the pool nor the scratch had a buffer; once warm, that is the
+//! outputs a run hands its caller.
 
 use korch_ir::PortRef;
 use std::collections::btree_map::Entry as BTreeEntry;
@@ -88,10 +85,8 @@ pub struct SlotInfo {
     /// evaluated once).
     pub source: bool,
     /// The runtime allocates the slot's storage itself — a staged input
-    /// copy, a range body's output, a walk export some step wrote into —
-    /// so a dead buffer goes back to the pool, where the next run takes
-    /// it. `false` for a slot a walk exports from a step that still calls
-    /// `eval_prim` (its buffer is moved in and dropped when dead) and for
+    /// copy, a range body's or a walk's output — so a dead buffer goes
+    /// back to the pool, where the next run takes it. `false` only for
     /// constants and folded ports (shared across runs, never booked).
     pub pooled: bool,
 }
@@ -187,8 +182,8 @@ impl SlotTable {
 #[derive(Debug, Default)]
 pub struct BufferArena {
     inner: Mutex<ArenaInner>,
-    /// See [`ArenaStats::fresh_bytes`]; outside the lock, so a walk
-    /// counts an `eval_prim` output without taking it.
+    /// See [`ArenaStats::fresh_bytes`]; outside the lock, so a lane
+    /// counts the scratch it allocates without taking it.
     fresh_bytes: AtomicU64,
 }
 
@@ -217,8 +212,8 @@ pub struct ArenaStats {
     /// Bytes parked in the free pool.
     pub free_bytes: u64,
     /// Bytes allocated because neither the pool nor a walk's scratch had
-    /// a buffer: pool misses, scratch a run state allocates on its first
-    /// run, and the outputs of walk steps that still call `eval_prim`.
+    /// a buffer: pool misses (a warm run's are the outputs it hands the
+    /// caller) and the scratch a run state allocates on its first run.
     pub fresh_bytes: u64,
 }
 
@@ -271,10 +266,8 @@ impl BufferArena {
         inner.free.entry(storage.len()).or_default().push(storage);
     }
 
-    /// Takes a dead buffer off the books without parking its storage: an
-    /// `eval_prim` output a walk moved in (the pool has no taker for
-    /// it), a tensor moved out to the caller, or a handle that is still
-    /// shared.
+    /// Takes a dead buffer off the books without parking its storage: a
+    /// tensor moved out to the caller, or a handle that is still shared.
     pub fn release_untracked(&self, numel: usize) {
         let mut inner = self.inner.lock().expect("arena poisoned");
         inner.unbook((numel * 4) as u64);

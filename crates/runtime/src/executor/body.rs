@@ -3,9 +3,7 @@
 
 use super::{not_materialized, TileBodyKind};
 use crate::arena::BufferArena;
-use korch_exec::{
-    eval_prim, eval_prim_into, evaluates_into, prim_tilability, CompiledChain, ExecError,
-};
+use korch_exec::{eval_prim_into, prim_tilability, CompiledChain, ExecError};
 use korch_ir::{LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_tensor::{MatMulSpec, PackedB, Tensor, TensorError};
 use std::collections::{BTreeSet, HashMap};
@@ -19,54 +17,57 @@ use std::sync::Arc;
 enum Operand {
     /// The `i`-th entry of the kernel's reads.
     Read(usize),
-    /// Output `port` of the earlier step whose output lives at the `Dest`.
-    Local(Dest, usize),
+    /// The output port of an earlier step that lives at the `Dest`.
+    Local(Dest),
 }
 
-/// Where a walk step's output lives during a run.
+/// Where one output port of a walk step lives during a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Dest {
     /// Buffer `b` of the lane's scratch: a local, written in place.
     Scratch(usize),
     /// The walk's `e`-th export buffer, taken from the arena pool.
     Export(usize),
-    /// Cell `c`: the tensors `eval_prim` allocated.
-    Owned(usize),
 }
+
+impl Dest {
+    /// The scratch buffer of a local that dies in its walk.
+    fn scratch(self) -> usize {
+        match self {
+            Dest::Scratch(b) => b,
+            Dest::Export(_) => unreachable!("an export never dies in its walk"),
+        }
+    }
+}
+
+/// A walk step's port, as (step, port).
+type StepPort = (usize, usize);
 
 /// One non-source member of a walk body.
 pub(super) struct Step {
     node: NodeId,
     operands: Vec<Operand>,
-    dest: Dest,
-    /// A `Reshape` of a local that dies at it: the step relabels that
-    /// local's buffer (`dest` is the buffer or a cell of its own taking
-    /// the tensor) instead of copying it.
-    alias: bool,
-    /// The output shape of a step that writes into a buffer.
-    shape: Vec<usize>,
-    /// Bytes `eval_prim` allocates for an `Owned` step (0 for an alias).
-    fresh: u64,
-    /// Cells whose outputs nothing reads after this step and the kernel
-    /// does not export: the walk drops them here.
-    dead_after: Vec<usize>,
+    /// Where each output port lives, in port order.
+    dests: Vec<Dest>,
+    /// The shape of each output port.
+    shapes: Vec<Vec<usize>>,
+    /// The scratch buffer of a local a `Reshape` takes over because the
+    /// local dies at it: the step relabels the buffer (`dests[0]`)
+    /// instead of copying it.
+    alias: Option<usize>,
 }
 
 /// A walk body: every non-source member in ascending (= topological)
-/// order. A step with an into-slice kernel ([`evaluates_into`]) writes
-/// into a buffer the run already owns — a local into the lane's scratch
-/// (placed at compile by lifetime: a dead local's buffer goes to the next
-/// local of its size), an export into a buffer taken from the arena
-/// pool — with exactly the arithmetic of `eval_prim`. Any other step
-/// calls `eval_prim` and keeps what it allocated. `exports[i]` is where
-/// the kernel's `i`-th output lives, and its port.
+/// order, each evaluated by [`eval_prim_into`] into buffers the run
+/// already owns, one per output port — a local into the lane's scratch
+/// (placed at compile by lifetime: a dead local's buffer goes to the
+/// next local of its size), an export into a buffer taken from the arena
+/// pool. `exports[i]` is the export buffer of the kernel's `i`-th output.
 pub(super) struct Walk {
     steps: Vec<Step>,
-    exports: Vec<(Dest, usize)>,
-    /// Export buffers a run takes.
+    exports: Vec<usize>,
+    /// Export buffers a run takes: one per distinct exported port.
     bufs: usize,
-    /// Cells of `eval_prim` outputs a run fills.
-    cells: usize,
 }
 
 /// Places walk locals in the lane scratch while kernels compile: `sizes`
@@ -109,7 +110,6 @@ impl ScratchPlan {
 struct Locals<'s> {
     scratch: &'s mut [Option<Tensor>],
     bufs: Vec<Option<Tensor>>,
-    cells: Vec<Vec<Tensor>>,
 }
 
 impl Locals<'_> {
@@ -117,9 +117,8 @@ impl Locals<'_> {
         let written = "written by an earlier step";
         match op {
             Operand::Read(i) => &reads[i],
-            Operand::Local(Dest::Scratch(b), _) => self.scratch[b].as_ref().expect(written),
-            Operand::Local(Dest::Export(e), _) => self.bufs[e].as_ref().expect(written),
-            Operand::Local(Dest::Owned(cell), port) => &self.cells[cell][port],
+            Operand::Local(Dest::Scratch(b)) => self.scratch[b].as_ref().expect(written),
+            Operand::Local(Dest::Export(e)) => self.bufs[e].as_ref().expect(written),
         }
     }
 }
@@ -224,12 +223,6 @@ impl KernelBody {
         Walk::compile(g, members, reads, outputs, scratch).map(KernelBody::Walk)
     }
 
-    /// Whether the body's `i`-th output is a buffer `eval_prim` allocated,
-    /// moved into its slot rather than taken from the pool.
-    pub(super) fn moves_export(&self, i: usize) -> bool {
-        matches!(self, KernelBody::Walk(w) if matches!(w.exports[i].0, Dest::Owned(_)))
-    }
-
     /// How tiles of this body evaluate their ranges, and the split grain
     /// in flat output elements; `None` for walk bodies, which never tile.
     pub(super) fn tile_kind(&self, g: &PrimGraph) -> Option<(TileBodyKind, usize)> {
@@ -332,102 +325,96 @@ impl Walk {
         let step_of: HashMap<NodeId, usize> =
             nodes.iter().enumerate().map(|(i, &m)| (m, i)).collect();
         let local = |p: &PortRef| step_of.get(&p.node).map(|&step| (step, p.port));
-        let exported: Vec<(usize, usize)> = outputs
-            .iter()
-            .map(|o| local(o).ok_or(not_materialized(o)))
-            .collect::<Result<_, _>>()?;
-        let is_export = |step: usize| exported.iter().any(|&(e, _)| e == step);
-        // Per step, the last step that reads any of its ports; per step,
-        // the unexported locals that die there.
-        let mut last_reader: Vec<usize> = (0..nodes.len()).collect();
+        // One export buffer per distinct exported port; `exports` lists
+        // each output's.
+        let mut exported: Vec<StepPort> = Vec::new();
+        let mut exports = Vec::with_capacity(outputs.len());
+        for o in outputs {
+            let port = local(o).ok_or(not_materialized(o))?;
+            exports.push(match exported.iter().position(|&p| p == port) {
+                Some(e) => e,
+                None => {
+                    exported.push(port);
+                    exported.len() - 1
+                }
+            });
+        }
+        let export_of = |port: StepPort| exported.iter().position(|&p| p == port);
+        // Per port, the last step that reads it (its own step when none
+        // does); per step, the unexported ports that die there.
+        let mut last_reader: HashMap<StepPort, usize> = HashMap::new();
         for (i, &m) in nodes.iter().enumerate() {
-            for r in &g.node(m).inputs {
-                if let Some((step, _)) = local(r) {
-                    last_reader[step] = i;
+            for port in g.node(m).inputs.iter().filter_map(local) {
+                last_reader.insert(port, i);
+            }
+        }
+        let mut dies_at: Vec<Vec<StepPort>> = vec![Vec::new(); nodes.len()];
+        for (step, &m) in nodes.iter().enumerate() {
+            for port in (0..g.node(m).out_metas.len()).map(|p| (step, p)) {
+                if export_of(port).is_none() {
+                    dies_at[last_reader.get(&port).copied().unwrap_or(step)].push(port);
                 }
             }
         }
-        let mut dies_at: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-        for (step, &last) in last_reader.iter().enumerate() {
-            if !is_export(step) {
-                dies_at[last].push(step);
-            }
-        }
         scratch.start_kernel();
-        let (mut bufs, mut cells) = (0, 0);
         let mut steps: Vec<Step> = Vec::with_capacity(nodes.len());
         for (i, &m) in nodes.iter().enumerate() {
             let node = g.node(m);
             let operands: Vec<Operand> = (node.inputs.iter())
                 .map(|r| match local(r) {
-                    Some((step, port)) => Ok(Operand::Local(steps[step].dest, port)),
+                    Some((step, port)) => Ok(Operand::Local(steps[step].dests[port])),
                     None => read_index(r).map(Operand::Read),
                 })
                 .collect::<Result<_, _>>()?;
-            // The local a `Reshape` may take over: its operand, dying here.
-            let dying = match (&node.kind, node.inputs.as_slice()) {
-                (PrimKind::Layout(LayoutFn::Reshape { .. }), [r]) => local(r)
-                    .map(|(step, _)| step)
-                    .filter(|step| dies_at[i].contains(step)),
+            // The local an unexported `Reshape` takes over: its operand,
+            // dying here (and so in the scratch).
+            let taken = match (&node.kind, node.inputs.as_slice()) {
+                (PrimKind::Layout(LayoutFn::Reshape { .. }), [r])
+                    if export_of((i, 0)).is_none() =>
+                {
+                    local(r).filter(|port| dies_at[i].contains(port))
+                }
                 _ => None,
             };
-            let shape = g.meta(PortRef::from(m)).shape().to_vec();
-            let (dest, alias) = match dying.map(|step| steps[step].dest) {
-                Some(Dest::Scratch(b)) if !is_export(i) => (Dest::Scratch(b), true),
-                Some(Dest::Owned(_)) => (Dest::Owned(cells), true),
-                _ if evaluates_into(&node.kind) && node.out_metas.len() == 1 => {
-                    if is_export(i) {
-                        bufs += 1;
-                        (Dest::Export(bufs - 1), false)
-                    } else {
-                        (Dest::Scratch(scratch.take(shape.iter().product())), false)
-                    }
-                }
-                _ => (Dest::Owned(cells), false),
-            };
-            cells += usize::from(matches!(dest, Dest::Owned(_)));
-            let fresh = match dest {
-                Dest::Owned(_) if !alias => {
-                    node.out_metas.iter().map(|t| t.byte_size() as u64).sum()
-                }
-                _ => 0,
+            let alias = taken.map(|(step, port)| steps[step].dests[port].scratch());
+            let shapes: Vec<Vec<usize>> = (node.out_metas.iter())
+                .map(|t| t.shape().to_vec())
+                .collect();
+            let dests = match alias {
+                Some(b) => vec![Dest::Scratch(b)],
+                None => (shapes.iter().enumerate())
+                    .map(|(port, shape)| match export_of((i, port)) {
+                        Some(e) => Dest::Export(e),
+                        None => Dest::Scratch(scratch.take(shape.iter().product())),
+                    })
+                    .collect(),
             };
             steps.push(Step {
                 node: m,
                 operands,
-                dest,
+                dests,
+                shapes,
                 alias,
-                shape,
-                fresh,
-                dead_after: Vec::new(),
             });
-            // The locals dying here: a cell is dropped, a buffer goes back
-            // to the plan — unless this step took it over.
-            for &step in dies_at[i].iter().filter(|&&s| !alias || dying != Some(s)) {
-                match steps[step].dest {
-                    Dest::Scratch(b) => scratch.give(b),
-                    Dest::Owned(c) => steps[i].dead_after.push(c),
-                    Dest::Export(_) => unreachable!("an export never dies in its walk"),
-                }
+            // The locals dying here go back to the plan — unless this
+            // step took one over.
+            for &(step, port) in dies_at[i].iter().filter(|&&p| taken != Some(p)) {
+                scratch.give(steps[step].dests[port].scratch());
             }
         }
-        let exports = (exported.iter())
-            .map(|&(step, port)| (steps[step].dest, port))
-            .collect();
         Ok(Walk {
             steps,
             exports,
-            bufs,
-            cells,
+            bufs: exported.len(),
         })
     }
 
     /// Runs the walk whole on one run's `prepared` reads, its locals in
     /// the lane's `scratch` (whose contents are unspecified: every step
-    /// writes all of its output before anything reads it), and returns
-    /// its exports in output order. An export a step wrote into is a pool
-    /// buffer the caller books; one listed again is copied into another
-    /// for the earlier listing (cloned, for an `eval_prim` output).
+    /// writes all of its outputs before anything reads them), and returns
+    /// its exports in output order: pool buffers the caller books. A port
+    /// listed again is copied into another pool buffer for the earlier
+    /// listing.
     ///
     /// # Errors
     ///
@@ -444,37 +431,26 @@ impl Walk {
         let mut locals = Locals {
             scratch,
             bufs: (0..self.bufs).map(|_| None).collect(),
-            cells: (0..self.cells).map(|_| Vec::new()).collect(),
         };
+        // The outputs of the step in flight, out of their places.
+        let mut outs = Vec::new();
         for step in &self.steps {
-            if let Err(e) = step.run(g, &prepared.reads, &mut locals, arena) {
+            if let Err(e) = step.run(g, &prepared.reads, &mut locals, &mut outs, arena) {
                 for t in locals.bufs.into_iter().flatten() {
                     arena.recycle(t.into_vec());
                 }
                 return Err(e);
             }
-            for &c in &step.dead_after {
-                locals.cells[c] = Vec::new();
-            }
         }
         let mut out = Vec::with_capacity(self.exports.len());
-        for (i, &(dest, port)) in self.exports.iter().enumerate() {
-            let again = self.exports[i + 1..].contains(&(dest, port));
-            out.push(match dest {
-                Dest::Export(e) if again => {
-                    let t = locals.bufs[e].as_ref().expect("written by its step");
-                    let mut buf = arena.take_or_alloc(t.numel());
-                    buf.copy_from_slice(t.as_slice());
-                    Tensor::from_vec(t.shape().to_vec(), buf).expect("a copy of equal size")
-                }
-                Dest::Export(e) => locals.bufs[e].take().expect("written by its step"),
-                Dest::Owned(cell) if again => {
-                    let t = locals.cells[cell][port].clone();
-                    arena.note_fresh(t.byte_size() as u64);
-                    t
-                }
-                Dest::Owned(cell) => std::mem::take(&mut locals.cells[cell][port]),
-                Dest::Scratch(_) => unreachable!("an exported step never writes scratch"),
+        for (i, &e) in self.exports.iter().enumerate() {
+            out.push(if self.exports[i + 1..].contains(&e) {
+                let t = locals.bufs[e].as_ref().expect("written by its step");
+                let mut buf = arena.take_or_alloc(t.numel());
+                buf.copy_from_slice(t.as_slice());
+                Tensor::from_vec(t.shape().to_vec(), buf).expect("a copy of equal size")
+            } else {
+                locals.bufs[e].take().expect("written by its step")
             });
         }
         Ok(out)
@@ -482,85 +458,67 @@ impl Walk {
 }
 
 impl Step {
+    /// Evaluates the step into its output buffers, taken out of their
+    /// places into `outs` while it writes them and put back after.
     fn run(
         &self,
         g: &PrimGraph,
         reads: &[Arc<Tensor>],
         locals: &mut Locals<'_>,
+        outs: &mut Vec<Tensor>,
         arena: &BufferArena,
     ) -> Result<(), ExecError> {
-        let kind = &g.node(self.node).kind;
-        let wrap = |source| tensor_error(self.node, source);
-        match (self.dest, self.alias) {
-            (Dest::Scratch(b), true) => {
-                let t = locals.scratch[b]
-                    .as_mut()
-                    .expect("written by the step it reshapes");
-                t.set_shape(&self.shape).map_err(wrap)
-            }
-            (Dest::Owned(c), true) => {
-                let (
-                    &[Operand::Local(Dest::Owned(cell), port)],
-                    PrimKind::Layout(LayoutFn::Reshape { shape }),
-                ) = (self.operands.as_slice(), kind)
-                else {
-                    unreachable!("an aliasing owned step reshapes a cell");
-                };
-                let taken = std::mem::take(&mut locals.cells[cell]).swap_remove(port);
-                locals.cells[c] = vec![taken.into_shape(shape.clone()).map_err(wrap)?];
-                Ok(())
-            }
-            (Dest::Owned(c), false) => {
-                let ins: Vec<&Tensor> = self
-                    .operands
-                    .iter()
-                    .map(|&op| locals.get(op, reads))
-                    .collect();
-                let outs = eval_prim(kind, &ins, self.node.0)?;
-                locals.cells[c] = outs;
-                arena.note_fresh(self.fresh);
-                Ok(())
-            }
-            (Dest::Scratch(b), false) => {
-                let numel: usize = self.shape.iter().product();
-                let mut out = match locals.scratch[b].take() {
+        if let Some(b) = self.alias {
+            let t = locals.scratch[b]
+                .as_mut()
+                .expect("written by the step it reshapes");
+            return (t.set_shape(&self.shapes[0]))
+                .map_err(|source| tensor_error(self.node, source));
+        }
+        for (&dest, shape) in self.dests.iter().zip(&self.shapes) {
+            outs.push(match dest {
+                Dest::Scratch(b) => match locals.scratch[b].take() {
                     Some(mut t) => {
-                        t.set_shape(&self.shape).map_err(wrap)?;
+                        t.set_shape(shape).expect("placed in a buffer of its size");
                         t
                     }
                     // Lost to a step that panicked in an earlier run.
                     None => {
-                        arena.note_fresh((numel * 4) as u64);
-                        Tensor::zeros(self.shape.clone())
+                        let t = Tensor::zeros(shape.clone());
+                        arena.note_fresh(t.byte_size() as u64);
+                        t
                     }
-                };
-                let written = self.write(kind, reads, locals, &mut out);
-                locals.scratch[b] = Some(out);
-                written
-            }
-            (Dest::Export(e), _) => {
-                let buf = arena.take_or_alloc(self.shape.iter().product());
-                let mut out =
-                    Tensor::from_vec(self.shape.clone(), buf).expect("sized to the shape");
-                let written = self.write(kind, reads, locals, &mut out);
-                locals.bufs[e] = Some(out);
-                written
+                },
+                Dest::Export(_) => {
+                    let buf = arena.take_or_alloc(shape.iter().product());
+                    Tensor::from_vec(shape.clone(), buf).expect("sized to the shape")
+                }
+            });
+        }
+        let written = self.write(&g.node(self.node).kind, reads, locals, outs);
+        for (&dest, t) in self.dests.iter().zip(outs.drain(..)) {
+            match dest {
+                Dest::Scratch(b) => locals.scratch[b] = Some(t),
+                Dest::Export(e) => locals.bufs[e] = Some(t),
             }
         }
+        written
     }
 
-    /// Evaluates the step's into-slice kernel into `out`.
+    /// Evaluates the step's primitive on its operands into `outs`.
     fn write(
         &self,
         kind: &PrimKind,
         reads: &[Arc<Tensor>],
         locals: &Locals<'_>,
-        out: &mut Tensor,
+        outs: &mut [Tensor],
     ) -> Result<(), ExecError> {
-        let operand = |i: usize| self.operands.get(i).map(|&op| locals.get(op, reads));
-        let x = operand(0).ok_or_else(|| {
-            ExecError::Input(format!("node {} expects an input, got none", self.node.0))
-        })?;
-        eval_prim_into(kind, x, operand(1), out, self.node.0)
+        let get = |op: &Operand| locals.get(*op, reads);
+        let node = self.node.0;
+        match self.operands.as_slice() {
+            [x] => eval_prim_into(kind, &[get(x)], outs, node),
+            [x, y] => eval_prim_into(kind, &[get(x), get(y)], outs, node),
+            all => eval_prim_into(kind, &all.iter().map(get).collect::<Vec<_>>(), outs, node),
+        }
     }
 }

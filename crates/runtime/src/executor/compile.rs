@@ -176,11 +176,6 @@ fn compile_kernels(
         for &s in &reads {
             table.slots[s].readers += 1;
         }
-        // Bodies write into buffers the runtime took from the pool, but
-        // for a walk export `eval_prim` allocated: that one is moved in.
-        for (i, &s) in writes.iter().enumerate() {
-            table.slots[s].pooled &= !body.moves_export(i);
-        }
         table.reads.push(reads);
         table.writes.push(writes);
         kernels.push(KernelTask {

@@ -30,20 +30,18 @@
 //!   non-source member, in ascending order, evaluated whole with operands
 //!   resolved at compile time to either a read slot or an earlier step's
 //!   output (`execute_plan`'s rule), so a run indexes vectors and builds
-//!   no maps. A step with an into-slice kernel — elementwise, reduce,
-//!   broadcast, transpose, reshape, matmul, conv
-//!   (`korch_exec::eval_prim_into`, the loop `eval_prim`'s allocating
-//!   form runs, so the same bits) — writes into a buffer the run already
-//!   owns: a local into the lane's *scratch*, an export into a buffer
-//!   taken from the arena pool. Compile places each local in the scratch
-//!   by its last in-kernel reader: a dead local's buffer goes to the next
-//!   local of its size, so a long row-wise kernel cycles through a few
-//!   cache-hot blocks, and a `Reshape` of a local that dies at it
-//!   relabels that buffer. Every walk's locals are dead when it ends, so
-//!   all walks share one scratch per lane, as large as the most any one
-//!   of them holds of each size. The other steps (slice, concat, split,
-//!   pad, resize, window-reduce, opaque) call `korch_exec::eval_prim` and
-//!   keep what it allocates;
+//!   no maps. Every step runs `korch_exec::eval_prim_into` — the one
+//!   interpreter of every primitive, which `execute_plan` runs over
+//!   fresh outputs, so the same bits — into buffers the run already
+//!   owns, one per output port: a local into the lane's *scratch*, an
+//!   export into a buffer taken from the arena pool. Compile places each
+//!   local in the scratch by its last in-kernel reader: a dead local's
+//!   buffer goes to the next local of its size, so a long row-wise
+//!   kernel cycles through a few cache-hot blocks, and a `Reshape` of a
+//!   local that dies at it relabels that buffer. Every walk's locals are
+//!   dead when it ends, so all walks share one scratch per lane, as large
+//!   as the most any one of them holds of each size. An `Opaque` step
+//!   fails the run, as it fails `execute_plan`;
 //! - **chain** — a single-output fused elementwise chain (down to one
 //!   member) compiled to a [`korch_exec::CompiledChain`] register
 //!   program;
@@ -159,14 +157,13 @@
 //! each is a tensor every run used to materialize, briefly). The
 //! recycling pool serves every buffer the runtime books: staged input
 //! copies, range-body outputs, tile chunks and their assembly, and walk
-//! exports. Whether a dead slot's storage goes back there is a
-//! compile-time fact of the slot ([`crate::SlotInfo::pooled`]): only a
-//! walk export that `eval_prim` allocated is moved in and dropped when
-//! dead. A walk's locals are never booked: they live in the run state's
-//! scratch, one per lane, allocated when the state is made and kept
-//! while it is recycled ([`crate::MemoryReport::scratch_bytes`]), so a
-//! warm run allocates only the `eval_prim` outputs and the outputs it
-//! hands the caller ([`crate::ArenaStats::fresh_bytes`] counts it). Output
+//! exports, so every dead slot a run books goes back there
+//! ([`crate::SlotInfo::pooled`]). A walk's locals are never booked: they
+//! live in the run state's scratch, one per lane, allocated when the
+//! state is made and kept while it is recycled
+//! ([`crate::MemoryReport::scratch_bytes`]), so a warm run allocates only
+//! the outputs it hands the caller ([`crate::ArenaStats::fresh_bytes`]
+//! counts it). Output
 //! tensors are *moved* out to the caller (the run holds the only handle
 //! once the lanes are done), so their bytes leave the books and their
 //! storage the pool. Lanes log kernel/tile

@@ -24,8 +24,8 @@
 //!   accounting (vs. the interpreter's allocate-everything behavior) and
 //!   size-classed reuse of every buffer the runtime books — staged
 //!   inputs, range-body outputs, tile chunks and their assembly, walk
-//!   exports. A walk's locals live in its run state's scratch instead, and
-//!   only its steps without an into-slice kernel allocate their outputs
+//!   exports. A walk's locals live in its run state's scratch instead, so
+//!   a warm run allocates only the outputs it hands the caller
 //!   ([`ArenaStats::fresh_bytes`] counts what a run allocates);
 //! - [`RuntimeProfile`] — per-kernel wall times folded from each run's
 //!   [`KernelInterval`]s (every lane timestamps against one shared clock

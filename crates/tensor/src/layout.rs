@@ -1,7 +1,7 @@
 //! Layout transformation reference kernels (paper §3): transpose, reshape,
 //! slice, concat, split, pad. These move data without arithmetic.
 
-use crate::{strides_of, unravel, Tensor, TensorError};
+use crate::{check_len, filled, strides_of, Tensor, TensorError};
 
 /// Side of the square tile the strided copy transposes at a time: 16 rows
 /// of 16 `f32` are 16 source and 16 destination cache lines, all of which
@@ -129,12 +129,7 @@ impl Tensor {
             }
             seen[p] = true;
         }
-        if out.len() != self.numel() {
-            return Err(TensorError::ElementCount {
-                expected: self.numel(),
-                actual: out.len(),
-            });
-        }
+        check_len(out, self.numel())?;
         let in_shape = self.shape();
         let in_strides = strides_of(in_shape);
         let dims: Vec<(usize, usize)> =
@@ -152,13 +147,45 @@ impl Tensor {
         Tensor::from_vec(shape, self.as_slice().to_vec())
     }
 
-    /// Extracts `[start, end)` ranges per dimension.
+    /// Extracts `[start, end)` ranges per dimension —
+    /// [`Tensor::slice_into`] over a fresh output.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if the ranges have the wrong
     /// rank or exceed bounds.
     pub fn slice(&self, starts: &[usize], ends: &[usize]) -> Result<Tensor, TensorError> {
+        filled(self.slice_shape(starts, ends)?, |out| {
+            self.slice_into(starts, ends, out)
+        })
+    }
+
+    /// Writes `self.slice(starts, ends)` row-major into `out`, every
+    /// element.
+    ///
+    /// # Errors
+    ///
+    /// [`Tensor::slice`]'s errors, and [`TensorError::ElementCount`] if
+    /// `out` is not the output's size.
+    pub fn slice_into(
+        &self,
+        starts: &[usize],
+        ends: &[usize],
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let out_shape = self.slice_shape(starts, ends)?;
+        check_len(out, out_shape.iter().product())?;
+        let in_strides = strides_of(self.shape());
+        let base: usize = starts.iter().zip(&in_strides).map(|(s, st)| s * st).sum();
+        let dims: Vec<(usize, usize)> = out_shape.into_iter().zip(in_strides).collect();
+        // An empty range may start at a dim's end, past the last element.
+        if !out.is_empty() {
+            copy_strided(&self.as_slice()[base..], &dims, out);
+        }
+        Ok(())
+    }
+
+    fn slice_shape(&self, starts: &[usize], ends: &[usize]) -> Result<Vec<usize>, TensorError> {
         let rank = self.rank();
         if starts.len() != rank || ends.len() != rank {
             return Err(TensorError::InvalidArgument(format!(
@@ -177,25 +204,46 @@ impl Tensor {
                 )));
             }
         }
-        let out_shape: Vec<usize> = (0..rank).map(|d| ends[d] - starts[d]).collect();
-        let in_strides = strides_of(self.shape());
-        let base: usize = starts.iter().zip(&in_strides).map(|(s, st)| s * st).sum();
-        let dims: Vec<(usize, usize)> = out_shape.iter().copied().zip(in_strides).collect();
-        let mut out = vec![0f32; out_shape.iter().product()];
-        // An empty range may start at a dim's end, past the last element.
-        if !out.is_empty() {
-            copy_strided(&self.as_slice()[base..], &dims, &mut out);
-        }
-        Tensor::from_vec(out_shape, out)
+        Ok((0..rank).map(|d| ends[d] - starts[d]).collect())
     }
 
-    /// Concatenates tensors along `axis`. All other dimensions must match.
+    /// Concatenates tensors along `axis`. All other dimensions must match —
+    /// [`Tensor::concat_into`] over a fresh output.
     ///
     /// # Errors
     ///
     /// Returns an error if `parts` is empty, `axis` is out of range, or the
     /// non-`axis` dimensions disagree.
     pub fn concat(parts: &[&Tensor], axis: usize) -> Result<Tensor, TensorError> {
+        filled(Self::concat_shape(parts, axis)?, |out| {
+            Self::concat_into(parts, axis, out)
+        })
+    }
+
+    /// Writes `Tensor::concat(parts, axis)` row-major into `out`, every
+    /// element: per index of the dims before `axis`, one contiguous copy
+    /// of each part's block.
+    ///
+    /// # Errors
+    ///
+    /// [`Tensor::concat`]'s errors, and [`TensorError::ElementCount`] if
+    /// `out` is not the output's size.
+    pub fn concat_into(parts: &[&Tensor], axis: usize, out: &mut [f32]) -> Result<(), TensorError> {
+        let out_shape = Self::concat_shape(parts, axis)?;
+        check_len(out, out_shape.iter().product())?;
+        let inner: usize = out_shape[axis + 1..].iter().product();
+        let mut at = 0;
+        for o in 0..out_shape[..axis].iter().product() {
+            for p in parts {
+                let chunk = p.shape()[axis] * inner;
+                out[at..at + chunk].copy_from_slice(&p.as_slice()[o * chunk..(o + 1) * chunk]);
+                at += chunk;
+            }
+        }
+        Ok(())
+    }
+
+    fn concat_shape(parts: &[&Tensor], axis: usize) -> Result<Vec<usize>, TensorError> {
         let first = parts
             .first()
             .ok_or_else(|| TensorError::InvalidArgument("concat of zero tensors".into()))?;
@@ -203,46 +251,76 @@ impl Tensor {
         if axis >= rank {
             return Err(TensorError::AxisOutOfRange { axis, rank });
         }
-        let mut axis_total = 0usize;
+        let mut out_shape = first.shape().to_vec();
+        out_shape[axis] = 0;
         for p in parts {
-            if p.rank() != rank {
+            let agrees = p.rank() == rank
+                && (0..rank).all(|d| d == axis || p.shape()[d] == first.shape()[d]);
+            if !agrees {
                 return Err(TensorError::ShapeMismatch {
                     lhs: first.shape().to_vec(),
                     rhs: p.shape().to_vec(),
                 });
             }
-            for d in 0..rank {
-                if d != axis && p.shape()[d] != first.shape()[d] {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: first.shape().to_vec(),
-                        rhs: p.shape().to_vec(),
-                    });
-                }
-            }
-            axis_total += p.shape()[axis];
+            out_shape[axis] += p.shape()[axis];
         }
-        let mut out_shape = first.shape().to_vec();
-        out_shape[axis] = axis_total;
-        let outer: usize = first.shape()[..axis].iter().product();
-        let inner: usize = first.shape()[axis + 1..].iter().product();
-        let mut out = Vec::with_capacity(out_shape.iter().product());
-        for o in 0..outer {
-            for p in parts {
-                let rows = p.shape()[axis];
-                let chunk = rows * inner;
-                out.extend_from_slice(&p.as_slice()[o * chunk..(o + 1) * chunk]);
-            }
-        }
-        Tensor::from_vec(out_shape, out)
+        Ok(out_shape)
     }
 
-    /// Splits along `axis` into chunks of the given sizes.
+    /// Splits along `axis` into chunks of the given sizes —
+    /// [`Tensor::split_into`] over fresh outputs.
     ///
     /// # Errors
     ///
     /// Returns an error if `axis` is out of range or sizes do not sum to the
     /// axis length.
     pub fn split(&self, axis: usize, sizes: &[usize]) -> Result<Vec<Tensor>, TensorError> {
+        let shapes = self.split_shapes(axis, sizes)?;
+        let mut parts: Vec<Tensor> = shapes.into_iter().map(Tensor::zeros).collect();
+        let mut outs: Vec<&mut [f32]> = parts.iter_mut().map(Tensor::as_mut_slice).collect();
+        self.split_into(axis, sizes, &mut outs)?;
+        Ok(parts)
+    }
+
+    /// Writes the chunks of `self.split(axis, sizes)` row-major into
+    /// `outs`, one per size, every element: [`Tensor::concat_into`]'s loop
+    /// run backwards.
+    ///
+    /// # Errors
+    ///
+    /// [`Tensor::split`]'s errors, [`TensorError::InvalidArgument`] if
+    /// `outs` does not hold one buffer per size and
+    /// [`TensorError::ElementCount`] if a buffer is not its chunk's size.
+    pub fn split_into(
+        &self,
+        axis: usize,
+        sizes: &[usize],
+        outs: &mut [&mut [f32]],
+    ) -> Result<(), TensorError> {
+        let shapes = self.split_shapes(axis, sizes)?;
+        if outs.len() != shapes.len() {
+            return Err(TensorError::InvalidArgument(format!(
+                "{} output buffers for {} split chunks",
+                outs.len(),
+                shapes.len()
+            )));
+        }
+        for (out, shape) in outs.iter().zip(&shapes) {
+            check_len(out, shape.iter().product())?;
+        }
+        let inner: usize = self.shape()[axis + 1..].iter().product();
+        let (data, mut at) = (self.as_slice(), 0);
+        for o in 0..self.shape()[..axis].iter().product() {
+            for (out, &s) in outs.iter_mut().zip(sizes) {
+                let chunk = s * inner;
+                out[o * chunk..(o + 1) * chunk].copy_from_slice(&data[at..at + chunk]);
+                at += chunk;
+            }
+        }
+        Ok(())
+    }
+
+    fn split_shapes(&self, axis: usize, sizes: &[usize]) -> Result<Vec<Vec<usize>>, TensorError> {
         if axis >= self.rank() {
             return Err(TensorError::AxisOutOfRange {
                 axis,
@@ -256,21 +334,17 @@ impl Tensor {
                 self.shape()[axis]
             )));
         }
-        let mut result = Vec::with_capacity(sizes.len());
-        let mut start = 0usize;
-        for &s in sizes {
-            let mut starts = vec![0usize; self.rank()];
-            let mut ends = self.shape().to_vec();
-            starts[axis] = start;
-            ends[axis] = start + s;
-            result.push(self.slice(&starts, &ends)?);
-            start += s;
-        }
-        Ok(result)
+        Ok((sizes.iter())
+            .map(|&s| {
+                let mut shape = self.shape().to_vec();
+                shape[axis] = s;
+                shape
+            })
+            .collect())
     }
 
     /// Pads each dimension with `value`: `before[d]` elements in front and
-    /// `after[d]` behind.
+    /// `after[d]` behind — [`Tensor::pad_into`] over a fresh output.
     ///
     /// # Errors
     ///
@@ -282,33 +356,72 @@ impl Tensor {
         after: &[usize],
         value: f32,
     ) -> Result<Tensor, TensorError> {
+        filled(self.pad_shape(before, after)?, |out| {
+            self.pad_into(before, after, value, out)
+        })
+    }
+
+    /// Writes `self.pad(before, after, value)` row-major into `out`, every
+    /// element: per output row (all dims but the last), a fill of `value`
+    /// for a row in the border, else a fill of its ends around one copy of
+    /// the input row.
+    ///
+    /// # Errors
+    ///
+    /// [`Tensor::pad`]'s errors, and [`TensorError::ElementCount`] if `out`
+    /// is not the output's size.
+    pub fn pad_into(
+        &self,
+        before: &[usize],
+        after: &[usize],
+        value: f32,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let out_shape = self.pad_shape(before, after)?;
+        check_len(out, out_shape.iter().product())?;
+        let Some((&w, rows)) = self.shape().split_last() else {
+            out.copy_from_slice(self.as_slice());
+            return Ok(());
+        };
+        if out.is_empty() {
+            return Ok(());
+        }
+        let (data, lo, mut next) = (self.as_slice(), before[rows.len()], 0);
+        // The output row's coordinates over every dim but the last.
+        let mut idx = vec![0usize; rows.len()];
+        for orow in out.chunks_exact_mut(out_shape[rows.len()]) {
+            let inside =
+                (idx.iter().zip(rows).zip(before)).all(|((&i, &n), &b)| i >= b && i < b + n);
+            if inside {
+                let (head, rest) = orow.split_at_mut(lo);
+                head.fill(value);
+                rest[..w].copy_from_slice(&data[next..next + w]);
+                rest[w..].fill(value);
+                next += w;
+            } else {
+                orow.fill(value);
+            }
+            for d in (0..idx.len()).rev() {
+                idx[d] += 1;
+                if idx[d] < out_shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        Ok(())
+    }
+
+    fn pad_shape(&self, before: &[usize], after: &[usize]) -> Result<Vec<usize>, TensorError> {
         let rank = self.rank();
         if before.len() != rank || after.len() != rank {
             return Err(TensorError::InvalidArgument(
                 "pad spec rank does not match tensor rank".into(),
             ));
         }
-        let out_shape: Vec<usize> = (0..rank)
+        Ok((0..rank)
             .map(|d| before[d] + self.shape()[d] + after[d])
-            .collect();
-        let numel: usize = out_shape.iter().product();
-        let in_strides = strides_of(self.shape());
-        let data = self.as_slice();
-        let mut out = Vec::with_capacity(numel);
-        for flat in 0..numel {
-            let idx = unravel(flat, &out_shape);
-            let mut off = 0usize;
-            let mut inside = true;
-            for d in 0..rank {
-                if idx[d] < before[d] || idx[d] >= before[d] + self.shape()[d] {
-                    inside = false;
-                    break;
-                }
-                off += (idx[d] - before[d]) * in_strides[d];
-            }
-            out.push(if inside { data[off] } else { value });
-        }
-        Tensor::from_vec(out_shape, out)
+            .collect())
     }
 }
 
@@ -316,6 +429,7 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::bits;
+    use crate::tests::unravel;
 
     /// The historical element-wise transpose, kept verbatim as the
     /// bit-identity reference: a rank-deep odometer over the output,
@@ -438,6 +552,9 @@ mod tests {
                     .map(|(d, r)| r[pick / 4usize.pow(d as u32) % 4])
                     .unzip();
                 let got = t.slice(&starts, &ends).unwrap();
+                let mut stale = vec![f32::NAN; got.numel()];
+                t.slice_into(&starts, &ends, &mut stale).unwrap();
+                assert_eq!(bits(&stale), bits(got.as_slice()), "{starts:?}..{ends:?}");
                 let want = Tensor::from_fn(got.shape().to_vec(), |flat| {
                     let idx = unravel(flat, got.shape());
                     let at: Vec<usize> = idx.iter().zip(&starts).map(|(i, s)| i + s).collect();
@@ -575,5 +692,168 @@ mod tests {
         let t = Tensor::random(vec![2, 3], 9);
         assert!(t.transpose_into(&[1, 0], &mut [0.0; 5]).is_err());
         assert!(t.transpose_into(&[0, 0], &mut [0.0; 6]).is_err());
+    }
+
+    /// The historical per-element pad, kept verbatim as the bit-identity
+    /// reference: every output index unravelled and tested against the
+    /// border.
+    fn naive_pad(t: &Tensor, before: &[usize], after: &[usize], value: f32) -> Tensor {
+        let rank = t.rank();
+        let out_shape: Vec<usize> = (0..rank)
+            .map(|d| before[d] + t.shape()[d] + after[d])
+            .collect();
+        let numel: usize = out_shape.iter().product();
+        let in_strides = strides_of(t.shape());
+        let data = t.as_slice();
+        let mut out = Vec::with_capacity(numel);
+        for flat in 0..numel {
+            let idx = unravel(flat, &out_shape);
+            let mut off = 0usize;
+            let mut inside = true;
+            for d in 0..rank {
+                if idx[d] < before[d] || idx[d] >= before[d] + t.shape()[d] {
+                    inside = false;
+                    break;
+                }
+                off += (idx[d] - before[d]) * in_strides[d];
+            }
+            out.push(if inside { data[off] } else { value });
+        }
+        Tensor::from_vec(out_shape, out).unwrap()
+    }
+
+    /// The historical concat loop, kept verbatim as the reference.
+    fn naive_concat(parts: &[&Tensor], axis: usize) -> Vec<f32> {
+        let first = parts[0];
+        let outer: usize = first.shape()[..axis].iter().product();
+        let inner: usize = first.shape()[axis + 1..].iter().product();
+        let mut out = Vec::new();
+        for o in 0..outer {
+            for p in parts {
+                let rows = p.shape()[axis];
+                let chunk = rows * inner;
+                out.extend_from_slice(&p.as_slice()[o * chunk..(o + 1) * chunk]);
+            }
+        }
+        out
+    }
+
+    /// The historical split, kept as the reference: one slice per chunk.
+    fn naive_split(t: &Tensor, axis: usize, sizes: &[usize]) -> Vec<Tensor> {
+        let mut start = 0;
+        (sizes.iter())
+            .map(|&s| {
+                let mut starts = vec![0usize; t.rank()];
+                let mut ends = t.shape().to_vec();
+                (starts[axis], ends[axis]) = (start, start + s);
+                start += s;
+                t.slice(&starts, &ends).unwrap()
+            })
+            .collect()
+    }
+
+    /// `pad_into` over a stale buffer writes every element the
+    /// per-element reference does, bit for bit: all-zero pads (a pure
+    /// copy), a pad around a dim of size 1, empty inputs and outputs,
+    /// ranks 0 to 4; a buffer of the wrong size is rejected.
+    #[test]
+    fn pad_into_is_bit_identical_to_the_per_element_reference() {
+        let cases: [(&[usize], &[usize], &[usize]); 13] = [
+            (&[], &[], &[]),
+            (&[5], &[0], &[0]),
+            (&[5], &[2], &[3]),
+            (&[0], &[1], &[2]),
+            (&[1, 4], &[1, 0], &[2, 1]),
+            (&[3, 1], &[0, 2], &[0, 1]),
+            (&[3, 0], &[1, 0], &[0, 0]),
+            (&[2, 3, 4], &[1, 0, 2], &[0, 1, 1]),
+            (&[2, 0, 3], &[0, 1, 0], &[0, 1, 0]),
+            (&[1, 3, 4, 5], &[0, 0, 1, 1], &[0, 0, 1, 1]),
+            (&[2, 1, 3, 1], &[1, 2, 0, 3], &[0, 1, 2, 0]),
+            (&[1, 2, 3, 4], &[0, 0, 0, 0], &[0, 0, 0, 0]),
+            (&[2, 3, 1, 17], &[0, 1, 1, 0], &[1, 0, 1, 16]),
+        ];
+        for (shape, before, after) in cases {
+            let t = Tensor::random(shape.to_vec(), 8);
+            for value in [0.0, -0.0, 7.5] {
+                let want = naive_pad(&t, before, after, value);
+                let mut stale = vec![f32::NAN; want.numel()];
+                t.pad_into(before, after, value, &mut stale).unwrap();
+                let ctx = format!("{shape:?} by {before:?}/{after:?} with {value}");
+                assert_eq!(bits(&stale), bits(want.as_slice()), "{ctx}");
+                let got = t.pad(before, after, value).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{ctx}");
+                if before.iter().chain(after).all(|&p| p == 0) {
+                    assert_eq!(bits(&stale), bits(t.as_slice()), "{ctx}");
+                }
+            }
+        }
+        let t = Tensor::random(vec![2, 3], 1);
+        let err = t.pad_into(&[1, 0], &[0, 1], 0.0, &mut [0.0; 11]);
+        assert!(
+            matches!(err, Err(TensorError::ElementCount { .. })),
+            "{err:?}"
+        );
+        assert!(t.pad_into(&[1], &[1], 0.0, &mut [0.0; 12]).is_err());
+    }
+
+    /// `concat_into` and `split_into` over stale buffers write what the
+    /// historical loops did, bit for bit — a one-part concat, a split
+    /// with a zero-length chunk, ranks 1 and 4 — and reject buffers of
+    /// the wrong size or number.
+    #[test]
+    fn concat_and_split_into_match_their_old_loops() {
+        let concats: [(&[&[usize]], usize); 5] = [
+            (&[&[3], &[0], &[2]], 0),
+            (&[&[2, 3]], 1),
+            (&[&[1, 2, 3, 4], &[1, 1, 3, 4], &[1, 3, 3, 4]], 1),
+            (&[&[2, 2, 2, 1], &[2, 2, 2, 3]], 3),
+            (&[&[1, 2, 3, 4], &[2, 2, 3, 4]], 0),
+        ];
+        for (shapes, axis) in concats {
+            let parts: Vec<Tensor> = (shapes.iter().enumerate())
+                .map(|(i, s)| Tensor::random(s.to_vec(), i as u64))
+                .collect();
+            let refs: Vec<&Tensor> = parts.iter().collect();
+            let want = naive_concat(&refs, axis);
+            let mut stale = vec![f32::NAN; want.len()];
+            Tensor::concat_into(&refs, axis, &mut stale).unwrap();
+            assert_eq!(bits(&stale), bits(&want), "{shapes:?} on {axis}");
+            let err = Tensor::concat_into(&refs, axis, &mut vec![0.0; want.len() + 1]);
+            assert!(
+                matches!(err, Err(TensorError::ElementCount { .. })),
+                "{err:?}"
+            );
+        }
+        let splits: [(&[usize], usize, &[usize]); 5] = [
+            (&[7], 0, &[3, 0, 4]),
+            (&[4, 3], 0, &[4]),
+            (&[2, 5, 3], 1, &[2, 0, 3]),
+            (&[1, 6, 2, 2], 1, &[1, 5]),
+            (&[2, 2, 3, 5], 3, &[0, 2, 3]),
+        ];
+        for (shape, axis, sizes) in splits {
+            let t = Tensor::random(shape.to_vec(), 4);
+            let want = naive_split(&t, axis, sizes);
+            let mut stale: Vec<Vec<f32>> = want.iter().map(|w| vec![f32::NAN; w.numel()]).collect();
+            let mut outs: Vec<&mut [f32]> = stale.iter_mut().map(Vec::as_mut_slice).collect();
+            t.split_into(axis, sizes, &mut outs).unwrap();
+            for (got, want) in stale.iter().zip(&want) {
+                assert_eq!(bits(got), bits(want.as_slice()), "{shape:?} by {sizes:?}");
+            }
+            let got = t.split(axis, sizes).unwrap();
+            assert_eq!(got, want, "{shape:?} by {sizes:?}");
+            let mut short: Vec<&mut [f32]> =
+                stale.iter_mut().skip(1).map(Vec::as_mut_slice).collect();
+            assert!(t.split_into(axis, sizes, &mut short).is_err());
+        }
+        let t = Tensor::random(vec![4, 2], 3);
+        let (mut a, mut b) = (vec![0.0; 2], vec![0.0; 5]);
+        let err = t.split_into(0, &[1, 3], &mut [&mut a, &mut b]);
+        assert!(
+            matches!(err, Err(TensorError::ElementCount { .. })),
+            "{err:?}"
+        );
+        assert!(t.slice_into(&[0, 0], &[2, 2], &mut [0.0; 3]).is_err());
     }
 }

@@ -22,6 +22,10 @@
 //!   16×16 tiles turned when the output's last dim is strided in the
 //!   source. A value copy of the same elements an index-by-index gather
 //!   reads.
+//! - **pad / concat / split** ([`Tensor::pad`], [`Tensor::concat`],
+//!   [`Tensor::split`]): one `copy_from_slice` per contiguous run, and a
+//!   fill of the pad value for a border row or a row's two ends. Pure
+//!   copies.
 //! - **broadcast** ([`Tensor::broadcast`], [`Tensor::broadcast_tile`]): one
 //!   run-based body — a fill per input element for a last-axis broadcast,
 //!   row copies otherwise. Pure replication.
@@ -37,6 +41,11 @@
 //!   it `sigmoid` and `erf`) is a branch-free polynomial within 1 ulp of
 //!   the correctly rounded value, flushing results below the normal range
 //!   to zero — not libm's `expf`.
+//!
+//! Every layout method but `reshape`, and every resize, pool, reduce,
+//! broadcast and linear one, is its `*_into` form (e.g.
+//! [`Tensor::pad_into`]) over a fresh output: the runtime calls those
+//! forms on buffers it owns.
 //!
 //! None of these re-associates or fuses a float operation, so every one is
 //! **bit-identical** to its element-wise definition, which each module
@@ -342,14 +351,27 @@ pub fn ravel(idx: &[usize], shape: &[usize]) -> usize {
     flat
 }
 
-/// Expands a flat row-major offset into a multi-dimensional index.
-pub fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
-    let mut idx = vec![0usize; shape.len()];
-    for d in (0..shape.len()).rev() {
-        idx[d] = flat % shape[d];
-        flat /= shape[d];
+/// Checks that `out` holds exactly the `expected` elements an into-slice
+/// kernel writes.
+fn check_len(out: &[f32], expected: usize) -> Result<(), TensorError> {
+    if out.len() != expected {
+        return Err(TensorError::ElementCount {
+            expected,
+            actual: out.len(),
+        });
     }
-    idx
+    Ok(())
+}
+
+/// A fresh tensor of `shape` that `write` fills — how each allocating
+/// layout, resize and pool method runs its into-slice form.
+fn filled(
+    shape: Vec<usize>,
+    write: impl FnOnce(&mut [f32]) -> Result<(), TensorError>,
+) -> Result<Tensor, TensorError> {
+    let mut out = vec![0f32; shape.iter().product()];
+    write(&mut out)?;
+    Tensor::from_vec(shape, out)
 }
 
 /// The bit patterns of `v`: what the kernels' tests compare against their
@@ -363,6 +385,17 @@ pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expands a flat row-major offset into a multi-dimensional index:
+    /// the per-element references of the layout kernels index with it.
+    pub(crate) fn unravel(mut flat: usize, shape: &[usize]) -> Vec<usize> {
+        let mut idx = vec![0usize; shape.len()];
+        for d in (0..shape.len()).rev() {
+            idx[d] = flat % shape[d];
+            flat /= shape[d];
+        }
+        idx
+    }
 
     #[test]
     fn from_vec_checks_element_count() {

@@ -50,7 +50,7 @@
 //! panel, strided and depthwise paths.
 
 use crate::pack::{conv2d_blocked, ConvGeom, PackedB};
-use crate::{Tensor, TensorError};
+use crate::{check_len, Tensor, TensorError};
 
 /// Transpose flags for a (batched) matrix multiplication, mirroring BLAS
 /// `transa`/`transb`. Korch folds `Transpose` primitives into these flags
@@ -182,12 +182,7 @@ impl Tensor {
     ) -> Result<(), TensorError> {
         let geom = self.conv_geom(weight, stride, padding, groups)?;
         let ([n, _, _, _], [o, _, _, _], [oh, ow]) = (geom.input, geom.weight, geom.out);
-        if out.len() != n * o * oh * ow {
-            return Err(TensorError::ElementCount {
-                expected: n * o * oh * ow,
-                actual: out.len(),
-            });
-        }
+        check_len(out, n * o * oh * ow)?;
         conv2d_blocked(self.as_slice(), weight.as_slice(), &geom, out);
         Ok(())
     }

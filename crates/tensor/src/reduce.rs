@@ -4,7 +4,7 @@
 //! paper's formulation); a broadcast primitive is the exact inverse,
 //! replicating a tensor along a new dimension inserted at a given axis.
 
-use crate::{strides_of, Tensor, TensorError};
+use crate::{check_len, strides_of, Tensor, TensorError};
 
 /// Aggregation operator for reduce primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,12 +71,7 @@ impl Tensor {
         let shape = self.shape();
         let total =
             shape[..axis].iter().product::<usize>() * shape[axis + 1..].iter().product::<usize>();
-        if out.len() != total {
-            return Err(TensorError::ElementCount {
-                expected: total,
-                actual: out.len(),
-            });
-        }
+        check_len(out, total)?;
         self.reduce_tile(axis, kind, 0..total, out)
     }
 
@@ -125,12 +120,7 @@ impl Tensor {
             });
         }
         let total = self.numel() * size;
-        if out.len() != total {
-            return Err(TensorError::ElementCount {
-                expected: total,
-                actual: out.len(),
-            });
-        }
+        check_len(out, total)?;
         self.broadcast_tile(axis, size, 0..total, out)
     }
 

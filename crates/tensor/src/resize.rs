@@ -4,7 +4,7 @@
 //! output row or column, so they are tabulated once per call and every
 //! plane is a gather or a four-term blend over the two tables.
 
-use crate::{Tensor, TensorError};
+use crate::{check_len, filled, Tensor, TensorError};
 
 /// Interpolation mode for [`Tensor::resize2d`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +68,8 @@ fn taps(len: usize, out_len: usize, mode: ResizeMode) -> Vec<Tap> {
 }
 
 impl Tensor {
-    /// Resizes the spatial dimensions of an NCHW tensor to `(out_h, out_w)`.
+    /// Resizes the spatial dimensions of an NCHW tensor to `(out_h, out_w)`
+    /// — [`Tensor::resize2d_into`] over a fresh output.
     ///
     /// # Errors
     ///
@@ -80,42 +81,48 @@ impl Tensor {
         out_w: usize,
         mode: ResizeMode,
     ) -> Result<Tensor, TensorError> {
-        if self.rank() != 4 {
-            return Err(TensorError::InvalidArgument(format!(
-                "resize2d expects NCHW rank-4 input, got rank {}",
-                self.rank()
-            )));
-        }
-        if out_h == 0 || out_w == 0 {
-            return Err(TensorError::InvalidArgument(
-                "resize target must be positive".into(),
-            ));
-        }
-        let (n, c, h, w) = (
-            self.shape()[0],
-            self.shape()[1],
-            self.shape()[2],
-            self.shape()[3],
-        );
-        if h == 0 || w == 0 {
-            return Err(TensorError::InvalidArgument(format!(
-                "resize2d of an empty {h}x{w} plane"
-            )));
-        }
-        let mut out = vec![0f32; n * c * out_h * out_w];
+        filled(self.resize_shape(out_h, out_w)?, |out| {
+            self.resize2d_into(out_h, out_w, mode, out)
+        })
+    }
+
+    /// Writes `self.resize2d(out_h, out_w, mode)` row-major into `out`,
+    /// every element.
+    ///
+    /// # Errors
+    ///
+    /// [`Tensor::resize2d`]'s errors, and [`TensorError::ElementCount`] if
+    /// `out` is not the output's size.
+    pub fn resize2d_into(
+        &self,
+        out_h: usize,
+        out_w: usize,
+        mode: ResizeMode,
+        out: &mut [f32],
+    ) -> Result<(), TensorError> {
+        check_len(out, self.resize_shape(out_h, out_w)?.iter().product())?;
+        let (h, w) = (self.shape()[2], self.shape()[3]);
         let ys = taps(h, out_h, mode);
         let xs = taps(w, out_w, mode);
+        // Nearest gathers through plain indices: a tighter loop than
+        // through the taps.
+        let cols: Vec<usize> = xs.iter().map(|x| x.lo).collect();
         let planes = self.as_slice().chunks_exact(h * w);
-        for (plane, oplane) in planes.zip(out.chunks_exact_mut(out_h * out_w)) {
-            for (y, orow) in ys.iter().zip(oplane.chunks_exact_mut(out_w)) {
-                let row0 = &plane[y.lo * w..][..w];
-                match mode {
-                    ResizeMode::Nearest => {
-                        for (o, x) in orow.iter_mut().zip(&xs) {
-                            *o = row0[x.lo];
+        let out_rows = out.chunks_exact_mut(out_h * out_w);
+        for (plane, oplane) in planes.zip(out_rows) {
+            let orows = oplane.chunks_exact_mut(out_w);
+            match mode {
+                ResizeMode::Nearest => {
+                    for (y, orow) in ys.iter().zip(orows) {
+                        let row = &plane[y.lo * w..][..w];
+                        for (o, &x) in orow.iter_mut().zip(&cols) {
+                            *o = row[x];
                         }
                     }
-                    ResizeMode::Bilinear => {
+                }
+                ResizeMode::Bilinear => {
+                    for (y, orow) in ys.iter().zip(orows) {
+                        let row0 = &plane[y.lo * w..][..w];
                         let row1 = &plane[y.hi * w..][..w];
                         for (o, x) in orow.iter_mut().zip(&xs) {
                             *o = row0[x.lo] * y.near * x.near
@@ -127,7 +134,27 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(vec![n, c, out_h, out_w], out)
+        Ok(())
+    }
+
+    fn resize_shape(&self, out_h: usize, out_w: usize) -> Result<Vec<usize>, TensorError> {
+        let &[n, c, h, w] = self.shape() else {
+            return Err(TensorError::InvalidArgument(format!(
+                "resize2d expects NCHW rank-4 input, got rank {}",
+                self.rank()
+            )));
+        };
+        if out_h == 0 || out_w == 0 {
+            return Err(TensorError::InvalidArgument(
+                "resize target must be positive".into(),
+            ));
+        }
+        if h == 0 || w == 0 {
+            return Err(TensorError::InvalidArgument(format!(
+                "resize2d of an empty {h}x{w} plane"
+            )));
+        }
+        Ok(vec![n, c, out_h, out_w])
     }
 }
 
@@ -239,6 +266,8 @@ mod tests {
         out
     }
 
+    /// `resize2d` and `resize2d_into` (over a stale buffer) against the
+    /// per-element reference; a buffer of the wrong size is rejected.
     #[test]
     fn resize_is_bit_identical_to_the_per_element_reference() {
         // Up, down, identity and non-integer scales in either direction,
@@ -255,8 +284,20 @@ mod tests {
                         crate::bits(got.as_slice()) == crate::bits(&want),
                         "{h}x{w} -> {out_h}x{out_w} {mode:?} diverged"
                     );
+                    let mut stale = vec![f32::NAN; want.len()];
+                    x.resize2d_into(out_h, out_w, mode, &mut stale).unwrap();
+                    assert!(
+                        crate::bits(&stale) == crate::bits(&want),
+                        "{h}x{w} -> {out_h}x{out_w} {mode:?} into a stale buffer"
+                    );
                 }
             }
         }
+        let x = Tensor::random(vec![1, 2, 3, 3], 1);
+        let err = x.resize2d_into(2, 2, ResizeMode::Nearest, &mut [0.0; 7]);
+        assert!(
+            matches!(err, Err(TensorError::ElementCount { .. })),
+            "{err:?}"
+        );
     }
 }

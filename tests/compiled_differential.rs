@@ -21,7 +21,6 @@ use korch::orch::Plan;
 use korch::runtime::{PlanExecutor, RuntimeConfig, Tiling};
 use korch::tensor::{BinaryOp, MatMulSpec, Tensor, UnaryOp};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 mod common;
 use common::{assert_bit_identical, kernel_of, op_random_inputs, plan_of, prim_random_inputs};
@@ -641,35 +640,17 @@ fn segformer_tiny_folds_its_weight_only_members() {
     assert_bit_identical(&interpreted, &reference, "segformer-tiny");
 }
 
-/// What each run of `exec` allocates by design, in bytes: the outputs of
-/// the walk members `korch_exec::eval_prim` still evaluates — counted
-/// from the graph and plan alone: every primitive outside
-/// `evaluates_into`, or with more than one output, can only run in a
-/// walk — and the graph outputs the run hands the caller from pool
-/// buffers, which the pool cannot have back.
-fn fresh_by_design(exec: &PlanExecutor) -> (u64, u64) {
-    let g = exec.graph();
-    let folded = exec.folded();
-    let eval: BTreeSet<NodeId> = (exec.plan().kernels.iter())
-        .flat_map(|k| k.members.iter().copied())
-        .filter(|m| {
-            let node = g.node(*m);
-            !node.kind.is_source()
-                && !folded.contains(m)
-                && (!korch::exec::evaluates_into(&node.kind) || node.out_metas.len() > 1)
-        })
-        .collect();
-    let eval_bytes = (eval.iter())
-        .flat_map(|&m| &g.node(m).out_metas)
-        .map(|t| t.byte_size() as u64)
-        .sum();
+/// What each run of `exec` allocates by design, in bytes: the graph
+/// outputs the run hands the caller from pool buffers, which the pool
+/// cannot have back. Every other buffer a warm run writes is a pool
+/// buffer it gives back or its lane's scratch.
+fn fresh_by_design(exec: &PlanExecutor) -> u64 {
     let table = exec.slot_table();
-    let handed = (g.outputs().iter())
+    (exec.graph().outputs().iter())
         .filter_map(|o| table.slots.iter().find(|s| s.port == *o))
         .filter(|s| s.pooled && !s.source)
         .map(|s| s.bytes())
-        .sum();
-    (eval_bytes, handed)
+        .sum()
 }
 
 /// Runs `exec` five times, then twenty more that must each be
@@ -705,12 +686,12 @@ fn assert_warm_fresh(
     }
 }
 
-/// The stitched Segformers at one and two lanes: a warm run allocates
-/// the outputs of the three walk members that still call `eval_prim` and
-/// the output it hands the caller, nothing else — every other walk step
-/// writes into the lane's scratch or a pool buffer.
+/// The stitched Segformers and Candy at one and two lanes: a warm run
+/// allocates the outputs it hands the caller and nothing else — every
+/// walk step, pad, resize and concat included, writes into the lane's
+/// scratch or a pool buffer.
 #[test]
-fn warm_runs_allocate_only_eval_outputs_and_handed_outputs() {
+fn warm_runs_allocate_only_handed_outputs() {
     let korch = Korch::new(Device::v100(), KorchConfig::default());
     let segformer64 = korch::models::SegformerConfig {
         resolution: 64,
@@ -720,38 +701,47 @@ fn warm_runs_allocate_only_eval_outputs_and_handed_outputs() {
         sr_ratios: vec![2, 1],
         decoder_dim: 32,
     };
-    for (name, config) in [
-        ("segformer32", korch::models::SegformerConfig::tiny()),
-        ("segformer64", segformer64),
+    let candy32 = korch::models::CandyConfig {
+        resolution: 32,
+        width: 8,
+        residual_blocks: 0,
+    };
+    for (name, graph) in [
+        (
+            "segformer32",
+            korch::models::segformer(korch::models::SegformerConfig::tiny()),
+        ),
+        ("segformer64", korch::models::segformer(segformer64)),
+        ("candy32", korch::models::candy(candy32)),
     ] {
-        let graph = korch::models::segformer(config);
         let compiled = korch.compile(&graph).unwrap();
         let stitched = &compiled.partitions()[0].executor;
         let (g, plan) = (stitched.graph(), stitched.plan());
         let inputs = op_random_inputs(&graph, 4);
         let reference = execute_plan(g, plan, &inputs).unwrap();
+        let out_bytes: usize = reference.iter().map(Tensor::byte_size).sum();
         for lanes in [1, 2] {
             let exec = PlanExecutor::new(g, plan, RuntimeConfig::with_lanes(lanes)).unwrap();
-            let (eval, handed) = fresh_by_design(&exec);
-            assert!(eval > 0 && handed > 0, "{name}: {eval} / {handed}");
+            let handed = fresh_by_design(&exec);
+            assert_eq!(handed, out_bytes as u64, "{name}");
             assert!(exec.memory_report().scratch_bytes > 0, "{name}");
             let ctx = format!("{name} lanes {lanes}");
-            assert_warm_fresh(&exec, &inputs, &reference, eval + handed, &ctx);
+            assert_warm_fresh(&exec, &inputs, &reference, handed, &ctx);
         }
     }
 }
 
-/// One walk kernel of converted steps only — a conv, a copying and an
-/// aliasing reshape, a transpose, a matmul, a reduce, a broadcast and
-/// elementwise members — exporting two ports. With `opaque`, an `Opaque`
-/// member follows the converted steps, so the walk fails mid-way after
-/// its first export buffer was written.
+/// One walk kernel of every kind of step — a conv, a copying and an
+/// aliasing reshape, a transpose, a matmul, a reduce, a broadcast,
+/// elementwise members, a pad, a pool, a resize, a slice, a three-part
+/// concat and a split whose first chunk is read in the walk and whose
+/// second is exported — exporting five ports, one of them twice. With
+/// `opaque`, an `Opaque` member follows them, so the walk fails mid-way
+/// after its first export buffers were written.
 fn converted_walk(opaque: bool) -> (PrimGraph, Plan) {
+    use korch::ir::LayoutFn;
     let mut g = PrimGraph::new();
-    let mut add = |kind: PrimKind, inputs: &[NodeId]| {
-        g.add(kind, inputs.iter().map(|&n| n.into()).collect())
-            .unwrap()
-    };
+    let mut add = |kind: PrimKind, inputs: &[PortRef]| g.add(kind, inputs.to_vec()).unwrap();
     let x = add(
         PrimKind::Input {
             shape: vec![2, 4, 6, 6],
@@ -770,42 +760,78 @@ fn converted_walk(opaque: bool) -> (PrimGraph, Plan) {
         padding: 1,
         groups: 1,
     };
-    let c = add(PrimKind::Linear(conv), &[x, w]);
-    let reshape = |shape: Vec<usize>| PrimKind::Layout(korch::ir::LayoutFn::Reshape { shape });
-    let r = add(reshape(vec![2, 8, 36]), &[c]);
+    let c = add(PrimKind::Linear(conv), &[x.into(), w.into()]);
+    let reshape = |shape: Vec<usize>| PrimKind::Layout(LayoutFn::Reshape { shape });
+    let r = add(reshape(vec![2, 8, 36]), &[c.into()]);
     let t = add(
-        PrimKind::Layout(korch::ir::LayoutFn::Transpose {
+        PrimKind::Layout(LayoutFn::Transpose {
             perm: vec![0, 2, 1],
         }),
-        &[r],
+        &[r.into()],
     );
     let spec = MatMulSpec::new();
     let m = add(
         PrimKind::Linear(korch::ir::LinearFn::MatMul { spec }),
-        &[t, r],
+        &[t.into(), r.into()],
     );
     let sum = korch::tensor::ReduceKind::Sum;
-    let red = add(PrimKind::Reduce { kind: sum, axis: 2 }, &[m]);
-    let b = add(PrimKind::Broadcast { axis: 2, size: 36 }, &[red]);
-    let d = add(PrimKind::Elementwise(EwFn::Binary(BinaryOp::Div)), &[m, b]);
-    let q = add(reshape(vec![2, 1296]), &[b]);
-    let mut last = add(PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh)), &[q]);
-    let mut members = vec![c, r, t, m, red, b, d, q, last];
+    let red = add(PrimKind::Reduce { kind: sum, axis: 2 }, &[m.into()]);
+    let b = add(PrimKind::Broadcast { axis: 2, size: 36 }, &[red.into()]);
+    let div = PrimKind::Elementwise(EwFn::Binary(BinaryOp::Div));
+    let d = add(div, &[m.into(), b.into()]);
+    let q = add(reshape(vec![2, 1296]), &[b.into()]);
+    let tanh = PrimKind::Elementwise(EwFn::Unary(UnaryOp::Tanh));
+    let mut last = add(tanh, &[q.into()]);
+    let pad = LayoutFn::Pad {
+        before: vec![0, 0, 1, 1],
+        after: vec![0, 0, 1, 1],
+        value: -0.5,
+    };
+    let p = add(PrimKind::Layout(pad), &[c.into()]);
+    let pool = PrimKind::WindowReduce {
+        spec: korch::tensor::PoolSpec::new(2, 2),
+        kind: korch::tensor::ReduceKind::Max,
+    };
+    let pl = add(pool, &[p.into()]);
+    let resize = LayoutFn::Resize {
+        out_h: 6,
+        out_w: 6,
+        mode: korch::tensor::ResizeMode::Bilinear,
+    };
+    let rs = add(PrimKind::Layout(resize), &[pl.into()]);
+    let slice = LayoutFn::Slice {
+        starts: vec![0, 0, 1, 1],
+        ends: vec![2, 8, 7, 7],
+    };
+    let sl = add(PrimKind::Layout(slice), &[p.into()]);
+    let concat = PrimKind::Layout(LayoutFn::Concat { axis: 1 });
+    let cc = add(concat, &[rs.into(), sl.into(), c.into()]);
+    let split = LayoutFn::Split {
+        axis: 1,
+        sizes: vec![16, 8],
+    };
+    let sp = add(PrimKind::Layout(split), &[cc.into()]);
+    let neg = PrimKind::Elementwise(EwFn::Unary(UnaryOp::Neg));
+    let z = add(neg, &[PortRef { node: sp, port: 0 }]);
+    let mut members = vec![c, r, t, m, red, b, d, q, last, p, pl, rs, sl, cc, sp, z];
     if opaque {
         let o = PrimKind::Opaque {
             name: "external".into(),
             out_shapes: vec![vec![2, 1296]],
         };
-        last = add(o, &[last]);
+        last = add(o, &[last.into()]);
         members.push(last);
     }
-    g.mark_output(d).unwrap();
-    g.mark_output(last).unwrap();
-    let kernel = kernel_of(&g, members, vec![d.into(), last.into()]);
+    let chunk = PortRef { node: sp, port: 1 };
+    for port in [d.into(), last.into(), chunk, z.into()] {
+        g.mark_output(port).unwrap();
+    }
+    let outputs = vec![d.into(), last.into(), chunk, z.into(), d.into()];
+    let kernel = kernel_of(&g, members, outputs);
     (g, plan_of(vec![kernel]))
 }
 
-/// A walk of converted steps allocates nothing by design but the two
+/// A walk of every kind of step allocates nothing by design but the
 /// outputs it hands the caller, at one and two lanes, bit-identically.
 #[test]
 fn a_walk_of_converted_steps_allocates_only_what_it_hands_out() {
@@ -814,8 +840,7 @@ fn a_walk_of_converted_steps_allocates_only_what_it_hands_out() {
     let reference = execute_plan(&g, &plan, &inputs).unwrap();
     for lanes in [1, 2] {
         let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
-        let (eval, handed) = fresh_by_design(&exec);
-        assert_eq!(eval, 0);
+        let handed = fresh_by_design(&exec);
         let out_bytes: usize = reference.iter().map(Tensor::byte_size).sum();
         assert_eq!(handed, out_bytes as u64);
         let ctx = format!("converted walk lanes {lanes}");
