@@ -11,8 +11,9 @@
 //!   GFLOP/s — per member, per kernel and per primitive kind (convs per
 //!   path: depthwise, pointwise, panel). Two first lines count the folded
 //!   members and the bytes the executor holds of them, and the bytes a
-//!   warm run allocates (`ArenaStats::fresh_bytes`) against the walk
-//!   scratch a run state holds and the outputs it hands the caller.
+//!   warm run allocates (`ArenaStats::fresh_bytes`) against what one run
+//!   state holds (`MemoryReport::state_bytes`: its planned buffers and
+//!   lane scratch) and the outputs it hands the caller.
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
 //!   one line per (partition, variant) it takes — a variant whose
@@ -297,15 +298,15 @@ fn member_table(g: &PrimGraph, plan: &korch_orch::Plan) {
     let before = exec.arena_stats().fresh_bytes;
     exec.execute(&inputs).expect("execute");
     println!(
-        "fresh: {} B per warm run, scratch: {} B",
+        "fresh: {} B per warm run, state: {} B held",
         exec.arena_stats().fresh_bytes - before,
-        exec.memory_report().scratch_bytes
+        exec.memory_report().state_bytes
     );
     // What a warm run must allocate: the graph outputs it hands the
-    // caller out of pool buffers.
+    // caller (a source output is a constant or the caller's own input).
     let table = exec.slot_table();
     let handed: u64 = (table.slots.iter())
-        .filter(|s| g.outputs().contains(&s.port) && s.pooled && !s.source)
+        .filter(|s| g.outputs().contains(&s.port) && !s.source)
         .map(SlotInfo::bytes)
         .sum();
     println!("by design: {handed} B per run (the outputs handed out)");

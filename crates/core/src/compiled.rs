@@ -6,7 +6,7 @@
 //! executable per model**: [`crate::stitch`] concatenates the partitions'
 //! chosen graphs and plans into one whole-program `(graph, plan)`, and one
 //! [`PlanExecutor`] is compiled over it — constants materialized once,
-//! dependency edges precomputed, one buffer arena warm — so repeated
+//! dependency edges and buffer plan precomputed — so repeated
 //! inference (and the `korch_runtime::Server` front-end) pays
 //! optimization cost once and each request is a single executor run.
 //! Partitions exist only to bound the optimizer's search space; at run
@@ -30,7 +30,7 @@
 //!
 //! Any number of threads may call [`CompiledModel::execute`] at once, and
 //! every call runs the **same** executor: a `PlanExecutor` arms a recycled
-//! run state per call and shares one arena and one profile across them,
+//! run state per call and shares one set of books and one profile,
 //! so a server's request workers need no copies of the program. The live
 //! executor, the sources it was stitched from, the calibration it was
 //! priced with and its plan generation sit behind one lock: `execute`
@@ -211,8 +211,8 @@ impl CompiledModel {
         self.live().executor.memory_report().clone()
     }
 
-    /// Live counters of the executor's buffer arena — the one pool every
-    /// concurrent run books into.
+    /// Live counters of the executor's buffer arena — the books every
+    /// concurrent run keeps.
     pub fn arena_stats(&self) -> ArenaStats {
         self.live().executor.arena_stats()
     }
@@ -514,7 +514,7 @@ mod tests {
     }
 
     /// Concurrent `execute` calls all run the one executor: every run
-    /// lands in its one profile, every buffer goes back to its one arena,
+    /// lands in its one profile and settles its one set of books,
     /// and a recalibration swaps that executor in one generation.
     #[test]
     fn concurrent_executes_share_one_executor_across_a_recalibration() {

@@ -1,5 +1,5 @@
-//! Buffer arena: the executor's compiled lifetime program plus the
-//! recycling pool that books it.
+//! Buffer arena: the executor's compiled lifetime program, the buffer
+//! plan placed on it, and the books a run keeps against both.
 //!
 //! The sequential interpreter in `korch-exec` keeps every materialized
 //! tensor alive until the program ends (allocate-everything). The runtime
@@ -18,20 +18,17 @@
 //! run-invariant members compile evaluated once — shared by every run
 //! and never booked.
 //!
-//! The **pool** serves every buffer a run books: staged input copies,
-//! range-body outputs, tile chunks and their assembly, and walk exports.
-//! What a walk keeps to itself lives in the run state's *scratch*
-//! instead — buffers assigned at compile by lifetime, shared by every
-//! walk a lane runs, and never booked here: a lane takes no lock per
-//! step. [`ArenaStats::fresh_bytes`] counts every byte allocated because
-//! neither the pool nor the scratch had a buffer; once warm, that is the
-//! outputs a run hands its caller.
+//! The buffers a run books are placed on the table at compile
+//! ([`SlotTable::place_buffers`]): each run state owns one buffer per
+//! planned index and nothing is placed at run time (the executor's
+//! module docs say how). [`BufferArena`] only keeps the books:
+//! [`ArenaStats::fresh_bytes`] counts every byte allocated outside a
+//! state's plan and lane scratch — once warm, the outputs a run hands
+//! its caller.
 
 use korch_ir::PortRef;
-use std::collections::btree_map::Entry as BTreeEntry;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Memory behavior of one plan, folded from its [`SlotTable`] alone (no
 /// execution needed).
@@ -48,12 +45,14 @@ pub struct MemoryReport {
     pub pinned_bytes: u64,
     /// Number of materialized buffers that die before the plan ends.
     pub reclaimable_buffers: usize,
-    /// Walk scratch one run state holds at most: one lane's buffers (every
-    /// walk's locals, placed by lifetime and shared by size between
-    /// walks) times the lanes a run is scheduled over. Never booked;
-    /// allocated on a state's first run and kept. `PlanExecutor::new`
-    /// sets it; [`SlotTable::memory_report`], which knows no walk, reads 0.
-    pub scratch_bytes: u64,
+    /// Bytes one run state holds for its whole life: its planned buffers
+    /// ([`SlotTable::buffers`]) plus the walk scratch of each lane a run
+    /// is scheduled over (every walk's locals, placed by lifetime and
+    /// shared by size between walks). Allocated on the state's first run
+    /// and kept. [`SlotTable::memory_report`], which knows no walk,
+    /// counts the planned buffers alone; `PlanExecutor::new` adds the
+    /// scratch.
+    pub state_bytes: u64,
 }
 
 impl MemoryReport {
@@ -84,11 +83,12 @@ pub struct SlotInfo {
     /// a folded port (the output of a run-invariant member compile
     /// evaluated once).
     pub source: bool,
-    /// The runtime allocates the slot's storage itself — a staged input
-    /// copy, a range body's or a walk's output — so a dead buffer goes
-    /// back to the pool, where the next run takes it. `false` only for
-    /// constants and folded ports (shared across runs, never booked).
-    pub pooled: bool,
+    /// The planned buffer a graph input is staged in. `None` for every
+    /// other slot: constants and folded ports are shared across runs, a
+    /// graph output (an input too) is handed to the caller, and a
+    /// kernel's output lands in its writer's buffer
+    /// ([`SlotTable::write_bufs`]).
+    pub buffer: Option<usize>,
 }
 
 impl SlotInfo {
@@ -99,8 +99,8 @@ impl SlotInfo {
 }
 
 /// The lifetime program `PlanExecutor::new` compiles and every run
-/// executes: who reads and writes which slot, and how many readers each
-/// slot waits for.
+/// executes: who reads and writes which slot, how many readers each slot
+/// waits for, and which planned buffer each booking lands in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SlotTable {
     /// Every slot, sources first.
@@ -110,6 +110,17 @@ pub struct SlotTable {
     /// Per kernel, the slot of each declared output, in output order (a
     /// port exported twice is listed twice).
     pub writes: Vec<Vec<usize>>,
+    /// Per kernel, the planned buffer each entry of `writes` lands in:
+    /// `None` for a graph output (allocated per run and handed to the
+    /// caller) and for a port the kernel listed before (published once).
+    /// Redundant writers of one slot each have their own buffer; the
+    /// run records whose copy the slot kept.
+    pub write_bufs: Vec<Vec<Option<usize>>>,
+    /// Per kernel, the planned buffer of each tile chunk, in tile order
+    /// (empty for a kernel that never tiles).
+    pub chunk_bufs: Vec<Vec<usize>>,
+    /// Element count of each planned buffer.
+    pub buffers: Vec<usize>,
 }
 
 impl SlotTable {
@@ -172,157 +183,134 @@ impl SlotTable {
             peak_resident_bytes: peak,
             pinned_bytes: pinned,
             reclaimable_buffers: releases.iter().map(Vec::len).sum(),
-            scratch_bytes: 0,
+            state_bytes: (self.buffers.iter().sum::<usize>() * 4) as u64,
         }
+    }
+
+    /// Places every buffer a run books: the `staged` input slots (alive
+    /// all run), each kernel's distinct unpinned outputs (released by the
+    /// writer or any reader of the slot) and its tile `chunks` (element
+    /// counts, released by the kernel), given `before[p][r]`: kernel `r`
+    /// retires before `p` starts under every schedule. In plan order, each
+    /// goes to the most recently freed buffer of its size whose every
+    /// occupant's releasers retire before its producer starts, else to a
+    /// new one.
+    pub fn place_buffers(&mut self, staged: &[usize], chunks: &[Vec<usize>], before: &[Vec<bool>]) {
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
+        for (k, reads) in self.reads.iter().enumerate() {
+            for &s in reads {
+                readers[s].push(k);
+            }
+        }
+        for &s in staged {
+            self.slots[s].buffer = Some(self.buffers.len());
+            self.buffers.push(self.slots[s].numel);
+        }
+        // Per size, the buffers that may take another occupant, each with
+        // the kernels that may release one of its occupants so far.
+        let mut open: HashMap<usize, Vec<(usize, Vec<usize>)>> = HashMap::new();
+        let buffers = &mut self.buffers;
+        let mut place = |numel: usize, producer: usize, frees: Vec<usize>| -> usize {
+            let fits = open.entry(numel).or_default();
+            let free = |(_, f): &&mut (usize, Vec<usize>)| f.iter().all(|&r| before[producer][r]);
+            let last = |(b, f): &&mut (usize, Vec<usize>)| (f.iter().max().copied(), *b);
+            match fits.iter_mut().filter(free).max_by_key(last) {
+                Some((b, f)) => {
+                    f.extend(frees);
+                    *b
+                }
+                None => {
+                    buffers.push(numel);
+                    fits.push((buffers.len() - 1, frees));
+                    buffers.len() - 1
+                }
+            }
+        };
+        self.write_bufs = (self.writes.iter().enumerate())
+            .map(|(k, writes)| {
+                (writes.iter().enumerate())
+                    .map(|(i, &s)| {
+                        let slot = &self.slots[s];
+                        (!slot.pinned && !writes[..i].contains(&s)).then(|| {
+                            let frees = readers[s].iter().copied().chain([k]).collect();
+                            place(slot.numel, k, frees)
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        self.chunk_bufs = (chunks.iter().enumerate())
+            .map(|(k, lens)| lens.iter().map(|&n| place(n, k, vec![k])).collect())
+            .collect();
     }
 }
 
-/// Live accounting + size-classed recycling pool shared by the executor's
-/// worker threads.
+/// The books every run of one executor keeps, as lock-free counters (see
+/// [`ArenaStats`]).
 #[derive(Debug, Default)]
-pub struct BufferArena {
-    inner: Mutex<ArenaInner>,
-    /// See [`ArenaStats::fresh_bytes`]; outside the lock, so a lane
-    /// counts the scratch it allocates without taking it.
+pub(crate) struct BufferArena {
+    live_bytes: AtomicU64,
+    peak_bytes: AtomicU64,
+    total_allocs: AtomicU64,
+    reuse_hits: AtomicU64,
     fresh_bytes: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct ArenaInner {
-    live_bytes: u64,
-    peak_bytes: u64,
-    total_allocs: u64,
-    reuse_hits: u64,
-    /// Freed `f32` storage by element count, kept for reuse.
-    free: BTreeMap<usize, Vec<Vec<f32>>>,
-    free_bytes: u64,
 }
 
 /// Snapshot of the arena counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Bytes of live (adopted, unreleased) buffers.
+    /// Bytes of live (booked, unreleased) buffers.
     pub live_bytes: u64,
     /// High-water mark of `live_bytes`.
     pub peak_bytes: u64,
-    /// Buffers adopted in total.
+    /// Buffers booked in total.
     pub total_allocs: u64,
-    /// Buffers genuinely recycled through [`BufferArena::take`].
+    /// Buffers taken from a state's plan.
     pub reuse_hits: u64,
-    /// Bytes parked in the free pool.
-    pub free_bytes: u64,
-    /// Bytes allocated because neither the pool nor a walk's scratch had
-    /// a buffer: pool misses (a warm run's are the outputs it hands the
-    /// caller) and the scratch a run state allocates on its first run.
+    /// Bytes allocated outside a state's plan and scratch — the outputs
+    /// a run hands out, and a planned buffer or scratch block that did not
+    /// come back — plus what a state allocates on its first run.
     pub fresh_bytes: u64,
 }
 
-impl ArenaInner {
-    /// Takes `bytes` off the live books. Releasing more than is live is
-    /// a double release — the static lifetime proof says it cannot
-    /// happen, and debug builds hold the run-time books to that.
-    fn unbook(&mut self, bytes: u64) {
-        debug_assert!(
-            bytes <= self.live_bytes,
-            "arena books underflow: releasing {bytes} B with {} B live",
-            self.live_bytes
-        );
-        self.live_bytes = self.live_bytes.saturating_sub(bytes);
-    }
-}
-
 impl BufferArena {
-    /// Fresh, empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accounts for a newly materialized buffer of `numel` elements.
-    pub fn adopt(&self, numel: usize) {
+    /// Books a buffer of `numel` elements the run now holds.
+    pub(crate) fn adopt(&self, numel: usize) {
         let bytes = (numel * 4) as u64;
-        let mut inner = self.inner.lock().expect("arena poisoned");
-        inner.total_allocs += 1;
-        inner.live_bytes += bytes;
-        inner.peak_bytes = inner.peak_bytes.max(inner.live_bytes);
+        self.total_allocs.fetch_add(1, Ordering::Relaxed);
+        let live = self.live_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak_bytes.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// Releases a dead runtime-allocated buffer: its bytes leave the
-    /// books and its storage is parked for [`BufferArena::take`].
-    pub fn release(&self, storage: Vec<f32>) {
-        let numel = storage.len();
+    /// Takes a dead buffer of `numel` elements off the books. Releasing
+    /// more than is live is a double release — the static lifetime proof
+    /// says it cannot happen, and debug builds hold the books to that.
+    pub(crate) fn release(&self, numel: usize) {
         let bytes = (numel * 4) as u64;
-        let mut inner = self.inner.lock().expect("arena poisoned");
-        inner.unbook(bytes);
-        inner.free_bytes += bytes;
-        inner.free.entry(numel).or_default().push(storage);
+        let live = self.live_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        debug_assert!(bytes <= live, "books underflow: {bytes} B of {live} B");
     }
 
-    /// Parks storage that was never booked — the export buffers a walk
-    /// took before it failed — for [`BufferArena::take`].
-    pub fn recycle(&self, storage: Vec<f32>) {
-        let bytes = (storage.len() * 4) as u64;
-        let mut inner = self.inner.lock().expect("arena poisoned");
-        inner.free_bytes += bytes;
-        inner.free.entry(storage.len()).or_default().push(storage);
+    /// Counts a take served from a state's plan.
+    pub(crate) fn note_reuse(&self) {
+        self.reuse_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Takes a dead buffer off the books without parking its storage: a
-    /// tensor moved out to the caller, or a handle that is still shared.
-    pub fn release_untracked(&self, numel: usize) {
-        let mut inner = self.inner.lock().expect("arena poisoned");
-        inner.unbook((numel * 4) as u64);
-    }
-
-    /// Takes a recycled buffer of exactly `numel` elements, if one is
-    /// parked. This is the genuine reuse path: the executor stages run
-    /// inputs and evaluates range bodies and tiles into buffers recovered
-    /// here, so storage freed by earlier kernels (and earlier runs) backs
-    /// new tensors instead of fresh allocations. Each successful take is
-    /// a reuse hit.
-    pub fn take(&self, numel: usize) -> Option<Vec<f32>> {
-        let mut inner = self.inner.lock().expect("arena poisoned");
-        let inner = &mut *inner;
-        let BTreeEntry::Occupied(mut bucket) = inner.free.entry(numel) else {
-            return None;
-        };
-        let buf = bucket.get_mut().pop();
-        if bucket.get().is_empty() {
-            bucket.remove();
-        }
-        if buf.is_some() {
-            inner.reuse_hits += 1;
-            inner.free_bytes -= (numel * 4) as u64;
-        }
-        buf
-    }
-
-    /// Storage of exactly `numel` elements for a buffer the caller books
-    /// itself: a parked one ([`BufferArena::take`]), else a fresh
-    /// allocation counted in [`ArenaStats::fresh_bytes`]. Contents are
-    /// unspecified; every user overwrites the whole buffer.
-    pub fn take_or_alloc(&self, numel: usize) -> Vec<f32> {
-        self.take(numel).unwrap_or_else(|| {
-            self.note_fresh((numel * 4) as u64);
-            vec![0.0; numel]
-        })
-    }
-
-    /// Counts `bytes` the executor allocated outside the pool (see
+    /// Counts `bytes` allocated outside a state's plan and scratch (see
     /// [`ArenaStats::fresh_bytes`]).
-    pub fn note_fresh(&self, bytes: u64) {
+    pub(crate) fn note_fresh(&self, bytes: u64) {
         self.fresh_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> ArenaStats {
-        let inner = self.inner.lock().expect("arena poisoned");
+    pub(crate) fn stats(&self) -> ArenaStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ArenaStats {
-            live_bytes: inner.live_bytes,
-            peak_bytes: inner.peak_bytes,
-            total_allocs: inner.total_allocs,
-            reuse_hits: inner.reuse_hits,
-            free_bytes: inner.free_bytes,
-            fresh_bytes: self.fresh_bytes.load(Ordering::Relaxed),
+            live_bytes: load(&self.live_bytes),
+            peak_bytes: load(&self.peak_bytes),
+            total_allocs: load(&self.total_allocs),
+            reuse_hits: load(&self.reuse_hits),
+            fresh_bytes: load(&self.fresh_bytes),
         }
     }
 }
@@ -330,34 +318,63 @@ impl BufferArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use korch_ir::NodeId;
 
     #[test]
-    fn arena_counts_reuse_and_peak() {
-        let a = BufferArena::new();
+    fn arena_books_live_and_peak() {
+        let a = BufferArena::default();
         a.adopt(1024);
         a.adopt(1024);
         assert_eq!(a.stats().peak_bytes, 2 * 4096);
-        a.release(vec![0.0; 1024]);
+        a.release(1024);
         assert_eq!(a.stats().live_bytes, 4096);
-        let buf = a.take(1024).expect("parked buffer");
-        assert_eq!(buf.len(), 1024);
-        a.adopt(1024); // the recycled buffer backs a new tensor
+        a.note_reuse();
+        a.adopt(1024);
         let s = a.stats();
-        assert_eq!(s.reuse_hits, 1);
+        assert_eq!((s.reuse_hits, s.total_allocs), (1, 3));
         assert_eq!(s.live_bytes, 2 * 4096);
-        assert_eq!(s.free_bytes, 0);
-        assert_eq!(s.peak_bytes, 2 * 4096, "reuse must not raise the peak");
+        assert_eq!(
+            s.peak_bytes,
+            2 * 4096,
+            "a reused buffer must not raise the peak"
+        );
     }
 
+    /// `k0 → s0 → k1 → s1 → k3` and `k2 → s2 → k3`: in plan order `s0`
+    /// is dead (`k1` retired) before `k2` makes `s2`, so the two share a
+    /// buffer; scheduled over lanes `k2` is a root that may run beside
+    /// `k0`, so they do not.
     #[test]
-    fn take_returns_exact_class_only() {
-        let a = BufferArena::new();
-        a.adopt(64);
-        a.release(vec![1.0; 64]);
-        assert!(a.take(128).is_none());
-        let buf = a.take(64).expect("parked buffer");
-        assert_eq!(buf.len(), 64);
-        assert!(a.take(64).is_none(), "pool is drained");
-        assert_eq!(a.stats().reuse_hits, 1);
+    fn buffers_share_only_when_the_first_dies_before_the_second_is_made() {
+        let slot = |n: usize| SlotInfo {
+            port: PortRef::from(NodeId(n)),
+            numel: 16,
+            readers: 1,
+            pinned: false,
+            source: false,
+            buffer: None,
+        };
+        let table = SlotTable {
+            slots: vec![slot(0), slot(1), slot(2)],
+            reads: vec![vec![], vec![0], vec![], vec![1, 2]],
+            writes: vec![vec![0], vec![1], vec![2], vec![]],
+            ..SlotTable::default()
+        };
+        let no_chunks = vec![vec![]; 4];
+        let plan_order: Vec<Vec<bool>> = (0..4).map(|p| (0..4).map(|r| r < p).collect()).collect();
+        let mut serial = table.clone();
+        serial.place_buffers(&[], &no_chunks, &plan_order);
+        assert_eq!(
+            serial.write_bufs,
+            [vec![Some(0)], vec![Some(1)], vec![Some(0)], vec![]]
+        );
+        assert_eq!(serial.buffers, [16, 16]);
+        // Strict ancestors in the DAG: k1 after k0, k3 after all.
+        let mut dag = vec![vec![false; 4]; 4];
+        dag[1][0] = true;
+        dag[3] = vec![true, true, true, false];
+        let mut parallel = table;
+        parallel.place_buffers(&[], &no_chunks, &dag);
+        assert_eq!(parallel.buffers.len(), 3);
     }
 }

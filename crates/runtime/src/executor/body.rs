@@ -26,7 +26,7 @@ enum Operand {
 enum Dest {
     /// Buffer `b` of the lane's scratch: a local, written in place.
     Scratch(usize),
-    /// The walk's `e`-th export buffer, taken from the arena pool.
+    /// The walk's `e`-th export buffer, taken from the run state's plan.
     Export(usize),
 }
 
@@ -61,13 +61,14 @@ pub(super) struct Step {
 /// order, each evaluated by [`eval_prim_into`] into buffers the run
 /// already owns, one per output port — a local into the lane's scratch
 /// (placed at compile by lifetime: a dead local's buffer goes to the
-/// next local of its size), an export into a buffer taken from the arena
-/// pool. `exports[i]` is the export buffer of the kernel's `i`-th output.
+/// next local of its size), an export into the buffer the caller took
+/// for it.
 pub(super) struct Walk {
     steps: Vec<Step>,
-    exports: Vec<usize>,
-    /// Export buffers a run takes: one per distinct exported port.
-    bufs: usize,
+    /// Per distinct exported port, in first-listing order, the kernel
+    /// output that lists it first: export buffer `e` is output
+    /// `firsts[e]`'s, and a port listed again is published once.
+    pub(super) firsts: Vec<usize>,
 }
 
 /// Places walk locals in the lane scratch while kernels compile: `sizes`
@@ -109,7 +110,7 @@ impl ScratchPlan {
 /// A walk's locals during one run.
 struct Locals<'s> {
     scratch: &'s mut [Option<Tensor>],
-    bufs: Vec<Option<Tensor>>,
+    bufs: &'s mut [Option<Tensor>],
 }
 
 impl Locals<'_> {
@@ -325,19 +326,14 @@ impl Walk {
         let step_of: HashMap<NodeId, usize> =
             nodes.iter().enumerate().map(|(i, &m)| (m, i)).collect();
         let local = |p: &PortRef| step_of.get(&p.node).map(|&step| (step, p.port));
-        // One export buffer per distinct exported port; `exports` lists
-        // each output's.
-        let mut exported: Vec<StepPort> = Vec::new();
-        let mut exports = Vec::with_capacity(outputs.len());
-        for o in outputs {
+        // One export buffer per distinct exported port.
+        let (mut exported, mut firsts): (Vec<StepPort>, Vec<usize>) = (Vec::new(), Vec::new());
+        for (i, o) in outputs.iter().enumerate() {
             let port = local(o).ok_or(not_materialized(o))?;
-            exports.push(match exported.iter().position(|&p| p == port) {
-                Some(e) => e,
-                None => {
-                    exported.push(port);
-                    exported.len() - 1
-                }
-            });
+            if !exported.contains(&port) {
+                exported.push(port);
+                firsts.push(i);
+            }
         }
         let export_of = |port: StepPort| exported.iter().position(|&p| p == port);
         // Per port, the last step that reads it (its own step when none
@@ -402,58 +398,40 @@ impl Walk {
                 scratch.give(steps[step].dests[port].scratch());
             }
         }
-        Ok(Walk {
-            steps,
-            exports,
-            bufs: exported.len(),
-        })
+        Ok(Walk { steps, firsts })
     }
 
     /// Runs the walk whole on one run's `prepared` reads, its locals in
-    /// the lane's `scratch` (whose contents are unspecified: every step
-    /// writes all of its outputs before anything reads them), and returns
-    /// its exports in output order: pool buffers the caller books. A port
-    /// listed again is copied into another pool buffer for the earlier
-    /// listing.
+    /// the lane's `scratch` and its exports in `exports` — one buffer per
+    /// distinct exported port ([`Walk::firsts`]), each of the port's size
+    /// and any shape. Contents of both are unspecified: every step writes
+    /// all of its outputs before anything reads them, and shapes each
+    /// buffer it writes. On success and on failure alike every buffer is
+    /// back in its place; `arena` counts the scratch block a step
+    /// allocates for one lost to a panic.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] when a primitive rejects its operands or has
-    /// no interpreter; the export buffers taken so far go back to the
-    /// pool.
+    /// no interpreter.
     pub(super) fn run(
         &self,
         g: &PrimGraph,
         prepared: &Prepared,
         scratch: &mut [Option<Tensor>],
+        exports: &mut [Option<Tensor>],
         arena: &BufferArena,
-    ) -> Result<Vec<Tensor>, ExecError> {
+    ) -> Result<(), ExecError> {
         let mut locals = Locals {
             scratch,
-            bufs: (0..self.bufs).map(|_| None).collect(),
+            bufs: exports,
         };
         // The outputs of the step in flight, out of their places.
         let mut outs = Vec::new();
         for step in &self.steps {
-            if let Err(e) = step.run(g, &prepared.reads, &mut locals, &mut outs, arena) {
-                for t in locals.bufs.into_iter().flatten() {
-                    arena.recycle(t.into_vec());
-                }
-                return Err(e);
-            }
+            step.run(g, &prepared.reads, &mut locals, &mut outs, arena)?;
         }
-        let mut out = Vec::with_capacity(self.exports.len());
-        for (i, &e) in self.exports.iter().enumerate() {
-            out.push(if self.exports[i + 1..].contains(&e) {
-                let t = locals.bufs[e].as_ref().expect("written by its step");
-                let mut buf = arena.take_or_alloc(t.numel());
-                buf.copy_from_slice(t.as_slice());
-                Tensor::from_vec(t.shape().to_vec(), buf).expect("a copy of equal size")
-            } else {
-                locals.bufs[e].take().expect("written by its step")
-            });
-        }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -476,22 +454,20 @@ impl Step {
                 .map_err(|source| tensor_error(self.node, source));
         }
         for (&dest, shape) in self.dests.iter().zip(&self.shapes) {
-            outs.push(match dest {
-                Dest::Scratch(b) => match locals.scratch[b].take() {
-                    Some(mut t) => {
-                        t.set_shape(shape).expect("placed in a buffer of its size");
-                        t
-                    }
-                    // Lost to a step that panicked in an earlier run.
-                    None => {
-                        let t = Tensor::zeros(shape.clone());
-                        arena.note_fresh(t.byte_size() as u64);
-                        t
-                    }
-                },
-                Dest::Export(_) => {
-                    let buf = arena.take_or_alloc(shape.iter().product());
-                    Tensor::from_vec(shape.clone(), buf).expect("sized to the shape")
+            let place = match dest {
+                Dest::Scratch(b) => &mut locals.scratch[b],
+                Dest::Export(e) => &mut locals.bufs[e],
+            };
+            outs.push(match place.take() {
+                Some(mut t) => {
+                    t.set_shape(shape).expect("placed in a buffer of its size");
+                    t
+                }
+                // Lost to a step that panicked in an earlier run.
+                None => {
+                    let t = Tensor::zeros(shape.clone());
+                    arena.note_fresh(t.byte_size() as u64);
+                    t
                 }
             });
         }

@@ -9,13 +9,14 @@ use super::{
     not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind,
     TileLayout, Tiling,
 };
-use crate::arena::{BufferArena, MemoryReport, SlotInfo, SlotTable};
+use crate::arena::{BufferArena, SlotInfo, SlotTable};
 use crate::profiler::RuntimeProfile;
 use korch_exec::{eval_prim, materialize_const, ExecError};
 use korch_ir::{LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_orch::{Plan, SelectedKernel};
 use korch_tensor::Tensor;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// The slot table under construction: one slot per graph input and per
@@ -35,19 +36,17 @@ impl Slots {
                 readers: 0,
                 pinned: false,
                 source: false,
-                pooled: true,
+                buffer: None,
             });
             self.table.slots.len() - 1
         })
     }
 
-    /// The pinned slot of source `port`. A staged input copy is the
-    /// runtime's own buffer (`pooled`); a constant or folded port is
-    /// shared across runs and never booked.
-    fn source_slot(&mut self, g: &PrimGraph, port: PortRef, pooled: bool) -> usize {
+    /// The pinned slot of source `port`.
+    fn source_slot(&mut self, g: &PrimGraph, port: PortRef) -> usize {
         let s = self.slot_of(g, port);
         let slot = &mut self.table.slots[s];
-        (slot.source, slot.pinned, slot.pooled) = (true, true, pooled);
+        (slot.source, slot.pinned) = (true, true);
         s
     }
 }
@@ -105,7 +104,7 @@ fn assign_sources(
     for (id, node) in g.iter() {
         let outs = match &node.kind {
             PrimKind::Input { shape } => {
-                input_slots.push((slots.source_slot(g, id.into(), true), shape.clone()));
+                input_slots.push((slots.source_slot(g, id.into()), shape.clone()));
                 continue;
             }
             PrimKind::Constant { shape, init } => vec![materialize_const(shape, init)],
@@ -119,7 +118,7 @@ fn assign_sources(
             let port = PortRef { node: id, port };
             let t = Arc::new(t);
             if read.contains(&port) || g.outputs().contains(&port) {
-                const_slots.push((slots.source_slot(g, port, false), Arc::clone(&t)));
+                const_slots.push((slots.source_slot(g, port), Arc::clone(&t)));
             }
             values.insert(port, t);
         }
@@ -184,6 +183,29 @@ fn compile_kernels(
         });
     }
     Ok(kernels)
+}
+
+/// Per kernel `p`, which kernels retire before it starts under every
+/// schedule the executor can pick: every earlier kernel when a run is
+/// plan order (one worker), else exactly its strict ancestors in the
+/// dependency DAG.
+fn retired_before(kernels: &[KernelTask], workers: usize) -> Vec<Vec<bool>> {
+    let n = kernels.len();
+    let mut before: Vec<Vec<bool>> = Vec::with_capacity(n);
+    for (p, k) in kernels.iter().enumerate() {
+        let mut row = vec![false; n];
+        if workers <= 1 {
+            row[..p].fill(true);
+        }
+        for &d in &k.deps {
+            row[d] = true;
+            for (r, &b) in before[d].iter().enumerate() {
+                row[r] |= b;
+            }
+        }
+        before.push(row);
+    }
+    before
 }
 
 impl PlanExecutor {
@@ -280,6 +302,16 @@ impl PlanExecutor {
             1
         };
         pool::reserve(workers - 1);
+        let staged: Vec<usize> = (input_slots.iter())
+            .map(|&(s, _)| s)
+            .filter(|s| !output_slots.iter().any(|(_, o)| o == s))
+            .collect();
+        let chunks: Vec<Vec<usize>> = (tile_specs.iter())
+            .map(|spec| spec.iter().flat_map(|l| &l.tiles).map(Range::len).collect())
+            .collect();
+        table.place_buffers(&staged, &chunks, &retired_before(&kernels, workers));
+        let mut memory_report = table.memory_report();
+        memory_report.state_bytes += (scratch.sizes.iter().sum::<usize>() * 4 * workers) as u64;
         let telemetry = config.telemetry.as_ref().map(ExecTelemetry::new);
         let kernel_classes = plan
             .kernels
@@ -293,10 +325,7 @@ impl PlanExecutor {
         let core = Core {
             graph: g.clone(),
             plan: plan.clone(),
-            memory_report: MemoryReport {
-                scratch_bytes: (scratch.sizes.iter().sum::<usize>() * 4 * workers) as u64,
-                ..table.memory_report()
-            },
+            memory_report,
             scratch: scratch.sizes,
             table,
             kernels,
@@ -306,7 +335,7 @@ impl PlanExecutor {
             const_slot,
             folded: (0..g.len()).filter(|&i| folded[i]).map(NodeId).collect(),
             output_slots,
-            arena: BufferArena::new(),
+            arena: BufferArena::default(),
             telemetry,
             profile: Mutex::new(RuntimeProfile::new(plan.kernels.len())),
             tile_specs,

@@ -34,7 +34,7 @@
 //!   interpreter of every primitive, which `execute_plan` runs over
 //!   fresh outputs, so the same bits — into buffers the run already
 //!   owns, one per output port: a local into the lane's *scratch*, an
-//!   export into a buffer taken from the arena pool. Compile places each
+//!   export into its planned buffer (see below). Compile places each
 //!   local in the scratch by its last in-kernel reader: a dead local's
 //!   buffer goes to the next local of its size, so a long row-wise
 //!   kernel cycles through a few cache-hot blocks, and a `Reshape` of a
@@ -54,8 +54,8 @@
 //! flat range of their single output with exactly the arithmetic the
 //! interpreter performs for those elements, in the same order. Run
 //! whole, such a kernel is the range `0..total` written straight into
-//! the arena buffer that becomes the published tensor; decomposed, it is
-//! the same call per tile. A walk runs whole only, and its output *is*
+//! its planned buffer, which becomes the published tensor; decomposed, it
+//! is the same call per tile. A walk runs whole only, and its output *is*
 //! the buffer its exporting member wrote, moved into the slot.
 //!
 //! # Schedule (`sched.rs`, `pool.rs`)
@@ -135,12 +135,13 @@
 //!   prepared once and its tiles enter the decomposing worker's own
 //!   deque as subtasks (idle lanes steal the oldest ones), so the
 //!   work-stealing machinery schedules them like everything else;
-//! - each tile computes its flat output range into an arena-recycled
-//!   chunk — the **disjoint-slice contract**: tile ranges partition the
-//!   output exactly, every element written by exactly one tile with the
-//!   arithmetic of the whole kernel — and a per-kernel atomic countdown
-//!   re-assembles completion: the last tile concatenates the chunks (in
-//!   tile order) into the output buffer and retires the kernel;
+//! - each tile computes its flat output range into its planned chunk
+//!   buffer, never booked — the **disjoint-slice contract**: tile ranges
+//!   partition the output exactly, every element written by exactly one
+//!   tile with the arithmetic of the whole kernel — and a per-kernel
+//!   atomic countdown re-assembles completion: the last tile concatenates
+//!   the chunks (in tile order) into the output buffer and retires the
+//!   kernel;
 //! - tile intervals are profiled with the parent kernel's index and a
 //!   tile tag ([`crate::KernelInterval::tile`]): per-kernel stats sum a
 //!   run's tiles into one whole-kernel sample (what the calibration fit
@@ -148,29 +149,34 @@
 //!
 //! # Memory and observation (`emit.rs`)
 //!
-//! Every buffer a run materializes is booked in the [`BufferArena`] and
-//! leaves the books when its slot's last reader retires — pinned input
-//! copies when the run settles — on success and on every failure path
-//! alike. Constants and folded ports are not: compile computed them once,
-//! every run shares them, and they cost memory for the executor's life
-//! (on segformer32 the folded ports hold 90 KB against 37 KB of weights;
-//! each is a tensor every run used to materialize, briefly). The
-//! recycling pool serves every buffer the runtime books: staged input
-//! copies, range-body outputs, tile chunks and their assembly, and walk
-//! exports, so every dead slot a run books goes back there
-//! ([`crate::SlotInfo::pooled`]). A walk's locals are never booked: they
-//! live in the run state's scratch, one per lane, allocated when the
-//! state is made and kept while it is recycled
-//! ([`crate::MemoryReport::scratch_bytes`]), so a warm run allocates only
-//! the outputs it hands the caller ([`crate::ArenaStats::fresh_bytes`]
-//! counts it). Output
-//! tensors are *moved* out to the caller (the run holds the only handle
-//! once the lanes are done), so their bytes leave the books and their
-//! storage the pool. Lanes log kernel/tile
-//! intervals lane-locally against one clock origin per run; once every
-//! lane has detached the run folds them into the [`RuntimeProfile`] and,
-//! when a telemetry hub is configured, rebases them onto its shared
-//! origin.
+//! Every buffer a run materializes is booked in the arena and leaves the
+//! books when its slot's last reader retires — pinned input copies when
+//! the run settles — on success and on every failure path alike.
+//! Constants and folded ports are not: compile computed them once, every
+//! run shares them, and they cost memory for the executor's life (on
+//! segformer32 the folded ports hold 90 KB against 37 KB of weights; each
+//! is a tensor every run used to materialize, briefly).
+//!
+//! Buffers are placed once, at compile: each staged input copy, kernel
+//! output but a graph output, and tile chunk gets a planned buffer index
+//! (`SlotTable::place_buffers`). Two share an index only when they hold
+//! as many elements and every kernel that may release one — its slot's
+//! readers and its writer, or a chunk's kernel — retires before the
+//! other's producer starts under every schedule: plan order at one
+//! worker, strict reachability in the dependency DAG above, so two chunks
+//! of one kernel never share (`korch-verify` checks it). Redundant
+//! writers of a slot each have their own buffer. Each run state owns one
+//! buffer per index beside its lanes' walk scratch, allocated on its
+//! first run and kept ([`crate::MemoryReport::state_bytes`]). A kernel
+//! takes its output buffer by index; the retiring last reader, a losing
+//! redundant writer or `settle` puts it back, and a buffer that does not
+//! come back (a kernel panicked holding it, a handle still shared) is
+//! allocated afresh by the next take, which never waits. So a warm run
+//! allocates only the outputs it *moves* out to the caller
+//! ([`crate::ArenaStats::fresh_bytes`]). Lanes log kernel/tile intervals
+//! lane-locally against one clock origin per run; once every lane has
+//! detached the run folds them into the [`RuntimeProfile`] and, when a
+//! telemetry hub is configured, rebases them onto its shared origin.
 
 mod body;
 mod compile;
@@ -187,9 +193,11 @@ use korch_exec::ExecError;
 use korch_ir::{NodeId, PortRef, PrimGraph};
 use korch_orch::Plan;
 use korch_tensor::Tensor;
-use sched::RunState;
+use sched::{RunState, Value};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// Locks `m`, recovering the inner value if a panicking worker poisoned
 /// it. Every mutex the executor shares across lanes guards data that is
@@ -334,7 +342,7 @@ pub struct PlanExecutor {
     core: Arc<Core>,
 }
 
-/// Everything [`PlanExecutor::new`] compiled, plus the executor's arena,
+/// Everything [`PlanExecutor::new`] compiled, plus the executor's books,
 /// profile and recycled run states.
 struct Core {
     graph: PrimGraph,
@@ -355,8 +363,9 @@ struct Core {
     folded: Vec<NodeId>,
     /// Graph output ports → slots.
     output_slots: Vec<(PortRef, usize)>,
-    /// The lifetime program: per slot its size, reader countdown, pin and
-    /// pool facts; per kernel the slots it reads and writes.
+    /// The lifetime program: per slot its size, reader countdown and pin
+    /// facts; per kernel the slots it reads and writes; and the buffer
+    /// plan placed on it.
     table: SlotTable,
     memory_report: MemoryReport,
     /// The lane scratch of walk locals: buffer sizes (`f32` elements),
@@ -556,69 +565,58 @@ impl Core {
 
     /// Hands graph output `o` to the caller. The lanes are done, so the
     /// slot holds the only handle and the tensor is *moved* out — its
-    /// bytes leave the arena's books, its storage leaves the pool. Only a
-    /// handle that is genuinely shared is cloned: an output that is also
-    /// a constant, or a port the graph lists as an output twice (every
-    /// listing but the last).
+    /// bytes leave the arena's books, and the next run allocates the
+    /// slot afresh. Only a handle that is genuinely shared is cloned: an
+    /// output that is also a constant, or a port the graph lists as an
+    /// output twice (every listing but the last).
     fn take_output(&self, o: usize, state: &RunState) -> Result<Tensor, ExecError> {
         let (port, s) = self.output_slots[o];
         let listed_again = self.output_slots[o + 1..]
             .iter()
             .any(|&(_, later)| later == s);
         let mut value = write_recover(&state.values[s]);
-        let arc = value.take().ok_or(not_materialized(&port))?;
+        let (arc, buf) = value.take().ok_or(not_materialized(&port))?;
         if listed_again {
-            return Ok(value.insert(arc).as_ref().clone());
+            return Ok(value.insert((arc, buf)).0.as_ref().clone());
         }
         match Arc::try_unwrap(arc) {
             Ok(t) => {
                 if !self.const_slot[s] {
-                    self.arena.release_untracked(self.table.slots[s].numel);
+                    self.arena.release(self.table.slots[s].numel);
                 }
                 Ok(t)
             }
-            Err(shared) => Ok(value.insert(shared).as_ref().clone()),
+            Err(shared) => Ok(value.insert((shared, buf)).0.as_ref().clone()),
         }
     }
 
-    /// Releases every arena-tracked buffer still held by the run state
-    /// (pinned inputs, outputs the caller did not take, or whatever a
-    /// failed run left behind), recycling the storage where possible.
-    /// Constants are shared across runs and only dropped. Tile chunks a
-    /// failed run stranded mid-decomposition (computed but never
-    /// assembled) are drained too — every lane has detached by the time
-    /// this runs, so every in-flight chunk store has landed.
+    /// Releases every booked buffer still held by the run state (pinned
+    /// inputs, outputs the caller did not take, or whatever a failed run
+    /// left behind), putting each back in its planned place. Constants
+    /// are shared across runs and only dropped. A failed run's tile
+    /// operands go first: they still hold `Arc`s into the slots, and
+    /// dropping them lets the sweep recover sole ownership.
     fn settle(&self, state: &RunState) {
-        // Tile state first: a failed run's input snapshots still hold
-        // `Arc`s into the slots, and dropping them lets the slot sweep
-        // below recover sole ownership (and recycle the storage).
-        for tile_run in &state.tiles {
-            if let Some(tr) = tile_run.get() {
-                write_recover(&tr.prepared).take();
-                for chunk in lock_recover(&tr.chunks).iter_mut() {
-                    if let Some(c) = chunk.take() {
-                        self.arena.release(c);
-                    }
-                }
-            }
+        for tr in state.tiles.iter().filter_map(OnceLock::get) {
+            write_recover(&tr.prepared).take();
         }
         for (s, value) in state.values.iter().enumerate() {
-            if let Some(arc) = write_recover(value).take() {
+            if let Some(held) = write_recover(value).take() {
                 if !self.const_slot[s] {
-                    self.reclaim(s, arc);
+                    self.reclaim(s, held, state);
                 }
             }
         }
     }
 
-    /// Takes slot `s`'s dead buffer off the arena's books; its storage
-    /// goes back to the pool when the runtime allocated it
-    /// ([`crate::SlotInfo::pooled`]) and this was the last handle.
-    fn reclaim(&self, s: usize, arc: Arc<Tensor>) {
-        let slot = &self.table.slots[s];
-        match Arc::try_unwrap(arc) {
-            Ok(t) if slot.pooled => self.arena.release(t.into_vec()),
-            _ => self.arena.release_untracked(slot.numel),
+    /// Takes slot `s`'s dead buffer off the arena's books and puts its
+    /// storage back in the planned place it came from — unless a handle
+    /// is still shared, in which case the next take of that place
+    /// allocates afresh.
+    fn reclaim(&self, s: usize, (arc, buf): Value, state: &RunState) {
+        self.arena.release(self.table.slots[s].numel);
+        if let Ok(t) = Arc::try_unwrap(arc) {
+            state.give_back(buf, t.into_vec());
         }
     }
 
@@ -642,39 +640,32 @@ impl Core {
         let armed = Arc::get_mut(&mut state).expect("sole handle: fresh, or just checked");
         armed.rearm(self, RunCtx::new(self.telemetry.as_ref()));
         for ((s, _), t) in self.input_slots.iter().zip(inputs) {
-            *armed.slot_mut(*s) = Some(Arc::new(self.stage_copy(t)));
+            let buf = self.table.slots[*s].buffer;
+            let mut copy = self.take(armed, buf, t.numel());
+            copy.copy_from_slice(t.as_slice());
+            let copy = Tensor::from_vec(t.shape().to_vec(), copy).expect("sized to the input");
+            self.arena.adopt(t.numel());
+            *armed.slot_mut(*s) = Some((Arc::new(copy), buf));
         }
         for (s, t) in &self.const_slots {
-            *armed.slot_mut(*s) = Some(Arc::clone(t));
+            *armed.slot_mut(*s) = Some((Arc::clone(t), None));
         }
         Ok(state)
     }
 
-    /// An arena-adopted buffer of exactly `len` elements, recycled from
-    /// the pool when one is parked — the genuine reuse path: storage freed
-    /// by last-reader reclamation (this run or earlier ones) backs new
-    /// tensors instead of fresh allocations. Contents are unspecified;
-    /// every user overwrites the whole buffer.
-    fn take_buf(&self, len: usize) -> Vec<f32> {
-        self.arena.adopt(len);
-        self.arena.take_or_alloc(len)
-    }
-
-    /// One lane's walk scratch, every buffer allocated (and counted as
-    /// fresh): a run state holds one per lane for its whole life.
-    fn new_scratch(&self) -> Vec<Option<Tensor>> {
-        let bytes: usize = self.scratch.iter().sum::<usize>() * 4;
-        self.arena.note_fresh(bytes as u64);
-        self.scratch
-            .iter()
-            .map(|&n| Some(Tensor::zeros(vec![n])))
-            .collect()
-    }
-
-    /// Copies a fed input into an arena buffer.
-    fn stage_copy(&self, t: &Tensor) -> Tensor {
-        let mut buf = self.take_buf(t.numel());
-        buf.copy_from_slice(t.as_slice());
-        Tensor::from_vec(t.shape().to_vec(), buf).expect("arena buffer matches numel")
+    /// Storage of `numel` elements for planned buffer `buf` of `state`,
+    /// counted as a reuse hit. A graph output (`None`) is allocated
+    /// afresh, as is a planned buffer that did not come back (a kernel
+    /// panicked holding it, or a handle was still shared) — counted in
+    /// [`crate::ArenaStats::fresh_bytes`]; a take never waits. Contents
+    /// are unspecified; every user overwrites the whole buffer.
+    fn take(&self, state: &RunState, buf: Option<usize>, numel: usize) -> Vec<f32> {
+        if let Some(storage) = buf.and_then(|b| lock_recover(&state.bufs[b]).take()) {
+            debug_assert_eq!(storage.len(), numel, "planned buffer {buf:?}");
+            self.arena.note_reuse();
+            return storage;
+        }
+        self.arena.note_fresh((numel * 4) as u64);
+        vec![0.0; numel]
     }
 }

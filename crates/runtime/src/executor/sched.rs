@@ -15,19 +15,23 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
-/// Per-run completion state of one decomposed kernel: tiles park their
-/// finished chunks here and the last tile (atomic countdown) assembles
-/// the full output and retires the kernel.
+/// Per-run completion state of one decomposed kernel: tiles write their
+/// chunks in their planned places and count down here; the last tile
+/// assembles the full output and retires the kernel.
 pub(super) struct TileRun {
     remaining: AtomicUsize,
-    pub(super) chunks: Mutex<Vec<Option<Vec<f32>>>>,
     /// The kernel's operands, prepared **once** at decomposition and read
     /// by every tile (no per-tile slot locking, one matmul pack). Taken
     /// before the kernel retires: an `Arc` still parked here would make
     /// the last-reader reclamation's `Arc::try_unwrap` fail and the
-    /// storage would skip the recycling pool.
+    /// storage would not go back to its planned place.
     pub(super) prepared: RwLock<Option<Prepared>>,
 }
+
+/// What a value slot holds during a run: the tensor, and the planned
+/// buffer its storage goes back to (`None`: a constant or graph output) —
+/// of redundant writers, whichever landed first.
+pub(super) type Value = (Arc<Tensor>, Option<usize>);
 
 /// One schedulable unit in the ready deques.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +112,7 @@ impl Task {
 /// [`Core::fail`], both sweep every parked flag — a lane parked mid-run
 /// unwinds promptly instead of waiting for a timeout.
 pub(super) struct RunState {
-    pub(super) values: Vec<RwLock<Option<Arc<Tensor>>>>,
+    pub(super) values: Vec<RwLock<Option<Value>>>,
     /// Unretired dependencies per kernel; the transition to zero pushes
     /// the kernel onto the retiring worker's own deque.
     remaining_deps: Vec<AtomicUsize>,
@@ -153,6 +157,9 @@ pub(super) struct RunState {
     /// contents unspecified. A lane runs one kernel at a time, so its
     /// lock is never contended.
     scratch: Vec<Mutex<Vec<Option<Tensor>>>>,
+    /// The planned buffers ([`crate::SlotTable::buffers`]), `None` while
+    /// held; the plan gives each to one holder at a time.
+    pub(super) bufs: Vec<Mutex<Option<Vec<f32>>>>,
 }
 
 impl RunState {
@@ -161,7 +168,8 @@ impl RunState {
     /// worker pushes all the work *it* makes ready onto its own deque),
     /// so each is sized to the total: kernels plus every possible tile.
     /// Bottom indices never wrap, which is what rules out ABA. The
-    /// single-lane path walks the plan in order and gets no deque.
+    /// single-lane path walks the plan in order and gets no deque. Its
+    /// planned buffers and lane scratch are allocated here and kept.
     pub(super) fn new(core: &Core) -> Self {
         let tiles: usize = core
             .tile_specs
@@ -178,6 +186,7 @@ impl RunState {
             (0, 0)
         };
         let zeros = |n: usize| (0..n).map(|_| AtomicUsize::new(0)).collect();
+        core.arena.note_fresh(core.memory_report.state_bytes);
         Self {
             values: (0..core.table.slots.len())
                 .map(|_| RwLock::new(None))
@@ -197,7 +206,13 @@ impl RunState {
             error: Mutex::new(None),
             ctx: RunCtx::new(None),
             scratch: (0..core.workers)
-                .map(|_| Mutex::new(core.new_scratch()))
+                .map(|_| {
+                    let lane = core.scratch.iter().map(|&n| Some(Tensor::zeros(vec![n])));
+                    Mutex::new(lane.collect())
+                })
+                .collect(),
+            bufs: (core.table.buffers.iter())
+                .map(|&n| Mutex::new(Some(vec![0.0; n])))
                 .collect(),
         }
     }
@@ -243,9 +258,19 @@ impl RunState {
         self.ctx = ctx;
     }
 
+    /// Puts `storage` back in planned buffer `buf`; storage without a
+    /// place (a graph output's) is dropped.
+    pub(super) fn give_back(&self, buf: Option<usize>, storage: Vec<f32>) {
+        if let Some(b) = buf {
+            let mut place = lock_recover(&self.bufs[b]);
+            debug_assert!(place.is_none(), "planned buffer {b} has two holders");
+            *place = Some(storage);
+        }
+    }
+
     /// Value slot `s`, for filling the sources while the state is being
     /// armed.
-    pub(super) fn slot_mut(&mut self, s: usize) -> &mut Option<Arc<Tensor>> {
+    pub(super) fn slot_mut(&mut self, s: usize) -> &mut Option<Value> {
         self.values[s]
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
@@ -382,7 +407,6 @@ impl Core {
         state.tiles[k]
             .set(TileRun {
                 remaining: AtomicUsize::new(n),
-                chunks: Mutex::new((0..n).map(|_| None).collect()),
                 prepared: RwLock::new(Some(prepared)),
             })
             .unwrap_or_else(|_| panic!("kernel {k} decomposed twice in one run"));
@@ -464,84 +488,99 @@ impl Core {
         let reads = self.table.reads[k]
             .iter()
             .map(|&s| {
-                let value = read_recover(&state.values[s]).clone();
-                value.ok_or(not_materialized(&self.table.slots[s].port))
+                let value = read_recover(&state.values[s]);
+                let read = value.as_ref().map(|(t, _)| Arc::clone(t));
+                read.ok_or(not_materialized(&self.table.slots[s].port))
             })
             .collect::<Result<_, _>>()?;
         self.kernels[k].body.prepare(&self.graph, reads)
     }
 
     /// Evaluates the flat output `range` of range-bodied kernel `k` into
-    /// an arena buffer, released again on failure so the arena stays
-    /// balanced.
+    /// planned buffer `buf`, put back again on failure.
     fn run_range(
         &self,
         k: usize,
         range: Range<usize>,
         prepared: &Prepared,
+        buf: Option<usize>,
+        state: &RunState,
     ) -> Result<Vec<f32>, ExecError> {
-        let mut out = self.take_buf(range.len());
-        match self.kernels[k]
-            .body
-            .run(&self.graph, range, prepared, &mut out)
-        {
+        let mut out = self.take(state, buf, range.len());
+        #[cfg(test)]
+        assert!(
+            self.panic_at.load(Ordering::Relaxed) != k,
+            "injected panic in kernel {k}"
+        );
+        let body = &self.kernels[k].body;
+        match body.run(&self.graph, range, prepared, &mut out) {
             Ok(()) => Ok(out),
             Err(e) => {
-                self.arena.release(out);
+                state.give_back(buf, out);
                 Err(e)
             }
         }
     }
 
     /// Executes kernel `k` whole on lane `lane` and publishes its
-    /// outputs. A range body evaluates `0..total` straight into the pooled
-    /// buffer that becomes the published tensor; a walk body runs with
-    /// its locals in the lane's scratch, and its exports are booked here
-    /// and moved into their slots.
+    /// outputs. A range body evaluates `0..total` straight into its
+    /// planned buffer, which becomes the published tensor; a walk body
+    /// runs with its locals in the lane's scratch and writes each distinct
+    /// export into its planned buffer, taken here.
     fn run_whole(&self, k: usize, lane: usize, state: &RunState) -> Result<(), ExecError> {
+        let (writes, bufs) = (&self.table.writes[k], &self.table.write_bufs[k]);
+        let prepared = self.prepare(k, state)?;
+        let KernelBody::Walk(walk) = &self.kernels[k].body else {
+            let (s, buf) = (writes[0], bufs[0]);
+            let shape = self.graph.meta(self.table.slots[s].port).shape().to_vec();
+            let out = self.run_range(k, 0..shape.iter().product(), &prepared, buf, state)?;
+            let t = Tensor::from_vec(shape, out).expect("the full range covers the output");
+            self.publish_output(s, buf, t, state);
+            return Ok(());
+        };
+        let mut exports: Vec<Option<Tensor>> = (walk.firsts.iter())
+            .map(|&i| {
+                let numel = self.table.slots[writes[i]].numel;
+                let storage = self.take(state, bufs[i], numel);
+                Some(Tensor::from_vec(vec![numel], storage).expect("sized to the port"))
+            })
+            .collect();
         #[cfg(test)]
         assert!(
             self.panic_at.load(Ordering::Relaxed) != k,
             "injected panic in kernel {k}"
         );
-        let writes = &self.table.writes[k];
-        let prepared = self.prepare(k, state)?;
-        if let KernelBody::Walk(walk) = &self.kernels[k].body {
-            let mut scratch = lock_recover(&state.scratch[lane]);
-            let exported = walk.run(&self.graph, &prepared, &mut scratch, &self.arena)?;
-            drop(scratch);
-            for (&s, t) in writes.iter().zip(exported) {
-                self.arena.adopt(self.table.slots[s].numel);
-                self.publish_output(s, t, state);
+        let scratch = &mut lock_recover(&state.scratch[lane]);
+        let ran = walk.run(&self.graph, &prepared, scratch, &mut exports, &self.arena);
+        for (&i, t) in walk.firsts.iter().zip(exports) {
+            let t = t.expect("every export is back in its place");
+            match ran {
+                Ok(()) => self.publish_output(writes[i], bufs[i], t, state),
+                Err(_) => state.give_back(bufs[i], t.into_vec()),
             }
-        } else {
-            let s = writes[0];
-            let shape = self.graph.meta(self.table.slots[s].port).shape().to_vec();
-            let out = self.run_range(k, 0..shape.iter().product(), &prepared)?;
-            let t = Tensor::from_vec(shape, out).expect("the full range covers the output");
-            self.publish_output(s, t, state);
         }
-        Ok(())
+        ran
     }
 
     /// Runs tile `t_idx` of decomposed kernel `k`: evaluates its range
-    /// against the operands prepared at decomposition, parks the chunk in
-    /// the kernel's completion state, and — as the last tile of the
-    /// countdown — assembles and publishes the full output, returning
-    /// `true`.
+    /// into its planned chunk, against the operands prepared at
+    /// decomposition, and puts the chunk back in place; the last tile of
+    /// the countdown assembles and publishes the full output, returning
+    /// `true`. Chunks, like walk locals, are never booked.
     fn run_tile(&self, k: usize, t_idx: usize, state: &RunState) -> Result<bool, ExecError> {
         let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
         let tr = state.tiles[k].get().expect("tiled kernel state");
+        let buf = Some(self.table.chunk_bufs[k][t_idx]);
         let chunk = {
             let prepared = read_recover(&tr.prepared);
             let prepared = prepared
                 .as_ref()
                 .expect("parked until the last tile landed");
-            self.run_range(k, spec.tiles[t_idx].clone(), prepared)?
+            self.run_range(k, spec.tiles[t_idx].clone(), prepared, buf, state)?
         };
-        lock_recover(&tr.chunks)[t_idx] = Some(chunk);
+        state.give_back(buf, chunk);
         // The countdown's AcqRel pairs with the chunk stores: the
-        // final decrementer observes every sibling's parked chunk.
+        // final decrementer observes every sibling's chunk in place.
         let last = tr.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
         if last {
             self.assemble(k, state);
@@ -550,24 +589,24 @@ impl Core {
     }
 
     /// Concatenates a decomposed kernel's chunks, in tile order, into the
-    /// full output buffer and publishes it — the one copy tiling adds
-    /// over a whole run of the same range body.
+    /// kernel's planned output buffer and publishes it — the one copy
+    /// tiling adds over a whole run of the same range body.
     fn assemble(&self, k: usize, state: &RunState) {
         let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
-        let s = self.table.writes[k][0];
-        let mut full = self.take_buf(spec.out_shape.iter().product());
-        let tr = state.tiles[k].get().expect("tiled kernel state");
-        for (chunk, range) in lock_recover(&tr.chunks).iter_mut().zip(&spec.tiles) {
-            let chunk = chunk.take().expect("every tile parked its chunk");
-            full[range.clone()].copy_from_slice(&chunk);
-            self.arena.release(chunk);
+        let (s, buf) = (self.table.writes[k][0], self.table.write_bufs[k][0]);
+        let mut full = self.take(state, buf, spec.out_shape.iter().product());
+        for (range, &b) in spec.tiles.iter().zip(&self.table.chunk_bufs[k]) {
+            let chunk = lock_recover(&state.bufs[b]);
+            let chunk = chunk.as_ref().expect("every tile put its chunk in place");
+            full[range.clone()].copy_from_slice(chunk);
         }
         // Drop the operand snapshot before retiring: last-reader
-        // reclamation must see sole ownership to recycle the storage.
+        // reclamation must see sole ownership to put the storage back.
+        let tr = state.tiles[k].get().expect("tiled kernel state");
         write_recover(&tr.prepared).take();
         let t = Tensor::from_vec(spec.out_shape.clone(), full)
             .expect("tile ranges cover the output exactly");
-        self.publish_output(s, t, state);
+        self.publish_output(s, buf, t, state);
     }
 
     /// Next ready task for worker `w`, or `None` when the run is over
@@ -694,8 +733,8 @@ impl Core {
                 && !self.table.slots[s].pinned
             {
                 let taken = write_recover(&state.values[s]).take();
-                if let Some(arc) = taken {
-                    self.reclaim(s, arc);
+                if let Some(held) = taken {
+                    self.reclaim(s, held, state);
                 }
             }
         }
@@ -718,22 +757,23 @@ impl Core {
         }
     }
 
-    /// Publishes one arena-booked output tensor into slot `s`, handling
-    /// the two special cases shared by whole-kernel and tiled execution:
-    /// a redundant producer (the first writer's identical bytes won —
-    /// reclaim the loser's copy) and a dead-on-arrival output (nothing
-    /// reads it — reclaim immediately).
-    fn publish_output(&self, s: usize, t: Tensor, state: &RunState) {
+    /// Books output tensor `t` of planned buffer `buf` and publishes it
+    /// into slot `s`, handling the two special cases shared by
+    /// whole-kernel and tiled execution: a redundant producer (the first
+    /// writer's identical bytes won — reclaim the loser's copy) and a
+    /// dead-on-arrival output (nothing reads it — reclaim immediately).
+    fn publish_output(&self, s: usize, buf: Option<usize>, t: Tensor, state: &RunState) {
+        self.arena.adopt(t.numel());
         let mut w = write_recover(&state.values[s]);
         if w.is_some() {
             drop(w);
-            self.reclaim(s, Arc::new(t));
+            self.reclaim(s, (Arc::new(t), buf), state);
             return;
         }
-        *w = Some(Arc::new(t));
+        *w = Some((Arc::new(t), buf));
         if !self.table.slots[s].pinned && state.remaining_readers[s].load(Ordering::Acquire) == 0 {
-            if let Some(arc) = w.take() {
-                self.reclaim(s, arc);
+            if let Some(held) = w.take() {
+                self.reclaim(s, held, state);
             }
         }
     }

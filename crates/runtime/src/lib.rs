@@ -17,16 +17,16 @@
 //!   ([`RuntimeProfile::steals`],
 //!   [`RuntimeProfile::tiled_kernels`] and [`RuntimeProfile::tile_tasks`]
 //!   count what a run did);
-//! - [`SlotTable`] / [`BufferArena`] — the one lifetime program
-//!   `PlanExecutor::new` compiles (reader countdowns, last-reader
-//!   reclamation; [`MemoryReport`] is folded from it and `korch-verify`
-//!   interprets it) and the books and pool behind it: peak-resident
-//!   accounting (vs. the interpreter's allocate-everything behavior) and
-//!   size-classed reuse of every buffer the runtime books — staged
-//!   inputs, range-body outputs, tile chunks and their assembly, walk
-//!   exports. A walk's locals live in its run state's scratch instead, so
-//!   a warm run allocates only the outputs it hands the caller
-//!   ([`ArenaStats::fresh_bytes`] counts what a run allocates);
+//! - [`SlotTable`] — the one lifetime program `PlanExecutor::new`
+//!   compiles (reader countdowns, last-reader reclamation; [`MemoryReport`]
+//!   is folded from it and `korch-verify` interprets it) and the one
+//!   buffer plan placed on it: every buffer the runtime books — staged
+//!   inputs, range-body outputs, tile chunks, walk exports — has a
+//!   planned index, and each run state owns one buffer per index, as it
+//!   owns its lanes' walk scratch. A warm run allocates only the outputs
+//!   it hands the caller; [`ArenaStats`] books peak-resident bytes (vs.
+//!   the interpreter's allocate-everything behavior) and counts what a
+//!   run allocates ([`ArenaStats::fresh_bytes`]);
 //! - [`RuntimeProfile`] — per-kernel wall times folded from each run's
 //!   [`KernelInterval`]s (every lane timestamps against one shared clock
 //!   origin per run; a tiled kernel's tiles sum into one whole-kernel
@@ -131,7 +131,7 @@ mod executor;
 mod profiler;
 mod serving;
 
-pub use arena::{ArenaStats, BufferArena, MemoryReport, SlotInfo, SlotTable};
+pub use arena::{ArenaStats, MemoryReport, SlotInfo, SlotTable};
 pub use executor::{PlanExecutor, RuntimeConfig, TileBodyKind, TileLayout, Tiling};
 pub use profiler::{KernelInterval, KernelStats, RuntimeProfile};
 pub use serving::{
@@ -326,11 +326,58 @@ mod tests {
         (g, plan)
     }
 
+    /// Runs `exec` warm against `reference`, then makes kernel `victim`
+    /// panic for two runs and heals it. Every run settles its books; the
+    /// failed runs fail alone, and the runs after them are bit-identical.
+    /// A kernel that panics holding its planned output buffer (or chunk)
+    /// loses it, and the next take allocates it afresh rather than wait:
+    /// after that one healing run, a warm run again allocates exactly the
+    /// outputs it hands out. Returns what the healing run allocated.
+    fn panic_and_heal(
+        exec: &PlanExecutor,
+        inputs: &[Tensor],
+        reference: &[Tensor],
+        victim: usize,
+        ctx: &str,
+    ) -> u64 {
+        let out_bytes: u64 = reference.iter().map(|t| t.byte_size() as u64).sum();
+        let warm = |ctx: &str| {
+            let mut healing = 0;
+            for run in 0..3 {
+                let before = exec.arena_stats();
+                let out = exec.execute(inputs).unwrap();
+                let after = exec.arena_stats();
+                for (a, b) in reference.iter().zip(&out) {
+                    assert_eq!(a.as_slice(), b.as_slice(), "{ctx} run {run}");
+                }
+                assert_eq!(after.live_bytes, 0, "{ctx} run {run}");
+                let fresh = after.fresh_bytes - before.fresh_bytes;
+                match run {
+                    0 => healing = fresh,
+                    _ => assert_eq!(fresh, out_bytes, "{ctx} run {run}"),
+                }
+            }
+            healing
+        };
+        warm(&format!("{ctx} before"));
+        exec.panic_at_kernel(victim);
+        for _ in 0..2 {
+            let failed = exec.execute(inputs);
+            assert!(
+                matches!(failed, Err(ExecError::KernelPanicked { kernel, .. }) if kernel == victim),
+                "{ctx}: {failed:?}"
+            );
+            assert_eq!(exec.arena_stats().live_bytes, 0, "{ctx}");
+        }
+        exec.panic_at_kernel(usize::MAX);
+        warm(&format!("{ctx} after"))
+    }
+
     /// A walk kernel that panics after an earlier walk of its run wrote
     /// the lane scratch fails its run alone; the next runs on the recycled
-    /// state overwrite whatever the scratch held and are bit-identical,
-    /// allocating no more than before the panic (the output they hand
-    /// out), and the books settle after every run.
+    /// state overwrite whatever the scratch held and are bit-identical.
+    /// Its one export is the graph output, which has no planned buffer,
+    /// so the healing run allocates no more than the output either.
     #[test]
     fn a_walk_that_panics_leaves_its_state_reusable() {
         let (g, plan) = two_walks();
@@ -339,37 +386,80 @@ mod tests {
         let out_bytes = reference[0].byte_size() as u64;
         for lanes in [1, 2] {
             let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
-            assert!(exec.memory_report().scratch_bytes > 0);
-            let warm = |exec: &PlanExecutor, ctx: &str| {
-                for run in 0..3 {
-                    let before = exec.arena_stats();
-                    let out = exec.execute(&inputs).unwrap();
-                    let after = exec.arena_stats();
-                    assert_eq!(
-                        reference[0].as_slice(),
-                        out[0].as_slice(),
-                        "{ctx} run {run}"
-                    );
-                    assert_eq!(after.live_bytes, 0, "{ctx} run {run}");
-                    if run > 0 {
-                        let fresh = after.fresh_bytes - before.fresh_bytes;
-                        assert_eq!(fresh, out_bytes, "{ctx} run {run}");
-                    }
-                }
-            };
-            warm(&exec, &format!("lanes={lanes} before"));
-            exec.panic_at_kernel(1);
-            for _ in 0..2 {
-                let failed = exec.execute(&inputs);
-                assert!(matches!(
-                    failed,
-                    Err(ExecError::KernelPanicked { kernel: 1, .. })
-                ));
-                assert_eq!(exec.arena_stats().live_bytes, 0, "lanes={lanes}");
-            }
-            exec.panic_at_kernel(usize::MAX);
-            warm(&exec, &format!("lanes={lanes} after"));
+            assert!(exec.memory_report().state_bytes > 0);
+            let ctx = format!("lanes={lanes}");
+            let healing = panic_and_heal(&exec, &inputs, &reference, 1, &ctx);
+            assert_eq!(healing, out_bytes, "{ctx}");
         }
+    }
+
+    /// `x → exp → tanh`, one chain kernel each: two range bodies, the
+    /// first writing a planned buffer the second reads.
+    fn two_chains(rows: usize) -> (PrimGraph, Plan) {
+        let mut g = PrimGraph::new();
+        let shape = vec![rows, 32];
+        let mut from = g.add(PrimKind::Input { shape }, vec![]).unwrap();
+        let mut kernels = Vec::new();
+        for op in [UnaryOp::Exp, UnaryOp::Tanh] {
+            let kind = PrimKind::Elementwise(EwFn::Unary(op));
+            from = g.add(kind, vec![from.into()]).unwrap();
+            kernels.push(SelectedKernel {
+                members: vec![from],
+                outputs: vec![from.into()],
+                latency: Micros(1.0),
+                backend: Backend::Generated,
+            });
+        }
+        g.mark_output(from).unwrap();
+        let plan = Plan {
+            kernels,
+            total_latency: Micros(2.0),
+        };
+        (g, plan)
+    }
+
+    /// A range-bodied kernel that panics holding its planned output buffer
+    /// loses it: its runs fail alone and settle, and the healing run
+    /// allocates that buffer afresh besides the output.
+    #[test]
+    fn a_range_kernel_that_panics_leaves_its_state_reusable() {
+        let (g, plan) = two_chains(16);
+        let inputs = inputs_for(&g, 5);
+        let reference = execute_plan(&g, &plan, &inputs).unwrap();
+        let out_bytes = reference[0].byte_size() as u64;
+        for lanes in [1, 2] {
+            let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+            let table = exec.slot_table();
+            let lost = table.write_bufs[0][0].expect("exp's output is planned");
+            let ctx = format!("lanes={lanes}");
+            let healing = panic_and_heal(&exec, &inputs, &reference, 0, &ctx);
+            assert_eq!(healing, out_bytes + table.buffers[lost] as u64 * 4, "{ctx}");
+        }
+    }
+
+    /// A tiled kernel whose tiles panic holding their planned chunks: the
+    /// chunks that landed go back at settle, the lost ones are allocated
+    /// afresh by the healing run, and then nothing but the output.
+    #[test]
+    fn a_tiled_kernel_that_panics_leaves_its_state_reusable() {
+        let (g, plan) = two_chains(64);
+        let inputs = inputs_for(&g, 9);
+        let reference = execute_plan(&g, &plan, &inputs).unwrap();
+        let out_bytes = reference[0].byte_size() as u64;
+        let config = RuntimeConfig {
+            tiling: Tiling::Forced {
+                tile_rows: Some(512),
+            },
+            ..RuntimeConfig::with_lanes(2)
+        };
+        let exec = PlanExecutor::new(&g, &plan, config).unwrap();
+        assert_eq!(
+            exec.slot_table().chunk_bufs[0].len(),
+            4,
+            "exp runs in 4 tiles"
+        );
+        let healing = panic_and_heal(&exec, &inputs, &reference, 0, "tiled");
+        assert!(healing > out_bytes, "a chunk was lost: {healing} B");
     }
 
     #[test]
@@ -399,14 +489,15 @@ mod tests {
         }
     }
 
-    /// The pool serves every buffer the runtime books, walk exports
-    /// included, and a walk's locals live in the run state's scratch. In a
-    /// walk-only plan a warm run books one buffer per staged input and one
-    /// per walk export, takes each from the pool, and allocates afresh
-    /// only the outputs it hands the caller (the pool cannot have them
-    /// back) — so the pool is as deep after run 1 000 as after run 2.
+    /// Every buffer the runtime books comes from the run state's plan,
+    /// walk exports included, and a walk's locals live in the state's
+    /// scratch. In a walk-only plan a warm run books one buffer per
+    /// staged input and one per walk export, takes every one of them but
+    /// the outputs from the plan, and allocates afresh only the outputs
+    /// it hands the caller: the state holds what its first run allocated
+    /// besides those outputs, and holds the same after run 1 000.
     #[test]
-    fn walk_outputs_never_grow_the_pool() {
+    fn walk_outputs_never_grow_the_state() {
         let g = wide_graph(3, 8, 16);
         let plan = Orchestrator::new(Device::v100())
             .orchestrate(&g)
@@ -414,43 +505,36 @@ mod tests {
             .plan;
         let inputs = inputs_for(&g, 5);
         let reference = execute_plan(&g, &plan, &inputs).unwrap();
-        let out_bytes: usize = reference.iter().map(Tensor::byte_size).sum();
+        let out_bytes: u64 = reference.iter().map(|t| t.byte_size() as u64).sum();
         for lanes in [1, 2] {
             let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
             let table = exec.slot_table();
             let exports = table.writes.iter().flatten();
-            assert!(
-                exports.clone().count() > 0 && exports.clone().all(|&s| table.slots[s].pooled),
-                "every walk export is a pool buffer"
-            );
-            assert!(
-                exec.memory_report().scratch_bytes > 0,
-                "the walks keep locals"
-            );
+            let outputs = exports.clone().filter(|&&s| table.slots[s].pinned).count();
+            let state = exec.memory_report().state_bytes;
+            assert!(state > 0, "the walks keep locals");
             let bookings = inputs.len() + exports.count();
-            let mut steady = None;
             for run in 1..=1000 {
                 let before = exec.arena_stats();
                 let out = exec.execute(&inputs).unwrap();
                 let after = exec.arena_stats();
                 assert_eq!(after.live_bytes, 0, "lanes={lanes} run={run}");
-                if run == 1 {
-                    continue;
-                }
+                let fresh = after.fresh_bytes - before.fresh_bytes;
+                let held = if run == 1 { state } else { 0 };
+                assert_eq!(
+                    fresh,
+                    held + out_bytes,
+                    "lanes={lanes} run={run}: the state is allocated once, the outputs each run"
+                );
                 assert_eq!(
                     (after.total_allocs - before.total_allocs) as usize,
                     bookings,
                     "lanes={lanes} run={run}: one booking per staged input and walk export"
                 );
                 assert_eq!(
-                    (after.fresh_bytes - before.fresh_bytes) as usize,
-                    out_bytes,
-                    "lanes={lanes} run={run}: only the outputs are allocated afresh"
-                );
-                assert_eq!(
-                    *steady.get_or_insert(after.free_bytes),
-                    after.free_bytes,
-                    "lanes={lanes} run={run}: the pool grew"
+                    (after.reuse_hits - before.reuse_hits) as usize,
+                    bookings - outputs,
+                    "lanes={lanes} run={run}: every booking but the outputs is planned"
                 );
                 if run == 1000 {
                     for (a, b) in reference.iter().zip(&out) {

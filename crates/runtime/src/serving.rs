@@ -10,14 +10,14 @@
 //! and with it the in-flight cap, whichever constructor started the
 //! server. Every worker calls the **one** model: a `PlanExecutor` (or a
 //! `CompiledModel` over one) serves concurrent runs itself — each run
-//! arms its own recycled run state, helper lanes come from one
-//! process-wide pool, and the runs share one buffer arena and one profile
-//! — so the workers coordinate through nothing but the admission queue.
-//! Constants stay materialized, the arena stays warm, and per-kernel
-//! profiles accumulate across requests. Every response is delivered
-//! through its request's one-shot slot *before* the worker touches the
-//! statistics; throughput and latency percentiles are tracked over a
-//! sliding window.
+//! arms its own recycled run state, with its own planned buffers, helper
+//! lanes come from one process-wide pool, and the runs share one set of
+//! books and one profile — so the workers coordinate through nothing but
+//! the admission queue. Constants stay materialized, the run states stay
+//! warm, and per-kernel profiles accumulate across requests. Every
+//! response is delivered through its request's one-shot slot *before* the
+//! worker touches the statistics; throughput and latency percentiles are
+//! tracked over a sliding window.
 //!
 //! Nothing is stacked: each request runs the plan compiled for its own
 //! shape, so holding requests back to "batch" them bought only latency

@@ -18,7 +18,8 @@
 //! |---|---|
 //! | [`verify_plan`]: dependency acyclicity, producer-before-reader, redundant producers compute their own bytes | `tests/runtime_workstealing.rs` `random_dag_plans_are_bit_identical` |
 //! | [`verify_plan`]: tile decompositions partition the output exactly (disjoint + covering + in tile order, grain-aligned); monolithic/multi-output kernels never tile-eligible; reduce tilings never re-associate one output element | `tests/runtime_tiling.rs` differential matrix (tile sizes × lanes, bit-identical to `execute_plan`) |
-//! | [`verify_lifetimes`] over the executor's own slot table: `live_bytes` returns to 0 on every success *and* failure-unwind path, no buffer read after release | `tests/runtime_workstealing.rs` `redundant_producer_conserves_arena_pool`, `failed_runs_settle_the_arena` (PR 2/PR 5 conservation tests) |
+//! | [`verify_lifetimes`] over the executor's own slot table: `live_bytes` returns to 0 on every success *and* failure-unwind path, no buffer read after release | `tests/runtime_workstealing.rs` `redundant_producer_conserves_the_buffer_plan`, `failed_runs_settle_the_arena` (conservation tests) |
+//! | [`verify_buffer_sharing`] over the buffer plan on that table: two bookings share a planned buffer only when one is dead before the other is produced under every schedule (plan order at one worker, DAG reachability above), at the buffer's size | `korch-runtime`'s debug assert that a planned buffer never has two holders; `tests/compiled_differential.rs` `warm_runs_allocate_only_handed_outputs` |
 //! | [`explore`]: dep-counter release fires exactly once | executor dependency-counter tests (`runtime_workstealing.rs`) |
 //! | [`explore`]: tile-assembly countdown assembles once, after every chunk landed | `runtime_tiling.rs` assembly tests |
 //! | [`explore`]: `Server::stop` sets the shutdown flag under the queue lock, so an idle request worker's check-then-wait never loses the wakeup | `korch-runtime` `serving::tests::idle_shutdown_never_loses_the_wakeup` |
@@ -41,7 +42,9 @@ mod lifetime;
 pub mod models;
 mod plan;
 
-pub use lifetime::{verify_lifetimes, LifetimeProgram, LifetimeStep, PortInfo};
+pub use lifetime::{
+    verify_buffer_sharing, verify_lifetimes, LifetimeProgram, LifetimeStep, PortInfo,
+};
 pub use plan::{verify_plan, PlanArtifact};
 
 use korch_runtime::PlanExecutor;
@@ -80,6 +83,9 @@ pub enum Rule {
     ReleasePinned,
     /// `live_bytes` does not return to 0 after a path settles.
     LifetimeLeak,
+    /// Two bookings share a planned buffer though both may be live at
+    /// once, or one does not hold the buffer's element count.
+    BufferConflict,
     /// The artifact's shape disagrees with the plan (length mismatches).
     MalformedArtifact,
 }
@@ -100,6 +106,7 @@ impl fmt::Display for Rule {
             Rule::DoubleRelease => "double-release",
             Rule::ReleasePinned => "release-pinned",
             Rule::LifetimeLeak => "lifetime-leak",
+            Rule::BufferConflict => "buffer-conflict",
             Rule::MalformedArtifact => "malformed-artifact",
         };
         f.write_str(s)
@@ -176,13 +183,15 @@ pub(crate) fn port_name(p: korch_ir::PortRef) -> String {
 
 /// Runs every static analysis over one compiled executor: the
 /// plan verifier on the artifact the executor actually compiled
-/// (dependency counters, tile layouts) plus the arena lifetime abstract
-/// interpreter over the slot table it runs.
+/// (dependency counters, tile layouts), the arena lifetime abstract
+/// interpreter over the slot table it runs, and the buffer-sharing
+/// check of the buffer plan placed on that table.
 pub fn verify_executor(exec: &PlanExecutor) -> Vec<Violation> {
     let artifact = PlanArtifact::from_executor(exec);
     let mut violations = verify_plan(exec.graph(), exec.plan(), &artifact);
     let program = LifetimeProgram::from_slots(&artifact.slots);
     violations.extend(verify_lifetimes(&program));
+    violations.extend(verify_buffer_sharing(&artifact));
     violations
 }
 

@@ -8,11 +8,15 @@
 //! The dynamic twin is the runtime's arena conservation proptests, which
 //! check the same property on the runs they happen to see; here the
 //! whole path space (one failure prefix per kernel) is walked.
+//!
+//! [`verify_buffer_sharing`] checks the buffer plan placed on the same
+//! table: no two bookings that share a planned buffer can be live at
+//! once under any schedule the executor may pick.
 
-use crate::{port_name, Rule, Violation};
+use crate::{port_name, PlanArtifact, Rule, Violation};
 use korch_ir::PortRef;
 use korch_runtime::SlotTable;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// One abstract buffer the lifetime program touches.
 #[derive(Debug, Clone)]
@@ -227,4 +231,153 @@ pub fn verify_lifetimes(program: &LifetimeProgram) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// One booking of a planned buffer: its name, element count, producer
+/// (`None`: a staged input, filled before kernel 0) and the kernels whose
+/// retirement may release it (`None`: it lives all run).
+type Booking = (String, usize, Option<usize>, Option<Vec<usize>>);
+
+/// Checks the buffer plan placed on `artifact`'s slot table
+/// ([`SlotTable::buffers`]): every booking of a planned buffer — a staged
+/// input, a kernel output, a tile chunk — holds its element count, and of
+/// two bookings that share one, one is dead before the other is produced
+/// under every schedule the executor can pick. That is, every kernel that
+/// may release it (its slot's readers and its writer; a chunk's own
+/// kernel) strictly reaches the other's producer in `artifact.deps` or,
+/// when a run is plan order (one worker), precedes it in the plan. A
+/// staged input or a pinned slot lives all run and shares with nothing.
+pub fn verify_buffer_sharing(artifact: &PlanArtifact) -> Vec<Violation> {
+    let (table, n) = (&artifact.slots, artifact.deps.len());
+    // before[p][r]: kernel r retires before kernel p starts.
+    let mut before = vec![vec![false; n]; n];
+    for (p, row) in before.iter_mut().enumerate() {
+        if artifact.workers <= 1 {
+            row[..p].fill(true);
+            continue;
+        }
+        let mut stack = artifact.deps[p].clone();
+        while let Some(d) = stack.pop() {
+            if d < n && !std::mem::replace(&mut row[d], true) {
+                stack.extend(&artifact.deps[d]);
+            }
+        }
+    }
+    let mut readers = vec![Vec::new(); table.slots.len()];
+    for (k, reads) in table.reads.iter().enumerate() {
+        for &s in reads {
+            readers[s].push(k);
+        }
+    }
+    let mut bookings: BTreeMap<usize, Vec<Booking>> = BTreeMap::new();
+    let mut book = |b: usize, booking: Booking| bookings.entry(b).or_default().push(booking);
+    for (slot, b) in table.slots.iter().filter_map(|s| Some((s, s.buffer?))) {
+        book(b, (port_name(slot.port), slot.numel, None, None));
+    }
+    for (k, (writes, bufs)) in table.writes.iter().zip(&table.write_bufs).enumerate() {
+        for (&s, &b) in writes.iter().zip(bufs) {
+            let (Some(b), slot) = (b, &table.slots[s]) else {
+                continue;
+            };
+            let releasers = (!slot.pinned).then(|| [&readers[s][..], &[k]].concat());
+            book(b, (port_name(slot.port), slot.numel, Some(k), releasers));
+        }
+    }
+    for (k, (bufs, layout)) in table.chunk_bufs.iter().zip(&artifact.tiles).enumerate() {
+        let tiles = layout.iter().flat_map(|l| &l.tiles);
+        for (t, (&b, range)) in bufs.iter().zip(tiles).enumerate() {
+            let name = format!("chunk {t} of kernel {k}");
+            book(b, (name, range.len(), Some(k), Some(vec![k])));
+        }
+    }
+    let ordered = |r: usize, p: usize| before.get(p).is_some_and(|row| row.get(r) == Some(&true));
+    let dead_before = |a: &Booking, c: &Booking| match (&a.3, c.2) {
+        (Some(releasers), Some(p)) => releasers.iter().all(|&r| ordered(r, p)),
+        _ => false,
+    };
+    let mut out = Vec::new();
+    for (b, list) in &bookings {
+        for (i, a) in list.iter().enumerate() {
+            let conflict =
+                |detail| Violation::new(Rule::BufferConflict, a.2, Some(a.0.clone()), detail);
+            if table.buffers.get(*b) != Some(&a.1) {
+                out.push(conflict(format!(
+                    "{} of {} elements is placed in buffer {b} of another size",
+                    a.0, a.1
+                )));
+            }
+            for c in &list[..i] {
+                if !dead_before(a, c) && !dead_before(c, a) {
+                    out.push(conflict(format!(
+                        "{} shares buffer {b} with {}, and both may be live at once",
+                        a.0, c.0
+                    )));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use korch_ir::NodeId;
+    use korch_runtime::{SlotInfo, TileBodyKind, TileLayout};
+
+    /// `k0 → s0` and `k1 → s1`, two roots both read by `k2`, which runs
+    /// in two tiles: placed by hand with `s0` and `s1` in one buffer and
+    /// both chunks in another, the plan is flagged at `k1` (two unordered
+    /// writers) and at `k2` (two chunks of one kernel); placed apart, it
+    /// passes.
+    #[test]
+    fn shared_buffers_of_unordered_bookings_are_flagged() {
+        let slot = |n: usize| SlotInfo {
+            port: PortRef::from(NodeId(n)),
+            numel: 16,
+            readers: 1,
+            pinned: false,
+            source: false,
+            buffer: None,
+        };
+        let tiled = TileLayout {
+            body: TileBodyKind::ElementwiseChain,
+            tiles: vec![0..8, 8..16],
+            out_shape: vec![16],
+            grain: 1,
+        };
+        let mut artifact = PlanArtifact {
+            deps: vec![vec![], vec![], vec![0, 1]],
+            tiles: vec![None, None, Some(tiled)],
+            slots: SlotTable {
+                slots: vec![slot(0), slot(1), slot(2)],
+                reads: vec![vec![], vec![], vec![0, 1]],
+                writes: vec![vec![0], vec![1], vec![2]],
+                write_bufs: vec![vec![Some(0)], vec![Some(0)], vec![Some(2)]],
+                chunk_bufs: vec![vec![], vec![], vec![1, 1]],
+                buffers: vec![16, 8, 16],
+            },
+            folded: vec![],
+            workers: 2,
+        };
+        let flagged: Vec<(Rule, Option<usize>)> = verify_buffer_sharing(&artifact)
+            .iter()
+            .map(|v| (v.rule, v.kernel))
+            .collect();
+        assert_eq!(
+            flagged,
+            [
+                (Rule::BufferConflict, Some(1)),
+                (Rule::BufferConflict, Some(2))
+            ]
+        );
+        artifact.slots.write_bufs[1] = vec![Some(3)];
+        artifact.slots.chunk_bufs[2] = vec![1, 4];
+        artifact.slots.buffers.extend([16, 8]);
+        assert!(verify_buffer_sharing(&artifact).is_empty());
+        // `k2`'s output may reuse `s0`'s buffer only if both readers of
+        // `s0` — `k2` itself among them — retire before `k2` starts.
+        artifact.slots.write_bufs[2] = vec![Some(0)];
+        assert_eq!(verify_buffer_sharing(&artifact).len(), 1);
+    }
 }

@@ -30,6 +30,9 @@ pub struct PlanArtifact {
     /// Members the executor folded at compile (run by no kernel), as
     /// [`PlanExecutor::folded`] lists them.
     pub folded: Vec<NodeId>,
+    /// Lanes a run is scheduled over ([`PlanExecutor::lane_count`]): at
+    /// one, a run is plan order.
+    pub workers: usize,
 }
 
 impl PlanArtifact {
@@ -40,6 +43,7 @@ impl PlanArtifact {
             tiles: exec.tile_layouts(),
             slots: exec.slot_table().clone(),
             folded: exec.folded().to_vec(),
+            workers: exec.lane_count(),
         }
     }
 }

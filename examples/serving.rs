@@ -58,10 +58,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let report = tuned.memory_report();
     println!(
-        "memory:   peak {} KiB resident vs {} KiB allocate-everything ({:.0}% saved)",
+        "memory:   peak {} KiB resident vs {} KiB allocate-everything ({:.0}% saved); \
+         {} KiB held per run state",
         report.peak_resident_bytes / 1024,
         report.allocate_everything_bytes / 1024,
         report.savings() * 100.0,
+        report.state_bytes / 1024,
     );
 
     // 2. Serve with an auto-recalibration policy: a request starts the
@@ -179,8 +181,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("scheduler: {steals} tasks work-stolen across lanes");
     let arena = tuned.arena_stats();
     println!(
-        "arena:    peak {} KiB resident in the one pool {WORKERS} workers share \
-         ({} KiB live at the end)",
+        "arena:    peak {} KiB booked by the {WORKERS} workers' runs, each in its own \
+         run state's planned buffers ({} KiB live at the end)",
         arena.peak_bytes / 1024,
         arena.live_bytes / 1024,
     );

@@ -483,7 +483,7 @@ fn slot_of(exec: &PlanExecutor, node: NodeId) -> Option<&korch::runtime::SlotInf
 }
 
 /// `x + bcast(c)` in one kernel: the broadcast is folded, its port is a
-/// pinned, unpooled source slot, `c` — read by the fold alone — has no
+/// pinned source slot with no planned buffer, `c` — read by the fold alone — has no
 /// slot, and what runs is a one-member chain that tiles.
 #[test]
 fn a_folded_bias_leaves_a_chain_that_tiles() {
@@ -496,7 +496,10 @@ fn a_folded_bias_leaves_a_chain_that_tiles() {
         assert_eq!(exec.folded(), [b]);
         assert!(slot_of(&exec, c).is_none(), "only the fold reads c");
         let bias = slot_of(&exec, b).expect("the kernel reads the folded port");
-        assert!(bias.source && bias.pinned && !bias.pooled, "{bias:?}");
+        assert!(
+            bias.source && bias.pinned && bias.buffer.is_none(),
+            "{bias:?}"
+        );
         assert_eq!(bias.readers, 1);
         if exec.lane_count() == 2 {
             assert_eq!(exec.tileable_kernels(), 1, "the chain tiles");
@@ -599,7 +602,8 @@ fn a_weight_only_node_two_kernels_share_is_folded_once() {
 }
 
 /// The stitched Segformer-tiny executor folds: some source slots hold
-/// non-source nodes (each folded, pinned, unpooled), and no slot is left
+/// non-source nodes (each folded, pinned, with no planned buffer), and
+/// no slot is left
 /// for a constant only folded members read.
 #[test]
 fn segformer_tiny_folds_its_weight_only_members() {
@@ -614,7 +618,7 @@ fn segformer_tiny_folds_its_weight_only_members() {
     for slot in table.slots.iter().filter(|s| s.source) {
         if !g.node(slot.port.node).kind.is_source() {
             assert!(folded.contains(&slot.port.node), "{slot:?}");
-            assert!(slot.pinned && !slot.pooled, "{slot:?}");
+            assert!(slot.pinned && slot.buffer.is_none(), "{slot:?}");
             folded_slots += 1;
         }
     }
@@ -641,26 +645,25 @@ fn segformer_tiny_folds_its_weight_only_members() {
 }
 
 /// What each run of `exec` allocates by design, in bytes: the graph
-/// outputs the run hands the caller from pool buffers, which the pool
-/// cannot have back. Every other buffer a warm run writes is a pool
-/// buffer it gives back or its lane's scratch.
+/// outputs the run hands the caller, which its state cannot have back
+/// (a source output is a constant or the caller's own input). Every
+/// other buffer a warm run writes is a planned buffer of its state or
+/// its lane's scratch.
 fn fresh_by_design(exec: &PlanExecutor) -> u64 {
     let table = exec.slot_table();
     (exec.graph().outputs().iter())
         .filter_map(|o| table.slots.iter().find(|s| s.port == *o))
-        .filter(|s| s.pooled && !s.source)
+        .filter(|s| !s.source)
         .map(|s| s.bytes())
         .sum()
 }
 
 /// Runs `exec` five times, then twenty more that must each be
 /// bit-identical to `reference`, settle the arena and allocate exactly
-/// `fresh` bytes besides what they leave parked in the pool. Everything a
-/// run books but the outputs it hands out goes back to the pool, so a
-/// pool miss (fresh) that is not an output grows the pool by as much: at
-/// one lane the schedule is fixed and the pool never grows once warm; at
-/// two, a schedule that holds more buffers of a size at once than any
-/// before it grows the pool by what it missed.
+/// `fresh` bytes. Everything a run books but the outputs it hands out
+/// comes from its state's plan, placed at compile for every schedule
+/// the executor can pick, so a warm run misses nothing at any lane
+/// count: the bytes the state holds stay what its first run made them.
 fn assert_warm_fresh(
     exec: &PlanExecutor,
     inputs: &[Tensor],
@@ -677,12 +680,8 @@ fn assert_warm_fresh(
         let after = exec.arena_stats();
         assert_bit_identical(reference, &out, &format!("{ctx} run {run}"));
         assert_eq!(after.live_bytes, 0, "{ctx} run {run}");
-        let grown = after.free_bytes as i64 - before.free_bytes as i64;
-        if exec.lane_count() == 1 {
-            assert_eq!(grown, 0, "{ctx} run {run}: the pool grew");
-        }
-        let allocated = (after.fresh_bytes - before.fresh_bytes) as i64;
-        assert_eq!(allocated - grown, fresh as i64, "{ctx} run {run}");
+        let allocated = after.fresh_bytes - before.fresh_bytes;
+        assert_eq!(allocated, fresh, "{ctx} run {run}");
     }
 }
 
@@ -724,7 +723,7 @@ fn warm_runs_allocate_only_handed_outputs() {
             let exec = PlanExecutor::new(g, plan, RuntimeConfig::with_lanes(lanes)).unwrap();
             let handed = fresh_by_design(&exec);
             assert_eq!(handed, out_bytes as u64, "{name}");
-            assert!(exec.memory_report().scratch_bytes > 0, "{name}");
+            assert!(exec.memory_report().state_bytes > 0, "{name}");
             let ctx = format!("{name} lanes {lanes}");
             assert_warm_fresh(&exec, &inputs, &reference, handed, &ctx);
         }
@@ -849,9 +848,11 @@ fn a_walk_of_converted_steps_allocates_only_what_it_hands_out() {
 }
 
 /// A walk that fails mid-way fails every run where `execute_plan`
-/// fails, settles the books, and gives the export buffer it had written
-/// back to the pool: from the second run on, a failing run takes it from
-/// there again and allocates nothing.
+/// fails, settles the books, and gives the export buffers it took back:
+/// a planned one to its state's plan, and one for a graph output — which
+/// has no planned place, since a successful run hands it out — to the
+/// allocator. From the second run on, a failing run allocates exactly
+/// what a successful one does, the outputs, and loses nothing planned.
 #[test]
 fn a_walk_failing_mid_way_returns_its_export_buffers() {
     let (g, plan) = converted_walk(true);
@@ -859,6 +860,7 @@ fn a_walk_failing_mid_way_returns_its_export_buffers() {
     assert!(execute_plan(&g, &plan, &inputs).is_err());
     for lanes in [1, 2] {
         let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
+        let handed = fresh_by_design(&exec);
         for run in 0..6 {
             let before = exec.arena_stats();
             assert!(exec.execute(&inputs).is_err(), "lanes {lanes} run {run}");
@@ -866,11 +868,12 @@ fn a_walk_failing_mid_way_returns_its_export_buffers() {
             assert_eq!(after.live_bytes, 0, "lanes {lanes} run {run}");
             if run > 0 {
                 assert_eq!(
-                    after.fresh_bytes, before.fresh_bytes,
+                    after.fresh_bytes - before.fresh_bytes,
+                    handed,
                     "lanes {lanes} run {run}"
                 );
-                assert_eq!(
-                    after.free_bytes, before.free_bytes,
+                assert!(
+                    after.reuse_hits > before.reuse_hits,
                     "lanes {lanes} run {run}"
                 );
             }
