@@ -12,8 +12,8 @@
 //!   path: depthwise, pointwise, panel). Two first lines count the folded
 //!   members and the bytes the executor holds of them, and the bytes a
 //!   warm run allocates (`ArenaStats::fresh_bytes`) against what one run
-//!   state holds (`MemoryReport::state_bytes`: its planned buffers and
-//!   lane scratch) and the outputs it hands the caller.
+//!   state holds (`MemoryReport::state_bytes`: its planned buffers) and
+//!   the outputs it hands the caller.
 //! - `probe blp <model>`: what does each orchestration BLP cost? Replays
 //!   `Korch::optimize` stage by stage, one job after the other, and prints
 //!   one line per (partition, variant) it takes — a variant whose

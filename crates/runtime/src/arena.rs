@@ -18,13 +18,15 @@
 //! run-invariant members compile evaluated once — shared by every run
 //! and never booked.
 //!
-//! The buffers a run books are placed on the table at compile
-//! ([`SlotTable::place_buffers`]): each run state owns one buffer per
-//! planned index and nothing is placed at run time (the executor's
-//! module docs say how). [`BufferArena`] only keeps the books:
+//! Every buffer a run writes is placed on the table at compile, by one
+//! [`Placer`]: a walk places its locals in buffers it holds while it
+//! runs, and [`SlotTable::place_buffers`] places those with every other
+//! booking — staged inputs, kernel outputs, tile chunks. Each run state
+//! owns one buffer per planned index, and nothing is placed at run time
+//! (the executor's module docs say how); a graph output's buffer is its
+//! own, and empty again once a run hands its storage out. [`BufferArena`] only keeps the books:
 //! [`ArenaStats::fresh_bytes`] counts every byte allocated outside a
-//! state's plan and lane scratch — once warm, the outputs a run hands
-//! its caller.
+//! state's plan — once warm, the outputs a run hands its caller.
 
 use korch_ir::PortRef;
 use std::collections::HashMap;
@@ -46,12 +48,9 @@ pub struct MemoryReport {
     /// Number of materialized buffers that die before the plan ends.
     pub reclaimable_buffers: usize,
     /// Bytes one run state holds for its whole life: its planned buffers
-    /// ([`SlotTable::buffers`]) plus the walk scratch of each lane a run
-    /// is scheduled over (every walk's locals, placed by lifetime and
-    /// shared by size between walks). Allocated on the state's first run
-    /// and kept. [`SlotTable::memory_report`], which knows no walk,
-    /// counts the planned buffers alone; `PlanExecutor::new` adds the
-    /// scratch.
+    /// ([`SlotTable::buffers`]) but the places of the graph outputs, which
+    /// a run hands out ([`SlotTable::handed_out`]). Allocated on the
+    /// state's first run and kept.
     pub state_bytes: u64,
 }
 
@@ -84,10 +83,9 @@ pub struct SlotInfo {
     /// evaluated once).
     pub source: bool,
     /// The planned buffer a graph input is staged in. `None` for every
-    /// other slot: constants and folded ports are shared across runs, a
-    /// graph output (an input too) is handed to the caller, and a
-    /// kernel's output lands in its writer's buffer
-    /// ([`SlotTable::write_bufs`]).
+    /// other slot: constants and folded ports are shared across runs, an
+    /// input the graph outputs is copied for the caller, and a kernel's
+    /// output lands in its writer's buffer ([`SlotTable::write_bufs`]).
     pub buffer: Option<usize>,
 }
 
@@ -111,14 +109,15 @@ pub struct SlotTable {
     /// port exported twice is listed twice).
     pub writes: Vec<Vec<usize>>,
     /// Per kernel, the planned buffer each entry of `writes` lands in:
-    /// `None` for a graph output (allocated per run and handed to the
-    /// caller) and for a port the kernel listed before (published once).
-    /// Redundant writers of one slot each have their own buffer; the
-    /// run records whose copy the slot kept.
+    /// `None` for a port the kernel listed before (published once). A
+    /// graph output's buffer is its own: a successful run hands it out
+    /// and the next allocates it afresh, a failed one puts it back.
+    /// Redundant writers of one slot each have their own buffer; the run
+    /// records whose copy the slot kept.
     pub write_bufs: Vec<Vec<Option<usize>>>,
-    /// Per kernel, the planned buffer of each tile chunk, in tile order
-    /// (empty for a kernel that never tiles).
-    pub chunk_bufs: Vec<Vec<usize>>,
+    /// Per kernel, the planned buffers it holds only while it runs: each
+    /// tile chunk in tile order, or a walk's local buffers.
+    pub kernel_bufs: Vec<Vec<usize>>,
     /// Element count of each planned buffer.
     pub buffers: Vec<usize>,
 }
@@ -183,65 +182,110 @@ impl SlotTable {
             peak_resident_bytes: peak,
             pinned_bytes: pinned,
             reclaimable_buffers: releases.iter().map(Vec::len).sum(),
-            state_bytes: (self.buffers.iter().sum::<usize>() * 4) as u64,
+            state_bytes: (self.buffers.iter().zip(self.handed_out()))
+                .map(|(&n, handed)| if handed { 0 } else { n as u64 * 4 })
+                .sum(),
         }
     }
 
-    /// Places every buffer a run books: the `staged` input slots (alive
-    /// all run), each kernel's distinct unpinned outputs (released by the
-    /// writer or any reader of the slot) and its tile `chunks` (element
-    /// counts, released by the kernel), given `before[p][r]`: kernel `r`
-    /// retires before `p` starts under every schedule. In plan order, each
-    /// goes to the most recently freed buffer of its size whose every
-    /// occupant's releasers retire before its producer starts, else to a
-    /// new one.
-    pub fn place_buffers(&mut self, staged: &[usize], chunks: &[Vec<usize>], before: &[Vec<bool>]) {
+    /// Per planned buffer, whether it is a graph output's, whose storage
+    /// a successful run hands the caller.
+    pub fn handed_out(&self) -> Vec<bool> {
+        let mut handed = vec![false; self.buffers.len()];
+        let listed = (self.writes.iter().flatten()).zip(self.write_bufs.iter().flatten());
+        for b in listed.filter_map(|(&s, &b)| b.filter(|_| self.slots[s].pinned)) {
+            handed[b] = true;
+        }
+        handed
+    }
+
+    /// Places every buffer a run writes, kernel by kernel in plan order,
+    /// given `before[p][r]`: kernel `r` retires before `p` starts under
+    /// every schedule. The `staged` input slots live all run, and so does
+    /// a graph output's buffer: the caller keeps its storage. Kernel `k`
+    /// then places its distinct other outputs (released by the writer or
+    /// any reader of the slot) and the buffers it `holds` while it runs
+    /// (element counts, released by `k`).
+    pub fn place_buffers(&mut self, staged: &[usize], holds: &[Vec<usize>], before: &[Vec<bool>]) {
         let mut readers: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
         for (k, reads) in self.reads.iter().enumerate() {
             for &s in reads {
                 readers[s].push(k);
             }
         }
+        let mut placer = Placer::default();
         for &s in staged {
-            self.slots[s].buffer = Some(self.buffers.len());
-            self.buffers.push(self.slots[s].numel);
+            self.slots[s].buffer = Some(placer.own(self.slots[s].numel));
         }
-        // Per size, the buffers that may take another occupant, each with
-        // the kernels that may release one of its occupants so far.
-        let mut open: HashMap<usize, Vec<(usize, Vec<usize>)>> = HashMap::new();
-        let buffers = &mut self.buffers;
-        let mut place = |numel: usize, producer: usize, frees: Vec<usize>| -> usize {
-            let fits = open.entry(numel).or_default();
-            let free = |(_, f): &&mut (usize, Vec<usize>)| f.iter().all(|&r| before[producer][r]);
-            let last = |(b, f): &&mut (usize, Vec<usize>)| (f.iter().max().copied(), *b);
-            match fits.iter_mut().filter(free).max_by_key(last) {
-                Some((b, f)) => {
-                    f.extend(frees);
-                    *b
-                }
-                None => {
-                    buffers.push(numel);
-                    fits.push((buffers.len() - 1, frees));
-                    buffers.len() - 1
-                }
+        let before = |p: usize, r: usize| before[p][r];
+        for (k, writes) in self.writes.iter().enumerate() {
+            let mut bufs = Vec::with_capacity(writes.len());
+            for (i, &s) in writes.iter().enumerate() {
+                let slot = &self.slots[s];
+                bufs.push(if writes[..i].contains(&s) {
+                    None
+                } else if slot.pinned {
+                    Some(placer.own(slot.numel))
+                } else {
+                    let frees = readers[s].iter().copied().chain([k]).collect();
+                    Some(placer.place(slot.numel, k, frees, before))
+                });
             }
-        };
-        self.write_bufs = (self.writes.iter().enumerate())
-            .map(|(k, writes)| {
-                (writes.iter().enumerate())
-                    .map(|(i, &s)| {
-                        let slot = &self.slots[s];
-                        (!slot.pinned && !writes[..i].contains(&s)).then(|| {
-                            let frees = readers[s].iter().copied().chain([k]).collect();
-                            place(slot.numel, k, frees)
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        self.chunk_bufs = (chunks.iter().enumerate())
-            .map(|(k, lens)| lens.iter().map(|&n| place(n, k, vec![k])).collect())
-            .collect();
+            self.write_bufs.push(bufs);
+            let held = (holds[k].iter()).map(|&n| placer.place(n, k, vec![k], before));
+            self.kernel_bufs.push(held.collect());
+        }
+        self.buffers = placer.sizes;
+    }
+}
+
+/// Places buffers by size and lifetime, in the order it is asked. A
+/// booking is made at an event and released by any of a set of events;
+/// `before(at, r)` says event `r` is over before event `at` starts.
+/// Events are kernels for [`SlotTable::place_buffers`] and a walk's steps
+/// for its locals.
+#[derive(Debug, Default)]
+pub(crate) struct Placer {
+    /// Element count of each buffer placed so far.
+    pub(crate) sizes: Vec<usize>,
+    /// Per size, the buffers that may take another occupant, each with
+    /// every event that may release one of its occupants.
+    open: HashMap<usize, Vec<(usize, Vec<usize>)>>,
+}
+
+impl Placer {
+    /// Places a booking of `numel` elements made at `at` and released by
+    /// any of `frees`: in the most recently freed buffer of its size whose
+    /// every occupant is released before `at`, else in a new one.
+    pub(crate) fn place(
+        &mut self,
+        numel: usize,
+        at: usize,
+        frees: Vec<usize>,
+        before: impl Fn(usize, usize) -> bool,
+    ) -> usize {
+        let fits = self.open.entry(numel).or_default();
+        let free = (fits.iter_mut()).filter(|(_, f)| f.iter().all(|&r| before(at, r)));
+        if let Some((b, f)) = free.max_by_key(|(b, f)| (f.iter().max().copied(), *b)) {
+            f.extend(frees);
+            return *b;
+        }
+        fits.push((self.sizes.len(), frees));
+        self.own(numel)
+    }
+
+    /// Releases of the occupant of buffer `b` may also come from `frees`.
+    pub(crate) fn extend(&mut self, b: usize, frees: impl IntoIterator<Item = usize>) {
+        let mut open = self.open.get_mut(&self.sizes[b]).into_iter().flatten();
+        if let Some((_, f)) = open.find(|(o, _)| *o == b) {
+            f.extend(frees);
+        }
+    }
+
+    /// A new buffer of `numel` elements that no other booking takes.
+    pub(crate) fn own(&mut self, numel: usize) -> usize {
+        self.sizes.push(numel);
+        self.sizes.len() - 1
     }
 }
 
@@ -265,11 +309,12 @@ pub struct ArenaStats {
     pub peak_bytes: u64,
     /// Buffers booked in total.
     pub total_allocs: u64,
-    /// Buffers taken from a state's plan.
+    /// Bookings and tile chunks taken from a state's plan (a walk's
+    /// locals are not counted).
     pub reuse_hits: u64,
-    /// Bytes allocated outside a state's plan and scratch — the outputs
-    /// a run hands out, and a planned buffer or scratch block that did not
-    /// come back — plus what a state allocates on its first run.
+    /// Bytes allocated outside a state's plan — the outputs a run hands
+    /// out, and a planned buffer lost to a panic — plus what a state
+    /// allocates on its first run.
     pub fresh_bytes: u64,
 }
 
@@ -296,7 +341,7 @@ impl BufferArena {
         self.reuse_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts `bytes` allocated outside a state's plan and scratch (see
+    /// Counts `bytes` allocated outside a state's plan (see
     /// [`ArenaStats::fresh_bytes`]).
     pub(crate) fn note_fresh(&self, bytes: u64) {
         self.fresh_bytes.fetch_add(bytes, Ordering::Relaxed);

@@ -2,7 +2,7 @@
 //! `PlanExecutor::new` so a run only indexes vectors.
 
 use super::{not_materialized, TileBodyKind};
-use crate::arena::BufferArena;
+use crate::arena::Placer;
 use korch_exec::{eval_prim_into, prim_tilability, CompiledChain, ExecError};
 use korch_ir::{LayoutFn, LinearFn, NodeId, PortRef, PrimGraph, PrimKind};
 use korch_tensor::{MatMulSpec, PackedB, Tensor, TensorError};
@@ -17,27 +17,8 @@ use std::sync::Arc;
 enum Operand {
     /// The `i`-th entry of the kernel's reads.
     Read(usize),
-    /// The output port of an earlier step that lives at the `Dest`.
-    Local(Dest),
-}
-
-/// Where one output port of a walk step lives during a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Dest {
-    /// Buffer `b` of the lane's scratch: a local, written in place.
-    Scratch(usize),
-    /// The walk's `e`-th export buffer, taken from the run state's plan.
-    Export(usize),
-}
-
-impl Dest {
-    /// The scratch buffer of a local that dies in its walk.
-    fn scratch(self) -> usize {
-        match self {
-            Dest::Scratch(b) => b,
-            Dest::Export(_) => unreachable!("an export never dies in its walk"),
-        }
-    }
+    /// The output port of an earlier step, in the walk's buffer `b`.
+    Local(usize),
 }
 
 /// A walk step's port, as (step, port).
@@ -47,81 +28,30 @@ type StepPort = (usize, usize);
 pub(super) struct Step {
     node: NodeId,
     operands: Vec<Operand>,
-    /// Where each output port lives, in port order.
-    dests: Vec<Dest>,
+    /// The walk buffer each output port lives in, in port order.
+    dests: Vec<usize>,
     /// The shape of each output port.
     shapes: Vec<Vec<usize>>,
-    /// The scratch buffer of a local a `Reshape` takes over because the
-    /// local dies at it: the step relabels the buffer (`dests[0]`)
-    /// instead of copying it.
-    alias: Option<usize>,
+    /// The step is a `Reshape` of a local that dies at it: it relabels
+    /// that local's buffer (`dests[0]`) instead of copying it.
+    relabels: bool,
 }
 
 /// A walk body: every non-source member in ascending (= topological)
 /// order, each evaluated by [`eval_prim_into`] into buffers the run
-/// already owns, one per output port — a local into the lane's scratch
-/// (placed at compile by lifetime: a dead local's buffer goes to the
-/// next local of its size), an export into the buffer the caller took
-/// for it.
+/// already owns, one per output port. The walk's buffers are its
+/// exports, one per distinct exported port, then its locals, placed at
+/// compile by step: a dead local's buffer goes to the next local of its
+/// size.
 pub(super) struct Walk {
     steps: Vec<Step>,
     /// Per distinct exported port, in first-listing order, the kernel
     /// output that lists it first: export buffer `e` is output
     /// `firsts[e]`'s, and a port listed again is published once.
     pub(super) firsts: Vec<usize>,
-}
-
-/// Places walk locals in the lane scratch while kernels compile: `sizes`
-/// are the scratch buffers (`f32` elements), `free` the ones no live
-/// local of the kernel being compiled holds, by size. Every kernel starts
-/// with all of them free — its locals die before it ends — so walks share
-/// buffers, and a buffer is added only when one walk needs more of a size
-/// alive at once than any walk before it.
-#[derive(Default)]
-pub(super) struct ScratchPlan {
-    pub(super) sizes: Vec<usize>,
-    free: HashMap<usize, Vec<usize>>,
-}
-
-impl ScratchPlan {
-    /// Frees every buffer for the next kernel.
-    fn start_kernel(&mut self) {
-        self.free.clear();
-        for (b, &n) in self.sizes.iter().enumerate().rev() {
-            self.free.entry(n).or_default().push(b);
-        }
-    }
-
-    fn take(&mut self, numel: usize) -> usize {
-        match self.free.get_mut(&numel).and_then(Vec::pop) {
-            Some(b) => b,
-            None => {
-                self.sizes.push(numel);
-                self.sizes.len() - 1
-            }
-        }
-    }
-
-    fn give(&mut self, b: usize) {
-        self.free.entry(self.sizes[b]).or_default().push(b);
-    }
-}
-
-/// A walk's locals during one run.
-struct Locals<'s> {
-    scratch: &'s mut [Option<Tensor>],
-    bufs: &'s mut [Option<Tensor>],
-}
-
-impl Locals<'_> {
-    fn get<'a>(&'a self, op: Operand, reads: &'a [Arc<Tensor>]) -> &'a Tensor {
-        let written = "written by an earlier step";
-        match op {
-            Operand::Read(i) => &reads[i],
-            Operand::Local(Dest::Scratch(b)) => self.scratch[b].as_ref().expect(written),
-            Operand::Local(Dest::Export(e)) => self.bufs[e].as_ref().expect(written),
-        }
-    }
+    /// Element count of each local buffer, the walk's buffers after the
+    /// exports.
+    pub(super) locals: Vec<usize>,
 }
 
 /// The body of one kernel. `Chain` and `Prim` are the *range* bodies:
@@ -189,8 +119,7 @@ pub(super) fn kernel_reads(g: &PrimGraph, members: &[NodeId]) -> Vec<PortRef> {
 
 impl KernelBody {
     /// Lowers the kernel over `members` (ascending) exporting `outputs`.
-    /// `reads` is [`kernel_reads`] of the same members; a walk places its
-    /// locals in `scratch`.
+    /// `reads` is [`kernel_reads`] of the same members.
     ///
     /// # Errors
     ///
@@ -201,7 +130,6 @@ impl KernelBody {
         members: &[NodeId],
         reads: &[PortRef],
         outputs: &[PortRef],
-        scratch: &mut ScratchPlan,
     ) -> Result<Self, ExecError> {
         let read_index = |p: &PortRef| reads.iter().position(|r| r == p).ok_or(not_materialized(p));
         if let [out] = outputs {
@@ -221,7 +149,7 @@ impl KernelBody {
                 }
             }
         }
-        Walk::compile(g, members, reads, outputs, scratch).map(KernelBody::Walk)
+        Walk::compile(g, members, reads, outputs).map(KernelBody::Walk)
     }
 
     /// How tiles of this body evaluate their ranges, and the split grain
@@ -319,7 +247,6 @@ impl Walk {
         members: &[NodeId],
         reads: &[PortRef],
         outputs: &[PortRef],
-        scratch: &mut ScratchPlan,
     ) -> Result<Self, ExecError> {
         let read_index = |p: &PortRef| reads.iter().position(|r| r == p).ok_or(not_materialized(p));
         let nodes: Vec<NodeId> = non_source(g, members).collect();
@@ -337,22 +264,15 @@ impl Walk {
         }
         let export_of = |port: StepPort| exported.iter().position(|&p| p == port);
         // Per port, the last step that reads it (its own step when none
-        // does); per step, the unexported ports that die there.
+        // does): the step after it may reuse its buffer.
         let mut last_reader: HashMap<StepPort, usize> = HashMap::new();
         for (i, &m) in nodes.iter().enumerate() {
             for port in g.node(m).inputs.iter().filter_map(local) {
                 last_reader.insert(port, i);
             }
         }
-        let mut dies_at: Vec<Vec<StepPort>> = vec![Vec::new(); nodes.len()];
-        for (step, &m) in nodes.iter().enumerate() {
-            for port in (0..g.node(m).out_metas.len()).map(|p| (step, p)) {
-                if export_of(port).is_none() {
-                    dies_at[last_reader.get(&port).copied().unwrap_or(step)].push(port);
-                }
-            }
-        }
-        scratch.start_kernel();
+        let dies = |port: StepPort| last_reader.get(&port).copied().unwrap_or(port.0);
+        let (mut placer, n) = (Placer::default(), exported.len());
         let mut steps: Vec<Step> = Vec::with_capacity(nodes.len());
         for (i, &m) in nodes.iter().enumerate() {
             let node = g.node(m);
@@ -363,25 +283,31 @@ impl Walk {
                 })
                 .collect::<Result<_, _>>()?;
             // The local an unexported `Reshape` takes over: its operand,
-            // dying here (and so in the scratch).
+            // unexported and dying here.
             let taken = match (&node.kind, node.inputs.as_slice()) {
                 (PrimKind::Layout(LayoutFn::Reshape { .. }), [r])
                     if export_of((i, 0)).is_none() =>
                 {
-                    local(r).filter(|port| dies_at[i].contains(port))
+                    local(r).filter(|&port| export_of(port).is_none() && dies(port) == i)
                 }
                 _ => None,
             };
-            let alias = taken.map(|(step, port)| steps[step].dests[port].scratch());
             let shapes: Vec<Vec<usize>> = (node.out_metas.iter())
                 .map(|t| t.shape().to_vec())
                 .collect();
-            let dests = match alias {
-                Some(b) => vec![Dest::Scratch(b)],
+            let dests = match taken {
+                Some((step, port)) => {
+                    let b = steps[step].dests[port];
+                    placer.extend(b - n, [dies((i, 0))]);
+                    vec![b]
+                }
                 None => (shapes.iter().enumerate())
                     .map(|(port, shape)| match export_of((i, port)) {
-                        Some(e) => Dest::Export(e),
-                        None => Dest::Scratch(scratch.take(shape.iter().product())),
+                        Some(e) => e,
+                        None => {
+                            let frees = vec![dies((i, port))];
+                            n + placer.place(shape.iter().product(), i, frees, |at, r| r < at)
+                        }
                     })
                     .collect(),
             };
@@ -390,25 +316,22 @@ impl Walk {
                 operands,
                 dests,
                 shapes,
-                alias,
+                relabels: taken.is_some(),
             });
-            // The locals dying here go back to the plan — unless this
-            // step took one over.
-            for &(step, port) in dies_at[i].iter().filter(|&&p| taken != Some(p)) {
-                scratch.give(steps[step].dests[port].scratch());
-            }
         }
-        Ok(Walk { steps, firsts })
+        Ok(Walk {
+            steps,
+            firsts,
+            locals: placer.sizes,
+        })
     }
 
-    /// Runs the walk whole on one run's `prepared` reads, its locals in
-    /// the lane's `scratch` and its exports in `exports` — one buffer per
-    /// distinct exported port ([`Walk::firsts`]), each of the port's size
-    /// and any shape. Contents of both are unspecified: every step writes
+    /// Runs the walk whole on one run's `prepared` reads in `bufs`, its
+    /// buffers ([`Walk::firsts`], then [`Walk::locals`]), each of its size
+    /// and any shape. Their contents are unspecified: every step writes
     /// all of its outputs before anything reads them, and shapes each
     /// buffer it writes. On success and on failure alike every buffer is
-    /// back in its place; `arena` counts the scratch block a step
-    /// allocates for one lost to a panic.
+    /// back in its place.
     ///
     /// # Errors
     ///
@@ -418,18 +341,12 @@ impl Walk {
         &self,
         g: &PrimGraph,
         prepared: &Prepared,
-        scratch: &mut [Option<Tensor>],
-        exports: &mut [Option<Tensor>],
-        arena: &BufferArena,
+        bufs: &mut [Option<Tensor>],
     ) -> Result<(), ExecError> {
-        let mut locals = Locals {
-            scratch,
-            bufs: exports,
-        };
         // The outputs of the step in flight, out of their places.
         let mut outs = Vec::new();
         for step in &self.steps {
-            step.run(g, &prepared.reads, &mut locals, &mut outs, arena)?;
+            step.run(g, &prepared.reads, bufs, &mut outs)?;
         }
         Ok(())
     }
@@ -442,41 +359,24 @@ impl Step {
         &self,
         g: &PrimGraph,
         reads: &[Arc<Tensor>],
-        locals: &mut Locals<'_>,
+        bufs: &mut [Option<Tensor>],
         outs: &mut Vec<Tensor>,
-        arena: &BufferArena,
     ) -> Result<(), ExecError> {
-        if let Some(b) = self.alias {
-            let t = locals.scratch[b]
+        if self.relabels {
+            let t = bufs[self.dests[0]]
                 .as_mut()
                 .expect("written by the step it reshapes");
             return (t.set_shape(&self.shapes[0]))
                 .map_err(|source| tensor_error(self.node, source));
         }
-        for (&dest, shape) in self.dests.iter().zip(&self.shapes) {
-            let place = match dest {
-                Dest::Scratch(b) => &mut locals.scratch[b],
-                Dest::Export(e) => &mut locals.bufs[e],
-            };
-            outs.push(match place.take() {
-                Some(mut t) => {
-                    t.set_shape(shape).expect("placed in a buffer of its size");
-                    t
-                }
-                // Lost to a step that panicked in an earlier run.
-                None => {
-                    let t = Tensor::zeros(shape.clone());
-                    arena.note_fresh(t.byte_size() as u64);
-                    t
-                }
-            });
+        for (&b, shape) in self.dests.iter().zip(&self.shapes) {
+            let mut t = bufs[b].take().expect("every buffer is in its place");
+            t.set_shape(shape).expect("placed in a buffer of its size");
+            outs.push(t);
         }
-        let written = self.write(&g.node(self.node).kind, reads, locals, outs);
-        for (&dest, t) in self.dests.iter().zip(outs.drain(..)) {
-            match dest {
-                Dest::Scratch(b) => locals.scratch[b] = Some(t),
-                Dest::Export(e) => locals.bufs[e] = Some(t),
-            }
+        let written = self.write(&g.node(self.node).kind, reads, bufs, outs);
+        for (&b, t) in self.dests.iter().zip(outs.drain(..)) {
+            bufs[b] = Some(t);
         }
         written
     }
@@ -486,10 +386,13 @@ impl Step {
         &self,
         kind: &PrimKind,
         reads: &[Arc<Tensor>],
-        locals: &Locals<'_>,
+        bufs: &[Option<Tensor>],
         outs: &mut [Tensor],
     ) -> Result<(), ExecError> {
-        let get = |op: &Operand| locals.get(*op, reads);
+        let get = |op: &Operand| match *op {
+            Operand::Read(i) => &*reads[i],
+            Operand::Local(b) => bufs[b].as_ref().expect("written by an earlier step"),
+        };
         let node = self.node.0;
         match self.operands.as_slice() {
             [x] => eval_prim_into(kind, &[get(x)], outs, node),

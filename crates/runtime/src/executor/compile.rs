@@ -3,7 +3,7 @@
 //! per-kernel lowering (reads, dependencies, body), and tile
 //! classification under the [`Tiling`] mode.
 
-use super::body::{kernel_reads, KernelBody, ScratchPlan};
+use super::body::{kernel_reads, KernelBody};
 use super::emit::ExecTelemetry;
 use super::{
     not_materialized, pool, Core, KernelTask, PlanExecutor, RuntimeConfig, TileBodyKind,
@@ -129,14 +129,13 @@ fn assign_sources(
 /// Lowers every plan kernel over its `members` that run (folded ones
 /// removed) and the ports they read from memory (counted as readers of
 /// their slots): the earlier kernels that materialize those ports, its
-/// output slots and its body, whose walk locals go to `scratch`.
+/// output slots and its body.
 fn compile_kernels(
     g: &PrimGraph,
     plan: &Plan,
     lowered: Vec<(Vec<NodeId>, Vec<PortRef>)>,
     folded: &[bool],
     slots: &mut Slots,
-    scratch: &mut ScratchPlan,
 ) -> Result<Vec<KernelTask>, ExecError> {
     // First (in plan order) kernel materializing each port.
     let mut first_producer: HashMap<PortRef, usize> = HashMap::new();
@@ -166,7 +165,7 @@ fn compile_kernels(
                 }
             }
         }
-        let body = KernelBody::compile(g, &members, &read_ports, &k.outputs, scratch)?;
+        let body = KernelBody::compile(g, &members, &read_ports, &k.outputs)?;
         let mut with_slots = |ports: &[PortRef]| -> Vec<usize> {
             ports.iter().map(|p| slots.slot_of(g, *p)).collect()
         };
@@ -190,18 +189,12 @@ fn compile_kernels(
 /// plan order (one worker), else exactly its strict ancestors in the
 /// dependency DAG.
 fn retired_before(kernels: &[KernelTask], workers: usize) -> Vec<Vec<bool>> {
-    let n = kernels.len();
-    let mut before: Vec<Vec<bool>> = Vec::with_capacity(n);
+    let mut before: Vec<Vec<bool>> = Vec::with_capacity(kernels.len());
     for (p, k) in kernels.iter().enumerate() {
-        let mut row = vec![false; n];
-        if workers <= 1 {
-            row[..p].fill(true);
-        }
+        let mut row: Vec<bool> = (0..kernels.len()).map(|r| workers <= 1 && r < p).collect();
         for &d in &k.deps {
             row[d] = true;
-            for (r, &b) in before[d].iter().enumerate() {
-                row[r] |= b;
-            }
+            row.iter_mut().zip(&before[d]).for_each(|(r, &b)| *r |= b);
         }
         before.push(row);
     }
@@ -234,8 +227,7 @@ impl PlanExecutor {
         let read: HashSet<PortRef> = lowered.iter().flat_map(|(_, r)| r).copied().collect();
         let mut slots = Slots::default();
         let (input_slots, const_slots) = assign_sources(g, &folded, &read, &mut slots)?;
-        let mut scratch = ScratchPlan::default();
-        let kernels = compile_kernels(g, plan, lowered, &folded, &mut slots, &mut scratch)?;
+        let kernels = compile_kernels(g, plan, lowered, &folded, &mut slots)?;
         let Slots { index, mut table } = slots;
 
         let mut const_slot = vec![false; table.slots.len()];
@@ -306,12 +298,16 @@ impl PlanExecutor {
             .map(|&(s, _)| s)
             .filter(|s| !output_slots.iter().any(|(_, o)| o == s))
             .collect();
-        let chunks: Vec<Vec<usize>> = (tile_specs.iter())
-            .map(|spec| spec.iter().flat_map(|l| &l.tiles).map(Range::len).collect())
+        // What each kernel holds while it runs: a walk its locals, a
+        // tiled kernel its chunks.
+        let holds: Vec<Vec<usize>> = (kernels.iter().zip(&tile_specs))
+            .map(|(task, spec)| match &task.body {
+                KernelBody::Walk(walk) => walk.locals.clone(),
+                _ => spec.iter().flat_map(|l| &l.tiles).map(Range::len).collect(),
+            })
             .collect();
-        table.place_buffers(&staged, &chunks, &retired_before(&kernels, workers));
-        let mut memory_report = table.memory_report();
-        memory_report.state_bytes += (scratch.sizes.iter().sum::<usize>() * 4 * workers) as u64;
+        table.place_buffers(&staged, &holds, &retired_before(&kernels, workers));
+        let memory_report = table.memory_report();
         let telemetry = config.telemetry.as_ref().map(ExecTelemetry::new);
         let kernel_classes = plan
             .kernels
@@ -326,7 +322,6 @@ impl PlanExecutor {
             graph: g.clone(),
             plan: plan.clone(),
             memory_report,
-            scratch: scratch.sizes,
             table,
             kernels,
             dependents,

@@ -32,16 +32,12 @@
 //!   output (`execute_plan`'s rule), so a run indexes vectors and builds
 //!   no maps. Every step runs `korch_exec::eval_prim_into` — the one
 //!   interpreter of every primitive, which `execute_plan` runs over
-//!   fresh outputs, so the same bits — into buffers the run already
-//!   owns, one per output port: a local into the lane's *scratch*, an
-//!   export into its planned buffer (see below). Compile places each
-//!   local in the scratch by its last in-kernel reader: a dead local's
-//!   buffer goes to the next local of its size, so a long row-wise
-//!   kernel cycles through a few cache-hot blocks, and a `Reshape` of a
-//!   local that dies at it relabels that buffer. Every walk's locals are
-//!   dead when it ends, so all walks share one scratch per lane, as large
-//!   as the most any one of them holds of each size. An `Opaque` step
-//!   fails the run, as it fails `execute_plan`;
+//!   fresh outputs, so the same bits — into planned buffers (see below),
+//!   one per output port. Compile places a walk's locals by step: a dead
+//!   local's buffer goes to the next local of its size, so a long
+//!   row-wise kernel cycles through a few cache-hot blocks, and a
+//!   `Reshape` of a local that dies at it relabels that buffer. An
+//!   `Opaque` step fails the run, as it fails `execute_plan`;
 //! - **chain** — a single-output fused elementwise chain (down to one
 //!   member) compiled to a [`korch_exec::CompiledChain`] register
 //!   program;
@@ -136,7 +132,7 @@
 //!   deque as subtasks (idle lanes steal the oldest ones), so the
 //!   work-stealing machinery schedules them like everything else;
 //! - each tile computes its flat output range into its planned chunk
-//!   buffer, never booked — the **disjoint-slice contract**: tile ranges
+//!   buffer — the **disjoint-slice contract**: tile ranges
 //!   partition the output exactly, every element written by exactly one
 //!   tile with the arithmetic of the whole kernel — and a per-kernel
 //!   atomic countdown re-assembles completion: the last tile concatenates
@@ -157,22 +153,24 @@
 //! segformer32 the folded ports hold 90 KB against 37 KB of weights; each
 //! is a tensor every run used to materialize, briefly).
 //!
-//! Buffers are placed once, at compile: each staged input copy, kernel
-//! output but a graph output, and tile chunk gets a planned buffer index
-//! (`SlotTable::place_buffers`). Two share an index only when they hold
-//! as many elements and every kernel that may release one — its slot's
-//! readers and its writer, or a chunk's kernel — retires before the
-//! other's producer starts under every schedule: plan order at one
-//! worker, strict reachability in the dependency DAG above, so two chunks
-//! of one kernel never share (`korch-verify` checks it). Redundant
-//! writers of a slot each have their own buffer. Each run state owns one
-//! buffer per index beside its lanes' walk scratch, allocated on its
-//! first run and kept ([`crate::MemoryReport::state_bytes`]). A kernel
-//! takes its output buffer by index; the retiring last reader, a losing
-//! redundant writer or `settle` puts it back, and a buffer that does not
-//! come back (a kernel panicked holding it, a handle still shared) is
-//! allocated afresh by the next take, which never waits. So a warm run
-//! allocates only the outputs it *moves* out to the caller
+//! Buffers are placed once, at compile, by one placer
+//! (`SlotTable::place_buffers`): each staged input copy, kernel output,
+//! tile chunk and walk local gets a planned buffer index. Two share an
+//! index only when they hold as many elements and every kernel that may
+//! release one — its slot's readers and its writer, or the kernel that
+//! holds a chunk or local — retires before the other's producer starts
+//! under every schedule: plan order at one worker, strict reachability in
+//! the dependency DAG above, so two chunks of one kernel never share
+//! (`korch-verify` checks it). Redundant writers of a slot each have
+//! their own buffer, and so does each graph output. Each run state owns
+//! one buffer per index, allocated on its first run and kept
+//! ([`crate::MemoryReport::state_bytes`]). A kernel takes its buffers by
+//! index; the retiring last reader, a losing redundant writer, the
+//! kernel itself (chunks, locals) or `settle` puts them back, and a
+//! buffer that is not in its place — a graph output handed to the
+//! caller, one lost to a panic — is allocated afresh by the next take,
+//! which never waits. So a warm run, failed or not, allocates only the
+//! outputs it *moves* out to the caller
 //! ([`crate::ArenaStats::fresh_bytes`]). Lanes log kernel/tile intervals
 //! lane-locally against one clock origin per run; once every lane has
 //! detached the run folds them into the [`RuntimeProfile`] and, when a
@@ -368,9 +366,6 @@ struct Core {
     /// plan placed on it.
     table: SlotTable,
     memory_report: MemoryReport,
-    /// The lane scratch of walk locals: buffer sizes (`f32` elements),
-    /// indexed by the walks' `Scratch` placements.
-    scratch: Vec<usize>,
     arena: BufferArena,
     /// Tracing handles, present only when the config carries a telemetry
     /// bundle. The hot path never consults this — workers time intervals
@@ -616,7 +611,7 @@ impl Core {
     fn reclaim(&self, s: usize, (arc, buf): Value, state: &RunState) {
         self.arena.release(self.table.slots[s].numel);
         if let Ok(t) = Arc::try_unwrap(arc) {
-            state.give_back(buf, t.into_vec());
+            state.give_back(buf, t);
         }
     }
 
@@ -641,9 +636,9 @@ impl Core {
         armed.rearm(self, RunCtx::new(self.telemetry.as_ref()));
         for ((s, _), t) in self.input_slots.iter().zip(inputs) {
             let buf = self.table.slots[*s].buffer;
-            let mut copy = self.take(armed, buf, t.numel());
-            copy.copy_from_slice(t.as_slice());
-            let copy = Tensor::from_vec(t.shape().to_vec(), copy).expect("sized to the input");
+            let mut copy = self.take(armed, buf, t.numel(), true);
+            copy.set_shape(t.shape()).expect("sized to the input");
+            copy.as_mut_slice().copy_from_slice(t.as_slice());
             self.arena.adopt(t.numel());
             *armed.slot_mut(*s) = Some((Arc::new(copy), buf));
         }
@@ -654,18 +649,21 @@ impl Core {
     }
 
     /// Storage of `numel` elements for planned buffer `buf` of `state`,
-    /// counted as a reuse hit. A graph output (`None`) is allocated
-    /// afresh, as is a planned buffer that did not come back (a kernel
-    /// panicked holding it, or a handle was still shared) — counted in
+    /// in any shape, counted as a reuse hit when `counted` (every take
+    /// but a walk local's). A buffer that is not in its place — a graph output's
+    /// after a successful run handed it out, or one lost to a panic or a
+    /// handle still shared — is allocated afresh and counted in
     /// [`crate::ArenaStats::fresh_bytes`]; a take never waits. Contents
     /// are unspecified; every user overwrites the whole buffer.
-    fn take(&self, state: &RunState, buf: Option<usize>, numel: usize) -> Vec<f32> {
+    fn take(&self, state: &RunState, buf: Option<usize>, numel: usize, counted: bool) -> Tensor {
         if let Some(storage) = buf.and_then(|b| lock_recover(&state.bufs[b]).take()) {
-            debug_assert_eq!(storage.len(), numel, "planned buffer {buf:?}");
-            self.arena.note_reuse();
+            debug_assert_eq!(storage.numel(), numel, "planned buffer {buf:?}");
+            if counted {
+                self.arena.note_reuse();
+            }
             return storage;
         }
         self.arena.note_fresh((numel * 4) as u64);
-        vec![0.0; numel]
+        Tensor::zeros(vec![numel])
     }
 }

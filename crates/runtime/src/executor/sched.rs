@@ -29,8 +29,8 @@ pub(super) struct TileRun {
 }
 
 /// What a value slot holds during a run: the tensor, and the planned
-/// buffer its storage goes back to (`None`: a constant or graph output) —
-/// of redundant writers, whichever landed first.
+/// buffer its storage goes back to (`None`: a constant, or an input the
+/// graph outputs) — of redundant writers, whichever landed first.
 pub(super) type Value = (Arc<Tensor>, Option<usize>);
 
 /// One schedulable unit in the ready deques.
@@ -152,14 +152,9 @@ pub(super) struct RunState {
     pub(super) error: Mutex<Option<ExecError>>,
     /// The run's clock origin, trace ids and merged lane logs.
     pub(super) ctx: RunCtx,
-    /// Per lane, the scratch its walks keep their locals in (see
-    /// `Core::scratch`): allocated with the state, kept across runs,
-    /// contents unspecified. A lane runs one kernel at a time, so its
-    /// lock is never contended.
-    scratch: Vec<Mutex<Vec<Option<Tensor>>>>,
     /// The planned buffers ([`crate::SlotTable::buffers`]), `None` while
-    /// held; the plan gives each to one holder at a time.
-    pub(super) bufs: Vec<Mutex<Option<Vec<f32>>>>,
+    /// held or handed out; the plan gives each to one holder at a time.
+    pub(super) bufs: Vec<Mutex<Option<Tensor>>>,
 }
 
 impl RunState {
@@ -169,7 +164,8 @@ impl RunState {
     /// so each is sized to the total: kernels plus every possible tile.
     /// Bottom indices never wrap, which is what rules out ABA. The
     /// single-lane path walks the plan in order and gets no deque. Its
-    /// planned buffers and lane scratch are allocated here and kept.
+    /// planned buffers are allocated here and kept, but the graph
+    /// outputs': a run hands those out.
     pub(super) fn new(core: &Core) -> Self {
         let tiles: usize = core
             .tile_specs
@@ -205,14 +201,8 @@ impl RunState {
             failed: AtomicBool::new(false),
             error: Mutex::new(None),
             ctx: RunCtx::new(None),
-            scratch: (0..core.workers)
-                .map(|_| {
-                    let lane = core.scratch.iter().map(|&n| Some(Tensor::zeros(vec![n])));
-                    Mutex::new(lane.collect())
-                })
-                .collect(),
-            bufs: (core.table.buffers.iter())
-                .map(|&n| Mutex::new(Some(vec![0.0; n])))
+            bufs: (core.table.buffers.iter().zip(core.table.handed_out()))
+                .map(|(&n, handed)| Mutex::new((!handed).then(|| Tensor::zeros(vec![n]))))
                 .collect(),
         }
     }
@@ -259,8 +249,8 @@ impl RunState {
     }
 
     /// Puts `storage` back in planned buffer `buf`; storage without a
-    /// place (a graph output's) is dropped.
-    pub(super) fn give_back(&self, buf: Option<usize>, storage: Vec<f32>) {
+    /// place (a copy of an input the graph outputs) is dropped.
+    pub(super) fn give_back(&self, buf: Option<usize>, storage: Tensor) {
         if let Some(b) = buf {
             let mut place = lock_recover(&self.bufs[b]);
             debug_assert!(place.is_none(), "planned buffer {b} has two holders");
@@ -343,7 +333,7 @@ impl Core {
     /// lane `lane` until the run is over, then detach — the last helper
     /// out wakes the caller, which may be parked waiting for exactly
     /// that. The helper lets go of the state as it detaches, so the
-    /// caller's next run finds it free to re-arm, scratch and all.
+    /// caller's next run finds it free to re-arm, buffers and all.
     pub(super) fn run_helper(self: &Arc<Self>, lane: usize, state: Arc<RunState>) {
         self.run_worker(lane, &state);
         let caller = state.lane_threads[0].get().cloned();
@@ -441,7 +431,7 @@ impl Core {
             Task::Tile { kernel, tile } => (kernel, Some(tile)),
         };
         let published = catch_unwind(AssertUnwindSafe(|| match tile {
-            None => self.run_whole(kernel, lane, state).map(|()| true),
+            None => self.run_whole(kernel, state).map(|()| true),
             Some(tile) => self.run_tile(kernel, tile, state),
         }))
         .unwrap_or_else(|payload| {
@@ -503,46 +493,47 @@ impl Core {
         k: usize,
         range: Range<usize>,
         prepared: &Prepared,
-        buf: Option<usize>,
+        buf: usize,
         state: &RunState,
-    ) -> Result<Vec<f32>, ExecError> {
-        let mut out = self.take(state, buf, range.len());
+    ) -> Result<Tensor, ExecError> {
+        let mut out = self.take(state, Some(buf), range.len(), true);
         #[cfg(test)]
         assert!(
             self.panic_at.load(Ordering::Relaxed) != k,
             "injected panic in kernel {k}"
         );
         let body = &self.kernels[k].body;
-        match body.run(&self.graph, range, prepared, &mut out) {
+        match body.run(&self.graph, range, prepared, out.as_mut_slice()) {
             Ok(()) => Ok(out),
             Err(e) => {
-                state.give_back(buf, out);
+                state.give_back(Some(buf), out);
                 Err(e)
             }
         }
     }
 
-    /// Executes kernel `k` whole on lane `lane` and publishes its
-    /// outputs. A range body evaluates `0..total` straight into its
-    /// planned buffer, which becomes the published tensor; a walk body
-    /// runs with its locals in the lane's scratch and writes each distinct
-    /// export into its planned buffer, taken here.
-    fn run_whole(&self, k: usize, lane: usize, state: &RunState) -> Result<(), ExecError> {
+    /// Executes kernel `k` whole and publishes its outputs. A range body
+    /// evaluates `0..total` straight into its planned buffer, which
+    /// becomes the published tensor; a walk body runs in its planned
+    /// buffers, taken here: it writes each distinct export into one and
+    /// its locals into the others, which go back after.
+    fn run_whole(&self, k: usize, state: &RunState) -> Result<(), ExecError> {
         let (writes, bufs) = (&self.table.writes[k], &self.table.write_bufs[k]);
         let prepared = self.prepare(k, state)?;
         let KernelBody::Walk(walk) = &self.kernels[k].body else {
-            let (s, buf) = (writes[0], bufs[0]);
-            let shape = self.graph.meta(self.table.slots[s].port).shape().to_vec();
-            let out = self.run_range(k, 0..shape.iter().product(), &prepared, buf, state)?;
-            let t = Tensor::from_vec(shape, out).expect("the full range covers the output");
-            self.publish_output(s, buf, t, state);
+            let (s, buf) = (writes[0], bufs[0].expect("a first listing is planned"));
+            let shape = self.graph.meta(self.table.slots[s].port).shape();
+            let mut t = self.run_range(k, 0..shape.iter().product(), &prepared, buf, state)?;
+            (t.set_shape(shape)).expect("the full range covers the output");
+            self.publish_output(s, Some(buf), t, state);
             return Ok(());
         };
-        let mut exports: Vec<Option<Tensor>> = (walk.firsts.iter())
-            .map(|&i| {
-                let numel = self.table.slots[writes[i]].numel;
-                let storage = self.take(state, bufs[i], numel);
-                Some(Tensor::from_vec(vec![numel], storage).expect("sized to the port"))
+        let exports = walk.firsts.iter().map(|&i| (bufs[i], true));
+        let locals = self.table.kernel_bufs[k].iter().map(|&b| (Some(b), false));
+        let mut held: Vec<Option<Tensor>> = (exports.chain(locals))
+            .map(|(buf, counted)| {
+                let numel = self.table.buffers[buf.expect("a first listing is planned")];
+                Some(self.take(state, buf, numel, counted))
             })
             .collect();
         #[cfg(test)]
@@ -550,14 +541,16 @@ impl Core {
             self.panic_at.load(Ordering::Relaxed) != k,
             "injected panic in kernel {k}"
         );
-        let scratch = &mut lock_recover(&state.scratch[lane]);
-        let ran = walk.run(&self.graph, &prepared, scratch, &mut exports, &self.arena);
-        for (&i, t) in walk.firsts.iter().zip(exports) {
-            let t = t.expect("every export is back in its place");
+        let ran = walk.run(&self.graph, &prepared, &mut held);
+        let mut held = (held.into_iter()).map(|t| t.expect("every buffer is back in its place"));
+        for (&i, t) in walk.firsts.iter().zip(held.by_ref()) {
             match ran {
                 Ok(()) => self.publish_output(writes[i], bufs[i], t, state),
-                Err(_) => state.give_back(bufs[i], t.into_vec()),
+                Err(_) => state.give_back(bufs[i], t),
             }
+        }
+        for (&b, t) in self.table.kernel_bufs[k].iter().zip(held) {
+            state.give_back(Some(b), t);
         }
         ran
     }
@@ -570,7 +563,7 @@ impl Core {
     fn run_tile(&self, k: usize, t_idx: usize, state: &RunState) -> Result<bool, ExecError> {
         let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
         let tr = state.tiles[k].get().expect("tiled kernel state");
-        let buf = Some(self.table.chunk_bufs[k][t_idx]);
+        let buf = self.table.kernel_bufs[k][t_idx];
         let chunk = {
             let prepared = read_recover(&tr.prepared);
             let prepared = prepared
@@ -578,7 +571,7 @@ impl Core {
                 .expect("parked until the last tile landed");
             self.run_range(k, spec.tiles[t_idx].clone(), prepared, buf, state)?
         };
-        state.give_back(buf, chunk);
+        state.give_back(Some(buf), chunk);
         // The countdown's AcqRel pairs with the chunk stores: the
         // final decrementer observes every sibling's chunk in place.
         let last = tr.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
@@ -594,19 +587,18 @@ impl Core {
     fn assemble(&self, k: usize, state: &RunState) {
         let spec = self.tile_specs[k].as_ref().expect("tiled kernel");
         let (s, buf) = (self.table.writes[k][0], self.table.write_bufs[k][0]);
-        let mut full = self.take(state, buf, spec.out_shape.iter().product());
-        for (range, &b) in spec.tiles.iter().zip(&self.table.chunk_bufs[k]) {
+        let mut full = self.take(state, buf, spec.out_shape.iter().product(), true);
+        for (range, &b) in spec.tiles.iter().zip(&self.table.kernel_bufs[k]) {
             let chunk = lock_recover(&state.bufs[b]);
             let chunk = chunk.as_ref().expect("every tile put its chunk in place");
-            full[range.clone()].copy_from_slice(chunk);
+            full.as_mut_slice()[range.clone()].copy_from_slice(chunk.as_slice());
         }
         // Drop the operand snapshot before retiring: last-reader
         // reclamation must see sole ownership to put the storage back.
         let tr = state.tiles[k].get().expect("tiled kernel state");
         write_recover(&tr.prepared).take();
-        let t = Tensor::from_vec(spec.out_shape.clone(), full)
-            .expect("tile ranges cover the output exactly");
-        self.publish_output(s, buf, t, state);
+        (full.set_shape(&spec.out_shape)).expect("tile ranges cover the output exactly");
+        self.publish_output(s, buf, full, state);
     }
 
     /// Next ready task for worker `w`, or `None` when the run is over

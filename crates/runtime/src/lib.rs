@@ -20,10 +20,10 @@
 //! - [`SlotTable`] — the one lifetime program `PlanExecutor::new`
 //!   compiles (reader countdowns, last-reader reclamation; [`MemoryReport`]
 //!   is folded from it and `korch-verify` interprets it) and the one
-//!   buffer plan placed on it: every buffer the runtime books — staged
-//!   inputs, range-body outputs, tile chunks, walk exports — has a
-//!   planned index, and each run state owns one buffer per index, as it
-//!   owns its lanes' walk scratch. A warm run allocates only the outputs
+//!   buffer plan placed on it: every buffer a run writes — staged
+//!   inputs, kernel outputs, tile chunks, walk locals — has a planned
+//!   index, and each run state owns one buffer per index. A warm run
+//!   allocates only the outputs
 //!   it hands the caller; [`ArenaStats`] books peak-resident bytes (vs.
 //!   the interpreter's allocate-everything behavior) and counts what a
 //!   run allocates ([`ArenaStats::fresh_bytes`]);
@@ -374,10 +374,10 @@ mod tests {
     }
 
     /// A walk kernel that panics after an earlier walk of its run wrote
-    /// the lane scratch fails its run alone; the next runs on the recycled
-    /// state overwrite whatever the scratch held and are bit-identical.
-    /// Its one export is the graph output, which has no planned buffer,
-    /// so the healing run allocates no more than the output either.
+    /// the buffers it takes for its locals fails its run alone; the next
+    /// runs on the recycled state overwrite whatever those held and are
+    /// bit-identical. The panic loses the walk's locals, so the healing
+    /// run allocates them afresh besides the output.
     #[test]
     fn a_walk_that_panics_leaves_its_state_reusable() {
         let (g, plan) = two_walks();
@@ -387,9 +387,12 @@ mod tests {
         for lanes in [1, 2] {
             let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
             assert!(exec.memory_report().state_bytes > 0);
+            let table = exec.slot_table();
+            let locals: usize = table.kernel_bufs[1].iter().map(|&b| table.buffers[b]).sum();
+            assert!(locals > 0, "the second walk keeps locals");
             let ctx = format!("lanes={lanes}");
             let healing = panic_and_heal(&exec, &inputs, &reference, 1, &ctx);
-            assert_eq!(healing, out_bytes, "{ctx}");
+            assert_eq!(healing, out_bytes + locals as u64 * 4, "{ctx}");
         }
     }
 
@@ -454,7 +457,7 @@ mod tests {
         };
         let exec = PlanExecutor::new(&g, &plan, config).unwrap();
         assert_eq!(
-            exec.slot_table().chunk_bufs[0].len(),
+            exec.slot_table().kernel_bufs[0].len(),
             4,
             "exp runs in 4 tiles"
         );
@@ -489,9 +492,8 @@ mod tests {
         }
     }
 
-    /// Every buffer the runtime books comes from the run state's plan,
-    /// walk exports included, and a walk's locals live in the state's
-    /// scratch. In a walk-only plan a warm run books one buffer per
+    /// Every buffer a run writes comes from the run state's plan, walk
+    /// exports and locals included. In a walk-only plan a warm run books one buffer per
     /// staged input and one per walk export, takes every one of them but
     /// the outputs from the plan, and allocates afresh only the outputs
     /// it hands the caller: the state holds what its first run allocated

@@ -97,17 +97,9 @@ enum BufState {
 /// returns every lifetime invariant broken on any path, deduplicated
 /// across paths.
 pub fn verify_lifetimes(program: &LifetimeProgram) -> Vec<Violation> {
-    let n = program.steps.len();
+    let (n, ports) = (program.steps.len(), &program.ports);
     let mut out: Vec<Violation> = Vec::new();
     let mut seen: HashSet<(Rule, Option<usize>, Option<String>)> = HashSet::new();
-    let push = |out: &mut Vec<Violation>,
-                seen: &mut HashSet<(Rule, Option<usize>, Option<String>)>,
-                v: Violation| {
-        if seen.insert((v.rule, v.kernel, v.buffer.clone())) {
-            out.push(v);
-        }
-    };
-
     // Path `n` is the success path; path `f < n` unwinds after kernel
     // `f` fails (steps 0..f retired normally, step f never runs).
     for retired in (0..=n).rev() {
@@ -116,118 +108,64 @@ pub fn verify_lifetimes(program: &LifetimeProgram) -> Vec<Violation> {
         } else {
             format!("failure-unwind path (kernel {retired} fails)")
         };
-        let mut state = vec![BufState::Unmaterialized; program.ports.len()];
-        let mut live: i64 = 0;
-        for (i, p) in program.ports.iter().enumerate() {
-            if p.source {
-                state[i] = BufState::Live;
-                live += p.bytes as i64;
+        let name = |b: usize| port_name(ports[b].port);
+        let mut flag = |rule, kernel: Option<usize>, buffer: Option<usize>, detail: String| {
+            let v = Violation::new(rule, kernel, buffer.map(name), format!("{detail} ({path})"));
+            if seen.insert((v.rule, v.kernel, v.buffer.clone())) {
+                out.push(v);
             }
-        }
+        };
+        let mut state: Vec<BufState> = (ports.iter())
+            .map(|p| match p.source {
+                true => BufState::Live,
+                false => BufState::Unmaterialized,
+            })
+            .collect();
+        let sources = ports.iter().filter(|p| p.source);
+        let mut live: i64 = sources.map(|p| p.bytes as i64).sum();
         for (i, step) in program.steps.iter().take(retired).enumerate() {
             for &r in &step.reads {
-                let p = &program.ports[r];
-                match state[r] {
-                    BufState::Released => push(
-                        &mut out,
-                        &mut seen,
-                        Violation::new(
-                            Rule::UseAfterRelease,
-                            Some(i),
-                            Some(port_name(p.port)),
-                            format!(
-                                "kernel {i} reads {} after its release ({path})",
-                                port_name(p.port)
-                            ),
-                        ),
-                    ),
-                    BufState::Unmaterialized => push(
-                        &mut out,
-                        &mut seen,
-                        Violation::new(
-                            Rule::ReadUnmaterialized,
-                            Some(i),
-                            Some(port_name(p.port)),
-                            format!(
-                                "kernel {i} reads {} before anything materializes it ({path})",
-                                port_name(p.port)
-                            ),
-                        ),
-                    ),
-                    BufState::Live => {}
-                }
+                let (rule, what) = match state[r] {
+                    BufState::Released => (Rule::UseAfterRelease, "after its release"),
+                    BufState::Unmaterialized => {
+                        (Rule::ReadUnmaterialized, "before anything materializes it")
+                    }
+                    BufState::Live => continue,
+                };
+                let what = format!("kernel {i} reads {} {what}", name(r));
+                flag(rule, Some(i), Some(r), what);
             }
             for &w in &step.writes {
-                let p = &program.ports[w];
-                match state[w] {
-                    BufState::Unmaterialized => {
-                        // First writer: the arena adopts the buffer.
-                        state[w] = BufState::Live;
-                        live += p.bytes as i64;
-                    }
-                    // Redundant producer: first-writer-wins, the loser's
-                    // copy is freed on arrival — net zero.
-                    BufState::Live | BufState::Released => {}
+                // The first writer adopts the buffer; a redundant
+                // producer's copy is freed on arrival — net zero.
+                if state[w] == BufState::Unmaterialized {
+                    state[w] = BufState::Live;
+                    live += ports[w].bytes as i64;
                 }
             }
             for &r in &step.releases {
-                let p = &program.ports[r];
-                if p.pinned {
-                    push(
-                        &mut out,
-                        &mut seen,
-                        Violation::new(
-                            Rule::ReleasePinned,
-                            Some(i),
-                            Some(port_name(p.port)),
-                            format!(
-                                "step {i} releases pinned buffer {} mid-run ({path})",
-                                port_name(p.port)
-                            ),
-                        ),
-                    );
-                    continue;
-                }
-                match state[r] {
-                    BufState::Live => {
-                        state[r] = BufState::Released;
-                        live -= p.bytes as i64;
-                    }
-                    _ => push(
-                        &mut out,
-                        &mut seen,
-                        Violation::new(
-                            Rule::DoubleRelease,
-                            Some(i),
-                            Some(port_name(p.port)),
-                            format!(
-                                "step {i} releases {} which is not live ({path})",
-                                port_name(p.port)
-                            ),
-                        ),
-                    ),
+                if ports[r].pinned {
+                    let what = format!("step {i} releases pinned buffer {} mid-run", name(r));
+                    flag(Rule::ReleasePinned, Some(i), Some(r), what);
+                } else if state[r] == BufState::Live {
+                    state[r] = BufState::Released;
+                    live -= ports[r].bytes as i64;
+                } else {
+                    let what = format!("step {i} releases {} which is not live", name(r));
+                    flag(Rule::DoubleRelease, Some(i), Some(r), what);
                 }
             }
         }
         // Settle: the arena frees everything still live (pinned buffers
         // are handed back to the caller — also leaving the arena).
-        for (i, p) in program.ports.iter().enumerate() {
-            if state[i] == BufState::Live {
-                state[i] = BufState::Released;
+        for (p, s) in ports.iter().zip(&state) {
+            if *s == BufState::Live {
                 live -= p.bytes as i64;
             }
         }
         if live != 0 {
-            push(
-                &mut out,
-                &mut seen,
-                Violation::new(
-                    Rule::LifetimeLeak,
-                    None,
-                    None,
-                    format!("live_bytes is {live} (not 0) after settle on the {path}"),
-                ),
-            );
+            let what = format!("live_bytes is {live} (not 0) after settle");
+            flag(Rule::LifetimeLeak, None, None, what);
         }
     }
     out
@@ -240,22 +178,20 @@ type Booking = (String, usize, Option<usize>, Option<Vec<usize>>);
 
 /// Checks the buffer plan placed on `artifact`'s slot table
 /// ([`SlotTable::buffers`]): every booking of a planned buffer — a staged
-/// input, a kernel output, a tile chunk — holds its element count, and of
-/// two bookings that share one, one is dead before the other is produced
+/// input, a kernel output, a buffer a kernel holds while it runs (a tile
+/// chunk, a walk's locals) — holds its element count, and of two
+/// bookings that share one, one is dead before the other is produced
 /// under every schedule the executor can pick. That is, every kernel that
-/// may release it (its slot's readers and its writer; a chunk's own
-/// kernel) strictly reaches the other's producer in `artifact.deps` or,
-/// when a run is plan order (one worker), precedes it in the plan. A
-/// staged input or a pinned slot lives all run and shares with nothing.
+/// may release it (its slot's readers and its writer; a held buffer's
+/// own kernel) strictly reaches the other's producer in `artifact.deps`
+/// or, when a run is plan order (one worker), precedes it in the plan. A
+/// staged input or a graph output lives all run and shares with nothing.
 pub fn verify_buffer_sharing(artifact: &PlanArtifact) -> Vec<Violation> {
     let (table, n) = (&artifact.slots, artifact.deps.len());
     // before[p][r]: kernel r retires before kernel p starts.
     let mut before = vec![vec![false; n]; n];
     for (p, row) in before.iter_mut().enumerate() {
-        if artifact.workers <= 1 {
-            row[..p].fill(true);
-            continue;
-        }
+        row[..p].fill(artifact.workers <= 1);
         let mut stack = artifact.deps[p].clone();
         while let Some(d) = stack.pop() {
             if d < n && !std::mem::replace(&mut row[d], true) {
@@ -265,9 +201,7 @@ pub fn verify_buffer_sharing(artifact: &PlanArtifact) -> Vec<Violation> {
     }
     let mut readers = vec![Vec::new(); table.slots.len()];
     for (k, reads) in table.reads.iter().enumerate() {
-        for &s in reads {
-            readers[s].push(k);
-        }
+        reads.iter().for_each(|&s| readers[s].push(k));
     }
     let mut bookings: BTreeMap<usize, Vec<Booking>> = BTreeMap::new();
     let mut book = |b: usize, booking: Booking| bookings.entry(b).or_default().push(booking);
@@ -275,19 +209,22 @@ pub fn verify_buffer_sharing(artifact: &PlanArtifact) -> Vec<Violation> {
         book(b, (port_name(slot.port), slot.numel, None, None));
     }
     for (k, (writes, bufs)) in table.writes.iter().zip(&table.write_bufs).enumerate() {
-        for (&s, &b) in writes.iter().zip(bufs) {
-            let (Some(b), slot) = (b, &table.slots[s]) else {
-                continue;
-            };
-            let releasers = (!slot.pinned).then(|| [&readers[s][..], &[k]].concat());
+        let planned = (writes.iter().zip(bufs)).filter_map(|(s, b)| b.map(|b| (s, b)));
+        for (&s, b) in planned {
+            let (slot, releasers) = (&table.slots[s], [&readers[s][..], &[k]].concat());
+            let releasers = (!slot.pinned).then_some(releasers);
             book(b, (port_name(slot.port), slot.numel, Some(k), releasers));
         }
     }
-    for (k, (bufs, layout)) in table.chunk_bufs.iter().zip(&artifact.tiles).enumerate() {
-        let tiles = layout.iter().flat_map(|l| &l.tiles);
-        for (t, (&b, range)) in bufs.iter().zip(tiles).enumerate() {
-            let name = format!("chunk {t} of kernel {k}");
-            book(b, (name, range.len(), Some(k), Some(vec![k])));
+    for (k, bufs) in table.kernel_bufs.iter().enumerate() {
+        // A chunk holds its tile's range; a walk's locals have no other
+        // record of their size than the buffer's own.
+        let tiles = artifact.tiles.get(k).into_iter().flatten();
+        let lens: Vec<usize> = tiles.flat_map(|l| &l.tiles).map(|r| r.len()).collect();
+        for (t, &b) in bufs.iter().enumerate() {
+            let numel = lens.get(t).or(table.buffers.get(b)).copied().unwrap_or(0);
+            let name = format!("#{t} held by kernel {k}");
+            book(b, (name, numel, Some(k), Some(vec![k])));
         }
     }
     let ordered = |r: usize, p: usize| before.get(p).is_some_and(|row| row.get(r) == Some(&true));
@@ -301,18 +238,13 @@ pub fn verify_buffer_sharing(artifact: &PlanArtifact) -> Vec<Violation> {
             let conflict =
                 |detail| Violation::new(Rule::BufferConflict, a.2, Some(a.0.clone()), detail);
             if table.buffers.get(*b) != Some(&a.1) {
-                out.push(conflict(format!(
-                    "{} of {} elements is placed in buffer {b} of another size",
-                    a.0, a.1
-                )));
+                let detail = format!("{} of {} elements is in buffer {b} of other size", a.0, a.1);
+                out.push(conflict(detail));
             }
-            for c in &list[..i] {
-                if !dead_before(a, c) && !dead_before(c, a) {
-                    out.push(conflict(format!(
-                        "{} shares buffer {b} with {}, and both may be live at once",
-                        a.0, c.0
-                    )));
-                }
+            let live_together = |c: &&Booking| !dead_before(a, c) && !dead_before(c, a);
+            for c in list[..i].iter().filter(live_together) {
+                let detail = format!("{} shares buffer {b} with {}: both may be live", a.0, c.0);
+                out.push(conflict(detail));
             }
         }
     }
@@ -354,7 +286,7 @@ mod tests {
                 reads: vec![vec![], vec![], vec![0, 1]],
                 writes: vec![vec![0], vec![1], vec![2]],
                 write_bufs: vec![vec![Some(0)], vec![Some(0)], vec![Some(2)]],
-                chunk_bufs: vec![vec![], vec![], vec![1, 1]],
+                kernel_bufs: vec![vec![], vec![], vec![1, 1]],
                 buffers: vec![16, 8, 16],
             },
             folded: vec![],
@@ -372,7 +304,7 @@ mod tests {
             ]
         );
         artifact.slots.write_bufs[1] = vec![Some(3)];
-        artifact.slots.chunk_bufs[2] = vec![1, 4];
+        artifact.slots.kernel_bufs[2] = vec![1, 4];
         artifact.slots.buffers.extend([16, 8]);
         assert!(verify_buffer_sharing(&artifact).is_empty());
         // `k2`'s output may reuse `s0`'s buffer only if both readers of

@@ -647,8 +647,7 @@ fn segformer_tiny_folds_its_weight_only_members() {
 /// What each run of `exec` allocates by design, in bytes: the graph
 /// outputs the run hands the caller, which its state cannot have back
 /// (a source output is a constant or the caller's own input). Every
-/// other buffer a warm run writes is a planned buffer of its state or
-/// its lane's scratch.
+/// other buffer a warm run writes is a planned buffer of its state.
 fn fresh_by_design(exec: &PlanExecutor) -> u64 {
     let table = exec.slot_table();
     (exec.graph().outputs().iter())
@@ -687,8 +686,8 @@ fn assert_warm_fresh(
 
 /// The stitched Segformers and Candy at one and two lanes: a warm run
 /// allocates the outputs it hands the caller and nothing else — every
-/// walk step, pad, resize and concat included, writes into the lane's
-/// scratch or a pool buffer.
+/// walk step, pad, resize and concat included, writes into a planned
+/// buffer of its state.
 #[test]
 fn warm_runs_allocate_only_handed_outputs() {
     let korch = Korch::new(Device::v100(), KorchConfig::default());
@@ -825,7 +824,8 @@ fn converted_walk(opaque: bool) -> (PrimGraph, Plan) {
     for port in [d.into(), last.into(), chunk, z.into()] {
         g.mark_output(port).unwrap();
     }
-    let outputs = vec![d.into(), last.into(), chunk, z.into(), d.into()];
+    // `m` is exported but no graph output: its buffer is planned.
+    let outputs = vec![d.into(), last.into(), chunk, z.into(), d.into(), m.into()];
     let kernel = kernel_of(&g, members, outputs);
     (g, plan_of(vec![kernel]))
 }
@@ -848,11 +848,12 @@ fn a_walk_of_converted_steps_allocates_only_what_it_hands_out() {
 }
 
 /// A walk that fails mid-way fails every run where `execute_plan`
-/// fails, settles the books, and gives the export buffers it took back:
-/// a planned one to its state's plan, and one for a graph output — which
-/// has no planned place, since a successful run hands it out — to the
-/// allocator. From the second run on, a failing run allocates exactly
-/// what a successful one does, the outputs, and loses nothing planned.
+/// fails, settles the books, and gives every buffer it took back to its
+/// state's plan: the export `m`, which no run hands out, to its planned
+/// place, and each graph output to a place of its own that a successful
+/// run would have emptied. The first failing run allocates the state and
+/// those outputs; from the second on, a failing run takes every booking
+/// from the plan again and allocates nothing.
 #[test]
 fn a_walk_failing_mid_way_returns_its_export_buffers() {
     let (g, plan) = converted_walk(true);
@@ -860,22 +861,29 @@ fn a_walk_failing_mid_way_returns_its_export_buffers() {
     assert!(execute_plan(&g, &plan, &inputs).is_err());
     for lanes in [1, 2] {
         let exec = PlanExecutor::new(&g, &plan, RuntimeConfig::with_lanes(lanes)).unwrap();
-        let handed = fresh_by_design(&exec);
+        let table = exec.slot_table();
+        let m = table.write_bufs[0][5].expect("m's buffer is planned");
+        assert!(
+            !table.handed_out()[m],
+            "lanes {lanes}: m is no graph output"
+        );
+        let state = exec.memory_report().state_bytes;
+        assert!(state >= table.buffers[m] as u64 * 4, "lanes {lanes}");
+        // The staged input and the five distinct exports.
+        let bookings = 1 + 5;
         for run in 0..6 {
             let before = exec.arena_stats();
             assert!(exec.execute(&inputs).is_err(), "lanes {lanes} run {run}");
             let after = exec.arena_stats();
             assert_eq!(after.live_bytes, 0, "lanes {lanes} run {run}");
-            if run > 0 {
-                assert_eq!(
-                    after.fresh_bytes - before.fresh_bytes,
-                    handed,
-                    "lanes {lanes} run {run}"
-                );
-                assert!(
-                    after.reuse_hits > before.reuse_hits,
-                    "lanes {lanes} run {run}"
-                );
+            let fresh = after.fresh_bytes - before.fresh_bytes;
+            let hits = after.reuse_hits - before.reuse_hits;
+            if run == 0 {
+                assert_eq!(fresh, state + fresh_by_design(&exec), "lanes {lanes}");
+                assert_eq!(hits, 2, "lanes {lanes}: the input and m");
+            } else {
+                assert_eq!(fresh, 0, "lanes {lanes} run {run}");
+                assert_eq!(hits, bookings, "lanes {lanes} run {run}");
             }
         }
     }
@@ -883,7 +891,7 @@ fn a_walk_failing_mid_way_returns_its_export_buffers() {
 
 /// Two threads calling `execute` on one executor at once, 200 runs
 /// each: every run is bit-identical to `execute_plan` — the concurrent
-/// runs take turns over the recycled states, each with its own scratch —
+/// runs take turns over the recycled states, each with its own buffers —
 /// and the books settle.
 #[test]
 fn two_callers_share_one_executor_bit_identically() {
